@@ -45,7 +45,8 @@ class PGridDht(DistributedHashTable):
         members = sorted(self._members)
         self._paths: dict[PeerId, str] = {}
         self._leaf_members: dict[str, list[PeerId]] = {}
-        self._refs: dict[PeerId, dict[int, list[PeerId]]] = {}
+        self._refs: dict[PeerId, dict[int, tuple[PeerId, ...]]] = {}
+        self._under: dict[str, tuple[PeerId, ...]] = {}
         self._max_leaf_depth = 0
         if not members:
             return
@@ -78,9 +79,11 @@ class PGridDht(DistributedHashTable):
         self._split(zeros, prefix + "0")
         self._split(ones, prefix + "1")
 
-    def _build_refs(self, peer: PeerId, path: str) -> dict[int, list[PeerId]]:
+    def _build_refs(
+        self, peer: PeerId, path: str
+    ) -> dict[int, tuple[PeerId, ...]]:
         """References to the complement subtree at every path level."""
-        refs: dict[int, list[PeerId]] = {}
+        refs: dict[int, tuple[PeerId, ...]] = {}
         for level in range(len(path)):
             complement = path[:level] + ("1" if path[level] == "0" else "0")
             candidates = self._members_under(complement)
@@ -88,14 +91,21 @@ class PGridDht(DistributedHashTable):
                 refs[level] = candidates[: self.refs_per_level]
         return refs
 
-    def _members_under(self, prefix: str) -> list[PeerId]:
+    def _members_under(self, prefix: str) -> tuple[PeerId, ...]:
         """All members whose path starts with ``prefix`` (or is a prefix of
-        it, for shallow leaves), ascending by peer id."""
-        found: list[PeerId] = []
-        for leaf_path, peers in self._leaf_members.items():
-            if leaf_path.startswith(prefix) or prefix.startswith(leaf_path):
-                found.extend(peers)
-        return sorted(found)
+        it, for shallow leaves), ascending by peer id.
+
+        Memoised per prefix until the next routing rebuild: the answer
+        depends only on the trie, and every routing fall-back asks again.
+        """
+        members = self._under.get(prefix)
+        if members is None:
+            found: list[PeerId] = []
+            for leaf_path, peers in self._leaf_members.items():
+                if leaf_path.startswith(prefix) or prefix.startswith(leaf_path):
+                    found.extend(peers)
+            members = self._under[prefix] = tuple(sorted(found))
+        return members
 
     # ------------------------------------------------------------------
     def _leaf_for(self, target_bits: str) -> str:

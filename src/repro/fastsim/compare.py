@@ -424,6 +424,8 @@ def _calibrate_churn_costs_probe(
         )
     ]
     probe_serial = 0
+    query_seconds = probe_seconds = 0.0
+    queries = 0
     rate_scale = getattr(workload, "rate_multiplier", None)
     for round_index in range(total_rounds):
         net.advance(1.0)
@@ -436,6 +438,7 @@ def _calibrate_churn_costs_probe(
                 rate * (rate_scale(now) if rate_scale is not None else 1.0)
             )
         )
+        queries_started = perf_counter()
         for event in workload.draw(now, count):
             key_index = event.key_index
             key = f"key-{key_index:06d}"
@@ -444,6 +447,7 @@ def _calibrate_churn_costs_probe(
             except ParameterError:
                 continue  # nobody online to originate (extreme churn)
             outcome = net.query(origin, key)
+            queries += 1
             live = shadow[key_index] > now
             if outcome.via_index or outcome.found:
                 shadow[key_index] = now + key_ttl
@@ -474,6 +478,8 @@ def _calibrate_churn_costs_probe(
                 shadow_live += 1
                 if not outcome.via_index:
                     turnover += 1
+        probes_started = perf_counter()
+        query_seconds += probes_started - queries_started
         if measuring:
             for _ in range(probes_per_round[round_index - measure_from]):
                 try:
@@ -491,6 +497,11 @@ def _calibrate_churn_costs_probe(
                 else:
                     failed_sum += walk.messages
                     failed_n += 1
+            probe_seconds += perf_counter() - probes_started
+    obs.add_duration("calibrate.churn.queries", query_seconds, n=queries)
+    obs.add_duration(
+        "calibrate.churn.walk_probes", probe_seconds, n=probe_serial
+    )
 
     maintenance = (
         net.metrics.total(MessageCategory.MAINTENANCE)

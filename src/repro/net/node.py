@@ -102,6 +102,10 @@ class PeerPopulation:
             raise ParameterError(f"num_peers must be >= 1, got {num_peers}")
         self._peers = [Peer(peer_id=i) for i in range(num_peers)]
         self._online_ids: set[PeerId] = set(range(num_peers))
+        #: Bumped on every real liveness transition; caches derived from
+        #: the online set (here and in the topology) are valid for one epoch.
+        self.liveness_epoch = 0
+        self._sorted_online: tuple[PeerId, ...] | None = None
 
     def __len__(self) -> int:
         return len(self._peers)
@@ -117,9 +121,20 @@ class PeerPopulation:
         return self._peers[peer_id]
 
     @property
+    def peers(self) -> list[Peer]:
+        """Every peer, indexed by id (read-only: the universe is fixed)."""
+        return self._peers
+
+    @property
     def online_ids(self) -> frozenset[PeerId]:
         """Snapshot of the currently online peer ids."""
         return frozenset(self._online_ids)
+
+    def sorted_online_ids(self) -> tuple[PeerId, ...]:
+        """The online peer ids in ascending order (sorted once per epoch)."""
+        if self._sorted_online is None:
+            self._sorted_online = tuple(sorted(self._online_ids))
+        return self._sorted_online
 
     @property
     def online_count(self) -> int:
@@ -131,20 +146,24 @@ class PeerPopulation:
     def set_online(self, peer_id: PeerId, online: bool, now: float = 0.0) -> None:
         """Transition a peer's liveness (no-op if already in that state)."""
         peer = self[peer_id]
-        if online and not peer.online:
+        if bool(online) == peer.online:
+            return
+        if online:
             peer.go_online(now)
             self._online_ids.add(peer_id)
-        elif not online and peer.online:
+        else:
             peer.go_offline(now)
             self._online_ids.discard(peer_id)
+        self.liveness_epoch += 1
+        self._sorted_online = None
 
     def online_peers(self) -> Iterable[Peer]:
         """Iterate over currently-online peers (order: ascending id)."""
-        return (self._peers[i] for i in sorted(self._online_ids))
+        return (self._peers[i] for i in self.sorted_online_ids())
 
     def sample_online(self, rng, size: int) -> list[PeerId]:
         """Sample ``size`` distinct online peer ids uniformly at random."""
-        online = sorted(self._online_ids)
+        online = self.sorted_online_ids()
         if size > len(online):
             raise ParameterError(
                 f"cannot sample {size} peers, only {len(online)} online"

@@ -106,17 +106,38 @@ class GnutellaTopology:
         self.degree = degree
         self.kind = kind
         self.graph = build_gnutella_graph(len(population), degree, rng, kind)
+        # The graph is static after construction: sort each row once.
+        self._adjacency = tuple(
+            tuple(sorted(self.graph.neighbors(peer_id)))
+            for peer_id in range(len(population))
+        )
+        self._online_adjacency: list[tuple[PeerId, ...]] = []
+        self._online_epoch = -1
 
     def neighbors(self, peer_id: PeerId) -> list[PeerId]:
         """All configured neighbours, regardless of liveness."""
-        return sorted(self.graph.neighbors(peer_id))
+        return list(self._adjacency[peer_id])
+
+    def online_adjacency(self) -> list[tuple[PeerId, ...]]:
+        """Every peer's online neighbours (ascending), indexed by peer id.
+
+        Rebuilt on the first call after the population's
+        ``liveness_epoch`` moved, so search loops pay one list index per
+        hop. Read-only; do not hold it across a liveness change.
+        """
+        epoch = self.population.liveness_epoch
+        if epoch != self._online_epoch:
+            online = self.population.online_ids
+            self._online_adjacency = [
+                tuple([n for n in row if n in online])
+                for row in self._adjacency
+            ]
+            self._online_epoch = epoch
+        return self._online_adjacency
 
     def online_neighbors(self, peer_id: PeerId) -> list[PeerId]:
         """Configured neighbours that are currently online."""
-        return [
-            n for n in sorted(self.graph.neighbors(peer_id))
-            if self.population.is_online(n)
-        ]
+        return list(self.online_adjacency()[peer_id])
 
     def online_subgraph_nodes(self) -> Iterable[PeerId]:
         """Ids of online peers (vertices of the live overlay)."""

@@ -9,11 +9,76 @@ guarantees statistical independence between streams.
 
 from __future__ import annotations
 
+from typing import Generator
+
 import numpy as np
 
 from repro.errors import ParameterError
 
-__all__ = ["RandomStreams"]
+__all__ = ["RandomStreams", "bounded_draws"]
+
+#: Raw words fetched per refill: the first block is small because most
+#: searches take a handful of draws, later blocks double up to the cap.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1024
+
+
+def bounded_draws(rng: np.random.Generator) -> Generator[int, int, None]:
+    """A coroutine whose ``send(n)`` is ``int(rng.integers(0, n))``, cheaper.
+
+    Prime it with ``next()``, then ``send(n)`` for ``1 <= n <= 2**32``
+    returns exactly the value the scalar call would have returned, and
+    ``close()`` leaves ``rng.bit_generator.state`` exactly where those
+    scalar calls would have left it — so a hot loop can swap one for the
+    other and no later consumer of the stream can tell. A scalar
+    ``Generator.integers`` call costs ~2 us of dispatch; this draws the
+    raw 32-bit words numpy would have consumed a block at a time and
+    applies numpy's own bounded-integer reduction to them in Python.
+
+    That reduction (``bounded_lemire_uint32`` in numpy's
+    ``distributions.c``, reached for every range below ``2**32``) is the
+    one piece of numpy-internals knowledge in this code base, and
+    ``tests/sim/test_rng.py`` holds it to the real thing: ``n == 1``
+    consumes nothing; otherwise a word ``w`` maps to ``(w * n) >> 32``
+    unless the low half of the product falls under ``(2**32 - n) % n``,
+    in which case the word is rejected and the next one tried.
+
+    Words are fetched past what ends up used, so ``close()`` rewinds to
+    the state saved before the current block and re-draws only the words
+    consumed from it. Between the first ``send`` and ``close`` the
+    generator must not be used by anyone else.
+    """
+    bit_generator = rng.bit_generator
+    saved = None  # bit-generator state before the current block
+    words: list[int] = []
+    used = 0  # words consumed from the current block
+    value = 0
+    try:
+        while True:
+            n = yield value
+            if n < 2:
+                if n != 1:
+                    raise ParameterError(f"n must be >= 1, got {n}")
+                value = 0
+                continue
+            while True:
+                if used == len(words):
+                    saved = bit_generator.state
+                    block = min(max(2 * len(words), _FIRST_BLOCK), _MAX_BLOCK)
+                    words = rng.integers(
+                        0, 1 << 32, size=block, dtype=np.uint32
+                    ).tolist()
+                    used = 0
+                product = words[used] * n
+                used += 1
+                leftover = product & 0xFFFFFFFF
+                if leftover >= n or leftover >= (0x100000000 - n) % n:
+                    break
+            value = product >> 32
+    finally:
+        if saved is not None:
+            bit_generator.state = saved
+            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
 
 
 class RandomStreams:

@@ -77,7 +77,7 @@ class UnstructuredOverlay:
 
     def random_online_peer(self, rng: np.random.Generator) -> PeerId:
         """A uniformly random online peer (query originator, walk restart)."""
-        online = sorted(self.population.online_ids)
+        online = self.population.sorted_online_ids()
         if not online:
             raise ParameterError("no peers online")
         return online[int(rng.integers(0, len(online)))]

@@ -18,9 +18,11 @@ from typing import Hashable, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ParameterError
-from repro.net.messages import MessageKind
+from repro.net.messages import Message, MessageKind
 from repro.net.node import PeerId
+from repro.sim.rng import bounded_draws
 from repro.unstructured.overlay import UnstructuredOverlay
 
 __all__ = ["WalkResult", "RandomWalkSearch"]
@@ -61,6 +63,18 @@ class RandomWalkSearch:
         Maximum steps per walker; the default is generous enough that an
         existing key is found with near-certainty (the paper assumes the
         search "finds any key if it exists in the network").
+
+    Notes
+    -----
+    Stream contract: a search consumes ``rng`` exactly as one
+    ``rng.integers(0, n)`` per hop taken from a peer with ``n >= 2``
+    online neighbours would, in walker order within each step, and
+    nothing for a forced move (one online neighbour), a dead end or an
+    origin that holds the key. Calibrated costs, pinned figures and store
+    keys downstream all depend on that sequence; the draws are served by
+    :func:`repro.sim.rng.bounded_draws`, and
+    ``tests/unstructured/test_walk_equivalence.py`` holds this loop to the
+    scalar-draw loop it replaced. While a search runs it owns ``rng``.
     """
 
     def __init__(
@@ -87,62 +101,83 @@ class RandomWalkSearch:
         walker succeeds, the remaining walkers stop at the end of the
         current step instead of running their full TTL.
         """
-        self.overlay.population[origin].require_online()
+        overlay = self.overlay
+        overlay.population[origin].require_online()
+        obs.count("walk.searches")
 
-        if self.overlay.peer_has(origin, key):
+        if overlay.peer_has(origin, key):
             return WalkResult(
                 key=key,
                 found=True,
-                value=self.overlay.value_at(origin, key),
+                value=overlay.value_at(origin, key),
                 holder=origin,
                 messages=0,
                 distinct_peers=1,
                 steps=0,
             )
 
+        # This loop is the event substrate's hot path (a failed search
+        # under churn is walkers * ttl hops), so per hop it does one index
+        # into the topology's online-adjacency table and one block-served
+        # draw; the hops are counted in one call when the search ends.
+        neighbors_of = overlay.topology.online_adjacency()
+        peers = overlay.population.peers
+        log = overlay.log
+        audit = log.messages if log.keep_messages else None
+        draws = bounded_draws(self.rng)
+        next(draws)
+        draw = draws.send
+
         positions: list[Optional[PeerId]] = [origin] * self.walkers
         visited: set[PeerId] = {origin}
         messages = 0
         found_at: Optional[PeerId] = None
+        step = 0
+        try:
+            for step in range(1, self.ttl + 1):
+                any_alive = False
+                for i, position in enumerate(positions):
+                    if position is None:
+                        continue
+                    neighbors = neighbors_of[position]
+                    fanout = len(neighbors)
+                    if fanout > 1:
+                        nxt = neighbors[draw(fanout)]
+                    elif fanout:
+                        nxt = neighbors[0]  # forced move: no draw
+                    else:
+                        positions[i] = None  # dead end: walker dies
+                        continue
+                    if audit is not None:
+                        audit.append(
+                            Message(MessageKind.QUERY_WALK, position, nxt, key)
+                        )
+                    messages += 1
+                    visited.add(nxt)
+                    positions[i] = nxt
+                    any_alive = True
+                    # nxt came from the online table, so peer_has(nxt, key)
+                    # reduces to the content check.
+                    if key in peers[nxt].content:
+                        found_at = nxt
+                if found_at is not None or not any_alive:
+                    break
+        finally:
+            draws.close()
+            if messages:
+                log.metrics.count(MessageKind.QUERY_WALK.category, messages)
+                obs.count("walk.hops", messages)
 
-        for step in range(1, self.ttl + 1):
-            any_alive = False
-            for i, position in enumerate(positions):
-                if position is None:
-                    continue
-                neighbors = self.overlay.online_neighbors(position)
-                if not neighbors:
-                    positions[i] = None  # dead end: walker dies
-                    continue
-                nxt = neighbors[int(self.rng.integers(0, len(neighbors)))]
-                self.overlay.log.send(MessageKind.QUERY_WALK, position, nxt, key)
-                messages += 1
-                visited.add(nxt)
-                positions[i] = nxt
-                any_alive = True
-                if self.overlay.peer_has(nxt, key):
-                    found_at = nxt
-            if found_at is not None or not any_alive:
-                return WalkResult(
-                    key=key,
-                    found=found_at is not None,
-                    value=(
-                        self.overlay.value_at(found_at, key)
-                        if found_at is not None
-                        else None
-                    ),
-                    holder=found_at,
-                    messages=messages,
-                    distinct_peers=len(visited),
-                    steps=step,
-                )
-
+        if found_at is None:
+            obs.count("walk.failed")
         return WalkResult(
             key=key,
-            found=False,
-            value=None,
-            holder=None,
+            found=found_at is not None,
+            value=(
+                overlay.value_at(found_at, key) if found_at is not None else None
+            ),
+            holder=found_at,
             messages=messages,
             distinct_peers=len(visited),
-            steps=self.ttl,
+            steps=step,
         )

@@ -124,6 +124,41 @@ class TestPGrid:
                     ref_path
                 )
 
+    def test_members_under_memo_equals_a_fresh_scan(self, pgrid):
+        def scan(prefix):
+            return tuple(sorted(
+                peer
+                for leaf, peers in pgrid._leaf_members.items()
+                if leaf.startswith(prefix) or prefix.startswith(leaf)
+                for peer in peers
+            ))
+
+        pgrid.responsible_for("warmup")
+        prefixes = {
+            path[:n]
+            for path in pgrid._leaf_members
+            for n in range(len(path) + 1)
+        }
+        prefixes |= {prefix + "0" for prefix in prefixes}
+        for prefix in sorted(prefixes):
+            assert pgrid._members_under(prefix) == scan(prefix)
+            # second ask is the memoised tuple itself
+            assert pgrid._members_under(prefix) is pgrid._members_under(prefix)
+        assert pgrid._members_under("") == tuple(sorted(pgrid.members))
+
+    def test_members_under_memo_dropped_on_rebuild(self, pgrid):
+        pgrid.responsible_for("warmup")
+        leaver = pgrid._members_under("0")[0]
+        assert leaver in pgrid._members_under("")
+        pgrid.leave(leaver)
+        pgrid.responsible_for("warmup")  # triggers the routing rebuild
+        assert leaver not in pgrid._members_under("")
+        assert all(
+            leaver not in refs
+            for table in pgrid._refs.values()
+            for refs in table.values()
+        )
+
     def test_mean_hops_match_eq7(self, pgrid):
         members = pgrid.online_members()
         hops = [

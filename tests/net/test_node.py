@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import OfflinePeerError, ParameterError
@@ -66,6 +67,39 @@ class TestPopulation:
         population.set_online(3, False, now=1.0)
         population.set_online(3, False, now=2.0)
         assert population[3].left_at == 1.0  # second call was a no-op
+
+    def test_epoch_moves_only_on_real_transitions(self, population):
+        assert population.liveness_epoch == 0
+        population.set_online(3, True)  # already online
+        assert population.liveness_epoch == 0
+        population.set_online(3, False)
+        assert population.liveness_epoch == 1
+        population.set_online(3, False)  # already offline
+        population.set_online(3, 0)  # falsy, same state
+        assert population.liveness_epoch == 1
+        population.set_online(3, True)
+        assert population.liveness_epoch == 2
+
+    def test_sorted_online_ids_served_once_per_epoch(self, population):
+        first = population.sorted_online_ids()
+        assert first == tuple(range(len(population)))
+        population.set_online(7, True)  # no-op: same tuple object
+        assert population.sorted_online_ids() is first
+        population.set_online(7, False)
+        assert population.sorted_online_ids() == tuple(
+            i for i in range(len(population)) if i != 7
+        )
+        population.set_online(7, True)
+        assert population.sorted_online_ids() == first
+
+    def test_sample_online_follows_liveness_changes(self, population):
+        for peer_id in range(4, len(population)):
+            population.set_online(peer_id, False)
+        rng = np.random.default_rng(0)
+        assert sorted(population.sample_online(rng, 4)) == [0, 1, 2, 3]
+        population.set_online(0, False)
+        population.set_online(9, True)
+        assert sorted(population.sample_online(rng, 4)) == [1, 2, 3, 9]
 
     def test_online_ids_snapshot_is_frozen(self, population):
         snapshot = population.online_ids

@@ -66,6 +66,31 @@ class TestGnutellaTopology:
         assert victim not in topo.online_neighbors(0)
         assert len(topo.online_neighbors(0)) == 3
 
+    def test_online_adjacency_rebuilt_only_when_the_epoch_moved(
+        self, population, rng
+    ):
+        topo = GnutellaTopology(population, 4, rng)
+        table = topo.online_adjacency()
+        assert [list(row) for row in table] == [
+            topo.neighbors(p) for p in range(len(population))
+        ]
+        victim = topo.neighbors(0)[0]
+        population.set_online(victim, True)  # no-op: table kept
+        assert topo.online_adjacency() is table
+        population.set_online(victim, False)
+        rebuilt = topo.online_adjacency()
+        assert rebuilt is not table
+        assert all(victim not in row for row in rebuilt)
+        assert rebuilt[victim] == table[victim]  # own liveness is not a filter
+        population.set_online(victim, True)
+        assert topo.online_adjacency() == table
+
+    def test_online_neighbors_returns_a_private_list(self, population, rng):
+        topo = GnutellaTopology(population, 4, rng)
+        expected = topo.online_neighbors(0)
+        topo.online_neighbors(0).clear()
+        assert topo.online_neighbors(0) == expected == sorted(expected)
+
     def test_duplication_factor_matches_degree(self, population, rng):
         topo = GnutellaTopology(population, 4, rng)
         # Regular graph, everyone online: 2E/V = degree.

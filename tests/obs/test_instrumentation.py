@@ -7,6 +7,10 @@ import pytest
 from repro import obs
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import calibration_cache_stats, run_fastsim
+from repro.fastsim.compare import (
+    calibrate_churn_costs,
+    churn_config_for_availability,
+)
 from repro.fastsim.parallel import FastSimJob, run_many
 from repro.pdht.config import PdhtConfig
 from repro.sim.engine import Simulation
@@ -49,6 +53,44 @@ class TestKernelInstrumentation:
 
     def test_disabled_kernel_run_records_nothing(self, params):
         run_fastsim(params, duration=DURATION, seed=3)
+        assert not obs.collector()
+
+
+class TestChurnCalibrationInstrumentation:
+    PROBES = 25
+
+    def _calibrate(self, params):
+        return calibrate_churn_costs(
+            params, churn_config_for_availability(0.5, mean_session=60.0),
+            seed=1, warmup=5.0, rounds=15.0, walk_probes=self.PROBES,
+        )
+
+    def test_enabled_calibration_is_bit_identical_to_disabled(self, params):
+        baseline = self._calibrate(params)
+        obs.enable()
+        telemetered = self._calibrate(params)
+        obs.disable()
+        assert telemetered == baseline
+
+    def test_walks_and_phases_are_attributed(self, params):
+        obs.enable()
+        self._calibrate(params)
+        collected = obs.collector()
+        counters, spans = collected.counters, collected.spans
+        probes = spans["calibrate.churn/calibrate.churn.walk_probes"]
+        queries = spans["calibrate.churn/calibrate.churn.queries"]
+        assert probes["count"] == self.PROBES
+        assert queries["count"] > 0
+        # every probe is a search; query misses add the rest
+        assert self.PROBES <= counters["walk.searches"]
+        assert counters["walk.searches"] <= self.PROBES + queries["count"]
+        assert counters["walk.hops"] >= counters["walk.searches"] > 0
+        assert 0 <= counters.get("walk.failed", 0) <= counters["walk.searches"]
+        attributed = probes["seconds"] + queries["seconds"]
+        assert attributed <= spans["calibrate.churn"]["seconds"]
+
+    def test_disabled_calibration_records_nothing(self, params):
+        self._calibrate(params)
         assert not obs.collector()
 
 

@@ -1,0 +1,329 @@
+"""Differential test: the fast walk loop against the loop it replaced.
+
+``reference_search`` is the pre-optimisation ``RandomWalkSearch.search``
+kept verbatim (three call layers, a scalar ``rng.integers`` and one
+``log.send`` per hop); the only edit is that it lists online neighbours
+from the graph itself, as the topology did then, instead of through the
+adjacency table the fast loop reads. The two must agree exactly, not
+approximately: same ``WalkResult``, same message totals, same audit
+records in the same order, and the walk generator left in the same state.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Hashable, Optional
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.net.messages import MessageKind
+from repro.net.node import PeerId, PeerPopulation
+from repro.sim.metrics import MessageCategory, MessageMetrics
+from repro.unstructured.overlay import UnstructuredOverlay
+from repro.unstructured.random_walk import RandomWalkSearch, WalkResult
+
+
+def _reference_online_neighbors(overlay, peer_id):
+    return [
+        n for n in sorted(overlay.topology.graph.neighbors(peer_id))
+        if overlay.population.is_online(n)
+    ]
+
+
+def reference_search(self, origin: PeerId, key: Hashable) -> WalkResult:
+    self.overlay.population[origin].require_online()
+
+    if self.overlay.peer_has(origin, key):
+        return WalkResult(
+            key=key,
+            found=True,
+            value=self.overlay.value_at(origin, key),
+            holder=origin,
+            messages=0,
+            distinct_peers=1,
+            steps=0,
+        )
+
+    positions: list[Optional[PeerId]] = [origin] * self.walkers
+    visited: set[PeerId] = {origin}
+    messages = 0
+    found_at: Optional[PeerId] = None
+
+    for step in range(1, self.ttl + 1):
+        any_alive = False
+        for i, position in enumerate(positions):
+            if position is None:
+                continue
+            neighbors = _reference_online_neighbors(self.overlay, position)
+            if not neighbors:
+                positions[i] = None  # dead end: walker dies
+                continue
+            nxt = neighbors[int(self.rng.integers(0, len(neighbors)))]
+            self.overlay.log.send(MessageKind.QUERY_WALK, position, nxt, key)
+            messages += 1
+            visited.add(nxt)
+            positions[i] = nxt
+            any_alive = True
+            if self.overlay.peer_has(nxt, key):
+                found_at = nxt
+        if found_at is not None or not any_alive:
+            return WalkResult(
+                key=key,
+                found=found_at is not None,
+                value=(
+                    self.overlay.value_at(found_at, key)
+                    if found_at is not None
+                    else None
+                ),
+                holder=found_at,
+                messages=messages,
+                distinct_peers=len(visited),
+                steps=step,
+            )
+
+    return WalkResult(
+        key=key,
+        found=False,
+        value=None,
+        holder=None,
+        messages=messages,
+        distinct_peers=len(visited),
+        steps=self.ttl,
+    )
+
+
+# ----------------------------------------------------------------------
+# Generated worlds
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class World:
+    """Everything needed to build the same overlay and walker twice."""
+
+    num_peers: int
+    degree: int
+    kind: str
+    topology_seed: int
+    walk_seed: int
+    #: scalar draws taken from the walk stream first; an odd count leaves
+    #: PCG64 holding a buffered half-word when the search starts.
+    predraws: int
+    origin: int
+    #: peer ids, or a shape resolved against the built graph in build()
+    offline: "frozenset | str"
+    holders: "frozenset | str"
+    walkers: int
+    ttl: int
+    keep_messages: bool
+    #: liveness flips applied between the first and the second search.
+    flips: tuple
+
+    def build(self):
+        population = PeerPopulation(self.num_peers)
+        overlay = UnstructuredOverlay(
+            population,
+            np.random.Generator(np.random.PCG64(self.topology_seed)),
+            degree=self.degree,
+            topology_kind=self.kind,
+            metrics=MessageMetrics(),
+            keep_messages=self.keep_messages,
+        )
+        offline = self.offline
+        if offline == "isolate-origin":
+            offline = frozenset(overlay.topology.neighbors(self.origin))
+        elif offline == "two-peer-component":
+            partner = overlay.topology.neighbors(self.origin)[0]
+            offline = frozenset(range(self.num_peers)) - {self.origin, partner}
+        for peer_id in offline:
+            population.set_online(peer_id, False)
+        holders = self.holders
+        if holders == "everyone-else":
+            holders = frozenset(range(self.num_peers)) - {self.origin}
+        for peer_id in holders:
+            overlay.store(peer_id, "k", f"value@{peer_id}")
+        rng = np.random.Generator(np.random.PCG64(self.walk_seed))
+        for _ in range(self.predraws):
+            rng.integers(0, 3)
+        walker = RandomWalkSearch(
+            overlay, rng, walkers=self.walkers, ttl=self.ttl
+        )
+        return overlay, walker
+
+
+@st.composite
+def worlds(draw) -> World:
+    num_peers = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["random_regular", "barabasi_albert"]))
+    degrees = [
+        d for d in range(1, min(num_peers, 6))
+        if kind == "barabasi_albert" or (d * num_peers) % 2 == 0
+    ]
+    degree = draw(st.sampled_from(degrees))
+    peer_ids = st.integers(0, num_peers - 1)
+    origin = draw(peer_ids)
+    offline = draw(
+        st.one_of(
+            st.frozensets(peer_ids).map(lambda ids: ids - {origin}),
+            st.sampled_from(["isolate-origin", "two-peer-component"]),
+        )
+    )
+    holders = draw(
+        st.one_of(
+            st.just(frozenset()),  # no holder anywhere
+            st.just(frozenset({origin})),  # origin holds the key
+            # several walkers find it in the same step: last finder wins
+            st.just("everyone-else"),
+            st.frozensets(peer_ids, min_size=1),
+        )
+    )
+    flips = draw(
+        st.lists(st.tuples(peer_ids, st.booleans()), max_size=6).map(
+            lambda pairs: tuple(p for p in pairs if p[0] != origin)
+        )
+    )
+    return World(
+        num_peers=num_peers,
+        degree=degree,
+        kind=kind,
+        topology_seed=draw(st.integers(0, 2**16)),
+        walk_seed=draw(st.integers(0, 2**16)),
+        predraws=draw(st.integers(0, 3)),
+        origin=origin,
+        offline=offline,
+        holders=holders,
+        walkers=draw(st.integers(1, 5)),
+        ttl=draw(st.integers(1, 40)),
+        keep_messages=draw(st.booleans()),
+        flips=flips,
+    )
+
+
+def _outcome(search, walker, origin, key):
+    """The search's result without its ``key`` field, or what it raised."""
+    try:
+        result = search(walker, origin, key)
+    except Fuse as blown:
+        return ("raised", str(blown))
+    assert result.key is key
+    return tuple(
+        getattr(result, field.name)
+        for field in dataclasses.fields(result)[1:]
+    )
+
+
+def _observable(overlay, walker, key):
+    """Everything a caller can see of the overlay after a search."""
+    return {
+        "totals": overlay.metrics.totals_by_category(),
+        "window": dict(overlay.metrics._window),
+        "audit": [
+            (m.kind, m.sender, m.receiver, m.payload is key)
+            for m in overlay.log.messages
+        ],
+        "rng": walker.rng.bit_generator.state,
+    }
+
+
+def _assert_equivalent(world: World, make_key) -> None:
+    ref_overlay, ref_walker = world.build()
+    new_overlay, new_walker = world.build()
+    ref_key, new_key = make_key(), make_key()
+    for flips in ((), world.flips):
+        for peer_id, online in flips:
+            ref_overlay.population.set_online(peer_id, online)
+            new_overlay.population.set_online(peer_id, online)
+        expected = _outcome(reference_search, ref_walker, world.origin, ref_key)
+        actual = _outcome(RandomWalkSearch.search, new_walker, world.origin, new_key)
+        assert actual == expected
+        assert _observable(new_overlay, new_walker, new_key) == _observable(
+            ref_overlay, ref_walker, ref_key
+        )
+        # ... and the next consumer of the stream draws the same numbers.
+        assert new_walker.rng.integers(0, 2**32) == ref_walker.rng.integers(0, 2**32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(worlds())
+def test_fast_walk_equals_reference(world):
+    _assert_equivalent(world, lambda: "k")
+
+
+# ----------------------------------------------------------------------
+# An exception raised mid-search
+# ----------------------------------------------------------------------
+class Fuse(Exception):
+    pass
+
+
+class FusedKey:
+    """Hashes like ``"k"`` and never equals it; the ``fuse``-th comparison
+    raises instead. Each ``key in content`` at a holder makes one or more
+    (the dict may re-probe the slot), the same number in both loops."""
+
+    def __init__(self, fuse: int) -> None:
+        self.fuse = fuse
+        self.comparisons = 0
+
+    def __hash__(self) -> int:
+        return hash("k")
+
+    def __eq__(self, other: object) -> bool:
+        self.comparisons += 1
+        if self.comparisons >= self.fuse:
+            raise Fuse(f"comparison {self.comparisons}")
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(worlds(), st.integers(1, 30))
+def test_fast_walk_equals_reference_when_a_hop_raises(world, fuse):
+    # Every peer holds "k", so each hop's content check burns the fuse:
+    # the search dies at the same hop in both loops, with the hops so far
+    # counted and logged and the generator at the exact consumed position.
+    world = dataclasses.replace(
+        world, holders=frozenset(range(world.num_peers))
+    )
+    _assert_equivalent(world, lambda: FusedKey(fuse))
+
+
+def test_fuse_actually_blows_mid_search():
+    """The property above is not vacuous: this world raises after hops."""
+    world = World(
+        num_peers=12, degree=3, kind="random_regular", topology_seed=1,
+        walk_seed=2, predraws=1, origin=0, offline=frozenset(),
+        holders=frozenset(range(12)), walkers=3, ttl=20,
+        keep_messages=True, flips=(),
+    )
+    overlay, walker = world.build()
+    with pytest.raises(Fuse):
+        walker.search(0, FusedKey(fuse=8))
+    # How many comparisons one dict lookup makes depends on the process's
+    # string-hash seed, so only bound the hop count: some hops were taken,
+    # counted and logged before the fuse blew, far short of walkers * ttl.
+    hops = overlay.metrics.total(MessageCategory.UNSTRUCTURED_SEARCH)
+    assert 0 < hops < 8
+    assert len(overlay.log.messages) == hops
+    _assert_equivalent(world, lambda: FusedKey(fuse=8))
+
+
+# ----------------------------------------------------------------------
+# Liveness changes between searches
+# ----------------------------------------------------------------------
+def test_second_search_sees_liveness_change_without_stale_neighbour(rng):
+    overlay = UnstructuredOverlay(
+        PeerPopulation(30), rng, degree=3, keep_messages=True
+    )
+    first, second, *others = overlay.topology.neighbors(0)
+    for peer_id in (second, *others):
+        overlay.population.set_online(peer_id, False)
+    walker = RandomWalkSearch(overlay, rng, walkers=4, ttl=1)
+
+    walker.search(0, "absent")
+    assert {m.receiver for m in overlay.log.messages} == {first}
+
+    overlay.log.clear()
+    overlay.population.set_online(first, False)
+    overlay.population.set_online(second, True)
+    walker.search(0, "absent")
+    assert {m.receiver for m in overlay.log.messages} == {second}
