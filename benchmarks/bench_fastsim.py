@@ -226,17 +226,19 @@ def _jobs_record() -> dict[str, object]:
     """
     import os
 
+    from repro.experiments.execution import Execution
     from repro.experiments.scenario import fastsim_scenario
     from repro.experiments.sweeps import GridAxes, sweep_grid
 
     scenario = fastsim_scenario(scale=5.0)
     axes = GridAxes()
     started = time.perf_counter()
-    sequential = sweep_grid(axes, scenario=scenario, duration=960.0, jobs=1)
+    sequential = sweep_grid(axes, scenario=scenario, duration=960.0)
     sequential_seconds = time.perf_counter() - started
     started = time.perf_counter()
     parallel = sweep_grid(
-        axes, scenario=scenario, duration=960.0, jobs=JOBS_WORKERS
+        axes, scenario=scenario, duration=960.0,
+        execution=Execution("vectorized", jobs=JOBS_WORKERS),
     )
     parallel_seconds = time.perf_counter() - started
     return {

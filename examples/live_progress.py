@@ -41,6 +41,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.experiments import simulation_scenario
+from repro.experiments.execution import Execution
 from repro.experiments.sweeps import GridAxes, sweep_grid
 from repro.obs import events
 
@@ -58,7 +59,10 @@ def main() -> None:
     obs.enable()
     ring = events.RingBufferSink()
     with events.recorded(events.TeeSink(ring, obs.ProgressRenderer())):
-        sweep_grid(AXES, params, duration=DURATION, seed=0, jobs=2)
+        sweep_grid(
+            AXES, params, duration=DURATION, seed=0,
+            execution=Execution("vectorized", jobs=2),
+        )
     obs.disable()
 
     recorded = ring.events()

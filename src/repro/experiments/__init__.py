@@ -22,7 +22,9 @@ From the command line::
 
 The underlying data generators remain importable directly
 (:mod:`~repro.experiments.figures`, :mod:`~repro.experiments.tables`,
-:mod:`~repro.experiments.sweeps`).
+:mod:`~repro.experiments.sweeps`); the simulated ones take one
+:class:`~repro.experiments.execution.Execution` argument for engine,
+workers, dtype policy and array shipping.
 """
 
 from repro.experiments.scenario import (
@@ -35,6 +37,7 @@ from repro.experiments.scenario import (
     ENGINES,
     DEFAULT_ENGINE,
 )
+from repro.experiments.execution import Cell, Execution
 from repro.experiments.figures import (
     FigureSeries,
     figure1,
@@ -92,6 +95,8 @@ __all__ = [
     "FASTSIM_SCALE",
     "ENGINES",
     "DEFAULT_ENGINE",
+    "Cell",
+    "Execution",
     "FigureSeries",
     "figure1",
     "figure2",

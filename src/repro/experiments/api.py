@@ -35,11 +35,11 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional
 
 from repro import obs
-from repro.obs import events as obs_events
 from repro.obs.clock import perf_counter
 from repro.analysis.parameters import ScenarioParameters
 from repro.errors import CapabilityError, ParameterError
 from repro.experiments import figures, tables
+from repro.experiments.execution import Execution
 from repro.experiments.figures import FigureSeries
 from repro.experiments.scenario import (
     ENGINES,
@@ -48,6 +48,7 @@ from repro.experiments.scenario import (
     resolve_engine,
     simulation_scenario,
 )
+from repro.fastsim import parallel
 
 __all__ = [
     "ANALYTICAL",
@@ -224,23 +225,28 @@ class ExperimentContext:
         return self.duration / 12.0
 
     @property
-    def jobs(self) -> int:
-        """Worker processes for the run's independent units (default 1)."""
-        return self.params.jobs if self.params.jobs is not None else 1
-
-    @property
-    def precision(self) -> str:
-        """Kernel state dtype policy name (default ``"wide"``)."""
-        return (
-            self.params.precision
-            if self.params.precision is not None
-            else "wide"
+    def execution(self) -> Execution:
+        """How this run's cells execute — the single argument simulated
+        figures take for engine, workers, dtype policy and array shipping.
+        Rejects a dtype policy the resolved engine cannot honour."""
+        params = self.params
+        return Execution(
+            engine=self.engine,
+            jobs=1 if params.jobs is None else params.jobs,
+            precision=params.precision,
+            shared_memory=bool(params.shared_memory),
         )
 
-    @property
-    def shared_memory(self) -> bool:
-        """Whether pool fan-outs ship arrays by shared memory (default off)."""
-        return bool(self.params.shared_memory)
+    def run(self) -> FigureSeries:
+        """One builder invocation — the unit shape
+        :func:`repro.fastsim.parallel.fan_out` runs.
+
+        A context pickles by reference for everything heavy: the spec's
+        builder is a module-level function, so a spawned worker re-imports
+        its defining module (repopulating the registry as a side effect)
+        and the scenario/params ride along as small frozen dataclasses.
+        """
+        return self.spec.builder(self)
 
 
 @dataclass(frozen=True)
@@ -535,11 +541,11 @@ def run(name: str, **overrides: object) -> ExperimentResult:
                     experiment=spec.name,
                     engine=engine or "none",
                 ):
-                    figure, replication = _execute(spec, ctx, merged)
+                    figure, replication = _execute(ctx)
                 obs.sample_peak_rss()
             telemetry = local.snapshot()
         else:
-            figure, replication = _execute(spec, ctx, merged)
+            figure, replication = _execute(ctx)
     wall_clock = perf_counter() - started
 
     import repro  # late: repro/__init__ imports this module at its end
@@ -585,94 +591,54 @@ def _store_scope(setting: Optional[str]):
 
 
 def _execute(
-    spec: ExperimentSpec, ctx: "ExperimentContext", merged: ExperimentParams
+    ctx: ExperimentContext,
 ) -> tuple[FigureSeries, Optional[dict[str, object]]]:
     """Build the figure, fanning replicate seeds over a pool if asked."""
-    replication: Optional[dict[str, object]] = None
-    replicates = merged.replicates or 1
-    if replicates > 1:
-        base_seed = merged.seed if merged.seed is not None else 0
-        seeds = tuple(base_seed + i for i in range(replicates))
-        # One builder invocation per seed. The seeds are independent, so
-        # jobs > 1 fans them over a process pool (each child context runs
-        # its own units sequentially — no nested pools); jobs=1 keeps the
-        # historical in-process loop.
-        contexts = [
-            replace(
-                ctx,
-                params=replace(ctx.params, seed=run_seed, jobs=1),
-            )
-            for run_seed in seeds
-        ]
-        # Replicate seeds already in the artifact store load instead of
-        # recompute; only the missing seeds run (resumable replication).
-        from repro.store.store import active_store
+    replicates = ctx.params.replicates or 1
+    if replicates == 1:
+        return ctx.run(), None
+    import json
 
-        store = active_store()
-        figures_by_seed: list[Optional[FigureSeries]] = [None] * len(contexts)
+    from repro.experiments.export import figure_to_json, load_figure_json
+    from repro.store.store import active_store
+
+    seeds = tuple(ctx.seed + i for i in range(replicates))
+    # One builder invocation per seed. The seeds are independent, so
+    # jobs > 1 fans them over the process pool; each child context then
+    # runs its own cells in-process (jobs=1) — no nested pools.
+    contexts = [
+        replace(ctx, params=replace(ctx.params, seed=run_seed, jobs=1))
+        for run_seed in seeds
+    ]
+    # Replicate seeds already in the artifact store load instead of
+    # recompute; only the missing seeds run, and each is saved as it
+    # lands, so an interrupted replication resumes where it stopped.
+    store = active_store()
+    figures_by_seed: list[Optional[FigureSeries]] = [None] * len(contexts)
+    if store is not None:
+        for index, context in enumerate(contexts):
+            payload = store.load_replicate(_replicate_inputs(context))
+            if payload is not None:
+                figures_by_seed[index] = load_figure_json(json.dumps(payload))
+    pending = [i for i, fig in enumerate(figures_by_seed) if fig is None]
+
+    def _finish(position: int, figure: FigureSeries) -> None:
+        index = pending[position]
+        figures_by_seed[index] = figure
         if store is not None:
-            import json
+            store.save_replicate(
+                _replicate_inputs(contexts[index]),
+                json.loads(figure_to_json(figure)),
+            )
 
-            from repro.experiments.export import load_figure_json
-
-            for index, context in enumerate(contexts):
-                payload = store.load_replicate(_replicate_inputs(context))
-                if payload is not None:
-                    figures_by_seed[index] = load_figure_json(
-                        json.dumps(payload)
-                    )
-        pending = [i for i, fig in enumerate(figures_by_seed) if fig is None]
-        workers = _resolve_worker_count(ctx.jobs)
-        done = len(contexts) - len(pending)
-        obs.progress("experiment.replicates", done, total=len(contexts))
-        if workers > 1 and len(pending) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            collect = obs.enabled()
-            record = collect and obs_events.recording()
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            ) as pool:
-                # Results land per completion (submission order):
-                # snapshots merge re-rooted under the caller's current
-                # span path (experiment.run), matching the sequential
-                # loop's nesting, and worker events re-emit as remote so
-                # a live trace shows per-replicate lanes.
-                for index, (fig, snapshot, worker_events) in zip(
-                    pending,
-                    pool.map(
-                        _build_in_context_telemetry,
-                        [(contexts[i], collect, record) for i in pending],
-                    ),
-                ):
-                    figures_by_seed[index] = fig
-                    obs.merge_snapshot(snapshot)
-                    obs_events.emit_remote(worker_events)
-                    done += 1
-                    obs.progress(
-                        "experiment.replicates", done, total=len(contexts)
-                    )
-        else:
-            for index in pending:
-                figures_by_seed[index] = _build_in_context(contexts[index])
-                done += 1
-                obs.progress(
-                    "experiment.replicates", done, total=len(contexts)
-                )
-        if store is not None and pending:
-            import json
-
-            from repro.experiments.export import figure_to_json
-
-            for index in pending:
-                store.save_replicate(
-                    _replicate_inputs(contexts[index]),
-                    json.loads(figure_to_json(figures_by_seed[index])),
-                )
-        figure, replication = _aggregate_replicates(figures_by_seed, seeds)
-    else:
-        figure = spec.builder(ctx)
-    return figure, replication
+    parallel.fan_out(
+        [contexts[i] for i in pending],
+        parallel.resolve_worker_count(ctx.execution.jobs),
+        _finish,
+        "experiment.replicates",
+        done=len(contexts) - len(pending),
+    )
+    return _aggregate_replicates(figures_by_seed, seeds)
 
 
 def _replicate_inputs(ctx: "ExperimentContext") -> dict[str, object]:
@@ -700,57 +666,6 @@ def _replicate_inputs(ctx: "ExperimentContext") -> dict[str, object]:
         "scenario": ctx.scenario,
         "params": params,
     }
-
-
-def _resolve_worker_count(jobs: int) -> int:
-    from repro.fastsim.parallel import resolve_worker_count
-
-    return resolve_worker_count(jobs)
-
-
-def _build_in_context(ctx: ExperimentContext) -> FigureSeries:
-    """Run one builder invocation (module-level so pools can pickle it).
-
-    The context pickles by reference for everything heavy: the spec's
-    builder is a module-level function, so a spawned worker re-imports
-    its defining module (repopulating the registry as a side effect) and
-    the scenario/params ride along as small frozen dataclasses.
-    """
-    return ctx.spec.builder(ctx)
-
-
-def _build_in_context_telemetry(
-    payload: tuple["ExperimentContext", bool, bool],
-) -> tuple[
-    FigureSeries,
-    Optional[dict[str, object]],
-    Optional[list[dict[str, object]]],
-]:
-    """Replicate-worker entry: builds the figure and ships telemetry back.
-
-    The collection/record flags travel with the payload (spawned workers
-    do not inherit the parent's module state); each replicate records
-    into its own scoped collector so reused pool workers never leak one
-    seed's spans into another's snapshot. Flight-recorder events go to a
-    per-replicate ring shipped back by value — the sink is replaced
-    unconditionally because ``fork``-started workers inherit the
-    parent's sink (shared file descriptor, parent pid stamp).
-    """
-    ctx, collect, record = payload
-    sink = obs_events.RingBufferSink() if record else None
-    obs_events.set_sink(sink)
-    try:
-        if not collect:
-            return _build_in_context(ctx), None, None
-        obs.enable()
-        obs.reset_span_stack()
-        with obs.scoped(merge_into_parent=False) as local:
-            figure = _build_in_context(ctx)
-            obs.sample_peak_rss("worker")
-            snapshot = local.snapshot()
-        return figure, snapshot, sink.events() if sink else None
-    finally:
-        obs_events.set_sink(None)
 
 
 #: Confidence level of the ``replicates=N`` aggregation.
@@ -885,10 +800,7 @@ def _sim(ctx: ExperimentContext) -> FigureSeries:
         params=ctx.scenario,
         duration=ctx.duration,
         seed=ctx.seed,
-        engine=ctx.engine,
-        jobs=ctx.jobs,
-        precision=ctx.precision,
-        shared_memory=ctx.shared_memory,
+        execution=ctx.execution,
     )
 
 
@@ -912,8 +824,7 @@ def _adaptivity(ctx: ExperimentContext) -> FigureSeries:
         shift_at=ctx.shift_at,
         window=ctx.window,
         seed=ctx.seed,
-        engine=ctx.engine,
-        precision=ctx.precision,
+        execution=ctx.execution,
     )
 
 
@@ -936,11 +847,8 @@ def _adaptivity_tracking(ctx: ExperimentContext) -> FigureSeries:
         window=ctx.window,
         shift_at=ctx.params.shift_at,
         seed=ctx.seed,
-        engine=ctx.engine,
         workload=ctx.params.workload,
-        jobs=ctx.jobs,
-        precision=ctx.precision,
-        shared_memory=ctx.shared_memory,
+        execution=ctx.execution,
     )
 
 
@@ -962,11 +870,8 @@ def _adaptivity_lag(ctx: ExperimentContext) -> FigureSeries:
         window=ctx.window,
         shift_at=ctx.params.shift_at,
         seed=ctx.seed,
-        engine=ctx.engine,
         workload=ctx.params.workload,
-        jobs=ctx.jobs,
-        precision=ctx.precision,
-        shared_memory=ctx.shared_memory,
+        execution=ctx.execution,
     )
 
 
@@ -986,10 +891,7 @@ def _churn(ctx: ExperimentContext) -> FigureSeries:
         params=ctx.scenario,
         duration=ctx.duration,
         seed=ctx.seed,
-        engine=ctx.engine,
-        jobs=ctx.jobs,
-        precision=ctx.precision,
-        shared_memory=ctx.shared_memory,
+        execution=ctx.execution,
     )
 
 
@@ -1009,10 +911,7 @@ def _staleness(ctx: ExperimentContext) -> FigureSeries:
         params=ctx.scenario,
         duration=ctx.duration,
         seed=ctx.seed,
-        engine=ctx.engine,
-        jobs=ctx.jobs,
-        precision=ctx.precision,
-        shared_memory=ctx.shared_memory,
+        execution=ctx.execution,
     )
 
 
@@ -1032,8 +931,5 @@ def _simfig1(ctx: ExperimentContext) -> FigureSeries:
         params=ctx.scenario,
         duration=ctx.duration,
         seed=ctx.seed,
-        engine=ctx.engine,
-        jobs=ctx.jobs,
-        precision=ctx.precision,
-        shared_memory=ctx.shared_memory,
+        execution=ctx.execution,
     )

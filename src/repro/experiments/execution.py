@@ -1,0 +1,154 @@
+"""How a simulated experiment executes: ``cells -> jobs -> execute -> reduce``.
+
+Every simulated figure is a list of independent strategy runs reduced to
+a :class:`~repro.experiments.figures.FigureSeries`. A figure body lists
+its runs as engine-agnostic :class:`Cell` specs and hands them to
+:meth:`Execution.execute`, which owns the one decision of *how* they run:
+
+* on the vectorized engine every cell becomes a
+  :class:`~repro.fastsim.parallel.FastSimJob` and the batch *always* goes
+  through :func:`~repro.fastsim.parallel.run_many` — cost resolution in
+  the calling process, store read-through (each cell is content-keyed, so
+  a rerun recomputes nothing), and the process pool when more than one
+  worker is asked for; ``jobs=1`` is that fan-out's in-process case, not
+  a separate code path;
+* on the event engine a cell is its own job kind — same
+  ``.run() -> report`` shape, un-keyed and in-process.
+
+:class:`Execution` is built once per run from
+:class:`~repro.experiments.api.ExperimentParams`
+(:attr:`ExperimentContext.execution`); a figure function takes it as its
+single ``execution`` argument, so an execution-only knob is a field here,
+an ``ExperimentParams`` field and a CLI flag — not a keyword threaded
+through every figure signature.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence
+
+from repro.analysis.parameters import ScenarioParameters
+from repro.errors import ParameterError
+from repro.experiments.scenario import DEFAULT_ENGINE, resolve_engine
+from repro.fastsim import parallel
+from repro.fastsim.compare import staleness_probe_event
+from repro.fastsim.precision import resolve_precision
+from repro.fastsim.workload import BatchWorkload
+from repro.net.churn import ChurnConfig
+from repro.pdht.config import PdhtConfig
+from repro.pdht.strategies import STRATEGY_CLASSES, StrategyReport
+from repro.sim.rng import RandomStreams
+from repro.workload.queries import QueryWorkload
+
+__all__ = ["Cell", "Execution", "StalenessReading"]
+
+
+class StalenessReading(NamedTuple):
+    """What the event engine's staleness probe measures, under the two
+    report attribute names the staleness figure reads."""
+
+    stale_hit_fraction: float
+    hit_rate: float
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One strategy run of a figure, independent of the engine running it.
+
+    A non-default query stream is given per engine, as a builder: the
+    kernel wants a :class:`~repro.fastsim.workload.BatchWorkload` (built
+    only when the vectorized engine runs the cell), the event engine a
+    :class:`~repro.workload.queries.QueryWorkload` fed from the run's own
+    substrate streams.
+    """
+
+    params: ScenarioParameters
+    config: PdhtConfig
+    duration: float
+    strategy: str = "partialSelection"
+    seed: int = 0
+    churn: Optional[ChurnConfig] = None
+    window: float = 0.0
+    #: Refresh all content every this many rounds (staleness measurement).
+    content_refresh_period: Optional[float] = None
+    batch_workload: Optional[Callable[[], BatchWorkload]] = None
+    event_workload: Optional[Callable[[RandomStreams], QueryWorkload]] = None
+
+    def run(self) -> StrategyReport | StalenessReading:
+        """The event-engine job: build the substrate, run, report."""
+        if self.content_refresh_period is not None:
+            return StalenessReading(
+                *staleness_probe_event(
+                    self.params, self.config, self.duration,
+                    self.content_refresh_period, self.seed,
+                )
+            )
+        strategy = STRATEGY_CLASSES[self.strategy](
+            self.params, config=self.config, seed=self.seed, churn=self.churn
+        )
+        if self.event_workload is not None:
+            strategy.workload = self.event_workload(strategy.network.streams)
+        return strategy.run(self.duration, window=self.window)
+
+    def fastsim_job(self, precision: str) -> parallel.FastSimJob:
+        """The vectorized-engine job: this cell as kernel arguments."""
+        return parallel.FastSimJob(
+            params=self.params,
+            strategy=self.strategy,
+            seed=self.seed,
+            duration=self.duration,
+            config=self.config,
+            workload=self.batch_workload() if self.batch_workload else None,
+            churn=self.churn,
+            content_refresh_period=self.content_refresh_period,
+            window=self.window,
+            precision=precision,
+        )
+
+
+@dataclass(frozen=True)
+class Execution:
+    """The execution choices of one run: engine, workers, dtype policy,
+    array shipping. Names are normalised at construction, where a dtype
+    policy the engine cannot honour is rejected before anything is built.
+    """
+
+    engine: str = DEFAULT_ENGINE
+    #: Worker processes for the run's independent cells: 1 = in-process,
+    #: 0 = one per CPU, N = pool of N (vectorized engine).
+    jobs: int = 1
+    #: Kernel state dtype policy name (``repro.fastsim.precision``).
+    precision: Optional[str] = None
+    #: Ship large workload arrays to pool workers via shared memory.
+    shared_memory: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "engine", resolve_engine(self.engine))
+        object.__setattr__(
+            self, "precision", resolve_precision(self.precision).name
+        )
+        if not self.vectorized and self.precision != "wide":
+            # The event engine has no batch arrays to narrow; running it at
+            # full precision under a "slim" label would let the engine
+            # choice change what ``precision`` means.
+            raise ParameterError(
+                "precision policies other than 'wide' require the vectorized "
+                "engine (the event engine has no kernel state arrays to slim)"
+            )
+
+    @property
+    def vectorized(self) -> bool:
+        return self.engine == "vectorized"
+
+    def execute(
+        self, cells: Sequence[Cell]
+    ) -> list[StrategyReport | StalenessReading]:
+        """Run every cell on this run's engine; reports in cell order."""
+        if not self.vectorized:
+            return [cell.run() for cell in cells]
+        return parallel.run_many(
+            [cell.fastsim_job(self.precision) for cell in cells],
+            workers=self.jobs,
+            shared_memory=self.shared_memory,
+        )

@@ -8,6 +8,7 @@ benchmark harness prints them; tests assert on their shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.analysis.parameters import ScenarioParameters
@@ -17,76 +18,14 @@ from repro.analysis.strategies import evaluate_strategies
 from repro.analysis.sweep import PAPER_FREQUENCIES, sweep_frequencies
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
+from repro.experiments.execution import Cell, Execution
 from repro.experiments.reporting import format_period, format_series
-from repro.experiments.scenario import (
-    paper_scenario,
-    resolve_engine,
-    simulation_scenario,
-)
+from repro.experiments.scenario import paper_scenario, simulation_scenario
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import (
-    STRATEGY_CLASSES,
-    PartialSelectionStrategy,
-    StrategyReport,
-)
+from repro.pdht.strategies import STRATEGY_NAMES
 from repro.workload.queries import ShuffledZipfWorkload
 
-
-def _run_strategy(
-    name: str,
-    params: ScenarioParameters,
-    config: PdhtConfig,
-    duration: float,
-    seed: int = 0,
-    churn: Optional[ChurnConfig] = None,
-    window: float = 0.0,
-    engine: str = "event",
-    precision: Optional[str] = None,
-) -> StrategyReport:
-    """Run one strategy on the selected engine; reports are interchangeable.
-
-    Churn runs on either engine: the kernel charges the availability-
-    dependent per-op model of :mod:`repro.fastsim.churncosts` (calibrated
-    against a churned event substrate below the calibration limit,
-    structural Monte-Carlo beyond), validated within 5% on hit rate and
-    total cost by ``tests/properties/test_property_fastsim.py``.
-    """
-    engine = resolve_engine(engine)
-    if engine == "vectorized":
-        from repro.fastsim import run_fastsim
-
-        return run_fastsim(
-            params,
-            config=config,
-            duration=duration,
-            strategy=name,
-            seed=seed,
-            churn=churn,
-            window=window,
-            precision=precision,
-        ).to_strategy_report()
-    _require_wide(precision)
-    strategy = STRATEGY_CLASSES[name](
-        params, config=config, seed=seed, churn=churn
-    )
-    return strategy.run(duration, window=window)
-
-
-def _require_wide(precision: Optional[str]) -> None:
-    """Reject non-wide dtype policies on paths with no kernel state.
-
-    The event engine has no batch arrays to narrow, so a ``slim`` request
-    there would silently run at full precision — surface the mismatch
-    instead of letting engine choice change what ``precision`` means.
-    """
-    from repro.fastsim.precision import resolve_precision
-
-    if resolve_precision(precision).name != "wide":
-        raise ParameterError(
-            "precision policies other than 'wide' require the vectorized "
-            "engine (the event engine has no kernel state arrays to slim)"
-        )
 
 __all__ = [
     "FigureSeries",
@@ -302,6 +241,11 @@ def heuristic_vs_optimal(
 
 # ----------------------------------------------------------------------
 # Simulated experiments (reduced scale)
+#
+# Each body lists its independent strategy runs as ``Cell`` specs, hands
+# them to ``execution.execute`` and reduces the reports; how the cells run
+# (engine, workers, dtype policy, array shipping) is the ``Execution``
+# argument's business — see :mod:`repro.experiments.execution`.
 # ----------------------------------------------------------------------
 def simulation_comparison(
     params: Optional[ScenarioParameters] = None,
@@ -309,51 +253,30 @@ def simulation_comparison(
     seed: int = 0,
     churn: Optional[ChurnConfig] = None,
     dht_kind: str = "pgrid",
-    engine: str = "event",
-    jobs: int = 1,
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
+    execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Section 5.2: simulated strategies vs the analytical model.
 
     Runs all four strategies on the same reduced-scale substrate and
     reports measured msg/s next to the model's prediction at the same
     scale. The claim under test is *ordering and rough factors*, not
-    absolute equality. ``engine="vectorized"`` swaps in the batch kernel,
-    which also unlocks paper-scale (and larger) parameter sets — and
-    ``jobs > 1`` fans the four independent strategy runs over a process
-    pool (vectorized engine only; per-op costs resolve in the parent).
+    absolute equality. ``Execution("vectorized")`` swaps in the batch
+    kernel, which also unlocks paper-scale (and larger) parameter sets.
     """
     params = params or simulation_scenario()
+    execution = execution or Execution()
     config = PdhtConfig.from_scenario(params, dht_kind=dht_kind)
-    measured: dict[str, float] = {}
-    hit_rates: dict[str, float] = {}
-    if resolve_engine(engine) == "vectorized" and jobs != 1:
-        from repro.fastsim.parallel import FastSimJob, run_many
-        from repro.fastsim.precision import resolve_precision
-
-        specs = [
-            FastSimJob(
-                params=params, strategy=name, seed=seed,
-                duration=duration, config=config, churn=churn,
-                precision=resolve_precision(precision).name,
+    names = list(STRATEGY_NAMES)
+    reports = execution.execute(
+        [
+            Cell(
+                params, config, duration, strategy=name, seed=seed,
+                churn=churn,
             )
-            for name in STRATEGY_CLASSES
+            for name in names
         ]
-        for name, report in zip(
-            STRATEGY_CLASSES,
-            run_many(specs, workers=jobs, shared_memory=shared_memory),
-        ):
-            measured[name] = report.messages_per_second
-            hit_rates[name] = report.hit_rate
-    else:
-        for name in STRATEGY_CLASSES:
-            report = _run_strategy(
-                name, params, config, duration, seed=seed, churn=churn,
-                engine=engine, precision=precision,
-            )
-            measured[name] = report.messages_per_second
-            hit_rates[name] = report.hit_rate
+    )
+    measured = [report.messages_per_second for report in reports]
 
     analytic = evaluate_strategies(params)
     selection = SelectionModel(params, key_ttl=config.key_ttl).outcome()
@@ -363,7 +286,6 @@ def simulation_comparison(
         "partialIdeal": analytic.partial,
         "partialSelection": selection.total_cost,
     }
-    names = ["noIndex", "indexAll", "partialIdeal", "partialSelection"]
     return FigureSeries(
         name=(
             f"Sec. 5.2 - simulation vs model "
@@ -373,13 +295,13 @@ def simulation_comparison(
         x_label="strategy",
         x_values=names,
         series={
-            "simulated [msg/s]": [measured[n] for n in names],
+            "simulated [msg/s]": measured,
             "model [msg/s]": [model[n] for n in names],
             "sim/model": [
-                measured[n] / model[n] if model[n] > 0 else float("nan")
-                for n in names
+                value / model[n] if model[n] > 0 else float("nan")
+                for n, value in zip(names, measured)
             ],
-            "hit rate": [hit_rates[n] for n in names],
+            "hit rate": [report.hit_rate for report in reports],
         },
     )
 
@@ -389,10 +311,7 @@ def churn_experiment(
     duration: float = 300.0,
     seed: int = 0,
     availabilities: Sequence[float] = (1.0, 0.75, 0.5),
-    engine: str = "event",
-    jobs: int = 1,
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
+    execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Extension: the selection algorithm under increasing churn.
 
@@ -407,44 +326,27 @@ def churn_experiment(
     dominated by broadcast walks lengthening (and exhausting their TTL)
     through the fragmented online overlay.
 
-    Runs on either engine: ``engine="vectorized"`` charges the
+    Runs on either engine: the vectorized one charges the
     availability-dependent per-op model (calibrated below the
     calibration limit, structural Monte-Carlo beyond), which unlocks
-    availability sweeps at 10^5-10^6 peers — and ``jobs > 1`` fans the
-    independent availability cells over a process pool there.
+    availability sweeps at 10^5-10^6 peers.
     """
     from repro.fastsim.compare import churn_config_for_availability
 
     params = params or simulation_scenario()
+    execution = execution or Execution()
     config = PdhtConfig.from_scenario(params)
-    reports = []
-    if resolve_engine(engine) == "vectorized" and jobs != 1:
-        from repro.fastsim.parallel import FastSimJob, run_many
-        from repro.fastsim.precision import resolve_precision
-
-        # One mean-session convention for figures, sweeps and the
-        # cross-engine agreement checks alike.
-        specs = [
-            FastSimJob(
-                params=params, seed=seed, duration=duration, config=config,
+    # One mean-session convention for figures, sweeps and the cross-engine
+    # agreement checks alike.
+    reports = execution.execute(
+        [
+            Cell(
+                params, config, duration, seed=seed,
                 churn=churn_config_for_availability(availability),
-                precision=resolve_precision(precision).name,
             )
             for availability in availabilities
         ]
-        reports = run_many(specs, workers=jobs, shared_memory=shared_memory)
-    else:
-        for availability in availabilities:
-            churn = churn_config_for_availability(availability)
-            reports.append(
-                _run_strategy(
-                    "partialSelection", params, config, duration, seed=seed,
-                    churn=churn, engine=engine, precision=precision,
-                )
-            )
-    rows_success = [report.success_rate for report in reports]
-    rows_hit = [report.hit_rate for report in reports]
-    rows_cost = [report.messages_per_second for report in reports]
+    )
     return FigureSeries(
         name=(
             f"Extension - selection algorithm under churn "
@@ -453,9 +355,9 @@ def churn_experiment(
         x_label="availability",
         x_values=[f"{a:.2f}" for a in availabilities],
         series={
-            "success rate": rows_success,
-            "hit rate": rows_hit,
-            "msg/s": rows_cost,
+            "success rate": [report.success_rate for report in reports],
+            "hit rate": [report.hit_rate for report in reports],
+            "msg/s": [report.messages_per_second for report in reports],
         },
         notes="mean session 30 min; offline time tuned per availability",
     )
@@ -466,10 +368,7 @@ def simulated_figure1(
     frequencies: Sequence[float] = (1 / 30, 1 / 120, 1 / 600, 1 / 1800),
     duration: float = 120.0,
     seed: int = 0,
-    engine: str = "event",
-    jobs: int = 1,
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
+    execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Fig. 1 regenerated *in simulation* (reduced scale).
 
@@ -478,48 +377,20 @@ def simulated_figure1(
     the analytical :func:`figure1`. The shape claim under test: simulated
     ``partialIdeal`` stays below both all-or-nothing baselines at every
     frequency, and ``noIndex`` falls linearly while ``indexAll`` stays
-    flat. ``jobs > 1`` fans the strategy x frequency cells over a
-    process pool (vectorized engine only).
+    flat.
     """
     params = params or simulation_scenario(scale=0.02)
-    series: dict[str, list[float]] = {
-        "indexAll": [],
-        "noIndex": [],
-        "partialIdeal": [],
-        "partialSelection": [],
-    }
-    if resolve_engine(engine) == "vectorized" and jobs != 1:
-        from repro.fastsim.parallel import FastSimJob, run_many
-        from repro.fastsim.precision import resolve_precision
-
-        cells = [
-            (freq, name) for freq in frequencies for name in series
+    execution = execution or Execution()
+    names = ("indexAll", "noIndex", "partialIdeal", "partialSelection")
+    cells = []
+    for freq in frequencies:
+        scenario = params.with_query_freq(freq)
+        config = PdhtConfig.from_scenario(scenario)
+        cells += [
+            Cell(scenario, config, duration, strategy=name, seed=seed)
+            for name in names
         ]
-        specs = [
-            FastSimJob(
-                params=params.with_query_freq(freq),
-                strategy=name,
-                seed=seed,
-                duration=duration,
-                config=PdhtConfig.from_scenario(params.with_query_freq(freq)),
-                precision=resolve_precision(precision).name,
-            )
-            for freq, name in cells
-        ]
-        for (freq, name), report in zip(
-            cells, run_many(specs, workers=jobs, shared_memory=shared_memory)
-        ):
-            series[name].append(report.messages_per_second)
-    else:
-        for freq in frequencies:
-            scenario = params.with_query_freq(freq)
-            config = PdhtConfig.from_scenario(scenario)
-            for name in series:
-                report = _run_strategy(
-                    name, scenario, config, duration, seed=seed,
-                    engine=engine, precision=precision,
-                )
-                series[name].append(report.messages_per_second)
+    reports = execution.execute(cells)
     return FigureSeries(
         name=(
             f"Fig. 1 (simulated) - msg/s at {params.num_peers} peers, "
@@ -527,7 +398,13 @@ def simulated_figure1(
         ),
         x_label="queryFreq",
         x_values=_frequency_labels(list(frequencies)),
-        series=series,
+        series={
+            name: [
+                report.messages_per_second
+                for report in reports[offset :: len(names)]
+            ]
+            for offset, name in enumerate(names)
+        },
     )
 
 
@@ -538,10 +415,7 @@ def staleness_experiment(
     seed: int = 0,
     ttl_factors: Sequence[float] = (0.25, 1.0, 4.0),
     refresh_periods: Optional[Sequence[float]] = None,
-    engine: str = "event",
-    jobs: int = 1,
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
+    execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Extension: answer staleness without proactive updates.
 
@@ -555,82 +429,42 @@ def staleness_experiment(
     the freshness/cost trade-off hiding inside the keyTtl choice.
 
     ``refresh_periods`` adds the update-rate sweep axis: one stale/hit
-    series pair per period, over the same TTL factors.
-    ``engine="vectorized"`` measures the same distribution from the
-    kernel's per-key payload/indexed version counters (within 5% of the
-    event engine; ``tests/properties/test_property_fastsim.py``) and
-    scales to 10^5-10^6 peers; ``jobs > 1`` fans the independent
-    (period, TTL factor) cells over a process pool there.
+    series pair per period, over the same TTL factors. The vectorized
+    engine measures the same distribution from the kernel's per-key
+    payload/indexed version counters (within 5% of the event engine;
+    ``tests/properties/test_property_fastsim.py``) and scales to
+    10^5-10^6 peers.
     """
-    from repro.fastsim.compare import (
-        staleness_probe_event,
-        staleness_probe_fast,
-    )
-
     params = params or simulation_scenario(scale=0.02)
+    execution = execution or Execution()
     if refresh_period <= 0 or duration <= 0:
         raise ParameterError("duration and refresh_period must be > 0")
     periods = tuple(refresh_periods) if refresh_periods else (refresh_period,)
     if any(p <= 0 for p in periods):
         raise ParameterError(f"refresh_periods must be > 0, got {periods}")
-    vectorized = resolve_engine(engine) == "vectorized"
-    probe = staleness_probe_fast if vectorized else staleness_probe_event
-    base_ttl = PdhtConfig.from_scenario(params).key_ttl
-
-    labels: list[str] = []
-    series: dict[str, list[float]] = {}
+    if any(factor <= 0 for factor in ttl_factors):
+        raise ParameterError(f"ttl_factors must be > 0, got {ttl_factors}")
+    base = PdhtConfig.from_scenario(params)
+    reports = execution.execute(
+        [
+            Cell(
+                params, base.with_ttl(base.key_ttl * factor), duration,
+                seed=seed, content_refresh_period=period,
+            )
+            for period in periods
+            for factor in ttl_factors
+        ]
+    )
     sweeping_periods = len(periods) > 1
-    for factor in ttl_factors:
-        if factor <= 0:
-            raise ParameterError(f"ttl_factors must be > 0, got {factor}")
-        labels.append(f"{factor:g}x")
-    cells = [(period, factor) for period in periods for factor in ttl_factors]
-    measured: dict[tuple[float, float], tuple[float, float]] = {}
-    if vectorized and jobs != 1:
-        from repro.fastsim.parallel import FastSimJob, run_many
-        from repro.fastsim.precision import resolve_precision
-
-        specs = [
-            FastSimJob(
-                params=params,
-                seed=seed,
-                duration=duration,
-                config=PdhtConfig.from_scenario(params).with_ttl(
-                    base_ttl * factor
-                ),
-                content_refresh_period=period,
-                precision=resolve_precision(precision).name,
-            )
-            for period, factor in cells
-        ]
-        for cell, report in zip(
-            cells, run_many(specs, workers=jobs, shared_memory=shared_memory)
-        ):
-            measured[cell] = (report.stale_hit_fraction, report.hit_rate)
-    else:
-        if not vectorized:
-            _require_wide(precision)
-        for period, factor in cells:
-            config = PdhtConfig.from_scenario(params).with_ttl(
-                base_ttl * factor
-            )
-            if vectorized:
-                measured[(period, factor)] = probe(
-                    params, config, duration, period, seed,
-                    precision=precision,
-                )
-            else:
-                measured[(period, factor)] = probe(
-                    params, config, duration, period, seed
-                )
-    for period in periods:
+    width = len(ttl_factors)
+    series: dict[str, list[float]] = {}
+    for index, period in enumerate(periods):
         suffix = f" @ refresh {period:g}s" if sweeping_periods else ""
+        row = reports[index * width : (index + 1) * width]
         series[f"stale hit fraction{suffix}"] = [
-            measured[(period, factor)][0] for factor in ttl_factors
+            report.stale_hit_fraction for report in row
         ]
-        series[f"hit rate{suffix}"] = [
-            measured[(period, factor)][1] for factor in ttl_factors
-        ]
+        series[f"hit rate{suffix}"] = [report.hit_rate for report in row]
 
     period_note = (
         ", ".join(f"{p:g}" for p in periods)
@@ -640,10 +474,10 @@ def staleness_experiment(
     return FigureSeries(
         name=(
             "Extension - index staleness without proactive updates "
-            f"(content refreshed every {period_note}s, {engine})"
+            f"(content refreshed every {period_note}s, {execution.engine})"
         ),
         x_label="keyTtl factor",
-        x_values=labels,
+        x_values=[f"{factor:g}x" for factor in ttl_factors],
         series=series,
         notes="stale = index hit whose payload predates the last refresh",
     )
@@ -655,8 +489,7 @@ def adaptivity_experiment(
     shift_at: float = 1200.0,
     window: float = 200.0,
     seed: int = 0,
-    engine: str = "event",
-    precision: Optional[str] = None,
+    execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Section 5.2 adaptivity: hit rate under a query-distribution shift.
 
@@ -665,44 +498,32 @@ def adaptivity_experiment(
     at the shift and recovers as the TTL index re-learns the new hot set —
     the paper's "adapts to changing query distributions" claim.
     """
+    import numpy as np
+
+    from repro.fastsim import BatchShuffledZipfWorkload
+
     params = params or simulation_scenario()
+    execution = execution or Execution()
     if not 0 < shift_at < duration:
         raise ParameterError(
             f"shift_at must be inside (0, {duration}), got {shift_at}"
         )
-    config = PdhtConfig.from_scenario(params)
     zipf = ZipfDistribution(params.n_keys, params.alpha)
-    if resolve_engine(engine) == "vectorized":
-        import numpy as np
-
-        from repro.fastsim import BatchShuffledZipfWorkload, run_fastsim
-
+    cell = Cell(
+        params, PdhtConfig.from_scenario(params), duration, seed=seed,
+        window=window,
         # A dedicated stream for the shifted workload, derived stably from
-        # the run seed (the event path uses the "queries-shifted" stream).
-        workload = BatchShuffledZipfWorkload(
+        # the run seed (the event engine uses its "queries-shifted" stream).
+        batch_workload=lambda: BatchShuffledZipfWorkload(
             zipf,
             np.random.default_rng(np.random.SeedSequence([seed, 0x5217F])),
             shift_time=shift_at,
-        )
-        report = run_fastsim(
-            params,
-            config=config,
-            duration=duration,
-            seed=seed,
-            workload=workload,
-            window=window,
-            precision=precision,
-        ).to_strategy_report()
-    else:
-        _require_wide(precision)
-        strategy = PartialSelectionStrategy(params, config=config, seed=seed)
-        workload = ShuffledZipfWorkload(
-            zipf,
-            strategy.network.streams.get("queries-shifted"),
-            shift_time=shift_at,
-        )
-        strategy.workload = workload
-        report = strategy.run(duration, window=window)
+        ),
+        event_workload=lambda streams: ShuffledZipfWorkload(
+            zipf, streams.get("queries-shifted"), shift_time=shift_at
+        ),
+    )
+    (report,) = execution.execute([cell])
     times = [f"{t:.0f}" for t, _ in report.hit_rate_series]
     return FigureSeries(
         name=(
@@ -771,23 +592,22 @@ def _tracking_reports(
     window: Optional[float],
     shift_at: Optional[float],
     seed: int,
-    engine: str,
     workload: Optional[str],
-    jobs: int,
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
+    execution: Optional[Execution],
 ):
     """Run selection + oracle across workload models; shared plumbing of
     :func:`adaptivity_tracking` and :func:`adaptivity_lag_table`.
 
-    Returns ``(params, names, models, reports)`` where ``reports`` maps
-    ``(model_name, strategy)`` to the windowed run report.
+    Returns ``(params, execution, names, models, reports)`` where
+    ``reports`` maps ``(model_name, strategy)`` to the windowed run report.
     """
     import numpy as np
 
     from repro.workloads import model_from_name
 
     params = params or simulation_scenario()
+    # The tracking curves want long durations: vectorized by default.
+    execution = execution or Execution("vectorized")
     if duration <= 0:
         raise ParameterError(f"duration must be > 0, got {duration}")
     window = duration / 12.0 if window is None else window
@@ -799,15 +619,17 @@ def _tracking_reports(
     }
     config = PdhtConfig.from_scenario(params)
     zipf = ZipfDistribution(params.n_keys, params.alpha)
-    strategies = ("partialSelection", "partialIdeal")
-    cells = [(name, strategy) for name in names for strategy in strategies]
+    keys = [
+        (name, strategy)
+        for name in names
+        for strategy in ("partialSelection", "partialIdeal")
+    ]
 
+    # Both engines seed the query stream per *model*, not per cell: the
+    # selection and oracle runs of one model must see the identical
+    # realized workload (same post-shift permutations, same query
+    # sequence) or their gap compares runs of different workloads.
     def batch_workload(name: str):
-        # Seeded per *model*, not per cell: the selection and oracle
-        # runs of one model must see the identical realized workload
-        # (same post-shift permutations, same query sequence) or their
-        # gap compares runs of different workloads. The event branch
-        # gets this for free by sharing the "queries-model" stream.
         return models[name].build_batch(
             zipf,
             np.random.default_rng(
@@ -815,39 +637,21 @@ def _tracking_reports(
             ),
         )
 
-    reports: dict[tuple[str, str], StrategyReport] = {}
-    if resolve_engine(engine) == "vectorized":
-        from repro.fastsim.parallel import FastSimJob, run_many
-        from repro.fastsim.precision import resolve_precision
+    def event_workload(name: str, streams):
+        return models[name].build_event(zipf, streams.get("queries-model"))
 
-        specs = [
-            FastSimJob(
-                params=params,
-                strategy=strategy,
-                seed=seed,
-                duration=duration,
-                config=config,
-                workload=batch_workload(name),
+    reports = execution.execute(
+        [
+            Cell(
+                params, config, duration, strategy=strategy, seed=seed,
                 window=window,
-                precision=resolve_precision(precision).name,
+                batch_workload=partial(batch_workload, name),
+                event_workload=partial(event_workload, name),
             )
-            for name, strategy in cells
+            for name, strategy in keys
         ]
-        for cell, report in zip(
-            cells, run_many(specs, workers=jobs, shared_memory=shared_memory)
-        ):
-            reports[cell] = report
-    else:
-        _require_wide(precision)
-        for name, strategy in cells:
-            runner = STRATEGY_CLASSES[strategy](
-                params, config=config, seed=seed
-            )
-            runner.workload = models[name].build_event(
-                zipf, runner.network.streams.get("queries-model")
-            )
-            reports[(name, strategy)] = runner.run(duration, window=window)
-    return params, names, models, reports
+    )
+    return params, execution, names, models, dict(zip(keys, reports))
 
 
 def adaptivity_tracking(
@@ -856,11 +660,8 @@ def adaptivity_tracking(
     window: Optional[float] = None,
     shift_at: Optional[float] = None,
     seed: int = 0,
-    engine: str = "vectorized",
     workload: Optional[str] = None,
-    jobs: int = 1,
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
+    execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Extension: how fast the selection strategy tracks each workload model.
 
@@ -874,15 +675,12 @@ def adaptivity_tracking(
     upper envelope; the gap after each boundary *is* the price of
     decentralized adaptation the paper's Section 5.2 claim is about.
 
-    Runs on either engine; ``engine="vectorized"`` is the default (the
-    tracking curves want long durations) and ``jobs > 1`` fans the
-    2 x models independent kernel runs over a process pool there.
-    The structured per-model lag table is
-    :func:`adaptivity_lag_table` (experiment ``adaptivity-lag``).
+    Runs on either engine; the vectorized one is the default (the
+    tracking curves want long durations). The structured per-model lag
+    table is :func:`adaptivity_lag_table` (experiment ``adaptivity-lag``).
     """
-    params, names, models, reports = _tracking_reports(
-        params, duration, window, shift_at, seed, engine, workload, jobs,
-        precision=precision, shared_memory=shared_memory,
+    params, execution, names, models, reports = _tracking_reports(
+        params, duration, window, shift_at, seed, workload, execution
     )
     reference = reports[(names[0], "partialSelection")].hit_rate_series
     times = [f"{t:.0f}" for t, _ in reference]
@@ -901,7 +699,7 @@ def adaptivity_tracking(
     return FigureSeries(
         name=(
             f"Extension - adaptivity tracking across workload models "
-            f"({params.num_peers} peers, {engine})"
+            f"({params.num_peers} peers, {execution.engine})"
         ),
         x_label="time [s]",
         x_values=times,
@@ -921,11 +719,8 @@ def adaptivity_lag_table(
     window: Optional[float] = None,
     shift_at: Optional[float] = None,
     seed: int = 0,
-    engine: str = "vectorized",
     workload: Optional[str] = None,
-    jobs: int = 1,
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
+    execution: Optional[Execution] = None,
 ) -> "TableSeries":
     """The per-model convergence-lag table, as structured data.
 
@@ -941,9 +736,8 @@ def adaptivity_lag_table(
     """
     from repro.experiments.tables import TableSeries
 
-    params, names, models, reports = _tracking_reports(
-        params, duration, window, shift_at, seed, engine, workload, jobs,
-        precision=precision, shared_memory=shared_memory,
+    params, execution, names, models, reports = _tracking_reports(
+        params, duration, window, shift_at, seed, workload, execution
     )
     shifts: list[float] = []
     lags: list[float] = []
@@ -975,7 +769,7 @@ def adaptivity_lag_table(
     return TableSeries(
         name=(
             f"Extension - convergence lag per workload model "
-            f"({params.num_peers} peers, {engine})"
+            f"({params.num_peers} peers, {execution.engine})"
         ),
         x_label="model",
         x_values=list(names),

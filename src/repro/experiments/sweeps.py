@@ -15,7 +15,7 @@ Programmatic use::
 
     axes = GridAxes(ttl_factors=(0.5, 2.0), alphas=(1.2,),
                     query_freqs=(1/30, 1/600))
-    fig = sweep_grid(axes, jobs=4)      # cells fan out over 4 processes
+    fig = sweep_grid(axes, execution=Execution("vectorized", jobs=4))
     print(fig.render())
     print(optimal_cells(fig, axes).render())   # argmin cost per slice
 
@@ -32,6 +32,7 @@ minimising measured total cost — the measured counterpart of
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator, Optional
 
 from repro import obs
@@ -43,6 +44,7 @@ from repro.experiments.api import (
     ExperimentContext,
     experiment,
 )
+from repro.experiments.execution import Cell, Execution
 from repro.experiments.figures import FigureSeries
 from repro.experiments.reporting import format_period
 from repro.experiments.scenario import paper_scenario
@@ -156,9 +158,7 @@ def sweep_grid(
     scenario: Optional[ScenarioParameters] = None,
     duration: float = 240.0,
     seed: int = 0,
-    jobs: int = 1,
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
+    execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Run the selection algorithm over the full grid on the fast kernel.
 
@@ -169,76 +169,65 @@ def sweep_grid(
     derived). The Eq. 16 model prediction at the same TTL rides along
     for cross-checking.
 
-    ``jobs`` fans the (independent) cells over a process pool via
-    :func:`repro.fastsim.run_many` (``0`` = one worker per CPU); per-op
-    costs are resolved once in this process before dispatch, and results
-    are identical to the sequential run for any ``jobs`` value.
-
     Cells with a non-stationary :attr:`GridAxes.workloads` entry run
     that model's query stream (seeded per cell, so the grid stays
-    deterministic for any ``jobs`` value); under churn the per-op
+    deterministic for any worker count); under churn the per-op
     calibration threads the model through (rank-permutation awareness).
 
-    ``precision`` selects the kernel's state dtype policy per cell
-    (part of each cell's artifact identity); ``shared_memory`` stages
-    large workload arrays into shared segments for the pool instead of
-    pickling them per worker (execution detail, identical results).
+    ``execution`` (default ``Execution("vectorized")``) carries the
+    worker count, the kernel's state dtype policy (part of each cell's
+    artifact identity) and the shared-memory switch — see
+    :mod:`repro.experiments.execution`; results are identical for any
+    worker count and shipping mechanism.
     """
     import numpy as np
 
     from repro.analysis.zipf import ZipfDistribution
     from repro.fastsim.compare import churn_config_for_availability
-    from repro.fastsim.parallel import FastSimJob, run_many
-    from repro.fastsim.precision import resolve_precision
     from repro.pdht.config import PdhtConfig
     from repro.workloads import model_from_name
 
     axes = axes or GridAxes()
     scenario = scenario or paper_scenario()
-    precision_name = resolve_precision(precision).name
+    execution = execution or Execution("vectorized")
     if duration <= 0:
         raise ParameterError(f"duration must be > 0, got {duration}")
 
-    cells: list[ScenarioParameters] = []
-    configs: list[PdhtConfig] = []
-    grid_jobs: list[FastSimJob] = []
+    def model_workload(point: GridPoint, cell: ScenarioParameters, index: int):
+        return model_from_name(point.workload, duration).build_batch(
+            ZipfDistribution(cell.n_keys, cell.alpha),
+            np.random.default_rng(
+                np.random.SeedSequence([seed, 0x57EED, index])
+            ),
+        )
+
+    cells: list[Cell] = []
     for index, point in enumerate(axes.points()):
         cell = replace(scenario, alpha=point.alpha).with_query_freq(
             point.query_freq
         )
         config = PdhtConfig.from_scenario(cell)
-        config = config.with_ttl(config.key_ttl * point.ttl_factor)
-        workload = None
-        if point.workload != "stationary":
-            workload = model_from_name(point.workload, duration).build_batch(
-                ZipfDistribution(cell.n_keys, cell.alpha),
-                np.random.default_rng(
-                    np.random.SeedSequence([seed, 0x57EED, index])
+        cells.append(
+            Cell(
+                cell,
+                config.with_ttl(config.key_ttl * point.ttl_factor),
+                duration,
+                seed=seed,
+                churn=churn_config_for_availability(point.availability),
+                batch_workload=(
+                    partial(model_workload, point, cell, index)
+                    if point.workload != "stationary"
+                    else None
                 ),
             )
-        cells.append(cell)
-        configs.append(config)
-        grid_jobs.append(
-            FastSimJob(
-                params=cell,
-                strategy="partialSelection",
-                seed=seed,
-                duration=duration,
-                config=config,
-                workload=workload,
-                churn=churn_config_for_availability(point.availability),
-                precision=precision_name,
-            )
         )
-    with obs.span("sweep.grid", cells=len(grid_jobs), jobs=jobs):
-        obs.progress("sweep.cells", 0, total=len(grid_jobs))
-        reports = run_many(
-            grid_jobs, workers=jobs, shared_memory=shared_memory
-        )
-        obs.progress("sweep.cells", len(reports), total=len(grid_jobs))
+    with obs.span("sweep.grid", cells=len(cells), jobs=execution.jobs):
+        obs.progress("sweep.cells", 0, total=len(cells))
+        reports = execution.execute(cells)
+        obs.progress("sweep.cells", len(reports), total=len(cells))
     if obs.enabled():
         # Per-cell timing from the reports themselves: this works for
-        # any ``jobs`` value (pool workers already measured themselves)
+        # any worker count (pool workers already measured themselves)
         # and gives the sweep a cell-granular cost breakdown.
         for report in reports:
             obs.add_duration("sweep.cell", report.elapsed_seconds)
@@ -249,14 +238,13 @@ def sweep_grid(
     measured: list[float] = []
     model: list[float] = []
     ttls: list[float] = []
-    for point, cell, config, report in zip(
-        axes.points(), cells, configs, reports
-    ):
+    for point, cell, report in zip(axes.points(), cells, reports):
+        key_ttl = cell.config.key_ttl
         labels.append(point.label())
         hit_rates.append(report.hit_rate)
         measured.append(report.messages_per_second)
-        model.append(SelectionModel(cell, key_ttl=config.key_ttl).total_cost())
-        ttls.append(config.key_ttl)
+        model.append(SelectionModel(cell.params, key_ttl=key_ttl).total_cost())
+        ttls.append(key_ttl)
     churned = "" if axes.availabilities == (1.0,) else " x availability"
     return FigureSeries(
         name=(
@@ -356,53 +344,35 @@ def _grid_axes(workload: Optional[str]) -> GridAxes:
     return GridAxes(workloads=(workload,))
 
 
-def _default_grid_json(
-    scenario: ScenarioParameters,
-    duration: float,
-    seed: int,
-    jobs: int,
-    workload: Optional[str],
-    precision: Optional[str] = None,
-    shared_memory: bool = False,
-) -> str:
+def _default_grid(ctx: ExperimentContext) -> FigureSeries:
     """One default-axes grid per (scenario, duration, seed, workload,
     precision).
 
     ``sweep`` and ``sweep-optimal`` derive from the same expensive grid;
     caching the serialised form lets ``runner all`` pay for it once
     while every caller still gets a fresh, independently mutable
-    :class:`FigureSeries`. ``jobs`` and ``shared_memory`` only affect
-    how a cache miss executes, never what it computes.
+    :class:`FigureSeries`. The worker count and the shared-memory switch
+    only affect how a cache miss executes, never what it computes.
     """
-    from repro.fastsim.precision import resolve_precision
+    from repro.experiments.export import load_figure_json
 
+    execution = ctx.execution
+    workload = ctx.params.workload
     key = (
-        scenario,
-        duration,
-        seed,
+        ctx.scenario,
+        ctx.duration,
+        ctx.seed,
         workload or "stationary",
-        resolve_precision(precision).name,
+        execution.precision,
     )
     if key not in _GRID_CACHE:
         if len(_GRID_CACHE) >= _GRID_CACHE_SIZE:
             _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
         _GRID_CACHE[key] = sweep_grid(
-            _grid_axes(workload), scenario=scenario, duration=duration,
-            seed=seed, jobs=jobs, precision=precision,
-            shared_memory=shared_memory,
+            _grid_axes(workload), ctx.scenario, ctx.duration, ctx.seed,
+            execution,
         ).to_json()
-    return _GRID_CACHE[key]
-
-
-def _default_grid(ctx: ExperimentContext) -> FigureSeries:
-    from repro.experiments.export import load_figure_json
-
-    return load_figure_json(
-        _default_grid_json(
-            ctx.scenario, ctx.duration, ctx.seed, ctx.jobs,
-            ctx.params.workload, ctx.precision, ctx.shared_memory,
-        )
-    )
+    return load_figure_json(_GRID_CACHE[key])
 
 
 @experiment(

@@ -233,10 +233,8 @@ def costs_for(
     key normalises ``query_freq``/``update_freq``/``key_ttl`` and a
     frequency sweep reuses one calibration per DHT size.
     """
-    from dataclasses import replace
-
     return _costs_for_cached(
-        replace(params, query_freq=1.0, update_freq=0.0),
+        dc_replace(params, query_freq=1.0, update_freq=0.0),
         config.with_ttl(0.0),
         num_active_peers,
         seed,
@@ -620,6 +618,42 @@ def _churn_costs_cached(
     model: "WorkloadModel | None" = None,
 ) -> ChurnOpCosts:
     return calibrate_churn_costs(params, churn, config, seed=seed, model=model)
+
+
+def resolve_costs(
+    params: ScenarioParameters,
+    config: PdhtConfig,
+    num_active_peers: int,
+    seed: int = 0,
+    churn: Optional[ChurnConfig] = None,
+    workload: object = None,
+    costs: Optional[PerOpCosts] = None,
+    churn_costs: Optional[ChurnOpCosts] = None,
+) -> tuple[PerOpCosts, Optional[ChurnOpCosts]]:
+    """The ``(costs, churn_costs)`` one run charges: given values pass
+    through, missing ones come from the default policies.
+
+    The single resolution :class:`~repro.fastsim.kernel.FastSimKernel`
+    and :func:`~repro.fastsim.parallel.resolve_jobs` share, so a run
+    whose kernel resolves for itself and one resolved in the pool's
+    parent charge identical costs. ``num_active_peers`` is the DHT size
+    :func:`~repro.fastsim.kernel.strategy_setup` derives for the run's
+    strategy. Churn costs are resolved only under enabled churn, at the
+    run's own ``seed`` (they are substrate-realisation properties — which
+    hot keys' responsible members churn — and ``PdhtNetwork(seed)`` is the
+    substrate the event engine would run), scaled from ``costs``. A
+    model-driven ``workload`` threads its model into that calibration so
+    the probe drives the same shifting rank->key mapping the kernel will
+    run (rank-permutation awareness).
+    """
+    costs = costs or costs_for(params, config, num_active_peers)
+    if churn_costs is None and churn is not None and churn.enabled:
+        model = getattr(workload, "model", None)
+        churn_costs = churn_costs_for(
+            params, config, num_active_peers, churn, base=costs, seed=seed,
+            model=model.calibration_model if model is not None else None,
+        )
+    return costs, churn_costs
 
 
 @_counted_cache("lookup_probe", maxsize=64)

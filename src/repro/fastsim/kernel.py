@@ -399,45 +399,41 @@ class FastSimKernel:
         content_refresh_period: Optional[float] = None,
         precision: str | StatePrecision | None = None,
     ) -> None:
-        if strategy not in STRATEGIES:
-            raise ParameterError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
         self.params = params
         self.config = config or PdhtConfig.from_scenario(params)
         self.strategy = strategy
         self.precision = resolve_precision(precision)
 
+        # Child 1 is the default workload's stream (default_batch_workload).
         seeds = np.random.SeedSequence(seed).spawn(5)
         self._rng_counts = np.random.default_rng(seeds[0])
-        self._rng_workload = np.random.default_rng(seeds[1])
         self._rng_members = np.random.default_rng(seeds[2])
         self._rng_churn = np.random.default_rng(seeds[3])
         self._rng_resolve = np.random.default_rng(seeds[4])
 
         # Strategy-specific TTL and DHT size (mirrors the event-engine
-        # strategies' _adjust_config / _active_peers hooks).
+        # strategies' _adjust_config / _active_peers hooks); rejects an
+        # unknown strategy name.
         self.key_ttl, self._max_rank, num_members = strategy_setup(
             params, self.config, strategy
         )
 
-        if costs is None:
-            # Imported lazily: compare.py imports this module at load time.
-            from repro.fastsim.compare import costs_for
-
-            costs = costs_for(params, self.config, num_members)
-        self.costs = costs
         self.state = FastSimState(
             params, num_members, self._rng_members, precision=self.precision
         )
-        self.workload = workload or BatchZipfWorkload(
-            ZipfDistribution(params.n_keys, params.alpha), self._rng_workload
-        )
+        self.workload = workload or default_batch_workload(params, seed)
         if self.workload.n_keys != params.n_keys:
             raise ParameterError(
                 f"workload covers {self.workload.n_keys} keys, "
                 f"scenario has {params.n_keys}"
             )
+        # Imported lazily: compare.py imports this module at load time.
+        from repro.fastsim.compare import resolve_costs
+
+        self.costs, churn_costs = resolve_costs(
+            params, self.config, num_members, seed, churn, self.workload,
+            costs, churn_costs,
+        )
         # A disabled config freezes liveness — a no-op in the event engine
         # (ChurnProcess.start returns immediately), so treat it as absent
         # and charge no churn surcharges.
@@ -446,30 +442,6 @@ class FastSimKernel:
         if churn is not None and churn.enabled:
             self.churn = BatchChurnProcess(churn, self._rng_churn)
             self.churn.initialise(self.state.online)
-            if churn_costs is None:
-                # Imported lazily, like costs_for above. The calibration
-                # runs at the kernel's own seed: churn per-op costs are
-                # substrate-realisation properties (which hot keys'
-                # responsible members churn), and PdhtNetwork(seed) is
-                # exactly the substrate + churn trajectory the event
-                # engine would run at this seed.
-                from repro.fastsim.compare import churn_costs_for
-
-                # Rank-permutation awareness: a model-driven workload
-                # threads its model into the calibration, so the probe
-                # drives the same shifting rank->key mapping the kernel
-                # will run instead of the stationary identity mapping.
-                model = getattr(self.workload, "model", None)
-                churn_costs = churn_costs_for(
-                    params,
-                    self.config,
-                    num_members,
-                    self.churn.config,
-                    base=self.costs,
-                    seed=seed,
-                    model=model.calibration_model if model is not None
-                    else None,
-                )
             self.churn_costs = churn_costs
 
         if content_refresh_period is not None and content_refresh_period <= 0:

@@ -13,8 +13,10 @@ embarrassingly parallel. This module fans a list of picklable
 * workers execute nothing but :func:`~repro.fastsim.kernel.run_fastsim`
   on the fully-resolved spec, so the per-job pickle payload is a handful
   of frozen dataclasses plus the report coming back;
-* ``jobs=1`` bypasses the pool entirely (same results, no fork cost) and
-  ``jobs=0`` means one worker per CPU.
+* one fan-out primitive (:func:`fan_out`) owns the only process pool in
+  ``src/``: :func:`run_many` feeds it kernel jobs, the Experiment API
+  feeds it replicate seeds; ``workers=1`` is its in-process case (same
+  results, no fork cost) and ``0`` means one worker per CPU.
 
 Everything in a job spec must pickle: :class:`ScenarioParameters`,
 :class:`PdhtConfig`, :class:`PerOpCosts`, :class:`ChurnOpCosts` and
@@ -29,7 +31,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro import obs
 from repro.obs import events as obs_events
@@ -88,14 +90,21 @@ class FastSimJob:
     precision: str = "wide"
 
     def run(self) -> FastSimReport:
-        """Execute this job in the current process."""
+        """Execute this job in the current process.
+
+        A workload staged by :func:`pack_jobs` has its
+        :class:`~repro.fastsim.shm.SharedArrayRef` placeholders mapped
+        back in as read-only views first (cached per process, so a reused
+        pool worker attaches each segment once); any other workload
+        passes through untouched.
+        """
         return run_fastsim(
             self.params,
             config=self.config,
             duration=self.duration,
             strategy=self.strategy,
             seed=self.seed,
-            workload=self.workload,
+            workload=shm.restore_arrays(self.workload),
             churn=self.churn,
             costs=self.costs,
             churn_costs=self.churn_costs,
@@ -120,36 +129,21 @@ def resolve_jobs(jobs: Sequence[FastSimJob]) -> list[FastSimJob]:
     This is the design decision that makes the pool worthwhile: cost
     resolution is the expensive, cacheable part (below the calibration
     limit it builds and probes a real event-engine substrate), so it runs
-    once here — where ``costs_for``/``churn_costs_for``'s ``lru_cache``
-    deduplicates identical scenarios across jobs — and the resolved
-    frozen dataclasses ride along in the spec. Workers just simulate.
+    once here — through the same :func:`~repro.fastsim.compare.resolve_costs`
+    the kernel would call, whose counted caches deduplicate identical
+    scenarios across jobs — and the resolved frozen dataclasses ride
+    along in the spec. Workers just simulate.
     """
-    from repro.fastsim.compare import churn_costs_for, costs_for
+    from repro.fastsim.compare import resolve_costs
 
     resolved: list[FastSimJob] = []
     for job in jobs:
         config = job.config or PdhtConfig.from_scenario(job.params)
         _, _, num_members = strategy_setup(job.params, config, job.strategy)
-        costs = job.costs or costs_for(job.params, config, num_members)
-        churn_costs = job.churn_costs
-        if (
-            churn_costs is None
-            and job.churn is not None
-            and job.churn.enabled
-        ):
-            # Model-driven workloads thread their model into the churn
-            # calibration (rank-permutation awareness), exactly like the
-            # kernel's own resolution path.
-            model = getattr(job.workload, "model", None)
-            churn_costs = churn_costs_for(
-                job.params,
-                config,
-                num_members,
-                job.churn,
-                base=costs,
-                seed=job.seed,
-                model=model.calibration_model if model is not None else None,
-            )
+        costs, churn_costs = resolve_costs(
+            job.params, config, num_members, job.seed, job.churn,
+            job.workload, job.costs, job.churn_costs,
+        )
         resolved.append(
             replace(
                 job, config=config, costs=costs, churn_costs=churn_costs
@@ -217,62 +211,102 @@ def pack_jobs(
     return packed
 
 
-def _run_job(job: FastSimJob) -> FastSimReport:
-    """Worker entry point (module-level so it pickles under spawn)."""
-    return job.run()
+def _pool_size(workers: int, units: int) -> int:
+    """Processes a fan-out of ``units`` uses; 1 = the calling process
+    alone (one worker asked for, or at most one unit to run)."""
+    return 1 if workers == 1 or units <= 1 else min(workers, units)
 
 
-def _run_shared_job(
-    payload: tuple[FastSimJob, bool, bool],
-) -> tuple[
-    FastSimReport, Optional[dict[str, Any]], Optional[list[dict[str, Any]]]
-]:
-    """Worker entry for shared-memory payloads: attach, then run.
-
-    The job arrives with :class:`~repro.fastsim.shm.SharedArrayRef`
-    placeholders where :func:`pack_jobs` staged arrays;
-    :func:`~repro.fastsim.shm.restore_arrays` maps the segments back in
-    as read-only views (cached per worker process, so a reused pool
-    worker attaches each segment once).
-    """
-    job, telemetry, record = payload
-    job = replace(job, workload=shm.restore_arrays(job.workload))
-    return _run_job_telemetry((job, telemetry, record))
-
-
-def _run_job_telemetry(
-    payload: tuple[FastSimJob, bool, bool],
-) -> tuple[
-    FastSimReport, Optional[dict[str, Any]], Optional[list[dict[str, Any]]]
-]:
-    """Worker entry point that ships the job's telemetry back with it.
+def _run_unit(
+    payload: tuple[Any, bool, bool],
+) -> tuple[Any, Optional[dict[str, Any]], Optional[list[dict[str, Any]]]]:
+    """The pool's one worker entry: run a unit, ship its telemetry back.
 
     The enabled/record flags travel with the payload because pool
     workers may be fresh processes (spawn) that do not inherit the
-    parent's module state. Each job records into its own scoped
-    collector — pool workers are *reused* across jobs, so recording into
-    the worker's global collector would leak one job's spans into the
-    next job's snapshot and double-count on merge. Flight-recorder
-    events likewise go to a per-job ring shipped back by value; the sink
+    parent's module state. Each unit records into its own scoped
+    collector — pool workers are *reused* across units, so recording into
+    the worker's global collector would leak one unit's spans into the
+    next unit's snapshot and double-count on merge. Flight-recorder
+    events likewise go to a per-unit ring shipped back by value; the sink
     is replaced *unconditionally* because ``fork``-started workers
     inherit the parent's sink (shared file descriptor, parent pid
     stamp), and the first heartbeat would otherwise write through it.
     """
-    job, telemetry, record = payload
+    unit, telemetry, record = payload
     sink = obs_events.RingBufferSink() if record else None
     obs_events.set_sink(sink)
     try:
         if not telemetry:
-            return job.run(), None, None
+            return unit.run(), None, None
         obs.enable()
         obs.reset_span_stack()
         with obs.scoped(merge_into_parent=False) as local:
-            report = job.run()
+            result = unit.run()
             obs.sample_peak_rss("worker")
             snapshot = local.snapshot()
-        return report, snapshot, sink.events() if sink else None
+        return result, snapshot, sink.events() if sink else None
     finally:
         obs_events.set_sink(None)
+
+
+def fan_out(
+    units: Sequence[Any],
+    workers: int,
+    finish: Callable[[int, Any], None],
+    progress: str,
+    done: int = 0,
+) -> None:
+    """Run every unit's ``.run()``, handing each result to ``finish``.
+
+    The execution primitive under :func:`run_many` (units are
+    :class:`FastSimJob` specs) and the Experiment API's ``replicates``
+    (units are per-seed contexts); package-internal, and the only place
+    ``src/`` builds a process pool (lint rule RL108). ``workers`` is
+    already resolved (:func:`resolve_worker_count`). With one worker, or
+    at most one unit, everything runs in the calling process — its caches
+    stay warm, its event sink is untouched. Otherwise units (which must
+    pickle) spread over a pool of :func:`_pool_size` processes.
+
+    ``finish(position, result)`` fires per unit in submission order, as
+    each result lands rather than at pool shutdown, so the caller can
+    persist completed work before a later unit fails: an exception raised
+    by a unit propagates after the units ahead of it were finished.
+    ``progress`` names the ``obs.progress`` series ticked per completion;
+    ``done`` counts units the caller already had (store hits), which only
+    offsets the tick so the series totals the caller's whole workload.
+
+    With telemetry enabled each pool worker's collector snapshot rides
+    back with its result and merges into the caller's collector under the
+    current span path — the pooled profile nests exactly like the
+    in-process one, and merging is duplicate-safe, so the fold is
+    insensitive to delivery order. With a flight-recorder sink installed
+    each worker also ships its own event ring; the parent re-emits those
+    events marked ``remote``, giving trace exports per-worker lanes while
+    replay still counts each measurement once (via the snapshot merge).
+    """
+    total = done + len(units)
+    size = _pool_size(workers, len(units))
+    telemetry = obs.enabled()
+    obs.progress(progress, done, total=total)
+    if size == 1:
+        for position, unit in enumerate(units):
+            finish(position, unit.run())
+            done += 1
+            obs.progress(progress, done, total=total)
+        if telemetry:
+            obs.sample_peak_rss("worker")
+        return
+    record = telemetry and obs_events.recording()
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        for position, (result, snapshot, worker_events) in enumerate(
+            pool.map(_run_unit, [(unit, telemetry, record) for unit in units])
+        ):
+            finish(position, result)
+            obs.merge_snapshot(snapshot)
+            obs_events.emit_remote(worker_events)
+            done += 1
+            obs.progress(progress, done, total=total)
 
 
 def run_many(
@@ -285,10 +319,11 @@ def run_many(
 
     ``workers`` follows the CLI ``--jobs`` convention: ``1`` runs
     sequentially in-process (no pool, caches stay warm for the caller),
-    ``0`` uses one worker per CPU, ``N > 1`` uses a process pool of N.
-    Costs are resolved in the parent first (:func:`resolve_jobs`) either
-    way, so sequential and parallel execution charge identical costs and
-    produce identical seeded reports.
+    ``0`` uses one worker per CPU, ``N > 1`` uses a process pool of N
+    (:func:`fan_out`). Costs are resolved in the parent first
+    (:func:`resolve_jobs`) either way, so sequential and parallel
+    execution charge identical costs and produce identical seeded
+    reports.
 
     ``shared_memory=True`` stages each pending job's large workload
     arrays into ``multiprocessing.shared_memory`` segments
@@ -297,39 +332,25 @@ def run_many(
     key count, and per-worker incremental memory drops to page-cache
     mappings of one shared copy. Results are bit-identical to the
     pickle path (gated by tests and the ``bench_fastsim`` shm record).
-    The segments live exactly as long as the pool: they are unlinked in
-    a ``finally`` even when a worker crashes. Purely an execution
+    The segments live exactly as long as the fan-out: they are unlinked
+    in a ``finally`` even when a worker crashes. Purely an execution
     detail — job artifact keys are computed before packing and do not
-    change. Ignored on the sequential path (nothing to ship).
+    change. Ignored when nothing is shipped (in-process execution).
 
     ``store`` (default: the process-wide active store, see
     :mod:`repro.store`) makes the fan-out *resumable*: each resolved
     job is content-keyed (:func:`job_key`), jobs whose report is
     already on disk are loaded instead of run, only the misses execute,
-    and every fresh report is saved before the merged, job-ordered list
-    returns. An interrupted sweep rerun therefore recomputes zero
-    completed cells, and any input change (params, seed, costs,
-    workload state, code version) re-keys — and thus recomputes —
-    exactly the affected cells. ``cache.store.sweep_cell.hit/.miss``
-    counters make resumption observable.
-
-    When telemetry is enabled (:func:`repro.obs.enable`), every pool
-    worker's collector snapshot rides back with its report and is merged
-    into the parent's collector — one profile for the whole fan-out,
-    including per-worker peak-RSS gauges. Merging is duplicate-safe, so
-    the fold is insensitive to delivery order.
-
-    When a flight-recorder sink is also installed
-    (:func:`repro.obs.events.set_sink`), the fan-out reports
-    ``parallel.jobs`` progress per completed job and each worker ships
-    its own event ring back with the result; the parent re-emits those
-    events marked ``remote`` so trace exports get per-worker lanes while
-    replay still counts each measurement exactly once (via the snapshot
-    merge).
+    and every fresh report is saved as it lands. An interrupted sweep
+    rerun therefore recomputes zero completed cells, and any input
+    change (params, seed, costs, workload state, code version) re-keys —
+    and thus recomputes — exactly the affected cells.
+    ``cache.store.sweep_cell.hit/.miss`` counters make resumption
+    observable. Telemetry merge and ``parallel.jobs`` progress are
+    :func:`fan_out`'s.
     """
     workers = resolve_worker_count(workers)
     resolved = resolve_jobs(jobs)
-    telemetry = obs.enabled()
     if store is None:
         from repro.store.store import active_store
 
@@ -343,67 +364,28 @@ def run_many(
             reports[index] = store.load_report(keys[index])
     pending = [i for i, report in enumerate(reports) if report is None]
 
-    def _finish(index: int, report: FastSimReport) -> None:
-        reports[index] = report
+    def _finish(position: int, report: FastSimReport) -> None:
+        reports[pending[position]] = report
         if store is not None:
-            store.save_report(keys[index] or job_key(resolved[index]), report)
+            store.save_report(keys[pending[position]], report)
 
-    done = len(resolved) - len(pending)
-    if workers == 1 or len(pending) <= 1:
-        with obs.span(
-            "parallel.run_many",
-            jobs=len(resolved),
-            cached=len(resolved) - len(pending),
-            workers=1,
-        ):
-            obs.progress("parallel.jobs", done, total=len(resolved))
-            for index in pending:
-                _finish(index, resolved[index].run())
-                done += 1
-                obs.progress("parallel.jobs", done, total=len(resolved))
-        if telemetry:
-            obs.sample_peak_rss("worker")
-        return reports  # type: ignore[return-value]
-    entry = _run_job_telemetry
-    record = telemetry and obs_events.recording()
-    shipped: list[FastSimJob] = [resolved[i] for i in pending]
-    arena: Optional[shm.ShmArena] = None
-    if shared_memory:
-        arena = shm.ShmArena()
-        shipped = pack_jobs(shipped, arena)
-        entry = _run_shared_job
+    shipped = [resolved[i] for i in pending]
+    size = _pool_size(workers, len(pending))
+    arena = shm.ShmArena() if shared_memory and size > 1 else None
     try:
+        if arena is not None:
+            shipped = pack_jobs(shipped, arena)
         with obs.span(
             "parallel.run_many",
             jobs=len(resolved),
             cached=len(resolved) - len(pending),
-            workers=min(workers, len(pending)),
-            shared_memory=bool(shared_memory),
+            workers=size,
+            shared_memory=arena is not None,
         ):
-            obs.progress("parallel.jobs", done, total=len(resolved))
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            ) as pool:
-                # ``pool.map`` yields each result as it lands (submission
-                # order), so progress/merge/remote-event handling happens
-                # per completion — a live renderer ticks per job instead
-                # of jumping 0 -> all at pool shutdown. Merging inside
-                # the span re-roots worker spans under it: the pooled
-                # profile nests exactly like the sequential one.
-                for index, (report, snapshot, worker_events) in zip(
-                    pending,
-                    pool.map(
-                        entry,
-                        [(job, telemetry, record) for job in shipped],
-                    ),
-                ):
-                    _finish(index, report)
-                    obs.merge_snapshot(snapshot)
-                    obs_events.emit_remote(worker_events)
-                    done += 1
-                    obs.progress(
-                        "parallel.jobs", done, total=len(resolved)
-                    )
+            fan_out(
+                shipped, size, _finish, "parallel.jobs",
+                done=len(resolved) - len(pending),
+            )
     finally:
         if arena is not None:
             arena.close()

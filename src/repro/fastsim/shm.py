@@ -236,8 +236,9 @@ def restore_arrays(obj: object, _depth: int = 4) -> object:
     """Worker-side inverse of :func:`extract_arrays`.
 
     Swaps every :class:`SharedArrayRef` for a read-only view of its
-    segment. The incoming graph is this worker's private unpickled copy,
-    so restoration happens in place where possible.
+    segment. A graph holding refs is the worker's private unpickled copy,
+    so restoration happens in place where possible; a graph without refs
+    (a workload that was never staged) comes back untouched.
     """
     if isinstance(obj, SharedArrayRef):
         return attach(obj)
@@ -249,10 +250,13 @@ def restore_arrays(obj: object, _depth: int = 4) -> object:
             return obj
         return type(obj)(restored)
     if isinstance(obj, dict):
-        return {
+        restored_dict = {
             key: restore_arrays(value, _depth - 1)
             for key, value in obj.items()
         }
+        if all(restored_dict[key] is obj[key] for key in obj):
+            return obj
+        return restored_dict
     attributes = getattr(obj, "__dict__", None)
     if not isinstance(attributes, dict):
         return obj

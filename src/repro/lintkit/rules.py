@@ -1,4 +1,4 @@
-"""The repo's invariant catalog, as executable rules RL101-RL107.
+"""The repo's invariant catalog, as executable rules RL101-RL108.
 
 Each rule encodes one cross-cutting invariant prior PRs established by
 convention; the class docstring is the rationale ``--explain`` prints.
@@ -14,6 +14,7 @@ RL104    identity-leak                 params reach the key or are EXECUTION_ONL
 RL105    shm-unlink-in-finally         shm segments cannot leak on any path
 RL106    uncounted-lru-cache           caches report through ``counted_cache``
 RL107    span-naming                   obs names follow ``segment(.segment)*``
+RL108    pool-ownership                process pools live in ``fastsim.parallel``
 =======  ============================  =========================================
 """
 
@@ -39,6 +40,7 @@ __all__ = [
     "ShmUnlinkInFinally",
     "UncountedLruCache",
     "SpanNaming",
+    "PoolOwnership",
 ]
 
 
@@ -714,3 +716,70 @@ class SpanNaming(Rule):
             if keyword.arg == "name":
                 return keyword.value, allow_slash
         return None
+
+
+# ---------------------------------------------------------------------
+# RL108
+# ---------------------------------------------------------------------
+@register_rule
+class PoolOwnership(Rule):
+    """``src/`` has one process pool, and ``fastsim.parallel`` owns it.
+
+    A pool is more than constructing an executor: workers must swap
+    the inherited event sink for a private ring, record into a scoped
+    collector, ship snapshot and events back, and the parent must merge
+    them per completion and tick progress. The Experiment API once grew
+    a second pool whose worker entry was a line-for-line copy of the
+    first — and the copies drifted (one saved results per completion,
+    the other only after the last unit). ``repro.fastsim.parallel.fan_out``
+    runs any sequence of picklable units with a ``.run()``; hand it the
+    units instead of constructing a pool. (Pools reached through a
+    ``multiprocessing.get_context(...)`` call are out of static reach.)
+    """
+
+    id = "RL108"
+    name = "pool-ownership"
+    summary = (
+        "process pool constructed outside repro.fastsim.parallel; hand "
+        "the units to repro.fastsim.parallel.fan_out"
+    )
+    ok_example = (
+        "from repro.fastsim import parallel\n"
+        "parallel.fan_out(units, workers, finish, \"sweep.cells\")"
+    )
+    bad_example = (
+        "import multiprocessing\n"
+        "with multiprocessing.Pool(4) as pool: ..."
+    )
+
+    _POOLS = frozenset(
+        {
+            "concurrent.futures.ProcessPoolExecutor",
+            "concurrent.futures.process.ProcessPoolExecutor",
+            "multiprocessing.Pool",
+            "multiprocessing.pool.Pool",
+        }
+    )
+
+    def scope(self, path: str) -> bool:
+        return _in_src_repro(path) and path != "src/repro/fastsim/parallel.py"
+
+    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
+        if isinstance(node.func, ast.Name):
+            target = ctx.from_imports.get(node.func.id, "")
+        else:
+            chain = _attribute_chain(node.func)
+            if len(chain) < 2:
+                return
+            # ``import concurrent.futures`` binds the dotted name whole;
+            # ``import multiprocessing as mp`` / ``from concurrent import
+            # futures`` bind the chain's first name.
+            prefix = ".".join(chain[:-1])
+            module = (
+                ctx.module_aliases.get(prefix)
+                or ctx.module_aliases.get(chain[0])
+                or ctx.from_imports.get(chain[0], "")
+            )
+            target = f"{module}.{chain[-1]}"
+        if target in self._POOLS:
+            ctx.report(self, node)

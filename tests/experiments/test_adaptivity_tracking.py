@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.experiments.api import ExperimentParams, get_spec, run
+from repro.experiments.execution import Execution
 from repro.experiments.figures import adaptivity_tracking
 from repro.experiments.scenario import simulation_scenario
 
@@ -85,20 +86,9 @@ class TestAdaptivityTracking:
             duration=60.0,
             window=20.0,
             workload="rank-swap",
-            engine="event",
+            execution=Execution("event"),
         )
         assert "selection [rank-swap]" in fig.series
-
-    def test_jobs_fan_out_matches_sequential(self):
-        kwargs = dict(
-            params=simulation_scenario(scale=0.02),
-            duration=90.0,
-            window=30.0,
-            workload="rank-swap",
-        )
-        sequential = adaptivity_tracking(**kwargs, jobs=1)
-        parallel = adaptivity_tracking(**kwargs, jobs=2)
-        assert parallel.series == sequential.series
 
     def test_oracle_outruns_selection_after_the_shift(self):
         """The point of the figure: right after a rank swap the oracle

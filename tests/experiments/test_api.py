@@ -424,15 +424,6 @@ class TestJobsParameter:
         )
         assert result.parameters["jobs"] == 2
 
-    def test_parallel_run_matches_sequential(self):
-        sequential = run(
-            "sim", engine="vectorized", duration=20.0, scale=0.02
-        )
-        parallel = run(
-            "sim", engine="vectorized", duration=20.0, scale=0.02, jobs=2
-        )
-        assert parallel.figure.series == sequential.figure.series
-
     def test_parallel_replicates_match_sequential(self):
         sequential = run(
             "sim", engine="vectorized", duration=20.0, scale=0.02,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ParameterError
+from repro.experiments.execution import Execution
 from repro.experiments.figures import (
     adaptivity_experiment,
     simulated_figure1,
@@ -46,7 +47,7 @@ class TestVectorizedExperiments:
     def test_simulation_comparison_vectorized(self):
         params = simulation_scenario(scale=0.02)
         fig = simulation_comparison(
-            params=params, duration=60.0, engine="vectorized"
+            params=params, duration=60.0, execution=Execution("vectorized")
         )
         hit = dict(zip(fig.x_values, fig.series_of("hit rate")))
         assert hit["noIndex"] == 0.0
@@ -65,7 +66,7 @@ class TestVectorizedExperiments:
         params = simulation_scenario(scale=0.02)
         event = simulation_comparison(params=params, duration=60.0)
         fast = simulation_comparison(
-            params=params, duration=60.0, engine="vectorized"
+            params=params, duration=60.0, execution=Execution("vectorized")
         )
         for name, event_hit, fast_hit in zip(
             event.x_values,
@@ -95,7 +96,7 @@ class TestVectorizedExperiments:
             params=simulation_scenario(scale=0.02),
             frequencies=(1 / 30, 1 / 600),
             duration=60.0,
-            engine="vectorized",
+            execution=Execution("vectorized"),
         )
         no_index = fig.series_of("noIndex")
         assert no_index[0] > no_index[1]  # cost falls with query frequency
@@ -110,7 +111,7 @@ class TestVectorizedExperiments:
             duration=400.0,
             shift_at=200.0,
             window=50.0,
-            engine="vectorized",
+            execution=Execution("vectorized"),
         )
         rates = dict(zip(fig.x_values, fig.series_of("hit rate")))
         assert rates["250"] < rates["200"]  # collapse after the shuffle
@@ -127,7 +128,7 @@ class TestVectorizedExperiments:
             params=simulation_scenario(scale=0.02),
             duration=60.0,
             availabilities=(1.0, 0.75),
-            engine="vectorized",
+            execution=Execution("vectorized"),
         )
         success = fig.series_of("success rate")
         assert all(s > 0.9 for s in success)  # repl 50 bound ~ 1
@@ -141,7 +142,7 @@ class TestVectorizedExperiments:
             params=simulation_scenario(scale=0.02),
             duration=30.0,
             churn=ChurnConfig(mean_session=1800.0, mean_offline=600.0),
-            engine="vectorized",
+            execution=Execution("vectorized"),
         )
         assert fig.series_of("hit rate")
         # A disabled config stays a liveness-freezing no-op.
@@ -149,7 +150,7 @@ class TestVectorizedExperiments:
             params=simulation_scenario(scale=0.02),
             duration=10.0,
             churn=ChurnConfig(enabled=False),
-            engine="vectorized",
+            execution=Execution("vectorized"),
         )
         assert fig.series_of("hit rate")
 
@@ -161,7 +162,7 @@ class TestVectorizedExperiments:
             duration=160.0,
             refresh_period=60.0,
             ttl_factors=(0.25, 4.0),
-            engine="vectorized",
+            execution=Execution("vectorized"),
         )
         stale = fig.series_of("stale hit fraction")
         assert stale[0] <= stale[-1]  # staleness grows with the TTL
@@ -172,7 +173,7 @@ class TestVectorizedExperiments:
             simulation_comparison(
                 params=simulation_scenario(scale=0.02),
                 duration=10.0,
-                engine="bogus",
+                execution=Execution("bogus"),
             )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ParameterError
+from repro.experiments.execution import Execution
 from repro.experiments.figures import (
     churn_experiment,
     heuristic_vs_optimal,
@@ -112,7 +113,7 @@ class TestStalenessRefreshPeriodSweep:
             duration=160.0,
             ttl_factors=(1.0,),
             refresh_periods=(40.0, 160.0),
-            engine="vectorized",
+            execution=Execution("vectorized"),
         )
         assert "stale hit fraction @ refresh 40s" in fig.series
         assert "stale hit fraction @ refresh 160s" in fig.series

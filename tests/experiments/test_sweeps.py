@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ParameterError
+from repro.experiments.execution import Execution
 from repro.experiments.figures import FigureSeries
 from repro.experiments.scenario import simulation_scenario
 from repro.experiments.sweeps import (
@@ -163,29 +164,22 @@ class TestWorkloadAxis:
             workloads=("gradual-drift",),
         )
         scenario = simulation_scenario(scale=0.02)
-        sequential = sweep_grid(axes, scenario=scenario, duration=40.0, jobs=1)
-        parallel = sweep_grid(axes, scenario=scenario, duration=40.0, jobs=2)
+        sequential = sweep_grid(axes, scenario=scenario, duration=40.0)
+        parallel = sweep_grid(
+            axes, scenario=scenario, duration=40.0,
+            execution=Execution("vectorized", jobs=2),
+        )
         assert parallel.series == sequential.series
 
 
 class TestParallelSweep:
-    """sweep_grid(jobs=N): same grid, fanned over a process pool."""
+    """sweep_grid worker counts; jobs parity lives in the execution-path
+    matrix (tests/experiments/test_execution_paths.py)."""
 
     def _axes(self):
         return GridAxes(
             ttl_factors=(0.5, 1.0), alphas=(1.2,), query_freqs=(1 / 30,)
         )
-
-    def test_parallel_grid_matches_sequential(self):
-        scenario = simulation_scenario(scale=0.02)
-        sequential = sweep_grid(
-            self._axes(), scenario=scenario, duration=30.0, jobs=1
-        )
-        parallel = sweep_grid(
-            self._axes(), scenario=scenario, duration=30.0, jobs=2
-        )
-        assert parallel.x_values == sequential.x_values
-        assert parallel.series == sequential.series
 
     def test_invalid_jobs_rejected(self):
         import pytest as _pytest
@@ -193,4 +187,7 @@ class TestParallelSweep:
         from repro.errors import ParameterError as _ParameterError
 
         with _pytest.raises(_ParameterError):
-            sweep_grid(self._axes(), duration=30.0, jobs=-1)
+            sweep_grid(
+                self._axes(), duration=30.0,
+                execution=Execution("vectorized", jobs=-1),
+            )

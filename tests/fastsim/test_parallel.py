@@ -4,18 +4,26 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
+from repro import obs
+from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import run_fastsim
 from repro.fastsim.parallel import (
     FastSimJob,
+    fan_out,
     resolve_jobs,
     resolve_worker_count,
     run_many,
 )
+from repro.fastsim.shm import MIN_SHARE_BYTES, leaked_segments
+from repro.fastsim.workload import BatchZipfWorkload
+from repro.obs import events as obs_events
 from repro.pdht.config import PdhtConfig
+from repro.store import Store
 
 SCALE = 0.02
 DURATION = 40.0
@@ -129,3 +137,66 @@ class TestRunMany:
 
     def test_empty_job_list(self):
         assert run_many([], workers=4) == []
+
+
+class CrashingWorkload(BatchZipfWorkload):
+    """Module-level (hence picklable) workload that dies mid-run, with a
+    payload big enough that ``shared_memory=True`` stages a segment."""
+
+    def __init__(self, zipf, rng):
+        super().__init__(zipf, rng)
+        self.ballast = np.zeros(2 * MIN_SHARE_BYTES, dtype=np.uint8)
+
+    def draw_rounds(self, start, counts, out=None):
+        raise RuntimeError("unit crash (intentional, from the test)")
+
+
+class TestFanOutFailure:
+    """A unit that raises: what the fan-out promises its caller."""
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_failure_keeps_earlier_units_saved(
+        self, params, config, tmp_path, workers
+    ):
+        zipf = ZipfDistribution(params.n_keys, params.alpha)
+        jobs = [
+            FastSimJob(params=params, seed=0, duration=20.0, config=config),
+            FastSimJob(params=params, seed=1, duration=20.0, config=config),
+            FastSimJob(
+                params=params, seed=2, duration=20.0, config=config,
+                workload=CrashingWorkload(zipf, np.random.default_rng(2)),
+            ),
+        ]
+        sink = obs_events.RingBufferSink()
+        obs_events.set_sink(sink)
+        obs.enable()
+        try:
+            with Store(tmp_path / "cells.sqlite") as store:
+                with pytest.raises(RuntimeError, match="unit crash"):
+                    run_many(
+                        jobs, workers=workers, store=store,
+                        shared_memory=True,
+                    )
+                # The two units ahead of the failure went through the
+                # on-completion callback: a rerun recomputes only the rest.
+                assert store.db.count("sweep_cell") == 2
+        finally:
+            obs.disable()
+            installed = obs_events.set_sink(None)
+        assert leaked_segments() == []
+        # The worker entry resets *its* sink in a ``finally``; the caller's
+        # stays — in the pool's parent and on the in-process path alike.
+        assert installed is sink
+
+
+class TestFanOut:
+    def test_finish_sees_results_in_submission_order(self, strategy_jobs):
+        seen = []
+        fan_out(
+            resolve_jobs(strategy_jobs), 2,
+            lambda position, report: seen.append((position, report.strategy)),
+            "parallel.jobs",
+        )
+        assert seen == [
+            (i, job.strategy) for i, job in enumerate(strategy_jobs)
+        ]

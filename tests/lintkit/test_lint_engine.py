@@ -134,6 +134,7 @@ class TestRegistry:
             "RL105",
             "RL106",
             "RL107",
+            "RL108",
         ]
 
     def test_rule_ids_includes_meta_ids(self):

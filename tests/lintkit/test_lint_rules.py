@@ -1,4 +1,4 @@
-"""One triggering and one passing fixture per lint rule RL101-RL107.
+"""One triggering and one passing fixture per lint rule RL101-RL108.
 
 Fixtures are in-memory source strings handed to ``lint_sources`` under
 synthetic ``src/repro/...`` paths, so the rule scoping behaves exactly
@@ -545,3 +545,62 @@ class TestSpanNaming:
             "RL107",
         )
         assert hits == []
+
+
+class TestPoolOwnership:
+    def test_pool_constructed_outside_parallel_triggers(self):
+        from_import = rule_hits(
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def fan(units):
+                with ProcessPoolExecutor(max_workers=2) as pool:
+                    return list(pool.map(run, units))
+            """,
+            "src/repro/experiments/example.py",
+            "RL108",
+        )
+        via_module = rule_hits(
+            """
+            import concurrent.futures
+            import multiprocessing as mp
+
+            def fan(units):
+                with concurrent.futures.ProcessPoolExecutor() as pool:
+                    pool.map(run, units)
+                return mp.Pool(2).map(run, units)
+            """,
+            "src/repro/experiments/example.py",
+            "RL108",
+        )
+        assert len(from_import) == 1
+        assert "fan_out" in from_import[0].message
+        assert len(via_module) == 2
+
+    def test_parallel_module_and_fan_out_callers_pass(self):
+        owner = rule_hits(
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def fan_out(units, workers, finish, progress):
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    for position, result in enumerate(pool.map(run, units)):
+                        finish(position, result)
+            """,
+            "src/repro/fastsim/parallel.py",
+            "RL108",
+        )
+        caller = rule_hits(
+            """
+            from concurrent.futures import ThreadPoolExecutor
+            from repro.fastsim import parallel
+
+            def replicate(contexts, workers, finish):
+                parallel.fan_out(contexts, workers, finish, "replicates")
+                return ThreadPoolExecutor(max_workers=1)
+            """,
+            "src/repro/experiments/example.py",
+            "RL108",
+        )
+        assert owner == []
+        assert caller == []
