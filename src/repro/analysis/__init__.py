@@ -42,7 +42,11 @@ from repro.analysis.strategies import (
     cost_partial_ideal,
     evaluate_strategies,
 )
-from repro.analysis.selection_model import SelectionModel, SelectionOutcome
+from repro.analysis.selection_model import (
+    SelectionModel,
+    SelectionOutcome,
+    selection_outcome,
+)
 from repro.analysis.optimal import (
     OptimalPartialIndex,
     optimal_key_ttl,
@@ -77,6 +81,7 @@ __all__ = [
     "evaluate_strategies",
     "SelectionModel",
     "SelectionOutcome",
+    "selection_outcome",
     "OptimalPartialIndex",
     "optimal_key_ttl",
     "optimal_max_rank",

@@ -30,8 +30,9 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.threshold import solve_threshold
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
+from repro.obs import counted_cache
 
-__all__ = ["SelectionModel", "SelectionOutcome"]
+__all__ = ["SelectionModel", "SelectionOutcome", "selection_outcome"]
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,13 @@ class SelectionModel:
         if key_ttl < 0:
             raise ParameterError(f"key_ttl must be >= 0, got {key_ttl}")
         self.key_ttl = float(key_ttl)
-        self._presence = self._presence_probabilities()
+        # The model reduces to two expectations over the per-rank presence
+        # probabilities; take them once and let the n-key table go.
+        presence = self._presence_probabilities()
+        #: Expected number of keys resident in the index (Eq. 15).
+        self.index_size = float(presence.sum())
+        #: Probability a random query is answered from the index (Eq. 14).
+        self.p_indexed = float((presence * self.zipf.probs()).sum())
 
     def _presence_probabilities(self) -> np.ndarray:
         """Per-rank probability of being in the index: 1-(1-probT)^keyTtl."""
@@ -110,22 +117,6 @@ class SelectionModel:
         # the presence probability is correctly 1; silence the benign warning.
         with np.errstate(divide="ignore"):
             return -np.expm1(self.key_ttl * np.log1p(-prob_t))
-
-    # ------------------------------------------------------------------
-    # Eq. 15
-    # ------------------------------------------------------------------
-    @property
-    def index_size(self) -> float:
-        """Expected number of keys resident in the index (Eq. 15)."""
-        return float(self._presence.sum())
-
-    # ------------------------------------------------------------------
-    # Eq. 14
-    # ------------------------------------------------------------------
-    @property
-    def p_indexed(self) -> float:
-        """Probability a random query is answered from the index (Eq. 14)."""
-        return float((self._presence * self.zipf.probs()).sum())
 
     # ------------------------------------------------------------------
     # Eq. 17
@@ -170,3 +161,21 @@ class SelectionModel:
             index_all=cost_index_all(self.params),
             no_index=cost_no_index(self.params),
         )
+
+
+@counted_cache("selection", maxsize=256)
+def selection_outcome(
+    params: ScenarioParameters, key_ttl: float
+) -> SelectionOutcome:
+    """Eq. 14-17 of one scenario at one ``keyTtl``, solved once per pair.
+
+    The planning layers that need one number of the model each — the
+    expected index size that sizes the DHT (``strategy_setup``,
+    ``PerOpCosts.analytical``, ``PdhtNetwork``), the Eq. 17 prediction a
+    sweep cell reports — share one evaluation (``cache.selection.*``
+    counters). Only the scalar :class:`SelectionOutcome` is kept; the
+    n-key presence tables live for the evaluation alone. Callers that
+    hold a :class:`ZipfDistribution` and vary ``key_ttl`` continuously
+    (``optimal``, ``sensitivity``) build :class:`SelectionModel` directly.
+    """
+    return SelectionModel(params, key_ttl=key_ttl).outcome()

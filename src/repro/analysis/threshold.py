@@ -30,6 +30,7 @@ from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
+from repro.obs import counted_cache
 
 __all__ = ["f_min", "p_indexed", "IndexThreshold", "solve_threshold"]
 
@@ -118,16 +119,35 @@ def solve_threshold(
     params:
         Scenario parameters (Table 1).
     zipf:
-        Pre-built query distribution; when omitted one is created from
-        ``params`` (supplying it avoids recomputation inside sweeps).
-    """
-    if zipf is None:
-        zipf = ZipfDistribution(params.n_keys, params.alpha)
-    elif zipf.n_keys != params.n_keys:
-        raise ParameterError(
-            f"zipf has {zipf.n_keys} keys but params has {params.n_keys}"
-        )
+        The caller's query distribution, if it has one. It must be the
+        distribution ``params`` describes (same ``n_keys`` and ``alpha``);
+        anything else raises :class:`ParameterError` rather than returning
+        a threshold solved for a different scenario.
 
+    The solution is a function of ``params`` alone and is cached per
+    scenario (``cache.threshold.*`` counters), so every consumer of one
+    scenario — ``PdhtConfig.from_scenario``, ``strategy_setup``,
+    ``SelectionModel``, ``evaluate_strategies``, ``sensitivity``, the
+    figures — shares one bisection. Only the scalar
+    :class:`IndexThreshold` is kept: the n-key probability tables the
+    solve reads are built for the solve and dropped with it.
+    """
+    if zipf is not None:
+        if zipf.n_keys != params.n_keys:
+            raise ParameterError(
+                f"zipf has {zipf.n_keys} keys but params has {params.n_keys}"
+            )
+        if zipf.alpha != params.alpha:
+            raise ParameterError(
+                f"zipf has alpha {zipf.alpha} but params has {params.alpha}"
+            )
+    return _solve(params)
+
+
+@counted_cache("threshold", maxsize=256)
+def _solve(params: ScenarioParameters) -> IndexThreshold:
+    """The bisection behind :func:`solve_threshold`, once per scenario."""
+    zipf = ZipfDistribution(params.n_keys, params.alpha)
     n = params.n_keys
     if _residual(params, zipf, 1) < 0:
         max_rank = 0

@@ -45,6 +45,24 @@ def truncated_zeta(n_keys: int, alpha: float) -> float:
     return float(_rank_weights(n_keys, alpha).sum())
 
 
+def _check_query_rate(queries_per_round: float) -> None:
+    if queries_per_round < 0:
+        raise ParameterError(
+            f"queries_per_round must be >= 0, got {queries_per_round}"
+        )
+
+
+def _at_least_once(probs, queries_per_round: float):
+    """Eq. 4 for a positive rate, on one Eq. 3 probability or a vector.
+
+    ``1 - (1 - p)^n`` computed stably as ``-expm1(n * log1p(-p))``. For
+    the degenerate single-key universe ``p = 1`` and ``log1p(-1) = -inf``,
+    which still yields the correct probability of 1; hide the warning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.expm1(queries_per_round * np.log1p(-probs))
+
+
 class ZipfDistribution:
     """Finite Zipf distribution over key ranks ``1..n_keys``.
 
@@ -92,24 +110,27 @@ class ZipfDistribution:
 
         ``queries_per_round`` is the network-wide query rate
         ``numPeers * fQry``; it may be fractional.
+
+        Evaluates Eq. 4 on the one element ``probs()[rank - 1]`` — O(1),
+        which is what keeps the threshold bisection O(log n) — and is
+        bit-identical to ``probs_queried(queries_per_round)[rank - 1]``.
+        That holds because both go through the same numpy ufuncs:
+        ``math.log1p`` / ``math.expm1`` (libm) differ from numpy's
+        vectorised loops in the last ulp on some CPUs, which is enough to
+        move ``maxRank`` by one.
         """
         self._check_rank(rank)
-        return float(self.probs_queried(queries_per_round)[rank - 1])
+        _check_query_rate(queries_per_round)
+        if queries_per_round == 0:
+            return 0.0
+        return float(_at_least_once(self._probs[rank - 1], queries_per_round))
 
     def probs_queried(self, queries_per_round: float) -> np.ndarray:
         """Vector of Eq. 4 probabilities for all ranks."""
-        if queries_per_round < 0:
-            raise ParameterError(
-                f"queries_per_round must be >= 0, got {queries_per_round}"
-            )
-        # 1 - (1 - p)^n computed stably: -expm1(n * log1p(-p)). For the
-        # degenerate single-key universe p = 1 and log1p(-1) = -inf, which
-        # still yields the correct probability of 1; hide the warning.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = -np.expm1(queries_per_round * np.log1p(-self._probs))
+        _check_query_rate(queries_per_round)
         if queries_per_round == 0:
             return np.zeros_like(self._probs)
-        return result
+        return _at_least_once(self._probs, queries_per_round)
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -12,7 +12,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import SelectionModel
+from repro.analysis.selection_model import selection_outcome
 from repro.analysis.sensitivity import sweep_keyttl_error
 from repro.analysis.strategies import evaluate_strategies
 from repro.analysis.sweep import PAPER_FREQUENCIES, sweep_frequencies
@@ -213,7 +213,7 @@ def heuristic_vs_optimal(
     """
     from repro.analysis.optimal import optimal_key_ttl, optimal_max_rank
     from repro.analysis.strategies import cost_partial_ideal
-    from repro.analysis.selection_model import SelectionModel as _SelectionModel
+    from repro.analysis.selection_model import SelectionModel
     from repro.analysis.threshold import solve_threshold
 
     params = params or paper_scenario()
@@ -225,7 +225,7 @@ def heuristic_vs_optimal(
         heuristic_rank_cost = cost_partial_ideal(scenario, threshold)
         optimal_rank_cost = optimal_max_rank(scenario, zipf).cost
         rank_gaps.append(heuristic_rank_cost / optimal_rank_cost - 1.0)
-        heuristic_ttl_cost = _SelectionModel(
+        heuristic_ttl_cost = SelectionModel(
             scenario, key_ttl=threshold.key_ttl, zipf=zipf
         ).total_cost()
         _, optimal_ttl_cost = optimal_key_ttl(scenario, zipf)
@@ -279,7 +279,7 @@ def simulation_comparison(
     measured = [report.messages_per_second for report in reports]
 
     analytic = evaluate_strategies(params)
-    selection = SelectionModel(params, key_ttl=config.key_ttl).outcome()
+    selection = selection_outcome(params, config.key_ttl)
     model = {
         "noIndex": analytic.no_index,
         "indexAll": analytic.index_all,

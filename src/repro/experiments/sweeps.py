@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import SelectionModel
+from repro.analysis.selection_model import selection_outcome
 from repro.errors import ParameterError
 from repro.experiments.api import (
     SIMULATED,
@@ -202,25 +202,26 @@ def sweep_grid(
         )
 
     cells: list[Cell] = []
-    for index, point in enumerate(axes.points()):
-        cell = replace(scenario, alpha=point.alpha).with_query_freq(
-            point.query_freq
-        )
-        config = PdhtConfig.from_scenario(cell)
-        cells.append(
-            Cell(
-                cell,
-                config.with_ttl(config.key_ttl * point.ttl_factor),
-                duration,
-                seed=seed,
-                churn=churn_config_for_availability(point.availability),
-                batch_workload=(
-                    partial(model_workload, point, cell, index)
-                    if point.workload != "stationary"
-                    else None
-                ),
+    with obs.span("sweep.plan", cells=axes.size):
+        for index, point in enumerate(axes.points()):
+            cell = replace(scenario, alpha=point.alpha).with_query_freq(
+                point.query_freq
             )
-        )
+            config = PdhtConfig.from_scenario(cell)
+            cells.append(
+                Cell(
+                    cell,
+                    config.with_ttl(config.key_ttl * point.ttl_factor),
+                    duration,
+                    seed=seed,
+                    churn=churn_config_for_availability(point.availability),
+                    batch_workload=(
+                        partial(model_workload, point, cell, index)
+                        if point.workload != "stationary"
+                        else None
+                    ),
+                )
+            )
     with obs.span("sweep.grid", cells=len(cells), jobs=execution.jobs):
         obs.progress("sweep.cells", 0, total=len(cells))
         reports = execution.execute(cells)
@@ -243,7 +244,7 @@ def sweep_grid(
         labels.append(point.label())
         hit_rates.append(report.hit_rate)
         measured.append(report.messages_per_second)
-        model.append(SelectionModel(cell.params, key_ttl=key_ttl).total_cost())
+        model.append(selection_outcome(cell.params, key_ttl).total_cost)
         ttls.append(key_ttl)
     churned = "" if axes.availabilities == (1.0,) else " x availability"
     return FigureSeries(

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.costs import c_search_index
@@ -240,6 +239,8 @@ def structural_flood_cost(
         raise ParameterError(f"probes must be >= 1, got {probes}")
     if group_size == 1:
         return 0.0
+    import networkx as nx  # on first use: vectorized and warm runs never load it
+
     d = min(degree, group_size - 1)
     if (d * group_size) % 2 != 0:
         d = max(1, d - 1)

@@ -61,7 +61,7 @@ from repro import obs
 from repro.obs.clock import perf_counter
 from repro.analysis.costs import c_search_index, c_search_unstructured
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import SelectionModel
+from repro.analysis.selection_model import selection_outcome
 from repro.analysis.threshold import solve_threshold
 from repro.errors import ParameterError
 from repro.fastsim.churn import BatchChurnProcess
@@ -197,7 +197,7 @@ def strategy_setup(
         num_members = max(2, params.active_peers_for(max_rank))
     else:
         key_ttl = config.key_ttl
-        expected = SelectionModel(params, key_ttl=config.key_ttl).index_size
+        expected = selection_outcome(params, config.key_ttl).index_size
         num_members = params.active_peers_for(max(expected, 1.0))
     return key_ttl, max_rank, num_members
 
@@ -252,7 +252,7 @@ class PerOpCosts:
         config = config or PdhtConfig.from_scenario(params)
         if num_active_peers is None:
             ttl = config.key_ttl if key_ttl is None else key_ttl
-            expected = SelectionModel(params, key_ttl=ttl).index_size
+            expected = selection_outcome(params, ttl).index_size
             num_active_peers = params.active_peers_for(max(expected, 1.0))
         if num_active_peers > 1:
             maintenance = (

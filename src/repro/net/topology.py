@@ -16,13 +16,15 @@ peers, which is what search algorithms traverse under churn.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import TYPE_CHECKING, Iterable, Literal
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.net.node import PeerId, PeerPopulation
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_gnutella_graph", "GnutellaTopology"]
 
@@ -63,6 +65,8 @@ def build_gnutella_graph(
         raise TopologyError(
             f"degree ({degree}) must be < num_peers ({num_peers})"
         )
+    import networkx as nx  # on first use: vectorized and warm runs never load it
+
     seed = int(rng.integers(0, 2**31 - 1))
     if kind == "random_regular":
         if (degree * num_peers) % 2 != 0:

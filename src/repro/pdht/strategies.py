@@ -306,17 +306,12 @@ class PartialIdealStrategy(SimulatedStrategy):
     def _adjust_config(self, config: PdhtConfig) -> PdhtConfig:
         return config.with_ttl(float("inf"))
 
-    def _threshold(self):
-        if not hasattr(self, "_threshold_cache"):
-            self._threshold_cache = solve_threshold(self.params)
-        return self._threshold_cache
-
     def _active_peers(self) -> Optional[int]:
-        max_rank = self._threshold().max_rank
+        max_rank = solve_threshold(self.params).max_rank
         return max(2, self.params.active_peers_for(max_rank))
 
     def _prepare_index(self) -> None:
-        max_rank = self._threshold().max_rank
+        max_rank = solve_threshold(self.params).max_rank
         for rank in range(1, max_rank + 1):
             key_index = self.workload.key_for_rank(rank)
             self.network.preload_index(
@@ -325,7 +320,7 @@ class PartialIdealStrategy(SimulatedStrategy):
         self._indexed_ranks = max_rank
 
     def _updates_per_round(self) -> float:
-        return self._threshold().max_rank * self.params.update_freq
+        return self._indexed_ranks * self.params.update_freq
 
     def _is_indexed_key(self, key_index: int) -> bool:
         # Under the stationary workload, rank == identity permutation at

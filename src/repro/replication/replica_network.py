@@ -14,14 +14,16 @@ members. Two operations run over it:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ParameterError, TopologyError
 from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ReplicaNetwork"]
 
@@ -64,6 +66,8 @@ class ReplicaNetwork:
         self.graph = self._build_graph(rng, degree)
 
     def _build_graph(self, rng: np.random.Generator, degree: int) -> nx.Graph:
+        import networkx as nx  # on first use: vectorized and warm runs never load it
+
         n = len(self.members)
         graph = nx.Graph()
         graph.add_nodes_from(self.members)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.selection_model import SelectionModel
+from repro.analysis.selection_model import SelectionModel, selection_outcome
 from repro.analysis.strategies import cost_index_all, cost_no_index
 from repro.analysis.threshold import solve_threshold
 from repro.analysis.zipf import ZipfDistribution
@@ -126,3 +126,39 @@ class TestValidation:
     def test_mismatched_zipf_rejected(self, paper_params):
         with pytest.raises(ParameterError):
             SelectionModel(paper_params, key_ttl=10.0, zipf=ZipfDistribution(5, 1.2))
+
+
+class TestSelectionOutcomeCache:
+    def test_equals_the_model_it_memoises(self, small_params):
+        for ttl in (0.0, 37.5, 500.0, float("inf")):
+            assert (
+                selection_outcome(small_params, ttl)
+                == SelectionModel(small_params, key_ttl=ttl).outcome()
+            )
+
+    def test_one_evaluation_per_scenario_and_ttl(self, small_params):
+        from dataclasses import asdict, replace
+
+        selection_outcome.cache_clear()
+        first = selection_outcome(small_params, 123.0)
+        twin = type(small_params)(**asdict(small_params))
+        assert twin is not small_params
+        assert selection_outcome(twin, 123.0) == first
+        info = selection_outcome.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # a different TTL or alpha is a different evaluation
+        assert selection_outcome(small_params, 124.0) != first
+        assert selection_outcome(replace(small_params, alpha=0.8), 123.0) != first
+        assert selection_outcome.cache_info().misses == 3
+
+    def test_holds_scalars_only(self, small_params):
+        from dataclasses import fields
+
+        outcome = selection_outcome(small_params, 50.0)
+        for field in fields(outcome):
+            if field.name != "params":
+                assert isinstance(getattr(outcome, field.name), float)
+
+    def test_negative_ttl_rejected(self, small_params):
+        with pytest.raises(ParameterError):
+            selection_outcome(small_params, -1.0)

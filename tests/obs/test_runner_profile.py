@@ -51,3 +51,25 @@ class TestProfileFlag:
         obs.enable()
         assert main(["table1", "--profile"]) == 0
         assert obs.enabled()
+
+
+class TestSweepPlanningIsNamed:
+    def test_sweep_profile_names_planning_and_solves_each_scenario_once(
+        self, capsys
+    ):
+        from repro.analysis import threshold
+
+        # The caches are per process: start cold so the counts are the
+        # grid's own (18 cells, 2 alphas x 3 fQry = 6 distinct scenarios).
+        threshold._solve.cache_clear()
+        assert main(
+            ["sweep", "--scale", "0.02", "--duration", "30", "--no-store",
+             "--format", "json", "--profile"]
+        ) == 0
+        telemetry = json.loads(capsys.readouterr().out)["telemetry"]
+        plan = telemetry["spans"]["experiment.run/sweep.plan"]
+        assert plan["count"] == 1
+        assert plan["attrs"] == {"cells": 18}
+        counters = telemetry["counters"]
+        assert counters["cache.threshold.miss"] == 6
+        assert counters["cache.threshold.hit"] >= 12
