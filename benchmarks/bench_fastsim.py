@@ -147,7 +147,7 @@ def _churn_record(availability: float) -> dict[str, object]:
 
 #: A non-stationary workload may cost at most this factor of the
 #: stationary kernel wall-clock: GradualDrift splits the batched query
-#: draw into per-segment sample_ranks calls, and this gate keeps that
+#: draw into per-segment draw_into calls, and this gate keeps that
 #: segmentation from regressing into a per-round loop.
 WORKLOADS_SLOWDOWN_CEILING = 1.2
 

@@ -29,6 +29,15 @@ def test_zipf_sampling_10k(benchmark):
     benchmark(zipf.sample_ranks, rng, 10_000)
 
 
+@pytest.mark.parametrize("alpha", [0.8, 1.2])
+def test_zipf_sampling_1m_of_320k_keys(benchmark, alpha):
+    # Sweep scale: a CDF (2.5 MB) that does not fit the cache a probe at
+    # a time, which is what the guide table is for.
+    zipf = ZipfDistribution(320_000, alpha)
+    rng = RandomStreams(0).get("bench")
+    benchmark(zipf.sample_ranks, rng, 1_000_000)
+
+
 def test_threshold_solve_paper_scale(benchmark):
     params = ScenarioParameters.paper_scenario()
     zipf = ZipfDistribution(params.n_keys, params.alpha)

@@ -25,12 +25,69 @@ from repro.obs import counted_cache
 
 __all__ = ["ZipfDistribution", "truncated_zeta"]
 
+#: Uniforms inverted per pass of :meth:`ZipfDistribution.draw_into`. The
+#: pass keeps a handful of temporaries of this length, so a draw of any
+#: size costs O(chunk) memory and the temporaries stay cache-resident.
+#: ``rng.random(a)`` then ``rng.random(b)`` is the stream of
+#: ``rng.random(a + b)``, so chunking never shows in the result.
+DRAW_CHUNK = 1 << 15
+
+#: Draws shorter than this go straight to ``np.searchsorted``: one C call
+#: beats the guide search's ~20 numpy calls on a few dozen uniforms (the
+#: event engine's per-round draws), and no guide table is ever built for
+#: a process that only draws like that.
+GUIDE_MIN_DRAW = 1 << 10
+
+#: Cap on the guide table's bucket count: int32 entries, so 1 MiB — small
+#: enough to stay in L2 next to a chunk's temporaries, and a few ms to
+#: build whatever the key count.
+_GUIDE_MAX_BUCKETS = 1 << 18
+
 
 @counted_cache("zipf_weights", maxsize=128)
 def _rank_weights(n_keys: int, alpha: float) -> np.ndarray:
     """Unnormalised Zipf weights ``rank^-alpha`` for ranks 1..n_keys."""
     ranks = np.arange(1, n_keys + 1, dtype=np.float64)
     return ranks ** (-alpha)
+
+
+@counted_cache("zipf_guide", maxsize=8)
+def _guide_slot(n_keys: int, alpha: float) -> list:
+    """Process-wide home of the guide table of ``(n_keys, alpha)``.
+
+    Starts empty; the first :class:`ZipfDistribution` to make a large
+    draw fills it from the CDF it already holds (so nothing O(n_keys) is
+    rebuilt, and the cache never keeps a CDF alive), every later instance
+    reuses it. A miss is therefore a table build. The table hangs off no
+    instance: it is neither pickled nor staged into shared memory with a
+    workload — a pool worker builds its own, a few ms, the first time it
+    needs one.
+    """
+    return []
+
+
+def _build_guide(cdf: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """Guide table (Chen & Asau 1974) over a CDF: ``(buckets, table, stride)``.
+
+    ``table[b]`` is ``searchsorted(cdf, b / buckets, "left")``, so for a
+    uniform ``u`` in bucket ``b = floor(u * buckets)`` the inversion lies
+    in ``[table[b], table[b + 1]]``; ``stride`` is the power of two above
+    the widest such interval, i.e. where a binary descent from
+    ``table[b]`` has to start to cover it. ``buckets`` is a power of two
+    — ``u * buckets`` and ``b / buckets`` are then exact in binary
+    floating point, which is what makes the bucket bounds hold for every
+    ``u`` rather than for most — sized from the key count and capped so
+    the table is never bigger than the CDF it indexes, nor than 1 MiB.
+    """
+    buckets = min(1 << (cdf.size.bit_length() - 1), _GUIDE_MAX_BUCKETS)
+    edges = np.arange(buckets + 1) / buckets
+    table = np.searchsorted(cdf, edges, side="left")
+    widest = int(np.diff(table).max())
+    # The descent probes at most two widths past a bound: int32 holds it
+    # for any CDF that fits in memory, at half the bandwidth.
+    table = table.astype(np.int32 if 4 * cdf.size < 2**31 else np.int64)
+    table.flags.writeable = False  # shared by every instance in the process
+    return buckets, table, 1 << widest.bit_length()
 
 
 def truncated_zeta(n_keys: int, alpha: float) -> float:
@@ -158,8 +215,77 @@ class ZipfDistribution:
         """Draw ``size`` query ranks (1-based) i.i.d. from the distribution."""
         if size < 0:
             raise ParameterError(f"size must be >= 0, got {size}")
-        uniforms = rng.random(size)
-        return np.searchsorted(self._cumulative, uniforms) + 1
+        ranks = np.empty(size, dtype=np.int64)
+        self.draw_into(rng, ranks)
+        return ranks
+
+    def draw_into(
+        self,
+        rng: np.random.Generator,
+        ranks: np.ndarray,
+        keys: np.ndarray | None = None,
+        rank_to_key: np.ndarray | None = None,
+    ) -> None:
+        """Fill ``ranks`` with i.i.d. query ranks (1-based), in place.
+
+        With ``keys`` and ``rank_to_key`` (both or neither), the same
+        pass also writes ``keys[i] = rank_to_key[ranks[i] - 1]``. Works
+        through the buffers :data:`DRAW_CHUNK` uniforms at a time; the
+        ranks and the generator's state afterwards are those of
+        ``searchsorted(cdf, rng.random(ranks.size)) + 1``.
+        """
+        guide = self._guide() if ranks.size >= GUIDE_MIN_DRAW else None
+        for lo in range(0, ranks.size, DRAW_CHUNK):
+            hi = min(lo + DRAW_CHUNK, ranks.size)
+            index = self._invert(rng.random(hi - lo), guide)
+            np.add(index, 1, out=ranks[lo:hi])
+            if keys is not None:
+                np.take(rank_to_key, index, out=keys[lo:hi], mode="clip")
+
+    def _guide(self) -> tuple[int, np.ndarray, int]:
+        """This distribution's guide table, built at most once per process."""
+        slot = _guide_slot(self.n_keys, self.alpha)
+        if not slot:
+            slot.append(_build_guide(self._cumulative))
+        return slot[0]
+
+    def _invert(
+        self,
+        uniforms: np.ndarray,
+        guide: tuple[int, np.ndarray, int] | None,
+    ) -> np.ndarray:
+        """0-based index of the first CDF entry ``>= u``, per uniform in [0, 1).
+
+        That is ``searchsorted(cdf, u, "left")``, i.e. the number of CDF
+        entries below ``u`` (with CDF ties, the first of them), clamped
+        to the last key: ``cumsum`` stops a few ulp short of 1, and a
+        uniform in that sliver belongs to the last rank, not one past it.
+        Searched through ``guide`` when the caller has one.
+        """
+        cdf = self._cumulative
+        if guide is None:
+            index = np.searchsorted(cdf, uniforms)
+        else:
+            buckets, table, stride = guide
+            bucket = (uniforms * buckets).astype(np.intp)
+            index = table[bucket]
+            # A bucket that holds no CDF entry (most of them, under a
+            # skewed law) has equal bounds: the answer already. For the
+            # rest, a binary descent from the lower bound: take each
+            # stride whose landing entry is still below u. Reads past
+            # the end clip to the last entry, which is either >= u (not
+            # taken, correctly) or below it (clamped afterwards).
+            bucket += 1
+            unsettled = np.flatnonzero(table[bucket] != index)
+            targets = uniforms[unsettled]
+            refined = index[unsettled]
+            step = table.dtype.type
+            while stride > 1:
+                stride >>= 1
+                probes = np.take(cdf, refined + step(stride - 1), mode="clip")
+                refined += (probes < targets) * step(stride)
+            index[unsettled] = refined
+        return np.minimum(index, self.n_keys - 1, out=index)
 
     # ------------------------------------------------------------------
     def _check_rank(self, rank: int) -> None:

@@ -11,7 +11,7 @@ numpy batch operations:
 * :mod:`repro.fastsim.workload` — batched Zipf query-stream sampling
   (stationary, shuffled, flash-crowd; :mod:`repro.workloads` models
   plug in via ``WorkloadModel.build_batch``, with ``next_boundary``
-  keeping whole shift-free segments on the one-``sample_ranks`` path);
+  keeping whole shift-free segments on the one-``draw_into`` path);
 * :mod:`repro.fastsim.kernel` — the batch execution kernel
   (query -> hit/miss -> TTL refresh -> eviction -> cost accounting) for
   all four Fig. 1 strategies, plus per-op cost models and the batch

@@ -91,12 +91,14 @@ __all__ = [
 ]
 
 
-#: Query-draw block cap for the batched round loop: whole shift-free
-#: segments are drawn in one ``sample_ranks`` call, but never more than
-#: this many queries at once (two int64 arrays of this size are ~64 MB),
-#: so 10^7-peer runs keep bounded memory. Chunking does not change the
-#: RNG stream: consecutive draws concatenate bit-identically.
-DRAW_BLOCK = 1 << 22
+#: Query-draw block cap for the batched round loop: rounds are drawn
+#: ahead a block at a time, never more than this many queries at once
+#: (unless one round alone exceeds it). Two int64 arrays of this size
+#: are 2 MB: still cache-resident when ``_step_queries`` reads them back
+#: round by round, and never re-faulted from one cell of a sweep to the
+#: next. Chunking does not change the RNG stream: consecutive draws
+#: concatenate bit-identically.
+DRAW_BLOCK = 1 << 17
 
 #: Round interval between flight-recorder progress heartbeats. Only paid
 #: while an event sink is recording (``obs.heartbeat`` returns ``None``
@@ -490,6 +492,12 @@ class FastSimKernel:
 
         ``window > 0`` records hit-rate and index-size samples every
         ``window`` rounds, like the event engine's strategy driver.
+
+        With telemetry on, the run reports a ``kernel.run`` duration with
+        its phases nested under it: ``round.maintain`` / ``round.queries``
+        / ``round.post`` count rounds, while ``draw`` counts draw blocks
+        (one ``draw_rounds`` call per :data:`DRAW_BLOCK` queries) — a
+        busy cell contributes several, an idle one exactly one.
         """
         if duration <= 0:
             raise ParameterError(f"duration must be > 0, got {duration}")
@@ -540,7 +548,7 @@ class FastSimKernel:
 
         # The workload stream is independent of every other child stream
         # (churn, membership, resolution), so whole blocks of rounds are
-        # drawn up front in one sample_ranks call per shift-free segment
+        # drawn up front in one draw_into call per shift-free segment
         # — identical RNG stream order, a fraction of the call overhead.
         # Blocks are bounded so a 10^7-peer run never materialises the
         # entire query stream at once.

@@ -9,7 +9,7 @@ adaptivity experiments run unchanged on either engine.
 The general non-stationary case lives in :mod:`repro.workloads`: a
 :class:`~repro.workloads.models.WorkloadModel` builds a batch stream via
 ``model.build_batch(zipf, rng)``, whose ``next_boundary`` schedule keeps
-whole shift-free segments on the one-``sample_ranks`` fast path, plus
+whole shift-free segments on the one-``draw_into`` fast path, plus
 optional per-round rate modulation (:meth:`BatchWorkload.rate_multipliers`)
 and exact trace-replay counts (:meth:`BatchWorkload.fixed_counts`).
 """
@@ -61,7 +61,7 @@ class BatchWorkload(abc.ABC):
         anything; ``math.inf`` if it never will again.
 
         A pure peek — consumes no randomness — so :meth:`draw_rounds` can
-        batch whole shift-free segments in one ``sample_ranks`` call and
+        batch whole shift-free segments in one ``draw_into`` call and
         *jump* directly to the next boundary instead of testing every
         round. A returned time at or before ``now`` means a shift is due
         now. The base default is conservatively ``now``: a subclass that
@@ -103,8 +103,10 @@ class BatchWorkload(abc.ABC):
         if count < 0:
             raise ParameterError(f"count must be >= 0, got {count}")
         self.maybe_shift(now)
-        ranks = self.zipf.sample_ranks(self.rng, count)
-        return ranks, self.rank_to_key[ranks - 1]
+        ranks = np.empty(count, dtype=INDEX_DTYPE)
+        keys = np.empty_like(ranks)
+        self.zipf.draw_into(self.rng, ranks, keys, self.rank_to_key)
+        return ranks, keys
 
     def draw_rounds(
         self,
@@ -117,7 +119,7 @@ class BatchWorkload(abc.ABC):
         Round ``i`` (0-based) happens at ``start + i + 1`` with
         ``counts[i]`` queries, exactly like ``len(counts)`` successive
         :meth:`draw_round` calls. Stationary workloads draw everything in
-        a single ``sample_ranks`` call; non-stationary workloads split at
+        a single ``draw_into`` call; non-stationary workloads split at
         shift boundaries and draw per segment, so the rank->key mapping
         applied to each round and the RNG stream order are identical to
         the per-round path — seeded results stay bit-identical.
@@ -154,13 +156,12 @@ class BatchWorkload(abc.ABC):
 
         def flush(lo_round: int, hi_round: int) -> None:
             # Draw the segment [lo_round, hi_round) under the current
-            # mapping, in one sample_ranks call.
+            # mapping, straight into the output buffers.
             lo, hi = int(offsets[lo_round]), int(offsets[hi_round])
             if hi > lo:
-                drawn = self.zipf.sample_ranks(self.rng, hi - lo)
-                ranks[lo:hi] = drawn
-                np.subtract(drawn, 1, out=drawn)
-                np.take(self.rank_to_key, drawn, out=keys[lo:hi])
+                self.zipf.draw_into(
+                    self.rng, ranks[lo:hi], keys[lo:hi], self.rank_to_key
+                )
 
         n = counts.size
         segment_start = 0

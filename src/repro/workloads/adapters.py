@@ -72,7 +72,7 @@ class ModelBatchWorkload(BatchWorkload):
 
     Keeps the segment-batched ``draw_rounds`` fast path: between
     boundaries the mapping is frozen, so whole segments draw in one
-    ``sample_ranks`` call exactly like the stationary stream.
+    ``draw_into`` call exactly like the stationary stream.
     """
 
     def __init__(self, model: WorkloadModel, zipf, rng) -> None:

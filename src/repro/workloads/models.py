@@ -15,7 +15,7 @@ Both engines consume a model as a sequence of *segments*: maximal spans
 of rounds between mapping boundaries, each drawn under one frozen
 ``(counts, rank_to_key)`` pair. The event engine walks the segments one
 round at a time (:class:`repro.workloads.adapters.ModelQueryWorkload`);
-the vectorized kernel draws whole segments in one ``sample_ranks`` call
+the vectorized kernel draws whole segments in one ``draw_into`` call
 (:class:`repro.workloads.adapters.ModelBatchWorkload`, preserving the
 segment-batched ``draw_rounds`` fast path). Because both adapters apply
 boundaries through the same :meth:`WorkloadModel.apply` with the same

@@ -149,3 +149,18 @@ class TestSampling:
     def test_negative_size_rejected(self, rng):
         with pytest.raises(ParameterError):
             ZipfDistribution(10, 1.0).sample_ranks(rng, -1)
+
+    @pytest.mark.parametrize("size", [2, 5000])  # either side of the guide cutoff
+    def test_uniform_above_the_last_cdf_entry_is_the_last_rank(
+        self, scripted_uniforms, size
+    ):
+        # cumsum stops a few ulp short of 1 at the paper's default scale;
+        # a uniform in that sliver used to come back as rank n_keys + 1.
+        zipf = ZipfDistribution(40_000, 1.2)
+        top = np.nextafter(1.0, 0.0)
+        assert zipf.head_mass(zipf.n_keys) < top
+        uniforms = np.full(size, top)
+        uniforms[1::2] = 0.0
+        ranks = zipf.sample_ranks(scripted_uniforms(uniforms), size)
+        assert (ranks[0::2] == zipf.n_keys).all()
+        assert (ranks[1::2] == 1).all()

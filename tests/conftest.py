@@ -16,6 +16,27 @@ def rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(12345))
 
 
+class ScriptedUniforms:
+    """Stands in for a ``Generator`` whose only draws are ``random(n)``:
+    serves a fixed sequence of uniforms, so a test can put a draw exactly
+    on a CDF value or a bucket edge."""
+
+    def __init__(self, values) -> None:
+        self.values = np.asarray(values, dtype=np.float64)
+        self.served = 0
+
+    def random(self, size: int) -> np.ndarray:
+        chunk = self.values[self.served : self.served + size]
+        assert chunk.size == size, "script exhausted"
+        self.served += size
+        return chunk.copy()
+
+
+@pytest.fixture
+def scripted_uniforms() -> type[ScriptedUniforms]:
+    return ScriptedUniforms
+
+
 @pytest.fixture
 def small_params() -> ScenarioParameters:
     """A tiny but structurally faithful scenario (fast to simulate)."""

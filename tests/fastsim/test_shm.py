@@ -157,6 +157,24 @@ class TestExtractRestore:
                 restored.zipf._cumulative, workload.zipf._cumulative
             )
 
+    def test_guide_table_is_rebuilt_not_shipped(self, params):
+        from repro.fastsim.kernel import default_batch_workload
+
+        workload = default_batch_workload(params, 3)
+        twin = default_batch_workload(params, 3)
+        counts = np.array([3000, 3000])  # large enough to use the guide
+        before = len(pickle.dumps(workload.zipf))
+        want = workload.draw_rounds(0.0, counts)
+        # The table lives in a process-wide cache, not on the instance:
+        # nothing new to pickle or to stage.
+        assert len(pickle.dumps(workload.zipf)) == before
+        with ShmArena() as arena:
+            restored = restore_arrays(extract_arrays(twin, arena))
+            assert len(arena.segment_names) == 3
+            got = restored.draw_rounds(0.0, counts)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
     def test_min_bytes_override_forces_sharing(self):
         tiny = [np.arange(4.0)]
         with ShmArena() as arena:

@@ -39,6 +39,23 @@ class TestStationary:
         head_share = (ranks <= 20).mean()
         assert head_share > zipf.head_mass(20) - 0.05
 
+    @pytest.mark.parametrize("size", [2, 5000])  # either side of the guide cutoff
+    def test_extreme_uniforms_map_to_the_last_and_first_key(
+        self, scripted_uniforms, size
+    ):
+        # The top uniform lies above the last CDF entry (cumsum is a few
+        # ulp short of 1); it used to index one past the mapping.
+        big = ZipfDistribution(40_000, 1.2)
+        uniforms = np.full(size, np.nextafter(1.0, 0.0))
+        uniforms[1::2] = 0.0
+        for draw in (
+            lambda w: w.draw_round(1.0, size),
+            lambda w: w.draw_rounds(0.0, np.array([size]))[:2],
+        ):
+            ranks, keys = draw(BatchZipfWorkload(big, scripted_uniforms(uniforms)))
+            assert (ranks[0::2] == big.n_keys).all() and (ranks[1::2] == 1).all()
+            assert (keys[0::2] == big.n_keys - 1).all() and (keys[1::2] == 0).all()
+
     def test_negative_count_rejected(self, zipf, rng):
         with pytest.raises(ParameterError):
             BatchZipfWorkload(zipf, rng).draw_round(now=0.0, count=-1)
@@ -227,6 +244,31 @@ class TestDrawRounds:
         assert np.array_equal(workload.rank_to_key, before)
         assert workload.maybe_shift(5.0) is True
         assert workload.shift_pending(5.0) is False
+
+
+class TestDrawMemory:
+    def test_draw_rounds_peak_is_chunks_not_the_batch(self):
+        """10^6 queries into supplied buffers allocate O(DRAW_CHUNK)
+        temporaries, never an array the size of the batch."""
+        import tracemalloc
+
+        from repro.analysis.zipf import DRAW_CHUNK
+
+        zipf = ZipfDistribution(40_000, 1.2)
+        counts = np.full(200, 5000)
+        total = int(counts.sum())
+        out = (np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64))
+        workload = BatchZipfWorkload(zipf, _fresh_rng())
+        workload.draw_rounds(0.0, counts[:1], out=out)  # guide table built
+        tracemalloc.start()
+        try:
+            ranks, _, _ = workload.draw_rounds(1.0, counts, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ranks.base is out[0]
+        one_batch_array = total * 8
+        assert peak < 10 * DRAW_CHUNK * 8 < one_batch_array / 2
 
 
 class TestBoundaryEdgeCases:

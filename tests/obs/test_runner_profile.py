@@ -73,3 +73,31 @@ class TestSweepPlanningIsNamed:
         counters = telemetry["counters"]
         assert counters["cache.threshold.miss"] == 6
         assert counters["cache.threshold.hit"] >= 12
+
+
+class TestDrawIsNamed:
+    def test_sweep_profile_builds_one_guide_per_distinct_distribution(
+        self, capsys
+    ):
+        from repro.analysis import zipf
+
+        # Per-process cache: start cold so the counts are the grid's own.
+        # 18 cells over one key universe and two alphas; only the six
+        # fQry = 1/30 cells draw enough per block to use a guide table.
+        zipf._guide_slot.cache_clear()
+        assert main(
+            ["sweep", "--scale", "0.02", "--duration", "120", "--no-store",
+             "--format", "json", "--profile"]
+        ) == 0
+        telemetry = json.loads(capsys.readouterr().out)["telemetry"]
+        counters = telemetry["counters"]
+        assert counters["cache.zipf_guide.miss"] == 2
+        assert counters["cache.zipf_guide.hit"] == 4
+        assert telemetry["gauges"]["cache.zipf_guide.size"] == 2
+        # The draw still nests under kernel.run; it counts draw blocks
+        # (here one per cell), not cells.
+        draw = next(
+            span for path, span in telemetry["spans"].items()
+            if path.endswith("kernel.run/draw")
+        )
+        assert draw["count"] == 18

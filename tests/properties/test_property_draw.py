@@ -1,0 +1,316 @@
+"""Differential tests: the guide-table rank draw against the full-CDF
+binary search it replaced.
+
+``reference_sample_ranks`` is the pre-optimisation
+``ZipfDistribution.sample_ranks`` kept verbatim: one ``rng.random(size)``
+and one ``np.searchsorted`` into the whole CDF. The chunked guide search
+must return **the same rank for the same uniform** and leave the
+generator in the same state — ``==`` on every rank and on
+``rng.bit_generator.state`` — or every seeded stream, pinned capture and
+stored sweep cell moves. The one intended difference is the clamp: a
+uniform above the last CDF entry (``cumsum`` stops a few ulp short of 1)
+is the last rank, where the reference returned ``n_keys + 1`` and the
+callers then raised ``IndexError``.
+
+The hypothesis worlds shrink ``DRAW_CHUNK`` and ``GUIDE_MIN_DRAW`` so a
+few hundred draws cross many chunk edges and both sides of the cutoff;
+``test_real_block_sizes`` repeats the check with the shipped constants.
+
+Mutations of ``src/repro/analysis/zipf.py`` these tests were run
+against, and what failed (this module has 13 test cases):
+
+* off-by-one bucket (``table[bucket + 1]`` as the lower bound):
+  ``test_draw_equals_reference``, ``test_real_block_sizes``,
+  ``test_injected_uniforms_equal_full_search`` and all three
+  ``test_draw_rounds_equals_per_round_reference`` (9 cases);
+* ``side="right"`` guide: ``test_guide_brackets_every_bucket`` and
+  ``test_injected_uniforms_equal_full_search`` (a uniform exactly on a
+  bucket edge that is also a CDF value comes back one rank high);
+* non-power-of-two ``K`` (``buckets = n_keys``): the same two —
+  hypothesis shrinks the second to ``n_keys=6, alpha=0``, where a
+  uniform beside a rounded bucket edge is drawn as rank 6, not 5;
+* dropped final refine step (``while stride > 2``): the four tests of
+  the first mutation (8 cases);
+* chunk boundary reseeding (a generator re-derived for every chunk after
+  the first): the same four, on ranks and on generator state (10 cases);
+* no clamp: ``test_injected_uniforms_equal_full_search``,
+  ``test_top_sliver_is_the_only_difference`` and the stub-generator
+  tests in ``tests/analysis/test_zipf.py``,
+  ``tests/workload/test_queries.py`` and
+  ``tests/fastsim/test_workload.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import zipf as zipf_module
+from repro.analysis.zipf import ZipfDistribution
+from repro.errors import ParameterError
+from repro.fastsim.workload import (
+    BatchFlashCrowdWorkload,
+    BatchShuffledZipfWorkload,
+    BatchZipfWorkload,
+)
+
+
+# ----------------------------------------------------------------------
+# The replaced code, verbatim
+# ----------------------------------------------------------------------
+def reference_sample_ranks(
+    zipf: ZipfDistribution, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    if size < 0:
+        raise ParameterError(f"size must be >= 0, got {size}")
+    uniforms = rng.random(size)
+    return np.searchsorted(zipf._cumulative, uniforms) + 1
+
+
+def expected_ranks(zipf, rng, size) -> np.ndarray:
+    """The reference, with the top sliver folded onto the last rank."""
+    return np.minimum(reference_sample_ranks(zipf, rng, size), zipf.n_keys)
+
+
+# ----------------------------------------------------------------------
+# Worlds
+# ----------------------------------------------------------------------
+SMALL_CHUNK = 64
+SMALL_CUTOFF = 16
+
+
+@contextlib.contextmanager
+def block_sizes(chunk: int, cutoff: int):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zipf_module, "DRAW_CHUNK", chunk)
+        patch.setattr(zipf_module, "GUIDE_MIN_DRAW", cutoff)
+        yield
+
+
+n_keys_st = st.one_of(
+    st.sampled_from([1, 2, 3, 255, 256, 257, 1000]), st.integers(1, 3000)
+)
+# 0 is uniform (bucket edges land on CDF values when n_keys is a power
+# of two). From 8 up the tail's steps vanish below an ulp and the CDF
+# ends in a run of ties — a few ulp under 1 at 8 and 12, at exactly 1
+# from 40 — where side="left" must pick the first.
+alpha_st = st.one_of(
+    st.sampled_from([0.0, 0.8, 1.0, 1.2, 8.0, 12.0, 40.0]),
+    st.floats(0.0, 4.0, allow_nan=False),
+)
+size_st = st.one_of(
+    st.sampled_from(
+        [0, 1, SMALL_CUTOFF - 1, SMALL_CUTOFF, SMALL_CUTOFF + 1,
+         SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1,
+         2 * SMALL_CHUNK - 1, 2 * SMALL_CHUNK, 2 * SMALL_CHUNK + 1]
+    ),
+    st.integers(0, 5 * SMALL_CHUNK),
+)
+seed_st = st.integers(0, 2**32 - 1)
+
+
+def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    return a.bit_generator.state == b.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# The guide itself
+# ----------------------------------------------------------------------
+@given(n_keys_st, alpha_st)
+@example(1, 1.2)
+@example(1024, 0.0)
+@settings(max_examples=60, deadline=None)
+def test_guide_brackets_every_bucket(n_keys, alpha):
+    zipf = ZipfDistribution(n_keys, alpha)
+    buckets, table, stride = zipf._guide()
+    # A power of two: u * buckets and b / buckets are exact.
+    assert buckets >= 1 and buckets & (buckets - 1) == 0
+    assert buckets <= n_keys
+    edges = np.arange(buckets + 1) / buckets
+    assert (edges * buckets == np.arange(buckets + 1)).all()
+    assert np.array_equal(
+        table, np.searchsorted(zipf._cumulative, edges, side="left")
+    )
+    # The descent from table[b] reaches table[b + 1].
+    assert stride & (stride - 1) == 0
+    assert stride - 1 >= np.diff(table).max(initial=0)
+
+
+# ----------------------------------------------------------------------
+# Ranks and generator state
+# ----------------------------------------------------------------------
+@given(n_keys_st, alpha_st, size_st, seed_st)
+@example(1, 0.0, 2 * SMALL_CHUNK + 1, 0)
+@example(257, 12.0, 5 * SMALL_CHUNK, 1)
+@settings(max_examples=150, deadline=None)
+def test_draw_equals_reference(n_keys, alpha, size, seed):
+    zipf = ZipfDistribution(n_keys, alpha)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with block_sizes(SMALL_CHUNK, SMALL_CUTOFF):
+        ranks = zipf.sample_ranks(rng, size)
+    assert ranks.dtype == np.int64
+    assert np.array_equal(ranks, expected_ranks(zipf, ref_rng, size))
+    assert _same_state(rng, ref_rng)
+
+
+@pytest.mark.parametrize(
+    "n_keys, alpha",
+    [(1, 1.2), (1000, 0.0), (777, 50.0), (40_000, 1.2), (320_000, 0.8)],
+)
+def test_real_block_sizes(n_keys, alpha):
+    chunk, cutoff = zipf_module.DRAW_CHUNK, zipf_module.GUIDE_MIN_DRAW
+    zipf = ZipfDistribution(n_keys, alpha)
+    for size in (
+        0, 1, cutoff - 1, cutoff, cutoff + 1,
+        chunk - 1, chunk, chunk + 1, 2 * chunk + 7,
+    ):
+        rng, ref_rng = np.random.default_rng(size), np.random.default_rng(size)
+        ranks = zipf.sample_ranks(rng, size)
+        assert np.array_equal(ranks, expected_ranks(zipf, ref_rng, size)), size
+        assert _same_state(rng, ref_rng), size
+
+
+def test_negative_size_is_rejected_like_the_reference(rng):
+    zipf = ZipfDistribution(10, 1.2)
+    with pytest.raises(ParameterError):
+        reference_sample_ranks(zipf, rng, -1)
+    with pytest.raises(ParameterError):
+        zipf.sample_ranks(rng, -1)
+
+
+# ----------------------------------------------------------------------
+# Injected uniforms: zero, bucket edges, CDF values, the top sliver
+# ----------------------------------------------------------------------
+def _with_neighbours(values: np.ndarray) -> np.ndarray:
+    spread = np.concatenate(
+        [values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)]
+    )
+    # rng.random draws from [0, 1).
+    return spread[(spread >= 0.0) & (spread < 1.0)]
+
+
+@given(n_keys=n_keys_st, alpha=alpha_st)
+@example(n_keys=1, alpha=1.2)
+@example(n_keys=256, alpha=0.0)  # every bucket edge is a CDF value
+@example(n_keys=1024, alpha=0.0)
+@example(n_keys=300, alpha=8.0)  # 193 tied CDF entries, 5 ulp under 1
+@example(n_keys=300, alpha=40.0)  # every entry from rank 2 on is 1.0
+@settings(
+    max_examples=60,
+    deadline=None,
+    # The fixture is a class, not state: nothing to reset between inputs.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_injected_uniforms_equal_full_search(
+    n_keys, alpha, scripted_uniforms
+):
+    zipf = ZipfDistribution(n_keys, alpha)
+    cdf = zipf._cumulative
+    buckets, _, _ = zipf._guide()
+    uniforms = np.concatenate(
+        [
+            [0.0, np.nextafter(1.0, 0.0)],
+            _with_neighbours(np.arange(buckets + 1) / buckets),
+            _with_neighbours(cdf),
+        ]
+    )
+    want = np.minimum(np.searchsorted(cdf, uniforms, side="left") + 1, n_keys)
+    # Through the guide, in several chunks; then through the small-draw
+    # path, which must clamp the same way.
+    for cutoff in (1, uniforms.size + 1):
+        with block_sizes(SMALL_CHUNK, cutoff):
+            stream = scripted_uniforms(uniforms)
+            got = zipf.sample_ranks(stream, uniforms.size)
+        assert stream.served == uniforms.size
+        assert np.array_equal(got, want), cutoff
+
+
+def test_top_sliver_is_the_only_difference(scripted_uniforms):
+    # At the paper's default scale the CDF ends below the largest double
+    # under 1: the reference leaves the key universe there, the sampler
+    # does not, and they agree everywhere else.
+    zipf = ZipfDistribution(40_000, 1.2)
+    last = float(zipf._cumulative[-1])
+    assert last < np.nextafter(1.0, 0.0)
+    uniforms = np.tile([last, np.nextafter(last, 1.0)], 1000)
+    reference = reference_sample_ranks(
+        zipf, scripted_uniforms(uniforms), uniforms.size
+    )
+    ranks = zipf.sample_ranks(scripted_uniforms(uniforms), uniforms.size)
+    assert (reference[1::2] == zipf.n_keys + 1).all()
+    assert (ranks[1::2] == zipf.n_keys).all()
+    assert np.array_equal(ranks[0::2], reference[0::2])
+
+
+# ----------------------------------------------------------------------
+# The batch workloads: draw_rounds(out=...) vs the per-round reference
+# ----------------------------------------------------------------------
+WORKLOADS = {
+    "stationary": lambda zipf, rng, shift: BatchZipfWorkload(zipf, rng),
+    "shuffled": lambda zipf, rng, shift: BatchShuffledZipfWorkload(
+        zipf, rng, shift_time=shift
+    ),
+    "flash_crowd": lambda zipf, rng, shift: BatchFlashCrowdWorkload(
+        zipf, rng, crowd_time=shift
+    ),
+}
+
+
+def _reference_rounds(workload, start, counts):
+    """Successive pre-optimisation ``draw_round`` calls."""
+    ranks_parts, keys_parts = [], []
+    for i, count in enumerate(counts):
+        workload.maybe_shift(start + i + 1.0)
+        ranks = np.minimum(
+            reference_sample_ranks(workload.zipf, workload.rng, int(count)),
+            workload.n_keys,
+        )
+        ranks_parts.append(ranks)
+        keys_parts.append(workload.rank_to_key[ranks - 1])
+    return np.concatenate(ranks_parts), np.concatenate(keys_parts)
+
+
+@pytest.mark.parametrize("kind", sorted(WORKLOADS))
+@given(
+    n_keys=n_keys_st,
+    alpha=alpha_st,
+    counts=st.lists(st.integers(0, 3 * SMALL_CHUNK), min_size=1, max_size=8),
+    shift=st.integers(0, 9),
+    supply_out=st.booleans(),
+    seed=seed_st,
+)
+@settings(max_examples=60, deadline=None)
+def test_draw_rounds_equals_per_round_reference(
+    kind, n_keys, alpha, counts, shift, supply_out, seed
+):
+    zipf = ZipfDistribution(n_keys, alpha)
+    counts = np.asarray(counts)
+    total = int(counts.sum())
+    batched = WORKLOADS[kind](zipf, np.random.default_rng(seed), float(shift))
+    looped = WORKLOADS[kind](zipf, np.random.default_rng(seed), float(shift))
+    stepped = WORKLOADS[kind](zipf, np.random.default_rng(seed), float(shift))
+    out = (
+        (np.full(total + 3, -1), np.full(total + 3, -1)) if supply_out else None
+    )
+    with block_sizes(SMALL_CHUNK, SMALL_CUTOFF):
+        ranks, keys, offsets = batched.draw_rounds(0.0, counts, out=out)
+        rounds = [
+            stepped.draw_round(i + 1.0, int(count))
+            for i, count in enumerate(counts)
+        ]
+    want_ranks, want_keys = _reference_rounds(looped, 0.0, counts)
+    assert np.array_equal(ranks, want_ranks)
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(np.concatenate([r for r, _ in rounds]), want_ranks)
+    assert np.array_equal(np.concatenate([k for _, k in rounds]), want_keys)
+    assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
+    assert np.array_equal(batched.rank_to_key, looped.rank_to_key)
+    assert _same_state(batched.rng, looped.rng)
+    assert _same_state(stepped.rng, looped.rng)
+    if supply_out:
+        assert ranks.base is out[0] and keys.base is out[1]
+        assert (out[0][total:] == -1).all() and (out[1][total:] == -1).all()

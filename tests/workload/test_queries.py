@@ -24,6 +24,17 @@ class TestStationary:
         workload = ZipfQueryWorkload(zipf, rng)
         assert len(workload.draw(0.0, 25)) == 25
 
+    def test_extreme_uniforms_map_to_the_last_and_first_key(
+        self, scripted_uniforms
+    ):
+        # The top uniform lies above the last CDF entry (cumsum is a few
+        # ulp short of 1); it used to index one past the mapping.
+        zipf = ZipfDistribution(40_000, 1.2)
+        stream = scripted_uniforms([np.nextafter(1.0, 0.0), 0.0])
+        last, first = ZipfQueryWorkload(zipf, stream).draw(0.0, 2)
+        assert (last.rank, last.key_index) == (40_000, 39_999)
+        assert (first.rank, first.key_index) == (1, 0)
+
     def test_events_carry_time_and_rank(self, zipf, rng):
         workload = ZipfQueryWorkload(zipf, rng)
         for event in workload.draw(3.5, 10):
