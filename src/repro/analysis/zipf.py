@@ -80,12 +80,22 @@ def _build_guide(cdf: np.ndarray) -> tuple[int, np.ndarray, int]:
     the table is never bigger than the CDF it indexes, nor than 1 MiB.
     """
     buckets = min(1 << (cdf.size.bit_length() - 1), _GUIDE_MAX_BUCKETS)
-    edges = np.arange(buckets + 1) / buckets
-    table = np.searchsorted(cdf, edges, side="left")
-    widest = int(np.diff(table).max())
     # The descent probes at most two widths past a bound: int32 holds it
     # for any CDF that fits in memory, at half the bandwidth.
-    table = table.astype(np.int32 if 4 * cdf.size < 2**31 else np.int64)
+    table = np.empty(
+        buckets + 1, dtype=np.int32 if 4 * cdf.size < 2**31 else np.int64
+    )
+    # Filled a chunk of edges at a time: the full edge vector, an int64
+    # table and its differences are a 6 MiB transient on top of a built
+    # kernel, enough to move a sweep's peak RSS by themselves.
+    widest = 0
+    for lo in range(0, buckets + 1, DRAW_CHUNK):
+        hi = min(lo + DRAW_CHUNK, buckets + 1)
+        table[lo:hi] = np.searchsorted(
+            cdf, np.arange(lo, hi) / buckets, side="left"
+        )
+        # From one entry back, so the interval across the seam counts.
+        widest = int(np.diff(table[max(lo - 1, 0) : hi]).max(initial=widest))
     table.flags.writeable = False  # shared by every instance in the process
     return buckets, table, 1 << widest.bit_length()
 

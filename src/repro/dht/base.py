@@ -19,7 +19,11 @@ trie); all of them:
 * route only through *online* members, falling back to the numerically
   closest alternative when an entry is dead (the "piggybacked repair"
   assumption of Section 3.3.1 — detecting staleness costs probe messages,
-  repairing it does not).
+  repairing it does not);
+* answer "which members are online?" from one *membership view* per
+  :attr:`~DistributedHashTable.view_key` — ``(membership version,
+  PeerPopulation.liveness_epoch)`` — so a maintenance sweep or an index
+  preload over an unchanged network does not rescan the member set.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import abc
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro import obs
 from repro.errors import ParameterError, RoutingError
 from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
@@ -67,7 +72,12 @@ class DistributedHashTable(abc.ABC):
         self.keyspace = keyspace or KeySpace()
         self._members: set[PeerId] = set()
         self._storage: dict[PeerId, dict[str, object]] = {}
-        self._dirty = False
+        #: Bumped by every join and leave; routing state and the online
+        #: view are each rebuilt lazily when they lag behind it.
+        self._membership_version = 0
+        self._routed_version = 0
+        self._online_view: tuple[PeerId, ...] = ()
+        self._online_view_key: Optional[tuple[int, int]] = None
 
     # ------------------------------------------------------------------
     # Membership
@@ -80,11 +90,35 @@ class DistributedHashTable(abc.ABC):
     def size(self) -> int:
         return len(self._members)
 
+    @property
+    def view_key(self) -> tuple[int, int]:
+        """``(membership version, liveness epoch)``.
+
+        Anything derived from who is a member and who is online — the
+        online view here, maintenance's table sizes — stays valid for as
+        long as this value does: joins and leaves bump the first half,
+        every real liveness transition the second.
+        """
+        return self._membership_version, self.population.liveness_epoch
+
+    def online_view(self) -> tuple[PeerId, ...]:
+        """Members currently online, ascending by peer id (read-only).
+
+        Sorted once per :attr:`view_key`, on the first call after it
+        moved; hot paths read this, :meth:`online_members` copies it.
+        """
+        key = self.view_key
+        if key != self._online_view_key:
+            self._online_view = tuple(
+                sorted(filter(self.population.is_online, self._members))
+            )
+            self._online_view_key = key
+            obs.count("dht.views.rebuild")
+        return self._online_view
+
     def online_members(self) -> list[PeerId]:
-        """Members currently online, ascending by peer id."""
-        return sorted(
-            m for m in self._members if self.population.is_online(m)
-        )
+        """Members currently online, ascending by peer id (a fresh list)."""
+        return list(self.online_view())
 
     def join(self, peer_id: PeerId) -> None:
         """Add a peer to the DHT member set."""
@@ -94,7 +128,7 @@ class DistributedHashTable(abc.ABC):
         self._members.add(peer_id)
         self._storage.setdefault(peer_id, {})
         self.log.send(MessageKind.JOIN, peer_id, peer_id)
-        self._dirty = True
+        self._membership_version += 1
 
     def join_all(self, peer_ids: Iterable[PeerId]) -> None:
         for peer_id in peer_ids:
@@ -107,12 +141,12 @@ class DistributedHashTable(abc.ABC):
         self._members.discard(peer_id)
         self._storage.pop(peer_id, None)
         self.log.send(MessageKind.LEAVE, peer_id, peer_id)
-        self._dirty = True
+        self._membership_version += 1
 
     def _ensure_routing(self) -> None:
-        if self._dirty:
+        if self._routed_version != self._membership_version:
             self._rebuild()
-            self._dirty = False
+            self._routed_version = self._membership_version
 
     # ------------------------------------------------------------------
     # Geometry hooks
@@ -140,8 +174,7 @@ class DistributedHashTable(abc.ABC):
     def responsible_for(self, key: str) -> PeerId:
         """The member responsible for ``key`` (no messages; oracle view)."""
         self._ensure_routing()
-        online = self.online_members()
-        if not online:
+        if not self.online_view():
             raise RoutingError("DHT has no online members")
         return self._responsible(self.keyspace.hash_key(key))
 
@@ -209,7 +242,7 @@ class DistributedHashTable(abc.ABC):
         """Eq. 7's prediction for this member count: ``1/2 log2(n)``."""
         import math
 
-        n = len(self.online_members())
+        n = len(self.online_view())
         if n <= 1:
             return 0.0
         return 0.5 * math.log2(n)

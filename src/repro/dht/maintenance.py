@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.dht.base import DistributedHashTable
 from repro.errors import ParameterError
 from repro.net.messages import MessageKind
@@ -84,27 +85,51 @@ class RoutingMaintenance:
         self.probes_sent = 0.0
         self.stale_detected = 0
         self.sweeps = 0
+        self._sizes: list[int] = []
+        self._sizes_key: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     def run_sweep(self) -> float:
         """One maintenance sweep; returns messages charged."""
         per_entry = self.config.env * self.config.interval
         charged = 0.0
-        for member in self.dht.online_members():
-            table = self.dht.routing_table(member)
-            if not table:
-                continue
+        # A sweep attached to a simulation runs inside its ``engine.run``,
+        # whose duration includes this one.
+        with obs.span("dht.maintenance"):
             if self.config.sampled:
-                charged += self._sampled_probes(member, table, per_entry)
+                for member in self.dht.online_view():
+                    table = self.dht.routing_table(member)
+                    if table:
+                        charged += self._sampled_probes(
+                            member, table, per_entry
+                        )
             else:
-                messages = per_entry * len(table)
-                self.dht.log.metrics.count(
-                    MessageKind.ROUTING_PROBE.category, messages
+                # One member at a time, ascending by id, never their sum:
+                # the counters are float accumulators, and ``a + (b + c)``
+                # is not ``(a + b) + c`` in the last bits of a simulated
+                # msg/s.
+                charges = [per_entry * size for size in self._table_sizes()]
+                self.dht.log.metrics.count_each(
+                    MessageKind.ROUTING_PROBE.category, charges
                 )
-                self.probes_sent += messages
-                charged += messages
+                probes_sent = self.probes_sent
+                for messages in charges:
+                    probes_sent += messages
+                    charged += messages
+                self.probes_sent = probes_sent
         self.sweeps += 1
         return charged
+
+    def _table_sizes(self) -> list[int]:
+        """Routing-table size of every online member that has entries to
+        probe, ascending by member id; read off the tables once per
+        :attr:`~repro.dht.base.DistributedHashTable.view_key`."""
+        key = self.dht.view_key
+        if key != self._sizes_key:
+            tables = map(self.dht.routing_table, self.dht.online_view())
+            self._sizes = [len(table) for table in tables if table]
+            self._sizes_key = key
+        return self._sizes
 
     def _sampled_probes(self, member, table, per_entry: float) -> int:
         # Expected probes per entry can exceed 1 for long intervals; send
@@ -138,7 +163,4 @@ class RoutingMaintenance:
         ``env * log2(numActivePeers) * numActivePeers`` under the idealised
         ``log2(n)``-sized table.
         """
-        total_entries = sum(
-            len(self.dht.routing_table(m)) for m in self.dht.online_members()
-        )
-        return self.config.env * total_entries
+        return self.config.env * sum(self._table_sizes())

@@ -56,7 +56,13 @@ class PGridDht(DistributedHashTable):
             self._refs[peer] = self._build_refs(peer, path)
 
     def _split(self, members: list[PeerId], prefix: str) -> None:
-        """Recursively partition members on the next identifier bit."""
+        """Recursively partition members on the next identifier bit.
+
+        ``members`` is, by construction, every member under ``prefix`` in
+        ascending id order — the answer :meth:`_members_under` owes for
+        each node of the trie, recorded here on the way down.
+        """
+        self._under[prefix] = tuple(members)
         if len(members) <= self.bucket_size or len(prefix) >= self.keyspace.bits:
             for peer in members:
                 self._paths[peer] = prefix
@@ -95,8 +101,9 @@ class PGridDht(DistributedHashTable):
         """All members whose path starts with ``prefix`` (or is a prefix of
         it, for shallow leaves), ascending by peer id.
 
-        Memoised per prefix until the next routing rebuild: the answer
-        depends only on the trie, and every routing fall-back asks again.
+        Every trie node was answered by :meth:`_split`; what is left to
+        scan for is a prefix below a leaf or off the trie. Memoised per
+        prefix until the next routing rebuild.
         """
         members = self._under.get(prefix)
         if members is None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from repro import obs
 from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
 from repro.experiments.scenario import DEFAULT_ENGINE, resolve_engine
@@ -84,12 +85,19 @@ class Cell:
                     self.content_refresh_period, self.seed,
                 )
             )
-        strategy = STRATEGY_CLASSES[self.strategy](
-            self.params, config=self.config, seed=self.seed, churn=self.churn
-        )
-        if self.event_workload is not None:
-            strategy.workload = self.event_workload(strategy.network.streams)
-        return strategy.run(self.duration, window=self.window)
+        # One span entry per cell, aggregated over the figure's cells; the
+        # strategy reports its build, prepare and query-loop phases under
+        # it as durations.
+        with obs.span("strategy.run"):
+            strategy = STRATEGY_CLASSES[self.strategy](
+                self.params, config=self.config, seed=self.seed,
+                churn=self.churn,
+            )
+            if self.event_workload is not None:
+                strategy.workload = self.event_workload(
+                    strategy.network.streams
+                )
+            return strategy.run(self.duration, window=self.window)
 
     def fastsim_job(self, precision: str) -> parallel.FastSimJob:
         """The vectorized-engine job: this cell as kernel arguments."""

@@ -23,11 +23,13 @@ import abc
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro import obs
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.threshold import solve_threshold
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.net.churn import ChurnConfig
+from repro.obs.clock import perf_counter
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.sim.metrics import MessageCategory
@@ -105,13 +107,16 @@ class SimulatedStrategy(abc.ABC):
         self.params = params
         base_config = config or PdhtConfig.from_scenario(params)
         self.config = self._adjust_config(base_config)
-        self.network = PdhtNetwork(
-            params,
-            self.config,
-            seed=seed,
-            num_active_peers=self._active_peers(),
-            churn=churn,
-        )
+        # Telemetry names each phase of a run under the caller's span; it
+        # reads the clock around the phase and never a random stream.
+        with obs.span("strategy.build"):
+            self.network = PdhtNetwork(
+                params,
+                self.config,
+                seed=seed,
+                num_active_peers=self._active_peers(),
+                churn=churn,
+            )
         self.workload = workload or ZipfQueryWorkload(
             ZipfDistribution(params.n_keys, params.alpha),
             self.network.streams.get("queries"),
@@ -156,13 +161,15 @@ class SimulatedStrategy(abc.ABC):
         """Publish content replicas and build the initial index."""
         if self._prepared:
             return
-        items = {
-            self.key_name(i): f"value-{i}" for i in range(self.params.n_keys)
-        }
-        self.network.publish_all(items)
-        self._prepare_index()
-        # Preparation traffic is not part of the steady-state comparison.
-        self.network.metrics.reset(now=self.network.simulation.now)
+        with obs.span("strategy.prepare"):
+            items = {
+                self.key_name(i): f"value-{i}"
+                for i in range(self.params.n_keys)
+            }
+            self.network.publish_all(items)
+            self._prepare_index()
+            # Preparation traffic is not part of the steady-state comparison.
+            self.network.metrics.reset(now=self.network.simulation.now)
         self._prepared = True
 
     def run(self, duration: float, window: float = 0.0) -> StrategyReport:
@@ -196,8 +203,12 @@ class SimulatedStrategy(abc.ABC):
         # Model-driven workloads can modulate the query rate over time
         # (e.g. a diurnal cycle); plain workloads draw at the flat rate.
         rate_scale = getattr(self.workload, "rate_multiplier", None)
+        profiled = obs.enabled()
+        query_seconds = 0.0
         for _ in range(rounds):
-            self.network.advance(1.0)
+            self.network.advance(1.0)  # reports itself as ``engine.run``
+            if profiled:
+                round_started = perf_counter()
             now = sim.now
             # Queries this round: Poisson around the network-wide rate.
             count = int(
@@ -224,6 +235,10 @@ class SimulatedStrategy(abc.ABC):
             if window > 0 and now - start >= next_window:
                 close_window(now - start)
                 next_window += window
+            if profiled:
+                query_seconds += perf_counter() - round_started
+        if profiled:
+            obs.add_duration("strategy.queries", query_seconds, n=report.queries)
 
         # Flush the trailing partial window (duration % window != 0) so
         # the tail queries reach hit_rate_series — identical to the

@@ -64,6 +64,13 @@ class ReplicaNetwork:
         self.members = list(members)
         self.log = log
         self.graph = self._build_graph(rng, degree)
+        # The graph never changes after construction; the online rows are
+        # valid for one ``population.liveness_epoch``.
+        self._adjacency: dict[PeerId, tuple[PeerId, ...]] = {
+            m: tuple(sorted(self.graph.neighbors(m))) for m in self.members
+        }
+        self._online_adjacency: dict[PeerId, tuple[PeerId, ...]] = {}
+        self._online_epoch = -1
 
     def _build_graph(self, rng: np.random.Generator, degree: int) -> nx.Graph:
         import networkx as nx  # on first use: vectorized and warm runs never load it
@@ -97,11 +104,27 @@ class ReplicaNetwork:
     def online_members(self) -> list[PeerId]:
         return [m for m in self.members if self.population.is_online(m)]
 
+    def online_adjacency(self) -> dict[PeerId, tuple[PeerId, ...]]:
+        """Every member's online neighbours (ascending), by member.
+
+        Rebuilt on the first call after the population's
+        ``liveness_epoch`` moved, so a flood pays one dict lookup per
+        reached replica. Read-only; do not hold it across a liveness
+        change.
+        """
+        epoch = self.population.liveness_epoch
+        if epoch != self._online_epoch:
+            is_online = self.population.is_online
+            self._online_adjacency = {
+                member: tuple([n for n in row if is_online(n)])
+                for member, row in self._adjacency.items()
+            }
+            self._online_epoch = epoch
+        return self._online_adjacency
+
     def online_neighbors(self, member: PeerId) -> list[PeerId]:
-        return [
-            n for n in sorted(self.graph.neighbors(member))
-            if self.population.is_online(n)
-        ]
+        """The member's online neighbours, ascending (a fresh list)."""
+        return list(self.online_adjacency()[member])
 
     # ------------------------------------------------------------------
     def flood(
@@ -131,7 +154,7 @@ class ReplicaNetwork:
         frontier: deque[tuple[PeerId, PeerId | None]] = deque([(origin, None)])
         while frontier:
             peer, came_from = frontier.popleft()
-            for neighbor in self.online_neighbors(peer):
+            for neighbor in self.online_adjacency()[peer]:
                 if neighbor == came_from:
                     continue
                 self.log.send(MessageKind.REPLICA_FLOOD, peer, neighbor, payload)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.errors import ParameterError
 
@@ -35,6 +35,11 @@ class MessageCategory(enum.Enum):
     UPDATE = "update"
     #: Overlay joins, leaves, and neighbour discovery.
     MEMBERSHIP = "membership"
+
+    # Members are singletons compared by identity, so hash them that way,
+    # in C: ``Enum.__hash__`` is a Python-level ``hash(self._name_)`` and
+    # every counted message is four dict accesses keyed by a category.
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -83,6 +88,27 @@ class MessageMetrics:
             raise ParameterError(f"messages must be >= 0, got {messages}")
         self._totals[category] += messages
         self._window[category] += messages
+
+    def count_each(
+        self, category: MessageCategory, amounts: Sequence[float]
+    ) -> None:
+        """``count(category, a)`` for every ``a`` of ``amounts``, in order.
+
+        The additions happen one amount at a time, so the totals are the
+        ones the loop of :meth:`count` calls leaves, to the last bit;
+        like that loop, an empty ``amounts`` does not touch the category.
+        """
+        if not amounts:
+            return
+        if min(amounts) < 0:
+            raise ParameterError(f"messages must be >= 0, got {min(amounts)}")
+        total = self._totals[category]
+        window = self._window[category]
+        for messages in amounts:
+            total += messages
+            window += messages
+        self._totals[category] = total
+        self._window[category] = window
 
     def total(self, category: MessageCategory | None = None) -> float:
         """Total messages in one category, or across all categories."""

@@ -1,0 +1,633 @@
+"""Differential test: the membership views against the scans they replaced.
+
+ISSUE 19 answers "who is online / how big is its table / who are its
+online neighbours" from one view per ``(membership version,
+PeerPopulation.liveness_epoch)``. Every body it replaced is kept here
+verbatim and driven side by side with the new code through generated
+histories of joins, leaves and liveness flips; the two must agree exactly
+(``==`` on floats, lists and generator states), not approximately:
+
+* ``ReferenceViews`` — ``DistributedHashTable``'s ``_dirty`` flag,
+  ``online_members`` (a fresh sort per call), ``responsible_for`` (sorts
+  to test emptiness) and ``expected_lookup_hops``;
+* ``ReferencePGrid._split`` — the recursion without the
+  ``prefix -> members`` record, so ``_members_under`` scans every leaf;
+* ``reference_run_sweep`` / ``reference_expected_rate`` — one
+  ``metrics.count`` per member, ``len`` of a freshly built table;
+* ``reference_online_neighbors`` / ``reference_flood`` — the replica
+  graph's rows re-sorted and re-filtered per visited replica.
+
+Mutations run against the new code, each caught by the test named:
+
+* online view keyed on the liveness epoch alone (stale after ``leave``),
+  or on the membership version alone (stale after a liveness flip), or
+  ``leave`` not bumping the version (routing never rebuilt)
+  — ``test_views_equal_reference_scans``;
+* table sizes keyed on the membership version alone, or kept in
+  descending member order — ``test_sweep_equals_one_count_per_member``;
+* a sweep that adds ``per_entry * sum(sizes)`` in one step (pre-summed)
+  — the sweep tests (last bits of ``probes_sent`` and the window series);
+* ``count_each`` touching the category for an empty sweep — the sweep
+  test (``list(totals_by_category())`` order);
+* ``_split`` recording ``members[:refs_per_level]``, or the members in
+  descending order — ``test_pgrid_members_under``;
+* replica adjacency rows left unsorted, or not refiltered when the epoch
+  moves — ``test_replica_flood_equals_reference``;
+* ``online_members`` / ``online_neighbors`` handing out the cached
+  container itself — ``test_callers_may_mutate_what_they_are_given``
+  (``fastsim/compare.py`` and ``replication/rumor.py`` keep the list);
+* a no-op ``set_online`` bumping the epoch — the views test (the view
+  object must survive it).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import pickle
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dht import CanDht, ChordDht, PastryDht, PGridDht
+from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
+from repro.errors import OfflinePeerError, ParameterError, RoutingError
+from repro.net.messages import MessageKind, MessageLog
+from repro.net.node import PeerId, PeerPopulation
+from repro.replication.replica_network import ReplicaNetwork
+from repro.sim.metrics import MessageCategory, MessageMetrics
+
+
+# ----------------------------------------------------------------------
+# The replaced bodies, verbatim
+# ----------------------------------------------------------------------
+class ReferenceViews:
+    """``DistributedHashTable`` membership bookkeeping as it was."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._dirty = False
+
+    def online_members(self) -> list[PeerId]:
+        """Members currently online, ascending by peer id."""
+        return sorted(
+            m for m in self._members if self.population.is_online(m)
+        )
+
+    def join(self, peer_id: PeerId) -> None:
+        self.population[peer_id]  # bounds check
+        if peer_id in self._members:
+            return
+        self._members.add(peer_id)
+        self._storage.setdefault(peer_id, {})
+        self.log.send(MessageKind.JOIN, peer_id, peer_id)
+        self._dirty = True
+
+    def leave(self, peer_id: PeerId) -> None:
+        if peer_id not in self._members:
+            return
+        self._members.discard(peer_id)
+        self._storage.pop(peer_id, None)
+        self.log.send(MessageKind.LEAVE, peer_id, peer_id)
+        self._dirty = True
+
+    def _ensure_routing(self) -> None:
+        if self._dirty:
+            self._rebuild()
+            self._dirty = False
+
+    def responsible_for(self, key: str) -> PeerId:
+        self._ensure_routing()
+        online = self.online_members()
+        if not online:
+            raise RoutingError("DHT has no online members")
+        return self._responsible(self.keyspace.hash_key(key))
+
+    def expected_lookup_hops(self) -> float:
+        n = len(self.online_members())
+        if n <= 1:
+            return 0.0
+        return 0.5 * math.log2(n)
+
+
+class ReferenceChord(ReferenceViews, ChordDht):
+    pass
+
+
+class ReferencePastry(ReferenceViews, PastryDht):
+    pass
+
+
+class ReferenceCan(ReferenceViews, CanDht):
+    pass
+
+
+class ReferencePGrid(ReferenceViews, PGridDht):
+    def _split(self, members: list[PeerId], prefix: str) -> None:
+        """Recursively partition members on the next identifier bit."""
+        if len(members) <= self.bucket_size or len(prefix) >= self.keyspace.bits:
+            for peer in members:
+                self._paths[peer] = prefix
+            self._leaf_members[prefix] = list(members)
+            return
+        zeros: list[PeerId] = []
+        ones: list[PeerId] = []
+        position = len(prefix)
+        for peer in members:
+            bit = self.keyspace.digit(self.population[peer].dht_id, position)
+            (ones if bit else zeros).append(peer)
+        if not zeros or not ones:
+            for peer in members:
+                self._paths[peer] = prefix
+            self._leaf_members[prefix] = list(members)
+            return
+        self._split(zeros, prefix + "0")
+        self._split(ones, prefix + "1")
+
+
+BACKENDS = {
+    "chord": (ChordDht, ReferenceChord),
+    "pastry": (PastryDht, ReferencePastry),
+    "pgrid": (PGridDht, ReferencePGrid),
+    "can": (CanDht, ReferenceCan),
+}
+
+
+def reference_run_sweep(self: RoutingMaintenance) -> float:
+    """One maintenance sweep; returns messages charged."""
+    per_entry = self.config.env * self.config.interval
+    charged = 0.0
+    for member in self.dht.online_members():
+        table = self.dht.routing_table(member)
+        if not table:
+            continue
+        if self.config.sampled:
+            charged += self._sampled_probes(member, table, per_entry)
+        else:
+            messages = per_entry * len(table)
+            self.dht.log.metrics.count(
+                MessageKind.ROUTING_PROBE.category, messages
+            )
+            self.probes_sent += messages
+            charged += messages
+    self.sweeps += 1
+    return charged
+
+
+def reference_expected_rate(self: RoutingMaintenance) -> float:
+    total_entries = sum(
+        len(self.dht.routing_table(m)) for m in self.dht.online_members()
+    )
+    return self.config.env * total_entries
+
+
+def reference_online_neighbors(self: ReplicaNetwork, member: PeerId):
+    return [
+        n for n in sorted(self.graph.neighbors(member))
+        if self.population.is_online(n)
+    ]
+
+
+def reference_flood(self: ReplicaNetwork, origin, predicate=None, payload=None):
+    if origin not in self.graph:
+        raise ParameterError(f"peer {origin} is not in this replica group")
+    self.population[origin].require_online()
+    predicate = predicate or (lambda _: True)
+
+    hits: list[PeerId] = []
+    if predicate(origin):
+        hits.append(origin)
+    seen: set[PeerId] = {origin}
+    messages = 0
+    frontier: deque[tuple[PeerId, PeerId | None]] = deque([(origin, None)])
+    while frontier:
+        peer, came_from = frontier.popleft()
+        for neighbor in reference_online_neighbors(self, peer):
+            if neighbor == came_from:
+                continue
+            self.log.send(MessageKind.REPLICA_FLOOD, peer, neighbor, payload)
+            messages += 1
+            if neighbor in seen:
+                continue
+            seen.add(neighbor)
+            if predicate(neighbor):
+                hits.append(neighbor)
+            frontier.append((neighbor, peer))
+    return hits, messages
+
+
+# ----------------------------------------------------------------------
+# Generated histories
+# ----------------------------------------------------------------------
+KEYS = tuple(f"key-{i:03d}" for i in range(8))
+MAX_PEERS = 20
+
+peer_st = st.integers(0, MAX_PEERS - 1)
+op_st = st.one_of(
+    st.tuples(st.just("join"), peer_st),
+    st.tuples(st.just("leave"), peer_st),
+    st.tuples(st.just("flip"), peer_st, st.booleans()),
+    st.tuples(st.just("lookup"), peer_st, st.sampled_from(KEYS)),
+    st.just(("sweep",)),
+    st.just(("window",)),
+    st.just(("reset",)),
+    st.just(("read",)),
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class History:
+    kind: str
+    backend_kwargs: tuple
+    num_peers: int
+    members: frozenset
+    offline: frozenset
+    ops: tuple
+    env: float
+    interval: float
+    sampled: bool
+    rng_seed: int
+
+    def build(self, reference: bool, population: PeerPopulation):
+        """One DHT + maintenance over ``population``, with its own log."""
+        cls = BACKENDS[self.kind][1 if reference else 0]
+        dht = cls(
+            population, MessageLog(MessageMetrics()), **dict(self.backend_kwargs)
+        )
+        dht.join_all(sorted(self.members))
+        maintenance = RoutingMaintenance(
+            dht,
+            MaintenanceConfig(
+                env=self.env, interval=self.interval, sampled=self.sampled
+            ),
+            rng=np.random.default_rng(self.rng_seed),
+        )
+        return dht, maintenance
+
+
+@st.composite
+def histories(draw, kinds=tuple(sorted(BACKENDS))):
+    kind = draw(st.sampled_from(kinds))
+    kwargs: dict = {}
+    if kind == "pgrid":
+        kwargs = {
+            "bucket_size": draw(st.integers(1, 3)),
+            "refs_per_level": draw(st.integers(1, 3)),
+        }
+    num_peers = draw(st.integers(2, MAX_PEERS))
+    ids = st.integers(0, num_peers - 1)
+    ops = tuple(
+        op for op in draw(st.lists(op_st, max_size=14))
+        if len(op) == 1 or op[1] < num_peers
+    )
+    return History(
+        kind=kind,
+        backend_kwargs=tuple(kwargs.items()),
+        num_peers=num_peers,
+        members=frozenset(draw(st.sets(ids, min_size=1))),
+        offline=frozenset(draw(st.sets(ids, max_size=num_peers // 2))),
+        ops=ops,
+        # 1/14 is the paper's env; the others make ``per_entry`` cross 1,
+        # so sampled sweeps send whole probes plus a Bernoulli extra.
+        env=draw(st.sampled_from([1 / 14, 0.3, 0.9])),
+        interval=draw(st.sampled_from([1.0, 2.5])),
+        sampled=draw(st.booleans()),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except RoutingError as error:
+        return type(error), str(error)
+
+
+def _replay(history: History, check) -> None:
+    """Drive the new code and the reference through one history on a
+    shared population; ``check`` runs after the build and after each op."""
+    population = PeerPopulation(history.num_peers)
+    for peer in history.offline:
+        population.set_online(peer, False)
+    new = history.build(False, population)
+    old = history.build(True, population)
+    now = 0.0
+    check(new, old, population)
+    for op in history.ops:
+        name = op[0]
+        if name in ("join", "leave"):
+            for dht, _ in (new, old):
+                getattr(dht, name)(op[1])
+        elif name == "flip":
+            peer, online = op[1], op[2]
+            noop = population.is_online(peer) == online
+            epoch, view = population.liveness_epoch, new[0].online_view()
+            population.set_online(peer, online)
+            if noop:
+                assert population.liveness_epoch == epoch
+                assert new[0].online_view() is view
+        elif name == "lookup":
+            origin, key = op[1], op[2]
+            if origin in new[0].members and population.is_online(origin):
+                got, want = new[0].lookup(origin, key), old[0].lookup(origin, key)
+                assert got == want
+        elif name == "sweep":
+            got = new[1].run_sweep()
+            want = reference_run_sweep(old[1])
+            assert got == want
+        elif name == "window":
+            now += 1.0
+            got = new[0].log.metrics.snapshot_window(now)
+            want = old[0].log.metrics.snapshot_window(now)
+            assert got == want
+        elif name == "reset":
+            for dht, _ in (new, old):
+                dht.log.metrics.reset(now)
+        elif name == "read":
+            # ``total(category)`` inserts the category on read.
+            for dht, _ in (new, old):
+                dht.log.metrics.total(MessageCategory.MAINTENANCE)
+        check(new, old, population)
+
+
+# ----------------------------------------------------------------------
+# Views
+# ----------------------------------------------------------------------
+def _check_views(new, old, population) -> None:
+    dht, ref = new[0], old[0]
+    assert dht.members == ref.members
+    online = dht.online_members()
+    assert type(online) is list
+    assert online == ref.online_members()
+    assert list(dht.online_view()) == online
+    assert dht.online_view() is dht.online_view()  # one sort per view key
+    assert dht.expected_lookup_hops() == ref.expected_lookup_hops()
+    for key in KEYS:
+        assert _outcome(dht.responsible_for, key) == _outcome(
+            ref.responsible_for, key
+        )
+    for member in sorted(dht.members):
+        assert dht.routing_table(member) == ref.routing_table(member)
+
+
+@given(histories())
+@settings(max_examples=120, deadline=None)
+def test_views_equal_reference_scans(history):
+    _replay(history, _check_views)
+
+
+def test_callers_may_mutate_what_they_are_given():
+    population = PeerPopulation(12)
+    dht = ChordDht(population, MessageLog(MessageMetrics()))
+    dht.join_all(range(10))
+    taken = dht.online_members()
+    taken.remove(3)
+    taken.append(99)
+    assert dht.online_members() == list(range(10))
+
+    group = ReplicaNetwork(
+        population, list(range(8)), np.random.default_rng(5),
+        MessageLog(MessageMetrics()), degree=3,
+    )
+    want = reference_online_neighbors(group, 2)
+    taken = group.online_neighbors(2)
+    assert type(taken) is list and taken == want
+    taken.clear()
+    assert group.online_neighbors(2) == want
+    assert group.flood(2) == reference_flood(group, 2)
+
+
+# ----------------------------------------------------------------------
+# Maintenance
+# ----------------------------------------------------------------------
+def _check_sweep_state(new, old, population) -> None:
+    (dht, maintenance), (ref, reference) = new, old
+    metrics, ref_metrics = dht.log.metrics, ref.log.metrics
+    assert maintenance.probes_sent == reference.probes_sent
+    assert maintenance.stale_detected == reference.stale_detected
+    assert maintenance.sweeps == reference.sweeps
+    assert maintenance.expected_rate() == reference_expected_rate(reference)
+    # Order included: it is the summation order of ``total()``.
+    assert list(metrics.totals_by_category().items()) == list(
+        ref_metrics.totals_by_category().items()
+    )
+    assert metrics.total() == ref_metrics.total()
+    for category in MessageCategory:
+        assert (
+            metrics.series(category).values
+            == ref_metrics.series(category).values
+        )
+    assert (
+        maintenance.rng.bit_generator.state
+        == reference.rng.bit_generator.state
+    )
+
+
+@given(histories())
+@settings(max_examples=150, deadline=None)
+def test_sweep_equals_one_count_per_member(history):
+    _replay(history, _check_sweep_state)
+
+
+def test_sweep_accumulates_member_by_member_at_scale():
+    """Float accumulation order at the size the benchmark runs: 300
+    members, 150 sweeps, a liveness change in between."""
+    population = PeerPopulation(400)
+    sides = []
+    for cls in BACKENDS["pgrid"]:
+        dht = cls(population, MessageLog(MessageMetrics()))
+        dht.join_all(range(0, 400, 4))
+        dht.join_all(range(1, 400, 2))
+        sides.append((dht, RoutingMaintenance(dht, MaintenanceConfig())))
+    (dht, maintenance), (ref, reference) = sides
+    for sweep in range(150):
+        if sweep == 70:
+            for peer in range(0, 400, 7):
+                population.set_online(peer, False)
+        assert maintenance.run_sweep() == reference_run_sweep(reference)
+        if sweep % 10 == 9:
+            now = float(sweep + 1)
+            assert dht.log.metrics.snapshot_window(now) == (
+                ref.log.metrics.snapshot_window(now)
+            )
+    assert maintenance.probes_sent == reference.probes_sent
+    assert dht.log.metrics.total(MessageCategory.MAINTENANCE) == (
+        ref.log.metrics.total(MessageCategory.MAINTENANCE)
+    )
+    # The guard against the tempting rewrite: one multiplication is not
+    # the same float as three hundred additions.
+    sizes = [len(dht.routing_table(m)) for m in dht.online_members()]
+    assert reference_run_sweep(reference) != (1 / 14) * sum(sizes)
+
+
+def test_message_category_keys_survive_copies():
+    """Categories hash by identity; every copy must be the member."""
+    for category in MessageCategory:
+        assert pickle.loads(pickle.dumps(category)) is category
+        assert MessageCategory(category.value) is category
+    metrics = MessageMetrics()
+    metrics.count(MessageCategory.UPDATE, 2.0)
+    clone = pickle.loads(pickle.dumps(metrics.totals_by_category()))
+    assert clone == {MessageCategory.UPDATE: 2.0}
+    assert clone[MessageCategory.UPDATE] == 2.0
+
+
+# ----------------------------------------------------------------------
+# P-Grid prefixes
+# ----------------------------------------------------------------------
+def _flip(bit: str) -> str:
+    return "1" if bit == "0" else "0"
+
+
+def _asked_prefixes(dht: PGridDht) -> set[str]:
+    """Every trie node, below-leaf prefixes, and the complement prefixes
+    ``_build_refs``, ``_responsible`` and ``_next_hop`` form."""
+    prefixes = {""}
+    for leaf in dht._leaf_members:
+        for depth in range(len(leaf) + 1):
+            node = leaf[:depth]
+            prefixes.add(node)
+            if node:
+                prefixes.add(node[:-1] + _flip(node[-1]))
+        for tail in ("0", "1", "01", "110"):
+            prefixes.add(leaf + tail)  # deeper than the leaf
+    for path in dht._paths.values():
+        for level in range(len(path)):
+            # ``_next_hop``: own path up to the mismatch + the target's bit
+            prefixes.add(path[:level] + _flip(path[level]))
+    return prefixes
+
+
+def _check_members_under(new, old, population) -> None:
+    dht, ref = new[0], old[0]
+    dht._ensure_routing()
+    ref._ensure_routing()
+    assert dht._paths == ref._paths
+    assert dht._leaf_members == ref._leaf_members
+    assert dht._refs == ref._refs
+    for prefix in sorted(_asked_prefixes(ref)):
+        got = dht._members_under(prefix)
+        assert type(got) is tuple
+        assert got == ref._members_under(prefix), prefix
+
+
+@given(histories(kinds=("pgrid",)))
+@settings(max_examples=120, deadline=None)
+def test_pgrid_members_under(history):
+    _replay(history, _check_members_under)
+
+
+def test_pgrid_lopsided_split_and_buckets():
+    """A trie where one side of a split is empty (the node stays a leaf
+    with more members than ``bucket_size``) next to ordinary buckets."""
+    population = PeerPopulation(64)
+    for bucket_size in (1, 2, 5):
+        sides = []
+        for cls in BACKENDS["pgrid"]:
+            dht = cls(
+                population, MessageLog(MessageMetrics()),
+                bucket_size=bucket_size,
+            )
+            dht.join_all(range(0, 64, 3))
+            sides.append((dht, None))
+        _check_members_under(*sides, population)
+    # Two members whose ids share their first bit: lopsided at the root.
+    first_bits = {
+        p: population[p].dht_id >> 159 for p in range(64)
+    }
+    pair = [p for p, bit in first_bits.items() if bit == 0][:2]
+    sides = []
+    for cls in BACKENDS["pgrid"]:
+        dht = cls(population, MessageLog(MessageMetrics()))
+        dht.join_all(pair)
+        sides.append((dht, None))
+    _check_members_under(*sides, population)
+    assert sides[0][0]._leaf_members == {"": pair}
+
+
+# ----------------------------------------------------------------------
+# Replica subnetworks
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class ReplicaWorld:
+    num_peers: int
+    members: tuple
+    degree: int
+    graph_seed: int
+    #: per epoch: (peers to flip, predicate set, payload)
+    epochs: tuple
+
+    def build(self, population: PeerPopulation) -> ReplicaNetwork:
+        return ReplicaNetwork(
+            population,
+            list(self.members),
+            np.random.default_rng(self.graph_seed),
+            MessageLog(MessageMetrics(), keep_messages=True),
+            degree=self.degree,
+        )
+
+
+@st.composite
+def replica_worlds(draw):
+    num_peers = draw(st.integers(1, 16))
+    ids = st.integers(0, num_peers - 1)
+    members = draw(st.lists(ids, min_size=1, unique=True))
+    epoch = st.tuples(
+        st.lists(ids, max_size=4),
+        st.one_of(st.none(), st.frozensets(ids)),
+        st.sampled_from([None, "key-a"]),
+    )
+    return ReplicaWorld(
+        num_peers=num_peers,
+        members=tuple(members),
+        degree=draw(st.integers(1, 4)),
+        graph_seed=draw(st.integers(0, 2**16)),
+        epochs=tuple(draw(st.lists(epoch, min_size=1, max_size=5))),
+    )
+
+
+def _sent(network: ReplicaNetwork) -> list[tuple]:
+    return [
+        (m.kind, m.sender, m.receiver, m.payload) for m in network.log.messages
+    ]
+
+
+@given(replica_worlds())
+@settings(max_examples=150, deadline=None)
+def test_replica_flood_equals_reference(world):
+    population = PeerPopulation(world.num_peers)
+    new, old = world.build(population), world.build(population)
+    assert sorted(new.graph.edges) == sorted(old.graph.edges)
+    for flips, holders, payload in world.epochs:
+        for peer in flips:
+            population.set_online(peer, not population.is_online(peer))
+        predicate = None if holders is None else holders.__contains__
+        for member in world.members:
+            got = new.online_neighbors(member)
+            assert type(got) is list
+            assert got == reference_online_neighbors(old, member)
+            if not population.is_online(member):
+                continue
+            assert new.flood(member, predicate, payload) == reference_flood(
+                old, member, predicate, payload
+            )
+        assert _sent(new) == _sent(old)
+        assert (
+            new.log.metrics.totals_by_category()
+            == old.log.metrics.totals_by_category()
+        )
+
+
+def test_replica_flood_rejects_strangers_and_offline_origins():
+    population = PeerPopulation(6)
+    group = ReplicaNetwork(
+        population, [0, 1, 2, 3], np.random.default_rng(1),
+        MessageLog(MessageMetrics()), degree=2,
+    )
+    with pytest.raises(ParameterError):
+        group.flood(5)
+    population.set_online(0, False)
+    with pytest.raises(OfflinePeerError):
+        group.flood(0)

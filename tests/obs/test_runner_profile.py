@@ -101,3 +101,47 @@ class TestDrawIsNamed:
             if path.endswith("kernel.run/draw")
         )
         assert draw["count"] == 18
+
+
+class TestEventRunIsAccountedFor:
+    ARGV = ["sim", "--engine", "event", "--scale", "0.01", "--duration", "30",
+            "--no-store", "--format", "json"]
+
+    def test_event_profile_attributes_the_run_to_named_phases(self, capsys):
+        assert main([*self.ARGV, "--profile"]) == 0
+        telemetry = json.loads(capsys.readouterr().out)["telemetry"]
+        spans = telemetry["spans"]
+        run = spans["experiment.run"]["seconds"]
+        cells = spans["experiment.run/strategy.run"]
+        assert cells["count"] == 4  # one per Fig. 1 strategy
+        phases = {
+            name: spans[f"experiment.run/strategy.run/{name}"]
+            for name in ("strategy.build", "strategy.prepare",
+                         "strategy.queries", "engine.run", "dht.maintenance")
+        }
+        # Sweeps run inside engine.run, so they are named, not added.
+        named = sum(
+            phase["seconds"]
+            for name, phase in phases.items() if name != "dht.maintenance"
+        )
+        assert named / run >= 0.8
+        assert named <= cells["seconds"] <= run
+        assert phases["strategy.build"]["count"] == 4
+        assert phases["strategy.prepare"]["count"] == 4
+        assert phases["engine.run"]["count"] == 4 * 30
+        # Aggregated, never one span per query: the entry count is the
+        # number of queries the four strategies answered.
+        assert phases["strategy.queries"]["count"] > 4 * 30
+        # noIndex switches maintenance off before its first round.
+        assert phases["dht.maintenance"]["count"] == 3 * 30
+        # Without churn nobody joins, leaves or changes liveness after
+        # the substrate is built: each of the three strategies that use
+        # their DHT sorts its online members exactly once.
+        assert telemetry["counters"]["dht.views.rebuild"] == 3
+
+    def test_profiled_event_run_prints_the_same_figure(self, capsys):
+        assert main(self.ARGV) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main([*self.ARGV, "--profile"]) == 0
+        profiled = json.loads(capsys.readouterr().out)
+        assert profiled["figure"] == plain["figure"]

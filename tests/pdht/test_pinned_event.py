@@ -1,0 +1,86 @@
+"""Pinned seeded event-engine outputs: the substrate must not move a bit.
+
+``benchmarks/e2e/expected.json`` guards the event engine on one scenario
+at rel 1e-9 and ``tests/fastsim/data/pinned_reports.json`` covers the
+vectorized kernel alone. This capture pins the event substrate itself:
+``data/pinned_event.json`` was recorded at commit ``b016759`` — before
+the ISSUE 19 membership views touched ``dht/``, ``replication/`` or
+``sim/metrics.py`` — on a 200-peer / 400-key / 40-round grid: the four
+Fig. 1 strategies x {no churn, churn} x {P-Grid, Chord}. Every count and
+every ``messages_by_category`` value is compared with ``==`` (the JSON
+floats round-trip through ``repr``), and the category *order* is pinned
+too: ``MessageMetrics._totals`` is a ``defaultdict`` whose first-touch
+order shows through ``totals_by_category()`` and decides the summation
+order of ``total_messages``.
+
+Re-record (only in a PR that means to change the numbers) with
+``PYTHONPATH=src python tests/pdht/test_pinned_event.py``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.scenario import simulation_scenario
+from repro.net.churn import ChurnConfig
+from repro.pdht.config import PdhtConfig
+from repro.pdht.strategies import STRATEGY_CLASSES
+
+DATA = Path(__file__).parent / "data" / "pinned_event.json"
+
+SCALE = 0.01  # 200 peers, 400 keys
+QUERY_FREQ = 1.0 / 5.0  # ~40 queries per round
+DURATION = 40.0
+SEED = 11
+#: Short sessions so that real liveness transitions (and so membership
+#: view rebuilds) happen many times inside 40 rounds.
+CHURN = ChurnConfig(mean_session=60.0, mean_offline=20.0)
+
+CASES = [
+    f"{strategy}-{'churn' if churned else 'static'}-{dht_kind}"
+    for strategy, churned, dht_kind in itertools.product(
+        STRATEGY_CLASSES, (False, True), ("pgrid", "chord")
+    )
+]
+
+
+def capture(case: str) -> dict:
+    strategy, churned, dht_kind = case.split("-")
+    params = simulation_scenario(scale=SCALE, query_freq=QUERY_FREQ)
+    runner = STRATEGY_CLASSES[strategy](
+        params,
+        PdhtConfig.from_scenario(params, dht_kind=dht_kind),
+        seed=SEED,
+        churn=CHURN if churned == "churn" else None,
+    )
+    report = runner.run(DURATION)
+    return {
+        "queries": report.queries,
+        "answered": report.answered,
+        "index_hits": report.index_hits,
+        "messages_by_category": [
+            [category.value, total]
+            for category, total in report.messages_by_category.items()
+        ],
+        "total_messages": report.total_messages,
+        "probes_sent": runner.network.maintenance.probes_sent,
+        "sweeps": runner.network.maintenance.sweeps,
+        "bootstrap_probes": runner.network.gateways.bootstrap_probes,
+    }
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_event_engine_bit_identical_to_capture(case):
+    pinned = json.loads(DATA.read_text())
+    assert capture(case) == pinned[case]
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(
+        json.dumps({case: capture(case) for case in CASES}, indent=1) + "\n"
+    )

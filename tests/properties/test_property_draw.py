@@ -17,7 +17,8 @@ few hundred draws cross many chunk edges and both sides of the cutoff;
 ``test_real_block_sizes`` repeats the check with the shipped constants.
 
 Mutations of ``src/repro/analysis/zipf.py`` these tests were run
-against, and what failed (this module has 13 test cases):
+against, and what failed (13 of this module's test cases are on the
+draw; the other 10 on the guide build, below):
 
 * off-by-one bucket (``table[bucket + 1]`` as the lower bound):
   ``test_draw_equals_reference``, ``test_real_block_sizes``,
@@ -38,11 +39,24 @@ against, and what failed (this module has 13 test cases):
   tests in ``tests/analysis/test_zipf.py``,
   ``tests/workload/test_queries.py`` and
   ``tests/fastsim/test_workload.py``.
+
+``reference_build_guide`` is the guide build ISSUE 19 replaced, kept
+verbatim: full ``edges``, an int64 ``table`` and ``np.diff(table)`` —
+6 MiB of transients at 2^18 buckets, which is what made ``sweep_cold``'s
+peak RSS depend on heap layout. The chunked build must return the same
+``(buckets, table, stride)``, dtype included, inside a bounded
+transient. Mutations run against ``_build_guide``: ``widest`` taken per
+chunk without the seam entry (``test_guide_build_equals_reference`` —
+hypothesis shrinks to a CDF whose widest bucket straddles a chunk
+edge), ``side="right"`` (same test, plus the real-chunk and int64
+cases), one chunk spanning the whole table
+(``test_guide_build_transient_is_bounded``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +152,76 @@ def test_guide_brackets_every_bucket(n_keys, alpha):
     # The descent from table[b] reaches table[b + 1].
     assert stride & (stride - 1) == 0
     assert stride - 1 >= np.diff(table).max(initial=0)
+
+
+def reference_build_guide(cdf: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """The replaced ``_build_guide`` body, verbatim."""
+    buckets = min(1 << (cdf.size.bit_length() - 1), zipf_module._GUIDE_MAX_BUCKETS)
+    edges = np.arange(buckets + 1) / buckets
+    table = np.searchsorted(cdf, edges, side="left")
+    widest = int(np.diff(table).max())
+    table = table.astype(np.int32 if 4 * cdf.size < 2**31 else np.int64)
+    table.flags.writeable = False
+    return buckets, table, 1 << widest.bit_length()
+
+
+def _assert_same_guide(cdf: np.ndarray) -> None:
+    buckets, table, stride = zipf_module._build_guide(cdf)
+    want_buckets, want_table, want_stride = reference_build_guide(cdf)
+    assert (buckets, stride) == (want_buckets, want_stride)
+    assert table.dtype == want_table.dtype
+    assert np.array_equal(table, want_table)
+    assert not table.flags.writeable
+
+
+@given(n_keys_st, alpha_st, st.sampled_from([1, 2, 3, 7, SMALL_CHUNK]))
+@example(1, 0.0, 1)
+@example(7, 3.0, 2)  # n_keys < a chunk of buckets; widest bucket at a seam
+@example(300, 40.0, 3)  # ties: every entry from rank 2 on is 1.0
+@settings(max_examples=150, deadline=None)
+def test_guide_build_equals_reference(n_keys, alpha, chunk):
+    with block_sizes(chunk, SMALL_CUTOFF):
+        _assert_same_guide(ZipfDistribution(n_keys, alpha)._cumulative)
+
+
+@pytest.mark.parametrize(
+    "n_keys, alpha",
+    [(1, 0.0), (7, 3.0), (800, 1.2), (40_000, 1.2), (320_000, 0.8),
+     (320_000, 1.2), (2_000_000, 0.8)],
+)
+def test_guide_build_real_chunk(n_keys, alpha):
+    _assert_same_guide(ZipfDistribution(n_keys, alpha)._cumulative)
+
+
+class _ClaimsToBeHuge(np.ndarray):
+    """A CDF whose ``size`` says 2^29 entries: the int64 table branch
+    without a 4 GiB array."""
+
+    @property
+    def size(self) -> int:
+        return 1 << 29
+
+
+def test_guide_build_int64_branch():
+    cdf = ZipfDistribution(1000, 1.2)._cumulative.view(_ClaimsToBeHuge)
+    _assert_same_guide(cdf)
+    assert zipf_module._build_guide(cdf)[1].dtype == np.int64
+
+
+def test_guide_build_transient_is_bounded():
+    """Building a 2^18-bucket guide allocates ~1 MiB of chunk temporaries
+    above the table it returns (the replaced body: 6 MiB)."""
+    cdf = ZipfDistribution(2_000_000, 0.8)._cumulative
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        buckets, table, _ = zipf_module._build_guide(cdf)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert buckets == zipf_module._GUIDE_MAX_BUCKETS
+    assert peak - table.nbytes < 1.5 * 2**20
 
 
 # ----------------------------------------------------------------------

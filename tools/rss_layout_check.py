@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Does a cold sweep's peak RSS depend on where the heap happens to start?
+
+The benchmark bounds ``peak_rss_mb`` at 2%. A transient of a few MiB that
+glibc serves from a fresh mmap under one heap layout and from retained
+heap under another moves the high-water mark by that much with no change
+to the program — and the layout moves with the size of the process
+environment. This runs ``runner sweep --scale 8 --jobs 1 --store <tmp>``
+(the ``sweep_cold`` command, bytecode cached as in the benchmark) in one
+child per environment padding, reads each child's ``ru_maxrss`` from
+``os.wait4`` and fails when the readings are more than ``LIMIT_KIB``
+apart: such a step is a transient to remove from the program, not noise
+to re-roll. Which paddings flip depends on the rest of the environment,
+so a pass is evidence, not proof; a failure is a finding.
+
+    python3 tools/rss_layout_check.py             # this checkout
+    python3 tools/rss_layout_check.py --root DIR  # another one (a parent)
+
+Exit codes: 0 within the limit, 1 spread too wide or a child failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+#: Bytes of padding added to the environment, one child each. Commit
+#: b016759 reads 84.0 MB under most of them and 82.0 MB under the rest
+#: (which ones moves with the machine's own environment).
+PADDINGS = (0, 500, 800, 1500, 2000, 2500, 3000, 4000)
+LIMIT_KIB = 1024
+COMMAND = ("-m", "repro.experiments.runner", "sweep", "--scale", "8",
+           "--jobs", "1", "--format", "json")
+
+
+def peak_rss_kib(root: Path, padding: int, work: Path) -> int:
+    """``ru_maxrss`` (KiB on Linux) of one sweep run under ``padding``,
+    with its store and the shared bytecode cache under ``work``."""
+    env = {
+        name: value for name, value in os.environ.items()
+        if name not in ("PYTHONDONTWRITEBYTECODE", "REPRO_STORE",
+                        "REPRO_OBS", "REPRO_OBS_EVENTS")
+    }
+    env.update(
+        PYTHONPATH=str(root / "src"),
+        PYTHONPYCACHEPREFIX=str(work / "pycache"),
+        PYTHONHASHSEED="0",
+        OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    if padding:
+        env["RSS_LAYOUT_PADDING"] = "x" * padding
+    store = tempfile.mkstemp(suffix=".sqlite", dir=work)[1]
+    os.unlink(store)  # a fresh store per child: 18 misses, 18 writes
+    child = subprocess.Popen(
+        [sys.executable, *COMMAND, "--store", store],
+        cwd=root, env=env, stdout=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise RuntimeError(
+            f"sweep exited with {child.returncode} under padding {padding}"
+        )
+    return usage.ru_maxrss
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--root", type=Path, default=Path(__file__).resolve().parents[1],
+        help="checkout to measure (default: the one this file is in)",
+    )
+    root = parser.parse_args(argv).root.resolve()
+    readings: dict[int, int] = {}
+    with tempfile.TemporaryDirectory(prefix="rss-layout-") as work:
+        try:
+            # Unmeasured: compiles the bytecode every measured child loads.
+            peak_rss_kib(root, 0, Path(work))
+            for padding in PADDINGS:
+                readings[padding] = peak_rss_kib(root, padding, Path(work))
+                print(f"padding {padding:>5} B   peak RSS "
+                      f"{readings[padding] / 1024:7.2f} MiB", flush=True)
+        except RuntimeError as error:
+            print(f"rss_layout_check: {error}", file=sys.stderr)
+            return 1
+    spread = max(readings.values()) - min(readings.values())
+    verdict = "ok" if spread <= LIMIT_KIB else "FAIL"
+    print(f"spread {spread / 1024:.2f} MiB over {len(readings)} environment "
+          f"sizes (limit {LIMIT_KIB / 1024:.2f} MiB): {verdict}")
+    return 0 if spread <= LIMIT_KIB else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
