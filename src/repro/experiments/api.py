@@ -542,6 +542,7 @@ def run(name: str, **overrides: object) -> ExperimentResult:
                     engine=engine or "none",
                 ):
                     figure, replication = _execute(ctx)
+                obs.report_gc()
                 obs.sample_peak_rss()
             telemetry = local.snapshot()
         else:

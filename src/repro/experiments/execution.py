@@ -25,8 +25,10 @@ through every figure signature.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
@@ -38,11 +40,49 @@ from repro.fastsim.precision import resolve_precision
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import STRATEGY_CLASSES, StrategyReport
+from repro.pdht.strategies import (
+    STRATEGY_CLASSES,
+    SimulatedStrategy,
+    StrategyReport,
+)
 from repro.sim.rng import RandomStreams
 from repro.workload.queries import QueryWorkload
 
 __all__ = ["Cell", "Execution", "StalenessReading"]
+
+_T = TypeVar("_T")
+
+
+@contextmanager
+def _long_lived(build: Callable[[], _T]) -> Iterator[_T]:
+    """Build a large object graph that lives exactly as long as the
+    ``with`` body, keeping the cyclic collector off it for that long.
+
+    An event substrate is ~400k containers that reference counting alone
+    would manage, allocated in one burst and then only read. Left alone,
+    the collector walks the growing graph hundreds of times while it is
+    built and again in every older-generation pass of the query loop. So:
+    collect what the previous substrate left behind (it is cyclic and
+    would otherwise sit beside this one), build with automatic collection
+    off, and freeze the result out of every later pass; the body's own
+    garbage is collected as usual. On every way out the heap is unfrozen
+    and automatic collection is as the caller had it — a caller that had
+    switched it off never sees it on.
+    """
+    was_enabled = gc.isenabled()
+    with obs.span("strategy.collect"):
+        gc.collect()
+    gc.disable()
+    try:
+        built = build()
+        gc.freeze()
+        if was_enabled:
+            gc.enable()
+        yield built
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 class StalenessReading(NamedTuple):
@@ -88,16 +128,20 @@ class Cell:
         # One span entry per cell, aggregated over the figure's cells; the
         # strategy reports its build, prepare and query-loop phases under
         # it as durations.
-        with obs.span("strategy.run"):
-            strategy = STRATEGY_CLASSES[self.strategy](
-                self.params, config=self.config, seed=self.seed,
-                churn=self.churn,
-            )
-            if self.event_workload is not None:
-                strategy.workload = self.event_workload(
-                    strategy.network.streams
-                )
+        with obs.span("strategy.run"), _long_lived(self._substrate) as strategy:
             return strategy.run(self.duration, window=self.window)
+
+    def _substrate(self) -> SimulatedStrategy:
+        """The strategy on its finished substrate: content placed, index
+        preloaded, nothing queried yet."""
+        strategy = STRATEGY_CLASSES[self.strategy](
+            self.params, config=self.config, seed=self.seed,
+            churn=self.churn,
+        )
+        if self.event_workload is not None:
+            strategy.workload = self.event_workload(strategy.network.streams)
+        strategy.prepare()
+        return strategy
 
     def fastsim_job(self, precision: str) -> parallel.FastSimJob:
         """The vectorized-engine job: this cell as kernel arguments."""

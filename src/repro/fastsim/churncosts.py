@@ -45,6 +45,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
 from repro.fastsim.precision import INDEX_DTYPE
 from repro.pdht.config import PdhtConfig
+from repro.replication.replica_network import group_rows
 
 __all__ = [
     "conditional_walk_failure",
@@ -99,9 +100,9 @@ def _overlay_sample(
     """A ``(num_peers, degree)`` neighbour table: ``degree`` matchings.
 
     Random-regular sample of the overlay
-    :func:`~repro.net.topology.build_gnutella_graph` builds for real —
-    the structural stand-in at scales where materialising a networkx
-    graph object is pointless. Each of the ``degree`` slots is one
+    :func:`~repro.net.topology.gnutella_rows` builds for real — the
+    structural stand-in at scales where pairing stubs one by one in
+    Python is pointless. Each of the ``degree`` slots is one
     random perfect matching (the classical permutation model of random
     regular graphs), so *every* peer holds exactly ``degree`` mutual
     links by construction, for any ``num_peers``/``degree`` parity. The
@@ -223,8 +224,9 @@ def structural_flood_cost(
 ) -> float:
     """Mean messages of a replica-group flood at one availability.
 
-    Builds the same sparse regular group graph as
-    :class:`~repro.replication.replica_network.ReplicaNetwork` and floods
+    Builds the sparse regular group graph of
+    :class:`~repro.replication.replica_network.ReplicaNetwork`
+    (:func:`~repro.replication.replica_network.group_rows`) and floods
     from a random online member: every visited member messages each of
     its online neighbours except the one it heard from, duplicates
     included — exactly the event engine's flood accounting.
@@ -239,22 +241,7 @@ def structural_flood_cost(
         raise ParameterError(f"probes must be >= 1, got {probes}")
     if group_size == 1:
         return 0.0
-    import networkx as nx  # on first use: vectorized and warm runs never load it
-
-    d = min(degree, group_size - 1)
-    if (d * group_size) % 2 != 0:
-        d = max(1, d - 1)
-    if d * group_size % 2 != 0 or d >= group_size:
-        graph = nx.cycle_graph(group_size)
-    else:
-        graph = nx.random_regular_graph(
-            d, group_size, seed=int(rng.integers(0, 2**31 - 1))
-        )
-        if not nx.is_connected(graph):
-            components = [sorted(c) for c in nx.connected_components(graph)]
-            for left, right in zip(components, components[1:]):
-                graph.add_edge(left[0], right[0])
-    adjacency = [list(graph.neighbors(v)) for v in range(group_size)]
+    adjacency = group_rows(group_size, degree, rng)
     totals = 0.0
     for _ in range(probes):
         online = rng.random(group_size) < availability

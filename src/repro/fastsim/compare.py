@@ -191,11 +191,12 @@ def _calibrate_costs_probe(
         _, messages = net.group_of(responsible).flood(responsible)
         flood_total += messages
 
+    # Placement draws from its own stream, so publishing every probe key
+    # first leaves each walk what it would have found one key at a time.
+    net.publish_all({f"cal-walk-{i}": i for i in range(walk_probes)})
     walk_total = 0.0
     for i in range(walk_probes):
-        key = f"cal-walk-{i}"
-        net.publish(key, i)
-        walk = net.walker.search(net.random_online_peer(), key)
+        walk = net.walker.search(net.random_online_peer(), f"cal-walk-{i}")
         walk_total += walk.messages
 
     return PerOpCosts(
@@ -380,8 +381,7 @@ def _calibrate_churn_costs_probe(
         raise ParameterError(f"walk_probes must be >= 1, got {walk_probes}")
     config = config or PdhtConfig.from_scenario(params)
     net = PdhtNetwork(params, config, seed=seed, churn=churn)
-    for i in range(params.n_keys):
-        net.publish(f"key-{i:06d}", i)
+    net.publish_all({f"key-{i:06d}": i for i in range(params.n_keys)})
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     if model is not None:
         workload = model.build_event(
@@ -1165,10 +1165,8 @@ def staleness_probe_event(
         raise ParameterError("duration and refresh_period must be > 0")
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     net = PdhtNetwork(params, config, seed=seed)
-    versions = {}
-    for i in range(params.n_keys):
-        versions[i] = 0
-        net.publish(f"key-{i:06d}", (i, 0))
+    versions = dict.fromkeys(range(params.n_keys), 0)
+    net.publish_all({f"key-{i:06d}": (i, 0) for i in versions})
     workload = ZipfQueryWorkload(zipf, net.streams.get("staleness-queries"))
     rate = params.network_query_rate
     rng = net.streams.get("staleness-counts")

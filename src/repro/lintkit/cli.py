@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lintkit",
         description=(
             "AST-based invariant checker: determinism, artifact-key "
-            "purity, and resource hygiene (rules RL101-RL108)."
+            "purity, and resource hygiene (rules RL101-RL109)."
         ),
     )
     parser.add_argument(

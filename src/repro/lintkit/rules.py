@@ -1,4 +1,4 @@
-"""The repo's invariant catalog, as executable rules RL101-RL108.
+"""The repo's invariant catalog, as executable rules RL101-RL109.
 
 Each rule encodes one cross-cutting invariant prior PRs established by
 convention; the class docstring is the rationale ``--explain`` prints.
@@ -15,6 +15,7 @@ RL105    shm-unlink-in-finally         shm segments cannot leak on any path
 RL106    uncounted-lru-cache           caches report through ``counted_cache``
 RL107    span-naming                   obs names follow ``segment(.segment)*``
 RL108    pool-ownership                process pools live in ``fastsim.parallel``
+RL109    collector-policy-ownership    one module steers the cyclic collector
 =======  ============================  =========================================
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "UncountedLruCache",
     "SpanNaming",
     "PoolOwnership",
+    "CollectorPolicyOwnership",
 ]
 
 
@@ -783,3 +785,66 @@ class PoolOwnership(Rule):
             target = f"{module}.{chain[-1]}"
         if target in self._POOLS:
             ctx.report(self, node)
+
+
+# ---------------------------------------------------------------------
+# RL109
+# ---------------------------------------------------------------------
+@register_rule
+class CollectorPolicyOwnership(Rule):
+    """The cyclic collector's process-global state has one owner.
+
+    ``gc.disable`` / ``enable`` / ``freeze`` / ``unfreeze`` / ``collect``
+    / ``set_threshold`` change how every later allocation in the process
+    behaves, and each must be undone on every exit path or the next
+    caller inherits a frozen heap or a collector that is off. The event
+    substrate's policy (collect, build with collection off, freeze for
+    the query loop, restore) is one context manager in
+    ``repro.experiments.execution``; a second caller toggling the same
+    switches would nest wrongly with it. Reading (``gc.isenabled``,
+    ``gc.get_freeze_count``) is free everywhere; ``gc.callbacks`` — the
+    observer hook — belongs to ``repro.obs``, like the clock.
+    """
+
+    id = "RL109"
+    name = "collector-policy-ownership"
+    summary = (
+        "cyclic-collector state changed outside "
+        "repro.experiments.execution (gc.callbacks: outside repro.obs)"
+    )
+    ok_example = "import gc\nwas_enabled = gc.isenabled()"
+    bad_example = "import gc\ngc.disable()"
+
+    _POLICY_OWNER = "src/repro/experiments/execution.py"
+    _OBSERVER_OWNER = "src/repro/obs/"
+    _POLICY = frozenset(
+        {"disable", "enable", "freeze", "unfreeze", "collect", "set_threshold"}
+    )
+
+    def scope(self, path: str) -> bool:
+        return _in_src_repro(path)
+
+    def _check(self, name: str, node: ast.AST, ctx: FileContext) -> None:
+        if name in self._POLICY and ctx.path != self._POLICY_OWNER:
+            ctx.report(
+                self,
+                node,
+                f"'gc.{name}' outside repro.experiments.execution, which "
+                f"owns the collector policy",
+            )
+        elif name == "callbacks" and not ctx.path.startswith(
+            self._OBSERVER_OWNER
+        ):
+            ctx.report(
+                self, node, "'gc.callbacks' outside repro.obs, which owns the hook"
+            )
+
+    def visit_ImportFrom(self, node: ast.ImportFrom, ctx: FileContext) -> None:
+        if node.module == "gc":
+            for alias in node.names:
+                self._check(alias.name, node, ctx)
+
+    def visit_Attribute(self, node: ast.Attribute, ctx: FileContext) -> None:
+        chain = _attribute_chain(node)
+        if len(chain) == 2 and ctx.binds_module(chain[0], "gc"):
+            self._check(chain[1], node, ctx)

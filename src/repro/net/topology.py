@@ -16,7 +16,10 @@ peers, which is what search algorithms traverse under churn.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Literal
+import random
+from collections import defaultdict
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Optional
 
 import numpy as np
 
@@ -26,18 +29,133 @@ from repro.net.node import PeerId, PeerPopulation
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["build_gnutella_graph", "GnutellaTopology"]
+__all__ = [
+    "bridged_regular_rows",
+    "adjacency_graph",
+    "gnutella_rows",
+    "build_gnutella_graph",
+    "GnutellaTopology",
+]
 
 TopologyKind = Literal["random_regular", "barabasi_albert"]
 
 
-def build_gnutella_graph(
+def _regular_edges(
+    num_nodes: int, degree: int, rng: random.Random
+) -> Optional[set[tuple[int, int]]]:
+    """One attempt at pairing ``degree`` stubs per node into simple edges
+    (Steger & Wormald); ``None`` when the leftover stubs admit no edge."""
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(num_nodes)) * degree
+    while stubs:
+        leftover: defaultdict[int, int] = defaultdict(int)
+        rng.shuffle(stubs)
+        stub_iter = iter(stubs)
+        for s1, s2 in zip(stub_iter, stub_iter):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftover[s1] += 1
+                leftover[s2] += 1
+        if not _suitable(edges, leftover):
+            return None
+        stubs = [node for node, count in leftover.items() for _ in range(count)]
+    return edges
+
+
+def _suitable(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+    """Whether some pair of nodes with leftover stubs can still be joined.
+
+    Kept statement for statement, the swap that rebinds the outer loop's
+    ``s1`` included: which pairs get tested decides when an attempt is
+    abandoned, and so which graph a seed produces.
+    """
+    if not leftover:
+        return True
+    for s1 in leftover:
+        for s2 in leftover:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _bridge_components(rows: list[list[int]]) -> None:
+    """Chain the components of ``rows`` through their smallest members,
+    taking the components in order of that member."""
+    seen: set[int] = set()
+    smallest: list[int] = []
+    for node in range(len(rows)):
+        if node in seen:
+            continue
+        smallest.append(node)
+        seen.add(node)
+        stack = [node]
+        while stack:
+            for neighbor in rows[stack.pop()]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+    for left, right in zip(smallest, smallest[1:]):
+        rows[left].append(right)
+        rows[right].append(left)
+
+
+def bridged_regular_rows(
+    num_nodes: int, degree: int, seed: int
+) -> list[list[int]]:
+    """Neighbour rows of a connected random ``degree``-regular graph.
+
+    The one implementation of "random regular graph, bridged" — the
+    Gnutella overlay, every replica-group subnetwork and the structural
+    flood probe are all this graph. It is
+    ``networkx.random_regular_graph(degree, num_nodes, seed=seed)`` ported
+    to the stdlib generator that call seeds: the same stub shuffles and
+    the same ``edges`` set built by the same insertions, so row ``v``
+    lists ``v``'s neighbours in the order ``networkx`` would
+    (``tests/net/test_regular_equivalence.py``). Random regular graphs of
+    degree >= 3 are connected w.h.p.; the rare disconnected draw gets one
+    edge between the smallest members of consecutive components, so
+    searches can in principle reach every peer (the paper assumes any
+    existing key is findable).
+    """
+    if (num_nodes * degree) % 2 != 0 or not 0 <= degree < num_nodes:
+        raise TopologyError(
+            f"no {degree}-regular graph on {num_nodes} nodes "
+            f"(need even degree*nodes and 0 <= degree < nodes)"
+        )
+    rng = random.Random(seed)
+    edges = _regular_edges(num_nodes, degree, rng)
+    while edges is None:
+        edges = _regular_edges(num_nodes, degree, rng)
+    rows: list[list[int]] = [[] for _ in range(num_nodes)]
+    for left, right in edges:
+        rows[left].append(right)
+        rows[right].append(left)
+    _bridge_components(rows)
+    return rows
+
+
+def adjacency_graph(adjacency: Mapping[int, Iterable[int]]) -> nx.Graph:
+    """A ``networkx`` view of neighbour rows, for diagnostics and test
+    oracles; no simulation path builds a graph object."""
+    import networkx as nx  # diagnostics only: event and vectorized runs never load it
+
+    return nx.from_dict_of_lists(adjacency)
+
+
+def gnutella_rows(
     num_peers: int,
     degree: int,
     rng: np.random.Generator,
     kind: TopologyKind = "random_regular",
-) -> nx.Graph:
-    """Build a connected Gnutella-like overlay graph.
+) -> list[list[PeerId]]:
+    """Neighbour rows (unsorted) of a connected Gnutella-like overlay.
 
     Parameters
     ----------
@@ -47,7 +165,8 @@ def build_gnutella_graph(
         Connections per peer. For ``barabasi_albert`` this is the attachment
         parameter ``m`` (mean degree ~= 2m).
     rng:
-        Source of randomness (a numpy Generator, for reproducibility).
+        Source of randomness (a numpy Generator, for reproducibility); one
+        integer is drawn from it to seed the graph.
     kind:
         Graph family, see module docstring.
 
@@ -65,30 +184,29 @@ def build_gnutella_graph(
         raise TopologyError(
             f"degree ({degree}) must be < num_peers ({num_peers})"
         )
-    import networkx as nx  # on first use: vectorized and warm runs never load it
-
     seed = int(rng.integers(0, 2**31 - 1))
     if kind == "random_regular":
-        if (degree * num_peers) % 2 != 0:
-            raise TopologyError(
-                f"random regular graph needs even degree*num_peers "
-                f"(got {degree}*{num_peers})"
-            )
-        graph = nx.random_regular_graph(degree, num_peers, seed=seed)
-    elif kind == "barabasi_albert":
-        graph = nx.barabasi_albert_graph(num_peers, degree, seed=seed)
-    else:
-        raise TopologyError(f"unknown topology kind: {kind!r}")
+        return bridged_regular_rows(num_peers, degree, seed)
+    if kind == "barabasi_albert":
+        import networkx as nx  # the one overlay family still generated by networkx
 
-    # Random regular graphs of degree >= 3 are connected w.h.p.; patch up
-    # the rare disconnected draw by bridging components so searches can in
-    # principle reach every peer (the paper assumes any existing key is
-    # findable).
-    if not nx.is_connected(graph):
-        components = [sorted(c) for c in nx.connected_components(graph)]
-        for left, right in zip(components, components[1:]):
-            graph.add_edge(left[0], right[0])
-    return graph
+        graph = nx.barabasi_albert_graph(num_peers, degree, seed=seed)
+        rows = [list(graph.neighbors(peer_id)) for peer_id in range(num_peers)]
+        _bridge_components(rows)
+        return rows
+    raise TopologyError(f"unknown topology kind: {kind!r}")
+
+
+def build_gnutella_graph(
+    num_peers: int,
+    degree: int,
+    rng: np.random.Generator,
+    kind: TopologyKind = "random_regular",
+) -> nx.Graph:
+    """:func:`gnutella_rows` as a ``networkx`` graph (diagnostics)."""
+    return adjacency_graph(
+        dict(enumerate(gnutella_rows(num_peers, degree, rng, kind)))
+    )
 
 
 class GnutellaTopology:
@@ -109,14 +227,18 @@ class GnutellaTopology:
         self.population = population
         self.degree = degree
         self.kind = kind
-        self.graph = build_gnutella_graph(len(population), degree, rng, kind)
-        # The graph is static after construction: sort each row once.
+        # The overlay is static after construction: sort each row once.
         self._adjacency = tuple(
-            tuple(sorted(self.graph.neighbors(peer_id)))
-            for peer_id in range(len(population))
+            tuple(sorted(row))
+            for row in gnutella_rows(len(population), degree, rng, kind)
         )
         self._online_adjacency: list[tuple[PeerId, ...]] = []
         self._online_epoch = -1
+
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The configured connections as a ``networkx`` graph (diagnostics)."""
+        return adjacency_graph(dict(enumerate(self._adjacency)))
 
     def neighbors(self, peer_id: PeerId) -> list[PeerId]:
         """All configured neighbours, regardless of liveness."""

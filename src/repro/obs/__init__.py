@@ -42,6 +42,7 @@ from repro.obs.collector import (
     gauge_max,
     merge_snapshot,
     peak_rss_bytes,
+    report_gc,
     reset_span_stack,
     sample_peak_rss,
     scoped,
@@ -76,6 +77,7 @@ __all__ = [
     "add_duration",
     "merge_snapshot",
     "peak_rss_bytes",
+    "report_gc",
     "reset_span_stack",
     "sample_peak_rss",
     "profile_data",

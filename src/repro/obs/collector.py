@@ -30,6 +30,7 @@ Design notes
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -56,6 +57,7 @@ __all__ = [
     "merge_snapshot",
     "peak_rss_bytes",
     "sample_peak_rss",
+    "report_gc",
     "reset_span_stack",
     "SNAPSHOT_SCHEMA",
 ]
@@ -237,6 +239,43 @@ def _stack() -> list:
     return stack
 
 
+#: Cyclic-collector passes per generation, and their pause seconds, since
+#: the last :func:`report_gc`. A pass can start inside any allocation —
+#: one made while a ``Collector`` lock or the event sink is held included
+#: — so the ``gc.callbacks`` hook only tallies here.
+_gc_pending: list = [0, 0, 0, 0.0]
+_gc_started = 0.0
+_GC_COUNTERS = (
+    "gc.collections.gen0",
+    "gc.collections.gen1",
+    "gc.collections.gen2",
+    "gc.pause_s",
+)
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    """The ``gc.callbacks`` hook, installed while collection is enabled."""
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+    else:
+        _gc_pending[info["generation"]] += 1
+        _gc_pending[3] += time.perf_counter() - _gc_started
+
+
+def report_gc() -> None:
+    """Record what the cyclic collector cost since the last call (or since
+    :func:`enable`): counters ``gc.collections.gen0/1/2`` (passes) and
+    ``gc.pause_s`` (seconds inside them). This process only — a pool
+    worker's passes are not shipped. No-op while disabled.
+    """
+    pending = _gc_pending[:]
+    _gc_pending[:] = (0, 0, 0, 0.0)
+    for name, value in zip(_GC_COUNTERS, pending):
+        if value:
+            count(name, value)
+
+
 def reset_span_stack() -> None:
     """Clear the calling thread's span stack.
 
@@ -256,12 +295,17 @@ def enabled() -> bool:
 def enable() -> None:
     """Turn collection on (idempotent). The current collector is kept."""
     global _enabled
+    if not _enabled:
+        _gc_pending[:] = (0, 0, 0, 0.0)
+        gc.callbacks.append(_on_gc)
     _enabled = True
 
 
 def disable() -> None:
     """Turn collection off (idempotent). Recorded data is kept."""
     global _enabled
+    if _enabled:
+        gc.callbacks.remove(_on_gc)
     _enabled = False
 
 

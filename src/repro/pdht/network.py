@@ -206,8 +206,7 @@ class PdhtNetwork:
         self.replicator.place(key, value)
 
     def publish_all(self, items: dict[str, object]) -> None:
-        for key, value in items.items():
-            self.publish(key, value)
+        self.replicator.place_all(items)
 
     def refresh_content(self, key: str, value: object) -> None:
         """Replace the content replicas of ``key`` (article replacement:

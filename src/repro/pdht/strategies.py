@@ -315,9 +315,6 @@ class PartialIdealStrategy(SimulatedStrategy):
 
     name = "partialIdeal"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-
     def _adjust_config(self, config: PdhtConfig) -> PdhtConfig:
         return config.with_ttl(float("inf"))
 

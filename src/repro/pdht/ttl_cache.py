@@ -23,7 +23,7 @@ from repro.errors import ParameterError
 __all__ = ["TtlEntry", "TtlKeyStore"]
 
 
-@dataclass
+@dataclass(slots=True)
 class TtlEntry:
     """One stored key: value, expiry, and access statistics.
 
@@ -88,20 +88,19 @@ class TtlKeyStore:
         """
         if ttl is not None and ttl < 0:
             raise ParameterError(f"ttl must be >= 0, got {ttl}")
-        effective = self.ttl if ttl is None else ttl
-        self.purge_expired(now)
+        expires_at = now + (self.ttl if ttl is None else ttl)
+        heap = self._expiry_heap
+        if heap and heap[0][0] <= now:
+            self.purge_expired(now)
         if (
             self.capacity is not None
             and key not in self._entries
             and len(self._entries) >= self.capacity
         ):
             self._evict_soonest(now)
-        entry = TtlEntry(
-            key=key, value=value, expires_at=now + effective,
-            inserted_at=now, ttl=ttl,
-        )
+        entry = TtlEntry(key, value, expires_at, now, 0, ttl)
         self._entries[key] = entry
-        heapq.heappush(self._expiry_heap, (entry.expires_at, key))
+        heapq.heappush(heap, (expires_at, key))
         self.insertions += 1
         return entry
 
@@ -121,8 +120,13 @@ class TtlKeyStore:
             self.evictions_expired += 1
             return None
         entry.hits += 1
-        entry.expires_at = now + (self.ttl if entry.ttl is None else entry.ttl)
-        heapq.heappush(self._expiry_heap, (entry.expires_at, key))
+        expires_at = now + (self.ttl if entry.ttl is None else entry.ttl)
+        if expires_at != entry.expires_at:
+            # A live entry always has a heap record at its current expiry;
+            # an unmoved one (``inf`` TTL, a second hit in one round)
+            # needs no other.
+            entry.expires_at = expires_at
+            heapq.heappush(self._expiry_heap, (expires_at, key))
         return entry
 
     def peek(self, key: str, now: float) -> TtlEntry | None:

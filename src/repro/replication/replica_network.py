@@ -14,6 +14,7 @@ members. Two operations run over it:
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
@@ -21,11 +22,34 @@ import numpy as np
 from repro.errors import ParameterError, TopologyError
 from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
+from repro.net.topology import adjacency_graph, bridged_regular_rows
 
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["ReplicaNetwork"]
+__all__ = ["group_rows", "ReplicaNetwork"]
+
+
+def group_rows(
+    size: int, degree: int, rng: np.random.Generator
+) -> list[list[int]]:
+    """Neighbour rows, by position in the group, of the sparse connected
+    graph a replica group of ``size`` members keeps among itself.
+
+    A bridged random regular graph of degree ``min(degree, size - 1)``,
+    one lower when ``degree * size`` would be odd; ``rng`` supplies its
+    seed. Degree 1 over an odd group has no such graph and gets a cycle,
+    drawing nothing.
+    """
+    if size == 1:
+        return [[]]
+    d = min(degree, size - 1)
+    if (d * size) % 2 != 0:
+        # Regular graphs need even degree*size; nudge the degree down.
+        d = max(1, d - 1)
+    if (d * size) % 2 != 0:
+        return [[(v - 1) % size, (v + 1) % size] for v in range(size)]
+    return bridged_regular_rows(size, d, int(rng.integers(0, 2**31 - 1)))
 
 
 class ReplicaNetwork:
@@ -63,42 +87,21 @@ class ReplicaNetwork:
         self.population = population
         self.members = list(members)
         self.log = log
-        self.graph = self._build_graph(rng, degree)
-        # The graph never changes after construction; the online rows are
-        # valid for one ``population.liveness_epoch``.
+        # The group graph never changes after construction; the online
+        # rows are valid for one ``population.liveness_epoch``.
         self._adjacency: dict[PeerId, tuple[PeerId, ...]] = {
-            m: tuple(sorted(self.graph.neighbors(m))) for m in self.members
+            member: tuple(sorted(self.members[i] for i in row))
+            for member, row in zip(
+                self.members, group_rows(len(self.members), degree, rng)
+            )
         }
         self._online_adjacency: dict[PeerId, tuple[PeerId, ...]] = {}
         self._online_epoch = -1
 
-    def _build_graph(self, rng: np.random.Generator, degree: int) -> nx.Graph:
-        import networkx as nx  # on first use: vectorized and warm runs never load it
-
-        n = len(self.members)
-        graph = nx.Graph()
-        graph.add_nodes_from(self.members)
-        if n == 1:
-            return graph
-        d = min(degree, n - 1)
-        if (d * n) % 2 != 0:
-            # Regular graphs need even degree*size; nudge the degree down.
-            d = max(1, d - 1)
-        if d * n % 2 != 0 or d >= n:
-            # Tiny groups: fall back to a cycle.
-            ordered = list(self.members)
-            for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-                if a != b:
-                    graph.add_edge(a, b)
-            return graph
-        seed = int(rng.integers(0, 2**31 - 1))
-        template = nx.random_regular_graph(d, n, seed=seed)
-        if not nx.is_connected(template):
-            components = [sorted(c) for c in nx.connected_components(template)]
-            for left, right in zip(components, components[1:]):
-                template.add_edge(left[0], right[0])
-        relabel = dict(enumerate(self.members))
-        return nx.relabel_nodes(template, relabel)
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The group's connections as a ``networkx`` graph (diagnostics)."""
+        return adjacency_graph(self._adjacency)
 
     # ------------------------------------------------------------------
     def online_members(self) -> list[PeerId]:
@@ -141,7 +144,7 @@ class ReplicaNetwork:
         duplicates included — this is where the measured ``dup2`` comes
         from.
         """
-        if origin not in self.graph:
+        if origin not in self._adjacency:
             raise ParameterError(f"peer {origin} is not in this replica group")
         self.population[origin].require_online()
         predicate = predicate or (lambda _: True)

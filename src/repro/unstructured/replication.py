@@ -11,7 +11,7 @@ replaces each article every 24 h on average).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Mapping
 
 import numpy as np
 
@@ -72,14 +72,22 @@ class ContentReplicator:
         currently-offline peers become available when those peers return,
         exactly like real file-sharing replicas).
         """
-        if key in self._placements:
-            raise ParameterError(f"key {key!r} already placed; use refresh()")
-        holders = self._draw_holders()
-        for holder in holders:
-            self.overlay.store(holder, key, value)
-        placement = ReplicaPlacement(key=key, holders=holders)
-        self._placements[key] = placement
-        return placement
+        self.place_all({key: value})
+        return self._placements[key]
+
+    def place_all(self, items: Mapping[Hashable, object]) -> None:
+        """Replicate every item, in order: one holder draw per key from
+        the placement stream, that key's replicas written before the next
+        key's holders are drawn."""
+        peers = self.overlay.population.peers
+        placements = self._placements
+        for key, value in items.items():
+            if key in placements:
+                raise ParameterError(f"key {key!r} already placed; use refresh()")
+            holders = self._draw_holders()
+            for holder in holders:
+                peers[holder].content[key] = value
+            placements[key] = ReplicaPlacement(key, holders)
 
     def refresh(self, key: Hashable, value: object) -> ReplicaPlacement:
         """Replace an item's replicas (models article replacement)."""
@@ -96,10 +104,9 @@ class ContentReplicator:
 
     def _draw_holders(self) -> list[PeerId]:
         population_size = len(self.overlay.population)
-        chosen = self.rng.choice(
+        return self.rng.choice(
             population_size, size=self.replication, replace=False
-        )
-        return [int(c) for c in chosen]
+        ).tolist()
 
     # ------------------------------------------------------------------
     def placement_of(self, key: Hashable) -> ReplicaPlacement:

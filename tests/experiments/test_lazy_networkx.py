@@ -1,11 +1,13 @@
-"""``networkx`` is an event-substrate dependency, imported on first use.
+"""``networkx`` is a diagnostics dependency: no benchmark command loads it.
 
-It is a quarter of what ``import repro.experiments.runner`` used to
-cost and is needed only to build an overlay / replica-group graph, so a
-vectorized run beyond the calibration limit (no event substrate at all)
-or a warm rerun must finish without it, and an event-engine run must
-still find it when it builds its first topology. Checked in a fresh
-interpreter: ``sys.modules`` of the test process proves nothing.
+It is a quarter of what ``import repro.experiments.runner`` used to cost
+and 15 MB of resident memory, and the only graph the simulators build —
+a bridged random regular one — is
+:func:`repro.net.topology.bridged_regular_rows`. So an event-engine run,
+a calibrating vectorized run and a closed-form sweep must all finish
+without it; a ``barabasi_albert`` overlay and a ``.graph`` diagnostic
+view still find it on first use. Checked in a fresh interpreter:
+``sys.modules`` of the test process proves nothing.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-_PROGRAM = """
+_RUNNER = """
 import sys
 from repro.experiments import runner
 from repro.net.topology import build_gnutella_graph  # importable without it
@@ -25,10 +29,27 @@ assert runner.main({argv!r}) == 0
 print("networkx" in sys.modules)
 """
 
+_DIAGNOSTICS = """
+import sys
+import numpy as np
+from repro.net.node import PeerPopulation
+from repro.net.topology import GnutellaTopology
 
-def _networkx_loaded_after(argv: list[str]) -> bool:
+def build(kind):
+    return GnutellaTopology(
+        PeerPopulation(30), 2, np.random.default_rng(0), kind
+    )
+
+regular = build("random_regular")
+print("networkx" in sys.modules)
+{use}
+print("networkx" in sys.modules)
+"""
+
+
+def _fresh_interpreter(program: str) -> list[str]:
     done = subprocess.run(
-        [sys.executable, "-c", _PROGRAM.format(argv=argv)],
+        [sys.executable, "-c", program],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": "src"},
@@ -36,20 +57,36 @@ def _networkx_loaded_after(argv: list[str]) -> bool:
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip().splitlines()[-1] == "True"
+    return done.stdout.strip().splitlines()
+
+
+def _networkx_loaded_after(argv: list[str]) -> bool:
+    return _fresh_interpreter(_RUNNER.format(argv=argv))[-1] == "True"
 
 
 def test_vectorized_sweep_never_imports_networkx():
     # 6,000 peers: beyond CALIBRATION_LIMIT, so costs are closed-form.
-    # (At --scale 0.02 the sweep calibrates its per-op costs on a
-    # 400-peer event substrate, which does build a topology.)
     assert not _networkx_loaded_after(
         ["sweep", "--scale", "0.3", "--duration", "30", "--no-store"]
     )
 
 
-def test_event_engine_imports_networkx_on_first_topology():
+def test_event_engine_never_imports_networkx():
     # Exit code 0 means all four strategies built their overlay and ran.
-    assert _networkx_loaded_after(
+    assert not _networkx_loaded_after(
         ["sim", "--engine", "event", "--duration", "20", "--no-store"]
     )
+
+
+def test_churn_calibration_never_imports_networkx():
+    # The benchmark's ``churn_cold`` command: 400 peers, so every
+    # availability calibrates on a churned event substrate.
+    assert not _networkx_loaded_after(
+        ["churn", "--engine", "vectorized", "--duration", "120",
+         "--scale", "0.02", "--seed", "0", "--no-store"]
+    )
+
+
+@pytest.mark.parametrize("use", ["regular.graph", 'build("barabasi_albert")'])
+def test_diagnostics_import_networkx_on_first_use(use):
+    assert _fresh_interpreter(_DIAGNOSTICS.format(use=use)) == ["False", "True"]

@@ -135,6 +135,7 @@ class TestRegistry:
             "RL106",
             "RL107",
             "RL108",
+            "RL109",
         ]
 
     def test_rule_ids_includes_meta_ids(self):

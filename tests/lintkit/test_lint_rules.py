@@ -1,4 +1,4 @@
-"""One triggering and one passing fixture per lint rule RL101-RL108.
+"""One triggering and one passing fixture per lint rule RL101-RL109.
 
 Fixtures are in-memory source strings handed to ``lint_sources`` under
 synthetic ``src/repro/...`` paths, so the rule scoping behaves exactly
@@ -604,3 +604,88 @@ class TestPoolOwnership:
         )
         assert owner == []
         assert caller == []
+
+
+class TestCollectorPolicyOwnership:
+    def test_collector_switches_outside_the_policy_module_trigger(self):
+        via_module = rule_hits(
+            """
+            import gc
+
+            def build(params):
+                was_enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    return make_network(params)
+                finally:
+                    gc.collect()
+                    if was_enabled:
+                        gc.enable()
+            """,
+            "src/repro/pdht/example.py",
+            "RL109",
+        )
+        from_import = rule_hits(
+            """
+            from gc import freeze, get_freeze_count
+            """,
+            "src/repro/fastsim/example.py",
+            "RL109",
+        )
+        hook = rule_hits(
+            """
+            import gc
+
+            gc.callbacks.append(print)
+            """,
+            "src/repro/experiments/execution.py",
+            "RL109",
+        )
+        assert len(via_module) == 3
+        assert "repro.experiments.execution" in via_module[0].message
+        assert len(from_import) == 1
+        assert len(hook) == 1
+        assert "repro.obs" in hook[0].message
+
+    def test_owners_and_readers_pass(self):
+        policy = rule_hits(
+            """
+            import gc
+
+            def long_lived(build):
+                gc.collect()
+                gc.disable()
+                try:
+                    built = build()
+                    gc.freeze()
+                    return built
+                finally:
+                    gc.unfreeze()
+                    gc.enable()
+            """,
+            "src/repro/experiments/execution.py",
+            "RL109",
+        )
+        observer = rule_hits(
+            """
+            import gc
+
+            def enable(hook):
+                gc.callbacks.append(hook)
+            """,
+            "src/repro/obs/collector.py",
+            "RL109",
+        )
+        reader = rule_hits(
+            """
+            import gc
+
+            def heap_state():
+                return gc.isenabled(), gc.get_freeze_count(), gc.get_count()
+            """,
+            "src/repro/sim/example.py",
+            "RL109",
+        )
+        assert policy == []
+        assert observer == []
+        assert reader == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -137,6 +138,38 @@ class TestCountersAndGauges:
     def test_sample_peak_rss_disabled_returns_without_recording(self):
         assert obs.sample_peak_rss() > 0
         assert obs.collector().gauges == {}
+
+
+class TestCollectorPassesAreNamed:
+    def test_report_gc_counts_passes_and_pause_since_enable(self):
+        gc.collect()  # before enable(): never counted
+        obs.enable()
+        gc.collect()
+        gc.collect(0)
+        assert obs.collector().counters == {}  # tallied, not yet recorded
+        obs.report_gc()
+        counters = obs.collector().counters
+        assert counters["gc.collections.gen2"] == 1
+        assert counters["gc.collections.gen0"] >= 1
+        assert counters["gc.pause_s"] > 0.0
+        # Reported once: a second call adds only what happened since.
+        obs.report_gc()
+        assert obs.collector().counters["gc.collections.gen2"] == 1
+
+    def test_hook_is_installed_only_while_enabled(self):
+        from repro.obs.collector import _on_gc
+
+        assert _on_gc not in gc.callbacks
+        obs.enable()
+        obs.enable()
+        assert gc.callbacks.count(_on_gc) == 1
+        obs.disable()
+        assert _on_gc not in gc.callbacks
+        gc.collect()
+        obs.report_gc()
+        obs.enable()
+        obs.report_gc()
+        assert "gc.collections.gen2" not in obs.collector().counters
 
 
 class TestSnapshotMerge:

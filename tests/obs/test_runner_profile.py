@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 
+import pytest
+
 from repro import obs
+from repro.errors import ParameterError
+from repro.experiments.execution import Cell
 from repro.experiments.export import load_result_json
 from repro.experiments.runner import main
+from repro.experiments.scenario import simulation_scenario
+from repro.pdht.config import PdhtConfig
+from repro.pdht.strategies import IndexAllStrategy, NoIndexStrategy
 
 
 class TestProfileFlag:
@@ -116,8 +125,9 @@ class TestEventRunIsAccountedFor:
         assert cells["count"] == 4  # one per Fig. 1 strategy
         phases = {
             name: spans[f"experiment.run/strategy.run/{name}"]
-            for name in ("strategy.build", "strategy.prepare",
-                         "strategy.queries", "engine.run", "dht.maintenance")
+            for name in ("strategy.collect", "strategy.build",
+                         "strategy.prepare", "strategy.queries",
+                         "engine.run", "dht.maintenance")
         }
         # Sweeps run inside engine.run, so they are named, not added.
         named = sum(
@@ -126,6 +136,9 @@ class TestEventRunIsAccountedFor:
         )
         assert named / run >= 0.8
         assert named <= cells["seconds"] <= run
+        # The collection that frees the previous cell's substrate walks
+        # the whole heap, which under pytest dwarfs a 30-round run.
+        assert phases["strategy.collect"]["count"] == 4
         assert phases["strategy.build"]["count"] == 4
         assert phases["strategy.prepare"]["count"] == 4
         assert phases["engine.run"]["count"] == 4 * 30
@@ -145,3 +158,91 @@ class TestEventRunIsAccountedFor:
         assert main([*self.ARGV, "--profile"]) == 0
         profiled = json.loads(capsys.readouterr().out)
         assert profiled["figure"] == plain["figure"]
+
+    def test_profile_footer_names_the_collector(self, capsys):
+        assert main([*self.ARGV, "--profile"]) == 0
+        captured = capsys.readouterr()
+        counters = json.loads(captured.out)["telemetry"]["counters"]
+        # One boundary collection per cell, whatever else ran.
+        assert counters["gc.collections.gen2"] >= 4
+        assert counters["gc.pause_s"] > 0.0
+        assert "gc.collections.gen2" in captured.err
+        assert "gc.pause_s" in captured.err
+
+
+class TestEventCellLeavesTheCollectorAsFound:
+    """``Cell.run`` builds with automatic collection off and freezes the
+    substrate for the query loop; none of it may outlive the cell."""
+
+    @pytest.fixture(autouse=True)
+    def collector_state_restored(self):
+        was_enabled = gc.isenabled()
+        yield
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
+
+    def cell(self, strategy="indexAll"):
+        params = simulation_scenario(scale=0.01)
+        return Cell(
+            params=params, config=PdhtConfig.from_scenario(params),
+            duration=5.0, strategy=strategy,
+        )
+
+    def test_after_a_run(self, capsys):
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        assert main(TestEventRunIsAccountedFor.ARGV) == 0
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def test_substrate_is_built_unwatched_and_queried_frozen(self, monkeypatch):
+        seen = {}
+        prepare, run = IndexAllStrategy.prepare, IndexAllStrategy.run
+
+        def watched_prepare(self):
+            # run() calls prepare() again, as a no-op: keep the first.
+            seen.setdefault(
+                "prepare", (gc.isenabled(), gc.get_freeze_count() > 0)
+            )
+            prepare(self)
+
+        def watched_run(self, duration, window=0.0):
+            seen["run"] = (gc.isenabled(), gc.get_freeze_count() > 0)
+            return run(self, duration, window=window)
+
+        monkeypatch.setattr(IndexAllStrategy, "prepare", watched_prepare)
+        monkeypatch.setattr(IndexAllStrategy, "run", watched_run)
+        assert self.cell().run().queries > 0
+        assert seen == {"prepare": (False, False), "run": (True, True)}
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def test_after_a_cell_that_raises_mid_build(self, monkeypatch):
+        # The overlay, the replicator and the walker exist by the time
+        # PdhtNetwork rejects the DHT size.
+        monkeypatch.setattr(
+            IndexAllStrategy, "_active_peers",
+            lambda self: self.params.num_peers + 1,
+        )
+        with pytest.raises(ParameterError, match="num_active_peers"):
+            self.cell().run()
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def test_after_a_cell_that_raises_mid_run(self):
+        broken = dataclasses.replace(self.cell(), duration=0.0)
+        with pytest.raises(ParameterError, match="duration"):
+            broken.run()
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def test_a_caller_that_disabled_collection_keeps_it_disabled(
+        self, monkeypatch
+    ):
+        seen = []
+        run = NoIndexStrategy.run
+
+        def watched_run(self, duration, window=0.0):
+            seen.append(gc.isenabled())
+            return run(self, duration, window=window)
+
+        monkeypatch.setattr(NoIndexStrategy, "run", watched_run)
+        gc.disable()
+        assert self.cell("noIndex").run().queries > 0
+        assert seen == [False]
+        assert not gc.isenabled() and gc.get_freeze_count() == 0

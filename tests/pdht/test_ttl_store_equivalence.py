@@ -1,0 +1,190 @@
+"""Differential test: ``TtlKeyStore`` against the ``insert`` / ``query``
+bodies ISSUE 21 replaced.
+
+Two things changed. ``insert`` calls ``purge_expired`` only when the
+heap's top has expired — the condition the purge loop tests first — and
+builds its slotted ``TtlEntry`` positionally (114,608 of a ``sim`` run's
+149,512 inserts are index preloads onto an empty heap top). ``query``
+pushes a heap record only when the hit *moves* the expiry: under
+``keyTtl = inf`` (``indexAll``, ``partialIdeal``) every hit used to push
+another ``(inf, key)`` that could never reach the top. The old bodies are
+kept here verbatim in ``ReferenceTtlKeyStore`` and both stores are driven
+through the same generated operation sequences; after every operation the
+return value, the entries (fields and dict order — which is the eviction
+order), the three counters and ``len`` must be ``==``; the new heap may
+only hold records the old one holds too, one of them for every live
+entry at its current expiry.
+
+Mutations run against the new code, each caught by the test named:
+
+* the guard written ``<`` instead of ``<=`` (an entry expiring exactly
+  ``now`` — every ``ttl = 0`` insert — survives the next insert)
+  — ``test_store_equals_reference_under_random_operations``;
+* the guard without ``heap and`` — the same test (``IndexError`` on the
+  first insert);
+* ``query`` never pushing, or skipping the push but also the assignment
+  of a *moved* expiry — the same test (a refreshed entry is purged at
+  its old expiry, or never);
+* ``query`` comparing against the store default instead of the entry's
+  own ``ttl`` — the same test (per-entry TTLs);
+* ``hits`` and ``ttl`` swapped in the positional ``TtlEntry`` call
+  — the same test (``entry.ttl`` reads 0: the next hit expires it);
+* the push made only when the expiry *grows* — the same test (a store
+  retargeted to a shorter TTL moves an expiry earlier);
+* the push made on every hit, as before —
+  ``test_hits_on_an_unmoved_expiry_leave_one_heap_record``.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import ParameterError
+from repro.pdht.ttl_cache import TtlEntry, TtlKeyStore
+
+
+# ----------------------------------------------------------------------
+# The replaced bodies, verbatim
+# ----------------------------------------------------------------------
+class ReferenceTtlKeyStore(TtlKeyStore):
+    def insert(self, key, value, now, ttl=None):
+        if ttl is not None and ttl < 0:
+            raise ParameterError(f"ttl must be >= 0, got {ttl}")
+        effective = self.ttl if ttl is None else ttl
+        self.purge_expired(now)
+        if (
+            self.capacity is not None
+            and key not in self._entries
+            and len(self._entries) >= self.capacity
+        ):
+            self._evict_soonest(now)
+        entry = TtlEntry(
+            key=key, value=value, expires_at=now + effective,
+            inserted_at=now, ttl=ttl,
+        )
+        self._entries[key] = entry
+        heapq.heappush(self._expiry_heap, (entry.expires_at, key))
+        self.insertions += 1
+        return entry
+
+    def query(self, key, now):
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        if entry.expires_at <= now:
+            del self._entries[key]
+            self.evictions_expired += 1
+            return None
+        entry.hits += 1
+        entry.expires_at = now + (self.ttl if entry.ttl is None else entry.ttl)
+        heapq.heappush(self._expiry_heap, (entry.expires_at, key))
+        return entry
+
+
+# ----------------------------------------------------------------------
+# Worlds
+# ----------------------------------------------------------------------
+KEYS = st.sampled_from([f"k{i}" for i in range(6)])
+TTLS = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, math.inf])
+#: Rounds advance by whole steps mostly, sometimes not at all (several
+#: operations in one round) and sometimes by a fraction.
+STEPS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 2.0, 3.0])
+OPERATIONS = st.one_of(
+    st.tuples(st.just("insert"), KEYS, st.none() | TTLS),
+    st.tuples(st.just("query"), KEYS),
+    st.tuples(st.just("query"), KEYS),
+    st.tuples(st.just("peek"), KEYS),
+    st.tuples(st.just("remove"), KEYS),
+    st.tuples(st.just("purge")),
+    st.tuples(st.just("live_size")),
+    st.tuples(st.just("retarget"), TTLS),
+)
+
+
+def fields(entry):
+    if entry is None:
+        return None
+    return (
+        entry.key, entry.value, entry.expires_at, entry.inserted_at,
+        entry.hits, entry.ttl,
+    )
+
+
+def apply(store, operation, now, serial):
+    name, *args = operation
+    if name == "insert":
+        return fields(store.insert(args[0], serial, now, ttl=args[1]))
+    if name == "query":
+        return fields(store.query(args[0], now))
+    if name == "peek":
+        return fields(store.peek(args[0], now))
+    if name == "remove":
+        return store.remove(args[0])
+    if name == "purge":
+        return store.purge_expired(now)
+    if name == "live_size":
+        return store.live_size(now)
+    store.ttl = args[0]  # what PdhtNode.set_ttl does
+    return None
+
+
+def state(store):
+    return (
+        [fields(entry) for entry in store.entries()],
+        list(store.keys()),
+        len(store),
+        store.insertions,
+        store.evictions_expired,
+        store.evictions_capacity,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ttl=TTLS,
+    capacity=st.none() | st.integers(1, 4),
+    script=st.lists(st.tuples(STEPS, OPERATIONS), max_size=60),
+)
+def test_store_equals_reference_under_random_operations(ttl, capacity, script):
+    old = ReferenceTtlKeyStore(ttl, capacity)
+    new = TtlKeyStore(ttl, capacity)
+    now = 0.0
+    for serial, (step, operation) in enumerate(script):
+        now += step
+        assert apply(new, operation, now, serial) == apply(
+            old, operation, now, serial
+        ), operation
+        assert state(new) == state(old), operation
+        # What licenses the skipped push: every live entry still has a
+        # record at its current expiry, and no record is new.
+        records = set(new._expiry_heap)
+        assert all(
+            (entry.expires_at, entry.key) in records for entry in new.entries()
+        )
+        assert records <= set(old._expiry_heap)
+        assert len(new._expiry_heap) <= len(old._expiry_heap)
+
+
+def test_hits_on_an_unmoved_expiry_leave_one_heap_record():
+    forever = TtlKeyStore(math.inf)
+    forever.insert("hot", "payload", now=0.0)
+    for round_ in range(10_000):
+        assert forever.query("hot", now=float(round_)).hits == round_ + 1
+    assert len(forever._expiry_heap) == 1
+
+    # Several hits inside one round move the expiry once.
+    store = TtlKeyStore(5.0)
+    store.insert("hot", "payload", now=0.0)
+    for _ in range(100):
+        store.query("hot", now=3.0)
+    assert store._expiry_heap == [(5.0, "hot"), (8.0, "hot")]
+    assert store.purge_expired(8.0) == 1 and len(store) == 0
+
+
+def test_entries_are_slotted():
+    entry = TtlKeyStore(1.0).insert("k", "v", now=2.0, ttl=3.0)
+    assert not hasattr(entry, "__dict__")
+    assert fields(entry) == ("k", "v", 5.0, 2.0, 0, 3.0)
