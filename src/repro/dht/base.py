@@ -14,7 +14,7 @@ trie); all of them:
 * operate over a *member set* of peers drawn from the shared
   :class:`~repro.net.node.PeerPopulation` (the paper's ``numActivePeers``
   subset — peers beyond what the index needs do not join the DHT);
-* count every routing hop through the shared
+* count the routing hops of every lookup through the shared
   :class:`~repro.net.messages.MessageLog`;
 * route only through *online* members, falling back to the numerically
   closest alternative when an entry is dead (the "piggybacked repair"
@@ -38,7 +38,13 @@ from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
 from repro.dht.keyspace import KeySpace
 
-__all__ = ["LookupResult", "DistributedHashTable"]
+__all__ = ["LookupResult", "DistributedHashTable", "KEY_MEMO_LIMIT"]
+
+#: Most entries a per-key memo (key -> identifier here, identifier -> leaf
+#: in P-Grid) holds before it is emptied and refilled: a workload with an
+#: open key universe (trace replay, news) must not grow one without end.
+#: Well above every scenario's ``n_keys`` (40,000 at full scale).
+KEY_MEMO_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,10 @@ class DistributedHashTable(abc.ABC):
         self.keyspace = keyspace or KeySpace()
         self._members: set[PeerId] = set()
         self._storage: dict[PeerId, dict[str, object]] = {}
+        #: key -> identifier: a key hashes to the same point for good.
+        #: One entry per distinct key looked up — the scenario's
+        #: ``n_keys`` — and never more than :data:`KEY_MEMO_LIMIT`.
+        self._targets: dict[str, int] = {}
         #: Bumped by every join and leave; routing state and the online
         #: view are each rebuilt lazily when they lag behind it.
         self._membership_version = 0
@@ -156,12 +166,15 @@ class DistributedHashTable(abc.ABC):
         """Recompute routing state from the current member set."""
 
     @abc.abstractmethod
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+    def _route(
+        self, origin: PeerId, target: int, hops: list[tuple[PeerId, PeerId]]
+    ) -> PeerId:
         """Route from ``origin`` towards identifier ``target``.
 
-        Returns ``(responsible_peer, hops)`` and must log one
-        ``DHT_LOOKUP`` message per hop. Routing may only traverse online
-        members.
+        Returns the responsible peer and appends every hop taken, as
+        ``(sender, receiver)``, to ``hops`` — also the hops taken before a
+        :class:`RoutingError`; :meth:`lookup` accounts for them. Routing
+        may only traverse online members.
         """
 
     @abc.abstractmethod
@@ -176,25 +189,41 @@ class DistributedHashTable(abc.ABC):
         self._ensure_routing()
         if not self.online_view():
             raise RoutingError("DHT has no online members")
-        return self._responsible(self.keyspace.hash_key(key))
+        return self._responsible(self._target(key))
+
+    def _target(self, key: str) -> int:
+        """``keyspace.hash_key(key)``, hashed once per key."""
+        targets = self._targets
+        target = targets.get(key)
+        if target is None:
+            if len(targets) >= KEY_MEMO_LIMIT:
+                targets.clear()
+            target = targets[key] = self.keyspace.hash_key(key)
+        return target
 
     @abc.abstractmethod
     def _responsible(self, target: int) -> PeerId:
         """Online member responsible for identifier ``target``."""
 
     def lookup(self, origin: PeerId, key: str) -> LookupResult:
-        """Route a lookup for ``key`` from ``origin``; count each hop."""
+        """Route a lookup for ``key`` from ``origin``; count its hops."""
         self._require_online_member(origin)
         self._ensure_routing()
-        target = self.keyspace.hash_key(key)
-        responsible, hops = self._route(origin, target)
+        target = self._target(key)
+        hops: list[tuple[PeerId, PeerId]] = []
+        try:
+            responsible = self._route(origin, target, hops)
+        finally:
+            # One DHT_LOOKUP per hop, counted together — including the
+            # hops of a route that did not converge.
+            self.log.send_all(MessageKind.DHT_LOOKUP, len(hops), hops, target)
         store = self._storage.get(responsible, {})
         has_value = key in store
         return LookupResult(
             key=key,
             responsible=responsible,
-            hops=hops,
-            messages=hops,
+            hops=len(hops),
+            messages=len(hops),
             found_value=store.get(key),
             has_value=has_value,
         )

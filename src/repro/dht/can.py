@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.dht.base import DistributedHashTable
 from repro.errors import RoutingError
-from repro.net.messages import MessageKind
 from repro.net.node import PeerId
 
 __all__ = ["CanDht", "Zone"]
@@ -201,24 +200,24 @@ class CanDht(DistributedHashTable):
             raise RoutingError("CAN has no online members")
         return best
 
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+    def _route(
+        self, origin: PeerId, target: int, hops: list[tuple[PeerId, PeerId]]
+    ) -> PeerId:
         responsible = self._responsible(target)
         point = self._key_point(target)
         current = origin
-        hops = 0
         limit = 4 * len(self._members) + 16
         visited = {current}
         while current != responsible:
             nxt = self._next_hop(current, point, responsible, visited)
-            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
-            hops += 1
+            hops.append((current, nxt))
             visited.add(nxt)
             current = nxt
-            if hops > limit:
+            if len(hops) > limit:
                 raise RoutingError(
                     f"CAN routing did not converge within {limit} hops"
                 )
-        return responsible, hops
+        return responsible
 
     def _next_hop(
         self,

@@ -25,7 +25,6 @@ import bisect
 
 from repro.dht.base import DistributedHashTable
 from repro.errors import RoutingError
-from repro.net.messages import MessageKind
 from repro.net.node import PeerId
 
 __all__ = ["ChordDht"]
@@ -82,21 +81,21 @@ class ChordDht(DistributedHashTable):
         raise RoutingError("no online members on the Chord ring")
 
     # ------------------------------------------------------------------
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+    def _route(
+        self, origin: PeerId, target: int, hops: list[tuple[PeerId, PeerId]]
+    ) -> PeerId:
         responsible = self._responsible(target)
         current = origin
-        hops = 0
         limit = len(self._members) + self.keyspace.bits
         while current != responsible:
             nxt = self._best_hop(current, target, responsible)
-            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
-            hops += 1
+            hops.append((current, nxt))
             current = nxt
-            if hops > limit:
+            if len(hops) > limit:
                 raise RoutingError(
                     f"Chord routing did not converge within {limit} hops"
                 )
-        return responsible, hops
+        return responsible
 
     def _best_hop(self, current: PeerId, target: int, responsible: PeerId) -> PeerId:
         """Closest preceding online finger; fall back to the online successor."""

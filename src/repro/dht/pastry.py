@@ -20,7 +20,6 @@ import math
 
 from repro.dht.base import DistributedHashTable
 from repro.errors import RoutingError
-from repro.net.messages import MessageKind
 from repro.net.node import PeerId
 
 __all__ = ["PastryDht"]
@@ -120,21 +119,21 @@ class PastryDht(DistributedHashTable):
         del half
         return best[1]
 
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+    def _route(
+        self, origin: PeerId, target: int, hops: list[tuple[PeerId, PeerId]]
+    ) -> PeerId:
         responsible = self._responsible(target)
         current = origin
-        hops = 0
         limit = len(self._members) + self.keyspace.bits
         while current != responsible:
             nxt = self._next_hop(current, target, responsible)
-            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
-            hops += 1
+            hops.append((current, nxt))
             current = nxt
-            if hops > limit:
+            if len(hops) > limit:
                 raise RoutingError(
                     f"Pastry routing did not converge within {limit} hops"
                 )
-        return responsible, hops
+        return responsible
 
     def _next_hop(self, current: PeerId, target: int, responsible: PeerId) -> PeerId:
         current_num = self.population[current].dht_id

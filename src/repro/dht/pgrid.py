@@ -14,15 +14,19 @@ origin already shares half the target's bits in expectation, the mean hop
 count is ``1/2 * log2(n)`` — the paper's Eq. 7 verbatim.
 
 Same conventions as the other backends: rebuild on membership change,
-liveness checked per hop, probing costs live in
-:mod:`repro.dht.maintenance`.
+liveness decides every hop, probing costs live in
+:mod:`repro.dht.maintenance`. What a lookup derives from the trie and from
+who is online — a target's leaf, a leaf's owner, a member's next hop at a
+level — is derived once per routing rebuild or per
+``PeerPopulation.liveness_epoch`` (the two halves of
+:attr:`~repro.dht.base.DistributedHashTable.view_key`), not per query.
 """
 
 from __future__ import annotations
 
-from repro.dht.base import DistributedHashTable
+from repro import obs
+from repro.dht.base import KEY_MEMO_LIMIT, DistributedHashTable
 from repro.errors import RoutingError
-from repro.net.messages import MessageKind
 from repro.net.node import PeerId
 
 __all__ = ["PGridDht"]
@@ -47,6 +51,10 @@ class PGridDht(DistributedHashTable):
         self._leaf_members: dict[str, list[PeerId]] = {}
         self._refs: dict[PeerId, dict[int, tuple[PeerId, ...]]] = {}
         self._under: dict[str, tuple[PeerId, ...]] = {}
+        self._located: dict[int, tuple[str, str]] = {}
+        #: The liveness epoch the owner and next-hop memos were filled
+        #: under; None: no memos (yet, or not of this trie).
+        self._routes_epoch: int | None = None
         self._max_leaf_depth = 0
         if not members:
             return
@@ -123,6 +131,21 @@ class PGridDht(DistributedHashTable):
                 return prefix
         raise RoutingError("P-Grid trie has no leaf for target")
 
+    def _locate(self, target: int) -> tuple[str, str]:
+        """``target`` as bits, as deep as the trie goes, and its leaf.
+
+        Memoised per target until the next routing rebuild (at most
+        :data:`~repro.dht.base.KEY_MEMO_LIMIT` targets). Trie leaves
+        are prefix-free, so this pair is all a route needs of its target.
+        """
+        located = self._located.get(target)
+        if located is None:
+            if len(self._located) >= KEY_MEMO_LIMIT:
+                self._located.clear()
+            bits = self.keyspace.to_bits(target)[: self._max_leaf_depth]
+            located = self._located[target] = (bits, self._leaf_for(bits))
+        return located
+
     def _responsible(self, target: int) -> PeerId:
         """Online member with the longest path-prefix match on ``target``.
 
@@ -134,63 +157,86 @@ class PGridDht(DistributedHashTable):
         self._ensure_routing()
         if not self._leaf_members:
             raise RoutingError("P-Grid trie is empty")
-        target_bits = self.keyspace.to_bits(target)
-        leaf = self._leaf_for(target_bits)
-        online = [
-            p for p in self._leaf_members[leaf] if self.population.is_online(p)
-        ]
+        leaf = self._locate(target)[1]
+        # Who owns a leaf and where a hop goes both hold for one trie and
+        # one liveness epoch, and are forgotten together.
+        epoch = self.population.liveness_epoch
+        if epoch != self._routes_epoch:
+            self._owners: dict[str, PeerId] = {}
+            self._next_hops: dict[tuple[PeerId, int], PeerId | None] = {}
+            self._routes_epoch = epoch
+            obs.count("dht.routes.rebuild")
+        owner = self._owners.get(leaf)
+        if owner is None:
+            owner = self._owners[leaf] = self._owner_of(leaf)
+        return owner
+
+    def _owner_of(self, leaf: str) -> PeerId:
+        is_online = self.population.is_online
+        online = [p for p in self._leaf_members[leaf] if is_online(p)]
         if online:
             return min(online)
         for level in reversed(range(len(leaf))):
             complement = leaf[:level] + ("1" if leaf[level] == "0" else "0")
             candidates = [
-                p for p in self._members_under(complement)
-                if self.population.is_online(p)
+                p for p in self._members_under(complement) if is_online(p)
             ]
             if candidates:
                 return min(candidates)
         raise RoutingError("P-Grid trie has no online members")
 
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+    def _route(
+        self, origin: PeerId, target: int, hops: list[tuple[PeerId, PeerId]]
+    ) -> PeerId:
+        # _responsible() located the target and made the memos current.
         responsible = self._responsible(target)
-        target_bits = self.keyspace.to_bits(target)
+        target_bits = self._located[target][0]
+        next_hops = self._next_hops
+        paths = self._paths
         current = origin
-        hops = 0
         limit = len(self._members) + self.keyspace.bits
         while current != responsible:
-            nxt = self._next_hop(current, target_bits, responsible)
-            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
-            hops += 1
+            # A hop depends on the target only through the first level at
+            # which the current member's path leaves it.
+            nxt = None
+            for level, bit in enumerate(paths[current]):
+                if bit != target_bits[level]:
+                    try:
+                        nxt = next_hops[current, level]
+                    except KeyError:
+                        nxt = next_hops[current, level] = self._next_hop(
+                            current, level
+                        )
+                    break
+            if nxt is None:
+                # Our whole path is a prefix of the target (we are in the
+                # right leaf, beside an offline sibling), or nobody online
+                # is known on the target's side: go straight to the
+                # responsible peer (models P-Grid's fidget/retry).
+                nxt = responsible
+            hops.append((current, nxt))
             current = nxt
-            if hops > limit:
+            if len(hops) > limit:
                 raise RoutingError(
                     f"P-Grid routing did not converge within {limit} hops"
                 )
-        return responsible, hops
-
-    def _next_hop(self, current: PeerId, target_bits: str, responsible: PeerId) -> PeerId:
-        path = self._paths[current]
-        mismatch = None
-        for level in range(len(path)):
-            if path[level] != target_bits[level]:
-                mismatch = level
-                break
-        if mismatch is None:
-            # Our whole path is a prefix of the target: we are in the right
-            # leaf but may be an offline-sibling situation; go straight to
-            # the responsible peer (a replica in the same leaf).
-            return responsible
-        for ref in self._refs.get(current, {}).get(mismatch, ()):
-            if self.population.is_online(ref):
-                return ref
-        # All refs at the deciding level are offline. Any online member on
-        # the complement side works; as a last resort hand over to the
-        # responsible peer directly (models P-Grid's fidget/retry).
-        complement = path[:mismatch] + target_bits[mismatch]
-        for candidate in self._members_under(complement):
-            if candidate != current and self.population.is_online(candidate):
-                return candidate
         return responsible
+
+    def _next_hop(self, current: PeerId, mismatch: int) -> PeerId | None:
+        """Where ``current`` forwards a target that leaves its path at
+        level ``mismatch``: its first online reference at that level or,
+        with all of them offline, any other online member on the
+        complement side; None when there is none."""
+        is_online = self.population.is_online
+        for ref in self._refs.get(current, {}).get(mismatch, ()):
+            if is_online(ref):
+                return ref
+        path = self._paths[current]
+        complement = path[:mismatch] + ("1" if path[mismatch] == "0" else "0")
+        for candidate in self._members_under(complement):
+            if candidate != current and is_online(candidate):
+                return candidate
+        return None
 
     # ------------------------------------------------------------------
     def routing_table(self, peer_id: PeerId) -> list[PeerId]:

@@ -35,7 +35,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
 from repro.experiments.scenario import DEFAULT_ENGINE, resolve_engine
 from repro.fastsim import parallel
-from repro.fastsim.compare import staleness_probe_event
+from repro.fastsim.compare import probe_substrates_built, staleness_probe_event
 from repro.fastsim.precision import resolve_precision
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
@@ -83,6 +83,28 @@ def _long_lived(build: Callable[[], _T]) -> Iterator[_T]:
         gc.unfreeze()
         if was_enabled:
             gc.enable()
+
+
+def _collect_probe_substrates() -> Callable[[], None]:
+    """What to do once costs are resolved: collect what resolving them
+    left behind.
+
+    A cost that no cache holds and no formula gives is measured on an
+    event substrate, and a dead substrate is cyclic (its simulation's
+    recurring events refer back to it): left to the automatic collector
+    it is still resident when the kernels allocate, and the run's peak
+    memory is the two together. The returned callback runs one full
+    collection if :func:`~repro.fastsim.compare.probe_substrates_built`
+    has moved since this call, so a run that built nothing walks no heap.
+    """
+    built = probe_substrates_built()
+
+    def collect() -> None:
+        if probe_substrates_built() != built:
+            with obs.span("calibration.collect"):
+                gc.collect()
+
+    return collect
 
 
 class StalenessReading(NamedTuple):
@@ -203,4 +225,5 @@ class Execution:
             [cell.fastsim_job(self.precision) for cell in cells],
             workers=self.jobs,
             shared_memory=self.shared_memory,
+            after_resolve=_collect_probe_substrates(),
         )

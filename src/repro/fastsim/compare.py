@@ -47,6 +47,7 @@ __all__ = [
     "CALIBRATION_LIMIT",
     "calibrate_costs",
     "calibration_cache_stats",
+    "probe_substrates_built",
     "costs_for",
     "calibrate_churn_costs",
     "churn_costs_for",
@@ -94,6 +95,28 @@ def calibration_cache_stats() -> dict[str, dict[str, int]]:
     boundaries; the artifact store does).
     """
     return obs.cache_stats(_CALIBRATION_CACHES)
+
+
+#: Event substrates built for a probe in this process so far.
+_probe_substrates = 0
+
+
+def probe_substrates_built() -> int:
+    """How many event substrates this process has built to measure a cost.
+
+    Moves only when a probe really constructs a
+    :class:`~repro.pdht.network.PdhtNetwork` — not on a cache miss that
+    the artifact store or an analytical formula answers — so a caller can
+    tell whether resolving costs left dead substrates behind.
+    """
+    return _probe_substrates
+
+
+def _probe_network(*args, **kwargs) -> PdhtNetwork:
+    """The substrate a probe measures on, counted."""
+    global _probe_substrates
+    _probe_substrates += 1
+    return PdhtNetwork(*args, **kwargs)
 
 
 def _active_store():
@@ -170,7 +193,7 @@ def _calibrate_costs_probe(
     num_active_peers: Optional[int],
 ) -> PerOpCosts:
     config = config or PdhtConfig.from_scenario(params)
-    net = PdhtNetwork(
+    net = _probe_network(
         params, config, seed=seed, num_active_peers=num_active_peers
     )
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -380,7 +403,7 @@ def _calibrate_churn_costs_probe(
     if walk_probes < 1:
         raise ParameterError(f"walk_probes must be >= 1, got {walk_probes}")
     config = config or PdhtConfig.from_scenario(params)
-    net = PdhtNetwork(params, config, seed=seed, churn=churn)
+    net = _probe_network(params, config, seed=seed, churn=churn)
     net.publish_all({f"key-{i:06d}": i for i in range(params.n_keys)})
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     if model is not None:
@@ -717,7 +740,7 @@ def _churned_lookup_probe_impl(
 ) -> float:
     from repro.errors import RoutingError
 
-    net = PdhtNetwork(
+    net = _probe_network(
         params, config, seed=seed, num_active_peers=num_active_peers
     )
     rng = np.random.default_rng(

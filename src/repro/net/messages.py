@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.net.node import PeerId
 from repro.sim.metrics import MessageCategory, MessageMetrics
@@ -77,6 +78,29 @@ class MessageLog:
         message = Message(kind=kind, sender=sender, receiver=receiver, payload=payload)
         self.messages.append(message)
         return message
+
+    def send_all(
+        self,
+        kind: MessageKind,
+        count: int,
+        hops: Iterable[tuple[PeerId, PeerId]] = (),
+        payload: object = None,
+    ) -> None:
+        """Account for ``count`` messages of one kind with a single count.
+
+        ``hops`` — the ``(sender, receiver)`` of each, in sending order —
+        is read only when the log keeps messages, so a hot loop need not
+        collect it otherwise. Like the :meth:`send` calls it stands for,
+        ``count == 0`` does not touch the category.
+        """
+        if not count:
+            return
+        self.metrics.count(kind.category, count)
+        if self.keep_messages:
+            self.messages.extend(
+                Message(kind, sender, receiver, payload)
+                for sender, receiver in hops
+            )
 
     def count_of(self, kind: MessageKind) -> int:
         """Number of logged messages of ``kind`` (requires keep_messages)."""

@@ -110,10 +110,12 @@ class PdhtNetwork:
         )
         self.walker = RandomWalkSearch(
             self.overlay,
-            self.streams.get("walks"),
+            self.streams.bounded("walks"),
             walkers=self.config.walkers,
             ttl=self.config.walk_ttl,
         )
+        #: Query originators are drawn from the "origins" stream.
+        self.origins = self.streams.bounded("origins")
 
         # --- structured plane ------------------------------------------
         if num_active_peers is None:
@@ -321,15 +323,26 @@ class PdhtNetwork:
         return self._insert_into_index(gateway, key, value)
 
     def preload_index(self, key: str, value: object) -> None:
-        """Place an index entry at its responsible replica group without
+        """Place one index entry (see :meth:`preload_index_all`)."""
+        self.preload_index_all({key: value})
+
+    def preload_index_all(self, items: dict[str, object]) -> None:
+        """Place index entries at their responsible replica groups without
         counting messages (steady-state pre-population of the indexAll and
         partial-ideal baselines; the paper's analysis starts from a built
-        index)."""
+        index).
+
+        Every member of a group stores the group's keys in the order
+        ``items`` lists them.
+        """
         now = self.simulation.now
-        responsible = self.dht.responsible_for(key)
-        group = self.group_of(responsible)
-        for member in group.members:
-            self.nodes[member].index_insert(key, value, now)
+        by_group: dict[ReplicaNetwork, list[tuple[str, object]]] = {}
+        for key, value in items.items():
+            group = self.group_of(self.dht.responsible_for(key))
+            by_group.setdefault(group, []).append((key, value))
+        for group, pairs in by_group.items():
+            for member in group.members:
+                self.nodes[member].store.insert_all(pairs, now)
 
     def _gateway(self, origin: PeerId) -> Optional[PeerId]:
         """An online DHT member through which ``origin`` reaches the index.
@@ -377,7 +390,12 @@ class PdhtNetwork:
         }
 
     def random_online_peer(self) -> PeerId:
-        return self.overlay.random_online_peer(self.streams.get("origins"))
+        """A uniformly random online peer: the peer
+        ``overlay.random_online_peer(streams.get("origins"))`` returns."""
+        online = self.population.sorted_online_ids()
+        if not online:
+            raise ParameterError("no peers online")
+        return online[self.origins.draw(len(online))]
 
     def set_key_ttl(self, key_ttl: float) -> None:
         """Retarget every member's TTL (used by the adaptive controller)."""

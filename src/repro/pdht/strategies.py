@@ -298,8 +298,9 @@ class IndexAllStrategy(SimulatedStrategy):
         return config.with_ttl(float("inf"))
 
     def _prepare_index(self) -> None:
-        for i in range(self.params.n_keys):
-            self.network.preload_index(self.key_name(i), f"value-{i}")
+        self.network.preload_index_all(
+            {self.key_name(i): f"value-{i}" for i in range(self.params.n_keys)}
+        )
 
     def _updates_per_round(self) -> float:
         return self.params.n_keys * self.params.update_freq
@@ -324,11 +325,10 @@ class PartialIdealStrategy(SimulatedStrategy):
 
     def _prepare_index(self) -> None:
         max_rank = solve_threshold(self.params).max_rank
-        for rank in range(1, max_rank + 1):
-            key_index = self.workload.key_for_rank(rank)
-            self.network.preload_index(
-                self.key_name(key_index), f"value-{key_index}"
-            )
+        indexed = map(self.workload.key_for_rank, range(1, max_rank + 1))
+        self.network.preload_index_all(
+            {self.key_name(i): f"value-{i}" for i in indexed}
+        )
         self._indexed_ranks = max_rank
 
     def _updates_per_round(self) -> float:

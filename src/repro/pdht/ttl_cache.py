@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import ParameterError
 
@@ -86,23 +86,45 @@ class TtlKeyStore:
         An explicit ``ttl`` sticks to the entry: later query hits refresh
         it by that horizon, not the store default.
         """
+        self.insert_all(((key, value),), now, ttl)
+        return self._entries[key]
+
+    def insert_all(
+        self,
+        pairs: Iterable[tuple[str, object]],
+        now: float,
+        ttl: float | None = None,
+    ) -> None:
+        """:meth:`insert` every ``(key, value)`` of ``pairs``, in order.
+
+        Each entry is inserted on its own — expired entries purged when
+        the heap's head is due, the soonest-to-expire evicted when the
+        store is full — so the store ends up exactly as after that many
+        single inserts. The one thing done per batch is the expiry: the
+        entries and heap records of a batch share one float, which for an
+        index preload (three quarters of an event run's inserts) is
+        megabytes of peak memory. That is why the body lives here and
+        :meth:`insert` is the one-pair case, paying an extra frame
+        (sizes in ``CHANGES.md``, PR 22).
+        """
         if ttl is not None and ttl < 0:
             raise ParameterError(f"ttl must be >= 0, got {ttl}")
         expires_at = now + (self.ttl if ttl is None else ttl)
+        entries = self._entries
         heap = self._expiry_heap
-        if heap and heap[0][0] <= now:
-            self.purge_expired(now)
-        if (
-            self.capacity is not None
-            and key not in self._entries
-            and len(self._entries) >= self.capacity
-        ):
-            self._evict_soonest(now)
-        entry = TtlEntry(key, value, expires_at, now, 0, ttl)
-        self._entries[key] = entry
-        heapq.heappush(heap, (expires_at, key))
-        self.insertions += 1
-        return entry
+        capacity = self.capacity
+        for key, value in pairs:
+            if heap and heap[0][0] <= now:
+                self.purge_expired(now)
+            if (
+                capacity is not None
+                and key not in entries
+                and len(entries) >= capacity
+            ):
+                self._evict_soonest(now)
+            entries[key] = TtlEntry(key, value, expires_at, now, 0, ttl)
+            heapq.heappush(heap, (expires_at, key))
+            self.insertions += 1
 
     def query(self, key: str, now: float) -> TtlEntry | None:
         """Look up ``key``; a hit resets its expiration to ``now + ttl``,

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ParameterError, TopologyError
 from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
@@ -88,7 +89,8 @@ class ReplicaNetwork:
         self.members = list(members)
         self.log = log
         # The group graph never changes after construction; the online
-        # rows are valid for one ``population.liveness_epoch``.
+        # rows and the flood plans derived from them are valid for one
+        # ``population.liveness_epoch``.
         self._adjacency: dict[PeerId, tuple[PeerId, ...]] = {
             member: tuple(sorted(self.members[i] for i in row))
             for member, row in zip(
@@ -96,6 +98,7 @@ class ReplicaNetwork:
             )
         }
         self._online_adjacency: dict[PeerId, tuple[PeerId, ...]] = {}
+        self._flood_plans: dict[PeerId, tuple[tuple, tuple]] = {}
         self._online_epoch = -1
 
     @cached_property
@@ -122,7 +125,9 @@ class ReplicaNetwork:
                 member: tuple([n for n in row if is_online(n)])
                 for member, row in self._adjacency.items()
             }
+            self._flood_plans = {}
             self._online_epoch = epoch
+            obs.count("replica.plans.rebuild")
         return self._online_adjacency
 
     def online_neighbors(self, member: PeerId) -> list[PeerId]:
@@ -142,33 +147,50 @@ class ReplicaNetwork:
         "has a live copy of key k"); with no predicate, all reached
         replicas are hits. Every traversed edge costs one message,
         duplicates included — this is where the measured ``dup2`` comes
-        from.
+        from. The messages of one flood are counted together, before the
+        predicate is asked anything.
         """
         if origin not in self._adjacency:
             raise ParameterError(f"peer {origin} is not in this replica group")
         self.population[origin].require_online()
-        predicate = predicate or (lambda _: True)
+        reached, edges = self._flood_plan(origin)
+        self.log.send_all(MessageKind.REPLICA_FLOOD, len(edges), edges, payload)
+        if predicate is None:
+            return list(reached), len(edges)
+        return [peer for peer in reached if predicate(peer)], len(edges)
 
-        hits: list[PeerId] = []
-        if predicate(origin):
-            hits.append(origin)
-        seen: set[PeerId] = {origin}
-        messages = 0
-        frontier: deque[tuple[PeerId, PeerId | None]] = deque([(origin, None)])
-        while frontier:
-            peer, came_from = frontier.popleft()
-            for neighbor in self.online_adjacency()[peer]:
-                if neighbor == came_from:
-                    continue
-                self.log.send(MessageKind.REPLICA_FLOOD, peer, neighbor, payload)
-                messages += 1
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                if predicate(neighbor):
-                    hits.append(neighbor)
-                frontier.append((neighbor, peer))
-        return hits, messages
+    def _flood_plan(
+        self, origin: PeerId
+    ) -> tuple[tuple[PeerId, ...], tuple[tuple[PeerId, PeerId], ...]]:
+        """The replicas a flood from ``origin`` reaches, in the order it
+        reaches them, and every edge it traverses, in sending order.
+
+        Both depend only on the group graph and on who is online, so one
+        breadth-first pass per origin serves every flood of a
+        ``population.liveness_epoch``.
+        """
+        neighbors_of = self.online_adjacency()  # drops stale plans
+        plan = self._flood_plans.get(origin)
+        if plan is None:
+            reached = [origin]
+            edges: list[tuple[PeerId, PeerId]] = []
+            seen: set[PeerId] = {origin}
+            frontier: deque[tuple[PeerId, PeerId | None]] = deque(
+                [(origin, None)]
+            )
+            while frontier:
+                peer, came_from = frontier.popleft()
+                for neighbor in neighbors_of[peer]:
+                    if neighbor == came_from:
+                        continue
+                    edges.append((peer, neighbor))
+                    if neighbor in seen:
+                        continue
+                    seen.add(neighbor)
+                    reached.append(neighbor)
+                    frontier.append((neighbor, peer))
+            plan = self._flood_plans[origin] = (tuple(reached), tuple(edges))
+        return plan
 
     def measured_dup2(self) -> float:
         """Graph-level duplication factor of a full flood (2E/V online)."""

@@ -9,31 +9,30 @@ guarantees statistical independence between streams.
 
 from __future__ import annotations
 
-from typing import Generator
-
 import numpy as np
 
 from repro.errors import ParameterError
 
-__all__ = ["RandomStreams", "bounded_draws"]
+__all__ = ["RandomStreams", "BoundedStream"]
 
-#: Raw words fetched per refill: the first block is small because most
-#: searches take a handful of draws, later blocks double up to the cap.
+#: Raw words fetched per refill: the first block after a settle is small
+#: because a settled stream may be read after a handful of draws, later
+#: blocks double up to the cap.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1024
 
 
-def bounded_draws(rng: np.random.Generator) -> Generator[int, int, None]:
-    """A coroutine whose ``send(n)`` is ``int(rng.integers(0, n))``, cheaper.
+class BoundedStream:
+    """Owns ``rng`` and serves ``int(rng.integers(0, n))`` from it, cheaper.
 
-    Prime it with ``next()``, then ``send(n)`` for ``1 <= n <= 2**32``
-    returns exactly the value the scalar call would have returned, and
-    ``close()`` leaves ``rng.bit_generator.state`` exactly where those
-    scalar calls would have left it — so a hot loop can swap one for the
-    other and no later consumer of the stream can tell. A scalar
-    ``Generator.integers`` call costs ~2 us of dispatch; this draws the
-    raw 32-bit words numpy would have consumed a block at a time and
-    applies numpy's own bounded-integer reduction to them in Python.
+    :meth:`draw` returns, for ``1 <= n <= 2**32``, exactly the value the
+    scalar call would have returned, and :meth:`settle` leaves
+    ``rng.bit_generator.state`` exactly where those scalar calls would
+    have left it — so a hot loop can swap one for the other and no later
+    consumer of the generator can tell. A scalar ``Generator.integers``
+    call costs ~2 us of dispatch; this draws the raw 32-bit words numpy
+    would have consumed a block at a time and applies numpy's own
+    bounded-integer reduction to them in Python.
 
     That reduction (``bounded_lemire_uint32`` in numpy's
     ``distributions.c``, reached for every range below ``2**32``) is the
@@ -43,42 +42,64 @@ def bounded_draws(rng: np.random.Generator) -> Generator[int, int, None]:
     unless the low half of the product falls under ``(2**32 - n) % n``,
     in which case the word is rejected and the next one tried.
 
-    Words are fetched past what ends up used, so ``close()`` rewinds to
+    Words are fetched past what ends up used, and a block is refilled
+    only when exhausted, however many searches or queries it serves: the
+    generator runs ahead of the draws until :meth:`settle` rewinds it to
     the state saved before the current block and re-draws only the words
-    consumed from it. Between the first ``send`` and ``close`` the
-    generator must not be used by anyone else.
+    consumed from it. Whoever holds a stream therefore reads the
+    generator through :attr:`rng`, which settles first; nobody else may
+    keep a reference to it. A named stream's owner comes from
+    :meth:`RandomStreams.bounded`, and :meth:`RandomStreams.get` settles
+    it before handing the generator out.
     """
-    bit_generator = rng.bit_generator
-    saved = None  # bit-generator state before the current block
-    words: list[int] = []
-    used = 0  # words consumed from the current block
-    value = 0
-    try:
+
+    __slots__ = ("_rng", "_saved", "_words", "_used")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._saved = None  # bit-generator state before the current block
+        self._words: list[int] = []
+        self._used = 0  # words consumed from the current block
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator, settled: in the state scalar draws leave it in."""
+        self.settle()
+        return self._rng
+
+    def draw(self, n: int) -> int:
+        """``int(rng.integers(0, n))``."""
+        if n < 2:
+            if n != 1:
+                raise ParameterError(f"n must be >= 1, got {n}")
+            return 0
+        words = self._words
+        used = self._used
         while True:
-            n = yield value
-            if n < 2:
-                if n != 1:
-                    raise ParameterError(f"n must be >= 1, got {n}")
-                value = 0
-                continue
-            while True:
-                if used == len(words):
-                    saved = bit_generator.state
-                    block = min(max(2 * len(words), _FIRST_BLOCK), _MAX_BLOCK)
-                    words = rng.integers(
-                        0, 1 << 32, size=block, dtype=np.uint32
-                    ).tolist()
-                    used = 0
-                product = words[used] * n
-                used += 1
-                leftover = product & 0xFFFFFFFF
-                if leftover >= n or leftover >= (0x100000000 - n) % n:
-                    break
-            value = product >> 32
-    finally:
-        if saved is not None:
-            bit_generator.state = saved
-            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+            if used == len(words):
+                rng = self._rng
+                self._saved = rng.bit_generator.state
+                block = min(max(2 * len(words), _FIRST_BLOCK), _MAX_BLOCK)
+                words = self._words = rng.integers(
+                    0, 1 << 32, size=block, dtype=np.uint32
+                ).tolist()
+                used = self._used = 0
+            product = words[used] * n
+            used += 1
+            leftover = product & 0xFFFFFFFF
+            if leftover >= n or leftover >= (0x100000000 - n) % n:
+                self._used = used
+                return product >> 32
+
+    def settle(self) -> None:
+        """Put the generator where the draws so far would have left it."""
+        if self._saved is not None:
+            rng = self._rng
+            rng.bit_generator.state = self._saved
+            rng.integers(0, 1 << 32, size=self._used, dtype=np.uint32)
+            self._saved = None
+            self._words = []
+            self._used = 0
 
 
 class RandomStreams:
@@ -91,6 +112,12 @@ class RandomStreams:
     >>> queries = streams.get("queries")
     >>> churn is streams.get("churn")   # streams are cached by name
     True
+
+    A stream drawn through a :class:`BoundedStream` (:meth:`bounded`) has
+    that one owner; :meth:`get` still returns its generator, settled, so
+    the state read by name is always the state the draws so far imply —
+    but draw from the owner, and do not keep the generator across its
+    draws.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -99,6 +126,7 @@ class RandomStreams:
         self.seed = int(seed)
         self._root = np.random.SeedSequence(self.seed)
         self._streams: dict[str, np.random.Generator] = {}
+        self._bounded: dict[str, BoundedStream] = {}
 
     def get(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically.
@@ -117,7 +145,18 @@ class RandomStreams:
                 entropy=self._root.entropy, spawn_key=tuple(name_entropy)
             )
             self._streams[name] = np.random.Generator(np.random.PCG64(child))
+        owner = self._bounded.get(name)
+        if owner is not None:
+            owner.settle()
         return self._streams[name]
+
+    def bounded(self, name: str) -> BoundedStream:
+        """The :class:`BoundedStream` that owns stream ``name`` (one per
+        name, created on first use)."""
+        owner = self._bounded.get(name)
+        if owner is None:
+            owner = self._bounded[name] = BoundedStream(self.get(name))
+        return owner
 
     def fork(self, salt: int) -> "RandomStreams":
         """Return a new independent family of streams (e.g. per repetition)."""

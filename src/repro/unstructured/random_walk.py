@@ -20,9 +20,9 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ParameterError
-from repro.net.messages import Message, MessageKind
+from repro.net.messages import MessageKind
 from repro.net.node import PeerId
-from repro.sim.rng import bounded_draws
+from repro.sim.rng import BoundedStream
 from repro.unstructured.overlay import UnstructuredOverlay
 
 __all__ = ["WalkResult", "RandomWalkSearch"]
@@ -72,15 +72,18 @@ class RandomWalkSearch:
     nothing for a forced move (one online neighbour), a dead end or an
     origin that holds the key. Calibrated costs, pinned figures and store
     keys downstream all depend on that sequence; the draws are served by
-    :func:`repro.sim.rng.bounded_draws`, and
-    ``tests/unstructured/test_walk_equivalence.py`` holds this loop to the
-    scalar-draw loop it replaced. While a search runs it owns ``rng``.
+    one :class:`repro.sim.rng.BoundedStream` the walker holds for its
+    lifetime, and ``tests/unstructured/test_walk_equivalence.py`` holds
+    this loop to the scalar-draw loop it replaced. The walker owns the
+    generator it was given (or the stream, when handed a
+    ``RandomStreams.bounded`` one): between searches the generator itself
+    runs ahead of the draws, so read it only through :attr:`rng`.
     """
 
     def __init__(
         self,
         overlay: UnstructuredOverlay,
-        rng: np.random.Generator,
+        rng: np.random.Generator | BoundedStream,
         walkers: int = 32,
         ttl: int = 4096,
     ) -> None:
@@ -89,9 +92,14 @@ class RandomWalkSearch:
         if ttl < 1:
             raise ParameterError(f"ttl must be >= 1, got {ttl}")
         self.overlay = overlay
-        self.rng = rng
+        self._stream = rng if isinstance(rng, BoundedStream) else BoundedStream(rng)
         self.walkers = walkers
         self.ttl = ttl
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The walk generator, in the state the searches so far left it."""
+        return self._stream.rng
 
     def search(self, origin: PeerId, key: Hashable) -> WalkResult:
         """Search for ``key`` starting from online peer ``origin``.
@@ -123,10 +131,9 @@ class RandomWalkSearch:
         neighbors_of = overlay.topology.online_adjacency()
         peers = overlay.population.peers
         log = overlay.log
-        audit = log.messages if log.keep_messages else None
-        draws = bounded_draws(self.rng)
-        next(draws)
-        draw = draws.send
+        audited = log.keep_messages
+        hops: list[tuple[PeerId, PeerId]] = []  # collected only if audited
+        draw = self._stream.draw
 
         positions: list[Optional[PeerId]] = [origin] * self.walkers
         visited: set[PeerId] = {origin}
@@ -148,10 +155,8 @@ class RandomWalkSearch:
                     else:
                         positions[i] = None  # dead end: walker dies
                         continue
-                    if audit is not None:
-                        audit.append(
-                            Message(MessageKind.QUERY_WALK, position, nxt, key)
-                        )
+                    if audited:
+                        hops.append((position, nxt))
                     messages += 1
                     visited.add(nxt)
                     positions[i] = nxt
@@ -163,9 +168,8 @@ class RandomWalkSearch:
                 if found_at is not None or not any_alive:
                     break
         finally:
-            draws.close()
             if messages:
-                log.metrics.count(MessageKind.QUERY_WALK.category, messages)
+                log.send_all(MessageKind.QUERY_WALK, messages, hops, key)
                 obs.count("walk.hops", messages)
 
         if found_at is None:

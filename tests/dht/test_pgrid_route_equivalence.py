@@ -1,0 +1,480 @@
+"""Differential test: memoised P-Grid routes, and hops counted once per
+lookup on every backend, against the per-hop bodies they replaced.
+
+ISSUE 22 derives what a P-Grid lookup needs — a key's identifier, the
+identifier's bits and leaf, the leaf's owner, a member's next hop at a
+mismatch level — once per key, per routing rebuild or per ``view_key``
+instead of per query, and moves the hop accounting of all four backends
+into ``DistributedHashTable.lookup`` (``_route`` appends its hops, one
+``MessageLog.send_all`` counts them). The replaced bodies are kept here
+verbatim — ``lookup`` and ``responsible_for`` hashing the key every time,
+each ``_route`` sending one ``DHT_LOOKUP`` per hop, P-Grid's
+``_responsible`` / ``_route`` / ``_next_hop`` re-deriving bits, leaf,
+owner and hop from scratch — and driven side by side with the new code
+through the join / leave / liveness-flip histories of
+``test_routing_views_equivalence.py``. After every operation every online
+member looks up every key on both sides; ``LookupResult``, hop records,
+totals *in key order* and the open window must be ``==``.
+
+Mutations run against the new code, each caught by the test named:
+
+* the owner / next-hop memos surviving a liveness flip —
+  ``test_every_ref_of_a_level_offline``,
+  ``test_lookups_equal_reference_routes``; surviving a routing rebuild
+  (a join or leave) — ``test_memos_do_not_outlive_a_join_or_leave``;
+* the next-hop memo keyed by ``current`` alone, or one owner served for
+  every leaf — ``test_lookups_equal_reference_routes``,
+  ``test_every_ref_of_a_level_offline``;
+* ``_located`` not reset by ``_rebuild`` —
+  ``test_lookups_equal_reference_routes``,
+  ``test_memos_do_not_outlive_a_join_or_leave``;
+* target bits truncated to ``_max_leaf_depth - 1`` (``IndexError`` at the
+  deepest leaf) — every P-Grid test here;
+* the first key's identifier served for every key —
+  ``test_lookups_equal_reference_routes``;
+* a per-key memo emptied *after* the new entry went in (``_route`` then
+  misses the bits ``_responsible`` just located), or never emptied —
+  ``test_per_key_memos_are_bounded``;
+* ``lookup`` not accounting for the hops of a route that raised —
+  ``test_a_route_that_does_not_converge_is_still_counted``; a zero-hop
+  lookup creating the ``INDEX_SEARCH`` key, ``LookupResult.hops`` off by
+  one, the audit records carrying the key instead of the identifier —
+  ``test_lookups_equal_reference_routes`` (totals in key order, records).
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+
+from repro.dht import CanDht, ChordDht, PastryDht, PGridDht
+from repro.dht.base import LookupResult
+from repro.errors import RoutingError
+from repro.net.messages import MessageKind, MessageLog
+from repro.net.node import PeerId, PeerPopulation
+from repro.sim.metrics import MessageCategory, MessageMetrics
+
+from test_routing_views_equivalence import KEYS, History, histories
+
+
+# ----------------------------------------------------------------------
+# The replaced bodies, verbatim
+# ----------------------------------------------------------------------
+class ReferenceLookup:
+    """``DistributedHashTable``'s lookup plane as it was: the key hashed
+    per call, ``_route`` returning ``(responsible, hops)`` having logged
+    each hop itself."""
+
+    def responsible_for(self, key: str) -> PeerId:
+        self._ensure_routing()
+        if not self.online_view():
+            raise RoutingError("DHT has no online members")
+        return self._responsible(self.keyspace.hash_key(key))
+
+    def lookup(self, origin: PeerId, key: str) -> LookupResult:
+        self._require_online_member(origin)
+        self._ensure_routing()
+        target = self.keyspace.hash_key(key)
+        responsible, hops = self._route(origin, target)
+        store = self._storage.get(responsible, {})
+        has_value = key in store
+        return LookupResult(
+            key=key,
+            responsible=responsible,
+            hops=hops,
+            messages=hops,
+            found_value=store.get(key),
+            has_value=has_value,
+        )
+
+
+class ReferenceChord(ReferenceLookup, ChordDht):
+    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+        responsible = self._responsible(target)
+        current = origin
+        hops = 0
+        limit = len(self._members) + self.keyspace.bits
+        while current != responsible:
+            nxt = self._best_hop(current, target, responsible)
+            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
+            hops += 1
+            current = nxt
+            if hops > limit:
+                raise RoutingError(
+                    f"Chord routing did not converge within {limit} hops"
+                )
+        return responsible, hops
+
+
+class ReferencePastry(ReferenceLookup, PastryDht):
+    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+        responsible = self._responsible(target)
+        current = origin
+        hops = 0
+        limit = len(self._members) + self.keyspace.bits
+        while current != responsible:
+            nxt = self._next_hop(current, target, responsible)
+            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
+            hops += 1
+            current = nxt
+            if hops > limit:
+                raise RoutingError(
+                    f"Pastry routing did not converge within {limit} hops"
+                )
+        return responsible, hops
+
+
+class ReferenceCan(ReferenceLookup, CanDht):
+    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+        responsible = self._responsible(target)
+        point = self._key_point(target)
+        current = origin
+        hops = 0
+        limit = 4 * len(self._members) + 16
+        visited = {current}
+        while current != responsible:
+            nxt = self._next_hop(current, point, responsible, visited)
+            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
+            hops += 1
+            visited.add(nxt)
+            current = nxt
+            if hops > limit:
+                raise RoutingError(
+                    f"CAN routing did not converge within {limit} hops"
+                )
+        return responsible, hops
+
+
+class ReferencePGrid(ReferenceLookup, PGridDht):
+    def _leaf_for(self, target_bits: str) -> str:
+        """The trie leaf path owning ``target_bits`` (walks the trie)."""
+        for depth in range(self._max_leaf_depth + 1):
+            prefix = target_bits[:depth]
+            if prefix in self._leaf_members:
+                return prefix
+        raise RoutingError("P-Grid trie has no leaf for target")
+
+    def _responsible(self, target: int) -> PeerId:
+        self._ensure_routing()
+        if not self._leaf_members:
+            raise RoutingError("P-Grid trie is empty")
+        target_bits = self.keyspace.to_bits(target)
+        leaf = self._leaf_for(target_bits)
+        online = [
+            p for p in self._leaf_members[leaf] if self.population.is_online(p)
+        ]
+        if online:
+            return min(online)
+        for level in reversed(range(len(leaf))):
+            complement = leaf[:level] + ("1" if leaf[level] == "0" else "0")
+            candidates = [
+                p for p in self._members_under(complement)
+                if self.population.is_online(p)
+            ]
+            if candidates:
+                return min(candidates)
+        raise RoutingError("P-Grid trie has no online members")
+
+    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+        responsible = self._responsible(target)
+        target_bits = self.keyspace.to_bits(target)
+        current = origin
+        hops = 0
+        limit = len(self._members) + self.keyspace.bits
+        while current != responsible:
+            nxt = self._next_hop(current, target_bits, responsible)
+            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
+            hops += 1
+            current = nxt
+            if hops > limit:
+                raise RoutingError(
+                    f"P-Grid routing did not converge within {limit} hops"
+                )
+        return responsible, hops
+
+    def _next_hop(self, current: PeerId, target_bits: str, responsible: PeerId) -> PeerId:
+        path = self._paths[current]
+        mismatch = None
+        for level in range(len(path)):
+            if path[level] != target_bits[level]:
+                mismatch = level
+                break
+        if mismatch is None:
+            # Our whole path is a prefix of the target: we are in the right
+            # leaf but may be an offline-sibling situation; go straight to
+            # the responsible peer (a replica in the same leaf).
+            return responsible
+        for ref in self._refs.get(current, {}).get(mismatch, ()):
+            if self.population.is_online(ref):
+                return ref
+        # All refs at the deciding level are offline. Any online member on
+        # the complement side works; as a last resort hand over to the
+        # responsible peer directly (models P-Grid's fidget/retry).
+        complement = path[:mismatch] + target_bits[mismatch]
+        for candidate in self._members_under(complement):
+            if candidate != current and self.population.is_online(candidate):
+                return candidate
+        return responsible
+
+
+BACKENDS = {
+    "chord": (ChordDht, ReferenceChord),
+    "pastry": (PastryDht, ReferencePastry),
+    "pgrid": (PGridDht, ReferencePGrid),
+    "can": (CanDht, ReferenceCan),
+}
+
+
+# ----------------------------------------------------------------------
+# Side-by-side replay
+# ----------------------------------------------------------------------
+def _pair(kind: str, population: PeerPopulation, members, **kwargs):
+    """The new backend and its reference over one population, each with
+    its own auditing log."""
+    sides = []
+    for cls in BACKENDS[kind]:
+        dht = cls(
+            population, MessageLog(MessageMetrics(), keep_messages=True),
+            **kwargs,
+        )
+        dht.join_all(sorted(members))
+        sides.append(dht)
+    return sides
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except RoutingError as error:
+        return type(error), str(error)
+
+
+def _observable(dht) -> dict:
+    metrics = dht.log.metrics
+    return {
+        # Order included: a category appears when it is first counted.
+        "totals": list(metrics.totals_by_category().items()),
+        "window": list(metrics._window.items()),
+        "audit": [
+            (m.kind, m.sender, m.receiver, m.payload)
+            for m in dht.log.messages
+        ],
+    }
+
+
+def _assert_same_lookups(new, old, population, keys=KEYS) -> None:
+    for key in keys:
+        assert _outcome(new.responsible_for, key) == _outcome(
+            old.responsible_for, key
+        )
+    for origin in sorted(new.members):
+        if not population.is_online(origin):
+            continue
+        for key in keys:
+            got = _outcome(new.lookup, origin, key)
+            assert got == _outcome(old.lookup, origin, key)
+            if isinstance(got, LookupResult):
+                assert got.messages == got.hops
+    assert _observable(new) == _observable(old)
+    new.log.clear()
+    old.log.clear()
+
+
+def _replay(history: History) -> None:
+    population = PeerPopulation(history.num_peers)
+    for peer in history.offline:
+        population.set_online(peer, False)
+    new, old = _pair(
+        history.kind, population, history.members,
+        **dict(history.backend_kwargs),
+    )
+    _assert_same_lookups(new, old, population)
+    for op in history.ops:
+        name = op[0]
+        if name in ("join", "leave"):
+            for dht in (new, old):
+                getattr(dht, name)(op[1])
+        elif name == "flip":
+            population.set_online(op[1], op[2])
+        elif name == "lookup":
+            origin, key = op[1], op[2]
+            if origin in new.members and population.is_online(origin):
+                assert _outcome(new.lookup, origin, key) == _outcome(
+                    old.lookup, origin, key
+                )
+        elif name == "reset":
+            for dht in (new, old):
+                dht.log.metrics.reset(0.0)
+        elif name == "read":
+            # ``total(category)`` inserts the category on read.
+            for dht in (new, old):
+                dht.log.metrics.total(MessageCategory.INDEX_SEARCH)
+        else:
+            continue  # maintenance ops: the other module's subject
+        _assert_same_lookups(new, old, population)
+
+
+# P-Grid, whose routes are memoised, is drawn as often as the other three.
+@given(histories(kinds=("can", "chord", "pastry", "pgrid", "pgrid", "pgrid")))
+@settings(max_examples=150, deadline=None)
+def test_lookups_equal_reference_routes(history):
+    _replay(history)
+
+
+# ----------------------------------------------------------------------
+# The cases the memos have to get right, by construction
+# ----------------------------------------------------------------------
+MANY_KEYS = tuple(f"key-{i:04d}" for i in range(24))
+
+
+def test_every_ref_of_a_level_offline():
+    """A member whose references at one level all go offline routes
+    through the complement side's first online member instead, and a
+    member with nobody online on that side hands over to the responsible
+    peer — and both change back when the references return."""
+    population = PeerPopulation(48)
+    new, old = _pair("pgrid", population, range(0, 48, 2), refs_per_level=2)
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+    origin = min(new.members)
+    path = new.path_of(origin)
+    for level in range(len(path)):
+        refs = new._refs[origin][level]
+        for ref in refs:
+            population.set_online(ref, False)
+        _assert_same_lookups(new, old, population, MANY_KEYS)
+        complement = path[:level] + ("1" if path[level] == "0" else "0")
+        side = [p for p in new._members_under(complement) if p not in refs]
+        for peer in side:  # now nobody on that side is online
+            population.set_online(peer, False)
+        _assert_same_lookups(new, old, population, MANY_KEYS)
+        for peer in (*refs, *side):
+            population.set_online(peer, True)
+        _assert_same_lookups(new, old, population, MANY_KEYS)
+
+
+def test_whole_leaves_offline():
+    """Ownership falls to a sibling subtree while a leaf is dark, and
+    returns to the leaf's smallest online member afterwards."""
+    population = PeerPopulation(40)
+    new, old = _pair("pgrid", population, range(40), bucket_size=3)
+    new._ensure_routing()
+    leaves = sorted(new._leaf_members.items())
+    assert any(len(members) > 1 for _, members in leaves)
+    for _, members in leaves[::2]:
+        for peer in members:
+            population.set_online(peer, False)
+        _assert_same_lookups(new, old, population, MANY_KEYS)
+        population.set_online(members[-1], True)
+        _assert_same_lookups(new, old, population, MANY_KEYS)
+    for peer in range(40):
+        population.set_online(peer, False)
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+
+
+def test_memos_do_not_outlive_a_join_or_leave():
+    """A rebuild deepens or flattens the trie: bits, leaves, owners and
+    hops recorded for the old one must all be forgotten. The newcomers
+    have the smaller ids, so they take over references and leaves."""
+    population = PeerPopulation(64)
+    new, old = _pair("pgrid", population, range(32, 40))
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+    depth = new._max_leaf_depth
+    for dht in (new, old):
+        dht.join_all(range(0, 32))
+        dht.join_all(range(40, 64))
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+    assert new._max_leaf_depth > depth
+    for dht in (new, old):
+        for peer in range(0, 36):
+            dht.leave(peer)
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+    for dht in (new, old):
+        for peer in range(40, 64):
+            dht.leave(peer)
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+    assert new._max_leaf_depth <= depth
+
+
+def test_per_key_memos_are_bounded(monkeypatch):
+    """An open key universe does not grow the per-key memos without end:
+    at ``KEY_MEMO_LIMIT`` entries they start over, mid-run, unnoticed."""
+    from repro.dht import base, pgrid
+
+    for module in (base, pgrid):
+        monkeypatch.setattr(module, "KEY_MEMO_LIMIT", 7)
+    population = PeerPopulation(24)
+    new, old = _pair("pgrid", population, range(24))
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+    assert len(MANY_KEYS) > 7
+    assert 0 < len(new._targets) <= 7
+    assert 0 < len(new._located) <= 7
+
+
+def test_lopsided_split_routes():
+    """Two members sharing their first bit: one leaf, the empty path."""
+    population = PeerPopulation(64)
+    zeros = [p for p in range(64) if population[p].dht_id >> 159 == 0][:2]
+    new, old = _pair("pgrid", population, zeros)
+    assert new.path_of(zeros[0]) == ""
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+    population.set_online(zeros[0], False)
+    _assert_same_lookups(new, old, population, MANY_KEYS)
+
+
+# ----------------------------------------------------------------------
+# A route that does not converge
+# ----------------------------------------------------------------------
+class _PingPong:
+    """Forwards every hop to a member that is never the responsible one."""
+
+    def _bounce(self, current: PeerId, responsible: PeerId) -> PeerId:
+        return next(
+            m for m in sorted(self._members)
+            if m != current and m != responsible
+        )
+
+
+class NewLostChord(_PingPong, ChordDht):
+    def _best_hop(self, current, target, responsible):
+        return self._bounce(current, responsible)
+
+
+class OldLostChord(_PingPong, ReferenceChord):
+    def _best_hop(self, current, target, responsible):
+        return self._bounce(current, responsible)
+
+
+class NewLostPGrid(_PingPong, PGridDht):
+    def _next_hop(self, current, mismatch):
+        return self._bounce(current, None)
+
+
+class OldLostPGrid(_PingPong, ReferencePGrid):
+    def _next_hop(self, current, target_bits, responsible):
+        if target_bits.startswith(self._paths[current]):
+            return responsible  # no mismatch level: not a memoised hop
+        return self._bounce(current, None)
+
+
+@pytest.mark.parametrize(
+    "classes", [(NewLostChord, OldLostChord), (NewLostPGrid, OldLostPGrid)]
+)
+def test_a_route_that_does_not_converge_is_still_counted(classes):
+    population = PeerPopulation(8)
+    sides = []
+    for cls in classes:
+        dht = cls(population, MessageLog(MessageMetrics(), keep_messages=True))
+        dht.join_all(range(8))
+        sides.append(dht)
+    new, old = sides
+    limit = 8 + new.keyspace.bits
+    raised = 0
+    for key in KEYS:
+        for origin in range(8):
+            got = _outcome(new.lookup, origin, key)
+            assert got == _outcome(old.lookup, origin, key)
+            raised += not isinstance(got, LookupResult)
+    assert raised
+    assert _observable(new) == _observable(old)
+    # the guard fires after the hop that exceeds the limit was taken
+    assert new.log.metrics.total(MessageCategory.INDEX_SEARCH) >= limit + 1

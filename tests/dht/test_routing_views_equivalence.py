@@ -33,6 +33,15 @@ Mutations run against the new code, each caught by the test named:
   descending order — ``test_pgrid_members_under``;
 * replica adjacency rows left unsorted, or not refiltered when the epoch
   moves — ``test_replica_flood_equals_reference``;
+* (ISSUE 22) a flood plan surviving a liveness flip, one plan shared
+  by every origin, the reach order sorted or without the origin, the
+  edge list sorted or without the duplicate deliveries —
+  ``test_replica_flood_equals_reference``,
+  ``test_replica_flood_plan_does_not_outlive_a_flip``,
+  ``test_callers_may_mutate_what_they_are_given``; a flood without
+  edges creating the ``REPLICA_FLOOD`` key —
+  ``test_replica_flood_without_edges_counts_nothing`` and the totals
+  comparison of the property test;
 * ``online_members`` / ``online_neighbors`` handing out the cached
   container itself — ``test_callers_may_mutate_what_they_are_given``
   (``fastsim/compare.py`` and ``replication/rumor.py`` keep the list);
@@ -604,20 +613,59 @@ def test_replica_flood_equals_reference(world):
         for peer in flips:
             population.set_online(peer, not population.is_online(peer))
         predicate = None if holders is None else holders.__contains__
-        for member in world.members:
-            got = new.online_neighbors(member)
-            assert type(got) is list
-            assert got == reference_online_neighbors(old, member)
-            if not population.is_online(member):
-                continue
-            assert new.flood(member, predicate, payload) == reference_flood(
-                old, member, predicate, payload
-            )
+        # Twice over the members: the second flood from an origin finds
+        # the plan its first one left (ISSUE 22), under the other
+        # predicate; the next epoch's finds it stale.
+        for predicate in (predicate, None):
+            for member in world.members:
+                got = new.online_neighbors(member)
+                assert type(got) is list
+                assert got == reference_online_neighbors(old, member)
+                if not population.is_online(member):
+                    continue
+                assert new.flood(member, predicate, payload) == reference_flood(
+                    old, member, predicate, payload
+                )
         assert _sent(new) == _sent(old)
-        assert (
-            new.log.metrics.totals_by_category()
-            == old.log.metrics.totals_by_category()
+        # Key order included; a flood that traverses no edge (a lone or
+        # cut-off origin) must not create the category.
+        assert list(new.log.metrics.totals_by_category().items()) == list(
+            old.log.metrics.totals_by_category().items()
         )
+
+
+def test_replica_flood_plan_does_not_outlive_a_flip():
+    """Two floods from one origin with a liveness flip in between, then
+    two more with it undone: reach order and edges follow every time."""
+    population = PeerPopulation(12)
+    world = ReplicaWorld(
+        num_peers=12, members=tuple(range(12)), degree=3, graph_seed=4,
+        epochs=(),
+    )
+    new, old = world.build(population), world.build(population)
+    origin = 0
+    neighbor = new.online_neighbors(origin)[0]
+    for online in (True, False, False, True, True):
+        population.set_online(neighbor, online)
+        got = new.flood(origin, None, "k")
+        assert got == reference_flood(old, origin, None, "k")
+        assert (neighbor in got[0]) == online
+        assert _sent(new) == _sent(old)
+    assert new.log.metrics.totals_by_category() == (
+        old.log.metrics.totals_by_category()
+    )
+
+
+def test_replica_flood_without_edges_counts_nothing():
+    population = PeerPopulation(4)
+    lone = ReplicaNetwork(
+        population, [2], np.random.default_rng(0),
+        MessageLog(MessageMetrics(), keep_messages=True),
+    )
+    assert lone.flood(2) == ([2], 0)
+    assert lone.flood(2, lambda peer: False) == ([], 0)
+    assert lone.log.metrics.totals_by_category() == {}
+    assert lone.log.messages == []
 
 
 def test_replica_flood_rejects_strangers_and_offline_origins():

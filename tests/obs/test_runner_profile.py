@@ -150,7 +150,13 @@ class TestEventRunIsAccountedFor:
         # Without churn nobody joins, leaves or changes liveness after
         # the substrate is built: each of the three strategies that use
         # their DHT sorts its online members exactly once.
-        assert telemetry["counters"]["dht.views.rebuild"] == 3
+        counters = telemetry["counters"]
+        assert counters["dht.views.rebuild"] == 3
+        # The same goes for what lookups and floods derive per epoch
+        # (owners and next hops; reach order and edges): dropped once per
+        # DHT, once per replica group that floods — never per query.
+        assert counters["dht.routes.rebuild"] == 3
+        assert 1 <= counters["replica.plans.rebuild"] <= 30
 
     def test_profiled_event_run_prints_the_same_figure(self, capsys):
         assert main(self.ARGV) == 0

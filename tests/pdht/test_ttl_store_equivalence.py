@@ -33,6 +33,19 @@ Mutations run against the new code, each caught by the test named:
   retargeted to a shorter TTL moves an expiry earlier);
 * the push made on every hit, as before —
   ``test_hits_on_an_unmoved_expiry_leave_one_heap_record``.
+
+ISSUE 22 added ``insert_all`` (``insert`` is its one-pair case): the same
+per-entry body in one loop, held to one reference ``insert`` per pair —
+entries in insertion order, the heap *as a list* (its pop order), the
+counters. Mutations run, caught by ``test_insert_all_equals_one_insert_per_pair``
+(and, through ``insert``, by the property above):
+
+* the purge guard hoisted out of the loop (an entry of the batch expiring
+  at ``now`` — ``ttl = 0`` — must be purged by the next one);
+* the capacity check hoisted out of the loop, or dropped;
+* ``key not in entries`` dropped from the capacity check (an overwrite
+  evicts);
+* ``insertions`` bumped once per batch.
 """
 
 from __future__ import annotations
@@ -166,6 +179,33 @@ def test_store_equals_reference_under_random_operations(ttl, capacity, script):
         )
         assert records <= set(old._expiry_heap)
         assert len(new._expiry_heap) <= len(old._expiry_heap)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ttl=TTLS,
+    capacity=st.none() | st.integers(1, 4),
+    script=st.lists(
+        st.tuples(STEPS, st.lists(KEYS, max_size=8), st.none() | TTLS),
+        max_size=12,
+    ),
+)
+def test_insert_all_equals_one_insert_per_pair(ttl, capacity, script):
+    """Batches land on whatever the previous ones left: an expired head
+    in the heap (time moved on), a full store, keys already present."""
+    old = ReferenceTtlKeyStore(ttl, capacity)
+    new = TtlKeyStore(ttl, capacity)
+    now = 0.0
+    serial = 0
+    for step, keys, batch_ttl in script:
+        now += step
+        pairs = [(key, serial + i) for i, key in enumerate(keys)]
+        serial += len(pairs)
+        for key, value in pairs:
+            old.insert(key, value, now, ttl=batch_ttl)
+        assert new.insert_all(iter(pairs), now, ttl=batch_ttl) is None
+        assert state(new) == state(old)
+        assert new._expiry_heap == old._expiry_heap
 
 
 def test_hits_on_an_unmoved_expiry_leave_one_heap_record():

@@ -1,4 +1,36 @@
-"""Tests for named random streams and the block-served bounded draw."""
+"""Tests for named random streams and the block-served bounded draw.
+
+``BoundedStream`` is held to two references: ``Generator.integers``
+itself, and ``bounded_draws`` — the per-search coroutine it replaced
+(ISSUE 22), kept here verbatim. Values drawn, and the generator state
+after ``settle()`` (or the coroutine's ``close()``), must be ``==``.
+
+Mutations run against ``BoundedStream``, each caught by the test named:
+
+* the threshold test written ``leftover > threshold`` for ``>=`` (numpy's
+  ``<`` as ``<=``) — ``TestLemireRejection``
+  (``test_low_half_below_bound_but_not_below_threshold_is_kept``); on a
+  power-of-two bound it never accepts, so the ``2**32`` draw of
+  ``test_every_numpy_bit_generator`` hangs instead of failing. The first
+  comparison (``leftover >= n``) is only a shortcut past the modulo:
+  ``>`` there is not a fault;
+* ``settle()`` re-drawing ``used - 1`` words, not rewinding at all, or
+  keeping the saved state or the block it has just given back —
+  ``test_sequence_and_final_state_match_scalar_draws``,
+  ``test_interleaved_bounds_across_refills_and_settles``;
+* ``rng`` handed out without settling (by the stream, or by
+  ``RandomWalkSearch.rng``) —
+  ``test_interleaved_bounds_across_refills_and_settles``,
+  ``test_rng_property_settles_first``,
+  ``tests/unstructured/test_walk_equivalence.py``;
+* the state saved after the refill instead of before it, or ``draw`` not
+  recording the words it used —
+  ``test_sequence_and_final_state_match_scalar_draws``;
+* ``n == 1`` consuming a word — ``test_single_choice_consumes_nothing``,
+  ``test_sequence_and_final_state_match_scalar_draws``;
+* ``RandomStreams.get`` handing out an owned generator without settling
+  its ``bounded`` owner — ``test_get_settles_the_owner``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +39,54 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
-from repro.sim.rng import _FIRST_BLOCK, _MAX_BLOCK, RandomStreams, bounded_draws
+from repro.sim.rng import _FIRST_BLOCK, _MAX_BLOCK, BoundedStream, RandomStreams
+
+
+# ----------------------------------------------------------------------
+# The replaced coroutine, verbatim
+# ----------------------------------------------------------------------
+def bounded_draws(rng):
+    """A coroutine whose ``send(n)`` is ``int(rng.integers(0, n))``."""
+    bit_generator = rng.bit_generator
+    saved = None  # bit-generator state before the current block
+    words: list[int] = []
+    used = 0  # words consumed from the current block
+    value = 0
+    try:
+        while True:
+            n = yield value
+            if n < 2:
+                if n != 1:
+                    raise ParameterError(f"n must be >= 1, got {n}")
+                value = 0
+                continue
+            while True:
+                if used == len(words):
+                    saved = bit_generator.state
+                    block = min(max(2 * len(words), _FIRST_BLOCK), _MAX_BLOCK)
+                    words = rng.integers(
+                        0, 1 << 32, size=block, dtype=np.uint32
+                    ).tolist()
+                    used = 0
+                product = words[used] * n
+                used += 1
+                leftover = product & 0xFFFFFFFF
+                if leftover >= n or leftover >= (0x100000000 - n) % n:
+                    break
+            value = product >> 32
+    finally:
+        if saved is not None:
+            bit_generator.state = saved
+            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+
+
+def _coroutine_served(rng, bounds):
+    draws = bounded_draws(rng)
+    next(draws)
+    try:
+        return [draws.send(n) for n in bounds]
+    finally:
+        draws.close()
 
 
 class TestRandomStreams:
@@ -62,12 +141,37 @@ class TestRandomStreams:
         with pytest.raises(ParameterError):
             RandomStreams(seed=0).fork(-1)
 
+    def test_bounded_is_one_owner_per_name(self):
+        streams = RandomStreams(seed=3)
+        owner = streams.bounded("origins")
+        assert streams.bounded("origins") is owner
+        assert streams.bounded("walks") is not owner
+        assert owner.rng is streams.get("origins")
 
-def _pair(bit_generator=np.random.PCG64, seed=0, predraws=0):
-    """Two generators in the same state, ``predraws`` scalar draws in (an
-    odd count leaves PCG64 holding a buffered half-word)."""
+    def test_get_settles_the_owner(self):
+        """Read by name, an owned stream is where scalar draws would have
+        left it — before, between and after the owner's draws."""
+        streams, scalar = RandomStreams(seed=3), RandomStreams(seed=3).get("origins")
+        owner = streams.bounded("origins")
+        for burst in (3, 0, 70, 2):
+            expected = [int(scalar.integers(0, 9)) for _ in range(burst)]
+            assert [owner.draw(9) for _ in range(burst)] == expected
+            state = streams.get("origins").bit_generator.state
+            assert state == scalar.bit_generator.state
+            # a draw taken by name is a draw the owner's next block follows
+            assert streams.get("origins").integers(0, 5) == scalar.integers(0, 5)
+        # an unowned name is untouched by all of this
+        assert (
+            streams.get("churn").bit_generator.state
+            == RandomStreams(seed=3).get("churn").bit_generator.state
+        )
+
+
+def _pair(bit_generator=np.random.PCG64, seed=0, predraws=0, count=2):
+    """Generators in the same state, ``predraws`` scalar draws in (an odd
+    count leaves PCG64 holding a buffered half-word)."""
     pair = []
-    for _ in range(2):
+    for _ in range(count):
         rng = np.random.Generator(bit_generator(seed))
         for _ in range(predraws):
             rng.integers(0, 3)
@@ -76,17 +180,23 @@ def _pair(bit_generator=np.random.PCG64, seed=0, predraws=0):
 
 
 def _served(rng, bounds):
-    draws = bounded_draws(rng)
-    next(draws)
+    """The draws of a fresh stream over ``rng``, settled afterwards."""
+    stream = BoundedStream(rng)
     try:
-        return [draws.send(n) for n in bounds]
+        return [stream.draw(n) for n in bounds]
     finally:
-        draws.close()
+        stream.settle()
+
+
+#: Bounds that take every branch: no word, the rejection-free powers of
+#: two, the smallest rejecting bounds, and the two ends of the 32-bit range.
+EDGE_BOUNDS = (1, 2, 3, 6, 2**31, 2**32 - 1, 2**32)
 
 
 class TestBoundedDraws:
-    """``bounded_draws`` re-implements numpy's bounded-integer reduction;
-    these tests hold it to ``Generator.integers`` itself."""
+    """``BoundedStream`` re-implements numpy's bounded-integer reduction;
+    these tests hold it to ``Generator.integers`` itself and to the
+    coroutine it replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -97,10 +207,44 @@ class TestBoundedDraws:
     def test_sequence_and_final_state_match_scalar_draws(
         self, seed, predraws, bounds
     ):
-        scalar, served = _pair(seed=seed, predraws=predraws)
+        scalar, served, old = _pair(seed=seed, predraws=predraws, count=3)
         expected = [int(scalar.integers(0, n)) for n in bounds]
         assert _served(served, bounds) == expected
+        assert _coroutine_served(old, bounds) == expected
         assert served.bit_generator.state == scalar.bit_generator.state
+        assert old.bit_generator.state == scalar.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        predraws=st.integers(0, 3),
+        runs=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(EDGE_BOUNDS), max_size=12),
+                # how often the run repeats: long ones cross several refills
+                st.sampled_from([1, 1, 1, 30, 200]),
+            ),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_interleaved_bounds_across_refills_and_settles(
+        self, seed, predraws, runs
+    ):
+        """One stream across several settles — what the walker does over
+        a sequence of searches — against scalar draws, and against one
+        coroutine per run, which is what each search used to create."""
+        scalar, served, old = _pair(seed=seed, predraws=predraws, count=3)
+        stream = BoundedStream(served)
+        for bounds, repeat in runs:
+            bounds = bounds * repeat
+            expected = [int(scalar.integers(0, n)) for n in bounds]
+            assert [stream.draw(n) for n in bounds] == expected
+            assert _coroutine_served(old, bounds) == expected
+            assert stream.rng is served  # settles
+            assert served.bit_generator.state == scalar.bit_generator.state
+            assert old.bit_generator.state == scalar.bit_generator.state
+            # ... and anyone may draw from the settled generator in between
+            assert served.random() == scalar.random() == old.random()
 
     @pytest.mark.parametrize("words", [
         0, 1, 2, _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1,
@@ -134,37 +278,63 @@ class TestBoundedDraws:
         before = rng.bit_generator.state
         assert _served(rng, [1] * 10) == [0] * 10
         assert rng.bit_generator.state == before
+        # ... nor in the middle of a block
+        scalar, served = _pair(seed=4)
+        stream = BoundedStream(served)
+        expected = [int(scalar.integers(0, n)) for n in (5, 1, 1, 5)]
+        assert [stream.draw(n) for n in (5, 1, 1, 5)] == expected
+        assert stream.rng.bit_generator.state == scalar.bit_generator.state
+
+    def test_settle_mid_block_then_more_draws(self):
+        scalar, served = _pair(seed=3, predraws=1)
+        stream = BoundedStream(served)
+        for burst in (5, 0, 70, 1, 3 * _MAX_BLOCK, 2):
+            expected = [int(scalar.integers(0, 7)) for _ in range(burst)]
+            assert [stream.draw(7) for _ in range(burst)] == expected
+            stream.settle()
+            stream.settle()  # settling a settled stream changes nothing
+            assert served.bit_generator.state == scalar.bit_generator.state
+
+    def test_rng_property_settles_first(self):
+        scalar, served = _pair(seed=6)
+        stream = BoundedStream(served)
+        expected = [int(scalar.integers(0, 9)) for _ in range(3)]
+        assert [stream.draw(9) for _ in range(3)] == expected
+        # the generator itself has run a block ahead of the three draws ...
+        assert served.bit_generator.state != scalar.bit_generator.state
+        # ... and reads as if it had not
+        assert stream.rng.bit_generator.state == scalar.bit_generator.state
+        assert stream.rng.integers(0, 2**40) == scalar.integers(0, 2**40)
+        assert stream.draw(9) == int(scalar.integers(0, 9))
 
     def test_state_is_exact_after_an_exception_between_draws(self):
         scalar, served = _pair(seed=8, predraws=1)
         expected = [int(scalar.integers(0, 5)) for _ in range(70)]
-        draws = bounded_draws(served)
-        next(draws)
+        stream = BoundedStream(served)
         got = []
         with pytest.raises(RuntimeError):
-            try:
-                for _ in range(70):
-                    got.append(draws.send(5))
-                raise RuntimeError("the caller's loop failed")
-            finally:
-                draws.close()
+            for _ in range(70):
+                got.append(stream.draw(5))
+            raise RuntimeError("the caller's loop failed")
         assert got == expected
-        assert served.bit_generator.state == scalar.bit_generator.state
+        assert stream.rng.bit_generator.state == scalar.bit_generator.state
 
     def test_nonpositive_bound_rejected(self):
         scalar, served = _pair(seed=2)
-        draws = bounded_draws(served)
-        next(draws)
-        first = draws.send(9)
-        with pytest.raises(ParameterError):
-            draws.send(0)
+        stream = BoundedStream(served)
+        first = stream.draw(9)
+        for bad in (0, -1):
+            with pytest.raises(ParameterError):
+                stream.draw(bad)
         assert first == int(scalar.integers(0, 9))
-        assert served.bit_generator.state == scalar.bit_generator.state
+        # the rejected call drew nothing: the stream carries on
+        assert stream.draw(4) == int(scalar.integers(0, 4))
+        assert stream.rng.bit_generator.state == scalar.bit_generator.state
 
 
 class ScriptedWords:
     """Stands in for a Generator and its bit generator: serves a fixed
-    word list, so a test can hand ``bounded_draws`` the one-in-2**32 words
+    word list, so a test can hand ``BoundedStream`` the one-in-2**32 words
     that take the rejection branch."""
 
     def __init__(self, words):

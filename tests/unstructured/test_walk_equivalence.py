@@ -6,7 +6,9 @@ kept verbatim (three call layers, a scalar ``rng.integers`` and one
 from the graph itself, as the topology did then, instead of through the
 adjacency table the fast loop reads. The two must agree exactly, not
 approximately: same ``WalkResult``, same message totals, same audit
-records in the same order, and the walk generator left in the same state.
+records in the same order, and the walk generator left in the same state
+— read through ``walker.rng``, after every search or only after a run of
+them (the walker's draw stream persists across searches, ISSUE 22).
 """
 
 from __future__ import annotations
@@ -247,6 +249,40 @@ def _assert_equivalent(world: World, make_key) -> None:
 @given(worlds())
 def test_fast_walk_equals_reference(world):
     _assert_equivalent(world, lambda: "k")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    worlds(),
+    st.lists(
+        st.tuples(st.integers(0, 23), st.integers(0, 23), st.booleans()),
+        min_size=2, max_size=12,
+    ),
+)
+def test_a_run_of_searches_with_the_generator_read_only_at_the_end(world, run):
+    """The walker keeps one draw stream across searches, and between
+    searches its generator runs ahead of the draws. Nobody looks at it
+    here until the run is over — origins and liveness change in between —
+    and it must then be where a scalar draw per hop would have left it."""
+    ref_overlay, ref_walker = world.build()
+    new_overlay, new_walker = world.build()
+    searched = 0
+    for origin, flipped, online in run:
+        origin %= world.num_peers
+        flipped %= world.num_peers
+        for overlay in (ref_overlay, new_overlay):
+            overlay.population.set_online(flipped, online)
+        if not new_overlay.population.is_online(origin):
+            continue
+        searched += 1
+        expected = _outcome(reference_search, ref_walker, origin, "k")
+        assert _outcome(RandomWalkSearch.search, new_walker, origin, "k") == expected
+        seen = _observable(new_overlay, ref_walker, "k")  # not new_walker.rng
+        assert seen == _observable(ref_overlay, ref_walker, "k")
+    assert (
+        new_walker.rng.bit_generator.state == ref_walker.rng.bit_generator.state
+    )
+    assert new_walker.rng.random() == ref_walker.rng.random()
 
 
 # ----------------------------------------------------------------------
