@@ -186,7 +186,7 @@ def _workloads_record() -> dict[str, object]:
     stationary_seconds, stationary_hit = best_of_two(lambda: None)
     drift = GradualDrift(period=duration / 24)
     drift_seconds, drift_hit = best_of_two(
-        lambda: drift.build_batch(
+        lambda: drift.build(
             zipf, np.random.default_rng(np.random.SeedSequence(0))
         )
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro import AdaptiveTtlController, PdhtConfig, PdhtNetwork, ZipfDistribution
 from repro.analysis.threshold import solve_threshold
 from repro.experiments import simulation_scenario
-from repro.workload.queries import ZipfQueryWorkload
+from repro.workloads import StationaryZipf
 
 
 def main() -> None:
@@ -38,15 +38,15 @@ def main() -> None:
     for i in range(params.n_keys):
         net.publish(f"key-{i:06d}", f"value-{i}")
 
-    workload = ZipfQueryWorkload(
+    workload = StationaryZipf().build(
         ZipfDistribution(params.n_keys, params.alpha),
         net.streams.get("adaptive-queries"),
     )
 
     for round_idx in range(600):
         net.advance(1.0)
-        for event in workload.draw(net.simulation.now, 13):
-            key = f"key-{event.key_index:06d}"
+        for _, key_index in workload.draw(net.simulation.now, 13):
+            key = f"key-{key_index:06d}"
             outcome = net.query(net.random_online_peer(), key)
             controller.observe_query_outcome(outcome)
         if (round_idx + 1) % 120 == 0:

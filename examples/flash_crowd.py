@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro import PdhtConfig, PdhtNetwork, ZipfDistribution
 from repro.experiments import simulation_scenario
-from repro.workload.queries import FlashCrowdWorkload
+from repro.workloads import FlashCrowd
 
 
 def main() -> None:
@@ -30,11 +30,11 @@ def main() -> None:
         net.publish(f"key-{i:06d}", f"value-{i}")
 
     crowd_time = 120.0
-    workload = FlashCrowdWorkload(
+    workload = FlashCrowd(
+        crowd_time, cold_rank=params.n_keys  # the very coldest key
+    ).build(
         ZipfDistribution(params.n_keys, params.alpha),
         net.streams.get("crowd-queries"),
-        crowd_time=crowd_time,
-        cold_rank=params.n_keys,  # the very coldest key
     )
     promoted_index = workload.key_for_rank(params.n_keys)
     promoted_key = f"key-{promoted_index:06d}"
@@ -47,8 +47,8 @@ def main() -> None:
     for _ in range(int(300)):
         net.advance(1.0)
         now = net.simulation.now
-        for event in workload.draw(now, 15):
-            key = f"key-{event.key_index:06d}"
+        for _, key_index in workload.draw(now, 15):
+            key = f"key-{key_index:06d}"
             outcome = net.query(net.random_online_peer(), key)
             window_stats["queries"] += 1
             window_stats["hits"] += int(outcome.via_index)

@@ -19,8 +19,7 @@ from collections import Counter
 
 from repro import PdhtConfig, PdhtNetwork, ZipfDistribution
 from repro.experiments import simulation_scenario
-from repro.workload import CorpusConfig, generate_corpus
-from repro.workload.queries import ZipfQueryWorkload
+from repro.workloads import CorpusConfig, StationaryZipf, generate_corpus
 
 
 def main() -> None:
@@ -45,7 +44,7 @@ def main() -> None:
         net.publish(key, corpus.articles_for(key))
 
     # Replay a Zipf(1.2) workload: popular predicates dominate.
-    workload = ZipfQueryWorkload(
+    workload = StationaryZipf().build(
         ZipfDistribution(corpus.n_keys, params.alpha),
         net.streams.get("news-queries"),
     )
@@ -53,8 +52,8 @@ def main() -> None:
     hits = 0
     for _ in range(60):  # 60 rounds of traffic
         net.advance(1.0)
-        for event in workload.draw(net.simulation.now, 20):
-            key = corpus.key_at_rank(event.rank)
+        for rank, _ in workload.draw(net.simulation.now, 20):
+            key = corpus.key_at_rank(rank)
             outcome = net.query(net.random_online_peer(), key)
             queries += 1
             hits += int(outcome.via_index)

@@ -22,9 +22,8 @@ from repro.analysis.threshold import solve_threshold
 from repro.experiments import simulation_scenario
 from repro.experiments.export import save_figure
 from repro.experiments.figures import FigureSeries
-from repro.workload.queries import ZipfQueryWorkload
-from repro.workload.trace import QueryTrace, record_trace
 from repro.sim.rng import RandomStreams
+from repro.workloads import QueryTrace, StationaryZipf, record_trace
 
 
 def replay(trace: QueryTrace, key_ttl: float, seed: int = 31) -> tuple[float, float]:
@@ -56,7 +55,7 @@ def main() -> None:
     ideal_ttl = solve_threshold(params).key_ttl
 
     # 1. Record the workload once.
-    workload = ZipfQueryWorkload(
+    workload = StationaryZipf().build(
         ZipfDistribution(params.n_keys, params.alpha),
         RandomStreams(99).get("trace-queries"),
     )

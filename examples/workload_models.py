@@ -30,22 +30,23 @@ from repro.experiments import simulation_scenario
 from repro.experiments.figures import adaptivity_tracking
 from repro.pdht.config import PdhtConfig
 from repro.sim.rng import RandomStreams
-from repro.workload.queries import ZipfQueryWorkload
-from repro.workload.trace import QueryTrace, record_trace
 from repro.workloads import (
     WORKLOAD_MODEL_NAMES,
     Composite,
     DiurnalCycle,
     GradualDrift,
+    QueryTrace,
+    StationaryZipf,
     TraceReplay,
     model_from_name,
+    record_trace,
 )
 
 DURATION = 240.0
 
 
-def batch_workload(model, params, seed=0):
-    return model.build_batch(
+def stream(model, params, seed=0):
+    return model.build(
         ZipfDistribution(params.n_keys, params.alpha),
         np.random.default_rng(np.random.SeedSequence([seed, 0xDE30])),
     )
@@ -63,7 +64,7 @@ def main() -> None:
         model = model_from_name(name, DURATION)
         report = run_fastsim(
             params, config=config, duration=DURATION, seed=0,
-            workload=batch_workload(model, params),
+            workload=stream(model, params),
         )
         print(f"{name:16s} {report.hit_rate:9.3f} "
               f"{report.messages_per_second:9.1f}")
@@ -77,7 +78,7 @@ def main() -> None:
     # 3. Record once, replay everywhere (JSONL).
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     trace = record_trace(
-        ZipfQueryWorkload(zipf, RandomStreams(99).get("demo-trace")),
+        StationaryZipf().build(zipf, RandomStreams(99).get("demo-trace")),
         duration=DURATION, queries_per_round=12,
         description="stationary reference trace",
     )
@@ -86,7 +87,7 @@ def main() -> None:
     replayed = TraceReplay(QueryTrace.load(path))
     report = run_fastsim(
         params, config=config, duration=DURATION, seed=0,
-        workload=batch_workload(replayed, params),
+        workload=stream(replayed, params),
     )
     print(f"\ntrace replay: {len(trace)} recorded queries -> {path.name}; "
           f"kernel replayed {report.queries} "
@@ -99,7 +100,7 @@ def main() -> None:
     ))
     report = run_fastsim(
         params, config=config, duration=DURATION, seed=0,
-        workload=batch_workload(rush_hour_drift, params),
+        workload=stream(rush_hour_drift, params),
     )
     print(f"composite (drift + diurnal): hit rate {report.hit_rate:.3f}, "
           f"{report.messages_per_second:.1f} msg/s over "

@@ -46,10 +46,10 @@ Subpackages:
 * :mod:`repro.unstructured` — Gnutella-like overlay, floods, random walks;
 * :mod:`repro.dht` — Chord / Pastry / P-Grid backends + maintenance;
 * :mod:`repro.replication` — replica subnetworks, rumor spreading;
-* :mod:`repro.workload` — news corpus, metadata keys, Zipf query streams;
-* :mod:`repro.workloads` — composable non-stationary workload models
-  (rank swaps, gradual drift, flash crowds, diurnal cycles, trace
-  replay) consumable by both engines;
+* :mod:`repro.workloads` — the query stream, defined once: composable
+  workload models (stationary Zipf, rank swaps, gradual drift, flash
+  crowds, diurnal cycles, trace replay), each realised for both engines
+  by ``model.build(zipf, rng)``; and the news corpus and metadata keys;
 * :mod:`repro.pdht` — the query-adaptive partial DHT itself;
 * :mod:`repro.fastsim` — vectorized batch kernel for 10^5-10^6-peer runs;
 * :mod:`repro.experiments` — the Experiment API (typed specs,

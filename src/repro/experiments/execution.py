@@ -30,8 +30,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
+import numpy as np
+
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
+from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.experiments.scenario import DEFAULT_ENGINE, resolve_engine
 from repro.fastsim import parallel
@@ -45,10 +48,9 @@ from repro.pdht.strategies import (
     SimulatedStrategy,
     StrategyReport,
 )
-from repro.sim.rng import RandomStreams
-from repro.workload.queries import QueryWorkload
+from repro.workloads.models import WorkloadModel
 
-__all__ = ["Cell", "Execution", "StalenessReading"]
+__all__ = ["Cell", "CellWorkload", "Execution", "StalenessReading"]
 
 _T = TypeVar("_T")
 
@@ -116,14 +118,23 @@ class StalenessReading(NamedTuple):
 
 
 @dataclass(frozen=True)
+class CellWorkload:
+    """A cell's non-default query stream: the model, and the generator
+    each engine has always seeded it from (pinned captures fix both)."""
+
+    model: WorkloadModel
+    #: Event engine: the name of the run's own substrate stream.
+    stream: str
+    #: Kernel: the ``SeedSequence`` entropy words.
+    entropy: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class Cell:
     """One strategy run of a figure, independent of the engine running it.
 
-    A non-default query stream is given per engine, as a builder: the
-    kernel wants a :class:`~repro.fastsim.workload.BatchWorkload` (built
-    only when the vectorized engine runs the cell), the event engine a
-    :class:`~repro.workload.queries.QueryWorkload` fed from the run's own
-    substrate streams.
+    ``workload`` names a non-default query stream once, as data; either
+    engine builds it with the same ``model.build``.
     """
 
     params: ScenarioParameters
@@ -135,8 +146,7 @@ class Cell:
     window: float = 0.0
     #: Refresh all content every this many rounds (staleness measurement).
     content_refresh_period: Optional[float] = None
-    batch_workload: Optional[Callable[[], BatchWorkload]] = None
-    event_workload: Optional[Callable[[RandomStreams], QueryWorkload]] = None
+    workload: Optional[CellWorkload] = None
 
     def run(self) -> StrategyReport | StalenessReading:
         """The event-engine job: build the substrate, run, report."""
@@ -160,20 +170,35 @@ class Cell:
             self.params, config=self.config, seed=self.seed,
             churn=self.churn,
         )
-        if self.event_workload is not None:
-            strategy.workload = self.event_workload(strategy.network.streams)
+        if self.workload is not None:
+            strategy.workload = self._stream(
+                strategy.network.streams.get(self.workload.stream)
+            )
         strategy.prepare()
         return strategy
 
+    def _stream(self, rng: np.random.Generator) -> BatchWorkload:
+        """This cell's :attr:`workload` model, drawing from ``rng``."""
+        return self.workload.model.build(
+            ZipfDistribution(self.params.n_keys, self.params.alpha), rng
+        )
+
     def fastsim_job(self, precision: str) -> parallel.FastSimJob:
         """The vectorized-engine job: this cell as kernel arguments."""
+        workload = None
+        if self.workload is not None:
+            workload = self._stream(
+                np.random.default_rng(
+                    np.random.SeedSequence(self.workload.entropy)
+                )
+            )
         return parallel.FastSimJob(
             params=self.params,
             strategy=self.strategy,
             seed=self.seed,
             duration=self.duration,
             config=self.config,
-            workload=self.batch_workload() if self.batch_workload else None,
+            workload=workload,
             churn=self.churn,
             content_refresh_period=self.content_refresh_period,
             window=self.window,

@@ -8,7 +8,6 @@ benchmark harness prints them; tests assert on their shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Sequence
 
 from repro.analysis.parameters import ScenarioParameters
@@ -18,13 +17,12 @@ from repro.analysis.strategies import evaluate_strategies
 from repro.analysis.sweep import PAPER_FREQUENCIES, sweep_frequencies
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
-from repro.experiments.execution import Cell, Execution
+from repro.experiments.execution import Cell, CellWorkload, Execution
 from repro.experiments.reporting import format_period, format_series
 from repro.experiments.scenario import paper_scenario, simulation_scenario
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import STRATEGY_NAMES
-from repro.workload.queries import ShuffledZipfWorkload
 
 
 __all__ = [
@@ -493,14 +491,13 @@ def adaptivity_experiment(
 ) -> FigureSeries:
     """Section 5.2 adaptivity: hit rate under a query-distribution shift.
 
-    Runs the selection algorithm with a :class:`ShuffledZipfWorkload` that
-    re-draws the rank->key mapping at ``shift_at``. The hit rate collapses
-    at the shift and recovers as the TTL index re-learns the new hot set —
-    the paper's "adapts to changing query distributions" claim.
+    Runs the selection algorithm under a
+    :class:`~repro.workloads.models.RankSwap` that re-draws the rank->key
+    mapping at ``shift_at``. The hit rate collapses at the shift and
+    recovers as the TTL index re-learns the new hot set — the paper's
+    "adapts to changing query distributions" claim.
     """
-    import numpy as np
-
-    from repro.fastsim import BatchShuffledZipfWorkload
+    from repro.workloads import RankSwap
 
     params = params or simulation_scenario()
     execution = execution or Execution()
@@ -508,19 +505,13 @@ def adaptivity_experiment(
         raise ParameterError(
             f"shift_at must be inside (0, {duration}), got {shift_at}"
         )
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
     cell = Cell(
         params, PdhtConfig.from_scenario(params), duration, seed=seed,
         window=window,
         # A dedicated stream for the shifted workload, derived stably from
-        # the run seed (the event engine uses its "queries-shifted" stream).
-        batch_workload=lambda: BatchShuffledZipfWorkload(
-            zipf,
-            np.random.default_rng(np.random.SeedSequence([seed, 0x5217F])),
-            shift_time=shift_at,
-        ),
-        event_workload=lambda streams: ShuffledZipfWorkload(
-            zipf, streams.get("queries-shifted"), shift_time=shift_at
+        # the run seed.
+        workload=CellWorkload(
+            RankSwap(shift_at), "queries-shifted", (seed, 0x5217F)
         ),
     )
     (report,) = execution.execute([cell])
@@ -601,8 +592,6 @@ def _tracking_reports(
     Returns ``(params, execution, names, models, reports)`` where
     ``reports`` maps ``(model_name, strategy)`` to the windowed run report.
     """
-    import numpy as np
-
     from repro.workloads import model_from_name
 
     params = params or simulation_scenario()
@@ -618,35 +607,25 @@ def _tracking_reports(
         name: model_from_name(name, duration, shift_at) for name in names
     }
     config = PdhtConfig.from_scenario(params)
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
     keys = [
         (name, strategy)
         for name in names
         for strategy in ("partialSelection", "partialIdeal")
     ]
-
     # Both engines seed the query stream per *model*, not per cell: the
     # selection and oracle runs of one model must see the identical
     # realized workload (same post-shift permutations, same query
     # sequence) or their gap compares runs of different workloads.
-    def batch_workload(name: str):
-        return models[name].build_batch(
-            zipf,
-            np.random.default_rng(
-                np.random.SeedSequence([seed, 0x7AC4, names.index(name)])
-            ),
-        )
-
-    def event_workload(name: str, streams):
-        return models[name].build_event(zipf, streams.get("queries-model"))
-
     reports = execution.execute(
         [
             Cell(
                 params, config, duration, strategy=strategy, seed=seed,
                 window=window,
-                batch_workload=partial(batch_workload, name),
-                event_workload=partial(event_workload, name),
+                workload=CellWorkload(
+                    models[name],
+                    "queries-model",
+                    (seed, 0x7AC4, names.index(name)),
+                ),
             )
             for name, strategy in keys
         ]

@@ -32,7 +32,6 @@ minimising measured total cost — the measured counterpart of
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Iterator, Optional
 
 from repro import obs
@@ -44,7 +43,7 @@ from repro.experiments.api import (
     ExperimentContext,
     experiment,
 )
-from repro.experiments.execution import Cell, Execution
+from repro.experiments.execution import Cell, CellWorkload, Execution
 from repro.experiments.figures import FigureSeries
 from repro.experiments.reporting import format_period
 from repro.experiments.scenario import paper_scenario
@@ -180,9 +179,6 @@ def sweep_grid(
     :mod:`repro.experiments.execution`; results are identical for any
     worker count and shipping mechanism.
     """
-    import numpy as np
-
-    from repro.analysis.zipf import ZipfDistribution
     from repro.fastsim.compare import churn_config_for_availability
     from repro.pdht.config import PdhtConfig
     from repro.workloads import model_from_name
@@ -193,14 +189,11 @@ def sweep_grid(
     if duration <= 0:
         raise ParameterError(f"duration must be > 0, got {duration}")
 
-    def model_workload(point: GridPoint, cell: ScenarioParameters, index: int):
-        return model_from_name(point.workload, duration).build_batch(
-            ZipfDistribution(cell.n_keys, cell.alpha),
-            np.random.default_rng(
-                np.random.SeedSequence([seed, 0x57EED, index])
-            ),
-        )
-
+    models = {
+        name: model_from_name(name, duration)
+        for name in axes.workloads
+        if name != "stationary"
+    }
     cells: list[Cell] = []
     with obs.span("sweep.plan", cells=axes.size):
         for index, point in enumerate(axes.points()):
@@ -215,8 +208,12 @@ def sweep_grid(
                     duration,
                     seed=seed,
                     churn=churn_config_for_availability(point.availability),
-                    batch_workload=(
-                        partial(model_workload, point, cell, index)
+                    workload=(
+                        CellWorkload(
+                            models[point.workload],
+                            "queries-model",
+                            (seed, 0x57EED, index),
+                        )
                         if point.workload != "stationary"
                         else None
                     ),

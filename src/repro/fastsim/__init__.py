@@ -8,10 +8,10 @@ subsystem re-implements the Section 5 simulation semantics as round-stepped
 numpy batch operations:
 
 * :mod:`repro.fastsim.state` — array-of-peers network state;
-* :mod:`repro.fastsim.workload` — batched Zipf query-stream sampling
-  (stationary, shuffled, flash-crowd; :mod:`repro.workloads` models
-  plug in via ``WorkloadModel.build_batch``, with ``next_boundary``
-  keeping whole shift-free segments on the one-``draw_into`` path);
+* :mod:`repro.fastsim.workload` — the query stream a
+  :mod:`repro.workloads` model realises (``model.build(zipf, rng)``):
+  batched Zipf sampling, with ``next_boundary`` keeping whole shift-free
+  segments on the one-``draw_into`` path;
 * :mod:`repro.fastsim.kernel` — the batch execution kernel
   (query -> hit/miss -> TTL refresh -> eviction -> cost accounting) for
   all four Fig. 1 strategies, plus per-op cost models and the batch
@@ -87,19 +87,11 @@ from repro.fastsim.precision import (
 )
 from repro.fastsim.shm import ShmArena, SharedArrayRef, leaked_segments
 from repro.fastsim.state import FastSimState
-from repro.fastsim.workload import (
-    BatchFlashCrowdWorkload,
-    BatchShuffledZipfWorkload,
-    BatchWorkload,
-    BatchZipfWorkload,
-)
+from repro.fastsim.workload import BatchWorkload
 
 __all__ = [
     "FastSimState",
     "BatchWorkload",
-    "BatchZipfWorkload",
-    "BatchShuffledZipfWorkload",
-    "BatchFlashCrowdWorkload",
     "BatchChurnProcess",
     "PerOpCosts",
     "ChurnOpCosts",

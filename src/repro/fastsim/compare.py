@@ -38,10 +38,12 @@ from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.fastsim.churncosts import ChurnOpCosts, conditional_walk_failure
 from repro.fastsim.kernel import PerOpCosts, run_fastsim
+from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.pdht.strategies import PartialSelectionStrategy
+from repro.workloads.models import StationaryZipf
 
 __all__ = [
     "CALIBRATION_LIMIT",
@@ -385,7 +387,6 @@ def _calibrate_churn_costs_probe(
     model: "WorkloadModel | None",
 ) -> ChurnOpCosts:
     from repro.sim.metrics import MessageCategory
-    from repro.workload.queries import ZipfQueryWorkload
 
     if not churn.enabled:
         raise ParameterError(
@@ -405,15 +406,10 @@ def _calibrate_churn_costs_probe(
     config = config or PdhtConfig.from_scenario(params)
     net = _probe_network(params, config, seed=seed, churn=churn)
     net.publish_all({f"key-{i:06d}": i for i in range(params.n_keys)})
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
-    if model is not None:
-        workload = model.build_event(
-            zipf, net.streams.get("churn-cal-queries")
-        )
-    else:
-        workload = ZipfQueryWorkload(
-            zipf, net.streams.get("churn-cal-queries")
-        )
+    workload = (model or StationaryZipf()).build(
+        ZipfDistribution(params.n_keys, params.alpha),
+        net.streams.get("churn-cal-queries"),
+    )
     count_rng = net.streams.get("churn-cal-counts")
     probe_rng = net.streams.get("churn-cal-probes")
     rate = params.network_query_rate
@@ -447,21 +443,15 @@ def _calibrate_churn_costs_probe(
     probe_serial = 0
     query_seconds = probe_seconds = 0.0
     queries = 0
-    rate_scale = getattr(workload, "rate_multiplier", None)
     for round_index in range(total_rounds):
         net.advance(1.0)
         now = net.simulation.now
         measuring = round_index >= measure_from
         if measuring and maintenance_start is None:
             maintenance_start = net.metrics.total(MessageCategory.MAINTENANCE)
-        count = int(
-            count_rng.poisson(
-                rate * (rate_scale(now) if rate_scale is not None else 1.0)
-            )
-        )
+        count = int(count_rng.poisson(rate * workload.rate_multiplier(now)))
         queries_started = perf_counter()
-        for event in workload.draw(now, count):
-            key_index = event.key_index
+        for _, key_index in workload.draw(now, count):
             key = f"key-{key_index:06d}"
             try:
                 origin = net.random_online_peer()
@@ -649,7 +639,7 @@ def resolve_costs(
     num_active_peers: int,
     seed: int = 0,
     churn: Optional[ChurnConfig] = None,
-    workload: object = None,
+    workload: Optional[BatchWorkload] = None,
     costs: Optional[PerOpCosts] = None,
     churn_costs: Optional[ChurnOpCosts] = None,
 ) -> tuple[PerOpCosts, Optional[ChurnOpCosts]]:
@@ -664,17 +654,19 @@ def resolve_costs(
     strategy. Churn costs are resolved only under enabled churn, at the
     run's own ``seed`` (they are substrate-realisation properties — which
     hot keys' responsible members churn — and ``PdhtNetwork(seed)`` is the
-    substrate the event engine would run), scaled from ``costs``. A
-    model-driven ``workload`` threads its model into that calibration so
-    the probe drives the same shifting rank->key mapping the kernel will
-    run (rank-permutation awareness).
+    substrate the event engine would run), scaled from ``costs``. The
+    ``workload``'s model is threaded into that calibration so the probe
+    drives the same shifting rank->key mapping the kernel will run
+    (rank-permutation awareness); no workload is the stationary stream.
     """
     costs = costs or costs_for(params, config, num_active_peers)
     if churn_costs is None and churn is not None and churn.enabled:
-        model = getattr(workload, "model", None)
+        model = (
+            workload.model.calibration_model if workload is not None else None
+        )
         churn_costs = churn_costs_for(
             params, config, num_active_peers, churn, base=costs, seed=seed,
-            model=model.calibration_model if model is not None else None,
+            model=model,
         )
     return costs, churn_costs
 
@@ -1010,7 +1002,7 @@ def _event_model_strategy(
         params, config=config, seed=seed, churn=churn
     )
     if model is not None:
-        strategy.workload = model.build_event(
+        strategy.workload = model.build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("queries-model"),
         )
@@ -1021,7 +1013,7 @@ def _batch_model_workload(params: ScenarioParameters, seed: int, model):
     """The kernel-side workload for ``model`` (None = kernel default)."""
     if model is None:
         return None
-    return model.build_batch(
+    return model.build(
         ZipfDistribution(params.n_keys, params.alpha),
         np.random.default_rng(np.random.SeedSequence([seed, 0x3037DE1])),
     )
@@ -1182,15 +1174,15 @@ def staleness_probe_event(
     ``figures.staleness_experiment`` historically ran inline, factored
     here so figure generation and cross-engine checks share it.
     """
-    from repro.workload.queries import ZipfQueryWorkload
-
     if refresh_period <= 0 or duration <= 0:
         raise ParameterError("duration and refresh_period must be > 0")
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     net = PdhtNetwork(params, config, seed=seed)
     versions = dict.fromkeys(range(params.n_keys), 0)
     net.publish_all({f"key-{i:06d}": (i, 0) for i in versions})
-    workload = ZipfQueryWorkload(zipf, net.streams.get("staleness-queries"))
+    workload = StationaryZipf().build(
+        zipf, net.streams.get("staleness-queries")
+    )
     rate = params.network_query_rate
     rng = net.streams.get("staleness-counts")
 
@@ -1204,8 +1196,7 @@ def staleness_probe_event(
                 versions[i] += 1
                 net.refresh_content(f"key-{i:06d}", (i, versions[i]))
             next_refresh += refresh_period
-        for event in workload.draw(now, int(rng.poisson(rate))):
-            key_index = event.key_index
+        for _, key_index in workload.draw(now, int(rng.poisson(rate))):
             outcome = net.query(
                 net.random_online_peer(), f"key-{key_index:06d}"
             )

@@ -74,12 +74,13 @@ from repro.fastsim.precision import (
     resolve_precision,
 )
 from repro.fastsim.state import FastSimState
-from repro.fastsim.workload import BatchWorkload, BatchZipfWorkload
+from repro.fastsim.workload import BatchWorkload
 from repro.analysis.zipf import ZipfDistribution
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import STRATEGY_NAMES as STRATEGIES
 from repro.sim.metrics import MessageCategory
+from repro.workloads.models import StationaryZipf
 
 __all__ = [
     "PerOpCosts",
@@ -152,7 +153,7 @@ def default_batch_workload(
     params: ScenarioParameters,
     seed: int,
     zipf: Optional[ZipfDistribution] = None,
-) -> BatchZipfWorkload:
+) -> BatchWorkload:
     """The workload :class:`FastSimKernel` builds when given none.
 
     Materialised from the kernel's own seed derivation (the workload
@@ -163,7 +164,7 @@ def default_batch_workload(
     and ship their large arrays to workers by shared-memory handle.
     """
     seeds = np.random.SeedSequence(seed).spawn(5)
-    return BatchZipfWorkload(
+    return StationaryZipf().build(
         zipf or ZipfDistribution(params.n_keys, params.alpha),
         np.random.default_rng(seeds[1]),
     )

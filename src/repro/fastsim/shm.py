@@ -190,8 +190,9 @@ def extract_arrays(
     (the original graph is never touched); objects without large arrays
     are returned as-is. The walk covers ndarray attributes up to
     ``_depth`` levels of ``__dict__``-bearing objects plus list/tuple/
-    dict containers — enough for every workload shape in the repo
-    (workload → zipf → tables, workload → cursor → model → trace).
+    dict containers — enough for every stream in the repo (stream →
+    zipf → tables; stream → rank_to_key; a replay stream's own
+    ``_times`` / ``_ranks`` / ``_keys``).
     """
     if isinstance(obj, np.ndarray):
         if obj.nbytes >= min_bytes and obj.dtype != object:

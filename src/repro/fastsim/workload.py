@@ -1,23 +1,24 @@
-"""Batched query-stream sampling for the vectorized kernel.
+"""The query stream both engines draw from.
 
-Mirror of :mod:`repro.workload.queries` at batch granularity: instead of
-yielding one :class:`~repro.workload.queries.QueryEvent` per query, a batch
-workload returns whole numpy arrays of (rank, key index) pairs per round.
-The non-stationary variants reproduce the same shift semantics so the
-adaptivity experiments run unchanged on either engine.
-
-The general non-stationary case lives in :mod:`repro.workloads`: a
-:class:`~repro.workloads.models.WorkloadModel` builds a batch stream via
-``model.build_batch(zipf, rng)``, whose ``next_boundary`` schedule keeps
-whole shift-free segments on the one-``draw_into`` fast path, plus
-optional per-round rate modulation (:meth:`BatchWorkload.rate_multipliers`)
-and exact trace-replay counts (:meth:`BatchWorkload.fixed_counts`).
+A :class:`BatchWorkload` is the one mutable realisation of a frozen
+:class:`~repro.workloads.models.WorkloadModel` (``model.build(zipf,
+rng)``): it owns the generator and the current rank -> key mapping and
+hands out (rank, key index) pairs. The vectorized kernel takes whole
+blocks of rounds as arrays (:meth:`BatchWorkload.draw_rounds`, one
+``draw_into`` call per shift-free segment, jumping between the stream's
+``next_boundary`` times); the event driver takes one round at a time
+(:meth:`BatchWorkload.draw`). Both are views of
+:meth:`BatchWorkload.draw_round`, so the same generator state yields the
+same queries on either engine. A stream may also modulate the query rate
+(:meth:`BatchWorkload.rate_multiplier` / ``rate_multipliers``) or pin the
+per-round counts (:meth:`BatchWorkload.fixed_counts`, trace replay).
 """
 
 from __future__ import annotations
 
 import abc
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,18 +26,23 @@ from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.fastsim.precision import INDEX_DTYPE
 
-__all__ = [
-    "BatchWorkload",
-    "BatchZipfWorkload",
-    "BatchShuffledZipfWorkload",
-    "BatchFlashCrowdWorkload",
-]
+if TYPE_CHECKING:
+    from repro.workloads.models import WorkloadModel
+
+__all__ = ["BatchWorkload"]
 
 
 class BatchWorkload(abc.ABC):
-    """A vectorized stream of query batches over a Zipf key universe."""
+    """A stream of query batches over a Zipf key universe, realising
+    ``model`` from ``rng``."""
 
-    def __init__(self, zipf: ZipfDistribution, rng: np.random.Generator) -> None:
+    def __init__(
+        self,
+        model: WorkloadModel,
+        zipf: ZipfDistribution,
+        rng: np.random.Generator,
+    ) -> None:
+        self.model = model
         self.zipf = zipf
         self.rng = rng
         #: Permutation mapping (rank - 1) -> key index. Identity at start.
@@ -56,6 +62,7 @@ class BatchWorkload(abc.ABC):
     def maybe_shift(self, now: float) -> bool:
         """Apply any scheduled distribution change; True if one happened."""
 
+    @abc.abstractmethod
     def next_boundary(self, now: float) -> float:
         """Earliest round time at which :meth:`maybe_shift` could change
         anything; ``math.inf`` if it never will again.
@@ -64,28 +71,27 @@ class BatchWorkload(abc.ABC):
         batch whole shift-free segments in one ``draw_into`` call and
         *jump* directly to the next boundary instead of testing every
         round. A returned time at or before ``now`` means a shift is due
-        now. The base default is conservatively ``now``: a subclass that
-        only overrides :meth:`maybe_shift` still has it invoked every
-        round (one-round segments, identical semantics to the per-round
-        path); overriding this with an exact schedule is the batching
-        opt-in.
+        now.
         """
-        return now
 
-    def shift_pending(self, now: float) -> bool:
-        """Whether :meth:`maybe_shift` *could* change anything at ``now``
-        (the boolean view of :meth:`next_boundary`; also a pure peek)."""
-        return self.next_boundary(now) <= now
+    def rate_multiplier(self, now: float) -> float:
+        """Query-rate factor of the round at ``now`` (1.0 = the scenario
+        rate): what the event driver scales its Poisson mean by."""
+        return self.model.rate_multiplier(now)
 
     def rate_multipliers(self, start: float, rounds: int) -> np.ndarray | None:
         """Per-round query-rate factors for rounds ``start+1 .. start+rounds``.
 
-        ``None`` (the default) marks the stationary-rate case, letting
-        the kernel keep its exact historical ``poisson(rate, size=n)``
-        draw; a time-varying workload (e.g. a diurnal cycle) returns an
-        array of factors applied to the scenario rate per round.
+        ``None`` marks the stationary-rate case, letting the kernel keep
+        its exact historical ``poisson(rate, size=n)`` draw; a
+        time-varying model (e.g. a diurnal cycle) gives an array of
+        factors applied to the scenario rate per round. The kernel's
+        vectorised counterpart of :meth:`rate_multiplier`, kept apart
+        from it: ``np.sin`` and ``math.sin`` differ in the last ulp, and
+        a pinned Poisson mean must not.
         """
-        return None
+        times = start + 1.0 + np.arange(rounds, dtype=float)
+        return self.model.rate_multipliers(times)
 
     def fixed_counts(self, start: float, rounds: int) -> np.ndarray | None:
         """Exact per-round query counts, overriding the Poisson draw.
@@ -95,6 +101,12 @@ class BatchWorkload(abc.ABC):
         replays it verbatim.
         """
         return None
+
+    def draw(self, now: float, count: int) -> list[tuple[int, int]]:
+        """One round's queries as ``(rank, key_index)`` pairs — the
+        per-query view of :meth:`draw_round` the event driver loops over."""
+        ranks, keys = self.draw_round(now, count)
+        return list(zip(ranks.tolist(), keys.tolist()))
 
     def draw_round(
         self, now: float, count: int
@@ -187,74 +199,3 @@ class BatchWorkload(abc.ABC):
                 i = max(i + 1, int(math.ceil(boundary - start - 1.0)))
         flush(segment_start, n)
         return ranks, keys, offsets
-
-
-class BatchZipfWorkload(BatchWorkload):
-    """The stationary Zipf stream of the paper's evaluation."""
-
-    def next_boundary(self, now: float) -> float:
-        return math.inf
-
-    def maybe_shift(self, now: float) -> bool:
-        return False
-
-
-class BatchShuffledZipfWorkload(BatchWorkload):
-    """Re-draws the rank->key mapping at ``shift_time`` (wholesale change)."""
-
-    def __init__(
-        self,
-        zipf: ZipfDistribution,
-        rng: np.random.Generator,
-        shift_time: float,
-    ) -> None:
-        super().__init__(zipf, rng)
-        if shift_time < 0:
-            raise ParameterError(f"shift_time must be >= 0, got {shift_time}")
-        self.shift_time = shift_time
-        self.shifted = False
-
-    def next_boundary(self, now: float) -> float:
-        return self.shift_time if not self.shifted else math.inf
-
-    def maybe_shift(self, now: float) -> bool:
-        if self.shift_pending(now):
-            self.rank_to_key = self.rng.permutation(self.n_keys)
-            self.shifted = True
-            return True
-        return False
-
-
-class BatchFlashCrowdWorkload(BatchWorkload):
-    """Promotes one cold key to rank 1 at ``crowd_time`` (breaking news)."""
-
-    def __init__(
-        self,
-        zipf: ZipfDistribution,
-        rng: np.random.Generator,
-        crowd_time: float,
-        cold_rank: int | None = None,
-    ) -> None:
-        super().__init__(zipf, rng)
-        if crowd_time < 0:
-            raise ParameterError(f"crowd_time must be >= 0, got {crowd_time}")
-        cold_rank = zipf.n_keys if cold_rank is None else cold_rank
-        if not 1 <= cold_rank <= zipf.n_keys:
-            raise ParameterError(
-                f"cold_rank must be in [1, {zipf.n_keys}], got {cold_rank}"
-            )
-        self.crowd_time = crowd_time
-        self.cold_rank = cold_rank
-        self.crowded = False
-
-    def next_boundary(self, now: float) -> float:
-        return self.crowd_time if not self.crowded else math.inf
-
-    def maybe_shift(self, now: float) -> bool:
-        if self.shift_pending(now):
-            promoted = self.rank_to_key[self.cold_rank - 1]
-            mapping = np.delete(self.rank_to_key, self.cold_rank - 1)
-            self.rank_to_key = np.concatenate(([promoted], mapping))
-            self.crowded = True
-            return True
-        return False

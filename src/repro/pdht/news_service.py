@@ -3,7 +3,7 @@
 Section 1 motivates the PDHT with a decentralized news system: articles
 described by metadata element-value pairs, queried by predicates such as
 ``title = "Weather Iraklion" AND date = "2004/03/14"``. This module glues
-the metadata machinery (:mod:`repro.workload.metadata`) to a
+the metadata machinery (:mod:`repro.workloads.metadata`) to a
 :class:`~repro.pdht.network.PdhtNetwork` into the API such a system would
 actually expose:
 
@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from repro.errors import ParameterError
 from repro.net.node import PeerId
 from repro.pdht.network import PdhtNetwork, QueryOutcome
-from repro.workload.metadata import MetadataKey, NewsArticle, extract_keys
+from repro.workloads.metadata import MetadataKey, NewsArticle, extract_keys
 
 __all__ = ["NewsQueryResult", "NewsService"]
 

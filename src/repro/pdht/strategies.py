@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
@@ -33,7 +33,9 @@ from repro.obs.clock import perf_counter
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.sim.metrics import MessageCategory
-from repro.workload.queries import QueryWorkload, ZipfQueryWorkload
+
+if TYPE_CHECKING:
+    from repro.fastsim.workload import BatchWorkload
 
 __all__ = [
     "StrategyReport",
@@ -102,7 +104,7 @@ class SimulatedStrategy(abc.ABC):
         config: Optional[PdhtConfig] = None,
         seed: int = 0,
         churn: Optional[ChurnConfig] = None,
-        workload: Optional[QueryWorkload] = None,
+        workload: Optional[BatchWorkload] = None,
     ) -> None:
         self.params = params
         base_config = config or PdhtConfig.from_scenario(params)
@@ -117,10 +119,16 @@ class SimulatedStrategy(abc.ABC):
                 num_active_peers=self._active_peers(),
                 churn=churn,
             )
-        self.workload = workload or ZipfQueryWorkload(
-            ZipfDistribution(params.n_keys, params.alpha),
-            self.network.streams.get("queries"),
-        )
+        if workload is None:
+            # Imported here: the stream classes live in repro.fastsim,
+            # whose kernel imports this module.
+            from repro.workloads.models import StationaryZipf
+
+            workload = StationaryZipf().build(
+                ZipfDistribution(params.n_keys, params.alpha),
+                self.network.streams.get("queries"),
+            )
+        self.workload = workload
         if self.workload.n_keys != params.n_keys:
             raise ParameterError(
                 f"workload covers {self.workload.n_keys} keys, "
@@ -200,9 +208,6 @@ class SimulatedStrategy(abc.ABC):
             window_queries = window_hits = 0
 
         rounds = int(round(duration))
-        # Model-driven workloads can modulate the query rate over time
-        # (e.g. a diurnal cycle); plain workloads draw at the flat rate.
-        rate_scale = getattr(self.workload, "rate_multiplier", None)
         profiled = obs.enabled()
         query_seconds = 0.0
         for _ in range(rounds):
@@ -210,16 +215,15 @@ class SimulatedStrategy(abc.ABC):
             if profiled:
                 round_started = perf_counter()
             now = sim.now
-            # Queries this round: Poisson around the network-wide rate.
+            # Queries this round: Poisson around the network-wide rate,
+            # which the workload may modulate (e.g. a diurnal cycle).
             count = int(
-                self._rng.poisson(
-                    rate * (rate_scale(now) if rate_scale is not None else 1.0)
-                )
+                self._rng.poisson(rate * self.workload.rate_multiplier(now))
             )
-            for event in self.workload.draw(now, count):
+            for rank, key_index in self.workload.draw(now, count):
                 origin = self.network.random_online_peer()
-                key = self.key_name(event.key_index)
-                answered, via_index = self._handle(origin, key, event.rank)
+                key = self.key_name(key_index)
+                answered, via_index = self._handle(origin, key, rank)
                 report.queries += 1
                 window_queries += 1
                 if answered:

@@ -20,11 +20,12 @@ and the stored row is reused. That is the entire invalidation rule.
 - numpy scalars -> python scalars, ndarrays -> nested lists
 - ``np.random.Generator`` -> its ``bit_generator.state`` dict
 - enums -> their value
-- ``BatchWorkload`` instances -> qualified class name + canonical state
+- ``BatchWorkload`` streams -> qualified class name + canonical state
 - dict keys are sorted; tuples/sets become lists (sets sorted)
 
 Floats serialize via ``repr`` round-trip (exact in python), so keys are
-bit-stable across processes and platforms for identical inputs.
+bit-stable across processes and platforms for identical inputs; ``±inf``
+becomes ``{"__float__": "inf" | "-inf"}`` and NaN is rejected.
 """
 
 from __future__ import annotations
@@ -55,10 +56,14 @@ def canonical(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        # NaN/inf are not JSON; none of our inputs legitimately carry
-        # them, so fail loudly rather than store an unmatchable key.
-        if value != value or value in (float("inf"), float("-inf")):
+        # NaN/inf are not JSON. An infinity is a legitimate input ("this
+        # schedule has no further boundary", ``hot_for=inf``) and gets a
+        # tagged form; NaN equals nothing, itself included, so it fails
+        # loudly rather than store an unmatchable key.
+        if value != value:
             raise ValueError(f"non-finite float in store key inputs: {value!r}")
+        if value in (float("inf"), float("-inf")):
+            return {"__float__": "inf" if value > 0 else "-inf"}
         return value
     if isinstance(value, enum.Enum):
         return canonical(value.value)
@@ -89,7 +94,7 @@ def canonical(value: Any) -> Any:
         return [canonical(item) for item in value]
     if isinstance(value, (set, frozenset)):
         return sorted(canonical(item) for item in value)
-    # Workload adapters (BatchWorkload subclasses) and similar stateful
+    # Query streams (BatchWorkload subclasses) and similar stateful
     # objects: identity is the class plus its instance state.
     state = getattr(value, "__dict__", None)
     if state is not None:

@@ -1,37 +1,36 @@
-"""repro.workloads — composable non-stationary workload models.
+"""repro.workloads — what the network is asked: the query stream and the
+news corpus behind it.
 
-The paper's central claim is *query-adaptivity*: the Section 5 selection
-strategy tracks the query distribution as it changes. Exercising that
-claim needs more than one hard-coded Zipf stream with a single shift, so
-this subsystem provides a family of composable, seedable workload models
-behind one :class:`~repro.workloads.models.WorkloadModel` protocol:
+**The query stream.** The paper's central claim is *query-adaptivity*:
+the Section 5 selection strategy tracks the Section 4 Zipf(1.2) query
+distribution as it changes. A workload is defined once, as a frozen,
+composable, seedable :class:`~repro.workloads.models.WorkloadModel`:
 
 ====================  ==================================================
 model                 what changes
 ====================  ==================================================
 ``StationaryZipf``    nothing — the paper's baseline stream
 ``RankSwap``          the whole rank -> key mapping, once (the
-                      historical adaptivity shift as a special case)
+                      Section 5.2 adaptivity shift)
 ``GradualDrift``      head-biased transposition walk on the mapping
                       every ``period`` rounds — popularity drifts
 ``FlashCrowd``        a tail key is promoted above rank 1 and demoted
                       ``hot_for`` rounds later — a transient hot key
 ``DiurnalCycle``      the query *rate* (sinusoidal day/night cycle)
 ``TraceReplay``       nothing is sampled — a recorded
-                      :class:`~repro.workload.trace.QueryTrace` replays
+                      :class:`~repro.workloads.trace.QueryTrace` replays
                       verbatim (JSON or JSONL)
 ``Composite``         several of the above overlaid
 ====================  ==================================================
 
-A model builds engine-specific streams with
-:meth:`~repro.workloads.models.WorkloadModel.build_event` (the
-discrete-event engine's :class:`~repro.workload.queries.QueryWorkload`)
-and :meth:`~repro.workloads.models.WorkloadModel.build_batch` (the
-vectorized kernel's :class:`~repro.fastsim.workload.BatchWorkload`,
-preserving the segment-batched ``draw_rounds`` fast path via
-``next_boundary``). Under churn, the kernel's per-op cost calibration is
-rank-permutation aware: it drives its probe workload with the same model
-(see :func:`repro.fastsim.compare.calibrate_churn_costs`).
+``model.build(zipf, rng)`` realises a model as the one mutable stream
+both engines draw from, a
+:class:`~repro.fastsim.workload.BatchWorkload`: the event driver takes
+it a round at a time (``draw``), the vectorized kernel in segment-batched
+blocks (``draw_rounds``, jumping between the model's ``next_boundary``
+times). Under churn, the kernel's per-op cost calibration is
+rank-permutation aware: it drives its probe with the same model (see
+:func:`repro.fastsim.compare.calibrate_churn_costs`).
 
 Experiment integration: every model has a preset name
 (:data:`~repro.workloads.models.WORKLOAD_MODEL_NAMES`,
@@ -39,14 +38,19 @@ Experiment integration: every model has a preset name
 ``run("adaptivity-tracking", workload="gradual-drift")``, the sweep
 grid's ``GridAxes.workloads`` axis, and the runner's ``--workload`` flag
 (``trace:<path>`` replays a saved trace).
+
+**The news corpus** (Section 4's decentralized news system). Peers
+generate articles described by metadata element-value pairs (title,
+author, date, size, ...); keys are obtained by hashing single or
+concatenated pairs [FeBi04] after dropping globally-known stop words
+(:mod:`repro.workloads.stopwords`). The evaluation scenario indexes
+2,000 articles x 20 keys = 40,000 unique keys
+(:mod:`repro.workloads.generator`, :mod:`repro.workloads.metadata`).
 """
 
-from repro.workloads.adapters import (
-    BatchTraceWorkload,
-    ModelBatchWorkload,
-    ModelQueryWorkload,
-    TraceQueryWorkload,
-)
+from repro.workloads.adapters import BatchTraceWorkload, ModelBatchWorkload
+from repro.workloads.generator import CorpusConfig, NewsCorpus, generate_corpus
+from repro.workloads.metadata import MetadataKey, NewsArticle, extract_keys
 from repro.workloads.models import (
     WORKLOAD_MODEL_NAMES,
     Composite,
@@ -60,6 +64,8 @@ from repro.workloads.models import (
     model_from_name,
     validate_workload_name,
 )
+from repro.workloads.stopwords import STOP_WORDS, is_stop_word, strip_stop_words
+from repro.workloads.trace import QueryEvent, QueryTrace, record_trace
 
 __all__ = [
     "WorkloadModel",
@@ -73,8 +79,18 @@ __all__ = [
     "WORKLOAD_MODEL_NAMES",
     "model_from_name",
     "validate_workload_name",
-    "ModelQueryWorkload",
     "ModelBatchWorkload",
-    "TraceQueryWorkload",
     "BatchTraceWorkload",
+    "QueryEvent",
+    "QueryTrace",
+    "record_trace",
+    "STOP_WORDS",
+    "is_stop_word",
+    "strip_stop_words",
+    "MetadataKey",
+    "NewsArticle",
+    "extract_keys",
+    "CorpusConfig",
+    "NewsCorpus",
+    "generate_corpus",
 ]

@@ -1,12 +1,12 @@
-"""Engine adapters: one :class:`~repro.workloads.models.WorkloadModel`,
-both engines.
+"""The two realisations of a :class:`~repro.workloads.models.WorkloadModel`
+as a :class:`~repro.fastsim.workload.BatchWorkload`: sampled
+(:class:`ModelBatchWorkload`) and replayed (:class:`BatchTraceWorkload`).
 
-The adapters own the mutable part of a workload run (the current
-rank -> key mapping, the next unapplied boundary) while the model stays a
-frozen schedule. Both adapters advance boundaries through the same
-while-loop over :meth:`WorkloadModel.apply`, so given the same generator
-state the realized mapping is identical on either engine — the parity the
-cross-engine agreement tests rely on.
+The stream owns the mutable part of a workload run (the generator, the
+current rank -> key mapping, the next unapplied boundary) while the model
+stays a frozen schedule. Both engines consume the same stream class, so
+given the same generator state the realized mapping and queries are
+identical on either.
 """
 
 from __future__ import annotations
@@ -17,19 +17,13 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.fastsim.workload import BatchWorkload
-from repro.workload.queries import QueryEvent, QueryWorkload
 from repro.workloads.models import TraceReplay, WorkloadModel
 
-__all__ = [
-    "ModelQueryWorkload",
-    "ModelBatchWorkload",
-    "TraceQueryWorkload",
-    "BatchTraceWorkload",
-]
+__all__ = ["ModelBatchWorkload", "BatchTraceWorkload"]
 
 
 class _BoundaryCursor:
-    """Tracks a model's next unapplied boundary for one adapter."""
+    """Tracks a model's next unapplied boundary for one stream."""
 
     def __init__(self, model: WorkloadModel) -> None:
         self.model = model
@@ -48,36 +42,16 @@ class _BoundaryCursor:
         return mapping, changed
 
 
-class ModelQueryWorkload(QueryWorkload):
-    """Event-engine stream driven by a :class:`WorkloadModel`."""
-
-    def __init__(self, model: WorkloadModel, zipf, rng) -> None:
-        super().__init__(zipf, rng)
-        self.model = model
-        self._cursor = _BoundaryCursor(model)
-
-    def maybe_shift(self, now: float) -> bool:
-        self._rank_to_key, changed = self._cursor.advance(
-            now, self._rank_to_key, self.rng
-        )
-        return changed
-
-    def rate_multiplier(self, now: float) -> float:
-        """Query-rate factor the strategy driver applies this round."""
-        return self.model.rate_multiplier(now)
-
-
 class ModelBatchWorkload(BatchWorkload):
-    """Vectorized stream driven by a :class:`WorkloadModel`.
+    """Sampled stream: Zipf draws under the model's mapping schedule.
 
-    Keeps the segment-batched ``draw_rounds`` fast path: between
-    boundaries the mapping is frozen, so whole segments draw in one
-    ``draw_into`` call exactly like the stationary stream.
+    Between boundaries the mapping is frozen, so ``draw_rounds`` draws
+    each whole segment in one ``draw_into`` call — the stationary stream
+    is the one-segment case.
     """
 
     def __init__(self, model: WorkloadModel, zipf, rng) -> None:
-        super().__init__(zipf, rng)
-        self.model = model
+        super().__init__(model, zipf, rng)
         self._cursor = _BoundaryCursor(model)
 
     def next_boundary(self, now: float) -> float:
@@ -89,55 +63,26 @@ class ModelBatchWorkload(BatchWorkload):
         )
         return changed
 
-    def rate_multipliers(self, start: float, rounds: int) -> np.ndarray | None:
-        times = start + 1.0 + np.arange(rounds, dtype=float)
-        return self.model.rate_multipliers(times)
-
-
-class TraceQueryWorkload(QueryWorkload):
-    """Event-engine replay of a recorded trace.
-
-    ``draw(now, count)`` ignores ``count`` and returns the trace's events
-    for the round ending at ``now`` (times in ``[now - 1, now)``) — every
-    strategy replays the identical query sequence.
-    """
-
-    def __init__(self, model: TraceReplay, zipf, rng) -> None:
-        super().__init__(zipf, rng)
-        if zipf.n_keys != model.trace.n_keys:
-            raise ParameterError(
-                f"trace covers {model.trace.n_keys} keys, "
-                f"scenario has {zipf.n_keys}"
-            )
-        self.model = model
-        self.trace = model.trace
-
-    def maybe_shift(self, now: float) -> bool:
-        return False
-
-    def draw(self, now: float, count: int) -> list[QueryEvent]:
-        return self.trace.events_between(now - 1.0, now)
-
 
 class BatchTraceWorkload(BatchWorkload):
-    """Vectorized replay of a recorded trace.
+    """Replayed stream: a recorded trace, verbatim.
 
     The per-round query counts come from the trace, not a Poisson draw
-    (:meth:`fixed_counts`), and :meth:`draw_rounds` slices the trace's
-    precomputed arrays instead of sampling — round ``i`` of a run
-    starting at ``start`` replays the events with times in
-    ``[start + i, start + i + 1)``, matching :class:`TraceQueryWorkload`
-    bucket for bucket.
+    (:meth:`fixed_counts`), and the draws slice the trace's precomputed
+    arrays instead of sampling — whatever count is asked for, the round
+    ending at ``now`` replays the events with times in ``[now - 1, now)``
+    (round ``i`` of a run starting at ``start``: ``[start + i,
+    start + i + 1)``), so every strategy on either engine sees the
+    identical query sequence.
     """
 
     def __init__(self, model: TraceReplay, zipf, rng) -> None:
-        super().__init__(zipf, rng)
+        super().__init__(model, zipf, rng)
         if zipf.n_keys != model.trace.n_keys:
             raise ParameterError(
                 f"trace covers {model.trace.n_keys} keys, "
                 f"scenario has {zipf.n_keys}"
             )
-        self.model = model
         self.trace = model.trace
         self._times = np.array([e.time for e in model.trace], dtype=float)
         self._ranks = np.array([e.rank for e in model.trace], dtype=np.int64)

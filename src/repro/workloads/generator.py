@@ -4,7 +4,7 @@ The evaluation scenario stores 2,000 unique news articles and derives 20
 metadata keys per article (40,000 unique keys). :func:`generate_corpus`
 builds such a corpus deterministically from a seed: article titles, authors
 (drawn from a pool of news services), dates, categories and sizes, then
-extracts the per-article keys with :func:`repro.workload.metadata.extract_keys`.
+extracts the per-article keys with :func:`repro.workloads.metadata.extract_keys`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.workload.metadata import MetadataKey, NewsArticle, extract_keys
+from repro.workloads.metadata import MetadataKey, NewsArticle, extract_keys
 
 __all__ = ["CorpusConfig", "NewsCorpus", "generate_corpus"]
 

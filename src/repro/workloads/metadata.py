@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import ParameterError
-from repro.workload.stopwords import strip_stop_words
+from repro.workloads.stopwords import strip_stop_words
 
 __all__ = ["MetadataKey", "NewsArticle", "extract_keys"]
 

@@ -11,16 +11,15 @@ can key on them) and picklable (so parallel job specs can ship them).
 The segment contract
 --------------------
 
-Both engines consume a model as a sequence of *segments*: maximal spans
-of rounds between mapping boundaries, each drawn under one frozen
-``(counts, rank_to_key)`` pair. The event engine walks the segments one
-round at a time (:class:`repro.workloads.adapters.ModelQueryWorkload`);
-the vectorized kernel draws whole segments in one ``draw_into`` call
-(:class:`repro.workloads.adapters.ModelBatchWorkload`, preserving the
-segment-batched ``draw_rounds`` fast path). Because both adapters apply
-boundaries through the same :meth:`WorkloadModel.apply` with the same
-while-loop discipline, a shared generator state yields the same realized
-mapping on either engine.
+:meth:`WorkloadModel.build` realises a model as one mutable stream
+(:class:`repro.workloads.adapters.ModelBatchWorkload`) that both engines
+consume as a sequence of *segments*: maximal spans of rounds between
+mapping boundaries, each drawn under one frozen ``(counts,
+rank_to_key)`` pair. The event driver walks the segments one round at a
+time (``draw``); the vectorized kernel draws whole segments in one
+``draw_into`` call (``draw_rounds``). Boundaries are applied by the one
+stream through :meth:`WorkloadModel.apply`, so a shared generator state
+yields the same realized mapping on either engine.
 
 The models
 ----------
@@ -28,7 +27,7 @@ The models
 * :class:`StationaryZipf` — the paper's stationary stream (no
   boundaries; the one-segment degenerate case);
 * :class:`RankSwap` — one wholesale re-draw of the rank -> key mapping
-  at ``shift_time`` (the historical "shift" as a special case);
+  at ``shift_time`` (the Section 5.2 adaptivity shift);
 * :class:`GradualDrift` — a head-biased random transposition walk on
   the mapping every ``period`` rounds: popularity drifts instead of
   jumping;
@@ -37,7 +36,7 @@ The models
 * :class:`DiurnalCycle` — a sinusoidal query-rate modulation (mapping
   boundaries: none); composes with any mapping model;
 * :class:`TraceReplay` — replay a recorded
-  :class:`~repro.workload.trace.QueryTrace` verbatim (counts and keys
+  :class:`~repro.workloads.trace.QueryTrace` verbatim (counts and keys
   come from the trace, not from sampling);
 * :class:`Composite` — overlay several models (boundaries interleave,
   rate multipliers multiply).
@@ -52,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.workload.trace import QueryTrace
+from repro.workloads.trace import QueryTrace
 
 __all__ = [
     "WorkloadModel",
@@ -86,8 +85,8 @@ class WorkloadModel(abc.ABC):
         """Earliest mapping-change time strictly greater than ``after``.
 
         ``math.inf`` means the mapping never changes again. Pure in
-        ``after`` — a model carries no mutable state; the consuming
-        adapter tracks which boundaries it has already applied.
+        ``after`` — a model carries no mutable state; the stream built
+        from it tracks which boundaries it has already applied.
         """
         return math.inf
 
@@ -103,7 +102,7 @@ class WorkloadModel(abc.ABC):
         """The new rank -> key mapping after the boundary at ``at``.
 
         May consume randomness; must *return* the mapping (possibly the
-        input array) rather than mutate it in place, so adapters can
+        input array) rather than mutate it in place, so streams can
         share segments safely.
         """
         return mapping
@@ -132,17 +131,10 @@ class WorkloadModel(abc.ABC):
         """
         return None
 
-    # -- engine adapters -----------------------------------------------
-    def build_event(self, zipf, rng: np.random.Generator):
-        """An event-engine :class:`~repro.workload.queries.QueryWorkload`
-        driving this model."""
-        from repro.workloads.adapters import ModelQueryWorkload
-
-        return ModelQueryWorkload(self, zipf, rng)
-
-    def build_batch(self, zipf, rng: np.random.Generator):
-        """A vectorized :class:`~repro.fastsim.workload.BatchWorkload`
-        driving this model."""
+    # -- realisation ---------------------------------------------------
+    def build(self, zipf, rng: np.random.Generator):
+        """The :class:`~repro.fastsim.workload.BatchWorkload` drawing this
+        model's queries from ``rng`` — the stream either engine runs."""
         from repro.workloads.adapters import ModelBatchWorkload
 
         return ModelBatchWorkload(self, zipf, rng)
@@ -159,12 +151,9 @@ class StationaryZipf(WorkloadModel):
 class RankSwap(WorkloadModel):
     """Wholesale popularity change: the mapping is re-drawn once.
 
-    The historical adaptivity shift
-    (:class:`~repro.workload.queries.ShuffledZipfWorkload`) as a model:
-    at ``shift_time`` every previously hot key goes cold at once — the
-    hardest case for the TTL selection algorithm. Consumes exactly one
-    ``rng.permutation`` draw, so seeded results are bit-identical to the
-    pre-model shift path.
+    The Section 5.2 adaptivity shift: at ``shift_time`` every
+    previously hot key goes cold at once — the hardest case for the TTL
+    selection algorithm. Consumes exactly one ``rng.permutation`` draw.
     """
 
     shift_time: float
@@ -227,7 +216,7 @@ class GradualDrift(WorkloadModel):
         if boundary <= after:
             # Float guard for non-representable periods (0.3, ...):
             # k * period can round to `after` itself, and a boundary
-            # that is not strictly greater would pin the adapter's
+            # that is not strictly greater would pin the stream's
             # cursor to a fixpoint.
             boundary = (k + 1) * self.period
         return boundary
@@ -270,8 +259,8 @@ class FlashCrowd(WorkloadModel):
     At ``at`` the key currently holding ``cold_rank`` (default: the very
     tail) is injected above rank 1 — everyone else shifts down one rank.
     ``hot_for`` rounds later the crowd disperses and the key is demoted
-    back to ``cold_rank``. ``hot_for=math.inf`` reproduces the permanent
-    promotion of the historical flash-crowd workload.
+    back to ``cold_rank``; with ``hot_for=math.inf`` the promotion is
+    permanent.
     """
 
     at: float
@@ -376,7 +365,7 @@ class TraceReplay(WorkloadModel):
     trace (no sampling, no mapping), so every strategy and both engines
     see the *same* queries — the standard trace-driven-simulation
     workflow. Build one from a live workload with
-    :func:`repro.workload.trace.record_trace`, or load a saved trace
+    :func:`repro.workloads.trace.record_trace`, or load a saved trace
     (JSON or JSONL) via :meth:`from_file`.
     """
 
@@ -395,12 +384,7 @@ class TraceReplay(WorkloadModel):
     def from_file(cls, path) -> "TraceReplay":
         return cls(QueryTrace.load(path))
 
-    def build_event(self, zipf, rng):
-        from repro.workloads.adapters import TraceQueryWorkload
-
-        return TraceQueryWorkload(self, zipf, rng)
-
-    def build_batch(self, zipf, rng):
+    def build(self, zipf, rng):
         from repro.workloads.adapters import BatchTraceWorkload
 
         return BatchTraceWorkload(self, zipf, rng)

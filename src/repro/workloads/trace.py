@@ -1,10 +1,11 @@
 """Query-trace recording and replay.
 
 Experiments become comparable across strategies only when every strategy
-sees the *same* query sequence. :class:`QueryTrace` captures a workload's
-emitted events, serialises to/from JSON (one document) or JSONL (one
-header line plus one event per line — appendable, streamable, and the
-format :class:`repro.workloads.TraceReplay` documents), and replays
+sees the *same* query sequence. :class:`QueryTrace` captures a stream's
+emitted queries as :class:`QueryEvent` records, serialises to/from JSON
+(one document) or JSONL (one header line plus one event per line —
+appendable, streamable, and the format
+:class:`repro.workloads.TraceReplay` documents), and replays
 deterministically — the standard trace-driven-simulation workflow.
 """
 
@@ -15,14 +16,30 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ParameterError
-from repro.workload.queries import QueryEvent, QueryWorkload
 
-__all__ = ["QueryTrace", "record_trace"]
+if TYPE_CHECKING:
+    from repro.fastsim.workload import BatchWorkload
+
+__all__ = ["QueryEvent", "QueryTrace", "record_trace"]
 
 _FORMAT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class QueryEvent:
+    """One recorded query: when, and for which key rank.
+
+    ``rank`` is the *popularity* rank at emission time; ``key_index`` is
+    the stable identity of the queried key (index into the key universe),
+    which differs from ``rank`` once the workload shifts.
+    """
+
+    time: float
+    rank: int
+    key_index: int
 
 
 @dataclass
@@ -201,12 +218,12 @@ class QueryTrace:
 
 
 def record_trace(
-    workload: QueryWorkload,
+    workload: BatchWorkload,
     duration: float,
     queries_per_round: int,
     description: str = "",
 ) -> QueryTrace:
-    """Drive a workload for ``duration`` rounds and capture the stream."""
+    """Drive a stream for ``duration`` rounds and capture what it draws."""
     if duration <= 0:
         raise ParameterError(f"duration must be > 0, got {duration}")
     if queries_per_round < 0:
@@ -216,6 +233,6 @@ def record_trace(
     trace = QueryTrace(n_keys=workload.n_keys, description=description)
     for round_index in range(int(duration)):
         now = float(round_index)
-        for event in workload.draw(now, queries_per_round):
-            trace.append(event)
+        for rank, key_index in workload.draw(now, queries_per_round):
+            trace.append(QueryEvent(now, rank, key_index))
     return trace

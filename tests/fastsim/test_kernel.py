@@ -14,7 +14,7 @@ from repro.fastsim.kernel import (
     PerOpCosts,
     run_fastsim,
 )
-from repro.fastsim.workload import BatchShuffledZipfWorkload
+from repro.workloads import RankSwap
 from repro.analysis.zipf import ZipfDistribution
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
@@ -159,9 +159,7 @@ class TestSelectionDynamics:
         with pytest.raises(ParameterError):
             FastSimKernel(
                 small_params,
-                workload=BatchShuffledZipfWorkload(
-                    workload_zipf, rng, shift_time=1.0
-                ),
+                workload=RankSwap(1.0).build(workload_zipf, rng),
             )
 
 
@@ -210,9 +208,7 @@ class TestOtherStrategies:
 class TestShiftsAndChurn:
     def test_hit_rate_collapses_and_recovers_on_shift(self, small_params):
         zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
-        workload = BatchShuffledZipfWorkload(
-            zipf, np.random.default_rng(9), shift_time=300.0
-        )
+        workload = RankSwap(300.0).build(zipf, np.random.default_rng(9))
         report = run_fastsim(
             small_params,
             duration=600.0,

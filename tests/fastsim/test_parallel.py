@@ -20,7 +20,7 @@ from repro.fastsim.parallel import (
     run_many,
 )
 from repro.fastsim.shm import MIN_SHARE_BYTES, leaked_segments
-from repro.fastsim.workload import BatchZipfWorkload
+from repro.workloads import ModelBatchWorkload, StationaryZipf
 from repro.obs import events as obs_events
 from repro.pdht.config import PdhtConfig
 from repro.store import Store
@@ -139,12 +139,12 @@ class TestRunMany:
         assert run_many([], workers=4) == []
 
 
-class CrashingWorkload(BatchZipfWorkload):
+class CrashingWorkload(ModelBatchWorkload):
     """Module-level (hence picklable) workload that dies mid-run, with a
     payload big enough that ``shared_memory=True`` stages a segment."""
 
     def __init__(self, zipf, rng):
-        super().__init__(zipf, rng)
+        super().__init__(StationaryZipf(), zipf, rng)
         self.ballast = np.zeros(2 * MIN_SHARE_BYTES, dtype=np.uint8)
 
     def draw_rounds(self, start, counts, out=None):

@@ -21,12 +21,9 @@ import pytest
 
 from repro.analysis.zipf import ZipfDistribution
 from repro.experiments.scenario import simulation_scenario
-from repro.fastsim import (
-    BatchFlashCrowdWorkload,
-    BatchShuffledZipfWorkload,
-    run_fastsim,
-)
+from repro.fastsim import run_fastsim
 from repro.pdht.config import PdhtConfig
+from repro.workloads import FlashCrowd, RankSwap
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "pinned_reports.json").read_text()
@@ -85,31 +82,24 @@ def test_strategies_bit_identical_to_pre_batching_kernel(
 
 
 def test_shuffled_workload_bit_identical(params, config):
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
-    workload = BatchShuffledZipfWorkload(
-        zipf,
-        np.random.default_rng(np.random.SeedSequence(99)),
-        shift_time=60.0,
+    """The shift as an experiment names it — a ``Cell`` with its one
+    ``workload`` datum, turned into a kernel job."""
+    from repro.experiments.execution import Cell, CellWorkload
+
+    cell = Cell(
+        params, config, DURATION, seed=SEED, window=WINDOW,
+        workload=CellWorkload(RankSwap(60.0), "queries-shifted", (99,)),
     )
-    report = run_fastsim(
-        params,
-        config=config,
-        duration=DURATION,
-        seed=SEED,
-        workload=workload,
-        window=WINDOW,
-    )
-    _assert_matches(report, PINNED["shuffled"])
+    _assert_matches(cell.fastsim_job("wide").run(), PINNED["shuffled"])
 
 
 def test_rank_swap_model_bit_identical_to_shuffled_pin(params, config):
-    """ISSUE 5 acceptance: the `RankSwap` workload model reproduces the
-    pre-change shift path bit for bit — same pinned report as the
-    historical `BatchShuffledZipfWorkload` capture."""
-    from repro.workloads import RankSwap
-
+    """The `RankSwap` workload model reproduces the pre-model shift path
+    bit for bit — the pin was captured from the historical shuffled
+    workload class (now the oracle in
+    ``tests/workloads/test_legacy_equivalence.py``)."""
     zipf = ZipfDistribution(params.n_keys, params.alpha)
-    workload = RankSwap(shift_time=60.0).build_batch(
+    workload = RankSwap(shift_time=60.0).build(
         zipf, np.random.default_rng(np.random.SeedSequence(99))
     )
     report = run_fastsim(
@@ -125,10 +115,8 @@ def test_rank_swap_model_bit_identical_to_shuffled_pin(params, config):
 
 def test_flash_crowd_workload_bit_identical(params, config):
     zipf = ZipfDistribution(params.n_keys, params.alpha)
-    workload = BatchFlashCrowdWorkload(
-        zipf,
-        np.random.default_rng(np.random.SeedSequence(99)),
-        crowd_time=60.0,
+    workload = FlashCrowd(60.0).build(
+        zipf, np.random.default_rng(np.random.SeedSequence(99))
     )
     report = run_fastsim(
         params,

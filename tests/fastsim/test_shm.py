@@ -31,7 +31,7 @@ from repro.fastsim.shm import (
     leaked_segments,
     restore_arrays,
 )
-from repro.fastsim.workload import BatchZipfWorkload
+from repro.workloads import ModelBatchWorkload, StationaryZipf
 from repro.pdht.config import PdhtConfig
 
 # Large enough that the Zipf tables and rank->key mapping clear
@@ -64,12 +64,12 @@ def build_jobs(params, config):
     ]
 
 
-class CrashingWorkload(BatchZipfWorkload):
+class CrashingWorkload(ModelBatchWorkload):
     """Module-level (hence picklable) workload that dies mid-run, with a
     payload big enough to guarantee a shared segment exists to clean."""
 
     def __init__(self, zipf, rng):
-        super().__init__(zipf, rng)
+        super().__init__(StationaryZipf(), zipf, rng)
         self.ballast = np.zeros(2 * MIN_SHARE_BYTES, dtype=np.uint8)
 
     def draw_rounds(self, start, counts, out=None):

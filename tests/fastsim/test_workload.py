@@ -1,17 +1,16 @@
-"""Tests for the batched query workloads (parity with repro.workload)."""
+"""Tests for the query stream as the kernel consumes it
+(``model.build(...).draw_round`` / ``draw_rounds``)."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
-from repro.fastsim.workload import (
-    BatchFlashCrowdWorkload,
-    BatchShuffledZipfWorkload,
-    BatchZipfWorkload,
-)
+from repro.workloads import FlashCrowd, RankSwap, StationaryZipf
 
 
 @pytest.fixture
@@ -19,22 +18,27 @@ def zipf() -> ZipfDistribution:
     return ZipfDistribution(200, 1.2)
 
 
+def _schedule_exhausted(workload) -> bool:
+    """Every boundary of the stream's model has been applied."""
+    return workload.next_boundary(0.0) == math.inf
+
+
 class TestStationary:
     def test_draw_shapes_and_ranges(self, zipf, rng):
-        workload = BatchZipfWorkload(zipf, rng)
+        workload = StationaryZipf().build(zipf, rng)
         ranks, keys = workload.draw_round(now=1.0, count=500)
         assert ranks.shape == keys.shape == (500,)
         assert ranks.min() >= 1 and ranks.max() <= zipf.n_keys
         assert keys.min() >= 0 and keys.max() < zipf.n_keys
 
     def test_identity_mapping_at_start(self, zipf, rng):
-        workload = BatchZipfWorkload(zipf, rng)
+        workload = StationaryZipf().build(zipf, rng)
         ranks, keys = workload.draw_round(now=0.0, count=100)
         assert (keys == ranks - 1).all()
         assert workload.key_for_rank(1) == 0
 
     def test_zipf_head_dominates(self, zipf, rng):
-        workload = BatchZipfWorkload(zipf, rng)
+        workload = StationaryZipf().build(zipf, rng)
         ranks, _ = workload.draw_round(now=0.0, count=20_000)
         head_share = (ranks <= 20).mean()
         assert head_share > zipf.head_mass(20) - 0.05
@@ -52,22 +56,22 @@ class TestStationary:
             lambda w: w.draw_round(1.0, size),
             lambda w: w.draw_rounds(0.0, np.array([size]))[:2],
         ):
-            ranks, keys = draw(BatchZipfWorkload(big, scripted_uniforms(uniforms)))
+            ranks, keys = draw(StationaryZipf().build(big, scripted_uniforms(uniforms)))
             assert (ranks[0::2] == big.n_keys).all() and (ranks[1::2] == 1).all()
             assert (keys[0::2] == big.n_keys - 1).all() and (keys[1::2] == 0).all()
 
     def test_negative_count_rejected(self, zipf, rng):
         with pytest.raises(ParameterError):
-            BatchZipfWorkload(zipf, rng).draw_round(now=0.0, count=-1)
+            StationaryZipf().build(zipf, rng).draw_round(now=0.0, count=-1)
 
     def test_bad_rank_rejected(self, zipf, rng):
         with pytest.raises(ParameterError):
-            BatchZipfWorkload(zipf, rng).key_for_rank(0)
+            StationaryZipf().build(zipf, rng).key_for_rank(0)
 
 
 class TestShuffled:
     def test_mapping_permutes_once_at_shift(self, zipf, rng):
-        workload = BatchShuffledZipfWorkload(zipf, rng, shift_time=10.0)
+        workload = RankSwap(10.0).build(zipf, rng)
         before = workload.rank_to_key.copy()
         assert workload.maybe_shift(9.9) is False
         assert workload.maybe_shift(10.0) is True
@@ -77,14 +81,14 @@ class TestShuffled:
         assert workload.maybe_shift(11.0) is False  # only once
 
     def test_draw_applies_shift(self, zipf, rng):
-        workload = BatchShuffledZipfWorkload(zipf, rng, shift_time=5.0)
+        workload = RankSwap(5.0).build(zipf, rng)
         workload.draw_round(now=6.0, count=1)
-        assert workload.shifted
+        assert _schedule_exhausted(workload)
 
 
 class TestFlashCrowd:
     def test_cold_key_promoted_to_rank_one(self, zipf, rng):
-        workload = BatchFlashCrowdWorkload(zipf, rng, crowd_time=3.0)
+        workload = FlashCrowd(3.0).build(zipf, rng)
         cold_key = workload.key_for_rank(zipf.n_keys)
         assert workload.maybe_shift(3.0) is True
         assert workload.key_for_rank(1) == cold_key
@@ -92,14 +96,14 @@ class TestFlashCrowd:
         assert sorted(workload.rank_to_key) == list(range(zipf.n_keys))
 
     def test_custom_cold_rank(self, zipf, rng):
-        workload = BatchFlashCrowdWorkload(zipf, rng, crowd_time=0.0, cold_rank=50)
+        workload = FlashCrowd(0.0, cold_rank=50).build(zipf, rng)
         promoted = workload.key_for_rank(50)
         workload.maybe_shift(0.0)
         assert workload.key_for_rank(1) == promoted
 
     def test_invalid_cold_rank_rejected(self, zipf, rng):
         with pytest.raises(ParameterError):
-            BatchFlashCrowdWorkload(zipf, rng, crowd_time=0.0, cold_rank=0)
+            FlashCrowd(0.0, cold_rank=0).build(zipf, rng)
 
 
 def _fresh_rng(seed: int = 1234) -> np.random.Generator:
@@ -118,9 +122,9 @@ class TestDrawRounds:
         return np.concatenate(ranks_parts), np.concatenate(keys_parts)
 
     @pytest.mark.parametrize("make", [
-        lambda z: BatchZipfWorkload(z, _fresh_rng()),
-        lambda z: BatchShuffledZipfWorkload(z, _fresh_rng(), shift_time=4.0),
-        lambda z: BatchFlashCrowdWorkload(z, _fresh_rng(), crowd_time=4.0),
+        lambda z: StationaryZipf().build(z, _fresh_rng()),
+        lambda z: RankSwap(4.0).build(z, _fresh_rng()),
+        lambda z: FlashCrowd(4.0).build(z, _fresh_rng()),
     ])
     def test_batched_equals_per_round(self, zipf, make):
         counts = np.array([3, 0, 7, 5, 2, 9, 0, 4])
@@ -134,37 +138,10 @@ class TestDrawRounds:
         # Mappings end in the same (post-shift) state too.
         assert np.array_equal(batched.rank_to_key, looped.rank_to_key)
 
-    def test_subclass_overriding_only_maybe_shift_still_shifts(self, zipf):
-        # The base shift_pending defaults to True, so a BatchWorkload
-        # subclass that only implements maybe_shift keeps per-round
-        # semantics under draw_rounds instead of silently never shifting.
-        # (Subclassing BatchZipfWorkload instead would inherit its
-        # stationary always-False peek — that opt-in is the subclass's
-        # own contract to keep consistent.)
-        from repro.fastsim.workload import BatchWorkload
-
-        class ReversingWorkload(BatchWorkload):
-            def maybe_shift(self, now: float) -> bool:
-                if now >= 3.0 and not getattr(self, "_done", False):
-                    self.rank_to_key = self.rank_to_key[::-1].copy()
-                    self._done = True
-                    return True
-                return False
-
-        batched = ReversingWorkload(zipf, _fresh_rng())
-        counts = np.array([5, 5, 5, 5])
-        ranks, keys, offsets = batched.draw_rounds(0.0, counts)
-        assert getattr(batched, "_done", False)
-        loop_ranks, loop_keys = self._per_round(
-            ReversingWorkload(zipf, _fresh_rng()), 0.0, counts
-        )
-        assert np.array_equal(ranks, loop_ranks)
-        assert np.array_equal(keys, loop_keys)
-
     def test_shift_applies_between_correct_rounds(self, zipf):
         # Shift at t=3: rounds 1-2 use the identity mapping, 3+ the
         # permuted one — exactly like per-round draw_round calls.
-        workload = BatchShuffledZipfWorkload(zipf, _fresh_rng(), shift_time=3.0)
+        workload = RankSwap(3.0).build(zipf, _fresh_rng())
         counts = np.array([50, 50, 50, 50])
         ranks, keys, offsets = workload.draw_rounds(0.0, counts)
         pre = slice(offsets[0], offsets[2])
@@ -176,8 +153,8 @@ class TestDrawRounds:
         )
 
     def test_rng_stream_continues_across_calls(self, zipf):
-        whole = BatchZipfWorkload(zipf, _fresh_rng())
-        split = BatchZipfWorkload(zipf, _fresh_rng())
+        whole = StationaryZipf().build(zipf, _fresh_rng())
+        split = StationaryZipf().build(zipf, _fresh_rng())
         counts = np.array([4, 6, 1, 8])
         ranks_whole, _, _ = whole.draw_rounds(0.0, counts)
         first, _, _ = split.draw_rounds(0.0, counts[:2])
@@ -186,12 +163,12 @@ class TestDrawRounds:
 
     def test_negative_counts_rejected(self, zipf):
         with pytest.raises(ParameterError):
-            BatchZipfWorkload(zipf, _fresh_rng()).draw_rounds(
+            StationaryZipf().build(zipf, _fresh_rng()).draw_rounds(
                 0.0, np.array([2, -1])
             )
 
     def test_empty_counts(self, zipf):
-        ranks, keys, offsets = BatchZipfWorkload(zipf, _fresh_rng()).draw_rounds(
+        ranks, keys, offsets = StationaryZipf().build(zipf, _fresh_rng()).draw_rounds(
             0.0, np.array([], dtype=np.int64)
         )
         assert ranks.size == keys.size == 0
@@ -204,10 +181,10 @@ class TestDrawRounds:
             np.empty(total + 10, dtype=np.int64),
             np.empty(total + 10, dtype=np.int64),
         )
-        fresh, _, _ = BatchZipfWorkload(zipf, _fresh_rng()).draw_rounds(
+        fresh, _, _ = StationaryZipf().build(zipf, _fresh_rng()).draw_rounds(
             0.0, counts
         )
-        ranks, keys, _ = BatchZipfWorkload(zipf, _fresh_rng()).draw_rounds(
+        ranks, keys, _ = StationaryZipf().build(zipf, _fresh_rng()).draw_rounds(
             0.0, counts, out=buffers
         )
         # Written into (views of) the caller's buffers, values identical
@@ -227,23 +204,25 @@ class TestDrawRounds:
         counts = np.array([4, 6])
         total = int(counts.sum())
         buffers = bad(total)
-        ranks, keys, _ = BatchZipfWorkload(zipf, _fresh_rng()).draw_rounds(
+        ranks, keys, _ = StationaryZipf().build(zipf, _fresh_rng()).draw_rounds(
             0.0, counts, out=buffers
         )
         assert ranks.base is not buffers[0]
-        fresh, _, _ = BatchZipfWorkload(zipf, _fresh_rng()).draw_rounds(
+        fresh, _, _ = StationaryZipf().build(zipf, _fresh_rng()).draw_rounds(
             0.0, counts
         )
         assert np.array_equal(ranks, fresh)
 
-    def test_shift_pending_is_a_pure_peek(self, zipf):
-        workload = BatchShuffledZipfWorkload(zipf, _fresh_rng(), shift_time=2.0)
+    def test_next_boundary_is_a_pure_peek(self, zipf):
+        workload = RankSwap(2.0).build(zipf, _fresh_rng())
         before = workload.rank_to_key.copy()
-        assert workload.shift_pending(5.0) is True
-        assert workload.shift_pending(5.0) is True  # no state consumed
+        state = workload.rng.bit_generator.state
+        assert workload.next_boundary(5.0) == 2.0
+        assert workload.next_boundary(5.0) == 2.0  # no state consumed
         assert np.array_equal(workload.rank_to_key, before)
+        assert workload.rng.bit_generator.state == state
         assert workload.maybe_shift(5.0) is True
-        assert workload.shift_pending(5.0) is False
+        assert workload.next_boundary(5.0) == math.inf
 
 
 class TestDrawMemory:
@@ -258,7 +237,7 @@ class TestDrawMemory:
         counts = np.full(200, 5000)
         total = int(counts.sum())
         out = (np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64))
-        workload = BatchZipfWorkload(zipf, _fresh_rng())
+        workload = StationaryZipf().build(zipf, _fresh_rng())
         workload.draw_rounds(0.0, counts[:1], out=out)  # guide table built
         tracemalloc.start()
         try:
@@ -290,25 +269,25 @@ class TestBoundaryEdgeCases:
         # shift landing exactly where one block ends and the next starts
         # must behave like one uninterrupted call.
         counts = np.array([5, 5, 5, 5, 5, 5])
-        whole = BatchShuffledZipfWorkload(zipf, _fresh_rng(), shift_time=4.0)
+        whole = RankSwap(4.0).build(zipf, _fresh_rng())
         ranks_whole, keys_whole, _ = whole.draw_rounds(0.0, counts)
-        split = BatchShuffledZipfWorkload(zipf, _fresh_rng(), shift_time=4.0)
+        split = RankSwap(4.0).build(zipf, _fresh_rng())
         # First block covers rounds at t=1..3, second starts at t=4 — the
         # shift instant is exactly the second block's first round.
         r1, k1, _ = split.draw_rounds(0.0, counts[:3])
         r2, k2, _ = split.draw_rounds(3.0, counts[3:])
         assert np.array_equal(ranks_whole, np.concatenate([r1, r2]))
         assert np.array_equal(keys_whole, np.concatenate([k1, k2]))
-        assert split.shifted
+        assert _schedule_exhausted(split)
 
     def test_two_boundaries_inside_one_block(self, zipf):
         from repro.workloads import FlashCrowd
 
         counts = np.array([6, 4, 8, 3, 7, 5, 2, 9, 1, 4])
         model = FlashCrowd(at=3.0, hot_for=3.0)  # boundaries at 3 and 6
-        batched = model.build_batch(zipf, _fresh_rng())
+        batched = model.build(zipf, _fresh_rng())
         ranks, keys, offsets = batched.draw_rounds(0.0, counts)
-        looped = model.build_batch(zipf, _fresh_rng())
+        looped = model.build(zipf, _fresh_rng())
         loop_ranks, loop_keys = self._per_round(looped, 0.0, counts)
         assert np.array_equal(ranks, loop_ranks)
         assert np.array_equal(keys, loop_keys)
@@ -316,9 +295,9 @@ class TestBoundaryEdgeCases:
         assert np.array_equal(batched.rank_to_key, np.arange(zipf.n_keys))
 
     def test_boundary_at_time_zero(self, zipf):
-        workload = BatchShuffledZipfWorkload(zipf, _fresh_rng(), shift_time=0.0)
+        workload = RankSwap(0.0).build(zipf, _fresh_rng())
         ranks, keys, _ = workload.draw_rounds(0.0, np.array([40, 40]))
-        assert workload.shifted
+        assert _schedule_exhausted(workload)
         # Every round drew under the permuted mapping.
         assert np.array_equal(keys, workload.rank_to_key[ranks - 1])
         assert not np.array_equal(keys, ranks - 1)
@@ -344,7 +323,7 @@ class TestBoundaryEdgeCases:
                 config=config,
                 duration=60.0,
                 seed=7,
-                workload=model.build_batch(zipf_full, _fresh_rng(5)),
+                workload=model.build(zipf_full, _fresh_rng(5)),
                 window=15.0,
             )
 
@@ -358,37 +337,39 @@ class TestBoundaryEdgeCases:
 
 
 class TestEventEngineParity:
-    """Batch and event workloads share shift semantics and RNG streams:
-    given the same generator state they must produce the same post-shift
-    rank -> key mapping (ISSUE 4 coverage satellite)."""
+    """The event driver's per-round view (``draw``) and the kernel's
+    arrays are the same stream: given the same generator state they
+    realise the same post-shift rank -> key mapping and the same queries
+    (the legacy event classes are the oracle in
+    ``tests/workloads/test_legacy_equivalence.py``)."""
 
     def test_shuffled_mapping_matches_event_workload(self, zipf):
-        from repro.workload.queries import ShuffledZipfWorkload
-
-        batch = BatchShuffledZipfWorkload(zipf, _fresh_rng(7), shift_time=10.0)
-        event = ShuffledZipfWorkload(zipf, _fresh_rng(7), shift_time=10.0)
-        assert batch.maybe_shift(10.0) and event.maybe_shift(10.0)
-        assert np.array_equal(batch.rank_to_key, event._rank_to_key)
-        for rank in (1, 2, zipf.n_keys):
-            assert batch.key_for_rank(rank) == event.key_for_rank(rank)
+        batch = RankSwap(10.0).build(zipf, _fresh_rng(7))
+        event = RankSwap(10.0).build(zipf, _fresh_rng(7))
+        batch.draw_rounds(9.0, np.array([0]))
+        assert event.draw(10.0, 0) == []
+        assert _schedule_exhausted(batch) and _schedule_exhausted(event)
+        assert np.array_equal(batch.rank_to_key, event.rank_to_key)
+        assert not np.array_equal(batch.rank_to_key, np.arange(zipf.n_keys))
 
     def test_flash_crowd_mapping_matches_event_workload(self, zipf):
-        from repro.workload.queries import FlashCrowdWorkload
-
-        batch = BatchFlashCrowdWorkload(zipf, _fresh_rng(7), crowd_time=5.0)
-        event = FlashCrowdWorkload(zipf, _fresh_rng(7), crowd_time=5.0)
-        assert batch.maybe_shift(5.0) and event.maybe_shift(5.0)
-        assert np.array_equal(batch.rank_to_key, event._rank_to_key)
+        batch = FlashCrowd(5.0).build(zipf, _fresh_rng(7))
+        event = FlashCrowd(5.0).build(zipf, _fresh_rng(7))
+        batch.draw_rounds(4.0, np.array([0]))
+        assert event.draw(5.0, 0) == []
+        assert np.array_equal(batch.rank_to_key, event.rank_to_key)
+        assert event.key_for_rank(1) == zipf.n_keys - 1
 
     def test_shuffled_draw_streams_match_through_the_shift(self, zipf):
-        """Same seed, same per-round call pattern -> the event workload's
-        QueryEvent stream and the batch arrays are the same queries."""
-        from repro.workload.queries import ShuffledZipfWorkload
-
-        batch = BatchShuffledZipfWorkload(zipf, _fresh_rng(3), shift_time=3.0)
-        event = ShuffledZipfWorkload(zipf, _fresh_rng(3), shift_time=3.0)
+        """Same seed, same per-round call pattern -> the event driver's
+        pairs and the batch arrays are the same queries."""
+        batch = RankSwap(3.0).build(zipf, _fresh_rng(3))
+        event = RankSwap(3.0).build(zipf, _fresh_rng(3))
         for now in (1.0, 2.0, 3.0, 4.0):
             ranks, keys = batch.draw_round(now, 40)
-            events = event.draw(now, 40)
-            assert [int(r) for r in ranks] == [e.rank for e in events]
-            assert [int(k) for k in keys] == [e.key_index for e in events]
+            assert event.draw(now, 40) == list(
+                zip(ranks.tolist(), keys.tolist())
+            )
+        assert (
+            batch.rng.bit_generator.state == event.rng.bit_generator.state
+        )

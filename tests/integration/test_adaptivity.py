@@ -12,7 +12,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import PartialSelectionStrategy
-from repro.workload.queries import FlashCrowdWorkload, ShuffledZipfWorkload
+from repro.workloads import FlashCrowd, RankSwap
 
 pytestmark = pytest.mark.slow
 
@@ -33,10 +33,9 @@ class TestDistributionShift:
         config = PdhtConfig.from_scenario(params, walkers=8)
         strategy = PartialSelectionStrategy(params, config=config, seed=3)
         shift_at = 150.0
-        strategy.workload = ShuffledZipfWorkload(
+        strategy.workload = RankSwap(shift_at).build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("shifted"),
-            shift_time=shift_at,
         )
         report = strategy.run(300.0, window=50.0)
         rates = dict(report.hit_rate_series)
@@ -51,10 +50,9 @@ class TestDistributionShift:
         # The old hot keys must eventually time out rather than accumulate.
         config = PdhtConfig.from_scenario(params, walkers=8)
         strategy = PartialSelectionStrategy(params, config=config, seed=5)
-        strategy.workload = ShuffledZipfWorkload(
+        strategy.workload = RankSwap(100.0).build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("shifted2"),
-            shift_time=100.0,
         )
         report = strategy.run(250.0, window=50.0)
         sizes = [s for _, s in report.index_size_series]
@@ -66,11 +64,9 @@ class TestFlashCrowd:
         config = PdhtConfig.from_scenario(params, walkers=8)
         strategy = PartialSelectionStrategy(params, config=config, seed=7)
         crowd_at = 60.0
-        workload = FlashCrowdWorkload(
+        workload = FlashCrowd(crowd_at, cold_rank=params.n_keys).build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("crowd"),
-            crowd_time=crowd_at,
-            cold_rank=params.n_keys,
         )
         strategy.workload = workload
         promoted_key = strategy.key_name(workload.key_for_rank(params.n_keys))
@@ -81,8 +77,8 @@ class TestFlashCrowd:
         net = strategy.network
         for _ in range(180):
             net.advance(1.0)
-            for event in workload.draw(net.simulation.now, 5):
-                key = strategy.key_name(event.key_index)
+            for _, key_index in workload.draw(net.simulation.now, 5):
+                key = strategy.key_name(key_index)
                 outcome = net.query(net.random_online_peer(), key)
                 if key == promoted_key and net.simulation.now > crowd_at + 20:
                     queries_after_crowd += 1

@@ -9,7 +9,7 @@ from repro.errors import ParameterError
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.pdht.news_service import NewsService
-from repro.workload.metadata import MetadataKey, NewsArticle
+from repro.workloads.metadata import MetadataKey, NewsArticle
 
 
 @pytest.fixture

@@ -173,9 +173,9 @@ class TestDriver:
     def test_mismatched_workload_rejected(self, sim_params, sim_config):
         from repro.analysis.zipf import ZipfDistribution
         from repro.sim.rng import RandomStreams
-        from repro.workload.queries import ZipfQueryWorkload
+        from repro.workloads import StationaryZipf
 
-        workload = ZipfQueryWorkload(
+        workload = StationaryZipf().build(
             ZipfDistribution(10, 1.2), RandomStreams(0).get("w")
         )
         with pytest.raises(ParameterError):

@@ -66,11 +66,7 @@ from hypothesis import strategies as st
 from repro.analysis import zipf as zipf_module
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
-from repro.fastsim.workload import (
-    BatchFlashCrowdWorkload,
-    BatchShuffledZipfWorkload,
-    BatchZipfWorkload,
-)
+from repro.workloads import FlashCrowd, RankSwap, StationaryZipf
 
 
 # ----------------------------------------------------------------------
@@ -334,13 +330,9 @@ def test_top_sliver_is_the_only_difference(scripted_uniforms):
 # The batch workloads: draw_rounds(out=...) vs the per-round reference
 # ----------------------------------------------------------------------
 WORKLOADS = {
-    "stationary": lambda zipf, rng, shift: BatchZipfWorkload(zipf, rng),
-    "shuffled": lambda zipf, rng, shift: BatchShuffledZipfWorkload(
-        zipf, rng, shift_time=shift
-    ),
-    "flash_crowd": lambda zipf, rng, shift: BatchFlashCrowdWorkload(
-        zipf, rng, crowd_time=shift
-    ),
+    "stationary": lambda zipf, rng, shift: StationaryZipf().build(zipf, rng),
+    "shuffled": lambda zipf, rng, shift: RankSwap(shift).build(zipf, rng),
+    "flash_crowd": lambda zipf, rng, shift: FlashCrowd(shift).build(zipf, rng),
 }
 
 

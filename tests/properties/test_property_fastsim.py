@@ -329,16 +329,14 @@ def test_workload_model_agreement_within_five_percent(model_name):
 def test_trace_replay_agreement_within_five_percent():
     from repro.fastsim import compare_engines
     from repro.sim.rng import RandomStreams
-    from repro.workload.queries import ZipfQueryWorkload
-    from repro.workload.trace import record_trace
-    from repro.workloads import TraceReplay
+    from repro.workloads import StationaryZipf, TraceReplay, record_trace
 
     params = simulation_scenario(scale=SCALE)
     from repro.analysis.zipf import ZipfDistribution
 
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     trace = record_trace(
-        ZipfQueryWorkload(zipf, RandomStreams(77).get("trace")),
+        StationaryZipf().build(zipf, RandomStreams(77).get("trace")),
         duration=MODEL_DURATION,
         queries_per_round=13,
     )

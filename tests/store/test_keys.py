@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 import pytest
@@ -30,10 +31,19 @@ class TestCanonical:
         assert canonical("x") == "x"
 
     def test_nonfinite_floats_are_rejected(self):
+        # NaN equals nothing, so a key holding one could never be matched.
         with pytest.raises(ValueError, match="non-finite"):
             canonical(float("nan"))
         with pytest.raises(ValueError, match="non-finite"):
-            canonical(float("inf"))
+            canonical({"x": [np.float64("nan")]})
+
+    def test_infinities_are_tagged(self):
+        # "No further boundary" / hot_for=inf are legitimate key inputs.
+        assert canonical(float("inf")) == {"__float__": "inf"}
+        assert canonical(-math.inf) == {"__float__": "-inf"}
+        assert canonical(np.float64("inf")) == {"__float__": "inf"}
+        assert canonical_json([math.inf]) == '[{"__float__":"inf"}]'
+        assert canonical_json(math.inf) != canonical_json("inf")
 
     def test_numpy_scalars_and_arrays(self):
         assert canonical(np.float64(0.5)) == 0.5

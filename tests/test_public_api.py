@@ -19,7 +19,7 @@ PACKAGES = [
     "repro.unstructured",
     "repro.dht",
     "repro.replication",
-    "repro.workload",
+    "repro.workloads",
     "repro.pdht",
     "repro.fastsim",
     "repro.obs",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ParameterError
-from repro.workload.generator import CorpusConfig, generate_corpus
+from repro.workloads.generator import CorpusConfig, generate_corpus
 
 
 class TestCorpusConfig:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ParameterError
-from repro.workload.metadata import MetadataKey, NewsArticle, extract_keys
-from repro.workload.stopwords import STOP_WORDS, is_stop_word, strip_stop_words
+from repro.workloads.metadata import MetadataKey, NewsArticle, extract_keys
+from repro.workloads.stopwords import STOP_WORDS, is_stop_word, strip_stop_words
 
 
 class TestStopWords:

@@ -1,4 +1,5 @@
-"""Tests for query workloads (stationary and shifting)."""
+"""Tests for the query stream as the event driver consumes it
+(``model.build(...).draw``), stationary and shifting."""
 
 from __future__ import annotations
 
@@ -7,11 +8,7 @@ import pytest
 
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
-from repro.workload.queries import (
-    FlashCrowdWorkload,
-    ShuffledZipfWorkload,
-    ZipfQueryWorkload,
-)
+from repro.workloads import FlashCrowd, RankSwap, StationaryZipf, record_trace
 
 
 @pytest.fixture
@@ -21,7 +18,7 @@ def zipf():
 
 class TestStationary:
     def test_draw_returns_requested_count(self, zipf, rng):
-        workload = ZipfQueryWorkload(zipf, rng)
+        workload = StationaryZipf().build(zipf, rng)
         assert len(workload.draw(0.0, 25)) == 25
 
     def test_extreme_uniforms_map_to_the_last_and_first_key(
@@ -31,33 +28,36 @@ class TestStationary:
         # ulp short of 1); it used to index one past the mapping.
         zipf = ZipfDistribution(40_000, 1.2)
         stream = scripted_uniforms([np.nextafter(1.0, 0.0), 0.0])
-        last, first = ZipfQueryWorkload(zipf, stream).draw(0.0, 2)
-        assert (last.rank, last.key_index) == (40_000, 39_999)
-        assert (first.rank, first.key_index) == (1, 0)
+        last, first = StationaryZipf().build(zipf, stream).draw(0.0, 2)
+        assert last == (40_000, 39_999)
+        assert first == (1, 0)
 
     def test_events_carry_time_and_rank(self, zipf, rng):
-        workload = ZipfQueryWorkload(zipf, rng)
-        for event in workload.draw(3.5, 10):
-            assert event.time == 3.5
-            assert 1 <= event.rank <= 100
+        trace = record_trace(
+            StationaryZipf().build(zipf, rng), duration=4, queries_per_round=10
+        )
+        assert [event.time for event in trace] == [
+            float(t) for t in range(4) for _ in range(10)
+        ]
+        assert all(1 <= event.rank <= 100 for event in trace)
 
     def test_identity_mapping_initially(self, zipf, rng):
-        workload = ZipfQueryWorkload(zipf, rng)
-        for event in workload.draw(0.0, 50):
-            assert event.key_index == event.rank - 1
+        workload = StationaryZipf().build(zipf, rng)
+        for rank, key_index in workload.draw(0.0, 50):
+            assert key_index == rank - 1
 
     def test_zipf_shape(self, zipf, rng):
-        workload = ZipfQueryWorkload(zipf, rng)
-        events = workload.draw(0.0, 10_000)
-        top10 = sum(1 for e in events if e.rank <= 10) / len(events)
+        workload = StationaryZipf().build(zipf, rng)
+        pairs = workload.draw(0.0, 10_000)
+        top10 = sum(1 for rank, _ in pairs if rank <= 10) / len(pairs)
         assert top10 == pytest.approx(zipf.head_mass(10), abs=0.03)
 
     def test_negative_count_rejected(self, zipf, rng):
         with pytest.raises(ParameterError):
-            ZipfQueryWorkload(zipf, rng).draw(0.0, -1)
+            StationaryZipf().build(zipf, rng).draw(0.0, -1)
 
     def test_rank_lookup_bounds(self, zipf, rng):
-        workload = ZipfQueryWorkload(zipf, rng)
+        workload = StationaryZipf().build(zipf, rng)
         with pytest.raises(ParameterError):
             workload.key_for_rank(0)
         with pytest.raises(ParameterError):
@@ -66,52 +66,54 @@ class TestStationary:
 
 class TestShuffled:
     def test_no_shift_before_time(self, zipf, rng):
-        workload = ShuffledZipfWorkload(zipf, rng, shift_time=100.0)
+        workload = RankSwap(100.0).build(zipf, rng)
         workload.draw(50.0, 10)
-        assert not workload.shifted
+        assert workload.next_boundary(50.0) == 100.0
+        assert np.array_equal(workload.rank_to_key, np.arange(100))
 
     def test_shift_applies_once(self, zipf, rng):
-        workload = ShuffledZipfWorkload(zipf, rng, shift_time=100.0)
+        workload = RankSwap(100.0).build(zipf, rng)
         assert workload.maybe_shift(100.0) is True
         assert workload.maybe_shift(200.0) is False
-        assert workload.shifted
 
     def test_mapping_changes_after_shift(self, zipf, rng):
-        workload = ShuffledZipfWorkload(zipf, rng, shift_time=10.0)
+        workload = RankSwap(10.0).build(zipf, rng)
         before = [workload.key_for_rank(r) for r in range(1, 101)]
         workload.draw(10.0, 1)
         after = [workload.key_for_rank(r) for r in range(1, 101)]
         assert before != after
         assert sorted(after) == sorted(before)  # still a permutation
 
-    def test_negative_shift_time_rejected(self, zipf, rng):
+    def test_negative_shift_time_rejected(self):
         with pytest.raises(ParameterError):
-            ShuffledZipfWorkload(zipf, rng, shift_time=-1.0)
+            RankSwap(-1.0)
 
 
 class TestFlashCrowd:
     def test_cold_key_becomes_rank_one(self, zipf, rng):
-        workload = FlashCrowdWorkload(zipf, rng, crowd_time=5.0, cold_rank=100)
+        workload = FlashCrowd(5.0, cold_rank=100).build(zipf, rng)
         cold_key = workload.key_for_rank(100)
         workload.draw(5.0, 1)
         assert workload.key_for_rank(1) == cold_key
 
     def test_other_keys_shift_down(self, zipf, rng):
-        workload = FlashCrowdWorkload(zipf, rng, crowd_time=5.0, cold_rank=100)
+        workload = FlashCrowd(5.0, cold_rank=100).build(zipf, rng)
         old_rank1 = workload.key_for_rank(1)
         workload.draw(5.0, 1)
         assert workload.key_for_rank(2) == old_rank1
 
     def test_mapping_stays_permutation(self, zipf, rng):
-        workload = FlashCrowdWorkload(zipf, rng, crowd_time=0.0, cold_rank=42)
+        workload = FlashCrowd(0.0, cold_rank=42).build(zipf, rng)
         workload.draw(0.0, 1)
         mapping = [workload.key_for_rank(r) for r in range(1, 101)]
         assert sorted(mapping) == list(range(100))
 
     def test_default_cold_rank_is_tail(self, zipf, rng):
-        workload = FlashCrowdWorkload(zipf, rng, crowd_time=1.0)
-        assert workload.cold_rank == 100
+        workload = FlashCrowd(1.0).build(zipf, rng)
+        tail_key = workload.key_for_rank(100)
+        workload.draw(1.0, 1)
+        assert workload.key_for_rank(1) == tail_key
 
-    def test_invalid_cold_rank_rejected(self, zipf, rng):
+    def test_invalid_cold_rank_rejected(self):
         with pytest.raises(ParameterError):
-            FlashCrowdWorkload(zipf, rng, crowd_time=1.0, cold_rank=0)
+            FlashCrowd(1.0, cold_rank=0)

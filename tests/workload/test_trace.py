@@ -6,13 +6,12 @@ import pytest
 
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
-from repro.workload.queries import QueryEvent, ZipfQueryWorkload
-from repro.workload.trace import QueryTrace, record_trace
+from repro.workloads import QueryEvent, QueryTrace, StationaryZipf, record_trace
 
 
 @pytest.fixture
 def workload(rng):
-    return ZipfQueryWorkload(ZipfDistribution(50, 1.2), rng)
+    return StationaryZipf().build(ZipfDistribution(50, 1.2), rng)
 
 
 class TestTrace:

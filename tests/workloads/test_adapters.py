@@ -1,5 +1,7 @@
-"""Tests for the engine adapters (repro.workloads.adapters): the same
-model must realize the same workload on both engines."""
+"""Tests for the streams a model builds (repro.workloads.adapters): the
+same model must realize the same workload through the event driver's
+per-round view (``draw``) and the kernel's arrays (``draw_round`` /
+``draw_rounds``)."""
 
 from __future__ import annotations
 
@@ -10,16 +12,16 @@ import pytest
 
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
-from repro.fastsim.workload import BatchShuffledZipfWorkload
-from repro.workload.queries import QueryEvent, ZipfQueryWorkload
-from repro.workload.trace import QueryTrace, record_trace
 from repro.workloads import (
     Composite,
     DiurnalCycle,
     FlashCrowd,
     GradualDrift,
+    QueryTrace,
     RankSwap,
+    StationaryZipf,
     TraceReplay,
+    record_trace,
 )
 
 
@@ -45,90 +47,80 @@ class TestEngineParity:
         "model", PERMUTING_MODELS, ids=lambda m: m.name
     )
     def test_event_and_batch_streams_match(self, zipf, model):
-        """Same generator state -> the event QueryEvent stream and the
+        """Same generator state -> the event driver's pairs and the
         batch arrays are the same queries, through every boundary."""
-        batch = model.build_batch(zipf, _rng())
-        event = model.build_event(zipf, _rng())
+        batch = model.build(zipf, _rng())
+        event = model.build(zipf, _rng())
         for now in np.arange(1.0, 12.0):
             ranks, keys = batch.draw_round(now, 25)
-            events = event.draw(now, 25)
-            assert [int(r) for r in ranks] == [e.rank for e in events]
-            assert [int(k) for k in keys] == [e.key_index for e in events]
+            assert event.draw(now, 25) == list(
+                zip(ranks.tolist(), keys.tolist())
+            )
+            assert np.array_equal(batch.rank_to_key, event.rank_to_key)
 
     @pytest.mark.parametrize(
         "model", PERMUTING_MODELS, ids=lambda m: m.name
     )
     def test_batched_draw_rounds_equals_per_round(self, zipf, model):
         counts = np.array([4, 0, 9, 5, 2, 7, 0, 3, 6, 1])
-        batched = model.build_batch(zipf, _rng(3))
+        batched = model.build(zipf, _rng(3))
         ranks, keys, offsets = batched.draw_rounds(0.0, counts)
-        looped = model.build_batch(zipf, _rng(3))
+        looped = model.build(zipf, _rng(3))
         parts = [looped.draw_round(i + 1.0, int(c)) for i, c in enumerate(counts)]
         assert np.array_equal(ranks, np.concatenate([r for r, _ in parts]))
         assert np.array_equal(keys, np.concatenate([k for _, k in parts]))
         assert np.array_equal(batched.rank_to_key, looped.rank_to_key)
 
-    def test_rank_swap_is_bit_identical_to_shuffled_workload(self, zipf):
-        """RankSwap consumes the exact RNG stream of the historical
-        shuffled workload — the model path changes nothing seeded."""
-        old = BatchShuffledZipfWorkload(zipf, _rng(99), shift_time=5.0)
-        new = RankSwap(shift_time=5.0).build_batch(zipf, _rng(99))
-        counts = np.array([7, 3, 0, 9, 4, 5, 2, 8])
-        old_ranks, old_keys, _ = old.draw_rounds(0.0, counts)
-        new_ranks, new_keys, _ = new.draw_rounds(0.0, counts)
-        assert np.array_equal(old_ranks, new_ranks)
-        assert np.array_equal(old_keys, new_keys)
-        assert np.array_equal(old.rank_to_key, new.rank_to_key)
-
     def test_skipped_rounds_apply_all_pending_boundaries(self, zipf):
         """A consumer that jumps over several boundaries (sub-round drift
-        periods) applies them all, in order, on both adapters."""
+        periods) applies them all, in order — the mapping of a consumer
+        that stopped at each one."""
         model = GradualDrift(period=0.5, swap_fraction=0.02)
-        batch = model.build_batch(zipf, _rng(11))
-        event = model.build_event(zipf, _rng(11))
-        batch.maybe_shift(3.0)  # boundaries 0.5, 1.0, ..., 3.0
-        event.maybe_shift(3.0)
-        assert np.array_equal(batch.rank_to_key, event._rank_to_key)
-        assert batch.next_boundary(3.0) == 3.5
+        jumped = model.build(zipf, _rng(11))
+        stepped = model.build(zipf, _rng(11))
+        assert jumped.maybe_shift(3.0)  # boundaries 0.5, 1.0, ..., 3.0
+        for at in np.arange(0.5, 3.5, 0.5):
+            assert stepped.maybe_shift(at)
+        assert np.array_equal(jumped.rank_to_key, stepped.rank_to_key)
+        assert not np.array_equal(jumped.rank_to_key, np.arange(zipf.n_keys))
+        assert jumped.next_boundary(3.0) == 3.5
 
 
 class TestRateModulation:
     def test_batch_multipliers_match_event_multiplier(self, zipf):
         model = DiurnalCycle(period=40.0, amplitude=0.8)
-        batch = model.build_batch(zipf, _rng())
-        event = model.build_event(zipf, _rng())
-        values = batch.rate_multipliers(0.0, 10)
+        stream = model.build(zipf, _rng())
+        values = stream.rate_multipliers(0.0, 10)
         assert values is not None
         for i, value in enumerate(values):
-            assert value == pytest.approx(event.rate_multiplier(i + 1.0))
+            assert value == pytest.approx(stream.rate_multiplier(i + 1.0))
 
     def test_permuting_models_keep_stationary_rate(self, zipf):
-        batch = RankSwap(5.0).build_batch(zipf, _rng())
+        batch = RankSwap(5.0).build(zipf, _rng())
         assert batch.rate_multipliers(0.0, 10) is None
+        assert batch.rate_multiplier(3.0) == 1.0
         assert batch.fixed_counts(0.0, 10) is None
 
 
 class TestTraceAdapters:
     @pytest.fixture
     def trace(self, zipf) -> QueryTrace:
-        workload = ZipfQueryWorkload(zipf, _rng(42))
+        workload = StationaryZipf().build(zipf, _rng(42))
         return record_trace(workload, duration=12.0, queries_per_round=5)
 
     def test_key_universe_must_match(self, trace):
         other = ZipfDistribution(7, 1.2)
         with pytest.raises(ParameterError, match="keys"):
-            TraceReplay(trace).build_batch(other, _rng())
-        with pytest.raises(ParameterError, match="keys"):
-            TraceReplay(trace).build_event(other, _rng())
+            TraceReplay(trace).build(other, _rng())
 
     def test_fixed_counts_cover_the_trace(self, zipf, trace):
-        batch = TraceReplay(trace).build_batch(zipf, _rng())
+        batch = TraceReplay(trace).build(zipf, _rng())
         counts = batch.fixed_counts(0.0, 12)
         assert counts.sum() == len(trace)
         assert (counts == 5).all()
 
     def test_draw_rounds_replays_the_recorded_events(self, zipf, trace):
-        batch = TraceReplay(trace).build_batch(zipf, _rng())
+        batch = TraceReplay(trace).build(zipf, _rng())
         counts = batch.fixed_counts(0.0, 12)
         ranks, keys, offsets = batch.draw_rounds(0.0, counts)
         assert list(ranks) == [e.rank for e in trace]
@@ -136,37 +128,37 @@ class TestTraceAdapters:
         assert offsets[-1] == len(trace)
 
     def test_draw_rounds_rejects_foreign_counts(self, zipf, trace):
-        batch = TraceReplay(trace).build_batch(zipf, _rng())
+        batch = TraceReplay(trace).build(zipf, _rng())
         with pytest.raises(ParameterError, match="counts"):
             batch.draw_rounds(0.0, np.array([1, 2, 3]))
 
     def test_event_adapter_replays_per_round(self, zipf, trace):
-        event = TraceReplay(trace).build_event(zipf, _rng())
-        replayed: list[QueryEvent] = []
+        event = TraceReplay(trace).build(zipf, _rng())
+        replayed: list[tuple[int, int]] = []
         for now in np.arange(1.0, 13.0):
             replayed.extend(event.draw(now, 999))  # count is ignored
-        assert [e.key_index for e in replayed] == [
-            e.key_index for e in trace
-        ]
+        assert replayed == [(e.rank, e.key_index) for e in trace]
 
     def test_event_and_batch_replays_match(self, zipf, trace):
-        batch = TraceReplay(trace).build_batch(zipf, _rng())
-        event = TraceReplay(trace).build_event(zipf, _rng())
+        batch = TraceReplay(trace).build(zipf, _rng())
+        event = TraceReplay(trace).build(zipf, _rng())
         for now in np.arange(1.0, 13.0):
             ranks, keys = batch.draw_round(now, 0)
-            events = event.draw(now, 0)
-            assert [int(k) for k in keys] == [e.key_index for e in events]
+            assert len(keys) == 5
+            assert event.draw(now, 0) == list(
+                zip(ranks.tolist(), keys.tolist())
+            )
 
 
 class TestBoundarySemantics:
     def test_boundary_at_zero_applies_before_the_first_round(self, zipf):
-        batch = RankSwap(shift_time=0.0).build_batch(zipf, _rng())
+        batch = RankSwap(shift_time=0.0).build(zipf, _rng())
         assert batch.next_boundary(0.0) == 0.0
         ranks, keys, _ = batch.draw_rounds(0.0, np.array([50]))
         # The permutation applied before round 1 drew anything.
         assert not np.array_equal(keys, ranks - 1)
 
     def test_exhausted_schedule_reports_inf(self, zipf):
-        batch = RankSwap(shift_time=2.0).build_batch(zipf, _rng())
+        batch = RankSwap(shift_time=2.0).build(zipf, _rng())
         batch.maybe_shift(2.0)
         assert batch.next_boundary(100.0) == math.inf

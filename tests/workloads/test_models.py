@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.workload.queries import QueryEvent
-from repro.workload.trace import QueryTrace
 from repro.workloads import (
     WORKLOAD_MODEL_NAMES,
     Composite,
     DiurnalCycle,
     FlashCrowd,
     GradualDrift,
+    QueryEvent,
+    QueryTrace,
     RankSwap,
     StationaryZipf,
     TraceReplay,
