@@ -12,8 +12,8 @@ This module computes the theoretical optima so the gap can be measured:
   cost (Eq. 17), by golden-section search over log-TTL (the cost is
   unimodal in practice: too-small TTLs thrash, too-large TTLs over-index).
 
-The ablation bench ``benchmarks/bench_ablation_optimal.py`` reports the
-heuristic-vs-optimal gap across the frequency sweep.
+``runner optimal`` reports the heuristic-vs-optimal gap across the
+frequency sweep.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ the target point — ``O(d * n^(1/d))`` hops.
 
 CAN deliberately breaks the paper's simplifying assumption of logarithmic
 lookups (footnote 2/3 territory): with small ``d`` its lookup cost is
-polynomial, which the dimensionality ablation bench uses to show how the
-indexing trade-off shifts when cSIndx grows.
+polynomial, which shows how the indexing trade-off shifts when cSIndx
+grows.
 
 Zones are built by median splits of the member set (a k-d construction),
 cycling the split dimension, so the zone tree stays balanced under any

@@ -8,7 +8,7 @@ the closest preceding finger resolves a lookup in ``O(log n)`` hops —
 about ``1/2 log2(n)`` on average, which is exactly the constant the
 paper's Eq. 7 charges.
 
-Simulation simplifications (documented per DESIGN.md):
+Simulation simplifications:
 
 * Routing tables are rebuilt from the global member set when membership
   changes (join/leave of the DHT), instead of running the incremental

@@ -5,8 +5,9 @@ evaluated at that scale. Pure-Python discrete-event simulation of 20,000
 peers is possible but slow, so the simulated experiments default to
 ``simulation_scenario`` — Table 1 scaled down by :data:`SIMULATION_SCALE`
 with ``numPeers`` and ``keys`` reduced together, preserving every ratio
-the model consumes (keys per peer, replication, storage). DESIGN.md
-discusses why the *shape* of the results is scale-invariant.
+the model consumes (keys per peer, replication, storage), which is why
+the *shape* of the results is scale-invariant
+(``tests/integration/test_model_vs_paper.py::TestScaleInvariance``).
 
 Two simulation engines exist, selected by the ``engine`` knob every
 simulated experiment accepts:

@@ -19,8 +19,9 @@ The tools:
   aggregate hit rate, total message cost and (for staleness) the stale
   hit fraction.
 
-The agreement property tests and ``benchmarks/bench_fastsim.py`` are thin
-wrappers around the ``compare_engines*`` family.
+The agreement property tests and the ``cross_engine_10k`` rows of
+``benchmarks/gates.py`` are thin wrappers around the ``compare_engines*``
+family.
 """
 
 from __future__ import annotations
@@ -69,23 +70,13 @@ __all__ = [
 CALIBRATION_LIMIT = 5_000
 
 
-#: The observable calibration caches, by short name (filled as each
-#: ``_counted_cache`` decorator runs; :func:`calibration_cache_stats`
-#: reads it back).
+#: The observable calibration caches, by short name: each
+#: ``obs.counted_cache(..., registry=_CALIBRATION_CACHES)`` below adds
+#: itself; :func:`calibration_cache_stats` reads it back. They are
+#: per-process — every fresh process pays calibration again — unless an
+#: artifact store is active, in which case they are an L1 over the disk
+#: tier (see :func:`_active_store`).
 _CALIBRATION_CACHES: dict[str, object] = {}
-
-
-def _counted_cache(name: str, maxsize: int):
-    """A counted ``lru_cache`` registered as a *calibration* cache.
-
-    Calibration is the scarce resource: every fresh process pays it
-    again because these caches are per-process — unless an artifact
-    store is active, in which case they are an L1 over the disk tier
-    (see :func:`_active_store`). The counting machinery itself lives in
-    :func:`repro.obs.counted_cache`; this shim only adds registration
-    in :data:`_CALIBRATION_CACHES` for :func:`calibration_cache_stats`.
-    """
-    return obs.counted_cache(name, maxsize, registry=_CALIBRATION_CACHES)
 
 
 def calibration_cache_stats() -> dict[str, dict[str, int]]:
@@ -267,7 +258,7 @@ def costs_for(
     )
 
 
-@_counted_cache("costs", maxsize=64)
+@obs.counted_cache("costs", maxsize=64, registry=_CALIBRATION_CACHES)
 def _costs_for_cached(
     params: ScenarioParameters,
     config: PdhtConfig,
@@ -622,7 +613,7 @@ def churn_costs_for(
     )
 
 
-@_counted_cache("churn_costs", maxsize=32)
+@obs.counted_cache("churn_costs", maxsize=32, registry=_CALIBRATION_CACHES)
 def _churn_costs_cached(
     params: ScenarioParameters,
     config: PdhtConfig,
@@ -671,7 +662,7 @@ def resolve_costs(
     return costs, churn_costs
 
 
-@_counted_cache("lookup_probe", maxsize=64)
+@obs.counted_cache("lookup_probe", maxsize=64, registry=_CALIBRATION_CACHES)
 def _churned_lookup_probe(
     params: ScenarioParameters,
     config: PdhtConfig,

@@ -115,10 +115,17 @@ class FastSimJob:
 
 
 def resolve_worker_count(jobs: int) -> int:
-    """Normalise a ``--jobs`` value: 0 = one worker per CPU."""
+    """Normalise a ``--jobs`` value: 0 = one worker per usable CPU.
+
+    Usable means the CPUs this process may run on (``taskset``, a cgroup
+    cpuset, ``sched_setaffinity``), not the machine's; platforms without
+    an affinity call fall back to ``os.cpu_count()``.
+    """
     if jobs < 0:
         raise ParameterError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return jobs
 
@@ -334,7 +341,7 @@ def run_many(
     by pickle — the per-job payload stays a handful of scalars at any
     key count, and per-worker incremental memory drops to page-cache
     mappings of one shared copy. Results are bit-identical to the
-    pickle path (gated by tests and the ``bench_fastsim`` shm record).
+    pickle path (``tests/fastsim/test_shm.py``).
     The segments live exactly as long as the fan-out: they are unlinked
     in a ``finally`` even when a worker crashes. Purely an execution
     detail — job artifact keys are computed before packing and do not

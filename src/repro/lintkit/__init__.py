@@ -8,7 +8,7 @@ do), the ``StatePrecision`` dtype policy, shared-memory segment
 lifecycle, counted caches, and the obs naming convention. ``lintkit``
 checks them mechanically, the way a deductive database checks integrity
 constraints: parse each file once, run every rule's visitors in a
-single pass, fail CI on any non-baselined finding.
+single pass, fail CI on any finding.
 
 Usage::
 
@@ -24,7 +24,6 @@ Zero dependencies beyond the standard library; rules live in
 :mod:`repro.lintkit.rules`, the driver in :mod:`repro.lintkit.engine`.
 """
 
-from repro.lintkit.baseline import Baseline, BaselineComparison
 from repro.lintkit.engine import (
     BAD_SUPPRESSION,
     RULES,
@@ -41,8 +40,6 @@ from repro.lintkit import rules as _rules  # noqa: F401  (fills the registry)
 __all__ = [
     "BAD_SUPPRESSION",
     "UNKNOWN_SUPPRESSION",
-    "Baseline",
-    "BaselineComparison",
     "Finding",
     "Rule",
     "RULES",

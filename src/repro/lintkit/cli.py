@@ -1,11 +1,9 @@
 """``python -m repro.lintkit`` — the repo's invariant gate.
 
-Exit codes: ``0`` clean (no new findings, no stale baseline entries),
-``1`` findings, ``2`` usage errors (unknown path, unknown rule id,
-bad flags). ``--explain RLxxx`` prints a rule's rationale with a
-compliant and a non-compliant example; ``--update-baseline`` rewrites
-the baseline to exactly the current findings (use it only to *shrink*
-the grandfathered set — new findings should be fixed, not baselined).
+Exit codes: ``0`` clean, ``1`` findings, ``2`` usage errors (unknown
+path, unknown rule id, bad flags). ``--explain RLxxx`` prints a rule's
+rationale with a compliant and a non-compliant example. Every finding
+fails; the only escape is an inline ``# lint: allow[RLxxx] reason``.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.lintkit import rules as _rules  # noqa: F401  (fills the registry)
-from repro.lintkit.baseline import DEFAULT_BASELINE, Baseline
 from repro.lintkit.engine import RULES, lint_sources, load_sources
 from repro.lintkit.report import render_json, render_text
 
@@ -55,25 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="additionally write the JSON report to FILE (CI artifact)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            f"baseline file of grandfathered findings "
-            f"(default: <root>/{DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; every finding fails",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current findings and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -147,46 +125,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for number, line in enumerate(source.splitlines(), start=1)
     }
 
-    baseline_path: Optional[str] = None
-    if not args.no_baseline:
-        candidate = args.baseline or os.path.join(root, DEFAULT_BASELINE)
-        if args.baseline is not None and not os.path.isfile(candidate) and (
-            not args.update_baseline
-        ):
-            print(f"error: baseline not found: {candidate}", file=sys.stderr)
-            return USAGE_EXIT
-        if os.path.isfile(candidate) or args.update_baseline:
-            baseline_path = candidate
-
-    if args.update_baseline:
-        if baseline_path is None:
-            baseline_path = os.path.join(root, DEFAULT_BASELINE)
-        Baseline.from_findings(findings, line_text).save(baseline_path)
-        print(
-            f"lintkit: wrote {len(findings)} finding(s) to {baseline_path}",
-        )
-        return 0
-
-    baseline = (
-        Baseline.load(baseline_path)
-        if baseline_path is not None
-        else Baseline()
-    )
-    comparison = baseline.compare(findings, line_text)
-
+    report = render_json(findings, len(sources), line_text)
     if args.format == "json":
-        sys.stdout.write(
-            render_json(
-                comparison, len(sources), line_text, baseline_path
-            )
-        )
+        sys.stdout.write(report)
     else:
-        print(render_text(comparison, len(sources), line_text))
+        print(render_text(findings, len(sources), line_text))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(
-                render_json(
-                    comparison, len(sources), line_text, baseline_path
-                )
-            )
-    return 0 if comparison.clean else FINDINGS_EXIT
+            handle.write(report)
+    return FINDINGS_EXIT if findings else 0

@@ -392,7 +392,7 @@ def load_sources(
 
     ``root`` defaults to the current working directory, so running from
     the repo root yields the canonical ``src/repro/...`` paths the
-    baseline stores and the rules scope on.
+    rules scope on.
     """
     import os
 

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import json
-from typing import Optional
-
-from repro.lintkit.baseline import BaselineComparison
 from repro.lintkit.engine import RULES, Finding
 
 __all__ = ["REPORT_SCHEMA", "render_text", "render_json"]
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 def _rule_summary(finding: Finding) -> str:
@@ -19,47 +16,32 @@ def _rule_summary(finding: Finding) -> str:
 
 
 def render_text(
-    comparison: BaselineComparison,
+    findings: list[Finding],
     files_scanned: int,
     line_text: dict[tuple[str, int], str],
 ) -> str:
     """Human-facing report: one ``path:line:col rule message`` per finding."""
     lines: list[str] = []
-    for finding in comparison.new:
+    for finding in findings:
         lines.append(
             f"{finding.location()}: {_rule_summary(finding)} {finding.message}"
         )
         source = line_text.get((finding.path, finding.line), "")
         if source:
             lines.append(f"    {source}")
-    if comparison.stale:
-        lines.append("")
-        lines.append(
-            "stale baseline entries (finding fixed or moved — regenerate "
-            "with --update-baseline so the baseline only shrinks):"
-        )
-        for entry in comparison.stale:
-            lines.append(
-                f"  {entry['path']}:{entry['line']}: {entry['rule']} "
-                f"{entry.get('text', '')}"
-            )
     lines.append("")
-    verdict = "clean" if comparison.clean else "FAILED"
+    verdict = "FAILED" if findings else "clean"
     lines.append(
         f"lintkit: {verdict} — {files_scanned} files, "
-        f"{len(comparison.new)} new finding(s), "
-        f"{len(comparison.grandfathered)} baselined, "
-        f"{len(comparison.stale)} stale baseline "
-        f"{'entry' if len(comparison.stale) == 1 else 'entries'}"
+        f"{len(findings)} finding(s)"
     )
     return "\n".join(lines).lstrip("\n")
 
 
 def render_json(
-    comparison: BaselineComparison,
+    findings: list[Finding],
     files_scanned: int,
     line_text: dict[tuple[str, int], str],
-    baseline_path: Optional[str] = None,
 ) -> str:
     """Machine-facing report (uploaded as the CI workflow artifact)."""
 
@@ -70,12 +52,9 @@ def render_json(
 
     payload = {
         "schema": REPORT_SCHEMA,
-        "clean": comparison.clean,
+        "clean": not findings,
         "files_scanned": files_scanned,
-        "baseline": baseline_path,
-        "findings": [as_dict(f) for f in comparison.new],
-        "baselined": [as_dict(f) for f in comparison.grandfathered],
-        "stale_baseline_entries": comparison.stale,
+        "findings": [as_dict(f) for f in findings],
         "rules": {
             rule_id: {
                 "name": rule.name,

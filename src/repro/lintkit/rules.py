@@ -634,7 +634,7 @@ class UncountedLruCache(Rule):
 class SpanNaming(Rule):
     """Telemetry names are a queryable namespace, not free text.
 
-    Dashboards, the benchmark record, and the CI resume smoke all key
+    ``--profile`` consumers and the CI single-path and resume smokes key
     on literal span/counter names (``cache.store.sweep_cell.miss``);
     a name outside the ``segment(.segment)*`` convention (lowercase
     ``[a-z][a-z0-9_]*`` segments joined by dots, ``/`` reserved for the

@@ -18,8 +18,7 @@ Worker processes (``fastsim.parallel.run_many``, experiment replicates)
 ship their collector's :meth:`Collector.snapshot` back with each result;
 the parent merges them (order-independent, duplicate-safe) so a parallel
 sweep reports a single profile. ``ExperimentResult.telemetry`` and the
-runner's ``--profile`` flag surface the same data; ``benchmarks/record.py``
-persists the trajectory.
+runner's ``--profile`` flag surface the same data.
 
 The *live* half is the flight recorder (:mod:`repro.obs.events`): install
 a sink (``events.set_sink`` / ``REPRO_OBS_EVENTS=path``) and every

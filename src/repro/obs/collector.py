@@ -24,8 +24,8 @@ Design notes
   parent in any order.
 * **Determinism.** Recording only ever *observes* (wall-clock reads, dict
   updates); it never touches simulation RNG streams, so seeded results
-  are bit-identical with telemetry on or off (enforced in
-  ``bench_fastsim``).
+  are bit-identical with telemetry on or off (enforced by
+  ``tests/obs/test_instrumentation.py``).
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ Design decisions:
 * **Off by default, twice over.** No sink is installed unless asked, so
   the recorder costs the collector hooks a single ``is not None`` check
   — and those hooks only run when collection itself is enabled, so the
-  telemetry-off path is untouched. The enabled-and-recording path stays
-  under the same ≤1.02x wall-clock gate as plain telemetry
-  (``bench_fastsim``'s ``live_record``).
+  telemetry-off path is untouched. The enabled-and-recording path is
+  held to a wall-clock ceiling over plain telemetry by the
+  ``obs_overhead.recorder`` row of ``benchmarks/gates.py``.
 * **Events are plain dicts.** Every event carries ``type``, ``t`` (a
   :func:`repro.obs.clock.perf_counter` stamp — monotonic, shared across
   processes on Linux) and ``pid``; the rest is per-type payload. JSON in,

@@ -2,7 +2,7 @@
 
 The paper dismisses plain flooding as "not optimal even for unstructured
 networks" and assumes random walks instead; we implement flooding anyway
-because it is the natural baseline for the ablation benchmarks (and because
+because it is the natural baseline for the walk-vs-flood tests (and because
 the replica-subnetwork propagation of Section 5 *is* a flood, reused by
 :mod:`repro.replication.replica_network`).
 

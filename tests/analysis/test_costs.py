@@ -110,6 +110,9 @@ class TestEq9Eq10:
         crtn = c_routing_maintenance(1 / 14, 20_000, 40_000)
         cupd = c_update(20_000, 50, 1.8, 1 / 86_400)
         assert crtn > 100 * cupd
+        # cRtn is update-independent, cUpd linear in the update
+        # frequency: by once-a-minute updates the claim has flipped.
+        assert c_update(20_000, 50, 1.8, 1 / 60) > crtn
 
 
 class TestCostModel:

@@ -34,8 +34,8 @@ class TestOptimalMaxRank:
             assert optimum.cost <= cost_index_all(params) * (1 + 1e-9)
 
     def test_heuristic_is_near_optimal_at_paper_scale(self, paper_params):
-        # EXPERIMENTS.md quotes the gap as < 1% across the sweep — the
-        # paper's rule is a very good approximation in its own scenario.
+        # The gap is < 1% across the sweep — the paper's rule is a very
+        # good approximation in its own scenario.
         for period in (30, 600, 7200):
             params = paper_params.with_query_freq(1 / period)
             heuristic = cost_partial_ideal(params)

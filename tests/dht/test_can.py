@@ -98,6 +98,9 @@ class TestRouting:
             ]
             hops_by_d[d] = sum(hops) / len(hops)
         assert hops_by_d[1] > hops_by_d[2] > hops_by_d[3]
+        for d, measured in hops_by_d.items():
+            model = d / 4 * 128 ** (1 / d)
+            assert 0.5 * model < measured < 2.5 * model, f"d={d}"
 
     def test_takeover_when_owner_offline(self):
         dht = build_can(32, 2)

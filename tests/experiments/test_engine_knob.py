@@ -100,6 +100,11 @@ class TestVectorizedExperiments:
         )
         no_index = fig.series_of("noIndex")
         assert no_index[0] > no_index[1]  # cost falls with query frequency
+        # noIndex is ~linear in the frequency (1/30 vs 1/600 = 20x);
+        # indexAll is maintenance-dominated and essentially flat.
+        assert no_index[0] / no_index[1] == pytest.approx(20.0, rel=0.5)
+        index_all = fig.series_of("indexAll")
+        assert max(index_all) / min(index_all) < 1.5
         for idx in range(2):
             assert fig.series_of("partialIdeal")[idx] <= min(
                 fig.series_of("indexAll")[idx], no_index[idx]

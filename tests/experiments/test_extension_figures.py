@@ -19,7 +19,7 @@ pytestmark = pytest.mark.slow
 class TestHeuristicVsOptimal:
     @pytest.fixture(scope="class")
     def fig(self):
-        # Three frequencies keep this fast; full sweep runs in the bench.
+        # Three frequencies keep this fast; ``runner optimal`` is the sweep.
         return heuristic_vs_optimal(frequencies=(1 / 30, 1 / 600, 1 / 7200))
 
     def test_maxrank_rule_near_optimal(self, fig):
@@ -28,6 +28,9 @@ class TestHeuristicVsOptimal:
     def test_ttl_rule_gap_grows_with_period(self, fig):
         gaps = fig.series_of("keyTtl gap")
         assert gaps[-1] > gaps[0]
+        # Eq. 17 is nearly flat in the TTL at the busiest rate, so the
+        # golden-section optimum may sit sub-percent above the heuristic.
+        assert all(-0.01 <= g < 0.5 for g in gaps)
 
     def test_render_mentions_gap_definition(self, fig):
         assert "heuristic cost / optimal cost" in fig.render()
@@ -41,7 +44,13 @@ class TestChurnExperiment:
         )
         success = fig.series_of("success rate")
         # repl=50 at availability >= 0.6: the bound is ~1 - 0.4^50 ~ 1.
-        assert all(s > 0.9 for s in success)
+        assert all(s > 0.95 for s in success)
+        # Hit rate degrades gracefully; message rate grows as the
+        # overlay thins.
+        hits = fig.series_of("hit rate")
+        cost = fig.series_of("msg/s")
+        assert hits[-1] > hits[0] - 0.2
+        assert cost[-1] > cost[0]
 
     def test_invalid_availability_rejected(self):
         with pytest.raises(ParameterError):
@@ -85,6 +94,8 @@ class TestStalenessExperiment:
         stale = fig.series_of("stale hit fraction")
         assert stale[0] <= stale[-1]
         assert all(0.0 <= s <= 1.0 for s in stale)
+        hits = fig.series_of("hit rate")
+        assert hits[0] < hits[-1]
 
     def test_invalid_parameters(self):
         from repro.experiments.figures import staleness_experiment

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -52,9 +53,19 @@ def strategy_jobs(params, config):
 
 class TestWorkerCount:
     def test_zero_means_cpu_count(self):
-        import os
+        assert 1 <= resolve_worker_count(0) <= (os.cpu_count() or 1)
 
-        assert resolve_worker_count(0) == (os.cpu_count() or 1)
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call"
+    )
+    def test_zero_follows_a_narrowed_cpu_affinity(self):
+        before = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {min(before)})
+            assert resolve_worker_count(0) == 1
+        finally:
+            os.sched_setaffinity(0, before)
+        assert os.sched_getaffinity(0) == before
 
     def test_positive_passthrough(self):
         assert resolve_worker_count(1) == 1

@@ -1,8 +1,7 @@
 """Integration: the analytical model against every number the paper quotes.
 
-These tests are the written-down version of EXPERIMENTS.md: each one pins
-a quantitative statement from the paper's prose or a qualitative feature
-of a figure.
+Each test pins a quantitative statement from the paper's prose
+(Sections 4-5) or a qualitative feature of one of its figures.
 """
 
 from __future__ import annotations
@@ -87,6 +86,15 @@ class TestFig2:
         1 at calm rates."""
         assert sweep.ideal_savings_vs_no_index[0] > 0.9
         assert sweep.ideal_savings_vs_index_all[-1] > 0.9
+        # vs-noIndex declines towards the calm end, vs-indexAll climbs.
+        assert (
+            sweep.ideal_savings_vs_no_index[0]
+            > sweep.ideal_savings_vs_no_index[-1]
+        )
+        assert (
+            sweep.ideal_savings_vs_index_all[0]
+            < sweep.ideal_savings_vs_index_all[-1]
+        )
 
     def test_curves_cross_inside_sweep(self, sweep):
         diff = [
@@ -110,6 +118,10 @@ class TestFig3:
         calm = sweep.points[-1].strategies.threshold
         assert calm.index_fraction < 0.05
         assert calm.p_indexed > 0.8
+        assert all(
+            point.strategies.threshold.p_indexed > 0.8
+            for point in sweep.points
+        )
 
 
 class TestFig4:
@@ -127,6 +139,14 @@ class TestFig4:
         assert sweep.selection_savings_vs_index_all[0] < 0
         assert all(s > 0 for s in sweep.selection_savings_vs_index_all[-3:])
         assert all(s > 0 for s in sweep.selection_savings_vs_no_index)
+        # Selection savings trail the ideal savings of Fig. 2 pointwise.
+        assert all(
+            selection <= ideal + 1e-9
+            for selection, ideal in zip(
+                sweep.selection_savings_vs_no_index,
+                sweep.ideal_savings_vs_no_index,
+            )
+        )
 
     def test_selection_overhead_reasons_present(self, params):
         """Selection has overhead vs ideal (Section 5.1 lists reasons

@@ -1,6 +1,6 @@
 """Integration: simulated strategies vs the analytical model.
 
-The claim (Section 5.2 / DESIGN.md): simulated message rates reproduce the
+The claim (paper Section 5.2): simulated message rates reproduce the
 *ordering* and rough factors of the analytical model at the same scale —
 not the absolute numbers, since the model idealises walk granularity,
 routing-table sizes, and replica-flood shapes.

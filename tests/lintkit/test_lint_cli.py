@@ -1,4 +1,4 @@
-"""CLI contract: exit codes 0/1/2, baselines, reports, and the real tree."""
+"""CLI contract: exit codes 0/1/2, reports, and the real tree."""
 
 from __future__ import annotations
 
@@ -52,39 +52,6 @@ class TestExitCodes:
         assert main(["no/such/dir"]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_missing_explicit_baseline_is_a_usage_error(self, repo, capsys):
-        write(repo, "src/repro/analysis/mod.py", CLEAN)
-        assert main(["src", "--baseline", "nope.json"]) == 2
-        assert "baseline not found" in capsys.readouterr().err
-
-
-class TestBaselineFlow:
-    def test_update_then_clean_then_stale(self, repo, capsys):
-        target = write(repo, "src/repro/analysis/mod.py", DIRTY)
-
-        # grandfather the existing finding
-        assert main(["src", "--update-baseline"]) == 0
-        assert (repo / "lintkit-baseline.json").is_file()
-
-        # the default baseline is picked up: same tree now passes
-        assert main(["src"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-        # fixing the finding makes the baseline entry stale -> fails
-        target.write_text(CLEAN)
-        assert main(["src"]) == 1
-        assert "stale" in capsys.readouterr().out
-
-        # shrinking the baseline restores a clean gate
-        assert main(["src", "--update-baseline"]) == 0
-        assert main(["src"]) == 0
-
-    def test_no_baseline_flag_ignores_the_file(self, repo):
-        write(repo, "src/repro/analysis/mod.py", DIRTY)
-        assert main(["src", "--update-baseline"]) == 0
-        assert main(["src"]) == 0
-        assert main(["src", "--no-baseline"]) == 1
-
 
 class TestReports:
     def test_json_format_and_output_artifact(self, repo, capsys, tmp_path):
@@ -125,9 +92,3 @@ class TestRealTree:
             [str(REPO_ROOT / "src")], root=str(REPO_ROOT)
         )
         assert findings == [], [f.location() for f in findings]
-
-    def test_shipped_baseline_is_empty(self):
-        baseline = json.loads(
-            (REPO_ROOT / "lintkit-baseline.json").read_text()
-        )
-        assert baseline["entries"] == []

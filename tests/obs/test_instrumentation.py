@@ -155,11 +155,13 @@ class TestWorkerMerge:
 
 class TestCalibrationCaches:
     def test_counted_cache_counts_hits_misses_and_size(self):
-        from repro.fastsim.compare import _CALIBRATION_CACHES, _counted_cache
+        from repro.fastsim.compare import _CALIBRATION_CACHES
 
         calls = []
 
-        @_counted_cache("test_cache", maxsize=4)
+        @obs.counted_cache(
+            "test_cache", maxsize=4, registry=_CALIBRATION_CACHES
+        )
         def double(x):
             calls.append(x)
             return 2 * x
@@ -186,9 +188,11 @@ class TestCalibrationCaches:
             _CALIBRATION_CACHES.pop("test_cache", None)
 
     def test_counted_cache_silent_while_disabled(self):
-        from repro.fastsim.compare import _CALIBRATION_CACHES, _counted_cache
+        from repro.fastsim.compare import _CALIBRATION_CACHES
 
-        @_counted_cache("test_cache", maxsize=4)
+        @obs.counted_cache(
+            "test_cache", maxsize=4, registry=_CALIBRATION_CACHES
+        )
         def double(x):
             return 2 * x
 

@@ -92,13 +92,21 @@ class TestRandomWalkSearch:
         # measured mean should land within a reasonable factor.
         overlay, _, _ = searchable
         search = RandomWalkSearch(overlay, rng, walkers=4)
-        costs = []
+        flood = FloodSearch(overlay, ttl=7)
+        costs, flood_costs = [], []
         for origin in range(40):
             if not overlay.peer_has(origin, "hot"):
                 costs.append(search.search(origin, "hot").messages)
+                # A Gnutella flood cannot recall copies already
+                # forwarded: the whole TTL horizon relays the query.
+                flood_costs.append(
+                    flood.search(origin, "hot", stop_on_hit=False).messages
+                )
         mean_cost = sum(costs) / len(costs)
         ideal = 200 / 20
         assert ideal * 0.5 < mean_cost < ideal * 4.0
+        # The paper's [LvCa02] argument for assuming random walks.
+        assert mean_cost < sum(flood_costs) / len(flood_costs)
 
     def test_local_hit_costs_nothing(self, searchable, rng):
         overlay, replicator, _ = searchable
