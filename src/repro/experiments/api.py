@@ -77,11 +77,11 @@ KINDS = (ANALYTICAL, SIMULATED)
 # Typed parameters
 # ----------------------------------------------------------------------
 #: ExperimentParams fields that tune *how* a run executes without
-#: affecting *what* it computes (lint rule RL104). Each one is popped
+#: affecting *what* it computes (invariant RL104). Each one is popped
 #: out of the replicate artifact key by :func:`_replicate_inputs`, so a
 #: cached result is reused no matter how many workers produced it or
 #: where it was stored. Adding a field here without popping it (or vice
-#: versa) is a lint failure.
+#: versa) fails tests/test_invariants.py.
 EXECUTION_ONLY = frozenset({"jobs", "store", "replicates", "shared_memory"})
 
 

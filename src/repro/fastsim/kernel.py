@@ -71,6 +71,7 @@ from repro.fastsim.precision import (
     INDEX_DTYPE,
     PROB_DTYPE,
     StatePrecision,
+    check_slim_range,
     resolve_precision,
 )
 from repro.fastsim.state import FastSimState
@@ -461,6 +462,7 @@ class FastSimKernel:
         self.on_round: list[Callable[["FastSimKernel", float], None]] = []
         self.now = 0.0
         self._update_debt = 0.0
+        self._queries = 0  # over every run: per-key tallies persist
 
         # Streamed-loop buffers: per-role scratch for the round hot paths,
         # draw buffers reused across blocks, and read-only all-ones
@@ -498,7 +500,8 @@ class FastSimKernel:
         its phases nested under it: ``round.maintain`` / ``round.queries``
         / ``round.post`` count rounds, while ``draw`` counts draw blocks
         (one ``draw_rounds`` call per :data:`DRAW_BLOCK` queries) — a
-        busy cell contributes several, an idle one exactly one.
+        busy cell contributes several, an idle one exactly one. A ``slim``
+        run past its exact range raises before its first round.
         """
         if duration <= 0:
             raise ParameterError(f"duration must be > 0, got {duration}")
@@ -536,6 +539,9 @@ class FastSimKernel:
             else:
                 counts = self._rng_counts.poisson(rate * multipliers)
         cumulative = np.cumsum(counts)
+        queries = self._queries + int(cumulative[-1])
+        check_slim_range(self.precision, self.now + rounds, self.key_ttl, queries)
+        self._queries = queries
         start = self.now
         # Hoisted per-round temporaries: the window-close thunk and the
         # churn maintenance scale are loop invariants.

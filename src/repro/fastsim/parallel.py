@@ -62,7 +62,7 @@ __all__ = [
 
 
 #: FastSimJob fields that are execution details rather than identity
-#: (lint rule RL104). Empty on purpose: the job *is* the artifact key —
+#: (invariant RL104). Empty on purpose: the job *is* the artifact key —
 #: :func:`job_key` hashes the whole dataclass, so every field must
 #: affect the result. Parallelism knobs (worker counts, shared-memory
 #: toggles) live outside the job, in :func:`run_many`'s arguments.
@@ -269,7 +269,7 @@ def fan_out(
     The execution primitive under :func:`run_many` (units are
     :class:`FastSimJob` specs) and the Experiment API's ``replicates``
     (units are per-seed contexts); package-internal, and the only place
-    ``src/`` builds a process pool (lint rule RL108). ``workers`` is
+    ``src/`` builds a process pool (invariant RL108). ``workers`` is
     already resolved (:func:`resolve_worker_count`). With one worker, or
     at most one unit, everything runs in the calling process — its caches
     stay warm, its event sink is untouched. Otherwise units (which must

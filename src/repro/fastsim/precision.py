@@ -14,13 +14,12 @@ Two policies are offered:
     bit-identical to the captures in ``tests/fastsim/data``.
 
 ``slim`` (opt-in, for 10^7+ runs)
-    float32 expiries, uint32 counters. Round indices are small integers
-    (a 10^5-round run is far below float32's 2^24 exact-integer range),
-    so expiry arithmetic stays exact for the common TTLs; the only
-    behavioural drift is sub-ULP tie-breaking on fractional TTLs, which
-    the 5% cross-engine agreement gates absorb (re-verified by
-    ``tests/properties/test_property_precision.py``). Counters are
-    event tallies bounded by total queries per key — far below 2^32.
+    float32 expiries, uint32 counters: integer expiries stay exact below
+    float32's 2^24 exact-integer range and per-key event tallies below
+    2^32, and :func:`check_slim_range` refuses a run that could reach
+    either. The only behavioural drift is sub-ULP tie-breaking on
+    fractional TTLs, which the 5% cross-engine agreement gates absorb
+    (re-verified by ``tests/properties/test_property_precision.py``).
 
 Peer masks stay ``bool`` (numpy's 1-byte bool is already minimal) and
 workload rank/key vectors stay int64: they index arrays directly and
@@ -29,6 +28,7 @@ narrowing them would force casts on every fancy-indexing operation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +43,13 @@ __all__ = [
     "SLIM",
     "PRECISIONS",
     "PRECISION_NAMES",
+    "check_slim_range",
     "resolve_precision",
 ]
 
 # ---------------------------------------------------------------------
 # Precision-independent dtypes. This module is the only fastsim file
-# allowed to name concrete dtypes (lint rule RL103); everything outside
+# allowed to name concrete dtypes (invariant RL103); everything outside
 # the StatePrecision policies routes through these two constants.
 # ---------------------------------------------------------------------
 
@@ -96,6 +97,29 @@ SLIM = StatePrecision(name="slim", float_dtype="float32", counter_dtype="uint32"
 
 PRECISIONS: dict[str, StatePrecision] = {p.name: p for p in (WIDE, SLIM)}
 PRECISION_NAMES: tuple[str, ...] = tuple(PRECISIONS)
+
+#: Past these, ``slim``'s float32 expiries round and uint32 tallies wrap.
+SLIM_EXACT_ROUNDS, SLIM_EXACT_TALLIES = 2**24, 2**32
+
+
+def check_slim_range(
+    precision: StatePrecision, last_round: float, key_ttl: float, queries: int
+) -> None:
+    """Refuse a ``slim`` run whose latest expiry (``last_round + key_ttl``,
+    an infinite TTL is exact) or tallies (at most ``queries``) reach them."""
+    if precision != SLIM:
+        return
+    expiry = last_round + (key_ttl if math.isfinite(key_ttl) else 0.0)
+    if expiry >= SLIM_EXACT_ROUNDS:
+        raise ParameterError(
+            f"slim expiries are exact below round {SLIM_EXACT_ROUNDS}; this "
+            f"run reaches {expiry:g} (key_ttl included): use wide"
+        )
+    if queries >= SLIM_EXACT_TALLIES:
+        raise ParameterError(
+            f"slim tallies are exact below {SLIM_EXACT_TALLIES} queries; "
+            f"this run reaches {queries}: use wide"
+        )
 
 
 def resolve_precision(

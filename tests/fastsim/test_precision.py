@@ -4,12 +4,14 @@ The contract of ISSUE 8's dtype slimming: ``wide`` (the default) is the
 float64/int64 layout every pinned capture was recorded under — selecting
 it explicitly must not move a bit — while ``slim`` halves the state
 arrays to float32/uint32 and may only drift within the same 5% bars the
-cross-engine gates enforce. Counter exactness holds because round times
-stay far below 2^24 (float32's exact-integer range).
+cross-engine gates enforce. Expiry and counter exactness hold below 2^24
+rounds (float32's exact-integer range) and 2^32 tallies, and the kernel
+refuses a slim run that could reach either (``TestSlimRange``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -26,6 +28,11 @@ from repro.fastsim import (
     StatePrecision,
     resolve_precision,
     run_fastsim,
+)
+from repro.fastsim.precision import (
+    SLIM_EXACT_ROUNDS,
+    SLIM_EXACT_TALLIES,
+    check_slim_range,
 )
 from repro.pdht.config import PdhtConfig
 
@@ -95,6 +102,68 @@ class TestStateDtypes:
         assert WIDE.np_counter == np.dtype(np.int64)
         assert SLIM.np_float == np.dtype(np.float32)
         assert SLIM.np_counter == np.dtype(np.uint32)
+
+
+class TestSlimRange:
+    """``slim`` is exact below 2^24 rounds (expiries, ``key_ttl``
+    included) and 2^32 tallies; a run that could reach either is refused
+    before its first round."""
+
+    def test_guard_boundaries(self):
+        last = SLIM_EXACT_ROUNDS - 11
+        check_slim_range(SLIM, last, 10.0, SLIM_EXACT_TALLIES - 1)
+        check_slim_range(SLIM, SLIM_EXACT_ROUNDS - 1, float("inf"), 0)
+        with pytest.raises(ParameterError, match="expiries"):
+            check_slim_range(SLIM, last + 1, 10.0, 0)
+        with pytest.raises(ParameterError, match="expiries"):
+            check_slim_range(SLIM, SLIM_EXACT_ROUNDS, float("inf"), 0)
+        with pytest.raises(ParameterError, match="tallies"):
+            check_slim_range(SLIM, last, 10.0, SLIM_EXACT_TALLIES)
+        check_slim_range(WIDE, SLIM_EXACT_ROUNDS, 10.0, SLIM_EXACT_TALLIES)
+
+    @staticmethod
+    def slim_kernel(params, config, now):
+        kernel = FastSimKernel(params, config=config, seed=SEED, precision="slim")
+        kernel.now = float(now)
+        return kernel
+
+    def test_run_refuses_expiry_at_two_to_the_24(self, params, config):
+        ttl = 62
+        config = dataclasses.replace(config, key_ttl=float(ttl))
+        # One more round ends at now + 1; its refreshes expire at
+        # now + 1 + ttl.
+        largest = SLIM_EXACT_ROUNDS - 2 - ttl
+        kernel = self.slim_kernel(params, config, largest)
+        report = kernel.run(1.0)
+        assert report.queries > 0 and report.index_hits + report.answered > 0
+        assert kernel.state.expires_at.max() == SLIM_EXACT_ROUNDS - 1
+
+        kernel = self.slim_kernel(params, config, largest + 1)
+        before = kernel.state.expires_at.copy()
+        with pytest.raises(ParameterError, match="expiries"):
+            kernel.run(1.0)
+        assert kernel.now == largest + 1
+        assert np.array_equal(kernel.state.expires_at, before)
+
+    def test_run_refuses_two_to_the_32_queries(self, params, config, monkeypatch):
+        kernel = self.slim_kernel(params, config, 0)
+        first = kernel.run(1.0).queries
+        assert first > 0
+        # Tallies persist across runs: the second run's budget is what the
+        # first one left.
+        monkeypatch.setattr(
+            kernel.workload,
+            "fixed_counts",
+            lambda start, rounds: np.full(rounds, SLIM_EXACT_TALLIES - first),
+        )
+        with pytest.raises(ParameterError, match="tallies"):
+            kernel.run(1.0)
+        assert kernel.now == 1.0
+
+    def test_wide_is_not_limited(self, params, config):
+        kernel = FastSimKernel(params, config=config, seed=SEED)
+        kernel.now = float(SLIM_EXACT_ROUNDS)
+        assert kernel.run(1.0).queries > 0
 
 
 @pytest.mark.parametrize(
