@@ -170,11 +170,13 @@ def selection_outcome(
     """Eq. 14-17 of one scenario at one ``keyTtl``, solved once per pair.
 
     The planning layers that need one number of the model each — the
-    expected index size that sizes the DHT (``strategy_setup``,
-    ``PerOpCosts.analytical``, ``PdhtNetwork``), the Eq. 17 prediction a
-    sweep cell reports — share one evaluation (``cache.selection.*``
-    counters). Only the scalar :class:`SelectionOutcome` is kept; the
-    n-key presence tables live for the evaluation alone. Callers that
+    expected index size that sizes the selection DHT
+    (:func:`~repro.analysis.strategies.selection_members`, read by the
+    strategy policy, ``PerOpCosts.analytical`` and ``PdhtNetwork``), the
+    Eq. 17 prediction a sweep cell reports — share one evaluation
+    (``cache.selection.*`` counters). Only the scalar
+    :class:`SelectionOutcome` is kept; the n-key presence tables live for
+    the evaluation alone. Callers that
     hold a :class:`ZipfDistribution` and vary ``key_ttl`` continuously
     (``optimal``, ``sensitivity``) build :class:`SelectionModel` directly.
     """

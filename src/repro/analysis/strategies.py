@@ -10,16 +10,27 @@ All costs are network-wide messages per second for a given scenario:
   ``maxRank`` keys worth indexing, assuming every peer magically knows
   whether a key is indexed (lower bound; Section 4). The realistic variant
   that drops this assumption is :mod:`repro.analysis.selection_model`.
+
+:class:`StrategyPolicy` states the same systems as the facts both
+simulation engines run them by — indexed ranks, insert TTL, preloaded
+ranks, DHT size — and :func:`strategy_setup` is the one place a strategy
+name becomes those facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
+from repro.analysis.selection_model import selection_outcome
 from repro.analysis.threshold import IndexThreshold, solve_threshold
 from repro.analysis.zipf import ZipfDistribution
+from repro.errors import ParameterError
+
+if TYPE_CHECKING:
+    from repro.pdht.config import PdhtConfig
 
 __all__ = [
     "cost_index_all",
@@ -27,7 +38,16 @@ __all__ = [
     "cost_partial_ideal",
     "StrategyCosts",
     "evaluate_strategies",
+    "STRATEGY_NAMES",
+    "StrategyPolicy",
+    "selection_members",
+    "strategy_setup",
 ]
+
+#: The four systems of Fig. 1, in figure order.
+STRATEGY_NAMES: tuple[str, ...] = (
+    "noIndex", "indexAll", "partialIdeal", "partialSelection"
+)
 
 
 def cost_index_all(params: ScenarioParameters) -> float:
@@ -112,4 +132,85 @@ def evaluate_strategies(
         index_all=cost_index_all(params),
         no_index=cost_no_index(params),
         partial=cost_partial_ideal(params, threshold),
+    )
+
+
+@dataclass(frozen=True)
+class StrategyPolicy:
+    """How one indexing strategy runs, read alike by both engines.
+
+    Attributes
+    ----------
+    key_ttl:
+        TTL an index insert gets (Sec. 5.1's ``keyTtl``; ``inf`` for the
+        static indexes, 0 for noIndex).
+    index_ranks:
+        Queries for ranks ``<= index_ranks`` try the index first; the
+        rest go straight to broadcast search.
+    preloaded_ranks:
+        The top ranks indexed before the first query (``maxRank`` of
+        Eq. 11-13), which are also what proactive updates (Eq. 9) refresh.
+    num_members:
+        ``numActivePeers``: how many peers join the DHT.
+    adaptive:
+        Whether the index follows the queries (the Section 5 selection
+        algorithm) rather than staying as preloaded.
+    """
+
+    key_ttl: float
+    index_ranks: int
+    preloaded_ranks: int
+    num_members: int
+    adaptive: bool
+
+    @property
+    def runs_dht(self) -> bool:
+        """Whether routing maintenance runs: an insert can live, or the
+        TTL adapts. Only noIndex runs none (partialIdeal keeps its DHT
+        even at ``maxRank`` 0)."""
+        return self.adaptive or self.key_ttl > 0
+
+    def updates_per_round(self, update_freq: float) -> float:
+        """Expected proactive index updates per round (Eq. 9 traffic)."""
+        return self.preloaded_ranks * update_freq
+
+
+def selection_members(params: ScenarioParameters, key_ttl: float) -> int:
+    """The selection algorithm's DHT size: peers for the Eq. 14 expected
+    index at ``key_ttl``, sized for at least one key."""
+    expected = selection_outcome(params, key_ttl).index_size
+    return params.active_peers_for(max(expected, 1.0))
+
+
+def strategy_setup(
+    params: ScenarioParameters, config: "PdhtConfig", strategy: str
+) -> StrategyPolicy:
+    """The :class:`StrategyPolicy` of ``strategy`` on one scenario.
+
+    The only mapping from a strategy name to behaviour: the event engine
+    (:class:`~repro.pdht.strategies.SimulatedStrategy`), the kernel and
+    the parallel runner's cost resolution all read the policy this
+    returns. Rejects an unknown name.
+    """
+    n_keys = params.n_keys
+    if strategy == "noIndex":  # a minimal DHT that never runs
+        return StrategyPolicy(0.0, 0, 0, 2, adaptive=False)
+    if strategy == "indexAll":
+        return StrategyPolicy(
+            float("inf"), n_keys, n_keys, params.active_peers_for(n_keys),
+            adaptive=False,
+        )
+    if strategy == "partialIdeal":
+        max_rank = solve_threshold(params).max_rank
+        return StrategyPolicy(
+            float("inf"), max_rank, max_rank,
+            max(2, params.active_peers_for(max_rank)), adaptive=False,
+        )
+    if strategy == "partialSelection":
+        return StrategyPolicy(
+            config.key_ttl, n_keys, 0,
+            selection_members(params, config.key_ttl), adaptive=True,
+        )
+    raise ParameterError(
+        f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}"
     )

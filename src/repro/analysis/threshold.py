@@ -126,9 +126,10 @@ def solve_threshold(
 
     The solution is a function of ``params`` alone and is cached per
     scenario (``cache.threshold.*`` counters), so every consumer of one
-    scenario — ``PdhtConfig.from_scenario``, ``strategy_setup``,
-    ``SelectionModel``, ``evaluate_strategies``, ``sensitivity``, the
-    figures — shares one bisection. Only the scalar
+    scenario — ``PdhtConfig.from_scenario``, partialIdeal's
+    ``StrategyPolicy`` (``strategy_setup``), ``SelectionModel``,
+    ``evaluate_strategies``, ``sensitivity``, the figures — shares one
+    bisection. Only the scalar
     :class:`IndexThreshold` is kept: the n-key probability tables the
     solve reads are built for the solve and dropped with it.
     """

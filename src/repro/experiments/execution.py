@@ -43,11 +43,7 @@ from repro.fastsim.precision import resolve_precision
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import (
-    STRATEGY_CLASSES,
-    SimulatedStrategy,
-    StrategyReport,
-)
+from repro.pdht.strategies import SimulatedStrategy, StrategyReport
 from repro.workloads.models import WorkloadModel
 
 __all__ = ["Cell", "CellWorkload", "Execution", "StalenessReading"]
@@ -166,9 +162,9 @@ class Cell:
     def _substrate(self) -> SimulatedStrategy:
         """The strategy on its finished substrate: content placed, index
         preloaded, nothing queried yet."""
-        strategy = STRATEGY_CLASSES[self.strategy](
-            self.params, config=self.config, seed=self.seed,
-            churn=self.churn,
+        strategy = SimulatedStrategy(
+            self.params, config=self.config, strategy=self.strategy,
+            seed=self.seed, churn=self.churn,
         )
         if self.workload is not None:
             strategy.workload = self._stream(

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import selection_outcome
 from repro.analysis.sensitivity import sweep_keyttl_error
-from repro.analysis.strategies import evaluate_strategies
+from repro.analysis.strategies import STRATEGY_NAMES, evaluate_strategies
 from repro.analysis.sweep import PAPER_FREQUENCIES, sweep_frequencies
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
@@ -22,7 +22,6 @@ from repro.experiments.reporting import format_period, format_series
 from repro.experiments.scenario import paper_scenario, simulation_scenario
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import STRATEGY_NAMES
 
 
 __all__ = [

@@ -43,7 +43,7 @@ from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
-from repro.pdht.strategies import PartialSelectionStrategy
+from repro.pdht.strategies import SimulatedStrategy, key_name
 from repro.workloads.models import StationaryZipf
 
 __all__ = [
@@ -193,17 +193,17 @@ def _calibrate_costs_probe(
     members = net.dht.online_members()
     zipf = ZipfDistribution(params.n_keys, params.alpha)
 
-    # Key names match SimulatedStrategy.key_name so the probes hash to the
-    # same responsible members the real workload exercises.
+    # Keys are named by the event engine's key_name, so the probes hash to
+    # the same responsible members the real workload exercises.
     lookup_total = 0.0
     for rank in zipf.sample_ranks(rng, lookup_probes):
         gateway = members[int(rng.integers(0, len(members)))]
-        key = f"key-{int(rank) - 1:06d}"
+        key = key_name(int(rank) - 1)
         lookup_total += net.dht.lookup(gateway, key).messages
 
     flood_total = 0.0
     for key_index in rng.integers(0, params.n_keys, size=flood_probes):
-        responsible = net.dht.responsible_for(f"key-{int(key_index):06d}")
+        responsible = net.dht.responsible_for(key_name(int(key_index)))
         _, messages = net.group_of(responsible).flood(responsible)
         flood_total += messages
 
@@ -396,7 +396,7 @@ def _calibrate_churn_costs_probe(
         raise ParameterError(f"walk_probes must be >= 1, got {walk_probes}")
     config = config or PdhtConfig.from_scenario(params)
     net = _probe_network(params, config, seed=seed, churn=churn)
-    net.publish_all({f"key-{i:06d}": i for i in range(params.n_keys)})
+    net.publish_all({key_name(i): i for i in range(params.n_keys)})
     workload = (model or StationaryZipf()).build(
         ZipfDistribution(params.n_keys, params.alpha),
         net.streams.get("churn-cal-queries"),
@@ -443,7 +443,7 @@ def _calibrate_churn_costs_probe(
         count = int(count_rng.poisson(rate * workload.rate_multiplier(now)))
         queries_started = perf_counter()
         for _, key_index in workload.draw(now, count):
-            key = f"key-{key_index:06d}"
+            key = key_name(key_index)
             try:
                 origin = net.random_online_peer()
             except ParameterError:
@@ -641,11 +641,12 @@ def resolve_costs(
     and :func:`~repro.fastsim.parallel.resolve_jobs` share, so a run
     whose kernel resolves for itself and one resolved in the pool's
     parent charge identical costs. ``num_active_peers`` is the DHT size
-    :func:`~repro.fastsim.kernel.strategy_setup` derives for the run's
-    strategy. Churn costs are resolved only under enabled churn, at the
-    run's own ``seed`` (they are substrate-realisation properties — which
-    hot keys' responsible members churn — and ``PdhtNetwork(seed)`` is the
-    substrate the event engine would run), scaled from ``costs``. The
+    of the run's strategy policy
+    (:func:`~repro.fastsim.kernel.strategy_setup`). Churn costs are
+    resolved only under enabled churn, at the run's own ``seed`` (they
+    are substrate-realisation properties — which hot keys' responsible
+    members churn — and ``PdhtNetwork(seed)`` is the substrate the event
+    engine would run), scaled from ``costs``. The
     ``workload``'s model is threaded into that calibration so the probe
     drives the same shifting rank->key mapping the kernel will run
     (rank-permutation awareness); no workload is the stationary stream.
@@ -749,7 +750,7 @@ def _churned_lookup_probe_impl(
             ]
             try:
                 total += net.dht.lookup(
-                    gateway, f"key-{int(rank) - 1:06d}"
+                    gateway, key_name(int(rank) - 1)
                 ).messages
             except RoutingError:
                 continue
@@ -986,11 +987,12 @@ def _event_model_strategy(
     seed: int,
     model,
     churn: Optional[ChurnConfig] = None,
-) -> PartialSelectionStrategy:
+) -> SimulatedStrategy:
     """A selection strategy driving a workload-model stream (or the
     default stationary stream when ``model`` is None)."""
-    strategy = PartialSelectionStrategy(
-        params, config=config, seed=seed, churn=churn
+    strategy = SimulatedStrategy(
+        params, config=config, strategy="partialSelection", seed=seed,
+        churn=churn,
     )
     if model is not None:
         strategy.workload = model.build(
@@ -1022,9 +1024,10 @@ def compare_engines(
 ) -> EngineAgreement:
     """Run the selection algorithm through both engines and compare.
 
-    The event engine runs :class:`~repro.pdht.strategies.PartialSelectionStrategy`
-    verbatim; the fast path runs :func:`~repro.fastsim.kernel.run_fastsim`
-    with costs calibrated off the same substrate (unless given).
+    The event engine runs ``partialSelection`` through
+    :class:`~repro.pdht.strategies.SimulatedStrategy` verbatim; the fast
+    path runs :func:`~repro.fastsim.kernel.run_fastsim` with costs
+    calibrated off the same substrate (unless given).
     ``model`` swaps the stationary stream for a
     :class:`~repro.workloads.models.WorkloadModel` on both engines.
     ``precision`` selects the kernel's state dtype policy — the slim
@@ -1079,9 +1082,10 @@ def compare_engines_churn(
 ) -> EngineAgreement:
     """Run the selection algorithm under churn through both engines.
 
-    The event engine runs :class:`~repro.pdht.strategies.PartialSelectionStrategy`
-    with a real :class:`~repro.net.churn.ChurnProcess`; the kernel runs
-    with the availability-dependent cost model (calibrated via
+    The event engine runs ``partialSelection`` through
+    :class:`~repro.pdht.strategies.SimulatedStrategy` with a real
+    :class:`~repro.net.churn.ChurnProcess`; the kernel runs with the
+    availability-dependent cost model (calibrated via
     :func:`churn_costs_for` unless given). Agreement on hit rate *and*
     total cost is the acceptance bar that lifted the churn engine gate.
 
@@ -1170,7 +1174,7 @@ def staleness_probe_event(
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     net = PdhtNetwork(params, config, seed=seed)
     versions = dict.fromkeys(range(params.n_keys), 0)
-    net.publish_all({f"key-{i:06d}": (i, 0) for i in versions})
+    net.publish_all({key_name(i): (i, 0) for i in versions})
     workload = StationaryZipf().build(
         zipf, net.streams.get("staleness-queries")
     )
@@ -1185,12 +1189,10 @@ def staleness_probe_event(
         if now >= next_refresh:
             for i in range(params.n_keys):
                 versions[i] += 1
-                net.refresh_content(f"key-{i:06d}", (i, versions[i]))
+                net.refresh_content(key_name(i), (i, versions[i]))
             next_refresh += refresh_period
         for _, key_index in workload.draw(now, int(rng.poisson(rate))):
-            outcome = net.query(
-                net.random_online_peer(), f"key-{key_index:06d}"
-            )
+            outcome = net.query(net.random_online_peer(), key_name(key_index))
             queries += 1
             if outcome.via_index:
                 hits += 1

@@ -61,8 +61,7 @@ from repro import obs
 from repro.obs.clock import perf_counter
 from repro.analysis.costs import c_search_index, c_search_unstructured
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import selection_outcome
-from repro.analysis.threshold import solve_threshold
+from repro.analysis.strategies import selection_members, strategy_setup
 from repro.errors import ParameterError
 from repro.fastsim.churn import BatchChurnProcess
 from repro.fastsim.churncosts import ChurnOpCosts
@@ -79,7 +78,6 @@ from repro.fastsim.workload import BatchWorkload
 from repro.analysis.zipf import ZipfDistribution
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import STRATEGY_NAMES as STRATEGIES
 from repro.sim.metrics import MessageCategory
 from repro.workloads.models import StationaryZipf
 
@@ -171,41 +169,6 @@ def default_batch_workload(
     )
 
 
-def strategy_setup(
-    params: ScenarioParameters,
-    config: PdhtConfig,
-    strategy: str,
-) -> tuple[float, int, int]:
-    """Per-strategy ``(key_ttl, max_rank, num_members)`` derivation.
-
-    Mirrors the event-engine strategies' ``_adjust_config`` /
-    ``_active_peers`` hooks. Shared between :class:`FastSimKernel` and
-    the parallel job runner (:mod:`repro.fastsim.parallel`), which must
-    resolve per-op costs in the parent process — at the same DHT size
-    the kernel would derive — before shipping jobs to workers.
-    """
-    if strategy not in STRATEGIES:
-        raise ParameterError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
-    max_rank = 0
-    if strategy == "noIndex":
-        key_ttl = 0.0
-        num_members = 2
-    elif strategy == "indexAll":
-        key_ttl = float("inf")
-        num_members = params.active_peers_for(params.n_keys)
-    elif strategy == "partialIdeal":
-        key_ttl = float("inf")
-        max_rank = solve_threshold(params).max_rank
-        num_members = max(2, params.active_peers_for(max_rank))
-    else:
-        key_ttl = config.key_ttl
-        expected = selection_outcome(params, config.key_ttl).index_size
-        num_members = params.active_peers_for(max(expected, 1.0))
-    return key_ttl, max_rank, num_members
-
-
 @dataclass(frozen=True)
 class PerOpCosts:
     """Per-operation message costs the kernel charges.
@@ -255,9 +218,9 @@ class PerOpCosts:
         """Closed-form costs (Eq. 6-8/16) at a given or derived DHT size."""
         config = config or PdhtConfig.from_scenario(params)
         if num_active_peers is None:
-            ttl = config.key_ttl if key_ttl is None else key_ttl
-            expected = selection_outcome(params, ttl).index_size
-            num_active_peers = params.active_peers_for(max(expected, 1.0))
+            num_active_peers = selection_members(
+                params, config.key_ttl if key_ttl is None else key_ttl
+            )
         if num_active_peers > 1:
             maintenance = (
                 params.env * math.log2(num_active_peers) * num_active_peers
@@ -415,15 +378,16 @@ class FastSimKernel:
         self._rng_churn = np.random.default_rng(seeds[3])
         self._rng_resolve = np.random.default_rng(seeds[4])
 
-        # Strategy-specific TTL and DHT size (mirrors the event-engine
-        # strategies' _adjust_config / _active_peers hooks); rejects an
-        # unknown strategy name.
-        self.key_ttl, self._max_rank, num_members = strategy_setup(
-            params, self.config, strategy
-        )
+        # What the strategy indexes, its TTL and DHT size: the policy the
+        # event engine reads too. Rejects an unknown strategy name.
+        self.policy = strategy_setup(params, self.config, strategy)
+        self.key_ttl = self.policy.key_ttl
 
         self.state = FastSimState(
-            params, num_members, self._rng_members, precision=self.precision
+            params,
+            self.policy.num_members,
+            self._rng_members,
+            precision=self.precision,
         )
         self.workload = workload or default_batch_workload(params, seed)
         if self.workload.n_keys != params.n_keys:
@@ -435,8 +399,8 @@ class FastSimKernel:
         from repro.fastsim.compare import resolve_costs
 
         self.costs, churn_costs = resolve_costs(
-            params, self.config, num_members, seed, churn, self.workload,
-            costs, churn_costs,
+            params, self.config, self.policy.num_members, seed, churn,
+            self.workload, costs, churn_costs,
         )
         # A disabled config freezes liveness — a no-op in the event engine
         # (ChurnProcess.start returns immediately), so treat it as absent
@@ -600,7 +564,7 @@ class FastSimKernel:
                     self.state.bump_versions()
                     report.content_refreshes += 1
                     self._next_refresh += self.content_refresh_period
-                if self.strategy != "noIndex":
+                if self.policy.runs_dht:
                     if self.churn_costs is not None:
                         # The calibrated rate holds at the stationary
                         # availability; scale it to the instantaneous
@@ -700,7 +664,10 @@ class FastSimKernel:
             # engine cannot draw an origin either. Drop the batch.
             return 0, 0
         report.queries += count
-        if self.strategy == "noIndex":
+        policy = self.policy
+        if policy.adaptive:
+            return count, self._step_selection(now, keys, totals, report)
+        if not policy.runs_dht:
             # Every query broadcast; no DHT, no gateway traffic.
             resolved_mask, p_resolve = self._resolve_draws(count)
             resolved = int(resolved_mask.sum())
@@ -708,31 +675,25 @@ class FastSimKernel:
             self._charge_walks(count, p_resolve, totals)
             report.unresolved += count - resolved
             return count, 0
-        if self.strategy == "indexAll":
-            # Every key pre-indexed with infinite TTL at *every* replica
-            # group member (preloading), so even under churn the rerouted
-            # responsible answers directly: all hits, no flood traffic.
-            self._charge_gateways(self._draw_origins(count), totals, report)
-            totals[MessageCategory.INDEX_SEARCH] += self._lookup_cost * count
-            report.index_hits += count
-            report.answered += count
-            return count, count
-        if self.strategy == "partialIdeal":
-            indexed = ranks <= self._max_rank
-            hits = int(indexed.sum())
-            misses = count - hits
-            self._charge_gateways(
-                self._draw_origins(count)[indexed], totals, report
-            )
-            totals[MessageCategory.INDEX_SEARCH] += self._lookup_cost * hits
-            resolved_mask, p_resolve = self._resolve_draws(misses)
-            resolved = int(resolved_mask.sum())
-            self._charge_walks(misses, p_resolve, totals)
-            report.index_hits += hits
-            report.answered += hits + resolved
-            report.unresolved += misses - resolved
-            return count, hits
-        return count, self._step_selection(now, keys, totals, report)
+        # A static index: the indexed ranks are preloaded with infinite
+        # TTL at *every* replica group member, so even under churn the
+        # rerouted responsible answers directly (all hits, no flood
+        # traffic); the rest broadcast. With every rank indexed (indexAll)
+        # no resolution is drawn and no walk charged.
+        indexed = ranks <= policy.index_ranks
+        hits = int(indexed.sum())
+        misses = count - hits
+        self._charge_gateways(
+            self._draw_origins(count)[indexed], totals, report
+        )
+        totals[MessageCategory.INDEX_SEARCH] += self._lookup_cost * hits
+        resolved_mask, p_resolve = self._resolve_draws(misses)
+        resolved = int(resolved_mask.sum())
+        self._charge_walks(misses, p_resolve, totals)
+        report.index_hits += hits
+        report.answered += hits + resolved
+        report.unresolved += misses - resolved
+        return count, hits
 
     def _step_selection(
         self,
@@ -884,14 +845,10 @@ class FastSimKernel:
         return hits
 
     def _step_updates(self, totals: dict[MessageCategory, float]) -> None:
-        """Proactive index updates (indexAll / partialIdeal only, Eq. 9)."""
-        if self.strategy == "indexAll":
-            per_round = self.params.n_keys * self.params.update_freq
-        elif self.strategy == "partialIdeal":
-            per_round = self._max_rank * self.params.update_freq
-        else:
-            return
-        self._update_debt += per_round
+        """Proactive updates of the preloaded keys (Eq. 9)."""
+        self._update_debt += self.policy.updates_per_round(
+            self.params.update_freq
+        )
         whole = int(self._update_debt)
         if whole:
             self._update_debt -= whole
@@ -1019,13 +976,9 @@ class FastSimKernel:
         )
 
     def _reported_index_size(self, now: float) -> int:
-        if self.strategy == "indexAll":
-            return self.params.n_keys
-        if self.strategy == "partialIdeal":
-            return self._max_rank
-        if self.strategy == "noIndex":
-            return 0
-        return self.state.index_size(now)
+        if self.policy.adaptive:
+            return self.state.index_size(now)
+        return self.policy.preloaded_ranks
 
 
 def run_fastsim(

@@ -6,7 +6,7 @@ embarrassingly parallel. This module fans a list of picklable
 :class:`FastSimJob` specs over a :class:`concurrent.futures.ProcessPoolExecutor`:
 
 * per-op costs are resolved **once in the parent** (:func:`resolve_jobs`)
-  at exactly the DHT size the kernel would derive
+  at exactly the DHT size the kernel reads off the strategy's policy
   (:func:`~repro.fastsim.kernel.strategy_setup`), then shipped inside the
   job spec — N workers never rebuild the calibration substrate, and the
   parent's ``lru_cache``'d calibrations stay warm across repeated calls;
@@ -146,9 +146,9 @@ def resolve_jobs(jobs: Sequence[FastSimJob]) -> list[FastSimJob]:
     resolved: list[FastSimJob] = []
     for job in jobs:
         config = job.config or PdhtConfig.from_scenario(job.params)
-        _, _, num_members = strategy_setup(job.params, config, job.strategy)
+        policy = strategy_setup(job.params, config, job.strategy)
         costs, churn_costs = resolve_costs(
-            job.params, config, num_members, job.seed, job.churn,
+            job.params, config, policy.num_members, job.seed, job.churn,
             job.workload, job.costs, job.churn_costs,
         )
         resolved.append(

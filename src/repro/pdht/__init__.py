@@ -15,8 +15,9 @@ Layout:
 * :mod:`repro.pdht.node` — one PDHT peer;
 * :mod:`repro.pdht.network` — the wired-up network (DHT + unstructured
   overlay + replica groups + churn + maintenance);
-* :mod:`repro.pdht.strategies` — simulated indexAll / noIndex /
-  partial-ideal / partial-selection drivers for the benchmarks;
+* :mod:`repro.pdht.strategies` — runs indexAll / noIndex / partial-ideal
+  / partial-selection on the event engine, each by its
+  :class:`~repro.analysis.strategies.StrategyPolicy`;
 * :mod:`repro.pdht.adaptive_ttl` — self-tuning ``keyTtl`` (the paper's
   declared future work, implemented here as an extension).
 """
@@ -28,14 +29,7 @@ from repro.pdht.node import PdhtNode
 from repro.pdht.network import PdhtNetwork, QueryOutcome
 from repro.pdht.adaptive_ttl import AdaptiveTtlController, CostEstimates
 from repro.pdht.news_service import NewsQueryResult, NewsService
-from repro.pdht.strategies import (
-    IndexAllStrategy,
-    NoIndexStrategy,
-    PartialIdealStrategy,
-    PartialSelectionStrategy,
-    SimulatedStrategy,
-    StrategyReport,
-)
+from repro.pdht.strategies import SimulatedStrategy, StrategyReport
 
 __all__ = [
     "PdhtConfig",
@@ -50,10 +44,6 @@ __all__ = [
     "CostEstimates",
     "NewsQueryResult",
     "NewsService",
-    "IndexAllStrategy",
-    "NoIndexStrategy",
-    "PartialIdealStrategy",
-    "PartialSelectionStrategy",
     "SimulatedStrategy",
     "StrategyReport",
 ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import selection_outcome
+from repro.analysis.strategies import selection_members
 from repro.dht import make_dht
 from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
 from repro.errors import ParameterError, RoutingError
@@ -119,10 +119,7 @@ class PdhtNetwork:
 
         # --- structured plane ------------------------------------------
         if num_active_peers is None:
-            expected_index = selection_outcome(
-                params, self.config.key_ttl
-            ).index_size
-            num_active_peers = params.active_peers_for(max(expected_index, 1.0))
+            num_active_peers = selection_members(params, self.config.key_ttl)
         if not 2 <= num_active_peers <= params.num_peers:
             raise ParameterError(
                 f"num_active_peers must be in [2, {params.num_peers}], "

@@ -1,31 +1,32 @@
-"""Simulated indexing strategies: the three systems of Fig. 1 plus the
+"""The event engine's runner for the three systems of Fig. 1 plus the
 Section 5 selection algorithm, all running on the same substrate.
 
-Each strategy owns a full :class:`~repro.pdht.network.PdhtNetwork` and
-drives a query workload through it for a configured number of rounds,
-producing a :class:`StrategyReport` whose per-category message rates are
-directly comparable to the analytical Eq. 11-13/17 costs:
+A :class:`SimulatedStrategy` owns a full
+:class:`~repro.pdht.network.PdhtNetwork` and drives a query workload
+through it for a configured number of rounds, producing a
+:class:`StrategyReport` whose per-category message rates are directly
+comparable to the analytical Eq. 11-13/17 costs. What differs between
+the four strategies is one :class:`~repro.analysis.strategies.StrategyPolicy`,
+the same value the vectorized kernel reads:
 
-* :class:`NoIndexStrategy` — every query broadcast; DHT and maintenance
-  disabled (Eq. 12);
-* :class:`IndexAllStrategy` — every key pre-indexed with infinite TTL,
-  proactive updates at ``fUpd`` (Eq. 11);
-* :class:`PartialIdealStrategy` — the Section 4 oracle: the top
-  ``maxRank`` keys are pre-indexed, peers *know* which keys those are, and
-  query the index only for them (Eq. 13);
-* :class:`PartialSelectionStrategy` — the real Section 5 algorithm
-  (Eq. 17): index-first search, broadcast on miss, TTL insertion.
+* ``noIndex`` — every query broadcast; DHT maintenance cancelled (Eq. 12);
+* ``indexAll`` — every key preloaded with infinite TTL, proactive
+  updates at ``fUpd`` (Eq. 11);
+* ``partialIdeal`` — the Section 4 oracle: the top ``maxRank`` keys are
+  preloaded, peers *know* which keys those are, and query the index only
+  for them (Eq. 13);
+* ``partialSelection`` — the real Section 5 algorithm (Eq. 17):
+  index-first search, broadcast on miss, TTL insertion.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.threshold import solve_threshold
+from repro.analysis.strategies import strategy_setup
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.net.churn import ChurnConfig
@@ -40,13 +41,14 @@ if TYPE_CHECKING:
 __all__ = [
     "StrategyReport",
     "SimulatedStrategy",
-    "NoIndexStrategy",
-    "IndexAllStrategy",
-    "PartialIdealStrategy",
-    "PartialSelectionStrategy",
-    "STRATEGY_CLASSES",
-    "STRATEGY_NAMES",
+    "key_name",
 ]
+
+
+def key_name(key_index: int) -> str:
+    """Stable application key string for a key-universe index: what every
+    event run and every calibration probe looks a key up by."""
+    return f"key-{key_index:06d}"
 
 
 @dataclass
@@ -93,22 +95,31 @@ class StrategyReport:
         return self.messages_by_category.get(category, 0.0) / self.duration
 
 
-class SimulatedStrategy(abc.ABC):
-    """Common driver: substrate construction, workload loop, reporting."""
+class SimulatedStrategy:
+    """One strategy on its own substrate: construction, workload loop,
+    reporting.
 
-    name: str = "abstract"
+    Parameters mirror :class:`~repro.fastsim.kernel.FastSimKernel`:
+    ``strategy`` is one of
+    :data:`~repro.analysis.strategies.STRATEGY_NAMES`, and the DHT size, the
+    insert TTL, the preloaded keys and the proactive updates all come
+    from its :class:`~repro.analysis.strategies.StrategyPolicy`.
+    """
 
     def __init__(
         self,
         params: ScenarioParameters,
         config: Optional[PdhtConfig] = None,
+        strategy: str = "partialSelection",
         seed: int = 0,
         churn: Optional[ChurnConfig] = None,
         workload: Optional[BatchWorkload] = None,
     ) -> None:
         self.params = params
+        self.strategy = strategy
         base_config = config or PdhtConfig.from_scenario(params)
-        self.config = self._adjust_config(base_config)
+        self.policy = strategy_setup(params, base_config, strategy)
+        self.config = base_config.with_ttl(self.policy.key_ttl)
         # Telemetry names each phase of a run under the caller's span; it
         # reads the clock around the phase and never a random stream.
         with obs.span("strategy.build"):
@@ -116,12 +127,12 @@ class SimulatedStrategy(abc.ABC):
                 params,
                 self.config,
                 seed=seed,
-                num_active_peers=self._active_peers(),
+                num_active_peers=self.policy.num_members,
                 churn=churn,
             )
         if workload is None:
             # Imported here: the stream classes live in repro.fastsim,
-            # whose kernel imports this module.
+            # whose compare module imports this one.
             from repro.workloads.models import StationaryZipf
 
             workload = StationaryZipf().build(
@@ -138,44 +149,29 @@ class SimulatedStrategy(abc.ABC):
         self._update_debt = 0.0
         self._prepared = False
 
-    # ------------------------------------------------------------------
-    # Hooks
-    # ------------------------------------------------------------------
-    def _adjust_config(self, config: PdhtConfig) -> PdhtConfig:
-        """Strategy-specific config tweaks (e.g. infinite TTL)."""
-        return config
-
-    def _active_peers(self) -> Optional[int]:
-        """DHT size for this strategy (None = network's own default)."""
-        return None
-
-    def _prepare_index(self) -> None:
-        """Pre-populate the index (strategies that start from a built one)."""
-
-    def _updates_per_round(self) -> float:
-        """Expected proactive index updates per round (Eq. 9 traffic)."""
-        return 0.0
-
-    @abc.abstractmethod
-    def _handle(self, origin: int, key: str, rank: int) -> tuple[bool, bool]:
-        """Answer one query; returns ``(answered, via_index)``."""
-
-    # ------------------------------------------------------------------
-    def key_name(self, key_index: int) -> str:
-        """Stable application key string for a key-universe index."""
-        return f"key-{key_index:06d}"
-
     def prepare(self) -> None:
-        """Publish content replicas and build the initial index."""
+        """Publish content replicas, preload the index and, without a
+        DHT to run, cancel its maintenance."""
         if self._prepared:
             return
         with obs.span("strategy.prepare"):
-            items = {
-                self.key_name(i): f"value-{i}"
-                for i in range(self.params.n_keys)
-            }
-            self.network.publish_all(items)
-            self._prepare_index()
+            n_keys = self.params.n_keys
+            self.network.publish_all(
+                {key_name(i): f"value-{i}" for i in range(n_keys)}
+            )
+            # Every key in key order, else the top ranks in rank order
+            # (the stores keep the order given).
+            ranks = self.policy.preloaded_ranks
+            indexed = (
+                range(n_keys)
+                if ranks == n_keys
+                else map(self.workload.key_for_rank, range(1, ranks + 1))
+            )
+            self.network.preload_index_all(
+                {key_name(i): f"value-{i}" for i in indexed}
+            )
+            if not self.policy.runs_dht:
+                self.network.disable_maintenance()
             # Preparation traffic is not part of the steady-state comparison.
             self.network.metrics.reset(now=self.network.simulation.now)
         self._prepared = True
@@ -190,11 +186,12 @@ class SimulatedStrategy(abc.ABC):
             raise ParameterError(f"duration must be > 0, got {duration}")
         self.prepare()
         report = StrategyReport(
-            strategy=self.name, params=self.params, duration=duration
+            strategy=self.strategy, params=self.params, duration=duration
         )
         sim = self.network.simulation
         start = sim.now
         rate = self.params.network_query_rate
+        updates = self.policy.updates_per_round(self.params.update_freq)
         next_window = window
         window_queries = 0
         window_hits = 0
@@ -222,8 +219,9 @@ class SimulatedStrategy(abc.ABC):
             )
             for rank, key_index in self.workload.draw(now, count):
                 origin = self.network.random_online_peer()
-                key = self.key_name(key_index)
-                answered, via_index = self._handle(origin, key, rank)
+                answered, via_index = self._handle(
+                    origin, key_name(key_index), rank
+                )
                 report.queries += 1
                 window_queries += 1
                 if answered:
@@ -231,8 +229,8 @@ class SimulatedStrategy(abc.ABC):
                 if via_index:
                     report.index_hits += 1
                     window_hits += 1
-            # Proactive updates (indexAll / partial-ideal only).
-            self._update_debt += self._updates_per_round()
+            # Proactive updates (indexAll / partialIdeal only).
+            self._update_debt += updates
             while self._update_debt >= 1.0:
                 self._update_debt -= 1.0
                 self._apply_random_update()
@@ -259,123 +257,15 @@ class SimulatedStrategy(abc.ABC):
             report.mean_index_size = float(self.network.distinct_indexed_keys())
         return report
 
-    # ------------------------------------------------------------------
-    def _apply_random_update(self) -> None:
-        key_index = int(self._rng.integers(0, self.params.n_keys))
-        key = self.key_name(key_index)
-        if self._is_indexed_key(key_index):
-            self.network.proactive_update(key, f"value-{key_index}-v2")
-
-    def _is_indexed_key(self, key_index: int) -> bool:
-        """Whether a key participates in proactive updates."""
-        return True
-
-
-class NoIndexStrategy(SimulatedStrategy):
-    """Every query answered by broadcast search (Eq. 12)."""
-
-    name = "noIndex"
-
-    def _active_peers(self) -> Optional[int]:
-        return 2  # minimal DHT, immediately disabled
-
-    def _adjust_config(self, config: PdhtConfig) -> PdhtConfig:
-        return config.with_ttl(0.0)
-
-    def _prepare_index(self) -> None:
-        self.network.disable_maintenance()
-
     def _handle(self, origin: int, key: str, rank: int) -> tuple[bool, bool]:
-        walk = self.network.walker.search(origin, key)
-        return walk.found, False
-
-
-class IndexAllStrategy(SimulatedStrategy):
-    """Every key indexed, with proactive updates (Eq. 11)."""
-
-    name = "indexAll"
-
-    def _active_peers(self) -> Optional[int]:
-        return self.params.active_peers_for(self.params.n_keys)
-
-    def _adjust_config(self, config: PdhtConfig) -> PdhtConfig:
-        return config.with_ttl(float("inf"))
-
-    def _prepare_index(self) -> None:
-        self.network.preload_index_all(
-            {self.key_name(i): f"value-{i}" for i in range(self.params.n_keys)}
-        )
-
-    def _updates_per_round(self) -> float:
-        return self.params.n_keys * self.params.update_freq
-
-    def _handle(self, origin: int, key: str, rank: int) -> tuple[bool, bool]:
-        outcome = self.network.query(origin, key)
-        return outcome.found, outcome.via_index
-
-
-class PartialIdealStrategy(SimulatedStrategy):
-    """Section 4's oracle: top-``maxRank`` keys indexed, peers know which
-    keys are indexed and never search the index for the rest (Eq. 13)."""
-
-    name = "partialIdeal"
-
-    def _adjust_config(self, config: PdhtConfig) -> PdhtConfig:
-        return config.with_ttl(float("inf"))
-
-    def _active_peers(self) -> Optional[int]:
-        max_rank = solve_threshold(self.params).max_rank
-        return max(2, self.params.active_peers_for(max_rank))
-
-    def _prepare_index(self) -> None:
-        max_rank = solve_threshold(self.params).max_rank
-        indexed = map(self.workload.key_for_rank, range(1, max_rank + 1))
-        self.network.preload_index_all(
-            {self.key_name(i): f"value-{i}" for i in indexed}
-        )
-        self._indexed_ranks = max_rank
-
-    def _updates_per_round(self) -> float:
-        return self._indexed_ranks * self.params.update_freq
-
-    def _is_indexed_key(self, key_index: int) -> bool:
-        # Under the stationary workload, rank == identity permutation at
-        # preparation time; re-check through the workload mapping.
-        return True
-
-    def _handle(self, origin: int, key: str, rank: int) -> tuple[bool, bool]:
-        if rank <= self._indexed_ranks:
+        """Answer one query; returns ``(answered, via_index)``."""
+        if rank <= self.policy.index_ranks:
             outcome = self.network.query(origin, key)
             return outcome.found, outcome.via_index
-        walk = self.network.walker.search(origin, key)
-        return walk.found, False
+        return self.network.walker.search(origin, key).found, False
 
-
-class PartialSelectionStrategy(SimulatedStrategy):
-    """The decentralized Section 5 selection algorithm (Eq. 17)."""
-
-    name = "partialSelection"
-
-    def _handle(self, origin: int, key: str, rank: int) -> tuple[bool, bool]:
-        outcome = self.network.query(origin, key)
-        return outcome.found, outcome.via_index
-
-    @property
-    def selection_stats(self):
-        """The network's selection bookkeeping (hits, reinsertions, ...)."""
-        return self.network.policy.stats
-
-
-#: Canonical strategy registry (Fig. 1 order) — the single source of the
-#: name->class association for the experiment facade and the fastsim kernel.
-STRATEGY_CLASSES: dict[str, type[SimulatedStrategy]] = {
-    cls.name: cls
-    for cls in (
-        NoIndexStrategy,
-        IndexAllStrategy,
-        PartialIdealStrategy,
-        PartialSelectionStrategy,
-    )
-}
-
-STRATEGY_NAMES: tuple[str, ...] = tuple(STRATEGY_CLASSES)
+    def _apply_random_update(self) -> None:
+        key_index = int(self._rng.integers(0, self.params.n_keys))
+        self.network.proactive_update(
+            key_name(key_index), f"value-{key_index}-v2"
+        )

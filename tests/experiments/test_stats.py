@@ -89,7 +89,7 @@ class TestReplicate:
         # costs vary by seed but stay in a sane band.
         from repro.analysis.parameters import ScenarioParameters
         from repro.pdht.config import PdhtConfig
-        from repro.pdht.strategies import PartialSelectionStrategy
+        from repro.pdht.strategies import SimulatedStrategy
 
         params = ScenarioParameters(
             num_peers=100, n_keys=150, replication=10,
@@ -98,7 +98,7 @@ class TestReplicate:
         config = PdhtConfig(key_ttl=120.0, replication=10, walkers=8)
 
         def run(seed: int):
-            strategy = PartialSelectionStrategy(params, config=config, seed=seed)
+            strategy = SimulatedStrategy(params, config=config, seed=seed)
             report = strategy.run(40.0)
             return {
                 "hit_rate": report.hit_rate,

@@ -568,15 +568,13 @@ class TestStrategySetup:
         for strategy in (
             "noIndex", "indexAll", "partialIdeal", "partialSelection"
         ):
-            key_ttl, max_rank, num_members = strategy_setup(
-                small_params, config, strategy
-            )
+            policy = strategy_setup(small_params, config, strategy)
             kernel = FastSimKernel(
                 small_params, config=config, strategy=strategy
             )
-            assert kernel.key_ttl == key_ttl
-            assert kernel._max_rank == max_rank
-            assert kernel.state.num_members == num_members
+            assert kernel.policy == policy
+            assert kernel.key_ttl == policy.key_ttl
+            assert kernel.state.num_members == policy.num_members
 
     def test_unknown_strategy_rejected(self, small_params):
         from repro.fastsim.kernel import strategy_setup

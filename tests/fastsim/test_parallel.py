@@ -89,11 +89,9 @@ class TestResolveJobs:
         from repro.fastsim.kernel import strategy_setup
 
         for job in resolve_jobs(strategy_jobs):
-            _, _, num_members = strategy_setup(
-                job.params, job.config, job.strategy
-            )
+            policy = strategy_setup(job.params, job.config, job.strategy)
             assert job.costs == costs_for(
-                job.params, job.config, num_members
+                job.params, job.config, policy.num_members
             )
 
     def test_jobs_are_picklable_once_resolved(self, strategy_jobs):

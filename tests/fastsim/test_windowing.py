@@ -14,7 +14,7 @@ from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import run_fastsim
 from repro.fastsim.metrics import WindowRecorder
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import PartialSelectionStrategy
+from repro.pdht.strategies import SimulatedStrategy
 
 
 class TestWindowRecorder:
@@ -65,7 +65,7 @@ class TestCrossEngineTailWindow:
     def reports(self):
         params = simulation_scenario(scale=self.SCALE)
         config = PdhtConfig.from_scenario(params)
-        event = PartialSelectionStrategy(params, config=config, seed=1).run(
+        event = SimulatedStrategy(params, config=config, seed=1).run(
             self.DURATION, window=self.WINDOW
         )
         fast = run_fastsim(

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import PartialSelectionStrategy
+from repro.pdht.strategies import SimulatedStrategy, key_name
 from repro.workloads import FlashCrowd, RankSwap
 
 pytestmark = pytest.mark.slow
@@ -31,7 +31,7 @@ def params():
 class TestDistributionShift:
     def test_hit_rate_dips_then_recovers(self, params):
         config = PdhtConfig.from_scenario(params, walkers=8)
-        strategy = PartialSelectionStrategy(params, config=config, seed=3)
+        strategy = SimulatedStrategy(params, config=config, seed=3)
         shift_at = 150.0
         strategy.workload = RankSwap(shift_at).build(
             ZipfDistribution(params.n_keys, params.alpha),
@@ -49,7 +49,7 @@ class TestDistributionShift:
     def test_index_size_stays_bounded_after_shift(self, params):
         # The old hot keys must eventually time out rather than accumulate.
         config = PdhtConfig.from_scenario(params, walkers=8)
-        strategy = PartialSelectionStrategy(params, config=config, seed=5)
+        strategy = SimulatedStrategy(params, config=config, seed=5)
         strategy.workload = RankSwap(100.0).build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("shifted2"),
@@ -62,14 +62,14 @@ class TestDistributionShift:
 class TestFlashCrowd:
     def test_promoted_key_gets_indexed_and_stays(self, params):
         config = PdhtConfig.from_scenario(params, walkers=8)
-        strategy = PartialSelectionStrategy(params, config=config, seed=7)
+        strategy = SimulatedStrategy(params, config=config, seed=7)
         crowd_at = 60.0
         workload = FlashCrowd(crowd_at, cold_rank=params.n_keys).build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("crowd"),
         )
         strategy.workload = workload
-        promoted_key = strategy.key_name(workload.key_for_rank(params.n_keys))
+        promoted_key = key_name(workload.key_for_rank(params.n_keys))
         strategy.prepare()
 
         hits_after_crowd = 0
@@ -78,7 +78,7 @@ class TestFlashCrowd:
         for _ in range(180):
             net.advance(1.0)
             for _, key_index in workload.draw(net.simulation.now, 5):
-                key = strategy.key_name(key_index)
+                key = key_name(key_index)
                 outcome = net.query(net.random_online_peer(), key)
                 if key == promoted_key and net.simulation.now > crowd_at + 20:
                     queries_after_crowd += 1

@@ -11,14 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.strategies import evaluate_strategies
+from repro.analysis.strategies import STRATEGY_NAMES, evaluate_strategies
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import (
-    IndexAllStrategy,
-    NoIndexStrategy,
-    PartialIdealStrategy,
-    PartialSelectionStrategy,
-)
+from repro.pdht.strategies import SimulatedStrategy
 
 pytestmark = pytest.mark.slow
 
@@ -39,14 +34,11 @@ def params():
 def reports(params):
     config = PdhtConfig.from_scenario(params, walkers=8)
     out = {}
-    for cls in (
-        NoIndexStrategy,
-        IndexAllStrategy,
-        PartialIdealStrategy,
-        PartialSelectionStrategy,
-    ):
-        strategy = cls(params, config=config, seed=11)
-        out[cls.name] = strategy.run(180.0)
+    for name in STRATEGY_NAMES:
+        strategy = SimulatedStrategy(
+            params, config=config, strategy=name, seed=11
+        )
+        out[name] = strategy.run(180.0)
     return out
 
 

@@ -15,7 +15,7 @@ from repro.experiments.export import load_result_json
 from repro.experiments.runner import main
 from repro.experiments.scenario import simulation_scenario
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import IndexAllStrategy, NoIndexStrategy
+from repro.pdht.strategies import SimulatedStrategy, strategy_setup
 
 
 class TestProfileFlag:
@@ -201,7 +201,7 @@ class TestEventCellLeavesTheCollectorAsFound:
 
     def test_substrate_is_built_unwatched_and_queried_frozen(self, monkeypatch):
         seen = {}
-        prepare, run = IndexAllStrategy.prepare, IndexAllStrategy.run
+        prepare, run = SimulatedStrategy.prepare, SimulatedStrategy.run
 
         def watched_prepare(self):
             # run() calls prepare() again, as a no-op: keep the first.
@@ -214,8 +214,8 @@ class TestEventCellLeavesTheCollectorAsFound:
             seen["run"] = (gc.isenabled(), gc.get_freeze_count() > 0)
             return run(self, duration, window=window)
 
-        monkeypatch.setattr(IndexAllStrategy, "prepare", watched_prepare)
-        monkeypatch.setattr(IndexAllStrategy, "run", watched_run)
+        monkeypatch.setattr(SimulatedStrategy, "prepare", watched_prepare)
+        monkeypatch.setattr(SimulatedStrategy, "run", watched_run)
         assert self.cell().run().queries > 0
         assert seen == {"prepare": (False, False), "run": (True, True)}
         assert gc.isenabled() and gc.get_freeze_count() == 0
@@ -224,8 +224,10 @@ class TestEventCellLeavesTheCollectorAsFound:
         # The overlay, the replicator and the walker exist by the time
         # PdhtNetwork rejects the DHT size.
         monkeypatch.setattr(
-            IndexAllStrategy, "_active_peers",
-            lambda self: self.params.num_peers + 1,
+            "repro.pdht.strategies.strategy_setup",
+            lambda params, *args: dataclasses.replace(
+                strategy_setup(params, *args), num_members=params.num_peers + 1
+            ),
         )
         with pytest.raises(ParameterError, match="num_active_peers"):
             self.cell().run()
@@ -241,13 +243,13 @@ class TestEventCellLeavesTheCollectorAsFound:
         self, monkeypatch
     ):
         seen = []
-        run = NoIndexStrategy.run
+        run = SimulatedStrategy.run
 
         def watched_run(self, duration, window=0.0):
             seen.append(gc.isenabled())
             return run(self, duration, window=window)
 
-        monkeypatch.setattr(NoIndexStrategy, "run", watched_run)
+        monkeypatch.setattr(SimulatedStrategy, "run", watched_run)
         gc.disable()
         assert self.cell("noIndex").run().queries > 0
         assert seen == [False]

@@ -25,10 +25,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.strategies import STRATEGY_NAMES
 from repro.experiments.scenario import simulation_scenario
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import STRATEGY_CLASSES
+from repro.pdht.strategies import SimulatedStrategy
 
 DATA = Path(__file__).parent / "data" / "pinned_event.json"
 
@@ -43,7 +44,7 @@ CHURN = ChurnConfig(mean_session=60.0, mean_offline=20.0)
 CASES = [
     f"{strategy}-{'churn' if churned else 'static'}-{dht_kind}"
     for strategy, churned, dht_kind in itertools.product(
-        STRATEGY_CLASSES, (False, True), ("pgrid", "chord")
+        STRATEGY_NAMES, (False, True), ("pgrid", "chord")
     )
 ]
 
@@ -51,9 +52,10 @@ CASES = [
 def capture(case: str) -> dict:
     strategy, churned, dht_kind = case.split("-")
     params = simulation_scenario(scale=SCALE, query_freq=QUERY_FREQ)
-    runner = STRATEGY_CLASSES[strategy](
+    runner = SimulatedStrategy(
         params,
         PdhtConfig.from_scenario(params, dht_kind=dht_kind),
+        strategy=strategy,
         seed=SEED,
         churn=CHURN if churned == "churn" else None,
     )

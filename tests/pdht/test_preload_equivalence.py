@@ -40,7 +40,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
-from repro.pdht.strategies import IndexAllStrategy, PartialIdealStrategy
+from repro.pdht.strategies import SimulatedStrategy, key_name
 
 
 # ----------------------------------------------------------------------
@@ -54,18 +54,17 @@ def reference_preload_index(self: PdhtNetwork, key: str, value: object) -> None:
         self.nodes[member].index_insert(key, value, now)
 
 
-def reference_prepare_index_all(self: IndexAllStrategy) -> None:
+def reference_prepare_index_all(self: SimulatedStrategy) -> None:
     for i in range(self.params.n_keys):
-        reference_preload_index(self.network, self.key_name(i), f"value-{i}")
+        reference_preload_index(self.network, key_name(i), f"value-{i}")
 
 
-def reference_prepare_partial_ideal(self: PartialIdealStrategy, max_rank) -> None:
+def reference_prepare_partial_ideal(self: SimulatedStrategy, max_rank) -> None:
     for rank in range(1, max_rank + 1):
         key_index = self.workload.key_for_rank(rank)
         reference_preload_index(
-            self.network, self.key_name(key_index), f"value-{key_index}"
+            self.network, key_name(key_index), f"value-{key_index}"
         )
-    self._indexed_ranks = max_rank
 
 
 def reference_random_online_peer(self: PdhtNetwork, rng) -> int:
@@ -144,16 +143,17 @@ def test_preload_all_equals_one_preload_per_key(key_ttl, capacity, seed, batches
     assert new.metrics.totals_by_category() == old.metrics.totals_by_category()
 
 
-@pytest.mark.parametrize("strategy_class", [IndexAllStrategy, PartialIdealStrategy])
-def test_strategy_preloads_equal_the_per_key_loops(strategy_class, small_params):
-    new = strategy_class(small_params, seed=5)
-    old = strategy_class(small_params, seed=5)
-    new._prepare_index()
-    if strategy_class is IndexAllStrategy:
+@pytest.mark.parametrize("strategy", ["indexAll", "partialIdeal"])
+def test_strategy_preloads_equal_the_per_key_loops(strategy, small_params):
+    new = SimulatedStrategy(small_params, strategy=strategy, seed=5)
+    old = SimulatedStrategy(small_params, strategy=strategy, seed=5)
+    new.prepare()
+    if strategy == "indexAll":
         reference_prepare_index_all(old)
     else:
-        reference_prepare_partial_ideal(old, new._indexed_ranks)
-        assert 0 < old._indexed_ranks < small_params.n_keys
+        max_rank = new.policy.preloaded_ranks
+        reference_prepare_partial_ideal(old, max_rank)
+        assert 0 < max_rank < small_params.n_keys
     stores = _stores(new.network)
     assert stores == _stores(old.network)
     assert sum(len(entries) for entries, *_ in stores.values()) > 0

@@ -7,12 +7,7 @@ import pytest
 from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import (
-    IndexAllStrategy,
-    NoIndexStrategy,
-    PartialIdealStrategy,
-    PartialSelectionStrategy,
-)
+from repro.pdht.strategies import SimulatedStrategy
 from repro.sim.metrics import MessageCategory
 
 
@@ -32,52 +27,54 @@ def sim_config(sim_params):
     return PdhtConfig.from_scenario(sim_params, walkers=8)
 
 
-def run_strategy(cls, params, config, duration=60.0, seed=0, **kwargs):
-    strategy = cls(params, config=config, seed=seed, **kwargs)
+def run_strategy(name, params, config, duration=60.0, seed=0, **kwargs):
+    strategy = SimulatedStrategy(
+        params, config=config, strategy=name, seed=seed, **kwargs
+    )
     return strategy, strategy.run(duration)
 
 
 class TestNoIndex:
     def test_never_uses_index(self, sim_params, sim_config):
-        _, report = run_strategy(NoIndexStrategy, sim_params, sim_config)
+        _, report = run_strategy("noIndex", sim_params, sim_config)
         assert report.index_hits == 0
         assert report.hit_rate == 0.0
 
     def test_no_maintenance_or_lookup_traffic(self, sim_params, sim_config):
-        _, report = run_strategy(NoIndexStrategy, sim_params, sim_config)
+        _, report = run_strategy("noIndex", sim_params, sim_config)
         assert report.messages_by_category.get(MessageCategory.MAINTENANCE, 0) == 0
         assert report.messages_by_category.get(MessageCategory.INDEX_SEARCH, 0) == 0
 
     def test_all_queries_answered(self, sim_params, sim_config):
         # Content is fully replicated and there is no churn: broadcast
         # search must find everything.
-        _, report = run_strategy(NoIndexStrategy, sim_params, sim_config)
+        _, report = run_strategy("noIndex", sim_params, sim_config)
         assert report.success_rate == 1.0
 
     def test_cost_dominated_by_walks(self, sim_params, sim_config):
-        _, report = run_strategy(NoIndexStrategy, sim_params, sim_config)
+        _, report = run_strategy("noIndex", sim_params, sim_config)
         walk = report.messages_by_category.get(MessageCategory.UNSTRUCTURED_SEARCH, 0)
         assert walk == pytest.approx(report.total_messages, rel=1e-6)
 
 
 class TestIndexAll:
     def test_every_query_hits_index(self, sim_params, sim_config):
-        _, report = run_strategy(IndexAllStrategy, sim_params, sim_config)
+        _, report = run_strategy("indexAll", sim_params, sim_config)
         assert report.hit_rate == 1.0
         assert report.success_rate == 1.0
 
     def test_no_broadcast_traffic(self, sim_params, sim_config):
-        _, report = run_strategy(IndexAllStrategy, sim_params, sim_config)
+        _, report = run_strategy("indexAll", sim_params, sim_config)
         assert report.messages_by_category.get(
             MessageCategory.UNSTRUCTURED_SEARCH, 0
         ) == 0
 
     def test_maintenance_traffic_present(self, sim_params, sim_config):
-        _, report = run_strategy(IndexAllStrategy, sim_params, sim_config)
+        _, report = run_strategy("indexAll", sim_params, sim_config)
         assert report.messages_by_category.get(MessageCategory.MAINTENANCE, 0) > 0
 
     def test_index_holds_whole_universe(self, sim_params, sim_config):
-        strategy, report = run_strategy(IndexAllStrategy, sim_params, sim_config)
+        strategy, report = run_strategy("indexAll", sim_params, sim_config)
         assert strategy.network.distinct_indexed_keys() == sim_params.n_keys
 
 
@@ -85,19 +82,19 @@ class TestPartialIdeal:
     def test_hit_rate_tracks_p_indexed(self, sim_params, sim_config):
         from repro.analysis.threshold import solve_threshold
 
-        _, report = run_strategy(PartialIdealStrategy, sim_params, sim_config)
+        _, report = run_strategy("partialIdeal", sim_params, sim_config)
         expected = solve_threshold(sim_params).p_indexed
         assert report.hit_rate == pytest.approx(expected, abs=0.08)
 
     def test_cheaper_than_both_baselines(self, sim_params, sim_config):
-        _, ideal = run_strategy(PartialIdealStrategy, sim_params, sim_config)
-        _, all_ = run_strategy(IndexAllStrategy, sim_params, sim_config)
-        _, none = run_strategy(NoIndexStrategy, sim_params, sim_config)
+        _, ideal = run_strategy("partialIdeal", sim_params, sim_config)
+        _, all_ = run_strategy("indexAll", sim_params, sim_config)
+        _, none = run_strategy("noIndex", sim_params, sim_config)
         assert ideal.messages_per_second < all_.messages_per_second
         assert ideal.messages_per_second < none.messages_per_second
 
     def test_unindexed_tail_goes_broadcast(self, sim_params, sim_config):
-        _, report = run_strategy(PartialIdealStrategy, sim_params, sim_config)
+        _, report = run_strategy("partialIdeal", sim_params, sim_config)
         assert report.messages_by_category.get(
             MessageCategory.UNSTRUCTURED_SEARCH, 0
         ) > 0
@@ -106,23 +103,23 @@ class TestPartialIdeal:
 class TestPartialSelection:
     def test_hit_rate_builds_up(self, sim_params, sim_config):
         _, report = run_strategy(
-            PartialSelectionStrategy, sim_params, sim_config, duration=120.0
+            "partialSelection", sim_params, sim_config, duration=120.0
         )
         # Busy Zipf traffic: the hot head gets indexed quickly.
         assert report.hit_rate > 0.5
 
     def test_selection_stats_exposed(self, sim_params, sim_config):
         strategy, report = run_strategy(
-            PartialSelectionStrategy, sim_params, sim_config
+            "partialSelection", sim_params, sim_config
         )
-        stats = strategy.selection_stats
+        stats = strategy.network.policy.stats
         assert stats.queries == report.queries
         assert stats.index_hits == report.index_hits
         assert stats.insertions > 0
 
     def test_index_stays_partial(self, sim_params, sim_config):
         strategy, _ = run_strategy(
-            PartialSelectionStrategy, sim_params, sim_config, duration=120.0
+            "partialSelection", sim_params, sim_config, duration=120.0
         )
         indexed = strategy.network.distinct_indexed_keys()
         assert 0 < indexed < sim_params.n_keys
@@ -130,32 +127,34 @@ class TestPartialSelection:
     def test_costlier_than_ideal(self, sim_params, sim_config):
         # Section 5.1's four overhead sources must show up in simulation too.
         _, sel = run_strategy(
-            PartialSelectionStrategy, sim_params, sim_config, duration=90.0
+            "partialSelection", sim_params, sim_config, duration=90.0
         )
         _, ideal = run_strategy(
-            PartialIdealStrategy, sim_params, sim_config, duration=90.0
+            "partialIdeal", sim_params, sim_config, duration=90.0
         )
         assert sel.messages_per_second > ideal.messages_per_second
 
 
 class TestDriver:
     def test_invalid_duration_rejected(self, sim_params, sim_config):
-        strategy = NoIndexStrategy(sim_params, config=sim_config)
+        strategy = SimulatedStrategy(
+            sim_params, config=sim_config, strategy="noIndex"
+        )
         with pytest.raises(ParameterError):
             strategy.run(0.0)
 
     def test_windows_record_series(self, sim_params, sim_config):
-        strategy = PartialSelectionStrategy(sim_params, config=sim_config, seed=1)
+        strategy = SimulatedStrategy(sim_params, config=sim_config, seed=1)
         report = strategy.run(60.0, window=20.0)
         assert len(report.index_size_series) >= 2
         assert len(report.hit_rate_series) == len(report.index_size_series)
 
     def test_reports_are_reproducible(self, sim_params, sim_config):
         _, a = run_strategy(
-            PartialSelectionStrategy, sim_params, sim_config, duration=30.0, seed=9
+            "partialSelection", sim_params, sim_config, duration=30.0, seed=9
         )
         _, b = run_strategy(
-            PartialSelectionStrategy, sim_params, sim_config, duration=30.0, seed=9
+            "partialSelection", sim_params, sim_config, duration=30.0, seed=9
         )
         assert a.total_messages == b.total_messages
         assert a.queries == b.queries
@@ -163,10 +162,10 @@ class TestDriver:
 
     def test_different_seeds_differ(self, sim_params, sim_config):
         _, a = run_strategy(
-            PartialSelectionStrategy, sim_params, sim_config, duration=30.0, seed=1
+            "partialSelection", sim_params, sim_config, duration=30.0, seed=1
         )
         _, b = run_strategy(
-            PartialSelectionStrategy, sim_params, sim_config, duration=30.0, seed=2
+            "partialSelection", sim_params, sim_config, duration=30.0, seed=2
         )
         assert a.total_messages != b.total_messages
 
@@ -179,13 +178,16 @@ class TestDriver:
             ZipfDistribution(10, 1.2), RandomStreams(0).get("w")
         )
         with pytest.raises(ParameterError):
-            NoIndexStrategy(sim_params, config=sim_config, workload=workload)
+            SimulatedStrategy(
+                sim_params, config=sim_config, strategy="noIndex",
+                workload=workload,
+            )
 
     @pytest.mark.parametrize("dht_kind", ["chord", "pastry", "pgrid"])
     def test_all_backends_run(self, sim_params, dht_kind):
         config = PdhtConfig.from_scenario(sim_params, walkers=8, dht_kind=dht_kind)
         _, report = run_strategy(
-            PartialSelectionStrategy, sim_params, config, duration=30.0
+            "partialSelection", sim_params, config, duration=30.0
         )
         assert report.queries > 0
         # Same qualitative outcome on every backend: the hit rate builds

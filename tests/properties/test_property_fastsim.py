@@ -46,13 +46,13 @@ def test_vectorized_engine_is_faster(agreement):
 def test_per_category_costs_track_event_engine():
     """Maintenance and membership must agree tightly (both are
     deterministic given the substrate), search categories statistically."""
-    from repro.pdht.strategies import PartialSelectionStrategy
+    from repro.pdht.strategies import SimulatedStrategy
     from repro.sim.metrics import MessageCategory
 
     params = simulation_scenario(scale=SCALE)
     config = PdhtConfig.from_scenario(params)
     costs = calibrate_costs(params, config)
-    event = PartialSelectionStrategy(params, config=config, seed=0).run(
+    event = SimulatedStrategy(params, config=config, seed=0).run(
         DURATION
     )
     fast = run_fastsim(
@@ -68,11 +68,11 @@ def test_per_category_costs_track_event_engine():
 
 def test_windowed_hit_rate_series_track_each_other():
     """Not just the aggregate: the *trajectory* (index warm-up) matches."""
-    from repro.pdht.strategies import PartialSelectionStrategy
+    from repro.pdht.strategies import SimulatedStrategy
 
     params = simulation_scenario(scale=SCALE)
     config = PdhtConfig.from_scenario(params)
-    event = PartialSelectionStrategy(params, config=config, seed=1).run(
+    event = SimulatedStrategy(params, config=config, seed=1).run(
         DURATION, window=50.0
     )
     fast = run_fastsim(
@@ -150,7 +150,7 @@ def test_other_strategies_track_event_engine_under_churn():
 
     from repro.fastsim import calibrate_costs
     from repro.fastsim.compare import churn_config_for_availability
-    from repro.pdht.strategies import STRATEGY_CLASSES
+    from repro.pdht.strategies import SimulatedStrategy
 
     params = simulation_scenario(scale=SCALE)
     config = replace(PdhtConfig.from_scenario(params), walk_ttl=CHURN_WALK_TTL)
@@ -159,8 +159,8 @@ def test_other_strategies_track_event_engine_under_churn():
     for name in ("noIndex", "indexAll", "partialIdeal"):
         event_cost = fast_cost = event_hit = fast_hit = 0.0
         for seed in (0, 1):
-            event = STRATEGY_CLASSES[name](
-                params, config=config, seed=seed, churn=churn
+            event = SimulatedStrategy(
+                params, config=config, strategy=name, seed=seed, churn=churn
             ).run(240.0)
             fast = run_fastsim(
                 params,
@@ -200,7 +200,7 @@ def test_update_traffic_tracks_event_engine_under_churn():
     from repro.analysis.threshold import solve_threshold
     from repro.fastsim import calibrate_costs
     from repro.fastsim.compare import churn_config_for_availability
-    from repro.pdht.strategies import STRATEGY_CLASSES
+    from repro.pdht.strategies import SimulatedStrategy
     from repro.sim.metrics import MessageCategory
 
     base = simulation_scenario(scale=SCALE)
@@ -211,8 +211,8 @@ def test_update_traffic_tracks_event_engine_under_churn():
         costs = calibrate_costs(params, config)
         event_flood = fast_flood = event_total = fast_total = 0.0
         for seed in (0, 1):
-            event = STRATEGY_CLASSES[name](
-                params, config=config, seed=seed, churn=churn
+            event = SimulatedStrategy(
+                params, config=config, strategy=name, seed=seed, churn=churn
             ).run(120.0)
             fast = run_fastsim(
                 params,
@@ -257,7 +257,7 @@ def test_churn_underestimate_regression():
     """
     from repro.fastsim import calibrate_churn_costs, calibrate_costs
     from repro.fastsim.compare import churn_config_for_availability
-    from repro.pdht.strategies import PartialSelectionStrategy
+    from repro.pdht.strategies import SimulatedStrategy
     from repro.sim.metrics import MessageCategory
 
     params = simulation_scenario(scale=SCALE)
@@ -268,7 +268,7 @@ def test_churn_underestimate_regression():
         params, churn, config, seed=0, rounds=120.0, walk_probes=120
     )
 
-    event = PartialSelectionStrategy(
+    event = SimulatedStrategy(
         params, config=config, seed=0, churn=churn
     ).run(180.0)
     fast = run_fastsim(
