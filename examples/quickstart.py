@@ -24,7 +24,7 @@ def main() -> None:
     print(f"keyTtl   : {config.key_ttl:.0f} rounds (analytically derived 1/fMin)")
 
     net = PdhtNetwork(params, config, seed=42)
-    print(f"DHT      : {config.dht_kind} with {net.dht.size} active peers\n")
+    print(f"DHT      : P-Grid with {net.dht.size} active peers\n")
 
     # Publish two items: replicas land on 50 random peers each.
     net.publish("title=weather iraklion", {"article": "article-00042"})

@@ -44,7 +44,7 @@ Subpackages:
 * :mod:`repro.sim` — discrete-event engine, rng streams, metrics;
 * :mod:`repro.net` — peers, topologies, churn;
 * :mod:`repro.unstructured` — Gnutella-like overlay, floods, random walks;
-* :mod:`repro.dht` — Chord / Pastry / P-Grid backends + maintenance;
+* :mod:`repro.dht` — the P-Grid DHT + routing maintenance;
 * :mod:`repro.replication` — replica subnetworks, rumor spreading;
 * :mod:`repro.workloads` — the query stream, defined once: composable
   workload models (stationary Zipf, rank swaps, gradual drift, flash

@@ -1,15 +1,12 @@
-"""Structured overlays (DHTs).
+"""The structured overlay: P-Grid.
 
 The paper's analysis targets "traditional DHTs" [Aber01, RaFr01, RoDr01,
 StMo01] generically: all it consumes is an ``O(log n)`` lookup (Eq. 7) and
-a ``log n``-sized routing table to maintain (Eq. 8). To demonstrate that
-genericity we provide three interchangeable backends behind
-:class:`repro.dht.base.DistributedHashTable`:
-
-* :mod:`repro.dht.chord` — Chord's ring with finger tables [StMo01];
-* :mod:`repro.dht.pastry` — Pastry's prefix routing [RoDr01];
-* :mod:`repro.dht.pgrid` — P-Grid's binary trie [Aber01], the system the
-  paper's own simulator was built on.
+a ``log n``-sized routing table to maintain (Eq. 8). The PDHT runs on
+:mod:`repro.dht.pgrid` — P-Grid's binary trie [Aber01], the system the
+paper's own simulator was built on — behind
+:class:`repro.dht.base.DistributedHashTable`, which holds the membership,
+lookup and storage plane.
 
 :mod:`repro.dht.maintenance` implements the probe-based routing-table
 maintenance whose cost is the ``env`` constant of Eq. 8 [MaCa03].
@@ -17,39 +14,14 @@ maintenance whose cost is the ``env`` constant of Eq. 8 [MaCa03].
 
 from repro.dht.base import DistributedHashTable, LookupResult
 from repro.dht.keyspace import KeySpace
-from repro.dht.chord import ChordDht
-from repro.dht.pastry import PastryDht
 from repro.dht.pgrid import PGridDht
-from repro.dht.can import CanDht
 from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
 
 __all__ = [
     "DistributedHashTable",
     "LookupResult",
     "KeySpace",
-    "ChordDht",
-    "PastryDht",
     "PGridDht",
-    "CanDht",
     "MaintenanceConfig",
     "RoutingMaintenance",
-    "make_dht",
 ]
-
-
-def make_dht(kind: str, *args, **kwargs) -> DistributedHashTable:
-    """Factory: build a DHT backend by name ('chord', 'pastry', 'pgrid',
-    'can')."""
-    backends = {
-        "chord": ChordDht,
-        "pastry": PastryDht,
-        "pgrid": PGridDht,
-        "can": CanDht,
-    }
-    try:
-        backend = backends[kind.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown DHT kind {kind!r}; expected one of {sorted(backends)}"
-        ) from None
-    return backend(*args, **kwargs)

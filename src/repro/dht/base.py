@@ -1,4 +1,4 @@
-"""Abstract interface all DHT backends implement.
+"""The membership, lookup and storage plane of the DHT.
 
 The paper's model consumes exactly two properties of a DHT:
 
@@ -8,16 +8,16 @@ The paper's model consumes exactly two properties of a DHT:
   probing drives the maintenance cost (Eq. 8).
 
 :class:`DistributedHashTable` exposes those two properties plus a plain
-key-value plane. Backends differ only in geometry (ring / prefix tree /
-trie); all of them:
+key-value plane; the routing geometry lives in a subclass (P-Grid's trie,
+:mod:`repro.dht.pgrid`). Together they:
 
 * operate over a *member set* of peers drawn from the shared
   :class:`~repro.net.node.PeerPopulation` (the paper's ``numActivePeers``
   subset — peers beyond what the index needs do not join the DHT);
 * count the routing hops of every lookup through the shared
   :class:`~repro.net.messages.MessageLog`;
-* route only through *online* members, falling back to the numerically
-  closest alternative when an entry is dead (the "piggybacked repair"
+* route only through *online* members, falling back to the closest
+  alternative when an entry is dead (the "piggybacked repair"
   assumption of Section 3.3.1 — detecting staleness costs probe messages,
   repairing it does not);
 * answer "which members are online?" from one *membership view* per
@@ -60,11 +60,10 @@ class LookupResult:
 
 
 class DistributedHashTable(abc.ABC):
-    """Common machinery for Chord / Pastry / P-Grid backends.
+    """Membership, lookup and storage; the routing geometry is abstract.
 
-    Subclasses implement the routing geometry via :meth:`_route`; joins and
-    leaves trigger a (geometry-specific) routing-state rebuild via
-    :meth:`_rebuild`.
+    A subclass implements the routing geometry via :meth:`_route`; joins
+    and leaves trigger a routing-state rebuild via :meth:`_rebuild`.
     """
 
     def __init__(

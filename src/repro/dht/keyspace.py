@@ -1,9 +1,8 @@
-"""Key-space arithmetic shared by the structured overlays.
+"""The DHT's identifier space.
 
-All three DHT backends work in the same circular ``2^bits`` identifier
-space. Keys (strings) and peers are mapped into it by SHA-1, like Chord and
-Pastry do; the helpers here cover modular distance, interval membership on
-the ring, and binary-prefix manipulation for Pastry/P-Grid.
+Keys (strings) and peers are mapped by SHA-1 into one ``2^bits``
+identifier space; P-Grid reads an identifier as a binary string, one trie
+level per bit, and the helpers here are what it reads it with.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ __all__ = ["KeySpace"]
 
 @dataclass(frozen=True)
 class KeySpace:
-    """A circular identifier space of ``2**bits`` points.
+    """An identifier space of ``2**bits`` points.
 
     The paper assumes "a binary key space" (footnote 3); ``bits`` defaults
-    to 160 (SHA-1) but tests use small spaces to exercise wrap-around.
+    to 160 (SHA-1) but tests use small spaces.
     """
 
     bits: int = 160
@@ -51,44 +50,7 @@ class KeySpace:
         return ident
 
     # ------------------------------------------------------------------
-    # Ring arithmetic
-    # ------------------------------------------------------------------
-    def distance_cw(self, start: int, end: int) -> int:
-        """Clockwise distance from ``start`` to ``end`` on the ring."""
-        return (end - start) % self.size
-
-    def in_interval(
-        self,
-        ident: int,
-        start: int,
-        end: int,
-        inclusive_start: bool = False,
-        inclusive_end: bool = False,
-    ) -> bool:
-        """Ring-interval membership, handling wrap-around.
-
-        The interval runs clockwise from ``start`` to ``end``. An empty
-        open interval (``start == end``) contains everything except the
-        endpoints — Chord's convention, where ``(n, n]`` denotes the whole
-        ring when a node is its own successor.
-        """
-        ident, start, end = self.check(ident), self.check(start), self.check(end)
-        if start == end:
-            if inclusive_start and ident == start:
-                return True
-            if inclusive_end and ident == end:
-                return True
-            return not (ident == start and not (inclusive_start or inclusive_end))
-        d_id = self.distance_cw(start, ident)
-        d_end = self.distance_cw(start, end)
-        if ident == start:
-            return inclusive_start
-        if ident == end:
-            return inclusive_end
-        return 0 < d_id < d_end
-
-    # ------------------------------------------------------------------
-    # Binary prefixes (Pastry / P-Grid)
+    # Binary prefixes
     # ------------------------------------------------------------------
     def to_bits(self, ident: int, length: int | None = None) -> str:
         """Fixed-width binary string of ``ident`` (MSB first)."""
@@ -101,34 +63,9 @@ class KeySpace:
         full = format(ident, f"0{self.bits}b")
         return full[:length]
 
-    def from_bits(self, bits: str) -> int:
-        """Identifier of the point whose binary prefix is ``bits`` (rest 0)."""
-        if len(bits) > self.bits:
-            raise KeyspaceError(
-                f"prefix length {len(bits)} exceeds space width {self.bits}"
-            )
-        if bits and set(bits) - {"0", "1"}:
-            raise KeyspaceError(f"not a binary string: {bits!r}")
-        if not bits:
-            return 0
-        return int(bits, 2) << (self.bits - len(bits))
-
-    @staticmethod
-    def common_prefix_length(a: str, b: str) -> int:
-        """Length of the shared binary prefix of two bit strings."""
-        n = 0
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            n += 1
-        return n
-
     def digit(self, ident: int, position: int, digit_bits: int = 1) -> int:
-        """The ``position``-th digit (MSB first) in base ``2**digit_bits``.
-
-        Pastry routes on digits of base ``2^b`` (commonly b=4); P-Grid and
-        the paper's analysis use b=1.
-        """
+        """The ``position``-th digit (MSB first) in base ``2**digit_bits``;
+        P-Grid and the paper's analysis use bits (``digit_bits=1``)."""
         if digit_bits < 1:
             raise KeyspaceError(f"digit_bits must be >= 1, got {digit_bits}")
         n_digits = self.bits // digit_bits

@@ -9,8 +9,8 @@ which the paper converts into the environment constant
 
 Stale entries are *detected* by probes (costed here) and *repaired* for
 free by piggybacking routing information on queries (the paper's explicit
-assumption); our backends realise the free repair by skipping offline
-entries at routing time.
+assumption); P-Grid realises the free repair by skipping offline entries
+at routing time.
 
 :class:`RoutingMaintenance` can run in two modes:
 

@@ -13,8 +13,8 @@ members on the *complement* side (same first ``i`` bits, opposite bit at
 origin already shares half the target's bits in expectation, the mean hop
 count is ``1/2 * log2(n)`` — the paper's Eq. 7 verbatim.
 
-Same conventions as the other backends: rebuild on membership change,
-liveness decides every hop, probing costs live in
+Conventions of :class:`~repro.dht.base.DistributedHashTable`: rebuild on
+membership change, liveness decides every hop, probing costs live in
 :mod:`repro.dht.maintenance`. What a lookup derives from the trie and from
 who is online — a target's leaf, a leaf's owner, a member's next hop at a
 level — is derived once per routing rebuild or per

@@ -249,7 +249,6 @@ def simulation_comparison(
     duration: float = 600.0,
     seed: int = 0,
     churn: Optional[ChurnConfig] = None,
-    dht_kind: str = "pgrid",
     execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Section 5.2: simulated strategies vs the analytical model.
@@ -262,7 +261,7 @@ def simulation_comparison(
     """
     params = params or simulation_scenario()
     execution = execution or Execution()
-    config = PdhtConfig.from_scenario(params, dht_kind=dht_kind)
+    config = PdhtConfig.from_scenario(params)
     names = list(STRATEGY_NAMES)
     reports = execution.execute(
         [
@@ -287,7 +286,7 @@ def simulation_comparison(
         name=(
             f"Sec. 5.2 - simulation vs model "
             f"({params.num_peers} peers, {params.n_keys} keys, "
-            f"fQry = {format_period(params.query_freq)}, {dht_kind})"
+            f"fQry = {format_period(params.query_freq)}, pgrid)"
         ),
         x_label="strategy",
         x_values=names,

@@ -427,6 +427,7 @@ class FastSimKernel:
         self.now = 0.0
         self._update_debt = 0.0
         self._queries = 0  # over every run: per-key tallies persist
+        self._last_round = 0.0  # the round the current (or last) run ends at
 
         # Streamed-loop buffers: per-role scratch for the round hot paths,
         # draw buffers reused across blocks, and read-only all-ones
@@ -448,9 +449,15 @@ class FastSimKernel:
     # ------------------------------------------------------------------
     def set_key_ttl(self, key_ttl: float) -> None:
         """Retarget the TTL; existing entries keep their current expiry and
-        adopt the new TTL on their next hit (same as the event engine)."""
+        adopt the new TTL on their next hit (same as the event engine).
+
+        A ``slim`` kernel refuses a TTL whose expiries could leave its
+        exact range before the run in progress ends, as :meth:`run` does
+        before its first round.
+        """
         if key_ttl < 0:
             raise ParameterError(f"key_ttl must be >= 0, got {key_ttl}")
+        check_slim_range(self.precision, self._last_round, key_ttl, self._queries)
         self.key_ttl = float(key_ttl)
 
     # ------------------------------------------------------------------
@@ -465,7 +472,8 @@ class FastSimKernel:
         / ``round.post`` count rounds, while ``draw`` counts draw blocks
         (one ``draw_rounds`` call per :data:`DRAW_BLOCK` queries) — a
         busy cell contributes several, an idle one exactly one. A ``slim``
-        run past its exact range raises before its first round.
+        run past its exact range raises before its first round; a hook's
+        :meth:`set_key_ttl` that would take it there raises when called.
         """
         if duration <= 0:
             raise ParameterError(f"duration must be > 0, got {duration}")
@@ -506,6 +514,7 @@ class FastSimKernel:
         queries = self._queries + int(cumulative[-1])
         check_slim_range(self.precision, self.now + rounds, self.key_ttl, queries)
         self._queries = queries
+        self._last_round = self.now + rounds
         start = self.now
         # Hoisted per-round temporaries: the window-close thunk and the
         # churn maintenance scale are loop invariants.

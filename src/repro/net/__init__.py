@@ -9,7 +9,7 @@ the churn process that drives peers on- and offline
 """
 
 from repro.net.node import Peer, PeerId, PeerPopulation
-from repro.net.topology import GnutellaTopology, build_gnutella_graph
+from repro.net.topology import GnutellaTopology
 from repro.net.messages import Message, MessageKind
 from repro.net.churn import ChurnConfig, ChurnProcess
 from repro.net.bootstrap import GatewayCache
@@ -19,7 +19,6 @@ __all__ = [
     "PeerId",
     "PeerPopulation",
     "GnutellaTopology",
-    "build_gnutella_graph",
     "Message",
     "MessageKind",
     "ChurnConfig",

@@ -25,7 +25,7 @@ __all__ = ["PeerId", "Peer", "PeerPopulation"]
 #: Dense 0-based peer identifier.
 PeerId = int
 
-#: Width of the DHT identifier space in bits (SHA-1, as in Chord/Pastry).
+#: Width of the DHT identifier space in bits (SHA-1).
 ID_BITS = 160
 
 

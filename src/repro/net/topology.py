@@ -1,43 +1,24 @@
-"""Gnutella-like overlay topologies.
+"""The Gnutella-like overlay topology.
 
 The paper assumes "a Gnutella-like topology, where each peer has a few open
-connections to other peers" (Section 3.1). Measured Gnutella graphs have a
-heavy-tailed degree distribution with a small-world core; we offer two
-generators behind one interface:
-
-* ``random_regular`` — every peer keeps exactly ``degree`` connections
-  (the cleanest match to "a few open connections"), and
-* ``barabasi_albert`` — preferential attachment, matching the measured
-  heavy-tailed degree distributions of deployed Gnutella networks.
-
-Either way the object exposes neighbour lookup restricted to *online*
-peers, which is what search algorithms traverse under churn.
+connections to other peers" (Section 3.1): a random regular graph, every
+peer keeping exactly ``degree`` connections. :class:`GnutellaTopology`
+exposes neighbour lookup restricted to *online* peers, which is what
+search algorithms traverse under churn.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.net.node import PeerId, PeerPopulation
 
-if TYPE_CHECKING:
-    import networkx as nx
-
-__all__ = [
-    "bridged_regular_rows",
-    "adjacency_graph",
-    "gnutella_rows",
-    "build_gnutella_graph",
-    "GnutellaTopology",
-]
-
-TopologyKind = Literal["random_regular", "barabasi_albert"]
+__all__ = ["bridged_regular_rows", "gnutella_rows", "GnutellaTopology"]
 
 
 def _regular_edges(
@@ -141,19 +122,10 @@ def bridged_regular_rows(
     return rows
 
 
-def adjacency_graph(adjacency: Mapping[int, Iterable[int]]) -> nx.Graph:
-    """A ``networkx`` view of neighbour rows, for diagnostics and test
-    oracles; no simulation path builds a graph object."""
-    import networkx as nx  # diagnostics only: event and vectorized runs never load it
-
-    return nx.from_dict_of_lists(adjacency)
-
-
 def gnutella_rows(
     num_peers: int,
     degree: int,
     rng: np.random.Generator,
-    kind: TopologyKind = "random_regular",
 ) -> list[list[PeerId]]:
     """Neighbour rows (unsorted) of a connected Gnutella-like overlay.
 
@@ -162,13 +134,10 @@ def gnutella_rows(
     num_peers:
         Number of vertices (one per peer, labelled ``0..num_peers-1``).
     degree:
-        Connections per peer. For ``barabasi_albert`` this is the attachment
-        parameter ``m`` (mean degree ~= 2m).
+        Connections per peer.
     rng:
         Source of randomness (a numpy Generator, for reproducibility); one
         integer is drawn from it to seed the graph.
-    kind:
-        Graph family, see module docstring.
 
     Raises
     ------
@@ -184,28 +153,8 @@ def gnutella_rows(
         raise TopologyError(
             f"degree ({degree}) must be < num_peers ({num_peers})"
         )
-    seed = int(rng.integers(0, 2**31 - 1))
-    if kind == "random_regular":
-        return bridged_regular_rows(num_peers, degree, seed)
-    if kind == "barabasi_albert":
-        import networkx as nx  # the one overlay family still generated by networkx
-
-        graph = nx.barabasi_albert_graph(num_peers, degree, seed=seed)
-        rows = [list(graph.neighbors(peer_id)) for peer_id in range(num_peers)]
-        _bridge_components(rows)
-        return rows
-    raise TopologyError(f"unknown topology kind: {kind!r}")
-
-
-def build_gnutella_graph(
-    num_peers: int,
-    degree: int,
-    rng: np.random.Generator,
-    kind: TopologyKind = "random_regular",
-) -> nx.Graph:
-    """:func:`gnutella_rows` as a ``networkx`` graph (diagnostics)."""
-    return adjacency_graph(
-        dict(enumerate(gnutella_rows(num_peers, degree, rng, kind)))
+    return bridged_regular_rows(
+        num_peers, degree, int(rng.integers(0, 2**31 - 1))
     )
 
 
@@ -222,23 +171,16 @@ class GnutellaTopology:
         population: PeerPopulation,
         degree: int,
         rng: np.random.Generator,
-        kind: TopologyKind = "random_regular",
     ) -> None:
         self.population = population
         self.degree = degree
-        self.kind = kind
         # The overlay is static after construction: sort each row once.
         self._adjacency = tuple(
             tuple(sorted(row))
-            for row in gnutella_rows(len(population), degree, rng, kind)
+            for row in gnutella_rows(len(population), degree, rng)
         )
         self._online_adjacency: list[tuple[PeerId, ...]] = []
         self._online_epoch = -1
-
-    @cached_property
-    def graph(self) -> nx.Graph:
-        """The configured connections as a ``networkx`` graph (diagnostics)."""
-        return adjacency_graph(dict(enumerate(self._adjacency)))
 
     def neighbors(self, peer_id: PeerId) -> list[PeerId]:
         """All configured neighbours, regardless of liveness."""
@@ -264,24 +206,3 @@ class GnutellaTopology:
     def online_neighbors(self, peer_id: PeerId) -> list[PeerId]:
         """Configured neighbours that are currently online."""
         return list(self.online_adjacency()[peer_id])
-
-    def online_subgraph_nodes(self) -> Iterable[PeerId]:
-        """Ids of online peers (vertices of the live overlay)."""
-        return self.population.online_ids
-
-    def measured_duplication_factor(self, sample_floods: int = 0) -> float:
-        """Mean edges-per-vertex ratio seen by a flood (lower bound on dup).
-
-        A full flood traverses every edge between reached peers at least
-        once; with ``E`` usable edges and ``V`` reached peers the per-peer
-        message overhead is ``2E / V`` in the worst case. This diagnostic
-        reports the graph-level ratio; the *effective* ``dup`` of a search
-        algorithm is measured by the search implementations themselves.
-        """
-        nodes = [n for n in self.graph.nodes if self.population.is_online(n)]
-        if not nodes:
-            return 0.0
-        live = self.graph.subgraph(nodes)
-        if live.number_of_nodes() == 0:
-            return 0.0
-        return 2.0 * live.number_of_edges() / live.number_of_nodes()

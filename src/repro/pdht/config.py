@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.threshold import solve_threshold
@@ -27,7 +27,9 @@ class PdhtConfig:
         Index slots each DHT member contributes (``stor``); bounds how many
         peers must join the DHT for a given index size.
     dht_kind:
-        Structured backend: 'chord', 'pastry' or 'pgrid'.
+        Always ``"pgrid"`` and not an argument. It stays a field only so
+        that the store keys built from a config — and so existing stores —
+        do not change.
     overlay_degree:
         Connections per peer in the unstructured overlay.
     walkers / walk_ttl:
@@ -39,7 +41,7 @@ class PdhtConfig:
     key_ttl: float = 1800.0
     replication: int = 10
     storage_per_peer: int = 100
-    dht_kind: str = "pgrid"
+    dht_kind: str = field(default="pgrid", init=False)
     overlay_degree: int = 4
     walkers: int = 8
     walk_ttl: int = 4096
@@ -60,8 +62,6 @@ class PdhtConfig:
             raise ParameterError(
                 f"storage_per_peer must be >= 1, got {self.storage_per_peer}"
             )
-        if self.dht_kind.lower() not in {"chord", "pastry", "pgrid", "can"}:
-            raise ParameterError(f"unknown dht_kind {self.dht_kind!r}")
         if self.overlay_degree < 1:
             raise ParameterError(
                 f"overlay_degree must be >= 1, got {self.overlay_degree}"

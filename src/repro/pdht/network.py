@@ -5,7 +5,7 @@ One :class:`PdhtNetwork` owns the full stack:
 * a peer population with optional churn;
 * the unstructured overlay carrying content replicas (random replication,
   factor ``repl``), searched by k-walker random walks;
-* a structured backend (Chord / Pastry / P-Grid) joined by
+* a P-Grid DHT joined by
   ``numActivePeers`` members ("only numActivePeers peers participate in
   building and maintaining a DHT" — Section 3.2);
 * per-member TTL index stores, grouped into replica subnetworks of size
@@ -30,8 +30,8 @@ from typing import Optional
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import selection_members
-from repro.dht import make_dht
 from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
+from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError, RoutingError
 from repro.net.bootstrap import GatewayCache
 from repro.net.churn import ChurnConfig, ChurnProcess
@@ -125,7 +125,7 @@ class PdhtNetwork:
                 f"num_active_peers must be in [2, {params.num_peers}], "
                 f"got {num_active_peers}"
             )
-        self.dht = make_dht(self.config.dht_kind, self.population, self.log)
+        self.dht = PGridDht(self.population, self.log)
         member_ids = self.population.sample_online(
             self.streams.get("membership"), num_active_peers
         )

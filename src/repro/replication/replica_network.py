@@ -14,8 +14,7 @@ members. Two operations run over it:
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -23,10 +22,7 @@ from repro import obs
 from repro.errors import ParameterError, TopologyError
 from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
-from repro.net.topology import adjacency_graph, bridged_regular_rows
-
-if TYPE_CHECKING:
-    import networkx as nx
+from repro.net.topology import bridged_regular_rows
 
 __all__ = ["group_rows", "ReplicaNetwork"]
 
@@ -100,11 +96,6 @@ class ReplicaNetwork:
         self._online_adjacency: dict[PeerId, tuple[PeerId, ...]] = {}
         self._flood_plans: dict[PeerId, tuple[tuple, tuple]] = {}
         self._online_epoch = -1
-
-    @cached_property
-    def graph(self) -> nx.Graph:
-        """The group's connections as a ``networkx`` graph (diagnostics)."""
-        return adjacency_graph(self._adjacency)
 
     # ------------------------------------------------------------------
     def online_members(self) -> list[PeerId]:
@@ -191,13 +182,3 @@ class ReplicaNetwork:
                     frontier.append((neighbor, peer))
             plan = self._flood_plans[origin] = (tuple(reached), tuple(edges))
         return plan
-
-    def measured_dup2(self) -> float:
-        """Graph-level duplication factor of a full flood (2E/V online)."""
-        nodes = self.online_members()
-        if not nodes:
-            return 0.0
-        live = self.graph.subgraph(nodes)
-        if live.number_of_nodes() == 0:
-            return 0.0
-        return 2.0 * live.number_of_edges() / live.number_of_nodes()

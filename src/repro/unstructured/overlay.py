@@ -9,7 +9,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.net.messages import MessageLog
 from repro.net.node import PeerId, PeerPopulation
-from repro.net.topology import GnutellaTopology, TopologyKind
+from repro.net.topology import GnutellaTopology
 from repro.sim.metrics import MessageMetrics
 
 __all__ = ["UnstructuredOverlay"]
@@ -30,12 +30,11 @@ class UnstructuredOverlay:
         population: PeerPopulation,
         rng: np.random.Generator,
         degree: int = 4,
-        topology_kind: TopologyKind = "random_regular",
         metrics: Optional[MessageMetrics] = None,
         keep_messages: bool = False,
     ) -> None:
         self.population = population
-        self.topology = GnutellaTopology(population, degree, rng, topology_kind)
+        self.topology = GnutellaTopology(population, degree, rng)
         self.metrics = metrics or MessageMetrics()
         self.log = MessageLog(self.metrics, keep_messages=keep_messages)
 

@@ -1,9 +1,9 @@
-"""Backend-independent DHT contract tests, run against all three overlays.
+"""The DHT contract, on P-Grid.
 
 The paper's analysis is generic over "traditional DHTs"; these tests pin
-the contract every backend must honour: deterministic responsibility,
-correct routing to the responsible peer, logarithmic-ish hop counts,
-message accounting, and graceful behaviour under offline members.
+the contract it relies on: deterministic responsibility, correct routing
+to the responsible peer, logarithmic-ish hop counts, message accounting,
+and graceful behaviour under offline members.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ import math
 
 import pytest
 
-from repro.dht import CanDht, ChordDht, PastryDht, PGridDht, make_dht
+from repro.dht import PGridDht
 from repro.errors import ParameterError, RoutingError
 from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
-BACKENDS = [ChordDht, PastryDht, PGridDht, CanDht]
-BACKEND_IDS = ["chord", "pastry", "pgrid", "can"]
+BACKENDS = [PGridDht]
+BACKEND_IDS = ["pgrid"]
 
 
 @pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
@@ -104,9 +104,8 @@ class TestLookup:
         origins = dht.online_members()[:20]
         hops = [dht.lookup(o, f"key-{i}").hops for i, o in enumerate(origins)]
         mean_hops = sum(hops) / len(hops)
-        # ~0.5 log2(100) ~= 3.3 for binary backends, less for Pastry b=4,
-        # ~(2/4) sqrt(100) = 5 for 2-d CAN; anything wildly above those
-        # indicates broken routing.
+        # ~0.5 log2(100) ~= 3.3; anything wildly above that indicates
+        # broken routing.
         assert mean_hops <= 3 * math.log2(100)
         assert max(hops) <= 100
 
@@ -184,8 +183,7 @@ class TestRoutingTables:
     def test_table_size_logarithmic(self, dht):
         sizes = [len(dht.routing_table(m)) for m in dht.online_members()]
         mean_size = sum(sizes) / len(sizes)
-        # O(log n) with backend-specific constants; 128 members => a few
-        # dozen entries at most.
+        # O(log n); 128 members => a few dozen entries at most.
         assert mean_size <= 8 * math.log2(128)
 
     def test_expected_lookup_hops_formula(self, dht):
@@ -221,14 +219,3 @@ class TestEmptyAndTiny:
             assert result.responsible == owner
             assert result.hops <= 2
 
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", zip(BACKEND_IDS, BACKENDS))
-    def test_make_dht_by_name(self, name, cls):
-        population = PeerPopulation(4)
-        dht = make_dht(name, population, MessageLog(MessageMetrics()))
-        assert isinstance(dht, cls)
-
-    def test_make_dht_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_dht("kademlia", PeerPopulation(4), MessageLog(MessageMetrics()))

@@ -39,67 +39,12 @@ class TestHashing:
             KeySpace(bits=1000)
 
 
-class TestRingArithmetic:
-    def test_distance_cw_simple(self, small_space):
-        assert small_space.distance_cw(10, 20) == 10
-
-    def test_distance_cw_wraps(self, small_space):
-        assert small_space.distance_cw(250, 5) == 11
-
-    def test_distance_cw_zero(self, small_space):
-        assert small_space.distance_cw(7, 7) == 0
-
-    def test_interval_simple(self, small_space):
-        assert small_space.in_interval(15, 10, 20)
-        assert not small_space.in_interval(25, 10, 20)
-
-    def test_interval_wrapping(self, small_space):
-        assert small_space.in_interval(2, 250, 10)
-        assert small_space.in_interval(255, 250, 10)
-        assert not small_space.in_interval(100, 250, 10)
-
-    def test_interval_endpoints(self, small_space):
-        assert not small_space.in_interval(10, 10, 20)
-        assert small_space.in_interval(10, 10, 20, inclusive_start=True)
-        assert not small_space.in_interval(20, 10, 20)
-        assert small_space.in_interval(20, 10, 20, inclusive_end=True)
-
-    def test_degenerate_interval_chord_convention(self, small_space):
-        # (n, n] covers the whole ring; (n, n) covers everything but n.
-        assert small_space.in_interval(5, 7, 7, inclusive_end=True)
-        assert small_space.in_interval(7, 7, 7, inclusive_end=True)
-        assert small_space.in_interval(5, 7, 7)
-        assert not small_space.in_interval(7, 7, 7)
-
-
 class TestBits:
     def test_to_bits_width(self, small_space):
         assert small_space.to_bits(5) == "00000101"
 
     def test_to_bits_prefix(self, small_space):
         assert small_space.to_bits(0b10110000, 4) == "1011"
-
-    def test_from_bits_roundtrip(self, small_space):
-        assert small_space.from_bits("10110000") == 0b10110000
-
-    def test_from_bits_prefix_pads_zeros(self, small_space):
-        assert small_space.from_bits("1011") == 0b10110000
-
-    def test_from_bits_empty(self, small_space):
-        assert small_space.from_bits("") == 0
-
-    def test_from_bits_rejects_non_binary(self, small_space):
-        with pytest.raises(KeyspaceError):
-            small_space.from_bits("10x1")
-
-    def test_from_bits_rejects_too_long(self, small_space):
-        with pytest.raises(KeyspaceError):
-            small_space.from_bits("1" * 9)
-
-    def test_common_prefix_length(self):
-        assert KeySpace.common_prefix_length("10110", "10100") == 3
-        assert KeySpace.common_prefix_length("111", "111") == 3
-        assert KeySpace.common_prefix_length("0", "1") == 0
 
     def test_digit_binary(self, small_space):
         # 0b10110000: digits (bits) MSB-first are 1,0,1,1,0,0,0,0.

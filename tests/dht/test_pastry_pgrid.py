@@ -1,4 +1,4 @@
-"""Pastry- and P-Grid-specific tests."""
+"""P-Grid: the trie, its references and its routes."""
 
 from __future__ import annotations
 
@@ -6,21 +6,11 @@ import math
 
 import pytest
 
-from repro.dht.pastry import PastryDht
 from repro.dht.pgrid import PGridDht
 from repro.errors import RoutingError
 from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageMetrics
-
-
-@pytest.fixture
-def pastry():
-    population = PeerPopulation(300)
-    dht = PastryDht(population, MessageLog(MessageMetrics()))
-    dht.join_all(range(256))
-    dht.responsible_for("warmup")
-    return dht
 
 
 @pytest.fixture
@@ -30,62 +20,6 @@ def pgrid():
     dht.join_all(range(256))
     dht.responsible_for("warmup")
     return dht
-
-
-class TestPastry:
-    def test_responsible_is_numerically_closest(self, pastry):
-        key = "closest-key"
-        target = pastry.keyspace.hash_key(key)
-        responsible = pastry.responsible_for(key)
-
-        def ring_distance(member):
-            d = abs(pastry.population[member].dht_id - target)
-            return min(d, pastry.keyspace.size - d)
-
-        best = min(pastry.members, key=ring_distance)
-        assert responsible == best
-
-    def test_leaf_sets_symmetrically_sized(self, pastry):
-        for member in list(pastry.members)[:20]:
-            leaves = pastry._leaves[member]
-            assert 1 <= len(leaves) <= pastry.leaf_set_size
-
-    def test_table_entries_share_prefix(self, pastry):
-        member = next(iter(pastry.members))
-        member_id = pastry.population[member].dht_id
-        for (row, col), entry in pastry._tables[member].items():
-            entry_id = pastry.population[entry].dht_id
-            assert pastry._shared_digits(member_id, entry_id) >= row or (
-                pastry.keyspace.digit(entry_id, row, pastry.digit_bits) == col
-            )
-
-    def test_hops_sub_log2(self, pastry):
-        members = pastry.online_members()
-        hops = [
-            pastry.lookup(members[i % 256], f"key-{i}").hops
-            for i in range(150)
-        ]
-        mean = sum(hops) / len(hops)
-        # Base-16 digits: log_16(256) = 2 rows; greedy should finish in
-        # roughly that many hops, well below binary-log.
-        assert mean < math.log2(256)
-
-    def test_custom_digit_bits(self):
-        population = PeerPopulation(64)
-        dht = PastryDht(
-            population, MessageLog(MessageMetrics()), digit_bits=1
-        )
-        dht.join_all(range(64))
-        origin = dht.online_members()[0]
-        result = dht.lookup(origin, "binary-pastry")
-        assert result.responsible == dht.responsible_for("binary-pastry")
-
-    def test_invalid_parameters(self):
-        population = PeerPopulation(4)
-        with pytest.raises(RoutingError):
-            PastryDht(population, MessageLog(MessageMetrics()), digit_bits=0)
-        with pytest.raises(RoutingError):
-            PastryDht(population, MessageLog(MessageMetrics()), leaf_set_size=1)
 
 
 class TestPGrid:

@@ -1,11 +1,11 @@
 """Differential test: memoised P-Grid routes, and hops counted once per
-lookup on every backend, against the per-hop bodies they replaced.
+lookup, against the per-hop bodies they replaced.
 
 ISSUE 22 derives what a P-Grid lookup needs — a key's identifier, the
 identifier's bits and leaf, the leaf's owner, a member's next hop at a
 mismatch level — once per key, per routing rebuild or per ``view_key``
-instead of per query, and moves the hop accounting of all four backends
-into ``DistributedHashTable.lookup`` (``_route`` appends its hops, one
+instead of per query, and moves the hop accounting into
+``DistributedHashTable.lookup`` (``_route`` appends its hops, one
 ``MessageLog.send_all`` counts them). The replaced bodies are kept here
 verbatim — ``lookup`` and ``responsible_for`` hashing the key every time,
 each ``_route`` sending one ``DHT_LOOKUP`` per hop, P-Grid's
@@ -44,10 +44,9 @@ Mutations run against the new code, each caught by the test named:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 
-from repro.dht import CanDht, ChordDht, PastryDht, PGridDht
+from repro.dht import PGridDht
 from repro.dht.base import LookupResult
 from repro.errors import RoutingError
 from repro.net.messages import MessageKind, MessageLog
@@ -86,63 +85,6 @@ class ReferenceLookup:
             found_value=store.get(key),
             has_value=has_value,
         )
-
-
-class ReferenceChord(ReferenceLookup, ChordDht):
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
-        responsible = self._responsible(target)
-        current = origin
-        hops = 0
-        limit = len(self._members) + self.keyspace.bits
-        while current != responsible:
-            nxt = self._best_hop(current, target, responsible)
-            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
-            hops += 1
-            current = nxt
-            if hops > limit:
-                raise RoutingError(
-                    f"Chord routing did not converge within {limit} hops"
-                )
-        return responsible, hops
-
-
-class ReferencePastry(ReferenceLookup, PastryDht):
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
-        responsible = self._responsible(target)
-        current = origin
-        hops = 0
-        limit = len(self._members) + self.keyspace.bits
-        while current != responsible:
-            nxt = self._next_hop(current, target, responsible)
-            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
-            hops += 1
-            current = nxt
-            if hops > limit:
-                raise RoutingError(
-                    f"Pastry routing did not converge within {limit} hops"
-                )
-        return responsible, hops
-
-
-class ReferenceCan(ReferenceLookup, CanDht):
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
-        responsible = self._responsible(target)
-        point = self._key_point(target)
-        current = origin
-        hops = 0
-        limit = 4 * len(self._members) + 16
-        visited = {current}
-        while current != responsible:
-            nxt = self._next_hop(current, point, responsible, visited)
-            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
-            hops += 1
-            visited.add(nxt)
-            current = nxt
-            if hops > limit:
-                raise RoutingError(
-                    f"CAN routing did not converge within {limit} hops"
-                )
-        return responsible, hops
 
 
 class ReferencePGrid(ReferenceLookup, PGridDht):
@@ -217,22 +159,14 @@ class ReferencePGrid(ReferenceLookup, PGridDht):
         return responsible
 
 
-BACKENDS = {
-    "chord": (ChordDht, ReferenceChord),
-    "pastry": (PastryDht, ReferencePastry),
-    "pgrid": (PGridDht, ReferencePGrid),
-    "can": (CanDht, ReferenceCan),
-}
-
-
 # ----------------------------------------------------------------------
 # Side-by-side replay
 # ----------------------------------------------------------------------
-def _pair(kind: str, population: PeerPopulation, members, **kwargs):
-    """The new backend and its reference over one population, each with
+def _pair(population: PeerPopulation, members, **kwargs):
+    """The new P-Grid and its reference over one population, each with
     its own auditing log."""
     sides = []
-    for cls in BACKENDS[kind]:
+    for cls in (PGridDht, ReferencePGrid):
         dht = cls(
             population, MessageLog(MessageMetrics(), keep_messages=True),
             **kwargs,
@@ -285,8 +219,7 @@ def _replay(history: History) -> None:
     for peer in history.offline:
         population.set_online(peer, False)
     new, old = _pair(
-        history.kind, population, history.members,
-        **dict(history.backend_kwargs),
+        population, history.members, **dict(history.backend_kwargs)
     )
     _assert_same_lookups(new, old, population)
     for op in history.ops:
@@ -314,8 +247,7 @@ def _replay(history: History) -> None:
         _assert_same_lookups(new, old, population)
 
 
-# P-Grid, whose routes are memoised, is drawn as often as the other three.
-@given(histories(kinds=("can", "chord", "pastry", "pgrid", "pgrid", "pgrid")))
+@given(histories())
 @settings(max_examples=150, deadline=None)
 def test_lookups_equal_reference_routes(history):
     _replay(history)
@@ -333,7 +265,7 @@ def test_every_ref_of_a_level_offline():
     member with nobody online on that side hands over to the responsible
     peer — and both change back when the references return."""
     population = PeerPopulation(48)
-    new, old = _pair("pgrid", population, range(0, 48, 2), refs_per_level=2)
+    new, old = _pair(population, range(0, 48, 2), refs_per_level=2)
     _assert_same_lookups(new, old, population, MANY_KEYS)
     origin = min(new.members)
     path = new.path_of(origin)
@@ -356,7 +288,7 @@ def test_whole_leaves_offline():
     """Ownership falls to a sibling subtree while a leaf is dark, and
     returns to the leaf's smallest online member afterwards."""
     population = PeerPopulation(40)
-    new, old = _pair("pgrid", population, range(40), bucket_size=3)
+    new, old = _pair(population, range(40), bucket_size=3)
     new._ensure_routing()
     leaves = sorted(new._leaf_members.items())
     assert any(len(members) > 1 for _, members in leaves)
@@ -376,7 +308,7 @@ def test_memos_do_not_outlive_a_join_or_leave():
     hops recorded for the old one must all be forgotten. The newcomers
     have the smaller ids, so they take over references and leaves."""
     population = PeerPopulation(64)
-    new, old = _pair("pgrid", population, range(32, 40))
+    new, old = _pair(population, range(32, 40))
     _assert_same_lookups(new, old, population, MANY_KEYS)
     depth = new._max_leaf_depth
     for dht in (new, old):
@@ -403,7 +335,7 @@ def test_per_key_memos_are_bounded(monkeypatch):
     for module in (base, pgrid):
         monkeypatch.setattr(module, "KEY_MEMO_LIMIT", 7)
     population = PeerPopulation(24)
-    new, old = _pair("pgrid", population, range(24))
+    new, old = _pair(population, range(24))
     _assert_same_lookups(new, old, population, MANY_KEYS)
     assert len(MANY_KEYS) > 7
     assert 0 < len(new._targets) <= 7
@@ -414,7 +346,7 @@ def test_lopsided_split_routes():
     """Two members sharing their first bit: one leaf, the empty path."""
     population = PeerPopulation(64)
     zeros = [p for p in range(64) if population[p].dht_id >> 159 == 0][:2]
-    new, old = _pair("pgrid", population, zeros)
+    new, old = _pair(population, zeros)
     assert new.path_of(zeros[0]) == ""
     _assert_same_lookups(new, old, population, MANY_KEYS)
     population.set_online(zeros[0], False)
@@ -434,16 +366,6 @@ class _PingPong:
         )
 
 
-class NewLostChord(_PingPong, ChordDht):
-    def _best_hop(self, current, target, responsible):
-        return self._bounce(current, responsible)
-
-
-class OldLostChord(_PingPong, ReferenceChord):
-    def _best_hop(self, current, target, responsible):
-        return self._bounce(current, responsible)
-
-
 class NewLostPGrid(_PingPong, PGridDht):
     def _next_hop(self, current, mismatch):
         return self._bounce(current, None)
@@ -456,13 +378,10 @@ class OldLostPGrid(_PingPong, ReferencePGrid):
         return self._bounce(current, None)
 
 
-@pytest.mark.parametrize(
-    "classes", [(NewLostChord, OldLostChord), (NewLostPGrid, OldLostPGrid)]
-)
-def test_a_route_that_does_not_converge_is_still_counted(classes):
+def test_a_route_that_does_not_converge_is_still_counted():
     population = PeerPopulation(8)
     sides = []
-    for cls in classes:
+    for cls in (NewLostPGrid, OldLostPGrid):
         dht = cls(population, MessageLog(MessageMetrics(), keep_messages=True))
         dht.join_all(range(8))
         sides.append(dht)

@@ -60,7 +60,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dht import CanDht, ChordDht, PastryDht, PGridDht
+from repro.dht import PGridDht
 from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
 from repro.errors import OfflinePeerError, ParameterError, RoutingError
 from repro.net.messages import MessageKind, MessageLog
@@ -121,18 +121,6 @@ class ReferenceViews:
         return 0.5 * math.log2(n)
 
 
-class ReferenceChord(ReferenceViews, ChordDht):
-    pass
-
-
-class ReferencePastry(ReferenceViews, PastryDht):
-    pass
-
-
-class ReferenceCan(ReferenceViews, CanDht):
-    pass
-
-
 class ReferencePGrid(ReferenceViews, PGridDht):
     def _split(self, members: list[PeerId], prefix: str) -> None:
         """Recursively partition members on the next identifier bit."""
@@ -156,12 +144,8 @@ class ReferencePGrid(ReferenceViews, PGridDht):
         self._split(ones, prefix + "1")
 
 
-BACKENDS = {
-    "chord": (ChordDht, ReferenceChord),
-    "pastry": (PastryDht, ReferencePastry),
-    "pgrid": (PGridDht, ReferencePGrid),
-    "can": (CanDht, ReferenceCan),
-}
+#: The new code and its reference, in that order.
+SIDES = (PGridDht, ReferencePGrid)
 
 
 def reference_run_sweep(self: RoutingMaintenance) -> float:
@@ -194,13 +178,13 @@ def reference_expected_rate(self: RoutingMaintenance) -> float:
 
 def reference_online_neighbors(self: ReplicaNetwork, member: PeerId):
     return [
-        n for n in sorted(self.graph.neighbors(member))
+        n for n in sorted(self._adjacency[member])
         if self.population.is_online(n)
     ]
 
 
 def reference_flood(self: ReplicaNetwork, origin, predicate=None, payload=None):
-    if origin not in self.graph:
+    if origin not in self._adjacency:
         raise ParameterError(f"peer {origin} is not in this replica group")
     self.population[origin].require_online()
     predicate = predicate or (lambda _: True)
@@ -248,7 +232,6 @@ op_st = st.one_of(
 
 @dataclasses.dataclass(frozen=True)
 class History:
-    kind: str
     backend_kwargs: tuple
     num_peers: int
     members: frozenset
@@ -261,7 +244,7 @@ class History:
 
     def build(self, reference: bool, population: PeerPopulation):
         """One DHT + maintenance over ``population``, with its own log."""
-        cls = BACKENDS[self.kind][1 if reference else 0]
+        cls = SIDES[1 if reference else 0]
         dht = cls(
             population, MessageLog(MessageMetrics()), **dict(self.backend_kwargs)
         )
@@ -277,14 +260,11 @@ class History:
 
 
 @st.composite
-def histories(draw, kinds=tuple(sorted(BACKENDS))):
-    kind = draw(st.sampled_from(kinds))
-    kwargs: dict = {}
-    if kind == "pgrid":
-        kwargs = {
-            "bucket_size": draw(st.integers(1, 3)),
-            "refs_per_level": draw(st.integers(1, 3)),
-        }
+def histories(draw):
+    kwargs = {
+        "bucket_size": draw(st.integers(1, 3)),
+        "refs_per_level": draw(st.integers(1, 3)),
+    }
     num_peers = draw(st.integers(2, MAX_PEERS))
     ids = st.integers(0, num_peers - 1)
     ops = tuple(
@@ -292,7 +272,6 @@ def histories(draw, kinds=tuple(sorted(BACKENDS))):
         if len(op) == 1 or op[1] < num_peers
     )
     return History(
-        kind=kind,
         backend_kwargs=tuple(kwargs.items()),
         num_peers=num_peers,
         members=frozenset(draw(st.sets(ids, min_size=1))),
@@ -389,7 +368,7 @@ def test_views_equal_reference_scans(history):
 
 def test_callers_may_mutate_what_they_are_given():
     population = PeerPopulation(12)
-    dht = ChordDht(population, MessageLog(MessageMetrics()))
+    dht = PGridDht(population, MessageLog(MessageMetrics()))
     dht.join_all(range(10))
     taken = dht.online_members()
     taken.remove(3)
@@ -445,7 +424,7 @@ def test_sweep_accumulates_member_by_member_at_scale():
     members, 150 sweeps, a liveness change in between."""
     population = PeerPopulation(400)
     sides = []
-    for cls in BACKENDS["pgrid"]:
+    for cls in SIDES:
         dht = cls(population, MessageLog(MessageMetrics()))
         dht.join_all(range(0, 400, 4))
         dht.join_all(range(1, 400, 2))
@@ -522,7 +501,7 @@ def _check_members_under(new, old, population) -> None:
         assert got == ref._members_under(prefix), prefix
 
 
-@given(histories(kinds=("pgrid",)))
+@given(histories())
 @settings(max_examples=120, deadline=None)
 def test_pgrid_members_under(history):
     _replay(history, _check_members_under)
@@ -534,7 +513,7 @@ def test_pgrid_lopsided_split_and_buckets():
     population = PeerPopulation(64)
     for bucket_size in (1, 2, 5):
         sides = []
-        for cls in BACKENDS["pgrid"]:
+        for cls in SIDES:
             dht = cls(
                 population, MessageLog(MessageMetrics()),
                 bucket_size=bucket_size,
@@ -548,7 +527,7 @@ def test_pgrid_lopsided_split_and_buckets():
     }
     pair = [p for p, bit in first_bits.items() if bit == 0][:2]
     sides = []
-    for cls in BACKENDS["pgrid"]:
+    for cls in SIDES:
         dht = cls(population, MessageLog(MessageMetrics()))
         dht.join_all(pair)
         sides.append((dht, None))
@@ -608,7 +587,7 @@ def _sent(network: ReplicaNetwork) -> list[tuple]:
 def test_replica_flood_equals_reference(world):
     population = PeerPopulation(world.num_peers)
     new, old = world.build(population), world.build(population)
-    assert sorted(new.graph.edges) == sorted(old.graph.edges)
+    assert new._adjacency == old._adjacency
     for flips, holders, payload in world.epochs:
         for peer in flips:
             population.set_online(peer, not population.is_online(peer))

@@ -62,15 +62,6 @@ class TestChurnExperiment:
 
 
 class TestSimulationComparison:
-    def test_runs_on_every_backend(self):
-        params = simulation_scenario(scale=0.02)
-        for kind in ("chord", "can"):
-            fig = simulation_comparison(
-                params=params, duration=60.0, dht_kind=kind
-            )
-            simulated = fig.series_of("simulated [msg/s]")
-            assert all(v > 0 for v in simulated)
-
     def test_hit_rates_sane(self):
         fig = simulation_comparison(
             params=simulation_scenario(scale=0.02), duration=60.0

@@ -107,7 +107,8 @@ class TestStateDtypes:
 class TestSlimRange:
     """``slim`` is exact below 2^24 rounds (expiries, ``key_ttl``
     included) and 2^32 tallies; a run that could reach either is refused
-    before its first round."""
+    before its first round, and a mid-run TTL retarget that would take it
+    there is refused when it is set."""
 
     def test_guard_boundaries(self):
         last = SLIM_EXACT_ROUNDS - 11
@@ -159,6 +160,40 @@ class TestSlimRange:
         with pytest.raises(ParameterError, match="tallies"):
             kernel.run(1.0)
         assert kernel.now == 1.0
+
+    @pytest.mark.parametrize("precision", ["slim", "wide"])
+    @pytest.mark.parametrize(
+        "start, ttl",
+        [
+            (0, SLIM_EXACT_ROUNDS),
+            # in range counted from the round it is set at, not from the
+            # round the run ends at
+            (SLIM_EXACT_ROUNDS - 100, 98),
+        ],
+    )
+    def test_hook_retargeting_past_two_to_the_24(
+        self, params, config, precision, start, ttl
+    ):
+        # FastAdaptiveTtl retargets from an on_round hook; the run's own
+        # check saw only the TTL it started with.
+        kernel = FastSimKernel(
+            params, config=config, seed=SEED, precision=precision
+        )
+        kernel.now = float(start)
+
+        def retarget(kernel, now):
+            if now == start + 1:
+                kernel.set_key_ttl(float(ttl))
+
+        kernel.on_round.append(retarget)
+        if precision == "wide":
+            assert kernel.run(3.0).queries > 0
+            assert kernel.key_ttl == ttl
+            return
+        before = kernel.key_ttl
+        with pytest.raises(ParameterError, match="expiries"):
+            kernel.run(3.0)
+        assert kernel.now == start + 1 and kernel.key_ttl == before
 
     def test_wide_is_not_limited(self, params, config):
         kernel = FastSimKernel(params, config=config, seed=SEED)

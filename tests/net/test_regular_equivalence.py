@@ -6,7 +6,8 @@ overlay, each replica-group subnetwork, the structural flood probe —
 from :func:`repro.net.topology.bridged_regular_rows`, a port of
 ``networkx.random_regular_graph`` plus the bridge-components patch to the
 stdlib generator. The three bodies it replaced are kept here verbatim
-(``reference_build_gnutella_graph``, ``reference_replica_graph``,
+(``reference_build_gnutella_graph``, less the ``barabasi_albert`` family
+the overlay no longer offers, ``reference_replica_graph``,
 ``reference_structural_flood_cost``) and run against the installed
 ``networkx``; the new code must agree exactly — neighbour rows in
 ``networkx``'s own (unsorted) order, floats ``==``, and the numpy stream
@@ -34,9 +35,8 @@ Mutations run against the new code, each caught by the test named:
   ``test_replica_network_equals_old_constructor`` (adjacency, stream
   state), ``test_group_rows_special_cases`` and
   ``test_structural_flood_cost_equals_old_body``;
-* ``gnutella_rows`` drawing its seed from the stream only for
-  ``random_regular``, or ``GnutellaTopology`` / ``ReplicaNetwork``
-  keeping their rows unsorted — the two constructor tests.
+* ``GnutellaTopology`` / ``ReplicaNetwork`` keeping their rows unsorted
+  — the two constructor tests.
 
 Not pinned, for the same reason: the order of a cycle fallback's
 two-neighbour rows.
@@ -61,7 +61,7 @@ from repro.sim.metrics import MessageMetrics
 # ----------------------------------------------------------------------
 # The replaced bodies, verbatim
 # ----------------------------------------------------------------------
-def reference_build_gnutella_graph(num_peers, degree, rng, kind="random_regular"):
+def reference_build_gnutella_graph(num_peers, degree, rng):
     if num_peers < 2:
         raise TopologyError(f"need at least 2 peers, got {num_peers}")
     if degree < 1:
@@ -71,17 +71,12 @@ def reference_build_gnutella_graph(num_peers, degree, rng, kind="random_regular"
             f"degree ({degree}) must be < num_peers ({num_peers})"
         )
     seed = int(rng.integers(0, 2**31 - 1))
-    if kind == "random_regular":
-        if (degree * num_peers) % 2 != 0:
-            raise TopologyError(
-                f"random regular graph needs even degree*num_peers "
-                f"(got {degree}*{num_peers})"
-            )
-        graph = nx.random_regular_graph(degree, num_peers, seed=seed)
-    elif kind == "barabasi_albert":
-        graph = nx.barabasi_albert_graph(num_peers, degree, seed=seed)
-    else:
-        raise TopologyError(f"unknown topology kind: {kind!r}")
+    if (degree * num_peers) % 2 != 0:
+        raise TopologyError(
+            f"random regular graph needs even degree*num_peers "
+            f"(got {degree}*{num_peers})"
+        )
+    graph = nx.random_regular_graph(degree, num_peers, seed=seed)
 
     if not nx.is_connected(graph):
         components = [sorted(c) for c in nx.connected_components(graph)]
@@ -90,8 +85,8 @@ def reference_build_gnutella_graph(num_peers, degree, rng, kind="random_regular"
     return graph
 
 
-def reference_gnutella_adjacency(num_peers, degree, rng, kind):
-    graph = reference_build_gnutella_graph(num_peers, degree, rng, kind)
+def reference_gnutella_adjacency(num_peers, degree, rng):
+    graph = reference_build_gnutella_graph(num_peers, degree, rng)
     return tuple(
         tuple(sorted(graph.neighbors(peer_id))) for peer_id in range(num_peers)
     )
@@ -246,23 +241,14 @@ def test_port_rejects_what_networkx_rejects(n, d):
 # The three callers
 # ----------------------------------------------------------------------
 @settings(max_examples=150, deadline=None)
-@given(
-    n=st.integers(2, 40),
-    degree=DEGREES,
-    seed=SEEDS,
-    kind=st.sampled_from(["random_regular", "random_regular", "barabasi_albert"]),
-)
-def test_gnutella_topology_equals_old_constructor(n, degree, seed, kind):
-    assume(degree < n)
-    assume(kind == "barabasi_albert" or (n * degree) % 2 == 0)
+@given(n=st.integers(2, 40), degree=DEGREES, seed=SEEDS)
+def test_gnutella_topology_equals_old_constructor(n, degree, seed):
+    assume(degree < n and (n * degree) % 2 == 0)
     old_rng, new_rng = generator(seed), generator(seed)
-    expected = reference_gnutella_adjacency(n, degree, old_rng, kind)
-    topology = GnutellaTopology(PeerPopulation(n), degree, new_rng, kind)
+    expected = reference_gnutella_adjacency(n, degree, old_rng)
+    topology = GnutellaTopology(PeerPopulation(n), degree, new_rng)
     assert topology._adjacency == expected
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
-    assert sorted(topology.graph.edges) == sorted(
-        (a, b) for a, row in enumerate(expected) for b in row if a < b
-    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,10 +268,6 @@ def test_replica_network_equals_old_constructor(members, degree, seed):
     assert group._adjacency == expected
     assert list(group._adjacency) == members
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
-    assert sorted(group.graph.nodes) == sorted(members)
-    assert sorted(map(sorted, group.graph.edges)) == sorted(
-        map(sorted, graph.edges)
-    )
 
 
 @pytest.mark.parametrize(

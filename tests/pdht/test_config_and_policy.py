@@ -21,8 +21,10 @@ class TestPdhtConfig:
         assert config.storage_per_peer == small_params.storage_per_peer
 
     def test_from_scenario_overrides(self, small_params):
-        config = PdhtConfig.from_scenario(small_params, dht_kind="chord", walkers=4)
-        assert config.dht_kind == "chord"
+        config = PdhtConfig.from_scenario(
+            small_params, overlay_degree=6, walkers=4
+        )
+        assert config.overlay_degree == 6
         assert config.walkers == 4
 
     def test_with_ttl(self):
@@ -35,19 +37,24 @@ class TestPdhtConfig:
             {"key_ttl": -1.0},
             {"replication": 0},
             {"storage_per_peer": 0},
-            {"dht_kind": "kademlia"},
             {"overlay_degree": 0},
             {"walkers": 0},
             {"walk_ttl": 0},
             {"replica_degree": 0},
+            {"key_ttl": -1e-9},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             PdhtConfig(**kwargs)
 
-    def test_dht_kind_case_insensitive(self):
-        assert PdhtConfig(dht_kind="Chord").dht_kind == "Chord"
+    def test_dht_kind_is_pgrid_and_not_an_argument(self, small_params):
+        # The field stays only so that store keys do not change.
+        assert PdhtConfig().dht_kind == "pgrid"
+        with pytest.raises(TypeError):
+            PdhtConfig(dht_kind="chord")
+        with pytest.raises(TypeError):
+            PdhtConfig.from_scenario(small_params, dht_kind="chord")
 
 
 class TestPdhtNode:

@@ -6,7 +6,7 @@ vectorized kernel alone. This capture pins the event substrate itself:
 ``data/pinned_event.json`` was recorded at commit ``b016759`` — before
 the ISSUE 19 membership views touched ``dht/``, ``replication/`` or
 ``sim/metrics.py`` — on a 200-peer / 400-key / 40-round grid: the four
-Fig. 1 strategies x {no churn, churn} x {P-Grid, Chord}. Every count and
+Fig. 1 strategies x {no churn, churn} on P-Grid. Every count and
 every ``messages_by_category`` value is compared with ``==`` (the JSON
 floats round-trip through ``repr``), and the category *order* is pinned
 too: ``MessageMetrics._totals`` is a ``defaultdict`` whose first-touch
@@ -42,19 +42,17 @@ SEED = 11
 CHURN = ChurnConfig(mean_session=60.0, mean_offline=20.0)
 
 CASES = [
-    f"{strategy}-{'churn' if churned else 'static'}-{dht_kind}"
-    for strategy, churned, dht_kind in itertools.product(
-        STRATEGY_NAMES, (False, True), ("pgrid", "chord")
-    )
+    f"{strategy}-{'churn' if churned else 'static'}-pgrid"
+    for strategy, churned in itertools.product(STRATEGY_NAMES, (False, True))
 ]
 
 
 def capture(case: str) -> dict:
-    strategy, churned, dht_kind = case.split("-")
+    strategy, churned, _ = case.split("-")
     params = simulation_scenario(scale=SCALE, query_freq=QUERY_FREQ)
     runner = SimulatedStrategy(
         params,
-        PdhtConfig.from_scenario(params, dht_kind=dht_kind),
+        PdhtConfig.from_scenario(params),
         strategy=strategy,
         seed=SEED,
         churn=CHURN if churned == "churn" else None,

@@ -183,14 +183,12 @@ class TestDriver:
                 workload=workload,
             )
 
-    @pytest.mark.parametrize("dht_kind", ["chord", "pastry", "pgrid"])
-    def test_all_backends_run(self, sim_params, dht_kind):
-        config = PdhtConfig.from_scenario(sim_params, walkers=8, dht_kind=dht_kind)
+    def test_selection_builds_a_partial_index(self, sim_params):
+        config = PdhtConfig.from_scenario(sim_params, walkers=8)
         _, report = run_strategy(
             "partialSelection", sim_params, config, duration=30.0
         )
         assert report.queries > 0
-        # Same qualitative outcome on every backend: the hit rate builds
-        # up and the index stays partial.
+        # The hit rate builds up and the index stays partial.
         assert report.hit_rate > 0.4
         assert 0 < report.mean_index_size < sim_params.n_keys

@@ -1,4 +1,4 @@
-"""Property-based tests on DHT invariants, across all three backends.
+"""Property-based tests on P-Grid's DHT invariants.
 
 For random member sets and random keys: the responsible peer is always an
 online member, routing always terminates at it, and insert-then-lookup is
@@ -10,40 +10,38 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht import CanDht, ChordDht, PastryDht, PGridDht
+from repro.dht import PGridDht
 from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageMetrics
 
-backend_st = st.sampled_from([ChordDht, PastryDht, PGridDht, CanDht])
 members_st = st.sets(st.integers(min_value=0, max_value=63), min_size=2, max_size=40)
 
 
-def build(backend, members):
+def build(members):
     population = PeerPopulation(64)
-    dht = backend(population, MessageLog(MessageMetrics()))
+    dht = PGridDht(population, MessageLog(MessageMetrics()))
     dht.join_all(sorted(members))
     return dht
 
 
-@given(backend=backend_st, members=members_st, key=st.text(min_size=1, max_size=12))
+@given(members=members_st, key=st.text(min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
-def test_responsible_is_online_member(backend, members, key):
-    dht = build(backend, members)
+def test_responsible_is_online_member(members, key):
+    dht = build(members)
     responsible = dht.responsible_for(key)
     assert responsible in dht.members
     assert dht.population.is_online(responsible)
 
 
 @given(
-    backend=backend_st,
     members=members_st,
     key=st.text(min_size=1, max_size=12),
     origin_choice=st.integers(min_value=0, max_value=1000),
 )
 @settings(max_examples=60, deadline=None)
-def test_routing_reaches_responsible(backend, members, key, origin_choice):
-    dht = build(backend, members)
+def test_routing_reaches_responsible(members, key, origin_choice):
+    dht = build(members)
     online = dht.online_members()
     origin = online[origin_choice % len(online)]
     result = dht.lookup(origin, key)
@@ -52,14 +50,13 @@ def test_routing_reaches_responsible(backend, members, key, origin_choice):
 
 
 @given(
-    backend=backend_st,
     members=members_st,
     key=st.text(min_size=1, max_size=12),
     value=st.integers(),
 )
 @settings(max_examples=60, deadline=None)
-def test_read_your_writes(backend, members, key, value):
-    dht = build(backend, members)
+def test_read_your_writes(members, key, value):
+    dht = build(members)
     origin = dht.online_members()[0]
     dht.insert(origin, key, value)
     result = dht.lookup(origin, key)
@@ -68,14 +65,13 @@ def test_read_your_writes(backend, members, key, value):
 
 
 @given(
-    backend=backend_st,
     members=members_st,
     offline=st.sets(st.integers(min_value=0, max_value=63), max_size=20),
     key=st.text(min_size=1, max_size=12),
 )
 @settings(max_examples=60, deadline=None)
-def test_responsibility_under_partial_failures(backend, members, offline, key):
-    dht = build(backend, members)
+def test_responsibility_under_partial_failures(members, offline, key):
+    dht = build(members)
     survivors = members - offline
     if not survivors:
         return  # nothing to assert: the whole DHT is down

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +52,8 @@ def test_flood_reaches_every_online_replica(group_size, degree, seed):
     hits, messages = group.flood(0)
     assert sorted(hits) == group.members
     # Flood cost bounded by twice the edge count.
-    assert messages <= 2 * group.graph.number_of_edges()
+    edges = nx.from_dict_of_lists(group._adjacency).number_of_edges()
+    assert messages <= 2 * edges
 
 
 @given(
@@ -72,11 +74,9 @@ def test_rumor_covers_connected_online_component(group_size, offline, seed):
     spread = RumorSpread(group, RumorConfig(), rng)
     outcome = spread.publish(0)
     # Every replica reachable through online members must be infected.
-    live = group.graph.subgraph(
+    live = nx.from_dict_of_lists(group._adjacency).subgraph(
         [m for m in members if population.is_online(m)]
     )
-    import networkx as nx
-
     component = nx.node_connected_component(live, 0)
     for member in component:
         assert spread.versions[member] == outcome.version

@@ -1,4 +1,4 @@
-"""The repo's cross-cutting invariants RL101-RL109, as plain ``ast`` checks.
+"""The repo's cross-cutting invariants RL101-RL110, as plain ``ast`` checks.
 
 A check is a function ``check(path, tree, imports)`` returning
 ``(line, message)`` pairs for one file; ``path`` is repo-relative posix,
@@ -8,7 +8,7 @@ exception is a path condition inside the check: there is no comment
 escape. To add an invariant, add a check function to ``CHECKS`` plus
 triggering and passing rows to ``FIXTURES``.
 
-``test_real_tree_is_clean`` runs all nine over every ``.py`` file under
+``test_real_tree_is_clean`` runs all ten over every ``.py`` file under
 ``src tests benchmarks tools examples`` and fails naming ``path:line``
 and the id of each violation.
 """
@@ -511,10 +511,37 @@ def rl109_collector_policy(path, tree, imports):
     return hits
 
 
+# RL110: networkx is a test-only dependency — the oracle
+# bridged_regular_rows is held to, and a way for a test to look at a graph.
+# CI runs every step after tier-1 (the benchmark commands, the smokes,
+# the examples) with it uninstalled, so an import under src/ (lazy or
+# type-checking-only included) is a run-time dependency that fails there.
+def _is_networkx(module):
+    return module == "networkx" or module.startswith("networkx.")
+
+
+def rl110_networkx_import(path, tree, imports):
+    if not path.startswith("src/"):
+        return []
+    hits = []
+    for node in imports.of(ast.Import, ast.ImportFrom):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            modules = [node.module or ""] if node.level == 0 else []
+        hits += [
+            (node.lineno, f"RL110 '{module}' imported under src/; networkx "
+             "is a test-only dependency")
+            for module in modules if _is_networkx(module)
+        ]
+    return hits
+
+
 CHECKS = (
     rl101_wall_clock, rl102_global_rng, rl103_dtype_literal,
     rl104_identity_leak, rl105_shm_unlink, rl106_uncounted_cache,
     rl107_span_naming, rl108_pool_ownership, rl109_collector_policy,
+    rl110_networkx_import,
 )
 
 
@@ -834,6 +861,24 @@ FIXTURES = [    # RL101
         def heap_state():
             return gc.isenabled(), gc.get_freeze_count(), gc.get_count()
         """),
+    # RL110
+    row(rl110_networkx_import, "lazy-and-from-imports", "src/repro/net/example.py", """
+        from typing import TYPE_CHECKING
+        if TYPE_CHECKING:
+            from networkx.classes import Graph
+        def diagnostics(rows):
+            import networkx as nx
+            return nx.from_dict_of_lists(rows)
+        """, "'networkx.classes'", "'networkx'"),
+    row(rl110_networkx_import, "tests-use-it", "tests/net/example.py", """
+        import networkx as nx
+        from networkx import is_connected
+        """),
+    row(rl110_networkx_import, "other-modules", "src/repro/net/example.py", """
+        import random
+        import networkx_free
+        from repro.net.topology import bridged_regular_rows
+        """),
 ]
 
 
@@ -851,7 +896,7 @@ def test_every_check_runs_on_the_tree_and_has_fixtures():
     # A check missing from CHECKS would pass its fixtures and never run.
     assert {param.values[0] for param in FIXTURES} == set(CHECKS)
     assert [check.__name__[:5] for check in CHECKS] == [
-        f"rl{n}" for n in range(101, 110)
+        f"rl{n}" for n in range(101, 111)
     ]
 
 

@@ -125,16 +125,3 @@ def test_error_hierarchy_rooted():
     ):
         exc = getattr(errors, name)
         assert issubclass(exc, errors.ReproError), name
-
-
-def test_dht_factory_covers_all_cited_backends():
-    # The paper cites four 'traditional DHTs'; all four must be buildable.
-    from repro.dht import make_dht
-    from repro.net.messages import MessageLog
-    from repro.net.node import PeerPopulation
-    from repro.sim.metrics import MessageMetrics
-
-    for kind in ("chord", "pastry", "pgrid", "can"):
-        dht = make_dht(kind, PeerPopulation(4), MessageLog(MessageMetrics()))
-        dht.join_all([0, 1])
-        assert dht.responsible_for("probe") in {0, 1}
