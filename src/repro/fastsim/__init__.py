@@ -24,7 +24,7 @@ numpy batch operations:
   overlay, shrunken floods, turnover misses) with structural
   Monte-Carlo estimators for beyond-calibration scales;
 * :mod:`repro.fastsim.metrics` — aggregate hit-rate/cost/storage series
-  plus per-key payload-version staleness;
+  plus content-version staleness;
 * :mod:`repro.fastsim.compare` — per-op cost calibration against the
   event engine (with and without churn) and cross-engine agreement
   checks (aggregates, churn cost, staleness fraction);

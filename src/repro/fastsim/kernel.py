@@ -41,12 +41,12 @@ uses. Walk costs are charged in expectation over the resolution draw
 (Rao-Blackwellised), so kernel cost totals carry no resolution-sampling
 noise on top of the event engine's.
 
-Staleness is first-class batch state: every key carries a payload
-version (bumped by owner refreshes, ``content_refresh_period`` or
-:meth:`FastSimState.bump_versions`) and an indexed version captured on
-(re-)insert; hits served from an entry whose indexed version lags count
-into :attr:`FastSimReport.stale_hits` — the same staleness distribution
-``figures.staleness_experiment`` measures from event traces.
+Staleness is first-class batch state: a content refresh
+(``content_refresh_period`` or :meth:`FastSimState.bump_versions`) bumps
+the content version of every key, and each index entry keeps the version
+captured on its (re-)insert; hits served from an entry whose version
+lags count into :attr:`FastSimReport.stale_hits` — the same staleness
+distribution ``figures.staleness_experiment`` measures from event traces.
 """
 
 from __future__ import annotations
@@ -292,8 +292,7 @@ class FastAdaptiveTtl:
         # of the last retarget window — the windowed analogue of its EWMA,
         # so both controllers re-converge after a workload shift instead
         # of being anchored to run-long totals.
-        hits_total = int(kernel.state.key_hits.sum())
-        misses_total = int(kernel.state.key_misses.sum())
+        hits_total, misses_total = kernel.hits_total, kernel.misses_total
         window_hits = hits_total - self._seen_hits
         window_misses = misses_total - self._seen_misses
         self._seen_hits, self._seen_misses = hits_total, misses_total
@@ -344,7 +343,7 @@ class FastSimKernel:
         structural Monte-Carlo estimators beyond.
     content_refresh_period:
         Refresh all content every this many rounds (bumps every key's
-        payload version, like the Section 4 scenario's daily article
+        content version, like the Section 4 scenario's daily article
         replacement), driving the staleness measurement.
     precision:
         Dtype policy for the state arrays — a
@@ -426,7 +425,9 @@ class FastSimKernel:
         self.on_round: list[Callable[["FastSimKernel", float], None]] = []
         self.now = 0.0
         self._update_debt = 0.0
-        self._queries = 0  # over every run: per-key tallies persist
+        #: Selection hits and miss events over every run (adaptive TTL).
+        self.hits_total = 0
+        self.misses_total = 0
         self._last_round = 0.0  # the round the current (or last) run ends at
 
         # Streamed-loop buffers: per-role scratch for the round hot paths,
@@ -457,7 +458,7 @@ class FastSimKernel:
         """
         if key_ttl < 0:
             raise ParameterError(f"key_ttl must be >= 0, got {key_ttl}")
-        check_slim_range(self.precision, self._last_round, key_ttl, self._queries)
+        check_slim_range(self.precision, self._last_round, key_ttl)
         self.key_ttl = float(key_ttl)
 
     # ------------------------------------------------------------------
@@ -511,9 +512,7 @@ class FastSimKernel:
             else:
                 counts = self._rng_counts.poisson(rate * multipliers)
         cumulative = np.cumsum(counts)
-        queries = self._queries + int(cumulative[-1])
-        check_slim_range(self.precision, self.now + rounds, self.key_ttl, queries)
-        self._queries = queries
+        check_slim_range(self.precision, self.now + rounds, self.key_ttl)
         self._last_round = self.now + rounds
         start = self.now
         # Hoisted per-round temporaries: the window-close thunk and the
@@ -750,17 +749,15 @@ class FastSimKernel:
             # First occurrence of a missing key misses; once its broadcast
             # resolves and re-inserts it, the round's later duplicates hit.
             resolved_mask, p_resolve = self._resolve_draws(unique_miss.size)
+            # A resolved key misses only on its first occurrence (later
+            # duplicates hit), an unresolved key on every occurrence; a
+            # never-indexed key's misses are all cold.
+            cold_weights = np.where(resolved_mask, 1, multiplicity)
+            miss_events = int(cold_weights.sum())
             duplicate_hits = int((multiplicity[resolved_mask] - 1).sum())
-            miss_events = int(resolved_mask.sum()) + int(
-                multiplicity[~resolved_mask].sum()
-            )
             inserts = unique_miss[resolved_mask]
             hits = int(live.sum()) + duplicate_hits
             report.stale_hits += state.stale_count(hit_keys)
-            # Per-occurrence miss attribution: a resolved key misses only
-            # on its first occurrence (later duplicates hit), an
-            # unresolved key misses on every occurrence.
-            miss_weights = np.where(resolved_mask, 1, multiplicity)
             # Expected walk messages per unique missing key over the
             # resolution draw (Rao-Blackwellised; see _charge_walks):
             # resolve -> one resolved walk, fail -> every occurrence
@@ -774,9 +771,6 @@ class FastSimKernel:
             # same-round duplicates miss, and fresh inserts expire on
             # arrival.
             unique_live, live_counts = np.unique(hit_keys, return_counts=True)
-            state.expires_at[unique_live] = now  # killed by their own hit
-            np.add.at(state.key_misses, unique_live, live_counts - 1)
-            report.reinsertions += int(hit_keys.size - unique_live.size)
             miss_events = miss_keys.size + int(hit_keys.size - unique_live.size)
             hit_keys = unique_live
             resolved_mask, p_resolve = self._resolve_draws(miss_events)
@@ -786,7 +780,15 @@ class FastSimKernel:
             inserts = occurrences[resolved_mask]
             hits = unique_live.size
             report.stale_hits += state.stale_count(unique_live)
-            miss_weights = multiplicity  # every occurrence misses
+            # Every occurrence misses, but a never-indexed key misses cold
+            # only up to its first resolved occurrence (in batch order),
+            # which indexes it.
+            resolved =resolved_mask[np.argsort(miss_keys, kind="stable")]
+            resolved_before = np.cumsum(resolved) - resolved
+            group = np.repeat(np.arange(unique_miss.size), multiplicity)
+            first = np.cumsum(multiplicity) - multiplicity
+            leading = resolved_before == resolved_before[first][group]
+            cold_weights = np.bincount(group[leading], minlength=unique_miss.size)
             walk_events = 1  # every miss-event walks exactly once
             walk_p = p_resolve
 
@@ -795,27 +797,23 @@ class FastSimKernel:
         unresolved = miss_events - insertions
 
         # Reinsertion / cold-miss attribution (selection stats, source
-        # I/IV), weighted per occurrence like the event engine's
-        # record_miss.
-        if unique_miss.size:
-            ever = state.ever_indexed[unique_miss]
-            report.reinsertions += int(miss_weights[ever].sum())
-            report.cold_misses += int(miss_weights[~ever].sum())
+        # I/IV), per occurrence like the event engine's record_miss: a miss
+        # event that is not cold is a reinsertion. A key was indexed before
+        # the round iff its expiry is finite: every insert writes one, and
+        # nothing writes -inf back.
+        cold = int(cold_weights[state.expires_at[unique_miss] == -np.inf].sum())
+        report.cold_misses += cold
+        report.reinsertions += miss_events - cold
 
         # State transitions: hits rearm, resolved misses (re)insert — and
-        # a re-insert always fetches the *current* content version.
-        if self.key_ttl > 0:
-            state.refresh(hit_keys, now, self.key_ttl)
-            state.refresh(inserts, now, self.key_ttl)
+        # a re-insert always fetches the *current* content version. Under
+        # keyTtl = 0 both write ``now``: a hit kills its entry, an insert
+        # is dead on arrival but leaves the key marked as indexed.
+        state.refresh(hit_keys, now, self.key_ttl)
+        state.refresh(inserts, now, self.key_ttl)
         state.capture_versions(inserts)
-        state.ever_indexed[inserts] = True
-        np.add.at(state.key_hits, hit_keys, 1)
-        if self.key_ttl > 0:
-            np.add.at(
-                state.key_hits, unique_miss[resolved_mask], multiplicity[resolved_mask] - 1
-            )
-        np.add.at(state.key_misses, unique_miss, miss_weights)
-        np.add.at(state.key_insertions, inserts, 1)
+        self.hits_total += hits
+        self.misses_total += miss_events
 
         # Cost accounting (Section 5.1 / Eq. 17 event-for-event).
         if cc is None:

@@ -3,7 +3,7 @@
 :class:`FastSimReport` carries the same aggregates as the event engine's
 :class:`~repro.pdht.strategies.StrategyReport` (queries, hits, per-category
 message totals, windowed hit-rate/index-size series) plus fastsim-only
-detail (per-key counters, wall-clock speed). :meth:`FastSimReport.to_strategy_report`
+detail (miss attribution, stale hits, wall-clock speed). :meth:`FastSimReport.to_strategy_report`
 adapts it to the event-engine report type so figure generators can consume
 either engine's output through one code path.
 """

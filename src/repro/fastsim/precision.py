@@ -1,23 +1,24 @@
 """Dtype policies for the vectorized kernel's state arrays.
 
 At 10^7–10^8 peers the simulator's ceiling is memory bandwidth, not
-compute: ``FastSimState`` holds five O(n_keys) arrays plus three
-O(num_peers) masks, and every round streams through them. Halving the
-element width halves both the resident set and the bytes moved per
-round.
+compute: ``FastSimState`` holds one O(n_keys) expiry array (two once
+content has been refreshed) plus three O(num_peers) masks, and every
+round streams through them. Halving the element width halves both the
+resident set and the bytes moved per round.
 
 Two policies are offered:
 
 ``wide`` (the default)
-    float64 expiries, int64 counters — byte-for-byte the layout the
+    float64 expiries, int64 versions — byte-for-byte the layout the
     kernel has always used. Seeded results under ``wide`` are pinned
     bit-identical to the captures in ``tests/fastsim/data``.
 
 ``slim`` (opt-in, for 10^7+ runs)
-    float32 expiries, uint32 counters: integer expiries stay exact below
-    float32's 2^24 exact-integer range and per-key event tallies below
-    2^32, and :func:`check_slim_range` refuses a run that could reach
-    either. The only behavioural drift is sub-ULP tie-breaking on
+    float32 expiries, uint32 versions: integer expiries stay exact below
+    float32's 2^24 exact-integer range, and :func:`check_slim_range`
+    refuses a run that could reach it. A version counts content
+    refreshes, at most one per round, so the same bound keeps it far
+    below 2^32. The only behavioural drift is sub-ULP tie-breaking on
     fractional TTLs, which the 5% cross-engine agreement gates absorb
     (re-verified by ``tests/properties/test_property_precision.py``).
 
@@ -71,8 +72,8 @@ class StatePrecision:
     """One dtype policy: how wide the kernel's state arrays are.
 
     ``float_dtype`` backs expiry clocks (``expires_at``); ``counter_dtype``
-    backs the per-key event tallies and version counters. Dtypes are kept
-    as strings so the policy is trivially picklable and canonical-JSON
+    backs the per-entry content versions (``indexed_version``). Dtypes are
+    kept as strings so the policy is trivially picklable and canonical-JSON
     reducible (it rides along inside ``FastSimJob`` artifact keys).
     """
 
@@ -98,15 +99,15 @@ SLIM = StatePrecision(name="slim", float_dtype="float32", counter_dtype="uint32"
 PRECISIONS: dict[str, StatePrecision] = {p.name: p for p in (WIDE, SLIM)}
 PRECISION_NAMES: tuple[str, ...] = tuple(PRECISIONS)
 
-#: Past these, ``slim``'s float32 expiries round and uint32 tallies wrap.
-SLIM_EXACT_ROUNDS, SLIM_EXACT_TALLIES = 2**24, 2**32
+#: Past this round, ``slim``'s float32 expiries round.
+SLIM_EXACT_ROUNDS = 2**24
 
 
 def check_slim_range(
-    precision: StatePrecision, last_round: float, key_ttl: float, queries: int
+    precision: StatePrecision, last_round: float, key_ttl: float
 ) -> None:
     """Refuse a ``slim`` run whose latest expiry (``last_round + key_ttl``,
-    an infinite TTL is exact) or tallies (at most ``queries``) reach them."""
+    an infinite TTL is exact) reaches :data:`SLIM_EXACT_ROUNDS`."""
     if precision != SLIM:
         return
     expiry = last_round + (key_ttl if math.isfinite(key_ttl) else 0.0)
@@ -114,11 +115,6 @@ def check_slim_range(
         raise ParameterError(
             f"slim expiries are exact below round {SLIM_EXACT_ROUNDS}; this "
             f"run reaches {expiry:g} (key_ttl included): use wide"
-        )
-    if queries >= SLIM_EXACT_TALLIES:
-        raise ParameterError(
-            f"slim tallies are exact below {SLIM_EXACT_TALLIES} queries; "
-            f"this run reaches {queries}: use wide"
         )
 
 

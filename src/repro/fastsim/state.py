@@ -16,7 +16,8 @@ the scalar recurrence
     miss (resolved):          expires_at <- now + keyTtl
 
 so one float per key reproduces the event engine's index dynamics without
-materialising any per-peer store.
+materialising any per-peer store. It also records whether a key was ever
+indexed: ``-inf`` until its first insert, finite ever after.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ __all__ = ["FastSimState"]
 
 
 class FastSimState:
-    """Vectorized network state: per-key index arrays + per-peer masks.
+    """Vectorized network state: the per-key expiry array, the content
+    versions (allocated on the first refresh) and per-peer masks.
 
     Parameters
     ----------
@@ -43,7 +45,7 @@ class FastSimState:
     rng:
         Randomness for the member-subset draw.
     precision:
-        Dtype policy for the expiry/counter arrays (``WIDE`` by
+        Dtype policy for the expiry and version arrays (``WIDE`` by
         default, which is byte-for-byte the historical layout).
     """
 
@@ -63,28 +65,22 @@ class FastSimState:
         self.num_members = num_members
         self.precision = precision
         n_keys, num_peers = params.n_keys, params.num_peers
-        float_dtype = precision.np_float
-        counter_dtype = precision.np_counter
 
         # --- per-key index plane --------------------------------------
-        #: Latest expiry over a key's replicas; -inf = not indexed.
-        self.expires_at = np.full(n_keys, -np.inf, dtype=float_dtype)
-        #: Whether a key ever entered the index (reinsertion accounting).
-        self.ever_indexed = np.zeros(n_keys, dtype=bool)
-        self.key_hits = np.zeros(n_keys, dtype=counter_dtype)
-        self.key_misses = np.zeros(n_keys, dtype=counter_dtype)
-        self.key_insertions = np.zeros(n_keys, dtype=counter_dtype)
+        #: Latest expiry over a key's replicas; -inf = never indexed.
+        self.expires_at = np.full(n_keys, -np.inf, dtype=precision.np_float)
 
-        # --- per-key content plane ------------------------------------
-        #: Version of the key's *content* replicas (bumped by owner
-        #: updates / refreshes; the paper's Section 4 scenario replaces
-        #: every article periodically).
-        self.payload_version = np.zeros(n_keys, dtype=counter_dtype)
-        #: Version an index hit serves: the payload version captured when
+        # --- content plane --------------------------------------------
+        #: Version of every key's *content* replicas (a refresh replaces
+        #: all of them; the paper's Section 4 scenario replaces every
+        #: article periodically).
+        self.content_version = 0
+        #: Version an index hit serves: the content version captured when
         #: the entry was (re-)inserted after a broadcast search. Without
-        #: proactive updates it lags ``payload_version`` — that lag is
-        #: exactly what the staleness experiment measures.
-        self.indexed_version = np.zeros(n_keys, dtype=counter_dtype)
+        #: proactive updates it lags ``content_version`` — that lag is
+        #: exactly what the staleness experiment measures. ``None`` (no
+        #: entry can be stale) until the first :meth:`bump_versions`.
+        self.indexed_version: np.ndarray | None = None
 
         # --- per-peer plane -------------------------------------------
         self.online = np.ones(num_peers, dtype=bool)
@@ -115,32 +111,32 @@ class FastSimState:
         """Rearm the expiration clock of ``keys`` (hit or insert path)."""
         self.expires_at[keys] = now + key_ttl
 
-    def drop_all(self) -> None:
-        """Empty the index (e.g. a keyTtl-0 degenerate run)."""
-        self.expires_at.fill(-np.inf)
-
     # ------------------------------------------------------------------
-    def bump_versions(self, keys: np.ndarray | None = None) -> None:
-        """Refresh content: bump the payload version of ``keys`` (all keys
-        when None), mirroring :meth:`~repro.pdht.network.PdhtNetwork.refresh_content`.
-        Index entries are *not* touched — the selection algorithm has no
-        proactive updates, so stale entries keep serving old versions."""
-        if keys is None:
-            self.payload_version += 1
-        else:
-            self.payload_version[keys] += 1
+    def bump_versions(self) -> None:
+        """Refresh all content, mirroring
+        :meth:`~repro.pdht.network.PdhtNetwork.refresh_content`. Index
+        entries are *not* touched — the selection algorithm has no
+        proactive updates, so stale entries keep serving old versions.
+        The first call allocates the per-entry versions at 0, the one
+        every entry inserted so far captured."""
+        if self.indexed_version is None:
+            self.indexed_version = np.zeros(
+                self.expires_at.size, dtype=self.precision.np_counter
+            )
+        self.content_version += 1
 
     def capture_versions(self, keys: np.ndarray) -> None:
         """Record that ``keys`` were (re-)inserted with current content
         (a resolved broadcast search always fetches the live replicas)."""
-        self.indexed_version[keys] = self.payload_version[keys]
+        if self.indexed_version is not None:
+            self.indexed_version[keys] = self.content_version
 
     def stale_count(self, keys: np.ndarray) -> int:
         """How many of these hit occurrences served an outdated payload."""
-        if keys.size == 0:
+        if self.indexed_version is None:
             return 0
         return int(
-            (self.indexed_version[keys] != self.payload_version[keys]).sum()
+            np.count_nonzero(self.indexed_version[keys] != self.content_version)
         )
 
     # ------------------------------------------------------------------

@@ -4,9 +4,9 @@ The contract of ISSUE 8's dtype slimming: ``wide`` (the default) is the
 float64/int64 layout every pinned capture was recorded under — selecting
 it explicitly must not move a bit — while ``slim`` halves the state
 arrays to float32/uint32 and may only drift within the same 5% bars the
-cross-engine gates enforce. Expiry and counter exactness hold below 2^24
-rounds (float32's exact-integer range) and 2^32 tallies, and the kernel
-refuses a slim run that could reach either (``TestSlimRange``).
+cross-engine gates enforce. Expiries stay exact below 2^24 rounds
+(float32's exact-integer range), and the kernel refuses a slim run that
+could reach it (``TestSlimRange``).
 """
 
 from __future__ import annotations
@@ -29,11 +29,7 @@ from repro.fastsim import (
     resolve_precision,
     run_fastsim,
 )
-from repro.fastsim.precision import (
-    SLIM_EXACT_ROUNDS,
-    SLIM_EXACT_TALLIES,
-    check_slim_range,
-)
+from repro.fastsim.precision import SLIM_EXACT_ROUNDS, check_slim_range
 from repro.pdht.config import PdhtConfig
 
 PINNED = json.loads(
@@ -87,7 +83,8 @@ class TestStateDtypes:
         kernel = FastSimKernel(params, config=config, seed=SEED)
         assert kernel.precision is WIDE
         assert kernel.state.expires_at.dtype == np.float64
-        assert kernel.state.key_hits.dtype == np.int64
+        kernel.state.bump_versions()
+        assert kernel.state.indexed_version.dtype == np.int64
 
     def test_slim_state_narrows(self, params, config):
         kernel = FastSimKernel(
@@ -95,7 +92,8 @@ class TestStateDtypes:
         )
         assert kernel.precision is SLIM
         assert kernel.state.expires_at.dtype == np.float32
-        assert kernel.state.key_hits.dtype == np.uint32
+        kernel.state.bump_versions()
+        assert kernel.state.indexed_version.dtype == np.uint32
 
     def test_dtype_properties(self):
         assert WIDE.np_float == np.dtype(np.float64)
@@ -106,21 +104,19 @@ class TestStateDtypes:
 
 class TestSlimRange:
     """``slim`` is exact below 2^24 rounds (expiries, ``key_ttl``
-    included) and 2^32 tallies; a run that could reach either is refused
-    before its first round, and a mid-run TTL retarget that would take it
-    there is refused when it is set."""
+    included); a run that could reach it is refused before its first
+    round, and a mid-run TTL retarget that would take it there is refused
+    when it is set."""
 
     def test_guard_boundaries(self):
         last = SLIM_EXACT_ROUNDS - 11
-        check_slim_range(SLIM, last, 10.0, SLIM_EXACT_TALLIES - 1)
-        check_slim_range(SLIM, SLIM_EXACT_ROUNDS - 1, float("inf"), 0)
+        check_slim_range(SLIM, last, 10.0)
+        check_slim_range(SLIM, SLIM_EXACT_ROUNDS - 1, float("inf"))
         with pytest.raises(ParameterError, match="expiries"):
-            check_slim_range(SLIM, last + 1, 10.0, 0)
+            check_slim_range(SLIM, last + 1, 10.0)
         with pytest.raises(ParameterError, match="expiries"):
-            check_slim_range(SLIM, SLIM_EXACT_ROUNDS, float("inf"), 0)
-        with pytest.raises(ParameterError, match="tallies"):
-            check_slim_range(SLIM, last, 10.0, SLIM_EXACT_TALLIES)
-        check_slim_range(WIDE, SLIM_EXACT_ROUNDS, 10.0, SLIM_EXACT_TALLIES)
+            check_slim_range(SLIM, SLIM_EXACT_ROUNDS, float("inf"))
+        check_slim_range(WIDE, SLIM_EXACT_ROUNDS, 10.0)
 
     @staticmethod
     def slim_kernel(params, config, now):
@@ -145,21 +141,6 @@ class TestSlimRange:
             kernel.run(1.0)
         assert kernel.now == largest + 1
         assert np.array_equal(kernel.state.expires_at, before)
-
-    def test_run_refuses_two_to_the_32_queries(self, params, config, monkeypatch):
-        kernel = self.slim_kernel(params, config, 0)
-        first = kernel.run(1.0).queries
-        assert first > 0
-        # Tallies persist across runs: the second run's budget is what the
-        # first one left.
-        monkeypatch.setattr(
-            kernel.workload,
-            "fixed_counts",
-            lambda start, rounds: np.full(rounds, SLIM_EXACT_TALLIES - first),
-        )
-        with pytest.raises(ParameterError, match="tallies"):
-            kernel.run(1.0)
-        assert kernel.now == 1.0
 
     @pytest.mark.parametrize("precision", ["slim", "wide"])
     @pytest.mark.parametrize(

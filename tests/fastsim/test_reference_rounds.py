@@ -1,0 +1,215 @@
+"""An exact scalar reference for the kernel's selection rounds (no churn).
+
+``Reference`` is the Section 5.1 query path written the obvious way: a
+dict of expiries, a set of keys ever inserted, one query at a time in
+batch order, as :class:`~repro.pdht.network.PdhtNetwork` answers them —
+a live entry (``expires_at > now``, ``TtlKeyStore``'s strict test) hits
+and rearms to ``now + keyTtl``; anything else misses, broadcasts,
+resolves (without churn every broadcast does) and is re-inserted with
+the current content version. It imports no kernel code. Its inputs are
+the kernel's own child streams of ``SeedSequence(seed).spawn(5)`` —
+counts (child 0), DHT members (child 2), origins (child 4) — and an
+identically seeded copy of the workload, drawn round by round; without
+churn those are every random input a selection round has.
+
+The kernel's report must equal the reference's field for field: every
+integer, both series, and the per-category message totals, which both
+accumulate round by round in the same order and so compare with ``==``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.parameters import ScenarioParameters
+from repro.analysis.strategies import selection_members
+from repro.analysis.zipf import ZipfDistribution
+from repro.fastsim import FastSimKernel, PerOpCosts
+from repro.fastsim.kernel import default_batch_workload
+from repro.pdht.config import PdhtConfig
+from repro.sim.metrics import MessageCategory
+from repro.workloads import RankSwap
+
+PARAMS = ScenarioParameters(
+    num_peers=200, n_keys=300, storage_per_peer=100, replication=20,
+    alpha=1.2, query_freq=0.2, update_freq=0.0, env=1.0 / 14.0,
+    dup=1.8, dup2=1.8,
+)  # 40 queries a round: the hot keys repeat within a round
+LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE = 3.7, 11.3, 123.45, 2.0, 17.9
+TALLIES = (
+    "queries", "answered", "index_hits", "insertions", "reinsertions",
+    "cold_misses", "unresolved", "gateway_discoveries", "churn_transitions",
+    "stale_hits", "content_refreshes",
+)
+FIELDS = TALLIES + (
+    "key_ttl", "final_index_size", "mean_index_size", "hit_rate_series",
+    "index_size_series", "messages_by_category",
+)
+
+
+class Reference:
+    def __init__(self, key_ttl, seed, workload, refresh_period):
+        children = np.random.SeedSequence(seed).spawn(5)
+        self.counts_rng = np.random.default_rng(children[0])
+        self.origins_rng = np.random.default_rng(children[4])
+        members = selection_members(PARAMS, key_ttl)
+        self.has_gateway = set()
+        if members:
+            self.has_gateway = set(np.random.default_rng(children[2]).choice(
+                PARAMS.num_peers, size=members, replace=False).tolist())
+        self.key_ttl, self.workload = key_ttl, workload
+        self.expires: dict[int, float] = {}
+        self.version: dict[int, int] = {}  # content version an entry serves
+        self.ever_indexed: set[int] = set()
+        self.content = 0
+        self.refresh_period = refresh_period
+        self.next_refresh = refresh_period
+        self.now = 0.0
+
+    def index_size(self):
+        return sum(expiry > self.now for expiry in self.expires.values())
+
+    def run(self, rounds, window):
+        out = dict.fromkeys(TALLIES, 0)
+        totals = dict.fromkeys(MessageCategory, 0.0)
+        rates, sizes = [], []
+        start, closes_at, window_queries, window_hits = self.now, window, 0, 0
+
+        def close(elapsed):
+            rate = window_hits / window_queries if window_queries else 0.0
+            rates.append((elapsed, rate))
+            sizes.append((elapsed, self.index_size()))
+
+        counts = self.counts_rng.poisson(PARAMS.network_query_rate, size=rounds)
+        for count in counts.tolist():
+            self.now += 1.0
+            now = self.now
+            if self.refresh_period is not None and now >= self.next_refresh:
+                self.content += 1  # before the round's queries
+                out["content_refreshes"] += 1
+                self.next_refresh += self.refresh_period
+            totals[MessageCategory.MAINTENANCE] += MAINTENANCE
+            queries = self.workload.draw(now, count)
+            hits = misses = 0
+            if count:
+                discoveries = 0
+                for origin in self.origins_rng.integers(
+                    0, PARAMS.num_peers, size=count
+                ).tolist():
+                    if origin not in self.has_gateway:
+                        self.has_gateway.add(origin)
+                        discoveries += 1
+                if discoveries:
+                    out["gateway_discoveries"] += discoveries
+                    totals[MessageCategory.MEMBERSHIP] += DISCOVERY * discoveries
+                for _rank, key in queries:
+                    if self.expires.get(key, -math.inf) > now:
+                        hits += 1
+                        out["stale_hits"] += self.version[key] != self.content
+                    else:  # broadcast, resolved, re-inserted
+                        misses += 1
+                        cold = key not in self.ever_indexed
+                        out["cold_misses" if cold else "reinsertions"] += 1
+                        self.ever_indexed.add(key)
+                        self.version[key] = self.content
+                    self.expires[key] = now + self.key_ttl
+                out["queries"] += count
+                out["index_hits"] += hits
+                out["insertions"] += misses
+                out["answered"] += count
+                totals[MessageCategory.INDEX_SEARCH] += LOOKUP * (count + misses)
+                totals[MessageCategory.REPLICA_FLOOD] += FLOOD * (misses + misses)
+                totals[MessageCategory.UNSTRUCTURED_SEARCH] += WALK * misses
+            window_queries += count
+            window_hits += hits
+            if window > 0 and now - start >= closes_at:
+                close(now - start)
+                window_queries = window_hits = 0
+                closes_at += window
+        if window > 0 and self.now - start > closes_at - window:
+            close(self.now - start)
+        out.update(
+            key_ttl=self.key_ttl, final_index_size=self.index_size(),
+            hit_rate_series=rates, index_size_series=sizes,
+            messages_by_category={c: t for c, t in totals.items() if t},
+        )
+        out["mean_index_size"] = (
+            sum(size for _, size in sizes) / len(sizes)
+            if sizes else float(out["final_index_size"])
+        )
+        return out
+
+
+ttls = st.one_of(
+    st.just(0.0),
+    st.floats(0.05, 0.95),  # below one round
+    st.floats(1.05, 9.95),  # fractional
+    st.integers(1, 12).map(float),
+    st.just(1000.0),  # beyond the whole run
+)
+
+
+@st.composite
+def cases(draw):
+    rounds = draw(st.integers(1, 40))
+    windows = {
+        "none": [0.0],
+        "divides": [w for w in range(1, rounds + 1) if rounds % w == 0],
+        "remainder": [w for w in range(2, rounds + 4) if rounds % w],
+    }[draw(st.sampled_from(("none", "divides", "remainder")))]
+    return dict(
+        seed=draw(st.integers(0, 2**16)),
+        rounds=rounds,
+        key_ttl=draw(ttls),
+        window=float(draw(st.sampled_from(windows))),
+        refresh=draw(st.none() | st.floats(1.0, float(rounds))),
+        then=draw(st.none() | st.tuples(st.integers(1, 30), ttls)),
+        swap_at=draw(st.none() | st.integers(1, 60)),
+    )
+
+
+def workload_pair(case):
+    if case["swap_at"] is None:
+        return [default_batch_workload(PARAMS, case["seed"]) for _ in "ab"]
+    model = RankSwap(shift_time=float(case["swap_at"]))
+    zipf = ZipfDistribution(PARAMS.n_keys, PARAMS.alpha)
+    return [
+        model.build(zipf, np.random.default_rng(case["seed"])) for _ in "ab"
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cases())
+# Pinned cases: live entries meeting keyTtl = 0 after a retarget, with
+# stale hits; cold duplicates under keyTtl = 0, then a fractional TTL
+# across a rank swap.
+@example(case=dict(seed=3, rounds=30, key_ttl=4.0, window=7.0, refresh=9.0,
+                   then=(20, 0.0), swap_at=None))
+@example(case=dict(seed=5, rounds=24, key_ttl=0.0, window=6.0, refresh=None,
+                   then=(12, 2.5), swap_at=16))
+def test_kernel_equals_scalar_reference(case):
+    mine, theirs = workload_pair(case)
+    members = selection_members(PARAMS, case["key_ttl"])
+    kernel = FastSimKernel(
+        PARAMS,
+        config=PdhtConfig.from_scenario(PARAMS).with_ttl(case["key_ttl"]),
+        seed=case["seed"],
+        workload=mine,
+        costs=PerOpCosts(LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, members),
+        content_refresh_period=case["refresh"],
+    )
+    reference = Reference(case["key_ttl"], case["seed"], theirs, case["refresh"])
+    runs = [(case["rounds"], None)]
+    if case["then"] is not None:
+        runs.append(case["then"])
+    for rounds, key_ttl in runs:
+        if key_ttl is not None:
+            kernel.set_key_ttl(key_ttl)
+            reference.key_ttl = key_ttl
+        report = kernel.run(float(rounds), window=case["window"])
+        expected = reference.run(rounds, case["window"])
+        assert {name: getattr(report, name) for name in FIELDS} == expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
+from repro.fastsim.precision import SLIM, WIDE
 from repro.fastsim.state import FastSimState
 
 
@@ -45,11 +46,27 @@ class TestIndexDynamics:
         assert state.live_mask(keys, now=10.0).any() is np.False_
         assert state.live_mask(keys, now=9.999).all()
 
-    def test_drop_all(self, small_params, rng):
-        state = FastSimState(small_params, num_members=4, rng=rng)
-        state.refresh(np.arange(5), now=0.0, key_ttl=100.0)
-        state.drop_all()
-        assert state.index_size(now=1.0) == 0
+
+@pytest.mark.parametrize("precision", [WIDE, SLIM], ids=["wide", "slim"])
+def test_one_per_key_array_until_the_first_refresh(small_params, rng, precision):
+    # The expiry is the only per-key fact a round needs; the per-entry
+    # versions exist once content has been refreshed.
+    state = FastSimState(small_params, num_members=4, rng=rng, precision=precision)
+
+    def per_key_arrays():
+        return sorted(
+            name
+            for name, value in vars(state).items()
+            if isinstance(value, np.ndarray) and value.size == small_params.n_keys
+        )
+
+    assert per_key_arrays() == ["expires_at"]
+    state.bump_versions()
+    assert per_key_arrays() == ["expires_at", "indexed_version"]
+    assert state.indexed_version.dtype == precision.np_counter
+    assert not state.indexed_version.any()
+    state.bump_versions()
+    assert per_key_arrays() == ["expires_at", "indexed_version"]
 
 
 class TestGatewayDiscovery:
@@ -85,13 +102,7 @@ class TestPayloadVersions:
         state.capture_versions(np.array([1]))  # re-insert fetches fresh
         assert state.stale_count(keys) == 2
         assert state.stale_count(np.array([1, 1, 1])) == 0  # per occurrence
-
-    def test_partial_bump(self, small_params, rng):
-        state = FastSimState(small_params, num_members=4, rng=rng)
-        state.bump_versions(np.array([5, 7]))
-        assert state.payload_version[5] == 1
-        assert state.payload_version[6] == 0
-        assert state.stale_count(np.array([5, 6, 7])) == 2
+        assert state.stale_count(np.array([0, 0, 2])) == 3
 
     def test_empty_batch(self, small_params, rng):
         state = FastSimState(small_params, num_members=4, rng=rng)

@@ -380,8 +380,9 @@ def test_gradual_drift_under_churn_agreement_within_five_percent():
 
 
 # ----------------------------------------------------------------------
-# Staleness: the other lifted gate. The kernel's per-key payload/indexed
-# version counters must reproduce the event engine's stale-hit fraction.
+# Staleness: the other lifted gate. The kernel's content version and
+# per-entry indexed versions must reproduce the event engine's stale-hit
+# fraction.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("ttl_factor", (0.25, 1.0))
 def test_staleness_agreement_within_five_percent(ttl_factor):
