@@ -17,18 +17,24 @@ happens with probability ``1 - (1 - probT_r)^keyTtl``. Summing gives the
 index hit probability (Eq. 14) and the expected index size (Eq. 15); the
 total cost is Eq. 17. Proactive updates are no longer needed (a stale key
 simply times out and is re-fetched), so maintenance reduces to ``cRtn``.
+
+Both sums come out of one n-key buffer, filled in place from the cached
+Eq. 3 array (:func:`~repro.analysis.zipf.rank_probabilities`): no
+:class:`~repro.analysis.zipf.ZipfDistribution`, no CDF, no per-rank
+table outlives the evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.threshold import solve_threshold
-from repro.analysis.zipf import ZipfDistribution
+from repro.analysis.threshold import check_zipf, solve_threshold
+from repro.analysis.zipf import ZipfDistribution, rank_probabilities
 from repro.errors import ParameterError
 from repro.obs import counted_cache
 
@@ -67,6 +73,41 @@ class SelectionOutcome:
         return 1.0 - self.total_cost / self.no_index
 
 
+def _presence_sums(
+    probs: np.ndarray, rate: float, key_ttl: float
+) -> tuple[float, float]:
+    """``(sum(presence), sum(presence * probs))`` in one n-key buffer.
+
+    A rank is present with probability ``1 - (1 - probT)^keyTtl``, taken
+    stably as ``-expm1(keyTtl * log1p(-probT))`` with ``probT`` of Eq. 4
+    as ``-expm1(rate * log1p(-p))``: the ufuncs and operand order of the
+    vector form, so every element is bit for bit what
+    ``ZipfDistribution.probs_queried`` would feed it. A rank with
+    ``probT = 0`` (no queries, or an underflow) is never present, for
+    every ``keyTtl`` — at ``keyTtl = inf`` the product is ``inf * 0``.
+    """
+    if rate == 0 or key_ttl == 0:
+        # probs_queried's zero-rate rule: probT is 0, not 0 * log1p(-1).
+        return 0.0, 0.0
+    buf = np.negative(probs)
+    # probT can round to exactly 1.0 for the hottest ranks, where
+    # log1p(-1) = -inf and the presence probability is correctly 1.
+    with np.errstate(divide="ignore"):
+        np.log1p(buf, out=buf)
+        np.multiply(buf, rate, out=buf)
+        np.expm1(buf, out=buf)  # -probT: negating twice is exact
+        np.log1p(buf, out=buf)
+    if key_ttl == math.inf:
+        np.less(buf, 0.0, out=buf)  # present iff probT > 0
+    else:
+        np.multiply(buf, key_ttl, out=buf)
+        np.expm1(buf, out=buf)
+        np.negative(buf, out=buf)
+    index_size = float(buf.sum())
+    np.multiply(buf, probs, out=buf)
+    return index_size, float(buf.sum())
+
+
 class SelectionModel:
     """Closed-form model of the TTL-based selection algorithm.
 
@@ -78,8 +119,9 @@ class SelectionModel:
         Expiration time in rounds. When omitted, the paper's choice
         ``keyTtl = 1 / fMin`` is derived from :func:`solve_threshold`.
     zipf:
-        Optional pre-built query distribution (avoids recomputation in
-        sweeps).
+        Optional query distribution of ``params`` (its ``n_keys`` and
+        ``alpha``, else :class:`ParameterError`). Only its probabilities
+        are read, and they are the process-wide Eq. 3 array either way.
     """
 
     def __init__(
@@ -89,34 +131,21 @@ class SelectionModel:
         zipf: ZipfDistribution | None = None,
     ) -> None:
         self.params = params
-        self.zipf = zipf or ZipfDistribution(params.n_keys, params.alpha)
-        if self.zipf.n_keys != params.n_keys:
-            raise ParameterError(
-                f"zipf has {self.zipf.n_keys} keys but params has {params.n_keys}"
-            )
+        if zipf is None:
+            probs = rank_probabilities(params.n_keys, params.alpha)
+        else:
+            check_zipf(params, zipf)
+            probs = zipf.probs()
         if key_ttl is None:
-            key_ttl = solve_threshold(params, self.zipf).key_ttl
+            key_ttl = solve_threshold(params).key_ttl
         if key_ttl < 0:
             raise ParameterError(f"key_ttl must be >= 0, got {key_ttl}")
         self.key_ttl = float(key_ttl)
-        # The model reduces to two expectations over the per-rank presence
-        # probabilities; take them once and let the n-key table go.
-        presence = self._presence_probabilities()
-        #: Expected number of keys resident in the index (Eq. 15).
-        self.index_size = float(presence.sum())
-        #: Probability a random query is answered from the index (Eq. 14).
-        self.p_indexed = float((presence * self.zipf.probs()).sum())
-
-    def _presence_probabilities(self) -> np.ndarray:
-        """Per-rank probability of being in the index: 1-(1-probT)^keyTtl."""
-        prob_t = self.zipf.probs_queried(self.params.network_query_rate)
-        if self.key_ttl == 0:
-            return np.zeros_like(prob_t)
-        # Computed stably as -expm1(keyTtl * log1p(-probT)). probT can round
-        # to exactly 1.0 for the hottest ranks, where log1p(-1) = -inf and
-        # the presence probability is correctly 1; silence the benign warning.
-        with np.errstate(divide="ignore"):
-            return -np.expm1(self.key_ttl * np.log1p(-prob_t))
+        #: Expected number of keys resident in the index (Eq. 15) and the
+        #: probability a random query is answered from it (Eq. 14).
+        self.index_size, self.p_indexed = _presence_sums(
+            probs, params.network_query_rate, self.key_ttl
+        )
 
     # ------------------------------------------------------------------
     # Eq. 17
@@ -175,9 +204,10 @@ def selection_outcome(
     strategy policy, ``PerOpCosts.analytical`` and ``PdhtNetwork``), the
     Eq. 17 prediction a sweep cell reports — share one evaluation
     (``cache.selection.*`` counters). Only the scalar
-    :class:`SelectionOutcome` is kept; the n-key presence tables live for
-    the evaluation alone. Callers that
-    hold a :class:`ZipfDistribution` and vary ``key_ttl`` continuously
+    :class:`SelectionOutcome` is kept. A miss reads the cached Eq. 3
+    array and fills one n-key buffer that lives for the evaluation alone;
+    it builds no :class:`ZipfDistribution` and no CDF. Callers that hold
+    a :class:`ZipfDistribution` and vary ``key_ttl`` continuously
     (``optimal``, ``sensitivity``) build :class:`SelectionModel` directly.
     """
     return SelectionModel(params, key_ttl=key_ttl).outcome()

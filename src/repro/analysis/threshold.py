@@ -19,16 +19,23 @@ which depends on how many keys are indexed, which depends on ``fMin``.
 Because ``probT(rank)`` falls with rank while ``fMin(maxRank)`` rises with
 index size, the residual ``probT(m) - fMin(m)`` is monotone decreasing in
 ``m`` and has a unique sign change; :func:`solve_threshold` finds it by
-bisection.
+bisection, on the process-wide Eq. 3 array
+(:func:`~repro.analysis.zipf.rank_probabilities`) and with no CDF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.zipf import ZipfDistribution
+from repro.analysis.zipf import (
+    ZipfDistribution,
+    _at_least_once,
+    rank_probabilities,
+)
 from repro.errors import ParameterError
 from repro.obs import counted_cache
 
@@ -101,14 +108,6 @@ class IndexThreshold:
         return 1.0 / self.f_min
 
 
-def _residual(
-    params: ScenarioParameters, zipf: ZipfDistribution, rank: int
-) -> float:
-    """``probT(rank) - fMin(rank)``: positive while rank is worth indexing."""
-    prob_t = zipf.prob_queried(rank, params.network_query_rate)
-    return prob_t - f_min(params, float(rank))
-
-
 def solve_threshold(
     params: ScenarioParameters, zipf: ZipfDistribution | None = None
 ) -> IndexThreshold:
@@ -130,36 +129,57 @@ def solve_threshold(
     ``StrategyPolicy`` (``strategy_setup``), ``SelectionModel``,
     ``evaluate_strategies``, ``sensitivity``, the figures — shares one
     bisection. Only the scalar
-    :class:`IndexThreshold` is kept: the n-key probability tables the
-    solve reads are built for the solve and dropped with it.
+    :class:`IndexThreshold` is kept; the one n-key array the solve reads
+    is the process-wide Eq. 3 cache, and ``zipf`` is only checked.
     """
     if zipf is not None:
-        if zipf.n_keys != params.n_keys:
-            raise ParameterError(
-                f"zipf has {zipf.n_keys} keys but params has {params.n_keys}"
-            )
-        if zipf.alpha != params.alpha:
-            raise ParameterError(
-                f"zipf has alpha {zipf.alpha} but params has {params.alpha}"
-            )
+        check_zipf(params, zipf)
     return _solve(params)
+
+
+def check_zipf(params: ScenarioParameters, zipf: ZipfDistribution) -> None:
+    """Refuse a distribution other than the one ``params`` describes."""
+    if zipf.n_keys != params.n_keys:
+        raise ParameterError(
+            f"zipf has {zipf.n_keys} keys but params has {params.n_keys}"
+        )
+    if zipf.alpha != params.alpha:
+        raise ParameterError(
+            f"zipf has alpha {zipf.alpha} but params has {params.alpha}"
+        )
 
 
 @counted_cache("threshold", maxsize=256)
 def _solve(params: ScenarioParameters) -> IndexThreshold:
-    """The bisection behind :func:`solve_threshold`, once per scenario."""
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
+    """The bisection behind :func:`solve_threshold`, once per scenario.
+
+    Reads the cached Eq. 3 probabilities and nothing else of size
+    ``n_keys``: each step evaluates Eq. 4 on one element, through the
+    ufuncs of the vector form (:func:`~repro.analysis.zipf._at_least_once`,
+    as ``ZipfDistribution.prob_queried`` does), and Eq. 5 is the last
+    entry of ``cumsum`` over the ``maxRank`` head. ``add.accumulate`` is
+    sequential, so that is ``cumsum(probs)[maxRank - 1]`` bit for bit,
+    without a CDF of the whole universe.
+    """
+    probs = rank_probabilities(params.n_keys, params.alpha)
+    rate = params.network_query_rate
+
+    def residual(rank: int) -> float:
+        """``probT(rank) - fMin(rank)``: positive while rank is worth indexing."""
+        prob_t = float(_at_least_once(probs[rank - 1], rate)) if rate else 0.0
+        return prob_t - f_min(params, float(rank))
+
     n = params.n_keys
-    if _residual(params, zipf, 1) < 0:
+    if residual(1) < 0:
         max_rank = 0
-    elif _residual(params, zipf, n) >= 0:
+    elif residual(n) >= 0:
         max_rank = n
     else:
         # Invariant: residual(lo) >= 0 > residual(hi).
         lo, hi = 1, n
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _residual(params, zipf, mid) >= 0:
+            if residual(mid) >= 0:
                 lo = mid
             else:
                 hi = mid
@@ -170,7 +190,7 @@ def _solve(params: ScenarioParameters) -> IndexThreshold:
         params=params,
         max_rank=max_rank,
         f_min=f_min(params, float(max(max_rank, 1))),
-        p_indexed=p_indexed(zipf, max_rank),
+        p_indexed=float(np.cumsum(probs[:max_rank])[-1]) if max_rank else 0.0,
         num_active_peers=params.active_peers_for(max_rank),
         cost_model=cost_model,
     )

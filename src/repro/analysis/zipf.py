@@ -14,6 +14,12 @@ round is
 ``numPeers * fQry`` is in general fractional (e.g. 20,000 peers issuing one
 query every two hours each is ~2.78 queries/s network-wide); the paper
 plugs it into the exponent unchanged, and so do we.
+
+Eq. 3 is computed once per ``(n_keys, alpha)`` per process, by
+:func:`rank_probabilities`, and that one read-only array is what every
+:class:`ZipfDistribution` of the pair references. A distribution adds
+its own CDF, which only drawing and quantiles read; the closed-form
+planning reads the cached probabilities directly and builds none.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.obs import counted_cache
 
-__all__ = ["ZipfDistribution", "truncated_zeta"]
+__all__ = ["ZipfDistribution", "rank_probabilities", "truncated_zeta"]
 
 #: Uniforms inverted per pass of :meth:`ZipfDistribution.draw_into`. The
 #: pass keeps a handful of temporaries of this length, so a draw of any
@@ -44,11 +50,20 @@ GUIDE_MIN_DRAW = 1 << 10
 _GUIDE_MAX_BUCKETS = 1 << 18
 
 
-@counted_cache("zipf_weights", maxsize=128)
-def _rank_weights(n_keys: int, alpha: float) -> np.ndarray:
-    """Unnormalised Zipf weights ``rank^-alpha`` for ranks 1..n_keys."""
-    ranks = np.arange(1, n_keys + 1, dtype=np.float64)
-    return ranks ** (-alpha)
+@counted_cache("zipf_probs", maxsize=128)
+def rank_probabilities(n_keys: int, alpha: float) -> np.ndarray:
+    """Eq. 3 for ranks ``1..n_keys``: the one copy per ``(n_keys, alpha)``.
+
+    Read-only, shared by every :class:`ZipfDistribution` of the pair and
+    by the closed-form planning (:mod:`~repro.analysis.selection_model`,
+    :mod:`~repro.analysis.threshold`), which reads it without building a
+    distribution or its CDF. Arguments are not validated: callers have
+    (``ZipfDistribution``, ``ScenarioParameters``).
+    """
+    probs = np.arange(1, n_keys + 1, dtype=np.float64) ** (-alpha)
+    probs /= float(probs.sum())
+    probs.flags.writeable = False
+    return probs
 
 
 @counted_cache("zipf_guide", maxsize=8)
@@ -109,7 +124,7 @@ def truncated_zeta(n_keys: int, alpha: float) -> float:
     """
     if n_keys < 1:
         raise ParameterError(f"n_keys must be >= 1, got {n_keys}")
-    return float(_rank_weights(n_keys, alpha).sum())
+    return float((np.arange(1, n_keys + 1, dtype=np.float64) ** (-alpha)).sum())
 
 
 def _check_query_rate(queries_per_round: float) -> None:
@@ -150,9 +165,7 @@ class ZipfDistribution:
             raise ParameterError(f"alpha must be >= 0, got {alpha}")
         self.n_keys = int(n_keys)
         self.alpha = float(alpha)
-        weights = _rank_weights(self.n_keys, self.alpha)
-        self._normaliser = float(weights.sum())
-        self._probs = weights / self._normaliser
+        self._probs = rank_probabilities(self.n_keys, self.alpha)
         self._cumulative = np.cumsum(self._probs)
 
     # ------------------------------------------------------------------

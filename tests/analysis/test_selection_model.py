@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.analysis import threshold
+from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import SelectionModel, selection_outcome
 from repro.analysis.strategies import cost_index_all, cost_no_index
 from repro.analysis.threshold import solve_threshold
-from repro.analysis.zipf import ZipfDistribution
+from repro.analysis.zipf import ZipfDistribution, rank_probabilities
 from repro.errors import ParameterError
+from repro.obs.cache import cache_stats
 
 
 class TestEq15IndexSize:
@@ -31,8 +38,6 @@ class TestEq15IndexSize:
         assert model.index_size <= paper_params.n_keys
 
     def test_matches_direct_sum(self, small_params):
-        import numpy as np
-
         ttl = 500.0
         model = SelectionModel(small_params, key_ttl=ttl)
         zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
@@ -48,8 +53,6 @@ class TestEq14PIndexed:
         assert model.key_ttl == pytest.approx(threshold.key_ttl)
 
     def test_weighted_by_query_probability(self, small_params):
-        import numpy as np
-
         ttl = 500.0
         model = SelectionModel(small_params, key_ttl=ttl)
         zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
@@ -126,6 +129,82 @@ class TestValidation:
     def test_mismatched_zipf_rejected(self, paper_params):
         with pytest.raises(ParameterError):
             SelectionModel(paper_params, key_ttl=10.0, zipf=ZipfDistribution(5, 1.2))
+
+    def test_zipf_of_another_alpha_rejected(self):
+        # Same key count, other exponent: would silently model another
+        # scenario (index_size 1000.0 instead of 996.77).
+        params = ScenarioParameters(num_peers=500, n_keys=1000, alpha=1.2)
+        with pytest.raises(ParameterError, match="alpha 0.8 but params has 1.2"):
+            SelectionModel(params, zipf=ZipfDistribution(1000, 0.8))
+        assert SelectionModel(
+            params, zipf=ZipfDistribution(1000, 1.2)
+        ).index_size == SelectionModel(params).index_size
+
+
+class TestZeroQueryRate:
+    @pytest.mark.parametrize("key_ttl", [0.0, 1.0, float("inf")])
+    def test_nothing_is_ever_present(self, small_params, key_ttl):
+        # probT = 0 for every rank: no key is present for any keyTtl,
+        # including inf (where inf * log1p(-0) would be NaN).
+        params = small_params.with_query_freq(0.0)
+        model = SelectionModel(params, key_ttl=key_ttl)
+        assert (model.index_size, model.p_indexed) == (0.0, 0.0)
+        assert model.total_cost() == 0.0
+        outcome = selection_outcome(params, key_ttl)
+        assert outcome.index_size == 0.0 and outcome.total_cost == 0.0
+
+    def test_underflowed_ranks_are_never_present(self, small_params):
+        # rank^-120 underflows to 0 past rank ~370: probT = 0 there, and
+        # at keyTtl = inf exactly the ranks with probT > 0 are present.
+        params = replace(small_params, n_keys=2_000, alpha=120.0, query_freq=1.0)
+        prob_t = ZipfDistribution(2_000, 120.0).probs_queried(
+            params.network_query_rate
+        )
+        assert 0 < np.count_nonzero(prob_t) < 2_000
+        model = SelectionModel(params, key_ttl=float("inf"))
+        assert model.index_size == np.count_nonzero(prob_t)
+        assert model.p_indexed == pytest.approx(1.0)
+        assert np.isfinite(model.total_cost())
+
+
+class TestPlanningFootprint:
+    """Planning reads the cached Eq. 3 array and allocates one buffer."""
+
+    def test_no_distribution_and_no_cdf(self, monkeypatch):
+        # An (n_keys, alpha) no other test plans, from empty caches.
+        params = ScenarioParameters(
+            num_peers=60_000, n_keys=123_457, alpha=1.1, query_freq=1 / 3600
+        )
+        for cache in (rank_probabilities, threshold._solve, selection_outcome):
+            cache.cache_clear()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("planning built a ZipfDistribution")
+
+        monkeypatch.setattr(ZipfDistribution, "__init__", refuse)
+        probs = rank_probabilities(params.n_keys, params.alpha)
+
+        def traced_peak(plan):
+            tracemalloc.start()
+            try:
+                result = plan()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        solved, solve_peak = traced_peak(lambda: solve_threshold(params))
+        _, model_peak = traced_peak(
+            lambda: selection_outcome(params, solved.key_ttl)
+        )
+        slack = 64 * 1024
+        # The solve holds the Eq. 5 prefix at most: no CDF of the universe.
+        assert 0 < solved.max_rank < params.n_keys // 10
+        assert solve_peak < solved.max_rank * probs.itemsize + slack
+        # The model holds one n-key buffer: no private copy, no CDF.
+        assert model_peak < probs.nbytes + slack
+        stats = cache_stats()
+        assert stats["zipf_probs"]["size"] == 1
+        assert "zipf_weights" not in stats
 
 
 class TestSelectionOutcomeCache:

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.zipf import ZipfDistribution, truncated_zeta
+from repro.analysis.zipf import (
+    ZipfDistribution,
+    rank_probabilities,
+    truncated_zeta,
+)
 from repro.errors import ParameterError
 
 
@@ -50,6 +54,16 @@ class TestEq3:
         # of keys captures well over half the query mass.
         zipf = ZipfDistribution(40_000, 1.2)
         assert zipf.head_mass(400) > 0.5
+
+    def test_instances_share_one_cached_array(self):
+        # Eq. 3 is held once per (n_keys, alpha); each distribution adds
+        # only its own CDF.
+        first, second = ZipfDistribution(5_000, 0.9), ZipfDistribution(5_000, 0.9)
+        cached = rank_probabilities(5_000, 0.9)
+        assert first._probs is cached and second._probs is cached
+        assert not cached.flags.writeable
+        assert not np.shares_memory(first._cumulative, second._cumulative)
+        assert np.array_equal(first._cumulative, np.cumsum(cached))
 
     def test_rank_out_of_range_rejected(self):
         zipf = ZipfDistribution(10, 1.0)

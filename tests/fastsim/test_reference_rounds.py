@@ -1,16 +1,31 @@
-"""An exact scalar reference for the kernel's selection rounds (no churn).
+"""An exact scalar reference for the kernel's rounds (no churn).
 
-``Reference`` is the Section 5.1 query path written the obvious way: a
-dict of expiries, a set of keys ever inserted, one query at a time in
-batch order, as :class:`~repro.pdht.network.PdhtNetwork` answers them —
-a live entry (``expires_at > now``, ``TtlKeyStore``'s strict test) hits
-and rearms to ``now + keyTtl``; anything else misses, broadcasts,
-resolves (without churn every broadcast does) and is re-inserted with
-the current content version. It imports no kernel code. Its inputs are
-the kernel's own child streams of ``SeedSequence(seed).spawn(5)`` —
-counts (child 0), DHT members (child 2), origins (child 4) — and an
-identically seeded copy of the workload, drawn round by round; without
-churn those are every random input a selection round has.
+``Reference`` is the round written the obvious way, for each of the four
+strategies, reading what a strategy does from the same
+:class:`~repro.analysis.strategies.StrategyPolicy` the kernel reads
+(``strategy_setup``: ``index_ranks``, ``preloaded_ranks``, ``key_ttl``,
+``runs_dht``, ``updates_per_round``), as plain dicts and loops:
+
+* ``partialSelection`` — the Section 5.1 query path: a dict of expiries,
+  one query at a time in batch order, as
+  :class:`~repro.pdht.network.PdhtNetwork` answers them — a live entry
+  (``expires_at > now``, ``TtlKeyStore``'s strict test) hits and rearms
+  to ``now + keyTtl``; anything else misses, broadcasts, resolves
+  (without churn every broadcast does) and is re-inserted with the
+  current content version;
+* ``indexAll`` / ``partialIdeal`` — a static index of the top
+  ``index_ranks`` ranks: those queries are index lookups (and their
+  origins discover a gateway), the rest broadcast;
+* ``noIndex`` — every query broadcasts, and no DHT runs;
+
+plus routing maintenance whenever a DHT runs and the proactive updates
+of the preloaded keys (Eq. 9: a lookup and a replica flood each, paid
+whole, the fraction carried to the next round). It imports no kernel
+code. Its inputs are the kernel's own child streams of
+``SeedSequence(seed).spawn(5)`` — counts (child 0), DHT members (child
+2), origins (child 4) — and an identically seeded copy of the workload,
+drawn round by round; without churn those are every random input a
+round has.
 
 The kernel's report must equal the reference's field for field: every
 integer, both series, and the per-category message totals, which both
@@ -26,7 +41,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.strategies import selection_members
+from repro.analysis.strategies import STRATEGY_NAMES, strategy_setup
 from repro.analysis.zipf import ZipfDistribution
 from repro.fastsim import FastSimKernel, PerOpCosts
 from repro.fastsim.kernel import default_batch_workload
@@ -36,10 +51,12 @@ from repro.workloads import RankSwap
 
 PARAMS = ScenarioParameters(
     num_peers=200, n_keys=300, storage_per_peer=100, replication=20,
-    alpha=1.2, query_freq=0.2, update_freq=0.0, env=1.0 / 14.0,
+    alpha=1.2, query_freq=0.2, update_freq=0.01, env=1.0 / 14.0,
     dup=1.8, dup2=1.8,
-)  # 40 queries a round: the hot keys repeat within a round
+)  # 40 queries a round: the hot keys repeat within a round. Updates:
+# 3 a round under indexAll, 1.29 under partialIdeal (maxRank 129).
 LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE = 3.7, 11.3, 123.45, 2.0, 17.9
+PINNED_IDEAL_SEED = 0
 TALLIES = (
     "queries", "answered", "index_hits", "insertions", "reinsertions",
     "cold_misses", "unresolved", "gateway_discoveries", "churn_transitions",
@@ -52,28 +69,77 @@ FIELDS = TALLIES + (
 
 
 class Reference:
-    def __init__(self, key_ttl, seed, workload, refresh_period):
+    def __init__(self, policy, seed, workload, refresh_period):
         children = np.random.SeedSequence(seed).spawn(5)
         self.counts_rng = np.random.default_rng(children[0])
         self.origins_rng = np.random.default_rng(children[4])
-        members = selection_members(PARAMS, key_ttl)
         self.has_gateway = set()
-        if members:
+        if policy.num_members:
             self.has_gateway = set(np.random.default_rng(children[2]).choice(
-                PARAMS.num_peers, size=members, replace=False).tolist())
-        self.key_ttl, self.workload = key_ttl, workload
+                PARAMS.num_peers, size=policy.num_members, replace=False
+            ).tolist())
+        self.policy, self.key_ttl, self.workload = policy, policy.key_ttl, workload
         self.expires: dict[int, float] = {}
         self.version: dict[int, int] = {}  # content version an entry serves
         self.ever_indexed: set[int] = set()
         self.content = 0
         self.refresh_period = refresh_period
         self.next_refresh = refresh_period
+        self.update_debt = 0.0
         self.now = 0.0
 
     def index_size(self):
+        if not self.policy.adaptive:
+            return self.policy.preloaded_ranks
         return sum(expiry > self.now for expiry in self.expires.values())
 
+    def discover(self, origin):
+        """1 if ``origin`` pays gateway discovery now, else 0."""
+        if origin in self.has_gateway:
+            return 0
+        self.has_gateway.add(origin)
+        return 1
+
+    def selection_round(self, now, queries, out, totals):
+        origins = self.origins_rng.integers(0, PARAMS.num_peers, size=len(queries))
+        discoveries = sum(self.discover(origin) for origin in origins.tolist())
+        if discoveries:
+            out["gateway_discoveries"] += discoveries
+            totals[MessageCategory.MEMBERSHIP] += DISCOVERY * discoveries
+        hits = misses = 0
+        for _rank, key in queries:
+            if self.expires.get(key, -math.inf) > now:
+                hits += 1
+                out["stale_hits"] += self.version[key] != self.content
+            else:  # broadcast, resolved, re-inserted
+                misses += 1
+                cold = key not in self.ever_indexed
+                out["cold_misses" if cold else "reinsertions"] += 1
+                self.ever_indexed.add(key)
+                self.version[key] = self.content
+            self.expires[key] = now + self.key_ttl
+        out["insertions"] += misses
+        totals[MessageCategory.INDEX_SEARCH] += LOOKUP * (len(queries) + misses)
+        totals[MessageCategory.REPLICA_FLOOD] += FLOOD * (misses + misses)
+        totals[MessageCategory.UNSTRUCTURED_SEARCH] += WALK * misses
+        return hits
+
+    def static_round(self, queries, out, totals):
+        origins = self.origins_rng.integers(0, PARAMS.num_peers, size=len(queries))
+        hits = discoveries = 0
+        for (rank, _key), origin in zip(queries, origins.tolist()):
+            if rank <= self.policy.index_ranks:  # preloaded: an index lookup
+                hits += 1
+                discoveries += self.discover(origin)
+        if discoveries:
+            out["gateway_discoveries"] += discoveries
+            totals[MessageCategory.MEMBERSHIP] += DISCOVERY * discoveries
+        totals[MessageCategory.INDEX_SEARCH] += LOOKUP * hits
+        totals[MessageCategory.UNSTRUCTURED_SEARCH] += WALK * (len(queries) - hits)
+        return hits
+
     def run(self, rounds, window):
+        policy = self.policy
         out = dict.fromkeys(TALLIES, 0)
         totals = dict.fromkeys(MessageCategory, 0.0)
         rates, sizes = [], []
@@ -92,38 +158,27 @@ class Reference:
                 self.content += 1  # before the round's queries
                 out["content_refreshes"] += 1
                 self.next_refresh += self.refresh_period
-            totals[MessageCategory.MAINTENANCE] += MAINTENANCE
+            if policy.runs_dht:
+                totals[MessageCategory.MAINTENANCE] += MAINTENANCE
             queries = self.workload.draw(now, count)
-            hits = misses = 0
+            hits = 0
             if count:
-                discoveries = 0
-                for origin in self.origins_rng.integers(
-                    0, PARAMS.num_peers, size=count
-                ).tolist():
-                    if origin not in self.has_gateway:
-                        self.has_gateway.add(origin)
-                        discoveries += 1
-                if discoveries:
-                    out["gateway_discoveries"] += discoveries
-                    totals[MessageCategory.MEMBERSHIP] += DISCOVERY * discoveries
-                for _rank, key in queries:
-                    if self.expires.get(key, -math.inf) > now:
-                        hits += 1
-                        out["stale_hits"] += self.version[key] != self.content
-                    else:  # broadcast, resolved, re-inserted
-                        misses += 1
-                        cold = key not in self.ever_indexed
-                        out["cold_misses" if cold else "reinsertions"] += 1
-                        self.ever_indexed.add(key)
-                        self.version[key] = self.content
-                    self.expires[key] = now + self.key_ttl
+                if policy.adaptive:
+                    hits = self.selection_round(now, queries, out, totals)
+                elif policy.runs_dht:
+                    hits = self.static_round(queries, out, totals)
+                else:  # noIndex: every query broadcasts
+                    totals[MessageCategory.UNSTRUCTURED_SEARCH] += WALK * count
                 out["queries"] += count
                 out["index_hits"] += hits
-                out["insertions"] += misses
                 out["answered"] += count
-                totals[MessageCategory.INDEX_SEARCH] += LOOKUP * (count + misses)
-                totals[MessageCategory.REPLICA_FLOOD] += FLOOD * (misses + misses)
-                totals[MessageCategory.UNSTRUCTURED_SEARCH] += WALK * misses
+            # Eq. 9: whole updates are sent, the fraction carries over.
+            self.update_debt += policy.updates_per_round(PARAMS.update_freq)
+            whole = int(self.update_debt)
+            if whole:
+                self.update_debt -= whole
+                totals[MessageCategory.INDEX_SEARCH] += LOOKUP * whole
+                totals[MessageCategory.REPLICA_FLOOD] += FLOOD * whole
             window_queries += count
             window_hits += hits
             if window > 0 and now - start >= closes_at:
@@ -162,6 +217,7 @@ def cases(draw):
         "remainder": [w for w in range(2, rounds + 4) if rounds % w],
     }[draw(st.sampled_from(("none", "divides", "remainder")))]
     return dict(
+        strategy=draw(st.sampled_from(STRATEGY_NAMES)),
         seed=draw(st.integers(0, 2**16)),
         rounds=rounds,
         key_ttl=draw(ttls),
@@ -182,27 +238,38 @@ def workload_pair(case):
     ]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(case=cases())
 # Pinned cases: live entries meeting keyTtl = 0 after a retarget, with
 # stale hits; cold duplicates under keyTtl = 0, then a fractional TTL
-# across a rank swap.
-@example(case=dict(seed=3, rounds=30, key_ttl=4.0, window=7.0, refresh=9.0,
-                   then=(20, 0.0), swap_at=None))
-@example(case=dict(seed=5, rounds=24, key_ttl=0.0, window=6.0, refresh=None,
-                   then=(12, 2.5), swap_at=16))
+# across a rank swap; partialIdeal queries at rank maxRank (129) with a
+# fractional update rate; indexAll across a rank swap; noIndex.
+@example(case=dict(strategy="partialSelection", seed=3, rounds=30, key_ttl=4.0,
+                   window=7.0, refresh=9.0, then=(20, 0.0), swap_at=None))
+@example(case=dict(strategy="partialSelection", seed=5, rounds=24, key_ttl=0.0,
+                   window=6.0, refresh=None, then=(12, 2.5), swap_at=16))
+@example(case=dict(strategy="partialIdeal", seed=PINNED_IDEAL_SEED, rounds=40,
+                   key_ttl=4.0, window=9.0, refresh=5.0, then=None, swap_at=None))
+@example(case=dict(strategy="indexAll", seed=1, rounds=17, key_ttl=0.0,
+                   window=4.0, refresh=None, then=(5, 2.5), swap_at=9))
+@example(case=dict(strategy="noIndex", seed=2, rounds=12, key_ttl=1.0,
+                   window=5.0, refresh=3.0, then=None, swap_at=None))
 def test_kernel_equals_scalar_reference(case):
     mine, theirs = workload_pair(case)
-    members = selection_members(PARAMS, case["key_ttl"])
+    config = PdhtConfig.from_scenario(PARAMS).with_ttl(case["key_ttl"])
+    policy = strategy_setup(PARAMS, config, case["strategy"])
     kernel = FastSimKernel(
         PARAMS,
-        config=PdhtConfig.from_scenario(PARAMS).with_ttl(case["key_ttl"]),
+        config=config,
+        strategy=case["strategy"],
         seed=case["seed"],
         workload=mine,
-        costs=PerOpCosts(LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, members),
+        costs=PerOpCosts(
+            LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, policy.num_members
+        ),
         content_refresh_period=case["refresh"],
     )
-    reference = Reference(case["key_ttl"], case["seed"], theirs, case["refresh"])
+    reference = Reference(policy, case["seed"], theirs, case["refresh"])
     runs = [(case["rounds"], None)]
     if case["then"] is not None:
         runs.append(case["then"])
@@ -213,3 +280,18 @@ def test_kernel_equals_scalar_reference(case):
         report = kernel.run(float(rounds), window=case["window"])
         expected = reference.run(rounds, case["window"])
         assert {name: getattr(report, name) for name in FIELDS} == expected
+
+
+def test_pinned_partial_ideal_case_queries_the_boundary_rank():
+    # The pinned partialIdeal case is the one that tells <= from < on
+    # index_ranks: some query there is for rank maxRank exactly.
+    policy = strategy_setup(
+        PARAMS, PdhtConfig.from_scenario(PARAMS), "partialIdeal"
+    )
+    assert 0 < policy.index_ranks < PARAMS.n_keys
+    workload = default_batch_workload(PARAMS, PINNED_IDEAL_SEED)
+    reference = Reference(policy, PINNED_IDEAL_SEED, workload, None)
+    counts = reference.counts_rng.poisson(PARAMS.network_query_rate, size=40)
+    ranks = [rank for now, count in enumerate(counts.tolist(), 1)
+             for rank, _ in workload.draw(float(now), count)]
+    assert policy.index_ranks in ranks

@@ -6,12 +6,15 @@ glibc serves from a fresh mmap under one heap layout and from retained
 heap under another moves the high-water mark by that much with no change
 to the program — and the layout moves with the size of the process
 environment. This runs one benchmark command — ``sweep_cold`` (``runner
-sweep --scale 8 --jobs 1 --store <tmp>``) or ``churn_cold`` (``runner
+sweep --scale 8 --jobs 1 --store <tmp>``), ``churn_cold`` (``runner
 churn --engine vectorized --duration 120 --scale 0.02 --seed 0
---no-store``), bytecode cached as in the benchmark — in one child per
-environment padding, reads each child's ``ru_maxrss`` from ``os.wait4``
-and fails when the readings are more than ``LIMIT_KIB`` apart: such a
-step is a transient to remove from the program, not noise to re-roll.
+--no-store``) or ``sweep_warm`` (the ``sweep_cold`` command against one
+store that the unmeasured first run fills, so every measured child hits
+18/18, writing its result under ``--output``), bytecode cached as in the
+benchmark — in one child per environment padding, reads each child's
+``ru_maxrss`` from ``os.wait4`` and fails when the readings are more
+than ``LIMIT_KIB`` apart: such a step is a transient to remove from the
+program, not noise to re-roll.
 Which paddings flip depends on the rest of the environment, so a pass is
 evidence, not proof; a failure is a finding.
 
@@ -26,6 +29,7 @@ between cost resolution and the kernels) and guarded there, by
 
     python3 tools/rss_layout_check.py                        # sweep_cold
     python3 tools/rss_layout_check.py --workload churn_cold
+    python3 tools/rss_layout_check.py --workload sweep_warm
     python3 tools/rss_layout_check.py --root DIR  # another checkout (a parent)
 
 Exit codes: 0 within the limit, 1 spread too wide or a child failed.
@@ -46,21 +50,27 @@ from pathlib import Path
 PADDINGS = (0, 500, 800, 1500, 2000, 2500, 3000, 4000)
 LIMIT_KIB = 1024
 _RUNNER = ("-m", "repro.experiments.runner")
-#: Runner arguments by benchmark workload; STORE stands for a fresh file.
-STORE = "<store>"
+#: Runner arguments by benchmark workload. STORE stands for a fresh file,
+#: or for a warm workload the one file every run of it shares; OUTPUT for
+#: a fresh directory.
+STORE, OUTPUT = "<store>", "<output>"
 COMMANDS = {
     "sweep_cold": ("sweep", "--scale", "8", "--jobs", "1", "--format", "json",
                    "--store", STORE),
     "churn_cold": ("churn", "--engine", "vectorized", "--duration", "120",
                    "--scale", "0.02", "--seed", "0", "--format", "json",
                    "--no-store"),
+    "sweep_warm": ("sweep", "--scale", "8", "--jobs", "1", "--format", "json",
+                   "--store", STORE, "--output", OUTPUT),
 }
+#: Workloads whose runs read one store instead of each filling its own.
+WARM = frozenset({"sweep_warm"})
 
 
 def peak_rss_kib(root: Path, workload: str, padding: int, work: Path) -> int:
     """``ru_maxrss`` (KiB on Linux) of one run of ``workload`` under
-    ``padding``, with its store (if it has one) and the shared bytecode
-    cache under ``work``."""
+    ``padding``, with its store (if it has one), its output and the
+    shared bytecode cache under ``work``."""
     env = {
         name: value for name, value in os.environ.items()
         if name not in ("PYTHONDONTWRITEBYTECODE", "REPRO_STORE",
@@ -76,9 +86,13 @@ def peak_rss_kib(root: Path, workload: str, padding: int, work: Path) -> int:
     )
     if padding:
         env["RSS_LAYOUT_PADDING"] = "x" * padding
-    store = tempfile.mkstemp(suffix=".sqlite", dir=work)[1]
-    os.unlink(store)  # a fresh store per child: 18 misses, 18 writes
-    argv = [store if arg is STORE else arg for arg in COMMANDS[workload]]
+    if workload in WARM:
+        store = str(work / "warm.sqlite")  # filled by the first run
+    else:
+        store = tempfile.mkstemp(suffix=".sqlite", dir=work)[1]
+        os.unlink(store)  # a fresh store per child: 18 misses, 18 writes
+    paths = {STORE: store, OUTPUT: tempfile.mkdtemp(dir=work)}
+    argv = [paths.get(arg, arg) for arg in COMMANDS[workload]]
     child = subprocess.Popen(
         [sys.executable, *_RUNNER, *argv],
         cwd=root, env=env, stdout=subprocess.DEVNULL,
@@ -107,7 +121,8 @@ def main(argv: list[str] | None = None) -> int:
     readings: dict[int, int] = {}
     with tempfile.TemporaryDirectory(prefix="rss-layout-") as work:
         try:
-            # Unmeasured: compiles the bytecode every measured child loads.
+            # Unmeasured: compiles the bytecode every measured child
+            # loads, and fills a warm workload's store.
             peak_rss_kib(root, workload, 0, Path(work))
             for padding in PADDINGS:
                 readings[padding] = peak_rss_kib(
