@@ -12,7 +12,7 @@ suite, and end-to-end speed and memory by the repo benchmark
 (``BENCHMARK.json``); the rows here need 10^4-10^7 peers or a timing
 ratio, so they run weekly::
 
-    python benchmarks/gates.py        # ~20 s, ~2 GB, exit 1 on any DRIFT
+    python benchmarks/gates.py        # ~15 s, ~1 GB, exit 1 on any DRIFT
 """
 
 from __future__ import annotations
@@ -155,12 +155,10 @@ def obs_overhead() -> Readings:
 
 
 def scale_10m() -> Readings:
-    """One seeded 24-round kernel run at 10^7 peers per dtype policy,
-    each under tracemalloc (numpy allocates through its hooks) with every
-    counted cache cleared first, so both pay what a fresh process pays
-    (planning, Zipf tables, guide table): traced peak of ``wide``, what
-    ``slim``'s kernel still holds after its run as a fraction of what
-    ``wide``'s holds, and the relative difference of the two hit rates."""
+    """One seeded 24-round kernel run at 10^7 peers under tracemalloc
+    (numpy allocates through its hooks) with every counted cache cleared
+    first, so it pays what a fresh process pays (planning, Zipf tables,
+    guide table): the traced allocation peak."""
     import gc
     import tracemalloc
 
@@ -169,26 +167,16 @@ def scale_10m() -> Readings:
     from repro.obs.cache import _CACHES
 
     scenario = fastsim_scenario(scale=500.0)
-    peak, held, hit_rate = {}, {}, {}
-    for precision in ("wide", "slim"):
-        for cache in _CACHES.values():
-            cache.cache_clear()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            kernel = FastSimKernel(scenario, seed=0, precision=precision)
-            hit_rate[precision] = kernel.run(24.0).hit_rate
-            held[precision], peak[precision] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        del kernel
-    return {
-        "wide_peak_gib": peak["wide"] / 2**30,
-        "slim_over_wide": held["slim"] / held["wide"],
-        "slim_hit_rel_diff": (
-            abs(hit_rate["slim"] - hit_rate["wide"]) / hit_rate["wide"]
-        ),
-    }
+    for cache in _CACHES.values():
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        FastSimKernel(scenario, seed=0).run(24.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"wide_peak_gib": peak / 2**30}
 
 
 # ----------------------------------------------------------------------
@@ -221,18 +209,10 @@ GATES = (
          "0.99-1.02)"),
     Gate("scale_10m.wide_peak_gib", scale_10m,
          "wide_peak_gib", 8.0,
-         "10^7 peers must fit a 16 GB runner; the peak is the closed-form "
-         "planning over 2*10^7 keys before the kernel allocates, the round "
-         "loop adds one draw block and no O(queries) transient (reads 0.89)"),
-    Gate("scale_10m.slim_over_wide", scale_10m,
-         "slim_over_wide", 0.95,
-         "slim narrows the one per-key state array, 8 -> 4 B a key; the "
-         "kernel holds ~42 B a key after its run (8 of state, 32 of Zipf "
-         "weights, probabilities, CDF and rank map, 1.5 of peer masks), so "
-         "slim reads 1 - 4/42 = 0.90 and a slim that narrows nothing 1.0"),
-    Gate("scale_10m.slim_hit_rate", scale_10m,
-         "slim_hit_rel_diff", 0.05,
-         "float32/uint32 state must not move the answer"),
+         "10^7 peers must fit a 16 GB runner; the peak is the kernel's own, "
+         "~35 B a key over 2*10^7 keys (what it holds plus one draw block, "
+         "no O(queries) transient), and the closed-form planning before it "
+         "peaks below that at ~16 B a key (reads 0.65)"),
 )
 
 

@@ -116,11 +116,6 @@ class ExperimentParams:
     #: all store traffic (masking ``REPRO_STORE``); ``None`` (default)
     #: keeps the process-wide active store, if any.
     store: Optional[str] = None
-    #: Kernel state dtype policy (``repro.fastsim.precision``): "wide"
-    #: (default, bit-identical float64/int64) or "slim" (float32/uint32
-    #: for 10^7+ peer runs). Part of result identity — slim replicates
-    #: and sweep cells are keyed apart from wide ones.
-    precision: Optional[str] = None
     #: Ship large workload arrays to pool workers via shared memory
     #: (``repro.fastsim.shm``) instead of pickling a copy per worker.
     #: Pure execution detail: results and artifact keys are unchanged.
@@ -161,10 +156,6 @@ class ExperimentParams:
             raise ParameterError(
                 f"store must be a path or 'none', got {self.store!r}"
             )
-        if self.precision is not None:
-            from repro.fastsim.precision import resolve_precision
-
-            resolve_precision(self.precision)
         if self.shared_memory is not None and not isinstance(
             self.shared_memory, bool
         ):
@@ -227,13 +218,11 @@ class ExperimentContext:
     @property
     def execution(self) -> Execution:
         """How this run's cells execute — the single argument simulated
-        figures take for engine, workers, dtype policy and array shipping.
-        Rejects a dtype policy the resolved engine cannot honour."""
+        figures take for engine, workers and array shipping."""
         params = self.params
         return Execution(
             engine=self.engine,
             jobs=1 if params.jobs is None else params.jobs,
-            precision=params.precision,
             shared_memory=bool(params.shared_memory),
         )
 
@@ -658,8 +647,7 @@ def _replicate_inputs(ctx: "ExperimentContext") -> dict[str, object]:
     params.pop("store", None)
     params.pop("replicates", None)
     # Shared-memory staging changes how arrays travel to workers, never
-    # what they contain — execution detail, out of the key. ``precision``
-    # stays: the dtype policy changes the numbers a figure reports.
+    # what they contain — execution detail, out of the key.
     params.pop("shared_memory", None)
     return {
         "experiment": ctx.spec.name,
@@ -791,7 +779,7 @@ def _optimal(ctx: ExperimentContext) -> FigureSeries:
     SIMULATED,
     engines=("event", "vectorized"),
     accepts={"engine", "duration", "seed", "scale", "replicates", "jobs",
-             "store", "precision", "shared_memory"},
+             "store", "shared_memory"},
     duration=300.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -813,7 +801,7 @@ def _sim(ctx: ExperimentContext) -> FigureSeries:
     SIMULATED,
     engines=("event", "vectorized"),
     accepts={"engine", "duration", "seed", "scale", "shift_at",
-             "window", "replicates", "jobs", "store", "precision"},
+             "window", "replicates", "jobs", "store"},
     duration=1200.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -835,8 +823,7 @@ def _adaptivity(ctx: ExperimentContext) -> FigureSeries:
     SIMULATED,
     engines=("vectorized", "event"),
     accepts={"engine", "duration", "seed", "scale", "shift_at", "window",
-             "workload", "replicates", "jobs", "store", "precision",
-             "shared_memory"},
+             "workload", "replicates", "jobs", "store", "shared_memory"},
     duration=1200.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -859,7 +846,7 @@ def _adaptivity_tracking(ctx: ExperimentContext) -> FigureSeries:
     SIMULATED,
     engines=("vectorized", "event"),
     accepts={"engine", "duration", "seed", "scale", "shift_at", "window",
-             "workload", "jobs", "store", "precision", "shared_memory"},
+             "workload", "jobs", "store", "shared_memory"},
     duration=1200.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -882,7 +869,7 @@ def _adaptivity_lag(ctx: ExperimentContext) -> FigureSeries:
     SIMULATED,
     engines=("event", "vectorized"),
     accepts={"engine", "duration", "seed", "scale", "replicates", "jobs",
-             "store", "precision", "shared_memory"},
+             "store", "shared_memory"},
     duration=240.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -902,7 +889,7 @@ def _churn(ctx: ExperimentContext) -> FigureSeries:
     SIMULATED,
     engines=("event", "vectorized"),
     accepts={"engine", "duration", "seed", "scale", "replicates", "jobs",
-             "store", "precision", "shared_memory"},
+             "store", "shared_memory"},
     duration=300.0,
     seed=0,
     scale=0.02,
@@ -922,7 +909,7 @@ def _staleness(ctx: ExperimentContext) -> FigureSeries:
     SIMULATED,
     engines=("event", "vectorized"),
     accepts={"engine", "duration", "seed", "scale", "replicates", "jobs",
-             "store", "precision", "shared_memory"},
+             "store", "shared_memory"},
     duration=120.0,
     seed=0,
     scale=0.02,

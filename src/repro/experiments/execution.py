@@ -35,11 +35,9 @@ import numpy as np
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError
 from repro.experiments.scenario import DEFAULT_ENGINE, resolve_engine
 from repro.fastsim import parallel
 from repro.fastsim.compare import probe_substrates_built, staleness_probe_event
-from repro.fastsim.precision import resolve_precision
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
@@ -179,7 +177,7 @@ class Cell:
             ZipfDistribution(self.params.n_keys, self.params.alpha), rng
         )
 
-    def fastsim_job(self, precision: str) -> parallel.FastSimJob:
+    def fastsim_job(self) -> parallel.FastSimJob:
         """The vectorized-engine job: this cell as kernel arguments."""
         workload = None
         if self.workload is not None:
@@ -198,39 +196,23 @@ class Cell:
             churn=self.churn,
             content_refresh_period=self.content_refresh_period,
             window=self.window,
-            precision=precision,
         )
 
 
 @dataclass(frozen=True)
 class Execution:
-    """The execution choices of one run: engine, workers, dtype policy,
-    array shipping. Names are normalised at construction, where a dtype
-    policy the engine cannot honour is rejected before anything is built.
-    """
+    """The execution choices of one run: engine, workers, array shipping.
+    The engine name is normalised at construction."""
 
     engine: str = DEFAULT_ENGINE
     #: Worker processes for the run's independent cells: 1 = in-process,
     #: 0 = one per CPU, N = pool of N (vectorized engine).
     jobs: int = 1
-    #: Kernel state dtype policy name (``repro.fastsim.precision``).
-    precision: Optional[str] = None
     #: Ship large workload arrays to pool workers via shared memory.
     shared_memory: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "engine", resolve_engine(self.engine))
-        object.__setattr__(
-            self, "precision", resolve_precision(self.precision).name
-        )
-        if not self.vectorized and self.precision != "wide":
-            # The event engine has no batch arrays to narrow; running it at
-            # full precision under a "slim" label would let the engine
-            # choice change what ``precision`` means.
-            raise ParameterError(
-                "precision policies other than 'wide' require the vectorized "
-                "engine (the event engine has no kernel state arrays to slim)"
-            )
 
     @property
     def vectorized(self) -> bool:
@@ -243,7 +225,7 @@ class Execution:
         if not self.vectorized:
             return [cell.run() for cell in cells]
         return parallel.run_many(
-            [cell.fastsim_job(self.precision) for cell in cells],
+            [cell.fastsim_job() for cell in cells],
             workers=self.jobs,
             shared_memory=self.shared_memory,
             after_resolve=_collect_probe_substrates(),

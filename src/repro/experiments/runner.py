@@ -15,10 +15,9 @@ capabilities. ``--engine``/``--seed``/``--scale``/``--duration``/
 ``--replicates``/``--jobs`` override the spec defaults where the spec
 accepts them (``--jobs N`` fans an experiment's independent units —
 replicate seeds, sweep cells, per-strategy kernel runs — over N worker
-processes; 0 means one per CPU). ``--precision slim`` narrows the
-vectorized kernel's state arrays to float32/uint32 for 10^7+ peer runs
-and ``--shared-memory`` stages large read-mostly job arrays in POSIX
-shared memory so pool workers map instead of copy;
+processes; 0 means one per CPU). ``--shared-memory`` stages large
+read-mostly job arrays in POSIX shared memory so pool workers map
+instead of copy;
 requesting an engine an experiment does not support exits non-zero with
 the gate reason (the old runner silently fell back to the event engine).
 ``--format csv|json`` switches the output from rendered ASCII to
@@ -69,7 +68,6 @@ from repro.experiments.api import (
     run,
 )
 from repro.experiments.scenario import ENGINES
-from repro.fastsim.precision import PRECISION_NAMES
 
 __all__ = ["main"]
 
@@ -180,15 +178,6 @@ def main(argv: list[str] | None = None) -> int:
         "or trace:<path> to replay a recorded query trace)",
     )
     parser.add_argument(
-        "--precision",
-        choices=PRECISION_NAMES,
-        default=None,
-        help="kernel state dtype policy (vectorized engine): 'wide' "
-        "(float64/int64, bit-identical to the pinned captures) or 'slim' "
-        "(float32/uint32, ~half the state memory for 10^7+ peer runs, "
-        "validated within the 5%% cross-engine gates)",
-    )
-    parser.add_argument(
         "--shared-memory",
         action="store_const",
         const=True,
@@ -288,7 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         "replicates": args.replicates,
         "jobs": args.jobs,
         "workload": args.workload,
-        "precision": args.precision,
         "shared_memory": args.shared_memory,
         # "none" is ExperimentParams' explicit store-off sentinel.
         "store": "none" if args.no_store else args.store,

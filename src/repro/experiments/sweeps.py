@@ -325,12 +325,11 @@ def optimal_cells(grid: FigureSeries, axes: GridAxes) -> FigureSeries:
 
 
 #: Serialised default-axes grids, keyed by (scenario, duration, seed,
-#: workload, precision) — deliberately *not* by jobs or shared-memory
-#: mode: the grid's values are identical for every worker count and
-#: shipping mechanism, so a jobs=4 run must be able to reuse a jobs=1
-#: grid (and vice versa). Precision *is* in the key: slim cells are
-#: different results. Bounded FIFO, like the lru_cache it replaces.
-_GRID_CACHE: dict[tuple[ScenarioParameters, float, int, str, str], str] = {}
+#: workload) — deliberately *not* by jobs or shared-memory mode: the
+#: grid's values are identical for every worker count and shipping
+#: mechanism, so a jobs=4 run must be able to reuse a jobs=1 grid (and
+#: vice versa). Bounded FIFO, like the lru_cache it replaces.
+_GRID_CACHE: dict[tuple[ScenarioParameters, float, int, str], str] = {}
 _GRID_CACHE_SIZE = 4
 
 
@@ -343,8 +342,7 @@ def _grid_axes(workload: Optional[str]) -> GridAxes:
 
 
 def _default_grid(ctx: ExperimentContext) -> FigureSeries:
-    """One default-axes grid per (scenario, duration, seed, workload,
-    precision).
+    """One default-axes grid per (scenario, duration, seed, workload).
 
     ``sweep`` and ``sweep-optimal`` derive from the same expensive grid;
     caching the serialised form lets ``runner all`` pay for it once
@@ -354,21 +352,14 @@ def _default_grid(ctx: ExperimentContext) -> FigureSeries:
     """
     from repro.experiments.export import load_figure_json
 
-    execution = ctx.execution
     workload = ctx.params.workload
-    key = (
-        ctx.scenario,
-        ctx.duration,
-        ctx.seed,
-        workload or "stationary",
-        execution.precision,
-    )
+    key = (ctx.scenario, ctx.duration, ctx.seed, workload or "stationary")
     if key not in _GRID_CACHE:
         if len(_GRID_CACHE) >= _GRID_CACHE_SIZE:
             _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
         _GRID_CACHE[key] = sweep_grid(
             _grid_axes(workload), ctx.scenario, ctx.duration, ctx.seed,
-            execution,
+            ctx.execution,
         ).to_json()
     return load_figure_json(_GRID_CACHE[key])
 
@@ -383,7 +374,7 @@ def _default_grid(ctx: ExperimentContext) -> FigureSeries:
         "only the vectorized batch kernel is tractable there"
     ),
     accepts={"engine", "duration", "seed", "scale", "workload",
-             "replicates", "jobs", "store", "precision", "shared_memory"},
+             "replicates", "jobs", "store", "shared_memory"},
     duration=240.0,
     seed=0,
     scale=1.0,
@@ -402,7 +393,7 @@ def _sweep(ctx: ExperimentContext) -> FigureSeries:
         "batch kernel is tractable there"
     ),
     accepts={"engine", "duration", "seed", "scale", "workload",
-             "replicates", "jobs", "store", "precision", "shared_memory"},
+             "replicates", "jobs", "store", "shared_memory"},
     duration=240.0,
     seed=0,
     scale=1.0,

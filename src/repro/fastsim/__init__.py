@@ -31,9 +31,9 @@ numpy batch operations:
 * :mod:`repro.fastsim.parallel` — multi-process fan-out of independent
   kernel jobs (sweep cells, replicate seeds, one run per strategy) with
   per-op costs resolved once in the parent;
-* :mod:`repro.fastsim.precision` — state-array dtype policies
-  (``wide`` float64/int64 default, bit-identical to the pinned
-  captures; opt-in ``slim`` float32/uint32 for 10^7+ peer runs);
+* :mod:`repro.fastsim.precision` — the one module that names the
+  kernel's dtypes (float64 expiries and int64 versions, the layout the
+  pinned captures were recorded under);
 * :mod:`repro.fastsim.shm` — shared-memory staging of large read-mostly
   job arrays so pool workers map one copy instead of each unpickling
   their own.
@@ -78,13 +78,6 @@ from repro.fastsim.parallel import (
     resolve_worker_count,
     run_many,
 )
-from repro.fastsim.precision import (
-    PRECISION_NAMES,
-    SLIM,
-    WIDE,
-    StatePrecision,
-    resolve_precision,
-)
 from repro.fastsim.shm import ShmArena, SharedArrayRef, leaked_segments
 from repro.fastsim.state import FastSimState
 from repro.fastsim.workload import BatchWorkload
@@ -105,11 +98,6 @@ __all__ = [
     "resolve_jobs",
     "resolve_worker_count",
     "run_many",
-    "StatePrecision",
-    "WIDE",
-    "SLIM",
-    "PRECISION_NAMES",
-    "resolve_precision",
     "default_batch_workload",
     "ShmArena",
     "SharedArrayRef",

@@ -1020,7 +1020,6 @@ def compare_engines(
     costs: Optional[PerOpCosts] = None,
     calibration_seed: int = 0,
     model=None,
-    precision: Optional[str] = None,
 ) -> EngineAgreement:
     """Run the selection algorithm through both engines and compare.
 
@@ -1030,8 +1029,6 @@ def compare_engines(
     calibrated off the same substrate (unless given).
     ``model`` swaps the stationary stream for a
     :class:`~repro.workloads.models.WorkloadModel` on both engines.
-    ``precision`` selects the kernel's state dtype policy — the slim
-    property tests re-verify the 5% agreement gates through it.
     """
     if not seeds:
         raise ParameterError("need at least one seed")
@@ -1058,7 +1055,6 @@ def compare_engines(
             seed=seed,
             workload=_batch_model_workload(params, seed, model),
             costs=costs,
-            precision=precision,
         )
         # Kernel construction included, like the event path above.
         agreement.fast_seconds += perf_counter() - started
@@ -1078,7 +1074,6 @@ def compare_engines_churn(
     churn_costs: Optional[ChurnOpCosts] = None,
     calibration_seed: int = 0,
     model=None,
-    precision: Optional[str] = None,
 ) -> EngineAgreement:
     """Run the selection algorithm under churn through both engines.
 
@@ -1145,7 +1140,6 @@ def compare_engines_churn(
             churn=churn,
             costs=costs,
             churn_costs=seed_churn_costs,
-            precision=precision,
         )
         agreement.fast_seconds += perf_counter() - started
         agreement.fast_hit_rates.append(fast_report.hit_rate)
@@ -1211,7 +1205,6 @@ def staleness_probe_fast(
     duration: float,
     refresh_period: float,
     seed: int = 0,
-    precision: Optional[str] = None,
 ) -> tuple[float, float]:
     """Kernel staleness measurement: ``(stale fraction, hit rate)``.
 
@@ -1224,7 +1217,6 @@ def staleness_probe_fast(
         duration=duration,
         seed=seed,
         content_refresh_period=refresh_period,
-        precision=precision,
     )
     return report.stale_hit_fraction, report.hit_rate
 

@@ -66,13 +66,7 @@ from repro.errors import ParameterError
 from repro.fastsim.churn import BatchChurnProcess
 from repro.fastsim.churncosts import ChurnOpCosts
 from repro.fastsim.metrics import FastSimReport, WindowRecorder
-from repro.fastsim.precision import (
-    INDEX_DTYPE,
-    PROB_DTYPE,
-    StatePrecision,
-    check_slim_range,
-    resolve_precision,
-)
+from repro.fastsim.precision import INDEX_DTYPE, PROB_DTYPE
 from repro.fastsim.state import FastSimState
 from repro.fastsim.workload import BatchWorkload
 from repro.analysis.zipf import ZipfDistribution
@@ -345,11 +339,6 @@ class FastSimKernel:
         Refresh all content every this many rounds (bumps every key's
         content version, like the Section 4 scenario's daily article
         replacement), driving the staleness measurement.
-    precision:
-        Dtype policy for the state arrays — a
-        :class:`~repro.fastsim.precision.StatePrecision`, its name
-        (``"wide"``/``"slim"``), or ``None`` for the default ``wide``
-        (bit-identical to the historical float64/int64 layout).
     """
 
     def __init__(
@@ -363,12 +352,10 @@ class FastSimKernel:
         costs: Optional[PerOpCosts] = None,
         churn_costs: Optional[ChurnOpCosts] = None,
         content_refresh_period: Optional[float] = None,
-        precision: str | StatePrecision | None = None,
     ) -> None:
         self.params = params
         self.config = config or PdhtConfig.from_scenario(params)
         self.strategy = strategy
-        self.precision = resolve_precision(precision)
 
         # Child 1 is the default workload's stream (default_batch_workload).
         seeds = np.random.SeedSequence(seed).spawn(5)
@@ -383,10 +370,7 @@ class FastSimKernel:
         self.key_ttl = self.policy.key_ttl
 
         self.state = FastSimState(
-            params,
-            self.policy.num_members,
-            self._rng_members,
-            precision=self.precision,
+            params, self.policy.num_members, self._rng_members
         )
         self.workload = workload or default_batch_workload(params, seed)
         if self.workload.n_keys != params.n_keys:
@@ -428,7 +412,6 @@ class FastSimKernel:
         #: Selection hits and miss events over every run (adaptive TTL).
         self.hits_total = 0
         self.misses_total = 0
-        self._last_round = 0.0  # the round the current (or last) run ends at
 
         # Streamed-loop buffers: per-role scratch for the round hot paths,
         # draw buffers reused across blocks, and read-only all-ones
@@ -451,14 +434,9 @@ class FastSimKernel:
     def set_key_ttl(self, key_ttl: float) -> None:
         """Retarget the TTL; existing entries keep their current expiry and
         adopt the new TTL on their next hit (same as the event engine).
-
-        A ``slim`` kernel refuses a TTL whose expiries could leave its
-        exact range before the run in progress ends, as :meth:`run` does
-        before its first round.
         """
         if key_ttl < 0:
             raise ParameterError(f"key_ttl must be >= 0, got {key_ttl}")
-        check_slim_range(self.precision, self._last_round, key_ttl)
         self.key_ttl = float(key_ttl)
 
     # ------------------------------------------------------------------
@@ -472,9 +450,7 @@ class FastSimKernel:
         its phases nested under it: ``round.maintain`` / ``round.queries``
         / ``round.post`` count rounds, while ``draw`` counts draw blocks
         (one ``draw_rounds`` call per :data:`DRAW_BLOCK` queries) — a
-        busy cell contributes several, an idle one exactly one. A ``slim``
-        run past its exact range raises before its first round; a hook's
-        :meth:`set_key_ttl` that would take it there raises when called.
+        busy cell contributes several, an idle one exactly one.
         """
         if duration <= 0:
             raise ParameterError(f"duration must be > 0, got {duration}")
@@ -512,8 +488,6 @@ class FastSimKernel:
             else:
                 counts = self._rng_counts.poisson(rate * multipliers)
         cumulative = np.cumsum(counts)
-        check_slim_range(self.precision, self.now + rounds, self.key_ttl)
-        self._last_round = self.now + rounds
         start = self.now
         # Hoisted per-round temporaries: the window-close thunk and the
         # churn maintenance scale are loop invariants.
@@ -1000,7 +974,6 @@ def run_fastsim(
     churn_costs: Optional[ChurnOpCosts] = None,
     content_refresh_period: Optional[float] = None,
     window: float = 0.0,
-    precision: str | StatePrecision | None = None,
 ) -> FastSimReport:
     """Build a :class:`FastSimKernel` and run it — the one-call fast path."""
     kernel = FastSimKernel(
@@ -1013,6 +986,5 @@ def run_fastsim(
         costs=costs,
         churn_costs=churn_costs,
         content_refresh_period=content_refresh_period,
-        precision=precision,
     )
     return kernel.run(duration, window=window)

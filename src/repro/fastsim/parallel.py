@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
 from repro import obs
@@ -85,9 +85,10 @@ class FastSimJob:
     churn_costs: Optional[ChurnOpCosts] = None
     content_refresh_period: Optional[float] = None
     window: float = 0.0
-    #: State-array dtype policy name ("wide"/"slim"); part of the job's
-    #: artifact identity — slim reports are keyed apart from wide ones.
-    precision: str = "wide"
+    #: Always ``"wide"`` and not an argument: the kernel has one state
+    #: layout. It stays a field only so that the store keys built from a
+    #: job — and so existing stores — do not change.
+    precision: str = field(default="wide", init=False)
 
     def run(self) -> FastSimReport:
         """Execute this job in the current process.
@@ -110,7 +111,6 @@ class FastSimJob:
             churn_costs=self.churn_costs,
             content_refresh_period=self.content_refresh_period,
             window=self.window,
-            precision=self.precision,
         )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
-from repro.fastsim.precision import WIDE, StatePrecision
+from repro.fastsim.precision import EXPIRY_DTYPE, VERSION_DTYPE
 
 __all__ = ["FastSimState"]
 
@@ -44,9 +44,6 @@ class FastSimState:
         for free, everyone else pays gateway discovery once.
     rng:
         Randomness for the member-subset draw.
-    precision:
-        Dtype policy for the expiry and version arrays (``WIDE`` by
-        default, which is byte-for-byte the historical layout).
     """
 
     def __init__(
@@ -54,7 +51,6 @@ class FastSimState:
         params: ScenarioParameters,
         num_members: int,
         rng: np.random.Generator,
-        precision: StatePrecision = WIDE,
     ) -> None:
         if not 0 <= num_members <= params.num_peers:
             raise ParameterError(
@@ -63,12 +59,11 @@ class FastSimState:
             )
         self.params = params
         self.num_members = num_members
-        self.precision = precision
         n_keys, num_peers = params.n_keys, params.num_peers
 
         # --- per-key index plane --------------------------------------
         #: Latest expiry over a key's replicas; -inf = never indexed.
-        self.expires_at = np.full(n_keys, -np.inf, dtype=precision.np_float)
+        self.expires_at = np.full(n_keys, -np.inf, dtype=EXPIRY_DTYPE)
 
         # --- content plane --------------------------------------------
         #: Version of every key's *content* replicas (a refresh replaces
@@ -121,7 +116,7 @@ class FastSimState:
         every entry inserted so far captured."""
         if self.indexed_version is None:
             self.indexed_version = np.zeros(
-                self.expires_at.size, dtype=self.precision.np_counter
+                self.expires_at.size, dtype=VERSION_DTYPE
             )
         self.content_version += 1
 

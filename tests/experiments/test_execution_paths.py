@@ -8,8 +8,7 @@ caller can observe. Each row of the matrix runs one experiment under
 store and checks the four runs agree on the figure, on the *set of store
 keys* they leave behind (persistence used to depend on ``--jobs``), on
 the merged ``kernel.*`` telemetry counters, and that a rerun against the
-filled store executes zero kernel runs. Around the matrix: the event
-engine rejects non-wide precision before building anything, replicate
+filled store executes zero kernel runs. Around the matrix: replicate
 payloads are saved as they complete, figure titles carry the resolved
 engine name, and the kernel's own cost resolution equals the pool
 parent's.
@@ -22,7 +21,6 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.errors import ParameterError
 from repro.experiments import api, sweeps
 from repro.experiments.api import iter_specs, run
 from repro.experiments.execution import Execution
@@ -111,31 +109,6 @@ def test_jobs_and_shared_memory_parity(name, tmp_path):
     assert reference[3].get("kernel.runs") == len(reference[2])
     for combo in combos[1:]:
         assert outcomes[combo] == reference, combo
-
-
-@pytest.mark.parametrize(
-    "name",
-    sorted(
-        spec.name for spec in iter_specs()
-        if "event" in spec.engines and "precision" in spec.accepts
-    ),
-)
-def test_event_engine_rejects_slim_early(name, monkeypatch):
-    from repro.pdht import network
-
-    def no_substrate(*args, **kwargs):
-        raise AssertionError("a substrate was built before the rejection")
-
-    monkeypatch.setattr(network.PdhtNetwork, "__init__", no_substrate)
-    with pytest.raises(ParameterError, match="vectorized"):
-        run(name, engine="event", precision="slim", duration=20.0, scale=SCALE)
-
-
-def test_execution_rejects_slim_on_event_engine():
-    with pytest.raises(ParameterError, match="vectorized"):
-        Execution("event", precision="slim")
-    assert Execution("vectorized", precision="slim").precision == "slim"
-    assert Execution().precision == "wide"
 
 
 def test_figure_titles_carry_the_resolved_engine_name():

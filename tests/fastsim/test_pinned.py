@@ -90,7 +90,7 @@ def test_shuffled_workload_bit_identical(params, config):
         params, config, DURATION, seed=SEED, window=WINDOW,
         workload=CellWorkload(RankSwap(60.0), "queries-shifted", (99,)),
     )
-    _assert_matches(cell.fastsim_job("wide").run(), PINNED["shuffled"])
+    _assert_matches(cell.fastsim_job().run(), PINNED["shuffled"])
 
 
 def test_rank_swap_model_bit_identical_to_shuffled_pin(params, config):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.fastsim.precision import SLIM, WIDE
 from repro.fastsim.state import FastSimState
 
 
@@ -47,11 +46,10 @@ class TestIndexDynamics:
         assert state.live_mask(keys, now=9.999).all()
 
 
-@pytest.mark.parametrize("precision", [WIDE, SLIM], ids=["wide", "slim"])
-def test_one_per_key_array_until_the_first_refresh(small_params, rng, precision):
+def test_one_per_key_array_until_the_first_refresh(small_params, rng):
     # The expiry is the only per-key fact a round needs; the per-entry
     # versions exist once content has been refreshed.
-    state = FastSimState(small_params, num_members=4, rng=rng, precision=precision)
+    state = FastSimState(small_params, num_members=4, rng=rng)
 
     def per_key_arrays():
         return sorted(
@@ -61,9 +59,10 @@ def test_one_per_key_array_until_the_first_refresh(small_params, rng, precision)
         )
 
     assert per_key_arrays() == ["expires_at"]
+    assert state.expires_at.dtype == np.float64
     state.bump_versions()
     assert per_key_arrays() == ["expires_at", "indexed_version"]
-    assert state.indexed_version.dtype == precision.np_counter
+    assert state.indexed_version.dtype == np.int64
     assert not state.indexed_version.any()
     state.bump_versions()
     assert per_key_arrays() == ["expires_at", "indexed_version"]

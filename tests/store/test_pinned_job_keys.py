@@ -9,7 +9,11 @@ hitting (18/18 on the warm sweep, 3/3 on the CI ``churn`` pair).
 default-workload ``sweep --scale 8`` cells (first / middle / last grid
 point, ``wide``), one churned ``churn --scale 0.02`` cell with its
 resolved per-op costs, and one model-workload cell each for
-``rank-swap``, ``gradual-drift`` and ``flash-crowd``.
+``rank-swap``, ``gradual-drift`` and ``flash-crowd``. The ``replicate``
+entry (seed 0 of ``sim --engine vectorized --scale 0.02 --replicates 2``)
+was computed at ``dc9ae82``, the last commit whose ``ExperimentParams``
+and ``FastSimJob`` took a kernel dtype policy; ``FastSimJob.precision``
+survives as a fixed ``"wide"`` field so every sweep-cell key above holds.
 
 Keys ISSUE 23 knowingly moved, once (a recompute, never a wrong number):
 
@@ -41,6 +45,7 @@ from repro.experiments import api
 from repro.experiments.execution import Execution
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim.parallel import FastSimJob, job_key, resolve_jobs
+from repro.store.keys import content_key
 from repro.workloads import WORKLOAD_MODEL_NAMES, StationaryZipf, record_trace
 
 PINNED = json.loads(
@@ -64,7 +69,7 @@ def resolved_jobs(name: str, **overrides: object) -> list[FastSimJob]:
         patch.setattr(Execution, "execute", capture)
         with pytest.raises(_Captured):
             api.run(name, engine="vectorized", **overrides)
-    return resolve_jobs([cell.fastsim_job("wide") for cell in cells])
+    return resolve_jobs([cell.fastsim_job() for cell in cells])
 
 
 def _tracking_job(workload: str) -> FastSimJob:
@@ -103,6 +108,32 @@ def test_model_workload_cell_keys_are_the_parents(preset):
         "adaptivity-tracking --scale 0.02 --duration 120 "
         f"--workload {preset} [partialSelection]"
     ]
+
+
+def test_replicate_key_is_the_parents():
+    """A replicate payload is keyed by its seed's parameter set, and
+    ``ExperimentParams.to_dict`` leaves unset fields out, so removing a
+    field nobody set re-keys no default payload."""
+    contexts = []
+
+    def capture(units, *args, **kwargs):
+        contexts.extend(units)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(api.parallel, "fan_out", capture)
+        with pytest.raises(_Captured):
+            api.run("sim", engine="vectorized", scale=0.02, replicates=2)
+    assert contexts[0].seed == 0
+    assert content_key("replicate", api._replicate_inputs(contexts[0])) == (
+        PINNED["replicate: sim --engine vectorized --scale 0.02 "
+               "--replicates 2 [seed 0]"]
+    )
+
+
+def test_job_precision_is_not_an_argument():
+    with pytest.raises(TypeError):
+        FastSimJob(simulation_scenario(scale=0.02), precision="wide")
 
 
 # ----------------------------------------------------------------------

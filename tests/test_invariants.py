@@ -158,10 +158,11 @@ def rl102_global_rng(path, tree, imports):
     return hits
 
 
-# RL103: kernel dtypes are policy, not literals. precision.py is the one
-# fastsim module that names concrete dtypes (StatePrecision policies plus
-# INDEX_DTYPE / PROB_DTYPE); a bare np.float64 elsewhere either fights the
-# --precision policy or silently widens slim runs.
+# RL103: kernel dtypes are named once, not written as literals.
+# precision.py is the one fastsim module that names concrete dtypes
+# (EXPIRY_DTYPE / VERSION_DTYPE for the state arrays, INDEX_DTYPE /
+# PROB_DTYPE for the rest); a bare np.float64 elsewhere is a width decided
+# outside that module, which a change to it would silently miss.
 _DTYPE_NAMES = frozenset(
     {"float16", "float32", "float64", "int8", "int16", "int32", "int64",
      "uint8", "uint16", "uint32", "uint64", "complex64", "complex128"}
@@ -184,7 +185,7 @@ def rl103_dtype_literal(path, tree, imports):
             ):
                 hits.append((node.lineno, f"RL103 bare '{'.'.join(names)}' "
                              "in fastsim; use the repro.fastsim.precision "
-                             "policy/constants"))
+                             "constants"))
             continue
         for keyword in node.keywords:
             value = keyword.value
@@ -195,7 +196,7 @@ def rl103_dtype_literal(path, tree, imports):
             ):
                 hits.append((value.lineno, f"RL103 dtype string literal "
                              f"{value.value!r} in fastsim; use the "
-                             "repro.fastsim.precision policy/constants"))
+                             "repro.fastsim.precision constants"))
     return hits
 
 
@@ -648,9 +649,9 @@ FIXTURES = [    # RL101
         """, "'float64'"),
     row(rl103_dtype_literal, "precision-constants", "src/repro/fastsim/example.py", """
         import numpy as np
-        from repro.fastsim.precision import INDEX_DTYPE
-        def ranks(total):
-            return np.empty(total, dtype=INDEX_DTYPE)
+        from repro.fastsim.precision import EXPIRY_DTYPE
+        def expiries(total):
+            return np.full(total, -np.inf, dtype=EXPIRY_DTYPE)
         """),
     row(rl103_dtype_literal, "precision-module-exempt", "src/repro/fastsim/precision.py", """
         import numpy as np
