@@ -26,7 +26,8 @@ class BoundedStream:
     """Owns ``rng`` and serves ``int(rng.integers(0, n))`` from it, cheaper.
 
     :meth:`draw` returns, for ``1 <= n <= 2**32``, exactly the value the
-    scalar call would have returned, and :meth:`settle` leaves
+    scalar call would have returned, :meth:`skip` consumes what a run of
+    such calls would without their values, and :meth:`settle` leaves
     ``rng.bit_generator.state`` exactly where those scalar calls would
     have left it — so a hot loop can swap one for the other and no later
     consumer of the generator can tell. A scalar ``Generator.integers``
@@ -77,19 +78,56 @@ class BoundedStream:
         used = self._used
         while True:
             if used == len(words):
-                rng = self._rng
-                self._saved = rng.bit_generator.state
-                block = min(max(2 * len(words), _FIRST_BLOCK), _MAX_BLOCK)
-                words = self._words = rng.integers(
-                    0, 1 << 32, size=block, dtype=np.uint32
-                ).tolist()
-                used = self._used = 0
+                words = self._refill()
+                used = 0
             product = words[used] * n
             used += 1
             leftover = product & 0xFFFFFFFF
             if leftover >= n or leftover >= (0x100000000 - n) % n:
                 self._used = used
                 return product >> 32
+
+    def skip(self, n: int, count: int) -> None:
+        """Consume exactly what ``count`` calls of ``draw(n)`` would, rejected
+        words included, without producing the values.
+
+        A word is rejected iff the low half of ``word * n`` falls under
+        ``(2**32 - n) % n`` (``draw``'s first test is only a shortcut past
+        that modulo), so each slice of words taken yields its length minus
+        its rejections in draws; a slice never asks for more words than
+        draws are still owed, so the last word taken is an accepted one.
+        """
+        if n < 2:
+            if n != 1:
+                raise ParameterError(f"n must be >= 1, got {n}")
+            return
+        threshold = (0x100000000 - n) % n
+        words = self._words
+        used = self._used
+        while count > 0:
+            if used == len(words):
+                words = self._refill()
+                used = 0
+            end = min(used + count, len(words))
+            count -= end - used
+            if threshold:
+                count += sum(
+                    1 for word in words[used:end]
+                    if (word * n) & 0xFFFFFFFF < threshold
+                )
+            used = end
+        self._used = used
+
+    def _refill(self) -> list[int]:
+        """Fetch the next block of raw words, saving the state before it."""
+        rng = self._rng
+        self._saved = rng.bit_generator.state
+        block = min(max(2 * len(self._words), _FIRST_BLOCK), _MAX_BLOCK)
+        words = self._words = rng.integers(
+            0, 1 << 32, size=block, dtype=np.uint32
+        ).tolist()
+        self._used = 0
+        return words
 
     def settle(self) -> None:
         """Put the generator where the draws so far would have left it."""

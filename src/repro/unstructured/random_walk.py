@@ -74,10 +74,26 @@ class RandomWalkSearch:
     keys downstream all depend on that sequence; the draws are served by
     one :class:`repro.sim.rng.BoundedStream` the walker holds for its
     lifetime, and ``tests/unstructured/test_walk_equivalence.py`` holds
-    this loop to the scalar-draw loop it replaced. The walker owns the
-    generator it was given (or the stream, when handed a
-    ``RandomStreams.bounded`` one): between searches the generator itself
-    runs ahead of the draws, so read it only through :attr:`rng`.
+    this loop to the scalar-draw loop it replaced.
+
+    A search trapped in an online component with no replica — the
+    walkers have content-checked every peer of it — cannot find the key,
+    and no walker dies there, so its result is fixed: ``walkers`` hops
+    for each remaining step, ``steps = ttl``, the component as
+    ``distinct_peers``. Such a search stops walking hop by hop (counted
+    as ``walk.trapped``) and only advances the stream as the remaining
+    steps would have: nothing in a two-peer component, ``ceil(R/2)``
+    draws per walker at the centre and ``floor(R/2)`` per walker on a
+    leaf of a star over the ``R`` remaining steps (one
+    :meth:`~repro.sim.rng.BoundedStream.skip`), and otherwise a loop that
+    only moves the walkers and draws. An audited search (the log keeps
+    every hop) and a key that is not a ``str`` (whose ``__eq__`` could
+    observe the skipped content checks) always walk hop by hop.
+
+    The walker owns the generator it was given (or the stream, when
+    handed a ``RandomStreams.bounded`` one): between searches the
+    generator itself runs ahead of the draws, so read it only through
+    :attr:`rng`.
     """
 
     def __init__(
@@ -140,6 +156,12 @@ class RandomWalkSearch:
         messages = 0
         found_at: Optional[PeerId] = None
         step = 0
+        # Trap detection: after a step that reached no new peer, look for
+        # a visited peer with an unvisited online neighbour, the last one
+        # found first.
+        may_trap = not audited and type(key) is str
+        seen = 1
+        open_peer: Optional[PeerId] = origin
         try:
             for step in range(1, self.ttl + 1):
                 any_alive = False
@@ -167,6 +189,19 @@ class RandomWalkSearch:
                         found_at = nxt
                 if found_at is not None or not any_alive:
                     break
+                if may_trap and len(visited) == seen:
+                    open_peer = _open_peer(visited, neighbors_of, open_peer)
+                    if open_peer is None:
+                        # Every peer reachable was checked: the rest of the
+                        # search is fixed (see the class notes).
+                        remaining = self.ttl - step
+                        messages += len(positions) * remaining
+                        self._run_out(
+                            positions, neighbors_of, visited, remaining
+                        )
+                        step = self.ttl
+                        break
+                seen = len(visited)
         finally:
             if messages:
                 log.send_all(MessageKind.QUERY_WALK, messages, hops, key)
@@ -185,3 +220,53 @@ class RandomWalkSearch:
             distinct_peers=len(visited),
             steps=step,
         )
+
+    def _run_out(
+        self,
+        positions: list[PeerId],
+        neighbors_of: list[tuple[PeerId, ...]],
+        component: set[PeerId],
+        remaining: int,
+    ) -> None:
+        """Advance the stream as ``remaining`` more steps of walkers
+        trapped in ``component`` would, and move nothing else.
+
+        Every peer of a component of two or more has an online neighbour,
+        so every walker is alive and hops once per step.
+        """
+        obs.count("walk.trapped")
+        branching = [p for p in component if len(neighbors_of[p]) > 1]
+        if not branching:
+            return  # two peers: every move is forced
+        if len(branching) == 1:
+            # A star: each walker alternates between the centre, where it
+            # draws, and a leaf, where its move is forced.
+            centre = branching[0]
+            at_centre = positions.count(centre)
+            at_leaf = len(positions) - at_centre
+            draws = at_centre * ((remaining + 1) // 2)
+            draws += at_leaf * (remaining // 2)
+            self._stream.skip(len(neighbors_of[centre]), draws)
+            return
+        draw = self._stream.draw
+        for _ in range(remaining):
+            for i, position in enumerate(positions):
+                neighbors = neighbors_of[position]
+                fanout = len(neighbors)
+                positions[i] = neighbors[draw(fanout) if fanout > 1 else 0]
+
+
+def _open_peer(
+    visited: set[PeerId],
+    neighbors_of: list[tuple[PeerId, ...]],
+    hint: PeerId,
+) -> Optional[PeerId]:
+    """A peer of ``visited`` with an online neighbour outside it, trying
+    ``hint`` first; ``None`` when ``visited`` is its whole online
+    component."""
+    if not visited.issuperset(neighbors_of[hint]):
+        return hint
+    for peer in visited:
+        if not visited.issuperset(neighbors_of[peer]):
+            return peer
+    return None

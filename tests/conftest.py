@@ -72,3 +72,20 @@ def metrics() -> MessageMetrics:
 @pytest.fixture
 def log(metrics: MessageMetrics) -> MessageLog:
     return MessageLog(metrics, keep_messages=True)
+
+
+@pytest.fixture
+def telemetry():
+    """Telemetry on, into a fresh collector, for the test body: yields
+    that collector. The process-global collector and enabled flag are
+    restored afterwards."""
+    from repro import obs
+
+    was_enabled = obs.enabled()
+    obs.enable()
+    try:
+        with obs.scoped(merge_into_parent=False) as local:
+            yield local
+    finally:
+        if not was_enabled:
+            obs.disable()

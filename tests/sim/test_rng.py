@@ -30,6 +30,21 @@ Mutations run against ``BoundedStream``, each caught by the test named:
   ``test_sequence_and_final_state_match_scalar_draws``;
 * ``RandomStreams.get`` handing out an owned generator without settling
   its ``bounded`` owner — ``test_get_settles_the_owner``.
+
+``BoundedStream.skip(n, count)`` must leave the stream where ``count``
+calls of ``draw(n)`` would. Mutations of it, each caught by the test
+named:
+
+* rejections ignored (every word taken counted as a draw) —
+  ``TestSkip.test_rejected_words_mid_block_and_at_a_refill``, and
+  ``test_matches_scalar_draws`` at ``n = 2**31 + 1``, which rejects
+  almost half the words;
+* one word short at a block boundary (a slice that ends the block
+  counted as one draw more than it holds) — ``test_matches_scalar_draws``
+  at every ``count`` that reaches a block's end,
+  ``test_rejected_words_mid_block_and_at_a_refill``;
+* ``n == 1`` consuming a word — ``test_matches_scalar_draws``
+  (``n = 1``).
 """
 
 from __future__ import annotations
@@ -383,3 +398,75 @@ class TestLemireRejection:
         served = _served(source, [3] * _FIRST_BLOCK)
         assert served == [0] * (_FIRST_BLOCK - 1) + [1]
         assert source.position == _FIRST_BLOCK + 1
+
+
+class TestSkip:
+    """``skip(n, count)`` against ``count`` scalar draws: the generator
+    state after ``settle()``, and the next draw."""
+
+    @pytest.mark.parametrize("n", EDGE_BOUNDS + (2**31 + 1,))
+    @pytest.mark.parametrize("count", [
+        0, 1, _FIRST_BLOCK - 1, _FIRST_BLOCK, 4 * _MAX_BLOCK + 7,
+    ])
+    @pytest.mark.parametrize("predraws", [0, 1])
+    @pytest.mark.parametrize("drawn", [0, 5])
+    def test_matches_scalar_draws(self, n, count, predraws, drawn):
+        """``drawn`` draws from the stream first put the skip mid-block."""
+        scalar, served = _pair(seed=count + n % 97, predraws=predraws)
+        stream = BoundedStream(served)
+        expected = [int(scalar.integers(0, 7)) for _ in range(drawn)]
+        assert [stream.draw(7) for _ in range(drawn)] == expected
+        for _ in range(count):
+            scalar.integers(0, n)
+        stream.skip(n, count)
+        assert stream.draw(n) == int(scalar.integers(0, n))
+        stream.settle()
+        assert served.bit_generator.state == scalar.bit_generator.state
+        assert served.random() == scalar.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        runs=st.lists(
+            st.tuples(st.sampled_from(EDGE_BOUNDS), st.integers(0, 300)),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_skips_and_draws_interleaved(self, seed, runs):
+        scalar, served = _pair(seed=seed, predraws=seed % 2)
+        stream = BoundedStream(served)
+        for n, count in runs:
+            expected = [int(scalar.integers(0, n)) for _ in range(count)]
+            stream.skip(n, count // 2)
+            assert [stream.draw(n) for _ in range(count - count // 2)] == (
+                expected[count // 2:]
+            )
+        assert stream.rng.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("rejected_at", [
+        5,  # mid-block
+        9,  # the last word of the slice: one more word is owed
+        _FIRST_BLOCK - 1,  # the last word of the first block
+        _FIRST_BLOCK,  # the first word of the refill
+    ])
+    def test_rejected_words_mid_block_and_at_a_refill(self, rejected_at):
+        """For n = 3 only the word 0 is rejected (``TestLemireRejection``)."""
+        words = [7] * (3 * _FIRST_BLOCK)
+        words[rejected_at] = 0
+        for count in (10, _FIRST_BLOCK, _FIRST_BLOCK + 3):
+            source, drawn = ScriptedWords(words), ScriptedWords(words)
+            stream = BoundedStream(source)
+            stream.skip(3, count)
+            stream.settle()
+            _served(drawn, [3] * count)
+            assert source.position == drawn.position == (
+                count + (rejected_at < count)
+            )
+
+    def test_nonpositive_bound_rejected(self):
+        scalar, served = _pair(seed=2)
+        stream = BoundedStream(served)
+        for bad in (0, -1):
+            with pytest.raises(ParameterError):
+                stream.skip(bad, 3)
+        assert stream.draw(4) == int(scalar.integers(0, 4))

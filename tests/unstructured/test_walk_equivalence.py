@@ -10,6 +10,29 @@ totals, same audit records in the same order, and the walk generator left
 in the same state — read through ``walker.rng``, after every search or
 only after a run of them (the walker's draw stream persists across
 searches).
+
+A search trapped in an online component with no replica ends in closed
+form. The generated worlds include a two-peer component (no draw), stars
+with the origin at the centre or on a leaf (one ``BoundedStream.skip``)
+and a 4–5-peer non-star (the move-and-draw loop), and
+``test_each_trapped_tail_equals_the_reference`` proves each tail runs by
+its ``walk.trapped`` count. Mutations of ``RandomWalkSearch.search``,
+each caught by ``test_fast_walk_equals_reference`` and by the test or
+the cases (``[...]``, of ``test_each_trapped_tail_equals_the_reference``)
+named:
+
+* the trap check moved above the step's found / all-dead break — an
+  isolated origin then takes the tail (``test_an_isolated_origin_is_no_trap``);
+* ``ceil`` and ``floor`` swapped in the star's draw count — the generator
+  state differs after an odd number of remaining steps
+  (``[star-centre-odd]``, ``[star-centre-one-walker]``);
+* ``ttl - step + 1`` remaining steps — the message totals differ (every
+  case);
+* the tail taken on an audited search — the audit log misses the tail's
+  hops (``test_audited_and_non_str_searches_walk_every_hop``);
+* the closure test skipping the origin's row — a walker back at the
+  star's centre looks trapped before it has seen every leaf
+  (``[star-centre-*]``).
 """
 
 from __future__ import annotations
@@ -131,11 +154,8 @@ class World:
             keep_messages=self.keep_messages,
         )
         offline = self.offline
-        if offline == "isolate-origin":
-            offline = frozenset(overlay.topology.neighbors(self.origin))
-        elif offline == "two-peer-component":
-            partner = overlay.topology.neighbors(self.origin)[0]
-            offline = frozenset(range(self.num_peers)) - {self.origin, partner}
+        if isinstance(offline, str):
+            offline = _offline_for(offline, overlay.topology, self.origin)
         for peer_id in offline:
             population.set_online(peer_id, False)
         holders = self.holders
@@ -152,6 +172,55 @@ class World:
         return overlay, walker
 
 
+#: Offline sets resolved against the built graph: the origin's
+#: neighbours, or everyone but the component named — a pair, a star with
+#: the origin at its centre or on a leaf, a 4–5-peer path with its chords.
+SHAPES = [
+    "isolate-origin", "two-peer-component",
+    "star-component", "leaf-of-star", "small-component",
+]
+
+
+def _offline_for(shape, topology, origin):
+    neighbors = topology.neighbors
+    if shape == "isolate-origin":
+        return frozenset(neighbors(origin))
+    if shape == "two-peer-component":
+        component = {origin, neighbors(origin)[0]}
+    elif shape == "star-component":
+        component = _star(topology, origin)
+    elif shape == "leaf-of-star":
+        component = _star(topology, neighbors(origin)[0], leaf=origin)
+    else:
+        assert shape == "small-component"
+        component = _path(topology, origin)
+    return frozenset(range(len(topology.population))) - component
+
+
+def _star(topology, centre, leaf=None):
+    """``centre`` and up to three of its neighbours (``leaf`` first), no
+    two of them adjacent: online alone, a star once it has two leaves."""
+    leaves = [] if leaf is None else [leaf]
+    for peer in topology.neighbors(centre):
+        if len(leaves) < 3 and peer not in leaves and not (
+            set(topology.neighbors(peer)) & set(leaves)
+        ):
+            leaves.append(peer)
+    return {centre, *leaves}
+
+
+def _path(topology, origin):
+    """Up to five peers along a path from ``origin``: online alone, a
+    component that is no star once the path has four peers."""
+    path = [origin]
+    while len(path) < 5:
+        step = [p for p in topology.neighbors(path[-1]) if p not in path]
+        if not step:
+            break
+        path.append(step[0])
+    return set(path)
+
+
 @st.composite
 def worlds(draw) -> World:
     num_peers = draw(st.integers(2, 24))
@@ -164,7 +233,7 @@ def worlds(draw) -> World:
     offline = draw(
         st.one_of(
             st.frozensets(peer_ids).map(lambda ids: ids - {origin}),
-            st.sampled_from(["isolate-origin", "two-peer-component"]),
+            st.sampled_from(SHAPES),
         )
     )
     holders = draw(
@@ -190,8 +259,8 @@ def worlds(draw) -> World:
         origin=origin,
         offline=offline,
         holders=holders,
-        walkers=draw(st.integers(1, 5)),
-        ttl=draw(st.integers(1, 40)),
+        walkers=draw(st.integers(1, 8)),
+        ttl=draw(st.integers(1, 300)),
         keep_messages=draw(st.booleans()),
         flips=flips,
     )
@@ -359,3 +428,69 @@ def test_second_search_sees_liveness_change_without_stale_neighbour(rng):
     overlay.population.set_online(second, True)
     walker.search(0, "absent")
     assert {m.receiver for m in overlay.log.messages} == {second}
+
+
+# ----------------------------------------------------------------------
+# A search trapped in a component with no replica
+# ----------------------------------------------------------------------
+def _trap_world(shape, walkers=3, ttl=41, keep_messages=False):
+    return World(
+        num_peers=16, degree=4, topology_seed=2, walk_seed=5, predraws=1,
+        origin=0, offline=shape, holders=frozenset(), walkers=walkers,
+        ttl=ttl, keep_messages=keep_messages, flips=(),
+    )
+
+
+def _branching_peers(overlay, origin):
+    """How many peers of ``origin``'s online component have two or more
+    online neighbours: 0 a pair, 1 a star, more anything else."""
+    component, stack = {origin}, [origin]
+    while stack:
+        for peer in overlay.topology.online_neighbors(stack.pop()):
+            if peer not in component:
+                component.add(peer)
+                stack.append(peer)
+    assert len(component) > 1
+    return sum(len(overlay.online_neighbors(p)) > 1 for p in component)
+
+
+@pytest.mark.parametrize("world, tail", [
+    pytest.param(_trap_world("two-peer-component"), "no draw", id="two-peer"),
+    pytest.param(_trap_world("star-component"), "skip", id="star-centre-odd"),
+    pytest.param(
+        _trap_world("star-component", ttl=40), "skip", id="star-centre-even"
+    ),
+    pytest.param(
+        _trap_world("star-component", walkers=1), "skip",
+        id="star-centre-one-walker",
+    ),
+    pytest.param(_trap_world("leaf-of-star"), "skip", id="star-leaf"),
+    pytest.param(_trap_world("small-component"), "loop", id="small-component"),
+])
+def test_each_trapped_tail_equals_the_reference(world, tail, telemetry):
+    overlay, _ = world.build()
+    branching = _branching_peers(overlay, world.origin)
+    assert {"no draw": branching == 0, "skip": branching == 1,
+            "loop": branching > 1}[tail]
+    _assert_equivalent(world, lambda: "k")
+    counters = telemetry.counters
+    assert counters["walk.trapped"] == counters["walk.searches"] == 2
+
+
+def test_an_isolated_origin_is_no_trap(telemetry):
+    """Every walker dies at the first step: the search ends there."""
+    _assert_equivalent(_trap_world("isolate-origin"), lambda: "k")
+    assert telemetry.counters["walk.searches"] == 2
+    assert "walk.trapped" not in telemetry.counters
+
+
+class Key(str):
+    """Equal to ``"k"``, but not a ``str`` by type."""
+
+
+@pytest.mark.parametrize("shape", ["two-peer-component", "small-component"])
+def test_audited_and_non_str_searches_walk_every_hop(shape, telemetry):
+    _assert_equivalent(_trap_world(shape, keep_messages=True), lambda: "k")
+    _assert_equivalent(_trap_world(shape), lambda: Key("k"))
+    assert telemetry.counters["walk.searches"] == 4
+    assert "walk.trapped" not in telemetry.counters
