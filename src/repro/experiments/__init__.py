@@ -24,7 +24,7 @@ The underlying data generators remain importable directly
 (:mod:`~repro.experiments.figures`, :mod:`~repro.experiments.tables`,
 :mod:`~repro.experiments.sweeps`); the simulated ones take one
 :class:`~repro.experiments.execution.Execution` argument for engine,
-workers, dtype policy and array shipping.
+workers and array shipping.
 """
 
 from repro.experiments.scenario import (

@@ -174,8 +174,7 @@ def sweep_grid(
     calibration threads the model through (rank-permutation awareness).
 
     ``execution`` (default ``Execution("vectorized")``) carries the
-    worker count, the kernel's state dtype policy (part of each cell's
-    artifact identity) and the shared-memory switch — see
+    worker count and the shared-memory switch — see
     :mod:`repro.experiments.execution`; results are identical for any
     worker count and shipping mechanism.
     """

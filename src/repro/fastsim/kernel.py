@@ -1,10 +1,16 @@
 """Round-stepped batch execution of the PDHT simulation semantics.
 
 Where the event engine dispatches one Python callback per query, the
-kernel processes a whole round's Zipf query batch with numpy array
-operations: liveness test against the per-key expiry array, TTL refresh of
-the hit set, unique-key miss resolution, cost accounting — five array ops
-per round regardless of how many million peers the scenario has.
+kernel processes a whole *span* of rounds in one numpy pass: liveness
+test against the per-key expiry array, unique-key miss resolution, TTL
+refresh, gateway discovery — a fixed handful of array ops per span,
+regardless of how many million peers the scenario has or how many rounds
+the span covers. A span is a run of consecutive rounds whose only state
+changes are its own queries' writes, none of which can expire inside it
+(no churn, no hooks, a keyTtl longer than the span, no content refresh
+after its first round; see :meth:`FastSimKernel._span_end`); a Python
+loop then books each round's tallies and message charges in round order.
+Anything else is a one-round span through the same code.
 
 Faithfulness to :class:`~repro.pdht.network.PdhtNetwork` (Section 5.1):
 
@@ -14,7 +20,8 @@ Faithfulness to :class:`~repro.pdht.network.PdhtNetwork` (Section 5.1):
 * a hit rearms the expiration clock to ``now + keyTtl``;
 * a miss floods the replica subnetwork, broadcasts, and (when resolved)
   re-inserts the key, so later queries for it *in the same round* hit —
-  reproduced exactly via unique-key decomposition of each round's batch;
+  reproduced exactly via unique-key decomposition of each round's batch
+  (and, across the rounds of a span, by a key's first round in it);
 * per-operation message costs (DHT lookup, replica flood, broadcast walk,
   gateway bootstrap, routing maintenance) are charged per event in the
   same :class:`~repro.sim.metrics.MessageCategory` taxonomy. Costs come
@@ -52,6 +59,7 @@ distribution ``figures.staleness_experiment`` measures from event traces.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -88,11 +96,19 @@ __all__ = [
 #: Query-draw block cap for the batched round loop: rounds are drawn
 #: ahead a block at a time, never more than this many queries at once
 #: (unless one round alone exceeds it). Two int64 arrays of this size
-#: are 2 MB: still cache-resident when ``_step_queries`` reads them back
-#: round by round, and never re-faulted from one cell of a sweep to the
+#: are 2 MB: still cache-resident when ``_step_span`` reads them back
+#: span by span, and never re-faulted from one cell of a sweep to the
 #: next. Chunking does not change the RNG stream: consecutive draws
 #: concatenate bit-identically.
 DRAW_BLOCK = 1 << 17
+
+#: Query budget of a span (the rounds one ``_step_span`` pass covers): a
+#: span takes no more rounds than fit this many queries. Each round a
+#: span adds saves a fixed ~50 us of numpy calls and costs ~12 ns a query
+#: of span bookkeeping, so a span of two rounds only pays below ~2k
+#: queries a round; this budget keeps every multi-round span there. A
+#: round that alone exceeds it is a span of its own.
+SPAN_QUERIES = 1 << 12
 
 #: Round interval between flight-recorder progress heartbeats. Only paid
 #: while an event sink is recording (``obs.heartbeat`` returns ``None``
@@ -109,23 +125,64 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 #: Shared zero-length sentinels for the empty-batch early exits. The hot
 #: paths only ever read the returned arrays (verified by every call
 #: site), so one immutable instance per dtype replaces a fresh
-#: allocation per round.
+#: allocation per span.
 _EMPTY_F8 = _read_only(np.zeros(0))
 _EMPTY_BOOL = _read_only(np.zeros(0, dtype=bool))
-_EMPTY_I8 = _read_only(np.empty(0, dtype=INDEX_DTYPE))
 
 
-class _RoundScratch:
-    """Reusable per-round scratch buffers, keyed by role.
+def _rounds_before(start: float, limit: float) -> float:
+    """How many of the rounds at ``start, start + 1, ...`` come strictly
+    before ``limit`` (``inf`` if all do).
 
-    The query hot paths need a handful of O(batch) temporaries every
-    round (liveness masks, resolution probabilities, uniform draws).
-    Allocating them afresh each round puts several transient blocks on
+    Round times are whole numbers, so the round-by-round test
+    ``start + j < limit`` holds exactly for ``j < ceil(limit - start)``;
+    the rounded subtraction can only make the count smaller, never larger.
+    """
+    if limit == math.inf:
+        return math.inf
+    return max(0, math.ceil(limit - start))
+
+
+class _Span:
+    """Consecutive rounds of one draw block that one numpy pass handles.
+
+    Round ``j`` of the span runs at ``now + j`` with ``counts[j]`` of the
+    span's queries, which are stored in round order.
+    """
+
+    __slots__ = ("now", "counts", "size", "rounds")
+
+    def __init__(self, now: float, counts: np.ndarray) -> None:
+        self.now = now
+        self.counts: list[int] = counts.tolist()
+        self.size = len(self.counts)
+        #: The span round of each query; ``None`` in a one-round span.
+        self.rounds = (
+            np.repeat(np.arange(self.size), counts) if self.size > 1 else None
+        )
+
+    def tally(self, selected: np.ndarray) -> list[int]:
+        """Per-round number of the queries a boolean mask selects."""
+        if self.rounds is None:
+            return [int(np.count_nonzero(selected))]
+        return np.bincount(self.rounds[selected], minlength=self.size).tolist()
+
+
+#: A span's message charges: ``(category, per-round amounts)`` pairs.
+_Charges = list[tuple[MessageCategory, list[float]]]
+
+
+class _SpanScratch:
+    """Reusable per-span scratch buffers, keyed by role.
+
+    The query hot paths need a handful of O(span) temporaries every
+    span (liveness masks, resolution probabilities, uniform draws).
+    Allocating them afresh each span puts several transient blocks on
     top of state at 10^7 peers; instead each role owns one buffer that
-    grows geometrically to the largest batch seen and is re-sliced per
+    grows geometrically to the largest span seen and is re-sliced per
     call, so steady-state peak memory is state + one draw block.
 
-    A role is single-assignment within a round: callers must finish
+    A role is single-assignment within a span: callers must finish
     consuming a view before requesting the same role again.
     """
 
@@ -413,11 +470,11 @@ class FastSimKernel:
         self.hits_total = 0
         self.misses_total = 0
 
-        # Streamed-loop buffers: per-role scratch for the round hot paths,
+        # Streamed-loop buffers: per-role scratch for the span hot paths,
         # draw buffers reused across blocks, and read-only all-ones
         # sentinels for the no-churn resolution fast path. All grow to the
         # largest batch seen and are then stable for the run.
-        self._scratch = _RoundScratch()
+        self._scratch = _SpanScratch()
         self._draw_ranks: Optional[np.ndarray] = None
         self._draw_keys: Optional[np.ndarray] = None
         self._ones_bool = _EMPTY_BOOL
@@ -450,7 +507,8 @@ class FastSimKernel:
         its phases nested under it: ``round.maintain`` / ``round.queries``
         / ``round.post`` count rounds, while ``draw`` counts draw blocks
         (one ``draw_rounds`` call per :data:`DRAW_BLOCK` queries) — a
-        busy cell contributes several, an idle one exactly one.
+        busy cell contributes several, an idle one exactly one — and the
+        ``kernel.spans`` counter counts numpy passes (:meth:`_step_span`).
         """
         if duration <= 0:
             raise ParameterError(f"duration must be > 0, got {duration}")
@@ -468,7 +526,7 @@ class FastSimKernel:
         telemetry = obs.enabled()
         perf = perf_counter
         t_draw = t_maintain = t_queries = t_post = 0.0
-        draw_blocks = 0
+        draw_blocks = spans = 0
         report = FastSimReport(
             strategy=self.strategy, params=self.params, duration=duration
         )
@@ -527,60 +585,71 @@ class FastSimKernel:
                 counts[block_lo:block_hi],
                 out=(self._draw_ranks, self._draw_keys),
             )
+            bounds = offsets.tolist()
             if telemetry:
                 t_draw += perf() - t0
                 draw_blocks += 1
-            for i in range(block_lo, block_hi):
-                self.now += 1.0
-                now = self.now
+            i = block_lo
+            while i < block_hi:
+                now = self.now + 1.0
                 if telemetry:
                     t0 = perf()
+                # A span opens like any round: churn moves, then a due
+                # content refresh lands before the queries, matching the
+                # event-engine staleness loop (advance -> refresh -> query).
                 if self.churn is not None:
                     report.churn_transitions += self.churn.step(
                         self.state.online
                     )
                 if self._next_refresh is not None and now >= self._next_refresh:
-                    # Content refresh before the round's queries, matching
-                    # the event-engine staleness loop
-                    # (advance -> refresh -> query).
                     self.state.bump_versions()
                     report.content_refreshes += 1
                     self._next_refresh += self.content_refresh_period
+                maintenance = 0.0
                 if self.policy.runs_dht:
                     if self.churn_costs is not None:
                         # The calibrated rate holds at the stationary
                         # availability; scale it to the instantaneous
                         # online member fraction so transients show up
                         # immediately.
-                        totals[MessageCategory.MAINTENANCE] += (
+                        maintenance = (
                             maintenance_scale
                             * self.state.online_member_fraction()
                         )
                     else:
-                        totals[MessageCategory.MAINTENANCE] += (
-                            self.costs.maintenance_per_round
-                        )
-
+                        maintenance = self.costs.maintenance_per_round
+                end = self._span_end(i, block_lo, bounds, now, now - start,
+                                     recorder)
                 if telemetry:
                     t1 = perf()
                     t_maintain += t1 - t0
-                lo, hi = offsets[i - block_lo], offsets[i - block_lo + 1]
-                accepted, round_hits = self._step_queries(
-                    now, block_ranks[lo:hi], block_keys[lo:hi], totals, report
+                lo, hi = bounds[i - block_lo], bounds[end - block_lo]
+                accepted, hits, charges = self._step_span(
+                    now, counts[i:end], block_ranks[lo:hi], block_keys[lo:hi],
+                    report,
                 )
                 if telemetry:
                     t2 = perf()
                     t_queries += t2 - t1
-                self._step_updates(totals)
-
-                recorder.record(accepted, round_hits)
-                recorder.maybe_close(now - start, size_thunk)
-                for hook in self.on_round:
-                    hook(self, now)
+                # Book the span round by round, in round order: float
+                # totals are order-sensitive, and a window closes only on
+                # the span's last round, after all of its writes.
+                for j in range(end - i):
+                    self.now += 1.0
+                    totals[MessageCategory.MAINTENANCE] += maintenance
+                    for category, amounts in charges:
+                        totals[category] += amounts[j]
+                    self._step_updates(totals)
+                    recorder.record(accepted[j], hits[j])
+                    recorder.maybe_close(self.now - start, size_thunk)
+                    for hook in self.on_round:
+                        hook(self, self.now)
                 if telemetry:
                     t_post += perf() - t2
-                if beat is not None and (i + 1) % HEARTBEAT_ROUNDS == 0:
-                    beat(i + 1)
+                spans += 1
+                i = end
+                if beat is not None and i % HEARTBEAT_ROUNDS == 0:
+                    beat(i)
             block_lo = block_hi
 
         if beat is not None:
@@ -616,88 +685,153 @@ class FastSimKernel:
             obs.add_duration("kernel.run/round.post", t_post, n=rounds)
             obs.count("kernel.runs")
             obs.count("kernel.rounds", rounds)
+            obs.count("kernel.spans", spans)
             obs.count("kernel.queries", report.queries)
             obs.sample_peak_rss("kernel")
         return report
 
     # ------------------------------------------------------------------
-    # Per-round steps
+    # Spans
     # ------------------------------------------------------------------
-    def _step_queries(
+    def _span_end(
+        self,
+        first: int,
+        block_lo: int,
+        bounds: list[int],
+        now: float,
+        elapsed: float,
+        recorder: WindowRecorder,
+    ) -> int:
+        """One past the last round of the span opening at round ``first``
+        (run-relative, at ``now``, ``elapsed`` rounds into the run) of the
+        draw block starting at ``block_lo``, whose round ``b`` holds its
+        queries ``bounds[b]:bounds[b + 1]``.
+
+        A span covers more than one round only where its own queries'
+        writes are the only state changes and none of them can expire
+        inside it: no churn and no ``on_round`` hook (either moves state
+        between rounds), and, under the selection algorithm, a positive
+        keyTtl longer than the span, so an entry any of its rounds writes
+        is still live at its last. No content refresh may fall due after
+        its first round, and no window or heartbeat before its last. Its
+        queries fit :data:`SPAN_QUERIES`.
+        """
+        adaptive = self.policy.adaptive
+        if (
+            self.churn is not None
+            or self.on_round
+            or (adaptive and not self.key_ttl > 0)
+        ):
+            return first + 1
+        b = first - block_lo
+        fits = bisect_right(bounds, bounds[b] + SPAN_QUERIES) - 1 - b
+        size = min(max(fits, 1), HEARTBEAT_ROUNDS - first % HEARTBEAT_ROUNDS)
+        if adaptive:
+            size = min(size, 1 + _rounds_before(now + 1.0, now + self.key_ttl))
+        if self._next_refresh is not None:
+            size = min(size, 1 + _rounds_before(now + 1.0, self._next_refresh))
+        if recorder.enabled:
+            size = min(size, 1 + _rounds_before(elapsed, recorder.next_at))
+        return first + size
+
+    def _step_span(
         self,
         now: float,
+        counts: np.ndarray,
         ranks: np.ndarray,
         keys: np.ndarray,
-        totals: dict[MessageCategory, float],
         report: FastSimReport,
-    ) -> tuple[int, int]:
-        """Process one round's query batch.
+    ) -> tuple[list[int], list[int], _Charges]:
+        """Process the query batches of one span in one numpy pass.
 
-        Returns ``(accepted, hits)`` — ``accepted`` is how many of the
-        batch's queries actually ran (0 when nobody is online to
-        originate one), so the window recorder and the report always
-        describe the same query population.
+        Round ``j`` of the span runs at ``now + j`` with ``counts[j]``
+        queries; ``ranks`` and ``keys`` hold them all in round order.
+        Returns per-round ``accepted`` and ``hits`` and the message
+        charges, ``(category, per-round amounts)`` pairs the caller books
+        round by round. ``accepted`` counts the queries that actually ran
+        (none when nobody is online to originate one), so the window
+        recorder and the report always describe the same query population.
         """
+        span = _Span(now, counts)
         count = keys.size
-        if count == 0:
-            return 0, 0
-        if self.churn is not None and not self.state.online.any():
-            # Nobody online to originate a query this round — the event
-            # engine cannot draw an origin either. Drop the batch.
-            return 0, 0
+        if count == 0 or (
+            self.churn is not None and not self.state.online.any()
+        ):
+            # No queries, or nobody online to originate one this round —
+            # the event engine cannot draw an origin either. Drop the batch.
+            idle = [0] * span.size
+            return idle, idle, []
         report.queries += count
         policy = self.policy
         if policy.adaptive:
-            return count, self._step_selection(now, keys, totals, report)
+            return (span.counts, *self._span_selection(span, keys, report))
         if not policy.runs_dht:
             # Every query broadcast; no DHT, no gateway traffic.
             resolved_mask, p_resolve = self._resolve_draws(count)
             resolved = int(resolved_mask.sum())
             report.answered += resolved
-            self._charge_walks(count, p_resolve, totals)
             report.unresolved += count - resolved
-            return count, 0
+            walks = self._walk_charges(span.counts, p_resolve)
+            return span.counts, [0] * span.size, [
+                (MessageCategory.UNSTRUCTURED_SEARCH, walks)
+            ]
         # A static index: the indexed ranks are preloaded with infinite
         # TTL at *every* replica group member, so even under churn the
         # rerouted responsible answers directly (all hits, no flood
         # traffic); the rest broadcast. With every rank indexed (indexAll)
         # no resolution is drawn and no walk charged.
-        indexed = ranks <= policy.index_ranks
-        hits = int(indexed.sum())
-        misses = count - hits
-        self._charge_gateways(
-            self._draw_origins(count)[indexed], totals, report
+        indexed = np.less_equal(
+            ranks, policy.index_ranks,
+            out=self._scratch.get("static.indexed", count, bool),
         )
-        totals[MessageCategory.INDEX_SEARCH] += self._lookup_cost * hits
+        hits = span.tally(indexed)
+        charges = self._gateway_charges(
+            span, self._draw_origins(count), indexed, report
+        )
+        index_hits = sum(hits)
+        misses = count - index_hits
         resolved_mask, p_resolve = self._resolve_draws(misses)
         resolved = int(resolved_mask.sum())
-        self._charge_walks(misses, p_resolve, totals)
-        report.index_hits += hits
-        report.answered += hits + resolved
+        report.index_hits += index_hits
+        report.answered += index_hits + resolved
         report.unresolved += misses - resolved
-        return count, hits
+        lookup = self._lookup_cost
+        charges.append(
+            (MessageCategory.INDEX_SEARCH, [lookup * hit for hit in hits])
+        )
+        charges.append((
+            MessageCategory.UNSTRUCTURED_SEARCH,
+            self._walk_charges(
+                [c - hit for c, hit in zip(span.counts, hits)], p_resolve
+            ),
+        ))
+        return span.counts, hits, charges
 
-    def _step_selection(
-        self,
-        now: float,
-        keys: np.ndarray,
-        totals: dict[MessageCategory, float],
-        report: FastSimReport,
-    ) -> int:
-        """The Section 5.1 query path on one round's batch."""
+    def _span_selection(
+        self, span: _Span, keys: np.ndarray, report: FastSimReport
+    ) -> tuple[list[int], _Charges]:
+        """The Section 5.1 query path on one span's queries; returns the
+        per-round hits and the message charges."""
         state = self.state
         scratch = self._scratch
         count = keys.size
-        self._charge_gateways(self._draw_origins(count), totals, report)
+        charges = self._gateway_charges(
+            span, self._draw_origins(count), None, report
+        )
 
-        # Liveness test in preallocated scratch (same strict > as
-        # state.live_mask, without the per-round temporaries).
+        # Liveness against the expiries the span opens with, each query at
+        # its own round (same strict > as state.live_mask), in
+        # preallocated scratch.
         expiries = np.take(
             state.expires_at,
             keys,
             out=scratch.get("select.expiry", count, state.expires_at.dtype),
         )
-        live = np.greater(expiries, now, out=scratch.get("select.live", count, bool))
+        nows = span.now if span.rounds is None else np.add(
+            span.rounds, span.now,
+            out=scratch.get("select.now", count, state.expires_at.dtype),
+        )
+        live = np.greater(expiries, nows, out=scratch.get("select.live", count, bool))
         cc = self.churn_costs
         if cc is not None and cc.turnover_miss > 0.0:
             # Responsible-peer turnover: a query for a live key can still
@@ -715,11 +849,42 @@ class FastSimKernel:
         not_live = np.logical_not(
             live, out=scratch.get("select.notlive", count, bool)
         )
-        hit_keys = keys[live]
+        # The keys of the live queries are gathered only where a path
+        # reads them: most spans (no churn, no refresh) never do.
         miss_keys = keys[not_live]
-        unique_miss, multiplicity = np.unique(miss_keys, return_counts=True)
+        miss_rounds = rehits = None
 
         if self.key_ttl > 0:
+            if span.rounds is None:
+                unique_miss, multiplicity = np.unique(
+                    miss_keys, return_counts=True
+                )
+            else:
+                # Every query of the span writes its round's expiry and the
+                # span is shorter than keyTtl, so a key met in an earlier
+                # round of the span hits. Liveness only falls from round to
+                # round: a key misses at most once — in its first round,
+                # and only if none of its queries is live. Mark the keys
+                # met live in expires_at itself (the round-ordered writes
+                # below overwrite every key of the span), then keep each
+                # unmarked key's earliest not-live round.
+                state.expires_at[keys[live]] = np.inf
+                pairs, pair_counts = np.unique(
+                    miss_keys * span.size + span.rounds[not_live],
+                    return_counts=True,
+                )
+                pair_keys = pairs // span.size
+                missed = np.ones(pairs.size, dtype=bool)
+                np.not_equal(pair_keys[1:], pair_keys[:-1], out=missed[1:])
+                missed &= state.expires_at[pair_keys] != np.inf
+                unique_miss = pair_keys[missed]
+                multiplicity = pair_counts[missed]
+                miss_rounds = pairs[missed] % span.size
+                if state.indexed_version is not None:
+                    # The other pairs hit an entry an earlier round of the
+                    # span served: counted stale below.
+                    served = ~missed
+                    rehits = np.repeat(pair_keys[served], pair_counts[served])
             # First occurrence of a missing key misses; once its broadcast
             # resolves and re-inserts it, the round's later duplicates hit.
             resolved_mask, p_resolve = self._resolve_draws(unique_miss.size)
@@ -728,36 +893,33 @@ class FastSimKernel:
             # never-indexed key's misses are all cold.
             cold_weights = np.where(resolved_mask, 1, multiplicity)
             miss_events = int(cold_weights.sum())
-            duplicate_hits = int((multiplicity[resolved_mask] - 1).sum())
             inserts = unique_miss[resolved_mask]
-            hits = int(live.sum()) + duplicate_hits
-            report.stale_hits += state.stale_count(hit_keys)
+            report.stale_hits += state.stale_count(keys, live)
             # Expected walk messages per unique missing key over the
-            # resolution draw (Rao-Blackwellised; see _charge_walks):
+            # resolution draw (Rao-Blackwellised; see _walk_charges):
             # resolve -> one resolved walk, fail -> every occurrence
             # re-walks and exhausts.
             walk_events = multiplicity
             walk_p = p_resolve
         else:
-            # Degenerate keyTtl = 0: TtlKeyStore resets a hit entry's
-            # expiry to ``now``, so an entry still live from an earlier
-            # positive-TTL era serves exactly one hit and then dies, its
-            # same-round duplicates miss, and fresh inserts expire on
-            # arrival.
-            unique_live, live_counts = np.unique(hit_keys, return_counts=True)
-            miss_events = miss_keys.size + int(hit_keys.size - unique_live.size)
-            hit_keys = unique_live
+            # Degenerate keyTtl = 0 (a one-round span): TtlKeyStore resets
+            # a hit entry's expiry to ``now``, so an entry still live from
+            # an earlier positive-TTL era serves exactly one hit and then
+            # dies, its same-round duplicates miss, and fresh inserts
+            # expire on arrival.
+            unique_live, live_counts = np.unique(keys[live], return_counts=True)
+            unique_miss, multiplicity = np.unique(miss_keys, return_counts=True)
+            miss_events = count - unique_live.size
             resolved_mask, p_resolve = self._resolve_draws(miss_events)
             occurrences = np.concatenate(
                 [miss_keys, np.repeat(unique_live, live_counts - 1)]
             )
             inserts = occurrences[resolved_mask]
-            hits = unique_live.size
             report.stale_hits += state.stale_count(unique_live)
             # Every occurrence misses, but a never-indexed key misses cold
             # only up to its first resolved occurrence (in batch order),
             # which indexes it.
-            resolved =resolved_mask[np.argsort(miss_keys, kind="stable")]
+            resolved = resolved_mask[np.argsort(miss_keys, kind="stable")]
             resolved_before = np.cumsum(resolved) - resolved
             group = np.repeat(np.arange(unique_miss.size), multiplicity)
             first = np.cumsum(multiplicity) - multiplicity
@@ -769,12 +931,13 @@ class FastSimKernel:
         # In both TTL regimes insertions == number of resolved broadcasts.
         insertions = inserts.size
         unresolved = miss_events - insertions
+        hits = count - miss_events
 
         # Reinsertion / cold-miss attribution (selection stats, source
         # I/IV), per occurrence like the event engine's record_miss: a miss
         # event that is not cold is a reinsertion. A key was indexed before
-        # the round iff its expiry is finite: every insert writes one, and
-        # nothing writes -inf back.
+        # the span iff its expiry is finite: every insert writes one, and
+        # nothing writes -inf back (a missed key is never marked).
         cold = int(cold_weights[state.expires_at[unique_miss] == -np.inf].sum())
         report.cold_misses += cold
         report.reinsertions += miss_events - cold
@@ -783,47 +946,77 @@ class FastSimKernel:
         # a re-insert always fetches the *current* content version. Under
         # keyTtl = 0 both write ``now``: a hit kills its entry, an insert
         # is dead on arrival but leaves the key marked as indexed.
-        state.refresh(hit_keys, now, self.key_ttl)
-        state.refresh(inserts, now, self.key_ttl)
+        if unresolved:
+            # Only under churn, whose spans are one round: an unresolved
+            # miss writes nothing.
+            state.refresh(keys[live], span.now, self.key_ttl)
+            state.refresh(inserts, span.now, self.key_ttl)
+        else:
+            # Every query rearmed or re-inserted its key: write each
+            # round's expiry, round by round in round order, so a key's
+            # last round in the span sets it.
+            lo = 0
+            for j, round_count in enumerate(span.counts):
+                state.refresh(
+                    keys[lo:lo + round_count], span.now + j, self.key_ttl
+                )
+                lo += round_count
         state.capture_versions(inserts)
+        if rehits is not None:
+            # Read after the capture: stale unless an earlier round of the
+            # span re-inserted the key.
+            report.stale_hits += state.stale_count(rehits)
         self.hits_total += hits
         self.misses_total += miss_events
-
-        # Cost accounting (Section 5.1 / Eq. 17 event-for-event).
-        if cc is None:
-            totals[MessageCategory.INDEX_SEARCH] += self.costs.lookup * (
-                count + insertions
-            )
-            totals[MessageCategory.REPLICA_FLOOD] += self.costs.flood * (
-                miss_events + insertions
-            )
-            totals[MessageCategory.UNSTRUCTURED_SEARCH] += (
-                self.costs.walk * miss_events
-            )
-        else:
-            totals[MessageCategory.INDEX_SEARCH] += (
-                cc.lookup * count + cc.miss_lookup * insertions
-            )
-            totals[MessageCategory.REPLICA_FLOOD] += (
-                cc.miss_flood * miss_events
-                + cc.insert_flood * insertions
-                + cc.hit_flood_fraction * cc.hit_flood * hits
-            )
-            # Expected walk messages over the resolution draw: a resolved
-            # key pays one resolved walk, an unresolved one re-walks and
-            # exhausts on every occurrence.
-            totals[MessageCategory.UNSTRUCTURED_SEARCH] += float(
-                (
-                    walk_p * cc.resolved_walk
-                    + (1.0 - walk_p) * walk_events * cc.failed_walk
-                ).sum()
-            )
-
         report.index_hits += hits
         report.insertions += insertions
         report.answered += hits + (miss_events - unresolved)
         report.unresolved += unresolved
-        return hits
+
+        if miss_rounds is None:
+            misses, inserted = [miss_events], [insertions]
+        else:
+            # Without churn each missed key misses once and is re-inserted.
+            misses = inserted = np.bincount(
+                miss_rounds, minlength=span.size
+            ).tolist()
+        # Cost accounting (Section 5.1 / Eq. 17 event-for-event).
+        if cc is None:
+            costs = self.costs
+            charges += [
+                (MessageCategory.INDEX_SEARCH, [
+                    costs.lookup * (c + i)
+                    for c, i in zip(span.counts, inserted)
+                ]),
+                (MessageCategory.REPLICA_FLOOD, [
+                    costs.flood * (m + i) for m, i in zip(misses, inserted)
+                ]),
+                (MessageCategory.UNSTRUCTURED_SEARCH, [
+                    costs.walk * m for m in misses
+                ]),
+            ]
+        else:
+            # Churn spans are one round.
+            charges += [
+                (MessageCategory.INDEX_SEARCH, [
+                    cc.lookup * count + cc.miss_lookup * insertions
+                ]),
+                (MessageCategory.REPLICA_FLOOD, [
+                    cc.miss_flood * miss_events
+                    + cc.insert_flood * insertions
+                    + cc.hit_flood_fraction * cc.hit_flood * hits
+                ]),
+                # Expected walk messages over the resolution draw: a
+                # resolved key pays one resolved walk, an unresolved one
+                # re-walks and exhausts on every occurrence.
+                (MessageCategory.UNSTRUCTURED_SEARCH, [float(
+                    (
+                        walk_p * cc.resolved_walk
+                        + (1.0 - walk_p) * walk_events * cc.failed_walk
+                    ).sum()
+                )]),
+            ]
+        return [c - m for c, m in zip(span.counts, misses)], charges
 
     def _step_updates(self, totals: dict[MessageCategory, float]) -> None:
         """Proactive updates of the preloaded keys (Eq. 9)."""
@@ -858,32 +1051,49 @@ class FastSimKernel:
     # Helpers
     # ------------------------------------------------------------------
     def _draw_origins(self, count: int) -> np.ndarray:
-        """Uniform origins among online peers (event engine parity)."""
+        """Uniform origins among online peers (event engine parity) for
+        a span's ``count`` queries.
+
+        One call draws what one call per round would: numpy's bounded
+        draws keep the spare half of a 64-bit word in the bit generator's
+        state, so consecutive calls concatenate bit-identically.
+        """
         if self.churn is None:
             return self._rng_resolve.integers(
                 0, self.params.num_peers, size=count
             )
+        # Under churn a span is one round: its online peers are the pool.
         online = np.flatnonzero(self.state.online)
-        if online.size == 0:
-            return _EMPTY_I8
         return online[self._rng_resolve.integers(0, online.size, size=count)]
 
-    def _charge_gateways(
+    def _gateway_charges(
         self,
+        span: _Span,
         origins: np.ndarray,
-        totals: dict[MessageCategory, float],
+        where: Optional[np.ndarray],
         report: FastSimReport,
-    ) -> None:
-        """First index-path query per non-member origin pays bootstrap."""
-        discoveries = self.state.discover_gateways(origins)
-        if discoveries:
-            report.gateway_discoveries += discoveries
-            per_discovery = self.costs.gateway_discovery
-            if self.churn is not None:
-                # Offline candidates force extra probe pairs (geometric).
-                availability = max(self.churn.availability, 1e-6)
-                per_discovery /= availability
-            totals[MessageCategory.MEMBERSHIP] += per_discovery * discoveries
+    ) -> _Charges:
+        """First index-path query per non-member origin pays bootstrap, in
+        the round of the span the origin first appears in. ``where``
+        selects the queries that take the index path (``None``: all)."""
+        rounds = span.rounds
+        if where is not None:
+            origins = origins[where]
+            rounds = None if rounds is None else rounds[where]
+        discoveries = self.state.discover_gateways(origins, rounds, span.size)
+        new = sum(discoveries)
+        if not new:
+            return []
+        report.gateway_discoveries += new
+        per_discovery = self.costs.gateway_discovery
+        if self.churn is not None:
+            # Offline candidates force extra probe pairs (geometric).
+            availability = max(self.churn.availability, 1e-6)
+            per_discovery /= availability
+        return [(
+            MessageCategory.MEMBERSHIP,
+            [per_discovery * found for found in discoveries],
+        )]
 
     @property
     def _lookup_cost(self) -> float:
@@ -908,7 +1118,7 @@ class FastSimKernel:
             return _EMPTY_BOOL, _EMPTY_F8
         if self.churn is None:
             # Every search resolves; serve read-only cached ones instead
-            # of two fresh allocations per round.
+            # of two fresh allocations per span.
             return self._ones(count)
         scratch = self._scratch
         online_replicas = self.churn.replica_online_counts(
@@ -935,26 +1145,21 @@ class FastSimKernel:
         mask = np.less(draws, p, out=scratch.get("resolve.mask", count, bool))
         return mask, p
 
-    def _charge_walks(
-        self,
-        count: int,
-        p_resolve: np.ndarray,
-        totals: dict[MessageCategory, float],
-    ) -> None:
-        """Charge ``count`` broadcast searches, expectation over resolution."""
-        if count == 0:
-            return
-        if self.churn_costs is None:
-            totals[MessageCategory.UNSTRUCTURED_SEARCH] += (
-                self.costs.walk * count
-            )
-            return
+    def _walk_charges(
+        self, searches: list[int], p_resolve: np.ndarray
+    ) -> list[float]:
+        """Per-round charges of ``searches[j]`` broadcast searches, in
+        expectation over resolution."""
         cc = self.churn_costs
+        if cc is None:
+            return [self.costs.walk * count for count in searches]
+        # Under churn a span is one round.
+        (count,) = searches
         expected_resolved = float(p_resolve.sum())
-        totals[MessageCategory.UNSTRUCTURED_SEARCH] += (
+        return [
             expected_resolved * cc.resolved_walk
             + (count - expected_resolved) * cc.failed_walk
-        )
+        ]
 
     def _reported_index_size(self, now: float) -> int:
         if self.policy.adaptive:

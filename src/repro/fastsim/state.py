@@ -126,10 +126,15 @@ class FastSimState:
         if self.indexed_version is not None:
             self.indexed_version[keys] = self.content_version
 
-    def stale_count(self, keys: np.ndarray) -> int:
-        """How many of these hit occurrences served an outdated payload."""
+    def stale_count(
+        self, keys: np.ndarray, where: np.ndarray | None = None
+    ) -> int:
+        """How many of these hit occurrences (those ``where`` selects, if
+        given) served an outdated payload."""
         if self.indexed_version is None:
             return 0
+        if where is not None:
+            keys = keys[where]
         return int(
             np.count_nonzero(self.indexed_version[keys] != self.content_version)
         )
@@ -144,15 +149,33 @@ class FastSimState:
             return 0.0
         return float(self.online[self.is_member].sum()) / self.num_members
 
-    def discover_gateways(self, origins: np.ndarray) -> int:
-        """Mark ``origins`` as gateway-equipped; returns how many were new.
+    def discover_gateways(
+        self,
+        origins: np.ndarray,
+        rounds: np.ndarray | None = None,
+        size: int = 1,
+    ) -> list[int]:
+        """Mark ``origins`` as gateway-equipped; returns how many were new
+        in each of the ``size`` rounds of a span.
+
+        ``rounds[i]`` is the round (``0 .. size - 1``) origin ``i`` queried
+        in; without it they all queried in one round. An origin is new
+        once, in the first round it appears.
 
         Mirrors :class:`~repro.net.bootstrap.GatewayCache`: the first
         index-path query from a non-member origin pays one bootstrap probe
         pair, after which the cached gateway answers for free.
         """
-        if origins.size == 0:
-            return 0
-        fresh = np.unique(origins[~self.has_gateway[origins]])
-        self.has_gateway[fresh] = True
-        return int(fresh.size)
+        fresh = ~self.has_gateway[origins]
+        if rounds is None:
+            new = np.unique(origins[fresh])
+            self.has_gateway[new] = True
+            return [int(new.size)]
+        # One sort of (origin, round) pairs packed into an int64 orders
+        # each origin's rounds; its first pair is its discovery.
+        pairs = np.unique(origins[fresh] * size + rounds[fresh])
+        peers = pairs // size
+        first = np.ones(pairs.size, dtype=bool)
+        np.not_equal(peers[1:], peers[:-1], out=first[1:])
+        self.has_gateway[peers] = True
+        return np.bincount(pairs[first] % size, minlength=size).tolist()

@@ -211,6 +211,22 @@ class TestOtherStrategies:
         assert rates["partialIdeal"] == min(rates.values())
 
 
+class TestOriginDraws:
+    def test_one_call_draws_what_per_round_calls_would(self):
+        # The kernel draws a span's origins in one ``integers`` call. That
+        # is the stream one call per round draws only because numpy keeps
+        # a bounded draw's spare half-word in the bit generator's state.
+        counts = [3, 0, 1, 5, 2]
+        for high in (2, 200, 160_000, 2**31 + 5, 2**33):
+            per_round, per_span = (np.random.default_rng(7) for _ in "ab")
+            rounds = np.concatenate(
+                [per_round.integers(0, high, size=count) for count in counts]
+            )
+            span = per_span.integers(0, high, size=sum(counts))
+            assert np.array_equal(rounds, span)
+            assert per_round.bit_generator.state == per_span.bit_generator.state
+
+
 class TestShiftsAndChurn:
     def test_hit_rate_collapses_and_recovers_on_shift(self, small_params):
         zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
@@ -252,15 +268,16 @@ class TestShiftsAndChurn:
 
         kernel = FastSimKernel(small_params, seed=3, churn=ChurnConfig())
         kernel.state.online[:] = False
-        totals = {category: 0.0 for category in MessageCategory}
         report = FastSimReport(
             strategy="partialSelection", params=small_params, duration=1.0
         )
         keys = np.array([1, 2, 2])
-        accepted, hits = kernel._step_queries(1.0, keys, keys, totals, report)
-        assert (accepted, hits) == (0, 0)
+        accepted, hits, charges = kernel._step_span(
+            1.0, np.array([keys.size]), keys, keys, report
+        )
+        assert (accepted, hits) == ([0], [0])
         assert report.queries == 0
-        assert sum(totals.values()) == 0.0
+        assert charges == []
 
     def test_per_key_stats_balance_report_under_churn(self, small_params):
         # Regression: unresolved duplicate misses were undercounted in the
@@ -494,9 +511,21 @@ class TestChurnCostModel:
         assert churny.hit_rate < clean.hit_rate
 
 
+def _one_round(kernel, now, keys, totals, report):
+    """Run ``keys`` as a one-round span at ``now`` and book its charges
+    into ``totals``; returns the round's hits."""
+    keys = np.asarray(keys)
+    _, (hits,), charges = kernel._step_span(
+        now, np.array([keys.size]), keys + 1, keys, report
+    )
+    for category, (amount,) in charges:
+        totals[category] += amount
+    return hits
+
+
 class TestZeroTtlSelectionBranch:
-    """Direct unit coverage of _step_selection's keyTtl == 0 branch
-    (ISSUE 4 satellite — previously only exercised indirectly)."""
+    """Direct unit coverage of the selection path's keyTtl == 0 branch
+    on one-round spans (previously only exercised indirectly)."""
 
     def _kernel(self, small_params):
         config = PdhtConfig.from_scenario(small_params)
@@ -518,7 +547,7 @@ class TestZeroTtlSelectionBranch:
             strategy="partialSelection", params=small_params, duration=1.0
         )
         keys = np.array([5, 5, 6])
-        hits = kernel._step_selection(now, keys, totals, report)
+        hits = _one_round(kernel, now, keys, totals, report)
 
         # One hit (key 5's first occurrence); its own hit kills it.
         assert hits == 1
@@ -538,7 +567,7 @@ class TestZeroTtlSelectionBranch:
         # ... leaving the cold key indexed once, so its next miss is a
         # reinsertion, not a cold miss.
         assert kernel.state.expires_at[6] == now
-        kernel._step_selection(now + 1.0, np.array([6]), totals, report)
+        _one_round(kernel, now + 1.0, [6], totals, report)
         assert (report.reinsertions, report.cold_misses) == (2, 1)
 
     def test_cold_key_is_indexed_by_its_first_resolved_occurrence(
@@ -558,7 +587,7 @@ class TestZeroTtlSelectionBranch:
             strategy="partialSelection", params=small_params, duration=1.0
         )
         totals = {category: 0.0 for category in MessageCategory}
-        kernel._step_selection(1.0, np.array([7, 8, 7, 8, 7]), totals, report)
+        _one_round(kernel, 1.0, [7, 8, 7, 8, 7], totals, report)
         # Key 7 misses cold twice, then once as a reinsertion; key 8
         # never resolves, so both its misses are cold.
         assert (report.cold_misses, report.reinsertions) == (4, 1)
@@ -574,8 +603,7 @@ class TestZeroTtlSelectionBranch:
         report = FastSimReport(
             strategy="partialSelection", params=small_params, duration=1.0
         )
-        keys = np.array([1, 2, 3])
-        kernel._step_selection(2.0, keys, totals, report)
+        _one_round(kernel, 2.0, [1, 2, 3], totals, report)
         costs = kernel.costs
         # Every occurrence misses, resolves, and re-inserts.
         assert totals[MessageCategory.INDEX_SEARCH] == pytest.approx(

@@ -7,8 +7,13 @@ shift-free segments drawn in one ``sample_ranks`` call, split by
 ``data/pinned_reports.json`` was captured from the pre-batching kernel
 (PR 3, commit 96be0eb) on the Table-1/50 scenario — every strategy, plus
 the shuffled and flash-crowd shifted workloads whose permutation draws
-interleave with the query stream. Exact equality, not approx: any future
-round-loop change that reorders an RNG stream fails here first.
+interleave with the query stream. The two ``*-churn`` entries
+(partialSelection and indexAll under churn, with explicit costs whose
+turnover and walk-failure rates are above zero, so partialSelection draws
+turnover uniforms and resolutions) were captured from the
+round-by-round kernel, before it ran spans of rounds. Exact equality, not
+approx: any future round-loop change that reorders an RNG stream fails
+here first.
 """
 
 from __future__ import annotations
@@ -19,9 +24,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis.strategies import strategy_setup
 from repro.analysis.zipf import ZipfDistribution
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import run_fastsim
+from repro.fastsim.churncosts import ChurnOpCosts
+from repro.fastsim.kernel import PerOpCosts
+from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.workloads import FlashCrowd, RankSwap
 
@@ -111,6 +120,41 @@ def test_rank_swap_model_bit_identical_to_shuffled_pin(params, config):
         window=WINDOW,
     )
     _assert_matches(report, PINNED["shuffled"])
+
+
+#: Explicit churn and costs for the ``*-churn`` pins, so no calibration
+#: runs: a turnover miss rate and a walk failure rate above zero make the
+#: runs draw both the turnover uniforms and the resolution draws.
+CHURN = ChurnConfig(mean_session=240.0, mean_offline=120.0)
+
+
+@pytest.mark.parametrize("strategy", ("indexAll", "partialSelection"))
+def test_churned_runs_bit_identical(strategy, params, config):
+    """Under churn every span is one round: these pins were recorded
+    before the kernel ran spans of rounds."""
+    members = strategy_setup(params, config, strategy).num_members
+    churn_costs = ChurnOpCosts(
+        availability=CHURN.availability, lookup=2.3, miss_lookup=2.9,
+        hit_flood=7.1, miss_flood=9.7, insert_flood=8.3, resolved_walk=41.5,
+        failed_walk=133.7, walk_failure=0.15, hit_flood_fraction=0.2,
+        turnover_miss=0.1, maintenance_per_round=12.9,
+        num_active_peers=members,
+    )
+    report = run_fastsim(
+        params,
+        config=config,
+        duration=DURATION,
+        strategy=strategy,
+        seed=SEED,
+        churn=CHURN,
+        costs=PerOpCosts.analytical(params, config, num_active_peers=members),
+        churn_costs=churn_costs,
+        window=WINDOW,
+    )
+    pinned = PINNED[f"{strategy}-churn"]
+    _assert_matches(report, pinned)
+    assert report.unresolved == pinned["unresolved"]
+    assert report.churn_transitions == pinned["churn_transitions"]
 
 
 def test_flash_crowd_workload_bit_identical(params, config):

@@ -30,6 +30,35 @@ round has.
 The kernel's report must equal the reference's field for field: every
 integer, both series, and the per-category message totals, which both
 accumulate round by round in the same order and so compare with ``==``.
+
+The kernel runs its rounds in spans (``FastSimKernel._step_span``: one
+numpy pass over consecutive rounds in which only the span's own queries
+move a key's liveness), and the reference knows nothing of them. So the
+comparison runs under the module defaults and under four span regimes:
+the span budget ``SPAN_QUERIES`` at 1 query (every round a span of its
+own), 3 and 10^6, and 10^6 with ``DRAW_BLOCK`` at 64 (spans cut short by
+draw blocks). The generated scenarios run from 40 queries a round down to
+one every five rounds, so a span can cover hundreds of rounds; keyTtl
+values include whole numbers (a span as long as keyTtl) and the float
+just above one (a span one round longer than ``keyTtl - 1``, unless the
+rounded expiry says otherwise); windows and content refreshes fall inside
+spans and draw blocks, and an end-of-round hook may retarget keyTtl.
+``test_expiry_inside_a_span`` pins a key whose entry expires partway
+through a span.
+
+Mutations of ``src/`` this module was run against, each caught:
+
+* the span cap off by one (a span one round longer than the keyTtl,
+  refresh or window cap allows);
+* liveness tested at the span's first round for all of its queries;
+* expiries written last-round-first;
+* a gateway discovery booked in the span's first round;
+* a window closed before its round's writes (its index size sampled as
+  the span opens);
+* a key met live earlier in the span counted as a miss in a later round
+  (the live-key mark dropped);
+* a span that runs past an ``on_round`` hook (its keyTtl retarget lands
+  rounds late).
 """
 
 from __future__ import annotations
@@ -37,6 +66,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +74,9 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import STRATEGY_NAMES, strategy_setup
 from repro.analysis.zipf import ZipfDistribution
 from repro.fastsim import FastSimKernel, PerOpCosts
+from repro.fastsim import kernel as kernel_module
 from repro.fastsim.kernel import default_batch_workload
+from repro.fastsim.metrics import FastSimReport
 from repro.pdht.config import PdhtConfig
 from repro.sim.metrics import MessageCategory
 from repro.workloads import RankSwap
@@ -55,7 +87,9 @@ PARAMS = ScenarioParameters(
     dup=1.8, dup2=1.8,
 )  # 40 queries a round: the hot keys repeat within a round. Updates:
 # 3 a round under indexAll, 1.29 under partialIdeal (maxRank 129).
-LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE = 3.7, 11.3, 123.45, 2.0, 17.9
+#: Per-peer query rates: 40 queries a round, 2, and one every 5 rounds.
+QUERY_FREQS = (0.2, 0.01, 0.001)
+LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE = 3.7, 11.3, 123.45, 2.3, 17.9
 PINNED_IDEAL_SEED = 0
 TALLIES = (
     "queries", "answered", "index_hits", "insertions", "reinsertions",
@@ -66,17 +100,26 @@ FIELDS = TALLIES + (
     "key_ttl", "final_index_size", "mean_index_size", "hit_rate_series",
     "index_size_series", "messages_by_category",
 )
+#: (SPAN_QUERIES, DRAW_BLOCK) the span regimes run the kernel under.
+REGIMES = {
+    "budget-1": (1, kernel_module.DRAW_BLOCK),
+    "budget-3": (3, kernel_module.DRAW_BLOCK),
+    "budget-1e6": (10**6, kernel_module.DRAW_BLOCK),
+    "block-64": (10**6, 64),
+}
 
 
 class Reference:
-    def __init__(self, policy, seed, workload, refresh_period):
+    def __init__(self, params, policy, seed, workload, refresh_period,
+                 retarget):
         children = np.random.SeedSequence(seed).spawn(5)
+        self.params = params
         self.counts_rng = np.random.default_rng(children[0])
         self.origins_rng = np.random.default_rng(children[4])
         self.has_gateway = set()
         if policy.num_members:
             self.has_gateway = set(np.random.default_rng(children[2]).choice(
-                PARAMS.num_peers, size=policy.num_members, replace=False
+                params.num_peers, size=policy.num_members, replace=False
             ).tolist())
         self.policy, self.key_ttl, self.workload = policy, policy.key_ttl, workload
         self.expires: dict[int, float] = {}
@@ -87,6 +130,7 @@ class Reference:
         self.next_refresh = refresh_period
         self.update_debt = 0.0
         self.now = 0.0
+        self.retarget = retarget  # keyTtl from the end of round `now` on
 
     def index_size(self):
         if not self.policy.adaptive:
@@ -100,8 +144,11 @@ class Reference:
         self.has_gateway.add(origin)
         return 1
 
+    def origins(self, count):
+        return self.origins_rng.integers(0, self.params.num_peers, size=count)
+
     def selection_round(self, now, queries, out, totals):
-        origins = self.origins_rng.integers(0, PARAMS.num_peers, size=len(queries))
+        origins = self.origins(len(queries))
         discoveries = sum(self.discover(origin) for origin in origins.tolist())
         if discoveries:
             out["gateway_discoveries"] += discoveries
@@ -125,7 +172,7 @@ class Reference:
         return hits
 
     def static_round(self, queries, out, totals):
-        origins = self.origins_rng.integers(0, PARAMS.num_peers, size=len(queries))
+        origins = self.origins(len(queries))
         hits = discoveries = 0
         for (rank, _key), origin in zip(queries, origins.tolist()):
             if rank <= self.policy.index_ranks:  # preloaded: an index lookup
@@ -150,7 +197,9 @@ class Reference:
             rates.append((elapsed, rate))
             sizes.append((elapsed, self.index_size()))
 
-        counts = self.counts_rng.poisson(PARAMS.network_query_rate, size=rounds)
+        counts = self.counts_rng.poisson(
+            self.params.network_query_rate, size=rounds
+        )
         for count in counts.tolist():
             self.now += 1.0
             now = self.now
@@ -173,7 +222,7 @@ class Reference:
                 out["index_hits"] += hits
                 out["answered"] += count
             # Eq. 9: whole updates are sent, the fraction carries over.
-            self.update_debt += policy.updates_per_round(PARAMS.update_freq)
+            self.update_debt += policy.updates_per_round(self.params.update_freq)
             whole = int(self.update_debt)
             if whole:
                 self.update_debt -= whole
@@ -185,6 +234,7 @@ class Reference:
                 close(now - start)
                 window_queries = window_hits = 0
                 closes_at += window
+            self.key_ttl = self.retarget.get(now, self.key_ttl)
         if window > 0 and self.now - start > closes_at - window:
             close(self.now - start)
         out.update(
@@ -203,14 +253,19 @@ ttls = st.one_of(
     st.just(0.0),
     st.floats(0.05, 0.95),  # below one round
     st.floats(1.05, 9.95),  # fractional
-    st.integers(1, 12).map(float),
+    st.integers(1, 12).map(float),  # a span exactly keyTtl rounds long
+    # Just above a whole number: one round more than keyTtl - 1 fits,
+    # unless now + keyTtl rounds down onto the whole number.
+    st.integers(1, 12).map(lambda n: math.nextafter(float(n), math.inf)),
     st.just(1000.0),  # beyond the whole run
 )
 
 
 @st.composite
 def cases(draw):
-    rounds = draw(st.integers(1, 40))
+    query_freq = draw(st.sampled_from(QUERY_FREQS))
+    # Long runs at low rates, so spans of many rounds form and end.
+    rounds = draw(st.integers(1, 40 if query_freq == QUERY_FREQS[0] else 300))
     windows = {
         "none": [0.0],
         "divides": [w for w in range(1, rounds + 1) if rounds % w == 0],
@@ -219,47 +274,37 @@ def cases(draw):
     return dict(
         strategy=draw(st.sampled_from(STRATEGY_NAMES)),
         seed=draw(st.integers(0, 2**16)),
+        query_freq=query_freq,
         rounds=rounds,
         key_ttl=draw(ttls),
         window=float(draw(st.sampled_from(windows))),
         refresh=draw(st.none() | st.floats(1.0, float(rounds))),
         then=draw(st.none() | st.tuples(st.integers(1, 30), ttls)),
         swap_at=draw(st.none() | st.integers(1, 60)),
+        # An end-of-round hook that retargets keyTtl after these rounds.
+        retarget=draw(st.dictionaries(
+            st.integers(1, rounds).map(float), ttls, max_size=3
+        )),
     )
 
 
-def workload_pair(case):
+def workload_pair(case, params):
     if case["swap_at"] is None:
-        return [default_batch_workload(PARAMS, case["seed"]) for _ in "ab"]
+        return [default_batch_workload(params, case["seed"]) for _ in "ab"]
     model = RankSwap(shift_time=float(case["swap_at"]))
-    zipf = ZipfDistribution(PARAMS.n_keys, PARAMS.alpha)
+    zipf = ZipfDistribution(params.n_keys, params.alpha)
     return [
         model.build(zipf, np.random.default_rng(case["seed"])) for _ in "ab"
     ]
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=cases())
-# Pinned cases: live entries meeting keyTtl = 0 after a retarget, with
-# stale hits; cold duplicates under keyTtl = 0, then a fractional TTL
-# across a rank swap; partialIdeal queries at rank maxRank (129) with a
-# fractional update rate; indexAll across a rank swap; noIndex.
-@example(case=dict(strategy="partialSelection", seed=3, rounds=30, key_ttl=4.0,
-                   window=7.0, refresh=9.0, then=(20, 0.0), swap_at=None))
-@example(case=dict(strategy="partialSelection", seed=5, rounds=24, key_ttl=0.0,
-                   window=6.0, refresh=None, then=(12, 2.5), swap_at=16))
-@example(case=dict(strategy="partialIdeal", seed=PINNED_IDEAL_SEED, rounds=40,
-                   key_ttl=4.0, window=9.0, refresh=5.0, then=None, swap_at=None))
-@example(case=dict(strategy="indexAll", seed=1, rounds=17, key_ttl=0.0,
-                   window=4.0, refresh=None, then=(5, 2.5), swap_at=9))
-@example(case=dict(strategy="noIndex", seed=2, rounds=12, key_ttl=1.0,
-                   window=5.0, refresh=3.0, then=None, swap_at=None))
-def test_kernel_equals_scalar_reference(case):
-    mine, theirs = workload_pair(case)
-    config = PdhtConfig.from_scenario(PARAMS).with_ttl(case["key_ttl"])
-    policy = strategy_setup(PARAMS, config, case["strategy"])
+def check_against_reference(case):
+    params = PARAMS.with_query_freq(case["query_freq"])
+    mine, theirs = workload_pair(case, params)
+    config = PdhtConfig.from_scenario(params).with_ttl(case["key_ttl"])
+    policy = strategy_setup(params, config, case["strategy"])
     kernel = FastSimKernel(
-        PARAMS,
+        params,
         config=config,
         strategy=case["strategy"],
         seed=case["seed"],
@@ -269,7 +314,16 @@ def test_kernel_equals_scalar_reference(case):
         ),
         content_refresh_period=case["refresh"],
     )
-    reference = Reference(policy, case["seed"], theirs, case["refresh"])
+    retarget = case.get("retarget", {})
+    if retarget:
+        kernel.on_round.append(
+            lambda kernel, now: kernel.set_key_ttl(
+                retarget.get(now, kernel.key_ttl)
+            )
+        )
+    reference = Reference(
+        params, policy, case["seed"], theirs, case["refresh"], retarget
+    )
     runs = [(case["rounds"], None)]
     if case["then"] is not None:
         runs.append(case["then"])
@@ -282,6 +336,92 @@ def test_kernel_equals_scalar_reference(case):
         assert {name: getattr(report, name) for name in FIELDS} == expected
 
 
+def with_pinned_cases(test):
+    """Pinned cases: live entries meeting keyTtl = 0 after a retarget,
+    with stale hits; cold duplicates under keyTtl = 0, then a fractional
+    TTL across a rank swap; partialIdeal queries at rank maxRank (129)
+    with a fractional update rate; indexAll across a rank swap; noIndex;
+    at 2 queries a round, spans of exactly keyTtl = 4 rounds with
+    refreshes and windows inside them, and spans capped by a keyTtl just
+    above 2; at one query every 5 rounds, a whole run of 260 rounds
+    crossing the heartbeat and window edges."""
+    pinned = [
+        dict(strategy="partialSelection", seed=3, query_freq=0.2, rounds=30,
+             key_ttl=4.0, window=7.0, refresh=9.0, then=(20, 0.0),
+             swap_at=None),
+        dict(strategy="partialSelection", seed=5, query_freq=0.2, rounds=24,
+             key_ttl=0.0, window=6.0, refresh=None, then=(12, 2.5),
+             swap_at=16),
+        dict(strategy="partialIdeal", seed=PINNED_IDEAL_SEED, query_freq=0.2,
+             rounds=40, key_ttl=4.0, window=9.0, refresh=5.0, then=None,
+             swap_at=None),
+        dict(strategy="indexAll", seed=1, query_freq=0.2, rounds=17,
+             key_ttl=0.0, window=4.0, refresh=None, then=(5, 2.5), swap_at=9),
+        dict(strategy="noIndex", seed=2, query_freq=0.2, rounds=12,
+             key_ttl=1.0, window=5.0, refresh=3.0, then=None, swap_at=None),
+        dict(strategy="partialSelection", seed=11, query_freq=0.01,
+             rounds=120, key_ttl=4.0, window=25.0, refresh=17.5,
+             then=(30, math.nextafter(2.0, math.inf)), swap_at=50),
+        dict(strategy="partialSelection", seed=12, query_freq=0.001,
+             rounds=260, key_ttl=1000.0, window=7.0, refresh=None,
+             then=None, swap_at=None),
+        dict(strategy="indexAll", seed=13, query_freq=0.01, rounds=90,
+             key_ttl=float("inf"), window=13.0, refresh=None, then=None,
+             swap_at=None),
+    ]
+    for case in pinned:
+        test = example(case=case)(test)
+    return test
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=cases())
+@with_pinned_cases
+def test_kernel_equals_scalar_reference(case):
+    check_against_reference(case)
+
+
+@pytest.mark.parametrize("budget, block", REGIMES.values(), ids=REGIMES)
+@settings(max_examples=80, deadline=None)
+@given(case=cases())
+@with_pinned_cases
+def test_kernel_spans_equal_scalar_reference(budget, block, case):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "SPAN_QUERIES", budget)
+        patch.setattr(kernel_module, "DRAW_BLOCK", block)
+        check_against_reference(case)
+
+
+def test_expiry_inside_a_span():
+    """One span of rounds 1-4 at keyTtl 10, against the entries it opens
+    with: key 1 expires at 2.5, so its query in round 1 hits and rearms
+    it and its query in round 3 hits too; key 2 expires at 2.5 and is
+    queried only in round 3 — a (re-insertion) miss; key 3 is cold and
+    queried in rounds 2 and 4 — one cold miss; key 4 is live throughout.
+    Round 4 writes key 3's expiry after round 2 did."""
+    kernel = FastSimKernel(
+        PARAMS, seed=0, costs=PerOpCosts(
+            LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, 2
+        ),
+    )
+    kernel.set_key_ttl(10.0)
+    expires = kernel.state.expires_at
+    expires[[1, 2, 4]] = [2.5, 2.5, 50.0]
+    report = FastSimReport(
+        strategy="partialSelection", params=PARAMS, duration=4.0
+    )
+    keys = np.array([1, 4, 3, 1, 2, 2, 3, 4])
+    accepted, hits, charges = kernel._step_span(
+        1.0, np.array([2, 1, 3, 2]), keys + 1, keys, report
+    )
+    assert accepted == [2, 1, 3, 2]
+    assert hits == [2, 0, 2, 2]  # round 3: key 2 misses, its duplicate hits
+    assert (report.cold_misses, report.reinsertions) == (1, 1)
+    assert expires[[1, 2, 3, 4]].tolist() == [13.0, 13.0, 14.0, 14.0]
+    index = dict(charges)[MessageCategory.INDEX_SEARCH]
+    assert index == [LOOKUP * 2, LOOKUP * 2, LOOKUP * 4, LOOKUP * 2]
+
+
 def test_pinned_partial_ideal_case_queries_the_boundary_rank():
     # The pinned partialIdeal case is the one that tells <= from < on
     # index_ranks: some query there is for rank maxRank exactly.
@@ -290,7 +430,7 @@ def test_pinned_partial_ideal_case_queries_the_boundary_rank():
     )
     assert 0 < policy.index_ranks < PARAMS.n_keys
     workload = default_batch_workload(PARAMS, PINNED_IDEAL_SEED)
-    reference = Reference(policy, PINNED_IDEAL_SEED, workload, None)
+    reference = Reference(PARAMS, policy, PINNED_IDEAL_SEED, workload, None, {})
     counts = reference.counts_rng.poisson(PARAMS.network_query_rate, size=40)
     ranks = [rank for now, count in enumerate(counts.tolist(), 1)
              for rank, _ in workload.draw(float(now), count)]

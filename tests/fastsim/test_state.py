@@ -72,17 +72,27 @@ class TestGatewayDiscovery:
     def test_first_contact_counts_once(self, small_params, rng):
         state = FastSimState(small_params, num_members=0, rng=rng)
         origins = np.array([1, 2, 2, 3])
-        assert state.discover_gateways(origins) == 3
-        assert state.discover_gateways(origins) == 0
+        assert state.discover_gateways(origins) == [3]
+        assert state.discover_gateways(origins) == [0]
+
+    def test_span_counts_each_origin_in_its_first_round(self, small_params, rng):
+        state = FastSimState(small_params, num_members=0, rng=rng)
+        state.has_gateway[9] = True
+        # Rounds 0..3 of a span: 5 first appears in round 1, 4 in round 2
+        # (its later queries are free), 9 already has a gateway.
+        origins = np.array([9, 5, 4, 5, 4, 9, 4])
+        rounds = np.array([0, 1, 2, 2, 2, 3, 3])
+        assert state.discover_gateways(origins, rounds, 4) == [0, 1, 1, 0]
+        assert state.discover_gateways(origins, rounds, 4) == [0, 0, 0, 0]
 
     def test_member_origins_are_free(self, small_params, rng):
         state = FastSimState(small_params, num_members=small_params.num_peers, rng=rng)
         origins = np.arange(10)
-        assert state.discover_gateways(origins) == 0
+        assert state.discover_gateways(origins) == [0]
 
     def test_empty_batch(self, small_params, rng):
         state = FastSimState(small_params, num_members=2, rng=rng)
-        assert state.discover_gateways(np.empty(0, dtype=np.int64)) == 0
+        assert state.discover_gateways(np.empty(0, dtype=np.int64)) == [0]
 
     def test_online_member_fraction(self, small_params, rng):
         state = FastSimState(small_params, num_members=10, rng=rng)

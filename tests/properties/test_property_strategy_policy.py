@@ -101,7 +101,7 @@ def _kernel_facts(params, config, name, ranks):
     updates = totals[MessageCategory.INDEX_SEARCH] + kernel._update_debt
     report = FastSimReport(strategy=name, params=params, duration=1.0)
     batch = np.asarray(ranks)
-    kernel._step_queries(1.0, batch, batch - 1, totals, report)
+    kernel._step_span(1.0, np.array([batch.size]), batch, batch - 1, report)
     return kernel, size_at_start, updates, report.index_hits
 
 
