@@ -43,9 +43,9 @@ Subpackages:
 * :mod:`repro.analysis` — the paper's closed-form model (Eq. 1-17);
 * :mod:`repro.sim` — discrete-event engine, rng streams, metrics;
 * :mod:`repro.net` — peers, topologies, churn;
-* :mod:`repro.unstructured` — Gnutella-like overlay, floods, random walks;
+* :mod:`repro.unstructured` — Gnutella-like overlay, k-walker random walks;
 * :mod:`repro.dht` — the P-Grid DHT + routing maintenance;
-* :mod:`repro.replication` — replica subnetworks, rumor spreading;
+* :mod:`repro.replication` — replica subnetworks, availability math;
 * :mod:`repro.workloads` — the query stream, defined once: composable
   workload models (stationary Zipf, rank swaps, gradual drift, flash
   crowds, diurnal cycles, trace replay), each realised for both engines

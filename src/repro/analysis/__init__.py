@@ -52,11 +52,6 @@ from repro.analysis.optimal import (
     optimal_key_ttl,
     optimal_max_rank,
 )
-from repro.analysis.crossover import (
-    find_crossover,
-    index_all_vs_no_index,
-    selection_vs_index_all,
-)
 from repro.analysis.sensitivity import KeyTtlSensitivity, sweep_keyttl_error
 from repro.analysis.sweep import FrequencySweep, PAPER_FREQUENCIES, sweep_frequencies
 
@@ -85,9 +80,6 @@ __all__ = [
     "OptimalPartialIndex",
     "optimal_key_ttl",
     "optimal_max_rank",
-    "find_crossover",
-    "index_all_vs_no_index",
-    "selection_vs_index_all",
     "KeyTtlSensitivity",
     "sweep_keyttl_error",
     "FrequencySweep",

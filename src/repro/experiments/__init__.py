@@ -23,8 +23,8 @@ From the command line::
 The underlying data generators remain importable directly
 (:mod:`~repro.experiments.figures`, :mod:`~repro.experiments.tables`,
 :mod:`~repro.experiments.sweeps`); the simulated ones take one
-:class:`~repro.experiments.execution.Execution` argument for engine,
-workers and array shipping.
+:class:`~repro.experiments.execution.Execution` argument for engine
+and workers.
 """
 
 from repro.experiments.scenario import (

@@ -30,6 +30,7 @@ The CLI (:mod:`repro.experiments.runner`) consumes only this registry::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional
@@ -82,7 +83,7 @@ KINDS = (ANALYTICAL, SIMULATED)
 #: cached result is reused no matter how many workers produced it or
 #: where it was stored. Adding a field here without popping it (or vice
 #: versa) fails tests/test_invariants.py.
-EXECUTION_ONLY = frozenset({"jobs", "store", "replicates", "shared_memory"})
+EXECUTION_ONLY = frozenset({"jobs", "store", "replicates"})
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,18 @@ class ExperimentParams:
     #: all store traffic (masking ``REPRO_STORE``); ``None`` (default)
     #: keeps the process-wide active store, if any.
     store: Optional[str] = None
-    #: Ship large workload arrays to pool workers via shared memory
-    #: (``repro.fastsim.shm``) instead of pickling a copy per worker.
-    #: Pure execution detail: results and artifact keys are unchanged.
-    shared_memory: Optional[bool] = None
 
     def __post_init__(self) -> None:
+        for name in ("duration", "scale", "shift_at", "window"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
+        for name in ("seed", "replicates", "jobs"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ParameterError(
+                    f"{name} must be an integer, not a boolean, got {value!r}"
+                )
         if self.duration is not None and self.duration <= 0:
             raise ParameterError(f"duration must be > 0, got {self.duration}")
         if self.seed is not None and not isinstance(self.seed, int):
@@ -156,12 +163,6 @@ class ExperimentParams:
             raise ParameterError(
                 f"store must be a path or 'none', got {self.store!r}"
             )
-        if self.shared_memory is not None and not isinstance(
-            self.shared_memory, bool
-        ):
-            raise ParameterError(
-                f"shared_memory must be a boolean, got {self.shared_memory!r}"
-            )
 
     def to_dict(self) -> dict[str, object]:
         """Only the fields that are set (for provenance records)."""
@@ -174,6 +175,12 @@ class ExperimentParams:
 
 #: Names a spec may declare in ``accepts``.
 PARAM_NAMES = frozenset(f.name for f in dataclass_fields(ExperimentParams))
+
+#: What every simulated experiment accepts; the adaptivity and sweep
+#: specs extend it with ``|``.
+SIMULATION_ACCEPTS = frozenset(
+    {"engine", "duration", "seed", "scale", "replicates", "jobs", "store"}
+)
 
 
 # ----------------------------------------------------------------------
@@ -218,13 +225,9 @@ class ExperimentContext:
     @property
     def execution(self) -> Execution:
         """How this run's cells execute — the single argument simulated
-        figures take for engine, workers and array shipping."""
-        params = self.params
-        return Execution(
-            engine=self.engine,
-            jobs=1 if params.jobs is None else params.jobs,
-            shared_memory=bool(params.shared_memory),
-        )
+        figures take for engine and workers."""
+        jobs = self.params.jobs
+        return Execution(engine=self.engine, jobs=1 if jobs is None else jobs)
 
     def run(self) -> FigureSeries:
         """One builder invocation — the unit shape
@@ -646,9 +649,6 @@ def _replicate_inputs(ctx: "ExperimentContext") -> dict[str, object]:
     params.pop("jobs", None)
     params.pop("store", None)
     params.pop("replicates", None)
-    # Shared-memory staging changes how arrays travel to workers, never
-    # what they contain — execution detail, out of the key.
-    params.pop("shared_memory", None)
     return {
         "experiment": ctx.spec.name,
         "engine": ctx.engine,
@@ -778,8 +778,7 @@ def _optimal(ctx: ExperimentContext) -> FigureSeries:
     "Sec. 5.2 - simulated strategies vs the analytical model",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts={"engine", "duration", "seed", "scale", "replicates", "jobs",
-             "store", "shared_memory"},
+    accepts=SIMULATION_ACCEPTS,
     duration=300.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -800,8 +799,7 @@ def _sim(ctx: ExperimentContext) -> FigureSeries:
     "Sec. 5.2 - hit rate under a query-distribution shift",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts={"engine", "duration", "seed", "scale", "shift_at",
-             "window", "replicates", "jobs", "store"},
+    accepts=SIMULATION_ACCEPTS | {"shift_at", "window"},
     duration=1200.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -822,8 +820,7 @@ def _adaptivity(ctx: ExperimentContext) -> FigureSeries:
     "Extension - selection vs partialIdeal oracle across workload models",
     SIMULATED,
     engines=("vectorized", "event"),
-    accepts={"engine", "duration", "seed", "scale", "shift_at", "window",
-             "workload", "replicates", "jobs", "store", "shared_memory"},
+    accepts=SIMULATION_ACCEPTS | {"shift_at", "window", "workload"},
     duration=1200.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -845,8 +842,8 @@ def _adaptivity_tracking(ctx: ExperimentContext) -> FigureSeries:
     "Extension - per-model convergence lag after the first workload shift",
     SIMULATED,
     engines=("vectorized", "event"),
-    accepts={"engine", "duration", "seed", "scale", "shift_at", "window",
-             "workload", "jobs", "store", "shared_memory"},
+    accepts=(SIMULATION_ACCEPTS - {"replicates"})
+    | {"shift_at", "window", "workload"},
     duration=1200.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -868,8 +865,7 @@ def _adaptivity_lag(ctx: ExperimentContext) -> FigureSeries:
     "Extension - selection algorithm under churn",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts={"engine", "duration", "seed", "scale", "replicates", "jobs",
-             "store", "shared_memory"},
+    accepts=SIMULATION_ACCEPTS,
     duration=240.0,
     seed=0,
     scale=SIMULATION_SCALE,
@@ -888,8 +884,7 @@ def _churn(ctx: ExperimentContext) -> FigureSeries:
     "Extension - index staleness without proactive updates",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts={"engine", "duration", "seed", "scale", "replicates", "jobs",
-             "store", "shared_memory"},
+    accepts=SIMULATION_ACCEPTS,
     duration=300.0,
     seed=0,
     scale=0.02,
@@ -908,8 +903,7 @@ def _staleness(ctx: ExperimentContext) -> FigureSeries:
     "Fig. 1 regenerated in simulation",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts={"engine", "duration", "seed", "scale", "replicates", "jobs",
-             "store", "shared_memory"},
+    accepts=SIMULATION_ACCEPTS,
     duration=120.0,
     seed=0,
     scale=0.02,

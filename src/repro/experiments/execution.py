@@ -201,15 +201,13 @@ class Cell:
 
 @dataclass(frozen=True)
 class Execution:
-    """The execution choices of one run: engine, workers, array shipping.
-    The engine name is normalised at construction."""
+    """The execution choices of one run: engine and workers. The engine
+    name is normalised at construction."""
 
     engine: str = DEFAULT_ENGINE
     #: Worker processes for the run's independent cells: 1 = in-process,
     #: 0 = one per CPU, N = pool of N (vectorized engine).
     jobs: int = 1
-    #: Ship large workload arrays to pool workers via shared memory.
-    shared_memory: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "engine", resolve_engine(self.engine))
@@ -227,6 +225,5 @@ class Execution:
         return parallel.run_many(
             [cell.fastsim_job() for cell in cells],
             workers=self.jobs,
-            shared_memory=self.shared_memory,
             after_resolve=_collect_probe_substrates(),
         )

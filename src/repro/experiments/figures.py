@@ -241,7 +241,7 @@ def heuristic_vs_optimal(
 #
 # Each body lists its independent strategy runs as ``Cell`` specs, hands
 # them to ``execution.execute`` and reduces the reports; how the cells run
-# (engine, workers, array shipping) is the ``Execution``
+# (engine, workers) is the ``Execution``
 # argument's business — see :mod:`repro.experiments.execution`.
 # ----------------------------------------------------------------------
 def simulation_comparison(

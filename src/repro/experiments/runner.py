@@ -12,12 +12,11 @@ Usage::
 Every experiment is an :class:`~repro.experiments.api.ExperimentSpec`;
 ``--list`` enumerates the registry with each experiment's engine
 capabilities. ``--engine``/``--seed``/``--scale``/``--duration``/
-``--replicates``/``--jobs`` override the spec defaults where the spec
-accepts them (``--jobs N`` fans an experiment's independent units —
-replicate seeds, sweep cells, per-strategy kernel runs — over N worker
-processes; 0 means one per CPU). ``--shared-memory`` stages large
-read-mostly job arrays in POSIX shared memory so pool workers map
-instead of copy;
+``--replicates``/``--jobs``/``--workload`` override the spec defaults
+where the spec accepts them (``--jobs N`` fans an experiment's
+independent units — replicate seeds, sweep cells, per-strategy kernel
+runs — over N worker processes; 0 means one per CPU); a non-finite or
+out-of-range value exits non-zero with a one-line ``error:``, and
 requesting an engine an experiment does not support exits non-zero with
 the gate reason (the old runner silently fell back to the event engine).
 ``--format csv|json`` switches the output from rendered ASCII to
@@ -177,15 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         "(stationary, rank-swap, gradual-drift, flash-crowd, diurnal, "
         "or trace:<path> to replay a recorded query trace)",
     )
-    parser.add_argument(
-        "--shared-memory",
-        action="store_const",
-        const=True,
-        default=None,
-        help="with --jobs > 1, stage large read-mostly job arrays in "
-        "POSIX shared memory so workers map one copy instead of "
-        "unpickling their own (results are identical either way)",
-    )
     store_group = parser.add_mutually_exclusive_group()
     store_group.add_argument(
         "--store",
@@ -277,7 +267,6 @@ def main(argv: list[str] | None = None) -> int:
         "replicates": args.replicates,
         "jobs": args.jobs,
         "workload": args.workload,
-        "shared_memory": args.shared_memory,
         # "none" is ExperimentParams' explicit store-off sentinel.
         "store": "none" if args.no_store else args.store,
     }

@@ -40,6 +40,7 @@ from repro.analysis.selection_model import selection_outcome
 from repro.errors import ParameterError
 from repro.experiments.api import (
     SIMULATED,
+    SIMULATION_ACCEPTS,
     ExperimentContext,
     experiment,
 )
@@ -174,9 +175,8 @@ def sweep_grid(
     calibration threads the model through (rank-permutation awareness).
 
     ``execution`` (default ``Execution("vectorized")``) carries the
-    worker count and the shared-memory switch — see
-    :mod:`repro.experiments.execution`; results are identical for any
-    worker count and shipping mechanism.
+    worker count — see :mod:`repro.experiments.execution`; results are
+    identical for any worker count.
     """
     from repro.fastsim.compare import churn_config_for_availability
     from repro.pdht.config import PdhtConfig
@@ -324,9 +324,8 @@ def optimal_cells(grid: FigureSeries, axes: GridAxes) -> FigureSeries:
 
 
 #: Serialised default-axes grids, keyed by (scenario, duration, seed,
-#: workload) — deliberately *not* by jobs or shared-memory mode: the
-#: grid's values are identical for every worker count and shipping
-#: mechanism, so a jobs=4 run must be able to reuse a jobs=1 grid (and
+#: workload) — deliberately *not* by jobs: the grid's values are
+#: identical for every worker count, so a jobs=4 run must be able to reuse a jobs=1 grid (and
 #: vice versa). Bounded FIFO, like the lru_cache it replaces.
 _GRID_CACHE: dict[tuple[ScenarioParameters, float, int, str], str] = {}
 _GRID_CACHE_SIZE = 4
@@ -346,8 +345,8 @@ def _default_grid(ctx: ExperimentContext) -> FigureSeries:
     ``sweep`` and ``sweep-optimal`` derive from the same expensive grid;
     caching the serialised form lets ``runner all`` pay for it once
     while every caller still gets a fresh, independently mutable
-    :class:`FigureSeries`. The worker count and the shared-memory switch
-    only affect how a cache miss executes, never what it computes.
+    :class:`FigureSeries`. The worker count only affects how a cache
+    miss executes, never what it computes.
     """
     from repro.experiments.export import load_figure_json
 
@@ -372,8 +371,7 @@ def _default_grid(ctx: ExperimentContext) -> FigureSeries:
         "the grid runs Table 1 at full scale (and beyond, via --scale); "
         "only the vectorized batch kernel is tractable there"
     ),
-    accepts={"engine", "duration", "seed", "scale", "workload",
-             "replicates", "jobs", "store", "shared_memory"},
+    accepts=SIMULATION_ACCEPTS | {"workload"},
     duration=240.0,
     seed=0,
     scale=1.0,
@@ -391,8 +389,7 @@ def _sweep(ctx: ExperimentContext) -> FigureSeries:
         "derived from the paper-scale sweep grid; only the vectorized "
         "batch kernel is tractable there"
     ),
-    accepts={"engine", "duration", "seed", "scale", "workload",
-             "replicates", "jobs", "store", "shared_memory"},
+    accepts=SIMULATION_ACCEPTS | {"workload"},
     duration=240.0,
     seed=0,
     scale=1.0,

@@ -28,7 +28,6 @@ from repro.pdht.selection import SelectionPolicy, SelectionStats
 from repro.pdht.node import PdhtNode
 from repro.pdht.network import PdhtNetwork, QueryOutcome
 from repro.pdht.adaptive_ttl import AdaptiveTtlController, CostEstimates
-from repro.pdht.news_service import NewsQueryResult, NewsService
 from repro.pdht.strategies import SimulatedStrategy, StrategyReport
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "QueryOutcome",
     "AdaptiveTtlController",
     "CostEstimates",
-    "NewsQueryResult",
-    "NewsService",
     "SimulatedStrategy",
     "StrategyReport",
 ]

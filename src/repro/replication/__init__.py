@@ -1,17 +1,15 @@
-"""Replica groups and update dissemination.
+"""Replica groups and their availability.
 
 Index entries are replicated with factor ``repl``; the replicas of a key
 "maintain an unstructured replica subnetwork among each other"
-(Section 3.3.2). Updates enter at one responsible peer and are gossiped
-through that subnetwork with the hybrid push/pull rumor-spreading algorithm
-of [DaHa03] (:mod:`repro.replication.rumor`); under the Section 5
-selection algorithm the same subnetwork is *flooded at query time* instead
-(the ``repl * dup2`` term of Eq. 16), which
-:class:`repro.replication.replica_network.ReplicaNetwork` implements.
+(Section 3.3.2). :class:`repro.replication.replica_network.ReplicaNetwork`
+implements that subnetwork. Under the Section 5 selection algorithm it is
+*flooded at query time* (the ``repl * dup2`` term of Eq. 16); both engines
+charge an update as Eq. 9's lookup plus one such flood.
+:mod:`repro.replication.availability` holds the availability math.
 """
 
 from repro.replication.replica_network import ReplicaNetwork
-from repro.replication.rumor import RumorConfig, RumorSpread, UpdateOutcome
 from repro.replication.availability import (
     AvailabilityMonitor,
     availability_of,
@@ -20,9 +18,6 @@ from repro.replication.availability import (
 
 __all__ = [
     "ReplicaNetwork",
-    "RumorConfig",
-    "RumorSpread",
-    "UpdateOutcome",
     "AvailabilityMonitor",
     "availability_of",
     "replication_for_availability",

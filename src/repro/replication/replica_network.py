@@ -2,13 +2,10 @@
 
 Each replica group (the ``repl`` peers responsible for a key, or in
 practice for a partition of keys) keeps a sparse random graph among its
-members. Two operations run over it:
-
-* :meth:`ReplicaNetwork.flood` — query-time flooding: ask every reachable
-  replica whether it has a fresh copy (Eq. 16 charges this as
-  ``repl * dup2`` messages on top of the DHT lookup);
-* it is also the substrate :class:`~repro.replication.rumor.RumorSpread`
-  gossips updates over (Eq. 9's ``repl * dup2`` term).
+members. :meth:`ReplicaNetwork.flood` asks every reachable replica
+whether it has a fresh copy: Eq. 16 charges this as ``repl * dup2``
+messages on top of the DHT lookup, and Eq. 9 charges the same flood per
+update.
 """
 
 from __future__ import annotations

@@ -1,25 +1,20 @@
-"""Unstructured (Gnutella-like) overlay: replication and broadcast search.
+"""Unstructured (Gnutella-like) overlay: replication and random-walk search.
 
 This is the ``cSUnstr`` side of the paper's trade-off. Content (news
 articles with their metadata keys) is replicated at random peers with
 factor ``repl`` (:mod:`repro.unstructured.replication`); queries are
-answered either by TTL-scoped flooding (:mod:`repro.unstructured.flooding`,
-the classic Gnutella mechanism) or by multiple random walks
-(:mod:`repro.unstructured.random_walk`, the cheaper [LvCa02] algorithm the
-paper assumes).
+answered by multiple random walks (:mod:`repro.unstructured.random_walk`,
+the [LvCa02] algorithm the paper assumes instead of flooding).
 """
 
 from repro.unstructured.overlay import UnstructuredOverlay
 from repro.unstructured.replication import ContentReplicator, ReplicaPlacement
-from repro.unstructured.flooding import FloodSearch, FloodResult
 from repro.unstructured.random_walk import RandomWalkSearch, WalkResult
 
 __all__ = [
     "UnstructuredOverlay",
     "ContentReplicator",
     "ReplicaPlacement",
-    "FloodSearch",
-    "FloodResult",
     "RandomWalkSearch",
     "WalkResult",
 ]

@@ -19,10 +19,9 @@ class UnstructuredOverlay:
     """A Gnutella-like overlay over which broadcast searches run.
 
     The overlay owns the peer population, the connection graph, and the
-    message log; search algorithms (:class:`FloodSearch`,
-    :class:`RandomWalkSearch`) operate *on* an overlay rather than holding
-    their own state, so one network can be probed by several algorithms in
-    the same experiment.
+    message log; the search algorithm (:class:`RandomWalkSearch`) operates
+    *on* an overlay rather than holding its own state, so one network can
+    be probed by several searches in the same experiment.
     """
 
     def __init__(

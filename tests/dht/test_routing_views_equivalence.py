@@ -44,7 +44,7 @@ Mutations run against the new code, each caught by the test named:
   comparison of the property test;
 * ``online_members`` / ``online_neighbors`` handing out the cached
   container itself — ``test_callers_may_mutate_what_they_are_given``
-  (``fastsim/compare.py`` and ``replication/rumor.py`` keep the list);
+  (``fastsim/compare.py`` keeps the list);
 * a no-op ``set_online`` bumping the epoch — the views test (the view
   object must survive it).
 """

@@ -103,6 +103,14 @@ class TestSpecsAndRegistry:
             ExperimentParams(scale=0.0)
         with pytest.raises(ParameterError):
             ExperimentParams(seed=1.5)  # type: ignore[arg-type]
+        for name in ("duration", "scale", "shift_at", "window"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                    ExperimentParams(**{name: value})
+        for name in ("seed", "replicates", "jobs"):
+            for value in (True, False):
+                with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+                    ExperimentParams(**{name: value})
 
 
 class TestCapabilityGating:
@@ -250,6 +258,17 @@ class TestCli:
         assert self._main(["sweep", "--engine", "event"]) == 2
         err = capsys.readouterr().err
         assert "vectorized" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--duration", "-5"], ["--duration", "nan"], ["--duration", "inf"],
+         ["--scale", "nan"]],
+    )
+    def test_bad_parameter_exits_nonzero_in_one_line(self, capsys, flags):
+        argv = ["sim", "--engine", "vectorized", "--scale", "0.02", *flags]
+        assert self._main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sim: ") and err.count("\n") == 1
 
     def test_engine_flag_ignored_for_analytical(self, capsys):
         assert self._main(["table1", "--engine", "vectorized"]) == 0

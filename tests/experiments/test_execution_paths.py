@@ -1,17 +1,17 @@
 """The single execution path, as one parity matrix.
 
 Every simulated experiment lists cells and hands them to
-``Execution.execute`` (``repro.experiments.execution``); worker count and
-shared-memory staging are execution detail and must change nothing a
-caller can observe. Each row of the matrix runs one experiment under
-``jobs in {1, 2}`` x ``shared_memory in {False, True}`` against a fresh
-store and checks the four runs agree on the figure, on the *set of store
-keys* they leave behind (persistence used to depend on ``--jobs``), on
+``Execution.execute`` (``repro.experiments.execution``); the worker count
+is execution detail and must change nothing a caller can observe. Each
+row of the matrix runs one experiment under ``jobs in {1, 2}`` against a
+fresh store and checks the two runs agree on the figure, on the *set of
+store keys* they leave behind (persistence used to depend on ``--jobs``), on
 the merged ``kernel.*`` telemetry counters, and that a rerun against the
 filled store executes zero kernel runs. Around the matrix: replicate
 payloads are saved as they complete, figure titles carry the resolved
 engine name, and the kernel's own cost resolution equals the pool
-parent's.
+parent's. Shared-memory staging is a ``run_many`` option only; its
+parity, leak and crash checks are in ``tests/fastsim/test_shm.py``.
 """
 
 from __future__ import annotations
@@ -80,35 +80,30 @@ def _sweep_cell_keys(path):
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX))
-def test_jobs_and_shared_memory_parity(name, tmp_path):
-    spec = api.get_spec(name)
+def test_jobs_parity(name, tmp_path):
     overrides = dict(MATRIX[name], engine="vectorized", scale=SCALE, seed=1)
-    staging = (False, True) if "shared_memory" in spec.accepts else (False,)
-    combos = [(jobs, shared) for jobs in (1, 2) for shared in staging]
     outcomes = {}
-    for jobs, shared in combos:
-        path = str(tmp_path / f"jobs{jobs}-shm{int(shared)}.sqlite")
-        extra = {"shared_memory": True} if shared else {}
+    for jobs in (1, 2):
+        path = str(tmp_path / f"jobs{jobs}.sqlite")
         figure, counters = _profiled_run(
-            name, jobs=jobs, store=path, **overrides, **extra
+            name, jobs=jobs, store=path, **overrides
         )
         kernel = {k: v for k, v in counters.items() if k.startswith("kernel.")}
-        outcomes[(jobs, shared)] = (
+        outcomes[jobs] = (
             figure.x_values, figure.series, _sweep_cell_keys(path), kernel,
         )
         # The filled store answers every cell: no kernel runs on a rerun,
         # at the *other* worker count, and the same figure comes back.
         again, recount = _profiled_run(
-            name, jobs=3 - jobs, store=path, **overrides, **extra
+            name, jobs=3 - jobs, store=path, **overrides
         )
         assert recount.get("cache.store.sweep_cell.miss", 0) == 0
         assert recount.get("kernel.runs", 0) == 0
         assert again.series == figure.series
-    reference = outcomes[combos[0]]
+    reference = outcomes[1]
     assert reference[2], "every vectorized cell is persisted, at any jobs"
     assert reference[3].get("kernel.runs") == len(reference[2])
-    for combo in combos[1:]:
-        assert outcomes[combo] == reference, combo
+    assert outcomes[2] == reference
 
 
 def test_figure_titles_carry_the_resolved_engine_name():

@@ -14,7 +14,6 @@ from repro.replication.availability import (
     replication_for_availability,
 )
 from repro.replication.replica_network import ReplicaNetwork
-from repro.replication.rumor import RumorConfig, RumorSpread
 from repro.sim.metrics import MessageMetrics
 
 
@@ -54,30 +53,3 @@ def test_flood_reaches_every_online_replica(group_size, degree, seed):
     # Flood cost bounded by twice the edge count.
     edges = nx.from_dict_of_lists(group._adjacency).number_of_edges()
     assert messages <= 2 * edges
-
-
-@given(
-    group_size=st.integers(min_value=2, max_value=50),
-    offline=st.sets(st.integers(min_value=1, max_value=49), max_size=25),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@settings(max_examples=50, deadline=None)
-def test_rumor_covers_connected_online_component(group_size, offline, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    population = PeerPopulation(group_size + 2)
-    log = MessageLog(MessageMetrics())
-    members = list(range(group_size))
-    group = ReplicaNetwork(population, members, rng, log, degree=3)
-    for peer in offline:
-        if peer in members[1:]:  # keep the publisher online
-            population.set_online(peer, False)
-    spread = RumorSpread(group, RumorConfig(), rng)
-    outcome = spread.publish(0)
-    # Every replica reachable through online members must be infected.
-    live = nx.from_dict_of_lists(group._adjacency).subgraph(
-        [m for m in members if population.is_online(m)]
-    )
-    component = nx.node_connected_component(live, 0)
-    for member in component:
-        assert spread.versions[member] == outcome.version
-    assert outcome.infected >= len(component)

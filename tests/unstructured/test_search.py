@@ -1,4 +1,4 @@
-"""Tests for flooding and random-walk search."""
+"""Tests for random-walk search."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import pytest
 
 from repro.errors import OfflinePeerError, ParameterError
 from repro.net.node import PeerPopulation
-from repro.sim.metrics import MessageCategory, MessageMetrics
-from repro.unstructured.flooding import FloodSearch
+from repro.sim.metrics import MessageMetrics
 from repro.unstructured.overlay import UnstructuredOverlay
 from repro.unstructured.random_walk import RandomWalkSearch
 from repro.unstructured.replication import ContentReplicator
@@ -22,64 +21,6 @@ def searchable(rng):
     return overlay, replicator, metrics
 
 
-class TestFloodSearch:
-    def test_finds_existing_key(self, searchable, rng):
-        overlay, _, _ = searchable
-        result = FloodSearch(overlay, ttl=8).search(0, "hot")
-        assert result.found
-        assert result.value == "value-hot"
-
-    def test_miss_returns_not_found(self, searchable):
-        overlay, _, _ = searchable
-        result = FloodSearch(overlay, ttl=8).search(0, "absent")
-        assert not result.found
-        assert result.value is None
-
-    def test_local_hit_costs_nothing(self, searchable):
-        overlay, replicator, _ = searchable
-        holder = replicator.placement_of("hot").holders[0]
-        result = FloodSearch(overlay, ttl=8).search(holder, "hot")
-        assert result.found
-        assert result.messages == 0
-
-    def test_full_flood_reaches_whole_network(self, searchable):
-        overlay, _, _ = searchable
-        result = FloodSearch(overlay, ttl=50).search(0, "absent", stop_on_hit=False)
-        assert result.reached_peers == 200
-
-    def test_full_flood_duplication_near_degree(self, searchable):
-        # In a 4-regular graph the flood sends ~2 messages per reached peer
-        # (every edge except the arrival edge, in both directions over time).
-        overlay, _, _ = searchable
-        result = FloodSearch(overlay, ttl=50).search(0, "absent", stop_on_hit=False)
-        assert 2.0 < result.duplication_factor < 4.0
-
-    def test_small_ttl_limits_reach(self, searchable):
-        overlay, _, _ = searchable
-        result = FloodSearch(overlay, ttl=2).search(0, "absent", stop_on_hit=False)
-        # Degree 4, TTL 2: at most 1 + 4 + 4*3 = 17 peers.
-        assert result.reached_peers <= 17
-        assert result.max_depth <= 2
-
-    def test_offline_origin_rejected(self, searchable):
-        overlay, _, _ = searchable
-        overlay.population.set_online(0, False)
-        with pytest.raises(OfflinePeerError):
-            FloodSearch(overlay, ttl=4).search(0, "hot")
-
-    def test_messages_counted_in_metrics(self, searchable):
-        overlay, _, metrics = searchable
-        before = metrics.total(MessageCategory.UNSTRUCTURED_SEARCH)
-        result = FloodSearch(overlay, ttl=8).search(0, "absent")
-        after = metrics.total(MessageCategory.UNSTRUCTURED_SEARCH)
-        assert after - before == result.messages
-
-    def test_invalid_ttl_rejected(self, searchable):
-        overlay, _, _ = searchable
-        with pytest.raises(ParameterError):
-            FloodSearch(overlay, ttl=0)
-
-
 class TestRandomWalkSearch:
     def test_finds_existing_key(self, searchable, rng):
         overlay, _, _ = searchable
@@ -92,21 +33,14 @@ class TestRandomWalkSearch:
         # measured mean should land within a reasonable factor.
         overlay, _, _ = searchable
         search = RandomWalkSearch(overlay, rng, walkers=4)
-        flood = FloodSearch(overlay, ttl=7)
-        costs, flood_costs = [], []
-        for origin in range(40):
-            if not overlay.peer_has(origin, "hot"):
-                costs.append(search.search(origin, "hot").messages)
-                # A Gnutella flood cannot recall copies already
-                # forwarded: the whole TTL horizon relays the query.
-                flood_costs.append(
-                    flood.search(origin, "hot", stop_on_hit=False).messages
-                )
+        costs = [
+            search.search(origin, "hot").messages
+            for origin in range(40)
+            if not overlay.peer_has(origin, "hot")
+        ]
         mean_cost = sum(costs) / len(costs)
         ideal = 200 / 20
         assert ideal * 0.5 < mean_cost < ideal * 4.0
-        # The paper's [LvCa02] argument for assuming random walks.
-        assert mean_cost < sum(flood_costs) / len(flood_costs)
 
     def test_local_hit_costs_nothing(self, searchable, rng):
         overlay, replicator, _ = searchable
