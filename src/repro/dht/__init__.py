@@ -15,13 +15,12 @@ maintenance whose cost is the ``env`` constant of Eq. 8 [MaCa03].
 from repro.dht.base import DistributedHashTable, LookupResult
 from repro.dht.keyspace import KeySpace
 from repro.dht.pgrid import PGridDht
-from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
+from repro.dht.maintenance import RoutingMaintenance
 
 __all__ = [
     "DistributedHashTable",
     "LookupResult",
     "KeySpace",
     "PGridDht",
-    "MaintenanceConfig",
     "RoutingMaintenance",
 ]

@@ -63,15 +63,10 @@ class KeySpace:
         full = format(ident, f"0{self.bits}b")
         return full[:length]
 
-    def digit(self, ident: int, position: int, digit_bits: int = 1) -> int:
-        """The ``position``-th digit (MSB first) in base ``2**digit_bits``;
-        P-Grid and the paper's analysis use bits (``digit_bits=1``)."""
-        if digit_bits < 1:
-            raise KeyspaceError(f"digit_bits must be >= 1, got {digit_bits}")
-        n_digits = self.bits // digit_bits
-        if not 0 <= position < n_digits:
+    def digit(self, ident: int, position: int) -> int:
+        """The ``position``-th bit of ``ident`` (MSB first)."""
+        if not 0 <= position < self.bits:
             raise KeyspaceError(
-                f"position must be in [0, {n_digits}), got {position}"
+                f"position must be in [0, {self.bits}), got {position}"
             )
-        shift = self.bits - (position + 1) * digit_bits
-        return (self.check(ident) >> shift) & ((1 << digit_bits) - 1)
+        return (self.check(ident) >> (self.bits - 1 - position)) & 1

@@ -56,7 +56,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.tables import TableSeries, table1_rows, table1_series
 from repro.experiments.reporting import format_series, format_table
-from repro.experiments.stats import MetricSummary, SeedSummary, replicate, summarise
+from repro.experiments.stats import MetricSummary, summarise
 from repro.experiments.export import (
     figure_to_csv,
     figure_to_json,
@@ -117,8 +117,6 @@ __all__ = [
     "format_series",
     "format_table",
     "MetricSummary",
-    "SeedSummary",
-    "replicate",
     "summarise",
     "figure_to_csv",
     "figure_to_json",

@@ -1,20 +1,20 @@
 """Multi-seed experiment statistics.
 
 A single simulation run is one sample; credible comparisons need means
-and confidence intervals across seeds. :func:`replicate` runs a factory
-over several seeds and :class:`SeedSummary` aggregates any named metric
-with Student-t confidence intervals (scipy).
+and confidence intervals across seeds. :func:`summarise` gives one
+metric's Student-t confidence interval (scipy); ``api.run(replicates=N)``
+is what runs the seeds and calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import ParameterError
 
-__all__ = ["MetricSummary", "SeedSummary", "replicate", "summarise"]
+__all__ = ["MetricSummary", "summarise"]
 
 
 @dataclass(frozen=True)
@@ -27,22 +27,6 @@ class MetricSummary:
     stdev: float
     ci_halfwidth: float
     confidence: float
-
-    @property
-    def low(self) -> float:
-        return self.mean - self.ci_halfwidth
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.ci_halfwidth
-
-    def overlaps(self, other: "MetricSummary") -> bool:
-        """Do the two confidence intervals overlap? (Non-overlap is the
-        usual quick test for a significant difference.)"""
-        return self.low <= other.high and other.low <= self.high
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}: {self.mean:.4g} ± {self.ci_halfwidth:.2g}"
 
 
 def _t_critical(df: int, confidence: float) -> float:
@@ -81,56 +65,3 @@ def summarise(
         ci_halfwidth=halfwidth,
         confidence=confidence,
     )
-
-
-@dataclass(frozen=True)
-class SeedSummary:
-    """Aggregated metrics of one experiment across seeds."""
-
-    metrics: dict[str, MetricSummary]
-    seeds: tuple[int, ...]
-
-    def __getitem__(self, name: str) -> MetricSummary:
-        if name not in self.metrics:
-            raise ParameterError(
-                f"unknown metric {name!r}; available: {sorted(self.metrics)}"
-            )
-        return self.metrics[name]
-
-    def names(self) -> list[str]:
-        return sorted(self.metrics)
-
-
-def replicate(
-    run: Callable[[int], Mapping[str, float]],
-    seeds: Sequence[int],
-    confidence: float = 0.95,
-) -> SeedSummary:
-    """Run ``run(seed)`` per seed and aggregate its metric dict.
-
-    Every run must return the same metric names; a missing or extra name
-    is an error (it usually means the experiment silently changed shape
-    between seeds).
-    """
-    if not seeds:
-        raise ParameterError("need at least one seed")
-    per_metric: dict[str, list[float]] = {}
-    expected: set[str] | None = None
-    for seed in seeds:
-        result = dict(run(seed))
-        if expected is None:
-            expected = set(result)
-            if not expected:
-                raise ParameterError("run() returned no metrics")
-        elif set(result) != expected:
-            raise ParameterError(
-                f"seed {seed} returned metrics {sorted(result)}, expected "
-                f"{sorted(expected)}"
-            )
-        for name, value in result.items():
-            per_metric.setdefault(name, []).append(float(value))
-    metrics = {
-        name: summarise(name, values, confidence)
-        for name, values in per_metric.items()
-    }
-    return SeedSummary(metrics=metrics, seeds=tuple(seeds))

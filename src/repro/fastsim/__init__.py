@@ -14,8 +14,8 @@ numpy batch operations:
   segments on the one-``draw_into`` path;
 * :mod:`repro.fastsim.kernel` — the batch execution kernel
   (query -> hit/miss -> TTL refresh -> eviction -> cost accounting) for
-  all four Fig. 1 strategies, plus per-op cost models and the batch
-  adaptive-TTL hook;
+  all four Fig. 1 strategies under one keyTtl per run, plus per-op cost
+  models;
 * :mod:`repro.fastsim.churn` — vectorized on/offline transitions with
   incremental online-fraction tracking and per-round
   replica-availability vectors;
@@ -64,7 +64,6 @@ from repro.fastsim.compare import (
     staleness_probe_fast,
 )
 from repro.fastsim.kernel import (
-    FastAdaptiveTtl,
     FastSimKernel,
     PerOpCosts,
     default_batch_workload,
@@ -88,7 +87,6 @@ __all__ = [
     "BatchChurnProcess",
     "PerOpCosts",
     "ChurnOpCosts",
-    "FastAdaptiveTtl",
     "FastSimKernel",
     "run_fastsim",
     "FastSimReport",

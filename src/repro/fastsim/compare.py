@@ -44,6 +44,7 @@ from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.pdht.strategies import SimulatedStrategy, key_name
+from repro.sim.engine import whole_rounds
 from repro.workloads.models import StationaryZipf
 
 __all__ = [
@@ -952,34 +953,6 @@ class EngineAgreement:
             text += f"; availability {self.availability:g}"
         return text + f"; speedup {self.speedup:.1f}x"
 
-    def to_figure(self):
-        """The agreement as a :class:`~repro.experiments.figures.FigureSeries`
-        (per-seed hit rates and costs for both engines), so cross-engine
-        checks render and export through the same helpers as every other
-        experiment payload."""
-        from repro.experiments.figures import FigureSeries
-
-        series = {
-            "event hit rate": list(self.event_hit_rates),
-            "fast hit rate": list(self.fast_hit_rates),
-            "event total msgs": list(self.event_costs),
-            "fast total msgs": list(self.fast_costs),
-        }
-        if self.event_staleness or self.fast_staleness:
-            series["event stale fraction"] = list(self.event_staleness)
-            series["fast stale fraction"] = list(self.fast_staleness)
-        return FigureSeries(
-            name=(
-                f"Engine agreement - event vs vectorized "
-                f"({self.params.num_peers} peers, "
-                f"{self.duration:.0f} rounds)"
-            ),
-            x_label="seed",
-            x_values=[str(seed) for seed in self.seeds],
-            series=series,
-            notes=self.summary(),
-        )
-
 
 def _event_model_strategy(
     params: ScenarioParameters,
@@ -1163,8 +1136,9 @@ def staleness_probe_event(
     ``figures.staleness_experiment`` historically ran inline, factored
     here so figure generation and cross-engine checks share it.
     """
-    if refresh_period <= 0 or duration <= 0:
-        raise ParameterError("duration and refresh_period must be > 0")
+    rounds = whole_rounds(duration)
+    if refresh_period <= 0:
+        raise ParameterError("refresh_period must be > 0")
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     net = PdhtNetwork(params, config, seed=seed)
     versions = dict.fromkeys(range(params.n_keys), 0)
@@ -1177,7 +1151,7 @@ def staleness_probe_event(
 
     hits = stale_hits = queries = 0
     next_refresh = refresh_period
-    for _ in range(int(duration)):
+    for _ in range(rounds):
         net.advance(1.0)
         now = net.simulation.now
         if now >= next_refresh:

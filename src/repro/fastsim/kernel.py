@@ -7,8 +7,8 @@ refresh, gateway discovery — a fixed handful of array ops per span,
 regardless of how many million peers the scenario has or how many rounds
 the span covers. A span is a run of consecutive rounds whose only state
 changes are its own queries' writes, none of which can expire inside it
-(no churn, no hooks, a keyTtl longer than the span, no content refresh
-after its first round; see :meth:`FastSimKernel._span_end`); a Python
+(no churn, a keyTtl longer than the span, no content refresh after its
+first round; see :meth:`FastSimKernel._span_end`); a Python
 loop then books each round's tallies and message charges in round order.
 Anything else is a one-round span through the same code.
 
@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -80,12 +80,12 @@ from repro.fastsim.workload import BatchWorkload
 from repro.analysis.zipf import ZipfDistribution
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
+from repro.sim.engine import whole_rounds
 from repro.sim.metrics import MessageCategory
 from repro.workloads.models import StationaryZipf
 
 __all__ = [
     "PerOpCosts",
-    "FastAdaptiveTtl",
     "FastSimKernel",
     "run_fastsim",
     "strategy_setup",
@@ -291,73 +291,6 @@ class PerOpCosts:
         )
 
 
-class FastAdaptiveTtl:
-    """Self-tuning ``keyTtl`` hook — the batch counterpart of
-    :class:`~repro.pdht.adaptive_ttl.AdaptiveTtlController`.
-
-    Register on a kernel via ``kernel.on_round.append(hook)``. Every
-    ``retarget_interval`` rounds it recomputes
-    ``keyTtl = (cSUnstr - cSIndx) / cIndKey`` from the kernel's per-op
-    costs, the observed index size, and the observed hit/miss mix (a miss
-    search pays the replica flood on top of the lookup, exactly what the
-    event controller's EWMA measures), clamps it, and retargets the kernel.
-    """
-
-    def __init__(
-        self,
-        retarget_interval: float = 300.0,
-        min_ttl: float = 30.0,
-        max_ttl: float = 1_000_000.0,
-    ) -> None:
-        if retarget_interval <= 0:
-            raise ParameterError(
-                f"retarget_interval must be > 0, got {retarget_interval}"
-            )
-        if min_ttl < 0 or max_ttl < min_ttl:
-            raise ParameterError(
-                f"need 0 <= min_ttl <= max_ttl, got [{min_ttl}, {max_ttl}]"
-            )
-        self.retarget_interval = retarget_interval
-        self.min_ttl = min_ttl
-        self.max_ttl = max_ttl
-        self.retargets: list[tuple[float, float]] = []
-        #: Anchored on first invocation: one interval after the clock at
-        #: registration, matching simulation.every() in the event engine.
-        self._next_at: float | None = None
-        self._seen_hits = 0
-        self._seen_misses = 0
-
-    def __call__(self, kernel: "FastSimKernel", now: float) -> None:
-        if self._next_at is None:
-            # ``now`` is the end of the round that started at now - 1.
-            self._next_at = now - 1.0 + self.retarget_interval
-        if now < self._next_at:
-            return
-        self._next_at += self.retarget_interval
-        costs = kernel.costs
-        index_size = max(1, kernel.state.index_size(now))
-        c_ind_key = costs.maintenance_per_round / index_size
-        # The event controller's cSIndx estimate is a recency-weighted
-        # average of *measured* index searches: hits cost one lookup,
-        # misses add the replica flood. Weight the flood by the miss share
-        # of the last retarget window — the windowed analogue of its EWMA,
-        # so both controllers re-converge after a workload shift instead
-        # of being anchored to run-long totals.
-        hits_total, misses_total = kernel.hits_total, kernel.misses_total
-        window_hits = hits_total - self._seen_hits
-        window_misses = misses_total - self._seen_misses
-        self._seen_hits, self._seen_misses = hits_total, misses_total
-        searches = window_hits + window_misses
-        miss_share = window_misses / searches if searches else 0.0
-        measured_search_cost = costs.lookup + miss_share * costs.flood
-        advantage = costs.walk - measured_search_cost
-        if advantage <= 0 or c_ind_key <= 0:
-            return
-        target = min(self.max_ttl, max(self.min_ttl, advantage / c_ind_key))
-        kernel.set_key_ttl(target)
-        self.retargets.append((now, target))
-
-
 class FastSimKernel:
     """Vectorized simulator of one indexing strategy.
 
@@ -462,13 +395,8 @@ class FastSimKernel:
             content_refresh_period if content_refresh_period else None
         )
 
-        #: End-of-round hooks ``hook(kernel, now)`` (adaptive TTL, probes).
-        self.on_round: list[Callable[["FastSimKernel", float], None]] = []
         self.now = 0.0
         self._update_debt = 0.0
-        #: Selection hits and miss events over every run (adaptive TTL).
-        self.hits_total = 0
-        self.misses_total = 0
 
         # Streamed-loop buffers: per-role scratch for the span hot paths,
         # draw buffers reused across blocks, and read-only all-ones
@@ -488,15 +416,6 @@ class FastSimKernel:
         return self._ones_bool[:count], self._ones_f8[:count]
 
     # ------------------------------------------------------------------
-    def set_key_ttl(self, key_ttl: float) -> None:
-        """Retarget the TTL; existing entries keep their current expiry and
-        adopt the new TTL on their next hit (same as the event engine).
-        """
-        if key_ttl < 0:
-            raise ParameterError(f"key_ttl must be >= 0, got {key_ttl}")
-        self.key_ttl = float(key_ttl)
-
-    # ------------------------------------------------------------------
     def run(self, duration: float, window: float = 0.0) -> FastSimReport:
         """Simulate ``duration`` rounds; returns the aggregate report.
 
@@ -510,14 +429,7 @@ class FastSimKernel:
         busy cell contributes several, an idle one exactly one — and the
         ``kernel.spans`` counter counts numpy passes (:meth:`_step_span`).
         """
-        if duration <= 0:
-            raise ParameterError(f"duration must be > 0, got {duration}")
-        if duration != round(duration):
-            # The kernel is round-stepped; accepting a fractional duration
-            # would report rates over time it never simulated.
-            raise ParameterError(
-                f"duration must be a whole number of rounds, got {duration}"
-            )
+        rounds = whole_rounds(duration)
         started = perf_counter()
         # Telemetry is sampled into local floats and reported once after
         # the loop: one boolean check per phase per round when disabled,
@@ -532,7 +444,6 @@ class FastSimKernel:
         )
         totals = {category: 0.0 for category in MessageCategory}
         recorder = WindowRecorder(window)
-        rounds = int(round(duration))
         beat = obs.heartbeat("kernel.rounds", total=rounds)
         rate = self.params.network_query_rate
         # The workload may pin the counts (trace replay) or modulate the
@@ -642,8 +553,6 @@ class FastSimKernel:
                     self._step_updates(totals)
                     recorder.record(accepted[j], hits[j])
                     recorder.maybe_close(self.now - start, size_thunk)
-                    for hook in self.on_round:
-                        hook(self, self.now)
                 if telemetry:
                     t_post += perf() - t2
                 spans += 1
@@ -709,19 +618,14 @@ class FastSimKernel:
 
         A span covers more than one round only where its own queries'
         writes are the only state changes and none of them can expire
-        inside it: no churn and no ``on_round`` hook (either moves state
-        between rounds), and, under the selection algorithm, a positive
-        keyTtl longer than the span, so an entry any of its rounds writes
-        is still live at its last. No content refresh may fall due after
+        inside it: no churn (which moves state between rounds), and, under
+        the selection algorithm, a positive keyTtl longer than the span, so
+        an entry any of its rounds writes is still live at its last. No content refresh may fall due after
         its first round, and no window or heartbeat before its last. Its
         queries fit :data:`SPAN_QUERIES`.
         """
         adaptive = self.policy.adaptive
-        if (
-            self.churn is not None
-            or self.on_round
-            or (adaptive and not self.key_ttl > 0)
-        ):
+        if self.churn is not None or (adaptive and not self.key_ttl > 0):
             return first + 1
         b = first - block_lo
         fits = bisect_right(bounds, bounds[b] + SPAN_QUERIES) - 1 - b
@@ -902,20 +806,14 @@ class FastSimKernel:
             walk_events = multiplicity
             walk_p = p_resolve
         else:
-            # Degenerate keyTtl = 0 (a one-round span): TtlKeyStore resets
-            # a hit entry's expiry to ``now``, so an entry still live from
-            # an earlier positive-TTL era serves exactly one hit and then
-            # dies, its same-round duplicates miss, and fresh inserts
-            # expire on arrival.
-            unique_live, live_counts = np.unique(keys[live], return_counts=True)
+            # Degenerate keyTtl = 0 (a one-round span): every entry is
+            # written at ``now`` and so is dead for every query after it —
+            # nothing is live, every occurrence misses, and a resolved one
+            # re-inserts a key that expires on arrival.
             unique_miss, multiplicity = np.unique(miss_keys, return_counts=True)
-            miss_events = count - unique_live.size
-            resolved_mask, p_resolve = self._resolve_draws(miss_events)
-            occurrences = np.concatenate(
-                [miss_keys, np.repeat(unique_live, live_counts - 1)]
-            )
-            inserts = occurrences[resolved_mask]
-            report.stale_hits += state.stale_count(unique_live)
+            miss_events = count
+            resolved_mask, p_resolve = self._resolve_draws(count)
+            inserts = miss_keys[resolved_mask]
             # Every occurrence misses, but a never-indexed key misses cold
             # only up to its first resolved occurrence (in batch order),
             # which indexes it.
@@ -944,8 +842,8 @@ class FastSimKernel:
 
         # State transitions: hits rearm, resolved misses (re)insert — and
         # a re-insert always fetches the *current* content version. Under
-        # keyTtl = 0 both write ``now``: a hit kills its entry, an insert
-        # is dead on arrival but leaves the key marked as indexed.
+        # keyTtl = 0 an insert writes ``now``: dead on arrival, but it
+        # leaves the key marked as indexed.
         if unresolved:
             # Only under churn, whose spans are one round: an unresolved
             # miss writes nothing.
@@ -966,8 +864,6 @@ class FastSimKernel:
             # Read after the capture: stale unless an earlier round of the
             # span re-inserted the key.
             report.stale_hits += state.stale_count(rehits)
-        self.hits_total += hits
-        self.misses_total += miss_events
         report.index_hits += hits
         report.insertions += insertions
         report.answered += hits + (miss_events - unresolved)

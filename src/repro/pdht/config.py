@@ -30,6 +30,10 @@ class PdhtConfig:
         Always ``"pgrid"`` and not an argument. It stays a field only so
         that the store keys built from a config — and so existing stores —
         do not change.
+    enforce_capacity:
+        Always ``False`` and not an argument, for the same store-key
+        reason: the paper uses ``stor`` to size ``numActivePeers``, not as
+        a drop policy, so no index store has a slot limit.
     overlay_degree:
         Connections per peer in the unstructured overlay.
     walkers / walk_ttl:
@@ -46,10 +50,7 @@ class PdhtConfig:
     walkers: int = 8
     walk_ttl: int = 4096
     replica_degree: int = 3
-    #: Enforce ``storage_per_peer`` as a hard per-member slot limit. Off by
-    #: default: the paper uses ``stor`` to size ``numActivePeers``, not as a
-    #: drop policy, and enforcing it would confound the TTL eviction results.
-    enforce_capacity: bool = False
+    enforce_capacity: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.key_ttl < 0:

@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import selection_members
-from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
+from repro.dht.maintenance import RoutingMaintenance
 from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError, RoutingError
 from repro.net.bootstrap import GatewayCache
@@ -132,22 +132,15 @@ class PdhtNetwork:
         self.dht.join_all(member_ids)
 
         # --- index plane: TTL stores + replica groups -------------------
-        capacity = (
-            self.config.storage_per_peer if self.config.enforce_capacity else None
-        )
         self.nodes: dict[PeerId, PdhtNode] = {
-            m: PdhtNode(m, self.config.key_ttl, capacity) for m in member_ids
+            m: PdhtNode(m, self.config.key_ttl) for m in member_ids
         }
         self._groups: list[ReplicaNetwork] = []
         self._group_of: dict[PeerId, ReplicaNetwork] = {}
         self._build_replica_groups(member_ids)
 
         # --- maintenance and churn ---------------------------------------
-        self.maintenance = RoutingMaintenance(
-            self.dht,
-            MaintenanceConfig(env=params.env),
-            rng=self.streams.get("maintenance"),
-        )
+        self.maintenance = RoutingMaintenance(self.dht, params.env)
         self._maintenance_controller = self.maintenance.attach(self.simulation)
         self.churn: Optional[ChurnProcess] = None
         if churn is not None:

@@ -14,16 +14,15 @@ class PdhtNode:
 
     A PDHT node is intentionally thin: liveness lives in the shared
     :class:`~repro.net.node.PeerPopulation`, routing lives in the DHT
-    backend, and this class owns only the TTL key store (sized by the
-    peer's ``stor`` contribution) plus a couple of convenience wrappers
-    used by the network layer.
+    backend, and this class owns only the TTL key store plus a couple of
+    convenience wrappers used by the network layer.
     """
 
-    def __init__(self, peer_id: PeerId, key_ttl: float, capacity: int | None) -> None:
+    def __init__(self, peer_id: PeerId, key_ttl: float) -> None:
         if peer_id < 0:
             raise ParameterError(f"peer_id must be >= 0, got {peer_id}")
         self.peer_id = peer_id
-        self.store = TtlKeyStore(ttl=key_ttl, capacity=capacity)
+        self.store = TtlKeyStore(ttl=key_ttl)
 
     # ------------------------------------------------------------------
     def index_query(self, key: str, now: float) -> TtlEntry | None:

@@ -33,6 +33,7 @@ from repro.net.churn import ChurnConfig
 from repro.obs.clock import perf_counter
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
+from repro.sim.engine import whole_rounds
 from repro.sim.metrics import MessageCategory
 
 if TYPE_CHECKING:
@@ -173,7 +174,7 @@ class SimulatedStrategy:
             if not self.policy.runs_dht:
                 self.network.disable_maintenance()
             # Preparation traffic is not part of the steady-state comparison.
-            self.network.metrics.reset(now=self.network.simulation.now)
+            self.network.metrics.reset()
         self._prepared = True
 
     def run(self, duration: float, window: float = 0.0) -> StrategyReport:
@@ -182,8 +183,7 @@ class SimulatedStrategy:
         ``window > 0`` records index-size and hit-rate samples every
         ``window`` rounds (for the adaptivity experiments).
         """
-        if duration <= 0:
-            raise ParameterError(f"duration must be > 0, got {duration}")
+        rounds = whole_rounds(duration)
         self.prepare()
         report = StrategyReport(
             strategy=self.strategy, params=self.params, duration=duration
@@ -204,7 +204,6 @@ class SimulatedStrategy:
             report.hit_rate_series.append((elapsed, rate))
             window_queries = window_hits = 0
 
-        rounds = int(round(duration))
         profiled = obs.enabled()
         query_seconds = 0.0
         for _ in range(rounds):

@@ -10,6 +10,11 @@ The store is lazy: expired entries are purged when touched or when
 reporting window), so no per-entry timers burden the event loop. All
 operations are O(1) amortised except purge, which is linear in the number
 of *expired* entries thanks to an expiry-ordered auxiliary heap.
+
+Every entry follows the store's one ``ttl``; retargeting it (the adaptive
+controller does) takes effect on each entry's next hit or re-insert. The
+store has no slot limit: ``stor`` sizes ``numActivePeers`` in the paper,
+it is not a drop policy.
 """
 
 from __future__ import annotations
@@ -25,19 +30,13 @@ __all__ = ["TtlEntry", "TtlKeyStore"]
 
 @dataclass(slots=True)
 class TtlEntry:
-    """One stored key: value, expiry, and access statistics.
-
-    ``ttl`` is the entry's *own* expiration horizon when one was passed to
-    :meth:`TtlKeyStore.insert`; ``None`` means the entry follows the
-    store's (possibly retargeted) default TTL.
-    """
+    """One stored key: value, expiry, and access statistics."""
 
     key: str
     value: object
     expires_at: float
     inserted_at: float
     hits: int = 0
-    ttl: float | None = None
 
 
 class TtlKeyStore:
@@ -47,28 +46,20 @@ class TtlKeyStore:
     Parameters
     ----------
     ttl:
-        Default expiration horizon in rounds (``keyTtl``). Zero means
-        entries expire immediately (degenerates to no index).
-    capacity:
-        Optional hard slot limit (``stor`` in the paper). When full, the
-        entry closest to expiry is evicted first — the natural
-        generalisation of the paper's policy to bounded storage.
+        Expiration horizon in rounds (``keyTtl``). Zero means entries
+        expire immediately (degenerates to no index).
     """
 
-    def __init__(self, ttl: float, capacity: int | None = None) -> None:
+    def __init__(self, ttl: float) -> None:
         if ttl < 0:
             raise ParameterError(f"ttl must be >= 0, got {ttl}")
-        if capacity is not None and capacity < 1:
-            raise ParameterError(f"capacity must be >= 1, got {capacity}")
         self.ttl = float(ttl)
-        self.capacity = capacity
         self._entries: dict[str, TtlEntry] = {}
         #: (expires_at, key) heap; entries may be stale (expiry was reset),
         #: validated against ``_entries`` on pop.
         self._expiry_heap: list[tuple[float, str]] = []
         self.insertions = 0
         self.evictions_expired = 0
-        self.evictions_capacity = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -80,56 +71,38 @@ class TtlKeyStore:
         return iter(self._entries)
 
     # ------------------------------------------------------------------
-    def insert(self, key: str, value: object, now: float, ttl: float | None = None) -> TtlEntry:
-        """Insert or overwrite ``key``; (re)arms its expiration clock.
-
-        An explicit ``ttl`` sticks to the entry: later query hits refresh
-        it by that horizon, not the store default.
-        """
-        self.insert_all(((key, value),), now, ttl)
+    def insert(self, key: str, value: object, now: float) -> TtlEntry:
+        """Insert or overwrite ``key``; (re)arms its expiration clock."""
+        self.insert_all(((key, value),), now)
         return self._entries[key]
 
     def insert_all(
-        self,
-        pairs: Iterable[tuple[str, object]],
-        now: float,
-        ttl: float | None = None,
+        self, pairs: Iterable[tuple[str, object]], now: float
     ) -> None:
         """:meth:`insert` every ``(key, value)`` of ``pairs``, in order.
 
         Each entry is inserted on its own — expired entries purged when
-        the heap's head is due, the soonest-to-expire evicted when the
-        store is full — so the store ends up exactly as after that many
-        single inserts. The one thing done per batch is the expiry: the
-        entries and heap records of a batch share one float, which for an
+        the heap's head is due — so the store ends up exactly as after
+        that many single inserts. The one thing done per batch is the
+        expiry: the entries and heap records of a batch share one float,
+        which for an
         index preload (three quarters of an event run's inserts) is
         megabytes of peak memory. That is why the body lives here and
         :meth:`insert` is the one-pair case, paying an extra frame
         (sizes in ``CHANGES.md``, PR 22).
         """
-        if ttl is not None and ttl < 0:
-            raise ParameterError(f"ttl must be >= 0, got {ttl}")
-        expires_at = now + (self.ttl if ttl is None else ttl)
+        expires_at = now + self.ttl
         entries = self._entries
         heap = self._expiry_heap
-        capacity = self.capacity
         for key, value in pairs:
             if heap and heap[0][0] <= now:
                 self.purge_expired(now)
-            if (
-                capacity is not None
-                and key not in entries
-                and len(entries) >= capacity
-            ):
-                self._evict_soonest(now)
-            entries[key] = TtlEntry(key, value, expires_at, now, 0, ttl)
+            entries[key] = TtlEntry(key, value, expires_at, now)
             heapq.heappush(heap, (expires_at, key))
             self.insertions += 1
 
     def query(self, key: str, now: float) -> TtlEntry | None:
-        """Look up ``key``; a hit resets its expiration to ``now + ttl``,
-        honouring a per-entry TTL given at insert time over the store
-        default.
+        """Look up ``key``; a hit resets its expiration to ``now + ttl``.
 
         Returns None on a miss, including the case where the entry expired
         before ``now`` (it is purged on the spot).
@@ -142,7 +115,7 @@ class TtlKeyStore:
             self.evictions_expired += 1
             return None
         entry.hits += 1
-        expires_at = now + (self.ttl if entry.ttl is None else entry.ttl)
+        expires_at = now + self.ttl
         if expires_at != entry.expires_at:
             # A live entry always has a heap record at its current expiry;
             # an unmoved one (``inf`` TTL, a second hit in one round)
@@ -176,22 +149,6 @@ class TtlKeyStore:
                 self.evictions_expired += 1
                 purged += 1
         return purged
-
-    def _evict_soonest(self, now: float) -> None:
-        """Capacity pressure: evict the entry closest to expiry."""
-        while self._expiry_heap:
-            expires_at, key = heapq.heappop(self._expiry_heap)
-            entry = self._entries.get(key)
-            if entry is None or entry.expires_at != expires_at:
-                continue
-            del self._entries[key]
-            self.evictions_capacity += 1
-            return
-        # Heap exhausted by stale records; drop an arbitrary entry.
-        if self._entries:
-            key = next(iter(self._entries))
-            del self._entries[key]
-            self.evictions_capacity += 1
 
     # ------------------------------------------------------------------
     def live_size(self, now: float) -> int:

@@ -14,7 +14,7 @@ everything else builds on:
 """
 
 from repro.sim.engine import Event, Simulation
-from repro.sim.metrics import MessageCategory, MessageMetrics, TimeSeries
+from repro.sim.metrics import MessageCategory, MessageMetrics
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "Simulation",
     "MessageCategory",
     "MessageMetrics",
-    "TimeSeries",
     "RandomStreams",
 ]

@@ -22,9 +22,24 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.obs.clock import perf_counter
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 
-__all__ = ["Event", "Simulation"]
+__all__ = ["Event", "Simulation", "whole_rounds"]
+
+
+def whole_rounds(duration: float) -> int:
+    """The number of rounds a run of ``duration`` steps through.
+
+    Both engines' drivers step whole rounds, so a fractional duration
+    would report rates over time that was never simulated: it is refused.
+    """
+    if duration <= 0:
+        raise ParameterError(f"duration must be > 0, got {duration}")
+    if duration != round(duration):
+        raise ParameterError(
+            f"duration must be a whole number of rounds, got {duration}"
+        )
+    return int(duration)
 
 
 @dataclass(order=True)

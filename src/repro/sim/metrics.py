@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import ParameterError
 
-__all__ = ["MessageCategory", "MessageMetrics", "TimeSeries"]
+__all__ = ["MessageCategory", "MessageMetrics"]
 
 
 class MessageCategory(enum.Enum):
@@ -42,44 +41,15 @@ class MessageCategory(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass
-class TimeSeries:
-    """Append-only (time, value) series for per-round reporting."""
-
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def append(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ParameterError(
-                f"time series must be appended in order "
-                f"({time} < {self.times[-1]})"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def last(self) -> tuple[float, float]:
-        if not self.times:
-            raise ParameterError("time series is empty")
-        return self.times[-1], self.values[-1]
-
-    def mean(self) -> float:
-        if not self.values:
-            return 0.0
-        return sum(self.values) / len(self.values)
-
-
 class MessageMetrics:
-    """Counts messages by category, with optional windowed rate snapshots."""
+    """Counts messages by category: one running total per category.
+
+    Rates are the totals over the simulated time the caller ran, taken
+    once at the end of a run (``StrategyReport.messages_per_second``).
+    """
 
     def __init__(self) -> None:
         self._totals: dict[MessageCategory, float] = defaultdict(float)
-        self._window: dict[MessageCategory, float] = defaultdict(float)
-        self._series: dict[MessageCategory, TimeSeries] = defaultdict(TimeSeries)
-        self._window_start = 0.0
 
     # ------------------------------------------------------------------
     def count(self, category: MessageCategory, messages: float = 1.0) -> None:
@@ -87,7 +57,6 @@ class MessageMetrics:
         if messages < 0:
             raise ParameterError(f"messages must be >= 0, got {messages}")
         self._totals[category] += messages
-        self._window[category] += messages
 
     def count_each(
         self, category: MessageCategory, amounts: Sequence[float]
@@ -103,12 +72,9 @@ class MessageMetrics:
         if min(amounts) < 0:
             raise ParameterError(f"messages must be >= 0, got {min(amounts)}")
         total = self._totals[category]
-        window = self._window[category]
         for messages in amounts:
             total += messages
-            window += messages
         self._totals[category] = total
-        self._window[category] = window
 
     def total(self, category: MessageCategory | None = None) -> float:
         """Total messages in one category, or across all categories."""
@@ -120,49 +86,6 @@ class MessageMetrics:
         """A copy of the per-category totals."""
         return dict(self._totals)
 
-    # ------------------------------------------------------------------
-    # Windowed rates
-    # ------------------------------------------------------------------
-    def snapshot_window(self, now: float) -> dict[MessageCategory, float]:
-        """Close the current window, record per-second rates, start a new one.
-
-        Returns the per-category *rates* (msg/s) over the closed window.
-        """
-        duration = now - self._window_start
-        if duration <= 0:
-            raise ParameterError(
-                f"window must have positive duration (start={self._window_start}, "
-                f"now={now})"
-            )
-        rates: dict[MessageCategory, float] = {}
-        for category in MessageCategory:
-            rate = self._window[category] / duration
-            rates[category] = rate
-            self._series[category].append(now, rate)
-        self._window = defaultdict(float)
-        self._window_start = now
-        return rates
-
-    def series(self, category: MessageCategory) -> TimeSeries:
-        """The recorded per-window rate series for ``category``."""
-        return self._series[category]
-
-    # ------------------------------------------------------------------
-    def rate(self, duration: float, categories: Iterable[MessageCategory] | None = None) -> float:
-        """Average msg/s over ``duration`` for given (default: all) categories."""
-        if duration <= 0:
-            raise ParameterError(f"duration must be > 0, got {duration}")
-        if categories is None:
-            return self.total() / duration
-        return sum(self._totals[c] for c in categories) / duration
-
-    def reset(self, now: float = 0.0) -> None:
-        """Clear all counters and series (e.g. after a warm-up phase).
-
-        ``now`` becomes the start of the next window so post-warm-up rates
-        are measured from the reset instant.
-        """
+    def reset(self) -> None:
+        """Clear all counters (e.g. after a warm-up phase)."""
         self._totals.clear()
-        self._window.clear()
-        self._series.clear()
-        self._window_start = now

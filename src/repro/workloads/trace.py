@@ -211,7 +211,10 @@ class QueryTrace:
     def load(cls, path: str | Path) -> "QueryTrace":
         """Read a trace saved by :meth:`save` (JSON or JSONL)."""
         path = Path(path)
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"cannot read trace {path}: {exc}") from exc
         if path.suffix == ".jsonl":
             return cls.from_jsonl(text)
         return cls.from_json(text)

@@ -51,12 +51,8 @@ class TestBits:
         bits = [small_space.digit(0b10110000, i) for i in range(8)]
         assert bits == [1, 0, 1, 1, 0, 0, 0, 0]
 
-    def test_digit_hex(self, small_space):
-        assert small_space.digit(0xAB, 0, digit_bits=4) == 0xA
-        assert small_space.digit(0xAB, 1, digit_bits=4) == 0xB
-
     def test_digit_position_bounds(self, small_space):
         with pytest.raises(KeyspaceError):
             small_space.digit(0, 8)
         with pytest.raises(KeyspaceError):
-            small_space.digit(0, 2, digit_bits=4)
+            small_space.digit(0, -1)

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
+from repro.dht.maintenance import RoutingMaintenance
 from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError
 from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.engine import Simulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
-from repro.sim.rng import RandomStreams
 
 
 @pytest.fixture
@@ -25,25 +24,18 @@ def dht():
 
 
 class TestConfig:
-    def test_defaults(self):
-        config = MaintenanceConfig()
-        assert config.env == pytest.approx(1 / 14)
-        assert config.interval == 1.0
-        assert not config.sampled
+    def test_defaults(self, dht):
+        assert RoutingMaintenance(dht).env == pytest.approx(1 / 14)
 
-    @pytest.mark.parametrize("kwargs", [{"env": -0.1}, {"interval": 0.0}])
-    def test_invalid(self, kwargs):
+    @pytest.mark.parametrize("kwargs", [{"env": -0.1}])
+    def test_invalid(self, dht, kwargs):
         with pytest.raises(ParameterError):
-            MaintenanceConfig(**kwargs)
-
-    def test_sampled_requires_rng(self, dht):
-        with pytest.raises(ParameterError):
-            RoutingMaintenance(dht, MaintenanceConfig(sampled=True), rng=None)
+            RoutingMaintenance(dht, **kwargs)
 
 
 class TestExpectedMode:
     def test_sweep_charges_env_times_entries(self, dht):
-        maintenance = RoutingMaintenance(dht, MaintenanceConfig(env=0.1))
+        maintenance = RoutingMaintenance(dht, env=0.1)
         charged = maintenance.run_sweep()
         total_entries = sum(
             len(dht.routing_table(m)) for m in dht.online_members()
@@ -51,69 +43,33 @@ class TestExpectedMode:
         assert charged == pytest.approx(0.1 * total_entries)
 
     def test_sweep_counts_in_maintenance_category(self, dht):
-        maintenance = RoutingMaintenance(dht, MaintenanceConfig(env=0.1))
+        maintenance = RoutingMaintenance(dht, env=0.1)
         charged = maintenance.run_sweep()
         assert dht.log.metrics.total(MessageCategory.MAINTENANCE) == pytest.approx(
             charged
         )
 
     def test_offline_members_do_not_probe(self, dht):
-        full = RoutingMaintenance(dht, MaintenanceConfig(env=0.1)).run_sweep()
+        full = RoutingMaintenance(dht, env=0.1).run_sweep()
         for member in list(dht.members)[:32]:
             dht.population.set_online(member, False)
-        reduced = RoutingMaintenance(dht, MaintenanceConfig(env=0.1)).run_sweep()
+        reduced = RoutingMaintenance(dht, env=0.1).run_sweep()
         assert reduced < full
 
     def test_expected_rate_matches_sweep(self, dht):
-        maintenance = RoutingMaintenance(dht, MaintenanceConfig(env=0.25))
+        maintenance = RoutingMaintenance(dht, env=0.25)
         assert maintenance.run_sweep() == pytest.approx(
             maintenance.expected_rate()
         )
-
-    def test_interval_scales_charge(self, dht):
-        short = RoutingMaintenance(dht, MaintenanceConfig(env=0.1, interval=1.0))
-        long = RoutingMaintenance(dht, MaintenanceConfig(env=0.1, interval=5.0))
-        assert long.run_sweep() == pytest.approx(5 * short.run_sweep())
-
-
-class TestSampledMode:
-    def test_sampled_counts_are_integers(self, dht):
-        rng = RandomStreams(3).get("maintenance")
-        maintenance = RoutingMaintenance(
-            dht, MaintenanceConfig(env=0.5, sampled=True), rng=rng
-        )
-        charged = maintenance.run_sweep()
-        assert charged == int(charged)
-        assert maintenance.probes_sent == charged
-
-    def test_sampled_mean_matches_expected(self, dht):
-        rng = RandomStreams(4).get("maintenance")
-        config = MaintenanceConfig(env=0.3, sampled=True)
-        maintenance = RoutingMaintenance(dht, config, rng=rng)
-        sweeps = 30
-        total = sum(maintenance.run_sweep() for _ in range(sweeps))
-        expected = maintenance.expected_rate() * sweeps
-        assert total == pytest.approx(expected, rel=0.2)
-
-    def test_stale_entries_detected(self, dht):
-        rng = RandomStreams(5).get("maintenance")
-        # Probe every entry exactly once per sweep.
-        maintenance = RoutingMaintenance(
-            dht, MaintenanceConfig(env=1.0, sampled=True), rng=rng
-        )
-        for member in list(dht.members)[:20]:
-            dht.population.set_online(member, False)
-        maintenance.run_sweep()
-        assert maintenance.stale_detected > 0
 
 
 class TestScheduling:
     def test_attach_runs_periodically(self, dht):
         simulation = Simulation()
-        maintenance = RoutingMaintenance(dht, MaintenanceConfig(env=0.1, interval=2.0))
+        maintenance = RoutingMaintenance(dht, env=0.1)
         controller = maintenance.attach(simulation)
         simulation.run(until=10.0)
-        assert maintenance.sweeps == 5
+        assert maintenance.sweeps == 10
         controller.cancel()
         simulation.run(until=20.0)
-        assert maintenance.sweeps == 5
+        assert maintenance.sweeps == 10

@@ -14,7 +14,7 @@ owner and hop from scratch — and driven side by side with the new code
 through the join / leave / liveness-flip histories of
 ``test_routing_views_equivalence.py``. After every operation every online
 member looks up every key on both sides; ``LookupResult``, hop records,
-totals *in key order* and the open window must be ``==``.
+and the totals *in key order* must be ``==``.
 
 Mutations run against the new code, each caught by the test named:
 
@@ -188,7 +188,6 @@ def _observable(dht) -> dict:
     return {
         # Order included: a category appears when it is first counted.
         "totals": list(metrics.totals_by_category().items()),
-        "window": list(metrics._window.items()),
         "audit": [
             (m.kind, m.sender, m.receiver, m.payload)
             for m in dht.log.messages
@@ -237,7 +236,7 @@ def _replay(history: History) -> None:
                 )
         elif name == "reset":
             for dht in (new, old):
-                dht.log.metrics.reset(0.0)
+                dht.log.metrics.reset()
         elif name == "read":
             # ``total(category)`` inserts the category on read.
             for dht in (new, old):

@@ -26,7 +26,8 @@ Mutations run against the new code, each caught by the test named:
 * table sizes keyed on the membership version alone, or kept in
   descending member order — ``test_sweep_equals_one_count_per_member``;
 * a sweep that adds ``per_entry * sum(sizes)`` in one step (pre-summed)
-  — the sweep tests (last bits of ``probes_sent`` and the window series);
+  — the sweep tests (last bits of ``probes_sent`` and of the category
+  totals);
 * ``count_each`` touching the category for an empty sweep — the sweep
   test (``list(totals_by_category())`` order);
 * ``_split`` recording ``members[:refs_per_level]``, or the members in
@@ -61,7 +62,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dht import PGridDht
-from repro.dht.maintenance import MaintenanceConfig, RoutingMaintenance
+from repro.dht.maintenance import RoutingMaintenance
 from repro.errors import OfflinePeerError, ParameterError, RoutingError
 from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
@@ -150,21 +151,17 @@ SIDES = (PGridDht, ReferencePGrid)
 
 def reference_run_sweep(self: RoutingMaintenance) -> float:
     """One maintenance sweep; returns messages charged."""
-    per_entry = self.config.env * self.config.interval
     charged = 0.0
     for member in self.dht.online_members():
         table = self.dht.routing_table(member)
         if not table:
             continue
-        if self.config.sampled:
-            charged += self._sampled_probes(member, table, per_entry)
-        else:
-            messages = per_entry * len(table)
-            self.dht.log.metrics.count(
-                MessageKind.ROUTING_PROBE.category, messages
-            )
-            self.probes_sent += messages
-            charged += messages
+        messages = self.env * len(table)
+        self.dht.log.metrics.count(
+            MessageKind.ROUTING_PROBE.category, messages
+        )
+        self.probes_sent += messages
+        charged += messages
     self.sweeps += 1
     return charged
 
@@ -173,7 +170,7 @@ def reference_expected_rate(self: RoutingMaintenance) -> float:
     total_entries = sum(
         len(self.dht.routing_table(m)) for m in self.dht.online_members()
     )
-    return self.config.env * total_entries
+    return self.env * total_entries
 
 
 def reference_online_neighbors(self: ReplicaNetwork, member: PeerId):
@@ -224,7 +221,7 @@ op_st = st.one_of(
     st.tuples(st.just("flip"), peer_st, st.booleans()),
     st.tuples(st.just("lookup"), peer_st, st.sampled_from(KEYS)),
     st.just(("sweep",)),
-    st.just(("window",)),
+    st.just(("totals",)),
     st.just(("reset",)),
     st.just(("read",)),
 )
@@ -238,9 +235,6 @@ class History:
     offline: frozenset
     ops: tuple
     env: float
-    interval: float
-    sampled: bool
-    rng_seed: int
 
     def build(self, reference: bool, population: PeerPopulation):
         """One DHT + maintenance over ``population``, with its own log."""
@@ -249,14 +243,7 @@ class History:
             population, MessageLog(MessageMetrics()), **dict(self.backend_kwargs)
         )
         dht.join_all(sorted(self.members))
-        maintenance = RoutingMaintenance(
-            dht,
-            MaintenanceConfig(
-                env=self.env, interval=self.interval, sampled=self.sampled
-            ),
-            rng=np.random.default_rng(self.rng_seed),
-        )
-        return dht, maintenance
+        return dht, RoutingMaintenance(dht, self.env)
 
 
 @st.composite
@@ -277,12 +264,8 @@ def histories(draw):
         members=frozenset(draw(st.sets(ids, min_size=1))),
         offline=frozenset(draw(st.sets(ids, max_size=num_peers // 2))),
         ops=ops,
-        # 1/14 is the paper's env; the others make ``per_entry`` cross 1,
-        # so sampled sweeps send whole probes plus a Bernoulli extra.
+        # 1/14 is the paper's env.
         env=draw(st.sampled_from([1 / 14, 0.3, 0.9])),
-        interval=draw(st.sampled_from([1.0, 2.5])),
-        sampled=draw(st.booleans()),
-        rng_seed=draw(st.integers(0, 2**16)),
     )
 
 
@@ -301,7 +284,6 @@ def _replay(history: History, check) -> None:
         population.set_online(peer, False)
     new = history.build(False, population)
     old = history.build(True, population)
-    now = 0.0
     check(new, old, population)
     for op in history.ops:
         name = op[0]
@@ -325,14 +307,14 @@ def _replay(history: History, check) -> None:
             got = new[1].run_sweep()
             want = reference_run_sweep(old[1])
             assert got == want
-        elif name == "window":
-            now += 1.0
-            got = new[0].log.metrics.snapshot_window(now)
-            want = old[0].log.metrics.snapshot_window(now)
-            assert got == want
+        elif name == "totals":
+            # Order included: it is the summation order of ``total()``.
+            got = new[0].log.metrics.totals_by_category()
+            want = old[0].log.metrics.totals_by_category()
+            assert list(got.items()) == list(want.items())
         elif name == "reset":
             for dht, _ in (new, old):
-                dht.log.metrics.reset(now)
+                dht.log.metrics.reset()
         elif name == "read":
             # ``total(category)`` inserts the category on read.
             for dht, _ in (new, old):
@@ -394,7 +376,6 @@ def _check_sweep_state(new, old, population) -> None:
     (dht, maintenance), (ref, reference) = new, old
     metrics, ref_metrics = dht.log.metrics, ref.log.metrics
     assert maintenance.probes_sent == reference.probes_sent
-    assert maintenance.stale_detected == reference.stale_detected
     assert maintenance.sweeps == reference.sweeps
     assert maintenance.expected_rate() == reference_expected_rate(reference)
     # Order included: it is the summation order of ``total()``.
@@ -402,15 +383,6 @@ def _check_sweep_state(new, old, population) -> None:
         ref_metrics.totals_by_category().items()
     )
     assert metrics.total() == ref_metrics.total()
-    for category in MessageCategory:
-        assert (
-            metrics.series(category).values
-            == ref_metrics.series(category).values
-        )
-    assert (
-        maintenance.rng.bit_generator.state
-        == reference.rng.bit_generator.state
-    )
 
 
 @given(histories())
@@ -428,7 +400,7 @@ def test_sweep_accumulates_member_by_member_at_scale():
         dht = cls(population, MessageLog(MessageMetrics()))
         dht.join_all(range(0, 400, 4))
         dht.join_all(range(1, 400, 2))
-        sides.append((dht, RoutingMaintenance(dht, MaintenanceConfig())))
+        sides.append((dht, RoutingMaintenance(dht)))
     (dht, maintenance), (ref, reference) = sides
     for sweep in range(150):
         if sweep == 70:
@@ -436,9 +408,8 @@ def test_sweep_accumulates_member_by_member_at_scale():
                 population.set_online(peer, False)
         assert maintenance.run_sweep() == reference_run_sweep(reference)
         if sweep % 10 == 9:
-            now = float(sweep + 1)
-            assert dht.log.metrics.snapshot_window(now) == (
-                ref.log.metrics.snapshot_window(now)
+            assert dht.log.metrics.totals_by_category() == (
+                ref.log.metrics.totals_by_category()
             )
     assert maintenance.probes_sent == reference.probes_sent
     assert dht.log.metrics.total(MessageCategory.MAINTENANCE) == (

@@ -262,13 +262,22 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags",
         [["--duration", "-5"], ["--duration", "nan"], ["--duration", "inf"],
-         ["--scale", "nan"]],
+         ["--scale", "nan"], ["--duration", "20.5"],
+         ["--engine", "event", "--duration", "20.5"]],
     )
     def test_bad_parameter_exits_nonzero_in_one_line(self, capsys, flags):
         argv = ["sim", "--engine", "vectorized", "--scale", "0.02", *flags]
         assert self._main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: sim: ") and err.count("\n") == 1
+
+    def test_missing_trace_file_exits_nonzero_in_one_line(self, capsys):
+        argv = ["adaptivity-tracking", "--scale", "0.02", "--duration", "60",
+                "--workload", "trace:/nonexistent/trace.json"]
+        assert self._main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: adaptivity-tracking: ")
+        assert "/nonexistent/trace.json" in err and err.count("\n") == 1
 
     def test_engine_flag_ignored_for_analytical(self, capsys):
         assert self._main(["table1", "--engine", "vectorized"]) == 0

@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.fastsim.kernel import (
-    FastAdaptiveTtl,
-    FastSimKernel,
-    PerOpCosts,
-    run_fastsim,
-)
+from repro.fastsim.kernel import FastSimKernel, PerOpCosts, run_fastsim
 from repro.workloads import RankSwap
 from repro.analysis.zipf import ZipfDistribution
 from repro.net.churn import ChurnConfig
@@ -114,29 +109,6 @@ class TestSelectionDynamics:
         assert report.insertions == report.queries
         assert report.final_index_size == 0
 
-    def test_retarget_to_zero_ttl_kills_entries_on_their_next_hit(
-        self, small_params
-    ):
-        # TtlKeyStore semantics: with ttl 0 a hit resets expiry to ``now``,
-        # so each entry live at the retarget serves at most one more hit.
-        kernel = FastSimKernel(small_params, seed=2)
-        kernel.run(duration=50.0)
-        live_at_switch = kernel.state.index_size(kernel.now)
-        hits_before = kernel.hits_total
-        kernel.set_key_ttl(0.0)
-        hits = 0
-        for _ in range(100):
-            # Entries that can still serve this round's queries ...
-            servable = kernel.state.index_size(kernel.now + 1.0)
-            report = kernel.run(duration=1.0)
-            # ... and after it: every hit killed a distinct one of them,
-            # and no insert came back to life, so no key hits twice.
-            left = kernel.state.index_size(kernel.now)
-            assert report.index_hits == servable - left
-            hits += report.index_hits
-        assert 0 < hits <= live_at_switch
-        assert kernel.hits_total - hits_before == hits
-
     def test_windowed_series(self, small_params):
         report = run_fastsim(
             small_params, duration=100.0, seed=1, window=20.0
@@ -156,9 +128,6 @@ class TestSelectionDynamics:
             run_fastsim(small_params, duration=1.4)
         with pytest.raises(ParameterError):
             FastSimKernel(small_params, strategy="bogus")
-        kernel = FastSimKernel(small_params)
-        with pytest.raises(ParameterError):
-            kernel.set_key_ttl(-1.0)
 
     def test_workload_size_mismatch_rejected(self, small_params, rng):
         workload_zipf = ZipfDistribution(small_params.n_keys + 1, 1.2)
@@ -279,19 +248,6 @@ class TestShiftsAndChurn:
         assert report.queries == 0
         assert charges == []
 
-    def test_per_key_stats_balance_report_under_churn(self, small_params):
-        # Regression: unresolved duplicate misses were undercounted in the
-        # hit/miss totals the adaptive hook consumes.
-        kernel = FastSimKernel(
-            small_params,
-            seed=7,
-            churn=ChurnConfig(mean_session=600.0, mean_offline=600.0),
-        )
-        report = kernel.run(duration=100.0)
-        assert report.unresolved > 0
-        assert kernel.hits_total == report.index_hits
-        assert kernel.misses_total == report.queries - report.index_hits
-
     def test_disabled_churn_is_a_no_op(self, small_params):
         # ChurnConfig(enabled=False) freezes liveness in the event engine;
         # the kernel must charge no churn surcharges for it.
@@ -322,40 +278,7 @@ class TestShiftsAndChurn:
         ] < quiet.messages_by_category[MessageCategory.MAINTENANCE]
 
 
-class TestAdaptiveTtl:
-    def test_hook_retargets_towards_cost_balance(self, small_params):
-        config = PdhtConfig.from_scenario(small_params).with_ttl(5.0)
-        kernel = FastSimKernel(small_params, config=config, seed=1)
-        hook = FastAdaptiveTtl(retarget_interval=50.0, min_ttl=1.0)
-        kernel.on_round.append(hook)
-        kernel.run(duration=200.0)
-        assert hook.retargets  # it fired
-        assert kernel.key_ttl != 5.0
-        times = [t for t, _ in hook.retargets]
-        assert times[0] == pytest.approx(50.0)
-
-    def test_hook_anchors_to_attachment_time(self, small_params):
-        # Regression: attaching after the clock advanced must wait one
-        # full interval, not fire back-to-back until _next_at catches up.
-        kernel = FastSimKernel(small_params, seed=1)
-        kernel.run(duration=100.0)
-        hook = FastAdaptiveTtl(retarget_interval=50.0, min_ttl=1.0)
-        kernel.on_round.append(hook)
-        kernel.run(duration=100.0)
-        times = [t for t, _ in hook.retargets]
-        assert times, "hook never fired"
-        assert times[0] == pytest.approx(150.0)
-        assert all(
-            later - earlier >= 50.0 - 1e-9
-            for earlier, later in zip(times, times[1:])
-        )
-
-    def test_hook_validates_parameters(self):
-        with pytest.raises(ParameterError):
-            FastAdaptiveTtl(retarget_interval=0.0)
-        with pytest.raises(ParameterError):
-            FastAdaptiveTtl(min_ttl=10.0, max_ttl=1.0)
-
+class TestReportAdapter:
     def test_report_adapter_round_trips(self, small_params):
         report = run_fastsim(small_params, duration=50.0, seed=1, window=25.0)
         strategy_report = report.to_strategy_report()
@@ -528,47 +451,8 @@ class TestZeroTtlSelectionBranch:
     on one-round spans (previously only exercised indirectly)."""
 
     def _kernel(self, small_params):
-        config = PdhtConfig.from_scenario(small_params)
-        kernel = FastSimKernel(small_params, config=config, seed=0)
-        kernel.set_key_ttl(0.0)
-        return kernel
-
-    def test_live_entry_serves_one_hit_then_dies(self, small_params):
-        import numpy as np
-
-        from repro.fastsim.metrics import FastSimReport
-
-        kernel = self._kernel(small_params)
-        now = 1.0
-        # Key 5 survives from an earlier positive-TTL era; key 6 is cold.
-        kernel.state.expires_at[5] = now + 100.0
-        totals = {category: 0.0 for category in MessageCategory}
-        report = FastSimReport(
-            strategy="partialSelection", params=small_params, duration=1.0
-        )
-        keys = np.array([5, 5, 6])
-        hits = _one_round(kernel, now, keys, totals, report)
-
-        # One hit (key 5's first occurrence); its own hit kills it.
-        assert hits == 1
-        assert report.index_hits == 1
-        assert kernel.state.expires_at[5] == now  # dead for any later query
-        # The duplicate occurrence of 5 misses and counts as reinsertion,
-        # the cold key 6 misses cold.
-        assert report.reinsertions == 1
-        assert report.cold_misses == 1
-        assert (kernel.hits_total, kernel.misses_total) == (1, 2)
-        # Both misses resolve (no churn) and re-insert — but with ttl 0
-        # the fresh inserts expire on arrival ...
-        assert report.insertions == 2
-        assert report.answered == 3
-        assert report.unresolved == 0
-        assert kernel.state.index_size(now) == 0
-        # ... leaving the cold key indexed once, so its next miss is a
-        # reinsertion, not a cold miss.
-        assert kernel.state.expires_at[6] == now
-        _one_round(kernel, now + 1.0, [6], totals, report)
-        assert (report.reinsertions, report.cold_misses) == (2, 1)
+        config = PdhtConfig.from_scenario(small_params).with_ttl(0.0)
+        return FastSimKernel(small_params, config=config, seed=0)
 
     def test_cold_key_is_indexed_by_its_first_resolved_occurrence(
         self, small_params, monkeypatch

@@ -42,7 +42,7 @@ one every five rounds, so a span can cover hundreds of rounds; keyTtl
 values include whole numbers (a span as long as keyTtl) and the float
 just above one (a span one round longer than ``keyTtl - 1``, unless the
 rounded expiry says otherwise); windows and content refreshes fall inside
-spans and draw blocks, and an end-of-round hook may retarget keyTtl.
+spans and draw blocks, and a second run may continue the first.
 ``test_expiry_inside_a_span`` pins a key whose entry expires partway
 through a span.
 
@@ -57,8 +57,18 @@ Mutations of ``src/`` this module was run against, each caught:
   the span opens);
 * a key met live earlier in the span counted as a miss in a later round
   (the live-key mark dropped);
-* a span that runs past an ``on_round`` hook (its keyTtl retarget lands
-  rounds late).
+* under keyTtl = 0 (where nothing is ever live), a hit counted: a
+  repeated key's later occurrences hitting, as under a positive keyTtl,
+  or the round's first query hitting;
+* under keyTtl = 0, the cold-miss attribution taken over all occurrences
+  (a duplicate of a key its first occurrence just indexed counted cold);
+* under keyTtl = 0, one insert per distinct key instead of one per
+  resolved occurrence.
+
+Without churn every broadcast resolves, so under keyTtl = 0 "only a
+key's first occurrence is cold" equals the right attribution here; the
+unresolved case is ``TestZeroTtlSelectionBranch`` in ``test_kernel.py``,
+which catches that mutation.
 """
 
 from __future__ import annotations
@@ -110,8 +120,7 @@ REGIMES = {
 
 
 class Reference:
-    def __init__(self, params, policy, seed, workload, refresh_period,
-                 retarget):
+    def __init__(self, params, policy, seed, workload, refresh_period):
         children = np.random.SeedSequence(seed).spawn(5)
         self.params = params
         self.counts_rng = np.random.default_rng(children[0])
@@ -130,7 +139,6 @@ class Reference:
         self.next_refresh = refresh_period
         self.update_debt = 0.0
         self.now = 0.0
-        self.retarget = retarget  # keyTtl from the end of round `now` on
 
     def index_size(self):
         if not self.policy.adaptive:
@@ -234,7 +242,6 @@ class Reference:
                 close(now - start)
                 window_queries = window_hits = 0
                 closes_at += window
-            self.key_ttl = self.retarget.get(now, self.key_ttl)
         if window > 0 and self.now - start > closes_at - window:
             close(self.now - start)
         out.update(
@@ -279,12 +286,9 @@ def cases(draw):
         key_ttl=draw(ttls),
         window=float(draw(st.sampled_from(windows))),
         refresh=draw(st.none() | st.floats(1.0, float(rounds))),
-        then=draw(st.none() | st.tuples(st.integers(1, 30), ttls)),
+        # The rounds of a second run, continuing the first.
+        then=draw(st.none() | st.integers(1, 30)),
         swap_at=draw(st.none() | st.integers(1, 60)),
-        # An end-of-round hook that retargets keyTtl after these rounds.
-        retarget=draw(st.dictionaries(
-            st.integers(1, rounds).map(float), ttls, max_size=3
-        )),
     )
 
 
@@ -314,32 +318,19 @@ def check_against_reference(case):
         ),
         content_refresh_period=case["refresh"],
     )
-    retarget = case.get("retarget", {})
-    if retarget:
-        kernel.on_round.append(
-            lambda kernel, now: kernel.set_key_ttl(
-                retarget.get(now, kernel.key_ttl)
-            )
-        )
-    reference = Reference(
-        params, policy, case["seed"], theirs, case["refresh"], retarget
-    )
-    runs = [(case["rounds"], None)]
+    reference = Reference(params, policy, case["seed"], theirs, case["refresh"])
+    runs = [case["rounds"]]
     if case["then"] is not None:
         runs.append(case["then"])
-    for rounds, key_ttl in runs:
-        if key_ttl is not None:
-            kernel.set_key_ttl(key_ttl)
-            reference.key_ttl = key_ttl
+    for rounds in runs:
         report = kernel.run(float(rounds), window=case["window"])
         expected = reference.run(rounds, case["window"])
         assert {name: getattr(report, name) for name in FIELDS} == expected
 
 
 def with_pinned_cases(test):
-    """Pinned cases: live entries meeting keyTtl = 0 after a retarget,
-    with stale hits; cold duplicates under keyTtl = 0, then a fractional
-    TTL across a rank swap; partialIdeal queries at rank maxRank (129)
+    """Pinned cases: stale hits across two runs; cold duplicates under
+    keyTtl = 0 across a rank swap; partialIdeal queries at rank maxRank (129)
     with a fractional update rate; indexAll across a rank swap; noIndex;
     at 2 queries a round, spans of exactly keyTtl = 4 rounds with
     refreshes and windows inside them, and spans capped by a keyTtl just
@@ -347,21 +338,24 @@ def with_pinned_cases(test):
     crossing the heartbeat and window edges."""
     pinned = [
         dict(strategy="partialSelection", seed=3, query_freq=0.2, rounds=30,
-             key_ttl=4.0, window=7.0, refresh=9.0, then=(20, 0.0),
+             key_ttl=4.0, window=7.0, refresh=9.0, then=20,
              swap_at=None),
         dict(strategy="partialSelection", seed=5, query_freq=0.2, rounds=24,
-             key_ttl=0.0, window=6.0, refresh=None, then=(12, 2.5),
+             key_ttl=0.0, window=6.0, refresh=None, then=12,
              swap_at=16),
         dict(strategy="partialIdeal", seed=PINNED_IDEAL_SEED, query_freq=0.2,
              rounds=40, key_ttl=4.0, window=9.0, refresh=5.0, then=None,
              swap_at=None),
         dict(strategy="indexAll", seed=1, query_freq=0.2, rounds=17,
-             key_ttl=0.0, window=4.0, refresh=None, then=(5, 2.5), swap_at=9),
+             key_ttl=0.0, window=4.0, refresh=None, then=5, swap_at=9),
         dict(strategy="noIndex", seed=2, query_freq=0.2, rounds=12,
              key_ttl=1.0, window=5.0, refresh=3.0, then=None, swap_at=None),
         dict(strategy="partialSelection", seed=11, query_freq=0.01,
              rounds=120, key_ttl=4.0, window=25.0, refresh=17.5,
-             then=(30, math.nextafter(2.0, math.inf)), swap_at=50),
+             then=30, swap_at=50),
+        dict(strategy="partialSelection", seed=11, query_freq=0.01,
+             rounds=30, key_ttl=math.nextafter(2.0, math.inf), window=25.0,
+             refresh=17.5, then=None, swap_at=50),
         dict(strategy="partialSelection", seed=12, query_freq=0.001,
              rounds=260, key_ttl=1000.0, window=7.0, refresh=None,
              then=None, swap_at=None),
@@ -400,11 +394,11 @@ def test_expiry_inside_a_span():
     queried in rounds 2 and 4 — one cold miss; key 4 is live throughout.
     Round 4 writes key 3's expiry after round 2 did."""
     kernel = FastSimKernel(
-        PARAMS, seed=0, costs=PerOpCosts(
+        PARAMS, config=PdhtConfig.from_scenario(PARAMS).with_ttl(10.0),
+        seed=0, costs=PerOpCosts(
             LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, 2
         ),
     )
-    kernel.set_key_ttl(10.0)
     expires = kernel.state.expires_at
     expires[[1, 2, 4]] = [2.5, 2.5, 50.0]
     report = FastSimReport(
@@ -430,7 +424,7 @@ def test_pinned_partial_ideal_case_queries_the_boundary_rank():
     )
     assert 0 < policy.index_ranks < PARAMS.n_keys
     workload = default_batch_workload(PARAMS, PINNED_IDEAL_SEED)
-    reference = Reference(PARAMS, policy, PINNED_IDEAL_SEED, workload, None, {})
+    reference = Reference(PARAMS, policy, PINNED_IDEAL_SEED, workload, None)
     counts = reference.counts_rng.poisson(PARAMS.network_query_rate, size=40)
     ranks = [rank for now, count in enumerate(counts.tolist(), 1)
              for rank, _ in workload.draw(float(now), count)]

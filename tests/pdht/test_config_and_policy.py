@@ -56,22 +56,30 @@ class TestPdhtConfig:
         with pytest.raises(TypeError):
             PdhtConfig.from_scenario(small_params, dht_kind="chord")
 
+    def test_enforce_capacity_is_off_and_not_an_argument(self, small_params):
+        # Kept for the store keys, like dht_kind: no store has a slot limit.
+        assert PdhtConfig().enforce_capacity is False
+        with pytest.raises(TypeError):
+            PdhtConfig(enforce_capacity=True)
+        with pytest.raises(TypeError):
+            PdhtConfig.from_scenario(small_params, enforce_capacity=True)
+
 
 class TestPdhtNode:
     def test_index_roundtrip(self):
-        node = PdhtNode(peer_id=1, key_ttl=10.0, capacity=None)
+        node = PdhtNode(peer_id=1, key_ttl=10.0)
         node.index_insert("k", "v", now=0.0)
         assert node.has_live("k", now=5.0)
         entry = node.index_query("k", now=5.0)
         assert entry.value == "v"
 
     def test_ttl_governs_expiry(self):
-        node = PdhtNode(peer_id=1, key_ttl=10.0, capacity=None)
+        node = PdhtNode(peer_id=1, key_ttl=10.0)
         node.index_insert("k", "v", now=0.0)
         assert not node.has_live("k", now=10.0)
 
     def test_set_ttl_applies_to_new_activity(self):
-        node = PdhtNode(peer_id=1, key_ttl=10.0, capacity=None)
+        node = PdhtNode(peer_id=1, key_ttl=10.0)
         node.index_insert("k", "v", now=0.0)
         node.set_ttl(100.0)
         node.index_query("k", now=5.0)  # hit rearms with the new TTL
@@ -79,8 +87,8 @@ class TestPdhtNode:
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
-            PdhtNode(peer_id=-1, key_ttl=10.0, capacity=None)
-        node = PdhtNode(peer_id=0, key_ttl=10.0, capacity=None)
+            PdhtNode(peer_id=-1, key_ttl=10.0)
+        node = PdhtNode(peer_id=0, key_ttl=10.0)
         with pytest.raises(ParameterError):
             node.set_ttl(-1.0)
 

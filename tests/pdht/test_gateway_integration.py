@@ -45,7 +45,7 @@ class TestGatewayIntegration:
         ][:5]
         for querier in queriers:  # warm the caches
             network.query(querier, "hot")
-        network.metrics.reset(now=network.simulation.now)
+        network.metrics.reset()
         for i in range(40):
             network.query(queriers[i % len(queriers)], "hot")
         totals = network.metrics.totals_by_category()

@@ -138,7 +138,7 @@ class TestMessageAccounting:
         assert totals[MessageCategory.MAINTENANCE] > 0
 
     def test_maintenance_rate_matches_env(self, network):
-        network.metrics.reset(now=network.simulation.now)
+        network.metrics.reset()
         network.advance(100.0)
         measured = network.metrics.total(MessageCategory.MAINTENANCE) / 100.0
         expected = network.maintenance.expected_rate()
@@ -146,7 +146,7 @@ class TestMessageAccounting:
 
     def test_disable_maintenance_stops_probes(self, network):
         network.disable_maintenance()
-        network.metrics.reset(now=network.simulation.now)
+        network.metrics.reset()
         network.advance(50.0)
         assert network.metrics.total(MessageCategory.MAINTENANCE) == 0.0
 

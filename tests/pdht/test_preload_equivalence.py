@@ -6,9 +6,9 @@ every member's store one ``TtlKeyStore.insert_all``; it replaced
 ``preload_index`` called per key (key -> member -> ``index_insert`` ->
 ``insert``), kept here verbatim together with the two strategy loops that
 drove it. Every store must end up the same: entries (fields, in insertion
-order — the eviction order), the expiry heap as a list (its pop order)
-and the counters — with ``enforce_capacity`` on, with expired entries at
-the head of some heaps, and after churn took members offline.
+order), the expiry heap as a list (its pop order) and the counters — with
+expired entries at the head of some heaps, and after churn took members
+offline.
 
 ``PdhtNetwork.random_online_peer`` draws from a ``BoundedStream`` over
 the "origins" generator; it replaced one scalar ``rng.integers`` per
@@ -21,7 +21,7 @@ Mutations run against the new code, each caught by the test named:
   ``test_preload_all_equals_one_preload_per_key``;
 * only the first member of a group filled — the same test (store by
   store, heaps included);
-* ``insert_all``'s purge guard or capacity check hoisted out of its loop
+* ``insert_all``'s purge guard hoisted out of its loop
   — the same test (``test_ttl_store_equivalence.py`` holds the store
   alone to it);
 * the origin drawn over all peers, or over the online peers in another
@@ -79,13 +79,12 @@ def _stores(network: PdhtNetwork) -> dict:
     return {
         member: (
             [
-                (e.key, e.value, e.expires_at, e.inserted_at, e.hits, e.ttl)
+                (e.key, e.value, e.expires_at, e.inserted_at, e.hits)
                 for e in node.store.entries()
             ],
             list(node.store._expiry_heap),
             node.store.insertions,
             node.store.evictions_expired,
-            node.store.evictions_capacity,
         )
         for member, node in network.nodes.items()
     }
@@ -97,10 +96,9 @@ PARAMS = ScenarioParameters(
 )
 
 
-def _network(key_ttl: float, capacity: bool, seed: int) -> PdhtNetwork:
+def _network(key_ttl: float, seed: int) -> PdhtNetwork:
     config = PdhtConfig(
         key_ttl=key_ttl, replication=5, storage_per_peer=6, walkers=4,
-        enforce_capacity=capacity,
     )
     return PdhtNetwork(PARAMS, config, seed=seed, num_active_peers=23)
 
@@ -108,7 +106,6 @@ def _network(key_ttl: float, capacity: bool, seed: int) -> PdhtNetwork:
 @settings(max_examples=30, deadline=None)
 @given(
     key_ttl=st.sampled_from([0.0, 1.0, 3.0, math.inf]),
-    capacity=st.booleans(),
     seed=st.integers(0, 50),
     batches=st.lists(
         st.tuples(
@@ -119,8 +116,8 @@ def _network(key_ttl: float, capacity: bool, seed: int) -> PdhtNetwork:
         min_size=1, max_size=4,
     ),
 )
-def test_preload_all_equals_one_preload_per_key(key_ttl, capacity, seed, batches):
-    old, new = (_network(key_ttl, capacity, seed) for _ in range(2))
+def test_preload_all_equals_one_preload_per_key(key_ttl, seed, batches):
+    old, new = (_network(key_ttl, seed) for _ in range(2))
     for rounds, keys, offline in batches:
         items = {f"key-{k:06d}": f"value-{k}" for k in keys}
         for network in (old, new):
@@ -171,7 +168,7 @@ def test_strategy_preloads_equal_the_per_key_loops(strategy, small_params):
 def test_origins_equal_scalar_draws_under_churn(seed, run):
     """Origins between liveness flips — the online set changes size, so
     the bound of the draw does — with the generator read at the end."""
-    old, new = (_network(3.0, False, seed) for _ in range(2))
+    old, new = (_network(3.0, seed) for _ in range(2))
     scalar = old.streams.get("origins")
     for peer, online, draws in run:
         for network in (old, new):

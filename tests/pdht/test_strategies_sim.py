@@ -143,6 +143,20 @@ class TestDriver:
         with pytest.raises(ParameterError):
             strategy.run(0.0)
 
+    def test_fractional_duration_rejected(self, sim_params, sim_config):
+        # The driver steps whole rounds: 20.5 would run 20 and report
+        # msg/s over 20.5; the staleness probe would truncate the same way.
+        from repro.fastsim.compare import staleness_probe_event
+
+        strategy = SimulatedStrategy(
+            sim_params, config=sim_config, strategy="noIndex"
+        )
+        with pytest.raises(ParameterError, match="whole number of rounds"):
+            strategy.run(20.5)
+        assert strategy.network.simulation.now == 0.0  # nothing ran
+        with pytest.raises(ParameterError, match="whole number of rounds"):
+            staleness_probe_event(sim_params, sim_config, 0.5, 10.0)
+
     def test_windows_record_series(self, sim_params, sim_config):
         strategy = SimulatedStrategy(sim_params, config=sim_config, seed=1)
         report = strategy.run(60.0, window=20.0)

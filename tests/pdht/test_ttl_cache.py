@@ -54,29 +54,9 @@ class TestInsertAndQuery:
         entry = store.query("k", now=15.0)
         assert entry is not None and entry.value == "v2"
 
-    def test_insert_with_explicit_ttl(self):
-        store = TtlKeyStore(ttl=10.0)
-        store.insert("k", "v", now=0.0, ttl=100.0)
-        assert store.query("k", now=50.0) is not None
-
-    def test_query_refresh_honours_per_entry_ttl(self):
-        # Regression: a hit used to reset expiry to now + store ttl,
-        # silently clobbering the entry's own TTL from insert().
-        store = TtlKeyStore(ttl=10.0)
-        store.insert("k", "v", now=0.0, ttl=100.0)
-        assert store.query("k", now=50.0) is not None  # expires at 150
-        assert store.query("k", now=140.0) is not None  # not 60!
-        assert store.query("k", now=241.0) is None  # 140 + 100 passed
-
-    def test_query_refresh_shorter_per_entry_ttl(self):
-        store = TtlKeyStore(ttl=100.0)
-        store.insert("k", "v", now=0.0, ttl=5.0)
-        assert store.query("k", now=4.0) is not None  # expires at 9
-        assert store.query("k", now=9.0) is None  # store default not used
-
     def test_default_entries_follow_retargeted_store_ttl(self):
-        # Entries without an explicit TTL adopt the store's *current*
-        # default on their next hit (the adaptive controller relies on it).
+        # Entries adopt the store's *current* TTL on their next hit (the
+        # adaptive controller relies on it).
         store = TtlKeyStore(ttl=10.0)
         store.insert("k", "v", now=0.0)
         store.ttl = 50.0
@@ -103,9 +83,6 @@ class TestInsertAndQuery:
     def test_negative_ttl_rejected(self):
         with pytest.raises(ParameterError):
             TtlKeyStore(ttl=-1.0)
-        store = TtlKeyStore(ttl=1.0)
-        with pytest.raises(ParameterError):
-            store.insert("k", "v", now=0.0, ttl=-1.0)
 
 
 class TestPurge:
@@ -138,35 +115,6 @@ class TestPurge:
         store.purge_expired(now=10.0)
         assert store.evictions_expired == 1
         assert store.insertions == 1
-
-
-class TestCapacity:
-    def test_capacity_evicts_soonest_to_expire(self):
-        store = TtlKeyStore(ttl=100.0, capacity=2)
-        store.insert("a", 1, now=0.0)   # expires 100
-        store.insert("b", 2, now=50.0)  # expires 150
-        store.insert("c", 3, now=60.0)  # capacity hit: evict "a"
-        assert "a" not in store
-        assert "b" in store and "c" in store
-        assert store.evictions_capacity == 1
-
-    def test_overwrite_does_not_trigger_capacity(self):
-        store = TtlKeyStore(ttl=100.0, capacity=2)
-        store.insert("a", 1, now=0.0)
-        store.insert("b", 2, now=0.0)
-        store.insert("a", 99, now=1.0)  # overwrite, not a new slot
-        assert len(store) == 2
-        assert store.evictions_capacity == 0
-
-    def test_capacity_one(self):
-        store = TtlKeyStore(ttl=10.0, capacity=1)
-        store.insert("a", 1, now=0.0)
-        store.insert("b", 2, now=1.0)
-        assert list(store.keys()) == ["b"]
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ParameterError):
-            TtlKeyStore(ttl=1.0, capacity=0)
 
 
 class TestRemove:

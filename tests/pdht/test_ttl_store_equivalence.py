@@ -8,10 +8,11 @@ builds its slotted ``TtlEntry`` positionally (114,608 of a ``sim`` run's
 pushes a heap record only when the hit *moves* the expiry: under
 ``keyTtl = inf`` (``indexAll``, ``partialIdeal``) every hit used to push
 another ``(inf, key)`` that could never reach the top. The old bodies are
-kept here verbatim in ``ReferenceTtlKeyStore`` and both stores are driven
-through the same generated operation sequences; after every operation the
-return value, the entries (fields and dict order — which is the eviction
-order), the three counters and ``len`` must be ``==``; the new heap may
+kept in ``ReferenceTtlKeyStore`` — verbatim but for the slot limit and
+the per-entry TTL, which the store no longer has — and both stores are
+driven through the same generated operation sequences; after every
+operation the return value, the entries (fields and dict order), the two
+counters and ``len`` must be ``==``; the new heap may
 only hold records the old one holds too, one of them for every live
 entry at its current expiry.
 
@@ -25,10 +26,6 @@ Mutations run against the new code, each caught by the test named:
 * ``query`` never pushing, or skipping the push but also the assignment
   of a *moved* expiry — the same test (a refreshed entry is purged at
   its old expiry, or never);
-* ``query`` comparing against the store default instead of the entry's
-  own ``ttl`` — the same test (per-entry TTLs);
-* ``hits`` and ``ttl`` swapped in the positional ``TtlEntry`` call
-  — the same test (``entry.ttl`` reads 0: the next hit expires it);
 * the push made only when the expiry *grows* — the same test (a store
   retargeted to a shorter TTL moves an expiry earlier);
 * the push made on every hit, as before —
@@ -42,9 +39,6 @@ counters. Mutations run, caught by ``test_insert_all_equals_one_insert_per_pair`
 
 * the purge guard hoisted out of the loop (an entry of the batch expiring
   at ``now`` — ``ttl = 0`` — must be purged by the next one);
-* the capacity check hoisted out of the loop, or dropped;
-* ``key not in entries`` dropped from the capacity check (an overwrite
-  evicts);
 * ``insertions`` bumped once per batch.
 """
 
@@ -55,7 +49,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ParameterError
 from repro.pdht.ttl_cache import TtlEntry, TtlKeyStore
 
 
@@ -63,20 +56,10 @@ from repro.pdht.ttl_cache import TtlEntry, TtlKeyStore
 # The replaced bodies, verbatim
 # ----------------------------------------------------------------------
 class ReferenceTtlKeyStore(TtlKeyStore):
-    def insert(self, key, value, now, ttl=None):
-        if ttl is not None and ttl < 0:
-            raise ParameterError(f"ttl must be >= 0, got {ttl}")
-        effective = self.ttl if ttl is None else ttl
+    def insert(self, key, value, now):
         self.purge_expired(now)
-        if (
-            self.capacity is not None
-            and key not in self._entries
-            and len(self._entries) >= self.capacity
-        ):
-            self._evict_soonest(now)
         entry = TtlEntry(
-            key=key, value=value, expires_at=now + effective,
-            inserted_at=now, ttl=ttl,
+            key=key, value=value, expires_at=now + self.ttl, inserted_at=now,
         )
         self._entries[key] = entry
         heapq.heappush(self._expiry_heap, (entry.expires_at, key))
@@ -92,7 +75,7 @@ class ReferenceTtlKeyStore(TtlKeyStore):
             self.evictions_expired += 1
             return None
         entry.hits += 1
-        entry.expires_at = now + (self.ttl if entry.ttl is None else entry.ttl)
+        entry.expires_at = now + self.ttl
         heapq.heappush(self._expiry_heap, (entry.expires_at, key))
         return entry
 
@@ -106,7 +89,7 @@ TTLS = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, math.inf])
 #: operations in one round) and sometimes by a fraction.
 STEPS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 2.0, 3.0])
 OPERATIONS = st.one_of(
-    st.tuples(st.just("insert"), KEYS, st.none() | TTLS),
+    st.tuples(st.just("insert"), KEYS),
     st.tuples(st.just("query"), KEYS),
     st.tuples(st.just("query"), KEYS),
     st.tuples(st.just("peek"), KEYS),
@@ -122,14 +105,14 @@ def fields(entry):
         return None
     return (
         entry.key, entry.value, entry.expires_at, entry.inserted_at,
-        entry.hits, entry.ttl,
+        entry.hits,
     )
 
 
 def apply(store, operation, now, serial):
     name, *args = operation
     if name == "insert":
-        return fields(store.insert(args[0], serial, now, ttl=args[1]))
+        return fields(store.insert(args[0], serial, now))
     if name == "query":
         return fields(store.query(args[0], now))
     if name == "peek":
@@ -151,19 +134,17 @@ def state(store):
         len(store),
         store.insertions,
         store.evictions_expired,
-        store.evictions_capacity,
     )
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     ttl=TTLS,
-    capacity=st.none() | st.integers(1, 4),
     script=st.lists(st.tuples(STEPS, OPERATIONS), max_size=60),
 )
-def test_store_equals_reference_under_random_operations(ttl, capacity, script):
-    old = ReferenceTtlKeyStore(ttl, capacity)
-    new = TtlKeyStore(ttl, capacity)
+def test_store_equals_reference_under_random_operations(ttl, script):
+    old = ReferenceTtlKeyStore(ttl)
+    new = TtlKeyStore(ttl)
     now = 0.0
     for serial, (step, operation) in enumerate(script):
         now += step
@@ -184,26 +165,28 @@ def test_store_equals_reference_under_random_operations(ttl, capacity, script):
 @settings(max_examples=120, deadline=None)
 @given(
     ttl=TTLS,
-    capacity=st.none() | st.integers(1, 4),
     script=st.lists(
         st.tuples(STEPS, st.lists(KEYS, max_size=8), st.none() | TTLS),
         max_size=12,
     ),
 )
-def test_insert_all_equals_one_insert_per_pair(ttl, capacity, script):
+def test_insert_all_equals_one_insert_per_pair(ttl, script):
     """Batches land on whatever the previous ones left: an expired head
-    in the heap (time moved on), a full store, keys already present."""
-    old = ReferenceTtlKeyStore(ttl, capacity)
-    new = TtlKeyStore(ttl, capacity)
+    in the heap (time moved on), keys already present, a store TTL
+    retargeted in between (``None``: left as it is)."""
+    old = ReferenceTtlKeyStore(ttl)
+    new = TtlKeyStore(ttl)
     now = 0.0
     serial = 0
-    for step, keys, batch_ttl in script:
+    for step, keys, retarget in script:
         now += step
+        if retarget is not None:
+            old.ttl = new.ttl = retarget
         pairs = [(key, serial + i) for i, key in enumerate(keys)]
         serial += len(pairs)
         for key, value in pairs:
-            old.insert(key, value, now, ttl=batch_ttl)
-        assert new.insert_all(iter(pairs), now, ttl=batch_ttl) is None
+            old.insert(key, value, now)
+        assert new.insert_all(iter(pairs), now) is None
         assert state(new) == state(old)
         assert new._expiry_heap == old._expiry_heap
 
@@ -225,6 +208,6 @@ def test_hits_on_an_unmoved_expiry_leave_one_heap_record():
 
 
 def test_entries_are_slotted():
-    entry = TtlKeyStore(1.0).insert("k", "v", now=2.0, ttl=3.0)
+    entry = TtlKeyStore(3.0).insert("k", "v", now=2.0)
     assert not hasattr(entry, "__dict__")
-    assert fields(entry) == ("k", "v", 5.0, 2.0, 0, 3.0)
+    assert fields(entry) == ("k", "v", 5.0, 2.0, 0)

@@ -34,15 +34,6 @@ def test_binary_digits_rebuild_identifier(ident, position):
     assert rebuilt == ident
 
 
-@given(ident=ident_st)
-@settings(max_examples=50, deadline=None)
-def test_hex_digits_consistent_with_binary(ident):
-    for position in range(BITS // 4):
-        hex_digit = space.digit(ident, position, digit_bits=4)
-        binary = [space.digit(ident, 4 * position + i) for i in range(4)]
-        assert hex_digit == int("".join(str(b) for b in binary), 2)
-
-
 @given(key=st.text(min_size=0, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_hash_key_in_range(key):

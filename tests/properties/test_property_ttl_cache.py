@@ -97,15 +97,3 @@ def test_key_survives_iff_gaps_below_ttl(ttl, gaps):
         alive = expected
         if not alive:
             break
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=10),
-    n_inserts=st.integers(min_value=1, max_value=40),
-)
-@settings(max_examples=60, deadline=None)
-def test_capacity_never_exceeded(capacity, n_inserts):
-    store = TtlKeyStore(ttl=100.0, capacity=capacity)
-    for i in range(n_inserts):
-        store.insert(f"k{i}", i, now=float(i) * 0.1)
-        assert len(store) <= capacity

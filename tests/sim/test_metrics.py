@@ -5,41 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ParameterError
-from repro.sim.metrics import MessageCategory, MessageMetrics, TimeSeries
-
-
-class TestTimeSeries:
-    def test_append_and_len(self):
-        series = TimeSeries()
-        series.append(1.0, 10.0)
-        series.append(2.0, 20.0)
-        assert len(series) == 2
-        assert series.last() == (2.0, 20.0)
-
-    def test_out_of_order_append_rejected(self):
-        series = TimeSeries()
-        series.append(2.0, 1.0)
-        with pytest.raises(ParameterError):
-            series.append(1.0, 1.0)
-
-    def test_same_time_append_allowed(self):
-        series = TimeSeries()
-        series.append(1.0, 1.0)
-        series.append(1.0, 2.0)
-        assert len(series) == 2
-
-    def test_last_on_empty_raises(self):
-        with pytest.raises(ParameterError):
-            TimeSeries().last()
-
-    def test_mean(self):
-        series = TimeSeries()
-        for t, v in [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]:
-            series.append(t, v)
-        assert series.mean() == pytest.approx(4.0)
-
-    def test_mean_of_empty_is_zero(self):
-        assert TimeSeries().mean() == 0.0
+from repro.sim.metrics import MessageCategory, MessageMetrics
 
 
 class TestMessageMetrics:
@@ -75,63 +41,9 @@ class TestMessageMetrics:
     def test_unseen_category_total_is_zero(self):
         assert MessageMetrics().total(MessageCategory.REPLICA_FLOOD) == 0.0
 
-    def test_rate(self):
-        metrics = MessageMetrics()
-        metrics.count(MessageCategory.INDEX_SEARCH, 100)
-        assert metrics.rate(duration=10.0) == pytest.approx(10.0)
-
-    def test_rate_with_category_filter(self):
-        metrics = MessageMetrics()
-        metrics.count(MessageCategory.INDEX_SEARCH, 100)
-        metrics.count(MessageCategory.MAINTENANCE, 50)
-        rate = metrics.rate(10.0, categories=[MessageCategory.MAINTENANCE])
-        assert rate == pytest.approx(5.0)
-
-    def test_rate_requires_positive_duration(self):
-        with pytest.raises(ParameterError):
-            MessageMetrics().rate(0.0)
-
-
-class TestWindows:
-    def test_snapshot_returns_rates(self):
-        metrics = MessageMetrics()
-        metrics.count(MessageCategory.UPDATE, 20)
-        rates = metrics.snapshot_window(now=10.0)
-        assert rates[MessageCategory.UPDATE] == pytest.approx(2.0)
-
-    def test_snapshot_resets_window_not_totals(self):
-        metrics = MessageMetrics()
-        metrics.count(MessageCategory.UPDATE, 20)
-        metrics.snapshot_window(now=10.0)
-        rates = metrics.snapshot_window(now=20.0)
-        assert rates[MessageCategory.UPDATE] == 0.0
-        assert metrics.total(MessageCategory.UPDATE) == 20
-
-    def test_snapshot_records_series(self):
-        metrics = MessageMetrics()
-        metrics.count(MessageCategory.UPDATE, 10)
-        metrics.snapshot_window(now=5.0)
-        metrics.count(MessageCategory.UPDATE, 30)
-        metrics.snapshot_window(now=10.0)
-        series = metrics.series(MessageCategory.UPDATE)
-        assert series.values == [pytest.approx(2.0), pytest.approx(6.0)]
-
-    def test_zero_duration_window_rejected(self):
-        metrics = MessageMetrics()
-        with pytest.raises(ParameterError):
-            metrics.snapshot_window(now=0.0)
-
     def test_reset_clears_everything(self):
         metrics = MessageMetrics()
         metrics.count(MessageCategory.UPDATE, 5)
-        metrics.snapshot_window(now=1.0)
-        metrics.reset(now=1.0)
+        metrics.reset()
         assert metrics.total() == 0
-        assert len(metrics.series(MessageCategory.UPDATE)) == 0
-
-    def test_reset_sets_window_start(self):
-        metrics = MessageMetrics()
-        metrics.reset(now=100.0)
-        metrics.count(MessageCategory.UPDATE, 10)
-        rates = metrics.snapshot_window(now=110.0)
-        assert rates[MessageCategory.UPDATE] == pytest.approx(1.0)
+        assert metrics.totals_by_category() == {}

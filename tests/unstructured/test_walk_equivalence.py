@@ -282,8 +282,8 @@ def _outcome(search, walker, origin, key):
 def _observable(overlay, walker, key):
     """Everything a caller can see of the overlay after a search."""
     return {
-        "totals": overlay.metrics.totals_by_category(),
-        "window": dict(overlay.metrics._window),
+        # Order included: a category appears when it is first counted.
+        "totals": list(overlay.metrics.totals_by_category().items()),
         "audit": [
             (m.kind, m.sender, m.receiver, m.payload is key)
             for m in overlay.log.messages

@@ -91,6 +91,15 @@ class TestSerialisation:
         assert restored.description == "test trace"
         assert len(restored) == len(trace)
 
+    def test_unreadable_file_rejected_naming_the_path(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(ParameterError, match="missing.json"):
+            QueryTrace.load(missing)
+        binary = tmp_path / "binary.jsonl"
+        binary.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ParameterError, match="binary.jsonl"):
+            QueryTrace.load(binary)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ParameterError):
             QueryTrace.from_json("not json at all {")
