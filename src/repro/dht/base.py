@@ -47,7 +47,7 @@ __all__ = ["LookupResult", "DistributedHashTable", "KEY_MEMO_LIMIT"]
 KEY_MEMO_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LookupResult:
     """Outcome of one DHT lookup."""
 

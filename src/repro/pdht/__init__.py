@@ -23,7 +23,7 @@ Layout:
 """
 
 from repro.pdht.config import PdhtConfig
-from repro.pdht.ttl_cache import TtlEntry, TtlKeyStore
+from repro.pdht.ttl_cache import IndexRecord, TtlKeyStore
 from repro.pdht.selection import SelectionPolicy, SelectionStats
 from repro.pdht.node import PdhtNode
 from repro.pdht.network import PdhtNetwork, QueryOutcome
@@ -32,7 +32,7 @@ from repro.pdht.strategies import SimulatedStrategy, StrategyReport
 
 __all__ = [
     "PdhtConfig",
-    "TtlEntry",
+    "IndexRecord",
     "TtlKeyStore",
     "SelectionPolicy",
     "SelectionStats",

@@ -51,7 +51,7 @@ from repro.unstructured.replication import ContentReplicator
 __all__ = ["QueryOutcome", "PdhtNetwork"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryOutcome:
     """Result and cost breakdown of one PDHT query."""
 
@@ -232,24 +232,28 @@ class PdhtNetwork:
             lookup = self.dht.lookup(gateway, key)
             index_messages += lookup.messages
             responsible = lookup.responsible
-            node = self.nodes[responsible]
-            entry = node.index_query(key, now)
-            if entry is not None:
-                hit_value, via_index, found = entry.value, True, True
+            nodes = self.nodes
+            record = nodes[responsible].store.query(key, now)
+            if record is not None:
+                hit_value, via_index, found = record[0], True, True
             else:
-                # Replica-subnetwork flood (Eq. 16 surcharge).
+                # Replica-subnetwork flood (Eq. 16 surcharge): a hit is a
+                # member holding an unexpired record.
                 group = self.group_of(responsible)
+
+                def live(member: PeerId) -> bool:
+                    held = nodes[member].store.records.get(key)
+                    return held is not None and held[1] > now
+
                 hits, msgs = group.flood(
-                    responsible,
-                    predicate=lambda m: self.nodes[m].has_live(key, now),
-                    payload=key,
+                    responsible, predicate=live, payload=key
                 )
                 flood_messages += msgs
                 live_hits = [h for h in hits if h != responsible]
                 if live_hits:
-                    entry = self.nodes[live_hits[0]].index_query(key, now)
-                    if entry is not None:
-                        hit_value, via_index, found = entry.value, True, True
+                    record = nodes[live_hits[0]].store.query(key, now)
+                    if record is not None:
+                        hit_value, via_index, found = record[0], True, True
 
         if via_index:
             self.policy.record_hit(key)
@@ -284,19 +288,25 @@ class PdhtNetwork:
 
     def _insert_into_index(self, gateway: PeerId, key: str, value: object) -> int:
         """Insert a resolved key at the responsible peer and replicate it
-        through the replica subnetwork (the second cSIndx2 of Eq. 17)."""
+        through the replica subnetwork (the second cSIndx2 of Eq. 17).
+
+        One record and one heap record serve every member the flood
+        reaches (the responsible peer first): all of them follow the one
+        ``keyTtl`` (:meth:`set_key_ttl`).
+        """
         now = self.simulation.now
         lookup = self.dht.lookup(gateway, key)
-        messages = lookup.messages
         responsible = lookup.responsible
-        self.nodes[responsible].index_insert(key, value, now)
-        group = self.group_of(responsible)
-        reached, flood_msgs = group.flood(responsible, payload=key)
-        messages += flood_msgs
+        reached, flood_msgs = self.group_of(responsible).flood(
+            responsible, payload=key
+        )
+        nodes = self.nodes
+        expires_at = now + nodes[responsible].store.ttl
+        record = (value, expires_at)
+        heap_record = (expires_at, key)
         for member in reached:
-            if member != responsible:
-                self.nodes[member].index_insert(key, value, now)
-        return messages
+            nodes[member].store.put(key, record, heap_record, now)
+        return lookup.messages + flood_msgs
 
     def disable_maintenance(self) -> None:
         """Stop routing-table probing (the noIndex baseline runs no DHT)."""
@@ -323,7 +333,8 @@ class PdhtNetwork:
         index).
 
         Every member of a group stores the group's keys in the order
-        ``items`` lists them.
+        ``items`` lists them, each key as the one record the group's map
+        holds (a copy of the map per member, never the map itself).
         """
         now = self.simulation.now
         by_group: dict[ReplicaNetwork, list[tuple[str, object]]] = {}
@@ -331,8 +342,11 @@ class PdhtNetwork:
             group = self.group_of(self.dht.responsible_for(key))
             by_group.setdefault(group, []).append((key, value))
         for group, pairs in by_group.items():
-            for member in group.members:
-                self.nodes[member].store.insert_all(pairs, now)
+            stores = [self.nodes[member].store for member in group.members]
+            expires_at = now + stores[0].ttl
+            records = {key: (value, expires_at) for key, value in pairs}
+            for store in stores:
+                store.put_all(records, expires_at, now)
 
     def _gateway(self, origin: PeerId) -> Optional[PeerId]:
         """An online DHT member through which ``origin`` reaches the index.

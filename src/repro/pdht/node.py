@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.errors import ParameterError
 from repro.net.node import PeerId
-from repro.pdht.ttl_cache import TtlEntry, TtlKeyStore
+from repro.pdht.ttl_cache import TtlKeyStore
 
 __all__ = ["PdhtNode"]
 
@@ -14,8 +14,8 @@ class PdhtNode:
 
     A PDHT node is intentionally thin: liveness lives in the shared
     :class:`~repro.net.node.PeerPopulation`, routing lives in the DHT
-    backend, and this class owns only the TTL key store plus a couple of
-    convenience wrappers used by the network layer.
+    backend, and this class owns only the TTL key store, which the network
+    layer reads and writes directly.
     """
 
     def __init__(self, peer_id: PeerId, key_ttl: float) -> None:
@@ -23,22 +23,6 @@ class PdhtNode:
             raise ParameterError(f"peer_id must be >= 0, got {peer_id}")
         self.peer_id = peer_id
         self.store = TtlKeyStore(ttl=key_ttl)
-
-    # ------------------------------------------------------------------
-    def index_query(self, key: str, now: float) -> TtlEntry | None:
-        """Local index lookup; resets the key's TTL on a hit (Section 5.1)."""
-        return self.store.query(key, now)
-
-    def index_insert(self, key: str, value: object, now: float) -> TtlEntry:
-        """Store a broadcast-resolved key with a fresh expiration."""
-        return self.store.insert(key, value, now)
-
-    def has_live(self, key: str, now: float) -> bool:
-        """Non-mutating membership check (used by replica flood predicates)."""
-        return self.store.peek(key, now) is not None
-
-    def index_size(self, now: float) -> int:
-        return self.store.live_size(now)
 
     def set_ttl(self, key_ttl: float) -> None:
         """Retarget the TTL (used by the adaptive controller); existing

@@ -157,9 +157,10 @@ class SimulatedStrategy:
             return
         with obs.span("strategy.prepare"):
             n_keys = self.params.n_keys
-            self.network.publish_all(
-                {key_name(i): f"value-{i}" for i in range(n_keys)}
-            )
+            with obs.span("strategy.publish"):
+                self.network.publish_all(
+                    {key_name(i): f"value-{i}" for i in range(n_keys)}
+                )
             # Every key in key order, else the top ranks in rank order
             # (the stores keep the order given).
             ranks = self.policy.preloaded_ranks
@@ -168,9 +169,10 @@ class SimulatedStrategy:
                 if ranks == n_keys
                 else map(self.workload.key_for_rank, range(1, ranks + 1))
             )
-            self.network.preload_index_all(
-                {key_name(i): f"value-{i}" for i in indexed}
-            )
+            with obs.span("strategy.preload"):
+                self.network.preload_index_all(
+                    {key_name(i): f"value-{i}" for i in indexed}
+                )
             if not self.policy.runs_dht:
                 self.network.disable_maintenance()
             # Preparation traffic is not part of the steady-state comparison.

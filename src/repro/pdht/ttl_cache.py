@@ -5,11 +5,21 @@ key is reset to a predefined value whenever the peer that stores the key
 receives a query for it. Therefore, peers evict those keys from their
 local storage that have not been queried for keyTtl rounds."
 
+An entry is one immutable ``(value, expires_at)`` record
+(:data:`IndexRecord`). Because nothing mutates it, one record serves
+every member a replica-group write reaches: the network builds it once
+per write, together with its ``(expires_at, key)`` heap record, and hands
+both to each member's store (:meth:`TtlKeyStore.put`,
+:meth:`TtlKeyStore.put_all`). A hit that moves the expiry stores a new
+record at that member only.
+
 The store is lazy: expired entries are purged when touched or when
 :meth:`TtlKeyStore.purge_expired` runs (the strategies call it once per
 reporting window), so no per-entry timers burden the event loop. All
 operations are O(1) amortised except purge, which is linear in the number
-of *expired* entries thanks to an expiry-ordered auxiliary heap.
+of *expired* entries thanks to an expiry-ordered auxiliary heap. A record
+expiring at ``inf`` (``indexAll``, ``partialIdeal``) has no heap record:
+purge could never pop it.
 
 Every entry follows the store's one ``ttl``; retargeting it (the adaptive
 controller does) takes effect on each entry's next hit or re-insert. The
@@ -20,23 +30,15 @@ it is not a drop policy.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+import math
+from typing import Iterator
 
 from repro.errors import ParameterError
 
-__all__ = ["TtlEntry", "TtlKeyStore"]
+__all__ = ["IndexRecord", "TtlKeyStore"]
 
-
-@dataclass(slots=True)
-class TtlEntry:
-    """One stored key: value, expiry, and access statistics."""
-
-    key: str
-    value: object
-    expires_at: float
-    inserted_at: float
-    hits: int = 0
+#: One stored key: ``(value, expires_at)``. Immutable and shared.
+IndexRecord = tuple[object, float]
 
 
 class TtlKeyStore:
@@ -54,108 +56,130 @@ class TtlKeyStore:
         if ttl < 0:
             raise ParameterError(f"ttl must be >= 0, got {ttl}")
         self.ttl = float(ttl)
-        self._entries: dict[str, TtlEntry] = {}
-        #: (expires_at, key) heap; entries may be stale (expiry was reset),
-        #: validated against ``_entries`` on pop.
+        #: key -> record; read directly by replica-flood predicates.
+        self.records: dict[str, IndexRecord] = {}
+        #: (expires_at, key) heap, finite expiries only; records may be
+        #: stale (expiry was reset), validated against ``records`` on pop.
         self._expiry_heap: list[tuple[float, str]] = []
         self.insertions = 0
         self.evictions_expired = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.records)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries
+        return key in self.records
 
     def keys(self) -> Iterator[str]:
-        return iter(self._entries)
+        return iter(self.records)
 
     # ------------------------------------------------------------------
-    def insert(self, key: str, value: object, now: float) -> TtlEntry:
+    def insert(self, key: str, value: object, now: float) -> IndexRecord:
         """Insert or overwrite ``key``; (re)arms its expiration clock."""
-        self.insert_all(((key, value),), now)
-        return self._entries[key]
-
-    def insert_all(
-        self, pairs: Iterable[tuple[str, object]], now: float
-    ) -> None:
-        """:meth:`insert` every ``(key, value)`` of ``pairs``, in order.
-
-        Each entry is inserted on its own — expired entries purged when
-        the heap's head is due — so the store ends up exactly as after
-        that many single inserts. The one thing done per batch is the
-        expiry: the entries and heap records of a batch share one float,
-        which for an
-        index preload (three quarters of an event run's inserts) is
-        megabytes of peak memory. That is why the body lives here and
-        :meth:`insert` is the one-pair case, paying an extra frame
-        (sizes in ``CHANGES.md``, PR 22).
-        """
         expires_at = now + self.ttl
-        entries = self._entries
-        heap = self._expiry_heap
-        for key, value in pairs:
-            if heap and heap[0][0] <= now:
-                self.purge_expired(now)
-            entries[key] = TtlEntry(key, value, expires_at, now)
-            heapq.heappush(heap, (expires_at, key))
-            self.insertions += 1
+        record = (value, expires_at)
+        self.put(key, record, (expires_at, key), now)
+        return record
 
-    def query(self, key: str, now: float) -> TtlEntry | None:
-        """Look up ``key``; a hit resets its expiration to ``now + ttl``.
+    def put(
+        self,
+        key: str,
+        record: IndexRecord,
+        heap_record: tuple[float, str],
+        now: float,
+    ) -> None:
+        """:meth:`insert` a record the caller built, so that one write
+        hands the same ``record`` and ``heap_record`` (``(record[1],
+        key)``) to every store it reaches. Expired entries are purged
+        first when the heap's head is due, so under ``ttl = 0`` each
+        insert evicts the one before it."""
+        heap = self._expiry_heap
+        if heap and heap[0][0] <= now:
+            self.purge_expired(now)
+        self.records[key] = record
+        if heap_record[0] != math.inf:
+            heapq.heappush(heap, heap_record)
+        self.insertions += 1
+
+    def put_all(
+        self, records: dict[str, IndexRecord], expires_at: float, now: float
+    ) -> None:
+        """:meth:`put` every record of ``records`` — all expiring at
+        ``expires_at`` — in order, copying the map rather than aliasing it.
+
+        When the batch outlives ``now``, no insert of it can find an
+        expired head that the first did not, so one purge and one
+        ``dict.update`` leave the store exactly as the inserts one by one
+        would; a batch expiring at ``now`` (``ttl = 0``) takes them one by
+        one, and an empty one purges nothing.
+        """
+        if expires_at <= now or not records:
+            for key, record in records.items():
+                self.put(key, record, (expires_at, key), now)
+            return
+        heap = self._expiry_heap
+        if heap and heap[0][0] <= now:
+            self.purge_expired(now)
+        self.records.update(records)
+        if expires_at != math.inf:
+            for key in records:
+                heapq.heappush(heap, (expires_at, key))
+        self.insertions += len(records)
+
+    def query(self, key: str, now: float) -> IndexRecord | None:
+        """Look up ``key``; a hit resets its expiration to ``now + ttl``
+        and returns the (possibly new) record.
 
         Returns None on a miss, including the case where the entry expired
         before ``now`` (it is purged on the spot).
         """
-        entry = self._entries.get(key)
-        if entry is None:
+        record = self.records.get(key)
+        if record is None:
             return None
-        if entry.expires_at <= now:
-            del self._entries[key]
+        value, expires_at = record
+        if expires_at <= now:
+            del self.records[key]
             self.evictions_expired += 1
             return None
-        entry.hits += 1
-        expires_at = now + self.ttl
-        if expires_at != entry.expires_at:
-            # A live entry always has a heap record at its current expiry;
-            # an unmoved one (``inf`` TTL, a second hit in one round)
-            # needs no other.
-            entry.expires_at = expires_at
-            heapq.heappush(self._expiry_heap, (expires_at, key))
-        return entry
+        moved = now + self.ttl
+        if moved != expires_at:
+            # A live finite entry always has a heap record at its current
+            # expiry; an unmoved one (a second hit in one round, or
+            # ``inf`` again) needs no other.
+            record = self.records[key] = (value, moved)
+            if moved != math.inf:
+                heapq.heappush(self._expiry_heap, (moved, key))
+        return record
 
-    def peek(self, key: str, now: float) -> TtlEntry | None:
+    def peek(self, key: str, now: float) -> IndexRecord | None:
         """Like :meth:`query` but without resetting the expiration."""
-        entry = self._entries.get(key)
-        if entry is None or entry.expires_at <= now:
+        record = self.records.get(key)
+        if record is None or record[1] <= now:
             return None
-        return entry
+        return record
 
     def remove(self, key: str) -> bool:
         """Explicitly drop ``key``; True if it was present."""
-        return self._entries.pop(key, None) is not None
+        return self.records.pop(key, None) is not None
 
     # ------------------------------------------------------------------
     def purge_expired(self, now: float) -> int:
         """Evict every entry whose expiration passed; returns count."""
         purged = 0
-        while self._expiry_heap and self._expiry_heap[0][0] <= now:
-            expires_at, key = heapq.heappop(self._expiry_heap)
-            entry = self._entries.get(key)
-            if entry is None or entry.expires_at != expires_at:
+        heap = self._expiry_heap
+        records = self.records
+        while heap and heap[0][0] <= now:
+            expires_at, key = heapq.heappop(heap)
+            record = records.get(key)
+            if record is None or record[1] != expires_at:
                 continue  # stale heap record: entry was refreshed or removed
-            if entry.expires_at <= now:
-                del self._entries[key]
-                self.evictions_expired += 1
-                purged += 1
+            del records[key]
+            self.evictions_expired += 1
+            purged += 1
         return purged
 
     # ------------------------------------------------------------------
     def live_size(self, now: float) -> int:
         """Number of unexpired entries (purges as a side effect)."""
         self.purge_expired(now)
-        return len(self._entries)
-
-    def entries(self) -> list[TtlEntry]:
-        """Snapshot of all (possibly expired-but-unpurged) entries."""
-        return list(self._entries.values())
+        return len(self.records)

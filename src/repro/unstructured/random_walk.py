@@ -28,7 +28,7 @@ from repro.unstructured.overlay import UnstructuredOverlay
 __all__ = ["WalkResult", "RandomWalkSearch"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WalkResult:
     """Outcome and cost of one multi-walker search."""
 

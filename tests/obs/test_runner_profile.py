@@ -141,6 +141,11 @@ class TestEventRunIsAccountedFor:
         assert phases["strategy.collect"]["count"] == 4
         assert phases["strategy.build"]["count"] == 4
         assert phases["strategy.prepare"]["count"] == 4
+        # Content replicas and the index preload, timed apart (noIndex
+        # and partialSelection preload nothing, but still report it).
+        for half in ("strategy.publish", "strategy.preload"):
+            prepare = "experiment.run/strategy.run/strategy.prepare"
+            assert spans[f"{prepare}/{half}"]["count"] == 4
         assert phases["engine.run"]["count"] == 4 * 30
         # Aggregated, never one span per query: the entry count is the
         # number of queries the four strategies answered.

@@ -68,22 +68,21 @@ class TestPdhtConfig:
 class TestPdhtNode:
     def test_index_roundtrip(self):
         node = PdhtNode(peer_id=1, key_ttl=10.0)
-        node.index_insert("k", "v", now=0.0)
-        assert node.has_live("k", now=5.0)
-        entry = node.index_query("k", now=5.0)
-        assert entry.value == "v"
+        node.store.insert("k", "v", now=0.0)
+        assert node.store.peek("k", now=5.0) is not None
+        assert node.store.query("k", now=5.0) == ("v", 15.0)
 
     def test_ttl_governs_expiry(self):
         node = PdhtNode(peer_id=1, key_ttl=10.0)
-        node.index_insert("k", "v", now=0.0)
-        assert not node.has_live("k", now=10.0)
+        node.store.insert("k", "v", now=0.0)
+        assert node.store.peek("k", now=10.0) is None
 
     def test_set_ttl_applies_to_new_activity(self):
         node = PdhtNode(peer_id=1, key_ttl=10.0)
-        node.index_insert("k", "v", now=0.0)
+        node.store.insert("k", "v", now=0.0)
         node.set_ttl(100.0)
-        node.index_query("k", now=5.0)  # hit rearms with the new TTL
-        assert node.has_live("k", now=50.0)
+        node.store.query("k", now=5.0)  # hit rearms with the new TTL
+        assert node.store.peek("k", now=50.0) is not None
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):

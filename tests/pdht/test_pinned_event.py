@@ -20,6 +20,13 @@ form. The online overlay breaks into small pieces there, so both runs
 take that tail (``walk.trapped``), and their figures hold it to the
 hop-by-hop walk it shortcuts.
 
+``mean_index_size`` and the final ``PdhtNetwork.index_size()`` were added
+to all ten cases at ``6e9f4bf``, before the index stores moved to one
+shared ``(value, expires_at)`` record per replica-group write; the other
+fields of every case were left as recorded. A store change that drops an
+``inf`` entry, or lets a shared record expire at every member at once,
+shows here as a smaller index.
+
 Re-record (only in a PR that means to change the numbers) with
 ``PYTHONPATH=src python tests/pdht/test_pinned_event.py``.
 """
@@ -80,6 +87,8 @@ def capture(case: str) -> dict:
         "probes_sent": runner.network.maintenance.probes_sent,
         "sweeps": runner.network.maintenance.sweeps,
         "bootstrap_probes": runner.network.gateways.bootstrap_probes,
+        "mean_index_size": report.mean_index_size,
+        "index_size": runner.network.index_size(),
     }
 
 

@@ -2,13 +2,14 @@
 draw against the per-key and per-call bodies ISSUE 22 replaced.
 
 ``PdhtNetwork.preload_index_all`` groups keys by replica group and hands
-every member's store one ``TtlKeyStore.insert_all``; it replaced
-``preload_index`` called per key (key -> member -> ``index_insert`` ->
-``insert``), kept here verbatim together with the two strategy loops that
-drove it. Every store must end up the same: entries (fields, in insertion
-order), the expiry heap as a list (its pop order) and the counters — with
-expired entries at the head of some heaps, and after churn took members
-offline.
+every member's store one ``TtlKeyStore.put_all`` of the group's shared
+records; it replaced ``preload_index`` called per key (key -> member ->
+``insert``), kept here together with the two strategy loops that drove
+it (verbatim but for the node's ``index_insert`` pass-through, which
+went). Every store must end up the same: its records (key, value and
+expiry, in insertion order), the expiry heap as a list (its pop order)
+and the counters — with expired entries at the head of some heaps, and
+after churn took members offline.
 
 ``PdhtNetwork.random_online_peer`` draws from a ``BoundedStream`` over
 the "origins" generator; it replaced one scalar ``rng.integers`` per
@@ -21,9 +22,9 @@ Mutations run against the new code, each caught by the test named:
   ``test_preload_all_equals_one_preload_per_key``;
 * only the first member of a group filled — the same test (store by
   store, heaps included);
-* ``insert_all``'s purge guard hoisted out of its loop
-  — the same test (``test_ttl_store_equivalence.py`` holds the store
-  alone to it);
+* ``put_all`` purging once up front even for a batch expiring at
+  ``now`` (``keyTtl = 0``) — the same test
+  (``test_ttl_store_equivalence.py`` holds the store alone to it);
 * the origin drawn over all peers, or over the online peers in another
   order, or the "origins" generator read without settling —
   ``test_origins_equal_scalar_draws_under_churn``.
@@ -51,7 +52,7 @@ def reference_preload_index(self: PdhtNetwork, key: str, value: object) -> None:
     responsible = self.dht.responsible_for(key)
     group = self.group_of(responsible)
     for member in group.members:
-        self.nodes[member].index_insert(key, value, now)
+        self.nodes[member].store.insert(key, value, now)
 
 
 def reference_prepare_index_all(self: SimulatedStrategy) -> None:
@@ -78,10 +79,7 @@ def reference_random_online_peer(self: PdhtNetwork, rng) -> int:
 def _stores(network: PdhtNetwork) -> dict:
     return {
         member: (
-            [
-                (e.key, e.value, e.expires_at, e.inserted_at, e.hits)
-                for e in node.store.entries()
-            ],
+            list(node.store.records.items()),
             list(node.store._expiry_heap),
             node.store.insertions,
             node.store.evictions_expired,

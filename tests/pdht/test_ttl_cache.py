@@ -12,8 +12,7 @@ class TestInsertAndQuery:
     def test_insert_then_query_hits(self):
         store = TtlKeyStore(ttl=10.0)
         store.insert("k", "v", now=0.0)
-        entry = store.query("k", now=5.0)
-        assert entry is not None and entry.value == "v"
+        assert store.query("k", now=5.0) == ("v", 15.0)
 
     def test_entry_expires_after_ttl(self):
         store = TtlKeyStore(ttl=10.0)
@@ -51,8 +50,7 @@ class TestInsertAndQuery:
         store = TtlKeyStore(ttl=10.0)
         store.insert("k", "v1", now=0.0)
         store.insert("k", "v2", now=8.0)
-        entry = store.query("k", now=15.0)
-        assert entry is not None and entry.value == "v2"
+        assert store.query("k", now=15.0) == ("v2", 25.0)
 
     def test_default_entries_follow_retargeted_store_ttl(self):
         # Entries adopt the store's *current* TTL on their next hit (the
@@ -73,12 +71,13 @@ class TestInsertAndQuery:
         store.insert("k", "v", now=0.0)
         assert store.query("k", now=1e12) is not None
 
-    def test_hits_counted(self):
+    def test_hit_stores_a_new_record_with_the_moved_expiry(self):
         store = TtlKeyStore(ttl=10.0)
-        store.insert("k", "v", now=0.0)
-        store.query("k", now=1.0)
-        store.query("k", now=2.0)
-        assert store.peek("k", now=3.0).hits == 2
+        inserted = store.insert("k", "v", now=0.0)
+        hit = store.query("k", now=2.0)
+        assert inserted == ("v", 10.0) and hit == ("v", 12.0)
+        assert store.peek("k", now=3.0) is hit
+        assert store.query("k", now=2.0) is hit  # unmoved: the same record
 
     def test_negative_ttl_rejected(self):
         with pytest.raises(ParameterError):

@@ -164,7 +164,7 @@ def test_unknown_strategy_is_rejected_by_both_engines(small_params):
         FastSimKernel(small_params, strategy="bogus", costs=COSTS)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 2(c)")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(b)")
 def test_partial_ideal_updates_keep_the_index_at_max_rank():
     """Proactive updates refresh only what is indexed, so the event
     engine's partialIdeal index never grows past ``maxRank``. Today they

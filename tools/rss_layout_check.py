@@ -8,10 +8,12 @@ to the program — and the layout moves with the size of the process
 environment. This runs one benchmark command — ``sweep_cold`` (``runner
 sweep --scale 8 --jobs 1 --store <tmp>``), ``churn_cold`` (``runner
 churn --engine vectorized --duration 120 --scale 0.02 --seed 0
---no-store``) or ``sweep_warm`` (the ``sweep_cold`` command against one
-store that the unmeasured first run fills, so every measured child hits
-18/18, writing its result under ``--output``), bytecode cached as in the
-benchmark — in one child per environment padding, reads each child's
+--no-store``), ``sim_event`` (``runner sim --engine event --duration
+150 --seed 0 --no-store``: the event substrate — overlay, DHT, index
+stores — and no kernel) or ``sweep_warm`` (the ``sweep_cold`` command against
+one store that the unmeasured first run fills, so every measured child
+hits 18/18, writing its result under ``--output``), bytecode cached as
+in the benchmark — in one child per environment padding, reads each child's
 ``ru_maxrss`` from ``os.wait4`` and fails when the readings are more
 than ``LIMIT_KIB`` apart: such a step is a transient to remove from the
 program, not noise to re-roll.
@@ -29,6 +31,7 @@ between cost resolution and the kernels) and guarded there, by
 
     python3 tools/rss_layout_check.py                        # sweep_cold
     python3 tools/rss_layout_check.py --workload churn_cold
+    python3 tools/rss_layout_check.py --workload sim_event
     python3 tools/rss_layout_check.py --workload sweep_warm
     python3 tools/rss_layout_check.py --root DIR  # another checkout (a parent)
 
@@ -60,6 +63,8 @@ COMMANDS = {
     "churn_cold": ("churn", "--engine", "vectorized", "--duration", "120",
                    "--scale", "0.02", "--seed", "0", "--format", "json",
                    "--no-store"),
+    "sim_event": ("sim", "--engine", "event", "--duration", "150",
+                  "--seed", "0", "--format", "json", "--no-store"),
     "sweep_warm": ("sweep", "--scale", "8", "--jobs", "1", "--format", "json",
                    "--store", STORE, "--output", OUTPUT),
 }
