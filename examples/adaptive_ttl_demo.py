@@ -35,8 +35,7 @@ def main() -> None:
     print(f"analytical keyTtl target : {ideal_ttl:8.1f} rounds")
     print(f"starting (mis-set) keyTtl: {bad_ttl:8.1f} rounds\n")
 
-    for i in range(params.n_keys):
-        net.publish(f"key-{i:06d}", f"value-{i}")
+    net.publish_all({f"key-{i:06d}": f"value-{i}" for i in range(params.n_keys)})
 
     workload = StationaryZipf().build(
         ZipfDistribution(params.n_keys, params.alpha),

@@ -69,8 +69,7 @@ def validate(replication: int, availability: float) -> None:
         seed=9,
         churn=ChurnConfig(mean_session=mean_session, mean_offline=mean_offline),
     )
-    for i in range(50):
-        net.publish(f"key-{i:06d}", i)
+    net.publish_all({f"key-{i:06d}": i for i in range(50)})
     answered = total = 0
     for _ in range(120):
         net.advance(5.0)

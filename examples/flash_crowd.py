@@ -26,8 +26,7 @@ def main() -> None:
     net = PdhtNetwork(params, config, seed=5)
 
     # Publish the whole key universe as content.
-    for i in range(params.n_keys):
-        net.publish(f"key-{i:06d}", f"value-{i}")
+    net.publish_all({f"key-{i:06d}": f"value-{i}" for i in range(params.n_keys)})
 
     crowd_time = 120.0
     workload = FlashCrowd(

@@ -34,8 +34,7 @@ def replay(trace: QueryTrace, key_ttl: float, seed: int = 31) -> tuple[float, fl
     params = simulation_scenario(scale=0.02)
     config = PdhtConfig.from_scenario(params).with_ttl(key_ttl)
     net = PdhtNetwork(params, config, seed=seed)
-    for i in range(params.n_keys):
-        net.publish(f"key-{i:06d}", f"value-{i}")
+    net.publish_all({f"key-{i:06d}": f"value-{i}" for i in range(params.n_keys)})
 
     hits = queries = messages = 0
     clock = 0.0

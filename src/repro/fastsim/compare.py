@@ -398,6 +398,12 @@ def _calibrate_churn_costs_probe(
     config = config or PdhtConfig.from_scenario(params)
     net = _probe_network(params, config, seed=seed, churn=churn)
     net.publish_all({key_name(i): i for i in range(params.n_keys)})
+    # The walk probes' keys too: nothing else draws from the placement
+    # stream, so each probe key gets the holders it would get published
+    # just before its walk, and no query's walk can see a probe key.
+    net.publish_all(
+        {f"churn-cal-{serial}": serial + 1 for serial in range(walk_probes)}
+    )
     workload = (model or StationaryZipf()).build(
         ZipfDistribution(params.n_keys, params.alpha),
         net.streams.get("churn-cal-queries"),
@@ -491,7 +497,6 @@ def _calibrate_churn_costs_probe(
                     break  # nobody online this round
                 probe_key = f"churn-cal-{probe_serial}"
                 probe_serial += 1
-                net.publish(probe_key, probe_serial)
                 walk = net.walker.search(origin, probe_key)
                 walks += 1
                 if walk.found:
@@ -1157,7 +1162,9 @@ def staleness_probe_event(
         if now >= next_refresh:
             for i in range(params.n_keys):
                 versions[i] += 1
-                net.refresh_content(key_name(i), (i, versions[i]))
+            net.refresh_content_all(
+                {key_name(i): (i, version) for i, version in versions.items()}
+            )
             next_refresh += refresh_period
         for _, key_index in workload.draw(now, int(rng.poisson(rate))):
             outcome = net.query(net.random_online_peer(), key_name(key_index))

@@ -109,7 +109,7 @@ class FastSimState:
     # ------------------------------------------------------------------
     def bump_versions(self) -> None:
         """Refresh all content, mirroring
-        :meth:`~repro.pdht.network.PdhtNetwork.refresh_content`. Index
+        :meth:`~repro.pdht.network.PdhtNetwork.refresh_content_all`. Index
         entries are *not* touched — the selection algorithm has no
         proactive updates, so stale entries keep serving old versions.
         The first call allocates the per-entry versions at 0, the one

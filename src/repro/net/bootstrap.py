@@ -100,18 +100,21 @@ class GatewayCache:
         of the DHT is online at all.
         """
         self.population[peer_id].require_online()
-        if peer_id in self.members and self.population.is_online(peer_id):
-            return peer_id
+        if peer_id in self.members:
+            return peer_id  # and online, just checked
 
         cache = self._cache_for(peer_id)
+        recent = True
         for gateway in reversed(cache):
             if (
                 gateway in self.members
                 and self.population.is_online(gateway)
             ):
                 self.cache_hits += 1
-                self._remember(peer_id, gateway)
+                if not recent:  # the most recent one stays where it is
+                    cache.move_to_end(gateway)
                 return gateway
+            recent = False
         self.cache_misses += 1
 
         # Re-bootstrap: probe members in random order until one answers.

@@ -5,9 +5,10 @@ A :class:`Peer` is the unit of membership in every overlay. It owns:
 * an integer :class:`PeerId` (dense, 0-based — convenient as array index),
 * a 160-bit DHT identifier derived by hashing the peer id (used by the
   structured overlays in :mod:`repro.dht`),
-* liveness state driven by the churn process,
-* a local key-value store used by the unstructured overlay for content
-  replicas and by the PDHT for index entries.
+* liveness state driven by the churn process.
+
+Content replicas live in the unstructured overlay (one holder bitmask
+per key) and index entries in the PDHT's per-member stores, not here.
 
 :class:`PeerPopulation` is the container the simulation wires together.
 """
@@ -15,7 +16,7 @@ A :class:`Peer` is the unit of membership in every overlay. It owns:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import OfflinePeerError, ParameterError
@@ -41,7 +42,7 @@ def dht_id_for(peer_id: PeerId) -> int:
 
 @dataclass
 class Peer:
-    """One peer: identity, liveness, and local storage.
+    """One peer: identity and liveness.
 
     Attributes
     ----------
@@ -49,16 +50,12 @@ class Peer:
         Dense 0-based identifier.
     online:
         Current liveness. Offline peers neither route nor answer queries.
-    content:
-        Content replicas held by this peer (article id -> payload); used by
-        the unstructured overlay.
     joined_at / left_at:
         Times of the most recent session transitions (for diagnostics).
     """
 
     peer_id: PeerId
     online: bool = True
-    content: dict[str, object] = field(default_factory=dict)
     joined_at: float = 0.0
     left_at: float = float("nan")
 

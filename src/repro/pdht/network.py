@@ -200,16 +200,17 @@ class PdhtNetwork:
     def publish_all(self, items: dict[str, object]) -> None:
         self.replicator.place_all(items)
 
-    def refresh_content(self, key: str, value: object) -> None:
-        """Replace the content replicas of ``key`` (article replacement:
-        the Section 4 scenario replaces every article every 24 h).
+    def refresh_content_all(self, items: dict[str, object]) -> None:
+        """Replace the content replicas of every key of ``items`` (article
+        replacement: the Section 4 scenario replaces every article every
+        24 h).
 
         Index entries are *not* touched — the selection algorithm has no
         proactive updates, so an already-indexed key keeps serving the old
         payload until it expires or is re-inserted after a miss. That
         staleness window is measured by the staleness experiment.
         """
-        self.replicator.refresh(key, value)
+        self.replicator.refresh_all(items)
 
     # ------------------------------------------------------------------
     # Query path (Section 5.1)

@@ -13,13 +13,26 @@ import numpy as np
 
 from repro.errors import ParameterError
 
-__all__ = ["RandomStreams", "BoundedStream"]
+__all__ = ["RandomStreams", "BoundedStream", "choice_rows"]
 
 #: Raw words fetched per refill: the first block after a settle is small
 #: because a settled stream may be read after a handful of draws, later
 #: blocks double up to the cap.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1024
+
+#: Draws :func:`choice_rows` replays per pass, which keeps each of its
+#: transient arrays under ~1 MB whatever the population size.
+_PASS_DRAWS = 1 << 15
+#: A Floyd pass keeps one taken-flag per (row, position) while they fit
+#: in this many bools, and one per position it meets otherwise.
+_DENSE_FLAGS = 1 << 20
+
+#: ``Generator.choice(pop, size, replace=False)`` shuffles the tail of a
+#: full ``arange(pop)`` instead of running Floyd's algorithm when
+#: ``pop > _TAIL_MIN_POP and size > pop // _TAIL_DIVISOR``.
+_TAIL_MIN_POP = 10_000
+_TAIL_DIVISOR = 50
 
 
 class BoundedStream:
@@ -36,12 +49,16 @@ class BoundedStream:
     bounded-integer reduction to them in Python.
 
     That reduction (``bounded_lemire_uint32`` in numpy's
-    ``distributions.c``, reached for every range below ``2**32``) is the
-    one piece of numpy-internals knowledge in this code base, and
-    ``tests/sim/test_rng.py`` holds it to the real thing: ``n == 1``
-    consumes nothing; otherwise a word ``w`` maps to ``(w * n) >> 32``
-    unless the low half of the product falls under ``(2**32 - n) % n``,
-    in which case the word is rejected and the next one tried.
+    ``distributions.c``, reached for every range below ``2**32``) is one
+    of the two pieces of numpy-internals knowledge in this code base:
+    ``n == 1`` consumes nothing; otherwise a word ``w`` maps to
+    ``(w * n) >> 32`` unless the low half of the product falls under
+    ``(2**32 - n) % n``, in which case the word is rejected and the next
+    one tried. The other is how ``Generator.choice(pop, size,
+    replace=False)`` spends such draws — Floyd's algorithm and a shuffle
+    of its picks, or a tail shuffle of ``arange(pop)`` — which
+    :func:`choice_rows` replays. ``tests/sim/test_rng.py`` holds both to
+    the real thing.
 
     Words are fetched past what ends up used, and a block is refilled
     only when exhausted, however many searches or queries it serves: the
@@ -52,6 +69,10 @@ class BoundedStream:
     keep a reference to it. A named stream's owner comes from
     :meth:`RandomStreams.bounded`, and :meth:`RandomStreams.get` settles
     it before handing the generator out.
+
+    A hot loop may apply the reduction itself on the block
+    (:meth:`open_block`, :meth:`next_block`, :meth:`close_block`), as
+    the k-walker search does once per hop.
     """
 
     __slots__ = ("_rng", "_saved", "_words", "_used")
@@ -78,7 +99,7 @@ class BoundedStream:
         used = self._used
         while True:
             if used == len(words):
-                words = self._refill()
+                words = self.next_block()
                 used = 0
             product = words[used] * n
             used += 1
@@ -106,7 +127,7 @@ class BoundedStream:
         used = self._used
         while count > 0:
             if used == len(words):
-                words = self._refill()
+                words = self.next_block()
                 used = 0
             end = min(used + count, len(words))
             count -= end - used
@@ -118,8 +139,23 @@ class BoundedStream:
             used = end
         self._used = used
 
-    def _refill(self) -> list[int]:
-        """Fetch the next block of raw words, saving the state before it."""
+    def open_block(self) -> tuple[list[int], int]:
+        """The current word block and how many of its words are used.
+
+        For a loop that applies :meth:`draw`'s reduction inline: it takes
+        words from the block in order, calls :meth:`next_block` when the
+        block is used up, and hands the count back with
+        :meth:`close_block` before anything else draws from the stream.
+        """
+        return self._words, self._used
+
+    def close_block(self, used: int) -> None:
+        """Record that ``used`` words of the current block are consumed."""
+        self._used = used
+
+    def next_block(self) -> list[int]:
+        """Fetch the next block of raw words, saving the state before it;
+        none of it is used yet."""
         rng = self._rng
         self._saved = rng.bit_generator.state
         block = min(max(2 * len(self._words), _FIRST_BLOCK), _MAX_BLOCK)
@@ -139,6 +175,186 @@ class BoundedStream:
             self._words = []
             self._used = 0
 
+
+def choice_rows(
+    rng: np.random.Generator, pop: int, size: int, count: int
+) -> np.ndarray:
+    """``count`` calls of ``rng.choice(pop, size, replace=False)``, stacked.
+
+    Row ``k`` of the ``(count, size)`` int64 result is what the ``k``-th
+    call would have returned, and ``rng.bit_generator.state`` ends where
+    the calls would have left it. The calls' bounded draws are a fixed
+    sequence of bounds, so their words are fetched with
+    ``integers(0, 2**32, dtype=uint32)`` — exactly as many as the draws
+    take, rejected ones included — and reduced as :class:`BoundedStream`
+    does; then numpy's use of them is replayed, a pass of rows at a time:
+
+    * ``pop > 10_000 and size > pop // 50``: the tail shuffle of
+      ``arange(pop)`` — for ``i`` from ``pop - 1`` down to
+      ``max(pop - size, 1)`` swap ``i`` with a draw in ``[0, i]`` — whose
+      last ``size`` entries are the result;
+    * otherwise Floyd's algorithm — for ``j`` from ``pop - size`` to
+      ``pop - 1`` pick a draw in ``[0, j]``, or ``j`` itself when the
+      draw was picked before — then a Fisher-Yates shuffle of the picks,
+      ``i`` from ``size - 1`` down to 1 swapped with a draw in ``[0, i]``.
+
+    A draw in ``[0, 0]`` takes no word. Unless a pass's Floyd flags fit
+    in :data:`_DENSE_FLAGS`, no replay array grows with the population: a
+    row's positions at or above ``pop - size`` get one slot each, and
+    every lower one a draw names gets its own.
+
+    A replay pass costs a few numpy calls per column whatever its rows,
+    so fewer than ``size`` calls of Floyd's branch are made one by one
+    through ``rng.choice`` itself; not the tail branch's, each of which
+    would allocate ``arange(pop)``.
+    """
+    if not 1 <= pop <= 1 << 32:
+        raise ParameterError(f"pop must be in [1, 2**32], got {pop}")
+    if not 0 <= size <= pop:
+        raise ParameterError(f"size must be in [0, {pop}], got {size}")
+    if count < 0:
+        raise ParameterError(f"count must be >= 0, got {count}")
+    if count < size and not _tail_branch(pop, size):
+        out = np.empty((count, size), dtype=np.int64)
+        for row in range(count):
+            out[row] = rng.choice(pop, size, replace=False)
+        return out
+    return _replay_rows(rng, pop, size, count)
+
+
+def _tail_branch(pop: int, size: int) -> bool:
+    """Does ``choice(pop, size, replace=False)`` take the tail shuffle?"""
+    return pop > _TAIL_MIN_POP and size > pop // _TAIL_DIVISOR
+
+
+def _replay_rows(
+    rng: np.random.Generator, pop: int, size: int, count: int
+) -> np.ndarray:
+    """:func:`choice_rows` by replay, for any ``count``."""
+    out = np.empty((count, size), dtype=np.int64)
+    if size == 0:
+        return out
+    low = pop - size
+    if _tail_branch(pop, size):
+        bounds = np.arange(pop, max(low, 1), -1, dtype=np.uint64)
+        replay = _tail_shuffle
+    else:
+        bounds = np.concatenate([
+            np.arange(low + 1, pop + 1, dtype=np.uint64),
+            np.arange(size, 1, -1, dtype=np.uint64),
+        ])
+        replay = _floyd
+    rows_per_pass = max(1, _PASS_DRAWS // len(bounds))
+    for start in range(0, count, rows_per_pass):
+        stop = min(start + rows_per_pass, count)
+        draws = _bounded(rng, bounds, stop - start)
+        out[start:stop] = replay(draws.T.copy(), low, size)
+    return out
+
+
+def _bounded(
+    rng: np.random.Generator, bounds: np.ndarray, rows: int
+) -> np.ndarray:
+    """``int(rng.integers(0, n))`` for every ``n`` of ``bounds``, for
+    ``rows`` runs of them in order, as a ``(rows, len(bounds))`` int64
+    array; takes exactly the words those calls would."""
+    drawing = bounds > 1  # n == 1 takes no word
+    n = bounds[drawing]
+    threshold = np.tile((np.uint64(1 << 32) - n) % n, rows)
+    n = np.tile(n, rows)
+    words = rng.integers(0, 1 << 32, size=len(n), dtype=np.uint32)
+    words = words.astype(np.uint64)
+    reduced = np.empty(len(n), dtype=np.int64)
+    done = 0
+    while True:
+        # Each rejected word so far shifts the rest of the draws by one.
+        product = words[done + len(words) - len(n):] * n[done:]
+        rejected = np.flatnonzero((product & 0xFFFFFFFF) < threshold[done:])
+        if not len(rejected):
+            reduced[done:] = product >> 32
+            break
+        first = rejected[0]
+        reduced[done:done + first] = product[:first] >> 32
+        done += first
+        more = rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
+        words = np.concatenate([words, more.astype(np.uint64)])
+    if drawing.all():
+        return reduced.reshape(rows, -1)
+    values = np.zeros((rows, len(bounds)), dtype=np.int64)
+    values[:, drawing] = reduced.reshape(rows, -1)
+    return values
+
+
+def _slots(
+    positions: np.ndarray, low: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index a ``(m, rows)`` array of positions, one column per row, into
+    one flat work array: row ``r``'s position ``p >= low`` at
+    ``(p - low) * rows + r``, and each distinct ``(r, p)`` with
+    ``p < low`` at a slot after all rows' ``size`` top slots. Returns the
+    slots and the positions the low slots stand for."""
+    rows = positions.shape[1]
+    row_ids = np.arange(rows, dtype=np.int64)
+    slots = (positions - low) * rows + row_ids
+    below = positions < low
+    if not below.any():
+        return slots, np.empty(0, dtype=np.int64)
+    named, index = np.unique(
+        (positions * rows + row_ids)[below], return_inverse=True
+    )
+    slots[below] = size * rows + index
+    return slots, named // rows
+
+
+def _floyd(draws: np.ndarray, low: int, size: int) -> np.ndarray:
+    """Floyd's picks and their shuffle (``draws``: one column per row,
+    ``size`` draws in ``[0, j]`` then ``size - 1`` in ``[0, i]``).
+
+    Whether a draw was picked before is a flag per (row, position): one
+    per position when the pass's population fits :data:`_DENSE_FLAGS`,
+    else one per position at or above ``low`` and per lower one drawn.
+    """
+    rows = draws.shape[1]
+    every = np.arange(rows, dtype=np.int64)
+    if (low + size) * rows <= _DENSE_FLAGS:
+        first = 0
+        slots = draws[:size] * rows + every
+        taken = np.zeros((low + size) * rows, dtype=bool)
+    else:
+        first = low
+        slots, named = _slots(draws[:size], low, size)
+        taken = np.zeros(size * rows + len(named), dtype=bool)
+    picks = np.empty((size, rows), dtype=np.int64)
+    for c in range(size):
+        again = taken[slots[c]]
+        picks[c] = np.where(again, low + c, draws[c])
+        top = (low + c - first) * rows + every
+        taken[np.where(again, top, slots[c])] = True
+    flat = picks.reshape(-1)
+    for step, i in enumerate(range(size - 1, 0, -1)):
+        there = draws[size + step] * rows + every
+        swapped = flat[there]
+        flat[there] = picks[i]
+        picks[i] = swapped
+    return picks.T
+
+
+def _tail_shuffle(draws: np.ndarray, low: int, size: int) -> np.ndarray:
+    """The last ``size`` entries of ``arange(pop)`` after swapping
+    ``pop - 1 - s`` with draw ``s`` of the row, for every step ``s``
+    (``draws``: one column per row)."""
+    rows = draws.shape[1]
+    slots, named = _slots(draws, low, size)
+    work = np.concatenate([
+        np.repeat(np.arange(low, low + size, dtype=np.int64), rows), named
+    ])
+    for step in range(len(draws)):
+        here = slice((size - 1 - step) * rows, (size - step) * rows)
+        there = slots[step]
+        swapped = work[there]
+        work[there] = work[here]
+        work[here] = swapped
+    return work[: size * rows].reshape(size, rows).T
 
 class RandomStreams:
     """A factory of named :class:`numpy.random.Generator` streams.

@@ -12,16 +12,33 @@ from repro.net.node import PeerId, PeerPopulation
 from repro.net.topology import GnutellaTopology
 from repro.sim.metrics import MessageMetrics
 
-__all__ = ["UnstructuredOverlay"]
+__all__ = ["ContentRecord", "UnstructuredOverlay"]
+
+
+class ContentRecord:
+    """The replicas of one key: which peers hold it — bit ``p`` of
+    ``mask`` for peer ``p`` — and the one payload they all hold."""
+
+    __slots__ = ("mask", "value")
+
+    def __init__(self, mask: int, value: object) -> None:
+        self.mask = mask
+        self.value = value
 
 
 class UnstructuredOverlay:
     """A Gnutella-like overlay over which broadcast searches run.
 
-    The overlay owns the peer population, the connection graph, and the
-    message log; the search algorithm (:class:`RandomWalkSearch`) operates
-    *on* an overlay rather than holding its own state, so one network can
-    be probed by several searches in the same experiment.
+    The overlay owns the peer population, the connection graph, the
+    message log and the content plane; the search algorithm
+    (:class:`RandomWalkSearch`) operates *on* an overlay rather than
+    holding its own state, so one network can be probed by several
+    searches in the same experiment.
+
+    The content plane is one :class:`ContentRecord` per key held anywhere
+    (:attr:`content`), not a store per peer: a search fetches its key's
+    record once and checks a peer with one bit test. A key has one
+    payload: storing another value for a key some peer holds raises.
     """
 
     def __init__(
@@ -36,6 +53,8 @@ class UnstructuredOverlay:
         self.topology = GnutellaTopology(population, degree, rng)
         self.metrics = metrics or MessageMetrics()
         self.log = MessageLog(self.metrics, keep_messages=keep_messages)
+        #: key -> its replicas; a key no peer holds has no record.
+        self.content: dict[Hashable, ContentRecord] = {}
 
     # ------------------------------------------------------------------
     # Content plane
@@ -43,11 +62,37 @@ class UnstructuredOverlay:
     def store(self, peer_id: PeerId, key: Hashable, value: object) -> None:
         """Place a content replica at a peer (no messages counted here;
         placement cost is modelled by the replicator that calls this)."""
-        self.population[peer_id].content[key] = value
+        self.population[peer_id]  # bounds check
+        self.add_replicas(key, 1 << peer_id, value)
+
+    def add_replicas(self, key: Hashable, mask: int, value: object) -> None:
+        """Place ``value`` under ``key`` at every peer whose bit is set in
+        ``mask``."""
+        record = self.content.get(key)
+        if record is None:
+            self.content[key] = ContentRecord(mask, value)
+            return
+        held = record.value
+        if held is not value and held != value:
+            raise ParameterError(
+                f"key {key!r} is already held with another payload"
+            )
+        record.mask |= mask
 
     def drop(self, peer_id: PeerId, key: Hashable) -> None:
         """Remove a content replica (no-op when absent)."""
-        self.population[peer_id].content.pop(key, None)
+        self.population[peer_id]  # bounds check
+        self.drop_replicas(key, 1 << peer_id)
+
+    def drop_replicas(self, key: Hashable, mask: int) -> None:
+        """Remove the replicas at every peer of ``mask`` (no-op where
+        absent); the key's record goes with its last replica."""
+        record = self.content.get(key)
+        if record is None:
+            return
+        record.mask &= ~mask
+        if not record.mask:
+            del self.content[key]
 
     def peer_has(self, peer_id: PeerId, key: Hashable) -> bool:
         """Does an *online* peer hold a replica of ``key``?
@@ -56,16 +101,24 @@ class UnstructuredOverlay:
         replication and availability interact (Section 4 of the paper sizes
         ``repl`` to meet target availability).
         """
-        peer = self.population[peer_id]
-        return peer.online and key in peer.content
+        if not self.population[peer_id].online:
+            return False
+        record = self.content.get(key)
+        return record is not None and (record.mask >> peer_id) & 1 == 1
 
     def value_at(self, peer_id: PeerId, key: Hashable) -> object:
         """The replica payload at a peer (KeyError if absent)."""
-        return self.population[peer_id].content[key]
+        record = self.content.get(key)
+        if record is None or not (record.mask >> peer_id) & 1:
+            raise KeyError(key)
+        return record.value
 
     def holders_of(self, key: Hashable) -> list[PeerId]:
-        """All peers (online or not) holding ``key`` — test/diagnostic aid."""
-        return [p.peer_id for p in self.population if key in p.content]
+        """All peers (online or not) holding ``key``, ascending — a
+        test/diagnostic aid."""
+        record = self.content.get(key)
+        mask = record.mask if record is not None else 0
+        return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
 
     # ------------------------------------------------------------------
     # Neighbour plane

@@ -71,10 +71,19 @@ class RandomWalkSearch:
     online neighbours would, in walker order within each step, and
     nothing for a forced move (one online neighbour), a dead end or an
     origin that holds the key. Calibrated costs, pinned figures and store
-    keys downstream all depend on that sequence; the draws are served by
-    one :class:`repro.sim.rng.BoundedStream` the walker holds for its
-    lifetime, and ``tests/unstructured/test_walk_equivalence.py`` holds
-    this loop to the scalar-draw loop it replaced.
+    keys downstream all depend on that sequence; the draws come from one
+    :class:`repro.sim.rng.BoundedStream` the walker holds for its
+    lifetime, whose reduction the hop loop applies inline to the
+    stream's word block (a word that may be rejected goes back to
+    :meth:`~repro.sim.rng.BoundedStream.draw`), and
+    ``tests/unstructured/test_walk_equivalence.py`` holds this loop to
+    the scalar-draw loop it replaced.
+
+    A hop's content check is one bit of the key's holder mask
+    (:attr:`UnstructuredOverlay.content`), fetched once per search. A
+    key that is not a ``str`` is looked up again at every check instead,
+    as a per-peer store did, so a key whose ``__eq__`` could watch sees
+    the same lookups.
 
     A search trapped in an online component with no replica — the
     walkers have content-checked every peer of it — cannot find the key,
@@ -142,14 +151,19 @@ class RandomWalkSearch:
 
         # This loop is the event substrate's hot path (a failed search
         # under churn is walkers * ttl hops), so per hop it does one index
-        # into the topology's online-adjacency table and one block-served
-        # draw; the hops are counted in one call when the search ends.
+        # into the topology's online-adjacency table, one draw reduced
+        # inline from the stream's word block and one bit test of the
+        # key's holder mask; the hops are counted in one call when the
+        # search ends.
         neighbors_of = overlay.topology.online_adjacency()
-        peers = overlay.population.peers
         log = overlay.log
         audited = log.keep_messages
         hops: list[tuple[PeerId, PeerId]] = []  # collected only if audited
-        draw = self._stream.draw
+        if type(key) is str:
+            record = overlay.content.get(key)
+            mask = record.mask if record is not None else 0
+        else:
+            mask = _LookupPerHop(overlay.content, key)
 
         positions: list[Optional[PeerId]] = [origin] * self.walkers
         visited: set[PeerId] = {origin}
@@ -162,6 +176,8 @@ class RandomWalkSearch:
         may_trap = not audited and type(key) is str
         seen = 1
         open_peer: Optional[PeerId] = origin
+        stream = self._stream
+        words, used = stream.open_block()
         try:
             for step in range(1, self.ttl + 1):
                 any_alive = False
@@ -171,7 +187,19 @@ class RandomWalkSearch:
                     neighbors = neighbors_of[position]
                     fanout = len(neighbors)
                     if fanout > 1:
-                        nxt = neighbors[draw(fanout)]
+                        # BoundedStream.draw(fanout), inline.
+                        if used == len(words):
+                            words = stream.next_block()
+                            used = 0
+                        product = words[used] * fanout
+                        used += 1
+                        if product & 0xFFFFFFFF < fanout:
+                            # The word may be rejected: let draw decide.
+                            stream.close_block(used - 1)
+                            nxt = neighbors[stream.draw(fanout)]
+                            words, used = stream.open_block()
+                        else:
+                            nxt = neighbors[product >> 32]
                     elif fanout:
                         nxt = neighbors[0]  # forced move: no draw
                     else:
@@ -185,7 +213,7 @@ class RandomWalkSearch:
                     any_alive = True
                     # nxt came from the online table, so peer_has(nxt, key)
                     # reduces to the content check.
-                    if key in peers[nxt].content:
+                    if (mask >> nxt) & 1:
                         found_at = nxt
                 if found_at is not None or not any_alive:
                     break
@@ -196,6 +224,8 @@ class RandomWalkSearch:
                         # search is fixed (see the class notes).
                         remaining = self.ttl - step
                         messages += len(positions) * remaining
+                        stream.close_block(used)
+                        used = None  # the run-out keeps its own count
                         self._run_out(
                             positions, neighbors_of, visited, remaining
                         )
@@ -203,6 +233,8 @@ class RandomWalkSearch:
                         break
                 seen = len(visited)
         finally:
+            if used is not None:
+                stream.close_block(used)
             if messages:
                 log.send_all(MessageKind.QUERY_WALK, messages, hops, key)
                 obs.count("walk.hops", messages)
@@ -235,6 +267,7 @@ class RandomWalkSearch:
         so every walker is alive and hops once per step.
         """
         obs.count("walk.trapped")
+        stream = self._stream
         branching = [p for p in component if len(neighbors_of[p]) > 1]
         if not branching:
             return  # two peers: every move is forced
@@ -246,14 +279,48 @@ class RandomWalkSearch:
             at_leaf = len(positions) - at_centre
             draws = at_centre * ((remaining + 1) // 2)
             draws += at_leaf * (remaining // 2)
-            self._stream.skip(len(neighbors_of[centre]), draws)
+            stream.skip(len(neighbors_of[centre]), draws)
             return
-        draw = self._stream.draw
-        for _ in range(remaining):
-            for i, position in enumerate(positions):
-                neighbors = neighbors_of[position]
-                fanout = len(neighbors)
-                positions[i] = neighbors[draw(fanout) if fanout > 1 else 0]
+        words, used = stream.open_block()
+        try:
+            for _ in range(remaining):
+                for i, position in enumerate(positions):
+                    neighbors = neighbors_of[position]
+                    fanout = len(neighbors)
+                    if fanout > 1:
+                        # BoundedStream.draw(fanout), inline (see search).
+                        if used == len(words):
+                            words = stream.next_block()
+                            used = 0
+                        product = words[used] * fanout
+                        used += 1
+                        if product & 0xFFFFFFFF < fanout:
+                            stream.close_block(used - 1)
+                            positions[i] = neighbors[stream.draw(fanout)]
+                            words, used = stream.open_block()
+                        else:
+                            positions[i] = neighbors[product >> 32]
+                    else:
+                        positions[i] = neighbors[0]
+        finally:
+            stream.close_block(used)
+
+
+class _LookupPerHop:
+    """Stands in for the holder mask of a key that is not a ``str``:
+    ``mask >> peer`` looks the key up again, so a key whose ``__eq__``
+    could watch sees one lookup per content check, as in a per-peer
+    check."""
+
+    __slots__ = ("content", "key")
+
+    def __init__(self, content: dict, key: Hashable) -> None:
+        self.content = content
+        self.key = key
+
+    def __rshift__(self, peer: PeerId) -> int:
+        record = self.content.get(self.key)
+        return record.mask >> peer if record is not None else 0
 
 
 def _open_peer(

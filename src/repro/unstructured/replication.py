@@ -6,31 +6,79 @@ search paths have the same reliability; :class:`ContentReplicator` handles
 the content side, placing each item at ``repl`` distinct random peers, and
 can re-place replicas when articles are replaced (the news scenario
 replaces each article every 24 h on average).
+
+An item's holders are what one ``rng.choice(numPeers, repl,
+replace=False)`` per key, in key order, would draw; a batch of keys takes
+them in one :func:`repro.sim.rng.choice_rows` call, and writes each key
+into the overlay as one holder bitmask
+(:meth:`UnstructuredOverlay.add_replicas`).
+``tests/unstructured/test_place_all_equivalence.py`` holds this to the
+per-key, per-holder loop it replaced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.net.node import PeerId
+from repro.sim.rng import choice_rows
 from repro.unstructured.overlay import UnstructuredOverlay
 
 __all__ = ["ReplicaPlacement", "ContentReplicator"]
 
+#: Bytes of holder bitmap :func:`_holder_masks` packs per pass.
+_MASK_PASS_BYTES = 1 << 20
 
-@dataclass
+
 class ReplicaPlacement:
     """Where the replicas of one item currently live."""
 
-    key: Hashable
-    holders: list[PeerId] = field(default_factory=list)
+    __slots__ = ("key", "row", "mask")
+
+    def __init__(
+        self,
+        key: Hashable,
+        holders: Iterable[PeerId],
+        mask: int | None = None,
+    ) -> None:
+        self.key = key
+        #: The holders in draw order.
+        self.row = np.asarray(holders, dtype=np.int32)
+        if mask is None:
+            mask = _holder_masks(self.row[None, :])[0]
+        #: The holders as one int, bit ``p`` set for peer ``p``.
+        self.mask = mask
+
+    @property
+    def holders(self) -> list[PeerId]:
+        return self.row.tolist()
 
     def online_holders(self, overlay: UnstructuredOverlay) -> list[PeerId]:
         return [h for h in self.holders if overlay.population.is_online(h)]
+
+
+def _holder_masks(rows: np.ndarray) -> list[int]:
+    """Each row of distinct peer ids as one int, bit ``p`` set for peer
+    ``p``."""
+    width = (int(rows.max(initial=0)) + 8) // 8
+    masks: list[int] = []
+    per_pass = max(1, _MASK_PASS_BYTES // width)
+    for start in range(0, len(rows), per_pass):
+        chunk = rows[start:start + per_pass]
+        packed = np.zeros(len(chunk) * width, dtype=np.uint8)
+        at = np.arange(len(chunk))[:, None] * width + (chunk >> 3)
+        # A row's ids are distinct, so adding their bits ORs them.
+        bits = (1 << (chunk & 7)).astype(np.uint8)
+        np.add.at(packed, at.ravel(), bits.ravel())
+        data = packed.tobytes()
+        masks += [
+            int.from_bytes(data[k:k + width], "little")
+            for k in range(0, len(data), width)
+        ]
+    return masks
 
 
 class ContentReplicator:
@@ -76,37 +124,42 @@ class ContentReplicator:
         return self._placements[key]
 
     def place_all(self, items: Mapping[Hashable, object]) -> None:
-        """Replicate every item, in order: one holder draw per key from
-        the placement stream, that key's replicas written before the next
-        key's holders are drawn."""
-        peers = self.overlay.population.peers
+        """Replicate every item, in order, as a loop of :meth:`place`
+        would: the keys before the first already-placed one are placed,
+        and that one raises."""
         placements = self._placements
-        for key, value in items.items():
-            if key in placements:
-                raise ParameterError(f"key {key!r} already placed; use refresh()")
-            holders = self._draw_holders()
-            for holder in holders:
-                peers[holder].content[key] = value
-            placements[key] = ReplicaPlacement(key, holders)
+        keys = list(items)
+        fresh = next(
+            (i for i, key in enumerate(keys) if key in placements), len(keys)
+        )
+        rows = choice_rows(
+            self.rng, len(self.overlay.population), self.replication, fresh
+        ).astype(np.int32)
+        add = self.overlay.add_replicas
+        for key, row, mask in zip(keys, rows, _holder_masks(rows)):
+            add(key, mask, items[key])
+            placements[key] = ReplicaPlacement(key, row, mask)
+        if fresh < len(keys):
+            raise ParameterError(
+                f"key {keys[fresh]!r} already placed; use refresh()"
+            )
 
     def refresh(self, key: Hashable, value: object) -> ReplicaPlacement:
         """Replace an item's replicas (models article replacement)."""
         self.remove(key)
         return self.place(key, value)
 
+    def refresh_all(self, items: Mapping[Hashable, object]) -> None:
+        """:meth:`refresh` every item, in order, in one placement draw."""
+        for key in items:
+            self.remove(key)
+        self.place_all(items)
+
     def remove(self, key: Hashable) -> None:
         """Drop all replicas of ``key`` (no-op when never placed)."""
         placement = self._placements.pop(key, None)
-        if placement is None:
-            return
-        for holder in placement.holders:
-            self.overlay.drop(holder, key)
-
-    def _draw_holders(self) -> list[PeerId]:
-        population_size = len(self.overlay.population)
-        return self.rng.choice(
-            population_size, size=self.replication, replace=False
-        ).tolist()
+        if placement is not None:
+            self.overlay.drop_replicas(key, placement.mask)
 
     # ------------------------------------------------------------------
     def placement_of(self, key: Hashable) -> ReplicaPlacement:

@@ -31,6 +31,30 @@ Mutations run against ``BoundedStream``, each caught by the test named:
 * ``RandomStreams.get`` handing out an owned generator without settling
   its ``bounded`` owner — ``test_get_settles_the_owner``.
 
+``choice_rows(rng, pop, size, count)`` must return what ``count`` calls
+of ``rng.choice(pop, size, replace=False)`` would, row by row, and leave
+the generator where they would (``TestChoiceRows``, which holds the
+replay behind it to numpy at every count, 0 and 1 included). Mutations of
+the replay, each caught by the test named:
+
+* the Fisher-Yates draws over ``[0, i)`` instead of ``[0, i]``, or its
+  loop one step short (``range(size - 2, 0, -1)``) —
+  ``test_matches_numpy_calls``;
+* a rejected word not skipped (the rejection test ignored) —
+  ``test_rejection_heavy_populations_near_2_32``;
+* the tail-shuffle test written ``size >= pop // 50`` —
+  ``test_both_branches_at_their_boundary[...-10001-200]``;
+* the tail shuffle stopping at 2 instead of 1 when ``size == pop`` —
+  ``test_both_branches_at_their_boundary[...-20000-20000]``;
+* a draw over ``[0, 0]`` (Floyd's first when ``pop == size``) taking a
+  word — ``test_matches_numpy_calls``;
+* Floyd's repeat inserting ``j`` without marking it taken —
+  ``test_matches_numpy_calls`` and
+  ``test_compact_flags_match_the_dense_ones``;
+* a low slot shared by two rows (keyed on the position alone) —
+  ``test_compact_flags_match_the_dense_ones``,
+  ``test_passes_of_any_size``.
+
 ``BoundedStream.skip(n, count)`` must leave the stream where ``count``
 calls of ``draw(n)`` would. Mutations of it, each caught by the test
 named:
@@ -54,7 +78,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
-from repro.sim.rng import _FIRST_BLOCK, _MAX_BLOCK, BoundedStream, RandomStreams
+import repro.sim.rng as rng_module
+from repro.sim.rng import (
+    _FIRST_BLOCK,
+    _MAX_BLOCK,
+    BoundedStream,
+    RandomStreams,
+    choice_rows,
+)
 
 
 # ----------------------------------------------------------------------
@@ -470,3 +501,111 @@ class TestSkip:
             with pytest.raises(ParameterError):
                 stream.skip(bad, 3)
         assert stream.draw(4) == int(scalar.integers(0, 4))
+
+
+class TestChoiceRows:
+    """``choice_rows`` replays ``Generator.choice(pop, size,
+    replace=False)``: its Floyd and tail-shuffle branches, numpy's Lemire
+    rejection, and the words consumed."""
+
+    @staticmethod
+    def _check(pop, size, count, seed=0, predraws=0,
+               bit_generator=np.random.PCG64):
+        """``choice_rows`` and the replay it uses from ``size`` calls on
+        (``_replay_rows``, here for any count) against numpy's calls."""
+        scalar, bulk, replayed = _pair(
+            bit_generator, seed=seed, predraws=predraws, count=3
+        )
+        expected = np.array(
+            [scalar.choice(pop, size, replace=False) for _ in range(count)],
+            dtype=np.int64,
+        ).reshape(count, size)
+        for rng, rows in (
+            (bulk, choice_rows(bulk, pop, size, count)),
+            (replayed, rng_module._replay_rows(replayed, pop, size, count)),
+        ):
+            assert rows.dtype == np.int64 and rows.shape == (count, size)
+            np.testing.assert_array_equal(rows, expected)
+            np.testing.assert_equal(
+                rng.bit_generator.state, scalar.bit_generator.state
+            )
+        assert bulk.random() == replayed.random() == scalar.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pop=st.integers(1, 70),
+        size=st.integers(0, 70),
+        count=st.integers(0, 12),
+        seed=st.integers(0, 2**32),
+        predraws=st.integers(0, 3),
+    )
+    def test_matches_numpy_calls(self, pop, size, count, seed, predraws):
+        self._check(pop, min(size, pop), count, seed, predraws)
+
+    @pytest.mark.parametrize("pop, size", [
+        (10000, 10000),  # Floyd: pop is not above 10_000
+        (10001, 200),  # Floyd: size == pop // 50
+        (10001, 201),  # tail shuffle: size > pop // 50
+        (20000, 20000),  # tail shuffle of everything: stops at 1
+        (20000, 19999),
+        (123_457, 2_470),
+    ])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_both_branches_at_their_boundary(self, pop, size, count):
+        self._check(pop, size, count, seed=pop + count, predraws=count % 2)
+
+    @pytest.mark.parametrize("pop, size, count", [
+        (2**32, 6, 40),  # a draw over [0, 2**32 - 1] takes the word as is
+        (2**32 - 1, 7, 40),
+        (2**31 + 1, 6, 60),  # rejects almost half the words
+        (3 * 2**30 + 5, 5, 60),
+        (2**31 + 1, 1, 200),
+    ])
+    def test_rejection_heavy_populations_near_2_32(self, pop, size, count):
+        self._check(pop, size, count, seed=size, predraws=1)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64,
+    ])
+    def test_every_numpy_bit_generator(self, bit_generator):
+        self._check(500, 20, 30, seed=3, predraws=1,
+                    bit_generator=bit_generator)
+
+    @pytest.mark.parametrize("pass_draws", [1, 7, 99, 100, 1000])
+    def test_passes_of_any_size(self, monkeypatch, pass_draws):
+        """Rows split across passes, down to one row a pass."""
+        monkeypatch.setattr(rng_module, "_PASS_DRAWS", pass_draws)
+        self._check(1000, 50, 23, seed=pass_draws)
+        self._check(10001, 300, 3, seed=pass_draws)
+
+    def test_compact_flags_match_the_dense_ones(self, monkeypatch):
+        """Floyd's taken-flags, one per (row, position) drawn instead of
+        one per (row, position of the population)."""
+        monkeypatch.setattr(rng_module, "_DENSE_FLAGS", 0)
+        for pop, size in ((1, 1), (5, 5), (60, 3), (1000, 50), (9, 8)):
+            self._check(pop, size, 40, seed=pop)
+
+    def test_no_array_of_the_population_size(self):
+        """numpy's tail shuffle allocates ``arange(pop)`` (16 MB here);
+        the replay keeps one slot per position it touches."""
+        import tracemalloc
+
+        pop, size = 2_000_000, 40_001
+        scalar, bulk = _pair(seed=1)
+        expected = scalar.choice(pop, size, replace=False)
+        tracemalloc.start()
+        try:
+            got = choice_rows(bulk, pop, size, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got[0], expected)
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("pop, size, count", [
+        (0, 0, 1), (2**32 + 1, 1, 1), (5, 6, 1), (5, -1, 1), (5, 2, -1),
+    ])
+    def test_invalid_arguments_rejected(self, pop, size, count):
+        with pytest.raises(ParameterError):
+            choice_rows(np.random.default_rng(0), pop, size, count)

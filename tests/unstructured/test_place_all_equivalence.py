@@ -1,27 +1,34 @@
 """Differential test: ``ContentReplicator.place_all`` against the loop of
 ``place`` calls it replaced.
 
-ISSUE 21 fills a substrate's content plane in one call: 8,000 keys x 50
-holders written straight into the peers' ``content`` dicts instead of
-400,000 bounds-checked ``UnstructuredOverlay.store`` calls. The old path
-— ``PdhtNetwork.publish_all``'s loop, ``place`` and ``_draw_holders`` as
-they were — is kept here verbatim and driven side by side with the new
-one on twin overlays; they must leave the same world: holders (as plain
-``int``), every peer's ``content`` dict *in insertion order*,
-``placed_keys()``, and the ``"placement"`` generator's state, so a later
-``refresh`` or ``place`` continues identically.
+A substrate's content plane is filled in one call: the holders of every
+key come from one ``repro.sim.rng.choice_rows`` call instead of one
+``rng.choice`` per key, and each key is written into the overlay as one
+holder bitmask instead of one ``UnstructuredOverlay.store`` per holder.
+The old path — ``PdhtNetwork.publish_all``'s loop, ``place`` and
+``_draw_holders`` as they were — is kept here verbatim and driven side by
+side with the new one on twin overlays; they must leave the same world:
+holders in draw order (as plain ``int``), the payload at every holder,
+which peers hold which key (every ``(peer, key)``), ``placed_keys()``,
+and the ``"placement"`` generator's state, so a later ``refresh`` or
+``place`` continues identically. ``refresh_all`` is held to a loop of
+``remove`` and the old ``place``.
 
 Mutations run against the new code, each caught by the test named:
 
-* all holders drawn before any replica is written
-  — ``test_duplicate_key_leaves_the_same_partial_state`` (the keys before
-  the duplicate are not yet stored when it raises);
-* the already-placed check dropped, or made after the draw
-  — the same test (no error / the stream one draw further);
+* rows drawn for every key, the already-placed one and those after it
+  included — ``test_duplicate_key_leaves_the_same_partial_state`` (the
+  stream further on);
+* the already-placed check dropped — the same test (no error);
 * holders left as numpy integers — ``test_place_all_equals_place_loop``
   (``type(holder) is int``: they are dict keys, list indices and JSON);
-* one ``rng.choice`` of shape ``(keys, repl)`` instead of one per key
-  — ``test_place_all_equals_place_loop`` (different holders and state).
+* one ``rng.choice`` of shape ``(keys, repl)`` instead of
+  ``choice_rows`` — ``test_place_all_equals_place_loop`` (different
+  holders and state);
+* a holder mask built without the row's last holder —
+  ``test_place_all_equals_place_loop`` (membership);
+* ``refresh_all`` placing before it removes —
+  ``test_refresh_all_equals_refresh_loop``.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
 from repro.net.node import PeerPopulation
-from repro.unstructured.overlay import UnstructuredOverlay
+from repro.unstructured.overlay import ContentRecord, UnstructuredOverlay
 from repro.unstructured.replication import ContentReplicator, ReplicaPlacement
 
 
@@ -75,11 +82,28 @@ def replicator(num_peers, replication, seed):
     )
 
 
+def holds(overlay, peer, key):
+    try:
+        overlay.value_at(peer, key)
+    except KeyError:
+        return False
+    return True
+
+
 def world(rep):
     """Everything a later query, refresh or walk can see."""
+    overlay = rep.overlay
+    keys = rep.placed_keys()
     return (
-        [(key, rep.placement_of(key).holders) for key in rep.placed_keys()],
-        [list(peer.content.items()) for peer in rep.overlay.population],
+        [(key, rep.placement_of(key).holders) for key in keys],
+        [
+            [overlay.value_at(peer, key) for peer in overlay.holders_of(key)]
+            for key in keys
+        ],
+        [
+            [holds(overlay, peer, key) for key in [*keys, "never-placed"]]
+            for peer in range(len(overlay.population))
+        ],
         rep.rng.bit_generator.state,
     )
 
@@ -128,3 +152,51 @@ def test_duplicate_key_leaves_the_same_partial_state(duplicate_at):
         new.place_all(items)
     assert world(new) == world(old)
     assert new.placed_keys() == [duplicate, *list(items)[:duplicate_at]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_peers=st.integers(3, 40),
+    replication=st.integers(1, 12),
+    n_keys=st.integers(1, 15),
+    refreshed=st.integers(0, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refresh_all_equals_refresh_loop(
+    num_peers, replication, n_keys, refreshed, seed
+):
+    replication = min(replication, num_peers)
+    items = {f"key-{i:06d}": (i, 0) for i in range(n_keys)}
+    old = replicator(num_peers, replication, seed)
+    new = replicator(num_peers, replication, seed)
+    reference_publish_all(old, items)
+    new.place_all(items)
+    # a prefix of the keys, plus one never placed
+    again = {key: (i, 1) for i, key in enumerate(list(items)[:refreshed])}
+    again["fresh"] = (-1, 1)
+    for key, value in again.items():
+        old.remove(key)
+        reference_place(old, key, value)
+    new.refresh_all(again)
+    assert world(new) == world(old)
+    assert new.placed_keys() == old.placed_keys()
+
+
+def test_content_plane_layout():
+    """One record per key held anywhere — an int holder mask and the
+    payload — and no store on the peers."""
+    rep = replicator(30, 4, 1)
+    rep.place_all({"a": 1, "b": 2})
+    overlay = rep.overlay
+    assert list(overlay.content) == ["a", "b"]
+    for key, value in (("a", 1), ("b", 2)):
+        record = overlay.content[key]
+        assert type(record) is ContentRecord
+        assert type(record.mask) is int and record.value == value
+        holders = rep.placement_of(key).holders
+        assert record.mask == sum(1 << h for h in holders)
+        assert all(type(h) is int for h in holders)
+        assert rep.placement_of(key).row.dtype == np.int32
+    assert not any(hasattr(peer, "content") for peer in overlay.population)
+    rep.remove("a")
+    assert list(overlay.content) == ["b"]  # the record goes with its holders

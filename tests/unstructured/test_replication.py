@@ -44,8 +44,10 @@ class TestPlacement:
     def test_remove_drops_all_replicas(self, replicator):
         placement = replicator.place("k", "v")
         replicator.remove("k")
+        assert replicator.overlay.holders_of("k") == []
         for holder in placement.holders:
-            assert "k" not in replicator.overlay.population[holder].content
+            with pytest.raises(KeyError):
+                replicator.overlay.value_at(holder, "k")
         assert replicator.placed_keys() == []
 
     def test_remove_unknown_is_noop(self, replicator):

@@ -33,6 +33,19 @@ named:
 * the closure test skipping the origin's row — a walker back at the
   star's centre looks trapped before it has seen every leaf
   (``[star-centre-*]``).
+
+The hop loop applies ``BoundedStream``'s reduction inline and checks a
+bit of the key's holder mask. Mutations of that, each caught by the test
+named:
+
+* the may-be-rejected check dropped, in the search loop or in the
+  run-out's — ``test_a_rejected_word_is_skipped_inline``;
+* the words used not handed back to the stream when a search ends —
+  ``test_fast_walk_equals_reference``;
+* the run-out's words used not handed back —
+  ``test_each_trapped_tail_equals_the_reference``;
+* a key that is not a ``str`` looked up once per search —
+  ``test_fast_walk_equals_reference_when_a_hop_raises``.
 """
 
 from __future__ import annotations
@@ -162,7 +175,7 @@ class World:
         if holders == "everyone-else":
             holders = frozenset(range(self.num_peers)) - {self.origin}
         for peer_id in holders:
-            overlay.store(peer_id, "k", f"value@{peer_id}")
+            overlay.store(peer_id, "k", "value")
         rng = np.random.Generator(np.random.PCG64(self.walk_seed))
         for _ in range(self.predraws):
             rng.integers(0, 3)
@@ -359,8 +372,9 @@ class Fuse(Exception):
 
 class FusedKey:
     """Hashes like ``"k"`` and never equals it; the ``fuse``-th comparison
-    raises instead. Each ``key in content`` at a holder makes one or more
-    (the dict may re-probe the slot), the same number in both loops."""
+    raises instead. Each content check looks the key up in the overlay's
+    per-key records, which holds ``"k"``, and makes one or more (the dict
+    may re-probe the slot), the same number in both loops."""
 
     def __init__(self, fuse: int) -> None:
         self.fuse = fuse
@@ -406,6 +420,59 @@ def test_fuse_actually_blows_mid_search():
     assert 0 < hops < 8
     assert len(overlay.log.messages) == hops
     _assert_equivalent(world, lambda: FusedKey(fuse=8))
+
+
+# ----------------------------------------------------------------------
+# A rejected word in the inline draw
+# ----------------------------------------------------------------------
+class ScriptedWords:
+    """Stands in for a Generator: serves a fixed word list (see
+    ``tests/sim/test_rng.py``), so a walk meets the one-in-2**32 words
+    numpy's reduction rejects."""
+
+    def __init__(self, words):
+        self.words = words
+        self.position = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return {"position": self.position}
+
+    @state.setter
+    def state(self, value):
+        self.position = value["position"]
+
+    def integers(self, low, high, size, dtype):
+        served = self.words[self.position:self.position + size]
+        self.position += size
+        return np.array(served, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("rejected_at", [0, 5, 63, 64, 200])
+def test_a_rejected_word_is_skipped_inline(rejected_at):
+    """On a 3-regular overlay every draw is over three neighbours, for
+    which numpy rejects only the word 0. A walk served words with a 0
+    inserted must equal the walk served the words without it, one word
+    further on — whether the 0 sits mid-block, ends a block or starts the
+    next one, and in the search loop or the run-out's."""
+    words = [(0x9E3779B9 * (i + 1)) & 0xFFFFFFFF or 1 for i in range(4000)]
+    scripted = words[:rejected_at] + [0] + words[rejected_at:]
+    outcomes = []
+    for served in (words, scripted):
+        overlay = UnstructuredOverlay(
+            PeerPopulation(16),
+            np.random.Generator(np.random.PCG64(3)),
+            degree=3,
+        )
+        source = ScriptedWords(served)
+        walker = RandomWalkSearch(overlay, source, walkers=4, ttl=60)
+        result = walker.search(0, "absent")
+        walker.rng  # settle
+        outcomes.append((result, source.position))
+    (plain, plain_used), (rejecting, rejecting_used) = outcomes
+    assert rejecting == plain
+    assert rejecting_used == plain_used + (rejected_at < plain_used)
 
 
 # ----------------------------------------------------------------------
