@@ -40,8 +40,9 @@ def main() -> None:
     print(f"network  : {params.num_peers} peers, keyTtl {config.key_ttl:.0f}s\n")
 
     # Publish every article under each of its metadata keys.
-    for rank0, key in enumerate(corpus.key_universe):
-        net.publish(key, corpus.articles_for(key))
+    net.publish_all(
+        {key: corpus.articles_for(key) for key in corpus.key_universe}
+    )
 
     # Replay a Zipf(1.2) workload: popular predicates dominate.
     workload = StationaryZipf().build(

@@ -24,9 +24,6 @@ _MAX_BLOCK = 1024
 #: Draws :func:`choice_rows` replays per pass, which keeps each of its
 #: transient arrays under ~1 MB whatever the population size.
 _PASS_DRAWS = 1 << 15
-#: A Floyd pass keeps one taken-flag per (row, position) while they fit
-#: in this many bools, and one per position it meets otherwise.
-_DENSE_FLAGS = 1 << 20
 
 #: ``Generator.choice(pop, size, replace=False)`` shuffles the tail of a
 #: full ``arange(pop)`` instead of running Floyd's algorithm when
@@ -55,10 +52,10 @@ class BoundedStream:
     ``(w * n) >> 32`` unless the low half of the product falls under
     ``(2**32 - n) % n``, in which case the word is rejected and the next
     one tried. The other is how ``Generator.choice(pop, size,
-    replace=False)`` spends such draws — Floyd's algorithm and a shuffle
-    of its picks, or a tail shuffle of ``arange(pop)`` — which
-    :func:`choice_rows` replays. ``tests/sim/test_rng.py`` holds both to
-    the real thing.
+    replace=False)`` spends such draws on Floyd's algorithm and a shuffle
+    of its picks, which :func:`choice_rows` replays (numpy's other
+    branch, a tail shuffle of ``arange(pop)``, it leaves to numpy).
+    ``tests/sim/test_rng.py`` holds both to the real thing.
 
     Words are fetched past what ends up used, and a block is refilled
     only when exhausted, however many searches or queries it serves: the
@@ -183,30 +180,23 @@ def choice_rows(
 
     Row ``k`` of the ``(count, size)`` int64 result is what the ``k``-th
     call would have returned, and ``rng.bit_generator.state`` ends where
-    the calls would have left it. The calls' bounded draws are a fixed
-    sequence of bounds, so their words are fetched with
-    ``integers(0, 2**32, dtype=uint32)`` — exactly as many as the draws
-    take, rejected ones included — and reduced as :class:`BoundedStream`
-    does; then numpy's use of them is replayed, a pass of rows at a time:
+    the calls would have left it.
 
-    * ``pop > 10_000 and size > pop // 50``: the tail shuffle of
-      ``arange(pop)`` — for ``i`` from ``pop - 1`` down to
-      ``max(pop - size, 1)`` swap ``i`` with a draw in ``[0, i]`` — whose
-      last ``size`` entries are the result;
-    * otherwise Floyd's algorithm — for ``j`` from ``pop - size`` to
-      ``pop - 1`` pick a draw in ``[0, j]``, or ``j`` itself when the
-      draw was picked before — then a Fisher-Yates shuffle of the picks,
-      ``i`` from ``size - 1`` down to 1 swapped with a draw in ``[0, i]``.
+    When numpy takes Floyd's algorithm (not ``pop > 10_000 and size >
+    pop // 50``), the calls' bounded draws are a fixed sequence of bounds,
+    so their words are fetched with ``integers(0, 2**32, dtype=uint32)`` —
+    exactly as many as the draws take, rejected ones included — and
+    reduced as :class:`BoundedStream` does; then numpy's use of them is
+    replayed, a pass of rows at a time: for ``j`` from ``pop - size`` to
+    ``pop - 1`` pick a draw in ``[0, j]``, or ``j`` itself when the draw
+    was picked before, then a Fisher-Yates shuffle of the picks, ``i``
+    from ``size - 1`` down to 1 swapped with a draw in ``[0, i]``. A draw
+    in ``[0, 0]`` takes no word.
 
-    A draw in ``[0, 0]`` takes no word. Unless a pass's Floyd flags fit
-    in :data:`_DENSE_FLAGS`, no replay array grows with the population: a
-    row's positions at or above ``pop - size`` get one slot each, and
-    every lower one a draw names gets its own.
-
-    A replay pass costs a few numpy calls per column whatever its rows,
-    so fewer than ``size`` calls of Floyd's branch are made one by one
-    through ``rng.choice`` itself; not the tail branch's, each of which
-    would allocate ``arange(pop)``.
+    numpy's other branch, a tail shuffle of ``arange(pop)``, is made
+    through ``rng.choice`` itself, one call a row: no scenario reaches it
+    (they replicate 50-fold, and ``50 <= pop // 50`` once ``pop`` passes
+    ``10_000``).
     """
     if not 1 <= pop <= 1 << 32:
         raise ParameterError(f"pop must be in [1, 2**32], got {pop}")
@@ -214,41 +204,23 @@ def choice_rows(
         raise ParameterError(f"size must be in [0, {pop}], got {size}")
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
-    if count < size and not _tail_branch(pop, size):
-        out = np.empty((count, size), dtype=np.int64)
+    out = np.empty((count, size), dtype=np.int64)
+    if pop > _TAIL_MIN_POP and size > pop // _TAIL_DIVISOR:
         for row in range(count):
             out[row] = rng.choice(pop, size, replace=False)
         return out
-    return _replay_rows(rng, pop, size, count)
-
-
-def _tail_branch(pop: int, size: int) -> bool:
-    """Does ``choice(pop, size, replace=False)`` take the tail shuffle?"""
-    return pop > _TAIL_MIN_POP and size > pop // _TAIL_DIVISOR
-
-
-def _replay_rows(
-    rng: np.random.Generator, pop: int, size: int, count: int
-) -> np.ndarray:
-    """:func:`choice_rows` by replay, for any ``count``."""
-    out = np.empty((count, size), dtype=np.int64)
     if size == 0:
         return out
     low = pop - size
-    if _tail_branch(pop, size):
-        bounds = np.arange(pop, max(low, 1), -1, dtype=np.uint64)
-        replay = _tail_shuffle
-    else:
-        bounds = np.concatenate([
-            np.arange(low + 1, pop + 1, dtype=np.uint64),
-            np.arange(size, 1, -1, dtype=np.uint64),
-        ])
-        replay = _floyd
+    bounds = np.concatenate([
+        np.arange(low + 1, pop + 1, dtype=np.uint64),
+        np.arange(size, 1, -1, dtype=np.uint64),
+    ])
     rows_per_pass = max(1, _PASS_DRAWS // len(bounds))
     for start in range(0, count, rows_per_pass):
         stop = min(start + rows_per_pass, count)
         draws = _bounded(rng, bounds, stop - start)
-        out[start:stop] = replay(draws.T.copy(), low, size)
+        out[start:stop] = _floyd(draws, low, size)
     return out
 
 
@@ -285,51 +257,38 @@ def _bounded(
     return values
 
 
-def _slots(
-    positions: np.ndarray, low: int, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index a ``(m, rows)`` array of positions, one column per row, into
-    one flat work array: row ``r``'s position ``p >= low`` at
-    ``(p - low) * rows + r``, and each distinct ``(r, p)`` with
-    ``p < low`` at a slot after all rows' ``size`` top slots. Returns the
-    slots and the positions the low slots stand for."""
-    rows = positions.shape[1]
-    row_ids = np.arange(rows, dtype=np.int64)
-    slots = (positions - low) * rows + row_ids
-    below = positions < low
-    if not below.any():
-        return slots, np.empty(0, dtype=np.int64)
-    named, index = np.unique(
-        (positions * rows + row_ids)[below], return_inverse=True
-    )
-    slots[below] = size * rows + index
-    return slots, named // rows
-
-
 def _floyd(draws: np.ndarray, low: int, size: int) -> np.ndarray:
-    """Floyd's picks and their shuffle (``draws``: one column per row,
+    """Floyd's picks and their shuffle, one row per call (``draws``:
     ``size`` draws in ``[0, j]`` then ``size - 1`` in ``[0, i]``).
 
-    Whether a draw was picked before is a flag per (row, position): one
-    per position when the pass's population fits :data:`_DENSE_FLAGS`,
-    else one per position at or above ``low`` and per lower one drawn.
+    A draw was picked before iff its row drew the same value earlier
+    (it was picked then, or had been already) or it is a ``j`` picked in
+    place of such a repeat — so no flag array grows with the population:
+    the repeats come from sorting each row's draws, and the ``j`` picks
+    take one flag per (row, ``j``).
     """
-    rows = draws.shape[1]
+    rows = len(draws)
     every = np.arange(rows, dtype=np.int64)
-    if (low + size) * rows <= _DENSE_FLAGS:
-        first = 0
-        slots = draws[:size] * rows + every
-        taken = np.zeros((low + size) * rows, dtype=bool)
-    else:
-        first = low
-        slots, named = _slots(draws[:size], low, size)
-        taken = np.zeros(size * rows + len(named), dtype=bool)
+    # Draw values with their column in the low digits: a row's sort puts
+    # equal values in draw order (pop * size < 2**63 for any row that
+    # fits in memory).
+    ranked = np.sort(draws[:, :size] * size + np.arange(size), axis=1)
+    value, column = np.divmod(ranked, size)
+    repeat = value[:, 1:] == value[:, :-1]
+    repeated = np.zeros((rows, size), dtype=bool)
+    repeated[np.nonzero(repeat)[0], column[:, 1:][repeat]] = True
+    repeated = repeated.T.copy()
+    draws = draws.T.copy()  # one column per row from here on
+    drawn = draws[:size]
+    # The flag of j = low + c for row r is at c * rows + r; a draw below
+    # low reads the one flag past them, never set.
+    slots = np.where(drawn >= low, (drawn - low) * rows + every, size * rows)
+    taken = np.zeros(size * rows + 1, dtype=bool)
     picks = np.empty((size, rows), dtype=np.int64)
     for c in range(size):
-        again = taken[slots[c]]
-        picks[c] = np.where(again, low + c, draws[c])
-        top = (low + c - first) * rows + every
-        taken[np.where(again, top, slots[c])] = True
+        again = repeated[c] | taken[slots[c]]
+        picks[c] = np.where(again, low + c, drawn[c])
+        taken[c * rows:(c + 1) * rows] = again
     flat = picks.reshape(-1)
     for step, i in enumerate(range(size - 1, 0, -1)):
         there = draws[size + step] * rows + every
@@ -338,23 +297,6 @@ def _floyd(draws: np.ndarray, low: int, size: int) -> np.ndarray:
         picks[i] = swapped
     return picks.T
 
-
-def _tail_shuffle(draws: np.ndarray, low: int, size: int) -> np.ndarray:
-    """The last ``size`` entries of ``arange(pop)`` after swapping
-    ``pop - 1 - s`` with draw ``s`` of the row, for every step ``s``
-    (``draws``: one column per row)."""
-    rows = draws.shape[1]
-    slots, named = _slots(draws, low, size)
-    work = np.concatenate([
-        np.repeat(np.arange(low, low + size, dtype=np.int64), rows), named
-    ])
-    for step in range(len(draws)):
-        here = slice((size - 1 - step) * rows, (size - step) * rows)
-        there = slots[step]
-        swapped = work[there]
-        work[there] = work[here]
-        work[here] = swapped
-    return work[: size * rows].reshape(size, rows).T
 
 class RandomStreams:
     """A factory of named :class:`numpy.random.Generator` streams.

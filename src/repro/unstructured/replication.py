@@ -39,16 +39,11 @@ class ReplicaPlacement:
     __slots__ = ("key", "row", "mask")
 
     def __init__(
-        self,
-        key: Hashable,
-        holders: Iterable[PeerId],
-        mask: int | None = None,
+        self, key: Hashable, holders: Iterable[PeerId], mask: int
     ) -> None:
         self.key = key
         #: The holders in draw order.
         self.row = np.asarray(holders, dtype=np.int32)
-        if mask is None:
-            mask = _holder_masks(self.row[None, :])[0]
         #: The holders as one int, bit ``p`` set for peer ``p``.
         self.mask = mask
 

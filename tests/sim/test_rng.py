@@ -33,26 +33,22 @@ Mutations run against ``BoundedStream``, each caught by the test named:
 
 ``choice_rows(rng, pop, size, count)`` must return what ``count`` calls
 of ``rng.choice(pop, size, replace=False)`` would, row by row, and leave
-the generator where they would (``TestChoiceRows``, which holds the
-replay behind it to numpy at every count, 0 and 1 included). Mutations of
-the replay, each caught by the test named:
+the generator where they would (``TestChoiceRows``, at every count, 0
+and 1 included). Mutations of its replay of numpy's Floyd branch, each
+caught by the test named:
 
 * the Fisher-Yates draws over ``[0, i)`` instead of ``[0, i]``, or its
   loop one step short (``range(size - 2, 0, -1)``) —
   ``test_matches_numpy_calls``;
 * a rejected word not skipped (the rejection test ignored) —
   ``test_rejection_heavy_populations_near_2_32``;
-* the tail-shuffle test written ``size >= pop // 50`` —
-  ``test_both_branches_at_their_boundary[...-10001-200]``;
-* the tail shuffle stopping at 2 instead of 1 when ``size == pop`` —
-  ``test_both_branches_at_their_boundary[...-20000-20000]``;
 * a draw over ``[0, 0]`` (Floyd's first when ``pop == size``) taking a
   word — ``test_matches_numpy_calls``;
-* Floyd's repeat inserting ``j`` without marking it taken —
-  ``test_matches_numpy_calls`` and
-  ``test_compact_flags_match_the_dense_ones``;
-* a low slot shared by two rows (keyed on the position alone) —
-  ``test_compact_flags_match_the_dense_ones``,
+* Floyd's repeat inserting ``j`` without marking it taken, or a row's
+  repeats found without the column digits (sorted out of draw order) or
+  flagged at their first draw instead of the later one —
+  ``test_matches_numpy_calls``;
+* one sort over every row of a pass instead of one per row —
   ``test_passes_of_any_size``.
 
 ``BoundedStream.skip(n, count)`` must leave the stream where ``count``
@@ -504,32 +500,27 @@ class TestSkip:
 
 
 class TestChoiceRows:
-    """``choice_rows`` replays ``Generator.choice(pop, size,
-    replace=False)``: its Floyd and tail-shuffle branches, numpy's Lemire
-    rejection, and the words consumed."""
+    """``choice_rows`` is ``Generator.choice(pop, size, replace=False)``
+    called ``count`` times: its replay of the Floyd branch (numpy's
+    Lemire rejection and the words consumed included), and the tail
+    branch it leaves to numpy."""
 
     @staticmethod
     def _check(pop, size, count, seed=0, predraws=0,
                bit_generator=np.random.PCG64):
-        """``choice_rows`` and the replay it uses from ``size`` calls on
-        (``_replay_rows``, here for any count) against numpy's calls."""
-        scalar, bulk, replayed = _pair(
-            bit_generator, seed=seed, predraws=predraws, count=3
-        )
+        """``choice_rows`` against numpy's calls."""
+        scalar, bulk = _pair(bit_generator, seed=seed, predraws=predraws)
         expected = np.array(
             [scalar.choice(pop, size, replace=False) for _ in range(count)],
             dtype=np.int64,
         ).reshape(count, size)
-        for rng, rows in (
-            (bulk, choice_rows(bulk, pop, size, count)),
-            (replayed, rng_module._replay_rows(replayed, pop, size, count)),
-        ):
-            assert rows.dtype == np.int64 and rows.shape == (count, size)
-            np.testing.assert_array_equal(rows, expected)
-            np.testing.assert_equal(
-                rng.bit_generator.state, scalar.bit_generator.state
-            )
-        assert bulk.random() == replayed.random() == scalar.random()
+        rows = choice_rows(bulk, pop, size, count)
+        assert rows.dtype == np.int64 and rows.shape == (count, size)
+        np.testing.assert_array_equal(rows, expected)
+        np.testing.assert_equal(
+            bulk.bit_generator.state, scalar.bit_generator.state
+        )
+        assert bulk.random() == scalar.random()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -545,10 +536,7 @@ class TestChoiceRows:
     @pytest.mark.parametrize("pop, size", [
         (10000, 10000),  # Floyd: pop is not above 10_000
         (10001, 200),  # Floyd: size == pop // 50
-        (10001, 201),  # tail shuffle: size > pop // 50
-        (20000, 20000),  # tail shuffle of everything: stops at 1
-        (20000, 19999),
-        (123_457, 2_470),
+        (10001, 201),  # tail shuffle, left to numpy: size > pop // 50
     ])
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_both_branches_at_their_boundary(self, pop, size, count):
@@ -576,32 +564,7 @@ class TestChoiceRows:
         """Rows split across passes, down to one row a pass."""
         monkeypatch.setattr(rng_module, "_PASS_DRAWS", pass_draws)
         self._check(1000, 50, 23, seed=pass_draws)
-        self._check(10001, 300, 3, seed=pass_draws)
-
-    def test_compact_flags_match_the_dense_ones(self, monkeypatch):
-        """Floyd's taken-flags, one per (row, position) drawn instead of
-        one per (row, position of the population)."""
-        monkeypatch.setattr(rng_module, "_DENSE_FLAGS", 0)
-        for pop, size in ((1, 1), (5, 5), (60, 3), (1000, 50), (9, 8)):
-            self._check(pop, size, 40, seed=pop)
-
-    def test_no_array_of_the_population_size(self):
-        """numpy's tail shuffle allocates ``arange(pop)`` (16 MB here);
-        the replay keeps one slot per position it touches."""
-        import tracemalloc
-
-        pop, size = 2_000_000, 40_001
-        scalar, bulk = _pair(seed=1)
-        expected = scalar.choice(pop, size, replace=False)
-        tracemalloc.start()
-        try:
-            got = choice_rows(bulk, pop, size, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(got[0], expected)
-        assert bulk.bit_generator.state == scalar.bit_generator.state
-        assert peak < 4 * 2**20
+        self._check(10001, 200, 3, seed=pass_draws)
 
     @pytest.mark.parametrize("pop, size, count", [
         (0, 0, 1), (2**32 + 1, 1, 1), (5, 6, 1), (5, -1, 1), (5, 2, -1),

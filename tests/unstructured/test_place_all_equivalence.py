@@ -60,7 +60,9 @@ def reference_place(self, key, value):
     holders = reference_draw_holders(self)
     for holder in holders:
         self.overlay.store(holder, key, value)
-    placement = ReplicaPlacement(key=key, holders=holders)
+    placement = ReplicaPlacement(
+        key=key, holders=holders, mask=sum(1 << h for h in holders)
+    )  # the holder mask is new
     self._placements[key] = placement
     return placement
 
