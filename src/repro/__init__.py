@@ -45,11 +45,11 @@ Subpackages:
 * :mod:`repro.net` — peers, topologies, churn;
 * :mod:`repro.unstructured` — Gnutella-like overlay, k-walker random walks;
 * :mod:`repro.dht` — the P-Grid DHT + routing maintenance;
-* :mod:`repro.replication` — replica subnetworks, availability math;
+* :mod:`repro.replication` — replica subnetworks;
 * :mod:`repro.workloads` — the query stream, defined once: composable
   workload models (stationary Zipf, rank swaps, gradual drift, flash
   crowds, diurnal cycles, trace replay), each realised for both engines
-  by ``model.build(zipf, rng)``; and the news corpus and metadata keys;
+  by ``model.build(zipf, rng)``;
 * :mod:`repro.pdht` — the query-adaptive partial DHT itself;
 * :mod:`repro.fastsim` — vectorized batch kernel for 10^5-10^6-peer runs;
 * :mod:`repro.experiments` — the Experiment API (typed specs,
@@ -76,7 +76,6 @@ from repro.analysis import (
     sweep_frequencies,
 )
 from repro.pdht import (
-    AdaptiveTtlController,
     PdhtConfig,
     PdhtNetwork,
     QueryOutcome,
@@ -113,7 +112,6 @@ __all__ = [
     "PdhtNetwork",
     "QueryOutcome",
     "TtlKeyStore",
-    "AdaptiveTtlController",
     "FastSimKernel",
     "FastSimReport",
     "PerOpCosts",

@@ -163,11 +163,6 @@ class ScenarioParameters:
         """The exact Table 1 scenario of the paper."""
         return cls()
 
-    @classmethod
-    def reduced_scenario(cls, scale: float = 0.1) -> "ScenarioParameters":
-        """A laptop-friendly scaled-down scenario for simulation runs."""
-        return cls().scaled(scale)
-
     def iter_fields(self) -> Iterator[tuple[str, object]]:
         """Yield ``(name, value)`` pairs in Table 1 order (for reporting)."""
         yield "numPeers", self.num_peers

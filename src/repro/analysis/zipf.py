@@ -226,14 +226,6 @@ class ZipfDistribution:
         max_rank = min(max_rank, self.n_keys)
         return float(self._cumulative[max_rank - 1])
 
-    def rank_of_quantile(self, quantile: float) -> int:
-        """Smallest rank whose cumulative probability reaches ``quantile``."""
-        if not 0.0 <= quantile <= 1.0:
-            raise ParameterError(f"quantile must be in [0, 1], got {quantile}")
-        if quantile == 0.0:
-            return 0
-        return int(np.searchsorted(self._cumulative, quantile) + 1)
-
     def sample_ranks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` query ranks (1-based) i.i.d. from the distribution."""
         if size < 0:

@@ -246,17 +246,6 @@ class DistributedHashTable(abc.ABC):
         self._storage.get(result.responsible, {}).pop(key, None)
         return result
 
-    def stored_at(self, peer_id: PeerId) -> dict[str, object]:
-        """Snapshot of one member's local store."""
-        return dict(self._storage.get(peer_id, {}))
-
-    def local_store(self, peer_id: PeerId) -> dict[str, object]:
-        """Mutable reference to one member's local store (PDHT layers on
-        this to apply TTL eviction directly at the responsible peer)."""
-        if peer_id not in self._members:
-            raise ParameterError(f"peer {peer_id} is not a DHT member")
-        return self._storage[peer_id]
-
     def total_stored_keys(self) -> int:
         return sum(len(s) for s in self._storage.values())
 
@@ -265,12 +254,3 @@ class DistributedHashTable(abc.ABC):
         if peer_id not in self._members:
             raise ParameterError(f"peer {peer_id} is not a DHT member")
         self.population[peer_id].require_online()
-
-    def expected_lookup_hops(self) -> float:
-        """Eq. 7's prediction for this member count: ``1/2 log2(n)``."""
-        import math
-
-        n = len(self.online_view())
-        if n <= 1:
-            return 0.0
-        return 0.5 * math.log2(n)

@@ -246,14 +246,3 @@ class PGridDht(DistributedHashTable):
             table.extend(refs)
         return table
 
-    def path_of(self, peer_id: PeerId) -> str:
-        """The member's trie path (diagnostics and tests)."""
-        self._ensure_routing()
-        if peer_id not in self._paths:
-            raise RoutingError(f"peer {peer_id} is not a P-Grid member")
-        return self._paths[peer_id]
-
-    def trie_depths(self) -> list[int]:
-        """Path lengths across members (balance diagnostics)."""
-        self._ensure_routing()
-        return sorted(len(p) for p in self._paths.values())

@@ -137,8 +137,8 @@ class ExperimentParams:
             raise ParameterError(f"scale must be > 0, got {self.scale}")
         if self.shift_at is not None and self.shift_at <= 0:
             raise ParameterError(f"shift_at must be > 0, got {self.shift_at}")
-        if self.window is not None and self.window < 0:
-            raise ParameterError(f"window must be >= 0, got {self.window}")
+        if self.window is not None and self.window <= 0:
+            raise ParameterError(f"window must be > 0, got {self.window}")
         if self.replicates is not None and (
             not isinstance(self.replicates, int) or self.replicates < 1
         ):

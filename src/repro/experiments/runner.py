@@ -42,10 +42,10 @@ the run — each implies ``--profile``'s collection: ``--progress``
 renders per-unit progress lines (sweep cells, replicate seeds, kernel
 round heartbeats) with ETA to **stderr**; ``--trace-out PATH`` writes a
 Perfetto-loadable Chrome trace with one lane per worker process;
-``--metrics-out PATH`` writes an OpenMetrics text snapshot of all
-counters/gauges; ``--events-out PATH`` streams the raw event JSONL
-(crash-safe: a killed run keeps everything recorded so far). Trace and
-metrics files are written even when the run is interrupted.
+``--events-out PATH`` streams the raw event JSONL (crash-safe: a killed
+run keeps everything recorded so far; :func:`repro.obs.replay` rebuilds
+its profile). The trace file is written even when the run is
+interrupted.
 
 The pre-registry ``EXPERIMENTS`` dict shim is gone; use
 :func:`repro.experiments.api.run` and the registry.
@@ -211,13 +211,6 @@ def main(argv: list[str] | None = None) -> int:
         "worker process; load it in Perfetto or chrome://tracing)",
     )
     parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write an OpenMetrics text snapshot of the run's "
-        "counters and gauges",
-    )
-    parser.add_argument(
         "--events-out",
         metavar="PATH",
         default=None,
@@ -275,14 +268,11 @@ def main(argv: list[str] | None = None) -> int:
     # e.g. the test suite invoking main() directly). The live flags need
     # the same collection (span/counter events are emitted from the
     # collector's recording paths), so each implies it.
-    live = bool(
-        args.progress or args.trace_out or args.metrics_out
-        or args.events_out
-    )
+    live = bool(args.progress or args.trace_out or args.events_out)
     profile_was_enabled = obs.enabled()
     if args.profile or live:
         obs.enable()
-    # The export ring feeds --trace-out/--metrics-out after the run;
+    # The export ring feeds --trace-out after the run;
     # --events-out streams to disk as it happens; --progress renders to
     # stderr. All active sinks see the same stream via a tee.
     ring: obs_events.RingBufferSink | None = None
@@ -290,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     previous_sink: obs_events.EventSink | None = None
     if live:
         sinks: list[obs_events.EventSink] = []
-        if args.trace_out or args.metrics_out:
+        if args.trace_out:
             ring = obs_events.RingBufferSink()
             sinks.append(ring)
         if args.events_out:
@@ -333,28 +323,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     finally:
         # Exports run in the finally so an interrupted run (^C mid-sweep)
-        # still leaves a loadable trace/metrics file of everything that
+        # still leaves a loadable trace file of everything that
         # happened before the signal.
         if live:
             obs_events.set_sink(previous_sink)
             if events_sink is not None:
                 events_sink.close()
             if ring is not None:
-                recorded = ring.events()
-                if args.trace_out:
-                    import json
+                import json
 
-                    with open(
-                        args.trace_out, "w", encoding="utf-8"
-                    ) as handle:
-                        json.dump(obs.chrome_trace(recorded), handle)
-                    print(f"wrote {args.trace_out}", file=sys.stderr)
-                if args.metrics_out:
-                    with open(
-                        args.metrics_out, "w", encoding="utf-8"
-                    ) as handle:
-                        handle.write(obs.openmetrics_text(recorded))
-                    print(f"wrote {args.metrics_out}", file=sys.stderr)
+                with open(args.trace_out, "w", encoding="utf-8") as handle:
+                    json.dump(obs.chrome_trace(ring.events()), handle)
+                print(f"wrote {args.trace_out}", file=sys.stderr)
         if (args.profile or live) and not profile_was_enabled:
             obs.disable()
 

@@ -25,14 +25,9 @@ class MessageKind(enum.Enum):
     """Wire-level message kinds, mapped onto accounting categories."""
 
     QUERY_WALK = ("query_walk", MessageCategory.UNSTRUCTURED_SEARCH)
-    QUERY_FLOOD = ("query_flood", MessageCategory.UNSTRUCTURED_SEARCH)
     DHT_LOOKUP = ("dht_lookup", MessageCategory.INDEX_SEARCH)
     REPLICA_FLOOD = ("replica_flood", MessageCategory.REPLICA_FLOOD)
     ROUTING_PROBE = ("routing_probe", MessageCategory.MAINTENANCE)
-    KEY_INSERT = ("key_insert", MessageCategory.UPDATE)
-    KEY_UPDATE = ("key_update", MessageCategory.UPDATE)
-    GOSSIP_PUSH = ("gossip_push", MessageCategory.UPDATE)
-    GOSSIP_PULL = ("gossip_pull", MessageCategory.UPDATE)
     JOIN = ("join", MessageCategory.MEMBERSHIP)
     LEAVE = ("leave", MessageCategory.MEMBERSHIP)
 

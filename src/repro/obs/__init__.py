@@ -25,8 +25,8 @@ a sink (``events.set_sink`` / ``REPRO_OBS_EVENTS=path``) and every
 recording above is also streamed as a structured event the moment it
 happens, plus :func:`progress` / :func:`heartbeat` reports with totals
 and ETA. :mod:`repro.obs.export` turns a recorded stream back into a
-snapshot (:func:`replay`), a Perfetto-loadable Chrome trace
-(:func:`chrome_trace`), or OpenMetrics text (:func:`openmetrics_text`).
+snapshot (:func:`replay`) or a Perfetto-loadable Chrome trace
+(:func:`chrome_trace`).
 """
 
 from repro.obs.collector import (
@@ -49,12 +49,7 @@ from repro.obs.collector import (
     span,
 )
 from repro.obs.cache import cache_stats, counted_cache
-from repro.obs.export import (
-    chrome_trace,
-    openmetrics_text,
-    parse_openmetrics,
-    replay,
-)
+from repro.obs.export import chrome_trace, replay
 from repro.obs.profile import profile_data, profile_json, profile_text
 from repro.obs.progress import ProgressRenderer, heartbeat, progress
 from repro.obs import events
@@ -88,6 +83,4 @@ __all__ = [
     "ProgressRenderer",
     "replay",
     "chrome_trace",
-    "openmetrics_text",
-    "parse_openmetrics",
 ]

@@ -1,6 +1,6 @@
-"""Turn recorded event streams back into snapshots, traces, and metrics.
+"""Turn recorded event streams back into snapshots and traces.
 
-Three consumers of the flight-recorder stream
+Two consumers of the flight-recorder stream
 (:mod:`repro.obs.events`):
 
 * :func:`replay` — reconstruct an end-of-run
@@ -17,25 +17,15 @@ Three consumers of the flight-recorder stream
   sweep renders as one main lane plus four worker lanes. Timestamps
   come from the events' shared monotonic clock, so cross-process slices
   align.
-* :func:`openmetrics_text` — OpenMetrics text exposition of counters
-  and gauges, the substrate a capacity-planning service can scrape.
-  One counter family and one gauge family, each keyed by a ``name``
-  label, which keeps arbitrary dotted telemetry names lossless —
-  :func:`parse_openmetrics` round-trips the values exactly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Union
+from typing import Any, Iterable
 
 from repro.obs.collector import Collector
 
-__all__ = [
-    "replay",
-    "chrome_trace",
-    "openmetrics_text",
-    "parse_openmetrics",
-]
+__all__ = ["replay", "chrome_trace"]
 
 
 def replay(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
@@ -153,95 +143,3 @@ def chrome_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
         "traceEvents": metadata + trace_events,
         "displayTimeUnit": "ms",
     }
-
-
-def _counters_and_gauges(
-    source: Union[Collector, dict, list],
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Normalize any metrics source to ``(counters, gauges)``.
-
-    Accepts a live :class:`Collector`, a snapshot dict, or a recorded
-    event list (which is replayed first).
-    """
-    if isinstance(source, list):
-        source = replay(source)
-    if isinstance(source, Collector):
-        return source.counters, source.gauges
-    return (
-        dict(source.get("counters", {})),
-        dict(source.get("gauges", {})),
-    )
-
-
-def _escape_label(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def openmetrics_text(source: Union[Collector, dict, list]) -> str:
-    """OpenMetrics text exposition of a source's counters and gauges.
-
-    Telemetry names are dotted paths (RL107), which OpenMetrics metric
-    names cannot carry — so the export uses two fixed families,
-    ``repro_counter`` and ``repro_gauge``, with the telemetry name as a
-    ``name`` label. That keeps the mapping lossless:
-    :func:`parse_openmetrics` recovers exactly the values put in.
-    """
-    counters, gauges = _counters_and_gauges(source)
-    lines = [
-        "# TYPE repro_counter counter",
-        "# HELP repro_counter repro.obs counters, keyed by dotted name.",
-    ]
-    for name in sorted(counters):
-        lines.append(
-            f'repro_counter_total{{name="{_escape_label(name)}"}} '
-            f"{float(counters[name])!r}"
-        )
-    lines.append("# TYPE repro_gauge gauge")
-    lines.append(
-        "# HELP repro_gauge repro.obs high-water gauges, keyed by dotted name."
-    )
-    for name in sorted(gauges):
-        lines.append(
-            f'repro_gauge{{name="{_escape_label(name)}"}} '
-            f"{float(gauges[name])!r}"
-        )
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
-
-
-def parse_openmetrics(text: str) -> dict[str, dict[str, float]]:
-    """Parse :func:`openmetrics_text` output back to values.
-
-    Returns ``{"counters": {name: value}, "gauges": {name: value}}``.
-    Only the two families this module writes are recognized; anything
-    else raises ``ValueError`` so corruption is loud.
-    """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("repro_counter_total{"):
-            target = counters
-            rest = line[len("repro_counter_total{") :]
-        elif line.startswith("repro_gauge{"):
-            target = gauges
-            rest = line[len("repro_gauge{") :]
-        else:
-            raise ValueError(f"unrecognized OpenMetrics line: {line!r}")
-        label, _, value_text = rest.partition("} ")
-        if not label.startswith('name="') or not label.endswith('"'):
-            raise ValueError(f"unrecognized OpenMetrics label: {line!r}")
-        name = (
-            label[len('name="') : -1]
-            .replace("\\n", "\n")
-            .replace('\\"', '"')
-            .replace("\\\\", "\\")
-        )
-        target[name] = float(value_text)
-    return {"counters": counters, "gauges": gauges}

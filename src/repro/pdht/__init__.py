@@ -17,9 +17,7 @@ Layout:
   overlay + replica groups + churn + maintenance);
 * :mod:`repro.pdht.strategies` — runs indexAll / noIndex / partial-ideal
   / partial-selection on the event engine, each by its
-  :class:`~repro.analysis.strategies.StrategyPolicy`;
-* :mod:`repro.pdht.adaptive_ttl` — self-tuning ``keyTtl`` (the paper's
-  declared future work, implemented here as an extension).
+  :class:`~repro.analysis.strategies.StrategyPolicy`.
 """
 
 from repro.pdht.config import PdhtConfig
@@ -27,7 +25,6 @@ from repro.pdht.ttl_cache import IndexRecord, TtlKeyStore
 from repro.pdht.selection import SelectionPolicy, SelectionStats
 from repro.pdht.node import PdhtNode
 from repro.pdht.network import PdhtNetwork, QueryOutcome
-from repro.pdht.adaptive_ttl import AdaptiveTtlController, CostEstimates
 from repro.pdht.strategies import SimulatedStrategy, StrategyReport
 
 __all__ = [
@@ -39,8 +36,6 @@ __all__ = [
     "PdhtNode",
     "PdhtNetwork",
     "QueryOutcome",
-    "AdaptiveTtlController",
-    "CostEstimates",
     "SimulatedStrategy",
     "StrategyReport",
 ]

@@ -24,8 +24,9 @@ class PdhtConfig:
     replication:
         Index replication factor ``repl`` (replica group size).
     storage_per_peer:
-        Index slots each DHT member contributes (``stor``); bounds how many
-        peers must join the DHT for a given index size.
+        Always 100 (Table 1's ``stor``) and not an argument. Like
+        ``dht_kind`` it stays a field only for the store keys: membership
+        is sized from :class:`ScenarioParameters`' own ``storage_per_peer``.
     dht_kind:
         Always ``"pgrid"`` and not an argument. It stays a field only so
         that the store keys built from a config — and so existing stores —
@@ -44,7 +45,7 @@ class PdhtConfig:
 
     key_ttl: float = 1800.0
     replication: int = 10
-    storage_per_peer: int = 100
+    storage_per_peer: int = field(default=100, init=False)
     dht_kind: str = field(default="pgrid", init=False)
     overlay_degree: int = 4
     walkers: int = 8
@@ -58,10 +59,6 @@ class PdhtConfig:
         if self.replication < 1:
             raise ParameterError(
                 f"replication must be >= 1, got {self.replication}"
-            )
-        if self.storage_per_peer < 1:
-            raise ParameterError(
-                f"storage_per_peer must be >= 1, got {self.storage_per_peer}"
             )
         if self.overlay_degree < 1:
             raise ParameterError(
@@ -86,13 +83,12 @@ class PdhtConfig:
         """Derive the paper's configuration from scenario parameters.
 
         ``key_ttl`` is set to the analytical ``1/fMin`` (Section 5.1.1);
-        replication and storage come straight from Table 1.
+        replication comes straight from Table 1.
         """
         threshold = solve_threshold(params)
         defaults = dict(
             key_ttl=threshold.key_ttl,
             replication=params.replication,
-            storage_per_peer=params.storage_per_peer,
         )
         defaults.update(overrides)
         return cls(**defaults)

@@ -42,7 +42,7 @@ from repro.pdht.node import PdhtNode
 from repro.pdht.selection import SelectionPolicy
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.engine import Simulation
-from repro.sim.metrics import MessageCategory, MessageMetrics
+from repro.sim.metrics import MessageMetrics
 from repro.sim.rng import RandomStreams
 from repro.unstructured.overlay import UnstructuredOverlay
 from repro.unstructured.random_walk import RandomWalkSearch
@@ -149,7 +149,7 @@ class PdhtNetwork:
             )
             self.churn.start()
 
-        self.policy = SelectionPolicy(self.config.key_ttl)
+        self.policy = SelectionPolicy()
         # Gateway discovery for peers outside the DHT (Section 3.2: they
         # must know at least one online member). Cached per peer; misses
         # pay MEMBERSHIP probe messages.
@@ -293,7 +293,7 @@ class PdhtNetwork:
 
         One record and one heap record serve every member the flood
         reaches (the responsible peer first): all of them follow the one
-        ``keyTtl`` (:meth:`set_key_ttl`).
+        ``keyTtl``.
         """
         now = self.simulation.now
         lookup = self.dht.lookup(gateway, key)
@@ -387,13 +387,6 @@ class PdhtNetwork:
             keys.update(node.store.keys())
         return len(keys)
 
-    def message_rate(self, duration: float) -> dict[MessageCategory, float]:
-        """Per-category msg/s over ``duration`` (for model comparison)."""
-        return {
-            category: self.metrics.total(category) / duration
-            for category in MessageCategory
-        }
-
     def random_online_peer(self) -> PeerId:
         """A uniformly random online peer: the peer
         ``overlay.random_online_peer(streams.get("origins"))`` returns."""
@@ -401,12 +394,6 @@ class PdhtNetwork:
         if not online:
             raise ParameterError("no peers online")
         return online[self.origins.draw(len(online))]
-
-    def set_key_ttl(self, key_ttl: float) -> None:
-        """Retarget every member's TTL (used by the adaptive controller)."""
-        for node in self.nodes.values():
-            node.set_ttl(key_ttl)
-        self.policy.key_ttl = key_ttl
 
     def advance(self, rounds: float) -> None:
         """Run the event clock forward (maintenance, churn, expirations)."""

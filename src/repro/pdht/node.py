@@ -24,13 +24,5 @@ class PdhtNode:
         self.peer_id = peer_id
         self.store = TtlKeyStore(ttl=key_ttl)
 
-    def set_ttl(self, key_ttl: float) -> None:
-        """Retarget the TTL (used by the adaptive controller); existing
-        entries keep their current expiry and adopt the new TTL on their
-        next hit or reinsertion."""
-        if key_ttl < 0:
-            raise ParameterError(f"key_ttl must be >= 0, got {key_ttl}")
-        self.store.ttl = float(key_ttl)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PdhtNode({self.peer_id}, stored={len(self.store)})"

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ParameterError
-
 __all__ = ["SelectionStats", "SelectionPolicy"]
 
 
@@ -66,10 +64,7 @@ class SelectionPolicy:
     broadcast-and-insert, per Section 5.1 — and attributes overhead.
     """
 
-    def __init__(self, key_ttl: float) -> None:
-        if key_ttl < 0:
-            raise ParameterError(f"key_ttl must be >= 0, got {key_ttl}")
-        self.key_ttl = key_ttl
+    def __init__(self) -> None:
         self.stats = SelectionStats()
         self._ever_indexed: set[str] = set()
 

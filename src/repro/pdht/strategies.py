@@ -90,11 +90,6 @@ class StrategyReport:
             return 0.0
         return self.answered / self.queries
 
-    def rate_of(self, category: MessageCategory) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return self.messages_by_category.get(category, 0.0) / self.duration
-
 
 class SimulatedStrategy:
     """One strategy on its own substrate: construction, workload loop,

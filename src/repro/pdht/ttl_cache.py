@@ -21,10 +21,9 @@ of *expired* entries thanks to an expiry-ordered auxiliary heap. A record
 expiring at ``inf`` (``indexAll``, ``partialIdeal``) has no heap record:
 purge could never pop it.
 
-Every entry follows the store's one ``ttl``; retargeting it (the adaptive
-controller does) takes effect on each entry's next hit or re-insert. The
-store has no slot limit: ``stor`` sizes ``numActivePeers`` in the paper,
-it is not a drop policy.
+Every entry follows the store's one ``ttl``, fixed for the run. The store
+has no slot limit: ``stor`` sizes ``numActivePeers`` in the paper, it is
+not a drop policy.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Replica groups and their availability.
+"""Replica groups.
 
 Index entries are replicated with factor ``repl``; the replicas of a key
 "maintain an unstructured replica subnetwork among each other"
@@ -6,19 +6,8 @@ Index entries are replicated with factor ``repl``; the replicas of a key
 implements that subnetwork. Under the Section 5 selection algorithm it is
 *flooded at query time* (the ``repl * dup2`` term of Eq. 16); both engines
 charge an update as Eq. 9's lookup plus one such flood.
-:mod:`repro.replication.availability` holds the availability math.
 """
 
 from repro.replication.replica_network import ReplicaNetwork
-from repro.replication.availability import (
-    AvailabilityMonitor,
-    availability_of,
-    replication_for_availability,
-)
 
-__all__ = [
-    "ReplicaNetwork",
-    "AvailabilityMonitor",
-    "availability_of",
-    "replication_for_availability",
-]
+__all__ = ["ReplicaNetwork"]

@@ -40,13 +40,6 @@ class WalkResult:
     distinct_peers: int
     steps: int
 
-    @property
-    def duplication_factor(self) -> float:
-        """Measured ``dup``: messages per distinct peer visited."""
-        if self.distinct_peers == 0:
-            return 0.0
-        return self.messages / self.distinct_peers
-
 
 class RandomWalkSearch:
     """k-walker random-walk search over an unstructured overlay.
@@ -80,10 +73,8 @@ class RandomWalkSearch:
     the scalar-draw loop it replaced.
 
     A hop's content check is one bit of the key's holder mask
-    (:attr:`UnstructuredOverlay.content`), fetched once per search. A
-    key that is not a ``str`` is looked up again at every check instead,
-    as a per-peer store did, so a key whose ``__eq__`` could watch sees
-    the same lookups.
+    (:attr:`UnstructuredOverlay.content`), fetched once per search,
+    before the first hop.
 
     A search trapped in an online component with no replica — the
     walkers have content-checked every peer of it — cannot find the key,
@@ -96,8 +87,7 @@ class RandomWalkSearch:
     leaf of a star over the ``R`` remaining steps (one
     :meth:`~repro.sim.rng.BoundedStream.skip`), and otherwise a loop that
     only moves the walkers and draws. An audited search (the log keeps
-    every hop) and a key that is not a ``str`` (whose ``__eq__`` could
-    observe the skipped content checks) always walk hop by hop.
+    every hop) always walks hop by hop.
 
     The walker owns the generator it was given (or the stream, when
     handed a ``RandomStreams.bounded`` one): between searches the
@@ -159,11 +149,8 @@ class RandomWalkSearch:
         log = overlay.log
         audited = log.keep_messages
         hops: list[tuple[PeerId, PeerId]] = []  # collected only if audited
-        if type(key) is str:
-            record = overlay.content.get(key)
-            mask = record.mask if record is not None else 0
-        else:
-            mask = _LookupPerHop(overlay.content, key)
+        record = overlay.content.get(key)
+        mask = record.mask if record is not None else 0
 
         positions: list[Optional[PeerId]] = [origin] * self.walkers
         visited: set[PeerId] = {origin}
@@ -173,7 +160,6 @@ class RandomWalkSearch:
         # Trap detection: after a step that reached no new peer, look for
         # a visited peer with an unvisited online neighbour, the last one
         # found first.
-        may_trap = not audited and type(key) is str
         seen = 1
         open_peer: Optional[PeerId] = origin
         stream = self._stream
@@ -217,7 +203,7 @@ class RandomWalkSearch:
                         found_at = nxt
                 if found_at is not None or not any_alive:
                     break
-                if may_trap and len(visited) == seen:
+                if not audited and len(visited) == seen:
                     open_peer = _open_peer(visited, neighbors_of, open_peer)
                     if open_peer is None:
                         # Every peer reachable was checked: the rest of the
@@ -304,23 +290,6 @@ class RandomWalkSearch:
                         positions[i] = neighbors[0]
         finally:
             stream.close_block(used)
-
-
-class _LookupPerHop:
-    """Stands in for the holder mask of a key that is not a ``str``:
-    ``mask >> peer`` looks the key up again, so a key whose ``__eq__``
-    could watch sees one lookup per content check, as in a per-peer
-    check."""
-
-    __slots__ = ("content", "key")
-
-    def __init__(self, content: dict, key: Hashable) -> None:
-        self.content = content
-        self.key = key
-
-    def __rshift__(self, peer: PeerId) -> int:
-        record = self.content.get(self.key)
-        return record.mask >> peer if record is not None else 0
 
 
 def _open_peer(

@@ -168,16 +168,3 @@ class ContentReplicator:
     def online_copies(self, key: Hashable) -> int:
         """Currently-reachable replica count for ``key``."""
         return len(self.placement_of(key).online_holders(self.overlay))
-
-    def expected_availability(self, online_fraction: float) -> float:
-        """P(at least one replica online) if peers are online i.i.d.
-
-        With replication ``r`` and per-peer availability ``a`` this is
-        ``1 - (1 - a)^r`` — the quantity [VaCh02]-style mechanisms tune
-        ``repl`` against.
-        """
-        if not 0.0 <= online_fraction <= 1.0:
-            raise ParameterError(
-                f"online_fraction must be in [0, 1], got {online_fraction}"
-            )
-        return 1.0 - (1.0 - online_fraction) ** self.replication

@@ -1,10 +1,9 @@
-"""repro.workloads — what the network is asked: the query stream and the
-news corpus behind it.
+"""repro.workloads — what the network is asked: the query stream.
 
-**The query stream.** The paper's central claim is *query-adaptivity*:
-the Section 5 selection strategy tracks the Section 4 Zipf(1.2) query
-distribution as it changes. A workload is defined once, as a frozen,
-composable, seedable :class:`~repro.workloads.models.WorkloadModel`:
+The paper's central claim is *query-adaptivity*: the Section 5 selection
+strategy tracks the Section 4 Zipf(1.2) query distribution as it changes.
+A workload is defined once, as a frozen, composable, seedable
+:class:`~repro.workloads.models.WorkloadModel`:
 
 ====================  ==================================================
 model                 what changes
@@ -38,19 +37,9 @@ Experiment integration: every model has a preset name
 ``run("adaptivity-tracking", workload="gradual-drift")``, the sweep
 grid's ``GridAxes.workloads`` axis, and the runner's ``--workload`` flag
 (``trace:<path>`` replays a saved trace).
-
-**The news corpus** (Section 4's decentralized news system). Peers
-generate articles described by metadata element-value pairs (title,
-author, date, size, ...); keys are obtained by hashing single or
-concatenated pairs [FeBi04] after dropping globally-known stop words
-(:mod:`repro.workloads.stopwords`). The evaluation scenario indexes
-2,000 articles x 20 keys = 40,000 unique keys
-(:mod:`repro.workloads.generator`, :mod:`repro.workloads.metadata`).
 """
 
 from repro.workloads.adapters import BatchTraceWorkload, ModelBatchWorkload
-from repro.workloads.generator import CorpusConfig, NewsCorpus, generate_corpus
-from repro.workloads.metadata import MetadataKey, NewsArticle, extract_keys
 from repro.workloads.models import (
     WORKLOAD_MODEL_NAMES,
     Composite,
@@ -64,7 +53,6 @@ from repro.workloads.models import (
     model_from_name,
     validate_workload_name,
 )
-from repro.workloads.stopwords import STOP_WORDS, is_stop_word, strip_stop_words
 from repro.workloads.trace import QueryEvent, QueryTrace, record_trace
 
 __all__ = [
@@ -84,13 +72,4 @@ __all__ = [
     "QueryEvent",
     "QueryTrace",
     "record_trace",
-    "STOP_WORDS",
-    "is_stop_word",
-    "strip_stop_words",
-    "MetadataKey",
-    "NewsArticle",
-    "extract_keys",
-    "CorpusConfig",
-    "NewsCorpus",
-    "generate_corpus",
 ]

@@ -12,9 +12,7 @@ deterministically — the standard trace-driven-simulation workflow.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -53,9 +51,9 @@ class QueryTrace:
     def __post_init__(self) -> None:
         if self.n_keys < 0:
             raise ParameterError(f"n_keys must be >= 0, got {self.n_keys}")
-        # `events_between` binary-searches the timestamps, so the
-        # ordering invariant `append` enforces must also hold for an
-        # events list passed straight to the constructor.
+        # Replay binary-searches the timestamps (`BatchTraceWorkload`),
+        # so the ordering invariant `append` enforces must also hold for
+        # an events list passed straight to the constructor.
         for previous, current in zip(self.events, self.events[1:]):
             if current.time < previous.time:
                 raise ParameterError(
@@ -84,37 +82,10 @@ class QueryTrace:
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
-    def events_between(self, start: float, end: float) -> list[QueryEvent]:
-        """Events with ``start <= time < end`` (replay one round at a time).
-
-        Binary search over the (append-ordered, hence sorted) timestamps:
-        a round-stepped replay calls this once per round, and a linear
-        scan would make replaying a long trace quadratic in its length.
-        """
-        if end < start:
-            raise ParameterError(f"need start <= end, got [{start}, {end})")
-        time_of = attrgetter("time")
-        lo = bisect_left(self.events, start, key=time_of)
-        hi = bisect_left(self.events, end, lo=lo, key=time_of)
-        return self.events[lo:hi]
-
     def duration(self) -> float:
         if not self.events:
             return 0.0
         return self.events[-1].time - self.events[0].time
-
-    def queries_per_second(self) -> float:
-        span = self.duration()
-        if span <= 0:
-            return 0.0
-        return len(self.events) / span
-
-    def rank_histogram(self) -> dict[int, int]:
-        """Query count per rank (workload-shape diagnostics)."""
-        histogram: dict[int, int] = {}
-        for event in self.events:
-            histogram[event.rank] = histogram.get(event.rank, 0) + 1
-        return histogram
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -130,19 +130,6 @@ class TestAggregates:
     def test_head_mass_clamps_beyond_universe(self):
         assert ZipfDistribution(10, 1.0).head_mass(99) == pytest.approx(1.0)
 
-    def test_rank_of_quantile_roundtrip(self):
-        zipf = ZipfDistribution(1000, 1.2)
-        rank = zipf.rank_of_quantile(0.5)
-        assert zipf.head_mass(rank) >= 0.5
-        assert zipf.head_mass(rank - 1) < 0.5
-
-    def test_rank_of_quantile_bounds(self):
-        zipf = ZipfDistribution(10, 1.0)
-        assert zipf.rank_of_quantile(0.0) == 0
-        assert zipf.rank_of_quantile(1.0) == 10
-        with pytest.raises(ParameterError):
-            zipf.rank_of_quantile(1.5)
-
 
 class TestSampling:
     def test_sample_ranks_in_range(self, rng):

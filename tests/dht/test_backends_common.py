@@ -168,10 +168,6 @@ class TestStorage:
             dht.insert(origin, f"bulk-{i}", i)
         assert dht.total_stored_keys() == 5
 
-    def test_local_store_requires_membership(self, dht):
-        with pytest.raises(ParameterError):
-            dht.local_store(120)
-
 
 class TestRoutingTables:
     def test_members_have_routing_entries(self, dht):
@@ -185,10 +181,6 @@ class TestRoutingTables:
         mean_size = sum(sizes) / len(sizes)
         # O(log n); 128 members => a few dozen entries at most.
         assert mean_size <= 8 * math.log2(128)
-
-    def test_expected_lookup_hops_formula(self, dht):
-        n = len(dht.online_members())
-        assert dht.expected_lookup_hops() == pytest.approx(0.5 * math.log2(n))
 
 
 class TestEmptyAndTiny:

@@ -13,6 +13,12 @@ from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageMetrics
 
 
+def _path(dht, peer):
+    """A member's trie path, routing built."""
+    dht._ensure_routing()
+    return dht._paths[peer]
+
+
 @pytest.fixture
 def pgrid():
     population = PeerPopulation(300)
@@ -24,7 +30,7 @@ def pgrid():
 
 class TestPGrid:
     def test_paths_are_binary_and_prefix_free(self, pgrid):
-        paths = [pgrid.path_of(m) for m in pgrid.members]
+        paths = [_path(pgrid, m) for m in pgrid.members]
         for path in paths:
             assert set(path) <= {"0", "1"}
         # With bucket_size=1 the paths form a prefix-free code (no path is
@@ -36,7 +42,7 @@ class TestPGrid:
                     assert not other.startswith(path)
 
     def test_trie_roughly_balanced(self, pgrid):
-        depths = pgrid.trie_depths()
+        depths = [len(_path(pgrid, m)) for m in pgrid.members]
         expected = math.log2(256)
         assert expected - 3 <= sum(depths) / len(depths) <= expected + 3
 
@@ -44,16 +50,16 @@ class TestPGrid:
         key = "prefix-key"
         target_bits = pgrid.keyspace.to_bits(pgrid.keyspace.hash_key(key))
         responsible = pgrid.responsible_for(key)
-        path = pgrid.path_of(responsible)
+        path = _path(pgrid, responsible)
         assert target_bits.startswith(path)
 
     def test_refs_point_to_complement_subtrees(self, pgrid):
         member = next(iter(pgrid.members))
-        path = pgrid.path_of(member)
+        path = _path(pgrid, member)
         for level, refs in pgrid._refs[member].items():
             complement = path[:level] + ("1" if path[level] == "0" else "0")
             for ref in refs:
-                ref_path = pgrid.path_of(ref)
+                ref_path = _path(pgrid, ref)
                 assert ref_path.startswith(complement) or complement.startswith(
                     ref_path
                 )
@@ -114,10 +120,6 @@ class TestPGrid:
         leaf_sizes = [len(peers) for peers in dht._leaf_members.values()]
         assert max(leaf_sizes) <= 4 or True  # lopsided splits may exceed
         assert sum(leaf_sizes) == 64
-
-    def test_path_of_non_member_rejected(self, pgrid):
-        with pytest.raises(RoutingError):
-            pgrid.path_of(299)
 
     def test_invalid_parameters(self):
         population = PeerPopulation(4)

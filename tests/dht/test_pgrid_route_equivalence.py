@@ -267,7 +267,7 @@ def test_every_ref_of_a_level_offline():
     new, old = _pair(population, range(0, 48, 2), refs_per_level=2)
     _assert_same_lookups(new, old, population, MANY_KEYS)
     origin = min(new.members)
-    path = new.path_of(origin)
+    path = new._paths[origin]
     for level in range(len(path)):
         refs = new._refs[origin][level]
         for ref in refs:
@@ -346,7 +346,8 @@ def test_lopsided_split_routes():
     population = PeerPopulation(64)
     zeros = [p for p in range(64) if population[p].dht_id >> 159 == 0][:2]
     new, old = _pair(population, zeros)
-    assert new.path_of(zeros[0]) == ""
+    new._ensure_routing()
+    assert new._paths[zeros[0]] == ""
     _assert_same_lookups(new, old, population, MANY_KEYS)
     population.set_online(zeros[0], False)
     _assert_same_lookups(new, old, population, MANY_KEYS)

@@ -8,8 +8,8 @@ histories of joins, leaves and liveness flips; the two must agree exactly
 (``==`` on floats, lists and generator states), not approximately:
 
 * ``ReferenceViews`` — ``DistributedHashTable``'s ``_dirty`` flag,
-  ``online_members`` (a fresh sort per call), ``responsible_for`` (sorts
-  to test emptiness) and ``expected_lookup_hops``;
+  ``online_members`` (a fresh sort per call) and ``responsible_for``
+  (sorts to test emptiness);
 * ``ReferencePGrid._split`` — the recursion without the
   ``prefix -> members`` record, so ``_members_under`` scans every leaf;
 * ``reference_run_sweep`` / ``reference_expected_rate`` — one
@@ -53,7 +53,6 @@ Mutations run against the new code, each caught by the test named:
 from __future__ import annotations
 
 import dataclasses
-import math
 import pickle
 from collections import deque
 
@@ -114,12 +113,6 @@ class ReferenceViews:
         if not online:
             raise RoutingError("DHT has no online members")
         return self._responsible(self.keyspace.hash_key(key))
-
-    def expected_lookup_hops(self) -> float:
-        n = len(self.online_members())
-        if n <= 1:
-            return 0.0
-        return 0.5 * math.log2(n)
 
 
 class ReferencePGrid(ReferenceViews, PGridDht):
@@ -333,7 +326,6 @@ def _check_views(new, old, population) -> None:
     assert online == ref.online_members()
     assert list(dht.online_view()) == online
     assert dht.online_view() is dht.online_view()  # one sort per view key
-    assert dht.expected_lookup_hops() == ref.expected_lookup_hops()
     for key in KEYS:
         assert _outcome(dht.responsible_for, key) == _outcome(
             ref.responsible_for, key

@@ -103,6 +103,14 @@ class TestSpecsAndRegistry:
             ExperimentParams(scale=0.0)
         with pytest.raises(ParameterError):
             ExperimentParams(seed=1.5)  # type: ignore[arg-type]
+        for window in (0.0, -1.0):
+            with pytest.raises(ParameterError, match="window must be > 0"):
+                ExperimentParams(window=window)
+        # A zero window would leave the figure empty on both engines.
+        for engine in ("event", "vectorized"):
+            with pytest.raises(ParameterError, match="window must be > 0"):
+                run("adaptivity", engine=engine, duration=120.0, window=0.0,
+                    store="none")
         for name in ("duration", "scale", "shift_at", "window"):
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ParameterError, match=f"{name} must be finite"):

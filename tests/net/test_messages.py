@@ -17,10 +17,6 @@ class TestMessageKind:
         assert MessageKind.REPLICA_FLOOD.category is MessageCategory.REPLICA_FLOOD
         assert MessageKind.ROUTING_PROBE.category is MessageCategory.MAINTENANCE
 
-    def test_gossip_counts_as_update(self):
-        assert MessageKind.GOSSIP_PUSH.category is MessageCategory.UPDATE
-        assert MessageKind.GOSSIP_PULL.category is MessageCategory.UPDATE
-
 
 class TestMessageLog:
     def test_send_counts_in_metrics(self):

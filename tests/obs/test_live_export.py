@@ -1,4 +1,4 @@
-"""Chrome-trace and OpenMetrics exporters, plus the runner's live flags."""
+"""The Chrome-trace exporter and the runner's live flags."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ import pytest
 
 from repro import obs
 from repro.obs import events
-from repro.obs.export import (
-    chrome_trace,
-    openmetrics_text,
-    parse_openmetrics,
-    replay,
-)
+from repro.obs.export import chrome_trace, replay
 
 
 def _span_end(path, t, seconds, pid=1, attrs=None):
@@ -130,50 +125,14 @@ class TestChromeTrace:
         assert all(lanes[pid].startswith("worker-") for pid in remote_pids)
 
 
-class TestOpenMetrics:
-    def test_round_trip_from_collector(self):
-        collector = obs.Collector()
-        collector.count("sweep.cells", 6)
-        collector.count("kernel.queries", 4034)
-        collector.gauge_max("kernel.peak_rss_bytes", 2.5e8)
-        text = openmetrics_text(collector)
-        assert text.endswith("# EOF\n")
-        parsed = parse_openmetrics(text)
-        assert parsed["counters"] == {
-            "sweep.cells": 6.0,
-            "kernel.queries": 4034.0,
-        }
-        assert parsed["gauges"] == {"kernel.peak_rss_bytes": 2.5e8}
-
-    def test_accepts_snapshot_and_event_list(self):
-        obs.enable()
-        with events.recorded() as ring:
-            obs.count("sweep.cells", 3)
-        snapshot = obs.collector().snapshot()
-        from_snapshot = parse_openmetrics(openmetrics_text(snapshot))
-        from_events = parse_openmetrics(openmetrics_text(ring.events()))
-        assert from_snapshot == from_events
-        assert from_events["counters"]["sweep.cells"] == 3.0
-
-    def test_families_are_typed(self):
-        text = openmetrics_text(obs.Collector())
-        assert "# TYPE repro_counter counter" in text
-        assert "# TYPE repro_gauge gauge" in text
-
-    def test_unknown_line_raises(self):
-        with pytest.raises(ValueError, match="unrecognized"):
-            parse_openmetrics('weird_metric{name="x"} 1.0\n')
-
-
 class TestRunnerLiveFlags:
     def _run(self, argv):
         from repro.experiments.runner import main
 
         return main(argv)
 
-    def test_trace_metrics_progress_end_to_end(self, tmp_path, capsys):
+    def test_trace_events_progress_end_to_end(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.txt"
         events_path = tmp_path / "events.jsonl"
         code = self._run(
             [
@@ -190,8 +149,6 @@ class TestRunnerLiveFlags:
                 "json",
                 "--trace-out",
                 str(trace_path),
-                "--metrics-out",
-                str(metrics_path),
                 "--events-out",
                 str(events_path),
             ]
@@ -205,16 +162,11 @@ class TestRunnerLiveFlags:
         assert f"wrote {trace_path}" in captured.err
         trace = json.loads(trace_path.read_text())
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
-        parsed = parse_openmetrics(metrics_path.read_text())
-        assert parsed["counters"]["kernel.runs"] >= 1.0
-        # The JSONL stream replays to the same counters the metrics
-        # snapshot reported.
-        recorded = events.read_events(events_path)
-        rebuilt = replay(recorded)
-        assert (
-            rebuilt["counters"]["kernel.runs"]
-            == parsed["counters"]["kernel.runs"]
-        )
+        # The JSONL stream replays to the counters the result's
+        # telemetry reported.
+        reported = result["telemetry"]["counters"]["kernel.runs"]
+        rebuilt = replay(events.read_events(events_path))
+        assert rebuilt["counters"]["kernel.runs"] == reported >= 1
 
     def test_live_flags_do_not_leak_obs_state(self, tmp_path):
         assert not obs.enabled()
@@ -228,8 +180,8 @@ class TestRunnerLiveFlags:
                 "--duration",
                 "40",
                 "--no-store",
-                "--metrics-out",
-                str(tmp_path / "m.txt"),
+                "--trace-out",
+                str(tmp_path / "trace.json"),
             ]
         )
         assert code == 0

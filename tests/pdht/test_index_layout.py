@@ -26,9 +26,7 @@ ITEMS = {f"key-{k:06d}": f"value-{k}" for k in range(90)}
 
 
 def _network(key_ttl: float) -> PdhtNetwork:
-    config = PdhtConfig(
-        key_ttl=key_ttl, replication=5, storage_per_peer=6, walkers=4,
-    )
+    config = PdhtConfig(key_ttl=key_ttl, replication=5, walkers=4)
     return PdhtNetwork(PARAMS, config, seed=4, num_active_peers=23)
 
 

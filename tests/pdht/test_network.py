@@ -25,9 +25,7 @@ def tiny_params():
 
 @pytest.fixture
 def network(tiny_params):
-    config = PdhtConfig(
-        key_ttl=50.0, replication=10, storage_per_peer=20, walkers=8
-    )
+    config = PdhtConfig(key_ttl=50.0, replication=10, walkers=8)
     net = PdhtNetwork(tiny_params, config, seed=3, num_active_peers=40)
     net.publish("hot", "payload")
     return net
@@ -166,11 +164,6 @@ class TestUpdatesAndPreload:
         network.preload_index("hot", "payload")
         messages = network.proactive_update("hot", "payload-v2")
         assert messages >= network.config.replication * 0.5
-
-    def test_set_key_ttl_applies_everywhere(self, network):
-        network.set_key_ttl(123.0)
-        assert network.policy.key_ttl == 123.0
-        assert all(n.store.ttl == 123.0 for n in network.nodes.values())
 
 
 class TestChurnIntegration:

@@ -95,9 +95,7 @@ PARAMS = ScenarioParameters(
 
 
 def _network(key_ttl: float, seed: int) -> PdhtNetwork:
-    config = PdhtConfig(
-        key_ttl=key_ttl, replication=5, storage_per_peer=6, walkers=4,
-    )
+    config = PdhtConfig(key_ttl=key_ttl, replication=5, walkers=4)
     return PdhtNetwork(PARAMS, config, seed=seed, num_active_peers=23)
 
 

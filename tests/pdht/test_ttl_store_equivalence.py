@@ -34,10 +34,7 @@ Mutations run against the new code, each caught by the test named:
   hit at one member shows up at the others) and
   ``test_index_layout.py::test_preload_shares_records_not_maps``;
 * ``put_all`` purging once even when the batch expires at ``now`` — the
-  ``put_all`` test;
-* ``query`` pushing a heap record for an expiry moved to ``inf`` (after
-  a retarget) — ``test_hits_on_an_unmoved_expiry_push_no_heap_record``
-  (the random operations rarely reach it).
+  ``put_all`` test.
 """
 
 from __future__ import annotations
@@ -220,16 +217,11 @@ OPERATIONS = st.one_of(
     st.tuples(st.just("remove"), MEMBER, KEYS),
     st.tuples(st.just("purge"), MEMBER),
     st.tuples(st.just("live_size"), MEMBER),
-    st.tuples(st.just("retarget"), TTLS),
 )
 
 
 def apply(group, operation, now, serial):
     name, *args = operation
-    if name == "retarget":  # what PdhtNetwork.set_key_ttl does
-        for store in group:
-            store.ttl = args[0]
-        return None
     if name == "write":
         reached = [group[i] for i in args[0]]
         if isinstance(group[0], TtlKeyStore):
@@ -284,22 +276,19 @@ def test_store_equals_reference_under_random_operations(ttl, script):
 @given(
     ttl=TTLS,
     script=st.lists(
-        st.tuples(STEPS, st.lists(KEYS, max_size=8), st.none() | TTLS),
+        st.tuples(STEPS, st.lists(KEYS, max_size=8)),
         max_size=12,
     ),
 )
 def test_put_all_equals_the_reference_insert_all(ttl, script):
     """Batches land on whatever the previous ones left: an expired head
-    in the heap (time moved on), keys already present, a store TTL
-    retargeted in between (``None``: left as it is)."""
+    in the heap (time moved on) and keys already present."""
     old = ReferenceTtlKeyStore(ttl)
     new = TtlKeyStore(ttl)
     now = 0.0
     serial = 0
-    for step, keys, retarget in script:
+    for step, keys in script:
         now += step
-        if retarget is not None:
-            old.ttl = new.ttl = retarget
         unique = dict.fromkeys(keys)
         pairs = [(key, serial + i) for i, key in enumerate(unique)]
         serial += len(pairs)
@@ -324,11 +313,3 @@ def test_hits_on_an_unmoved_expiry_push_no_heap_record():
         store.query("hot", now=3.0)
     assert store._expiry_heap == [(5.0, "hot"), (8.0, "hot")]
     assert store.purge_expired(8.0) == 1 and len(store) == 0
-
-    # A hit after a retarget to ``inf`` moves the expiry there: a new
-    # record, and no heap record for it (the old one goes stale).
-    store.insert("hot", "payload", now=8.0)
-    store.ttl = math.inf
-    assert store.query("hot", now=9.0) == ("payload", math.inf)
-    assert store._expiry_heap == [(13.0, "hot")]
-    assert store.purge_expired(13.0) == 0 and "hot" in store

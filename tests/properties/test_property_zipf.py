@@ -59,21 +59,6 @@ def test_head_mass_monotone_and_bounded(n_keys, alpha):
         previous = mass
 
 
-@given(
-    n_keys=st.integers(min_value=2, max_value=2_000),
-    alpha=alpha_st,
-    quantile=st.floats(min_value=0.01, max_value=0.99),
-)
-@settings(max_examples=60, deadline=None)
-def test_rank_of_quantile_is_smallest_sufficient_rank(n_keys, alpha, quantile):
-    zipf = ZipfDistribution(n_keys, alpha)
-    rank = zipf.rank_of_quantile(quantile)
-    assert 1 <= rank <= n_keys
-    assert zipf.head_mass(rank) >= quantile - 1e-12
-    if rank > 1:
-        assert zipf.head_mass(rank - 1) < quantile
-
-
 @given(n_keys=st.integers(min_value=1, max_value=500), seed=st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_samples_always_in_range(n_keys, seed):

@@ -48,7 +48,6 @@ def test_quickstart_names_present():
         "ZipfDistribution",
         "SelectionModel",
         "solve_threshold",
-        "AdaptiveTtlController",
         "run_fastsim",
         "compare_engines",
         "FastSimKernel",

@@ -69,14 +69,3 @@ class TestAvailability:
         assert replicator.online_copies("k") == 10
         replicator.overlay.population.set_online(placement.holders[0], False)
         assert replicator.online_copies("k") == 9
-
-    def test_expected_availability_formula(self, replicator):
-        assert replicator.expected_availability(0.5) == pytest.approx(
-            1 - 0.5**10
-        )
-
-    def test_expected_availability_bounds(self, replicator):
-        assert replicator.expected_availability(0.0) == 0.0
-        assert replicator.expected_availability(1.0) == 1.0
-        with pytest.raises(ParameterError):
-            replicator.expected_availability(1.5)

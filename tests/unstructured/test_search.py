@@ -64,12 +64,6 @@ class TestRandomWalkSearch:
         for origin in (0, 50, 150):
             assert search.search(origin, "rare").found
 
-    def test_duplication_factor_reported(self, searchable, rng):
-        overlay, _, _ = searchable
-        result = RandomWalkSearch(overlay, rng, walkers=4).search(0, "hot")
-        if result.messages:
-            assert result.duplication_factor >= 1.0
-
     def test_offline_origin_rejected(self, searchable, rng):
         overlay, _, _ = searchable
         overlay.population.set_online(0, False)

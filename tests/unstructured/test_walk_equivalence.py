@@ -29,7 +29,8 @@ named:
 * ``ttl - step + 1`` remaining steps — the message totals differ (every
   case);
 * the tail taken on an audited search — the audit log misses the tail's
-  hops (``test_audited_and_non_str_searches_walk_every_hop``);
+  hops — or skipped for a key that is not a ``str`` — no ``walk.trapped``
+  (both ``test_only_audited_walks_take_each_hop``);
 * the closure test skipping the origin's row — a walker back at the
   star's centre looks trapped before it has seen every leaf
   (``[star-centre-*]``).
@@ -44,13 +45,15 @@ named:
   ``test_fast_walk_equals_reference``;
 * the run-out's words used not handed back —
   ``test_each_trapped_tail_equals_the_reference``;
-* a key that is not a ``str`` looked up once per search —
-  ``test_fast_walk_equals_reference_when_a_hop_raises``.
+* the key looked up again at every hop's content check —
+  ``test_a_raising_key_raises_before_any_hop_or_not_at_all`` (the
+  search then raises after hops were taken).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Hashable, Optional
 
 import numpy as np
@@ -372,11 +375,11 @@ class Fuse(Exception):
 
 class FusedKey:
     """Hashes like ``"k"`` and never equals it; the ``fuse``-th comparison
-    raises instead. Each content check looks the key up in the overlay's
-    per-key records, which holds ``"k"``, and makes one or more (the dict
-    may re-probe the slot), the same number in both loops."""
+    raises instead. A lookup in the overlay's per-key records, which hold
+    ``"k"``, makes one comparison or more (the dict may re-probe the
+    slot)."""
 
-    def __init__(self, fuse: int) -> None:
+    def __init__(self, fuse: float) -> None:
         self.fuse = fuse
         self.comparisons = 0
 
@@ -390,20 +393,42 @@ class FusedKey:
         return False
 
 
+def _assert_raises_first_or_equals_reference(world: World, fuse: int) -> None:
+    """The fast search looks the key up before its first hop and never
+    again, so a key whose comparison raises either raises there — no hop
+    counted or logged, the generator where it was — or the search
+    completes as the reference's does for a key that never raises."""
+    ref_overlay, ref_walker = world.build()
+    new_overlay, new_walker = world.build()
+    for flips in ((), world.flips):
+        for peer_id, online in flips:
+            ref_overlay.population.set_online(peer_id, online)
+            new_overlay.population.set_online(peer_id, online)
+        new_key = FusedKey(fuse)
+        before = _observable(new_overlay, new_walker, new_key)
+        actual = _outcome(RandomWalkSearch.search, new_walker, world.origin, new_key)
+        if actual[0] == "raised":
+            assert _observable(new_overlay, new_walker, new_key) == before
+            continue
+        ref_key = FusedKey(math.inf)
+        expected = _outcome(reference_search, ref_walker, world.origin, ref_key)
+        assert actual == expected
+        assert _observable(new_overlay, new_walker, new_key) == _observable(
+            ref_overlay, ref_walker, ref_key
+        )
+        assert new_walker.rng.integers(0, 2**32) == ref_walker.rng.integers(0, 2**32)
+
+
 @settings(max_examples=150, deadline=None)
 @given(worlds(), st.integers(1, 30))
-def test_fast_walk_equals_reference_when_a_hop_raises(world, fuse):
-    # Every peer holds "k", so each hop's content check burns the fuse:
-    # the search dies at the same hop in both loops, with the hops so far
-    # counted and logged and the generator at the exact consumed position.
-    world = dataclasses.replace(
-        world, holders=frozenset(range(world.num_peers))
-    )
-    _assert_equivalent(world, lambda: FusedKey(fuse))
+def test_a_raising_key_raises_before_any_hop_or_not_at_all(world, fuse):
+    _assert_raises_first_or_equals_reference(world, fuse)
 
 
-def test_fuse_actually_blows_mid_search():
-    """The property above is not vacuous: this world raises after hops."""
+def test_a_raising_key_meets_both_outcomes():
+    """The property above is not vacuous: in this world the first
+    comparison raises before any hop, and a fuse the reference's per-hop
+    lookups blow mid-walk lets the fast search complete."""
     world = World(
         num_peers=12, degree=3, topology_seed=1,
         walk_seed=2, predraws=1, origin=0, offline=frozenset(),
@@ -411,15 +436,25 @@ def test_fuse_actually_blows_mid_search():
         keep_messages=True, flips=(),
     )
     overlay, walker = world.build()
+    state = walker.rng.bit_generator.state
     with pytest.raises(Fuse):
-        walker.search(0, FusedKey(fuse=8))
-    # How many comparisons one dict lookup makes depends on the process's
-    # string-hash seed, so only bound the hop count: some hops were taken,
-    # counted and logged before the fuse blew, far short of walkers * ttl.
-    hops = overlay.metrics.total(MessageCategory.UNSTRUCTURED_SEARCH)
-    assert 0 < hops < 8
-    assert len(overlay.log.messages) == hops
-    _assert_equivalent(world, lambda: FusedKey(fuse=8))
+        walker.search(0, FusedKey(fuse=1))
+    assert overlay.metrics.total() == 0 and overlay.log.messages == []
+    assert walker.rng.bit_generator.state == state
+
+    # How many comparisons one lookup makes depends on the process's
+    # string-hash seed. The fast search makes two lookups; the reference
+    # makes one more per hop, 60 hops here.
+    probe = FusedKey(math.inf)
+    overlay.content.get(probe)
+    fuse = 2 * probe.comparisons + 1
+    ref_overlay, ref_walker = world.build()
+    with pytest.raises(Fuse):
+        reference_search(ref_walker, 0, FusedKey(fuse))
+    assert ref_overlay.metrics.total(MessageCategory.UNSTRUCTURED_SEARCH) > 0
+    overlay, walker = world.build()
+    assert not walker.search(0, FusedKey(fuse)).found
+    _assert_raises_first_or_equals_reference(world, fuse)
 
 
 # ----------------------------------------------------------------------
@@ -556,8 +591,10 @@ class Key(str):
 
 
 @pytest.mark.parametrize("shape", ["two-peer-component", "small-component"])
-def test_audited_and_non_str_searches_walk_every_hop(shape, telemetry):
+def test_only_audited_walks_take_each_hop(shape, telemetry):
     _assert_equivalent(_trap_world(shape, keep_messages=True), lambda: "k")
+    assert "walk.trapped" not in telemetry.counters
+    # A key that is not a str by type ends trapped like any other.
     _assert_equivalent(_trap_world(shape), lambda: Key("k"))
     assert telemetry.counters["walk.searches"] == 4
-    assert "walk.trapped" not in telemetry.counters
+    assert telemetry.counters["walk.trapped"] == 2

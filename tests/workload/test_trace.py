@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.zipf import ZipfDistribution
@@ -28,8 +30,8 @@ class TestTrace:
             trace.append(QueryEvent(time=1.0, rank=1, key_index=0))
 
     def test_unsorted_constructor_events_rejected(self):
-        # events_between binary-searches the timestamps, so the
-        # constructor must enforce the same ordering append() does.
+        # Replay binary-searches the timestamps, so the constructor must
+        # enforce the same ordering append() does.
         with pytest.raises(ParameterError, match="time-ordered"):
             QueryTrace(
                 events=[
@@ -44,34 +46,14 @@ class TestTrace:
         with pytest.raises(ParameterError):
             trace.append(QueryEvent(time=0.0, rank=1, key_index=7))
 
-    def test_events_between(self):
-        trace = QueryTrace(n_keys=10)
-        for t in (0.0, 1.0, 1.5, 2.0, 3.0):
-            trace.append(QueryEvent(time=t, rank=1, key_index=0))
-        window = trace.events_between(1.0, 2.0)
-        assert [e.time for e in window] == [1.0, 1.5]
-
-    def test_events_between_invalid(self):
-        with pytest.raises(ParameterError):
-            QueryTrace().events_between(2.0, 1.0)
-
-    def test_duration_and_rate(self):
+    def test_duration(self):
         trace = QueryTrace(n_keys=10)
         for t in (0.0, 5.0, 10.0):
             trace.append(QueryEvent(time=t, rank=1, key_index=0))
         assert trace.duration() == 10.0
-        assert trace.queries_per_second() == pytest.approx(0.3)
 
     def test_empty_trace_stats(self):
-        trace = QueryTrace()
-        assert trace.duration() == 0.0
-        assert trace.queries_per_second() == 0.0
-
-    def test_rank_histogram(self):
-        trace = QueryTrace(n_keys=10)
-        for rank in (1, 1, 2):
-            trace.append(QueryEvent(time=0.0, rank=rank, key_index=rank - 1))
-        assert trace.rank_histogram() == {1: 2, 2: 1}
+        assert QueryTrace().duration() == 0.0
 
 
 class TestSerialisation:
@@ -149,8 +131,8 @@ class TestRecord:
 
     def test_zipf_shape_preserved(self, workload):
         trace = record_trace(workload, duration=200.0, queries_per_round=20)
-        histogram = trace.rank_histogram()
-        assert histogram.get(1, 0) > histogram.get(40, 0)
+        histogram = Counter(event.rank for event in trace)
+        assert histogram[1] > histogram[40]
 
     def test_invalid_parameters(self, workload):
         with pytest.raises(ParameterError):
