@@ -7,6 +7,8 @@ callers can catch library failures without masking programming errors such as
 
 from __future__ import annotations
 
+from numbers import Integral
+
 
 class ReproError(Exception):
     """Base class for every error raised by the :mod:`repro` library."""
@@ -43,3 +45,12 @@ class KeyspaceError(ReproError, ValueError):
 
 class OfflinePeerError(SimulationError):
     """An operation was attempted on a peer that is currently offline."""
+
+
+def require_count(name: str, value: object, minimum: int) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an integer (a
+    numpy one included, a boolean not) of at least ``minimum``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.threshold import solve_threshold
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_count
 
 __all__ = ["PdhtConfig"]
 
@@ -54,7 +54,7 @@ class PdhtConfig:
     enforce_capacity: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
-        if self.key_ttl < 0:
+        if not self.key_ttl >= 0:  # NaN too
             raise ParameterError(f"key_ttl must be >= 0, got {self.key_ttl}")
         if self.replication < 1:
             raise ParameterError(
@@ -64,10 +64,8 @@ class PdhtConfig:
             raise ParameterError(
                 f"overlay_degree must be >= 1, got {self.overlay_degree}"
             )
-        if self.walkers < 1:
-            raise ParameterError(f"walkers must be >= 1, got {self.walkers}")
-        if self.walk_ttl < 1:
-            raise ParameterError(f"walk_ttl must be >= 1, got {self.walk_ttl}")
+        require_count("walkers", self.walkers, 1)
+        require_count("walk_ttl", self.walk_ttl, 1)
         if self.replica_degree < 1:
             raise ParameterError(
                 f"replica_degree must be >= 1, got {self.replica_degree}"

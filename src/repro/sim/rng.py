@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_count
 
-__all__ = ["RandomStreams", "BoundedStream", "choice_rows"]
+__all__ = ["RandomStreams", "BoundedStream", "choice_rows", "reduce_words"]
 
 #: Raw words fetched per refill: the first block after a settle is small
 #: because a settled stream may be read after a handful of draws, later
 #: blocks double up to the cap.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1024
+
+#: Most raw words a bulk consumer (:meth:`BoundedStream.skip`, a trapped
+#: walk's tail) holds at once, which keeps its transient arrays O(chunk).
+CHUNK_WORDS = 4096
 
 #: Draws :func:`choice_rows` replays per pass, which keeps each of its
 #: transient arrays under ~1 MB whatever the population size.
@@ -69,7 +73,9 @@ class BoundedStream:
 
     A hot loop may apply the reduction itself on the block
     (:meth:`open_block`, :meth:`next_block`, :meth:`close_block`), as
-    the k-walker search does once per hop.
+    the k-walker search does once per hop; a bulk consumer borrows raw
+    words as an array and repays the ones it used (:meth:`borrow`,
+    :meth:`repay`), as a trapped walk's tail does a chunk at a time.
     """
 
     __slots__ = ("_rng", "_saved", "_words", "_used")
@@ -77,7 +83,7 @@ class BoundedStream:
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
         self._saved = None  # bit-generator state before the current block
-        self._words: list[int] = []
+        self._words: list[int] | None = []  # None while words are lent
         self._used = 0  # words consumed from the current block
 
     @property
@@ -109,32 +115,27 @@ class BoundedStream:
         """Consume exactly what ``count`` calls of ``draw(n)`` would, rejected
         words included, without producing the values.
 
-        A word is rejected iff the low half of ``word * n`` falls under
-        ``(2**32 - n) % n`` (``draw``'s first test is only a shortcut past
-        that modulo), so each slice of words taken yields its length minus
-        its rejections in draws; a slice never asks for more words than
-        draws are still owed, so the last word taken is an accepted one.
+        The draws so far are settled first, then the words owed are fetched
+        straight from the generator, at most :data:`CHUNK_WORDS` a call;
+        each fetch yields its length minus its rejections
+        (:func:`reduce_words`) in draws. A fetch never asks for more words
+        than draws are still owed, so the last word taken is an accepted
+        one and the stream ends settled.
         """
-        if n < 2:
-            if n != 1:
-                raise ParameterError(f"n must be >= 1, got {n}")
+        if n < 1:
+            raise ParameterError(f"n must be >= 1, got {n}")
+        require_count("count", count, 0)
+        if n == 1 or not count:
             return
-        threshold = (0x100000000 - n) % n
-        words = self._words
-        used = self._used
+        self.settle()
+        rng = self._rng
+        count = int(count)
         while count > 0:
-            if used == len(words):
-                words = self.next_block()
-                used = 0
-            end = min(used + count, len(words))
-            count -= end - used
-            if threshold:
-                count += sum(
-                    1 for word in words[used:end]
-                    if (word * n) & 0xFFFFFFFF < threshold
-                )
-            used = end
-        self._used = used
+            words = rng.integers(
+                0, 1 << 32, size=min(count, CHUNK_WORDS), dtype=np.uint32
+            )
+            count -= len(words)
+            count += int(np.count_nonzero(reduce_words(words, n) < 0))
 
     def open_block(self) -> tuple[list[int], int]:
         """The current word block and how many of its words are used.
@@ -162,6 +163,30 @@ class BoundedStream:
         self._used = 0
         return words
 
+    def borrow(self, count: int) -> np.ndarray:
+        """The next ``count`` raw words as a uint32 array, lent: none of
+        them counts as used until :meth:`repay`.
+
+        The first call settles the draws so far and saves the state the
+        words start from; a second call before :meth:`repay` continues
+        where the first ended, so a bulk consumer may fetch more than it
+        will use and top up a chunk it finds short. Nothing else may draw
+        from the stream while words are lent.
+        """
+        rng = self._rng
+        if self._words is not None:
+            self.settle()
+            self._saved = rng.bit_generator.state
+            self._words = None  # lent: a draw now fails loudly
+        return rng.integers(0, 1 << 32, size=count, dtype=np.uint32)
+
+    def repay(self, used: int) -> None:
+        """End a loan: the first ``used`` words lent count as consumed, the
+        rest go back, and the generator stands after the ones used."""
+        self._words = []
+        self._used = used
+        self.settle()
+
     def settle(self) -> None:
         """Put the generator where the draws so far would have left it."""
         if self._saved is not None:
@@ -171,6 +196,20 @@ class BoundedStream:
             self._saved = None
             self._words = []
             self._used = 0
+
+
+def reduce_words(words: np.ndarray, n: int) -> np.ndarray:
+    """What :meth:`BoundedStream.draw` makes of each of ``words`` (raw
+    uint32 words) for ``2 <= n <= 2**32``, as an int64 array:
+    ``(word * n) >> 32``, or -1 where numpy's reduction rejects the word
+    (the low half of ``word * n`` under ``(2**32 - n) % n``) and a draw
+    takes the next word instead."""
+    product = words.astype(np.uint64) * np.uint64(n)
+    draws = (product >> np.uint64(32)).astype(np.int64)
+    threshold = (0x100000000 - n) % n
+    if threshold:
+        draws[(product & np.uint64(0xFFFFFFFF)) < threshold] = -1
+    return draws
 
 
 def choice_rows(

@@ -19,10 +19,10 @@ from typing import Hashable, Optional
 import numpy as np
 
 from repro import obs
-from repro.errors import ParameterError
+from repro.errors import require_count
 from repro.net.messages import MessageKind
 from repro.net.node import PeerId
-from repro.sim.rng import BoundedStream
+from repro.sim.rng import CHUNK_WORDS, BoundedStream, reduce_words
 from repro.unstructured.overlay import UnstructuredOverlay
 
 __all__ = ["WalkResult", "RandomWalkSearch"]
@@ -64,13 +64,18 @@ class RandomWalkSearch:
     online neighbours would, in walker order within each step, and
     nothing for a forced move (one online neighbour), a dead end or an
     origin that holds the key. Calibrated costs, pinned figures and store
-    keys downstream all depend on that sequence; the draws come from one
+    keys downstream all depend on that sequence. The draws come from one
     :class:`repro.sim.rng.BoundedStream` the walker holds for its
-    lifetime, whose reduction the hop loop applies inline to the
-    stream's word block (a word that may be rejected goes back to
-    :meth:`~repro.sim.rng.BoundedStream.draw`), and
-    ``tests/unstructured/test_walk_equivalence.py`` holds this loop to
-    the scalar-draw loop it replaced.
+    lifetime, and each is numpy's Lemire reduction of raw 32-bit words
+    (``(w * n) >> 32``, the word rejected and the next one taken when
+    the low half of ``w * n`` falls under ``(2**32 - n) % n``). The hop
+    loop applies it inline to the stream's word block (a word that may
+    be rejected goes back to :meth:`~repro.sim.rng.BoundedStream.draw`);
+    a trapped search's tail applies it in bulk (below), the same pass
+    flagging the rejected words. ``tests/unstructured/test_walk_equivalence.py``
+    holds the search to the scalar-draw loop it replaced, and
+    ``tests/unstructured/test_run_out.py`` holds the bulk tail to the
+    move-and-draw loop it replaced, generator state included.
 
     A hop's content check is one bit of the key's holder mask
     (:attr:`UnstructuredOverlay.content`), fetched once per search,
@@ -85,9 +90,10 @@ class RandomWalkSearch:
     steps would have: nothing in a two-peer component, ``ceil(R/2)``
     draws per walker at the centre and ``floor(R/2)`` per walker on a
     leaf of a star over the ``R`` remaining steps (one
-    :meth:`~repro.sim.rng.BoundedStream.skip`), and otherwise a loop that
-    only moves the walkers and draws. An audited search (the log keeps
-    every hop) always walks hop by hop.
+    :meth:`~repro.sim.rng.BoundedStream.skip`), and otherwise a bulk pass
+    over chunks of words that moves only the walkers (see
+    :func:`_walk_tail`); each tail is timed as the ``walk.run_out`` span.
+    An audited search (the log keeps every hop) always walks hop by hop.
 
     The walker owns the generator it was given (or the stream, when
     handed a ``RandomStreams.bounded`` one): between searches the
@@ -102,10 +108,8 @@ class RandomWalkSearch:
         walkers: int = 32,
         ttl: int = 4096,
     ) -> None:
-        if walkers < 1:
-            raise ParameterError(f"walkers must be >= 1, got {walkers}")
-        if ttl < 1:
-            raise ParameterError(f"ttl must be >= 1, got {ttl}")
+        require_count("walkers", walkers, 1)
+        require_count("ttl", ttl, 1)
         self.overlay = overlay
         self._stream = rng if isinstance(rng, BoundedStream) else BoundedStream(rng)
         self.walkers = walkers
@@ -253,43 +257,84 @@ class RandomWalkSearch:
         so every walker is alive and hops once per step.
         """
         obs.count("walk.trapped")
-        stream = self._stream
-        branching = [p for p in component if len(neighbors_of[p]) > 1]
-        if not branching:
-            return  # two peers: every move is forced
-        if len(branching) == 1:
-            # A star: each walker alternates between the centre, where it
-            # draws, and a leaf, where its move is forced.
-            centre = branching[0]
-            at_centre = positions.count(centre)
-            at_leaf = len(positions) - at_centre
-            draws = at_centre * ((remaining + 1) // 2)
-            draws += at_leaf * (remaining // 2)
-            stream.skip(len(neighbors_of[centre]), draws)
-            return
-        words, used = stream.open_block()
+        with obs.span("walk.run_out"):
+            stream = self._stream
+            branching = [p for p in component if len(neighbors_of[p]) > 1]
+            if not branching:
+                return  # two peers: every move is forced
+            if len(branching) == 1:
+                # A star: each walker alternates between the centre, where
+                # it draws, and a leaf, where its move is forced.
+                centre = branching[0]
+                at_centre = positions.count(centre)
+                at_leaf = len(positions) - at_centre
+                draws = at_centre * ((remaining + 1) // 2)
+                draws += at_leaf * (remaining // 2)
+                stream.skip(len(neighbors_of[centre]), draws)
+                return
+            _walk_tail(stream, positions, neighbors_of, component, remaining)
+
+
+def _walk_tail(
+    stream: BoundedStream,
+    positions: list[PeerId],
+    neighbors_of: list[tuple[PeerId, ...]],
+    component: set[PeerId],
+    remaining: int,
+) -> None:
+    """Consume from ``stream`` what ``remaining`` lock-step hops of the
+    walkers at ``positions`` would, in a component that is neither a pair
+    nor a star.
+
+    The component's peers get local ids once. Then, a chunk of at most
+    ``CHUNK_WORDS`` words at a time, numpy reduces every word for every
+    fanout present (:func:`~repro.sim.rng.reduce_words`), and Python only
+    follows the walkers through lists: a leaf goes to its one neighbour
+    and takes no word, a branching peer goes to its neighbour number
+    ``row[u]`` of its fanout's row and takes word ``u`` — or the next
+    word while the row flags ``u`` as rejected. Words the chunk fetched
+    but no walker took go back to the stream.
+    """
+    peers = list(component)
+    local = {peer: i for i, peer in enumerate(peers)}
+    adjacent = [tuple(local[n] for n in neighbors_of[peer]) for peer in peers]
+    fanouts = {len(a) for a in adjacent if len(a) > 1}
+    at = [local[peer] for peer in positions]
+    walkers = range(len(at))
+    per_chunk = max(1, CHUNK_WORDS // len(at))
+    while remaining:
+        steps = min(per_chunk, remaining)
+        remaining -= steps
+        # A walker-step takes one word at most, plus each word its fanout
+        # rejects: fetch until no walker can run off the end.
+        owed = steps * len(at)
+        words = stream.borrow(owed)
+        u = 0
         try:
-            for _ in range(remaining):
-                for i, position in enumerate(positions):
-                    neighbors = neighbors_of[position]
-                    fanout = len(neighbors)
-                    if fanout > 1:
-                        # BoundedStream.draw(fanout), inline (see search).
-                        if used == len(words):
-                            words = stream.next_block()
-                            used = 0
-                        product = words[used] * fanout
-                        used += 1
-                        if product & 0xFFFFFFFF < fanout:
-                            stream.close_block(used - 1)
-                            positions[i] = neighbors[stream.draw(fanout)]
-                            words, used = stream.open_block()
-                        else:
-                            positions[i] = neighbors[product >> 32]
-                    else:
-                        positions[i] = neighbors[0]
+            while True:
+                draws = {f: reduce_words(words, f) for f in fanouts}
+                rejected = np.logical_or.reduce([d < 0 for d in draws.values()])
+                short = owed + int(np.count_nonzero(rejected)) - len(words)
+                if short <= 0:
+                    break
+                words = np.concatenate([words, stream.borrow(short)])
+            rows = {fanout: row.tolist() for fanout, row in draws.items()}
+            row_of = [rows[len(a)] if len(a) > 1 else None for a in adjacent]
+            for _ in range(steps):
+                for w in walkers:
+                    peer = at[w]
+                    row = row_of[peer]
+                    if row is None:
+                        at[w] = adjacent[peer][0]
+                        continue
+                    pick = row[u]
+                    u += 1
+                    while pick < 0:
+                        pick = row[u]
+                        u += 1
+                    at[w] = adjacent[peer][pick]
         finally:
-            stream.close_block(used)
+            stream.repay(u)
 
 
 def _open_peer(

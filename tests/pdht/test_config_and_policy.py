@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.threshold import solve_threshold
@@ -40,11 +41,23 @@ class TestPdhtConfig:
             {"walk_ttl": 0},
             {"replica_degree": 0},
             {"key_ttl": -1e-9},
+            {"key_ttl": float("nan")},
+            {"walkers": 2.5},
+            {"walkers": True},
+            {"walk_ttl": 10.5},
+            {"walk_ttl": float("nan")},
+            {"walk_ttl": True},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             PdhtConfig(**kwargs)
+
+    def test_infinite_key_ttl_and_numpy_integers_accepted(self):
+        config = PdhtConfig(
+            key_ttl=float("inf"), walkers=np.int64(4), walk_ttl=np.int32(64)
+        )
+        assert (config.walkers, config.walk_ttl) == (4, 64)
 
     def test_dht_kind_is_pgrid_and_not_an_argument(self, small_params):
         # The field stays only so that store keys do not change.

@@ -51,20 +51,29 @@ caught by the test named:
 * one sort over every row of a pass instead of one per row —
   ``test_passes_of_any_size``.
 
-``BoundedStream.skip(n, count)`` must leave the stream where ``count``
-calls of ``draw(n)`` would. Mutations of it, each caught by the test
-named:
+``reduce_words(words, n)`` is ``draw(n)``'s reduction applied to a whole
+array, -1 marking a rejected word. Mutations of it, each caught by
+``TestReduceWords.test_matches_draw_word_by_word``: the rejection test
+written ``<=`` (0xAAAAAAAB rejected for n = 3), or dropped.
 
-* rejections ignored (every word taken counted as a draw) —
+``BoundedStream.skip(n, count)`` must leave the stream where ``count``
+calls of ``draw(n)`` would; it settles, then fetches the words owed a
+chunk at a time and counts their rejections with numpy. Mutations of it,
+each caught by the test named:
+
+* rejections ignored (every word fetched counted as a draw) —
   ``TestSkip.test_rejected_words_mid_block_and_at_a_refill``, and
   ``test_matches_scalar_draws`` at ``n = 2**31 + 1``, which rejects
   almost half the words;
-* one word short at a block boundary (a slice that ends the block
-  counted as one draw more than it holds) — ``test_matches_scalar_draws``
-  at every ``count`` that reaches a block's end,
-  ``test_rejected_words_mid_block_and_at_a_refill``;
+* no settle first (the fetch starts past the current block, not at its
+  first unused word) — ``test_matches_scalar_draws`` with ``drawn = 5``,
+  ``test_rejected_words_in_a_top_up_and_after_a_partly_used_block``;
+* a fetch of a whole chunk instead of at most the words owed —
+  ``test_matches_scalar_draws`` (every ``count`` below a chunk);
 * ``n == 1`` consuming a word — ``test_matches_scalar_draws``
-  (``n = 1``).
+  (``n = 1``);
+* a negative count taken as zero (no check) —
+  ``test_bad_count_rejected``.
 """
 
 from __future__ import annotations
@@ -78,9 +87,11 @@ import repro.sim.rng as rng_module
 from repro.sim.rng import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
+    CHUNK_WORDS,
     BoundedStream,
     RandomStreams,
     choice_rows,
+    reduce_words,
 )
 
 
@@ -427,6 +438,31 @@ class TestLemireRejection:
         assert source.position == _FIRST_BLOCK + 1
 
 
+class TestReduceWords:
+    """``reduce_words(words, n)``, the bulk reduction a trapped walk's tail
+    and ``skip`` use, word by word against ``draw(n)``: the value drawn,
+    or -1 where the draw rejects the word and takes the next one."""
+
+    @pytest.mark.parametrize("n", EDGE_BOUNDS[1:] + (2**31 + 1,))
+    def test_matches_draw_word_by_word(self, n):
+        words = np.random.default_rng(n % 997).integers(
+            0, 2**32, size=200, dtype=np.uint32
+        )
+        # 0 is rejected wherever there is a threshold; 0xAAAAAAAB is kept
+        # for n = 3 (low half 1, threshold 1) and rejected for n = 6 and
+        # n = 2**31 + 1
+        words[:4] = (0, 0xAAAAAAAB, 0x80000000, 2**32 - 1)
+        reduced = reduce_words(words, n)
+        assert reduced.dtype == np.int64
+        for word, value in zip(words.tolist(), reduced.tolist()):
+            source = ScriptedWords([word, 7])  # 7 is kept for every n here
+            drawn = _served(source, [n])
+            if value < 0:
+                assert source.position == 2
+            else:
+                assert (drawn, source.position) == ([value], 1)
+
+
 class TestSkip:
     """``skip(n, count)`` against ``count`` scalar draws: the generator
     state after ``settle()``, and the next draw."""
@@ -434,6 +470,7 @@ class TestSkip:
     @pytest.mark.parametrize("n", EDGE_BOUNDS + (2**31 + 1,))
     @pytest.mark.parametrize("count", [
         0, 1, _FIRST_BLOCK - 1, _FIRST_BLOCK, 4 * _MAX_BLOCK + 7,
+        _MAX_BLOCK + 1, CHUNK_WORDS, 2 * CHUNK_WORDS + 7,
     ])
     @pytest.mark.parametrize("predraws", [0, 1])
     @pytest.mark.parametrize("drawn", [0, 5])
@@ -490,6 +527,34 @@ class TestSkip:
                 count + (rejected_at < count)
             )
 
+    @pytest.mark.parametrize("drawn, count, rejected", [
+        # the word after the first fetch rejected too: a second top-up
+        (0, 10, (5, 10)),
+        # across a chunk: a rejection in each fetch and in the top-up
+        (0, CHUNK_WORDS + 3, (CHUNK_WORDS - 1, CHUNK_WORDS + 1, CHUNK_WORDS + 3)),
+        # a partly used block: the skip fetches its unused words again
+        (5, 10, (8,)),
+        (_FIRST_BLOCK - 2, 10, (_FIRST_BLOCK - 1, _FIRST_BLOCK)),
+    ])
+    def test_rejected_words_in_a_top_up_and_after_a_partly_used_block(
+        self, drawn, count, rejected
+    ):
+        """For n = 3 only the word 0 is rejected; ``drawn`` draws come
+        first, from a block of which the skip leaves the rest unused."""
+        words = [7] * (2 * CHUNK_WORDS)
+        for at in rejected:
+            words[at] = 0
+        source, scalar = ScriptedWords(words), ScriptedWords(words)
+        stream = BoundedStream(source)
+        for _ in range(drawn):
+            stream.draw(3)
+        stream.skip(3, count)
+        stream.settle()
+        _served(scalar, [3] * (drawn + count))
+        assert source.position == scalar.position == (
+            drawn + count + len(rejected)
+        )
+
     def test_nonpositive_bound_rejected(self):
         scalar, served = _pair(seed=2)
         stream = BoundedStream(served)
@@ -497,6 +562,25 @@ class TestSkip:
             with pytest.raises(ParameterError):
                 stream.skip(bad, 3)
         assert stream.draw(4) == int(scalar.integers(0, 4))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("count", [-1, -4097, 2.5, 3.0, True, None])
+    def test_bad_count_rejected(self, n, count):
+        """A count that is negative, not an integer or a boolean raises and
+        consumes nothing."""
+        scalar, served = _pair(seed=2)
+        stream = BoundedStream(served)
+        with pytest.raises(ParameterError):
+            stream.skip(n, count)
+        assert stream.draw(4) == int(scalar.integers(0, 4))
+
+    def test_numpy_integer_count(self):
+        scalar, served = _pair(seed=3)
+        stream = BoundedStream(served)
+        stream.skip(6, np.int64(70))
+        for _ in range(70):
+            scalar.integers(0, 6)
+        assert stream.rng.bit_generator.state == scalar.bit_generator.state
 
 
 class TestChoiceRows:

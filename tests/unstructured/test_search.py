@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import OfflinePeerError, ParameterError
@@ -79,8 +80,19 @@ class TestRandomWalkSearch:
         assert not result.found
         assert result.messages == 0
 
-    @pytest.mark.parametrize("kwargs", [{"walkers": 0}, {"ttl": 0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"walkers": 0}, {"ttl": 0},
+        {"walkers": 2.5}, {"walkers": True}, {"walkers": 8.0},
+        {"ttl": 2.5}, {"ttl": float("nan")}, {"ttl": False},
+    ])
     def test_invalid_parameters_rejected(self, searchable, rng, kwargs):
         overlay, _, _ = searchable
         with pytest.raises(ParameterError):
             RandomWalkSearch(overlay, rng, **kwargs)
+
+    def test_numpy_integer_parameters_accepted(self, searchable, rng):
+        overlay, _, _ = searchable
+        walker = RandomWalkSearch(
+            overlay, rng, walkers=np.int64(4), ttl=np.int32(50)
+        )
+        assert walker.search(0, "absent").messages <= 4 * 50

@@ -14,9 +14,13 @@ searches).
 A search trapped in an online component with no replica ends in closed
 form. The generated worlds include a two-peer component (no draw), stars
 with the origin at the centre or on a leaf (one ``BoundedStream.skip``)
-and a 4–5-peer non-star (the move-and-draw loop), and
+and a 4–5-peer non-star (the bulk pass over chunks of words), and
 ``test_each_trapped_tail_equals_the_reference`` proves each tail runs by
-its ``walk.trapped`` count. Mutations of ``RandomWalkSearch.search``,
+its ``walk.trapped`` count and its ``walk.run_out`` span, with telemetry
+on (the property above runs with it off). ``test_run_out.py`` holds the
+bulk pass itself to the move-and-draw loop it replaced, over generated
+components, walkers and rejected words. Mutations of
+``RandomWalkSearch.search``,
 each caught by ``test_fast_walk_equals_reference`` and by the test or
 the cases (``[...]``, of ``test_each_trapped_tail_equals_the_reference``)
 named:
@@ -39,12 +43,12 @@ The hop loop applies ``BoundedStream``'s reduction inline and checks a
 bit of the key's holder mask. Mutations of that, each caught by the test
 named:
 
-* the may-be-rejected check dropped, in the search loop or in the
-  run-out's — ``test_a_rejected_word_is_skipped_inline``;
+* the may-be-rejected check dropped in the search loop —
+  ``test_a_rejected_word_is_skipped_inline``;
 * the words used not handed back to the stream when a search ends —
   ``test_fast_walk_equals_reference``;
-* the run-out's words used not handed back —
-  ``test_each_trapped_tail_equals_the_reference``;
+* the run-out's chunk not repaid (the stream left lending its words) —
+  ``test_each_trapped_tail_equals_the_reference`` (``[small-component]``);
 * the key looked up again at every hop's content check —
   ``test_a_raising_key_raises_before_any_hop_or_not_at_all`` (the
   search then raises after hops were taken).
@@ -490,7 +494,7 @@ def test_a_rejected_word_is_skipped_inline(rejected_at):
     which numpy rejects only the word 0. A walk served words with a 0
     inserted must equal the walk served the words without it, one word
     further on — whether the 0 sits mid-block, ends a block or starts the
-    next one, and in the search loop or the run-out's."""
+    next one."""
     words = [(0x9E3779B9 * (i + 1)) & 0xFFFFFFFF or 1 for i in range(4000)]
     scripted = words[:rejected_at] + [0] + words[rejected_at:]
     outcomes = []
@@ -577,6 +581,7 @@ def test_each_trapped_tail_equals_the_reference(world, tail, telemetry):
     _assert_equivalent(world, lambda: "k")
     counters = telemetry.counters
     assert counters["walk.trapped"] == counters["walk.searches"] == 2
+    assert telemetry.spans["walk.run_out"]["count"] == 2
 
 
 def test_an_isolated_origin_is_no_trap(telemetry):
