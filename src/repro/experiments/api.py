@@ -1,17 +1,22 @@
 """First-class Experiment API: typed specs, capability-gated engines,
-structured results, and a decorator-based registry.
+structured results, and a registry of figure functions.
 
 The paper's deliverable is its experiment suite (Table 1, Figs. 1-4, the
-churn/staleness/adaptivity extensions). This module makes each experiment
-a declarative object instead of a string-keyed lambda:
+churn/staleness/adaptivity extensions). Each experiment is declared once,
+by naming the figure function that computes it:
 
-* :class:`ExperimentSpec` — name, title, kind (``analytical`` vs
-  ``simulated``), the *capability set* of engines it supports (replacing
-  the old ``_event_engine_only`` wrapper), and a typed default parameter
-  set (:class:`ExperimentParams`);
-* the :func:`experiment` decorator registers a builder function under its
-  spec; :func:`get_spec` / :func:`experiment_names` / :data:`REGISTRY`
+* :func:`experiment` registers a figure function under a name, title,
+  kind (``analytical`` vs ``simulated``), the *capability set* of engines
+  it supports and, for a simulated one, its default scale. Everything
+  else comes from the function's signature: which
+  :class:`ExperimentParams` it accepts, their defaults, and what
+  :class:`ExperimentContext` passes it (``params``, ``execution``,
+  ``duration``, ``seed``, ``shift_at``, ``window``, ``workload``);
+  :func:`get_spec` / :func:`experiment_names` / :data:`REGISTRY`
   expose the registry;
+* :class:`ExperimentParams` is also the runner's flag set: each field
+  carries its help text and CLI type, and the runner adds one flag per
+  field;
 * :func:`run` — the programmatic entry point: validates overrides against
   the spec, resolves the engine against the capability set (raising
   :class:`~repro.errors.CapabilityError` with the gate reason when an
@@ -30,6 +35,7 @@ The CLI (:mod:`repro.experiments.runner`) consumes only this registry::
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
@@ -42,6 +48,7 @@ from repro.errors import CapabilityError, ParameterError
 from repro.experiments import figures, tables
 from repro.experiments.execution import Execution
 from repro.experiments.figures import FigureSeries
+from repro.experiments.tables import TableSeries
 from repro.experiments.scenario import (
     ENGINES,
     SIMULATION_SCALE,
@@ -86,37 +93,87 @@ KINDS = (ANALYTICAL, SIMULATED)
 EXECUTION_ONLY = frozenset({"jobs", "store", "replicates"})
 
 
+def _option(help: str, **flag: object):
+    """An :class:`ExperimentParams` field and its runner flag: ``help``
+    and the other ``argparse.add_argument`` keywords ride in the field's
+    metadata, and the runner adds one ``--<name>`` flag per field."""
+    return field(default=None, metadata={"help": help, **flag})
+
+
 @dataclass(frozen=True)
 class ExperimentParams:
     """The typed parameter set an experiment can accept.
 
-    Every field is optional; an :class:`ExperimentSpec` declares which
-    fields it *accepts* and supplies defaults for them. ``None`` means
-    "not applicable / derive a default" (e.g. ``shift_at`` defaults to
-    half the duration in the adaptivity experiment).
+    Every field is optional and is also the runner flag of the same name
+    (``shift_at`` -> ``--shift-at``). Which fields an experiment accepts,
+    and their defaults, come from its figure function's signature
+    (:class:`ExperimentSpec`). ``None`` means "not set": the figure
+    function's own default applies (e.g. ``shift_at`` defaults to half
+    the duration in the adaptivity experiment).
     """
 
-    engine: Optional[str] = None
-    duration: Optional[float] = None
-    seed: Optional[int] = None
-    scale: Optional[float] = None
-    shift_at: Optional[float] = None
-    window: Optional[float] = None
+    engine: Optional[str] = _option(
+        "simulation engine for the simulated experiments (default: "
+        "each experiment's own default; unsupported requests fail)",
+        choices=ENGINES,
+    )
+    duration: Optional[float] = _option(
+        "simulated duration override in rounds", type=float
+    )
+    seed: Optional[int] = _option("simulation seed override", type=int)
+    scale: Optional[float] = _option(
+        "scenario scale relative to Table 1 (simulated experiments)",
+        type=float,
+    )
+    shift_at: Optional[float] = _option(
+        "round of the first workload shift (adaptivity experiments; "
+        "default: half the duration)",
+        type=float,
+        metavar="ROUND",
+    )
+    window: Optional[float] = _option(
+        "hit-rate window in rounds (adaptivity experiments; default: a "
+        "twelfth of the duration)",
+        type=float,
+        metavar="ROUNDS",
+    )
     #: Workload model preset (repro.workloads.WORKLOAD_MODEL_NAMES, or
     #: ``trace:<path>`` for a recorded trace).
-    workload: Optional[str] = None
+    workload: Optional[str] = _option(
+        "workload model for experiments that accept one (stationary, "
+        "rank-swap, gradual-drift, flash-crowd, diurnal, or "
+        "trace:<path> to replay a recorded query trace)",
+        metavar="MODEL",
+    )
     #: Run the experiment over this many consecutive seeds and aggregate
     #: the series with confidence intervals (repro.experiments.stats).
-    replicates: Optional[int] = None
+    replicates: Optional[int] = _option(
+        "run N consecutive seeds and report seed means with confidence "
+        "intervals (simulated experiments)",
+        type=int,
+        metavar="N",
+    )
     #: Worker processes for the independent units inside one run
     #: (replicate seeds, sweep cells, per-strategy kernel runs):
     #: 1 = sequential (default), 0 = one worker per CPU, N = pool of N.
-    jobs: Optional[int] = None
+    jobs: Optional[int] = _option(
+        "worker processes for an experiment's independent units "
+        "(replicate seeds, sweep cells, per-strategy runs); default 1, "
+        "0 = one per CPU",
+        type=int,
+        metavar="N",
+    )
     #: Artifact-store selection for this run (``repro.store``): a path
     #: opens/creates that SQLite store; the sentinel ``"none"`` disables
     #: all store traffic (masking ``REPRO_STORE``); ``None`` (default)
-    #: keeps the process-wide active store, if any.
-    store: Optional[str] = None
+    #: keeps the process-wide active store, if any. The runner pairs
+    #: ``--store`` with ``--no-store`` (= ``"none"``).
+    store: Optional[str] = _option(
+        "SQLite artifact store for calibrations, sweep cells and "
+        "replicate payloads (resumable runs); defaults to the "
+        "REPRO_STORE environment variable, if set",
+        metavar="PATH",
+    )
 
     def __post_init__(self) -> None:
         for name in ("duration", "scale", "shift_at", "window"):
@@ -173,13 +230,19 @@ class ExperimentParams:
         }
 
 
-#: Names a spec may declare in ``accepts``.
+#: Names :func:`run` takes as overrides.
 PARAM_NAMES = frozenset(f.name for f in dataclass_fields(ExperimentParams))
 
-#: What every simulated experiment accepts; the adaptivity and sweep
-#: specs extend it with ``|``.
-SIMULATION_ACCEPTS = frozenset(
-    {"engine", "duration", "seed", "scale", "replicates", "jobs", "store"}
+#: Builder parameters :meth:`ExperimentContext.run` fills by name:
+#: ``params`` gets the scenario, ``execution`` the :class:`Execution`,
+#: and the rest the :class:`ExperimentParams` field of the same name —
+#: every field but those a run reaches otherwise (``engine``/``jobs``
+#: through the execution, ``scale`` through the scenario, ``store`` and
+#: ``replicates`` through :func:`run`).
+BINDINGS = ("params", "execution") + tuple(
+    f.name
+    for f in dataclass_fields(ExperimentParams)
+    if f.name not in EXECUTION_ONLY | {"engine", "scale"}
 )
 
 
@@ -197,30 +260,8 @@ class ExperimentContext:
     params: ExperimentParams
 
     @property
-    def duration(self) -> float:
-        if self.params.duration is None:
-            raise ParameterError(
-                f"experiment {self.spec.name!r} has no duration"
-            )
-        return self.params.duration
-
-    @property
     def seed(self) -> int:
         return self.params.seed if self.params.seed is not None else 0
-
-    @property
-    def shift_at(self) -> float:
-        """Shift time; defaults to half the duration."""
-        if self.params.shift_at is not None:
-            return self.params.shift_at
-        return self.duration / 2.0
-
-    @property
-    def window(self) -> float:
-        """Metric window; defaults to a twelfth of the duration."""
-        if self.params.window is not None:
-            return self.params.window
-        return self.duration / 12.0
 
     @property
     def execution(self) -> Execution:
@@ -233,31 +274,58 @@ class ExperimentContext:
         """One builder invocation — the unit shape
         :func:`repro.fastsim.parallel.fan_out` runs.
 
-        A context pickles by reference for everything heavy: the spec's
-        builder is a module-level function, so a spawned worker re-imports
-        its defining module (repopulating the registry as a side effect)
-        and the scenario/params ride along as small frozen dataclasses.
+        Each of the builder's :data:`BINDINGS` parameters gets its value;
+        one left at ``None`` keeps the builder's own default. A context
+        pickles by reference for everything heavy: the spec's builder is
+        a module-level function, so a spawned worker re-imports its
+        defining module, and the scenario/params ride along as small
+        frozen dataclasses.
         """
-        return self.spec.builder(self)
+        arguments = {}
+        for name in self.spec.arguments:
+            if name == "params":
+                value = self.scenario
+            elif name == "execution":
+                value = self.execution
+            else:
+                value = getattr(self.params, name)
+            if value is not None:
+                arguments[name] = value
+        return self.spec.builder(**arguments)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: identity, capabilities, defaults."""
+    """One registered experiment: identity, capabilities, defaults.
+
+    The builder's signature is the rest of the declaration. Its
+    :data:`BINDINGS` parameters are what :meth:`ExperimentContext.run`
+    passes; the :class:`ExperimentParams` fields among them, with a
+    default that is not ``None``, are the spec's ``defaults``.
+    ``accepts`` is those fields, plus ``engine`` and ``jobs`` when it
+    takes an ``execution``, plus ``scale``, ``store`` and ``replicates``
+    for a simulated experiment — except ``replicates`` for a builder
+    returning a :class:`~repro.experiments.tables.TableSeries`, whose
+    rows a seed mean cannot carry.
+    """
 
     name: str
     title: str
     kind: str
-    builder: Callable[[ExperimentContext], FigureSeries]
+    builder: Callable[..., FigureSeries]
     #: Engines this experiment supports. Empty for analytical experiments
     #: (there is nothing to simulate); the first entry is the default.
     engines: tuple[str, ...] = ()
     #: Why the capability set is restricted (shown in error messages and
     #: ``--list`` when not every engine is supported).
     gate_reason: str = ""
+    #: Scenario scale of a simulated run that sets none (Table 1 = 1.0).
+    scale: Optional[float] = None
+    #: The builder's :data:`BINDINGS` parameters, in signature order.
+    arguments: tuple[str, ...] = field(init=False)
     #: Which :class:`ExperimentParams` fields :func:`run` may override.
-    accepts: frozenset = frozenset()
-    defaults: ExperimentParams = field(default_factory=ExperimentParams)
+    accepts: frozenset = field(init=False)
+    defaults: ExperimentParams = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("-", "").isalnum():
@@ -267,12 +335,6 @@ class ExperimentSpec:
         if self.kind not in KINDS:
             raise ParameterError(
                 f"unknown experiment kind {self.kind!r}; expected one of {KINDS}"
-            )
-        unknown = set(self.accepts) - PARAM_NAMES
-        if unknown:
-            raise ParameterError(
-                f"experiment {self.name!r} accepts unknown parameters: "
-                f"{sorted(unknown)}"
             )
         if self.kind == ANALYTICAL:
             if self.engines:
@@ -292,6 +354,41 @@ class ExperimentSpec:
                     f"experiment {self.name!r} declares unknown engines "
                     f"{sorted(bad)}; known: {ENGINES}"
                 )
+        signature = inspect.signature(
+            self.builder, locals={"TableSeries": TableSeries}, eval_str=True
+        )
+        parameters = signature.parameters
+        unknown = [
+            name
+            for name, parameter in parameters.items()
+            if name not in BINDINGS and parameter.default is parameter.empty
+        ]
+        if unknown:
+            raise ParameterError(
+                f"experiment {self.name!r} builder takes unknown parameters "
+                f"{unknown}; it can be given {list(BINDINGS)}"
+            )
+        arguments = tuple(name for name in parameters if name in BINDINGS)
+        accepts = set(arguments) & PARAM_NAMES
+        defaults = {
+            name: parameters[name].default
+            for name in accepts
+            if parameters[name].default not in (None, parameters[name].empty)
+        }
+        if "execution" in arguments:
+            accepts |= {"engine", "jobs"}
+        if self.kind == SIMULATED:
+            accepts |= {"scale", "store"}
+            returns = signature.return_annotation
+            if not (
+                isinstance(returns, type) and issubclass(returns, TableSeries)
+            ):
+                accepts.add("replicates")
+        object.__setattr__(self, "arguments", arguments)
+        object.__setattr__(self, "accepts", frozenset(accepts))
+        object.__setattr__(
+            self, "defaults", ExperimentParams(scale=self.scale, **defaults)
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -366,24 +463,24 @@ def experiment(
     kind: str,
     engines: tuple[str, ...] = (),
     gate_reason: str = "",
-    accepts: frozenset | set | tuple = frozenset(),
-    **defaults: object,
+    scale: Optional[float] = None,
 ):
-    """Decorator: register the decorated builder as an experiment.
+    """Register a figure function as an experiment; returns it unchanged.
 
-    ``defaults`` become the spec's :class:`ExperimentParams` defaults::
+    Its signature declares the rest (:class:`ExperimentSpec`)::
 
-        @experiment("sim", "Sec. 5.2 ...", SIMULATED,
-                    engines=("event", "vectorized"),
-                    accepts={"engine", "duration", "seed", "scale"},
-                    duration=300.0, seed=0, scale=SIMULATION_SCALE)
-        def _sim(ctx: ExperimentContext) -> FigureSeries:
-            ...
+        experiment("sim", "Sec. 5.2 ...", SIMULATED,
+                   engines=("event", "vectorized"),
+                   scale=SIMULATION_SCALE)(figures.simulation_comparison)
+
+    registers ``sim`` with the ``duration``/``seed`` defaults of
+    ``simulation_comparison`` and accepts ``duration``, ``seed``,
+    ``engine``, ``jobs``, ``scale``, ``store`` and ``replicates``.
     """
 
     def decorate(
-        builder: Callable[[ExperimentContext], FigureSeries],
-    ) -> Callable[[ExperimentContext], FigureSeries]:
+        builder: Callable[..., FigureSeries],
+    ) -> Callable[..., FigureSeries]:
         register(
             ExperimentSpec(
                 name=name,
@@ -392,8 +489,7 @@ def experiment(
                 builder=builder,
                 engines=tuple(engines),
                 gate_reason=gate_reason,
-                accepts=frozenset(accepts),
-                defaults=ExperimentParams(**defaults),  # type: ignore[arg-type]
+                scale=scale,
             )
         )
         return builder
@@ -724,194 +820,77 @@ def _aggregate_replicates(
 
 
 # ----------------------------------------------------------------------
-# The built-in experiment suite (the old EXPERIMENTS dict, as specs)
+# The built-in experiment suite: each figure function is the experiment
 # ----------------------------------------------------------------------
-@experiment(
-    "table1",
-    "Table 1 - parameters of the sample scenario",
-    ANALYTICAL,
-)
-def _table1(ctx: ExperimentContext) -> FigureSeries:
-    return tables.table1_series(ctx.scenario)
-
-
-@experiment("fig1", "Fig. 1 - total cost vs query frequency", ANALYTICAL)
-def _fig1(ctx: ExperimentContext) -> FigureSeries:
-    return figures.figure1(ctx.scenario)
-
-
-@experiment("fig2", "Fig. 2 - savings of ideal partial indexing", ANALYTICAL)
-def _fig2(ctx: ExperimentContext) -> FigureSeries:
-    return figures.figure2(ctx.scenario)
-
-
-@experiment("fig3", "Fig. 3 - indexed fraction and pIndxd", ANALYTICAL)
-def _fig3(ctx: ExperimentContext) -> FigureSeries:
-    return figures.figure3(ctx.scenario)
-
-
-@experiment("fig4", "Fig. 4 - savings with the selection algorithm", ANALYTICAL)
-def _fig4(ctx: ExperimentContext) -> FigureSeries:
-    return figures.figure4(ctx.scenario)
-
-
-@experiment(
-    "keyttl",
-    "Sec. 5.1.1 - keyTtl estimation-error sensitivity",
-    ANALYTICAL,
-)
-def _keyttl(ctx: ExperimentContext) -> FigureSeries:
-    return figures.keyttl_sensitivity(ctx.scenario)
-
-
-@experiment(
-    "optimal",
-    "Extension - heuristics vs exact optima",
-    ANALYTICAL,
-)
-def _optimal(ctx: ExperimentContext) -> FigureSeries:
-    return figures.heuristic_vs_optimal(ctx.scenario)
-
-
-@experiment(
+experiment(
+    "table1", "Table 1 - parameters of the sample scenario", ANALYTICAL
+)(tables.table1_series)
+experiment(
+    "fig1", "Fig. 1 - total cost vs query frequency", ANALYTICAL
+)(figures.figure1)
+experiment(
+    "fig2", "Fig. 2 - savings of ideal partial indexing", ANALYTICAL
+)(figures.figure2)
+experiment(
+    "fig3", "Fig. 3 - indexed fraction and pIndxd", ANALYTICAL
+)(figures.figure3)
+experiment(
+    "fig4", "Fig. 4 - savings with the selection algorithm", ANALYTICAL
+)(figures.figure4)
+experiment(
+    "keyttl", "Sec. 5.1.1 - keyTtl estimation-error sensitivity", ANALYTICAL
+)(figures.keyttl_sensitivity)
+experiment(
+    "optimal", "Extension - heuristics vs exact optima", ANALYTICAL
+)(figures.heuristic_vs_optimal)
+experiment(
     "sim",
     "Sec. 5.2 - simulated strategies vs the analytical model",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts=SIMULATION_ACCEPTS,
-    duration=300.0,
-    seed=0,
     scale=SIMULATION_SCALE,
-)
-def _sim(ctx: ExperimentContext) -> FigureSeries:
-    return figures.simulation_comparison(
-        params=ctx.scenario,
-        duration=ctx.duration,
-        seed=ctx.seed,
-        execution=ctx.execution,
-    )
-
-
+)(figures.simulation_comparison)
 # adaptivity is a single run at replicates=1; its "jobs" capability only
 # parallelizes the replicate seeds (handled by run()).
-@experiment(
+experiment(
     "adaptivity",
     "Sec. 5.2 - hit rate under a query-distribution shift",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts=SIMULATION_ACCEPTS | {"shift_at", "window"},
-    duration=1200.0,
-    seed=0,
     scale=SIMULATION_SCALE,
-)
-def _adaptivity(ctx: ExperimentContext) -> FigureSeries:
-    return figures.adaptivity_experiment(
-        params=ctx.scenario,
-        duration=ctx.duration,
-        shift_at=ctx.shift_at,
-        window=ctx.window,
-        seed=ctx.seed,
-        execution=ctx.execution,
-    )
-
-
-@experiment(
+)(figures.adaptivity_experiment)
+experiment(
     "adaptivity-tracking",
     "Extension - selection vs partialIdeal oracle across workload models",
     SIMULATED,
     engines=("vectorized", "event"),
-    accepts=SIMULATION_ACCEPTS | {"shift_at", "window", "workload"},
-    duration=1200.0,
-    seed=0,
     scale=SIMULATION_SCALE,
-)
-def _adaptivity_tracking(ctx: ExperimentContext) -> FigureSeries:
-    return figures.adaptivity_tracking(
-        params=ctx.scenario,
-        duration=ctx.duration,
-        window=ctx.window,
-        shift_at=ctx.params.shift_at,
-        seed=ctx.seed,
-        workload=ctx.params.workload,
-        execution=ctx.execution,
-    )
-
-
-@experiment(
+)(figures.adaptivity_tracking)
+experiment(
     "adaptivity-lag",
     "Extension - per-model convergence lag after the first workload shift",
     SIMULATED,
     engines=("vectorized", "event"),
-    accepts=(SIMULATION_ACCEPTS - {"replicates"})
-    | {"shift_at", "window", "workload"},
-    duration=1200.0,
-    seed=0,
     scale=SIMULATION_SCALE,
-)
-def _adaptivity_lag(ctx: ExperimentContext) -> FigureSeries:
-    return figures.adaptivity_lag_table(
-        params=ctx.scenario,
-        duration=ctx.duration,
-        window=ctx.window,
-        shift_at=ctx.params.shift_at,
-        seed=ctx.seed,
-        workload=ctx.params.workload,
-        execution=ctx.execution,
-    )
-
-
-@experiment(
+)(figures.adaptivity_lag_table)
+experiment(
     "churn",
     "Extension - selection algorithm under churn",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts=SIMULATION_ACCEPTS,
-    duration=240.0,
-    seed=0,
     scale=SIMULATION_SCALE,
-)
-def _churn(ctx: ExperimentContext) -> FigureSeries:
-    return figures.churn_experiment(
-        params=ctx.scenario,
-        duration=ctx.duration,
-        seed=ctx.seed,
-        execution=ctx.execution,
-    )
-
-
-@experiment(
+)(figures.churn_experiment)
+experiment(
     "staleness",
     "Extension - index staleness without proactive updates",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts=SIMULATION_ACCEPTS,
-    duration=300.0,
-    seed=0,
     scale=0.02,
-)
-def _staleness(ctx: ExperimentContext) -> FigureSeries:
-    return figures.staleness_experiment(
-        params=ctx.scenario,
-        duration=ctx.duration,
-        seed=ctx.seed,
-        execution=ctx.execution,
-    )
-
-
-@experiment(
+)(figures.staleness_experiment)
+experiment(
     "simfig1",
     "Fig. 1 regenerated in simulation",
     SIMULATED,
     engines=("event", "vectorized"),
-    accepts=SIMULATION_ACCEPTS,
-    duration=120.0,
-    seed=0,
     scale=0.02,
-)
-def _simfig1(ctx: ExperimentContext) -> FigureSeries:
-    return figures.simulated_figure1(
-        params=ctx.scenario,
-        duration=ctx.duration,
-        seed=ctx.seed,
-        execution=ctx.execution,
-    )
+)(figures.simulated_figure1)

@@ -3,12 +3,15 @@
 Each function returns a :class:`FigureSeries` — x values plus named y
 series — matching exactly what the corresponding figure plots. The
 benchmark harness prints them; tests assert on their shapes.
+:mod:`repro.experiments.api` registers each one as an experiment, and
+its signature is that experiment's parameter list: what it accepts and
+its defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import selection_outcome
@@ -20,8 +23,10 @@ from repro.errors import ParameterError
 from repro.experiments.execution import Cell, CellWorkload, Execution
 from repro.experiments.reporting import format_period, format_series
 from repro.experiments.scenario import paper_scenario, simulation_scenario
-from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
+
+if TYPE_CHECKING:
+    from repro.experiments.tables import TableSeries
 
 
 __all__ = [
@@ -91,13 +96,10 @@ def _frequency_labels(frequencies: Sequence[float]) -> list[str]:
 # ----------------------------------------------------------------------
 # Analytical figures (paper scale)
 # ----------------------------------------------------------------------
-def figure1(
-    params: Optional[ScenarioParameters] = None,
-    frequencies: Sequence[float] = PAPER_FREQUENCIES,
-) -> FigureSeries:
+def figure1(params: Optional[ScenarioParameters] = None) -> FigureSeries:
     """Fig. 1: total msg/s of indexAll, noIndex and ideal partial indexing."""
     params = params or paper_scenario()
-    sweep = sweep_frequencies(params, frequencies)
+    sweep = sweep_frequencies(params, PAPER_FREQUENCIES)
     return FigureSeries(
         name="Fig. 1 - total cost [msg/s] vs per-peer query frequency",
         x_label="queryFreq",
@@ -111,13 +113,10 @@ def figure1(
     )
 
 
-def figure2(
-    params: Optional[ScenarioParameters] = None,
-    frequencies: Sequence[float] = PAPER_FREQUENCIES,
-) -> FigureSeries:
+def figure2(params: Optional[ScenarioParameters] = None) -> FigureSeries:
     """Fig. 2: savings of ideal partial indexing vs both baselines."""
     params = params or paper_scenario()
-    sweep = sweep_frequencies(params, frequencies)
+    sweep = sweep_frequencies(params, PAPER_FREQUENCIES)
     return FigureSeries(
         name="Fig. 2 - savings of ideal partial indexing",
         x_label="queryFreq",
@@ -129,13 +128,10 @@ def figure2(
     )
 
 
-def figure3(
-    params: Optional[ScenarioParameters] = None,
-    frequencies: Sequence[float] = PAPER_FREQUENCIES,
-) -> FigureSeries:
+def figure3(params: Optional[ScenarioParameters] = None) -> FigureSeries:
     """Fig. 3: index-size fraction and pIndxd of ideal partial indexing."""
     params = params or paper_scenario()
-    sweep = sweep_frequencies(params, frequencies)
+    sweep = sweep_frequencies(params, PAPER_FREQUENCIES)
     return FigureSeries(
         name="Fig. 3 - indexed fraction and index hit probability",
         x_label="queryFreq",
@@ -147,13 +143,10 @@ def figure3(
     )
 
 
-def figure4(
-    params: Optional[ScenarioParameters] = None,
-    frequencies: Sequence[float] = PAPER_FREQUENCIES,
-) -> FigureSeries:
+def figure4(params: Optional[ScenarioParameters] = None) -> FigureSeries:
     """Fig. 4: savings of the TTL selection algorithm vs both baselines."""
     params = params or paper_scenario()
-    sweep = sweep_frequencies(params, frequencies)
+    sweep = sweep_frequencies(params, PAPER_FREQUENCIES)
     return FigureSeries(
         name="Fig. 4 - savings with the selection algorithm (keyTtl = 1/fMin)",
         x_label="queryFreq",
@@ -167,18 +160,21 @@ def figure4(
     )
 
 
+#: Query frequency and keyTtl error factors of the Sec. 5.1.1 figure.
+KEYTTL_QUERY_FREQ = 1.0 / 600.0
+KEYTTL_ERROR_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
+
+
 def keyttl_sensitivity(
     params: Optional[ScenarioParameters] = None,
-    query_freq: float = 1.0 / 600.0,
-    error_factors: Sequence[float] = (0.5, 0.75, 1.0, 1.25, 1.5),
 ) -> FigureSeries:
     """Section 5.1.1: cost penalty of mis-estimating keyTtl by +/-50%."""
-    params = (params or paper_scenario()).with_query_freq(query_freq)
-    results = sweep_keyttl_error(params, error_factors)
+    params = (params or paper_scenario()).with_query_freq(KEYTTL_QUERY_FREQ)
+    results = sweep_keyttl_error(params, KEYTTL_ERROR_FACTORS)
     return FigureSeries(
         name=(
             "Sec. 5.1.1 - keyTtl estimation-error sensitivity "
-            f"(fQry = {format_period(query_freq)})"
+            f"(fQry = {format_period(KEYTTL_QUERY_FREQ)})"
         ),
         x_label="keyTtl factor",
         x_values=[f"{r.error_factor:.2f}x" for r in results],
@@ -246,9 +242,8 @@ def heuristic_vs_optimal(
 # ----------------------------------------------------------------------
 def simulation_comparison(
     params: Optional[ScenarioParameters] = None,
-    duration: float = 600.0,
+    duration: float = 300.0,
     seed: int = 0,
-    churn: Optional[ChurnConfig] = None,
     execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Section 5.2: simulated strategies vs the analytical model.
@@ -265,10 +260,7 @@ def simulation_comparison(
     names = list(STRATEGY_NAMES)
     reports = execution.execute(
         [
-            Cell(
-                params, config, duration, strategy=name, seed=seed,
-                churn=churn,
-            )
+            Cell(params, config, duration, strategy=name, seed=seed)
             for name in names
         ]
     )
@@ -304,7 +296,7 @@ def simulation_comparison(
 
 def churn_experiment(
     params: Optional[ScenarioParameters] = None,
-    duration: float = 300.0,
+    duration: float = 240.0,
     seed: int = 0,
     availabilities: Sequence[float] = (1.0, 0.75, 0.5),
     execution: Optional[Execution] = None,
@@ -406,11 +398,10 @@ def simulated_figure1(
 
 def staleness_experiment(
     params: Optional[ScenarioParameters] = None,
-    duration: float = 400.0,
+    duration: float = 300.0,
     refresh_period: float = 100.0,
     seed: int = 0,
     ttl_factors: Sequence[float] = (0.25, 1.0, 4.0),
-    refresh_periods: Optional[Sequence[float]] = None,
     execution: Optional[Execution] = None,
 ) -> FigureSeries:
     """Extension: answer staleness without proactive updates.
@@ -424,20 +415,15 @@ def staleness_experiment(
     grows with the TTL (longer-lived entries survive more refreshes) —
     the freshness/cost trade-off hiding inside the keyTtl choice.
 
-    ``refresh_periods`` adds the update-rate sweep axis: one stale/hit
-    series pair per period, over the same TTL factors. The vectorized
-    engine measures the same distribution from the kernel's per-key
-    payload/indexed version counters (within 5% of the event engine;
-    ``tests/properties/test_property_fastsim.py``) and scales to
-    10^5-10^6 peers.
+    The vectorized engine measures the same distribution from the
+    kernel's per-key payload/indexed version counters (within 5% of the
+    event engine; ``tests/properties/test_property_fastsim.py``) and
+    scales to 10^5-10^6 peers.
     """
     params = params or simulation_scenario(scale=0.02)
     execution = execution or Execution()
     if refresh_period <= 0 or duration <= 0:
         raise ParameterError("duration and refresh_period must be > 0")
-    periods = tuple(refresh_periods) if refresh_periods else (refresh_period,)
-    if any(p <= 0 for p in periods):
-        raise ParameterError(f"refresh_periods must be > 0, got {periods}")
     if any(factor <= 0 for factor in ttl_factors):
         raise ParameterError(f"ttl_factors must be > 0, got {ttl_factors}")
     base = PdhtConfig.from_scenario(params)
@@ -445,45 +431,34 @@ def staleness_experiment(
         [
             Cell(
                 params, base.with_ttl(base.key_ttl * factor), duration,
-                seed=seed, content_refresh_period=period,
+                seed=seed, content_refresh_period=refresh_period,
             )
-            for period in periods
             for factor in ttl_factors
         ]
-    )
-    sweeping_periods = len(periods) > 1
-    width = len(ttl_factors)
-    series: dict[str, list[float]] = {}
-    for index, period in enumerate(periods):
-        suffix = f" @ refresh {period:g}s" if sweeping_periods else ""
-        row = reports[index * width : (index + 1) * width]
-        series[f"stale hit fraction{suffix}"] = [
-            report.stale_hit_fraction for report in row
-        ]
-        series[f"hit rate{suffix}"] = [report.hit_rate for report in row]
-
-    period_note = (
-        ", ".join(f"{p:g}" for p in periods)
-        if sweeping_periods
-        else f"{periods[0]:.0f}"
     )
     return FigureSeries(
         name=(
             "Extension - index staleness without proactive updates "
-            f"(content refreshed every {period_note}s, {execution.engine})"
+            f"(content refreshed every {refresh_period:.0f}s, "
+            f"{execution.engine})"
         ),
         x_label="keyTtl factor",
         x_values=[f"{factor:g}x" for factor in ttl_factors],
-        series=series,
+        series={
+            "stale hit fraction": [
+                report.stale_hit_fraction for report in reports
+            ],
+            "hit rate": [report.hit_rate for report in reports],
+        },
         notes="stale = index hit whose payload predates the last refresh",
     )
 
 
 def adaptivity_experiment(
     params: Optional[ScenarioParameters] = None,
-    duration: float = 2400.0,
-    shift_at: float = 1200.0,
-    window: float = 200.0,
+    duration: float = 1200.0,
+    shift_at: Optional[float] = None,
+    window: Optional[float] = None,
     seed: int = 0,
     execution: Optional[Execution] = None,
 ) -> FigureSeries:
@@ -491,14 +466,18 @@ def adaptivity_experiment(
 
     Runs the selection algorithm under a
     :class:`~repro.workloads.models.RankSwap` that re-draws the rank->key
-    mapping at ``shift_at``. The hit rate collapses at the shift and
-    recovers as the TTL index re-learns the new hot set — the paper's
-    "adapts to changing query distributions" claim.
+    mapping at ``shift_at`` (default: half the duration), measuring the
+    hit rate per ``window`` (default: a twelfth of the duration). The hit
+    rate collapses at the shift and recovers as the TTL index re-learns
+    the new hot set — the paper's "adapts to changing query
+    distributions" claim.
     """
     from repro.workloads import RankSwap
 
     params = params or simulation_scenario()
     execution = execution or Execution()
+    shift_at = duration / 2.0 if shift_at is None else shift_at
+    window = duration / 12.0 if window is None else window
     if not 0 < shift_at < duration:
         raise ParameterError(
             f"shift_at must be inside (0, {duration}), got {shift_at}"
@@ -698,7 +677,7 @@ def adaptivity_lag_table(
     seed: int = 0,
     workload: Optional[str] = None,
     execution: Optional[Execution] = None,
-) -> "TableSeries":
+) -> TableSeries:
     """The per-model convergence-lag table, as structured data.
 
     Same runs as :func:`adaptivity_tracking` (selection next to the

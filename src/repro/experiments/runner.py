@@ -11,14 +11,18 @@ Usage::
 
 Every experiment is an :class:`~repro.experiments.api.ExperimentSpec`;
 ``--list`` enumerates the registry with each experiment's engine
-capabilities. ``--engine``/``--seed``/``--scale``/``--duration``/
-``--replicates``/``--jobs``/``--workload`` override the spec defaults
-where the spec accepts them (``--jobs N`` fans an experiment's
-independent units — replicate seeds, sweep cells, per-strategy kernel
-runs — over N worker processes; 0 means one per CPU); a non-finite or
-out-of-range value exits non-zero with a one-line ``error:``, and
-requesting an engine an experiment does not support exits non-zero with
-the gate reason (the old runner silently fell back to the event engine).
+capabilities. Every :class:`~repro.experiments.api.ExperimentParams`
+field is a flag of the same name (``--engine``, ``--duration``,
+``--seed``, ``--scale``, ``--shift-at``, ``--window``, ``--workload``,
+``--replicates``, ``--jobs``, ``--store``; help text and type live on
+the field) that overrides the spec default where the spec accepts it
+(``--jobs N`` fans an experiment's independent units — replicate seeds,
+sweep cells, per-strategy kernel runs — over N worker processes; 0 means
+one per CPU). A flag that no requested simulated experiment accepts, a
+non-finite or an out-of-range value exits non-zero with a one-line
+``error:``; a request naming only analytical experiments ignores the
+flags. Requesting an engine an experiment does not support exits
+non-zero with the gate reason.
 ``--format csv|json`` switches the output from rendered ASCII to
 machine-readable series (JSON results carry full provenance, including
 per-seed values for replicated runs), and ``--output DIR`` writes one
@@ -55,18 +59,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields as dataclass_fields
 
 from repro import obs
 from repro.obs import events as obs_events
 from repro.errors import CapabilityError, ReproError
 from repro.experiments.api import (
+    SIMULATED,
+    ExperimentParams,
     ExperimentResult,
     experiment_names,
     get_spec,
     iter_specs,
     run,
 )
-from repro.experiments.scenario import ENGINES
 
 __all__ = ["main"]
 
@@ -112,7 +118,7 @@ def _emit(result: ExperimentResult, args: argparse.Namespace) -> None:
         print()
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner",
         description="Regenerate the paper's tables and figures.",
@@ -129,62 +135,15 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="list registered experiments with their engine capabilities",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="simulation engine for the simulated experiments (default: "
-        "each experiment's own default; unsupported requests fail)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="simulation seed override"
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="scenario scale relative to Table 1 (simulated experiments)",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="simulated duration override in rounds",
-    )
-    parser.add_argument(
-        "--replicates",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run N consecutive seeds and report seed means with "
-        "confidence intervals (simulated experiments)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for an experiment's independent units "
-        "(replicate seeds, sweep cells, per-strategy runs); default 1, "
-        "0 = one per CPU",
-    )
-    parser.add_argument(
-        "--workload",
-        default=None,
-        metavar="MODEL",
-        help="workload model for experiments that accept one "
-        "(stationary, rank-swap, gradual-drift, flash-crowd, diurnal, "
-        "or trace:<path> to replay a recorded query trace)",
-    )
+    # One flag per ExperimentParams field; its metadata holds the help
+    # text and the add_argument keywords. --no-store is --store's
+    # partner: ExperimentParams' explicit store-off sentinel "none".
     store_group = parser.add_mutually_exclusive_group()
-    store_group.add_argument(
-        "--store",
-        metavar="PATH",
-        default=None,
-        help="SQLite artifact store for calibrations, sweep cells and "
-        "replicate payloads (resumable runs); defaults to the "
-        "REPRO_STORE environment variable, if set",
-    )
+    for param in dataclass_fields(ExperimentParams):
+        target = store_group if param.name == "store" else parser
+        target.add_argument(
+            "--" + param.name.replace("_", "-"), default=None, **param.metadata
+        )
     store_group.add_argument(
         "--no-store",
         action="store_true",
@@ -229,6 +188,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="write one file per experiment into DIR instead of printing",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.list:
@@ -252,17 +216,30 @@ def main(argv: list[str] | None = None) -> int:
         else list(args.experiments)
     )
 
-    flags = {
-        "engine": args.engine,
-        "seed": args.seed,
-        "scale": args.scale,
-        "duration": args.duration,
-        "replicates": args.replicates,
-        "jobs": args.jobs,
-        "workload": args.workload,
-        # "none" is ExperimentParams' explicit store-off sentinel.
-        "store": "none" if args.no_store else args.store,
+    if args.no_store:
+        args.store = "none"
+    given = {
+        param.name: getattr(args, param.name)
+        for param in dataclass_fields(ExperimentParams)
+        if getattr(args, param.name) is not None
     }
+    # A flag is filtered per experiment below, but one that no requested
+    # simulated experiment takes would change nothing: refuse it rather
+    # than run what was not asked for. Analytical experiments take no
+    # flags, so a request naming only those ignores them.
+    simulated = [s for s in map(get_spec, names) if s.kind == SIMULATED]
+    unused = [
+        "--" + name.replace("_", "-")
+        for name in given
+        if simulated and not any(name in s.accepts for s in simulated)
+    ]
+    if unused:
+        print(
+            f"error: {', '.join(unused)}: not accepted by "
+            f"{', '.join(s.name for s in simulated)}",
+            file=sys.stderr,
+        )
+        return 1
     # --profile turns collection on for the run and restores the prior
     # state afterwards (the flag must not leak into in-process callers,
     # e.g. the test suite invoking main() directly). The live flags need
@@ -296,8 +273,8 @@ def main(argv: list[str] | None = None) -> int:
             spec = get_spec(name)
             overrides = {
                 key: value
-                for key, value in flags.items()
-                if value is not None and key in spec.accepts
+                for key, value in given.items()
+                if key in spec.accepts
             }
             # An explicit engine request must not be silently dropped
             # for a simulated experiment: api.run raises CapabilityError

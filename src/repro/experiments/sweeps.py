@@ -38,12 +38,7 @@ from repro import obs
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import selection_outcome
 from repro.errors import ParameterError
-from repro.experiments.api import (
-    SIMULATED,
-    SIMULATION_ACCEPTS,
-    ExperimentContext,
-    experiment,
-)
+from repro.experiments.api import SIMULATED, experiment
 from repro.experiments.execution import Cell, CellWorkload, Execution
 from repro.experiments.figures import FigureSeries
 from repro.experiments.reporting import format_period
@@ -339,8 +334,16 @@ def _grid_axes(workload: Optional[str]) -> GridAxes:
     return GridAxes(workloads=(workload,))
 
 
-def _default_grid(ctx: ExperimentContext) -> FigureSeries:
-    """One default-axes grid per (scenario, duration, seed, workload).
+def default_grid(
+    params: ScenarioParameters,
+    duration: float = 240.0,
+    seed: int = 0,
+    workload: Optional[str] = None,
+    execution: Optional[Execution] = None,
+) -> FigureSeries:
+    """The ``sweep`` experiment: the default-axes grid, optionally
+    restricted to one ``workload`` model, one per (scenario, duration,
+    seed, workload).
 
     ``sweep`` and ``sweep-optimal`` derive from the same expensive grid;
     caching the serialised form lets ``runner all`` pay for it once
@@ -350,19 +353,32 @@ def _default_grid(ctx: ExperimentContext) -> FigureSeries:
     """
     from repro.experiments.export import load_figure_json
 
-    workload = ctx.params.workload
-    key = (ctx.scenario, ctx.duration, ctx.seed, workload or "stationary")
+    key = (params, duration, seed, workload or "stationary")
     if key not in _GRID_CACHE:
         if len(_GRID_CACHE) >= _GRID_CACHE_SIZE:
             _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
         _GRID_CACHE[key] = sweep_grid(
-            _grid_axes(workload), ctx.scenario, ctx.duration, ctx.seed,
-            ctx.execution,
+            _grid_axes(workload), params, duration, seed, execution
         ).to_json()
     return load_figure_json(_GRID_CACHE[key])
 
 
-@experiment(
+def default_optimal_cells(
+    params: ScenarioParameters,
+    duration: float = 240.0,
+    seed: int = 0,
+    workload: Optional[str] = None,
+    execution: Optional[Execution] = None,
+) -> FigureSeries:
+    """The ``sweep-optimal`` experiment: :func:`optimal_cells` of
+    :func:`default_grid`."""
+    return optimal_cells(
+        default_grid(params, duration, seed, workload, execution),
+        _grid_axes(workload),
+    )
+
+
+experiment(
     "sweep",
     "Sweep - keyTtl x alpha x fQry grid at paper scale (fastsim)",
     SIMULATED,
@@ -371,16 +387,9 @@ def _default_grid(ctx: ExperimentContext) -> FigureSeries:
         "the grid runs Table 1 at full scale (and beyond, via --scale); "
         "only the vectorized batch kernel is tractable there"
     ),
-    accepts=SIMULATION_ACCEPTS | {"workload"},
-    duration=240.0,
-    seed=0,
     scale=1.0,
-)
-def _sweep(ctx: ExperimentContext) -> FigureSeries:
-    return _default_grid(ctx)
-
-
-@experiment(
+)(default_grid)
+experiment(
     "sweep-optimal",
     "Sweep - optimal keyTtl cell per alpha|fQry slice (fastsim)",
     SIMULATED,
@@ -389,10 +398,5 @@ def _sweep(ctx: ExperimentContext) -> FigureSeries:
         "derived from the paper-scale sweep grid; only the vectorized "
         "batch kernel is tractable there"
     ),
-    accepts=SIMULATION_ACCEPTS | {"workload"},
-    duration=240.0,
-    seed=0,
     scale=1.0,
-)
-def _sweep_optimal(ctx: ExperimentContext) -> FigureSeries:
-    return optimal_cells(_default_grid(ctx), _grid_axes(ctx.params.workload))
+)(default_optimal_cells)

@@ -90,10 +90,10 @@ class TestSpecsAndRegistry:
                 "x", "t", SIMULATED, builder=lambda ctx: None,
                 engines=("warp-drive",),
             )
+        # A builder parameter nothing binds, without a default.
         with pytest.raises(ParameterError, match="unknown parameters"):
             ExperimentSpec(
-                "x", "t", ANALYTICAL, builder=lambda ctx: None,
-                accepts=frozenset({"frobnication"}),
+                "x", "t", ANALYTICAL, builder=lambda frobnication: None
             )
 
     def test_params_validation(self):

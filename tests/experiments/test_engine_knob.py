@@ -140,25 +140,6 @@ class TestVectorizedExperiments:
         cost = fig.series_of("msg/s")
         assert cost[1] != cost[0]  # churn visibly changes the cost
 
-    def test_vectorized_figures_accept_churn(self):
-        from repro.net.churn import ChurnConfig
-
-        fig = simulation_comparison(
-            params=simulation_scenario(scale=0.02),
-            duration=30.0,
-            churn=ChurnConfig(mean_session=1800.0, mean_offline=600.0),
-            execution=Execution("vectorized"),
-        )
-        assert fig.series_of("hit rate")
-        # A disabled config stays a liveness-freezing no-op.
-        fig = simulation_comparison(
-            params=simulation_scenario(scale=0.02),
-            duration=10.0,
-            churn=ChurnConfig(enabled=False),
-            execution=Execution("vectorized"),
-        )
-        assert fig.series_of("hit rate")
-
     def test_staleness_experiment_runs_vectorized(self):
         from repro.experiments.figures import staleness_experiment
 

@@ -17,6 +17,7 @@ parity, leak and crash checks are in ``tests/fastsim/test_shm.py``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -137,10 +138,12 @@ class TestReplicatesPersistPerCompletion:
         spec = api.get_spec("sim")
         real = spec.builder
 
-        def builder(ctx):
-            if ctx.seed == 2:
+        # wraps: the spec binds the wrapper by the real signature.
+        @functools.wraps(real)
+        def builder(**arguments):
+            if arguments["seed"] == 2:
                 raise RuntimeError("killed at the third seed")
-            return real(ctx)
+            return real(**arguments)
 
         monkeypatch.setitem(
             api._REGISTRY, "sim", dataclasses.replace(spec, builder=builder)
