@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Walkthrough of the repro.workloads model family.
 
-Six composable workload models behind one protocol — stationary Zipf,
+Six workload models behind one protocol — stationary Zipf,
 rank swap, gradual drift, flash crowd, diurnal cycle, trace replay —
 each consumable by both simulation engines. This demo:
 
@@ -10,8 +10,7 @@ each consumable by both simulation engines. This demo:
 2. shows how a drifting workload degrades the stationary TTL index and
    how the `adaptivity-tracking` experiment quantifies the recovery lag;
 3. records a query trace, saves it as JSONL, and replays it — the same
-   queries, bit for bit, on either engine;
-4. overlays two models with `Composite` (drift during a diurnal cycle).
+   queries, bit for bit, on either engine.
 
 Run with::
 
@@ -32,9 +31,6 @@ from repro.pdht.config import PdhtConfig
 from repro.sim.rng import RandomStreams
 from repro.workloads import (
     WORKLOAD_MODEL_NAMES,
-    Composite,
-    DiurnalCycle,
-    GradualDrift,
     QueryTrace,
     StationaryZipf,
     TraceReplay,
@@ -92,19 +88,6 @@ def main() -> None:
     print(f"\ntrace replay: {len(trace)} recorded queries -> {path.name}; "
           f"kernel replayed {report.queries} "
           f"(hit rate {report.hit_rate:.3f})")
-
-    # 4. Composition: popularity drifts while traffic breathes.
-    rush_hour_drift = Composite((
-        GradualDrift(period=DURATION / 24),
-        DiurnalCycle(period=DURATION / 2, amplitude=0.6),
-    ))
-    report = run_fastsim(
-        params, config=config, duration=DURATION, seed=0,
-        workload=stream(rush_hour_drift, params),
-    )
-    print(f"composite (drift + diurnal): hit rate {report.hit_rate:.3f}, "
-          f"{report.messages_per_second:.1f} msg/s over "
-          f"{report.queries} queries")
 
 
 if __name__ == "__main__":

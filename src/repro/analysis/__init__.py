@@ -8,12 +8,12 @@ Equation  Implementation
 (1)-(2)   :func:`repro.analysis.threshold.f_min`
 (3)       :class:`repro.analysis.zipf.ZipfDistribution`
 (4)       :meth:`repro.analysis.zipf.ZipfDistribution.prob_queried`
-(5)       :func:`repro.analysis.threshold.p_indexed`
+(5)       :meth:`repro.analysis.zipf.ZipfDistribution.head_mass`
 (6)       :func:`repro.analysis.costs.c_search_unstructured`
 (7)       :func:`repro.analysis.costs.c_search_index`
 (8)       :func:`repro.analysis.costs.c_routing_maintenance`
 (9)       :func:`repro.analysis.costs.c_update`
-(10)      :func:`repro.analysis.costs.c_index_key`
+(10)      :attr:`repro.analysis.costs.CostModel.index_key`
 (11)      :func:`repro.analysis.strategies.cost_index_all`
 (12)      :func:`repro.analysis.strategies.cost_no_index`
 (13)      :func:`repro.analysis.strategies.cost_partial_ideal`
@@ -27,14 +27,13 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.analysis.costs import (
     CostModel,
-    c_index_key,
     c_routing_maintenance,
     c_search_index,
     c_search_index_with_replicas,
     c_search_unstructured,
     c_update,
 )
-from repro.analysis.threshold import IndexThreshold, f_min, p_indexed, solve_threshold
+from repro.analysis.threshold import IndexThreshold, f_min, solve_threshold
 from repro.analysis.strategies import (
     StrategyCosts,
     cost_index_all,
@@ -59,7 +58,6 @@ __all__ = [
     "ScenarioParameters",
     "ZipfDistribution",
     "CostModel",
-    "c_index_key",
     "c_routing_maintenance",
     "c_search_index",
     "c_search_index_with_replicas",
@@ -67,7 +65,6 @@ __all__ = [
     "c_update",
     "IndexThreshold",
     "f_min",
-    "p_indexed",
     "solve_threshold",
     "StrategyCosts",
     "cost_index_all",

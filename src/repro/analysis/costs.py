@@ -19,7 +19,6 @@ __all__ = [
     "c_search_index_with_replicas",
     "c_routing_maintenance",
     "c_update",
-    "c_index_key",
     "CostModel",
 ]
 
@@ -122,23 +121,6 @@ def c_update(
         raise ParameterError(f"update_freq must be >= 0, got {update_freq}")
     per_update = c_search_index(num_active_peers) + replication * dup2
     return per_update * update_freq
-
-
-def c_index_key(
-    env: float,
-    num_active_peers: int,
-    indexed_keys: float,
-    replication: int,
-    dup2: float,
-    update_freq: float,
-) -> float:
-    """Total cost of keeping one key indexed for one round, ``cIndKey`` (Eq. 10).
-
-        cIndKey = cRtn + cUpd   [msg/s]
-    """
-    return c_routing_maintenance(env, num_active_peers, indexed_keys) + c_update(
-        num_active_peers, replication, dup2, update_freq
-    )
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,6 @@ class OptimalPartialIndex:
     cost: float
     p_indexed: float
 
-    @property
-    def index_fraction(self) -> float:
-        return self.max_rank / self.params.n_keys
-
 
 def _partial_costs_all_ranks(
     params: ScenarioParameters, zipf: ZipfDistribution

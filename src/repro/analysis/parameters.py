@@ -198,20 +198,3 @@ class ScenarioParameters:
                 f"unknown scenario fields: {sorted(unknown)}"
             )
         return cls(**payload)  # type: ignore[arg-type]
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioParameters":
-        import json
-
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"not a valid scenario: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ParameterError("scenario JSON must be an object")
-        return cls.from_dict(payload)

@@ -54,11 +54,6 @@ class SelectionOutcome:
     no_index: float
 
     @property
-    def index_fraction(self) -> float:
-        """Expected indexed share of the key universe."""
-        return self.index_size / self.params.n_keys
-
-    @property
     def savings_vs_index_all(self) -> float:
         """Fig. 4, solid line. May go negative at very high query rates."""
         if self.index_all == 0:

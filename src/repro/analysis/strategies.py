@@ -115,11 +115,6 @@ class StrategyCosts:
             return 0.0
         return 1.0 - self.partial / self.no_index
 
-    @property
-    def best_baseline(self) -> str:
-        """Which all-or-nothing baseline is cheaper at this query frequency."""
-        return "indexAll" if self.index_all <= self.no_index else "noIndex"
-
 
 def evaluate_strategies(
     params: ScenarioParameters, zipf: ZipfDistribution | None = None

@@ -38,11 +38,6 @@ class SweepPoint:
     strategies: StrategyCosts
     selection: SelectionOutcome
 
-    @property
-    def query_period(self) -> float:
-        """Seconds between queries at one peer (the paper's axis labels)."""
-        return 1.0 / self.query_freq if self.query_freq > 0 else float("inf")
-
 
 @dataclass(frozen=True)
 class FrequencySweep:

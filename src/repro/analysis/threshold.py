@@ -39,7 +39,7 @@ from repro.analysis.zipf import (
 from repro.errors import ParameterError
 from repro.obs import counted_cache
 
-__all__ = ["f_min", "p_indexed", "IndexThreshold", "solve_threshold"]
+__all__ = ["f_min", "IndexThreshold", "solve_threshold"]
 
 
 def f_min(params: ScenarioParameters, indexed_keys: float) -> float:
@@ -55,11 +55,6 @@ def f_min(params: ScenarioParameters, indexed_keys: float) -> float:
     if advantage <= 0:
         return float("inf")
     return model.index_key / advantage
-
-
-def p_indexed(zipf: ZipfDistribution, max_rank: int) -> float:
-    """Probability a random query hits the index of top-``max_rank`` keys (Eq. 5)."""
-    return zipf.head_mass(max_rank)
 
 
 @dataclass(frozen=True)

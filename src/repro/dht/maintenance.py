@@ -20,7 +20,7 @@ messages allowed — the analytical model's expected traffic.
 from __future__ import annotations
 
 from repro import obs
-from repro.dht.base import DistributedHashTable
+from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError
 from repro.net.messages import MessageKind
 from repro.sim.engine import Simulation
@@ -38,7 +38,7 @@ class RoutingMaintenance:
     """
 
     def __init__(
-        self, dht: DistributedHashTable, env: float = DEFAULT_ENV
+        self, dht: PGridDht, env: float = DEFAULT_ENV
     ) -> None:
         if env < 0:
             raise ParameterError(f"env must be >= 0, got {env}")
@@ -75,7 +75,7 @@ class RoutingMaintenance:
     def _table_sizes(self) -> list[int]:
         """Routing-table size of every online member that has entries to
         probe, ascending by member id; read off the tables once per
-        :attr:`~repro.dht.base.DistributedHashTable.view_key`."""
+        :attr:`~repro.dht.pgrid.PGridDht.view_key`."""
         key = self.dht.view_key
         if key != self._sizes_key:
             tables = map(self.dht.routing_table, self.dht.online_view())

@@ -1,11 +1,20 @@
-"""P-Grid [Aber01]: a binary trie overlay.
+"""P-Grid [Aber01]: the DHT the PDHT routes over, a binary trie overlay.
 
-P-Grid is the system the paper's own simulator was built on. Each member
-owns a binary *path*; it is responsible for all keys whose identifier
-starts with that path. Paths are obtained by recursively splitting the
-member set on the next identifier bit until buckets are small, so the trie
-is balanced to within the randomness of SHA-1 and the average path length
-is ~``log2(n)``.
+The paper's model consumes exactly two properties of a DHT:
+
+* lookups resolve in ``O(log n)`` overlay hops (Eq. 7 charges
+  ``1/2 * log2(numActivePeers)`` messages per lookup);
+* each member maintains a routing table of ``O(log n)`` entries whose
+  probing drives the maintenance cost (Eq. 8).
+
+The DHT routes and stores nothing: the P-DHT's index lives in each
+member's :class:`~repro.pdht.ttl_cache.TtlKeyStore`. P-Grid is the system
+the paper's own simulator was built on. Each member owns a binary
+*path*; it is responsible for all keys whose identifier starts with that
+path. Paths are obtained by recursively splitting the member set on the
+next identifier bit until buckets are small, so the trie is balanced to
+within the randomness of SHA-1 and the average path length is
+~``log2(n)``.
 
 For every prefix position ``i`` of its path, a member keeps references to
 members on the *complement* side (same first ``i`` bits, opposite bit at
@@ -13,37 +22,148 @@ members on the *complement* side (same first ``i`` bits, opposite bit at
 origin already shares half the target's bits in expectation, the mean hop
 count is ``1/2 * log2(n)`` — the paper's Eq. 7 verbatim.
 
-Conventions of :class:`~repro.dht.base.DistributedHashTable`: rebuild on
-membership change, liveness decides every hop, probing costs live in
-:mod:`repro.dht.maintenance`. What a lookup derives from the trie and from
-who is online — a target's leaf, a leaf's owner, a member's next hop at a
-level — is derived once per routing rebuild or per
-``PeerPopulation.liveness_epoch`` (the two halves of
-:attr:`~repro.dht.base.DistributedHashTable.view_key`), not per query.
+The DHT:
+
+* operates over a *member set* of peers drawn from the shared
+  :class:`~repro.net.node.PeerPopulation` (the paper's ``numActivePeers``
+  subset — peers beyond what the index needs do not join the DHT);
+* counts the routing hops of every lookup through the shared
+  :class:`~repro.net.messages.MessageLog`;
+* routes only through *online* members, falling back to the closest
+  alternative when an entry is dead (the "piggybacked repair"
+  assumption of Section 3.3.1 — detecting staleness costs probe messages,
+  repairing it does not; the probes live in :mod:`repro.dht.maintenance`);
+* derives what a lookup needs from the trie and from who is online — the
+  online members, a target's leaf, a leaf's owner, a member's next hop at
+  a level — once per routing rebuild or per
+  :attr:`~PGridDht.view_key` — ``(membership version,
+  PeerPopulation.liveness_epoch)`` — not per query.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
 from repro import obs
-from repro.dht.base import KEY_MEMO_LIMIT, DistributedHashTable
-from repro.errors import RoutingError
-from repro.net.node import PeerId
+from repro.dht.keyspace import KeySpace
+from repro.errors import ParameterError, RoutingError
+from repro.net.messages import MessageKind, MessageLog
+from repro.net.node import PeerId, PeerPopulation
 
-__all__ = ["PGridDht"]
+__all__ = ["LookupResult", "PGridDht", "KEY_MEMO_LIMIT"]
+
+#: Most entries a per-key memo (key -> identifier, identifier -> leaf)
+#: holds before it is emptied and refilled: a workload with an open key
+#: universe (trace replay) must not grow one without end. Well above
+#: every scenario's ``n_keys`` (40,000 at full scale).
+KEY_MEMO_LIMIT = 1 << 16
 
 
-class PGridDht(DistributedHashTable):
-    """P-Grid backend (binary trie)."""
+@dataclass(slots=True)
+class LookupResult:
+    """Outcome of one DHT lookup."""
 
-    def __init__(self, *args, refs_per_level: int = 2, bucket_size: int = 1, **kwargs):
-        super().__init__(*args, **kwargs)
+    key: str
+    responsible: PeerId
+    hops: int
+    messages: int
+
+
+class PGridDht:
+    """P-Grid: membership, trie routing and lookup.
+
+    Joins trigger a routing-state rebuild (:meth:`_rebuild`) at the next
+    lookup.
+    """
+
+    def __init__(
+        self,
+        population: PeerPopulation,
+        log: MessageLog,
+        keyspace: Optional[KeySpace] = None,
+        *,
+        refs_per_level: int = 2,
+        bucket_size: int = 1,
+    ) -> None:
         if refs_per_level < 1:
             raise RoutingError(f"refs_per_level must be >= 1, got {refs_per_level}")
         if bucket_size < 1:
             raise RoutingError(f"bucket_size must be >= 1, got {bucket_size}")
+        self.population = population
+        self.log = log
+        self.keyspace = keyspace or KeySpace()
         self.refs_per_level = refs_per_level
         self.bucket_size = bucket_size
+        self._members: set[PeerId] = set()
+        #: key -> identifier: a key hashes to the same point for good.
+        #: One entry per distinct key looked up — the scenario's
+        #: ``n_keys`` — and never more than :data:`KEY_MEMO_LIMIT`.
+        self._targets: dict[str, int] = {}
+        #: Bumped by every join; routing state and the online view are
+        #: each rebuilt lazily when they lag behind it.
+        self._membership_version = 0
+        self._routed_version = 0
+        self._online_view: tuple[PeerId, ...] = ()
+        self._online_view_key: Optional[tuple[int, int]] = None
 
+    # ------------------------------------------------------------------
+    # Membership
+    # ------------------------------------------------------------------
+    @property
+    def size(self) -> int:
+        return len(self._members)
+
+    @property
+    def view_key(self) -> tuple[int, int]:
+        """``(membership version, liveness epoch)``.
+
+        Anything derived from who is a member and who is online — the
+        online view here, maintenance's table sizes — stays valid for as
+        long as this value does: joins bump the first half,
+        every real liveness transition the second.
+        """
+        return self._membership_version, self.population.liveness_epoch
+
+    def online_view(self) -> tuple[PeerId, ...]:
+        """Members currently online, ascending by peer id (read-only).
+
+        Sorted once per :attr:`view_key`, on the first call after it
+        moved; hot paths read this, :meth:`online_members` copies it.
+        """
+        key = self.view_key
+        if key != self._online_view_key:
+            self._online_view = tuple(
+                sorted(filter(self.population.is_online, self._members))
+            )
+            self._online_view_key = key
+            obs.count("dht.views.rebuild")
+        return self._online_view
+
+    def online_members(self) -> list[PeerId]:
+        """Members currently online, ascending by peer id (a fresh list)."""
+        return list(self.online_view())
+
+    def join(self, peer_id: PeerId) -> None:
+        """Add a peer to the DHT member set."""
+        self.population[peer_id]  # bounds check
+        if peer_id in self._members:
+            return
+        self._members.add(peer_id)
+        self.log.send(MessageKind.JOIN, peer_id, peer_id)
+        self._membership_version += 1
+
+    def join_all(self, peer_ids: Iterable[PeerId]) -> None:
+        for peer_id in peer_ids:
+            self.join(peer_id)
+
+    def _ensure_routing(self) -> None:
+        if self._routed_version != self._membership_version:
+            self._rebuild()
+            self._routed_version = self._membership_version
+
+    # ------------------------------------------------------------------
+    # The trie
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
         members = sorted(self._members)
@@ -123,6 +243,41 @@ class PGridDht(DistributedHashTable):
         return members
 
     # ------------------------------------------------------------------
+    # Lookup
+    # ------------------------------------------------------------------
+    def responsible_for(self, key: str) -> PeerId:
+        """The member responsible for ``key`` (no messages; oracle view)."""
+        self._ensure_routing()
+        if not self.online_view():
+            raise RoutingError("DHT has no online members")
+        return self._responsible(self._target(key))
+
+    def _target(self, key: str) -> int:
+        """``keyspace.hash_key(key)``, hashed once per key."""
+        targets = self._targets
+        target = targets.get(key)
+        if target is None:
+            if len(targets) >= KEY_MEMO_LIMIT:
+                targets.clear()
+            target = targets[key] = self.keyspace.hash_key(key)
+        return target
+
+    def lookup(self, origin: PeerId, key: str) -> LookupResult:
+        """Route a lookup for ``key`` from ``origin``; count its hops."""
+        self._require_online_member(origin)
+        self._ensure_routing()
+        target = self._target(key)
+        hops: list[tuple[PeerId, PeerId]] = []
+        try:
+            responsible = self._route(origin, target, hops)
+        finally:
+            # One DHT_LOOKUP per hop, counted together — including the
+            # hops of a route that did not converge.
+            self.log.send_all(MessageKind.DHT_LOOKUP, len(hops), hops, target)
+        return LookupResult(
+            key=key, responsible=responsible, hops=len(hops), messages=len(hops)
+        )
+
     def _leaf_for(self, target_bits: str) -> str:
         """The trie leaf path owning ``target_bits`` (walks the trie)."""
         for depth in range(self._max_leaf_depth + 1):
@@ -135,7 +290,7 @@ class PGridDht(DistributedHashTable):
         """``target`` as bits, as deep as the trie goes, and its leaf.
 
         Memoised per target until the next routing rebuild (at most
-        :data:`~repro.dht.base.KEY_MEMO_LIMIT` targets). Trie leaves
+        :data:`KEY_MEMO_LIMIT` targets). Trie leaves
         are prefix-free, so this pair is all a route needs of its target.
         """
         located = self._located.get(target)
@@ -238,11 +393,15 @@ class PGridDht(DistributedHashTable):
                 return candidate
         return None
 
-    # ------------------------------------------------------------------
     def routing_table(self, peer_id: PeerId) -> list[PeerId]:
+        """The peer's current routing entries (for maintenance probing)."""
         self._ensure_routing()
         table: list[PeerId] = []
         for refs in self._refs.get(peer_id, {}).values():
             table.extend(refs)
         return table
 
+    def _require_online_member(self, peer_id: PeerId) -> None:
+        if peer_id not in self._members:
+            raise ParameterError(f"peer {peer_id} is not a DHT member")
+        self.population[peer_id].require_online()

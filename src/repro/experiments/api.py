@@ -190,6 +190,8 @@ class ExperimentParams:
             raise ParameterError(f"duration must be > 0, got {self.duration}")
         if self.seed is not None and not isinstance(self.seed, int):
             raise ParameterError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.scale is not None and self.scale <= 0:
             raise ParameterError(f"scale must be > 0, got {self.scale}")
         if self.shift_at is not None and self.shift_at <= 0:
@@ -394,9 +396,6 @@ class ExperimentSpec:
     @property
     def default_engine(self) -> Optional[str]:
         return self.engines[0] if self.engines else None
-
-    def supports(self, engine: str) -> bool:
-        return resolve_engine(engine) in self.engines
 
     def resolve_engine_request(self, requested: Optional[str]) -> Optional[str]:
         """Map a requested engine onto the capability set.
@@ -663,7 +662,7 @@ def _store_scope(setting: Optional[str]):
     """The artifact-store context for one run's ``store`` parameter.
 
     ``None`` leaves the process-wide active store (``REPRO_STORE`` or a
-    programmatic :func:`repro.store.set_active_store`) in effect;
+    programmatic :func:`repro.store.using_store`) in effect;
     ``"none"`` is the explicit escape hatch disabling all store traffic
     for the run; any other value opens (creating/migrating as needed)
     the SQLite store at that path for the run's duration.

@@ -71,22 +71,12 @@ class FigureSeries:
             )
         return self.series[name]
 
-    # Export conveniences (late imports: repro.experiments.export imports
-    # this module for the FigureSeries type).
-    def to_csv(self) -> str:
-        from repro.experiments.export import figure_to_csv
-
-        return figure_to_csv(self)
-
+    # Late import: repro.experiments.export imports this module for the
+    # FigureSeries type.
     def to_json(self) -> str:
         from repro.experiments.export import figure_to_json
 
         return figure_to_json(self)
-
-    def save(self, path) -> "Path":
-        from repro.experiments.export import save_figure
-
-        return save_figure(self, path)
 
 
 def _frequency_labels(frequencies: Sequence[float]) -> list[str]:

@@ -724,7 +724,7 @@ class FastSimKernel:
         )
 
         # Liveness against the expiries the span opens with, each query at
-        # its own round (same strict > as state.live_mask), in
+        # its own round (same strict > as state.index_size), in
         # preallocated scratch.
         expiries = np.take(
             state.expires_at,

@@ -3,9 +3,9 @@
 :class:`FastSimReport` carries the same aggregates as the event engine's
 :class:`~repro.pdht.strategies.StrategyReport` (queries, hits, per-category
 message totals, windowed hit-rate/index-size series) plus fastsim-only
-detail (miss attribution, stale hits, wall-clock speed). :meth:`FastSimReport.to_strategy_report`
-adapts it to the event-engine report type so figure generators can consume
-either engine's output through one code path.
+detail (miss attribution, stale hits, wall-clock speed). It *is* a
+:class:`~repro.pdht.strategies.StrategyReport`, so figure generators
+consume either engine's output through one code path.
 """
 
 from __future__ import annotations
@@ -109,33 +109,3 @@ class FastSimReport(StrategyReport):
         if self.index_hits == 0:
             return 0.0
         return self.stale_hits / self.index_hits
-
-    # ------------------------------------------------------------------
-    def to_strategy_report(self) -> StrategyReport:
-        """The event-engine view of this report (engine-agnostic figures).
-
-        A :class:`FastSimReport` *is* a :class:`StrategyReport`; this
-        exists so call sites read as an explicit engine adaptation.
-        """
-        return self
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-friendly summary (benchmark records)."""
-        return {
-            "strategy": self.strategy,
-            "engine": self.engine,
-            "num_peers": self.params.num_peers,
-            "n_keys": self.params.n_keys,
-            "duration": self.duration,
-            "queries": self.queries,
-            "hit_rate": self.hit_rate,
-            "success_rate": self.success_rate,
-            "stale_hit_fraction": self.stale_hit_fraction,
-            "messages_per_second": self.messages_per_second,
-            "mean_index_size": self.mean_index_size,
-            "elapsed_seconds": self.elapsed_seconds,
-            "messages_by_category": {
-                category.value: total
-                for category, total in self.messages_by_category.items()
-            },
-        }

@@ -90,16 +90,10 @@ class FastSimState:
         self.has_gateway |= self.is_member
 
     # ------------------------------------------------------------------
-    def live_mask(self, keys: np.ndarray, now: float) -> np.ndarray:
-        """Hit mask for a batch of key indices.
-
-        An entry at its expiry instant is already dead (``TtlKeyStore``
-        treats ``expires_at <= now`` as a miss), hence the strict ``>``.
-        """
-        return self.expires_at[keys] > now
-
     def index_size(self, now: float) -> int:
-        """Number of keys currently resident in the index."""
+        """Number of keys currently resident in the index. An entry at its
+        expiry instant is already dead (``TtlKeyStore`` treats
+        ``expires_at <= now`` as a miss), hence the strict ``>``."""
         return int((self.expires_at > now).sum())
 
     def refresh(self, keys: np.ndarray, now: float, key_ttl: float) -> None:
@@ -140,9 +134,6 @@ class FastSimState:
         )
 
     # ------------------------------------------------------------------
-    def online_count(self) -> int:
-        return int(self.online.sum())
-
     def online_member_fraction(self) -> float:
         """Fraction of DHT members currently online (scales maintenance)."""
         if self.num_members == 0:

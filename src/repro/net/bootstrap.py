@@ -34,8 +34,7 @@ class GatewayCache:
     population:
         The shared peer population (liveness source).
     members:
-        Current DHT member set (the bootstrap universe). May be updated via
-        :meth:`update_members` when the DHT re-provisions.
+        Current DHT member set (the bootstrap universe).
     log:
         Message log for accounting.
     rng:
@@ -65,16 +64,6 @@ class GatewayCache:
         self.bootstrap_probes = 0
         self.cache_hits = 0
         self.cache_misses = 0
-
-    def update_members(self, members: set[PeerId]) -> None:
-        """Replace the member universe (e.g. after DHT re-provisioning).
-
-        Stale cache entries are kept until they fail — exactly how real
-        bootstrap caches age out.
-        """
-        if not members:
-            raise ParameterError("bootstrap needs at least one DHT member")
-        self.members = set(members)
 
     # ------------------------------------------------------------------
     def _cache_for(self, peer_id: PeerId) -> OrderedDict[PeerId, None]:
@@ -129,11 +118,3 @@ class GatewayCache:
                 self._remember(peer_id, candidate)
                 return candidate
         raise RoutingError("no online DHT member reachable for bootstrap")
-
-    # ------------------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        if total == 0:
-            return 0.0
-        return self.cache_hits / total

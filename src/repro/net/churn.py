@@ -16,7 +16,7 @@ behaviour. The long-run fraction of online peers converges to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,10 +25,6 @@ from repro.net.node import PeerId, PeerPopulation
 from repro.sim.engine import Simulation
 
 __all__ = ["ChurnConfig", "ChurnProcess"]
-
-#: Callback fired on every liveness transition: (peer_id, now, online).
-TransitionListener = Callable[[PeerId, float, bool], None]
-
 
 @dataclass(frozen=True)
 class ChurnConfig:
@@ -65,18 +61,12 @@ class ChurnConfig:
         """Long-run fraction of time a peer is online."""
         return self.mean_session / (self.mean_session + self.mean_offline)
 
-    @property
-    def turnover_rate(self) -> float:
-        """Expected liveness transitions per peer per second."""
-        return 1.0 / self.mean_session + 1.0 / self.mean_offline
-
 
 class ChurnProcess:
     """Schedules on/offline transitions for every peer.
 
     Each peer alternates exponentially-distributed online sessions and
-    offline gaps. Transitions notify registered listeners (the overlays
-    subscribe to repair routing tables / drop walks through dead peers).
+    offline gaps.
     """
 
     def __init__(
@@ -90,12 +80,7 @@ class ChurnProcess:
         self.population = population
         self.config = config
         self.rng = rng
-        self._listeners: list[TransitionListener] = []
         self.transitions = 0
-
-    def add_listener(self, listener: TransitionListener) -> None:
-        """Register a callback fired after every liveness transition."""
-        self._listeners.append(listener)
 
     # ------------------------------------------------------------------
     def start(self, initial_online_fraction: Optional[float] = None) -> None:
@@ -129,15 +114,7 @@ class ChurnProcess:
         )
 
     def _transition(self, peer_id: PeerId) -> None:
-        now = self.simulation.now
         new_state = not self.population.is_online(peer_id)
-        self.population.set_online(peer_id, new_state, now)
+        self.population.set_online(peer_id, new_state, self.simulation.now)
         self.transitions += 1
-        for listener in self._listeners:
-            listener(peer_id, now, new_state)
         self._schedule_next(peer_id)
-
-    # ------------------------------------------------------------------
-    def observed_availability(self) -> float:
-        """Current online fraction (one sample, not a time average)."""
-        return self.population.online_count / len(self.population)

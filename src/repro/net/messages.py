@@ -96,10 +96,3 @@ class MessageLog:
                 Message(kind, sender, receiver, payload)
                 for sender, receiver in hops
             )
-
-    def count_of(self, kind: MessageKind) -> int:
-        """Number of logged messages of ``kind`` (requires keep_messages)."""
-        return sum(1 for m in self.messages if m.kind is kind)
-
-    def clear(self) -> None:
-        self.messages.clear()

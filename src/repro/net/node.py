@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import OfflinePeerError, ParameterError
 
@@ -118,11 +118,6 @@ class PeerPopulation:
         return self._peers[peer_id]
 
     @property
-    def peers(self) -> list[Peer]:
-        """Every peer, indexed by id (read-only: the universe is fixed)."""
-        return self._peers
-
-    @property
     def online_ids(self) -> frozenset[PeerId]:
         """Snapshot of the currently online peer ids."""
         return frozenset(self._online_ids)
@@ -132,10 +127,6 @@ class PeerPopulation:
         if self._sorted_online is None:
             self._sorted_online = tuple(sorted(self._online_ids))
         return self._sorted_online
-
-    @property
-    def online_count(self) -> int:
-        return len(self._online_ids)
 
     def is_online(self, peer_id: PeerId) -> bool:
         return peer_id in self._online_ids
@@ -153,10 +144,6 @@ class PeerPopulation:
             self._online_ids.discard(peer_id)
         self.liveness_epoch += 1
         self._sorted_online = None
-
-    def online_peers(self) -> Iterable[Peer]:
-        """Iterate over currently-online peers (order: ascending id)."""
-        return (self._peers[i] for i in self.sorted_online_ids())
 
     def sample_online(self, rng, size: int) -> list[PeerId]:
         """Sample ``size`` distinct online peer ids uniformly at random."""

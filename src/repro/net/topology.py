@@ -163,7 +163,7 @@ class GnutellaTopology:
 
     The static graph models the peers' configured connections; under churn
     only edges between two *online* peers are usable, which is what
-    :meth:`online_neighbors` returns.
+    :meth:`online_adjacency` holds.
     """
 
     def __init__(
@@ -182,10 +182,6 @@ class GnutellaTopology:
         self._online_adjacency: list[tuple[PeerId, ...]] = []
         self._online_epoch = -1
 
-    def neighbors(self, peer_id: PeerId) -> list[PeerId]:
-        """All configured neighbours, regardless of liveness."""
-        return list(self._adjacency[peer_id])
-
     def online_adjacency(self) -> list[tuple[PeerId, ...]]:
         """Every peer's online neighbours (ascending), indexed by peer id.
 
@@ -202,7 +198,3 @@ class GnutellaTopology:
             ]
             self._online_epoch = epoch
         return self._online_adjacency
-
-    def online_neighbors(self, peer_id: PeerId) -> list[PeerId]:
-        """Configured neighbours that are currently online."""
-        return list(self.online_adjacency()[peer_id])

@@ -50,7 +50,7 @@ from repro.obs.collector import (
 )
 from repro.obs.cache import cache_stats, counted_cache
 from repro.obs.export import chrome_trace, replay
-from repro.obs.profile import profile_data, profile_json, profile_text
+from repro.obs.profile import profile_data, profile_text
 from repro.obs.progress import ProgressRenderer, heartbeat, progress
 from repro.obs import events
 
@@ -76,7 +76,6 @@ __all__ = [
     "sample_peak_rss",
     "profile_data",
     "profile_text",
-    "profile_json",
     "events",
     "progress",
     "heartbeat",

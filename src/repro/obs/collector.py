@@ -132,22 +132,9 @@ class Collector:
 
     # -- views ---------------------------------------------------------
     @property
-    def spans(self) -> dict[str, dict[str, Any]]:
-        with self._lock:
-            return {
-                path: {"count": c, "seconds": s, "attrs": dict(a)}
-                for path, (c, s, a) in self._spans.items()
-            }
-
-    @property
     def counters(self) -> dict[str, float]:
         with self._lock:
             return dict(self._counters)
-
-    @property
-    def gauges(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self._gauges)
 
     def snapshot(self) -> dict[str, Any]:
         """A JSON-able copy of this collector's state.
@@ -208,14 +195,6 @@ class Collector:
                 if current is None or value > current:
                     self._gauges[name] = float(value)
         return True
-
-    def clear(self) -> None:
-        """Drop all recorded data (merged-id memory included)."""
-        with self._lock:
-            self._spans.clear()
-            self._counters.clear()
-            self._gauges.clear()
-            self._merged_ids.clear()
 
     def __bool__(self) -> bool:
         with self._lock:

@@ -69,8 +69,6 @@ class EventSink(Protocol):
 
     def emit(self, event: dict[str, Any]) -> None: ...
 
-    def close(self) -> None: ...
-
 
 class RingBufferSink:
     """Keep the last ``capacity`` events in memory (tests, exports).
@@ -90,9 +88,6 @@ class RingBufferSink:
     def events(self) -> list[dict[str, Any]]:
         """A copy of the buffered events, oldest first."""
         return list(self._events)
-
-    def close(self) -> None:
-        pass
 
 
 class JsonlSink:
@@ -129,10 +124,6 @@ class TeeSink:
     def emit(self, event: dict[str, Any]) -> None:
         for sink in self.sinks:
             sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 # ---------------------------------------------------------------------

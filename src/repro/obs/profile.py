@@ -19,12 +19,11 @@ or a snapshot dict (the ``telemetry`` block of a saved
 
 from __future__ import annotations
 
-import json
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Union
 
 from repro.obs.collector import Collector
 
-__all__ = ["profile_data", "profile_text", "profile_json"]
+__all__ = ["profile_data", "profile_text"]
 
 Source = Union[Collector, Mapping[str, Any], None]
 
@@ -158,7 +157,3 @@ def profile_text(source: Source, title: str = "telemetry profile") -> str:
         lines.append("  (no telemetry recorded)")
     return "\n".join(lines)
 
-
-def profile_json(source: Source, indent: Optional[int] = 2) -> str:
-    """The snapshot as a JSON document (stable key order)."""
-    return json.dumps(profile_data(source), indent=indent, sort_keys=True)

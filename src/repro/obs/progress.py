@@ -132,6 +132,3 @@ class ProgressRenderer:
         elif total and done >= total:
             text += f" in {elapsed:.1f}s"
         return text
-
-    def close(self) -> None:
-        pass

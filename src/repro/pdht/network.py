@@ -323,10 +323,6 @@ class PdhtNetwork:
         gateway = online[int(rng.integers(0, len(online)))]
         return self._insert_into_index(gateway, key, value)
 
-    def preload_index(self, key: str, value: object) -> None:
-        """Place one index entry (see :meth:`preload_index_all`)."""
-        self.preload_index_all({key: value})
-
     def preload_index_all(self, items: dict[str, object]) -> None:
         """Place index entries at their responsible replica groups without
         counting messages (steady-state pre-population of the indexAll and
@@ -365,19 +361,6 @@ class PdhtNetwork:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def index_size(self) -> int:
-        """Live (unexpired) index entries across all members, counting each
-        key once per replica group it lives in."""
-        now = self.simulation.now
-        seen: set[tuple[int, str]] = set()
-        for group_idx, group in enumerate(self._groups):
-            for member in group.members:
-                node = self.nodes[member]
-                node.store.purge_expired(now)
-                for key in node.store.keys():
-                    seen.add((group_idx, key))
-        return len(seen)
-
     def distinct_indexed_keys(self) -> int:
         """Distinct keys with at least one live index entry anywhere."""
         now = self.simulation.now
@@ -388,8 +371,8 @@ class PdhtNetwork:
         return len(keys)
 
     def random_online_peer(self) -> PeerId:
-        """A uniformly random online peer: the peer
-        ``overlay.random_online_peer(streams.get("origins"))`` returns."""
+        """A uniformly random online peer (query originator), drawn from
+        the "origins" stream."""
         online = self.population.sorted_online_ids()
         if not online:
             raise ParameterError("no peers online")

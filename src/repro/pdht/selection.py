@@ -16,7 +16,7 @@ IV.  index searches for never-indexed keys (``cold_misses``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SelectionStats", "SelectionPolicy"]
 
@@ -35,24 +35,6 @@ class SelectionStats:
     cold_misses: int = 0
     #: Broadcast searches that failed to find the key anywhere.
     unresolved: int = 0
-    index_size_samples: list[tuple[float, int]] = field(default_factory=list)
-
-    @property
-    def hit_rate(self) -> float:
-        """Empirical pIndxd: fraction of queries answered by the index."""
-        if self.queries == 0:
-            return 0.0
-        return self.index_hits / self.queries
-
-    def sample_index_size(self, now: float, size: int) -> None:
-        self.index_size_samples.append((now, size))
-
-    def mean_index_size(self) -> float:
-        if not self.index_size_samples:
-            return 0.0
-        return sum(s for _, s in self.index_size_samples) / len(
-            self.index_size_samples
-        )
 
 
 class SelectionPolicy:
@@ -92,6 +74,3 @@ class SelectionPolicy:
     def record_insertion(self, key: str) -> None:
         self.stats.insertions += 1
         self._ever_indexed.add(key)
-
-    def was_ever_indexed(self, key: str) -> bool:
-        return key in self._ever_indexed

@@ -73,13 +73,6 @@ class TtlKeyStore:
         return iter(self.records)
 
     # ------------------------------------------------------------------
-    def insert(self, key: str, value: object, now: float) -> IndexRecord:
-        """Insert or overwrite ``key``; (re)arms its expiration clock."""
-        expires_at = now + self.ttl
-        record = (value, expires_at)
-        self.put(key, record, (expires_at, key), now)
-        return record
-
     def put(
         self,
         key: str,
@@ -87,9 +80,10 @@ class TtlKeyStore:
         heap_record: tuple[float, str],
         now: float,
     ) -> None:
-        """:meth:`insert` a record the caller built, so that one write
-        hands the same ``record`` and ``heap_record`` (``(record[1],
-        key)``) to every store it reaches. Expired entries are purged
+        """Insert or overwrite ``key`` with a record the caller built,
+        (re)arming its expiration clock, so that one write hands the same
+        ``record`` and ``heap_record`` (``(record[1], key)``) to every
+        store it reaches. Expired entries are purged
         first when the heap's head is due, so under ``ttl = 0`` each
         insert evicts the one before it."""
         heap = self._expiry_heap
@@ -150,17 +144,6 @@ class TtlKeyStore:
                 heapq.heappush(self._expiry_heap, (moved, key))
         return record
 
-    def peek(self, key: str, now: float) -> IndexRecord | None:
-        """Like :meth:`query` but without resetting the expiration."""
-        record = self.records.get(key)
-        if record is None or record[1] <= now:
-            return None
-        return record
-
-    def remove(self, key: str) -> bool:
-        """Explicitly drop ``key``; True if it was present."""
-        return self.records.pop(key, None) is not None
-
     # ------------------------------------------------------------------
     def purge_expired(self, now: float) -> int:
         """Evict every entry whose expiration passed; returns count."""
@@ -176,9 +159,3 @@ class TtlKeyStore:
             self.evictions_expired += 1
             purged += 1
         return purged
-
-    # ------------------------------------------------------------------
-    def live_size(self, now: float) -> int:
-        """Number of unexpired entries (purges as a side effect)."""
-        self.purge_expired(now)
-        return len(self.records)

@@ -95,9 +95,6 @@ class ReplicaNetwork:
         self._online_epoch = -1
 
     # ------------------------------------------------------------------
-    def online_members(self) -> list[PeerId]:
-        return [m for m in self.members if self.population.is_online(m)]
-
     def online_adjacency(self) -> dict[PeerId, tuple[PeerId, ...]]:
         """Every member's online neighbours (ascending), by member.
 
@@ -117,10 +114,6 @@ class ReplicaNetwork:
             self._online_epoch = epoch
             obs.count("replica.plans.rebuild")
         return self._online_adjacency
-
-    def online_neighbors(self, member: PeerId) -> list[PeerId]:
-        """The member's online neighbours, ascending (a fresh list)."""
-        return list(self.online_adjacency()[member])
 
     # ------------------------------------------------------------------
     def flood(

@@ -88,11 +88,6 @@ class Simulation:
         return self._now
 
     @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._queue)
-
-    @property
     def processed_events(self) -> int:
         """Number of events that have fired so far."""
         return self._processed
@@ -193,25 +188,3 @@ class Simulation:
             if started is not None:
                 obs.add_duration("engine.run", perf_counter() - started)
                 obs.count("engine.events", processed_here)
-
-    def step(self) -> bool:
-        """Process exactly one pending event. Returns False when idle.
-
-        Like :meth:`run`, stepping is not re-entrant: a handler calling
-        ``step()`` (or ``run()``) mid-dispatch would corrupt the clock.
-        """
-        if self._running:
-            raise SimulationError("step() is not re-entrant")
-        self._running = True
-        try:
-            while self._queue:
-                scheduled = heapq.heappop(self._queue)
-                if scheduled.event.cancelled:
-                    continue
-                self._now = scheduled.time
-                scheduled.event.action()
-                self._processed += 1
-                return True
-            return False
-        finally:
-            self._running = False

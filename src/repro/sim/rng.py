@@ -393,11 +393,5 @@ class RandomStreams:
             owner = self._bounded[name] = BoundedStream(self.get(name))
         return owner
 
-    def fork(self, salt: int) -> "RandomStreams":
-        """Return a new independent family of streams (e.g. per repetition)."""
-        if salt < 0:
-            raise ParameterError(f"salt must be >= 0, got {salt}")
-        return RandomStreams(seed=hash((self.seed, salt)) & 0x7FFFFFFF)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomStreams(seed={self.seed}, streams={sorted(self._streams)})"

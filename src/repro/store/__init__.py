@@ -33,7 +33,7 @@ Activate with ``--store PATH`` on the experiment runner, the
     with using_store(Store("artifacts.sqlite")):
         sweep_grid(axes, scenario)   # resumable
 
-``--no-store`` (or ``set_active_store(None)``) explicitly disables all
+``--no-store`` (or ``using_store(None)``) explicitly disables all
 store traffic, masking ``REPRO_STORE``.
 """
 
@@ -50,8 +50,6 @@ from repro.store.store import (
     Store,
     active_store,
     open_store,
-    reset_active_store,
-    set_active_store,
     using_store,
 )
 
@@ -68,7 +66,5 @@ __all__ = [
     "content_key",
     "active_store",
     "open_store",
-    "reset_active_store",
-    "set_active_store",
     "using_store",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.obs.clock import utc_now_iso
 from repro.store import schema as _schema
@@ -76,11 +76,6 @@ class Database:
                     self._conn.execute(f"PRAGMA user_version = {target}")
             return _schema.schema_version(self._conn)
 
-    @property
-    def schema_version(self) -> int:
-        with self._lock:
-            return _schema.schema_version(self._conn)
-
     # -- rows -----------------------------------------------------------
 
     def get(self, key: str) -> Optional[str]:
@@ -105,20 +100,6 @@ class Database:
                 (key, kind, payload, version, _utcnow(), len(payload)),
             )
 
-    def has(self, key: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM artifacts WHERE key = ?", (key,)
-            ).fetchone()
-        return row is not None
-
-    def delete(self, key: str) -> bool:
-        with self._lock:
-            cursor = self._conn.execute(
-                "DELETE FROM artifacts WHERE key = ?", (key,)
-            )
-        return cursor.rowcount > 0
-
     def count(self, kind: Optional[str] = None) -> int:
         query = "SELECT COUNT(*) FROM artifacts"
         args: tuple = ()
@@ -127,16 +108,6 @@ class Database:
             args = (kind,)
         with self._lock:
             return int(self._conn.execute(query, args).fetchone()[0])
-
-    def keys(self, kind: Optional[str] = None) -> Iterator[str]:
-        query = "SELECT key FROM artifacts"
-        args: tuple = ()
-        if kind is not None:
-            query += " WHERE kind = ?"
-            args = (kind,)
-        with self._lock:
-            rows = self._conn.execute(query + " ORDER BY key", args).fetchall()
-        return iter(row[0] for row in rows)
 
     # -- lifecycle ------------------------------------------------------
 

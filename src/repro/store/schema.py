@@ -72,8 +72,6 @@ ARTIFACT_SCHEMA_REVS: dict[str, int] = {
     "sweep_cell": 2,
     # One replicate seed's figure payload from api.run(replicates=N).
     "replicate": 1,
-    # A full provenance-stamped ExperimentResult export.
-    "result": 1,
 }
 
 ARTIFACT_KINDS = tuple(ARTIFACT_SCHEMA_REVS)

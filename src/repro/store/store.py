@@ -10,7 +10,7 @@ The *active store* is the process-wide default consulted by
 ``compare.costs_for`` / ``calibrate_churn_costs`` / ``run_many`` when no
 explicit handle is passed. It resolves, in priority order:
 
-1. an explicit :func:`set_active_store` / :func:`using_store` scope
+1. an explicit :func:`using_store` scope
    (the runner's ``--store PATH`` / ``--no-store`` land here);
 2. the ``REPRO_STORE`` environment variable (a path; also how
    ``run_many`` worker processes inherit the parent's store);
@@ -32,7 +32,6 @@ from repro.store import serialize
 __all__ = [
     "Store",
     "active_store",
-    "set_active_store",
     "using_store",
     "open_store",
     "STORE_ENV",
@@ -128,20 +127,6 @@ class Store:
         key = self.key_for("replicate", inputs)
         self.save("replicate", key, {"type": "replicate", "figure": figure_payload})
 
-    # -- whole experiment results --------------------------------------
-
-    def load_result(self, inputs: Mapping[str, Any]) -> Optional[dict[str, Any]]:
-        payload = self.load("result", self.key_for("result", inputs))
-        if payload is None:
-            return None
-        return payload["result"]
-
-    def save_result(
-        self, inputs: Mapping[str, Any], result_payload: dict[str, Any]
-    ) -> None:
-        key = self.key_for("result", inputs)
-        self.save("result", key, {"type": "result", "result": result_payload})
-
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
@@ -164,7 +149,6 @@ _PAYLOAD_TYPES = {
     "lookup_probe": "lookup_probe",
     "sweep_cell": "report",
     "replicate": "replicate",
-    "result": "result",
 }
 
 
@@ -174,22 +158,6 @@ _PAYLOAD_TYPES = {
 #: (the --no-store escape hatch must also mask the REPRO_STORE env).
 _UNSET = object()
 _active: Any = _UNSET
-
-
-def set_active_store(store: Optional[Store]) -> None:
-    """Set (or, with ``None``, disable) the process-wide default store.
-
-    ``None`` is an explicit *off*: it wins over ``REPRO_STORE``. Use
-    :func:`reset_active_store` to return to environment resolution.
-    """
-    global _active
-    _active = store
-
-
-def reset_active_store() -> None:
-    """Forget any explicit choice; fall back to ``REPRO_STORE``."""
-    global _active
-    _active = _UNSET
 
 
 def active_store() -> Optional[Store]:
@@ -211,7 +179,9 @@ _env_store: Optional[Store] = None
 
 @contextlib.contextmanager
 def using_store(store: Optional[Store]) -> Iterator[Optional[Store]]:
-    """Scoped :func:`set_active_store`; restores the prior state on exit."""
+    """Set (or, with ``None``, disable) the process-wide default store
+    for the ``with`` block; restores the prior state on exit. ``None`` is
+    an explicit *off*: it wins over ``REPRO_STORE``."""
     global _active
     previous = _active
     _active = store

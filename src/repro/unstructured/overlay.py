@@ -59,15 +59,10 @@ class UnstructuredOverlay:
     # ------------------------------------------------------------------
     # Content plane
     # ------------------------------------------------------------------
-    def store(self, peer_id: PeerId, key: Hashable, value: object) -> None:
-        """Place a content replica at a peer (no messages counted here;
-        placement cost is modelled by the replicator that calls this)."""
-        self.population[peer_id]  # bounds check
-        self.add_replicas(key, 1 << peer_id, value)
-
     def add_replicas(self, key: Hashable, mask: int, value: object) -> None:
         """Place ``value`` under ``key`` at every peer whose bit is set in
-        ``mask``."""
+        ``mask`` (no messages counted here; placement cost is modelled by
+        the replicator that calls this)."""
         record = self.content.get(key)
         if record is None:
             self.content[key] = ContentRecord(mask, value)
@@ -78,11 +73,6 @@ class UnstructuredOverlay:
                 f"key {key!r} is already held with another payload"
             )
         record.mask |= mask
-
-    def drop(self, peer_id: PeerId, key: Hashable) -> None:
-        """Remove a content replica (no-op when absent)."""
-        self.population[peer_id]  # bounds check
-        self.drop_replicas(key, 1 << peer_id)
 
     def drop_replicas(self, key: Hashable, mask: int) -> None:
         """Remove the replicas at every peer of ``mask`` (no-op where
@@ -112,23 +102,3 @@ class UnstructuredOverlay:
         if record is None or not (record.mask >> peer_id) & 1:
             raise KeyError(key)
         return record.value
-
-    def holders_of(self, key: Hashable) -> list[PeerId]:
-        """All peers (online or not) holding ``key``, ascending — a
-        test/diagnostic aid."""
-        record = self.content.get(key)
-        mask = record.mask if record is not None else 0
-        return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
-
-    # ------------------------------------------------------------------
-    # Neighbour plane
-    # ------------------------------------------------------------------
-    def online_neighbors(self, peer_id: PeerId) -> list[PeerId]:
-        return self.topology.online_neighbors(peer_id)
-
-    def random_online_peer(self, rng: np.random.Generator) -> PeerId:
-        """A uniformly random online peer (query originator, walk restart)."""
-        online = self.population.sorted_online_ids()
-        if not online:
-            raise ParameterError("no peers online")
-        return online[int(rng.integers(0, len(online)))]

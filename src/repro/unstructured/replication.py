@@ -47,13 +47,6 @@ class ReplicaPlacement:
         #: The holders as one int, bit ``p`` set for peer ``p``.
         self.mask = mask
 
-    @property
-    def holders(self) -> list[PeerId]:
-        return self.row.tolist()
-
-    def online_holders(self, overlay: UnstructuredOverlay) -> list[PeerId]:
-        return [h for h in self.holders if overlay.population.is_online(h)]
-
 
 def _holder_masks(rows: np.ndarray) -> list[int]:
     """Each row of distinct peer ids as one int, bit ``p`` set for peer
@@ -139,13 +132,10 @@ class ContentReplicator:
                 f"key {keys[fresh]!r} already placed; use refresh()"
             )
 
-    def refresh(self, key: Hashable, value: object) -> ReplicaPlacement:
-        """Replace an item's replicas (models article replacement)."""
-        self.remove(key)
-        return self.place(key, value)
-
     def refresh_all(self, items: Mapping[Hashable, object]) -> None:
-        """:meth:`refresh` every item, in order, in one placement draw."""
+        """Replace every item's replicas (models article replacement):
+        :meth:`remove` then :meth:`place` each, in order, in one placement
+        draw."""
         for key in items:
             self.remove(key)
         self.place_all(items)
@@ -155,16 +145,3 @@ class ContentReplicator:
         placement = self._placements.pop(key, None)
         if placement is not None:
             self.overlay.drop_replicas(key, placement.mask)
-
-    # ------------------------------------------------------------------
-    def placement_of(self, key: Hashable) -> ReplicaPlacement:
-        if key not in self._placements:
-            raise ParameterError(f"key {key!r} was never placed")
-        return self._placements[key]
-
-    def placed_keys(self) -> list[Hashable]:
-        return list(self._placements)
-
-    def online_copies(self, key: Hashable) -> int:
-        """Currently-reachable replica count for ``key``."""
-        return len(self.placement_of(key).online_holders(self.overlay))

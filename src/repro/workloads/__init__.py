@@ -2,7 +2,7 @@
 
 The paper's central claim is *query-adaptivity*: the Section 5 selection
 strategy tracks the Section 4 Zipf(1.2) query distribution as it changes.
-A workload is defined once, as a frozen, composable, seedable
+A workload is defined once, as a frozen, seedable
 :class:`~repro.workloads.models.WorkloadModel`:
 
 ====================  ==================================================
@@ -19,7 +19,6 @@ model                 what changes
 ``TraceReplay``       nothing is sampled — a recorded
                       :class:`~repro.workloads.trace.QueryTrace` replays
                       verbatim (JSON or JSONL)
-``Composite``         several of the above overlaid
 ====================  ==================================================
 
 ``model.build(zipf, rng)`` realises a model as the one mutable stream
@@ -42,7 +41,6 @@ grid's ``GridAxes.workloads`` axis, and the runner's ``--workload`` flag
 from repro.workloads.adapters import BatchTraceWorkload, ModelBatchWorkload
 from repro.workloads.models import (
     WORKLOAD_MODEL_NAMES,
-    Composite,
     DiurnalCycle,
     FlashCrowd,
     GradualDrift,
@@ -63,7 +61,6 @@ __all__ = [
     "FlashCrowd",
     "DiurnalCycle",
     "TraceReplay",
-    "Composite",
     "WORKLOAD_MODEL_NAMES",
     "model_from_name",
     "validate_workload_name",

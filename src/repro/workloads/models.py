@@ -34,12 +34,10 @@ The models
 * :class:`FlashCrowd` — a transient hot key: a tail key is promoted to
   rank 1 at ``at`` and demoted back ``hot_for`` rounds later;
 * :class:`DiurnalCycle` — a sinusoidal query-rate modulation (mapping
-  boundaries: none); composes with any mapping model;
+  boundaries: none);
 * :class:`TraceReplay` — replay a recorded
   :class:`~repro.workloads.trace.QueryTrace` verbatim (counts and keys
-  come from the trace, not from sampling);
-* :class:`Composite` — overlay several models (boundaries interleave,
-  rate multipliers multiply).
+  come from the trace, not from sampling).
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ __all__ = [
     "FlashCrowd",
     "DiurnalCycle",
     "TraceReplay",
-    "Composite",
     "WORKLOAD_MODEL_NAMES",
     "model_from_name",
     "validate_workload_name",
@@ -72,7 +69,7 @@ class WorkloadModel(abc.ABC):
     """Declarative description of a (possibly non-stationary) workload.
 
     Subclasses override the boundary schedule (:meth:`next_boundary` /
-    :meth:`boundary_at` / :meth:`apply`) for mapping changes and/or
+    :meth:`apply`) for mapping changes and/or
     :meth:`rate_multiplier` for rate changes. The default implementations
     describe the stationary case, so a model only overrides what varies.
     """
@@ -89,12 +86,6 @@ class WorkloadModel(abc.ABC):
         from it tracks which boundaries it has already applied.
         """
         return math.inf
-
-    def boundary_at(self, at: float) -> bool:
-        """Whether ``at`` is one of this model's boundaries (composition
-        hook: :class:`Composite` dispatches a shared boundary time to
-        exactly the members that scheduled it)."""
-        return self.next_boundary(math.nextafter(at, -math.inf)) == at
 
     def apply(
         self, at: float, mapping: np.ndarray, rng: np.random.Generator
@@ -221,18 +212,6 @@ class GradualDrift(WorkloadModel):
             boundary = (k + 1) * self.period
         return boundary
 
-    def boundary_at(self, at: float) -> bool:
-        # Tolerant multiple-of-period test: both `at % period == 0` and
-        # the base-class nextafter peek miss boundaries whose k * period
-        # rounds differently from the division (period 0.3:
-        # 19 * 0.3 = 5.699999... vs the schedule emitting 5.7).
-        if at <= 0 or not math.isfinite(at):
-            return False
-        k = round(at / self.period)
-        return k >= 1 and math.isclose(
-            k * self.period, at, rel_tol=1e-12, abs_tol=0.0
-        )
-
     def apply(self, at, mapping, rng):
         n = mapping.size
         if n < 2:
@@ -290,9 +269,6 @@ class FlashCrowd(WorkloadModel):
             return self._end
         return math.inf
 
-    def boundary_at(self, at: float) -> bool:
-        return at == self.at or at == self._end
-
     def _resolved_cold_rank(self, n: int) -> int:
         rank = n if self.cold_rank is None else self.cold_rank
         if not 1 <= rank <= n:
@@ -322,8 +298,7 @@ class DiurnalCycle(WorkloadModel):
 
     The rank -> key mapping never changes; the per-round query rate is
     scaled by ``1 + amplitude * sin(2 pi (t - phase) / period)``, clamped
-    at zero. Overlay it on a mapping model with :class:`Composite` for
-    "drift during rush hour" scenarios.
+    at zero.
     """
 
     period: float = 600.0
@@ -388,62 +363,6 @@ class TraceReplay(WorkloadModel):
         from repro.workloads.adapters import BatchTraceWorkload
 
         return BatchTraceWorkload(self, zipf, rng)
-
-
-@dataclass(frozen=True)
-class Composite(WorkloadModel):
-    """Overlay several models: boundaries interleave, rates multiply.
-
-    Mapping boundaries fire in time order; when two members share a
-    boundary time, both apply (in member order). A typical composition is
-    ``Composite((GradualDrift(), DiurnalCycle()))`` — drifting popularity
-    under day/night traffic.
-    """
-
-    models: tuple[WorkloadModel, ...]
-
-    name: str = field(default="composite", init=False)
-
-    def __post_init__(self) -> None:
-        if not self.models:
-            raise ParameterError("Composite needs at least one model")
-        if any(isinstance(m, TraceReplay) for m in self.models):
-            raise ParameterError(
-                "TraceReplay does not compose (its counts and keys are "
-                "fixed by the trace)"
-            )
-
-    def next_boundary(self, after: float) -> float:
-        return min(m.next_boundary(after) for m in self.models)
-
-    def boundary_at(self, at: float) -> bool:
-        return any(m.boundary_at(at) for m in self.models)
-
-    def apply(self, at, mapping, rng):
-        for model in self.models:
-            if model.boundary_at(at):
-                mapping = model.apply(at, mapping, rng)
-        return mapping
-
-    def rate_multiplier(self, now: float) -> float:
-        product = 1.0
-        for model in self.models:
-            product *= model.rate_multiplier(now)
-        return product
-
-    def rate_multipliers(self, times: np.ndarray) -> np.ndarray | None:
-        product: np.ndarray | None = None
-        for model in self.models:
-            values = model.rate_multipliers(times)
-            if values is not None:
-                product = values if product is None else product * values
-        return product
-
-    @property
-    def calibration_model(self):
-        if any(m.calibration_model is not None for m in self.models):
-            return self
-        return None
 
 
 #: Preset names accepted by ``--workload`` / ``ExperimentParams.workload``

@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis.costs import (
     CostModel,
-    c_index_key,
     c_routing_maintenance,
     c_search_index,
     c_search_index_with_replicas,
@@ -96,13 +95,6 @@ class TestEq9Eq10:
 
     def test_zero_update_freq_is_free(self):
         assert c_update(100, 10, 1.8, 0.0) == 0.0
-
-    def test_cindkey_is_sum(self):
-        total = c_index_key(1 / 14, 20_000, 40_000, 50, 1.8, 1 / 86_400)
-        assert total == pytest.approx(
-            c_routing_maintenance(1 / 14, 20_000, 40_000)
-            + c_update(20_000, 50, 1.8, 1 / 86_400)
-        )
 
     def test_paper_claim_crtn_outweighs_cupd(self):
         # Section 4: "the maintenance cost (cRtn) clearly outweighs the

@@ -27,27 +27,3 @@ class TestDictRoundtrip:
         with pytest.raises(ParameterError):
             ScenarioParameters.from_dict({"num_peers": -5})
 
-
-class TestJsonRoundtrip:
-    def test_roundtrip_identity(self, small_params):
-        assert (
-            ScenarioParameters.from_json(small_params.to_json()) == small_params
-        )
-
-    def test_json_is_stable_and_sorted(self, paper_params):
-        text = paper_params.to_json()
-        assert text == paper_params.to_json()
-        keys = [
-            line.strip().split(":")[0].strip('"')
-            for line in text.splitlines()
-            if ":" in line
-        ]
-        assert keys == sorted(keys)
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ParameterError):
-            ScenarioParameters.from_json("{oops")
-
-    def test_non_object_rejected(self):
-        with pytest.raises(ParameterError):
-            ScenarioParameters.from_json("[1, 2, 3]")

@@ -99,5 +99,5 @@ class TestSavings:
     def test_best_baseline_flips_across_sweep(self, paper_params):
         busy = evaluate_strategies(paper_params.with_query_freq(1 / 30))
         calm = evaluate_strategies(paper_params.with_query_freq(1 / 7200))
-        assert busy.best_baseline == "indexAll"
-        assert calm.best_baseline == "noIndex"
+        assert busy.index_all <= busy.no_index  # indexAll is the cheaper baseline
+        assert calm.index_all > calm.no_index  # noIndex is

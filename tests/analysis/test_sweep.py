@@ -29,8 +29,8 @@ class TestGrid:
             sweep_frequencies(paper_params, [0.0])
 
     def test_query_period_labels(self, paper_sweep):
-        assert paper_sweep.points[0].query_period == pytest.approx(30.0)
-        assert paper_sweep.points[-1].query_period == pytest.approx(7200.0)
+        assert 1 / paper_sweep.points[0].query_freq == pytest.approx(30.0)
+        assert 1 / paper_sweep.points[-1].query_freq == pytest.approx(7200.0)
 
 
 class TestFig1Series:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.threshold import f_min, p_indexed, solve_threshold
+from repro.analysis.threshold import f_min, solve_threshold
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 
@@ -102,11 +102,3 @@ class TestSolveThreshold:
             threshold.max_rank
         )
 
-
-class TestPIndexed:
-    def test_is_head_mass(self):
-        zipf = ZipfDistribution(100, 1.2)
-        assert p_indexed(zipf, 10) == pytest.approx(zipf.head_mass(10))
-
-    def test_zero_rank(self):
-        assert p_indexed(ZipfDistribution(100, 1.2), 0) == 0.0

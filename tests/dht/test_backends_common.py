@@ -18,6 +18,8 @@ from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
+from test_routing_views_equivalence import leave
+
 BACKENDS = [PGridDht]
 BACKEND_IDS = ["pgrid"]
 
@@ -40,17 +42,6 @@ class TestMembership:
         dht.join(5)
         assert dht.size == 100
 
-    def test_leave_removes_member_and_storage(self, dht):
-        origin = next(m for m in dht.online_members() if m != 5)
-        dht.insert(origin, "somekey", "v")
-        dht.leave(5)
-        assert dht.size == 99
-        assert 5 not in dht.members
-
-    def test_leave_unknown_is_noop(self, dht):
-        dht.leave(120)
-        assert dht.size == 100
-
     def test_online_members_tracks_liveness(self, dht):
         dht.population.set_online(3, False)
         assert 3 not in dht.online_members()
@@ -59,7 +50,7 @@ class TestMembership:
 class TestResponsibility:
     def test_responsible_is_online_member(self, dht):
         peer = dht.responsible_for("article:42")
-        assert peer in dht.members
+        assert peer in dht._members
         assert dht.population.is_online(peer)
 
     def test_responsible_deterministic(self, dht):
@@ -68,10 +59,10 @@ class TestResponsibility:
     def test_responsibility_moves_when_owner_leaves(self, dht):
         key = "migrating-key"
         owner = dht.responsible_for(key)
-        dht.leave(owner)
+        leave(dht, owner)
         new_owner = dht.responsible_for(key)
         assert new_owner != owner
-        assert new_owner in dht.members
+        assert new_owner in dht._members
 
     def test_responsibility_skips_offline_owner(self, dht):
         key = "churn-key"
@@ -129,7 +120,7 @@ class TestLookup:
 
     def test_routing_survives_heavy_churn(self, dht):
         # Take 40% of members offline; lookups must still resolve.
-        for member in list(dht.members)[::3]:
+        for member in list(dht._members)[::3]:
             dht.population.set_online(member, False)
         origin = dht.online_members()[0]
         for i in range(20):
@@ -137,44 +128,12 @@ class TestLookup:
             assert dht.population.is_online(result.responsible)
 
 
-class TestStorage:
-    def test_insert_then_lookup_finds_value(self, dht):
-        origin = dht.online_members()[0]
-        dht.insert(origin, "stored", "payload")
-        result = dht.lookup(origin, "stored")
-        assert result.has_value
-        assert result.found_value == "payload"
-
-    def test_insert_overwrites(self, dht):
-        origin = dht.online_members()[0]
-        dht.insert(origin, "k", "v1")
-        dht.insert(origin, "k", "v2")
-        assert dht.lookup(origin, "k").found_value == "v2"
-
-    def test_delete_removes_value(self, dht):
-        origin = dht.online_members()[0]
-        dht.insert(origin, "k", "v")
-        dht.delete(origin, "k")
-        assert not dht.lookup(origin, "k").has_value
-
-    def test_lookup_missing_key_has_no_value(self, dht):
-        origin = dht.online_members()[0]
-        result = dht.lookup(origin, "never-stored")
-        assert not result.has_value
-
-    def test_total_stored_keys(self, dht):
-        origin = dht.online_members()[0]
-        for i in range(5):
-            dht.insert(origin, f"bulk-{i}", i)
-        assert dht.total_stored_keys() == 5
-
-
 class TestRoutingTables:
     def test_members_have_routing_entries(self, dht):
         for member in dht.online_members()[:10]:
             table = dht.routing_table(member)
             assert table, f"member {member} has an empty routing table"
-            assert all(entry in dht.members for entry in table)
+            assert all(entry in dht._members for entry in table)
 
     def test_table_size_logarithmic(self, dht):
         sizes = [len(dht.routing_table(m)) for m in dht.online_members()]

@@ -51,7 +51,7 @@ class TestExpectedMode:
 
     def test_offline_members_do_not_probe(self, dht):
         full = RoutingMaintenance(dht, env=0.1).run_sweep()
-        for member in list(dht.members)[:32]:
+        for member in list(dht._members)[:32]:
             dht.population.set_online(member, False)
         reduced = RoutingMaintenance(dht, env=0.1).run_sweep()
         assert reduced < full

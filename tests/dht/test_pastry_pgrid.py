@@ -12,6 +12,8 @@ from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageMetrics
 
+from test_routing_views_equivalence import leave
+
 
 def _path(dht, peer):
     """A member's trie path, routing built."""
@@ -30,7 +32,7 @@ def pgrid():
 
 class TestPGrid:
     def test_paths_are_binary_and_prefix_free(self, pgrid):
-        paths = [_path(pgrid, m) for m in pgrid.members]
+        paths = [_path(pgrid, m) for m in pgrid._members]
         for path in paths:
             assert set(path) <= {"0", "1"}
         # With bucket_size=1 the paths form a prefix-free code (no path is
@@ -42,7 +44,7 @@ class TestPGrid:
                     assert not other.startswith(path)
 
     def test_trie_roughly_balanced(self, pgrid):
-        depths = [len(_path(pgrid, m)) for m in pgrid.members]
+        depths = [len(_path(pgrid, m)) for m in pgrid._members]
         expected = math.log2(256)
         assert expected - 3 <= sum(depths) / len(depths) <= expected + 3
 
@@ -54,7 +56,7 @@ class TestPGrid:
         assert target_bits.startswith(path)
 
     def test_refs_point_to_complement_subtrees(self, pgrid):
-        member = next(iter(pgrid.members))
+        member = next(iter(pgrid._members))
         path = _path(pgrid, member)
         for level, refs in pgrid._refs[member].items():
             complement = path[:level] + ("1" if path[level] == "0" else "0")
@@ -84,13 +86,13 @@ class TestPGrid:
             assert pgrid._members_under(prefix) == scan(prefix)
             # second ask is the memoised tuple itself
             assert pgrid._members_under(prefix) is pgrid._members_under(prefix)
-        assert pgrid._members_under("") == tuple(sorted(pgrid.members))
+        assert pgrid._members_under("") == tuple(sorted(pgrid._members))
 
     def test_members_under_memo_dropped_on_rebuild(self, pgrid):
         pgrid.responsible_for("warmup")
         leaver = pgrid._members_under("0")[0]
         assert leaver in pgrid._members_under("")
-        pgrid.leave(leaver)
+        leave(pgrid, leaver)
         pgrid.responsible_for("warmup")  # triggers the routing rebuild
         assert leaver not in pgrid._members_under("")
         assert all(

@@ -5,7 +5,7 @@ ISSUE 22 derives what a P-Grid lookup needs — a key's identifier, the
 identifier's bits and leaf, the leaf's owner, a member's next hop at a
 mismatch level — once per key, per routing rebuild or per ``view_key``
 instead of per query, and moves the hop accounting into
-``DistributedHashTable.lookup`` (``_route`` appends its hops, one
+``PGridDht.lookup`` (``_route`` appends its hops, one
 ``MessageLog.send_all`` counts them). The replaced bodies are kept here
 verbatim — ``lookup`` and ``responsible_for`` hashing the key every time,
 each ``_route`` sending one ``DHT_LOOKUP`` per hop, P-Grid's
@@ -46,21 +46,21 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.dht import PGridDht
-from repro.dht.base import LookupResult
+from repro.dht import LookupResult, PGridDht
 from repro.errors import RoutingError
 from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
-from test_routing_views_equivalence import KEYS, History, histories
+from test_routing_views_equivalence import KEYS, History, histories, leave
 
 
 # ----------------------------------------------------------------------
 # The replaced bodies, verbatim
 # ----------------------------------------------------------------------
 class ReferenceLookup:
-    """``DistributedHashTable``'s lookup plane as it was: the key hashed
+    """``DistributedHashTable``'s lookup plane as it was (less the storage
+    plane, gone with the class): the key hashed
     per call, ``_route`` returning ``(responsible, hops)`` having logged
     each hop itself."""
 
@@ -75,15 +75,8 @@ class ReferenceLookup:
         self._ensure_routing()
         target = self.keyspace.hash_key(key)
         responsible, hops = self._route(origin, target)
-        store = self._storage.get(responsible, {})
-        has_value = key in store
         return LookupResult(
-            key=key,
-            responsible=responsible,
-            hops=hops,
-            messages=hops,
-            found_value=store.get(key),
-            has_value=has_value,
+            key=key, responsible=responsible, hops=hops, messages=hops
         )
 
 
@@ -200,7 +193,7 @@ def _assert_same_lookups(new, old, population, keys=KEYS) -> None:
         assert _outcome(new.responsible_for, key) == _outcome(
             old.responsible_for, key
         )
-    for origin in sorted(new.members):
+    for origin in sorted(new._members):
         if not population.is_online(origin):
             continue
         for key in keys:
@@ -209,8 +202,8 @@ def _assert_same_lookups(new, old, population, keys=KEYS) -> None:
             if isinstance(got, LookupResult):
                 assert got.messages == got.hops
     assert _observable(new) == _observable(old)
-    new.log.clear()
-    old.log.clear()
+    new.log.messages.clear()
+    old.log.messages.clear()
 
 
 def _replay(history: History) -> None:
@@ -223,14 +216,17 @@ def _replay(history: History) -> None:
     _assert_same_lookups(new, old, population)
     for op in history.ops:
         name = op[0]
-        if name in ("join", "leave"):
+        if name == "join":
             for dht in (new, old):
-                getattr(dht, name)(op[1])
+                dht.join(op[1])
+        elif name == "leave":
+            for dht in (new, old):
+                leave(dht, op[1])
         elif name == "flip":
             population.set_online(op[1], op[2])
         elif name == "lookup":
             origin, key = op[1], op[2]
-            if origin in new.members and population.is_online(origin):
+            if origin in new._members and population.is_online(origin):
                 assert _outcome(new.lookup, origin, key) == _outcome(
                     old.lookup, origin, key
                 )
@@ -266,7 +262,7 @@ def test_every_ref_of_a_level_offline():
     population = PeerPopulation(48)
     new, old = _pair(population, range(0, 48, 2), refs_per_level=2)
     _assert_same_lookups(new, old, population, MANY_KEYS)
-    origin = min(new.members)
+    origin = min(new._members)
     path = new._paths[origin]
     for level in range(len(path)):
         refs = new._refs[origin][level]
@@ -317,11 +313,11 @@ def test_memos_do_not_outlive_a_join_or_leave():
     assert new._max_leaf_depth > depth
     for dht in (new, old):
         for peer in range(0, 36):
-            dht.leave(peer)
+            leave(dht, peer)
     _assert_same_lookups(new, old, population, MANY_KEYS)
     for dht in (new, old):
         for peer in range(40, 64):
-            dht.leave(peer)
+            leave(dht, peer)
     _assert_same_lookups(new, old, population, MANY_KEYS)
     assert new._max_leaf_depth <= depth
 
@@ -329,10 +325,9 @@ def test_memos_do_not_outlive_a_join_or_leave():
 def test_per_key_memos_are_bounded(monkeypatch):
     """An open key universe does not grow the per-key memos without end:
     at ``KEY_MEMO_LIMIT`` entries they start over, mid-run, unnoticed."""
-    from repro.dht import base, pgrid
+    from repro.dht import pgrid
 
-    for module in (base, pgrid):
-        monkeypatch.setattr(module, "KEY_MEMO_LIMIT", 7)
+    monkeypatch.setattr(pgrid, "KEY_MEMO_LIMIT", 7)
     population = PeerPopulation(24)
     new, old = _pair(population, range(24))
     _assert_same_lookups(new, old, population, MANY_KEYS)

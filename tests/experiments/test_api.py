@@ -58,7 +58,7 @@ class TestSpecsAndRegistry:
             spec = get_spec(name)
             assert spec.engines == ("event", "vectorized")
             assert not spec.gate_reason
-            assert spec.supports("vectorized")
+            assert "vectorized" in spec.engines
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ParameterError, match="unknown experiment"):

@@ -75,7 +75,10 @@ def _profiled_run(name, **overrides):
 def _sweep_cell_keys(path):
     store = Store(path)
     try:
-        return set(store.db.keys("sweep_cell"))
+        rows = store.db._conn.execute(
+            "SELECT key FROM artifacts WHERE kind = 'sweep_cell'"
+        ).fetchall()
+        return {row[0] for row in rows}
     finally:
         store.close()
 

@@ -181,3 +181,13 @@ def test_analytical_only_requests_ignore_every_flag(capsys):
             "--replicates", "3", "--format", "csv"]
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("queryFreq,")
+
+
+@pytest.mark.parametrize("engine", ["event", "vectorized"])
+def test_negative_seed_is_the_same_error_on_both_engines(capsys, engine):
+    argv = ["sim", "--engine", engine, "--scale", "0.02", "--duration", "60",
+            "--seed", "-1", "--no-store"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sim: seed must be >= 0, got -1\n"

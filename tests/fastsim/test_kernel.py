@@ -278,21 +278,6 @@ class TestShiftsAndChurn:
         ] < quiet.messages_by_category[MessageCategory.MAINTENANCE]
 
 
-class TestReportAdapter:
-    def test_report_adapter_round_trips(self, small_params):
-        report = run_fastsim(small_params, duration=50.0, seed=1, window=25.0)
-        strategy_report = report.to_strategy_report()
-        assert strategy_report.queries == report.queries
-        assert strategy_report.hit_rate == report.hit_rate
-        assert strategy_report.total_messages == pytest.approx(
-            report.total_messages
-        )
-        assert strategy_report.hit_rate_series == report.hit_rate_series
-        payload = report.to_dict()
-        assert payload["strategy"] == "partialSelection"
-        assert payload["engine"] == "vectorized"
-
-
 class TestStaleness:
     def test_no_refresh_means_no_stale_hits(self, small_params):
         report = run_fastsim(small_params, duration=80.0, seed=2)

@@ -13,7 +13,7 @@ class TestConstruction:
     def test_starts_unindexed_and_online(self, small_params, rng):
         state = FastSimState(small_params, num_members=10, rng=rng)
         assert state.index_size(now=0.0) == 0
-        assert state.online_count() == small_params.num_peers
+        assert int(state.online.sum()) == small_params.num_peers
         assert int(state.is_member.sum()) == 10
 
     def test_members_have_gateways_for_free(self, small_params, rng):
@@ -34,7 +34,6 @@ class TestIndexDynamics:
         state = FastSimState(small_params, num_members=4, rng=rng)
         keys = np.array([3, 7])
         state.refresh(keys, now=5.0, key_ttl=10.0)
-        assert state.live_mask(keys, now=10.0).all()
         assert state.index_size(now=10.0) == 2
 
     def test_expiry_instant_is_a_miss_like_ttl_store(self, small_params, rng):
@@ -42,8 +41,8 @@ class TestIndexDynamics:
         state = FastSimState(small_params, num_members=4, rng=rng)
         keys = np.array([0])
         state.refresh(keys, now=0.0, key_ttl=10.0)
-        assert state.live_mask(keys, now=10.0).any() is np.False_
-        assert state.live_mask(keys, now=9.999).all()
+        assert state.index_size(now=10.0) == 0
+        assert state.index_size(now=9.999) == 1
 
 
 def test_one_per_key_array_until_the_first_refresh(small_params, rng):

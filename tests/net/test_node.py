@@ -45,7 +45,7 @@ class TestPeer:
 
 class TestPopulation:
     def test_all_online_initially(self, population):
-        assert population.online_count == len(population)
+        assert len(population.online_ids) == len(population)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ParameterError):
@@ -109,7 +109,7 @@ class TestPopulation:
 
     def test_online_peers_sorted(self, population):
         population.set_online(5, False)
-        ids = [p.peer_id for p in population.online_peers()]
+        ids = list(population.sorted_online_ids())
         assert ids == sorted(ids)
         assert 5 not in ids
 

@@ -58,16 +58,16 @@ class TestBuildGraph:
 class TestGnutellaTopology:
     def test_neighbors_stable_regardless_of_liveness(self, population, rng):
         topo = GnutellaTopology(population, 4, rng)
-        before = topo.neighbors(0)
+        before = list(topo._adjacency[0])
         population.set_online(before[0], False)
-        assert topo.neighbors(0) == before
+        assert list(topo._adjacency[0]) == before
 
     def test_online_neighbors_filter(self, population, rng):
         topo = GnutellaTopology(population, 4, rng)
-        victim = topo.neighbors(0)[0]
+        victim = list(topo._adjacency[0])[0]
         population.set_online(victim, False)
-        assert victim not in topo.online_neighbors(0)
-        assert len(topo.online_neighbors(0)) == 3
+        assert victim not in topo.online_adjacency()[0]
+        assert len(topo.online_adjacency()[0]) == 3
 
     def test_online_adjacency_rebuilt_only_when_the_epoch_moved(
         self, population, rng
@@ -75,9 +75,9 @@ class TestGnutellaTopology:
         topo = GnutellaTopology(population, 4, rng)
         table = topo.online_adjacency()
         assert [list(row) for row in table] == [
-            topo.neighbors(p) for p in range(len(population))
+            list(topo._adjacency[p]) for p in range(len(population))
         ]
-        victim = topo.neighbors(0)[0]
+        victim = list(topo._adjacency[0])[0]
         population.set_online(victim, True)  # no-op: table kept
         assert topo.online_adjacency() is table
         population.set_online(victim, False)
@@ -87,12 +87,6 @@ class TestGnutellaTopology:
         assert rebuilt[victim] == table[victim]  # own liveness is not a filter
         population.set_online(victim, True)
         assert topo.online_adjacency() == table
-
-    def test_online_neighbors_returns_a_private_list(self, population, rng):
-        topo = GnutellaTopology(population, 4, rng)
-        expected = topo.online_neighbors(0)
-        topo.online_neighbors(0).clear()
-        assert topo.online_neighbors(0) == expected == sorted(expected)
 
     def test_duplication_factor_matches_degree(self, population, rng):
         topo = GnutellaTopology(population, 4, rng)

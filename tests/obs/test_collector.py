@@ -18,7 +18,7 @@ class TestSpans:
         obs.enable()
         with obs.span("outer"):
             time.sleep(0.01)
-        spans = obs.collector().spans
+        spans = obs.collector().snapshot()["spans"]
         assert spans["outer"]["count"] == 1
         assert spans["outer"]["seconds"] >= 0.01
 
@@ -29,7 +29,7 @@ class TestSpans:
                 pass
             with obs.span("inner"):
                 pass
-        spans = obs.collector().spans
+        spans = obs.collector().snapshot()["spans"]
         assert spans["outer"]["count"] == 1
         assert spans["outer/inner"]["count"] == 2
         assert "inner" not in spans
@@ -40,7 +40,7 @@ class TestSpans:
             pass
         with obs.span("calibrate.churn", peers=5000):
             pass
-        attrs = obs.collector().spans["calibrate.churn"]["attrs"]
+        attrs = obs.collector().snapshot()["spans"]["calibrate.churn"]["attrs"]
         assert attrs == {"peers": 5000, "seed": 0}
 
     def test_inner_seconds_bounded_by_outer(self):
@@ -48,14 +48,14 @@ class TestSpans:
         with obs.span("outer"):
             with obs.span("inner"):
                 time.sleep(0.01)
-        spans = obs.collector().spans
+        spans = obs.collector().snapshot()["spans"]
         assert spans["outer"]["seconds"] >= spans["outer/inner"]["seconds"]
 
     def test_add_duration_appends_to_current_stack(self):
         obs.enable()
         with obs.span("kernel.run"):
             obs.add_duration("round.queries", 1.5, n=300)
-        spans = obs.collector().spans
+        spans = obs.collector().snapshot()["spans"]
         assert spans["kernel.run/round.queries"]["count"] == 300
         assert spans["kernel.run/round.queries"]["seconds"] == 1.5
 
@@ -64,11 +64,11 @@ class TestSpans:
         with pytest.raises(ValueError):
             with obs.span("boom"):
                 raise ValueError("x")
-        assert obs.collector().spans["boom"]["count"] == 1
+        assert obs.collector().snapshot()["spans"]["boom"]["count"] == 1
         # the stack unwound: a follow-up span is not nested under "boom"
         with obs.span("after"):
             pass
-        assert "after" in obs.collector().spans
+        assert "after" in obs.collector().snapshot()["spans"]
 
     def test_reset_span_stack_reroots_paths(self):
         obs.enable()
@@ -77,7 +77,7 @@ class TestSpans:
         obs.reset_span_stack()
         with obs.span("fresh"):
             pass
-        assert "fresh" in obs.collector().spans
+        assert "fresh" in obs.collector().snapshot()["spans"]
 
 
 class TestDisabled:
@@ -89,9 +89,9 @@ class TestDisabled:
         obs.add_duration("phase", 1.0)
         collected = obs.collector()
         assert not collected
-        assert collected.spans == {}
+        assert collected.snapshot()["spans"] == {}
         assert collected.counters == {}
-        assert collected.gauges == {}
+        assert collected.snapshot()["gauges"] == {}
 
     def test_disabled_span_is_shared_noop(self):
         assert obs.span("a") is obs.span("b")
@@ -127,17 +127,17 @@ class TestCountersAndGauges:
         obs.gauge_max("peak", 10.0)
         obs.gauge_max("peak", 5.0)
         obs.gauge_max("peak", 12.0)
-        assert obs.collector().gauges["peak"] == 12.0
+        assert obs.collector().snapshot()["gauges"]["peak"] == 12.0
 
     def test_peak_rss_positive_and_sampled(self):
         assert obs.peak_rss_bytes() > 0
         obs.enable()
         sampled = obs.sample_peak_rss("worker")
-        assert sampled == obs.collector().gauges["worker.peak_rss_bytes"]
+        assert sampled == obs.collector().snapshot()["gauges"]["worker.peak_rss_bytes"]
 
     def test_sample_peak_rss_disabled_returns_without_recording(self):
         assert obs.sample_peak_rss() > 0
-        assert obs.collector().gauges == {}
+        assert obs.collector().snapshot()["gauges"] == {}
 
 
 class TestCollectorPassesAreNamed:
@@ -201,11 +201,11 @@ class TestSnapshotMerge:
             gauges=[("g", 3.0)],
         )
         assert parent.merge(child.snapshot())
-        assert parent.spans["a"]["seconds"] == 3.0
-        assert parent.spans["a"]["count"] == 2
-        assert parent.spans["b"]["count"] == 1
+        assert parent.snapshot()["spans"]["a"]["seconds"] == 3.0
+        assert parent.snapshot()["spans"]["a"]["count"] == 2
+        assert parent.snapshot()["spans"]["b"]["count"] == 1
         assert parent.counters["c"] == 3
-        assert parent.gauges["g"] == 5.0
+        assert parent.snapshot()["gauges"]["g"] == 5.0
 
     def test_merge_is_duplicate_safe(self):
         parent = obs.Collector()
@@ -223,7 +223,7 @@ class TestSnapshotMerge:
         forward.merge(two.snapshot())
         backward.merge(two.snapshot())
         backward.merge(one.snapshot())
-        assert forward.spans == backward.spans
+        assert forward.snapshot()["spans"] == backward.snapshot()["spans"]
         assert forward.counters == backward.counters
 
     def test_merge_dedups_through_relays(self):
@@ -245,16 +245,16 @@ class TestSnapshotMerge:
             gauges=[("worker.peak_rss_bytes", 5.0)],
         )
         assert parent.merge(child.snapshot(), prefix="parallel.run_many")
-        assert "parallel.run_many/kernel.run" in parent.spans
+        assert "parallel.run_many/kernel.run" in parent.snapshot()["spans"]
         assert parent.counters["kernel.runs"] == 1
-        assert parent.gauges["worker.peak_rss_bytes"] == 5.0
+        assert parent.snapshot()["gauges"]["worker.peak_rss_bytes"] == 5.0
 
     def test_merge_snapshot_reroots_under_open_span(self):
         obs.enable()
         child = self._loaded(spans=[("kernel.run", 1.0)])
         with obs.span("parallel.run_many"):
             assert obs.merge_snapshot(child.snapshot())
-        spans = obs.collector().spans
+        spans = obs.collector().snapshot()["spans"]
         assert spans["parallel.run_many/kernel.run"]["count"] == 1
 
     def test_merge_snapshot_disabled_is_noop(self):
@@ -268,15 +268,6 @@ class TestSnapshotMerge:
         assert not parent.merge({})
         assert not parent.merge(parent.snapshot())
         assert parent.counters["c"] == 1
-
-    def test_clear_forgets_data_and_merge_memory(self):
-        parent = obs.Collector()
-        child = self._loaded(counters=[("c", 1)])
-        snapshot = child.snapshot()
-        parent.merge(snapshot)
-        parent.clear()
-        assert not parent
-        assert parent.merge(snapshot)
 
 
 class TestScoped:
@@ -324,7 +315,7 @@ class TestProfileRendering:
         assert from_dict == from_collector
 
     def test_profile_json_parses(self):
-        data = json.loads(obs.profile_json(self._sample()))
+        data = json.loads(json.dumps(obs.profile_data(self._sample())))
         assert data["counters"]["kernel.rounds"] == 300
 
     def test_profile_text_indents_children_under_parents(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
@@ -30,17 +32,17 @@ class TestKernelInstrumentation:
         obs.enable()
         telemetered = run_fastsim(params, duration=DURATION, seed=3)
         obs.disable()
-        plain, instrumented = baseline.to_dict(), telemetered.to_dict()
-        plain.pop("elapsed_seconds")
-        instrumented.pop("elapsed_seconds")
-        assert plain == instrumented
+        # Every field but the wall clock.
+        assert replace(baseline, elapsed_seconds=0.0) == replace(
+            telemetered, elapsed_seconds=0.0
+        )
         assert baseline.hit_rate_series == telemetered.hit_rate_series
 
     def test_kernel_reports_phases_counters_and_rss(self, params):
         obs.enable()
         run_fastsim(params, duration=DURATION, seed=3)
         collected = obs.collector()
-        spans = collected.spans
+        spans = collected.snapshot()["spans"]
         assert spans["kernel.run"]["count"] == 1
         rounds = spans["kernel.run/round.queries"]["count"]
         assert rounds == int(DURATION)
@@ -49,7 +51,7 @@ class TestKernelInstrumentation:
         assert collected.counters["kernel.runs"] == 1
         assert collected.counters["kernel.rounds"] == rounds
         assert collected.counters["kernel.queries"] > 0
-        assert collected.gauges["kernel.peak_rss_bytes"] > 0
+        assert collected.snapshot()["gauges"]["kernel.peak_rss_bytes"] > 0
 
     def test_disabled_kernel_run_records_nothing(self, params):
         run_fastsim(params, duration=DURATION, seed=3)
@@ -76,7 +78,7 @@ class TestChurnCalibrationInstrumentation:
         obs.enable()
         self._calibrate(params)
         collected = obs.collector()
-        counters, spans = collected.counters, collected.spans
+        counters, spans = collected.counters, collected.snapshot()["spans"]
         probes = spans["calibrate.churn/calibrate.churn.walk_probes"]
         queries = spans["calibrate.churn/calibrate.churn.queries"]
         assert probes["count"] == self.PROBES
@@ -104,7 +106,7 @@ class TestEventEngineInstrumentation:
         sim.run(until=10.0)
         collected = obs.collector()
         assert len(fired) == 3
-        assert collected.spans["engine.run"]["count"] == 1
+        assert collected.snapshot()["spans"]["engine.run"]["count"] == 1
         assert collected.counters["engine.events"] == 3
 
     def test_disabled_engine_run_records_nothing(self):
@@ -130,14 +132,14 @@ class TestWorkerMerge:
         obs.enable()
         pooled = run_many(jobs, workers=2)
         collected = obs.collector()
-        spans = collected.spans
+        spans = collected.snapshot()["spans"]
         # one kernel.run per job, re-rooted under the fan-out span so
         # pooled profiles nest exactly like sequential ones, regardless
         # of which worker ran what or the multiprocessing start method
         assert spans["parallel.run_many/kernel.run"]["count"] == len(jobs)
         assert spans["parallel.run_many"]["count"] == 1
         assert collected.counters["kernel.runs"] == len(jobs)
-        assert collected.gauges["worker.peak_rss_bytes"] > 0
+        assert collected.snapshot()["gauges"]["worker.peak_rss_bytes"] > 0
         # telemetry does not perturb results: pooled == sequential
         obs.disable()
         sequential = run_many(jobs, workers=1)
@@ -148,7 +150,7 @@ class TestWorkerMerge:
         jobs = self._jobs(params)
         obs.enable()
         run_many(jobs, workers=1)
-        spans = obs.collector().spans
+        spans = obs.collector().snapshot()["spans"]
         assert spans["parallel.run_many/kernel.run"]["count"] == len(jobs)
         assert spans["parallel.run_many"]["count"] == 1
 
@@ -174,7 +176,7 @@ class TestCalibrationCaches:
             collected = obs.collector()
             assert collected.counters["cache.test_cache.miss"] == 2
             assert collected.counters["cache.test_cache.hit"] == 1
-            assert collected.gauges["cache.test_cache.size"] == 2
+            assert collected.snapshot()["gauges"]["cache.test_cache.size"] == 2
             assert calls == [2, 3]  # the hit never re-ran the body
             # cache_info/cache_clear pass through the counting wrapper
             info = double.cache_info()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 from repro import obs
 from repro.obs import events
@@ -72,10 +73,10 @@ class TestProgressApi:
         plain = run_fastsim(scenario, duration=600.0, seed=0)
         with events.recorded():
             recorded = run_fastsim(scenario, duration=600.0, seed=0)
-        a, b = plain.to_dict(), recorded.to_dict()
-        a.pop("elapsed_seconds")
-        b.pop("elapsed_seconds")
-        assert a == b
+        # Every field but the wall clock.
+        assert replace(plain, elapsed_seconds=0.0) == replace(
+            recorded, elapsed_seconds=0.0
+        )
 
 
 def _progress_event(name, done, total, t, **extra):

@@ -11,6 +11,8 @@ from repro.pdht.config import PdhtConfig
 from repro.pdht.node import PdhtNode
 from repro.pdht.selection import SelectionPolicy
 
+from test_ttl_cache import insert
+
 
 class TestPdhtConfig:
     def test_from_scenario_derives_ttl(self, small_params):
@@ -88,14 +90,13 @@ class TestPdhtConfig:
 class TestPdhtNode:
     def test_index_roundtrip(self):
         node = PdhtNode(peer_id=1, key_ttl=10.0)
-        node.store.insert("k", "v", now=0.0)
-        assert node.store.peek("k", now=5.0) is not None
+        insert(node.store, "k", "v", now=0.0)
         assert node.store.query("k", now=5.0) == ("v", 15.0)
 
     def test_ttl_governs_expiry(self):
         node = PdhtNode(peer_id=1, key_ttl=10.0)
-        node.store.insert("k", "v", now=0.0)
-        assert node.store.peek("k", now=10.0) is None
+        insert(node.store, "k", "v", now=0.0)
+        assert node.store.query("k", now=10.0) is None
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
@@ -108,7 +109,7 @@ class TestSelectionPolicy:
         policy.record_hit("a")
         policy.record_miss("b", resolved=True)
         assert policy.stats.queries == 2
-        assert policy.stats.hit_rate == pytest.approx(0.5)
+        assert policy.stats.index_hits == 1
 
     def test_cold_miss_vs_reinsertion(self):
         policy = SelectionPolicy()
@@ -123,19 +124,4 @@ class TestSelectionPolicy:
         policy.record_miss("ghost", resolved=False)
         assert policy.stats.unresolved == 1
 
-    def test_ever_indexed_tracking(self):
-        policy = SelectionPolicy()
-        assert not policy.was_ever_indexed("k")
-        policy.record_insertion("k")
-        assert policy.was_ever_indexed("k")
 
-    def test_empty_stats(self):
-        policy = SelectionPolicy()
-        assert policy.stats.hit_rate == 0.0
-        assert policy.stats.mean_index_size() == 0.0
-
-    def test_index_size_sampling(self):
-        policy = SelectionPolicy()
-        policy.stats.sample_index_size(1.0, 10)
-        policy.stats.sample_index_size(2.0, 20)
-        assert policy.stats.mean_index_size() == pytest.approx(15.0)

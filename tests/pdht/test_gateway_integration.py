@@ -23,12 +23,12 @@ def network():
 
 class TestGatewayIntegration:
     def test_gateway_cache_covers_members(self, network):
-        assert network.gateways.members == set(network.dht.members)
+        assert network.gateways.members == set(network.dht._members)
 
     def test_repeat_queries_hit_gateway_cache(self, network):
         outsider = next(
             p.peer_id for p in network.population
-            if p.peer_id not in network.dht.members
+            if p.peer_id not in network.dht._members
         )
         network.query(outsider, "hot")
         network.query(outsider, "hot")
@@ -41,7 +41,7 @@ class TestGatewayIntegration:
         # queriers with warm caches; construction-time joins excluded.
         queriers = [
             p.peer_id for p in network.population
-            if p.peer_id not in network.dht.members
+            if p.peer_id not in network.dht._members
         ][:5]
         for querier in queriers:  # warm the caches
             network.query(querier, "hot")
@@ -53,13 +53,13 @@ class TestGatewayIntegration:
         assert membership < 0.1 * sum(totals.values())
 
     def test_dht_member_origin_pays_no_discovery(self, network):
-        member = next(iter(network.dht.members))
+        member = next(iter(network.dht._members))
         before = network.metrics.total(MessageCategory.MEMBERSHIP)
         network.query(member, "hot")
         assert network.metrics.total(MessageCategory.MEMBERSHIP) == before
 
     def test_query_survives_total_dht_outage(self, network):
-        for member in network.dht.members:
+        for member in network.dht._members:
             network.population.set_online(member, False)
         origin = network.random_online_peer()
         outcome = network.query(origin, "hot")

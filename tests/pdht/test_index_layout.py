@@ -18,6 +18,8 @@ from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.pdht.ttl_cache import TtlKeyStore
 
+from test_ttl_cache import insert
+
 PARAMS = ScenarioParameters(
     num_peers=60, n_keys=90, storage_per_peer=6, replication=5,
     query_freq=1.0 / 30.0,
@@ -53,14 +55,14 @@ def test_an_inf_store_keeps_no_heap_record():
     network = _network(math.inf)
     network.preload_index_all(ITEMS)
     key = next(iter(ITEMS))
-    network._insert_into_index(min(network.dht.members), key, "v2")
+    network._insert_into_index(min(network.dht._members), key, "v2")
     for _ in range(3):
         network.advance(1.0)
         network.query(network.random_online_peer(), key)
     assert all(not node.store._expiry_heap for node in network.nodes.values())
 
     store = TtlKeyStore(math.inf)
-    store.insert("k", "v", now=0.0)
+    insert(store, "k", "v", now=0.0)
     store.query("k", now=4.0)
     assert store._expiry_heap == [] and store.records == {"k": ("v", math.inf)}
 
@@ -69,7 +71,7 @@ def test_one_insert_shares_one_record_and_one_heap_record():
     network = _network(5.0)
     network.advance(2.0)
     key = "key-000042"
-    network._insert_into_index(min(network.dht.members), key, "payload")
+    network._insert_into_index(min(network.dht._members), key, "payload")
     holders = [node.store for node in network.nodes.values()
                if key in node.store]
     assert len(holders) >= 2

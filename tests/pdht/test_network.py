@@ -49,19 +49,19 @@ class TestConstruction:
         covered = sorted(
             member for group in network._groups for member in group.members
         )
-        assert covered == sorted(network.dht.members)
+        assert covered == sorted(network.dht._members)
 
     def test_replica_groups_sized_near_repl(self, network):
         for group in network._groups:
             assert 2 <= len(group.members) <= 2 * network.config.replication
 
     def test_every_member_has_node(self, network):
-        assert set(network.nodes) == set(network.dht.members)
+        assert set(network.nodes) == set(network.dht._members)
 
     def test_group_of_non_member_rejected(self, network):
         outsider = next(
             p.peer_id for p in network.population
-            if p.peer_id not in network.dht.members
+            if p.peer_id not in network.dht._members
         )
         with pytest.raises(ParameterError):
             network.group_of(outsider)
@@ -151,17 +151,17 @@ class TestMessageAccounting:
 
 class TestUpdatesAndPreload:
     def test_preload_makes_key_hittable(self, network):
-        network.preload_index("hot", "payload")
+        network.preload_index_all({"hot": "payload"})
         outcome = network.query(network.random_online_peer(), "hot")
         assert outcome.via_index
 
     def test_preload_counts_no_messages(self, network):
         before = network.metrics.total()
-        network.preload_index("hot", "payload")
+        network.preload_index_all({"hot": "payload"})
         assert network.metrics.total() == before
 
     def test_proactive_update_costs_lookup_plus_flood(self, network):
-        network.preload_index("hot", "payload")
+        network.preload_index_all({"hot": "payload"})
         messages = network.proactive_update("hot", "payload-v2")
         assert messages >= network.config.replication * 0.5
 

@@ -43,6 +43,8 @@ from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.pdht.strategies import SimulatedStrategy, key_name
 
+from test_ttl_cache import insert
+
 
 # ----------------------------------------------------------------------
 # The replaced bodies, verbatim
@@ -52,7 +54,7 @@ def reference_preload_index(self: PdhtNetwork, key: str, value: object) -> None:
     responsible = self.dht.responsible_for(key)
     group = self.group_of(responsible)
     for member in group.members:
-        self.nodes[member].store.insert(key, value, now)
+        insert(self.nodes[member].store, key, value, now)
 
 
 def reference_prepare_index_all(self: SimulatedStrategy) -> None:
@@ -131,7 +133,7 @@ def test_preload_all_equals_one_preload_per_key(key_ttl, seed, batches):
         assert _stores(new) == _stores(old)
     # ... and the one-item case
     reference_preload_index(old, "key-000007", "again")
-    new.preload_index("key-000007", "again")
+    new.preload_index_all({"key-000007": "again"})
     assert _stores(new) == _stores(old)
     assert new.metrics.totals_by_category() == old.metrics.totals_by_category()
 

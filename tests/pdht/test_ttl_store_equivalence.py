@@ -12,8 +12,8 @@ below, verbatim, as ``ReferenceTtlKeyStore``.
 Both are driven through the same generated operation sequences over a
 *group* of stores, with shared writes and preloads reaching a subset of
 them, and compared over what can be observed: the return value of every
-operation (``query`` / ``peek`` / ``insert`` as ``(value, expires_at)``,
-``remove``, ``purge_expired``, ``live_size``), every store's keys and
+operation (``query`` / ``insert`` as ``(value, expires_at)``,
+``purge_expired``), every store's keys and
 records in dict order — unpurged, so a purge the new store skips or adds
 shows — ``len``, ``insertions`` and ``evictions_expired``. The new heap
 must be the old one without its ``inf`` records (so a subset of it), and
@@ -48,6 +48,8 @@ from typing import Iterable, Iterator
 from hypothesis import given, settings, strategies as st
 
 from repro.pdht.ttl_cache import TtlKeyStore
+
+from test_ttl_cache import insert
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +215,7 @@ OPERATIONS = st.one_of(
     st.tuples(st.just("preload"), REACHED, st.lists(KEYS, max_size=5)),
     st.tuples(st.just("query"), MEMBER, KEYS),
     st.tuples(st.just("query"), MEMBER, KEYS),
-    st.tuples(st.just("peek"), MEMBER, KEYS),
-    st.tuples(st.just("remove"), MEMBER, KEYS),
     st.tuples(st.just("purge"), MEMBER),
-    st.tuples(st.just("live_size"), MEMBER),
 )
 
 
@@ -241,16 +240,12 @@ def apply(group, operation, now, serial):
         return None
     store = group[args[0]]
     if name == "insert":
+        if isinstance(store, TtlKeyStore):
+            return observed(insert(store, args[1], serial, now))
         return observed(store.insert(args[1], serial, now))
     if name == "query":
         return observed(store.query(args[1], now))
-    if name == "peek":
-        return observed(store.peek(args[1], now))
-    if name == "remove":
-        return store.remove(args[1])
-    if name == "purge":
-        return store.purge_expired(now)
-    return store.live_size(now)
+    return store.purge_expired(now)
 
 
 @settings(max_examples=400, deadline=None)
@@ -300,7 +295,7 @@ def test_put_all_equals_the_reference_insert_all(ttl, script):
 
 def test_hits_on_an_unmoved_expiry_push_no_heap_record():
     forever = TtlKeyStore(math.inf)
-    record = forever.insert("hot", "payload", now=0.0)
+    record = insert(forever, "hot", "payload", now=0.0)
     assert record == ("payload", math.inf)
     for round_ in range(10_000):
         assert forever.query("hot", now=float(round_)) is record
@@ -308,7 +303,7 @@ def test_hits_on_an_unmoved_expiry_push_no_heap_record():
 
     # Several hits inside one round move the expiry once.
     store = TtlKeyStore(5.0)
-    store.insert("hot", "payload", now=0.0)
+    insert(store, "hot", "payload", now=0.0)
     for _ in range(100):
         store.query("hot", now=3.0)
     assert store._expiry_heap == [(5.0, "hot"), (8.0, "hot")]

@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import SelectionModel
-from repro.analysis.threshold import IndexThreshold, _solve, f_min, p_indexed
+from repro.analysis.threshold import IndexThreshold, _solve, f_min
 from repro.analysis.zipf import ZipfDistribution
 
 INF = math.inf
@@ -95,7 +95,7 @@ def reference_solve(params: ScenarioParameters) -> IndexThreshold:
         params=params,
         max_rank=max_rank,
         f_min=f_min(params, float(max(max_rank, 1))),
-        p_indexed=p_indexed(zipf, max_rank),
+        p_indexed=zipf.head_mass(max_rank),
         num_active_peers=params.active_peers_for(max_rank),
         cost_model=cost_model,
     )

@@ -39,12 +39,7 @@ from hypothesis import strategies as st
 from repro.analysis import threshold as threshold_module
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.threshold import (
-    IndexThreshold,
-    f_min,
-    p_indexed,
-    solve_threshold,
-)
+from repro.analysis.threshold import IndexThreshold, f_min, solve_threshold
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 
@@ -104,7 +99,7 @@ def reference_solve_threshold(
         params=params,
         max_rank=max_rank,
         f_min=f_min(params, float(max(max_rank, 1))),
-        p_indexed=p_indexed(zipf, max_rank),
+        p_indexed=zipf.head_mass(max_rank),
         num_active_peers=params.active_peers_for(max_rank),
         cost_model=cost_model,
     )

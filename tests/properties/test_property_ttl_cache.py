@@ -1,7 +1,7 @@
 """Property-based tests for the TTL key store.
 
 A stateful model-based test drives the store with random interleavings of
-inserts, queries, peeks, removals, and clock advances, comparing against a
+inserts, queries, purges and clock advances, comparing against a
 brute-force reference model.
 """
 
@@ -28,7 +28,8 @@ class TtlStoreMachine(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(KEYS), value=st.integers())
     def insert(self, key, value):
-        self.store.insert(key, value, now=self.now)
+        expires_at = self.now + self.ttl
+        self.store.put(key, (value, expires_at), (expires_at, key), self.now)
         self.model[key] = self.now + self.ttl
 
     @rule(key=st.sampled_from(KEYS))
@@ -41,23 +42,6 @@ class TtlStoreMachine(RuleBasedStateMachine):
         else:
             self.model.pop(key, None)
 
-    @rule(key=st.sampled_from(KEYS))
-    def peek(self, key):
-        entry = self.store.peek(key, now=self.now)
-        model_live = key in self.model and self.model[key] > self.now
-        assert (entry is not None) == model_live
-
-    @rule(key=st.sampled_from(KEYS))
-    def remove(self, key):
-        removed = self.store.remove(key)
-        model_live = key in self.model and self.model[key] > self.now
-        if model_live:
-            # A live entry must be physically present and removable.
-            assert removed
-        # An expired entry may or may not still occupy a slot depending on
-        # purge timing; either return value is acceptable there.
-        self.model.pop(key, None)
-
     @rule(delta=st.floats(min_value=0.0, max_value=15.0))
     def advance(self, delta):
         self.now += delta
@@ -69,7 +53,8 @@ class TtlStoreMachine(RuleBasedStateMachine):
     @invariant()
     def live_sizes_match(self):
         model_live = sum(1 for exp in self.model.values() if exp > self.now)
-        assert self.store.live_size(self.now) == model_live
+        self.store.purge_expired(self.now)
+        assert len(self.store) == model_live
 
 
 TestTtlStoreStateful = TtlStoreMachine.TestCase
@@ -87,7 +72,7 @@ def test_key_survives_iff_gaps_below_ttl(ttl, gaps):
     """A key stays alive exactly while inter-query gaps stay under the TTL."""
     store = TtlKeyStore(ttl=ttl)
     now = 0.0
-    store.insert("k", 1, now=now)
+    store.put("k", (1, now + ttl), (now + ttl, "k"), now)
     alive = True
     for gap in gaps:
         now += gap

@@ -100,7 +100,7 @@ class TestFlood:
     def test_measured_dup2_close_to_paper(self, group):
         # degree-3 regular graph: 2E/V = 3; the paper assumes 1.8. Same
         # order of magnitude; the exact value is a topology knob.
-        online = group.online_members()
+        online = [m for m in group.members if group.population.is_online(m)]
         rows = group.online_adjacency()
         dup2 = sum(len(rows[member]) for member in online) / len(online)
         assert 1.0 <= dup2 <= 3.5

@@ -97,7 +97,7 @@ class TestRun:
         sim.schedule_at(7.0, lambda: fired.append(1))
         sim.run(until=5.0)
         assert fired == []
-        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
         sim.run(until=10.0)
         assert fired == [1]
 
@@ -181,66 +181,3 @@ class TestEvery:
         with pytest.raises(SimulationError):
             Simulation().every(0.0, lambda: None)
 
-
-class TestStep:
-    def test_step_processes_one_event(self):
-        sim = Simulation()
-        fired = []
-        sim.schedule_at(1.0, lambda: fired.append(1))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.now == 1.0
-
-    def test_step_on_empty_queue_returns_false(self):
-        assert Simulation().step() is False
-
-    def test_step_skips_cancelled(self):
-        sim = Simulation()
-        fired = []
-        event = sim.schedule_at(1.0, lambda: fired.append(1))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        event.cancel()
-        assert sim.step() is True
-        assert fired == [2]
-
-    def test_step_not_reentrant(self):
-        # Regression: step() used to bypass the _running guard run() holds.
-        sim = Simulation()
-        errors = []
-
-        def nested():
-            try:
-                sim.step()
-            except SimulationError as exc:
-                errors.append(exc)
-
-        sim.schedule_at(1.0, nested)
-        assert sim.step() is True
-        assert len(errors) == 1
-
-    def test_run_rejected_inside_step(self):
-        sim = Simulation()
-        errors = []
-
-        def nested():
-            try:
-                sim.run(until=10.0)
-            except SimulationError as exc:
-                errors.append(exc)
-
-        sim.schedule_at(1.0, nested)
-        sim.step()
-        assert len(errors) == 1
-
-    def test_step_usable_after_handler_raises(self):
-        sim = Simulation()
-
-        def boom():
-            raise RuntimeError("handler failure")
-
-        sim.schedule_at(1.0, boom)
-        sim.schedule_at(2.0, lambda: None)
-        with pytest.raises(RuntimeError):
-            sim.step()
-        assert sim.step() is True  # guard released despite the raise

@@ -171,17 +171,6 @@ class TestRandomStreams:
         b = RandomStreams(seed=2).get("s").random(8)
         assert not np.allclose(a, b)
 
-    def test_fork_creates_independent_family(self):
-        base = RandomStreams(seed=5)
-        fork = base.fork(1)
-        assert fork.seed != base.seed
-        a = base.get("x").random(4)
-        b = fork.get("x").random(4)
-        assert not np.allclose(a, b)
-
-    def test_fork_is_deterministic(self):
-        assert RandomStreams(seed=5).fork(2).seed == RandomStreams(seed=5).fork(2).seed
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError):
             RandomStreams(seed=-1)
@@ -189,10 +178,6 @@ class TestRandomStreams:
     def test_empty_name_rejected(self):
         with pytest.raises(ParameterError):
             RandomStreams(seed=0).get("")
-
-    def test_negative_salt_rejected(self):
-        with pytest.raises(ParameterError):
-            RandomStreams(seed=0).fork(-1)
 
     def test_bounded_is_one_owner_per_name(self):
         streams = RandomStreams(seed=3)

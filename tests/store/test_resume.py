@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,8 @@ from repro.experiments.scenario import simulation_scenario
 from repro.experiments.sweeps import GridAxes, sweep_grid
 from repro.fastsim.parallel import FastSimJob, job_key, resolve_jobs, run_many
 from repro.pdht.config import PdhtConfig
-from repro.store import Store, reset_active_store, using_store
+from repro.store import Store, using_store
+from repro.store import store as store_module
 
 DURATION = 40.0
 
@@ -23,10 +25,10 @@ def store(tmp_path):
 
 
 @pytest.fixture(autouse=True)
-def _clean_active_store():
-    reset_active_store()
-    yield
-    reset_active_store()
+def _clean_active_store(monkeypatch):
+    """No explicit active store: ``REPRO_STORE`` resolution, restored
+    after the test."""
+    monkeypatch.setattr(store_module, "_active", store_module._UNSET)
 
 
 @pytest.fixture
@@ -79,7 +81,7 @@ class TestRunManyResume:
         assert collected.counters["cache.store.sweep_cell.hit"] == len(jobs)
         assert "cache.store.sweep_cell.miss" not in collected.counters
         # No kernel ran at all on the warm pass.
-        assert "parallel.run_many/kernel.run" not in collected.spans
+        assert "parallel.run_many/kernel.run" not in collected.snapshot()["spans"]
 
     def test_key_mismatch_recomputes_only_that_job(self, params, store):
         jobs = _jobs(params)
@@ -113,9 +115,10 @@ class TestRunManyResume:
         with using_store(None):
             no_store = run_many(jobs)
         for a, b, c in zip(resumed, baseline, no_store):
-            da, db, dc = a.to_dict(), b.to_dict(), c.to_dict()
-            for d in (da, db, dc):
-                d.pop("elapsed_seconds")
+            # Every field but the wall clock.
+            da, db, dc = (
+                replace(r, elapsed_seconds=0.0) for r in (a, b, c)
+            )
             assert da == db == dc
             assert a.hit_rate_series == b.hit_rate_series
 

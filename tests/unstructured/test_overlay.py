@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ParameterError
 from repro.net.node import PeerPopulation
 from repro.unstructured.overlay import UnstructuredOverlay
 
@@ -16,48 +15,36 @@ def overlay(rng):
 
 class TestContentPlane:
     def test_store_and_lookup(self, overlay):
-        overlay.store(3, "k", "v")
+        overlay.add_replicas("k", 1 << 3, "v")
         assert overlay.peer_has(3, "k")
         assert overlay.value_at(3, "k") == "v"
 
     def test_offline_peer_does_not_answer(self, overlay):
-        overlay.store(3, "k", "v")
+        overlay.add_replicas("k", 1 << 3, "v")
         overlay.population.set_online(3, False)
         assert not overlay.peer_has(3, "k")
 
     def test_offline_peer_keeps_replica(self, overlay):
-        overlay.store(3, "k", "v")
+        overlay.add_replicas("k", 1 << 3, "v")
         overlay.population.set_online(3, False)
         overlay.population.set_online(3, True)
         assert overlay.peer_has(3, "k")
 
     def test_drop_is_idempotent(self, overlay):
-        overlay.store(3, "k", "v")
-        overlay.drop(3, "k")
-        overlay.drop(3, "k")
+        overlay.add_replicas("k", 1 << 3, "v")
+        overlay.drop_replicas("k", 1 << 3)
+        overlay.drop_replicas("k", 1 << 3)
         assert not overlay.peer_has(3, "k")
 
     def test_holders_of(self, overlay):
-        overlay.store(1, "k", "v")
-        overlay.store(5, "k", "v")
+        overlay.add_replicas("k", 1 << 1, "v")
+        overlay.add_replicas("k", 1 << 5, "v")
         overlay.population.set_online(5, False)
-        assert overlay.holders_of("k") == [1, 5]  # liveness-agnostic
+        assert overlay.content["k"].mask == 1 << 1 | 1 << 5  # liveness-agnostic
 
 
 class TestNeighbourPlane:
     def test_online_neighbors_shrink_under_churn(self, overlay):
-        neighbors = overlay.online_neighbors(0)
+        neighbors = overlay.topology.online_adjacency()[0]
         overlay.population.set_online(neighbors[0], False)
-        assert len(overlay.online_neighbors(0)) == len(neighbors) - 1
-
-    def test_random_online_peer_is_online(self, overlay, rng):
-        for peer_id in range(20):
-            overlay.population.set_online(peer_id, False)
-        for _ in range(20):
-            assert overlay.population.is_online(overlay.random_online_peer(rng))
-
-    def test_random_online_peer_empty_network(self, overlay, rng):
-        for peer in overlay.population:
-            overlay.population.set_online(peer.peer_id, False)
-        with pytest.raises(ParameterError):
-            overlay.random_online_peer(rng)
+        assert len(overlay.topology.online_adjacency()[0]) == len(neighbors) - 1

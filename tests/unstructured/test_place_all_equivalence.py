@@ -9,7 +9,7 @@ The old path — ``PdhtNetwork.publish_all``'s loop, ``place`` and
 ``_draw_holders`` as they were — is kept here verbatim and driven side by
 side with the new one on twin overlays; they must leave the same world:
 holders in draw order (as plain ``int``), the payload at every holder,
-which peers hold which key (every ``(peer, key)``), ``placed_keys()``,
+which peers hold which key (every ``(peer, key)``), the placement order,
 and the ``"placement"`` generator's state, so a later ``refresh`` or
 ``place`` continues identically. ``refresh_all`` is held to a loop of
 ``remove`` and the old ``place``.
@@ -59,7 +59,7 @@ def reference_place(self, key, value):
         raise ParameterError(f"key {key!r} already placed; use refresh()")
     holders = reference_draw_holders(self)
     for holder in holders:
-        self.overlay.store(holder, key, value)
+        self.overlay.add_replicas(key, 1 << holder, value)
     placement = ReplicaPlacement(
         key=key, holders=holders, mask=sum(1 << h for h in holders)
     )  # the holder mask is new
@@ -92,14 +92,21 @@ def holds(overlay, peer, key):
     return True
 
 
+def _holders(overlay, key):
+    """Every peer (online or not) holding ``key``, ascending."""
+    record = overlay.content.get(key)
+    mask = record.mask if record is not None else 0
+    return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
+
+
 def world(rep):
     """Everything a later query, refresh or walk can see."""
     overlay = rep.overlay
-    keys = rep.placed_keys()
+    keys = list(rep._placements)
     return (
-        [(key, rep.placement_of(key).holders) for key in keys],
+        [(key, rep._placements[key].row.tolist()) for key in keys],
         [
-            [overlay.value_at(peer, key) for peer in overlay.holders_of(key)]
+            [overlay.value_at(peer, key) for peer in _holders(overlay, key)]
             for key in keys
         ],
         [
@@ -128,14 +135,14 @@ def test_place_all_equals_place_loop(num_peers, replication, n_keys, seed):
     assert all(
         type(holder) is int
         for key in items
-        for holder in new.placement_of(key).holders
+        for holder in new._placements[key].row.tolist()
     )
     # The stream continues identically: article replacement, a late key.
     if items:
         first = next(iter(items))
         old.remove(first)
         reference_place(old, first, "v2")
-        new.refresh(first, "v2")
+        new.refresh_all({first: "v2"})
     reference_place(old, "late", 1)
     new.place("late", 1)
     assert world(new) == world(old)
@@ -153,7 +160,7 @@ def test_duplicate_key_leaves_the_same_partial_state(duplicate_at):
     with pytest.raises(ParameterError, match="already placed"):
         new.place_all(items)
     assert world(new) == world(old)
-    assert new.placed_keys() == [duplicate, *list(items)[:duplicate_at]]
+    assert list(new._placements) == [duplicate, *list(items)[:duplicate_at]]
 
 
 @settings(max_examples=80, deadline=None)
@@ -181,7 +188,7 @@ def test_refresh_all_equals_refresh_loop(
         reference_place(old, key, value)
     new.refresh_all(again)
     assert world(new) == world(old)
-    assert new.placed_keys() == old.placed_keys()
+    assert list(new._placements) == list(old._placements)
 
 
 def test_content_plane_layout():
@@ -195,10 +202,10 @@ def test_content_plane_layout():
         record = overlay.content[key]
         assert type(record) is ContentRecord
         assert type(record.mask) is int and record.value == value
-        holders = rep.placement_of(key).holders
+        holders = rep._placements[key].row.tolist()
         assert record.mask == sum(1 << h for h in holders)
         assert all(type(h) is int for h in holders)
-        assert rep.placement_of(key).row.dtype == np.int32
+        assert rep._placements[key].row.dtype == np.int32
     assert not any(hasattr(peer, "content") for peer in overlay.population)
     rep.remove("a")
     assert list(overlay.content) == ["b"]  # the record goes with its holders

@@ -19,12 +19,12 @@ def replicator(rng):
 class TestPlacement:
     def test_places_exactly_repl_distinct_holders(self, replicator):
         placement = replicator.place("k", "v")
-        assert len(placement.holders) == 10
-        assert len(set(placement.holders)) == 10
+        assert len(placement.row.tolist()) == 10
+        assert len(set(placement.row.tolist())) == 10
 
     def test_holders_actually_store_value(self, replicator):
         placement = replicator.place("k", "v")
-        for holder in placement.holders:
+        for holder in placement.row.tolist():
             assert replicator.overlay.value_at(holder, "k") == "v"
 
     def test_double_place_rejected(self, replicator):
@@ -34,38 +34,28 @@ class TestPlacement:
 
     def test_refresh_replaces_replicas(self, replicator):
         old = replicator.place("k", "v1")
-        new = replicator.refresh("k", "v2")
-        for holder in new.holders:
+        replicator.refresh_all({"k": "v2"})
+        new = replicator._placements["k"]
+        for holder in new.row.tolist():
             assert replicator.overlay.value_at(holder, "k") == "v2"
-        gone = set(old.holders) - set(new.holders)
+        gone = set(old.row.tolist()) - set(new.row.tolist())
         for holder in gone:
             assert not replicator.overlay.peer_has(holder, "k")
 
     def test_remove_drops_all_replicas(self, replicator):
         placement = replicator.place("k", "v")
         replicator.remove("k")
-        assert replicator.overlay.holders_of("k") == []
-        for holder in placement.holders:
+        assert "k" not in replicator.overlay.content
+        for holder in placement.row.tolist():
             with pytest.raises(KeyError):
                 replicator.overlay.value_at(holder, "k")
-        assert replicator.placed_keys() == []
+        assert list(replicator._placements) == []
 
     def test_remove_unknown_is_noop(self, replicator):
         replicator.remove("never-placed")
-
-    def test_placement_of_unknown_rejected(self, replicator):
-        with pytest.raises(ParameterError):
-            replicator.placement_of("nope")
 
     def test_replication_exceeding_population_rejected(self, rng):
         overlay = UnstructuredOverlay(PeerPopulation(5), rng, degree=2)
         with pytest.raises(ParameterError):
             ContentReplicator(overlay, replication=6, rng=rng)
 
-
-class TestAvailability:
-    def test_online_copies_tracks_churn(self, replicator):
-        placement = replicator.place("k", "v")
-        assert replicator.online_copies("k") == 10
-        replicator.overlay.population.set_online(placement.holders[0], False)
-        assert replicator.online_copies("k") == 9

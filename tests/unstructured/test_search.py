@@ -45,7 +45,7 @@ class TestRandomWalkSearch:
 
     def test_local_hit_costs_nothing(self, searchable, rng):
         overlay, replicator, _ = searchable
-        holder = replicator.placement_of("hot").holders[0]
+        holder = replicator._placements["hot"].row.tolist()[0]
         result = RandomWalkSearch(overlay, rng).search(holder, "hot")
         assert result.found and result.messages == 0 and result.steps == 0
 

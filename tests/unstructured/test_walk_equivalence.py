@@ -73,7 +73,7 @@ from repro.unstructured.random_walk import RandomWalkSearch, WalkResult
 
 def _reference_online_neighbors(overlay, peer_id):
     return [
-        n for n in sorted(overlay.topology.neighbors(peer_id))
+        n for n in sorted(overlay.topology._adjacency[peer_id])
         if overlay.population.is_online(n)
     ]
 
@@ -182,7 +182,7 @@ class World:
         if holders == "everyone-else":
             holders = frozenset(range(self.num_peers)) - {self.origin}
         for peer_id in holders:
-            overlay.store(peer_id, "k", "value")
+            overlay.add_replicas("k", 1 << peer_id, "value")
         rng = np.random.Generator(np.random.PCG64(self.walk_seed))
         for _ in range(self.predraws):
             rng.integers(0, 3)
@@ -201,8 +201,14 @@ SHAPES = [
 ]
 
 
+def _neighbors(topology, peer):
+    """All configured neighbours of ``peer``, regardless of liveness."""
+    return list(topology._adjacency[peer])
+
+
 def _offline_for(shape, topology, origin):
-    neighbors = topology.neighbors
+    def neighbors(peer):
+        return _neighbors(topology, peer)
     if shape == "isolate-origin":
         return frozenset(neighbors(origin))
     if shape == "two-peer-component":
@@ -221,9 +227,9 @@ def _star(topology, centre, leaf=None):
     """``centre`` and up to three of its neighbours (``leaf`` first), no
     two of them adjacent: online alone, a star once it has two leaves."""
     leaves = [] if leaf is None else [leaf]
-    for peer in topology.neighbors(centre):
+    for peer in _neighbors(topology, centre):
         if len(leaves) < 3 and peer not in leaves and not (
-            set(topology.neighbors(peer)) & set(leaves)
+            set(_neighbors(topology, peer)) & set(leaves)
         ):
             leaves.append(peer)
     return {centre, *leaves}
@@ -234,7 +240,7 @@ def _path(topology, origin):
     component that is no star once the path has four peers."""
     path = [origin]
     while len(path) < 5:
-        step = [p for p in topology.neighbors(path[-1]) if p not in path]
+        step = [p for p in _neighbors(topology, path[-1]) if p not in path]
         if not step:
             break
         path.append(step[0])
@@ -521,7 +527,7 @@ def test_second_search_sees_liveness_change_without_stale_neighbour(rng):
     overlay = UnstructuredOverlay(
         PeerPopulation(30), rng, degree=3, keep_messages=True
     )
-    first, second, *others = overlay.topology.neighbors(0)
+    first, second, *others = _neighbors(overlay.topology, 0)
     for peer_id in (second, *others):
         overlay.population.set_online(peer_id, False)
     walker = RandomWalkSearch(overlay, rng, walkers=4, ttl=1)
@@ -529,7 +535,7 @@ def test_second_search_sees_liveness_change_without_stale_neighbour(rng):
     walker.search(0, "absent")
     assert {m.receiver for m in overlay.log.messages} == {first}
 
-    overlay.log.clear()
+    overlay.log.messages.clear()
     overlay.population.set_online(first, False)
     overlay.population.set_online(second, True)
     walker.search(0, "absent")
@@ -552,12 +558,13 @@ def _branching_peers(overlay, origin):
     online neighbours: 0 a pair, 1 a star, more anything else."""
     component, stack = {origin}, [origin]
     while stack:
-        for peer in overlay.topology.online_neighbors(stack.pop()):
+        for peer in overlay.topology.online_adjacency()[stack.pop()]:
             if peer not in component:
                 component.add(peer)
                 stack.append(peer)
     assert len(component) > 1
-    return sum(len(overlay.online_neighbors(p)) > 1 for p in component)
+    rows = overlay.topology.online_adjacency()
+    return sum(len(rows[p]) > 1 for p in component)
 
 
 @pytest.mark.parametrize("world, tail", [
@@ -581,7 +588,7 @@ def test_each_trapped_tail_equals_the_reference(world, tail, telemetry):
     _assert_equivalent(world, lambda: "k")
     counters = telemetry.counters
     assert counters["walk.trapped"] == counters["walk.searches"] == 2
-    assert telemetry.spans["walk.run_out"]["count"] == 2
+    assert telemetry.snapshot()["spans"]["walk.run_out"]["count"] == 2
 
 
 def test_an_isolated_origin_is_no_trap(telemetry):

@@ -13,7 +13,6 @@ import pytest
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.workloads import (
-    Composite,
     DiurnalCycle,
     FlashCrowd,
     GradualDrift,
@@ -38,7 +37,6 @@ PERMUTING_MODELS = (
     RankSwap(shift_time=4.0),
     GradualDrift(period=3.0),
     FlashCrowd(at=3.0, hot_for=4.0),
-    Composite((GradualDrift(period=2.0), DiurnalCycle(period=20.0))),
 )
 
 

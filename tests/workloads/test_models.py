@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ParameterError
 from repro.workloads import (
     WORKLOAD_MODEL_NAMES,
-    Composite,
     DiurnalCycle,
     FlashCrowd,
     GradualDrift,
@@ -43,8 +42,6 @@ class TestRankSwap:
         assert model.next_boundary(-math.inf) == 60.0
         assert model.next_boundary(59.9) == 60.0
         assert model.next_boundary(60.0) == math.inf
-        assert model.boundary_at(60.0)
-        assert not model.boundary_at(59.0)
 
     def test_apply_is_a_full_permutation(self, rng):
         model = RankSwap(shift_time=1.0)
@@ -66,9 +63,6 @@ class TestGradualDrift:
         assert model.next_boundary(-math.inf) == 50.0
         assert model.next_boundary(50.0) == 100.0
         assert model.next_boundary(125.0) == 150.0
-        assert model.boundary_at(100.0)
-        assert not model.boundary_at(0.0)
-        assert not model.boundary_at(75.0)
 
     def test_apply_moves_little_per_step(self, rng):
         model = GradualDrift(period=1.0, swap_fraction=0.02)
@@ -109,7 +103,6 @@ class TestFlashCrowd:
         assert model.next_boundary(-math.inf) == 10.0
         assert model.next_boundary(10.0) == 30.0
         assert model.next_boundary(30.0) == math.inf
-        assert model.boundary_at(10.0) and model.boundary_at(30.0)
 
     def test_permanent_crowd(self):
         model = FlashCrowd(at=5.0)
@@ -166,62 +159,12 @@ class TestTraceReplay:
     def test_not_calibratable_not_composable(self):
         model = TraceReplay(self._trace())
         assert model.calibration_model is None
-        with pytest.raises(ParameterError, match="compose"):
-            Composite((model,))
 
     def test_from_file_jsonl(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         self._trace().save(path)
         model = TraceReplay.from_file(path)
         assert len(model.trace) == 3
-
-
-class TestComposite:
-    def test_boundaries_interleave(self):
-        model = Composite((RankSwap(40.0), GradualDrift(period=25.0)))
-        assert model.next_boundary(-math.inf) == 25.0
-        assert model.next_boundary(25.0) == 40.0
-        assert model.next_boundary(40.0) == 50.0
-
-    def test_apply_dispatches_to_owner(self, rng):
-        model = Composite((RankSwap(40.0), GradualDrift(period=25.0)))
-        drifted = model.apply(25.0, _identity(500), rng)
-        # Only the drift fired: small local moves, no wholesale re-draw.
-        assert np.abs(drifted - _identity(500)).max() <= 10
-        swapped = model.apply(40.0, _identity(500), rng)
-        assert np.abs(swapped - _identity(500)).max() > 10
-
-    def test_non_representable_drift_period_boundaries_dispatch(self, rng):
-        # Regression: `at % period == 0` misses boundaries like
-        # 3 * 0.3 = 0.8999... — every boundary next_boundary generates
-        # must dispatch through Composite.apply to its owner.
-        drift = GradualDrift(period=0.3, swap_fraction=0.1)
-        model = Composite((drift,))
-        at = -math.inf
-        for _ in range(20):
-            at = model.next_boundary(at)
-            assert drift.boundary_at(at), at
-            mapping = model.apply(at, _identity(), rng)
-            assert (mapping != _identity()).any(), at
-
-    def test_rates_multiply(self):
-        model = Composite(
-            (DiurnalCycle(period=100.0, amplitude=0.5), StationaryZipf())
-        )
-        assert model.rate_multiplier(25.0) == pytest.approx(1.5)
-        values = model.rate_multipliers(np.array([25.0]))
-        assert values is not None and values[0] == pytest.approx(1.5)
-
-    def test_calibration_model_follows_members(self):
-        assert Composite((DiurnalCycle(),)).calibration_model is None
-        assert (
-            Composite((DiurnalCycle(), RankSwap(5.0))).calibration_model
-            is not None
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            Composite(())
 
 
 class TestPresets:

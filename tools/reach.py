@@ -1,0 +1,358 @@
+#!/usr/bin/env python3
+"""Which functions under ``src/repro`` does no experiment reach?
+
+Runs every command of :data:`ROWS` (the runner on every experiment,
+engine, format and workload preset, trace replay from JSON and JSONL, a
+store cold then warm, the telemetry flags, the CI smokes with the
+interrupted sweep, ``gates.py``) plus the five benchmark commands'
+traced passes (``benchmarks/e2e/layers.py ... 1 -- <runner argv>``)
+under a ``sitecustomize`` that records each code object whose file is
+under ``src/repro`` the first time it is called, in every process —
+pool workers included (a forked worker appends to its own file; a
+spawned one loads the ``sitecustomize`` again). Then it prints every
+``def`` of ``src/repro`` whose code object no process called, grouped
+by module, and ends with ``unreached N of M defs, L lines``.
+
+``tools/rss_layout_check.py`` runs the benchmark commands again under
+its own ``PYTHONPATH``, so it adds nothing the benchmark rows miss.
+
+A def is keyed by the line its code object starts on: the ``def`` line,
+or its first decorator's. Nested defs count on their own; lambdas,
+comprehensions and class bodies do not count. The rows run small scales
+and short durations, so a def that only a longer run calls can show up:
+check a listed def for callers under ``src/`` before cutting it.
+
+    python3 tools/reach.py                 # ~3 min on 2 CPUs, ~1 GB peak (gates.py)
+    python3 tools/reach.py --examples      # the examples count as callers
+    python3 tools/reach.py --root DIR      # another checkout (a parent)
+
+Exit codes: 0 when every command ran as expected, 1 otherwise (the
+inventory is printed either way).
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import re
+import signal
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+#: Written into a temporary directory that leads ``PYTHONPATH``.
+SITECUSTOMIZE = '''\
+import os
+import sys
+import threading
+
+_SRC = os.environ["REACH_SRC"]
+_OUT = os.environ["REACH_OUT"]
+_seen = {}
+_sink = [None, None]
+
+
+def _record(frame, event, arg):
+    if event != "call":
+        return
+    code = frame.f_code
+    if id(code) in _seen:
+        return
+    _seen[id(code)] = code
+    if not code.co_filename.startswith(_SRC):
+        return
+    pid = os.getpid()
+    if _sink[0] != pid:
+        _sink[:] = [pid, open(os.path.join(_OUT, f"{pid}.calls"), "a",
+                              buffering=1)]
+    _sink[1].write(f"{code.co_filename}\\t{code.co_firstlineno}\\n")
+
+
+sys.setprofile(_record)
+threading.setprofile(_record)
+'''
+
+#: Seconds before the interrupted row gets its SIGINT.
+INTERRUPT_S = 8
+#: Leading token of a row that is SIGINT-ed after ``INTERRUPT_S``.
+INTERRUPT = "<interrupt>"
+_PLACEHOLDER = re.compile(r"<([^<>]+)>")
+
+ANALYTICAL = ("table1", "fig1", "fig2", "fig3", "fig4", "keyttl", "optimal")
+BOTH_ENGINES = ("sim", "adaptivity", "adaptivity-tracking", "adaptivity-lag",
+                "churn", "staleness", "simfig1")
+SWEEPS = ("sweep", "sweep-optimal")
+MODELS = ("stationary", "rank-swap", "gradual-drift", "flash-crowd",
+          "diurnal", "trace:<trace.json>", "trace:<trace.jsonl>")
+FORMATS = ("text", "csv", "json")
+SMALL = ("--scale", "0.02", "--duration", "60")
+
+#: The reach set. ``runner`` is ``python -m repro.experiments.runner``,
+#: ``python`` the interpreter; ``NAME=value`` tokens before either set the
+#: environment; ``<name>`` is the file ``name`` in the run's work
+#: directory (``<out>`` a fresh directory); a row that starts with
+#: ``INTERRUPT`` is SIGINT-ed. Exit codes other than 0 are listed in
+#: ``FAILING``.
+ROWS: tuple[tuple[str, ...], ...] = (
+    ("runner", "--list"),
+    *((("runner", *ANALYTICAL, "--format", fmt)) for fmt in FORMATS),
+    *(("runner", *BOTH_ENGINES, "--engine", engine, *SMALL, "--no-store",
+       "--format", fmt) for engine in ("event", "vectorized") for fmt in FORMATS),
+    *(("runner", *SWEEPS, *SMALL, "--no-store", "--format", fmt)
+      for fmt in FORMATS),
+    *(("runner", "adaptivity-tracking", "adaptivity-lag", *SWEEPS,
+       "--workload", model, "--scale", "0.02", "--duration", "120",
+       "--no-store", "--format", "json") for model in MODELS),
+    *(("runner", "adaptivity-tracking", "adaptivity-lag", "--engine", "event",
+       "--workload", model, "--scale", "0.02", "--duration", "120",
+       "--no-store", "--format", "json") for model in MODELS),
+    *(("runner", "sim", "--engine", engine, *SMALL, "--replicates", "2",
+       "--jobs", "2", "--store", f"<replicates-{engine}.sqlite>")
+      for engine in ("event", "vectorized") for _cold_then_warm in range(2)),
+    ("runner", "sim", "--engine", "event", *SMALL, "--no-store", "--profile",
+     "--progress", "--trace-out", "<event-trace.json>", "--events-out",
+     "<event-events.jsonl>", "--format", "json"),
+    ("runner", "all", *SMALL, "--no-store", "--format", "csv", "--output",
+     "<out>"),
+    # The CI smokes.
+    ("runner", "churn", "--engine", "vectorized", "--duration", "120",
+     "--scale", "0.02", "--seed", "0", "--no-store", "--profile", "--format",
+     "json"),
+    *(("runner", "staleness", "--engine", engine, "--scale", "0.02",
+       "--duration", "250", "--no-store", "--format", "json")
+      for engine in ("event", "vectorized")),
+    ("runner", "adaptivity", "--engine", "vectorized", "--scale", "0.02",
+     "--duration", "120", "--shift-at", "40", "--window", "20", "--no-store",
+     "--format", "json"),
+    ("runner", "sim", "--workload", "rank-swap", "--no-store"),
+    ("runner", "sweep", *SMALL, "--jobs", "2", "--no-store", "--format",
+     "json"),
+    *(row for _first_then_second in range(2) for row in (
+        ("runner", "churn", "--engine", "vectorized", *SMALL, "--store",
+         "<single-path.sqlite>", "--profile", "--format", "json"),
+        ("runner", "adaptivity-tracking", "--scale", "0.02", "--duration",
+         "120", "--store", "<single-path.sqlite>", "--profile", "--format",
+         "json"),
+    )),
+    (INTERRUPT, "REPRO_OBS=1", "REPRO_OBS_EVENTS=<resume-events.jsonl>",
+     "runner", "sweep", *SMALL, "--store", "<resume.sqlite>", "--format",
+     "json"),
+    ("python", "-c", "from repro.obs import events, replay; "
+     "replay(events.read_events('<resume-events.jsonl>'))"),
+    *(("runner", "sweep", *SMALL, "--store", "<resume.sqlite>", "--format",
+       "json", "--profile") for _resume_then_warm in range(2)),
+    ("runner", "sweep", *SMALL, "--jobs", "2", "--no-store", "--progress",
+     "--trace-out", "<trace-out.json>", "--events-out", "<events-out.jsonl>",
+     "--profile", "--format", "json"),
+    ("python", "-c", "from repro import obs; from repro.obs import events; "
+     "obs.replay(events.read_events('<events-out.jsonl>'))"),
+    ("python", "benchmarks/gates.py"),
+)
+#: Rows expected to exit non-zero: the unaccepted-flag smoke.
+FAILING = frozenset({("runner", "sim", "--workload", "rank-swap", "--no-store")})
+
+
+@dataclass(frozen=True)
+class Def:
+    """One ``def`` of a module: the line its code object starts on."""
+
+    path: str
+    line: int
+    end: int
+    qualname: str
+
+    @property
+    def lines(self) -> int:
+        return self.end - self.line + 1
+
+
+def defs_of(source: str, path: str) -> list[Def]:
+    """Every function definition in ``source``, nested ones included."""
+    found: list[Def] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                start = min([child.lineno,
+                             *(d.lineno for d in child.decorator_list)])
+                name = f"{prefix}{child.name}"
+                found.append(Def(path, start, child.end_lineno, name))
+                visit(child, f"{name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def unreached(defs: list[Def], called: set[tuple[str, int]]) -> list[Def]:
+    """The defs whose ``(path, first line)`` no process called."""
+    return [d for d in defs if (d.path, d.line) not in called]
+
+
+def inventory(missed: list[Def], total: int) -> str:
+    """``missed`` grouped by module, then the ``unreached`` total line."""
+    out: list[str] = []
+    module = None
+    for d in sorted(missed, key=lambda d: (d.path, d.line)):
+        if d.path != module:
+            module = d.path
+            out.append(module)
+        out.append(f"    {d.line:>5}  {d.qualname}  ({d.lines} lines)")
+    out.append(f"unreached {len(missed)} of {total} defs, "
+               f"{sum(d.lines for d in missed)} lines")
+    return "\n".join(out)
+
+
+def src_defs(root: Path) -> list[Def]:
+    package = root / "src" / "repro"
+    defs: list[Def] = []
+    for path in sorted(package.rglob("*.py")):
+        defs += defs_of(path.read_text(encoding="utf-8"),
+                        path.relative_to(root).as_posix())
+    return defs
+
+
+def benchmark_rows(root: Path, work: Path) -> list[tuple[str, ...]]:
+    """The five benchmark commands, each as its traced in-process pass
+    (a warm one after the run that fills its store)."""
+    sys.path.insert(0, str(root))
+    from benchmarks.e2e.workloads import WORKLOADS
+
+    rows: list[tuple[str, ...]] = []
+    for workload in WORKLOADS:
+        populate = workload.populate_argv(0, work)
+        if populate is not None:
+            rows.append(("runner", *populate))
+        rows.append(("python", "benchmarks/e2e/layers.py",
+                     str(work / f"{workload.name}-traced.json"), "1", "--",
+                     *workload.runner_argv(0, work, "reach")))
+    return rows
+
+
+def example_rows(root: Path) -> list[tuple[str, ...]]:
+    return [("python", path.relative_to(root).as_posix())
+            for path in sorted((root / "examples").glob("*.py"))]
+
+
+def write_traces(work: Path) -> None:
+    """The recorded traces the ``trace:`` rows replay (not recorded)."""
+    import numpy as np
+
+    from repro.analysis.zipf import ZipfDistribution
+    from repro.experiments.scenario import simulation_scenario
+    from repro.workloads import StationaryZipf, record_trace
+
+    params = simulation_scenario(scale=0.02)
+    trace = record_trace(
+        StationaryZipf().build(ZipfDistribution(params.n_keys, params.alpha),
+                               np.random.default_rng(5)),
+        duration=120.0, queries_per_round=3,
+    )
+    trace.save(work / "trace.json")
+    trace.save(work / "trace.jsonl")
+
+
+def run_row(row: tuple[str, ...], root: Path, work: Path,
+            env: dict[str, str]) -> int:
+    """Run one row from ``root``; its exit status (SIGINT-ed rows: 0)."""
+    interrupt = row[:1] == (INTERRUPT,)
+    tokens = list(row[1:] if interrupt else row)
+    env = dict(env)
+
+    def path(token: str) -> str:
+        if token == "<out>":
+            return tempfile.mkdtemp(dir=work)
+        return _PLACEHOLDER.sub(lambda m: str(work / m.group(1)), token)
+
+    while "=" in tokens[0]:
+        name, value = tokens.pop(0).split("=", 1)
+        env[name] = path(value)
+    program = tokens.pop(0)
+    head = [sys.executable]
+    if program == "runner":
+        head += ["-m", "repro.experiments.runner"]
+    argv = [*head, *(path(token) for token in tokens)]
+    child = subprocess.Popen(argv, cwd=root, env=env,
+                             stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    if not interrupt:
+        return child.wait()
+    try:
+        child.wait(timeout=INTERRUPT_S)
+    except subprocess.TimeoutExpired:
+        child.send_signal(signal.SIGINT)
+        child.wait()
+    return 0
+
+
+def recording_env(root: Path, work: Path) -> dict[str, str]:
+    """The environment of a recorded process: the ``sitecustomize`` in
+    ``work/site`` ahead of ``root/src`` on ``PYTHONPATH``, and every
+    process's first calls written under ``work/calls``."""
+    site, calls = work / "site", work / "calls"
+    site.mkdir(parents=True, exist_ok=True)
+    calls.mkdir(exist_ok=True)
+    (site / "sitecustomize.py").write_text(SITECUSTOMIZE, encoding="utf-8")
+    env = {
+        name: value for name, value in os.environ.items()
+        if name not in ("REPRO_STORE", "REPRO_OBS", "REPRO_OBS_EVENTS")
+    }
+    env.update(
+        PYTHONPATH=os.pathsep.join([str(site), str(root / "src")]),
+        REACH_SRC=str(root / "src" / "repro") + os.sep,
+        REACH_OUT=str(calls),
+    )
+    return env
+
+
+def called_lines(work: Path, root: Path) -> set[tuple[str, int]]:
+    """``(path relative to root, first line)`` of every recorded call."""
+    called: set[tuple[str, int]] = set()
+    for record in (work / "calls").glob("*.calls"):
+        for line in record.read_text(encoding="utf-8").splitlines():
+            filename, first = line.rsplit("\t", 1)
+            called.add((Path(filename).relative_to(root).as_posix(),
+                        int(first)))
+    return called
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--root", type=Path, default=Path(__file__).resolve().parents[1],
+        help="checkout to measure (default: the one this file is in)",
+    )
+    parser.add_argument("--examples", action="store_true",
+                        help="also run examples/*.py as callers")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
+        work = Path(scratch)
+        env = recording_env(root, work)
+        write_traces(work)
+        rows = [*ROWS, *benchmark_rows(root, work)]
+        if args.examples:
+            rows += example_rows(root)
+        for number, row in enumerate(rows, 1):
+            status = run_row(row, root, work, env)
+            expected = 1 if row in FAILING else 0
+            ok &= status == expected
+            mark = "" if status == expected else f"   UNEXPECTED exit {status}"
+            print(f"[{number}/{len(rows)}] {' '.join(row)[:100]}{mark}",
+                  file=sys.stderr, flush=True)
+        called = called_lines(work, root)
+    defs = src_defs(root)
+    print(inventory(unreached(defs, called), len(defs)))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,8 @@ sweep --scale 8 --jobs 1 --store <tmp>``), ``churn_cold`` (``runner
 churn --engine vectorized --duration 120 --scale 0.02 --seed 0
 --no-store``), ``sim_event`` (``runner sim --engine event --duration
 150 --seed 0 --no-store``: the event substrate — overlay, DHT, index
-stores — and no kernel) or ``sweep_warm`` (the ``sweep_cold`` command against
+stores — and no kernel), ``sweep_pool`` (``sweep_cold`` with ``--jobs
+2``: the same cells through the process pool) or ``sweep_warm`` (the ``sweep_cold`` command against
 one store that the unmeasured first run fills, so every measured child
 hits 18/18, writing its result under ``--output``), bytecode cached as
 in the benchmark — in one child per environment padding, reads each child's
@@ -32,6 +33,7 @@ between cost resolution and the kernels) and guarded there, by
     python3 tools/rss_layout_check.py                        # sweep_cold
     python3 tools/rss_layout_check.py --workload churn_cold
     python3 tools/rss_layout_check.py --workload sim_event
+    python3 tools/rss_layout_check.py --workload sweep_pool
     python3 tools/rss_layout_check.py --workload sweep_warm
     python3 tools/rss_layout_check.py --root DIR  # another checkout (a parent)
 
@@ -65,6 +67,8 @@ COMMANDS = {
                    "--no-store"),
     "sim_event": ("sim", "--engine", "event", "--duration", "150",
                   "--seed", "0", "--format", "json", "--no-store"),
+    "sweep_pool": ("sweep", "--scale", "8", "--jobs", "2", "--format", "json",
+                   "--store", STORE),
     "sweep_warm": ("sweep", "--scale", "8", "--jobs", "1", "--format", "json",
                    "--store", STORE, "--output", OUTPUT),
 }
