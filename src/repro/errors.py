@@ -7,7 +7,7 @@ callers can catch library failures without masking programming errors such as
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ReproError(Exception):
@@ -54,3 +54,10 @@ def require_count(name: str, value: object, minimum: int) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_period(name: str, value: object) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is a real number (a
+    numpy one included, a boolean not) above 0; ``inf`` means never."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not value > 0:
+        raise ParameterError(f"{name} must be > 0, got {value!r}")

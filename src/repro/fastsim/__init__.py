@@ -16,9 +16,10 @@ numpy batch operations:
   (query -> hit/miss -> TTL refresh -> eviction -> cost accounting) for
   all four Fig. 1 strategies under one keyTtl per run, plus per-op cost
   models;
-* :mod:`repro.fastsim.churn` — vectorized on/offline transitions with
-  incremental online-fraction tracking and per-round
-  replica-availability vectors;
+* :mod:`repro.fastsim.inputs` — :class:`~repro.fastsim.inputs.RoundInputs`,
+  the one owner of a run's random inputs (query counts, the default
+  workload stream, DHT members, churn flips, origins and resolution
+  draws) and of which seed stream feeds each;
 * :mod:`repro.fastsim.churncosts` — availability-dependent per-op costs
   (walk lengthening / TTL exhaustion through the fragmented online
   overlay, shrunken floods, turnover misses) with structural
@@ -42,7 +43,6 @@ Select it anywhere the experiment harness runs simulations via
 ``engine="vectorized"`` (see :mod:`repro.experiments.scenario`).
 """
 
-from repro.fastsim.churn import BatchChurnProcess
 from repro.fastsim.churncosts import (
     ChurnOpCosts,
     structural_flood_cost,
@@ -66,7 +66,6 @@ from repro.fastsim.compare import (
 from repro.fastsim.kernel import (
     FastSimKernel,
     PerOpCosts,
-    default_batch_workload,
     run_fastsim,
 )
 from repro.fastsim.metrics import FastSimReport, WindowRecorder
@@ -84,7 +83,6 @@ from repro.fastsim.workload import BatchWorkload
 __all__ = [
     "FastSimState",
     "BatchWorkload",
-    "BatchChurnProcess",
     "PerOpCosts",
     "ChurnOpCosts",
     "FastSimKernel",
@@ -96,7 +94,6 @@ __all__ = [
     "resolve_jobs",
     "resolve_worker_count",
     "run_many",
-    "default_batch_workload",
     "ShmArena",
     "SharedArrayRef",
     "leaked_segments",

@@ -36,7 +36,7 @@ from repro.obs.clock import perf_counter
 from repro.analysis.costs import c_search_index
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_period
 from repro.fastsim.churncosts import ChurnOpCosts, conditional_walk_failure
 from repro.fastsim.kernel import PerOpCosts, run_fastsim
 from repro.fastsim.workload import BatchWorkload
@@ -600,12 +600,7 @@ def churn_costs_for(
     if params.num_peers <= CALIBRATION_LIMIT:
         calibrated = _churn_costs_cached(params, config, churn, seed, model)
         return _rescale_members(
-            calibrated,
-            num_active_peers,
-            config,
-            params=params,
-            churn=churn,
-            seed=seed,
+            calibrated, num_active_peers, config, params, seed
         )
     return ChurnOpCosts.structural(
         params,
@@ -771,9 +766,8 @@ def _churned_lookup_probe_impl(
 def _rescale_members(
     costs: ChurnOpCosts,
     num_active_peers: int,
-    config: Optional[PdhtConfig] = None,
-    params: Optional[ScenarioParameters] = None,
-    churn: Optional[ChurnConfig] = None,
+    config: PdhtConfig,
+    params: ScenarioParameters,
     seed: int = 0,
 ) -> ChurnOpCosts:
     """Adjust the member-dependent costs to a different DHT size.
@@ -788,8 +782,7 @@ def _rescale_members(
     effective group size, so a 10-member group is not charged a
     50-member group's flood.
 
-    Lookups and maintenance are rescaled the same *measured* way when
-    the substrate context (``params``/``churn``) is available — the
+    Lookups and maintenance are rescaled the *measured* way — the
     indexAll churn-fidelity fix:
 
     * lookups scale by the ratio of churned-substrate lookup probes at
@@ -797,7 +790,8 @@ def _rescale_members(
       ``c_search_index`` ratio misses that offline routing entries both
       shorten routes (responsible hand-over) and detour them, with a
       size-dependent net effect (~10% at availability 0.5 on the
-      Table-1/50 scenario);
+      Table-1/50 scenario); it stands in only when the probe at the
+      calibrated size measured no lookup;
     * maintenance re-anchors to the *measured no-churn* rate at the
       target size times the stationary availability. The calibrated rate
       bakes in the probe membership's realized online-fraction
@@ -809,59 +803,48 @@ def _rescale_members(
       multiplies by its own instantaneous online fraction, which
       supplies the target membership's trajectory.
 
-    Without the substrate context the old analytic ratios apply
-    (structural estimators beyond the calibration limit never reach this
-    path — :meth:`ChurnOpCosts.structural` sizes itself directly).
+    Structural estimators beyond the calibration limit never reach this
+    path — :meth:`ChurnOpCosts.structural` sizes itself directly.
     """
     if num_active_peers == costs.num_active_peers:
         return costs
-    import math
-
-    old_online = max(2, int(round(costs.num_active_peers * costs.availability)))
-    new_online = max(2, int(round(num_active_peers * costs.availability)))
-    lookup_scale: Optional[float] = None
-    maintenance: Optional[float] = None
-    if params is not None and churn is not None and config is not None:
-        old_probe = _churned_lookup_probe(
-            params, config, costs.availability, costs.num_active_peers, seed
+    old_probe = _churned_lookup_probe(
+        params, config, costs.availability, costs.num_active_peers, seed
+    )
+    new_probe = _churned_lookup_probe(
+        params, config, costs.availability, num_active_peers, seed
+    )
+    if old_probe > 0:
+        lookup_scale = new_probe / old_probe
+    else:
+        old_lookup = c_search_index(
+            max(2, int(round(costs.num_active_peers * costs.availability)))
         )
-        new_probe = _churned_lookup_probe(
-            params, config, costs.availability, num_active_peers, seed
+        new_lookup = c_search_index(
+            max(2, int(round(num_active_peers * costs.availability)))
         )
-        if old_probe > 0:
-            lookup_scale = new_probe / old_probe
-        target_base = costs_for(params, config, num_active_peers)
-        maintenance = costs.availability * target_base.maintenance_per_round
-    if lookup_scale is None:
-        old_lookup = c_search_index(old_online)
-        lookup_scale = (
-            c_search_index(new_online) / old_lookup if old_lookup else 1.0
-        )
-    if maintenance is None:
-        maintenance = costs.maintenance_per_round * (
-            (new_online * math.log2(new_online))
-            / (old_online * math.log2(old_online))
-        )
+        lookup_scale = new_lookup / old_lookup if old_lookup else 1.0
+    target_base = costs_for(params, config, num_active_peers)
+    maintenance = costs.availability * target_base.maintenance_per_round
     flood_scale = 1.0
-    if config is not None:
-        old_group = min(config.replication, costs.num_active_peers)
-        new_group = min(config.replication, num_active_peers)
-        if new_group != old_group:
-            from repro.fastsim.churncosts import structural_flood_cost
+    old_group = min(config.replication, costs.num_active_peers)
+    new_group = min(config.replication, num_active_peers)
+    if new_group != old_group:
+        from repro.fastsim.churncosts import structural_flood_cost
 
-            old_flood = structural_flood_cost(
-                old_group,
-                config.replica_degree,
-                costs.availability,
-                np.random.default_rng(0x5CA1E),
-            )
-            new_flood = structural_flood_cost(
-                new_group,
-                config.replica_degree,
-                costs.availability,
-                np.random.default_rng(0x5CA1E),
-            )
-            flood_scale = new_flood / old_flood if old_flood else 1.0
+        old_flood = structural_flood_cost(
+            old_group,
+            config.replica_degree,
+            costs.availability,
+            np.random.default_rng(0x5CA1E),
+        )
+        new_flood = structural_flood_cost(
+            new_group,
+            config.replica_degree,
+            costs.availability,
+            np.random.default_rng(0x5CA1E),
+        )
+        flood_scale = new_flood / old_flood if old_flood else 1.0
     return dc_replace(
         costs,
         lookup=costs.lookup * lookup_scale,
@@ -1142,8 +1125,7 @@ def staleness_probe_event(
     here so figure generation and cross-engine checks share it.
     """
     rounds = whole_rounds(duration)
-    if refresh_period <= 0:
-        raise ParameterError("refresh_period must be > 0")
+    require_period("refresh_period", refresh_period)
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     net = PdhtNetwork(params, config, seed=seed)
     versions = dict.fromkeys(range(params.n_keys), 0)

@@ -12,6 +12,11 @@ first round; see :meth:`FastSimKernel._span_end`); a Python
 loop then books each round's tallies and message charges in round order.
 Anything else is a one-round span through the same code.
 
+Every random input of a run — query counts, the default workload stream,
+DHT members, churn flips, origins, turnover and resolution draws — comes
+from its :class:`~repro.fastsim.inputs.RoundInputs`, which owns which
+stream of the seed feeds which input.
+
 Faithfulness to :class:`~repro.pdht.network.PdhtNetwork` (Section 5.1):
 
 * hit iff the key's latest replica expiry is strictly after ``now`` — an
@@ -70,26 +75,23 @@ from repro.obs.clock import perf_counter
 from repro.analysis.costs import c_search_index, c_search_unstructured
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import selection_members, strategy_setup
-from repro.errors import ParameterError
-from repro.fastsim.churn import BatchChurnProcess
+from repro.errors import ParameterError, require_period
 from repro.fastsim.churncosts import ChurnOpCosts
+from repro.fastsim.inputs import RoundInputs
 from repro.fastsim.metrics import FastSimReport, WindowRecorder
 from repro.fastsim.precision import INDEX_DTYPE, PROB_DTYPE
 from repro.fastsim.state import FastSimState
 from repro.fastsim.workload import BatchWorkload
-from repro.analysis.zipf import ZipfDistribution
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.sim.engine import whole_rounds
 from repro.sim.metrics import MessageCategory
-from repro.workloads.models import StationaryZipf
 
 __all__ = [
     "PerOpCosts",
     "FastSimKernel",
     "run_fastsim",
     "strategy_setup",
-    "default_batch_workload",
 ]
 
 
@@ -199,27 +201,6 @@ class _SpanScratch:
         return buffer[:count]
 
 
-def default_batch_workload(
-    params: ScenarioParameters,
-    seed: int,
-    zipf: Optional[ZipfDistribution] = None,
-) -> BatchWorkload:
-    """The workload :class:`FastSimKernel` builds when given none.
-
-    Materialised from the kernel's own seed derivation (the workload
-    stream is child 1 of the master :class:`~numpy.random.SeedSequence`),
-    so a workload built here and handed to the kernel draws the exact
-    query stream the kernel would have drawn internally. The parallel
-    runner uses this to construct default workloads in the parent process
-    and ship their large arrays to workers by shared-memory handle.
-    """
-    seeds = np.random.SeedSequence(seed).spawn(5)
-    return StationaryZipf().build(
-        zipf or ZipfDistribution(params.n_keys, params.alpha),
-        np.random.default_rng(seeds[1]),
-    )
-
-
 @dataclass(frozen=True)
 class PerOpCosts:
     """Per-operation message costs the kernel charges.
@@ -304,8 +285,8 @@ class FastSimKernel:
         One of ``noIndex`` / ``indexAll`` / ``partialIdeal`` /
         ``partialSelection`` (the four systems of Fig. 1).
     seed:
-        Master seed; independent child streams drive counts, workload,
-        membership, churn, and resolution draws.
+        Master seed of the run's :class:`~repro.fastsim.inputs.RoundInputs`,
+        through which every random draw of the run is made.
     workload:
         Optional :class:`~repro.fastsim.workload.BatchWorkload` (defaults
         to the stationary Zipf stream).
@@ -328,7 +309,8 @@ class FastSimKernel:
     content_refresh_period:
         Refresh all content every this many rounds (bumps every key's
         content version, like the Section 4 scenario's daily article
-        replacement), driving the staleness measurement.
+        replacement), driving the staleness measurement; ``inf`` never
+        refreshes.
     """
 
     def __init__(
@@ -343,26 +325,27 @@ class FastSimKernel:
         churn_costs: Optional[ChurnOpCosts] = None,
         content_refresh_period: Optional[float] = None,
     ) -> None:
+        if content_refresh_period is not None:
+            require_period("content_refresh_period", content_refresh_period)
         self.params = params
         self.config = config or PdhtConfig.from_scenario(params)
         self.strategy = strategy
-
-        # Child 1 is the default workload's stream (default_batch_workload).
-        seeds = np.random.SeedSequence(seed).spawn(5)
-        self._rng_counts = np.random.default_rng(seeds[0])
-        self._rng_members = np.random.default_rng(seeds[2])
-        self._rng_churn = np.random.default_rng(seeds[3])
-        self._rng_resolve = np.random.default_rng(seeds[4])
+        self.inputs = RoundInputs(seed)
 
         # What the strategy indexes, its TTL and DHT size: the policy the
         # event engine reads too. Rejects an unknown strategy name.
         self.policy = strategy_setup(params, self.config, strategy)
         self.key_ttl = self.policy.key_ttl
 
-        self.state = FastSimState(
-            params, self.policy.num_members, self._rng_members
+        self.state = FastSimState(params)
+        # Drawn once the state's arrays exist: drawn before them, the
+        # draw's transient (an arange over every peer at large member
+        # counts) sits under them in the heap, and a pooled sweep's peak
+        # RSS rises by ~1 MiB.
+        self.state.set_members(
+            self.inputs.members(params.num_peers, self.policy.num_members)
         )
-        self.workload = workload or default_batch_workload(params, seed)
+        self.workload = workload or self.inputs.workload(params)
         if self.workload.n_keys != params.n_keys:
             raise ParameterError(
                 f"workload covers {self.workload.n_keys} keys, "
@@ -378,18 +361,15 @@ class FastSimKernel:
         # A disabled config freezes liveness — a no-op in the event engine
         # (ChurnProcess.start returns immediately), so treat it as absent
         # and charge no churn surcharges.
-        self.churn: Optional[BatchChurnProcess] = None
+        self.churn: Optional[ChurnConfig] = None
         self.churn_costs: Optional[ChurnOpCosts] = None
         if churn is not None and churn.enabled:
-            self.churn = BatchChurnProcess(churn, self._rng_churn)
-            self.churn.initialise(self.state.online)
+            self.churn = churn
+            self.state.set_online(
+                self.inputs.churn_start(params.num_peers, churn)
+            )
             self.churn_costs = churn_costs
 
-        if content_refresh_period is not None and content_refresh_period <= 0:
-            raise ParameterError(
-                f"content_refresh_period must be > 0, "
-                f"got {content_refresh_period}"
-            )
         self.content_refresh_period = content_refresh_period
         self._next_refresh = (
             content_refresh_period if content_refresh_period else None
@@ -445,17 +425,9 @@ class FastSimKernel:
         totals = {category: 0.0 for category in MessageCategory}
         recorder = WindowRecorder(window)
         beat = obs.heartbeat("kernel.rounds", total=rounds)
-        rate = self.params.network_query_rate
-        # The workload may pin the counts (trace replay) or modulate the
-        # rate (diurnal cycles); the stationary default keeps the exact
-        # historical poisson(rate, size=rounds) draw.
-        counts = self.workload.fixed_counts(self.now, rounds)
-        if counts is None:
-            multipliers = self.workload.rate_multipliers(self.now, rounds)
-            if multipliers is None:
-                counts = self._rng_counts.poisson(rate, size=rounds)
-            else:
-                counts = self._rng_counts.poisson(rate * multipliers)
+        counts = self.inputs.counts(
+            self.workload, self.now, rounds, self.params.network_query_rate
+        )
         cumulative = np.cumsum(counts)
         start = self.now
         # Hoisted per-round temporaries: the window-close thunk and the
@@ -509,8 +481,8 @@ class FastSimKernel:
                 # content refresh lands before the queries, matching the
                 # event-engine staleness loop (advance -> refresh -> query).
                 if self.churn is not None:
-                    report.churn_transitions += self.churn.step(
-                        self.state.online
+                    report.churn_transitions += self.state.flip(
+                        self.inputs.churn_flips(self.state.online, self.churn)
                     )
                 if self._next_refresh is not None and now >= self._next_refresh:
                     self.state.bump_versions()
@@ -743,8 +715,8 @@ class FastSimKernel:
             # engine then walks and re-inserts it like any other miss.
             # (live &= ~(live & (draw < t)) reduces to live &= draw >= t;
             # the uniform draw itself is unchanged.)
-            draws = self._rng_resolve.random(
-                out=scratch.get("select.turnover", count, PROB_DTYPE)
+            draws = self.inputs.turnover(
+                scratch.get("select.turnover", count, PROB_DTYPE)
             )
             kept = np.greater_equal(
                 draws, cc.turnover_miss, out=scratch.get("select.kept", count, bool)
@@ -948,19 +920,12 @@ class FastSimKernel:
     # ------------------------------------------------------------------
     def _draw_origins(self, count: int) -> np.ndarray:
         """Uniform origins among online peers (event engine parity) for
-        a span's ``count`` queries.
-
-        One call draws what one call per round would: numpy's bounded
-        draws keep the spare half of a 64-bit word in the bit generator's
-        state, so consecutive calls concatenate bit-identically.
-        """
+        a span's ``count`` queries."""
         if self.churn is None:
-            return self._rng_resolve.integers(
-                0, self.params.num_peers, size=count
-            )
+            return self.inputs.origins(count, self.params.num_peers)
         # Under churn a span is one round: its online peers are the pool.
         online = np.flatnonzero(self.state.online)
-        return online[self._rng_resolve.integers(0, online.size, size=count)]
+        return online[self.inputs.origins(count, online.size)]
 
     def _gateway_charges(
         self,
@@ -1017,8 +982,11 @@ class FastSimKernel:
             # of two fresh allocations per span.
             return self._ones(count)
         scratch = self._scratch
-        online_replicas = self.churn.replica_online_counts(
-            count, self.config.replication, self._rng_resolve
+        # Drawn at the instantaneous online fraction, not the stationary
+        # one, so a transient mass departure immediately shows up as
+        # unresolvable searches.
+        online_replicas = self.inputs.replica_online(
+            count, self.config.replication, self.state.online_fraction
         )
         conditional = (
             1.0 - self.churn_costs.walk_failure
@@ -1035,8 +1003,8 @@ class FastSimKernel:
             conditional,
             out=scratch.get("resolve.p", count, PROB_DTYPE),
         )
-        draws = self._rng_resolve.random(
-            out=scratch.get("resolve.draws", count, PROB_DTYPE)
+        draws = self.inputs.resolve(
+            scratch.get("resolve.draws", count, PROB_DTYPE)
         )
         mask = np.less(draws, p, out=scratch.get("resolve.mask", count, bool))
         return mask, p

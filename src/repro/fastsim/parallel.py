@@ -40,12 +40,8 @@ from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.fastsim import shm
 from repro.fastsim.churncosts import ChurnOpCosts
-from repro.fastsim.kernel import (
-    PerOpCosts,
-    default_batch_workload,
-    run_fastsim,
-    strategy_setup,
-)
+from repro.fastsim.inputs import RoundInputs
+from repro.fastsim.kernel import PerOpCosts, run_fastsim, strategy_setup
 from repro.fastsim.metrics import FastSimReport
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
@@ -184,8 +180,8 @@ def pack_jobs(
     big arrays (Zipf probability/cumulative tables, rank→key mappings,
     trace streams); the originals are untouched. Jobs with no explicit
     workload get the kernel's default stationary workload materialised
-    here — bit-identically, from the kernel's own seed derivation
-    (:func:`~repro.fastsim.kernel.default_batch_workload`) — so its
+    here — bit-identically, from the job seed's
+    :meth:`~repro.fastsim.inputs.RoundInputs.workload` — so its
     tables ship by handle too; the Zipf distribution and the identity
     rank→key mapping are deduplicated across jobs sharing
     ``(n_keys, alpha)``, one segment per distinct table.
@@ -204,7 +200,7 @@ def pack_jobs(
             zipf = zipfs.get(cell)
             if zipf is None:
                 zipf = zipfs[cell] = ZipfDistribution(*cell)
-            workload = default_batch_workload(job.params, job.seed, zipf=zipf)
+            workload = RoundInputs(job.seed).workload(job.params, zipf)
             identity = identities.get(job.params.n_keys)
             if identity is None:
                 identities[job.params.n_keys] = workload.rank_to_key

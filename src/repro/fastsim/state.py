@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.parameters import ScenarioParameters
-from repro.errors import ParameterError
 from repro.fastsim.precision import EXPIRY_DTYPE, VERSION_DTYPE
 
 __all__ = ["FastSimState"]
@@ -33,32 +32,14 @@ __all__ = ["FastSimState"]
 
 class FastSimState:
     """Vectorized network state: the per-key expiry array, the content
-    versions (allocated on the first refresh) and per-peer masks.
-
-    Parameters
-    ----------
-    params:
-        Scenario parameters (sizes the arrays).
-    num_members:
-        DHT members (``numActivePeers``); member origins reach the index
-        for free, everyone else pays gateway discovery once.
-    rng:
-        Randomness for the member-subset draw.
+    versions (allocated on the first refresh) and per-peer masks, sized
+    by ``params``. Every peer starts online; there are no DHT members
+    until :meth:`set_members`.
     """
 
-    def __init__(
-        self,
-        params: ScenarioParameters,
-        num_members: int,
-        rng: np.random.Generator,
-    ) -> None:
-        if not 0 <= num_members <= params.num_peers:
-            raise ParameterError(
-                f"num_members must be in [0, {params.num_peers}], "
-                f"got {num_members}"
-            )
+    def __init__(self, params: ScenarioParameters) -> None:
         self.params = params
-        self.num_members = num_members
+        self.num_members = 0
         n_keys, num_peers = params.n_keys, params.num_peers
 
         # --- per-key index plane --------------------------------------
@@ -79,15 +60,13 @@ class FastSimState:
 
         # --- per-peer plane -------------------------------------------
         self.online = np.ones(num_peers, dtype=bool)
+        #: ``online.sum()``, kept up to date by :meth:`set_online` and
+        #: :meth:`flip` so a round never re-sums the whole mask.
+        self.online_count = num_peers
         #: Peers that already discovered a gateway (first index-path query
         #: from anyone else pays the bootstrap probe pair).
         self.has_gateway = np.zeros(num_peers, dtype=bool)
         self.is_member = np.zeros(num_peers, dtype=bool)
-        if num_members:
-            members = rng.choice(num_peers, size=num_members, replace=False)
-            self.is_member[members] = True
-        # Members are their own gateway — discovery is free for them.
-        self.has_gateway |= self.is_member
 
     # ------------------------------------------------------------------
     def index_size(self, now: float) -> int:
@@ -134,6 +113,34 @@ class FastSimState:
         )
 
     # ------------------------------------------------------------------
+    def set_members(self, members: np.ndarray) -> None:
+        """Make the peers ``members`` the DHT members
+        (``numActivePeers``); member origins reach the index for free,
+        everyone else pays gateway discovery once."""
+        self.num_members = members.size
+        self.is_member[members] = True
+        # Members are their own gateway — discovery is free for them.
+        self.has_gateway |= self.is_member
+
+    def set_online(self, online: np.ndarray) -> None:
+        """Replace every peer's liveness with the mask ``online``."""
+        self.online[:] = online
+        self.online_count = int(online.sum())
+
+    def flip(self, flips: np.ndarray) -> int:
+        """Toggle the liveness of the peers the mask ``flips`` selects;
+        returns how many flipped."""
+        went_offline = int((flips & self.online).sum())
+        self.online[flips] = ~self.online[flips]
+        flipped = int(flips.sum())
+        self.online_count += flipped - 2 * went_offline
+        return flipped
+
+    @property
+    def online_fraction(self) -> float:
+        """Instantaneous online fraction of the whole population."""
+        return self.online_count / self.online.size
+
     def online_member_fraction(self) -> float:
         """Fraction of DHT members currently online (scales maintenance)."""
         if self.num_members == 0:

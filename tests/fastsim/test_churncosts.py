@@ -9,12 +9,14 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.experiments.scenario import paper_scenario, simulation_scenario
-from repro.fastsim.churn import BatchChurnProcess
+from repro.fastsim import FastSimKernel, PerOpCosts
 from repro.fastsim.churncosts import (
     ChurnOpCosts,
     structural_flood_cost,
     structural_walk_costs,
 )
+from repro.fastsim.inputs import RoundInputs
+from repro.fastsim.state import FastSimState
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 
@@ -182,6 +184,9 @@ class TestChurnCostsPolicy:
     def test_member_rescaling_adjusts_lookup_and_maintenance(self):
         from repro.fastsim.compare import _rescale_members
 
+        params = simulation_scenario(scale=0.02)  # 400 peers
+        config = PdhtConfig.from_scenario(params)
+
         base = ChurnOpCosts(
             availability=0.8,
             lookup=3.0,
@@ -197,40 +202,71 @@ class TestChurnCostsPolicy:
             maintenance_per_round=50.0,
             num_active_peers=100,
         )
-        bigger = _rescale_members(base, 400)
+        bigger = _rescale_members(base, 400, config, params)
         assert bigger.num_active_peers == 400
         assert bigger.lookup > base.lookup
         assert bigger.maintenance_per_round > base.maintenance_per_round
         # Overlay-level costs carry over unchanged.
         assert bigger.resolved_walk == base.resolved_walk
         assert bigger.miss_flood == base.miss_flood
-        assert _rescale_members(base, 100) is base
+        assert _rescale_members(base, 100, config, params) is base
 
 
 class TestReplicaAvailabilityVector:
-    def test_online_fraction_tracked_incrementally(self, rng):
+    @staticmethod
+    def churned_state(params, num_peers, churn, inputs):
+        state = FastSimState(replace(params, num_peers=num_peers))
+        state.set_online(inputs.churn_start(num_peers, churn))
+        return state
+
+    def test_online_fraction_tracked_incrementally(self, small_params):
         config = ChurnConfig(mean_session=50.0, mean_offline=50.0)
-        process = BatchChurnProcess(config, rng)
-        online = np.ones(5_000, dtype=bool)
-        process.initialise(online)
+        inputs = RoundInputs(12345)
+        state = self.churned_state(small_params, 5_000, config, inputs)
         for _ in range(40):
-            process.step(online)
-            assert process.online_fraction == pytest.approx(
-                online.mean(), abs=1e-12
+            state.flip(inputs.churn_flips(state.online, config))
+            assert state.online_fraction == pytest.approx(
+                state.online.mean(), abs=1e-12
             )
 
-    def test_replica_online_counts_follow_instantaneous_fraction(self, rng):
+    def test_replica_online_counts_follow_instantaneous_fraction(
+        self, small_params
+    ):
         config = ChurnConfig(mean_session=100.0, mean_offline=100.0)
-        process = BatchChurnProcess(config, rng)
-        online = np.zeros(10_000, dtype=bool)
-        process.initialise(online)
-        counts = process.replica_online_counts(5_000, 50, rng)
+        inputs = RoundInputs(12345)
+        state = self.churned_state(small_params, 10_000, config, inputs)
+        counts = inputs.replica_online(5_000, 50, state.online_fraction)
         assert counts.shape == (5_000,)
         assert counts.min() >= 0 and counts.max() <= 50
         assert counts.mean() == pytest.approx(
-            50 * process.online_fraction, rel=0.05
+            50 * state.online_fraction, rel=0.05
         )
-        assert process.replica_online_counts(0, 50, rng).size == 0
+        assert inputs.replica_online(0, 50, state.online_fraction).size == 0
+
+    def test_kernel_draws_replicas_at_the_instantaneous_fraction(
+        self, small_params
+    ):
+        # Stationary availability 0.5, but only a tenth of the peers
+        # online now: a key's 20 replicas are all offline with
+        # probability 0.9 ** 20 (at 0.5 it would be ~1e-6).
+        churn_costs = ChurnOpCosts(
+            availability=0.5, lookup=3.0, miss_lookup=2.5, hit_flood=60.0,
+            miss_flood=60.0, insert_flood=60.0, resolved_walk=20.0,
+            failed_walk=800.0, walk_failure=0.1, hit_flood_fraction=0.05,
+            turnover_miss=0.01, maintenance_per_round=50.0,
+            num_active_peers=100,
+        )
+        kernel = FastSimKernel(
+            small_params,
+            churn=ChurnConfig(mean_session=100.0, mean_offline=100.0),
+            costs=PerOpCosts.analytical(small_params),
+            churn_costs=churn_costs,
+        )
+        peers = small_params.num_peers
+        kernel.state.set_online(np.arange(peers) < peers // 10)
+        _, p_resolve = kernel._resolve_draws(5_000)
+        some_online = 1.0 - 0.9 ** small_params.replication
+        assert p_resolve.mean() == pytest.approx(0.9 * some_online, abs=0.02)
 
 
 class TestOverlaySample:

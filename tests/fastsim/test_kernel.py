@@ -329,10 +329,24 @@ class TestStaleness:
         assert report.stale_hits == 0
 
     def test_invalid_refresh_period_rejected(self, small_params):
-        with pytest.raises(ParameterError, match="content_refresh_period"):
-            run_fastsim(
-                small_params, duration=10.0, content_refresh_period=0.0
-            )
+        # NaN used to escape as a raw ValueError from the span cap, and
+        # True ran as a one-round period.
+        for period in (0.0, -5.0, math.nan, True):
+            with pytest.raises(
+                ParameterError, match="content_refresh_period must be > 0"
+            ):
+                run_fastsim(
+                    small_params, duration=120.0,
+                    content_refresh_period=period,
+                )
+
+    def test_infinite_refresh_period_never_refreshes(self, small_params):
+        report = run_fastsim(
+            small_params, duration=120.0, seed=2,
+            content_refresh_period=math.inf,
+        )
+        assert report.content_refreshes == 0
+        assert report.stale_hits == 0
 
 
 class TestChurnCostModel:

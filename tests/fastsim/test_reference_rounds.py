@@ -21,11 +21,11 @@ strategies, reading what a strategy does from the same
 plus routing maintenance whenever a DHT runs and the proactive updates
 of the preloaded keys (Eq. 9: a lookup and a replica flood each, paid
 whole, the fraction carried to the next round). It imports no kernel
-code. Its inputs are the kernel's own child streams of
-``SeedSequence(seed).spawn(5)`` — counts (child 0), DHT members (child
-2), origins (child 4) — and an identically seeded copy of the workload,
-drawn round by round; without churn those are every random input a
-round has.
+code. It draws its counts, DHT members and origins through its own
+:class:`~repro.fastsim.inputs.RoundInputs` of the run's seed — the
+object the kernel draws them through — and its queries from an
+identically seeded copy of the workload, round by round; without churn
+those are every random input a round has.
 
 The kernel's report must equal the reference's field for field: every
 integer, both series, and the per-category message totals, which both
@@ -85,7 +85,7 @@ from repro.analysis.strategies import STRATEGY_NAMES, strategy_setup
 from repro.analysis.zipf import ZipfDistribution
 from repro.fastsim import FastSimKernel, PerOpCosts
 from repro.fastsim import kernel as kernel_module
-from repro.fastsim.kernel import default_batch_workload
+from repro.fastsim.inputs import RoundInputs
 from repro.fastsim.metrics import FastSimReport
 from repro.pdht.config import PdhtConfig
 from repro.sim.metrics import MessageCategory
@@ -121,15 +121,11 @@ REGIMES = {
 
 class Reference:
     def __init__(self, params, policy, seed, workload, refresh_period):
-        children = np.random.SeedSequence(seed).spawn(5)
         self.params = params
-        self.counts_rng = np.random.default_rng(children[0])
-        self.origins_rng = np.random.default_rng(children[4])
-        self.has_gateway = set()
-        if policy.num_members:
-            self.has_gateway = set(np.random.default_rng(children[2]).choice(
-                params.num_peers, size=policy.num_members, replace=False
-            ).tolist())
+        self.inputs = RoundInputs(seed)
+        self.has_gateway = set(
+            self.inputs.members(params.num_peers, policy.num_members).tolist()
+        )
         self.policy, self.key_ttl, self.workload = policy, policy.key_ttl, workload
         self.expires: dict[int, float] = {}
         self.version: dict[int, int] = {}  # content version an entry serves
@@ -153,7 +149,7 @@ class Reference:
         return 1
 
     def origins(self, count):
-        return self.origins_rng.integers(0, self.params.num_peers, size=count)
+        return self.inputs.origins(count, self.params.num_peers)
 
     def selection_round(self, now, queries, out, totals):
         origins = self.origins(len(queries))
@@ -205,8 +201,8 @@ class Reference:
             rates.append((elapsed, rate))
             sizes.append((elapsed, self.index_size()))
 
-        counts = self.counts_rng.poisson(
-            self.params.network_query_rate, size=rounds
+        counts = self.inputs.counts(
+            self.workload, self.now, rounds, self.params.network_query_rate
         )
         for count in counts.tolist():
             self.now += 1.0
@@ -294,7 +290,7 @@ def cases(draw):
 
 def workload_pair(case, params):
     if case["swap_at"] is None:
-        return [default_batch_workload(params, case["seed"]) for _ in "ab"]
+        return [RoundInputs(case["seed"]).workload(params) for _ in "ab"]
     model = RankSwap(shift_time=float(case["swap_at"]))
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     return [
@@ -423,9 +419,11 @@ def test_pinned_partial_ideal_case_queries_the_boundary_rank():
         PARAMS, PdhtConfig.from_scenario(PARAMS), "partialIdeal"
     )
     assert 0 < policy.index_ranks < PARAMS.n_keys
-    workload = default_batch_workload(PARAMS, PINNED_IDEAL_SEED)
+    workload = RoundInputs(PINNED_IDEAL_SEED).workload(PARAMS)
     reference = Reference(PARAMS, policy, PINNED_IDEAL_SEED, workload, None)
-    counts = reference.counts_rng.poisson(PARAMS.network_query_rate, size=40)
+    counts = reference.inputs.counts(
+        workload, 0.0, 40, PARAMS.network_query_rate
+    )
     ranks = [rank for now, count in enumerate(counts.tolist(), 1)
              for rank, _ in workload.draw(float(now), count)]
     assert policy.index_ranks in ranks

@@ -140,9 +140,9 @@ class TestExtractRestore:
             assert graph["big"] is big
 
     def test_workload_graph_roundtrip(self, params):
-        from repro.fastsim.kernel import default_batch_workload
+        from repro.fastsim.inputs import RoundInputs
 
-        workload = default_batch_workload(params, 3)
+        workload = RoundInputs(3).workload(params)
         with ShmArena() as arena:
             packed = extract_arrays(workload, arena)
             assert packed is not workload
@@ -159,10 +159,10 @@ class TestExtractRestore:
             )
 
     def test_guide_table_is_rebuilt_not_shipped(self, params):
-        from repro.fastsim.kernel import default_batch_workload
+        from repro.fastsim.inputs import RoundInputs
 
-        workload = default_batch_workload(params, 3)
-        twin = default_batch_workload(params, 3)
+        workload = RoundInputs(3).workload(params)
+        twin = RoundInputs(3).workload(params)
         counts = np.array([3000, 3000])  # large enough to use the guide
         before = len(pickle.dumps(workload.zipf))
         want = workload.draw_rounds(0.0, counts)
@@ -187,13 +187,13 @@ class TestPackJobs:
     def test_payload_shrinks(self, params, config):
         from dataclasses import replace
 
-        from repro.fastsim.kernel import default_batch_workload
+        from repro.fastsim.inputs import RoundInputs
 
         # Give every job its explicit workload so the pickle-copy
         # baseline actually carries the arrays (a workload=None spec
         # pickles tiny and materialises in the kernel instead).
         resolved = [
-            replace(job, workload=default_batch_workload(params, job.seed))
+            replace(job, workload=RoundInputs(job.seed).workload(params))
             for job in resolve_jobs(build_jobs(params, config))
         ]
         full = sum(len(pickle.dumps(job)) for job in resolved)

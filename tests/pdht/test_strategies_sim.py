@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis.parameters import ScenarioParameters
@@ -156,6 +158,19 @@ class TestDriver:
         assert strategy.network.simulation.now == 0.0  # nothing ran
         with pytest.raises(ParameterError, match="whole number of rounds"):
             staleness_probe_event(sim_params, sim_config, 0.5, 10.0)
+
+    @pytest.mark.parametrize(
+        "period", [math.nan, True, 0.0], ids=["nan", "bool", "zero"]
+    )
+    def test_staleness_refresh_period_must_be_a_positive_number(
+        self, sim_params, sim_config, period
+    ):
+        # NaN used to run without a single refresh, and True as a
+        # one-round period.
+        from repro.fastsim.compare import staleness_probe_event
+
+        with pytest.raises(ParameterError, match="refresh_period must be > 0"):
+            staleness_probe_event(sim_params, sim_config, 20.0, period)
 
     def test_windows_record_series(self, sim_params, sim_config):
         strategy = SimulatedStrategy(sim_params, config=sim_config, seed=1)

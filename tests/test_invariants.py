@@ -1,4 +1,4 @@
-"""The repo's cross-cutting invariants RL101-RL110, as plain ``ast`` checks.
+"""The repo's cross-cutting invariants RL101-RL111, as plain ``ast`` checks.
 
 A check is a function ``check(path, tree, imports)`` returning
 ``(line, message)`` pairs for one file; ``path`` is repo-relative posix,
@@ -8,7 +8,7 @@ exception is a path condition inside the check: there is no comment
 escape. To add an invariant, add a check function to ``CHECKS`` plus
 triggering and passing rows to ``FIXTURES``.
 
-``test_real_tree_is_clean`` runs all ten over every ``.py`` file under
+``test_real_tree_is_clean`` runs all eleven over every ``.py`` file under
 ``src tests benchmarks tools examples`` and fails naming ``path:line``
 and the id of each violation.
 """
@@ -538,11 +538,42 @@ def rl110_networkx_import(path, tree, imports):
     return hits
 
 
+# RL111: a seeded kernel run is exact only while each random input keeps
+# its stream of the seed. RoundInputs (fastsim/inputs.py) is the one owner
+# of that layout; a second SeedSequence or default_rng in the kernel's
+# modules is a second copy of it, which once existed three times. The
+# calibration modules seed their own probes, apart from any kernel run.
+# Calls are matched by the callee's last name.
+_SEEDING = frozenset({"SeedSequence", "default_rng"})
+_SEED_OWNERS = frozenset(
+    {"src/repro/fastsim/inputs.py", "src/repro/fastsim/compare.py",
+     "src/repro/fastsim/churncosts.py"}
+)
+
+
+def rl111_seed_layout(path, tree, imports):
+    if not path.startswith("src/repro/fastsim/") or path in _SEED_OWNERS:
+        return []
+    hits = []
+    for node in imports.of(ast.Call):
+        if isinstance(node.func, ast.Name):
+            name = node.func.id
+        elif isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+        else:
+            continue
+        if name in _SEEDING:
+            hits.append((node.lineno, f"RL111 '{name}(...)' in fastsim "
+                         "outside inputs.py; draw through "
+                         "repro.fastsim.inputs.RoundInputs"))
+    return hits
+
+
 CHECKS = (
     rl101_wall_clock, rl102_global_rng, rl103_dtype_literal,
     rl104_identity_leak, rl105_shm_unlink, rl106_uncounted_cache,
     rl107_span_naming, rl108_pool_ownership, rl109_collector_policy,
-    rl110_networkx_import,
+    rl110_networkx_import, rl111_seed_layout,
 )
 
 
@@ -880,6 +911,33 @@ FIXTURES = [    # RL101
         import networkx_free
         from repro.net.topology import bridged_regular_rows
         """),
+    # RL111
+    row(rl111_seed_layout, "kernel-seeds-itself", "src/repro/fastsim/kernel.py", """
+        import numpy as np
+        from numpy.random import default_rng
+        def streams(seed):
+            seeds = np.random.SeedSequence(seed).spawn(5)
+            return default_rng(seeds[0]), np.random.default_rng(seeds[4])
+        """, "'SeedSequence(...)'", "'default_rng(...)'", "'default_rng(...)'"),
+    row(rl111_seed_layout, "seed-owner", "src/repro/fastsim/inputs.py", """
+        import numpy as np
+        def children(seed):
+            return np.random.SeedSequence(seed).spawn(5)
+        """),
+    row(rl111_seed_layout, "calibration-probe", "src/repro/fastsim/churncosts.py", """
+        import numpy as np
+        rng = np.random.default_rng(np.random.SeedSequence([0, 1]))
+        """),
+    row(rl111_seed_layout, "types-and-elsewhere", "src/repro/fastsim/shm.py", """
+        import numpy as np
+        LEAVES = (np.random.Generator, np.random.SeedSequence)
+        def copy(rng):
+            return rng.spawn(1)
+        """),
+    row(rl111_seed_layout, "outside-fastsim", "src/repro/pdht/network.py", """
+        import numpy as np
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        """),
 ]
 
 
@@ -897,7 +955,7 @@ def test_every_check_runs_on_the_tree_and_has_fixtures():
     # A check missing from CHECKS would pass its fixtures and never run.
     assert {param.values[0] for param in FIXTURES} == set(CHECKS)
     assert [check.__name__[:5] for check in CHECKS] == [
-        f"rl{n}" for n in range(101, 111)
+        f"rl{n}" for n in range(101, 112)
     ]
 
 
