@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_finite
 
 __all__ = ["ScenarioParameters"]
 
@@ -73,18 +73,11 @@ class ScenarioParameters:
         self._require_positive_int("n_keys", self.n_keys)
         self._require_positive_int("storage_per_peer", self.storage_per_peer)
         self._require_positive_int("replication", self.replication)
-        if self.alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if self.query_freq < 0:
-            raise ParameterError(f"query_freq must be >= 0, got {self.query_freq}")
-        if self.update_freq < 0:
-            raise ParameterError(f"update_freq must be >= 0, got {self.update_freq}")
-        if self.env < 0:
-            raise ParameterError(f"env must be >= 0, got {self.env}")
-        if self.dup < 1.0:
-            raise ParameterError(f"dup must be >= 1 (a search sends >= 1 copy), got {self.dup}")
-        if self.dup2 < 1.0:
-            raise ParameterError(f"dup2 must be >= 1, got {self.dup2}")
+        for name in ("alpha", "query_freq", "update_freq", "env"):
+            require_finite(name, getattr(self, name), 0.0)
+        # A search sends at least one copy.
+        require_finite("dup", self.dup, 1.0)
+        require_finite("dup2", self.dup2, 1.0)
         if self.replication > self.num_peers:
             raise ParameterError(
                 f"replication ({self.replication}) cannot exceed num_peers "

@@ -7,6 +7,7 @@ callers can catch library failures without masking programming errors such as
 
 from __future__ import annotations
 
+import math
 from numbers import Integral, Real
 
 
@@ -61,3 +62,17 @@ def require_period(name: str, value: object) -> None:
     numpy one included, a boolean not) above 0; ``inf`` means never."""
     if isinstance(value, bool) or not isinstance(value, Real) or not value > 0:
         raise ParameterError(f"{name} must be > 0, got {value!r}")
+
+
+def require_finite(name: str, value: object, minimum: float) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is a finite real
+    number (a numpy one included, a boolean not) of at least ``minimum``;
+    NaN is not."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not minimum <= value < math.inf
+    ):
+        raise ParameterError(
+            f"{name} must be a finite number >= {minimum:g}, got {value!r}"
+        )

@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import selection_outcome
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_finite
 from repro.experiments.api import SIMULATED, experiment
 from repro.experiments.execution import Cell, CellWorkload, Execution
 from repro.experiments.figures import FigureSeries
@@ -109,6 +109,8 @@ class GridAxes:
                 raise ParameterError(f"{name} must be non-empty")
             if any(v <= 0 for v in values):
                 raise ParameterError(f"{name} must be > 0, got {values}")
+            for value in values:
+                require_finite(name, value, 0.0)
         if any(v > 1.0 for v in self.availabilities):
             raise ParameterError(
                 f"availabilities must be in (0, 1], got {self.availabilities}"

@@ -14,8 +14,8 @@ numpy batch operations:
   segments on the one-``draw_into`` path;
 * :mod:`repro.fastsim.kernel` — the batch execution kernel
   (query -> hit/miss -> TTL refresh -> eviction -> cost accounting) for
-  all four Fig. 1 strategies under one keyTtl per run, plus per-op cost
-  models;
+  all four Fig. 1 strategies under one keyTtl per lane (a kernel runs
+  the jobs of a keyTtl column as lanes), plus per-op cost models;
 * :mod:`repro.fastsim.inputs` — :class:`~repro.fastsim.inputs.RoundInputs`,
   the one owner of a run's random inputs (query counts, the default
   workload stream, DHT members, churn flips, origins and resolution
@@ -31,9 +31,10 @@ numpy batch operations:
   checks (aggregates, churn cost, staleness fraction);
 * :mod:`repro.fastsim.parallel` — multi-process fan-out of independent
   kernel jobs (sweep cells, replicate seeds, one run per strategy) with
-  per-op costs resolved once in the parent;
+  per-op costs resolved once in the parent, and jobs that differ only
+  in keyTtl grouped into one kernel;
 * :mod:`repro.fastsim.precision` — the one module that names the
-  kernel's dtypes (float64 expiries and int64 versions, the layout the
+  kernel's dtypes (float64 write times and int64 versions, the layout the
   pinned captures were recorded under);
 * :mod:`repro.fastsim.shm` — shared-memory staging of large read-mostly
   job arrays so pool workers map one copy instead of each unpickling

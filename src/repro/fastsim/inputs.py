@@ -32,7 +32,8 @@ class RoundInputs:
 
     * child 0 — the per-round query counts (:meth:`counts`);
     * child 1 — the default workload's ranks and keys (:meth:`workload`);
-    * child 2 — the DHT members (:meth:`members`);
+    * child 2 — the DHT members (:meth:`members`, each call from the
+      start of the stream);
     * child 3 — the churn start mask and the per-round flips
       (:meth:`churn_start`, :meth:`churn_flips`);
     * child 4 — in the order a span draws them: origins
@@ -50,7 +51,7 @@ class RoundInputs:
         )
         self._counts = np.random.default_rng(counts)
         self._workload = workload
-        self._members = np.random.default_rng(members)
+        self._members = members
         self._churn = np.random.default_rng(churn)
         self._resolve = np.random.default_rng(resolve)
 
@@ -88,12 +89,18 @@ class RoundInputs:
 
     # --- child 2 ------------------------------------------------------
     def members(self, population: int, count: int) -> np.ndarray:
-        """The ``count`` DHT members among ``population`` peers."""
+        """The ``count`` DHT members among ``population`` peers.
+
+        Each call draws from the start of child 2, so every lane of a
+        kernel gets the members its run would get alone.
+        """
         if not 0 <= count <= population:
             raise ParameterError(
                 f"num_members must be in [0, {population}], got {count}"
             )
-        return self._members.choice(population, size=count, replace=False)
+        return np.random.default_rng(self._members).choice(
+            population, size=count, replace=False
+        )
 
     # --- child 3 ------------------------------------------------------
     def churn_start(self, population: int, churn: ChurnConfig) -> np.ndarray:

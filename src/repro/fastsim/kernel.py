@@ -2,7 +2,7 @@
 
 Where the event engine dispatches one Python callback per query, the
 kernel processes a whole *span* of rounds in one numpy pass: liveness
-test against the per-key expiry array, unique-key miss resolution, TTL
+test against the per-key write times, unique-key miss resolution, TTL
 refresh, gateway discovery — a fixed handful of array ops per span,
 regardless of how many million peers the scenario has or how many rounds
 the span covers. A span is a run of consecutive rounds whose only state
@@ -12,6 +12,18 @@ first round; see :meth:`FastSimKernel._span_end`); a Python
 loop then books each round's tallies and message charges in round order.
 Anything else is a one-round span through the same code.
 
+A kernel runs one or more *lanes*, one per job: the jobs of a sweep's
+keyTtl column differ only in keyTtl, and without churn or content
+refresh every query writes its key whatever the keyTtl, so one kernel
+runs them all (:meth:`FastSimKernel.add_lane`;
+:func:`repro.fastsim.parallel.units` decides which jobs). The query
+counts, the workload draw, the origins and the per-key write times are
+made once for all lanes; each lane tests liveness at its own keyTtl
+against the write times the span opens with and keeps its own members,
+gateways, costs, report, message totals and window recorder. Spans are
+the shortest any lane allows, and the last lane writes the span's
+entries after every lane has read them.
+
 Every random input of a run — query counts, the default workload stream,
 DHT members, churn flips, origins, turnover and resolution draws — comes
 from its :class:`~repro.fastsim.inputs.RoundInputs`, which owns which
@@ -19,8 +31,9 @@ stream of the seed feeds which input.
 
 Faithfulness to :class:`~repro.pdht.network.PdhtNetwork` (Section 5.1):
 
-* hit iff the key's latest replica expiry is strictly after ``now`` — an
-  entry reaching its expiry instant is already dead, exactly like
+* hit iff the key's latest replica expiry, its last write time plus
+  keyTtl, is strictly after ``now`` — an entry reaching its expiry
+  instant is already dead, exactly like
   :class:`~repro.pdht.ttl_cache.TtlKeyStore`'s ``expires_at <= now`` miss;
 * a hit rearms the expiration clock to ``now + keyTtl``;
 * a miss floods the replica subnetwork, broadcasts, and (when resolved)
@@ -74,13 +87,17 @@ from repro import obs
 from repro.obs.clock import perf_counter
 from repro.analysis.costs import c_search_index, c_search_unstructured
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.strategies import selection_members, strategy_setup
+from repro.analysis.strategies import (
+    StrategyPolicy,
+    selection_members,
+    strategy_setup,
+)
 from repro.errors import ParameterError, require_period
 from repro.fastsim.churncosts import ChurnOpCosts
 from repro.fastsim.inputs import RoundInputs
 from repro.fastsim.metrics import FastSimReport, WindowRecorder
-from repro.fastsim.precision import INDEX_DTYPE, PROB_DTYPE
-from repro.fastsim.state import FastSimState
+from repro.fastsim.precision import INDEX_DTYPE, PROB_DTYPE, TIME_DTYPE
+from repro.fastsim.state import FastSimState, Membership
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
@@ -272,6 +289,29 @@ class PerOpCosts:
         )
 
 
+class _Lane:
+    """One job of a kernel: what its keyTtl decides.
+
+    The lanes of a kernel run one scenario, strategy and seed on one
+    query stream; each has its own strategy policy (keyTtl and DHT size),
+    costs, members and gateways, and proactive-update debt.
+    """
+
+    __slots__ = ("policy", "costs", "membership", "update_debt")
+
+    def __init__(
+        self, policy: StrategyPolicy, costs: PerOpCosts, membership: Membership
+    ) -> None:
+        self.policy = policy
+        self.costs = costs
+        self.membership = membership
+        self.update_debt = 0.0
+
+    @property
+    def key_ttl(self) -> float:
+        return self.policy.key_ttl
+
+
 class FastSimKernel:
     """Vectorized simulator of one indexing strategy.
 
@@ -311,6 +351,9 @@ class FastSimKernel:
         content version, like the Section 4 scenario's daily article
         replacement), driving the staleness measurement; ``inf`` never
         refreshes.
+
+    The kernel runs ``config`` as its first lane; :meth:`add_lane` adds
+    more (see the module docstring).
     """
 
     def __init__(
@@ -334,17 +377,14 @@ class FastSimKernel:
 
         # What the strategy indexes, its TTL and DHT size: the policy the
         # event engine reads too. Rejects an unknown strategy name.
-        self.policy = strategy_setup(params, self.config, strategy)
-        self.key_ttl = self.policy.key_ttl
+        policy = strategy_setup(params, self.config, strategy)
 
         self.state = FastSimState(params)
         # Drawn once the state's arrays exist: drawn before them, the
         # draw's transient (an arange over every peer at large member
         # counts) sits under them in the heap, and a pooled sweep's peak
         # RSS rises by ~1 MiB.
-        self.state.set_members(
-            self.inputs.members(params.num_peers, self.policy.num_members)
-        )
+        membership = self._membership(policy)
         self.workload = workload or self.inputs.workload(params)
         if self.workload.n_keys != params.n_keys:
             raise ParameterError(
@@ -354,10 +394,13 @@ class FastSimKernel:
         # Imported lazily: compare.py imports this module at load time.
         from repro.fastsim.compare import resolve_costs
 
-        self.costs, churn_costs = resolve_costs(
-            params, self.config, self.policy.num_members, seed, churn,
+        costs, churn_costs = resolve_costs(
+            params, self.config, policy.num_members, seed, churn,
             self.workload, costs, churn_costs,
         )
+        self.lanes = [_Lane(policy, costs, membership)]
+        #: Every lane's report of the last :meth:`run`, in lane order.
+        self.reports: list[FastSimReport] = []
         # A disabled config freezes liveness — a no-op in the event engine
         # (ChurnProcess.start returns immediately), so treat it as absent
         # and charge no churn surcharges.
@@ -376,7 +419,6 @@ class FastSimKernel:
         )
 
         self.now = 0.0
-        self._update_debt = 0.0
 
         # Streamed-loop buffers: per-role scratch for the span hot paths,
         # draw buffers reused across blocks, and read-only all-ones
@@ -388,6 +430,44 @@ class FastSimKernel:
         self._ones_bool = _EMPTY_BOOL
         self._ones_f8 = _EMPTY_F8
 
+    def _membership(self, policy: StrategyPolicy) -> Membership:
+        """The masks of a lane running ``policy``, with its members."""
+        membership = Membership(self.params.num_peers)
+        membership.set_members(
+            self.inputs.members(self.params.num_peers, policy.num_members)
+        )
+        return membership
+
+    def add_lane(
+        self, config: PdhtConfig, costs: Optional[PerOpCosts] = None
+    ) -> None:
+        """Run ``config`` too, as one more lane of this kernel.
+
+        ``config`` may differ from the kernel's only in ``key_ttl``, and
+        only a kernel without churn or content refresh takes lanes, before
+        its first run. ``costs`` default as the constructor's do. The
+        lane's report (:attr:`reports`) equals that of a kernel built with
+        ``config`` and run alone.
+        """
+        if self.churn is not None or self._next_refresh is not None:
+            raise ParameterError(
+                "only a run without churn or content refresh takes lanes"
+            )
+        if self.now:
+            raise ParameterError("lanes are added before the first run")
+        if config.with_ttl(self.config.key_ttl) != self.config:
+            raise ParameterError(
+                "a lane's config may differ from the kernel's only in key_ttl"
+            )
+        from repro.fastsim.compare import resolve_costs
+
+        policy = strategy_setup(self.params, config, self.strategy)
+        membership = self._membership(policy)
+        costs, _ = resolve_costs(
+            self.params, config, policy.num_members, costs=costs
+        )
+        self.lanes.append(_Lane(policy, costs, membership))
+
     def _ones(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only all-ones ``(bool, float64)`` views of length ``count``."""
         if self._ones_bool.size < count:
@@ -397,17 +477,22 @@ class FastSimKernel:
 
     # ------------------------------------------------------------------
     def run(self, duration: float, window: float = 0.0) -> FastSimReport:
-        """Simulate ``duration`` rounds; returns the aggregate report.
+        """Simulate ``duration`` rounds; returns the first lane's report
+        (every lane's is in :attr:`reports`).
 
         ``window > 0`` records hit-rate and index-size samples every
         ``window`` rounds, like the event engine's strategy driver.
 
-        With telemetry on, the run reports a ``kernel.run`` duration with
-        its phases nested under it: ``round.maintain`` / ``round.queries``
-        / ``round.post`` count rounds, while ``draw`` counts draw blocks
-        (one ``draw_rounds`` call per :data:`DRAW_BLOCK` queries) — a
-        busy cell contributes several, an idle one exactly one — and the
+        Each lane's ``elapsed_seconds`` is its share of the run's wall
+        clock, so the lanes' times sum to it. With telemetry on, the run
+        reports a ``kernel.run`` duration with its phases nested under
+        it: ``round.maintain`` / ``round.queries`` / ``round.post`` count
+        the loop's rounds, while ``draw`` counts draw blocks (one
+        ``draw_rounds`` call per :data:`DRAW_BLOCK` queries) — a busy run
+        contributes several, an idle one exactly one — and the
         ``kernel.spans`` counter counts numpy passes (:meth:`_step_span`).
+        ``kernel.runs``, ``kernel.rounds`` and ``kernel.queries`` count
+        every lane's.
         """
         rounds = whole_rounds(duration)
         started = perf_counter()
@@ -418,26 +503,43 @@ class FastSimKernel:
         telemetry = obs.enabled()
         perf = perf_counter
         t_draw = t_maintain = t_queries = t_post = 0.0
-        draw_blocks = spans = 0
-        report = FastSimReport(
-            strategy=self.strategy, params=self.params, duration=duration
-        )
-        totals = {category: 0.0 for category in MessageCategory}
-        recorder = WindowRecorder(window)
+        draw_blocks = spans = transitions = refreshes = 0
+        lanes = self.lanes
+        reports = [
+            FastSimReport(
+                strategy=self.strategy, params=self.params, duration=duration
+            )
+            for _ in lanes
+        ]
+        lane_totals = [
+            {category: 0.0 for category in MessageCategory} for _ in lanes
+        ]
+        recorders = [WindowRecorder(window) for _ in lanes]
+        # Hoisted window-close thunks: sizing an index is only paid when
+        # a window closes.
+        index_sizes = [
+            lambda lane=lane: self._reported_index_size(lane, self.now)
+            for lane in lanes
+        ]
         beat = obs.heartbeat("kernel.rounds", total=rounds)
         counts = self.inputs.counts(
             self.workload, self.now, rounds, self.params.network_query_rate
         )
         cumulative = np.cumsum(counts)
         start = self.now
-        # Hoisted per-round temporaries: the window-close thunk and the
-        # churn maintenance scale are loop invariants.
-        size_thunk = lambda: self._reported_index_size(self.now)  # noqa: E731
+        # Routing maintenance per round. Under churn the calibrated rate
+        # holds at the stationary availability; each span scales it to
+        # the instantaneous online member fraction so transients show up
+        # immediately.
+        maintenance = [
+            lane.costs.maintenance_per_round if lane.policy.runs_dht else 0.0
+            for lane in lanes
+        ]
         maintenance_scale = (
             self.churn_costs.maintenance_per_round
             / self.churn_costs.availability
-            if self.churn_costs is not None
-            else 0.0
+            if self.churn_costs is not None and lanes[0].policy.runs_dht
+            else None
         )
 
         # The workload stream is independent of every other child stream
@@ -445,24 +547,29 @@ class FastSimKernel:
         # drawn up front in one draw_into call per shift-free segment
         # — identical RNG stream order, a fraction of the call overhead.
         # Blocks are bounded so a 10^7-peer run never materialises the
-        # entire query stream at once.
-        block_lo = 0
-        while block_lo < rounds:
-            drawn = cumulative[block_lo - 1] if block_lo else 0
-            block_hi = int(
-                np.searchsorted(cumulative, drawn + DRAW_BLOCK, side="right")
-            )
-            block_hi = min(max(block_hi, block_lo + 1), rounds)
+        # entire query stream at once: a block takes the rounds that fit
+        # DRAW_BLOCK queries, at least one; edges[b] is block b's first
+        # round.
+        drawn = np.concatenate(([0], cumulative))
+        edges = [0]
+        while edges[-1] < rounds:
+            block_lo = edges[-1]
+            block_hi = int(np.searchsorted(
+                cumulative, drawn[block_lo] + DRAW_BLOCK, side="right"
+            ))
+            edges.append(min(max(block_hi, block_lo + 1), rounds))
+        largest = int(np.diff(drawn[edges]).max())
+        if self._draw_ranks is None or self._draw_ranks.size < largest:
+            # One pair of draw buffers for the whole run, sized to its
+            # largest block (~DRAW_BLOCK unless a single round exceeds
+            # it) before the first: the streamed loop never
+            # re-materialises the query stream, and never holds a
+            # smaller pair's last block while it fills a larger pair.
+            self._draw_ranks = np.empty(largest, dtype=INDEX_DTYPE)
+            self._draw_keys = np.empty(largest, dtype=INDEX_DTYPE)
+        for block_lo, block_hi in zip(edges, edges[1:]):
             if telemetry:
                 t0 = perf()
-            total = int(cumulative[block_hi - 1] - drawn)
-            if self._draw_ranks is None or self._draw_ranks.size < total:
-                # One pair of draw buffers for the whole run, sized to the
-                # largest block (~DRAW_BLOCK unless a single round
-                # exceeds it): the streamed loop never re-materialises
-                # the query stream.
-                self._draw_ranks = np.empty(total, dtype=INDEX_DTYPE)
-                self._draw_keys = np.empty(total, dtype=INDEX_DTYPE)
             block_ranks, block_keys, offsets = self.workload.draw_rounds(
                 start + block_lo,
                 counts[block_lo:block_hi],
@@ -481,35 +588,33 @@ class FastSimKernel:
                 # content refresh lands before the queries, matching the
                 # event-engine staleness loop (advance -> refresh -> query).
                 if self.churn is not None:
-                    report.churn_transitions += self.state.flip(
+                    transitions += self.state.flip(
                         self.inputs.churn_flips(self.state.online, self.churn)
                     )
                 if self._next_refresh is not None and now >= self._next_refresh:
                     self.state.bump_versions()
-                    report.content_refreshes += 1
+                    refreshes += 1
                     self._next_refresh += self.content_refresh_period
-                maintenance = 0.0
-                if self.policy.runs_dht:
-                    if self.churn_costs is not None:
-                        # The calibrated rate holds at the stationary
-                        # availability; scale it to the instantaneous
-                        # online member fraction so transients show up
-                        # immediately.
-                        maintenance = (
-                            maintenance_scale
-                            * self.state.online_member_fraction()
-                        )
-                    else:
-                        maintenance = self.costs.maintenance_per_round
-                end = self._span_end(i, block_lo, bounds, now, now - start,
-                                     recorder)
+                if maintenance_scale is not None:
+                    maintenance = [
+                        maintenance_scale
+                        * lane.membership.online_fraction(self.state.online)
+                        for lane in lanes
+                    ]
+                # A span every lane can take.
+                end = min(
+                    self._span_end(
+                        lane, i, block_lo, bounds, now, now - start, recorder
+                    )
+                    for lane, recorder in zip(lanes, recorders)
+                )
                 if telemetry:
                     t1 = perf()
                     t_maintain += t1 - t0
                 lo, hi = bounds[i - block_lo], bounds[end - block_lo]
-                accepted, hits, charges = self._step_span(
+                steps = self._step_span(
                     now, counts[i:end], block_ranks[lo:hi], block_keys[lo:hi],
-                    report,
+                    reports,
                 )
                 if telemetry:
                     t2 = perf()
@@ -519,63 +624,80 @@ class FastSimKernel:
                 # the span's last round, after all of its writes.
                 for j in range(end - i):
                     self.now += 1.0
-                    totals[MessageCategory.MAINTENANCE] += maintenance
-                    for category, amounts in charges:
-                        totals[category] += amounts[j]
-                    self._step_updates(totals)
-                    recorder.record(accepted[j], hits[j])
-                    recorder.maybe_close(self.now - start, size_thunk)
+                    elapsed = self.now - start
+                    for (
+                        lane, totals, recorder, index_size, cost,
+                        (accepted, hits, charges),
+                    ) in zip(
+                        lanes, lane_totals, recorders, index_sizes,
+                        maintenance, steps,
+                    ):
+                        totals[MessageCategory.MAINTENANCE] += cost
+                        for category, amounts in charges:
+                            totals[category] += amounts[j]
+                        self._step_updates(lane, totals)
+                        recorder.record(accepted[j], hits[j])
+                        recorder.maybe_close(elapsed, index_size)
                 if telemetry:
                     t_post += perf() - t2
                 spans += 1
                 i = end
                 if beat is not None and i % HEARTBEAT_ROUNDS == 0:
                     beat(i)
-            block_lo = block_hi
 
         if beat is not None:
             beat(rounds)
 
-        # Close the trailing partial window (duration % window != 0) so
-        # the tail queries reach hit_rate_series — the event driver
-        # flushes identically.
-        recorder.flush(self.now - start, size_thunk)
-
-        report.messages_by_category = {
-            category: total for category, total in totals.items() if total
-        }
-        report.hit_rate_series = recorder.hit_rate_series
-        report.index_size_series = recorder.index_size_series
-        report.final_index_size = self._reported_index_size(self.now)
-        if recorder.index_size_series:
-            report.mean_index_size = sum(
-                size for _, size in recorder.index_size_series
-            ) / len(recorder.index_size_series)
-        else:
-            report.mean_index_size = float(report.final_index_size)
-        report.key_ttl = self.key_ttl
-        report.elapsed_seconds = perf_counter() - started
+        for lane, report, totals, recorder, index_size in zip(
+            lanes, reports, lane_totals, recorders, index_sizes
+        ):
+            # Close the trailing partial window (duration % window != 0)
+            # so the tail queries reach hit_rate_series — the event
+            # driver flushes identically.
+            recorder.flush(self.now - start, index_size)
+            report.churn_transitions = transitions
+            report.content_refreshes = refreshes
+            report.messages_by_category = {
+                category: total for category, total in totals.items() if total
+            }
+            report.hit_rate_series = recorder.hit_rate_series
+            report.index_size_series = recorder.index_size_series
+            report.final_index_size = self._reported_index_size(
+                lane, self.now
+            )
+            if recorder.index_size_series:
+                report.mean_index_size = sum(
+                    size for _, size in recorder.index_size_series
+                ) / len(recorder.index_size_series)
+            else:
+                report.mean_index_size = float(report.final_index_size)
+            report.key_ttl = lane.key_ttl
+        elapsed_seconds = perf_counter() - started
+        for report in reports:
+            report.elapsed_seconds = elapsed_seconds / len(reports)
+        self.reports = reports
         if telemetry:
             # Phases carry slash-joined names so they nest under
             # kernel.run in the profile tree (and under any enclosing
             # span, e.g. sweep.grid, via the thread's span stack).
-            obs.add_duration("kernel.run", report.elapsed_seconds)
+            obs.add_duration("kernel.run", elapsed_seconds)
             obs.add_duration("kernel.run/draw", t_draw, n=draw_blocks)
             obs.add_duration("kernel.run/round.maintain", t_maintain, n=rounds)
             obs.add_duration("kernel.run/round.queries", t_queries, n=rounds)
             obs.add_duration("kernel.run/round.post", t_post, n=rounds)
-            obs.count("kernel.runs")
-            obs.count("kernel.rounds", rounds)
+            obs.count("kernel.runs", len(lanes))
+            obs.count("kernel.rounds", rounds * len(lanes))
             obs.count("kernel.spans", spans)
-            obs.count("kernel.queries", report.queries)
+            obs.count("kernel.queries", sum(r.queries for r in reports))
             obs.sample_peak_rss("kernel")
-        return report
+        return reports[0]
 
     # ------------------------------------------------------------------
     # Spans
     # ------------------------------------------------------------------
     def _span_end(
         self,
+        lane: _Lane,
         first: int,
         block_lo: int,
         bounds: list[int],
@@ -583,27 +705,28 @@ class FastSimKernel:
         elapsed: float,
         recorder: WindowRecorder,
     ) -> int:
-        """One past the last round of the span opening at round ``first``
-        (run-relative, at ``now``, ``elapsed`` rounds into the run) of the
-        draw block starting at ``block_lo``, whose round ``b`` holds its
-        queries ``bounds[b]:bounds[b + 1]``.
+        """One past the last round of the span ``lane`` can take from
+        round ``first`` (run-relative, at ``now``, ``elapsed`` rounds into
+        the run) of the draw block starting at ``block_lo``, whose round
+        ``b`` holds its queries ``bounds[b]:bounds[b + 1]``.
 
         A span covers more than one round only where its own queries'
         writes are the only state changes and none of them can expire
         inside it: no churn (which moves state between rounds), and, under
         the selection algorithm, a positive keyTtl longer than the span, so
-        an entry any of its rounds writes is still live at its last. No content refresh may fall due after
-        its first round, and no window or heartbeat before its last. Its
-        queries fit :data:`SPAN_QUERIES`.
+        an entry any of its rounds writes is still live at its last. No
+        content refresh may fall due after its first round, and no window
+        or heartbeat before its last. Its queries fit
+        :data:`SPAN_QUERIES`.
         """
-        adaptive = self.policy.adaptive
-        if self.churn is not None or (adaptive and not self.key_ttl > 0):
+        adaptive = lane.policy.adaptive
+        if self.churn is not None or (adaptive and not lane.key_ttl > 0):
             return first + 1
         b = first - block_lo
         fits = bisect_right(bounds, bounds[b] + SPAN_QUERIES) - 1 - b
         size = min(max(fits, 1), HEARTBEAT_ROUNDS - first % HEARTBEAT_ROUNDS)
         if adaptive:
-            size = min(size, 1 + _rounds_before(now + 1.0, now + self.key_ttl))
+            size = min(size, 1 + _rounds_before(now + 1.0, now + lane.key_ttl))
         if self._next_refresh is not None:
             size = min(size, 1 + _rounds_before(now + 1.0, self._next_refresh))
         if recorder.enabled:
@@ -616,17 +739,18 @@ class FastSimKernel:
         counts: np.ndarray,
         ranks: np.ndarray,
         keys: np.ndarray,
-        report: FastSimReport,
-    ) -> tuple[list[int], list[int], _Charges]:
+        reports: list[FastSimReport],
+    ) -> list[tuple[list[int], list[int], _Charges]]:
         """Process the query batches of one span in one numpy pass.
 
         Round ``j`` of the span runs at ``now + j`` with ``counts[j]``
         queries; ``ranks`` and ``keys`` hold them all in round order.
-        Returns per-round ``accepted`` and ``hits`` and the message
-        charges, ``(category, per-round amounts)`` pairs the caller books
-        round by round. ``accepted`` counts the queries that actually ran
-        (none when nobody is online to originate one), so the window
-        recorder and the report always describe the same query population.
+        Returns, for each lane (tallied into its report in ``reports``),
+        per-round ``accepted`` and ``hits`` and the message charges,
+        ``(category, per-round amounts)`` pairs the caller books round by
+        round. ``accepted`` counts the queries that actually ran (none
+        when nobody is online to originate one), so the window recorder
+        and the report always describe the same query population.
         """
         span = _Span(now, counts)
         count = keys.size
@@ -636,34 +760,74 @@ class FastSimKernel:
             # No queries, or nobody online to originate one this round —
             # the event engine cannot draw an origin either. Drop the batch.
             idle = [0] * span.size
-            return idle, idle, []
-        report.queries += count
-        policy = self.policy
-        if policy.adaptive:
-            return (span.counts, *self._span_selection(span, keys, report))
+            return [(idle, idle, [])] * len(reports)
+        for report in reports:
+            report.queries += count
+        lanes = zip(self.lanes, reports)
+        # The lanes run one strategy, so they take the same inputs: the
+        # span's origins are drawn once for all of them, and so are the
+        # write times its keys open with gathered.
+        policy = self.lanes[0].policy
         if not policy.runs_dht:
-            # Every query broadcast; no DHT, no gateway traffic.
-            resolved_mask, p_resolve = self._resolve_draws(count)
-            resolved = int(resolved_mask.sum())
-            report.answered += resolved
-            report.unresolved += count - resolved
-            walks = self._walk_charges(span.counts, p_resolve)
-            return span.counts, [0] * span.size, [
-                (MessageCategory.UNSTRUCTURED_SEARCH, walks)
+            return [
+                self._span_broadcast(lane, span, report)
+                for lane, report in lanes
             ]
-        # A static index: the indexed ranks are preloaded with infinite
-        # TTL at *every* replica group member, so even under churn the
-        # rerouted responsible answers directly (all hits, no flood
-        # traffic); the rest broadcast. With every rank indexed (indexAll)
-        # no resolution is drawn and no walk charged.
+        origins = self._draw_origins(count)
+        if not policy.adaptive:
+            return [
+                self._span_static(lane, span, ranks, origins, report)
+                for lane, report in lanes
+            ]
+        written = np.take(
+            self.state.written_at,
+            keys,
+            out=self._scratch.get("select.written", count, TIME_DTYPE),
+        )
+        # The last lane writes the span's entries, after every lane read
+        # the ones it opens with.
+        last = self.lanes[-1]
+        return [
+            (span.counts, *self._span_selection(
+                lane, span, keys, origins, written, report, lane is last
+            ))
+            for lane, report in lanes
+        ]
+
+    def _span_broadcast(
+        self, lane: _Lane, span: _Span, report: FastSimReport
+    ) -> tuple[list[int], list[int], _Charges]:
+        """noIndex: every query broadcasts; no DHT, no gateway traffic."""
+        count = sum(span.counts)
+        resolved_mask, p_resolve = self._resolve_draws(count)
+        resolved = int(resolved_mask.sum())
+        report.answered += resolved
+        report.unresolved += count - resolved
+        walks = self._walk_charges(lane, span.counts, p_resolve)
+        return span.counts, [0] * span.size, [
+            (MessageCategory.UNSTRUCTURED_SEARCH, walks)
+        ]
+
+    def _span_static(
+        self,
+        lane: _Lane,
+        span: _Span,
+        ranks: np.ndarray,
+        origins: np.ndarray,
+        report: FastSimReport,
+    ) -> tuple[list[int], list[int], _Charges]:
+        """A static index: the indexed ranks are preloaded with infinite
+        TTL at *every* replica group member, so even under churn the
+        rerouted responsible answers directly (all hits, no flood
+        traffic); the rest broadcast. With every rank indexed (indexAll)
+        no resolution is drawn and no walk charged."""
+        count = ranks.size
         indexed = np.less_equal(
-            ranks, policy.index_ranks,
+            ranks, lane.policy.index_ranks,
             out=self._scratch.get("static.indexed", count, bool),
         )
         hits = span.tally(indexed)
-        charges = self._gateway_charges(
-            span, self._draw_origins(count), indexed, report
-        )
+        charges = self._gateway_charges(lane, span, origins, indexed, report)
         index_hits = sum(hits)
         misses = count - index_hits
         resolved_mask, p_resolve = self._resolve_draws(misses)
@@ -671,41 +835,54 @@ class FastSimKernel:
         report.index_hits += index_hits
         report.answered += index_hits + resolved
         report.unresolved += misses - resolved
-        lookup = self._lookup_cost
+        lookup = self._lookup_cost(lane)
         charges.append(
             (MessageCategory.INDEX_SEARCH, [lookup * hit for hit in hits])
         )
         charges.append((
             MessageCategory.UNSTRUCTURED_SEARCH,
             self._walk_charges(
-                [c - hit for c, hit in zip(span.counts, hits)], p_resolve
+                lane, [c - hit for c, hit in zip(span.counts, hits)],
+                p_resolve,
             ),
         ))
         return span.counts, hits, charges
 
     def _span_selection(
-        self, span: _Span, keys: np.ndarray, report: FastSimReport
+        self,
+        lane: _Lane,
+        span: _Span,
+        keys: np.ndarray,
+        origins: np.ndarray,
+        written: np.ndarray,
+        report: FastSimReport,
+        write: bool,
     ) -> tuple[list[int], _Charges]:
-        """The Section 5.1 query path on one span's queries; returns the
-        per-round hits and the message charges."""
+        """The Section 5.1 query path on one span's queries for ``lane``;
+        returns the per-round hits and the message charges.
+
+        ``written`` holds the write times the span's keys open with. With
+        ``write`` the lane writes the span's entries; without, it leaves
+        the index plane as it found it.
+        """
         state = self.state
         scratch = self._scratch
+        key_ttl = lane.key_ttl
         count = keys.size
-        charges = self._gateway_charges(
-            span, self._draw_origins(count), None, report
-        )
+        charges = self._gateway_charges(lane, span, origins, None, report)
 
-        # Liveness against the expiries the span opens with, each query at
-        # its own round (same strict > as state.index_size), in
-        # preallocated scratch.
-        expiries = np.take(
-            state.expires_at,
-            keys,
-            out=scratch.get("select.expiry", count, state.expires_at.dtype),
-        )
+        # Liveness: an entry written at ``t`` lives while ``t + keyTtl``
+        # is strictly after the query's round (same strict > as
+        # state.index_size), in preallocated scratch. A never-written key
+        # under an infinite keyTtl sums to NaN, which is not live.
+        with np.errstate(invalid="ignore"):
+            expiries = np.add(
+                written, key_ttl,
+                out=scratch.get("select.expiry", count, TIME_DTYPE),
+            )
         nows = span.now if span.rounds is None else np.add(
             span.rounds, span.now,
-            out=scratch.get("select.now", count, state.expires_at.dtype),
+            out=scratch.get("select.now", count, TIME_DTYPE),
         )
         live = np.greater(expiries, nows, out=scratch.get("select.live", count, bool))
         cc = self.churn_costs
@@ -730,21 +907,23 @@ class FastSimKernel:
         miss_keys = keys[not_live]
         miss_rounds = rehits = None
 
-        if self.key_ttl > 0:
+        if key_ttl > 0:
             if span.rounds is None:
                 unique_miss, multiplicity = np.unique(
                     miss_keys, return_counts=True
                 )
             else:
-                # Every query of the span writes its round's expiry and the
+                # Every query of the span writes its round's time and the
                 # span is shorter than keyTtl, so a key met in an earlier
                 # round of the span hits. Liveness only falls from round to
                 # round: a key misses at most once — in its first round,
                 # and only if none of its queries is live. Mark the keys
-                # met live in expires_at itself (the round-ordered writes
-                # below overwrite every key of the span), then keep each
+                # met live in written_at itself (the round-ordered writes
+                # below overwrite every key of the span; a lane that does
+                # not write puts the marked times back), then keep each
                 # unmarked key's earliest not-live round.
-                state.expires_at[keys[live]] = np.inf
+                marked = keys[live]
+                state.written_at[marked] = np.inf
                 pairs, pair_counts = np.unique(
                     miss_keys * span.size + span.rounds[not_live],
                     return_counts=True,
@@ -752,7 +931,9 @@ class FastSimKernel:
                 pair_keys = pairs // span.size
                 missed = np.ones(pairs.size, dtype=bool)
                 np.not_equal(pair_keys[1:], pair_keys[:-1], out=missed[1:])
-                missed &= state.expires_at[pair_keys] != np.inf
+                missed &= state.written_at[pair_keys] != np.inf
+                if not write:
+                    state.written_at[marked] = written[live]
                 unique_miss = pair_keys[missed]
                 multiplicity = pair_counts[missed]
                 miss_rounds = pairs[missed] % span.size
@@ -806,9 +987,9 @@ class FastSimKernel:
         # Reinsertion / cold-miss attribution (selection stats, source
         # I/IV), per occurrence like the event engine's record_miss: a miss
         # event that is not cold is a reinsertion. A key was indexed before
-        # the span iff its expiry is finite: every insert writes one, and
-        # nothing writes -inf back (a missed key is never marked).
-        cold = int(cold_weights[state.expires_at[unique_miss] == -np.inf].sum())
+        # the span iff its write time is finite: every insert writes one,
+        # and nothing writes -inf back (a missed key is never marked).
+        cold = int(cold_weights[state.written_at[unique_miss] == -np.inf].sum())
         report.cold_misses += cold
         report.reinsertions += miss_events - cold
 
@@ -816,20 +997,20 @@ class FastSimKernel:
         # a re-insert always fetches the *current* content version. Under
         # keyTtl = 0 an insert writes ``now``: dead on arrival, but it
         # leaves the key marked as indexed.
-        if unresolved:
+        if not write:
+            pass
+        elif unresolved:
             # Only under churn, whose spans are one round: an unresolved
             # miss writes nothing.
-            state.refresh(keys[live], span.now, self.key_ttl)
-            state.refresh(inserts, span.now, self.key_ttl)
+            state.write(keys[live], span.now)
+            state.write(inserts, span.now)
         else:
             # Every query rearmed or re-inserted its key: write each
-            # round's expiry, round by round in round order, so a key's
+            # round's time, round by round in round order, so a key's
             # last round in the span sets it.
             lo = 0
             for j, round_count in enumerate(span.counts):
-                state.refresh(
-                    keys[lo:lo + round_count], span.now + j, self.key_ttl
-                )
+                state.write(keys[lo:lo + round_count], span.now + j)
                 lo += round_count
         state.capture_versions(inserts)
         if rehits is not None:
@@ -850,7 +1031,7 @@ class FastSimKernel:
             ).tolist()
         # Cost accounting (Section 5.1 / Eq. 17 event-for-event).
         if cc is None:
-            costs = self.costs
+            costs = lane.costs
             charges += [
                 (MessageCategory.INDEX_SEARCH, [
                     costs.lookup * (c + i)
@@ -886,24 +1067,26 @@ class FastSimKernel:
             ]
         return [c - m for c, m in zip(span.counts, misses)], charges
 
-    def _step_updates(self, totals: dict[MessageCategory, float]) -> None:
-        """Proactive updates of the preloaded keys (Eq. 9)."""
-        self._update_debt += self.policy.updates_per_round(
+    def _step_updates(
+        self, lane: _Lane, totals: dict[MessageCategory, float]
+    ) -> None:
+        """Proactive updates of ``lane``'s preloaded keys (Eq. 9)."""
+        lane.update_debt += lane.policy.updates_per_round(
             self.params.update_freq
         )
-        whole = int(self._update_debt)
+        whole = int(lane.update_debt)
         if whole:
-            self._update_debt -= whole
+            lane.update_debt -= whole
             # An update routes to the responsible peer and floods its
             # replica subnetwork, like the event engine's proactive_update
             # (= _insert_into_index: one lookup + one replica flood).
             cc = self.churn_costs
             if cc is None:
                 totals[MessageCategory.INDEX_SEARCH] += (
-                    self.costs.lookup * whole
+                    lane.costs.lookup * whole
                 )
                 totals[MessageCategory.REPLICA_FLOOD] += (
-                    self.costs.flood * whole
+                    lane.costs.flood * whole
                 )
             else:
                 # Under churn the update pays the availability-adjusted
@@ -929,6 +1112,7 @@ class FastSimKernel:
 
     def _gateway_charges(
         self,
+        lane: _Lane,
         span: _Span,
         origins: np.ndarray,
         where: Optional[np.ndarray],
@@ -941,12 +1125,14 @@ class FastSimKernel:
         if where is not None:
             origins = origins[where]
             rounds = None if rounds is None else rounds[where]
-        discoveries = self.state.discover_gateways(origins, rounds, span.size)
+        discoveries = lane.membership.discover_gateways(
+            origins, rounds, span.size
+        )
         new = sum(discoveries)
         if not new:
             return []
         report.gateway_discoveries += new
-        per_discovery = self.costs.gateway_discovery
+        per_discovery = lane.costs.gateway_discovery
         if self.churn is not None:
             # Offline candidates force extra probe pairs (geometric).
             availability = max(self.churn.availability, 1e-6)
@@ -956,12 +1142,11 @@ class FastSimKernel:
             [per_discovery * found for found in discoveries],
         )]
 
-    @property
-    def _lookup_cost(self) -> float:
+    def _lookup_cost(self, lane: _Lane) -> float:
         """Per-lookup messages, availability-adjusted under churn."""
         if self.churn_costs is not None:
             return self.churn_costs.lookup
-        return self.costs.lookup
+        return lane.costs.lookup
 
     def _resolve_draws(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample which broadcasts find the key; returns ``(mask, p)``.
@@ -1010,13 +1195,13 @@ class FastSimKernel:
         return mask, p
 
     def _walk_charges(
-        self, searches: list[int], p_resolve: np.ndarray
+        self, lane: _Lane, searches: list[int], p_resolve: np.ndarray
     ) -> list[float]:
         """Per-round charges of ``searches[j]`` broadcast searches, in
         expectation over resolution."""
         cc = self.churn_costs
         if cc is None:
-            return [self.costs.walk * count for count in searches]
+            return [lane.costs.walk * count for count in searches]
         # Under churn a span is one round.
         (count,) = searches
         expected_resolved = float(p_resolve.sum())
@@ -1025,10 +1210,10 @@ class FastSimKernel:
             + (count - expected_resolved) * cc.failed_walk
         ]
 
-    def _reported_index_size(self, now: float) -> int:
-        if self.policy.adaptive:
-            return self.state.index_size(now)
-        return self.policy.preloaded_ranks
+    def _reported_index_size(self, lane: _Lane, now: float) -> int:
+        if lane.policy.adaptive:
+            return self.state.index_size(now, lane.key_ttl)
+        return lane.policy.preloaded_ranks
 
 
 def run_fastsim(

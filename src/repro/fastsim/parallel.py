@@ -10,9 +10,12 @@ embarrassingly parallel. This module fans a list of picklable
   (:func:`~repro.fastsim.kernel.strategy_setup`), then shipped inside the
   job spec — N workers never rebuild the calibration substrate, and the
   parent's ``lru_cache``'d calibrations stay warm across repeated calls;
-* workers execute nothing but :func:`~repro.fastsim.kernel.run_fastsim`
-  on the fully-resolved spec, so the per-job pickle payload is a handful
-  of frozen dataclasses plus the report coming back;
+* workers execute nothing but kernel runs of the fully-resolved specs,
+  so the per-job pickle payload is a handful of frozen dataclasses plus
+  the report coming back;
+* jobs that differ only in keyTtl run as the lanes of one kernel
+  (:func:`units`): one query stream, one origin draw and one index plane
+  for all of them, each lane's report equal to its job's run alone;
 * one fan-out primitive (:func:`fan_out`) owns the only process pool in
   ``src/``: :func:`run_many` feeds it kernel jobs, the Experiment API
   feeds it replicate seeds; ``workers=1`` is its in-process case (same
@@ -41,7 +44,7 @@ from repro.errors import ParameterError
 from repro.fastsim import shm
 from repro.fastsim.churncosts import ChurnOpCosts
 from repro.fastsim.inputs import RoundInputs
-from repro.fastsim.kernel import PerOpCosts, run_fastsim, strategy_setup
+from repro.fastsim.kernel import FastSimKernel, PerOpCosts, strategy_setup
 from repro.fastsim.metrics import FastSimReport
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
@@ -86,8 +89,8 @@ class FastSimJob:
     #: job — and so existing stores — do not change.
     precision: str = field(default="wide", init=False)
 
-    def run(self) -> FastSimReport:
-        """Execute this job in the current process.
+    def kernel(self) -> FastSimKernel:
+        """This job's kernel, built in the current process.
 
         A workload staged by :func:`pack_jobs` has its
         :class:`~repro.fastsim.shm.SharedArrayRef` placeholders mapped
@@ -95,10 +98,9 @@ class FastSimJob:
         pool worker attaches each segment once); any other workload
         passes through untouched.
         """
-        return run_fastsim(
+        return FastSimKernel(
             self.params,
             config=self.config,
-            duration=self.duration,
             strategy=self.strategy,
             seed=self.seed,
             workload=shm.restore_arrays(self.workload),
@@ -106,8 +108,11 @@ class FastSimJob:
             costs=self.costs,
             churn_costs=self.churn_costs,
             content_refresh_period=self.content_refresh_period,
-            window=self.window,
         )
+
+    def run(self) -> FastSimReport:
+        """Execute this job in the current process."""
+        return self.kernel().run(self.duration, window=self.window)
 
 
 def resolve_worker_count(jobs: int) -> int:
@@ -214,6 +219,47 @@ def pack_jobs(
     return packed
 
 
+@dataclass(frozen=True)
+class _Unit:
+    """Jobs run as the lanes of one kernel (:func:`units`)."""
+
+    jobs: tuple[FastSimJob, ...]
+
+    def run(self) -> list[FastSimReport]:
+        """Every job's report, in job order."""
+        first, *rest = self.jobs
+        kernel = first.kernel()
+        for job in rest:
+            kernel.add_lane(job.config, job.costs)
+        kernel.run(first.duration, window=first.window)
+        return kernel.reports
+
+
+def units(jobs: Sequence[FastSimJob]) -> list[list[int]]:
+    """Group resolved jobs into kernel units, as positions in ``jobs``.
+
+    Jobs share a unit iff they differ only in ``config.key_ttl`` (and so
+    in the members and costs resolved from it) and none has churn, a
+    content refresh or an explicit workload: then every query writes its
+    key whatever the keyTtl, and one query stream, one origin draw and
+    one index plane serve them all. Every other job is a unit of its own.
+    Units keep job order, each in the position of its first job.
+    """
+    grouped: dict[Any, list[int]] = {}
+    for position, job in enumerate(jobs):
+        alone = (
+            job.churn is not None
+            or job.content_refresh_period is not None
+            or job.workload is not None
+        )
+        key = position if alone else (
+            job.params, job.strategy, job.seed, job.duration, job.window,
+            replace(job.config, key_ttl=0.0),
+        )
+        grouped.setdefault(key, []).append(position)
+    return list(grouped.values())
+
+
 def _pool_size(workers: int, units: int) -> int:
     """Processes a fan-out of ``units`` uses; 1 = the calling process
     alone (one worker asked for, or at most one unit to run)."""
@@ -259,17 +305,19 @@ def fan_out(
     finish: Callable[[int, Any], None],
     progress: str,
     done: int = 0,
+    weights: Optional[Sequence[int]] = None,
 ) -> None:
     """Run every unit's ``.run()``, handing each result to ``finish``.
 
-    The execution primitive under :func:`run_many` (units are
-    :class:`FastSimJob` specs) and the Experiment API's ``replicates``
-    (units are per-seed contexts); package-internal, and the only place
-    ``src/`` builds a process pool (invariant RL108). ``workers`` is
-    already resolved (:func:`resolve_worker_count`). With one worker, or
-    at most one unit, everything runs in the calling process — its caches
-    stay warm, its event sink is untouched. Otherwise units (which must
-    pickle) spread over a pool of :func:`_pool_size` processes.
+    The execution primitive under :func:`run_many` (units are the jobs
+    of one kernel, see :func:`units`) and the Experiment API's
+    ``replicates`` (units are per-seed contexts); package-internal, and
+    the only place ``src/`` builds a process pool (invariant RL108).
+    ``workers`` is already resolved (:func:`resolve_worker_count`). With
+    one worker, or at most one unit, everything runs in the calling
+    process — its caches stay warm, its event sink is untouched.
+    Otherwise units (which must pickle) spread over a pool of
+    :func:`_pool_size` processes.
 
     ``finish(position, result)`` fires per unit in submission order, as
     each result lands rather than at pool shutdown, so the caller can
@@ -277,7 +325,9 @@ def fan_out(
     by a unit propagates after the units ahead of it were finished.
     ``progress`` names the ``obs.progress`` series ticked per completion;
     ``done`` counts units the caller already had (store hits), which only
-    offsets the tick so the series totals the caller's whole workload.
+    offsets the tick so the series totals the caller's whole workload;
+    ``weights[i]`` is how many of those unit ``i`` stands for (1 each by
+    default).
 
     With telemetry enabled each pool worker's collector snapshot rides
     back with its result and merges into the caller's collector under the
@@ -288,14 +338,15 @@ def fan_out(
     events marked ``remote``, giving trace exports per-worker lanes while
     replay still counts each measurement once (via the snapshot merge).
     """
-    total = done + len(units)
+    weights = weights or [1] * len(units)
+    total = done + sum(weights)
     size = _pool_size(workers, len(units))
     telemetry = obs.enabled()
     obs.progress(progress, done, total=total)
     if size == 1:
         for position, unit in enumerate(units):
             finish(position, unit.run())
-            done += 1
+            done += weights[position]
             obs.progress(progress, done, total=total)
         if telemetry:
             obs.sample_peak_rss("worker")
@@ -308,7 +359,7 @@ def fan_out(
             finish(position, result)
             obs.merge_snapshot(snapshot)
             obs_events.emit_remote(worker_events)
-            done += 1
+            done += weights[position]
             obs.progress(progress, done, total=total)
 
 
@@ -371,18 +422,27 @@ def run_many(
             keys[index] = job_key(job)
             reports[index] = store.load_report(keys[index])
     pending = [i for i, report in enumerate(reports) if report is None]
-
-    def _finish(position: int, report: FastSimReport) -> None:
-        reports[pending[position]] = report
-        if store is not None:
-            store.save_report(keys[pending[position]], report)
-
     shipped = [resolved[i] for i in pending]
-    size = _pool_size(workers, len(pending))
-    arena = shm.ShmArena() if shared_memory and size > 1 else None
+    arena = (
+        shm.ShmArena()
+        if shared_memory and _pool_size(workers, len(pending)) > 1
+        else None
+    )
     try:
         if arena is not None:
+            # Staged jobs run alone: packing is per job.
             shipped = pack_jobs(shipped, arena)
+            grouping = [[position] for position in range(len(shipped))]
+        else:
+            grouping = units(shipped)
+        size = _pool_size(workers, len(grouping))
+
+        def _finish(position: int, unit_reports: list[FastSimReport]) -> None:
+            for index, report in zip(grouping[position], unit_reports):
+                reports[pending[index]] = report
+                if store is not None:
+                    store.save_report(keys[pending[index]], report)
+
         with obs.span(
             "parallel.run_many",
             jobs=len(resolved),
@@ -391,8 +451,13 @@ def run_many(
             shared_memory=arena is not None,
         ):
             fan_out(
-                shipped, size, _finish, "parallel.jobs",
+                [
+                    _Unit(tuple(shipped[i] for i in unit))
+                    for unit in grouping
+                ],
+                size, _finish, "parallel.jobs",
                 done=len(resolved) - len(pending),
+                weights=[len(unit) for unit in grouping],
             )
     finally:
         if arena is not None:

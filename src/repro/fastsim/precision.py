@@ -1,8 +1,9 @@
 """The dtypes of the vectorized kernel's arrays, named in one place.
 
-``FastSimState`` holds one O(n_keys) expiry array (two once content has
-been refreshed) plus three O(num_peers) masks. The expiries are float64
-and the content versions int64: the layout every pinned capture in
+``FastSimState`` holds one O(n_keys) write-time array (two once content
+has been refreshed) plus an O(num_peers) liveness mask, and each run's
+``Membership`` two more masks. The write times are float64 and the
+content versions int64: the layout every pinned capture in
 ``tests/fastsim/data`` was recorded under, so seeded results are
 bit-identical to them. This module is the only fastsim file allowed to
 name a concrete dtype (invariant RL103); every other array routes its
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EXPIRY_DTYPE", "INDEX_DTYPE", "PROB_DTYPE", "VERSION_DTYPE"]
+__all__ = ["INDEX_DTYPE", "PROB_DTYPE", "TIME_DTYPE", "VERSION_DTYPE"]
 
-#: Dtype of ``FastSimState.expires_at``: one expiry clock per key.
-EXPIRY_DTYPE = np.dtype(np.float64)
+#: Dtype of ``FastSimState.written_at``: one write time per key.
+TIME_DTYPE = np.dtype(np.float64)
 
 #: Dtype of ``FastSimState.indexed_version``: the content version each
 #: index entry captured on its (re-)insert.

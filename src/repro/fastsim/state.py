@@ -9,15 +9,20 @@ The crucial observation that makes a *per-key* (rather than per-replica)
 representation faithful: under the Section 5 selection algorithm an insert
 stamps every replica of a key with the same expiry, and a hit refreshes
 only the answering entry — which is always the entry with the latest
-expiry. The maximum expiry over a key's replicas therefore follows exactly
-the scalar recurrence
+expiry. The latest expiry over a key's replicas is therefore
+``written_at + keyTtl``, where ``written_at`` is the key's last write
+time and follows exactly the scalar recurrence
 
-    hit  (expires_at > now):  expires_at <- now + keyTtl
-    miss (resolved):          expires_at <- now + keyTtl
+    hit  (written_at + keyTtl > now):  written_at <- now
+    miss (resolved):                   written_at <- now
 
 so one float per key reproduces the event engine's index dynamics without
 materialising any per-peer store. It also records whether a key was ever
-indexed: ``-inf`` until its first insert, finite ever after.
+indexed: ``-inf`` until its first insert, finite ever after. Without
+churn every query writes its key whatever keyTtl it runs under, so the
+write times of runs that differ only in keyTtl are one array: the kernel
+runs such runs as lanes over one :class:`FastSimState`, each with its
+own :class:`Membership`.
 """
 
 from __future__ import annotations
@@ -25,26 +30,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.parameters import ScenarioParameters
-from repro.fastsim.precision import EXPIRY_DTYPE, VERSION_DTYPE
+from repro.fastsim.precision import TIME_DTYPE, VERSION_DTYPE
 
-__all__ = ["FastSimState"]
+__all__ = ["FastSimState", "Membership"]
+
+#: Keys :meth:`FastSimState.index_size` sizes per numpy pass: bounds its
+#: temporaries at any key count.
+_SIZE_CHUNK = 1 << 14
 
 
 class FastSimState:
-    """Vectorized network state: the per-key expiry array, the content
-    versions (allocated on the first refresh) and per-peer masks, sized
-    by ``params``. Every peer starts online; there are no DHT members
-    until :meth:`set_members`.
+    """Vectorized network state: the per-key write times, the content
+    versions (allocated on the first refresh) and every peer's liveness,
+    sized by ``params``. Every peer starts online.
     """
 
     def __init__(self, params: ScenarioParameters) -> None:
         self.params = params
-        self.num_members = 0
         n_keys, num_peers = params.n_keys, params.num_peers
 
         # --- per-key index plane --------------------------------------
-        #: Latest expiry over a key's replicas; -inf = never indexed.
-        self.expires_at = np.full(n_keys, -np.inf, dtype=EXPIRY_DTYPE)
+        #: Last write time of a key's entry; -inf = never indexed.
+        self.written_at = np.full(n_keys, -np.inf, dtype=TIME_DTYPE)
 
         # --- content plane --------------------------------------------
         #: Version of every key's *content* replicas (a refresh replaces
@@ -63,21 +70,26 @@ class FastSimState:
         #: ``online.sum()``, kept up to date by :meth:`set_online` and
         #: :meth:`flip` so a round never re-sums the whole mask.
         self.online_count = num_peers
-        #: Peers that already discovered a gateway (first index-path query
-        #: from anyone else pays the bootstrap probe pair).
-        self.has_gateway = np.zeros(num_peers, dtype=bool)
-        self.is_member = np.zeros(num_peers, dtype=bool)
 
     # ------------------------------------------------------------------
-    def index_size(self, now: float) -> int:
-        """Number of keys currently resident in the index. An entry at its
-        expiry instant is already dead (``TtlKeyStore`` treats
-        ``expires_at <= now`` as a miss), hence the strict ``>``."""
-        return int((self.expires_at > now).sum())
+    def index_size(self, now: float, key_ttl: float) -> int:
+        """Number of keys resident in the index at ``now`` under
+        ``key_ttl``. An entry at its expiry instant is already dead
+        (``TtlKeyStore`` treats ``expires_at <= now`` as a miss), hence
+        the strict ``>``."""
+        live = 0
+        # A never-written key under an infinite keyTtl sums to NaN, which
+        # is not live.
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, self.written_at.size, _SIZE_CHUNK):
+                expiry = self.written_at[lo:lo + _SIZE_CHUNK] + key_ttl
+                live += int(np.count_nonzero(expiry > now))
+        return live
 
-    def refresh(self, keys: np.ndarray, now: float, key_ttl: float) -> None:
-        """Rearm the expiration clock of ``keys`` (hit or insert path)."""
-        self.expires_at[keys] = now + key_ttl
+    def write(self, keys: np.ndarray, now: float) -> None:
+        """Record that ``keys`` were written at ``now`` (hit or insert
+        path): it rearms their expiration clocks."""
+        self.written_at[keys] = now
 
     # ------------------------------------------------------------------
     def bump_versions(self) -> None:
@@ -89,7 +101,7 @@ class FastSimState:
         every entry inserted so far captured."""
         if self.indexed_version is None:
             self.indexed_version = np.zeros(
-                self.expires_at.size, dtype=VERSION_DTYPE
+                self.written_at.size, dtype=VERSION_DTYPE
             )
         self.content_version += 1
 
@@ -113,15 +125,6 @@ class FastSimState:
         )
 
     # ------------------------------------------------------------------
-    def set_members(self, members: np.ndarray) -> None:
-        """Make the peers ``members`` the DHT members
-        (``numActivePeers``); member origins reach the index for free,
-        everyone else pays gateway discovery once."""
-        self.num_members = members.size
-        self.is_member[members] = True
-        # Members are their own gateway — discovery is free for them.
-        self.has_gateway |= self.is_member
-
     def set_online(self, online: np.ndarray) -> None:
         """Replace every peer's liveness with the mask ``online``."""
         self.online[:] = online
@@ -141,11 +144,35 @@ class FastSimState:
         """Instantaneous online fraction of the whole population."""
         return self.online_count / self.online.size
 
-    def online_member_fraction(self) -> float:
-        """Fraction of DHT members currently online (scales maintenance)."""
+
+class Membership:
+    """One run's DHT members and the peers that already discovered a
+    gateway, as masks over ``num_peers`` peers. There are no members
+    until :meth:`set_members`.
+    """
+
+    def __init__(self, num_peers: int) -> None:
+        self.num_members = 0
+        #: Peers that already discovered a gateway (first index-path query
+        #: from anyone else pays the bootstrap probe pair).
+        self.has_gateway = np.zeros(num_peers, dtype=bool)
+        self.is_member = np.zeros(num_peers, dtype=bool)
+
+    def set_members(self, members: np.ndarray) -> None:
+        """Make the peers ``members`` the DHT members
+        (``numActivePeers``); member origins reach the index for free,
+        everyone else pays gateway discovery once."""
+        self.num_members = members.size
+        self.is_member[members] = True
+        # Members are their own gateway — discovery is free for them.
+        self.has_gateway |= self.is_member
+
+    def online_fraction(self, online: np.ndarray) -> float:
+        """Fraction of members the liveness mask ``online`` has online
+        (scales maintenance)."""
         if self.num_members == 0:
             return 0.0
-        return float(self.online[self.is_member].sum()) / self.num_members
+        return float(online[self.is_member].sum()) / self.num_members
 
     def discover_gateways(
         self,
@@ -166,14 +193,24 @@ class FastSimState:
         """
         fresh = ~self.has_gateway[origins]
         if rounds is None:
-            new = np.unique(origins[fresh])
+            new = _distinct(origins[fresh])
             self.has_gateway[new] = True
             return [int(new.size)]
         # One sort of (origin, round) pairs packed into an int64 orders
         # each origin's rounds; its first pair is its discovery.
-        pairs = np.unique(origins[fresh] * size + rounds[fresh])
+        pairs = _distinct(origins[fresh] * size + rounds[fresh])
         peers = pairs // size
         first = np.ones(pairs.size, dtype=bool)
         np.not_equal(peers[1:], peers[:-1], out=first[1:])
         self.has_gateway[peers] = True
         return np.bincount(pairs[first] % size, minlength=size).tolist()
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``values``: ``np.unique`` without its
+    ``numpy.ma`` import (numpy 2.4 reaches it when no counts are asked
+    for)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]

@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ScenarioParameters(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["alpha", "query_freq", "update_freq", "env", "dup", "dup2"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True])
+    def test_nan_inf_and_booleans_rejected(self, field, value):
+        # NaN passes every "< minimum" test, so it once went through.
+        with pytest.raises(ParameterError, match=field):
+            ScenarioParameters(**{field: value})
+
     def test_replication_cannot_exceed_peers(self):
         with pytest.raises(ParameterError):
             ScenarioParameters(num_peers=10, replication=20)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ParameterError
@@ -37,6 +39,17 @@ class TestGridAxes:
             GridAxes(availabilities=(0.0,))
         with pytest.raises(ParameterError):
             GridAxes(availabilities=(1.5,))
+
+    @pytest.mark.parametrize(
+        "axis", ["ttl_factors", "alphas", "query_freqs", "availabilities"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True])
+    def test_nan_inf_and_booleans_rejected(self, axis, value):
+        # Through sweep_grid a NaN alpha died converting NaN to an
+        # integer, an infinite fQry in numpy's Poisson draw, and a True
+        # factor ran as 1.0.
+        with pytest.raises(ParameterError, match=axis):
+            GridAxes(**{axis: (value,)})
 
     def test_slice_label_drops_ttl_axis(self):
         point = GridPoint(2.0, 1.2, 1 / 600, 0.75)

@@ -241,8 +241,8 @@ class TestShiftsAndChurn:
             strategy="partialSelection", params=small_params, duration=1.0
         )
         keys = np.array([1, 2, 2])
-        accepted, hits, charges = kernel._step_span(
-            1.0, np.array([keys.size]), keys, keys, report
+        [(accepted, hits, charges)] = kernel._step_span(
+            1.0, np.array([keys.size]), keys, keys, [report]
         )
         assert (accepted, hits) == ([0], [0])
         assert report.queries == 0
@@ -437,8 +437,8 @@ def _one_round(kernel, now, keys, totals, report):
     """Run ``keys`` as a one-round span at ``now`` and book its charges
     into ``totals``; returns the round's hits."""
     keys = np.asarray(keys)
-    _, (hits,), charges = kernel._step_span(
-        now, np.array([keys.size]), keys + 1, keys, report
+    [(_, (hits,), charges)] = kernel._step_span(
+        now, np.array([keys.size]), keys + 1, keys, [report]
     )
     for category, (amount,) in charges:
         totals[category] += amount
@@ -487,7 +487,7 @@ class TestZeroTtlSelectionBranch:
             strategy="partialSelection", params=small_params, duration=1.0
         )
         _one_round(kernel, 2.0, [1, 2, 3], totals, report)
-        costs = kernel.costs
+        costs = kernel.lanes[0].costs
         # Every occurrence misses, resolves, and re-inserts.
         assert totals[MessageCategory.INDEX_SEARCH] == pytest.approx(
             costs.lookup * (3 + 3)
@@ -512,9 +512,10 @@ class TestStrategySetup:
             kernel = FastSimKernel(
                 small_params, config=config, strategy=strategy
             )
-            assert kernel.policy == policy
-            assert kernel.key_ttl == policy.key_ttl
-            assert kernel.state.num_members == policy.num_members
+            (lane,) = kernel.lanes
+            assert lane.policy == policy
+            assert lane.key_ttl == policy.key_ttl
+            assert lane.membership.num_members == policy.num_members
 
     def test_unknown_strategy_rejected(self, small_params):
         from repro.fastsim.kernel import strategy_setup

@@ -1,0 +1,244 @@
+"""A kernel's lanes equal their runs alone.
+
+Jobs that differ only in keyTtl run as the lanes of one kernel
+(``FastSimKernel.add_lane``, grouped by ``parallel.units``): one query
+stream, one origin draw and one array of write times serve every lane,
+and each lane keeps its own members, costs and report. The property
+holds every lane's report ``==`` to ``run_fastsim`` of its config alone,
+on every field but the wall clock, over the four strategies, 1-4 lanes
+and keyTtl values of 0, below a round, fractional, whole (a span exactly
+keyTtl rounds long), beyond the run and infinite, with and without
+windows, at rates from 40 queries a round (one-round spans) down to one
+every five rounds (spans of hundreds of rounds).
+
+Mutations of ``src/`` this module was run against, each caught:
+
+* the lanes' members drawn from one child-2 stream
+  (``test_lanes_equal_their_runs_alone``,
+  ``test_lanes_draw_the_members_of_their_runs``,
+  ``test_run_many_equals_the_jobs_alone``);
+* a lane reading the write times after the unit's write (the first lane
+  writing instead of the last) (``test_lanes_equal_their_runs_alone``,
+  ``test_run_many_equals_the_jobs_alone``);
+* the span partition taking the longest span a lane allows instead of
+  the shortest (``test_lanes_equal_their_runs_alone``);
+* a churned job grouped with the other keyTtl values of its column
+  (``test_units_group_exactly_the_key_ttl_columns``,
+  ``test_churned_and_refreshed_jobs_run_alone``).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.parameters import ScenarioParameters
+from repro.analysis.strategies import STRATEGY_NAMES
+from repro.errors import ParameterError
+from repro.experiments.scenario import simulation_scenario
+from repro.fastsim import FastSimKernel, PerOpCosts, run_fastsim
+from repro.fastsim.churncosts import ChurnOpCosts
+from repro.fastsim.compare import churn_config_for_availability
+from repro.fastsim.inputs import RoundInputs
+from repro.fastsim.parallel import FastSimJob, resolve_jobs, run_many, units
+from repro.net.churn import ChurnConfig
+from repro.pdht.config import PdhtConfig
+
+PARAMS = ScenarioParameters(
+    num_peers=200, n_keys=300, storage_per_peer=100, replication=20,
+    alpha=1.2, query_freq=0.2, update_freq=0.01, env=1.0 / 14.0,
+    dup=1.8, dup2=1.8,
+)  # 40 queries a round
+QUERY_FREQS = (0.2, 0.01, 0.001)
+
+ttls = st.one_of(
+    st.just(0.0),
+    st.floats(0.05, 0.95),  # below one round
+    st.floats(1.05, 9.95),  # fractional, shorter than most spans
+    st.integers(1, 12).map(float),  # a span exactly keyTtl rounds long
+    st.just(1000.0),  # beyond the whole run
+    st.just(math.inf),
+)
+
+
+def _costs(params, config):
+    return PerOpCosts.analytical(params, config)
+
+
+def _solo(params, config, case):
+    return run_fastsim(
+        params, config=config, duration=float(case["rounds"]),
+        strategy=case["strategy"], seed=case["seed"],
+        costs=_costs(params, config), window=case["window"],
+    )
+
+
+def _unwalled(report):
+    return replace(report, elapsed_seconds=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(STRATEGY_NAMES),
+    seed=st.integers(0, 2**16),
+    query_freq=st.sampled_from(QUERY_FREQS),
+    rounds=st.integers(1, 300),
+    key_ttls=st.lists(ttls, min_size=1, max_size=4),
+    window=st.sampled_from((0.0, 1.0, 7.0, 25.0)),
+)
+@example(  # spans of many rounds, cut short for the keyTtl-2 lane
+    strategy="partialSelection", seed=7, query_freq=0.01, rounds=120,
+    key_ttls=[40.0, 2.0, 1000.0], window=0.0,
+).via("pinned")
+@example(  # a keyTtl-0 lane makes every span one round, first or last
+    strategy="partialSelection", seed=3, query_freq=0.2, rounds=20,
+    key_ttls=[0.0, 4.0, math.inf, 0.0], window=6.0,
+).via("pinned")
+def test_lanes_equal_their_runs_alone(
+    strategy, seed, query_freq, rounds, key_ttls, window
+):
+    params = PARAMS.with_query_freq(query_freq)
+    rounds = min(rounds, 40) if query_freq == QUERY_FREQS[0] else rounds
+    case = dict(strategy=strategy, seed=seed, rounds=rounds, window=window)
+    configs = [
+        PdhtConfig.from_scenario(params).with_ttl(key_ttl)
+        for key_ttl in key_ttls
+    ]
+    first, *rest = configs
+    kernel = FastSimKernel(
+        params, config=first, strategy=strategy, seed=seed,
+        costs=_costs(params, first),
+    )
+    for config in rest:
+        kernel.add_lane(config, _costs(params, config))
+    report = kernel.run(float(rounds), window=window)
+
+    assert report is kernel.reports[0]
+    assert len(kernel.reports) == len(configs)
+    for config, lane_report in zip(configs, kernel.reports):
+        assert _unwalled(lane_report) == _unwalled(_solo(params, config, case))
+    assert sum(r.elapsed_seconds for r in kernel.reports) > 0
+
+
+def test_lanes_draw_the_members_of_their_runs():
+    params = PARAMS.with_query_freq(0.01)
+    config = PdhtConfig.from_scenario(params)
+    kernel = FastSimKernel(params, config=config, seed=5)
+    kernel.add_lane(config.with_ttl(config.key_ttl * 4))
+    kernel.add_lane(config)
+    first, other, again = (lane.membership for lane in kernel.lanes)
+    assert other.num_members != first.num_members
+    assert (again.is_member == first.is_member).all()
+    alone = FastSimKernel(params, config=config.with_ttl(config.key_ttl * 4), seed=5)
+    assert (other.is_member == alone.lanes[0].membership.is_member).all()
+
+
+def test_lanes_share_the_index_plane():
+    # A lane adds its two peer masks and nothing per key.
+    kernel = FastSimKernel(PARAMS, seed=0)
+    for factor in (0.5, 2.0, 4.0):
+        kernel.add_lane(kernel.config.with_ttl(kernel.config.key_ttl * factor))
+    for lane in kernel.lanes:
+        arrays = [
+            value for value in vars(lane.membership).values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert [array.size for array in arrays] == [PARAMS.num_peers] * 2
+
+
+CHURN_COSTS = ChurnOpCosts(
+    availability=0.5, lookup=2.0, miss_lookup=2.0, hit_flood=10.0,
+    miss_flood=10.0, insert_flood=10.0, resolved_walk=20.0,
+    failed_walk=20.0, walk_failure=0.2, hit_flood_fraction=0.0,
+    turnover_miss=0.0, maintenance_per_round=10.0, num_active_peers=20,
+)
+
+
+class TestAddLane:
+    def test_refuses_churn_and_content_refresh(self):
+        config = PdhtConfig.from_scenario(PARAMS)
+        churned = FastSimKernel(
+            PARAMS, config=config, seed=0, costs=_costs(PARAMS, config),
+            churn=ChurnConfig(mean_session=600.0, mean_offline=600.0),
+            churn_costs=CHURN_COSTS,
+        )
+        refreshed = FastSimKernel(
+            PARAMS, config=config, seed=0, costs=_costs(PARAMS, config),
+            content_refresh_period=10.0,
+        )
+        for kernel in (churned, refreshed):
+            with pytest.raises(ParameterError, match="churn or content"):
+                kernel.add_lane(config.with_ttl(1.0))
+
+    def test_refuses_a_config_that_differs_in_more_than_key_ttl(self):
+        config = PdhtConfig.from_scenario(PARAMS)
+        kernel = FastSimKernel(PARAMS, config=config, seed=0)
+        with pytest.raises(ParameterError, match="only in key_ttl"):
+            kernel.add_lane(replace(config, walkers=config.walkers + 1))
+
+    def test_refuses_a_lane_after_the_first_run(self):
+        kernel = FastSimKernel(PARAMS, seed=0)
+        kernel.run(2.0)
+        with pytest.raises(ParameterError, match="before the first run"):
+            kernel.add_lane(kernel.config.with_ttl(1.0))
+
+
+def _column(params, key_ttls, **fields):
+    config = PdhtConfig.from_scenario(params)
+    fields = {"seed": 2, "duration": 30.0, **fields}
+    return [
+        FastSimJob(
+            params=params, config=config.with_ttl(config.key_ttl * factor),
+            **fields,
+        )
+        for factor in key_ttls
+    ]
+
+
+def test_units_group_exactly_the_key_ttl_columns():
+    params = simulation_scenario(scale=0.02)
+    other = params.with_query_freq(params.query_freq * 2)
+    churn = churn_config_for_availability(0.5)
+    jobs = (
+        _column(params, (0.5, 1.0))           # 0, 1: one unit
+        + _column(other, (0.5,))              # 2: another scenario
+        + _column(params, (2.0,))             # 3: joins 0 and 1
+        + _column(params, (0.5, 1.0), churn=churn)   # 4, 5: churned
+        + _column(params, (0.5, 1.0), content_refresh_period=10.0)  # 6, 7
+        + _column(params, (0.5,), window=10.0)  # 8: another window
+        + _column(params, (0.5,), strategy="indexAll")  # 9
+        + _column(params, (0.5,), seed=3)  # 10: another seed
+        + _column(params, (0.5,), duration=31.0)  # 11
+        + _column(  # 12, 13: a workload of their own
+            params, (0.5, 1.0), workload=RoundInputs(2).workload(params)
+        )
+    )
+    resolved = [replace(job, costs=_costs(job.params, job.config)) for job in jobs]
+    assert units(resolved) == [[0, 1, 3], [2]] + [[i] for i in range(4, 14)]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_run_many_equals_the_jobs_alone(workers):
+    params = simulation_scenario(scale=0.02)
+    jobs = _column(params, (0.5, 1.0, 2.0)) + _column(
+        params.with_query_freq(params.query_freq / 20), (0.5, 1.0, 2.0)
+    )
+    reports = run_many(jobs, workers=workers)
+    for job, report in zip(resolve_jobs(jobs), reports):
+        assert _unwalled(report) == _unwalled(job.run())
+
+
+def test_churned_and_refreshed_jobs_run_alone():
+    params = simulation_scenario(scale=0.02)
+    jobs = _column(
+        params, (0.5, 1.0), churn=churn_config_for_availability(0.75),
+        churn_costs=CHURN_COSTS,
+    ) + _column(params, (0.5, 1.0), content_refresh_period=7.0)
+    reports = run_many(jobs, workers=1)
+    for job, report in zip(resolve_jobs(jobs), reports):
+        assert _unwalled(report) == _unwalled(job.run())

@@ -388,26 +388,26 @@ def test_expiry_inside_a_span():
     it and its query in round 3 hits too; key 2 expires at 2.5 and is
     queried only in round 3 — a (re-insertion) miss; key 3 is cold and
     queried in rounds 2 and 4 — one cold miss; key 4 is live throughout.
-    Round 4 writes key 3's expiry after round 2 did."""
+    Round 4 writes key 3's time after round 2 did."""
     kernel = FastSimKernel(
         PARAMS, config=PdhtConfig.from_scenario(PARAMS).with_ttl(10.0),
         seed=0, costs=PerOpCosts(
             LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, 2
         ),
     )
-    expires = kernel.state.expires_at
-    expires[[1, 2, 4]] = [2.5, 2.5, 50.0]
+    written = kernel.state.written_at
+    written[[1, 2, 4]] = [-7.5, -7.5, 40.0]  # expiring at 2.5, 2.5 and 50
     report = FastSimReport(
         strategy="partialSelection", params=PARAMS, duration=4.0
     )
     keys = np.array([1, 4, 3, 1, 2, 2, 3, 4])
-    accepted, hits, charges = kernel._step_span(
-        1.0, np.array([2, 1, 3, 2]), keys + 1, keys, report
+    [(accepted, hits, charges)] = kernel._step_span(
+        1.0, np.array([2, 1, 3, 2]), keys + 1, keys, [report]
     )
     assert accepted == [2, 1, 3, 2]
     assert hits == [2, 0, 2, 2]  # round 3: key 2 misses, its duplicate hits
     assert (report.cold_misses, report.reinsertions) == (1, 1)
-    assert expires[[1, 2, 3, 4]].tolist() == [13.0, 13.0, 14.0, 14.0]
+    assert written[[1, 2, 3, 4]].tolist() == [3.0, 3.0, 4.0, 4.0]
     index = dict(charges)[MessageCategory.INDEX_SEARCH]
     assert index == [LOOKUP * 2, LOOKUP * 2, LOOKUP * 4, LOOKUP * 2]
 

@@ -2,59 +2,87 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
 from repro.fastsim.inputs import RoundInputs
-from repro.fastsim.state import FastSimState
+from repro.fastsim.state import FastSimState, Membership
 
 
-def state_with(params, num_members):
-    """A state whose members are the kernel's draw for seed 0."""
-    state = FastSimState(params)
-    state.set_members(RoundInputs(0).members(params.num_peers, num_members))
-    return state
+def membership_with(params, num_members):
+    """Masks whose members are the kernel's draw for seed 0."""
+    membership = Membership(params.num_peers)
+    membership.set_members(
+        RoundInputs(0).members(params.num_peers, num_members)
+    )
+    return membership
 
 
 class TestConstruction:
     def test_starts_unindexed_and_online(self, small_params):
-        state = state_with(small_params, 10)
-        assert state.index_size(now=0.0) == 0
+        state = FastSimState(small_params)
+        membership = membership_with(small_params, 10)
+        assert state.index_size(now=0.0, key_ttl=10.0) == 0
         assert int(state.online.sum()) == small_params.num_peers
-        assert int(state.is_member.sum()) == 10
+        assert int(membership.is_member.sum()) == 10
 
     def test_members_have_gateways_for_free(self, small_params):
-        state = state_with(small_params, 10)
-        assert (state.has_gateway == state.is_member).all()
+        membership = membership_with(small_params, 10)
+        assert (membership.has_gateway == membership.is_member).all()
 
     def test_invalid_member_count_rejected(self, small_params):
         with pytest.raises(ParameterError):
-            state_with(small_params, -1)
+            membership_with(small_params, -1)
         with pytest.raises(ParameterError):
-            state_with(small_params, small_params.num_peers + 1)
+            membership_with(small_params, small_params.num_peers + 1)
+
+    def test_every_draw_of_members_is_the_first(self, small_params):
+        # Each lane of a kernel draws the members its run draws alone.
+        inputs = RoundInputs(0)
+        first = inputs.members(small_params.num_peers, 10)
+        assert (inputs.members(small_params.num_peers, 10) == first).all()
 
 
 class TestIndexDynamics:
     def test_refresh_then_live(self, small_params):
-        state = state_with(small_params, 4)
+        state = FastSimState(small_params)
         keys = np.array([3, 7])
-        state.refresh(keys, now=5.0, key_ttl=10.0)
-        assert state.index_size(now=10.0) == 2
+        state.write(keys, now=5.0)
+        assert state.index_size(now=10.0, key_ttl=10.0) == 2
 
     def test_expiry_instant_is_a_miss_like_ttl_store(self, small_params):
         # TtlKeyStore treats expires_at <= now as a miss; so does the array.
-        state = state_with(small_params, 4)
+        state = FastSimState(small_params)
         keys = np.array([0])
-        state.refresh(keys, now=0.0, key_ttl=10.0)
-        assert state.index_size(now=10.0) == 0
-        assert state.index_size(now=9.999) == 1
+        state.write(keys, now=0.0)
+        assert state.index_size(now=10.0, key_ttl=10.0) == 0
+        assert state.index_size(now=9.999, key_ttl=10.0) == 1
+
+    def test_one_write_serves_every_key_ttl(self, small_params):
+        state = FastSimState(small_params)
+        state.write(np.array([1, 2]), now=4.0)
+        state.write(np.array([2]), now=6.0)
+        assert state.index_size(now=7.0, key_ttl=0.0) == 0
+        assert state.index_size(now=7.0, key_ttl=2.0) == 1
+        assert state.index_size(now=7.0, key_ttl=3.5) == 2
+
+    def test_infinite_key_ttl_counts_only_written_keys(self, small_params):
+        # -inf + inf is NaN: a never-written key stays unindexed, quietly.
+        state = FastSimState(small_params)
+        state.write(np.array([0, 5]), now=1.0)
+        with np.errstate(all="raise"):
+            assert state.index_size(now=1e300, key_ttl=np.inf) == 2
 
 
 def test_one_per_key_array_until_the_first_refresh(small_params):
-    # The expiry is the only per-key fact a round needs; the per-entry
-    # versions exist once content has been refreshed.
-    state = state_with(small_params, 4)
+    # The write time is the only per-key fact a round needs; the
+    # per-entry versions exist once content has been refreshed.
+    state = FastSimState(small_params)
 
     def per_key_arrays():
         return sorted(
@@ -63,52 +91,53 @@ def test_one_per_key_array_until_the_first_refresh(small_params):
             if isinstance(value, np.ndarray) and value.size == small_params.n_keys
         )
 
-    assert per_key_arrays() == ["expires_at"]
-    assert state.expires_at.dtype == np.float64
+    assert per_key_arrays() == ["written_at"]
+    assert state.written_at.dtype == np.float64
     state.bump_versions()
-    assert per_key_arrays() == ["expires_at", "indexed_version"]
+    assert per_key_arrays() == ["indexed_version", "written_at"]
     assert state.indexed_version.dtype == np.int64
     assert not state.indexed_version.any()
     state.bump_versions()
-    assert per_key_arrays() == ["expires_at", "indexed_version"]
+    assert per_key_arrays() == ["indexed_version", "written_at"]
 
 
 class TestGatewayDiscovery:
     def test_first_contact_counts_once(self, small_params):
-        state = state_with(small_params, 0)
+        membership = membership_with(small_params, 0)
         origins = np.array([1, 2, 2, 3])
-        assert state.discover_gateways(origins) == [3]
-        assert state.discover_gateways(origins) == [0]
+        assert membership.discover_gateways(origins) == [3]
+        assert membership.discover_gateways(origins) == [0]
 
     def test_span_counts_each_origin_in_its_first_round(self, small_params):
-        state = state_with(small_params, 0)
-        state.has_gateway[9] = True
+        membership = membership_with(small_params, 0)
+        membership.has_gateway[9] = True
         # Rounds 0..3 of a span: 5 first appears in round 1, 4 in round 2
         # (its later queries are free), 9 already has a gateway.
         origins = np.array([9, 5, 4, 5, 4, 9, 4])
         rounds = np.array([0, 1, 2, 2, 2, 3, 3])
-        assert state.discover_gateways(origins, rounds, 4) == [0, 1, 1, 0]
-        assert state.discover_gateways(origins, rounds, 4) == [0, 0, 0, 0]
+        assert membership.discover_gateways(origins, rounds, 4) == [0, 1, 1, 0]
+        assert membership.discover_gateways(origins, rounds, 4) == [0, 0, 0, 0]
 
     def test_member_origins_are_free(self, small_params):
-        state = state_with(small_params, small_params.num_peers)
+        membership = membership_with(small_params, small_params.num_peers)
         origins = np.arange(10)
-        assert state.discover_gateways(origins) == [0]
+        assert membership.discover_gateways(origins) == [0]
 
     def test_empty_batch(self, small_params):
-        state = state_with(small_params, 2)
-        assert state.discover_gateways(np.empty(0, dtype=np.int64)) == [0]
+        membership = membership_with(small_params, 2)
+        assert membership.discover_gateways(np.empty(0, dtype=np.int64)) == [0]
 
     def test_online_member_fraction(self, small_params):
-        state = state_with(small_params, 10)
-        assert state.online_member_fraction() == 1.0
-        state.online[state.is_member] = False
-        assert state.online_member_fraction() == 0.0
+        state = FastSimState(small_params)
+        membership = membership_with(small_params, 10)
+        assert membership.online_fraction(state.online) == 1.0
+        state.online[membership.is_member] = False
+        assert membership.online_fraction(state.online) == 0.0
 
 
 class TestPayloadVersions:
     def test_versions_start_fresh_and_bump(self, small_params):
-        state = state_with(small_params, 4)
+        state = FastSimState(small_params)
         keys = np.array([0, 1, 2])
         assert state.stale_count(keys) == 0
         state.bump_versions()  # refresh all content
@@ -119,5 +148,29 @@ class TestPayloadVersions:
         assert state.stale_count(np.array([0, 0, 2])) == 3
 
     def test_empty_batch(self, small_params):
-        state = state_with(small_params, 4)
+        state = FastSimState(small_params)
         assert state.stale_count(np.empty(0, dtype=np.int64)) == 0
+
+
+def test_a_kernel_run_does_not_import_numpy_ma():
+    # np.unique without return_counts imports numpy.ma on numpy 2.4: the
+    # first kernel run of every process (pool workers too) paid for it in
+    # time and resident memory. Gateway discovery dedupes by sorting.
+    code = (
+        "import sys\n"
+        "from repro.experiments.scenario import simulation_scenario\n"
+        "from repro.fastsim import PerOpCosts, run_fastsim\n"
+        "params = simulation_scenario(scale=0.02)\n"
+        "for strategy in ('indexAll', 'partialSelection'):\n"
+        "    run_fastsim(params, duration=30.0, strategy=strategy,\n"
+        "                costs=PerOpCosts.analytical(params))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": "src"},
+        cwd=str(Path(__file__).parents[2]),
+    )
+    assert out.stdout.strip() == "False", out.stderr

@@ -91,8 +91,9 @@ class TestDrawIsNamed:
         from repro.analysis import zipf
 
         # Per-process cache: start cold so the counts are the grid's own.
-        # 18 cells over one key universe and two alphas; only the six
-        # fQry = 1/30 cells draw enough per block to use a guide table.
+        # 18 cells over one key universe and two alphas, run as six
+        # keyTtl columns that draw once each; only the two fQry = 1/30
+        # columns draw enough per block to use a guide table, one each.
         zipf._guide_slot.cache_clear()
         assert main(
             ["sweep", "--scale", "0.02", "--duration", "120", "--no-store",
@@ -101,15 +102,15 @@ class TestDrawIsNamed:
         telemetry = json.loads(capsys.readouterr().out)["telemetry"]
         counters = telemetry["counters"]
         assert counters["cache.zipf_guide.miss"] == 2
-        assert counters["cache.zipf_guide.hit"] == 4
+        assert "cache.zipf_guide.hit" not in counters
         assert telemetry["gauges"]["cache.zipf_guide.size"] == 2
         # The draw still nests under kernel.run; it counts draw blocks
-        # (here one per cell), not cells.
+        # (here one per keyTtl column), not cells.
         draw = next(
             span for path, span in telemetry["spans"].items()
             if path.endswith("kernel.run/draw")
         )
-        assert draw["count"] == 18
+        assert draw["count"] == 6
 
 
 class TestEventRunIsAccountedFor:

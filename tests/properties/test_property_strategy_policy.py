@@ -95,13 +95,14 @@ def _event_facts(params, config, name, ranks):
 
 def _kernel_facts(params, config, name, ranks):
     kernel = FastSimKernel(params, config=config, strategy=name, costs=COSTS)
-    size_at_start = kernel._reported_index_size(kernel.now)
+    (lane,) = kernel.lanes
+    size_at_start = kernel._reported_index_size(lane, kernel.now)
     totals = {category: 0.0 for category in MessageCategory}
-    kernel._step_updates(totals)
-    updates = totals[MessageCategory.INDEX_SEARCH] + kernel._update_debt
+    kernel._step_updates(lane, totals)
+    updates = totals[MessageCategory.INDEX_SEARCH] + lane.update_debt
     report = FastSimReport(strategy=name, params=params, duration=1.0)
     batch = np.asarray(ranks)
-    kernel._step_span(1.0, np.array([batch.size]), batch, batch - 1, report)
+    kernel._step_span(1.0, np.array([batch.size]), batch, batch - 1, [report])
     return kernel, size_at_start, updates, report.index_hits
 
 
@@ -148,8 +149,9 @@ def test_both_engines_and_the_closed_form_run_the_policy(params, key_ttl):
         ], name
 
         kernel, size, updates, hits = _kernel_facts(params, config, name, ranks)
-        assert kernel.state.num_members == policy.num_members, name
-        assert kernel.key_ttl == policy.key_ttl, name
+        (lane,) = kernel.lanes
+        assert lane.membership.num_members == policy.num_members, name
+        assert lane.key_ttl == policy.key_ttl, name
         assert size == policy.preloaded_ranks, name
         assert updates == pytest.approx(
             policy.updates_per_round(params.update_freq), abs=1e-9

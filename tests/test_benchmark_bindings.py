@@ -25,7 +25,7 @@ import spans  # noqa: E402
 #: Module-level names and class attributes of ``repro`` that
 #: ``layers.install`` replaces, with ``repro.experiments.runner`` loaded
 #: as in the traced pass.
-WRAPPED_BINDINGS = 58
+WRAPPED_BINDINGS = 57
 
 
 def _module_of(holder) -> str:

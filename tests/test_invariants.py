@@ -160,7 +160,7 @@ def rl102_global_rng(path, tree, imports):
 
 # RL103: kernel dtypes are named once, not written as literals.
 # precision.py is the one fastsim module that names concrete dtypes
-# (EXPIRY_DTYPE / VERSION_DTYPE for the state arrays, INDEX_DTYPE /
+# (TIME_DTYPE / VERSION_DTYPE for the state arrays, INDEX_DTYPE /
 # PROB_DTYPE for the rest); a bare np.float64 elsewhere is a width decided
 # outside that module, which a change to it would silently miss.
 _DTYPE_NAMES = frozenset(
@@ -680,9 +680,9 @@ FIXTURES = [    # RL101
         """, "'float64'"),
     row(rl103_dtype_literal, "precision-constants", "src/repro/fastsim/example.py", """
         import numpy as np
-        from repro.fastsim.precision import EXPIRY_DTYPE
-        def expiries(total):
-            return np.full(total, -np.inf, dtype=EXPIRY_DTYPE)
+        from repro.fastsim.precision import TIME_DTYPE
+        def write_times(total):
+            return np.full(total, -np.inf, dtype=TIME_DTYPE)
         """),
     row(rl103_dtype_literal, "precision-module-exempt", "src/repro/fastsim/precision.py", """
         import numpy as np
