@@ -38,6 +38,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -176,28 +177,27 @@ class ExperimentParams:
     )
 
     def __post_init__(self) -> None:
+        # A boolean is not a number here, as in errors.require_finite.
         for name in ("duration", "scale", "shift_at", "window"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
+                raise ParameterError(f"{name} must be > 0, got {value}")
         for name in ("seed", "replicates", "jobs"):
             value = getattr(self, name)
             if isinstance(value, bool):
                 raise ParameterError(
                     f"{name} must be an integer, not a boolean, got {value!r}"
                 )
-        if self.duration is not None and self.duration <= 0:
-            raise ParameterError(f"duration must be > 0, got {self.duration}")
         if self.seed is not None and not isinstance(self.seed, int):
             raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         if self.seed is not None and self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.scale is not None and self.scale <= 0:
-            raise ParameterError(f"scale must be > 0, got {self.scale}")
-        if self.shift_at is not None and self.shift_at <= 0:
-            raise ParameterError(f"shift_at must be > 0, got {self.shift_at}")
-        if self.window is not None and self.window <= 0:
-            raise ParameterError(f"window must be > 0, got {self.window}")
         if self.replicates is not None and (
             not isinstance(self.replicates, int) or self.replicates < 1
         ):

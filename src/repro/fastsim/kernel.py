@@ -652,8 +652,7 @@ class FastSimKernel:
             lanes, reports, lane_totals, recorders, index_sizes
         ):
             # Close the trailing partial window (duration % window != 0)
-            # so the tail queries reach hit_rate_series — the event
-            # driver flushes identically.
+            # so the tail queries reach hit_rate_series.
             recorder.flush(self.now - start, index_size)
             report.churn_transitions = transitions
             report.content_refreshes = refreshes

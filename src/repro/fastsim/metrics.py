@@ -11,62 +11,11 @@ consume either engine's output through one code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.pdht.strategies import StrategyReport
+from repro.pdht.strategies import StrategyReport, WindowRecorder
 from repro.sim.metrics import MessageCategory
 
 __all__ = ["WindowRecorder", "FastSimReport"]
-
-
-class WindowRecorder:
-    """Accumulates per-window hit/query counts into report series."""
-
-    def __init__(self, window: float) -> None:
-        self.window = window
-        self.queries = 0
-        self.hits = 0
-        self.next_at = window
-        self.hit_rate_series: list[tuple[float, float]] = []
-        self.index_size_series: list[tuple[float, int]] = []
-
-    @property
-    def enabled(self) -> bool:
-        return self.window > 0
-
-    def record(self, queries: int, hits: int) -> None:
-        self.queries += queries
-        self.hits += hits
-
-    def _close(self, elapsed: float, index_size: Callable[[], int]) -> None:
-        rate = self.hits / self.queries if self.queries else 0.0
-        self.hit_rate_series.append((elapsed, rate))
-        self.index_size_series.append((elapsed, index_size()))
-        self.queries = self.hits = 0
-
-    def maybe_close(self, elapsed: float, index_size: Callable[[], int]) -> None:
-        """Close the window at ``elapsed`` rounds since run start.
-
-        ``index_size`` is a thunk: sizing the index costs O(n_keys), so it
-        is only evaluated when a window actually closes.
-        """
-        if not self.enabled or elapsed < self.next_at:
-            return
-        self._close(elapsed, index_size)
-        self.next_at += self.window
-
-    def flush(self, elapsed: float, index_size: Callable[[], int]) -> None:
-        """Close the trailing partial window at the end of a run.
-
-        When ``duration`` is not a multiple of ``window`` the final
-        ``duration % window`` rounds never reach ``next_at``; without this
-        flush their queries silently vanish from ``hit_rate_series``. A
-        run that ends exactly on a window boundary already closed it in
-        :meth:`maybe_close` and is left untouched.
-        """
-        if not self.enabled or elapsed <= self.next_at - self.window:
-            return
-        self._close(elapsed, index_size)
 
 
 @dataclass

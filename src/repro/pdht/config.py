@@ -56,20 +56,9 @@ class PdhtConfig:
     def __post_init__(self) -> None:
         if not self.key_ttl >= 0:  # NaN too
             raise ParameterError(f"key_ttl must be >= 0, got {self.key_ttl}")
-        if self.replication < 1:
-            raise ParameterError(
-                f"replication must be >= 1, got {self.replication}"
-            )
-        if self.overlay_degree < 1:
-            raise ParameterError(
-                f"overlay_degree must be >= 1, got {self.overlay_degree}"
-            )
-        require_count("walkers", self.walkers, 1)
-        require_count("walk_ttl", self.walk_ttl, 1)
-        if self.replica_degree < 1:
-            raise ParameterError(
-                f"replica_degree must be >= 1, got {self.replica_degree}"
-            )
+        for name in ("replication", "overlay_degree", "walkers", "walk_ttl",
+                     "replica_degree"):
+            require_count(name, getattr(self, name), 1)
 
     def with_ttl(self, key_ttl: float) -> "PdhtConfig":
         return replace(self, key_ttl=key_ttl)

@@ -22,13 +22,13 @@ the same value the vectorized kernel reads:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import strategy_setup
 from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_finite
 from repro.net.churn import ChurnConfig
 from repro.obs.clock import perf_counter
 from repro.pdht.config import PdhtConfig
@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "StrategyReport",
+    "WindowRecorder",
     "SimulatedStrategy",
     "key_name",
 ]
@@ -89,6 +90,63 @@ class StrategyReport:
         if self.queries == 0:
             return 0.0
         return self.answered / self.queries
+
+
+class WindowRecorder:
+    """Accumulates per-window hit/query counts into report series, for
+    both engines: a driver records each round's queries and hits, offers
+    to close a window after the round and flushes once after the run.
+
+    ``window`` is in rounds; 0 means no windows. A negative, NaN,
+    infinite or boolean window is a :class:`ParameterError`.
+    """
+
+    def __init__(self, window: float) -> None:
+        require_finite("window", window, 0.0)
+        self.window = window
+        self.queries = 0
+        self.hits = 0
+        self.next_at = window
+        self.hit_rate_series: list[tuple[float, float]] = []
+        self.index_size_series: list[tuple[float, int]] = []
+
+    @property
+    def enabled(self) -> bool:
+        return self.window > 0
+
+    def record(self, queries: int, hits: int) -> None:
+        self.queries += queries
+        self.hits += hits
+
+    def _close(self, elapsed: float, index_size: Callable[[], int]) -> None:
+        rate = self.hits / self.queries if self.queries else 0.0
+        self.hit_rate_series.append((elapsed, rate))
+        self.index_size_series.append((elapsed, index_size()))
+        self.queries = self.hits = 0
+
+    def maybe_close(self, elapsed: float, index_size: Callable[[], int]) -> None:
+        """Close the window at ``elapsed`` rounds since run start.
+
+        ``index_size`` is a thunk: sizing the index is only paid when a
+        window actually closes.
+        """
+        if not self.enabled or elapsed < self.next_at:
+            return
+        self._close(elapsed, index_size)
+        self.next_at += self.window
+
+    def flush(self, elapsed: float, index_size: Callable[[], int]) -> None:
+        """Close the trailing partial window at the end of a run.
+
+        When ``duration`` is not a multiple of ``window`` the final
+        ``duration % window`` rounds never reach ``next_at``; without this
+        flush their queries silently vanish from ``hit_rate_series``. A
+        run that ends exactly on a window boundary already closed it in
+        :meth:`maybe_close` and is left untouched.
+        """
+        if not self.enabled or elapsed <= self.next_at - self.window:
+            return
+        self._close(elapsed, index_size)
 
 
 class SimulatedStrategy:
@@ -181,6 +239,7 @@ class SimulatedStrategy:
         ``window`` rounds (for the adaptivity experiments).
         """
         rounds = whole_rounds(duration)
+        recorder = WindowRecorder(window)
         self.prepare()
         report = StrategyReport(
             strategy=self.strategy, params=self.params, duration=duration
@@ -189,18 +248,7 @@ class SimulatedStrategy:
         start = sim.now
         rate = self.params.network_query_rate
         updates = self.policy.updates_per_round(self.params.update_freq)
-        next_window = window
-        window_queries = 0
-        window_hits = 0
-
-        def close_window(elapsed: float) -> None:
-            nonlocal window_queries, window_hits
-            size = self.network.distinct_indexed_keys()
-            report.index_size_series.append((elapsed, size))
-            rate = window_hits / window_queries if window_queries else 0.0
-            report.hit_rate_series.append((elapsed, rate))
-            window_queries = window_hits = 0
-
+        index_size = self.network.distinct_indexed_keys
         profiled = obs.enabled()
         query_seconds = 0.0
         for _ in range(rounds):
@@ -208,6 +256,7 @@ class SimulatedStrategy:
             if profiled:
                 round_started = perf_counter()
             now = sim.now
+            queries, hits = report.queries, report.index_hits
             # Queries this round: Poisson around the network-wide rate,
             # which the workload may modulate (e.g. a diurnal cycle).
             count = int(
@@ -219,38 +268,31 @@ class SimulatedStrategy:
                     origin, key_name(key_index), rank
                 )
                 report.queries += 1
-                window_queries += 1
                 if answered:
                     report.answered += 1
                 if via_index:
                     report.index_hits += 1
-                    window_hits += 1
             # Proactive updates (indexAll / partialIdeal only).
             self._update_debt += updates
             while self._update_debt >= 1.0:
                 self._update_debt -= 1.0
                 self._apply_random_update()
-            if window > 0 and now - start >= next_window:
-                close_window(now - start)
-                next_window += window
+            recorder.record(report.queries - queries, report.index_hits - hits)
+            recorder.maybe_close(now - start, index_size)
             if profiled:
                 query_seconds += perf_counter() - round_started
         if profiled:
             obs.add_duration("strategy.queries", query_seconds, n=report.queries)
-
-        # Flush the trailing partial window (duration % window != 0) so
-        # the tail queries reach hit_rate_series — identical to the
-        # fastsim WindowRecorder's end-of-run flush.
-        if window > 0 and sim.now - start > next_window - window:
-            close_window(sim.now - start)
-
+        recorder.flush(sim.now - start, index_size)
+        report.hit_rate_series = recorder.hit_rate_series
+        report.index_size_series = recorder.index_size_series
         report.messages_by_category = self.network.metrics.totals_by_category()
         if report.index_size_series:
             report.mean_index_size = sum(
                 s for _, s in report.index_size_series
             ) / len(report.index_size_series)
         else:
-            report.mean_index_size = float(self.network.distinct_indexed_keys())
+            report.mean_index_size = float(index_size())
         return report
 
     def _handle(self, origin: int, key: str, rank: int) -> tuple[bool, bool]:

@@ -120,6 +120,23 @@ class TestSpecsAndRegistry:
                 with pytest.raises(ParameterError, match=f"{name} must be an integer"):
                     ExperimentParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["duration", "scale", "shift_at", "window"])
+    def test_a_float_field_is_a_number_and_not_a_boolean(self, name):
+        for value in (True, False, "1"):
+            with pytest.raises(ParameterError, match=f"{name} must be a number"):
+                ExperimentParams(**{name: value})
+
+    @pytest.mark.parametrize(
+        "experiment, name",
+        [("sim", "duration"), ("sim", "scale"), ("adaptivity", "window")],
+    )
+    def test_a_boolean_float_field_fails_the_run(self, experiment, name):
+        # Taken as numbers, they would run one round, scale 1.0 and a
+        # 1-round window.
+        settings = {"scale": 0.02, "duration": 120.0, name: True}
+        with pytest.raises(ParameterError, match=f"{name} must be a number"):
+            run(experiment, engine="vectorized", store="none", **settings)
+
 
 class TestCapabilityGating:
     def test_sweep_rejects_event_engine(self):

@@ -8,10 +8,13 @@ figures. Both engines now flush the partial window identically.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import run_fastsim
+from repro.errors import ParameterError
 from repro.fastsim.metrics import WindowRecorder
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import SimulatedStrategy
@@ -92,3 +95,19 @@ class TestCrossEngineTailWindow:
             event.hit_rate_series, fast.hit_rate_series
         ):
             assert fast_sample[1] == pytest.approx(event_sample[1], abs=0.10)
+
+
+@pytest.mark.parametrize("window", [-5.0, math.nan, math.inf, True])
+@pytest.mark.parametrize("engine", ["event", "vectorized"])
+def test_a_window_that_is_not_a_finite_count_of_rounds_is_an_error(
+    engine, window
+):
+    # Both engines share one recorder, so they agree on every window; one
+    # that is not a finite count of rounds is an error on both, never a
+    # silent "no windows" (or, at inf, one window on a single engine).
+    params = simulation_scenario(scale=0.02)
+    with pytest.raises(ParameterError, match="window"):
+        if engine == "event":
+            SimulatedStrategy(params, seed=0).run(20.0, window=window)
+        else:
+            run_fastsim(params, duration=20.0, seed=0, window=window)

@@ -49,6 +49,12 @@ class TestPdhtConfig:
             {"walk_ttl": 10.5},
             {"walk_ttl": float("nan")},
             {"walk_ttl": True},
+            {"replication": 2.5},
+            {"replication": True},
+            {"overlay_degree": 2.5},
+            {"overlay_degree": True},
+            {"replica_degree": 1.5},
+            {"replica_degree": True},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -3,18 +3,19 @@
 
 Runs every command of :data:`ROWS` (the runner on every experiment,
 engine, format and workload preset, trace replay from JSON and JSONL, a
-store cold then warm, the telemetry flags, the CI smokes with the
-interrupted sweep, ``gates.py``) plus the five benchmark commands'
-traced passes (``benchmarks/e2e/layers.py ... 1 -- <runner argv>``)
-under a ``sitecustomize`` that records each code object whose file is
+store cold then warm, the telemetry flags, ``gates.py``), the commands
+of ``tools/smoke.py``'s table and the five benchmark commands' traced
+passes (``benchmarks/e2e/layers.py ... 1 -- <runner argv>``) under a
+``sitecustomize`` that records each code object whose file is
 under ``src/repro`` the first time it is called, in every process —
 pool workers included (a forked worker appends to its own file; a
 spawned one loads the ``sitecustomize`` again). Then it prints every
 ``def`` of ``src/repro`` whose code object no process called, grouped
 by module, and ends with ``unreached N of M defs, L lines``.
 
-``tools/rss_layout_check.py`` runs the benchmark commands again under
-its own ``PYTHONPATH``, so it adds nothing the benchmark rows miss.
+The smoke rows that run ``benchmarks/e2e/run.py`` or
+``rss_layout_check.py`` (under its own ``PYTHONPATH``) are left out: the
+traced passes run the same commands.
 
 A def is keyed by the line its code object starts on: the ``def`` line,
 or its first decorator's. Nested defs count on their own; lambdas,
@@ -35,13 +36,13 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import re
-import signal
-import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import smoke  # noqa: E402
 
 #: Written into a temporary directory that leads ``PYTHONPATH``.
 SITECUSTOMIZE = '''\
@@ -75,12 +76,6 @@ sys.setprofile(_record)
 threading.setprofile(_record)
 '''
 
-#: Seconds before the interrupted row gets its SIGINT.
-INTERRUPT_S = 8
-#: Leading token of a row that is SIGINT-ed after ``INTERRUPT_S``.
-INTERRUPT = "<interrupt>"
-_PLACEHOLDER = re.compile(r"<([^<>]+)>")
-
 ANALYTICAL = ("table1", "fig1", "fig2", "fig3", "fig4", "keyttl", "optimal")
 BOTH_ENGINES = ("sim", "adaptivity", "adaptivity-tracking", "adaptivity-lag",
                 "churn", "staleness", "simfig1")
@@ -90,12 +85,9 @@ MODELS = ("stationary", "rank-swap", "gradual-drift", "flash-crowd",
 FORMATS = ("text", "csv", "json")
 SMALL = ("--scale", "0.02", "--duration", "60")
 
-#: The reach set. ``runner`` is ``python -m repro.experiments.runner``,
-#: ``python`` the interpreter; ``NAME=value`` tokens before either set the
-#: environment; ``<name>`` is the file ``name`` in the run's work
-#: directory (``<out>`` a fresh directory); a row that starts with
-#: ``INTERRUPT`` is SIGINT-ed. Exit codes other than 0 are listed in
-#: ``FAILING``.
+#: The reach set, as ``tools/smoke.py`` commands: ``runner`` is ``python
+#: -m repro.experiments.runner``, ``<name>`` the file ``name`` in the work
+#: directory.
 ROWS: tuple[tuple[str, ...], ...] = (
     ("runner", "--list"),
     *((("runner", *ANALYTICAL, "--format", fmt)) for fmt in FORMATS),
@@ -117,42 +109,12 @@ ROWS: tuple[tuple[str, ...], ...] = (
      "<event-events.jsonl>", "--format", "json"),
     ("runner", "all", *SMALL, "--no-store", "--format", "csv", "--output",
      "<out>"),
-    # The CI smokes.
-    ("runner", "churn", "--engine", "vectorized", "--duration", "120",
-     "--scale", "0.02", "--seed", "0", "--no-store", "--profile", "--format",
-     "json"),
-    *(("runner", "staleness", "--engine", engine, "--scale", "0.02",
-       "--duration", "250", "--no-store", "--format", "json")
-      for engine in ("event", "vectorized")),
-    ("runner", "adaptivity", "--engine", "vectorized", "--scale", "0.02",
-     "--duration", "120", "--shift-at", "40", "--window", "20", "--no-store",
-     "--format", "json"),
-    ("runner", "sim", "--workload", "rank-swap", "--no-store"),
-    ("runner", "sweep", *SMALL, "--jobs", "2", "--no-store", "--format",
-     "json"),
-    *(row for _first_then_second in range(2) for row in (
-        ("runner", "churn", "--engine", "vectorized", *SMALL, "--store",
-         "<single-path.sqlite>", "--profile", "--format", "json"),
-        ("runner", "adaptivity-tracking", "--scale", "0.02", "--duration",
-         "120", "--store", "<single-path.sqlite>", "--profile", "--format",
-         "json"),
-    )),
-    (INTERRUPT, "REPRO_OBS=1", "REPRO_OBS_EVENTS=<resume-events.jsonl>",
-     "runner", "sweep", *SMALL, "--store", "<resume.sqlite>", "--format",
-     "json"),
-    ("python", "-c", "from repro.obs import events, replay; "
-     "replay(events.read_events('<resume-events.jsonl>'))"),
-    *(("runner", "sweep", *SMALL, "--store", "<resume.sqlite>", "--format",
-       "json", "--profile") for _resume_then_warm in range(2)),
-    ("runner", "sweep", *SMALL, "--jobs", "2", "--no-store", "--progress",
-     "--trace-out", "<trace-out.json>", "--events-out", "<events-out.jsonl>",
-     "--profile", "--format", "json"),
-    ("python", "-c", "from repro import obs; from repro.obs import events; "
-     "obs.replay(events.read_events('<events-out.jsonl>'))"),
+    ("runner", "staleness", "--engine", "vectorized", "--scale", "0.02",
+     "--duration", "250", "--no-store", "--format", "json"),
     ("python", "benchmarks/gates.py"),
 )
-#: Rows expected to exit non-zero: the unaccepted-flag smoke.
-FAILING = frozenset({("runner", "sim", "--workload", "rank-swap", "--no-store")})
+#: Smoke commands of these scripts are not run: see the module docstring.
+BENCHMARK_SCRIPTS = ("benchmarks/e2e/run.py", "tools/rss_layout_check.py")
 
 
 @dataclass(frozen=True)
@@ -235,9 +197,14 @@ def benchmark_rows(root: Path, work: Path) -> list[tuple[str, ...]]:
     return rows
 
 
-def example_rows(root: Path) -> list[tuple[str, ...]]:
-    return [("python", path.relative_to(root).as_posix())
-            for path in sorted((root / "examples").glob("*.py"))]
+def smoke_commands(work: Path, examples: bool) -> list[tuple[smoke.Command, Path]]:
+    """The smoke table's commands, each row's in its own directory."""
+    return [
+        (command, work / row.name)
+        for row in smoke.SMOKES if examples or row.name != "examples"
+        for command in row.commands
+        if command.argv[1] not in BENCHMARK_SCRIPTS
+    ]
 
 
 def write_traces(work: Path) -> None:
@@ -258,39 +225,6 @@ def write_traces(work: Path) -> None:
     trace.save(work / "trace.jsonl")
 
 
-def run_row(row: tuple[str, ...], root: Path, work: Path,
-            env: dict[str, str]) -> int:
-    """Run one row from ``root``; its exit status (SIGINT-ed rows: 0)."""
-    interrupt = row[:1] == (INTERRUPT,)
-    tokens = list(row[1:] if interrupt else row)
-    env = dict(env)
-
-    def path(token: str) -> str:
-        if token == "<out>":
-            return tempfile.mkdtemp(dir=work)
-        return _PLACEHOLDER.sub(lambda m: str(work / m.group(1)), token)
-
-    while "=" in tokens[0]:
-        name, value = tokens.pop(0).split("=", 1)
-        env[name] = path(value)
-    program = tokens.pop(0)
-    head = [sys.executable]
-    if program == "runner":
-        head += ["-m", "repro.experiments.runner"]
-    argv = [*head, *(path(token) for token in tokens)]
-    child = subprocess.Popen(argv, cwd=root, env=env,
-                             stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
-    if not interrupt:
-        return child.wait()
-    try:
-        child.wait(timeout=INTERRUPT_S)
-    except subprocess.TimeoutExpired:
-        child.send_signal(signal.SIGINT)
-        child.wait()
-    return 0
-
-
 def recording_env(root: Path, work: Path) -> dict[str, str]:
     """The environment of a recorded process: the ``sitecustomize`` in
     ``work/site`` ahead of ``root/src`` on ``PYTHONPATH``, and every
@@ -299,15 +233,9 @@ def recording_env(root: Path, work: Path) -> dict[str, str]:
     site.mkdir(parents=True, exist_ok=True)
     calls.mkdir(exist_ok=True)
     (site / "sitecustomize.py").write_text(SITECUSTOMIZE, encoding="utf-8")
-    env = {
-        name: value for name, value in os.environ.items()
-        if name not in ("REPRO_STORE", "REPRO_OBS", "REPRO_OBS_EVENTS")
-    }
-    env.update(
-        PYTHONPATH=os.pathsep.join([str(site), str(root / "src")]),
-        REACH_SRC=str(root / "src" / "repro") + os.sep,
-        REACH_OUT=str(calls),
-    )
+    env = smoke.clean_env(os.pathsep.join([str(site), str(root / "src")]))
+    env.update(REACH_SRC=str(root / "src" / "repro") + os.sep,
+               REACH_OUT=str(calls))
     return env
 
 
@@ -338,15 +266,17 @@ def main(argv: list[str] | None = None) -> int:
         work = Path(scratch)
         env = recording_env(root, work)
         write_traces(work)
-        rows = [*ROWS, *benchmark_rows(root, work)]
-        if args.examples:
-            rows += example_rows(root)
-        for number, row in enumerate(rows, 1):
-            status = run_row(row, root, work, env)
-            expected = 1 if row in FAILING else 0
-            ok &= status == expected
-            mark = "" if status == expected else f"   UNEXPECTED exit {status}"
-            print(f"[{number}/{len(rows)}] {' '.join(row)[:100]}{mark}",
+        rows = [(smoke.Command(argv), work)
+                for argv in (*ROWS, *benchmark_rows(root, work))]
+        rows += smoke_commands(work, args.examples)
+        for number, (command, files) in enumerate(rows, 1):
+            files.mkdir(exist_ok=True)
+            try:
+                smoke.run(command, root, files, env)
+                mark = ""
+            except smoke.Failed as error:
+                ok, mark = False, f"   UNEXPECTED {error}"
+            print(f"[{number}/{len(rows)}] {' '.join(command.argv)[:100]}{mark}",
                   file=sys.stderr, flush=True)
         called = called_lines(work, root)
     defs = src_defs(root)
