@@ -67,3 +67,16 @@ def test_matcher_on_a_fixture_module(tmp_path):
         "       17  never  (2 lines)",
         "unreached 2 of 5 defs, 4 lines",
     ]
+
+
+def test_examples_are_those_of_the_measured_checkout(tmp_path):
+    reach = _reach()
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "only_here.py").write_text("print(1)\n")
+    work = tmp_path / "work"
+    ran = [(command.argv, files) for command, files in
+           reach.smoke_commands(tmp_path, work, examples=True)
+           if command.argv[1].startswith("examples/")]
+    assert ran == [(("python", "examples/only_here.py"), work / "examples")]
+    assert not any(command.argv[1].startswith("examples/") for command, _ in
+                   reach.smoke_commands(tmp_path, work, examples=False))

@@ -122,8 +122,8 @@ FIXTURES = {
           "sweep.json": _run_json({"sweep.cells": 0})}],
     ),
     "examples": (
-        {f"{name}.txt": "ran\n" for name in smoke.EXAMPLES},
-        [{f"{smoke.EXAMPLES[-1]}.txt": ""}],
+        {command.stdout: "ran\n" for command in smoke.EXAMPLES},
+        [{smoke.EXAMPLES[-1].stdout: ""}],
     ),
 }
 
@@ -206,6 +206,34 @@ def test_sigint_after_the_delay_and_no_exit_check_then(tmp_path):
                   tmp_path, smoke.clean_env(""))
 
 
+def test_a_failing_row_prints_the_tail_of_each_output_first(capsys):
+    def never(outputs):
+        smoke.require(False, "never")
+
+    lines = "; ".join(f"print({n})" for n in range(35))
+    row = Smoke("tail", "prints", (_python(lines, stdout="a.txt"),
+                                   _python("print('x' * 500)", stdout="b.txt")),
+                never)
+    with pytest.raises(Failed, match="never"):
+        smoke.run_row(row)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "tail: a.txt"
+    assert out[1:31] == [f"    {n}" for n in range(5, 35)]
+    assert out[31:] == ["tail: b.txt", "    " + "x" * 200]
+    smoke.run_row(Smoke("quiet", "passes", row.commands, lambda outputs: None))
+    assert capsys.readouterr().out == ""
+
+
+def test_example_commands_run_the_given_checkouts_examples(tmp_path):
+    (tmp_path / "examples").mkdir()
+    for name in ("b.py", "a.py", "notes.txt"):
+        (tmp_path / "examples" / name).write_text("")
+    assert [c.argv for c in smoke.example_commands(tmp_path)] == [
+        ("python", "examples/a.py"), ("python", "examples/b.py")]
+    assert smoke.BY_NAME["examples"].commands == smoke.EXAMPLES == (
+        smoke.example_commands(ROOT))
+
+
 def test_main_prints_one_verdict_per_row_and_exits_one_on_a_failure(
     monkeypatch, capsys
 ):
@@ -223,10 +251,10 @@ def test_main_prints_one_verdict_per_row_and_exits_one_on_a_failure(
     assert smoke.main([]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == [
-        "good", "0", "good", "bad", "exit", "2"
+        "good", "0", "good", "bad:", "41", "bad", "exit", "2"
     ]
-    assert lines[3].endswith("FAIL  Failed: answer: '41\\n'")
-    assert "exited 2, not 0" in lines[4]
+    assert lines[5].endswith("FAIL  Failed: answer: '41\\n'")
+    assert "exited 2, not 0" in lines[6]
     assert smoke.main(["--list"]) == 0
     assert capsys.readouterr().out.split()[0::3] == ["good", "bad", "exit"]
     assert smoke.main(["nope"]) == 2

@@ -197,14 +197,18 @@ def benchmark_rows(root: Path, work: Path) -> list[tuple[str, ...]]:
     return rows
 
 
-def smoke_commands(work: Path, examples: bool) -> list[tuple[smoke.Command, Path]]:
-    """The smoke table's commands, each row's in its own directory."""
-    return [
+def smoke_commands(root: Path, work: Path,
+                   examples: bool) -> list[tuple[smoke.Command, Path]]:
+    """The smoke table's commands, each row's in its own directory; the
+    examples are those of ``root``."""
+    commands = [
         (command, work / row.name)
-        for row in smoke.SMOKES if examples or row.name != "examples"
+        for row in smoke.SMOKES if row.name != "examples"
         for command in row.commands
         if command.argv[1] not in BENCHMARK_SCRIPTS
     ]
+    return commands + [(command, work / "examples") for command
+                       in smoke.example_commands(root) if examples]
 
 
 def write_traces(work: Path) -> None:
@@ -268,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         write_traces(work)
         rows = [(smoke.Command(argv), work)
                 for argv in (*ROWS, *benchmark_rows(root, work))]
-        rows += smoke_commands(work, args.examples)
+        rows += smoke_commands(root, work, args.examples)
         for number, (command, files) in enumerate(rows, 1):
             files.mkdir(exist_ok=True)
             try:

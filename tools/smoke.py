@@ -32,7 +32,6 @@ from time import perf_counter
 from typing import Callable, Mapping
 
 ROOT = Path(__file__).resolve().parents[1]
-EXAMPLES = tuple(sorted(path.name for path in (ROOT / "examples").glob("*.py")))
 #: Settings a caller's shell may hold that would change what a row runs.
 SWITCHES = ("REPRO_STORE", "REPRO_OBS", "REPRO_OBS_EVENTS")
 _PLACEHOLDER = re.compile(r"<([^<>]+)>")
@@ -75,20 +74,8 @@ class Smoke:
     shadows: str = ""
 
 
-class _Files(dict):
-    """``outputs[name]``: the text of the file ``name`` in ``work``."""
-
-    def __init__(self, work: Path) -> None:
-        super().__init__()
-        self.work = work
-
-    def __missing__(self, name: str) -> str:
-        return (self.work / name).read_text(encoding="utf-8")
-
-
 def clean_env(pythonpath: str) -> dict[str, str]:
-    """This process's environment without :data:`SWITCHES`, on
-    ``pythonpath``."""
+    """This process's environment without :data:`SWITCHES`, on ``pythonpath``."""
     env = {k: v for k, v in os.environ.items() if k not in SWITCHES}
     env["PYTHONPATH"] = pythonpath
     return env
@@ -122,14 +109,25 @@ def run(command: Command, root: Path, work: Path, env: Mapping[str, str]) -> Non
                          f"not {command.exit}: {' | '.join(tail)}")
 
 
-def run_row(row: Smoke, root: Path = ROOT) -> None:
-    """Every command of ``row``, then its check; raises :class:`Failed`."""
-    env = clean_env(str(root / "src"))
+def run_row(row: Smoke) -> None:
+    """Every command of ``row``, then its check over the files they
+    wrote; raises :class:`Failed`. A failing row first prints the last
+    30 lines of each stdout file, each cut at 200 characters."""
+    env = clean_env(str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix=f"smoke-{row.name}-") as scratch:
         work = Path(scratch)
-        for command in row.commands:
-            run(command, root, work, env)
-        row.check(_Files(work))
+        try:
+            for command in row.commands:
+                run(command, ROOT, work, env)
+            row.check({path.name: path.read_text(errors="replace")
+                       for path in work.iterdir() if path.is_file()})
+        except Exception:
+            for name in dict.fromkeys(c.stdout for c in row.commands if c.stdout):
+                if (work / name).is_file():
+                    tail = (work / name).read_text(errors="replace").splitlines()
+                    print(f"{row.name}: {name}",
+                          *(f"    {line[:200]}" for line in tail[-30:]), sep="\n")
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +192,7 @@ def single_path(outputs: Outputs) -> None:
 
 def resume(outputs: Outputs) -> None:
     recovered = json.loads(outputs["replay.json"])["events"]
-    require(recovered > 0, "killed run left no recoverable events", recovered)
+    require(recovered > 0, "recording run left no recoverable events", recovered)
     one, two = (json.loads(outputs[f"resume-{n}.json"]) for n in (1, 2))
     seen = two["telemetry"]["counters"]
     misses = seen.get("cache.store.sweep_cell.miss", 0)
@@ -220,7 +218,7 @@ def live(outputs: Outputs) -> None:
 
 
 def examples_ran(outputs: Outputs) -> None:
-    silent = [name for name in EXAMPLES if not outputs[f"{name}.txt"].strip()]
+    silent = [c.argv[1] for c in EXAMPLES if not outputs[c.stdout].strip()]
     require(EXAMPLES and not silent, "examples that printed nothing", silent)
 
 
@@ -229,6 +227,15 @@ def examples_ran(outputs: Outputs) -> None:
 # ----------------------------------------------------------------------
 def cmd(*argv: str, **keywords) -> Command:
     return Command(argv, **keywords)
+
+
+def example_commands(root: Path) -> tuple[Command, ...]:
+    """One run of each ``examples/*.py`` of the checkout ``root``."""
+    return tuple(cmd("python", f"examples/{path.name}", stdout=f"{path.name}.txt")
+                 for path in sorted((root / "examples").glob("*.py")))
+
+
+EXAMPLES = example_commands(ROOT)
 
 
 #: Benchmark workload, the ``--trace`` argument CI has always given it,
@@ -296,8 +303,9 @@ SMOKES: tuple[Smoke, ...] = (
                   "--duration", "120", *JSON, stdout=f"tracking-{n}.json",
                   env=STORE))),
           single_path, "tests/experiments/test_execution_paths.py"),
-    Smoke("resume", "a SIGINT-ed sweep leaves a replayable event stream, and "
-          "reruns on its REPRO_STORE recompute no finished cell",
+    Smoke("resume", "a recorded sweep leaves a replayable stream; reruns on "
+          "its store recompute no cell (SIGINT at 15 s hits only a slow run: "
+          "it ends in ~1 s; tests/store/test_resume.py makes the kill)",
           (cmd(*SWEEP, interrupt_s=15, env={
               **STORE, "REPRO_OBS": "1", "REPRO_OBS_EVENTS": "<events.jsonl>"}),
            cmd("python", "-c", REPLAY, "<events.jsonl>", stdout="replay.json"),
@@ -312,8 +320,7 @@ SMOKES: tuple[Smoke, ...] = (
            cmd("python", "-c", REPLAY, "<events.jsonl>", stdout="replay.json")),
           live, "tests/obs/test_live_export.py"),
     Smoke("examples", "the examples are executable documentation; each must run",
-          tuple(cmd("python", f"examples/{name}", stdout=f"{name}.txt")
-                for name in EXAMPLES), examples_ran),
+          EXAMPLES, examples_ran),
 )
 BY_NAME = {row.name: row for row in SMOKES}
 
