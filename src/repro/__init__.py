@@ -66,63 +66,32 @@ path replays the same Section 5 semantics as whole-round numpy batches::
     print(report.hit_rate, report.messages_per_second)
 """
 
-from repro.analysis import (
-    ScenarioParameters,
-    ZipfDistribution,
-    CostModel,
-    SelectionModel,
-    evaluate_strategies,
-    solve_threshold,
-    sweep_frequencies,
-)
-from repro.pdht import (
-    PdhtConfig,
-    PdhtNetwork,
-    QueryOutcome,
-    TtlKeyStore,
-)
-from repro.fastsim import (
-    FastSimKernel,
-    FastSimReport,
-    PerOpCosts,
-    calibrate_costs,
-    compare_engines,
-    run_fastsim,
-)
-from repro.errors import ReproError
-from repro.workloads import WorkloadModel, model_from_name
+from repro._exports import lazy_exports
 
 __version__ = "1.10.0"
 
-from repro.experiments.api import (  # noqa: E402
-    ExperimentResult,
-    ExperimentSpec,
-)
-from repro.experiments.api import run as run_experiment  # noqa: E402
-
-__all__ = [
-    "ScenarioParameters",
-    "ZipfDistribution",
-    "CostModel",
-    "SelectionModel",
-    "evaluate_strategies",
-    "solve_threshold",
-    "sweep_frequencies",
-    "PdhtConfig",
-    "PdhtNetwork",
-    "QueryOutcome",
-    "TtlKeyStore",
-    "FastSimKernel",
-    "FastSimReport",
-    "PerOpCosts",
-    "calibrate_costs",
-    "compare_engines",
-    "run_fastsim",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "run_experiment",
-    "WorkloadModel",
-    "model_from_name",
-    "ReproError",
-    "__version__",
-]
+# Names resolve on first use: ``import repro`` loads no subpackage.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis": (
+        "ScenarioParameters",
+        "ZipfDistribution",
+        "CostModel",
+        "SelectionModel",
+        "evaluate_strategies",
+        "solve_threshold",
+        "sweep_frequencies",
+    ),
+    "repro.pdht": ("PdhtConfig", "PdhtNetwork", "QueryOutcome", "TtlKeyStore"),
+    "repro.fastsim": (
+        "FastSimKernel",
+        "FastSimReport",
+        "PerOpCosts",
+        "calibrate_costs",
+        "compare_engines",
+        "run_fastsim",
+    ),
+    "repro.experiments": ("ExperimentResult", "ExperimentSpec", "run_experiment"),
+    "repro.workloads": ("WorkloadModel", "model_from_name"),
+    "repro.errors": ("ReproError",),
+})
+__all__.append("__version__")

@@ -23,63 +23,41 @@ Equation  Implementation
 ========  =====================================================
 """
 
-from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.zipf import ZipfDistribution
-from repro.analysis.costs import (
-    CostModel,
-    c_routing_maintenance,
-    c_search_index,
-    c_search_index_with_replicas,
-    c_search_unstructured,
-    c_update,
-)
-from repro.analysis.threshold import IndexThreshold, f_min, solve_threshold
-from repro.analysis.strategies import (
-    StrategyCosts,
-    cost_index_all,
-    cost_no_index,
-    cost_partial_ideal,
-    evaluate_strategies,
-)
-from repro.analysis.selection_model import (
-    SelectionModel,
-    SelectionOutcome,
-    selection_outcome,
-)
-from repro.analysis.optimal import (
-    OptimalPartialIndex,
-    optimal_key_ttl,
-    optimal_max_rank,
-)
-from repro.analysis.sensitivity import KeyTtlSensitivity, sweep_keyttl_error
-from repro.analysis.sweep import FrequencySweep, PAPER_FREQUENCIES, sweep_frequencies
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ScenarioParameters",
-    "ZipfDistribution",
-    "CostModel",
-    "c_routing_maintenance",
-    "c_search_index",
-    "c_search_index_with_replicas",
-    "c_search_unstructured",
-    "c_update",
-    "IndexThreshold",
-    "f_min",
-    "solve_threshold",
-    "StrategyCosts",
-    "cost_index_all",
-    "cost_no_index",
-    "cost_partial_ideal",
-    "evaluate_strategies",
-    "SelectionModel",
-    "SelectionOutcome",
-    "selection_outcome",
-    "OptimalPartialIndex",
-    "optimal_key_ttl",
-    "optimal_max_rank",
-    "KeyTtlSensitivity",
-    "sweep_keyttl_error",
-    "FrequencySweep",
-    "PAPER_FREQUENCIES",
-    "sweep_frequencies",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.parameters": ("ScenarioParameters",),
+    "repro.analysis.zipf": ("ZipfDistribution",),
+    "repro.analysis.costs": (
+        "CostModel",
+        "c_routing_maintenance",
+        "c_search_index",
+        "c_search_index_with_replicas",
+        "c_search_unstructured",
+        "c_update",
+    ),
+    "repro.analysis.threshold": ("IndexThreshold", "f_min", "solve_threshold"),
+    "repro.analysis.strategies": (
+        "StrategyCosts",
+        "cost_index_all",
+        "cost_no_index",
+        "cost_partial_ideal",
+        "evaluate_strategies",
+    ),
+    "repro.analysis.selection_model": (
+        "SelectionModel",
+        "SelectionOutcome",
+        "selection_outcome",
+    ),
+    "repro.analysis.optimal": (
+        "OptimalPartialIndex",
+        "optimal_key_ttl",
+        "optimal_max_rank",
+    ),
+    "repro.analysis.sensitivity": ("KeyTtlSensitivity", "sweep_keyttl_error"),
+    "repro.analysis.sweep": (
+        "FrequencySweep",
+        "PAPER_FREQUENCIES",
+        "sweep_frequencies",
+    ),
+})

@@ -12,13 +12,10 @@ in each member's :class:`~repro.pdht.ttl_cache.TtlKeyStore`.
 maintenance whose cost is the ``env`` constant of Eq. 8 [MaCa03].
 """
 
-from repro.dht.keyspace import KeySpace
-from repro.dht.pgrid import LookupResult, PGridDht
-from repro.dht.maintenance import RoutingMaintenance
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LookupResult",
-    "KeySpace",
-    "PGridDht",
-    "RoutingMaintenance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dht.pgrid": ("LookupResult", "PGridDht"),
+    "repro.dht.keyspace": ("KeySpace",),
+    "repro.dht.maintenance": ("RoutingMaintenance",),
+})

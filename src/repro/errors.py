@@ -76,3 +76,11 @@ def require_finite(name: str, value: object, minimum: float) -> None:
         raise ParameterError(
             f"{name} must be a finite number >= {minimum:g}, got {value!r}"
         )
+
+
+def require_key_ttl(value: object) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is a keyTtl: a real
+    number (a numpy one included, a boolean not) of at least 0, where
+    ``inf`` means an entry never expires; NaN is not."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not value >= 0:
+        raise ParameterError(f"key_ttl must be a number >= 0, got {value!r}")

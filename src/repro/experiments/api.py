@@ -42,6 +42,7 @@ from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional
 
+import repro
 from repro import obs
 from repro.obs.clock import perf_counter
 from repro.analysis.parameters import ScenarioParameters
@@ -635,9 +636,6 @@ def run(name: str, **overrides: object) -> ExperimentResult:
         else:
             figure, replication = _execute(ctx)
     wall_clock = perf_counter() - started
-
-    import repro  # late: repro/__init__ imports this module at its end
-
     return ExperimentResult(
         name=spec.name,
         title=spec.title,

@@ -41,7 +41,7 @@ from repro.fastsim.compare import probe_substrates_built, staleness_probe_event
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import SimulatedStrategy, StrategyReport
+from repro.pdht.strategies import StrategyReport
 from repro.workloads.models import WorkloadModel
 
 __all__ = ["Cell", "CellWorkload", "Execution", "StalenessReading"]
@@ -157,9 +157,11 @@ class Cell:
         with obs.span("strategy.run"), _long_lived(self._substrate) as strategy:
             return strategy.run(self.duration, window=self.window)
 
-    def _substrate(self) -> SimulatedStrategy:
+    def _substrate(self) -> "SimulatedStrategy":
         """The strategy on its finished substrate: content placed, index
         preloaded, nothing queried yet."""
+        from repro.pdht.strategies import SimulatedStrategy
+
         strategy = SimulatedStrategy(
             self.params, config=self.config, strategy=self.strategy,
             seed=self.seed, churn=self.churn,

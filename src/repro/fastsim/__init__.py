@@ -44,73 +44,39 @@ Select it anywhere the experiment harness runs simulations via
 ``engine="vectorized"`` (see :mod:`repro.experiments.scenario`).
 """
 
-from repro.fastsim.churncosts import (
-    ChurnOpCosts,
-    structural_flood_cost,
-    structural_walk_costs,
-)
-from repro.fastsim.compare import (
-    CALIBRATION_LIMIT,
-    EngineAgreement,
-    calibrate_churn_costs,
-    calibrate_costs,
-    calibration_cache_stats,
-    churn_config_for_availability,
-    churn_costs_for,
-    compare_engines,
-    compare_engines_churn,
-    compare_engines_staleness,
-    costs_for,
-    staleness_probe_event,
-    staleness_probe_fast,
-)
-from repro.fastsim.kernel import (
-    FastSimKernel,
-    PerOpCosts,
-    run_fastsim,
-)
-from repro.fastsim.metrics import FastSimReport, WindowRecorder
-from repro.fastsim.parallel import (
-    FastSimJob,
-    pack_jobs,
-    resolve_jobs,
-    resolve_worker_count,
-    run_many,
-)
-from repro.fastsim.shm import ShmArena, SharedArrayRef, leaked_segments
-from repro.fastsim.state import FastSimState
-from repro.fastsim.workload import BatchWorkload
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FastSimState",
-    "BatchWorkload",
-    "PerOpCosts",
-    "ChurnOpCosts",
-    "FastSimKernel",
-    "run_fastsim",
-    "FastSimReport",
-    "WindowRecorder",
-    "FastSimJob",
-    "pack_jobs",
-    "resolve_jobs",
-    "resolve_worker_count",
-    "run_many",
-    "ShmArena",
-    "SharedArrayRef",
-    "leaked_segments",
-    "EngineAgreement",
-    "CALIBRATION_LIMIT",
-    "calibrate_costs",
-    "calibrate_churn_costs",
-    "calibration_cache_stats",
-    "churn_config_for_availability",
-    "churn_costs_for",
-    "costs_for",
-    "compare_engines",
-    "compare_engines_churn",
-    "compare_engines_staleness",
-    "staleness_probe_event",
-    "staleness_probe_fast",
-    "structural_flood_cost",
-    "structural_walk_costs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fastsim.state": ("FastSimState",),
+    "repro.fastsim.workload": ("BatchWorkload",),
+    "repro.fastsim.kernel": ("PerOpCosts", "FastSimKernel", "run_fastsim"),
+    "repro.fastsim.churncosts": (
+        "ChurnOpCosts",
+        "structural_flood_cost",
+        "structural_walk_costs",
+    ),
+    "repro.fastsim.metrics": ("FastSimReport", "WindowRecorder"),
+    "repro.fastsim.parallel": (
+        "FastSimJob",
+        "pack_jobs",
+        "resolve_jobs",
+        "resolve_worker_count",
+        "run_many",
+    ),
+    "repro.fastsim.shm": ("ShmArena", "SharedArrayRef", "leaked_segments"),
+    "repro.fastsim.compare": (
+        "EngineAgreement",
+        "CALIBRATION_LIMIT",
+        "calibrate_costs",
+        "calibrate_churn_costs",
+        "calibration_cache_stats",
+        "churn_config_for_availability",
+        "churn_costs_for",
+        "costs_for",
+        "compare_engines",
+        "compare_engines_churn",
+        "compare_engines_staleness",
+        "staleness_probe_event",
+        "staleness_probe_fast",
+    ),
+})

@@ -45,7 +45,6 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
 from repro.fastsim.precision import INDEX_DTYPE
 from repro.pdht.config import PdhtConfig
-from repro.replication.replica_network import group_rows
 
 __all__ = [
     "conditional_walk_failure",
@@ -241,6 +240,8 @@ def structural_flood_cost(
         raise ParameterError(f"probes must be >= 1, got {probes}")
     if group_size == 1:
         return 0.0
+    from repro.replication.replica_network import group_rows
+
     adjacency = group_rows(group_size, degree, rng)
     totals = 0.0
     for _ in range(probes):

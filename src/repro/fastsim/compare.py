@@ -42,10 +42,8 @@ from repro.fastsim.kernel import PerOpCosts, run_fastsim
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.network import PdhtNetwork
-from repro.pdht.strategies import SimulatedStrategy, key_name
+from repro.pdht.strategies import key_name
 from repro.sim.engine import whole_rounds
-from repro.workloads.models import StationaryZipf
 
 __all__ = [
     "CALIBRATION_LIMIT",
@@ -106,8 +104,10 @@ def probe_substrates_built() -> int:
     return _probe_substrates
 
 
-def _probe_network(*args, **kwargs) -> PdhtNetwork:
+def _probe_network(*args, **kwargs) -> "PdhtNetwork":
     """The substrate a probe measures on, counted."""
+    from repro.pdht.network import PdhtNetwork
+
     global _probe_substrates
     _probe_substrates += 1
     return PdhtNetwork(*args, **kwargs)
@@ -379,6 +379,7 @@ def _calibrate_churn_costs_probe(
     model: "WorkloadModel | None",
 ) -> ChurnOpCosts:
     from repro.sim.metrics import MessageCategory
+    from repro.workloads.models import StationaryZipf
 
     if not churn.enabled:
         raise ParameterError(
@@ -948,9 +949,11 @@ def _event_model_strategy(
     seed: int,
     model,
     churn: Optional[ChurnConfig] = None,
-) -> SimulatedStrategy:
+) -> "SimulatedStrategy":
     """A selection strategy driving a workload-model stream (or the
     default stationary stream when ``model`` is None)."""
+    from repro.pdht.strategies import SimulatedStrategy
+
     strategy = SimulatedStrategy(
         params, config=config, strategy="partialSelection", seed=seed,
         churn=churn,
@@ -1124,6 +1127,9 @@ def staleness_probe_event(
     ``figures.staleness_experiment`` historically ran inline, factored
     here so figure generation and cross-engine checks share it.
     """
+    from repro.pdht.network import PdhtNetwork
+    from repro.workloads.models import StationaryZipf
+
     rounds = whole_rounds(duration)
     require_period("refresh_period", refresh_period)
     zipf = ZipfDistribution(params.n_keys, params.alpha)

@@ -32,16 +32,16 @@ file handle or a lambda hook would not. Results come back in job order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
 from repro import obs
 from repro.obs import events as obs_events
 from repro.analysis.parameters import ScenarioParameters
+from repro.analysis.selection_model import selection_outcomes
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
-from repro.fastsim import shm
 from repro.fastsim.churncosts import ChurnOpCosts
 from repro.fastsim.inputs import RoundInputs
 from repro.fastsim.kernel import FastSimKernel, PerOpCosts, strategy_setup
@@ -96,14 +96,19 @@ class FastSimJob:
         :class:`~repro.fastsim.shm.SharedArrayRef` placeholders mapped
         back in as read-only views first (cached per process, so a reused
         pool worker attaches each segment once); any other workload
-        passes through untouched.
+        passes through untouched. Before :mod:`~repro.fastsim.shm` is
+        loaded no placeholder can exist, so there is nothing to map.
         """
+        workload = self.workload
+        shm = sys.modules.get("repro.fastsim.shm")
+        if shm is not None:
+            workload = shm.restore_arrays(workload)
         return FastSimKernel(
             self.params,
             config=self.config,
             strategy=self.strategy,
             seed=self.seed,
-            workload=shm.restore_arrays(self.workload),
+            workload=workload,
             churn=self.churn,
             costs=self.costs,
             churn_costs=self.churn_costs,
@@ -141,12 +146,21 @@ def resolve_jobs(jobs: Sequence[FastSimJob]) -> list[FastSimJob]:
     the kernel would call, whose counted caches deduplicate identical
     scenarios across jobs — and the resolved frozen dataclasses ride
     along in the spec. Workers just simulate.
+
+    The Eq. 14-17 outcomes the policies read are planned first, one
+    keyTtl column per scenario (:func:`selection_outcomes`): the columns
+    share the keyTtl-independent part of the model, churned or not.
     """
     from repro.fastsim.compare import resolve_costs
 
+    configs = [job.config or PdhtConfig.from_scenario(job.params) for job in jobs]
+    columns: dict[ScenarioParameters, dict[float, None]] = {}
+    for job, config in zip(jobs, configs):
+        columns.setdefault(job.params, {})[config.key_ttl] = None
+    for params, key_ttls in columns.items():
+        selection_outcomes(params, key_ttls)
     resolved: list[FastSimJob] = []
-    for job in jobs:
-        config = job.config or PdhtConfig.from_scenario(job.params)
+    for job, config in zip(jobs, configs):
         policy = strategy_setup(job.params, config, job.strategy)
         costs, churn_costs = resolve_costs(
             job.params, config, policy.num_members, job.seed, job.churn,
@@ -176,7 +190,7 @@ def job_key(job: FastSimJob) -> str:
 
 
 def pack_jobs(
-    jobs: Sequence[FastSimJob], arena: "shm.ShmArena"
+    jobs: Sequence[FastSimJob], arena: "ShmArena"
 ) -> list[FastSimJob]:
     """Stage every job's large workload arrays into shared memory.
 
@@ -195,6 +209,8 @@ def pack_jobs(
     packing is an execution detail and must never enter a job's artifact
     identity.
     """
+    from repro.fastsim import shm
+
     zipfs: dict[tuple[int, float], ZipfDistribution] = {}
     identities: dict[int, Any] = {}
     packed: list[FastSimJob] = []
@@ -352,6 +368,13 @@ def fan_out(
             obs.sample_peak_rss("worker")
         return
     record = telemetry and obs_events.recording()
+    # Loaded here, not at import: only a fan-out over several processes
+    # needs a pool. numpy.random is loaded before the fork for the same
+    # reason a worker would load it: every kernel run draws.
+    from concurrent.futures import ProcessPoolExecutor
+
+    import numpy.random  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         for position, (result, snapshot, worker_events) in enumerate(
             pool.map(_run_unit, [(unit, telemetry, record) for unit in units])
@@ -423,11 +446,11 @@ def run_many(
             reports[index] = store.load_report(keys[index])
     pending = [i for i, report in enumerate(reports) if report is None]
     shipped = [resolved[i] for i in pending]
-    arena = (
-        shm.ShmArena()
-        if shared_memory and _pool_size(workers, len(pending)) > 1
-        else None
-    )
+    arena = None
+    if shared_memory and _pool_size(workers, len(pending)) > 1:
+        from repro.fastsim.shm import ShmArena
+
+        arena = ShmArena()
     try:
         if arena is not None:
             # Staged jobs run alone: packing is per job.

@@ -8,20 +8,12 @@ the churn process that drives peers on- and offline
 (:mod:`repro.net.churn`).
 """
 
-from repro.net.node import Peer, PeerId, PeerPopulation
-from repro.net.topology import GnutellaTopology
-from repro.net.messages import Message, MessageKind
-from repro.net.churn import ChurnConfig, ChurnProcess
-from repro.net.bootstrap import GatewayCache
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Peer",
-    "PeerId",
-    "PeerPopulation",
-    "GnutellaTopology",
-    "Message",
-    "MessageKind",
-    "ChurnConfig",
-    "ChurnProcess",
-    "GatewayCache",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.node": ("Peer", "PeerId", "PeerPopulation"),
+    "repro.net.topology": ("GnutellaTopology",),
+    "repro.net.messages": ("Message", "MessageKind"),
+    "repro.net.churn": ("ChurnConfig", "ChurnProcess"),
+    "repro.net.bootstrap": ("GatewayCache",),
+})

@@ -20,22 +20,13 @@ Layout:
   :class:`~repro.analysis.strategies.StrategyPolicy`.
 """
 
-from repro.pdht.config import PdhtConfig
-from repro.pdht.ttl_cache import IndexRecord, TtlKeyStore
-from repro.pdht.selection import SelectionPolicy, SelectionStats
-from repro.pdht.node import PdhtNode
-from repro.pdht.network import PdhtNetwork, QueryOutcome
-from repro.pdht.strategies import SimulatedStrategy, StrategyReport
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PdhtConfig",
-    "IndexRecord",
-    "TtlKeyStore",
-    "SelectionPolicy",
-    "SelectionStats",
-    "PdhtNode",
-    "PdhtNetwork",
-    "QueryOutcome",
-    "SimulatedStrategy",
-    "StrategyReport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.pdht.config": ("PdhtConfig",),
+    "repro.pdht.ttl_cache": ("IndexRecord", "TtlKeyStore"),
+    "repro.pdht.selection": ("SelectionPolicy", "SelectionStats"),
+    "repro.pdht.node": ("PdhtNode",),
+    "repro.pdht.network": ("PdhtNetwork", "QueryOutcome"),
+    "repro.pdht.strategies": ("SimulatedStrategy", "StrategyReport"),
+})

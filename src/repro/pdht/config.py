@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.threshold import solve_threshold
-from repro.errors import ParameterError, require_count
+from repro.errors import require_count, require_key_ttl
 
 __all__ = ["PdhtConfig"]
 
@@ -54,8 +54,7 @@ class PdhtConfig:
     enforce_capacity: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
-        if not self.key_ttl >= 0:  # NaN too
-            raise ParameterError(f"key_ttl must be >= 0, got {self.key_ttl}")
+        require_key_ttl(self.key_ttl)
         for name in ("replication", "overlay_degree", "walkers", "walk_ttl",
                      "replica_degree"):
             require_count(name, getattr(self, name), 1)

@@ -32,7 +32,6 @@ from repro.errors import ParameterError, require_finite
 from repro.net.churn import ChurnConfig
 from repro.obs.clock import perf_counter
 from repro.pdht.config import PdhtConfig
-from repro.pdht.network import PdhtNetwork
 from repro.sim.engine import whole_rounds
 from repro.sim.metrics import MessageCategory
 
@@ -174,6 +173,10 @@ class SimulatedStrategy:
         base_config = config or PdhtConfig.from_scenario(params)
         self.policy = strategy_setup(params, base_config, strategy)
         self.config = base_config.with_ttl(self.policy.key_ttl)
+        # Imported here: the report, the recorder and key_name above are
+        # the kernel's too, and it never builds the event substrate.
+        from repro.pdht.network import PdhtNetwork
+
         # Telemetry names each phase of a run under the caller's span; it
         # reads the clock around the phase and never a random stream.
         with obs.span("strategy.build"):

@@ -8,6 +8,8 @@ implements that subnetwork. Under the Section 5 selection algorithm it is
 charge an update as Eq. 9's lookup plus one such flood.
 """
 
-from repro.replication.replica_network import ReplicaNetwork
+from repro._exports import lazy_exports
 
-__all__ = ["ReplicaNetwork"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.replication.replica_network": ("ReplicaNetwork",),
+})

@@ -13,14 +13,10 @@ everything else builds on:
   the cost unit of the paper.
 """
 
-from repro.sim.engine import Event, Simulation
-from repro.sim.metrics import MessageCategory, MessageMetrics
-from repro.sim.rng import RandomStreams
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "Simulation",
-    "MessageCategory",
-    "MessageMetrics",
-    "RandomStreams",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Event", "Simulation"),
+    "repro.sim.metrics": ("MessageCategory", "MessageMetrics"),
+    "repro.sim.rng": ("RandomStreams",),
+})

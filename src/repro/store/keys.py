@@ -34,6 +34,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import sys
 from typing import Any, Mapping, Optional
 
 from repro.store.schema import ARTIFACT_SCHEMA_REVS
@@ -77,7 +78,10 @@ def canonical(value: Any) -> Any:
         return canonical(value.item())
     if isinstance(value, np.ndarray):
         return [canonical(item) for item in value.tolist()]
-    if isinstance(value, np.random.Generator):
+    # Read from sys.modules, not imported: with numpy.random unloaded no
+    # Generator exists, and keying a job must not load it.
+    random = sys.modules.get("numpy.random")
+    if random is not None and isinstance(value, random.Generator):
         return {
             "__rng__": _qualname(value.bit_generator),
             "state": canonical(value.bit_generator.state),

@@ -21,6 +21,7 @@ explicit handle is passed. It resolves, in priority order:
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from typing import Any, Iterator, Mapping, Optional
 
@@ -64,12 +65,21 @@ class Store:
         obs.count(f"cache.store.{kind}.{outcome}")
 
     def load(self, kind: str, key: str) -> Optional[dict[str, Any]]:
-        """The payload stored under ``key``, counting hit/miss for ``kind``."""
+        """The payload stored under ``key``, counting hit/miss for ``kind``.
+
+        A row that does not decode (a write cut short) is a miss, counted
+        once more as ``cache.store.corrupt``: the caller recomputes and
+        its save overwrites the row.
+        """
         text = self.db.get(key)
-        self._record(kind, hit=text is not None)
-        if text is None:
-            return None
-        return serialize.loads(text, _PAYLOAD_TYPES[kind])
+        payload = None
+        if text is not None:
+            try:
+                payload = serialize.loads(text, _PAYLOAD_TYPES[kind])
+            except json.JSONDecodeError:
+                obs.count("cache.store.corrupt")
+        self._record(kind, hit=payload is not None)
+        return payload
 
     def save(self, kind: str, key: str, payload: dict[str, Any]) -> None:
         from repro import __version__

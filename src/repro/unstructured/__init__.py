@@ -7,14 +7,10 @@ answered by multiple random walks (:mod:`repro.unstructured.random_walk`,
 the [LvCa02] algorithm the paper assumes instead of flooding).
 """
 
-from repro.unstructured.overlay import UnstructuredOverlay
-from repro.unstructured.replication import ContentReplicator, ReplicaPlacement
-from repro.unstructured.random_walk import RandomWalkSearch, WalkResult
+from repro._exports import lazy_exports
 
-__all__ = [
-    "UnstructuredOverlay",
-    "ContentReplicator",
-    "ReplicaPlacement",
-    "RandomWalkSearch",
-    "WalkResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.unstructured.overlay": ("UnstructuredOverlay",),
+    "repro.unstructured.replication": ("ContentReplicator", "ReplicaPlacement"),
+    "repro.unstructured.random_walk": ("RandomWalkSearch", "WalkResult"),
+})

@@ -38,35 +38,26 @@ grid's ``GridAxes.workloads`` axis, and the runner's ``--workload`` flag
 (``trace:<path>`` replays a saved trace).
 """
 
-from repro.workloads.adapters import BatchTraceWorkload, ModelBatchWorkload
-from repro.workloads.models import (
-    WORKLOAD_MODEL_NAMES,
-    DiurnalCycle,
-    FlashCrowd,
-    GradualDrift,
-    RankSwap,
-    StationaryZipf,
-    TraceReplay,
-    WorkloadModel,
-    model_from_name,
-    validate_workload_name,
-)
-from repro.workloads.trace import QueryEvent, QueryTrace, record_trace
+from repro._exports import lazy_exports
 
-__all__ = [
-    "WorkloadModel",
-    "StationaryZipf",
-    "RankSwap",
-    "GradualDrift",
-    "FlashCrowd",
-    "DiurnalCycle",
-    "TraceReplay",
-    "WORKLOAD_MODEL_NAMES",
-    "model_from_name",
-    "validate_workload_name",
-    "ModelBatchWorkload",
-    "BatchTraceWorkload",
-    "QueryEvent",
-    "QueryTrace",
-    "record_trace",
-]
+# Eager on purpose: importing the package loads every BatchWorkload
+# subclass it defines, so a walk of BatchWorkload.__subclasses__() finds
+# them (benchmarks/e2e wraps their draw methods that way).
+from repro.workloads import adapters  # noqa: F401
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.models": (
+        "WorkloadModel",
+        "StationaryZipf",
+        "RankSwap",
+        "GradualDrift",
+        "FlashCrowd",
+        "DiurnalCycle",
+        "TraceReplay",
+        "WORKLOAD_MODEL_NAMES",
+        "model_from_name",
+        "validate_workload_name",
+    ),
+    "repro.workloads.adapters": ("ModelBatchWorkload", "BatchTraceWorkload"),
+    "repro.workloads.trace": ("QueryEvent", "QueryTrace", "record_trace"),
+})

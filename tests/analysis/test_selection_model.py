@@ -10,7 +10,11 @@ import pytest
 
 from repro.analysis import threshold
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import SelectionModel, selection_outcome
+from repro.analysis.selection_model import (
+    SelectionModel,
+    selection_outcome,
+    selection_outcomes,
+)
 from repro.analysis.strategies import cost_index_all, cost_no_index
 from repro.analysis.threshold import solve_threshold
 from repro.analysis.zipf import ZipfDistribution, rank_probabilities
@@ -206,6 +210,24 @@ class TestPlanningFootprint:
         assert stats["zipf_probs"]["size"] == 1
         assert "zipf_weights" not in stats
 
+    def test_a_column_holds_two_buffers_and_keeps_none(self):
+        params = ScenarioParameters(
+            num_peers=60_000, n_keys=123_457, alpha=1.1, query_freq=1 / 3600
+        )
+        probs = rank_probabilities(params.n_keys, params.alpha)
+        selection_outcome.cache_clear()
+        tracemalloc.start()
+        try:
+            outcomes = selection_outcomes(params, [10.0, 500.0, float("inf")])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 64 * 1024
+        assert len(outcomes) == 3
+        # The prefix and one working buffer, released on return.
+        assert 2 * probs.nbytes < peak < 3 * probs.nbytes
+        assert held < slack
+
 
 class TestSelectionOutcomeCache:
     def test_equals_the_model_it_memoises(self, small_params):
@@ -241,3 +263,49 @@ class TestSelectionOutcomeCache:
     def test_negative_ttl_rejected(self, small_params):
         with pytest.raises(ParameterError):
             selection_outcome(small_params, -1.0)
+
+
+class TestSelectionOutcomes:
+    def test_a_column_fills_the_per_pair_cache(self, small_params):
+        selection_outcome.cache_clear()
+        column = selection_outcomes(small_params, [0.0, 37.5, 37.5, float("inf")])
+        info = selection_outcome.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
+        assert column[1] is column[2]
+        # The column's pairs are now hits, evaluated nowhere else.
+        assert selection_outcome(small_params, 37.5) is column[1]
+        assert selection_outcome.cache_info().misses == 3
+
+    def test_a_cached_pair_is_not_evaluated_again(self, small_params):
+        selection_outcome.cache_clear()
+        first = selection_outcome(small_params, 80.0)
+        assert selection_outcomes(small_params, [80.0])[0] is first
+        info = selection_outcome.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+#: keyTtls no reader accepts: NaN, a boolean, a non-number, negatives.
+BAD_KEY_TTLS = [float("nan"), True, False, "100", None, -1.0, -1e-9]
+
+
+class TestKeyTtlValidation:
+    @pytest.mark.parametrize("key_ttl", [0, 2.5, np.float64(80.0), float("inf")])
+    def test_a_real_number_at_least_zero_is_a_key_ttl(self, small_params, key_ttl):
+        model = SelectionModel(small_params, key_ttl=key_ttl)
+        assert model.key_ttl == float(key_ttl)
+        assert selection_outcomes(small_params, [key_ttl])[0] == model.outcome()
+
+    @pytest.mark.parametrize("key_ttl", [t for t in BAD_KEY_TTLS if t is not None])
+    def test_the_model_rejects(self, small_params, key_ttl):
+        with pytest.raises(ParameterError):
+            SelectionModel(small_params, key_ttl=key_ttl)
+        if not isinstance(key_ttl, bool):  # True is a cache hit on 1.0
+            with pytest.raises(ParameterError):
+                selection_outcome(small_params, key_ttl)
+
+    @pytest.mark.parametrize("key_ttl", BAD_KEY_TTLS)
+    def test_a_column_rejects_before_evaluating_any(self, small_params, key_ttl):
+        selection_outcome.cache_clear()
+        with pytest.raises(ParameterError):
+            selection_outcomes(small_params, [50.0, key_ttl])
+        assert selection_outcome.cache_info().misses == 0

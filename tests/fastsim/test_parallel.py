@@ -23,11 +23,13 @@ from repro.fastsim.parallel import (
 from repro.fastsim.shm import MIN_SHARE_BYTES, leaked_segments
 from repro.workloads import ModelBatchWorkload, StationaryZipf
 from repro.obs import events as obs_events
+from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.store import Store
 
 SCALE = 0.02
 DURATION = 40.0
+CHURN = ChurnConfig(mean_session=1800.0, mean_offline=1800.0)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,37 @@ class TestResolveJobs:
             assert job.costs == costs_for(
                 job.params, job.config, policy.num_members
             )
+
+    def test_one_eq14_prefix_per_scenario_for_all_its_key_ttls(
+        self, monkeypatch
+    ):
+        from repro.analysis import selection_model
+
+        prefixes = []
+        real = selection_model._log_absence
+
+        def counted(probs, rate):
+            prefixes.append(rate)
+            return real(probs, rate)
+
+        monkeypatch.setattr(selection_model, "_log_absence", counted)
+        selection_model.selection_outcome.cache_clear()
+        # Above the calibration limit: analytical costs, no substrate.
+        busy = simulation_scenario(scale=0.3)
+        quiet = busy.with_query_freq(1 / 600)
+        jobs = []
+        for params in (busy, quiet):
+            config = PdhtConfig.from_scenario(params)
+            # A churned cell plans in its scenario's column too.
+            for factor, churn in ((0.5, None), (1.0, None), (2.0, CHURN)):
+                jobs.append(FastSimJob(
+                    params, seed=0, duration=10.0, churn=churn,
+                    config=config.with_ttl(config.key_ttl * factor),
+                ))
+        resolve_jobs(jobs)
+        assert prefixes == [busy.network_query_rate, quiet.network_query_rate]
+        info = selection_model.selection_outcome.cache_info()
+        assert info.misses == 6  # one evaluation per scenario and keyTtl
 
     def test_jobs_are_picklable_once_resolved(self, strategy_jobs):
         for job in resolve_jobs(strategy_jobs):

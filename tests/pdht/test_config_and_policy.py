@@ -61,6 +61,13 @@ class TestPdhtConfig:
         with pytest.raises(ParameterError):
             PdhtConfig(**kwargs)
 
+    @pytest.mark.parametrize("key_ttl", [True, False, "1800", None, float("nan")])
+    def test_key_ttl_is_a_number(self, key_ttl):
+        with pytest.raises(ParameterError):
+            PdhtConfig(key_ttl=key_ttl)
+        with pytest.raises(ParameterError):
+            PdhtConfig().with_ttl(key_ttl)
+
     def test_infinite_key_ttl_and_numpy_integers_accepted(self):
         config = PdhtConfig(
             key_ttl=float("inf"), walkers=np.int64(4), walk_ttl=np.int32(64)

@@ -28,6 +28,10 @@ Mutations of ``src/`` these tests were run against, and what failed:
   sweep-grid rows;
 * no ``probT = 0`` guard at ``keyTtl = inf``: the ``fQry = 0`` examples
   (NaN != 0.0, and ``total_cost()`` raises).
+
+A keyTtl column (``selection_outcomes``) shares one prefix between its
+keyTtls and must equal each keyTtl's single model, ``==`` again:
+``test_column_equals_each_single_model``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import SelectionModel
+from repro.analysis.selection_model import (
+    SelectionModel,
+    selection_outcome,
+    selection_outcomes,
+)
 from repro.analysis.threshold import IndexThreshold, _solve, f_min
 from repro.analysis.zipf import ZipfDistribution
 
@@ -188,3 +196,18 @@ def test_sweep_grid_scenarios_equal_reference(alpha, query_freq):
     key_ttl = reference_solve(params).key_ttl
     for ttl in (key_ttl, 0.5 * key_ttl, 2.0 * key_ttl):
         _assert_planning_equal(params, ttl)
+
+
+@given(params=scenarios(), column=st.lists(key_ttls, min_size=1, max_size=6))
+@example(params=SMALL.with_query_freq(0.0), column=[0.0, 2.5, 1e12, INF])
+@example(params=SMALL, column=[0.0, 0.5, 2.5, 1e12, INF, 2.5])
+@example(  # rank^-alpha underflows to 0 for the tail: probT = 0 there
+    params=dataclasses.replace(SMALL, n_keys=2_000, alpha=120.0),
+    column=[INF, 3.0],
+)
+@settings(max_examples=100, deadline=None)
+def test_column_equals_each_single_model(params, column):
+    selection_outcome.cache_clear()  # every pair is evaluated in the column
+    assert selection_outcomes(params, column) == [
+        SelectionModel(params, key_ttl=key_ttl).outcome() for key_ttl in column
+    ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 from dataclasses import replace
 
 import pytest
@@ -280,3 +281,42 @@ class TestRunnerFlags:
 
         with pytest.raises(SystemExit):
             main(["staleness", "--store", "x.sqlite", "--no-store"])
+
+
+class TestCorruptRow:
+    def test_a_truncated_cell_is_a_counted_miss_and_its_row_rewritten(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.experiments import sweeps
+        from repro.experiments.runner import main
+
+        path = tmp_path / "artifacts.sqlite"
+        args = ["sweep", "--scale", "0.3", "--duration", "20",
+                "--format", "json", "--store", str(path)]
+        assert main(args) == 0
+        clean = json.loads(capsys.readouterr().out)
+        db = sqlite3.connect(path)
+        key, payload = db.execute(
+            "SELECT key, payload FROM artifacts WHERE kind = 'sweep_cell' "
+            "ORDER BY key LIMIT 1"
+        ).fetchone()
+        with db:
+            db.execute("UPDATE artifacts SET payload = ? WHERE key = ?",
+                       (payload[: len(payload) // 2], key))
+        # The rerun reads the store, not this process's grid cache.
+        monkeypatch.setattr(sweeps, "_GRID_CACHE", {})
+        assert main(args + ["--profile"]) == 0
+        rerun = json.loads(capsys.readouterr().out)
+        counters = rerun["telemetry"]["counters"]
+        assert rerun["figure"] == clean["figure"]
+        assert counters["cache.store.corrupt"] == 1
+        assert counters["cache.store.sweep_cell.miss"] == 1
+        assert counters["cache.store.sweep_cell.hit"] == 17
+        (rewritten,) = db.execute(
+            "SELECT payload FROM artifacts WHERE key = ?", (key,)
+        ).fetchone()
+        db.close()
+        rewritten, payload = json.loads(rewritten), json.loads(payload)
+        assert rewritten.pop("elapsed_seconds") > 0  # wall clock: recomputed
+        payload.pop("elapsed_seconds")
+        assert rewritten == payload

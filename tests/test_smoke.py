@@ -101,10 +101,12 @@ FIXTURES = {
          {"tracking-second.json": _run_json(TRACKING, figure={"b": [2.0]})}],
     ),
     "resume": (
-        {"replay.json": _replay(),
-         "resume-1.json": _run_json({"cache.store.sweep_cell.miss": 10}),
+        {"replay.json": _replay(), "cells.txt": "3\n",
+         "resume-1.json": _run_json({"cache.store.sweep_cell.miss": 15}),
          "resume-2.json": _run_json({"cache.store.sweep_cell.hit": 18})},
         [{"replay.json": _replay(events=0)},
+         {"cells.txt": "0\n"},
+         {"cells.txt": "18\n"},
          {"resume-2.json": _run_json({"cache.store.sweep_cell.hit": 16,
                                       "cache.store.sweep_cell.miss": 2})},
          {"resume-2.json": _run_json({})},
@@ -190,20 +192,27 @@ def test_an_unexpected_exit_fails_with_the_stderr_tail(tmp_path):
         smoke.run(_python("pass", exit=1), tmp_path, tmp_path, env)
 
 
-def test_sigint_after_the_delay_and_no_exit_check_then(tmp_path):
-    sleeper = _python(
+def test_sigint_once_the_watched_file_matches_and_no_exit_check_then(tmp_path):
+    # Writes its lines in pieces, the match last, then waits for the
+    # signal, and records how many pieces it had written when it came.
+    writer = _python(
         "import sys, time\n"
-        "try:\n    time.sleep(60)\n"
-        "except KeyboardInterrupt:\n    open(sys.argv[1], 'w').write('int')\n"
+        "log, written = open(sys.argv[1], 'w'), 0\n"
+        "try:\n"
+        "    for piece in ('done: 0\\nno', 'ise\\ndo', 'ne: 3\\n'):\n"
+        "        log.write(piece); log.flush(); written += 1; time.sleep(0.1)\n"
+        "    time.sleep(60)\n"
+        "except KeyboardInterrupt:\n"
+        "    open(sys.argv[2], 'w').write(str(written))\n"
         "    sys.exit(5)",
-        "<flag>", interrupt_s=0.5,
+        "<log.txt>", "<flag>", interrupt_on=("log.txt", r"^done: [1-9]"),
     )
-    smoke.run(sleeper, tmp_path, tmp_path, smoke.clean_env(""))
-    assert (tmp_path / "flag").read_text() == "int"
-    # One that exits before its delay is held to its exit code.
+    smoke.run(writer, tmp_path, tmp_path, smoke.clean_env(""))
+    assert (tmp_path / "flag").read_text() == "3"
+    # One that exits before its file matches is held to its exit code.
     with pytest.raises(Failed, match="exited 4"):
-        smoke.run(_python("raise SystemExit(4)", interrupt_s=30), tmp_path,
-                  tmp_path, smoke.clean_env(""))
+        smoke.run(_python("raise SystemExit(4)", interrupt_on=("log.txt", "x")),
+                  tmp_path, tmp_path, smoke.clean_env(""))
 
 
 def test_a_failing_row_prints_the_tail_of_each_output_first(capsys):

@@ -13,8 +13,9 @@ uninstalled; ``shadows`` names a tier-1 test a row repeats in-process
 
 In a command, ``runner`` is ``python -m repro.experiments.runner`` and
 ``python`` the interpreter; ``<name>`` in a token or an env value is the
-file ``name`` in the work directory. A command SIGINT-ed after
-``interrupt_s`` is not held to its exit code.
+file ``name`` in the work directory. A command SIGINT-ed once its
+``interrupt_on`` file shows a line matching its pattern is not held to
+its exit code.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -42,6 +44,13 @@ REPLAY = (
     "recovered = events.read_events(sys.argv[1]); "
     "print(json.dumps({'events': len(recovered), **obs.replay(recovered)}))"
 )
+#: ``python -c CELLS STORE``: how many sweep cells the store holds.
+CELLS = (
+    "import sqlite3, sys; print(sqlite3.connect(sys.argv[1]).execute("
+    "\"SELECT COUNT(*) FROM artifacts WHERE kind = 'sweep_cell'\").fetchone()[0])"
+)
+#: A ``parallel.jobs`` progress event past 0: a kernel unit's cells are saved.
+FINISHED_CELL = r'"name":"parallel\.jobs","done":[1-9]'
 SMALL = ("--scale", "0.02", "--duration", "60")
 Outputs = Mapping[str, str]
 
@@ -62,7 +71,9 @@ class Command:
     stdout: str = ""
     env: Mapping[str, str] = field(default_factory=dict)
     exit: int = 0
-    interrupt_s: float | None = None
+    #: ``(name, pattern)``: SIGINT the command once a line of the work
+    #: file ``name`` matches the regular expression ``pattern``.
+    interrupt_on: tuple[str, str] | None = None
 
 
 @dataclass(frozen=True)
@@ -96,17 +107,34 @@ def run(command: Command, root: Path, work: Path, env: Mapping[str, str]) -> Non
     with open(stdout, "w") as out, tempfile.TemporaryFile() as err:
         child = subprocess.Popen([*head, *map(resolve, rest)], cwd=root,
                                  env=env, stdout=out, stderr=err)
-        try:
-            status = child.wait(timeout=command.interrupt_s)
-        except subprocess.TimeoutExpired:
-            child.send_signal(signal.SIGINT)
-            child.wait()
-            return
+        if command.interrupt_on is not None:
+            name, pattern = command.interrupt_on
+            if shows(child, work / name, re.compile(pattern)):
+                child.send_signal(signal.SIGINT)
+                child.wait()
+                return
+        status = child.wait()
         if status != command.exit:
             err.seek(0)
             tail = err.read().decode(errors="replace").strip().splitlines()[-3:]
             raise Failed(f"{' '.join(command.argv)[:80]} exited {status}, "
                          f"not {command.exit}: {' | '.join(tail)}")
+
+
+def shows(child: subprocess.Popen, path: Path, pattern: re.Pattern) -> bool:
+    """Whether a line of ``path`` matches ``pattern`` while ``child``
+    runs; reads only what was appended since the last look."""
+    offset, partial = 0, ""
+    while child.poll() is None:
+        if path.is_file():
+            with open(path, errors="replace") as handle:
+                handle.seek(offset)
+                *lines, partial = (partial + handle.read()).split("\n")
+                offset = handle.tell()
+            if any(pattern.search(line) for line in lines):
+                return True
+        time.sleep(0.005)
+    return False
 
 
 def run_row(row: Smoke) -> None:
@@ -193,6 +221,8 @@ def single_path(outputs: Outputs) -> None:
 def resume(outputs: Outputs) -> None:
     recovered = json.loads(outputs["replay.json"])["events"]
     require(recovered > 0, "recording run left no recoverable events", recovered)
+    saved = int(outputs["cells.txt"])
+    require(0 < saved < 18, "interrupted sweep saved not some of 18 cells", saved)
     one, two = (json.loads(outputs[f"resume-{n}.json"]) for n in (1, 2))
     seen = two["telemetry"]["counters"]
     misses = seen.get("cache.store.sweep_cell.miss", 0)
@@ -254,6 +284,9 @@ BENCHMARKS = (
 )
 STORE = {"REPRO_STORE": "<store.sqlite>"}
 SWEEP = ("runner", "sweep", *SMALL, "--format", "json")
+#: A sweep whose kernel units run long enough (~50 ms each, six of them)
+#: for a SIGINT sent after the first to land before the last.
+RESUMED = ("runner", "sweep", "--scale", "8", "--format", "json")
 JSON = ("--profile", "--format", "json")
 
 SMOKES: tuple[Smoke, ...] = (
@@ -303,14 +336,15 @@ SMOKES: tuple[Smoke, ...] = (
                   "--duration", "120", *JSON, stdout=f"tracking-{n}.json",
                   env=STORE))),
           single_path, "tests/experiments/test_execution_paths.py"),
-    Smoke("resume", "a recorded sweep leaves a replayable stream; reruns on "
-          "its store recompute no cell (SIGINT at 15 s hits only a slow run: "
-          "it ends in ~1 s; tests/store/test_resume.py makes the kill)",
-          (cmd(*SWEEP, interrupt_s=15, env={
+    Smoke("resume", "a sweep SIGINT-ed after its first finished cells leaves "
+          "a replayable stream and some cells saved; reruns on its store "
+          "recompute only the rest, then nothing",
+          (cmd(*RESUMED, interrupt_on=("events.jsonl", FINISHED_CELL), env={
               **STORE, "REPRO_OBS": "1", "REPRO_OBS_EVENTS": "<events.jsonl>"}),
            cmd("python", "-c", REPLAY, "<events.jsonl>", stdout="replay.json"),
-           cmd(*SWEEP, "--profile", stdout="resume-1.json", env=STORE),
-           cmd(*SWEEP, "--profile", stdout="resume-2.json", env=STORE)),
+           cmd("python", "-c", CELLS, "<store.sqlite>", stdout="cells.txt"),
+           cmd(*RESUMED, "--profile", stdout="resume-1.json", env=STORE),
+           cmd(*RESUMED, "--profile", stdout="resume-2.json", env=STORE)),
           resume, "tests/store/test_resume.py"),
     Smoke("live", "--progress/--trace-out/--events-out on a pooled sweep: a "
           "lane per worker, and a replay equal to --profile",
