@@ -686,6 +686,7 @@ def _execute(
     import json
 
     from repro.experiments.export import figure_to_json, load_figure_json
+    from repro.store.keys import content_key
     from repro.store.store import active_store
 
     seeds = tuple(ctx.seed + i for i in range(replicates))
@@ -701,9 +702,11 @@ def _execute(
     # lands, so an interrupted replication resumes where it stopped.
     store = active_store()
     figures_by_seed: list[Optional[FigureSeries]] = [None] * len(contexts)
+    keys: list[str] = []
     if store is not None:
         for index, context in enumerate(contexts):
-            payload = store.load_replicate(_replicate_inputs(context))
+            keys.append(content_key("replicate", _replicate_inputs(context)))
+            payload = store.load("replicate", keys[index])
             if payload is not None:
                 figures_by_seed[index] = load_figure_json(json.dumps(payload))
     pending = [i for i, fig in enumerate(figures_by_seed) if fig is None]
@@ -712,9 +715,8 @@ def _execute(
         index = pending[position]
         figures_by_seed[index] = figure
         if store is not None:
-            store.save_replicate(
-                _replicate_inputs(contexts[index]),
-                json.loads(figure_to_json(figure)),
+            store.save(
+                "replicate", keys[index], json.loads(figure_to_json(figure))
             )
 
     parallel.fan_out(

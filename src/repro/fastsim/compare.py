@@ -36,7 +36,7 @@ from repro.obs.clock import perf_counter
 from repro.analysis.costs import c_search_index
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError, require_period
+from repro.errors import ParameterError, RoutingError, require_period
 from repro.fastsim.churncosts import ChurnOpCosts, conditional_walk_failure
 from repro.fastsim.kernel import PerOpCosts, run_fastsim
 from repro.fastsim.workload import BatchWorkload
@@ -44,6 +44,7 @@ from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import key_name
 from repro.sim.engine import whole_rounds
+from repro.store.memo import stored
 
 __all__ = [
     "CALIBRATION_LIMIT",
@@ -74,7 +75,7 @@ CALIBRATION_LIMIT = 5_000
 #: itself; :func:`calibration_cache_stats` reads it back. They are
 #: per-process — every fresh process pays calibration again — unless an
 #: artifact store is active, in which case they are an L1 over the disk
-#: tier (see :func:`_active_store`).
+#: tier the ``stored`` probes read through (see :mod:`repro.store.memo`).
 _CALIBRATION_CACHES: dict[str, object] = {}
 
 
@@ -113,18 +114,6 @@ def _probe_network(*args, **kwargs) -> "PdhtNetwork":
     return PdhtNetwork(*args, **kwargs)
 
 
-def _active_store():
-    """The artifact store calibrations read through, or ``None``.
-
-    Resolved lazily per call (import and lookup) so ``repro.store``
-    stays an optional layer: with no store configured every calibration
-    behaves exactly as before.
-    """
-    from repro.store.store import active_store
-
-    return active_store()
-
-
 def calibrate_costs(
     params: ScenarioParameters,
     config: Optional[PdhtConfig] = None,
@@ -148,83 +137,63 @@ def calibrate_costs(
     if min(lookup_probes, flood_probes, walk_probes) < 1:
         raise ParameterError("probe counts must be >= 1")
     config = config or PdhtConfig.from_scenario(params)
-    store = _active_store()
-    inputs = {
-        "params": params,
-        "config": config,
-        "seed": seed,
-        "lookup_probes": lookup_probes,
-        "flood_probes": flood_probes,
-        "walk_probes": walk_probes,
-        "num_active_peers": num_active_peers,
-    }
-    if store is not None:
-        stored = store.load_costs(inputs)
-        if stored is not None:
-            return stored
-    with obs.span("calibrate.costs", peers=params.num_peers, seed=seed):
-        costs = _calibrate_costs_probe(
-            params,
-            config,
-            seed,
-            lookup_probes,
-            flood_probes,
-            walk_probes,
-            num_active_peers,
-        )
-    if store is not None:
-        store.save_costs(inputs, costs)
-    return costs
+    return _calibrate_costs_probe(
+        params, config, seed, lookup_probes, flood_probes, walk_probes,
+        num_active_peers,
+    )
 
 
+@stored("costs")
 def _calibrate_costs_probe(
     params: ScenarioParameters,
-    config: Optional[PdhtConfig],
+    config: PdhtConfig,
     seed: int,
     lookup_probes: int,
     flood_probes: int,
     walk_probes: int,
     num_active_peers: Optional[int],
 ) -> PerOpCosts:
-    config = config or PdhtConfig.from_scenario(params)
-    net = _probe_network(
-        params, config, seed=seed, num_active_peers=num_active_peers
-    )
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    members = net.dht.online_members()
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
+    with obs.span("calibrate.costs", peers=params.num_peers, seed=seed):
+        net = _probe_network(
+            params, config, seed=seed, num_active_peers=num_active_peers
+        )
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        members = net.dht.online_members()
+        zipf = ZipfDistribution(params.n_keys, params.alpha)
 
-    # Keys are named by the event engine's key_name, so the probes hash to
-    # the same responsible members the real workload exercises.
-    lookup_total = 0.0
-    for rank in zipf.sample_ranks(rng, lookup_probes):
-        gateway = members[int(rng.integers(0, len(members)))]
-        key = key_name(int(rank) - 1)
-        lookup_total += net.dht.lookup(gateway, key).messages
+        # Keys are named by the event engine's key_name, so the probes hash
+        # to the same responsible members the real workload exercises.
+        lookup_total = 0.0
+        for rank in zipf.sample_ranks(rng, lookup_probes):
+            gateway = members[int(rng.integers(0, len(members)))]
+            key = key_name(int(rank) - 1)
+            lookup_total += net.dht.lookup(gateway, key).messages
 
-    flood_total = 0.0
-    for key_index in rng.integers(0, params.n_keys, size=flood_probes):
-        responsible = net.dht.responsible_for(key_name(int(key_index)))
-        _, messages = net.group_of(responsible).flood(responsible)
-        flood_total += messages
+        flood_total = 0.0
+        for key_index in rng.integers(0, params.n_keys, size=flood_probes):
+            responsible = net.dht.responsible_for(key_name(int(key_index)))
+            _, messages = net.group_of(responsible).flood(responsible)
+            flood_total += messages
 
-    # Placement draws from its own stream, so publishing every probe key
-    # first leaves each walk what it would have found one key at a time.
-    net.publish_all({f"cal-walk-{i}": i for i in range(walk_probes)})
-    walk_total = 0.0
-    for i in range(walk_probes):
-        walk = net.walker.search(net.random_online_peer(), f"cal-walk-{i}")
-        walk_total += walk.messages
+        # Placement draws from its own stream, so publishing every probe
+        # key first leaves each walk what it would have found one key at a
+        # time.
+        net.publish_all({f"cal-walk-{i}": i for i in range(walk_probes)})
+        walk_total = 0.0
+        for i in range(walk_probes):
+            origin = net.random_online_peer()
+            walk = net.walker.search(origin, f"cal-walk-{i}")
+            walk_total += walk.messages
 
-    return PerOpCosts(
-        lookup=lookup_total / lookup_probes,
-        flood=flood_total / flood_probes,
-        walk=walk_total / walk_probes,
-        gateway_discovery=2.0,
-        maintenance_per_round=net.maintenance.expected_rate(),
-        num_active_peers=len(members),
-        source="calibrated",
-    )
+        return PerOpCosts(
+            lookup=lookup_total / lookup_probes,
+            flood=flood_total / flood_probes,
+            walk=walk_total / walk_probes,
+            gateway_discovery=2.0,
+            maintenance_per_round=net.maintenance.expected_rate(),
+            num_active_peers=len(members),
+            source="calibrated",
+        )
 
 
 def costs_for(
@@ -339,39 +308,16 @@ def calibrate_churn_costs(
     reflect the shifting workload the kernel will actually run.
     """
     config = config or PdhtConfig.from_scenario(params)
-    store = _active_store()
-    inputs = {
-        "params": params,
-        "churn": churn,
-        "config": config,
-        "seed": seed,
-        "warmup": warmup,
-        "rounds": rounds,
-        "walk_probes": walk_probes,
-        "model": model,
-    }
-    if store is not None:
-        stored = store.load_churn_costs(inputs)
-        if stored is not None:
-            return stored
-    with obs.span(
-        "calibrate.churn",
-        peers=params.num_peers,
-        availability=getattr(churn, "availability", None),
-        seed=seed,
-    ):
-        costs = _calibrate_churn_costs_probe(
-            params, churn, config, seed, warmup, rounds, walk_probes, model
-        )
-    if store is not None:
-        store.save_churn_costs(inputs, costs)
-    return costs
+    return _calibrate_churn_costs_probe(
+        params, churn, config, seed, warmup, rounds, walk_probes, model
+    )
 
 
+@stored("churn_costs")
 def _calibrate_churn_costs_probe(
     params: ScenarioParameters,
     churn: ChurnConfig,
-    config: Optional[PdhtConfig],
+    config: PdhtConfig,
     seed: int,
     warmup: float,
     rounds: float,
@@ -381,186 +327,199 @@ def _calibrate_churn_costs_probe(
     from repro.sim.metrics import MessageCategory
     from repro.workloads.models import StationaryZipf
 
-    if not churn.enabled:
-        raise ParameterError(
-            "calibrate_churn_costs needs enabled churn "
-            "(the no-churn costs come from calibrate_costs)"
+    with obs.span(
+        "calibrate.churn",
+        peers=params.num_peers,
+        availability=getattr(churn, "availability", None),
+        seed=seed,
+    ):
+        if not churn.enabled:
+            raise ParameterError(
+                "calibrate_churn_costs needs enabled churn "
+                "(the no-churn costs come from calibrate_costs)"
+            )
+        availability = churn.availability
+        if warmup < 0 or rounds <= 0:
+            raise ParameterError("need warmup >= 0 and rounds > 0")
+        if int(round(warmup + rounds)) <= int(round(warmup)):
+            raise ParameterError(
+                f"rounds={rounds} adds no measuring round after "
+                f"warmup={warmup}; use at least one whole round"
+            )
+        if walk_probes < 1:
+            raise ParameterError(
+                f"walk_probes must be >= 1, got {walk_probes}"
+            )
+        net = _probe_network(params, config, seed=seed, churn=churn)
+        net.publish_all({key_name(i): i for i in range(params.n_keys)})
+        # The walk probes' keys too: nothing else draws from the placement
+        # stream, so each probe key gets the holders it would get published
+        # just before its walk, and no query's walk can see a probe key.
+        net.publish_all(
+            {f"churn-cal-{serial}": serial + 1
+             for serial in range(walk_probes)}
         )
-    availability = churn.availability
-    if warmup < 0 or rounds <= 0:
-        raise ParameterError("need warmup >= 0 and rounds > 0")
-    if int(round(warmup + rounds)) <= int(round(warmup)):
-        raise ParameterError(
-            f"rounds={rounds} adds no measuring round after "
-            f"warmup={warmup}; use at least one whole round"
+        workload = (model or StationaryZipf()).build(
+            ZipfDistribution(params.n_keys, params.alpha),
+            net.streams.get("churn-cal-queries"),
         )
-    if walk_probes < 1:
-        raise ParameterError(f"walk_probes must be >= 1, got {walk_probes}")
-    config = config or PdhtConfig.from_scenario(params)
-    net = _probe_network(params, config, seed=seed, churn=churn)
-    net.publish_all({key_name(i): i for i in range(params.n_keys)})
-    # The walk probes' keys too: nothing else draws from the placement
-    # stream, so each probe key gets the holders it would get published
-    # just before its walk, and no query's walk can see a probe key.
-    net.publish_all(
-        {f"churn-cal-{serial}": serial + 1 for serial in range(walk_probes)}
-    )
-    workload = (model or StationaryZipf()).build(
-        ZipfDistribution(params.n_keys, params.alpha),
-        net.streams.get("churn-cal-queries"),
-    )
-    count_rng = net.streams.get("churn-cal-counts")
-    probe_rng = net.streams.get("churn-cal-probes")
-    rate = params.network_query_rate
-    key_ttl = config.key_ttl
-    shadow = np.full(params.n_keys, -np.inf)
+        count_rng = net.streams.get("churn-cal-counts")
+        probe_rng = net.streams.get("churn-cal-probes")
+        rate = params.network_query_rate
+        key_ttl = config.key_ttl
+        shadow = np.full(params.n_keys, -np.inf)
 
-    direct_hits = flooded_hits = turnover = shadow_live = 0
-    lookup_sum = lookup_n = 0
-    miss_lookup_sum = 0
-    hit_flood_sum = miss_flood_sum = miss_flood_n = 0
-    insert_sum = insert_n = 0
-    resolved_sum = resolved_n = 0
-    failed_sum = failed_n = walks = 0
-    maintenance_start: Optional[float] = None
+        direct_hits = flooded_hits = turnover = shadow_live = 0
+        lookup_sum = lookup_n = 0
+        miss_lookup_sum = 0
+        hit_flood_sum = miss_flood_sum = miss_flood_n = 0
+        insert_sum = insert_n = 0
+        resolved_sum = resolved_n = 0
+        failed_sum = failed_n = walks = 0
+        maintenance_start: Optional[float] = None
 
-    total_rounds = int(round(warmup + rounds))
-    measure_from = int(round(warmup))
-    # Diff of the *rounded cumulative* schedule: the per-round quotas sum
-    # to exactly walk_probes for any probes/rounds ratio (rounding each
-    # quota independently collapses to zero below 0.5 probes per round).
-    probes_per_round = [
-        int(n)
-        for n in np.diff(
-            np.round(
-                np.linspace(
-                    0, walk_probes, max(total_rounds - measure_from, 1) + 1
+        total_rounds = int(round(warmup + rounds))
+        measure_from = int(round(warmup))
+        # Diff of the *rounded cumulative* schedule: the per-round quotas sum
+        # to exactly walk_probes for any probes/rounds ratio (rounding each
+        # quota independently collapses to zero below 0.5 probes per round).
+        probes_per_round = [
+            int(n)
+            for n in np.diff(
+                np.round(
+                    np.linspace(
+                        0, walk_probes, max(total_rounds - measure_from, 1) + 1
+                    )
                 )
             )
-        )
-    ]
-    probe_serial = 0
-    query_seconds = probe_seconds = 0.0
-    queries = 0
-    for round_index in range(total_rounds):
-        net.advance(1.0)
-        now = net.simulation.now
-        measuring = round_index >= measure_from
-        if measuring and maintenance_start is None:
-            maintenance_start = net.metrics.total(MessageCategory.MAINTENANCE)
-        count = int(count_rng.poisson(rate * workload.rate_multiplier(now)))
-        queries_started = perf_counter()
-        for _, key_index in workload.draw(now, count):
-            key = key_name(key_index)
-            try:
-                origin = net.random_online_peer()
-            except ParameterError:
-                continue  # nobody online to originate (extreme churn)
-            outcome = net.query(origin, key)
-            queries += 1
-            live = shadow[key_index] > now
-            if outcome.via_index or outcome.found:
-                shadow[key_index] = now + key_ttl
-            if not measuring:
-                continue
-            lookup_sum += outcome.index_messages
-            lookup_n += 1
-            if outcome.via_index:
-                if outcome.flood_messages:
-                    flooded_hits += 1
-                    hit_flood_sum += outcome.flood_messages
-                else:
-                    direct_hits += 1
-            else:
-                miss_lookup_sum += outcome.index_messages
-                miss_flood_sum += outcome.flood_messages
-                miss_flood_n += 1
-                walks += 1
-                if outcome.found:
-                    resolved_sum += outcome.walk_messages
-                    resolved_n += 1
-                    insert_sum += outcome.insert_messages
-                    insert_n += 1
-                else:
-                    failed_sum += outcome.walk_messages
-                    failed_n += 1
-            if live:
-                shadow_live += 1
-                if not outcome.via_index:
-                    turnover += 1
-        probes_started = perf_counter()
-        query_seconds += probes_started - queries_started
-        if measuring:
-            for _ in range(probes_per_round[round_index - measure_from]):
+        ]
+        probe_serial = 0
+        query_seconds = probe_seconds = 0.0
+        queries = 0
+        for round_index in range(total_rounds):
+            net.advance(1.0)
+            now = net.simulation.now
+            measuring = round_index >= measure_from
+            if measuring and maintenance_start is None:
+                maintenance_start = net.metrics.total(
+                    MessageCategory.MAINTENANCE
+                )
+            multiplier = workload.rate_multiplier(now)
+            count = int(count_rng.poisson(rate * multiplier))
+            queries_started = perf_counter()
+            for _, key_index in workload.draw(now, count):
+                key = key_name(key_index)
                 try:
                     origin = net.random_online_peer()
                 except ParameterError:
-                    break  # nobody online this round
-                probe_key = f"churn-cal-{probe_serial}"
-                probe_serial += 1
-                walk = net.walker.search(origin, probe_key)
-                walks += 1
-                if walk.found:
-                    resolved_sum += walk.messages
-                    resolved_n += 1
+                    continue  # nobody online to originate (extreme churn)
+                outcome = net.query(origin, key)
+                queries += 1
+                live = shadow[key_index] > now
+                if outcome.via_index or outcome.found:
+                    shadow[key_index] = now + key_ttl
+                if not measuring:
+                    continue
+                lookup_sum += outcome.index_messages
+                lookup_n += 1
+                if outcome.via_index:
+                    if outcome.flood_messages:
+                        flooded_hits += 1
+                        hit_flood_sum += outcome.flood_messages
+                    else:
+                        direct_hits += 1
                 else:
-                    failed_sum += walk.messages
-                    failed_n += 1
-            probe_seconds += perf_counter() - probes_started
-    obs.add_duration("calibrate.churn.queries", query_seconds, n=queries)
-    obs.add_duration(
-        "calibrate.churn.walk_probes", probe_seconds, n=probe_serial
-    )
-
-    maintenance = (
-        net.metrics.total(MessageCategory.MAINTENANCE)
-        - (maintenance_start or 0.0)
-    ) / rounds
-    lookup = lookup_sum / max(lookup_n, 1)
-    miss_lookup = miss_lookup_sum / miss_flood_n if miss_flood_n else lookup
-    hits = direct_hits + flooded_hits
-    hit_flood = hit_flood_sum / flooded_hits if flooded_hits else 0.0
-    probe_flood_rng = net.streams.get("churn-cal-flood-fallback")
-    if miss_flood_n:
-        miss_flood = miss_flood_sum / miss_flood_n
-    else:
-        from repro.fastsim.churncosts import structural_flood_cost
-
-        miss_flood = structural_flood_cost(
-            config.replication, config.replica_degree, availability,
-            probe_flood_rng,
+                    miss_lookup_sum += outcome.index_messages
+                    miss_flood_sum += outcome.flood_messages
+                    miss_flood_n += 1
+                    walks += 1
+                    if outcome.found:
+                        resolved_sum += outcome.walk_messages
+                        resolved_n += 1
+                        insert_sum += outcome.insert_messages
+                        insert_n += 1
+                    else:
+                        failed_sum += outcome.walk_messages
+                        failed_n += 1
+                if live:
+                    shadow_live += 1
+                    if not outcome.via_index:
+                        turnover += 1
+            probes_started = perf_counter()
+            query_seconds += probes_started - queries_started
+            if measuring:
+                for _ in range(probes_per_round[round_index - measure_from]):
+                    try:
+                        origin = net.random_online_peer()
+                    except ParameterError:
+                        break  # nobody online this round
+                    probe_key = f"churn-cal-{probe_serial}"
+                    probe_serial += 1
+                    walk = net.walker.search(origin, probe_key)
+                    walks += 1
+                    if walk.found:
+                        resolved_sum += walk.messages
+                        resolved_n += 1
+                    else:
+                        failed_sum += walk.messages
+                        failed_n += 1
+                probe_seconds += perf_counter() - probes_started
+        obs.add_duration("calibrate.churn.queries", query_seconds, n=queries)
+        obs.add_duration(
+            "calibrate.churn.walk_probes", probe_seconds, n=probe_serial
         )
-    # The insert re-looks-up the key that just missed, so its flood share
-    # is whatever remains after that (cheaper, tail-keyed) lookup.
-    insert_flood = (
-        max(insert_sum / insert_n - miss_lookup, 0.0)
-        if insert_n
-        else miss_flood
-    )
-    return ChurnOpCosts(
-        availability=availability,
-        lookup=lookup,
-        miss_lookup=miss_lookup,
-        hit_flood=hit_flood if flooded_hits else miss_flood,
-        miss_flood=miss_flood,
-        insert_flood=insert_flood,
-        resolved_walk=resolved_sum / resolved_n if resolved_n else 0.0,
-        failed_walk=(
-            failed_sum / failed_n
-            if failed_n
-            else float(config.walkers * config.walk_ttl)
-        ),
-        walk_failure=conditional_walk_failure(
-            failed_n / walks if walks else 0.0,
-            availability,
-            config.replication,
-        ),
-        hit_flood_fraction=flooded_hits / hits if hits else 0.0,
-        turnover_miss=turnover / shadow_live if shadow_live else 0.0,
-        maintenance_per_round=max(maintenance, 0.0),
-        num_active_peers=len(net.nodes),
-        source="calibrated",
-    )
+
+        maintenance = (
+            net.metrics.total(MessageCategory.MAINTENANCE)
+            - (maintenance_start or 0.0)
+        ) / rounds
+        lookup = lookup_sum / max(lookup_n, 1)
+        miss_lookup = (
+            miss_lookup_sum / miss_flood_n if miss_flood_n else lookup
+        )
+        hits = direct_hits + flooded_hits
+        hit_flood = hit_flood_sum / flooded_hits if flooded_hits else 0.0
+        probe_flood_rng = net.streams.get("churn-cal-flood-fallback")
+        if miss_flood_n:
+            miss_flood = miss_flood_sum / miss_flood_n
+        else:
+            from repro.fastsim.churncosts import structural_flood_cost
+
+            miss_flood = structural_flood_cost(
+                config.replication, config.replica_degree, availability,
+                probe_flood_rng,
+            )
+        # The insert re-looks-up the key that just missed, so its flood share
+        # is whatever remains after that (cheaper, tail-keyed) lookup.
+        insert_flood = (
+            max(insert_sum / insert_n - miss_lookup, 0.0)
+            if insert_n
+            else miss_flood
+        )
+        return ChurnOpCosts(
+            availability=availability,
+            lookup=lookup,
+            miss_lookup=miss_lookup,
+            hit_flood=hit_flood if flooded_hits else miss_flood,
+            miss_flood=miss_flood,
+            insert_flood=insert_flood,
+            resolved_walk=resolved_sum / resolved_n if resolved_n else 0.0,
+            failed_walk=(
+                failed_sum / failed_n
+                if failed_n
+                else float(config.walkers * config.walk_ttl)
+            ),
+            walk_failure=conditional_walk_failure(
+                failed_n / walks if walks else 0.0,
+                availability,
+                config.replication,
+            ),
+            hit_flood_fraction=flooded_hits / hits if hits else 0.0,
+            turnover_miss=turnover / shadow_live if shadow_live else 0.0,
+            maintenance_per_round=max(maintenance, 0.0),
+            num_active_peers=len(net.nodes),
+            source="calibrated",
+        )
 
 
 def churn_costs_for(
@@ -666,6 +625,7 @@ def resolve_costs(
 
 
 @obs.counted_cache("lookup_probe", maxsize=64, registry=_CALIBRATION_CACHES)
+@stored("lookup_probe")
 def _churned_lookup_probe(
     params: ScenarioParameters,
     config: PdhtConfig,
@@ -687,81 +647,48 @@ def _churned_lookup_probe(
     (the responsible-peer hand-over) and detour others, with a net
     effect that genuinely depends on the trie size.
     """
-    store = _active_store()
-    inputs = {
-        "params": params,
-        "config": config,
-        "availability": availability,
-        "num_active_peers": num_active_peers,
-        "seed": seed,
-        "probes": probes,
-        "mask_epochs": mask_epochs,
-    }
-    if store is not None:
-        stored = store.load_probe(inputs)
-        if stored is not None:
-            return stored
     with obs.span(
         "calibrate.lookup_probe",
         peers=params.num_peers,
         members=num_active_peers,
     ):
-        value = _churned_lookup_probe_impl(
-            params, config, availability, num_active_peers, seed, probes,
-            mask_epochs,
+        net = _probe_network(
+            params, config, seed=seed, num_active_peers=num_active_peers
         )
-    if store is not None:
-        store.save_probe(inputs, value)
-    return value
-
-
-def _churned_lookup_probe_impl(
-    params: ScenarioParameters,
-    config: PdhtConfig,
-    availability: float,
-    num_active_peers: int,
-    seed: int,
-    probes: int,
-    mask_epochs: int,
-) -> float:
-    from repro.errors import RoutingError
-
-    net = _probe_network(
-        params, config, seed=seed, num_active_peers=num_active_peers
-    )
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, 0x10CF, num_active_peers])
-    )
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
-    all_members = list(net.dht.online_members())  # everyone online at build
-    now = net.simulation.now
-    total = 0.0
-    measured = 0
-    per_epoch = max(1, probes // mask_epochs)
-    for _ in range(mask_epochs):
-        # A fresh stationary mask per epoch, guaranteed non-empty.
-        mask = rng.random(len(all_members)) < availability
-        if not mask.any():
-            mask[int(rng.integers(0, len(all_members)))] = True
-        for member, online in zip(all_members, mask):
-            net.population.set_online(member, bool(online), now)
-        online_members = [m for m, o in zip(all_members, mask) if o]
-        for rank in zipf.sample_ranks(rng, per_epoch):
-            gateway = online_members[
-                int(rng.integers(0, len(online_members)))
-            ]
-            try:
-                total += net.dht.lookup(
-                    gateway, key_name(int(rank) - 1)
-                ).messages
-            except RoutingError:
-                continue
-            measured += 1
-    # Leave the probe population online (the network object is discarded,
-    # but a tidy state keeps accidental reuse harmless).
-    for member in all_members:
-        net.population.set_online(member, True, now)
-    return total / max(measured, 1)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([seed, 0x10CF, num_active_peers])
+        )
+        zipf = ZipfDistribution(params.n_keys, params.alpha)
+        # Everyone is online at build.
+        all_members = list(net.dht.online_members())
+        now = net.simulation.now
+        total = 0.0
+        measured = 0
+        per_epoch = max(1, probes // mask_epochs)
+        for _ in range(mask_epochs):
+            # A fresh stationary mask per epoch, guaranteed non-empty.
+            mask = rng.random(len(all_members)) < availability
+            if not mask.any():
+                mask[int(rng.integers(0, len(all_members)))] = True
+            for member, online in zip(all_members, mask):
+                net.population.set_online(member, bool(online), now)
+            online_members = [m for m, o in zip(all_members, mask) if o]
+            for rank in zipf.sample_ranks(rng, per_epoch):
+                gateway = online_members[
+                    int(rng.integers(0, len(online_members)))
+                ]
+                try:
+                    total += net.dht.lookup(
+                        gateway, key_name(int(rank) - 1)
+                    ).messages
+                except RoutingError:
+                    continue
+                measured += 1
+        # Leave the probe population online (the network object is
+        # discarded, but a tidy state keeps accidental reuse harmless).
+        for member in all_members:
+            net.population.set_online(member, True, now)
+        return total / max(measured, 1)
 
 
 def _rescale_members(

@@ -464,7 +464,7 @@ def run_many(
             for index, report in zip(grouping[position], unit_reports):
                 reports[pending[index]] = report
                 if store is not None:
-                    store.save_report(keys[pending[index]], report)
+                    store.save("sweep_cell", keys[pending[index]], report)
 
         with obs.span(
             "parallel.run_many",

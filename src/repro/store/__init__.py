@@ -1,14 +1,16 @@
 """``repro.store`` — content-addressed artifact store + resumable sweeps.
 
 A zero-dependency (stdlib SQLite) persistent cache for the expensive
-artifacts of the reproduction pipeline:
+artifacts of the reproduction pipeline. Each kind is declared once, in
+:data:`repro.store.schema.KINDS` (schema rev, payload tag, codec):
 
 ``costs`` / ``churn_costs`` / ``lookup_probe``
     Event-substrate calibrations — the dominant fixed cost of every
-    vectorized run. With a store active, the per-process ``lru_cache``
-    in :mod:`repro.fastsim.compare` becomes an L1 over this disk L2, so
-    fresh processes (including ``run_many`` workers) never re-pay a
-    probe already on disk.
+    vectorized run. Their probes in :mod:`repro.fastsim.compare` are
+    :func:`~repro.store.memo.stored`, so with a store active the
+    per-process ``lru_cache`` becomes an L1 over this disk L2, and fresh
+    processes (including ``run_many`` workers) never re-pay a probe
+    already on disk.
 ``sweep_cell``
     One kernel run (a :class:`~repro.fastsim.parallel.FastSimJob`'s
     report). ``run_many`` — and therefore ``sweep_grid`` — loads cells
@@ -16,8 +18,6 @@ artifacts of the reproduction pipeline:
     sweeps resumable with bit-identical merged results.
 ``replicate``
     One seed's figure payload from ``api.run(replicates=N)``.
-``result``
-    A full provenance-stamped experiment-result export.
 
 Keys are sha-256 hashes over a canonical envelope of
 ``(kind, per-kind schema rev, repro.__version__, inputs)`` where the
@@ -37,34 +37,18 @@ Activate with ``--store PATH`` on the experiment runner, the
 store traffic, masking ``REPRO_STORE``.
 """
 
-from repro.store.db import Database
-from repro.store.keys import canonical, canonical_json, content_key
-from repro.store.schema import (
-    ARTIFACT_KINDS,
-    ARTIFACT_SCHEMA_REVS,
-    MIGRATIONS,
-    SCHEMA_VERSION,
-)
-from repro.store.store import (
-    STORE_ENV,
-    Store,
-    active_store,
-    open_store,
-    using_store,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Database",
-    "Store",
-    "STORE_ENV",
-    "ARTIFACT_KINDS",
-    "ARTIFACT_SCHEMA_REVS",
-    "MIGRATIONS",
-    "SCHEMA_VERSION",
-    "canonical",
-    "canonical_json",
-    "content_key",
-    "active_store",
-    "open_store",
-    "using_store",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.store.db": ("Database",),
+    "repro.store.store": (
+        "Store",
+        "STORE_ENV",
+        "active_store",
+        "open_store",
+        "using_store",
+    ),
+    "repro.store.schema": ("KINDS", "MIGRATIONS", "SCHEMA_VERSION"),
+    "repro.store.keys": ("canonical", "canonical_json", "content_key"),
+    "repro.store.memo": ("stored",),
+})

@@ -2,9 +2,9 @@
 
 This is the *engine* layer of the engine/schema/store split: it knows how
 to open, migrate, lock, and query a SQLite database of artifact rows,
-and nothing about what the payloads mean. Schema DDL lives in
-:mod:`repro.store.schema`; typed artifact semantics live in
-:mod:`repro.store.store`.
+and nothing about what the payloads mean. Schema DDL and the artifact
+kinds live in :mod:`repro.store.schema`; loading and saving a kind's
+value, in :mod:`repro.store.store`.
 
 Zero dependencies beyond the standard library. Safe for concurrent use
 from multiple processes (WAL journal + busy timeout) and from multiple

@@ -5,7 +5,7 @@ A key is the sha-256 of a canonical-JSON *envelope*::
     {"kind": ..., "schema_rev": ..., "version": ..., "inputs": {...}}
 
 where ``schema_rev`` is the artifact kind's payload revision
-(:data:`repro.store.schema.ARTIFACT_SCHEMA_REVS`), ``version`` is
+(:data:`repro.store.schema.KINDS`), ``version`` is
 ``repro.__version__``, and ``inputs`` is the caller's full input record
 (frozen workload model, scenario parameters, seed, per-op costs, …)
 run through :func:`canonical`.
@@ -37,7 +37,7 @@ import json
 import sys
 from typing import Any, Mapping, Optional
 
-from repro.store.schema import ARTIFACT_SCHEMA_REVS
+from repro.store.schema import KINDS
 
 __all__ = ["canonical", "canonical_json", "content_key"]
 
@@ -133,12 +133,12 @@ def content_key(
     """The sha-256 content key for an artifact of ``kind`` with ``inputs``.
 
     ``version`` defaults to ``repro.__version__``; ``schema_rev`` to the
-    kind's entry in :data:`ARTIFACT_SCHEMA_REVS`. Both are overridable
-    for tests that prove key sensitivity.
+    kind's rev in :data:`KINDS`. Both are overridable for tests that
+    prove key sensitivity.
     """
     if schema_rev is None:
         try:
-            schema_rev = ARTIFACT_SCHEMA_REVS[kind]
+            schema_rev = KINDS[kind].rev
         except KeyError:
             raise ValueError(f"unknown artifact kind: {kind!r}") from None
     if version is None:

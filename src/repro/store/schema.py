@@ -13,23 +13,28 @@ opened by a newer package runs exactly the migrations it is missing.
 Artifact kinds and their schema revisions
 -----------------------------------------
 
-Every artifact row carries a ``kind`` and its content key bakes in the
-kind's *schema revision* (:data:`ARTIFACT_SCHEMA_REVS`). Bump a kind's
-rev whenever the payload format or the semantics of its inputs change:
-old rows then simply stop matching (their keys differ) and are
-recomputed, without any destructive migration — the incremental
-invalidation discipline, applied to the payload format itself.
+Every artifact row carries a ``kind``, and :data:`KINDS` is the one
+place a kind is declared: its *schema revision*, which its content keys
+bake in, its payload ``"type"`` tag and its codec
+(:mod:`repro.store.serialize`). Bump a kind's rev whenever the payload
+format or the semantics of its inputs change: old rows then simply stop
+matching (their keys differ) and are recomputed, without any destructive
+migration — the incremental invalidation discipline, applied to the
+payload format itself.
 """
 
 from __future__ import annotations
 
 import sqlite3
+from dataclasses import dataclass
+
+from repro.store.serialize import Boxed, Fields
 
 __all__ = [
     "MIGRATIONS",
     "SCHEMA_VERSION",
-    "ARTIFACT_KINDS",
-    "ARTIFACT_SCHEMA_REVS",
+    "Kind",
+    "KINDS",
     "schema_version",
     "pending_migrations",
 ]
@@ -57,24 +62,37 @@ MIGRATIONS: tuple[str, ...] = (
 SCHEMA_VERSION = len(MIGRATIONS)
 
 
-#: Known artifact kinds -> payload schema revision. The rev is part of
-#: every content key, so bumping one invalidates exactly that kind.
-ARTIFACT_SCHEMA_REVS: dict[str, int] = {
+@dataclass(frozen=True)
+class Kind:
+    """How one artifact kind is keyed and stored."""
+
+    #: Payload schema revision; part of every content key, so bumping it
+    #: invalidates exactly this kind.
+    rev: int
+    #: The payload's ``"type"`` tag.
+    tag: str
+    #: How a value becomes the payload's other entries and back.
+    codec: Fields | Boxed
+
+
+KINDS: dict[str, Kind] = {
     # Calibrated base per-op costs (PerOpCosts off an event substrate).
-    "costs": 1,
+    "costs": Kind(1, "costs", Fields("repro.fastsim.kernel.PerOpCosts")),
     # Calibrated availability-dependent per-op costs (ChurnOpCosts).
-    "churn_costs": 1,
+    "churn_costs": Kind(
+        1, "churn_costs", Fields("repro.fastsim.churncosts.ChurnOpCosts")
+    ),
     # Churned-substrate per-lookup probe (the member-rescale input).
-    "lookup_probe": 1,
+    "lookup_probe": Kind(1, "lookup_probe", Boxed("value")),
     # One kernel run: a FastSimJob's FastSimReport (sweep cells, figure
     # strategy runs, replicate kernel runs — anything run_many executes).
     # rev 2: FastSimJob gained the state-precision field (dtype policy).
-    "sweep_cell": 2,
+    "sweep_cell": Kind(
+        2, "report", Fields("repro.fastsim.metrics.FastSimReport")
+    ),
     # One replicate seed's figure payload from api.run(replicates=N).
-    "replicate": 1,
+    "replicate": Kind(1, "replicate", Boxed("figure")),
 }
-
-ARTIFACT_KINDS = tuple(ARTIFACT_SCHEMA_REVS)
 
 
 def schema_version(conn: sqlite3.Connection) -> int:

@@ -1,170 +1,125 @@
-"""Bit-exact JSON payloads for the artifact kinds.
+"""Bit-exact JSON payloads: the one codec every artifact kind goes through.
 
-Every ``*_to_payload`` / ``*_from_payload`` pair round-trips its object
-exactly: python floats survive JSON unchanged (``repr`` is the shortest
-round-trip form), ints are ints, and enum-keyed dicts are rekeyed by
-enum *value* and restored. The payload carries a ``"type"`` tag so a
-row loaded under the wrong kind fails loudly instead of mis-parsing.
+A payload is a JSON object tagged with its kind's ``"type"`` (so a row
+loaded under the wrong kind fails loudly instead of mis-parsing) plus
+the value, in one of two shapes:
 
-fastsim types are imported lazily inside the functions: ``repro.store``
-must stay importable without dragging the kernel (and numpy) in, and
-the reverse import (`compare` -> `store`) must not cycle.
+:class:`Fields`
+    A dataclass (``PerOpCosts``, ``ChurnOpCosts``, ``FastSimReport``),
+    one entry per field under its constructor name. Three fields have a
+    hook: ``params`` goes through ``to_dict`` / ``from_dict``;
+    ``messages_by_category`` is kept as ``[value, total]`` *pairs* in
+    the report's own dict order — a sorted-key JSON object would reorder
+    the categories and shift the last ulp of order-sensitive consumers
+    like ``sum(messages_by_category.values())``; a ``*_series`` list of
+    ``(time, value)`` tuples is kept as lists.
+:class:`Boxed`
+    A bare value under one entry (a lookup probe's float, a replicate's
+    figure payload).
+
+Round trips are exact: python floats survive JSON unchanged (``repr`` is
+the shortest round-trip form) and ints stay ints. Classes are named by
+dotted path and imported on first decode: ``repro.store`` must stay
+importable without dragging the kernel (and numpy) in, and the reverse
+import (``compare`` -> ``store``) must not cycle.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 from typing import Any
 
-__all__ = [
-    "costs_to_payload",
-    "costs_from_payload",
-    "churn_costs_to_payload",
-    "churn_costs_from_payload",
-    "probe_to_payload",
-    "probe_from_payload",
-    "report_to_payload",
-    "report_from_payload",
-    "dumps",
-    "loads",
-]
+__all__ = ["Fields", "Boxed", "CorruptPayload", "dumps", "loads"]
 
 
-def dumps(payload: dict[str, Any]) -> str:
-    """Canonical payload text (sorted keys; exact float round-trip)."""
+class CorruptPayload(Exception):
+    """A row that is JSON but does not decode as its kind's value."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Fields:
+    """The codec of a dataclass value, named ``"module.Class"``."""
+
+    cls: str
+
+    def encode(self, value: Any) -> dict[str, Any]:
+        return {
+            field.name: _encode_field(field.name, getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+
+    def decode(self, payload: dict[str, Any]) -> Any:
+        module, _, name = self.cls.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        names = [field.name for field in dataclasses.fields(cls)]
+        if set(payload) != {"type", *names}:
+            raise CorruptPayload(
+                f"fields {sorted(payload)} are not {self.cls}'s"
+            )
+        return cls(
+            **{name: _decode_field(name, payload[name]) for name in names}
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class Boxed:
+    """The codec of a bare value stored under the entry ``name``."""
+
+    name: str
+
+    def encode(self, value: Any) -> dict[str, Any]:
+        return {self.name: value}
+
+    def decode(self, payload: dict[str, Any]) -> Any:
+        return payload[self.name]
+
+
+def _encode_field(name: str, value: Any) -> Any:
+    if name == "params":
+        return value.to_dict()
+    if name == "messages_by_category":
+        return [[category.value, total] for category, total in value.items()]
+    if name.endswith("_series"):
+        return [list(point) for point in value]
+    return value
+
+
+def _decode_field(name: str, value: Any) -> Any:
+    if name == "params":
+        from repro.analysis.parameters import ScenarioParameters
+
+        return ScenarioParameters.from_dict(value)
+    if name == "messages_by_category":
+        from repro.sim.metrics import MessageCategory
+
+        return {MessageCategory(category): total for category, total in value}
+    if name.endswith("_series"):
+        return [tuple(point) for point in value]
+    return value
+
+
+def dumps(kind: Any, value: Any) -> str:
+    """Canonical payload text of a ``kind`` value (sorted keys; exact
+    float round-trip). ``kind`` is a :class:`repro.store.schema.Kind`."""
+    payload = {"type": kind.tag, **kind.codec.encode(value)}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def loads(text: str, expected_type: str) -> dict[str, Any]:
-    payload = json.loads(text)
-    found = payload.get("type")
-    if found != expected_type:
+def loads(kind: Any, text: str) -> Any:
+    """The ``kind`` value ``text`` holds; :class:`CorruptPayload` if it
+    does not decode as one, ``ValueError`` if it is another kind's."""
+    try:
+        payload = json.loads(text)
+        found = payload.get("type")
+    except (json.JSONDecodeError, AttributeError) as exc:
+        raise CorruptPayload(f"{type(exc).__name__}: {exc}") from exc
+    if found != kind.tag:
         raise ValueError(
-            f"artifact payload has type {found!r}, expected {expected_type!r}"
+            f"artifact payload has type {found!r}, expected {kind.tag!r}"
         )
-    return payload
-
-
-def _tagged(type_name: str, **fields: Any) -> dict[str, Any]:
-    return {"type": type_name, **fields}
-
-
-# -- per-op costs -------------------------------------------------------
-
-
-def costs_to_payload(costs: Any) -> dict[str, Any]:
-    """Payload for a :class:`repro.fastsim.kernel.PerOpCosts`."""
-    import dataclasses
-
-    return _tagged("costs", **dataclasses.asdict(costs))
-
-
-def costs_from_payload(payload: dict[str, Any]) -> Any:
-    from repro.fastsim.kernel import PerOpCosts
-
-    fields = {name: value for name, value in payload.items() if name != "type"}
-    return PerOpCosts(**fields)
-
-
-def churn_costs_to_payload(costs: Any) -> dict[str, Any]:
-    """Payload for a :class:`repro.fastsim.churncosts.ChurnOpCosts`."""
-    import dataclasses
-
-    return _tagged("churn_costs", **dataclasses.asdict(costs))
-
-
-def churn_costs_from_payload(payload: dict[str, Any]) -> Any:
-    from repro.fastsim.churncosts import ChurnOpCosts
-
-    fields = {name: value for name, value in payload.items() if name != "type"}
-    return ChurnOpCosts(**fields)
-
-
-def probe_to_payload(value: float) -> dict[str, Any]:
-    """Payload for a churned-lookup probe result (a bare float)."""
-    return _tagged("lookup_probe", value=float(value))
-
-
-def probe_from_payload(payload: dict[str, Any]) -> float:
-    return float(payload["value"])
-
-
-# -- kernel reports -----------------------------------------------------
-
-
-def report_to_payload(report: Any) -> dict[str, Any]:
-    """Payload for a :class:`repro.fastsim.metrics.FastSimReport`.
-
-    Exact by construction: every field is dumped under its constructor
-    name; ``messages_by_category`` is kept as ``[value, total]`` *pairs*
-    in the report's own dict order — a sorted-key JSON object would
-    reorder the categories and shift the last ulp of order-sensitive
-    consumers like ``sum(messages_by_category.values())``; the windowed
-    series keep their ``(time, value)`` pairs as lists.
-    """
-    return _tagged(
-        "report",
-        strategy=report.strategy,
-        params=report.params.to_dict(),
-        duration=report.duration,
-        queries=report.queries,
-        answered=report.answered,
-        index_hits=report.index_hits,
-        messages_by_category=[
-            [category.value, total]
-            for category, total in report.messages_by_category.items()
-        ],
-        mean_index_size=report.mean_index_size,
-        index_size_series=[list(point) for point in report.index_size_series],
-        hit_rate_series=[list(point) for point in report.hit_rate_series],
-        engine=report.engine,
-        insertions=report.insertions,
-        reinsertions=report.reinsertions,
-        cold_misses=report.cold_misses,
-        unresolved=report.unresolved,
-        gateway_discoveries=report.gateway_discoveries,
-        churn_transitions=report.churn_transitions,
-        stale_hits=report.stale_hits,
-        content_refreshes=report.content_refreshes,
-        key_ttl=report.key_ttl,
-        final_index_size=report.final_index_size,
-        elapsed_seconds=report.elapsed_seconds,
-    )
-
-
-def report_from_payload(payload: dict[str, Any]) -> Any:
-    from repro.analysis.parameters import ScenarioParameters
-    from repro.fastsim.metrics import FastSimReport
-    from repro.sim.metrics import MessageCategory
-
-    return FastSimReport(
-        strategy=payload["strategy"],
-        params=ScenarioParameters.from_dict(payload["params"]),
-        duration=payload["duration"],
-        queries=payload["queries"],
-        answered=payload["answered"],
-        index_hits=payload["index_hits"],
-        messages_by_category={
-            MessageCategory(name): total
-            for name, total in payload["messages_by_category"]
-        },
-        mean_index_size=payload["mean_index_size"],
-        index_size_series=[
-            (point[0], point[1]) for point in payload["index_size_series"]
-        ],
-        hit_rate_series=[
-            (point[0], point[1]) for point in payload["hit_rate_series"]
-        ],
-        engine=payload["engine"],
-        insertions=payload["insertions"],
-        reinsertions=payload["reinsertions"],
-        cold_misses=payload["cold_misses"],
-        unresolved=payload["unresolved"],
-        gateway_discoveries=payload["gateway_discoveries"],
-        churn_transitions=payload["churn_transitions"],
-        stale_hits=payload["stale_hits"],
-        content_refreshes=payload["content_refreshes"],
-        key_ttl=payload["key_ttl"],
-        final_index_size=payload["final_index_size"],
-        elapsed_seconds=payload["elapsed_seconds"],
-    )
+    try:
+        return kind.codec.decode(payload)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptPayload(f"{type(exc).__name__}: {exc}") from exc

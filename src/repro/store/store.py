@@ -1,14 +1,16 @@
-"""Typed artifact store + the process-wide active-store plumbing.
+"""The artifact store + the process-wide active-store plumbing.
 
-:class:`Store` wraps a :class:`repro.store.db.Database` with per-kind
-``load_*`` / ``save_*`` helpers that compose the content key, serialize
-the payload, and emit obs counters (``cache.store.hit`` /
-``cache.store.miss``, plus per-kind ``cache.store.<kind>.hit/.miss``) so
-resumption is observable from any profile.
+:class:`Store` wraps a :class:`repro.store.db.Database` with one generic
+pair, ``load(kind, key)`` / ``save(kind, key, value)``, that runs a
+value through its kind's codec (:data:`repro.store.schema.KINDS`).
+Loads emit obs counters (``cache.store.hit`` / ``cache.store.miss``,
+plus per-kind ``cache.store.<kind>.hit/.miss``) so resumption is
+observable from any profile.
 
-The *active store* is the process-wide default consulted by
-``compare.costs_for`` / ``calibrate_churn_costs`` / ``run_many`` when no
-explicit handle is passed. It resolves, in priority order:
+The *active store* is the process-wide default that
+:func:`~repro.store.memo.stored` functions, ``run_many`` and
+``api.run``'s replicates consult when no explicit handle is passed. It
+resolves, in priority order:
 
 1. an explicit :func:`using_store` scope
    (the runner's ``--store PATH`` / ``--no-store`` land here);
@@ -21,14 +23,13 @@ explicit handle is passed. It resolves, in priority order:
 from __future__ import annotations
 
 import contextlib
-import json
 import os
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Iterator, Optional
 
 from repro import obs
-from repro.store.db import Database
-from repro.store.keys import content_key
 from repro.store import serialize
+from repro.store.db import Database
+from repro.store.schema import KINDS
 
 __all__ = [
     "Store",
@@ -52,11 +53,6 @@ class Store:
     def path(self) -> str:
         return self.db.path
 
-    # -- generic keyed access ------------------------------------------
-
-    def key_for(self, kind: str, inputs: Mapping[str, Any]) -> str:
-        return content_key(kind, inputs)
-
     def _record(self, kind: str, hit: bool) -> None:
         entry = self.stats.setdefault(kind, {"hits": 0, "misses": 0})
         entry["hits" if hit else "misses"] += 1
@@ -64,78 +60,36 @@ class Store:
         obs.count(f"cache.store.{outcome}")
         obs.count(f"cache.store.{kind}.{outcome}")
 
-    def load(self, kind: str, key: str) -> Optional[dict[str, Any]]:
-        """The payload stored under ``key``, counting hit/miss for ``kind``.
+    def load(self, kind: str, key: str) -> Optional[Any]:
+        """The ``kind`` value stored under ``key``, or ``None``; counts
+        the hit or miss.
 
-        A row that does not decode (a write cut short) is a miss, counted
-        once more as ``cache.store.corrupt``: the caller recomputes and
-        its save overwrites the row.
+        A row that does not decode as ``kind`` (a write cut short, a
+        missing field) is a miss, counted once more as
+        ``cache.store.corrupt``: the caller recomputes and its save
+        overwrites the row. A row tagged as another kind raises
+        ``ValueError``.
         """
         text = self.db.get(key)
-        payload = None
+        value = None
         if text is not None:
             try:
-                payload = serialize.loads(text, _PAYLOAD_TYPES[kind])
-            except json.JSONDecodeError:
+                value = serialize.loads(KINDS[kind], text)
+            except serialize.CorruptPayload:
                 obs.count("cache.store.corrupt")
-        self._record(kind, hit=payload is not None)
-        return payload
+        self._record(kind, hit=value is not None)
+        return value
 
-    def save(self, kind: str, key: str, payload: dict[str, Any]) -> None:
+    def save(self, kind: str, key: str, value: Any) -> None:
         from repro import __version__
 
-        self.db.put(key, kind, serialize.dumps(payload), __version__)
-
-    # -- calibrated costs ----------------------------------------------
-
-    def load_costs(self, inputs: Mapping[str, Any]) -> Optional[Any]:
-        payload = self.load("costs", self.key_for("costs", inputs))
-        return None if payload is None else serialize.costs_from_payload(payload)
-
-    def save_costs(self, inputs: Mapping[str, Any], costs: Any) -> None:
-        key = self.key_for("costs", inputs)
-        self.save("costs", key, serialize.costs_to_payload(costs))
-
-    def load_churn_costs(self, inputs: Mapping[str, Any]) -> Optional[Any]:
-        payload = self.load("churn_costs", self.key_for("churn_costs", inputs))
-        if payload is None:
-            return None
-        return serialize.churn_costs_from_payload(payload)
-
-    def save_churn_costs(self, inputs: Mapping[str, Any], costs: Any) -> None:
-        key = self.key_for("churn_costs", inputs)
-        self.save("churn_costs", key, serialize.churn_costs_to_payload(costs))
-
-    def load_probe(self, inputs: Mapping[str, Any]) -> Optional[float]:
-        payload = self.load("lookup_probe", self.key_for("lookup_probe", inputs))
-        return None if payload is None else serialize.probe_from_payload(payload)
-
-    def save_probe(self, inputs: Mapping[str, Any], value: float) -> None:
-        key = self.key_for("lookup_probe", inputs)
-        self.save("lookup_probe", key, serialize.probe_to_payload(value))
-
-    # -- kernel reports (sweep cells / figure runs) --------------------
+        text = serialize.dumps(KINDS[kind], value)
+        self.db.put(key, kind, text, __version__)
 
     def load_report(self, key: str) -> Optional[Any]:
-        payload = self.load("sweep_cell", key)
-        return None if payload is None else serialize.report_from_payload(payload)
-
-    def save_report(self, key: str, report: Any) -> None:
-        self.save("sweep_cell", key, serialize.report_to_payload(report))
-
-    # -- replicate figure payloads -------------------------------------
-
-    def load_replicate(self, inputs: Mapping[str, Any]) -> Optional[dict[str, Any]]:
-        payload = self.load("replicate", self.key_for("replicate", inputs))
-        if payload is None:
-            return None
-        return payload["figure"]
-
-    def save_replicate(
-        self, inputs: Mapping[str, Any], figure_payload: dict[str, Any]
-    ) -> None:
-        key = self.key_for("replicate", inputs)
-        self.save("replicate", key, {"type": "replicate", "figure": figure_payload})
+        """``load("sweep_cell", key)``, under the name the benchmark
+        harness wraps to tell loaded reports from executed ones."""
+        return self.load("sweep_cell", key)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -152,16 +106,6 @@ class Store:
         return f"Store(path={self.path!r})"
 
 
-#: Payload "type" tag expected for each artifact kind.
-_PAYLOAD_TYPES = {
-    "costs": "costs",
-    "churn_costs": "churn_costs",
-    "lookup_probe": "lookup_probe",
-    "sweep_cell": "report",
-    "replicate": "replicate",
-}
-
-
 # -- active store -------------------------------------------------------
 
 #: Sentinel distinguishing "nothing configured" from "explicitly None"
@@ -171,7 +115,7 @@ _active: Any = _UNSET
 
 
 def active_store() -> Optional[Store]:
-    """The store default-consulted by calibrations and ``run_many``."""
+    """The store ``stored`` functions, ``run_many`` and replicates use."""
     if _active is not _UNSET:
         return _active
     path = os.environ.get(STORE_ENV, "").strip()

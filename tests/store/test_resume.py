@@ -320,3 +320,26 @@ class TestCorruptRow:
         assert rewritten.pop("elapsed_seconds") > 0  # wall clock: recomputed
         payload.pop("elapsed_seconds")
         assert rewritten == payload
+
+    def test_a_cell_missing_a_field_is_a_counted_miss_and_rewritten(
+        self, params, store
+    ):
+        jobs = _jobs(params, seeds=(3, 4))
+        first = run_many(jobs, store=store)
+        key = job_key(resolve_jobs(jobs)[0])
+        payload = json.loads(store.db.get(key))
+        del payload["queries"]
+        store.db.put(key, "sweep_cell", json.dumps(payload), "1.0")
+        obs.enable()
+        try:
+            second = run_many(jobs, store=store)
+            counters = obs.collector().counters
+        finally:
+            obs.disable()
+        assert counters["cache.store.corrupt"] == 1
+        assert counters["cache.store.sweep_cell.miss"] == 1
+        assert counters["cache.store.sweep_cell.hit"] == 1
+        assert [replace(r, elapsed_seconds=0.0) for r in second] == [
+            replace(r, elapsed_seconds=0.0) for r in first
+        ]
+        assert json.loads(store.db.get(key))["queries"] == first[0].queries

@@ -1,4 +1,5 @@
-"""Typed store round-trips (bit-exact) and active-store plumbing."""
+"""Store round-trips of every artifact kind (bit-exact), faulty rows and
+active-store plumbing."""
 
 from __future__ import annotations
 
@@ -16,6 +17,9 @@ from repro.net.churn import ChurnConfig
 from repro.store import STORE_ENV, Store, active_store, using_store
 from repro.store import serialize
 from repro.store import store as store_module
+from repro.store.keys import content_key
+from repro.store.memo import stored
+from repro.store.schema import KINDS
 
 
 @pytest.fixture
@@ -59,39 +63,102 @@ CHURN_COSTS = ChurnOpCosts(
 )
 
 
+@pytest.fixture(scope="module")
+def report():
+    params = simulation_scenario(scale=0.02)
+    return run_fastsim(
+        params, duration=40.0, strategy="partialSelection", seed=3, window=10.0
+    )
+
+
+#: One ``(key inputs, value)`` sample per artifact kind.
+SAMPLES = {
+    "costs": ({"seed": 0, "n": 1}, lambda report: COSTS),
+    "churn_costs": (
+        {"churn": ChurnConfig(1800.0, 1200.0), "seed": 3},
+        lambda report: CHURN_COSTS,
+    ),
+    "lookup_probe": ({"n": 1}, lambda report: 7.321),
+    "sweep_cell": ({"job": "k"}, lambda report: report),
+    "replicate": (
+        {"experiment": "sim", "seed": 0},
+        lambda report: {"title": "t", "series": [[0.5, 1.25]], "n": 3},
+    ),
+}
+
+#: Payload text of the samples as the per-kind encoders wrote it (at
+#: ``3a2e86e``); a row the codec writes must stay byte-identical.
+PAYLOAD_TEXT = {
+    "costs": (
+        '{"flood":17.5,"gateway_discovery":2.0,"lookup":3.25,'
+        '"maintenance_per_round":0.125,"num_active_peers":321,'
+        '"source":"calibrated","type":"costs","walk":211.75}'
+    ),
+    "churn_costs": (
+        '{"availability":0.6,"failed_walk":210.0,"hit_flood":12.5,'
+        '"hit_flood_fraction":0.25,"insert_flood":10.5,"lookup":3.5,'
+        '"maintenance_per_round":0.5,"miss_flood":11.75,"miss_lookup":4.25,'
+        '"num_active_peers":123,"resolved_walk":95.25,"source":"calibrated",'
+        '"turnover_miss":0.125,"type":"churn_costs","walk_failure":0.0625}'
+    ),
+    "lookup_probe": '{"type":"lookup_probe","value":7.321}',
+    "replicate": (
+        '{"figure":{"n":3,"series":[[0.5,1.25]],"title":"t"},'
+        '"type":"replicate"}'
+    ),
+}
+
+
+def test_every_kind_has_a_sample():
+    assert set(SAMPLES) == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestRoundTrips:
+    def test_round_trip_is_bit_exact(self, store, report, kind):
+        inputs, make = SAMPLES[kind]
+        value = make(report)
+        key = content_key(kind, inputs)
+        store.save(kind, key, value)
+        loaded = store.load(kind, key)
+        assert loaded == value
+        assert type(loaded) is type(value)
+        if dataclasses.is_dataclass(value):
+            for field in dataclasses.fields(value):
+                assert getattr(loaded, field.name) == getattr(
+                    value, field.name
+                ), field.name
+        if kind == "sweep_cell":
+            # Dict *order* must survive too: dict equality ignores it, but
+            # sum() over the values is order-sensitive in the last ulp.
+            assert list(loaded.messages_by_category.items()) == list(
+                value.messages_by_category.items()
+            )
+        text = store.db.get(key)
+        assert serialize.dumps(KINDS[kind], loaded) == text
+        if kind in PAYLOAD_TEXT:
+            assert text == PAYLOAD_TEXT[kind]
+
+
 class TestCostRoundTrips:
-    def test_costs_round_trip_bit_exact(self, store):
-        inputs = {"seed": 0, "n": 1}
-        store.save_costs(inputs, COSTS)
-        assert store.load_costs(inputs) == COSTS
-
-    def test_churn_costs_round_trip_bit_exact(self, store):
-        inputs = {"churn": ChurnConfig(1800.0, 1200.0), "seed": 3}
-        store.save_churn_costs(inputs, CHURN_COSTS)
-        assert store.load_churn_costs(inputs) == CHURN_COSTS
-
-    def test_probe_round_trip(self, store):
-        store.save_probe({"n": 1}, 7.321)
-        assert store.load_probe({"n": 1}) == 7.321
-
     def test_missing_artifacts_load_none(self, store):
-        assert store.load_costs({"seed": 99}) is None
-        assert store.load_churn_costs({"seed": 99}) is None
-        assert store.load_probe({"seed": 99}) is None
-        assert store.load_report("0" * 64) is None
+        for kind in KINDS:
+            assert store.load(kind, content_key(kind, {"seed": 99})) is None
 
     def test_stats_track_hits_and_misses_per_kind(self, store):
-        store.load_costs({"seed": 0})
-        store.save_costs({"seed": 0}, COSTS)
-        store.load_costs({"seed": 0})
+        key = content_key("costs", {"seed": 0})
+        store.load("costs", key)
+        store.save("costs", key, COSTS)
+        store.load("costs", key)
         assert store.stats["costs"] == {"hits": 1, "misses": 1}
 
     def test_hits_and_misses_emit_obs_counters(self, store):
+        key = content_key("costs", {"seed": 0})
         obs.enable()
         try:
-            store.load_costs({"seed": 0})
-            store.save_costs({"seed": 0}, COSTS)
-            store.load_costs({"seed": 0})
+            store.load("costs", key)
+            store.save("costs", key, COSTS)
+            store.load("costs", key)
             counters = obs.collector().counters
         finally:
             obs.disable()
@@ -101,39 +168,43 @@ class TestCostRoundTrips:
         assert counters["cache.store.costs.hit"] == 1
 
     def test_wrong_kind_payload_is_refused(self, store):
-        key = store.key_for("costs", {"seed": 0})
-        store.save("costs", key, serialize.costs_to_payload(COSTS))
+        key = content_key("costs", {"seed": 0})
+        store.save("costs", key, COSTS)
         store.db.put(
             key, "costs", json.dumps({"type": "gibberish"}), "1.0"
         )
         with pytest.raises(ValueError, match="gibberish"):
             store.load("costs", key)
 
-
-class TestReportRoundTrip:
-    def test_fastsim_report_survives_bit_exact(self, store):
-        params = simulation_scenario(scale=0.02)
-        report = run_fastsim(
-            params,
-            duration=40.0,
-            strategy="partialSelection",
-            seed=3,
-            window=10.0,
-        )
-        store.save_report("k" * 64, report)
-        loaded = store.load_report("k" * 64)
-        assert loaded == report
-        for field in dataclasses.fields(report):
-            assert getattr(loaded, field.name) == getattr(
-                report, field.name
-            ), field.name
-        assert loaded.hit_rate_series == report.hit_rate_series
-        assert loaded.params == report.params
-        # Dict *order* must survive too: dict equality ignores it, but
-        # sum() over the values is order-sensitive in the last ulp.
-        assert list(loaded.messages_by_category.items()) == list(
-            report.messages_by_category.items()
-        )
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"type": "costs"},
+            {"type": "costs", "lookup": 1.0},
+            {**json.loads(PAYLOAD_TEXT["costs"]), "extra": 1},
+            {**json.loads(PAYLOAD_TEXT["costs"]), "lookup": -1.0},
+            {**json.loads(PAYLOAD_TEXT["costs"]), "lookup": None},
+            [1, 2],
+        ],
+        ids=["tag-only", "missing-fields", "extra-field", "invalid-value",
+             "null-value", "not-an-object"],
+    )
+    def test_a_row_that_is_not_a_costs_value_is_a_counted_miss(
+        self, store, payload
+    ):
+        key = content_key("costs", {"seed": 0})
+        store.db.put(key, "costs", json.dumps(payload), "1.0")
+        obs.enable()
+        try:
+            assert store.load("costs", key) is None
+            counters = obs.collector().counters
+        finally:
+            obs.disable()
+        assert counters["cache.store.corrupt"] == 1
+        assert counters["cache.store.costs.miss"] == 1
+        assert store.stats["costs"] == {"hits": 0, "misses": 1}
+        store.save("costs", key, COSTS)  # the recompute overwrites it
+        assert store.load("costs", key) == COSTS
 
 
 class TestActiveStore:
@@ -159,6 +230,38 @@ class TestActiveStore:
         monkeypatch.setenv(STORE_ENV, str(tmp_path / "env.sqlite"))
         with using_store(None):
             assert active_store() is None
+
+
+class TestStored:
+    @staticmethod
+    def probe():
+        calls = []
+
+        @stored("lookup_probe")
+        def measure(params, seed, probes=256):
+            calls.append((params, seed, probes))
+            return 0.5 * seed
+
+        return measure, calls
+
+    def test_a_call_is_keyed_by_its_bound_arguments(self, store):
+        measure, calls = self.probe()
+        with using_store(store):
+            assert measure({"n": 1}, 4) == 2.0
+            assert measure({"n": 1}, seed=4, probes=256) == 2.0
+        assert len(calls) == 1
+        key = content_key(
+            "lookup_probe", {"params": {"n": 1}, "seed": 4, "probes": 256}
+        )
+        assert store.db.get(key) == '{"type":"lookup_probe","value":2.0}'
+        assert store.stats["lookup_probe"] == {"hits": 1, "misses": 1}
+
+    def test_without_a_store_the_body_always_runs(self, monkeypatch):
+        monkeypatch.delenv(STORE_ENV, raising=False)
+        measure, calls = self.probe()
+        measure({"n": 1}, 4)
+        measure({"n": 1}, 4)
+        assert len(calls) == 2
 
 
 class TestCalibrationsThroughStore:

@@ -60,7 +60,6 @@ WRAPPED_BINDINGS = {
     ("repro.pdht.strategies", "strategy_setup"),
     ("repro.pdht.strategies.SimulatedStrategy", "run"),
     ("repro.sim.engine.Simulation", "run"),
-    ("repro.store", "open_store"),
     ("repro.store.store", "open_store"),
     ("repro.store.store.Store", "__init__"),
     ("repro.store.store.Store", "close"),

@@ -1,5 +1,6 @@
 """What a CLI call loads: the kernel and sweep path never import the
-event substrate, the process pool or, on a warm sweep, ``numpy.random``.
+event substrate, the process pool or, on a warm sweep, ``numpy.random``;
+importing the runner opens no store.
 
 Each check runs in a fresh interpreter, because what a test process has
 loaded depends on the tests that ran before it.
@@ -57,6 +58,14 @@ def test_importing_the_runner_loads_no_substrate_and_no_pool():
     loaded = _loaded("import repro.experiments.runner")
     assert "repro.fastsim.kernel" in loaded
     assert _under(loaded, SUBSTRATE) == []
+
+
+def test_importing_the_runner_opens_no_store():
+    # compare decorates its probes with repro.store.memo.stored when it
+    # loads; the store itself (and SQLite) waits for the first call.
+    loaded = _loaded("import repro.experiments.runner")
+    assert "repro.store.memo" in loaded
+    assert _under(loaded, ("sqlite3", "_sqlite3", "repro.store.store")) == []
 
 
 def test_package_names_resolve_on_first_use():

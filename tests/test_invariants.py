@@ -1,4 +1,4 @@
-"""The repo's cross-cutting invariants RL101-RL111, as plain ``ast`` checks.
+"""The repo's cross-cutting invariants RL101-RL112, as plain ``ast`` checks.
 
 A check is a function ``check(path, tree, imports)`` returning
 ``(line, message)`` pairs for one file; ``path`` is repo-relative posix,
@@ -8,7 +8,7 @@ exception is a path condition inside the check: there is no comment
 escape. To add an invariant, add a check function to ``CHECKS`` plus
 triggering and passing rows to ``FIXTURES``.
 
-``test_real_tree_is_clean`` runs all eleven over every ``.py`` file under
+``test_real_tree_is_clean`` runs all twelve over every ``.py`` file under
 ``src tests benchmarks tools examples`` and fails naming ``path:line``
 and the id of each violation.
 """
@@ -569,11 +569,40 @@ def rl111_seed_layout(path, tree, imports):
     return hits
 
 
+# RL112: an artifact is read and written through one path per kind. A
+# function whose result belongs in the store is decorated with
+# repro.store.memo.stored, which asks for the active store itself; only
+# the two batch paths that key many results at once (run_many's sweep
+# cells, api._execute's replicate seeds) look it up by hand. A third
+# caller is a hand-written load/compute/save block, as the calibrations
+# once had three of. Calls are matched by the callee's last name.
+_STORE_READERS = frozenset(
+    {"src/repro/fastsim/parallel.py", "src/repro/experiments/api.py"}
+)
+
+
+def rl112_store_access(path, tree, imports):
+    if (not path.startswith("src/") or path.startswith("src/repro/store/")
+            or path in _STORE_READERS):
+        return []
+    hits = []
+    for node in imports.of(ast.Call):
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name == "active_store":
+            hits.append((node.lineno, "RL112 'active_store()' outside "
+                         "repro.store, fastsim/parallel.py and "
+                         "experiments/api.py; decorate the function with "
+                         "repro.store.memo.stored"))
+    return hits
+
+
 CHECKS = (
     rl101_wall_clock, rl102_global_rng, rl103_dtype_literal,
     rl104_identity_leak, rl105_shm_unlink, rl106_uncounted_cache,
     rl107_span_naming, rl108_pool_ownership, rl109_collector_policy,
-    rl110_networkx_import, rl111_seed_layout,
+    rl110_networkx_import, rl111_seed_layout, rl112_store_access,
 )
 
 
@@ -938,6 +967,19 @@ FIXTURES = [    # RL101
         import numpy as np
         rng = np.random.default_rng(np.random.SeedSequence(7))
         """),
+    # RL112
+    row(rl112_store_access, "hand-written-block", "src/repro/fastsim/compare.py", """
+        from repro.store import store
+        from repro.store.store import active_store
+        def calibrate(params):
+            handle = active_store()
+            return handle or store.active_store()
+        """, "'active_store()'", "'active_store()'"),
+    row(rl112_store_access, "store-and-batch-paths", "src/repro/fastsim/parallel.py", """
+        from repro.store.store import active_store
+        def run_many(jobs, store=None):
+            return store or active_store()
+        """),
 ]
 
 
@@ -955,7 +997,7 @@ def test_every_check_runs_on_the_tree_and_has_fixtures():
     # A check missing from CHECKS would pass its fixtures and never run.
     assert {param.values[0] for param in FIXTURES} == set(CHECKS)
     assert [check.__name__[:5] for check in CHECKS] == [
-        f"rl{n}" for n in range(101, 112)
+        f"rl{n}" for n in range(101, 113)
     ]
 
 
