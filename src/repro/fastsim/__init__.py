@@ -74,9 +74,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "churn_costs_for",
         "costs_for",
         "compare_engines",
-        "compare_engines_churn",
         "compare_engines_staleness",
         "staleness_probe_event",
-        "staleness_probe_fast",
     ),
 })

@@ -13,15 +13,17 @@ The tools:
   shadow TTL tracker mirroring the kernel's index recurrence, and read
   off the availability-dependent per-op costs and hit-path fractions the
   kernel's churn model charges (:class:`~repro.fastsim.churncosts.ChurnOpCosts`);
-* :func:`compare_engines` / :func:`compare_engines_churn` /
-  :func:`compare_engines_staleness` — run the same scenario through both
-  engines over several seeds and report the relative disagreement of the
-  aggregate hit rate, total message cost and (for staleness) the stale
-  hit fraction.
+* :func:`compare_engines` / :func:`compare_engines_staleness` — run the
+  same scenario through both engines over several seeds (with churn
+  below ``availability`` 1, with content refresh for staleness) and
+  report the relative disagreement of the aggregate hit rate, total
+  message cost and (for staleness) the stale hit fraction. Each seed is
+  one :class:`~repro.experiments.execution.Cell`, the spec the simulated
+  figures run, through one loop: what agrees here is what the figures
+  execute.
 
-The agreement property tests and the ``cross_engine_10k`` rows of
-``benchmarks/gates.py`` are thin wrappers around the ``compare_engines*``
-family.
+The agreement property tests and the ``cross_engine_10k`` row of
+``benchmarks/gates.py`` are thin wrappers around the two.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError, RoutingError, require_period
 from repro.fastsim.churncosts import ChurnOpCosts, conditional_walk_failure
-from repro.fastsim.kernel import PerOpCosts, run_fastsim
+from repro.fastsim.kernel import PerOpCosts
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
@@ -57,10 +59,8 @@ __all__ = [
     "churn_config_for_availability",
     "EngineAgreement",
     "compare_engines",
-    "compare_engines_churn",
     "compare_engines_staleness",
     "staleness_probe_event",
-    "staleness_probe_fast",
 ]
 
 
@@ -870,37 +870,43 @@ class EngineAgreement:
         return text + f"; speedup {self.speedup:.1f}x"
 
 
-def _event_model_strategy(
-    params: ScenarioParameters,
-    config: PdhtConfig,
-    seed: int,
-    model,
-    churn: Optional[ChurnConfig] = None,
-) -> "SimulatedStrategy":
-    """A selection strategy driving a workload-model stream (or the
-    default stationary stream when ``model`` is None)."""
-    from repro.pdht.strategies import SimulatedStrategy
+def _agreement(
+    agreement: EngineAgreement,
+    cells: Sequence["Cell"],
+    costs: Optional[PerOpCosts] = None,
+) -> EngineAgreement:
+    """Run every cell through both engines and record what each measured.
 
-    strategy = SimulatedStrategy(
-        params, config=config, strategy="partialSelection", seed=seed,
-        churn=churn,
-    )
-    if model is not None:
-        strategy.workload = model.build(
-            ZipfDistribution(params.n_keys, params.alpha),
-            strategy.network.streams.get("queries-model"),
-        )
-    return strategy
+    The event side is :meth:`~repro.experiments.execution.Cell.run`; the
+    kernel side is the cell's own job with ``costs`` (or, when None, the
+    kernel's default policy) and its churn costs resolved as
+    :func:`~repro.fastsim.parallel.run_many` resolves them, before the
+    kernel's timer starts: below the calibration limit that runs an
+    event-engine probe, and ``speedup`` should measure the simulations,
+    not the (cached, one-off) calibration.
+    """
+    from repro.fastsim.parallel import resolve_jobs
 
+    for cell in cells:
+        started = perf_counter()
+        event = cell.run()
+        agreement.event_seconds += perf_counter() - started
 
-def _batch_model_workload(params: ScenarioParameters, seed: int, model):
-    """The kernel-side workload for ``model`` (None = kernel default)."""
-    if model is None:
-        return None
-    return model.build(
-        ZipfDistribution(params.n_keys, params.alpha),
-        np.random.default_rng(np.random.SeedSequence([seed, 0x3037DE1])),
-    )
+        (job,) = resolve_jobs([dc_replace(cell.fastsim_job(), costs=costs)])
+        started = perf_counter()
+        fast = job.run()
+        # Kernel construction included, like the event side.
+        agreement.fast_seconds += perf_counter() - started
+
+        agreement.event_hit_rates.append(event.hit_rate)
+        agreement.fast_hit_rates.append(fast.hit_rate)
+        if cell.content_refresh_period is None:
+            agreement.event_costs.append(event.total_messages)
+            agreement.fast_costs.append(fast.total_messages)
+        else:
+            agreement.event_staleness.append(event.stale_hit_fraction)
+            agreement.fast_staleness.append(fast.stale_hit_fraction)
+    return agreement
 
 
 def compare_engines(
@@ -909,133 +915,51 @@ def compare_engines(
     duration: float = 240.0,
     seeds: Sequence[int] = (0, 1, 2),
     costs: Optional[PerOpCosts] = None,
-    calibration_seed: int = 0,
     model=None,
+    availability: float = 1.0,
 ) -> EngineAgreement:
     """Run the selection algorithm through both engines and compare.
 
-    The event engine runs ``partialSelection`` through
-    :class:`~repro.pdht.strategies.SimulatedStrategy` verbatim; the fast
-    path runs :func:`~repro.fastsim.kernel.run_fastsim` with costs
-    calibrated off the same substrate (unless given).
+    Each seed is one ``partialSelection``
+    :class:`~repro.experiments.execution.Cell` — the spec every simulated
+    figure runs — on the event engine and on the kernel, the latter with
+    ``costs`` calibrated off the seed-0 substrate unless given.
     ``model`` swaps the stationary stream for a
     :class:`~repro.workloads.models.WorkloadModel` on both engines.
+
+    Below ``availability`` 1 both engines run under
+    :func:`churn_config_for_availability`: the event engine with a real
+    :class:`~repro.net.churn.ChurnProcess`, the kernel with the
+    availability-dependent cost model, calibrated at each seed
+    (:func:`churn_costs_for`; churn per-op costs are substrate-realisation
+    properties) and driven by ``model`` — the rank-permutation-aware path.
+    Agreement on hit rate *and* total cost is the acceptance bar that
+    lifted the churn engine gate.
     """
+    from repro.experiments.execution import Cell, CellWorkload
+
     if not seeds:
         raise ParameterError("need at least one seed")
+    churn = churn_config_for_availability(availability)
     config = config or PdhtConfig.from_scenario(params)
     if costs is None:
-        costs = calibrate_costs(params, config, seed=calibration_seed)
-    agreement = EngineAgreement(
-        params=params, duration=duration, seeds=tuple(seeds)
-    )
-    for seed in seeds:
-        started = perf_counter()
-        event_report = _event_model_strategy(
-            params, config, seed, model
-        ).run(duration)
-        agreement.event_seconds += perf_counter() - started
-        agreement.event_hit_rates.append(event_report.hit_rate)
-        agreement.event_costs.append(event_report.total_messages)
-
-        started = perf_counter()
-        fast_report = run_fastsim(
-            params,
-            config=config,
-            duration=duration,
-            seed=seed,
-            workload=_batch_model_workload(params, seed, model),
-            costs=costs,
+        costs = calibrate_costs(params, config)
+    cells = [
+        Cell(
+            params, config, duration, seed=seed, churn=churn,
+            workload=None if model is None else CellWorkload(
+                model, "queries-model", (seed, 0x3037DE1)
+            ),
         )
-        # Kernel construction included, like the event path above.
-        agreement.fast_seconds += perf_counter() - started
-        agreement.fast_hit_rates.append(fast_report.hit_rate)
-        agreement.fast_costs.append(fast_report.total_messages)
-    return agreement
-
-
-def compare_engines_churn(
-    params: ScenarioParameters,
-    availability: float,
-    config: Optional[PdhtConfig] = None,
-    duration: float = 240.0,
-    seeds: Sequence[int] = (0, 1, 2),
-    mean_session: float = 1800.0,
-    costs: Optional[PerOpCosts] = None,
-    churn_costs: Optional[ChurnOpCosts] = None,
-    calibration_seed: int = 0,
-    model=None,
-) -> EngineAgreement:
-    """Run the selection algorithm under churn through both engines.
-
-    The event engine runs ``partialSelection`` through
-    :class:`~repro.pdht.strategies.SimulatedStrategy` with a real
-    :class:`~repro.net.churn.ChurnProcess`; the kernel runs with the
-    availability-dependent cost model (calibrated via
-    :func:`churn_costs_for` unless given). Agreement on hit rate *and*
-    total cost is the acceptance bar that lifted the churn engine gate.
-
-    ``calibration_seed`` picks the substrate the *base* (no-churn) per-op
-    costs are measured on, exactly like :func:`compare_engines` — it also
-    anchors the base-cost resolution :func:`churn_costs_for` scales its
-    structural estimators from. The churn calibration itself still runs
-    at each comparison seed (churn per-op costs are substrate-realisation
-    properties; see :class:`~repro.fastsim.kernel.FastSimKernel`).
-
-    ``model`` runs a :class:`~repro.workloads.models.WorkloadModel` on
-    both engines *and* threads it into the churn calibration — the
-    rank-permutation-aware path the adaptivity-under-churn agreement
-    tests pin.
-    """
-    if not seeds:
-        raise ParameterError("need at least one seed")
-    churn = churn_config_for_availability(availability, mean_session)
-    if churn is None:
-        raise ParameterError(
-            "compare_engines_churn needs availability < 1; "
-            "use compare_engines for the churn-free comparison"
-        )
-    config = config or PdhtConfig.from_scenario(params)
-    if costs is None:
-        costs = calibrate_costs(params, config, seed=calibration_seed)
+        for seed in seeds
+    ]
     agreement = EngineAgreement(
         params=params,
         duration=duration,
         seeds=tuple(seeds),
-        availability=availability,
+        availability=None if churn is None else availability,
     )
-    for seed in seeds:
-        started = perf_counter()
-        event_report = _event_model_strategy(
-            params, config, seed, model, churn=churn
-        ).run(duration)
-        agreement.event_seconds += perf_counter() - started
-        agreement.event_hit_rates.append(event_report.hit_rate)
-        agreement.event_costs.append(event_report.total_messages)
-
-        # Resolve the churn cost model before starting the fast timer:
-        # below the calibration limit it runs an event-engine probe, and
-        # `speedup` should measure the simulation, not the (cached,
-        # one-off) calibration.
-        seed_churn_costs = churn_costs or churn_costs_for(
-            params, config, costs.num_active_peers, churn, costs, seed=seed,
-            model=model.calibration_model if model is not None else None,
-        )
-        started = perf_counter()
-        fast_report = run_fastsim(
-            params,
-            config=config,
-            duration=duration,
-            seed=seed,
-            workload=_batch_model_workload(params, seed, model),
-            churn=churn,
-            costs=costs,
-            churn_costs=seed_churn_costs,
-        )
-        agreement.fast_seconds += perf_counter() - started
-        agreement.fast_hit_rates.append(fast_report.hit_rate)
-        agreement.fast_costs.append(fast_report.total_messages)
-    return agreement
+    return _agreement(agreement, cells, costs)
 
 
 def staleness_probe_event(
@@ -1095,28 +1019,6 @@ def staleness_probe_event(
     )
 
 
-def staleness_probe_fast(
-    params: ScenarioParameters,
-    config: PdhtConfig,
-    duration: float,
-    refresh_period: float,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Kernel staleness measurement: ``(stale fraction, hit rate)``.
-
-    The kernel tracks payload/indexed versions as batch state, so this is
-    one :func:`run_fastsim` call with ``content_refresh_period`` set.
-    """
-    report = run_fastsim(
-        params,
-        config=config,
-        duration=duration,
-        seed=seed,
-        content_refresh_period=refresh_period,
-    )
-    return report.stale_hit_fraction, report.hit_rate
-
-
 def compare_engines_staleness(
     params: ScenarioParameters,
     config: Optional[PdhtConfig] = None,
@@ -1127,32 +1029,28 @@ def compare_engines_staleness(
 ) -> EngineAgreement:
     """Measure the staleness experiment through both engines and compare.
 
+    Each seed is one :class:`~repro.experiments.execution.Cell` with a
+    ``content_refresh_period``, which the event engine runs through
+    :func:`staleness_probe_event` and the kernel as batch version state.
     Agreement on the stale hit fraction (alongside hit rate) is the
     acceptance bar that lifted the staleness engine gate.
     """
+    from repro.experiments.execution import Cell
+
     if not seeds:
         raise ParameterError("need at least one seed")
     if ttl_factor <= 0:
         raise ParameterError(f"ttl_factor must be > 0, got {ttl_factor}")
     config = config or PdhtConfig.from_scenario(params)
     config = config.with_ttl(config.key_ttl * ttl_factor)
+    cells = [
+        Cell(
+            params, config, duration, seed=seed,
+            content_refresh_period=refresh_period,
+        )
+        for seed in seeds
+    ]
     agreement = EngineAgreement(
         params=params, duration=duration, seeds=tuple(seeds)
     )
-    for seed in seeds:
-        started = perf_counter()
-        stale, hit_rate = staleness_probe_event(
-            params, config, duration, refresh_period, seed=seed
-        )
-        agreement.event_seconds += perf_counter() - started
-        agreement.event_staleness.append(stale)
-        agreement.event_hit_rates.append(hit_rate)
-
-        started = perf_counter()
-        stale, hit_rate = staleness_probe_fast(
-            params, config, duration, refresh_period, seed=seed
-        )
-        agreement.fast_seconds += perf_counter() - started
-        agreement.fast_staleness.append(stale)
-        agreement.fast_hit_rates.append(hit_rate)
-    return agreement
+    return _agreement(agreement, cells)

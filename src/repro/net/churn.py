@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_finite
 from repro.net.node import PeerId, PeerPopulation
 from repro.sim.engine import Simulation
 
@@ -47,14 +47,11 @@ class ChurnConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.mean_session <= 0:
-            raise ParameterError(
-                f"mean_session must be > 0, got {self.mean_session}"
-            )
-        if self.mean_offline <= 0:
-            raise ParameterError(
-                f"mean_offline must be > 0, got {self.mean_offline}"
-            )
+        for name in ("mean_session", "mean_offline"):
+            value = getattr(self, name)
+            require_finite(name, value, 0.0)
+            if value <= 0:
+                raise ParameterError(f"{name} must be > 0, got {value}")
 
     @property
     def availability(self) -> float:

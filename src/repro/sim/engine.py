@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.obs.clock import perf_counter
-from repro.errors import ParameterError, SimulationError
+from repro.errors import ParameterError, SimulationError, require_finite
 
 __all__ = ["Event", "Simulation", "whole_rounds"]
 
@@ -31,8 +31,10 @@ def whole_rounds(duration: float) -> int:
     """The number of rounds a run of ``duration`` steps through.
 
     Both engines' drivers step whole rounds, so a fractional duration
-    would report rates over time that was never simulated: it is refused.
+    would report rates over time that was never simulated: it is refused,
+    as are NaN, ``inf`` and booleans.
     """
+    require_finite("duration", duration, 0.0)
     if duration <= 0:
         raise ParameterError(f"duration must be > 0, got {duration}")
     if duration != round(duration):

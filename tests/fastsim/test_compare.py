@@ -117,33 +117,8 @@ class TestAgreementHarness:
 
 
 class TestChurnCalibrationSeed:
-    """ISSUE 4 satellite: compare_engines_churn exposes calibration_seed
-    like compare_engines, threading it into the base per-op costs that
-    churn_costs_for anchors to."""
-
-    def test_calibration_seed_equals_explicit_costs(self, tiny_params):
-        from repro.fastsim.compare import compare_engines_churn
-        from repro.pdht.config import PdhtConfig
-
-        config = PdhtConfig.from_scenario(tiny_params)
-        via_seed = compare_engines_churn(
-            tiny_params,
-            0.7,
-            config=config,
-            duration=30.0,
-            seeds=(0,),
-            calibration_seed=5,
-        )
-        via_costs = compare_engines_churn(
-            tiny_params,
-            0.7,
-            config=config,
-            duration=30.0,
-            seeds=(0,),
-            costs=calibrate_costs(tiny_params, config, seed=5),
-        )
-        assert via_seed.fast_hit_rates == via_costs.fast_hit_rates
-        assert via_seed.fast_costs == via_costs.fast_costs
+    """The base per-op costs a comparison charges by default are the
+    seed-0 calibration."""
 
     def test_default_matches_seed_zero(self, tiny_params):
         # The default stays the historical seed-0 substrate.
@@ -153,3 +128,139 @@ class TestChurnCalibrationSeed:
         assert calibrate_costs(tiny_params, config, seed=0) == calibrate_costs(
             tiny_params, config
         )
+
+
+# ----------------------------------------------------------------------
+# The harness runs the figures' own cells. These pairs are the runs it
+# built by hand before it did (a ``queries-model`` substrate stream on
+# the event side, a ``SeedSequence([seed, 0x3037DE1])`` stream and
+# per-seed churn costs on the kernel side, the staleness probe next to a
+# refreshing kernel run), so every list must come out equal, not close.
+# ----------------------------------------------------------------------
+ORACLE_SEEDS = (0, 1)
+
+
+@pytest.fixture(scope="module")
+def oracle_scenario():
+    from dataclasses import replace
+
+    from repro.experiments.scenario import simulation_scenario
+    from repro.pdht.config import PdhtConfig
+
+    params = simulation_scenario(scale=0.01, query_freq=1 / 5)
+    config = replace(PdhtConfig.from_scenario(params), walk_ttl=96)
+    return params, config, calibrate_costs(params, config)
+
+
+def _hand_built(params, config, duration, costs, model=None, availability=1.0):
+    """``(event hit rates, fast hit rates, event costs, fast costs)``."""
+    import numpy as np
+
+    from repro.analysis.zipf import ZipfDistribution
+    from repro.fastsim import run_fastsim
+    from repro.fastsim.compare import (
+        churn_config_for_availability,
+        churn_costs_for,
+    )
+    from repro.pdht.strategies import SimulatedStrategy
+
+    zipf = ZipfDistribution(params.n_keys, params.alpha)
+    churn = churn_config_for_availability(availability)
+    lists = ([], [], [], [])
+    for seed in ORACLE_SEEDS:
+        strategy = SimulatedStrategy(
+            params, config=config, seed=seed, churn=churn
+        )
+        workload = None
+        if model is not None:
+            strategy.workload = model.build(
+                zipf, strategy.network.streams.get("queries-model")
+            )
+            workload = model.build(
+                zipf,
+                np.random.default_rng(np.random.SeedSequence([seed, 0x3037DE1])),
+            )
+        churn_costs = None
+        if churn is not None:
+            churn_costs = churn_costs_for(
+                params, config, costs.num_active_peers, churn, costs,
+                seed=seed,
+                model=None if model is None else model.calibration_model,
+            )
+        event = strategy.run(duration)
+        fast = run_fastsim(
+            params, config=config, duration=duration, seed=seed,
+            workload=workload, churn=churn, costs=costs,
+            churn_costs=churn_costs,
+        )
+        for values, value in zip(lists, (
+            event.hit_rate, fast.hit_rate,
+            event.total_messages, fast.total_messages,
+        )):
+            values.append(value)
+    return lists
+
+
+class TestCellsMatchHandBuiltRuns:
+    @pytest.mark.parametrize("model_name, availability, duration", [
+        (None, 1.0, 60.0),
+        ("rank-swap", 1.0, 60.0),
+        (None, 0.7, 40.0),
+        ("gradual-drift", 0.6, 40.0),
+    ])
+    def test_compare_engines(
+        self, oracle_scenario, model_name, availability, duration
+    ):
+        from repro.workloads import model_from_name
+
+        params, config, costs = oracle_scenario
+        model = None
+        if model_name is not None:
+            model = model_from_name(model_name, duration)
+        agreement = compare_engines(
+            params, config=config, duration=duration, seeds=ORACLE_SEEDS,
+            costs=costs, model=model, availability=availability,
+        )
+        assert (
+            agreement.event_hit_rates,
+            agreement.fast_hit_rates,
+            agreement.event_costs,
+            agreement.fast_costs,
+        ) == _hand_built(params, config, duration, costs, model, availability)
+        assert agreement.event_staleness == agreement.fast_staleness == []
+        assert agreement.availability == (
+            None if availability == 1.0 else availability
+        )
+
+    def test_compare_engines_staleness(self, oracle_scenario):
+        from repro.fastsim import run_fastsim
+        from repro.fastsim.compare import (
+            compare_engines_staleness,
+            staleness_probe_event,
+        )
+
+        params, config, _ = oracle_scenario
+        agreement = compare_engines_staleness(
+            params, config=config, duration=60.0, refresh_period=20.0,
+            seeds=ORACLE_SEEDS, ttl_factor=2.0,
+        )
+        config = config.with_ttl(config.key_ttl * 2.0)
+        event = [
+            staleness_probe_event(params, config, 60.0, 20.0, seed=seed)
+            for seed in ORACLE_SEEDS
+        ]
+        fast = [
+            run_fastsim(
+                params, config=config, duration=60.0, seed=seed,
+                content_refresh_period=20.0,
+            )
+            for seed in ORACLE_SEEDS
+        ]
+        assert agreement.event_staleness == [stale for stale, _ in event]
+        assert agreement.event_hit_rates == [rate for _, rate in event]
+        assert agreement.fast_staleness == [
+            report.stale_hit_fraction for report in fast
+        ]
+        assert agreement.fast_hit_rates == [report.hit_rate for report in fast]
+        assert agreement.event_costs == agreement.fast_costs == []
+        assert agreement.availability is None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ParameterError
@@ -31,6 +33,15 @@ class TestChurnConfig:
     def test_invalid_config(self, kwargs):
         with pytest.raises(ParameterError):
             ChurnConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["mean_session", "mean_offline"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True])
+    def test_non_finite_or_boolean_mean_rejected(self, field, value):
+        # Refused at construction: NaN and inf used to fail only later,
+        # inside the churn process or an availability check, and True ran
+        # 1-second sessions.
+        with pytest.raises(ParameterError, match=field):
+            ChurnConfig(**{field: value})
 
 
 class TestChurnProcess:

@@ -159,6 +159,26 @@ class TestDriver:
         with pytest.raises(ParameterError, match="whole number of rounds"):
             staleness_probe_event(sim_params, sim_config, 0.5, 10.0)
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, True])
+    def test_non_finite_or_boolean_duration_rejected(
+        self, sim_params, sim_config, duration
+    ):
+        # Every driver refuses it up front: inf used to escape as an
+        # OverflowError, NaN as a bare ValueError, and True ran one round.
+        from repro.fastsim import run_fastsim
+        from repro.fastsim.compare import staleness_probe_event
+
+        strategy = SimulatedStrategy(
+            sim_params, config=sim_config, strategy="noIndex"
+        )
+        with pytest.raises(ParameterError, match="finite number"):
+            strategy.run(duration)
+        assert strategy.network.simulation.now == 0.0  # nothing ran
+        with pytest.raises(ParameterError, match="finite number"):
+            staleness_probe_event(sim_params, sim_config, duration, 10.0)
+        with pytest.raises(ParameterError, match="finite number"):
+            run_fastsim(sim_params, config=sim_config, duration=duration)
+
     @pytest.mark.parametrize(
         "period", [math.nan, True, 0.0], ids=["nan", "bool", "zero"]
     )

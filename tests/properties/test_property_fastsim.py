@@ -102,18 +102,16 @@ CHURN_WALK_TTL = 96
 def _churn_agreement(availability: float):
     from dataclasses import replace
 
-    from repro.fastsim import compare_engines_churn
-
     params = simulation_scenario(scale=SCALE)
     config = replace(
         PdhtConfig.from_scenario(params), walk_ttl=CHURN_WALK_TTL
     )
-    return compare_engines_churn(
+    return compare_engines(
         params,
-        availability,
         config=config,
         duration=CHURN_DURATION,
         seeds=SEEDS,
+        availability=availability,
     )
 
 
@@ -362,20 +360,19 @@ def test_gradual_drift_under_churn_agreement_within_five_percent():
     stationary 5% bar at availability 0.5."""
     from dataclasses import replace
 
-    from repro.fastsim import compare_engines_churn
     from repro.workloads import model_from_name
 
     params = simulation_scenario(scale=SCALE)
     config = replace(
         PdhtConfig.from_scenario(params), walk_ttl=CHURN_WALK_TTL
     )
-    agreement = compare_engines_churn(
+    agreement = compare_engines(
         params,
-        0.5,
         config=config,
         duration=CHURN_DURATION,
         seeds=SEEDS,
         model=model_from_name("gradual-drift", CHURN_DURATION),
+        availability=0.5,
     )
     assert agreement.hit_rate_rel_diff <= 0.05, agreement.summary()
     assert agreement.cost_rel_diff <= 0.05, agreement.summary()

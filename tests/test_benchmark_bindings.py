@@ -43,7 +43,6 @@ WRAPPED_BINDINGS = {
     ("repro.fastsim.compare", "calibrate_costs"),
     ("repro.fastsim.compare", "churn_costs_for"),
     ("repro.fastsim.compare", "costs_for"),
-    ("repro.fastsim.compare", "run_fastsim"),
     ("repro.fastsim.kernel", "run_fastsim"),
     ("repro.fastsim.kernel", "strategy_setup"),
     ("repro.fastsim.kernel.FastSimKernel", "__init__"),

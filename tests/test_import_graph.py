@@ -1,6 +1,7 @@
 """What a CLI call loads: the kernel and sweep path never import the
 event substrate, the process pool or, on a warm sweep, ``numpy.random``;
-importing the runner opens no store.
+importing the runner opens no store; the agreement harness loads no
+experiment module.
 
 Each check runs in a fresh interpreter, because what a test process has
 loaded depends on the tests that ran before it.
@@ -66,6 +67,13 @@ def test_importing_the_runner_opens_no_store():
     loaded = _loaded("import repro.experiments.runner")
     assert "repro.store.memo" in loaded
     assert _under(loaded, ("sqlite3", "_sqlite3", "repro.store.store")) == []
+
+
+def test_the_agreement_harness_loads_no_experiment_module():
+    # compare builds the figures' Cells, but imports them only when a
+    # comparison runs: the kernel's cost resolution imports compare.
+    loaded = _loaded("import repro.fastsim.compare")
+    assert _under(loaded, ("repro.experiments",)) == []
 
 
 def test_package_names_resolve_on_first_use():
