@@ -22,6 +22,12 @@ __all__ = ["ScenarioParameters"]
 #: (footnote 1), so all per-round rates are per-second rates.
 SECONDS_PER_ROUND = 1.0
 
+#: The eight query periods (seconds per query per peer) on the paper's x-axes.
+PAPER_QUERY_PERIODS: tuple[float, ...] = (30, 60, 120, 300, 600, 1800, 3600, 7200)
+
+#: The same grid expressed as frequencies (queries per second per peer).
+PAPER_FREQUENCIES: tuple[float, ...] = tuple(1.0 / p for p in PAPER_QUERY_PERIODS)
+
 
 @dataclass(frozen=True)
 class ScenarioParameters:

@@ -15,19 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.analysis.parameters import ScenarioParameters
+from repro.analysis.parameters import PAPER_FREQUENCIES, ScenarioParameters
 from repro.analysis.selection_model import SelectionModel, SelectionOutcome
 from repro.analysis.strategies import StrategyCosts, evaluate_strategies
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 
 __all__ = ["PAPER_FREQUENCIES", "SweepPoint", "FrequencySweep", "sweep_frequencies"]
-
-#: The eight query periods (seconds per query per peer) on the paper's x-axes.
-PAPER_QUERY_PERIODS: tuple[float, ...] = (30, 60, 120, 300, 600, 1800, 3600, 7200)
-
-#: The same grid expressed as frequencies (queries per second per peer).
-PAPER_FREQUENCIES: tuple[float, ...] = tuple(1.0 / p for p in PAPER_QUERY_PERIODS)
 
 
 @dataclass(frozen=True)

@@ -27,117 +27,68 @@ The underlying data generators remain importable directly
 and workers.
 """
 
-from repro.experiments.scenario import (
-    paper_scenario,
-    simulation_scenario,
-    fastsim_scenario,
-    resolve_engine,
-    SIMULATION_SCALE,
-    FASTSIM_SCALE,
-    ENGINES,
-    DEFAULT_ENGINE,
-)
-from repro.experiments.execution import Cell, Execution
-from repro.experiments.figures import (
-    FigureSeries,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    keyttl_sensitivity,
-    heuristic_vs_optimal,
-    simulation_comparison,
-    simulated_figure1,
-    adaptivity_experiment,
-    adaptivity_tracking,
-    adaptivity_lag_table,
-    churn_experiment,
-    staleness_experiment,
-)
-from repro.experiments.tables import TableSeries, table1_rows, table1_series
-from repro.experiments.reporting import format_series, format_table
-from repro.experiments.stats import MetricSummary, summarise
-from repro.experiments.export import (
-    figure_to_csv,
-    figure_to_json,
-    load_figure_json,
-    save_figure,
-    result_to_json,
-    load_result_json,
-    save_result,
-)
-from repro.experiments.api import (
-    ANALYTICAL,
-    SIMULATED,
-    ExperimentParams,
-    ExperimentSpec,
-    ExperimentResult,
-    REGISTRY,
-    experiment,
-    get_spec,
-    experiment_names,
-    iter_specs,
-)
-from repro.experiments.api import run as run_experiment
-from repro.experiments.sweeps import (
-    GridAxes,
-    GridPoint,
-    optimal_cells,
-    sweep_grid,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "paper_scenario",
-    "simulation_scenario",
-    "fastsim_scenario",
-    "resolve_engine",
-    "SIMULATION_SCALE",
-    "FASTSIM_SCALE",
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "Cell",
-    "Execution",
-    "FigureSeries",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "keyttl_sensitivity",
-    "heuristic_vs_optimal",
-    "simulation_comparison",
-    "simulated_figure1",
-    "adaptivity_experiment",
-    "adaptivity_tracking",
-    "adaptivity_lag_table",
-    "churn_experiment",
-    "staleness_experiment",
-    "TableSeries",
-    "table1_rows",
-    "table1_series",
-    "format_series",
-    "format_table",
-    "MetricSummary",
-    "summarise",
-    "figure_to_csv",
-    "figure_to_json",
-    "load_figure_json",
-    "save_figure",
-    "result_to_json",
-    "load_result_json",
-    "save_result",
-    "ANALYTICAL",
-    "SIMULATED",
-    "ExperimentParams",
-    "ExperimentSpec",
-    "ExperimentResult",
-    "REGISTRY",
-    "experiment",
-    "get_spec",
-    "experiment_names",
-    "iter_specs",
-    "run_experiment",
-    "GridAxes",
-    "GridPoint",
-    "optimal_cells",
-    "sweep_grid",
-]
+# Names resolve on first use, so ``import repro.experiments.runner`` loads
+# the registry and nothing that computes (the registry is filled when
+# ``repro.experiments.api`` loads, whichever name asks for it first).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.scenario": (
+        "paper_scenario",
+        "simulation_scenario",
+        "fastsim_scenario",
+        "resolve_engine",
+        "SIMULATION_SCALE",
+        "FASTSIM_SCALE",
+        "ENGINES",
+        "DEFAULT_ENGINE",
+    ),
+    "repro.experiments.execution": ("Cell", "Execution"),
+    "repro.experiments.figures": (
+        "FigureSeries",
+        "figure1",
+        "figure2",
+        "figure3",
+        "figure4",
+        "keyttl_sensitivity",
+        "heuristic_vs_optimal",
+        "simulation_comparison",
+        "simulated_figure1",
+        "adaptivity_experiment",
+        "adaptivity_tracking",
+        "adaptivity_lag_table",
+        "churn_experiment",
+        "staleness_experiment",
+    ),
+    "repro.experiments.tables": ("TableSeries", "table1_rows", "table1_series"),
+    "repro.experiments.reporting": ("format_series", "format_table"),
+    "repro.experiments.stats": ("MetricSummary", "summarise"),
+    "repro.experiments.export": (
+        "figure_to_csv",
+        "figure_to_json",
+        "load_figure_json",
+        "save_figure",
+        "result_to_json",
+        "load_result_json",
+        "save_result",
+    ),
+    "repro.experiments.api": (
+        "ANALYTICAL",
+        "SIMULATED",
+        "ExperimentParams",
+        "ExperimentSpec",
+        "ExperimentResult",
+        "REGISTRY",
+        "experiment",
+        "get_spec",
+        "experiment_names",
+        "iter_specs",
+        "run_experiment",
+    ),
+    "repro.experiments.sweeps": (
+        "GridAxes",
+        "GridPoint",
+        "optimal_cells",
+        "sweep_grid",
+    ),
+})

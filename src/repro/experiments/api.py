@@ -22,7 +22,14 @@ by naming the figure function that computes it:
   :class:`~repro.errors.CapabilityError` with the gate reason when an
   unsupported engine is requested), executes the builder and wraps the
   figure in an :class:`ExperimentResult` that carries full provenance
-  (scenario parameters, engine, seed, wall-clock, package version).
+  (scenario parameters, engine, seed, wall-clock, package version, and
+  whether the figure was computed or read from the artifact store).
+
+With an active store (:mod:`repro.store`) a simulated run is a lookup
+first: its finished figure is one ``replicate`` row, keyed by
+:func:`_replicate_inputs`, and a hit renders it without importing numpy,
+the kernel or the planner — this module and the figure modules import
+them only inside the functions that compute.
 
 The CLI (:mod:`repro.experiments.runner`) consumes only this registry::
 
@@ -35,20 +42,21 @@ The CLI (:mod:`repro.experiments.runner`) consumes only this registry::
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from numbers import Real
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 import repro
 from repro import obs
 from repro.obs.clock import perf_counter
 from repro.analysis.parameters import ScenarioParameters
 from repro.errors import CapabilityError, ParameterError
-from repro.experiments import figures, tables
-from repro.experiments.execution import Execution
+from repro.experiments import figures, sweeps, tables
+from repro.experiments.export import figure_from_payload, figure_payload
 from repro.experiments.figures import FigureSeries
 from repro.experiments.tables import TableSeries
 from repro.experiments.scenario import (
@@ -58,7 +66,9 @@ from repro.experiments.scenario import (
     resolve_engine,
     simulation_scenario,
 )
-from repro.fastsim import parallel
+
+if TYPE_CHECKING:
+    from repro.experiments.execution import Execution
 
 __all__ = [
     "ANALYTICAL",
@@ -88,10 +98,10 @@ KINDS = (ANALYTICAL, SIMULATED)
 # ----------------------------------------------------------------------
 #: ExperimentParams fields that tune *how* a run executes without
 #: affecting *what* it computes (invariant RL104). Each one is popped
-#: out of the replicate artifact key by :func:`_replicate_inputs`, so a
-#: cached result is reused no matter how many workers produced it or
-#: where it was stored. Adding a field here without popping it (or vice
-#: versa) fails tests/test_invariants.py.
+#: out of the figure's artifact key by :func:`_replicate_inputs`, so a
+#: stored figure is reused no matter how many workers produced it, where
+#: it was stored or how many sibling seeds ran with it. Adding a field
+#: here without popping it (or vice versa) fails tests/test_invariants.py.
 EXECUTION_ONLY = frozenset({"jobs", "store", "replicates"})
 
 
@@ -172,8 +182,8 @@ class ExperimentParams:
     #: ``--store`` with ``--no-store`` (= ``"none"``).
     store: Optional[str] = _option(
         "SQLite artifact store for calibrations, sweep cells and "
-        "replicate payloads (resumable runs); defaults to the "
-        "REPRO_STORE environment variable, if set",
+        "finished figures (resumable runs; a repeated run is a lookup); "
+        "defaults to the REPRO_STORE environment variable, if set",
         metavar="PATH",
     )
 
@@ -267,9 +277,11 @@ class ExperimentContext:
         return self.params.seed if self.params.seed is not None else 0
 
     @property
-    def execution(self) -> Execution:
+    def execution(self) -> "Execution":
         """How this run's cells execute — the single argument simulated
         figures take for engine and workers."""
+        from repro.experiments.execution import Execution
+
         jobs = self.params.jobs
         return Execution(engine=self.engine, jobs=1 if jobs is None else jobs)
 
@@ -309,7 +321,8 @@ class ExperimentSpec:
     takes an ``execution``, plus ``scale``, ``store`` and ``replicates``
     for a simulated experiment — except ``replicates`` for a builder
     returning a :class:`~repro.experiments.tables.TableSeries`, whose
-    rows a seed mean cannot carry.
+    rows a seed mean cannot carry. The signature is read, not evaluated:
+    its annotations name the execution layer, which loads numpy.
     """
 
     name: str
@@ -357,9 +370,7 @@ class ExperimentSpec:
                     f"experiment {self.name!r} declares unknown engines "
                     f"{sorted(bad)}; known: {ENGINES}"
                 )
-        signature = inspect.signature(
-            self.builder, locals={"TableSeries": TableSeries}, eval_str=True
-        )
+        signature = inspect.signature(self.builder)
         parameters = signature.parameters
         unknown = [
             name
@@ -383,7 +394,7 @@ class ExperimentSpec:
         if self.kind == SIMULATED:
             accepts |= {"scale", "store"}
             returns = signature.return_annotation
-            if not (
+            if returns != "TableSeries" and not (
                 isinstance(returns, type) and issubclass(returns, TableSeries)
             ):
                 accepts.add("replicates")
@@ -543,6 +554,9 @@ class ExperimentResult:
     #: (:func:`repro.obs.enable` or the runner's ``--profile``); ``None``
     #: otherwise. Render it with :func:`repro.obs.profile_text`.
     telemetry: Optional[dict[str, object]] = None
+    #: ``"store"`` when every figure of the run was read from the active
+    #: artifact store, ``"computed"`` otherwise.
+    source: str = "computed"
 
     def render(self) -> str:
         return self.figure.render()
@@ -558,6 +572,7 @@ class ExperimentResult:
             "seed": self.seed,
             "wall_clock_seconds": self.wall_clock_seconds,
             "version": self.version,
+            "source": self.source,
         }
 
     def to_json(self) -> str:
@@ -629,12 +644,12 @@ def run(name: str, **overrides: object) -> ExperimentResult:
                     experiment=spec.name,
                     engine=engine or "none",
                 ):
-                    figure, replication = _execute(ctx)
+                    figure, replication, source = _execute(ctx)
                 obs.report_gc()
                 obs.sample_peak_rss()
             telemetry = local.snapshot()
         else:
-            figure, replication = _execute(ctx)
+            figure, replication, source = _execute(ctx)
     wall_clock = perf_counter() - started
     return ExperimentResult(
         name=spec.name,
@@ -653,7 +668,12 @@ def run(name: str, **overrides: object) -> ExperimentResult:
         version=repro.__version__,
         replication=replication,
         telemetry=telemetry,
+        source=source,
     )
+
+
+#: :func:`run` under the name the :mod:`repro.experiments` package exports.
+run_experiment = run
 
 
 def _store_scope(setting: Optional[str]):
@@ -678,78 +698,101 @@ def _store_scope(setting: Optional[str]):
 
 def _execute(
     ctx: ExperimentContext,
-) -> tuple[FigureSeries, Optional[dict[str, object]]]:
-    """Build the figure, fanning replicate seeds over a pool if asked."""
-    replicates = ctx.params.replicates or 1
-    if replicates == 1:
-        return ctx.run(), None
-    import json
+) -> tuple[FigureSeries, Optional[dict[str, object]], str]:
+    """Build the figure: ``(figure, replication, source)``.
 
-    from repro.experiments.export import figure_to_json, load_figure_json
-    from repro.store.keys import content_key
+    A simulated run with an active store reads each seed's finished
+    figure first and computes only the seeds it lacks, saving each as it
+    lands: a repeated run is one lookup, and an interrupted replication
+    resumes where it stopped (a figure is saved only once built, so an
+    interrupted seed resumes cell by cell). ``jobs > 1`` fans a
+    replication's seeds over the process pool; each child context then
+    runs its own cells in-process (jobs=1) — no nested pools.
+    """
+    replicates = ctx.params.replicates or 1
+    if ctx.spec.kind == ANALYTICAL:
+        return ctx.run(), None, "computed"
     from repro.store.store import active_store
 
     seeds = tuple(ctx.seed + i for i in range(replicates))
-    # One builder invocation per seed. The seeds are independent, so
-    # jobs > 1 fans them over the process pool; each child context then
-    # runs its own cells in-process (jobs=1) — no nested pools.
-    contexts = [
-        replace(ctx, params=replace(ctx.params, seed=run_seed, jobs=1))
-        for run_seed in seeds
-    ]
-    # Replicate seeds already in the artifact store load instead of
-    # recompute; only the missing seeds run, and each is saved as it
-    # lands, so an interrupted replication resumes where it stopped.
+    contexts = [ctx]
+    if replicates > 1:
+        contexts = [
+            replace(ctx, params=replace(ctx.params, seed=seed, jobs=1))
+            for seed in seeds
+        ]
     store = active_store()
     figures_by_seed: list[Optional[FigureSeries]] = [None] * len(contexts)
     keys: list[str] = []
     if store is not None:
+        from repro.store.keys import content_key
+
         for index, context in enumerate(contexts):
             keys.append(content_key("replicate", _replicate_inputs(context)))
             payload = store.load("replicate", keys[index])
             if payload is not None:
-                figures_by_seed[index] = load_figure_json(json.dumps(payload))
+                figures_by_seed[index] = figure_from_payload(payload)
     pending = [i for i, fig in enumerate(figures_by_seed) if fig is None]
 
     def _finish(position: int, figure: FigureSeries) -> None:
         index = pending[position]
         figures_by_seed[index] = figure
         if store is not None:
-            store.save(
-                "replicate", keys[index], json.loads(figure_to_json(figure))
-            )
+            store.save("replicate", keys[index], figure_payload(figure))
 
-    parallel.fan_out(
-        [contexts[i] for i in pending],
-        parallel.resolve_worker_count(ctx.execution.jobs),
-        _finish,
-        "experiment.replicates",
-        done=len(contexts) - len(pending),
-    )
-    return _aggregate_replicates(figures_by_seed, seeds)
+    source = "computed" if pending else "store"
+    if replicates == 1:
+        if pending:
+            _finish(0, ctx.run())
+        return figures_by_seed[0], None, source
+    if pending:
+        from repro.fastsim import parallel
+
+        parallel.fan_out(
+            [contexts[i] for i in pending],
+            parallel.resolve_worker_count(ctx.execution.jobs),
+            _finish,
+            "experiment.replicates",
+            done=len(contexts) - len(pending),
+        )
+    return (*_aggregate_replicates(figures_by_seed, seeds), source)
 
 
 def _replicate_inputs(ctx: "ExperimentContext") -> dict[str, object]:
-    """Content-key inputs of one replicate seed's figure payload.
+    """Content-key inputs of one seed's finished figure.
 
     ``jobs`` and ``store`` are execution detail, and ``replicates`` is
     sibling count — none of them can change this seed's figure, so they
-    stay out of the key and a ``replicates=5`` rerun reuses the three
-    payloads a ``replicates=3`` run stored. Everything that *can* change
-    the figure — experiment, engine, scenario, the per-seed parameter
-    set — goes in; the envelope adds ``repro.__version__`` and the
-    ``replicate`` schema rev on top.
+    stay out of the key: a plain run at seed ``s`` and seed ``s`` of a
+    ``replicates=N`` run share one row, and a ``replicates=5`` rerun
+    reuses the three a ``replicates=3`` run stored. Everything that *can*
+    change the figure goes in: experiment, engine, scenario, the per-seed
+    parameter set with the seed always explicit, and for a
+    ``trace:<path>`` workload the sha-256 of the trace file's bytes (the
+    path alone would serve a rewritten trace's stale figure). The
+    envelope adds ``repro.__version__`` and the ``replicate`` schema rev
+    on top.
     """
     params = ctx.params.to_dict()
     params.pop("jobs", None)
     params.pop("store", None)
     params.pop("replicates", None)
-    return {
+    params["seed"] = ctx.seed
+    inputs: dict[str, object] = {
         "experiment": ctx.spec.name,
         "engine": ctx.engine,
         "scenario": ctx.scenario,
         "params": params,
     }
+    workload = ctx.params.workload
+    if workload is not None and workload.startswith("trace:"):
+        path = workload[len("trace:") :]
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise ParameterError(f"cannot read trace {path!r}: {exc}") from exc
+        inputs["trace_sha256"] = hashlib.sha256(data).hexdigest()
+    return inputs
 
 
 #: Confidence level of the ``replicates=N`` aggregation.
@@ -820,6 +863,7 @@ def _aggregate_replicates(
 
 # ----------------------------------------------------------------------
 # The built-in experiment suite: each figure function is the experiment
+# (registration order is presentation order)
 # ----------------------------------------------------------------------
 experiment(
     "table1", "Table 1 - parameters of the sample scenario", ANALYTICAL
@@ -893,3 +937,25 @@ experiment(
     engines=("event", "vectorized"),
     scale=0.02,
 )(figures.simulated_figure1)
+experiment(
+    "sweep",
+    "Sweep - keyTtl x alpha x fQry grid at paper scale (fastsim)",
+    SIMULATED,
+    engines=("vectorized",),
+    gate_reason=(
+        "the grid runs Table 1 at full scale (and beyond, via --scale); "
+        "only the vectorized batch kernel is tractable there"
+    ),
+    scale=1.0,
+)(sweeps.default_grid)
+experiment(
+    "sweep-optimal",
+    "Sweep - optimal keyTtl cell per alpha|fQry slice (fastsim)",
+    SIMULATED,
+    engines=("vectorized",),
+    gate_reason=(
+        "derived from the paper-scale sweep grid; only the vectorized "
+        "batch kernel is tractable there"
+    ),
+    scale=1.0,
+)(sweeps.default_optimal_cells)

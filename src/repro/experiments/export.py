@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "figure_to_csv",
+    "figure_payload",
+    "figure_from_payload",
     "figure_to_json",
     "save_figure",
     "load_figure_json",
@@ -45,8 +47,8 @@ def figure_to_csv(figure: FigureSeries) -> str:
     return buffer.getvalue()
 
 
-def figure_to_json(figure: FigureSeries) -> str:
-    """Render a figure as JSON (name, notes, x axis, series).
+def figure_payload(figure: FigureSeries) -> dict[str, object]:
+    """A figure as a JSON object (name, notes, x axis, series).
 
     A :class:`~repro.experiments.tables.TableSeries` additionally keeps
     its (description, parameter, value) rows, so the round-trip restores
@@ -62,15 +64,15 @@ def figure_to_json(figure: FigureSeries) -> str:
     if rows is not None:
         payload["rows"] = [list(row) for row in rows]
         payload["headers"] = list(getattr(figure, "headers", ()) or ())
-    return json.dumps(payload, indent=2)
+    return payload
 
 
-def load_figure_json(text: str) -> FigureSeries:
-    """Reconstruct a :class:`FigureSeries` from :func:`figure_to_json`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"not a valid figure export: {exc}") from exc
+def figure_from_payload(payload: object) -> FigureSeries:
+    """Reconstruct a :class:`FigureSeries` from :func:`figure_payload`."""
+    if not isinstance(payload, dict):
+        raise ParameterError(
+            f"figure export must be an object, got {type(payload).__name__}"
+        )
     missing = {"name", "x_label", "x_values", "series"} - set(payload)
     if missing:
         raise ParameterError(f"figure export missing fields: {sorted(missing)}")
@@ -93,6 +95,20 @@ def load_figure_json(text: str) -> FigureSeries:
     return FigureSeries(**fields)
 
 
+def figure_to_json(figure: FigureSeries) -> str:
+    """Render a figure as JSON text (:func:`figure_payload`)."""
+    return json.dumps(figure_payload(figure), indent=2)
+
+
+def load_figure_json(text: str) -> FigureSeries:
+    """Reconstruct a :class:`FigureSeries` from :func:`figure_to_json`."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"not a valid figure export: {exc}") from exc
+    return figure_from_payload(payload)
+
+
 def result_to_json(result: "ExperimentResult") -> str:
     """Serialise an experiment result: provenance envelope plus figure.
 
@@ -103,7 +119,7 @@ def result_to_json(result: "ExperimentResult") -> str:
         "experiment": result.name,
         "title": result.title,
         "provenance": result.provenance(),
-        "figure": json.loads(figure_to_json(result.figure)),
+        "figure": figure_payload(result.figure),
     }
     if result.replication is not None:
         payload["replication"] = result.replication
@@ -133,7 +149,7 @@ def load_result_json(text: str) -> "ExperimentResult":
         name=payload["experiment"],
         title=payload.get("title", payload["experiment"]),
         kind=provenance.get("kind", "analytical"),
-        figure=load_figure_json(json.dumps(payload["figure"])),
+        figure=figure_from_payload(payload["figure"]),
         engine=provenance.get("engine"),
         scenario=dict(provenance.get("scenario", {})),
         parameters=dict(provenance.get("parameters", {})),
@@ -142,6 +158,7 @@ def load_result_json(text: str) -> "ExperimentResult":
         version=provenance.get("version", ""),
         replication=payload.get("replication"),
         telemetry=payload.get("telemetry"),
+        source=provenance.get("source", "computed"),
     )
 
 

@@ -6,6 +6,10 @@ benchmark harness prints them; tests assert on their shapes.
 :mod:`repro.experiments.api` registers each one as an experiment, and
 its signature is that experiment's parameter list: what it accepts and
 its defaults.
+
+The module imports no numpy: the registry reads these signatures on every
+CLI call, a warm one included, so each body imports the model, the engines
+and the execution layer it computes with.
 """
 
 from __future__ import annotations
@@ -13,19 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import selection_outcome
-from repro.analysis.sensitivity import sweep_keyttl_error
-from repro.analysis.strategies import STRATEGY_NAMES, evaluate_strategies
-from repro.analysis.sweep import PAPER_FREQUENCIES, sweep_frequencies
-from repro.analysis.zipf import ZipfDistribution
+from repro.analysis.parameters import PAPER_FREQUENCIES, ScenarioParameters
 from repro.errors import ParameterError
-from repro.experiments.execution import Cell, CellWorkload, Execution
 from repro.experiments.reporting import format_period, format_series
 from repro.experiments.scenario import paper_scenario, simulation_scenario
-from repro.pdht.config import PdhtConfig
 
 if TYPE_CHECKING:
+    from repro.analysis.sweep import FrequencySweep
+    from repro.experiments.execution import Execution
     from repro.experiments.tables import TableSeries
 
 
@@ -83,13 +82,19 @@ def _frequency_labels(frequencies: Sequence[float]) -> list[str]:
     return [format_period(f) for f in frequencies]
 
 
+def _paper_sweep(params: Optional[ScenarioParameters]) -> FrequencySweep:
+    """The closed-form sweep over the paper's query frequencies (Figs. 1-4)."""
+    from repro.analysis.sweep import sweep_frequencies
+
+    return sweep_frequencies(params or paper_scenario(), PAPER_FREQUENCIES)
+
+
 # ----------------------------------------------------------------------
 # Analytical figures (paper scale)
 # ----------------------------------------------------------------------
 def figure1(params: Optional[ScenarioParameters] = None) -> FigureSeries:
     """Fig. 1: total msg/s of indexAll, noIndex and ideal partial indexing."""
-    params = params or paper_scenario()
-    sweep = sweep_frequencies(params, PAPER_FREQUENCIES)
+    sweep = _paper_sweep(params)
     return FigureSeries(
         name="Fig. 1 - total cost [msg/s] vs per-peer query frequency",
         x_label="queryFreq",
@@ -105,8 +110,7 @@ def figure1(params: Optional[ScenarioParameters] = None) -> FigureSeries:
 
 def figure2(params: Optional[ScenarioParameters] = None) -> FigureSeries:
     """Fig. 2: savings of ideal partial indexing vs both baselines."""
-    params = params or paper_scenario()
-    sweep = sweep_frequencies(params, PAPER_FREQUENCIES)
+    sweep = _paper_sweep(params)
     return FigureSeries(
         name="Fig. 2 - savings of ideal partial indexing",
         x_label="queryFreq",
@@ -120,8 +124,7 @@ def figure2(params: Optional[ScenarioParameters] = None) -> FigureSeries:
 
 def figure3(params: Optional[ScenarioParameters] = None) -> FigureSeries:
     """Fig. 3: index-size fraction and pIndxd of ideal partial indexing."""
-    params = params or paper_scenario()
-    sweep = sweep_frequencies(params, PAPER_FREQUENCIES)
+    sweep = _paper_sweep(params)
     return FigureSeries(
         name="Fig. 3 - indexed fraction and index hit probability",
         x_label="queryFreq",
@@ -135,8 +138,7 @@ def figure3(params: Optional[ScenarioParameters] = None) -> FigureSeries:
 
 def figure4(params: Optional[ScenarioParameters] = None) -> FigureSeries:
     """Fig. 4: savings of the TTL selection algorithm vs both baselines."""
-    params = params or paper_scenario()
-    sweep = sweep_frequencies(params, PAPER_FREQUENCIES)
+    sweep = _paper_sweep(params)
     return FigureSeries(
         name="Fig. 4 - savings with the selection algorithm (keyTtl = 1/fMin)",
         x_label="queryFreq",
@@ -159,6 +161,8 @@ def keyttl_sensitivity(
     params: Optional[ScenarioParameters] = None,
 ) -> FigureSeries:
     """Section 5.1.1: cost penalty of mis-estimating keyTtl by +/-50%."""
+    from repro.analysis.sensitivity import sweep_keyttl_error
+
     params = (params or paper_scenario()).with_query_freq(KEYTTL_QUERY_FREQ)
     results = sweep_keyttl_error(params, KEYTTL_ERROR_FACTORS)
     return FigureSeries(
@@ -198,6 +202,7 @@ def heuristic_vs_optimal(
     from repro.analysis.strategies import cost_partial_ideal
     from repro.analysis.selection_model import SelectionModel
     from repro.analysis.threshold import solve_threshold
+    from repro.analysis.zipf import ZipfDistribution
 
     params = params or paper_scenario()
     zipf = ZipfDistribution(params.n_keys, params.alpha)
@@ -244,6 +249,11 @@ def simulation_comparison(
     absolute equality. ``Execution("vectorized")`` swaps in the batch
     kernel, which also unlocks paper-scale (and larger) parameter sets.
     """
+    from repro.analysis.selection_model import selection_outcome
+    from repro.analysis.strategies import STRATEGY_NAMES, evaluate_strategies
+    from repro.experiments.execution import Cell, Execution
+    from repro.pdht.config import PdhtConfig
+
     params = params or simulation_scenario()
     execution = execution or Execution()
     config = PdhtConfig.from_scenario(params)
@@ -309,7 +319,9 @@ def churn_experiment(
     calibration limit, structural Monte-Carlo beyond), which unlocks
     availability sweeps at 10^5-10^6 peers.
     """
+    from repro.experiments.execution import Cell, Execution
     from repro.fastsim.compare import churn_config_for_availability
+    from repro.pdht.config import PdhtConfig
 
     params = params or simulation_scenario()
     execution = execution or Execution()
@@ -357,6 +369,9 @@ def simulated_figure1(
     frequency, and ``noIndex`` falls linearly while ``indexAll`` stays
     flat.
     """
+    from repro.experiments.execution import Cell, Execution
+    from repro.pdht.config import PdhtConfig
+
     params = params or simulation_scenario(scale=0.02)
     execution = execution or Execution()
     names = ("indexAll", "noIndex", "partialIdeal", "partialSelection")
@@ -410,6 +425,9 @@ def staleness_experiment(
     event engine; ``tests/properties/test_property_fastsim.py``) and
     scales to 10^5-10^6 peers.
     """
+    from repro.experiments.execution import Cell, Execution
+    from repro.pdht.config import PdhtConfig
+
     params = params or simulation_scenario(scale=0.02)
     execution = execution or Execution()
     if refresh_period <= 0 or duration <= 0:
@@ -462,6 +480,8 @@ def adaptivity_experiment(
     the new hot set — the paper's "adapts to changing query
     distributions" claim.
     """
+    from repro.experiments.execution import Cell, CellWorkload, Execution
+    from repro.pdht.config import PdhtConfig
     from repro.workloads import RankSwap
 
     params = params or simulation_scenario()
@@ -559,6 +579,8 @@ def _tracking_reports(
     Returns ``(params, execution, names, models, reports)`` where
     ``reports`` maps ``(model_name, strategy)`` to the windowed run report.
     """
+    from repro.experiments.execution import Cell, CellWorkload, Execution
+    from repro.pdht.config import PdhtConfig
     from repro.workloads import model_from_name
 
     params = params or simulation_scenario()

@@ -29,11 +29,17 @@ per-seed values for replicated runs), and ``--output DIR`` writes one
 file per experiment instead of printing.
 
 ``--store PATH`` runs against the SQLite artifact store at PATH
-(:mod:`repro.store`): calibrations, sweep cells and replicate payloads
-already on disk load instead of recompute, so interrupted sweeps resume
-and repeated runs skip the expensive probes. ``REPRO_STORE`` sets the
-same default process-wide; ``--no-store`` disables store traffic even
-when the variable is set.
+(:mod:`repro.store`): finished figures, sweep cells and calibrations
+already on disk load instead of recompute. A simulated run's figure is
+one row, keyed by experiment, engine, scenario and every parameter but
+``--jobs``/``--store``/``--replicates`` (a ``trace:<path>`` workload by
+the sha256 of the trace file's bytes), and read before numpy is
+imported: a repeated run is one lookup, reported as ``"source":
+"store"`` in its JSON. A figure is saved once built, so an interrupted
+sweep resumes cell by cell. Every row carries the sha256 of its
+payload; one that no longer matches is recomputed and overwritten.
+``REPRO_STORE`` sets the same default process-wide; ``--no-store``
+disables store traffic even when the variable is set.
 
 ``--profile`` enables telemetry collection (:mod:`repro.obs`) for the
 run: every result carries its merged span/counter/gauge snapshot in the

@@ -32,17 +32,17 @@ minimising measured total cost — the measured counterpart of
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import selection_outcome
 from repro.errors import ParameterError, require_finite
-from repro.experiments.api import SIMULATED, experiment
-from repro.experiments.execution import Cell, CellWorkload, Execution
 from repro.experiments.figures import FigureSeries
 from repro.experiments.reporting import format_period
 from repro.experiments.scenario import paper_scenario
+
+if TYPE_CHECKING:
+    from repro.experiments.execution import Execution
 
 __all__ = ["GridAxes", "GridPoint", "sweep_grid", "optimal_cells"]
 
@@ -175,6 +175,8 @@ def sweep_grid(
     worker count — see :mod:`repro.experiments.execution`; results are
     identical for any worker count.
     """
+    from repro.analysis.selection_model import selection_outcome
+    from repro.experiments.execution import Cell, CellWorkload, Execution
     from repro.fastsim.compare import churn_config_for_availability
     from repro.pdht.config import PdhtConfig
     from repro.workloads import model_from_name
@@ -379,26 +381,3 @@ def default_optimal_cells(
         _grid_axes(workload),
     )
 
-
-experiment(
-    "sweep",
-    "Sweep - keyTtl x alpha x fQry grid at paper scale (fastsim)",
-    SIMULATED,
-    engines=("vectorized",),
-    gate_reason=(
-        "the grid runs Table 1 at full scale (and beyond, via --scale); "
-        "only the vectorized batch kernel is tractable there"
-    ),
-    scale=1.0,
-)(default_grid)
-experiment(
-    "sweep-optimal",
-    "Sweep - optimal keyTtl cell per alpha|fQry slice (fastsim)",
-    SIMULATED,
-    engines=("vectorized",),
-    gate_reason=(
-        "derived from the paper-scale sweep grid; only the vectorized "
-        "batch kernel is tractable there"
-    ),
-    scale=1.0,
-)(default_optimal_cells)

@@ -17,13 +17,17 @@ artifacts of the reproduction pipeline. Each kind is declared once, in
     already stored and computes only the misses, making interrupted
     sweeps resumable with bit-identical merged results.
 ``replicate``
-    One seed's figure payload from ``api.run(replicates=N)``.
+    One seed's finished figure from ``api.run``: every simulated run
+    with a store, ``replicates=1`` included, so a repeated run is one
+    lookup.
 
 Keys are sha-256 hashes over a canonical envelope of
 ``(kind, per-kind schema rev, repro.__version__, inputs)`` where the
 inputs record the frozen workload model, scenario/config parameters,
 seed, and per-op cost inputs — change any of these and the artifact is
 recomputed; change none and it is reused. See :mod:`repro.store.keys`.
+Every row also carries the sha-256 of its payload text, checked on
+load: a row that no longer matches is a counted miss and is recomputed.
 
 Activate with ``--store PATH`` on the experiment runner, the
 ``REPRO_STORE`` environment variable, or programmatically::

@@ -6,6 +6,10 @@ and nothing about what the payloads mean. Schema DDL and the artifact
 kinds live in :mod:`repro.store.schema`; loading and saving a kind's
 value, in :mod:`repro.store.store`.
 
+Every row carries the sha-256 of its payload text, written by
+:meth:`Database.put` and checked by :meth:`Database.get`, so a payload
+that changed after it was written is refused rather than served.
+
 Zero dependencies beyond the standard library. Safe for concurrent use
 from multiple processes (WAL journal + busy timeout) and from multiple
 threads of one process (a single connection behind a lock — SQLite
@@ -15,6 +19,7 @@ choice).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sqlite3
 import threading
@@ -23,13 +28,21 @@ from typing import Optional
 from repro.obs.clock import utc_now_iso
 from repro.store import schema as _schema
 
-__all__ = ["Database"]
+__all__ = ["Database", "DigestMismatch"]
 
 _BUSY_TIMEOUT_MS = 10_000
 
 
 def _utcnow() -> str:
     return utc_now_iso()
+
+
+def _digest(payload: str) -> str:
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class DigestMismatch(Exception):
+    """A row whose payload no longer matches the digest it was put with."""
 
 
 class Database:
@@ -79,15 +92,23 @@ class Database:
     # -- rows -----------------------------------------------------------
 
     def get(self, key: str) -> Optional[str]:
-        """The JSON payload stored under ``key``, or ``None``."""
+        """The JSON payload stored under ``key``, or ``None``;
+        :class:`DigestMismatch` if it no longer matches its digest. A row
+        written before schema v2 has no digest and is returned as is."""
         with self._lock:
             row = self._conn.execute(
-                "SELECT payload FROM artifacts WHERE key = ?", (key,)
+                "SELECT payload, digest FROM artifacts WHERE key = ?", (key,)
             ).fetchone()
-        return None if row is None else row[0]
+        if row is None:
+            return None
+        payload, digest = row
+        if digest is not None and digest != _digest(payload):
+            raise DigestMismatch(f"row {key} does not match its digest")
+        return payload
 
     def put(self, key: str, kind: str, payload: str, version: str) -> None:
-        """Store ``payload`` under ``key``, replacing any existing row.
+        """Store ``payload`` and its digest under ``key``, replacing any
+        existing row.
 
         Content-addressed keys make replacement idempotent: two
         processes racing to store the same key write the same bytes.
@@ -95,9 +116,10 @@ class Database:
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO artifacts "
-                "(key, kind, payload, version, created_at, size_bytes) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (key, kind, payload, version, _utcnow(), len(payload)),
+                "(key, kind, payload, version, created_at, size_bytes, digest) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (key, kind, payload, version, _utcnow(), len(payload),
+                 _digest(payload)),
             )
 
     def count(self, kind: Optional[str] = None) -> int:

@@ -49,11 +49,6 @@ def _qualname(obj: object) -> str:
 
 def canonical(value: Any) -> Any:
     """Reduce ``value`` to a JSON-representable canonical form."""
-    # Lazy numpy import keeps `repro.store.schema`/`db` importable in
-    # stripped-down environments; numpy is present wherever artifacts
-    # are actually produced.
-    import numpy as np
-
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -74,12 +69,14 @@ def canonical(value: Any) -> Any:
     store_key = getattr(value, "__store_key__", None)
     if store_key is not None and not isinstance(value, type):
         return {"__object__": _qualname(value), "state": canonical(store_key())}
-    if isinstance(value, np.generic):
+    # numpy is read from sys.modules, not imported: with it unloaded no
+    # numpy value exists, and keying a run's figure (the lookup a warm run
+    # is) must not load it; nor keying a job, numpy.random.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.generic):
         return canonical(value.item())
-    if isinstance(value, np.ndarray):
+    if np is not None and isinstance(value, np.ndarray):
         return [canonical(item) for item in value.tolist()]
-    # Read from sys.modules, not imported: with numpy.random unloaded no
-    # Generator exists, and keying a job must not load it.
     random = sys.modules.get("numpy.random")
     if random is not None and isinstance(value, random.Generator):
         return {

@@ -56,6 +56,11 @@ MIGRATIONS: tuple[str, ...] = (
     );
     CREATE INDEX artifacts_by_kind ON artifacts (kind);
     """,
+    # v2: the sha-256 of the payload text, checked on every load. Rows
+    # written before it have none and load unchecked.
+    """
+    ALTER TABLE artifacts ADD COLUMN digest TEXT;
+    """,
 )
 
 #: The schema version a fully-migrated database reports.
@@ -90,8 +95,10 @@ KINDS: dict[str, Kind] = {
     "sweep_cell": Kind(
         2, "report", Fields("repro.fastsim.metrics.FastSimReport")
     ),
-    # One replicate seed's figure payload from api.run(replicates=N).
-    "replicate": Kind(1, "replicate", Boxed("figure")),
+    # One seed's finished figure (export.figure_payload) from api.run:
+    # every simulated run with a store, replicates=1 included.
+    # rev 2: the series are kept as [name, values] pairs in figure order.
+    "replicate": Kind(2, "replicate", Boxed("figure", pairs=("series",))),
 }
 
 

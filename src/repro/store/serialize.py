@@ -14,8 +14,10 @@ the value, in one of two shapes:
     like ``sum(messages_by_category.values())``; a ``*_series`` list of
     ``(time, value)`` tuples is kept as lists.
 :class:`Boxed`
-    A bare value under one entry (a lookup probe's float, a replicate's
-    figure payload).
+    A bare value under one entry (a lookup probe's float, a figure
+    payload). A boxed dict's ``pairs`` entries are mappings kept as
+    ``[key, value]`` pairs in their own order, as ``messages_by_category``
+    is: a figure's series order is what it prints.
 
 Round trips are exact: python floats survive JSON unchanged (``repr`` is
 the shortest round-trip form) and ints stay ints. Classes are named by
@@ -65,15 +67,26 @@ class Fields:
 
 @dataclasses.dataclass(frozen=True)
 class Boxed:
-    """The codec of a bare value stored under the entry ``name``."""
+    """The codec of a bare value stored under the entry ``name``; the
+    value's ``pairs`` entries (a dict's) are kept as ordered pairs."""
 
     name: str
+    pairs: tuple[str, ...] = ()
 
     def encode(self, value: Any) -> dict[str, Any]:
+        if self.pairs:
+            value = dict(value)
+            for entry in self.pairs:
+                value[entry] = [list(item) for item in value[entry].items()]
         return {self.name: value}
 
     def decode(self, payload: dict[str, Any]) -> Any:
-        return payload[self.name]
+        value = payload[self.name]
+        if self.pairs:
+            value = dict(value)
+            for entry in self.pairs:
+                value[entry] = dict(value[entry])
+        return value
 
 
 def _encode_field(name: str, value: Any) -> Any:

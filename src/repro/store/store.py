@@ -28,7 +28,7 @@ from typing import Any, Iterator, Optional
 
 from repro import obs
 from repro.store import serialize
-from repro.store.db import Database
+from repro.store.db import Database, DigestMismatch
 from repro.store.schema import KINDS
 
 __all__ = [
@@ -64,19 +64,21 @@ class Store:
         """The ``kind`` value stored under ``key``, or ``None``; counts
         the hit or miss.
 
-        A row that does not decode as ``kind`` (a write cut short, a
-        missing field) is a miss, counted once more as
-        ``cache.store.corrupt``: the caller recomputes and its save
-        overwrites the row. A row tagged as another kind raises
+        A row whose payload no longer matches the sha-256 it was saved
+        with (a doctored or damaged number), or that does not decode as
+        ``kind`` (a write cut short, a missing field), is a miss, counted
+        once more as ``cache.store.corrupt``: the caller recomputes and
+        its save overwrites the row. A row written before digests were
+        kept loads unchecked. A row tagged as another kind raises
         ``ValueError``.
         """
-        text = self.db.get(key)
         value = None
-        if text is not None:
-            try:
+        try:
+            text = self.db.get(key)
+            if text is not None:
                 value = serialize.loads(KINDS[kind], text)
-            except serialize.CorruptPayload:
-                obs.count("cache.store.corrupt")
+        except (DigestMismatch, serialize.CorruptPayload):
+            obs.count("cache.store.corrupt")
         self._record(kind, hit=value is not None)
         return value
 

@@ -7,7 +7,7 @@ import sqlite3
 import pytest
 
 from repro.store import MIGRATIONS, SCHEMA_VERSION
-from repro.store.db import Database
+from repro.store.db import Database, DigestMismatch
 from repro.store.schema import pending_migrations, schema_version
 
 
@@ -44,6 +44,24 @@ class TestMigrations:
         assert schema_version(db._conn) == len(MIGRATIONS)
         db.close()
 
+    def test_a_version_1_database_gains_digests_and_keeps_its_rows(
+        self, tmp_path
+    ):
+        path = tmp_path / "a.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(MIGRATIONS[0])
+        conn.execute(
+            "INSERT INTO artifacts VALUES ('k', 'costs', '{}', '1.0', 'now', 2)"
+        )
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+        with Database(path) as db:
+            assert schema_version(db._conn) == SCHEMA_VERSION
+            assert db.get("k") == "{}"  # no digest: returned unchecked
+            db.put("k", "costs", "{}", "1.0")
+            assert db.get("k") == "{}"
+
     def test_parent_directories_are_created(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "a.sqlite"
         with Database(path) as db:
@@ -57,6 +75,13 @@ class TestRows:
             assert db.get("k") is None
             db.put("k", "costs", '{"x": 1}', "1.0")
             assert db.get("k") == '{"x": 1}'
+
+    def test_a_payload_changed_after_its_put_is_refused(self, tmp_path):
+        with Database(tmp_path / "a.sqlite") as db:
+            db.put("k", "costs", '{"x": 1}', "1.0")
+            db._conn.execute("UPDATE artifacts SET payload = '{\"x\": 2}'")
+            with pytest.raises(DigestMismatch, match="digest"):
+                db.get("k")
 
     def test_put_replaces_existing_row(self, tmp_path):
         with Database(tmp_path / "a.sqlite") as db:

@@ -44,6 +44,7 @@ from repro.analysis.zipf import ZipfDistribution
 from repro.experiments import api
 from repro.experiments.execution import Execution
 from repro.experiments.scenario import simulation_scenario
+from repro.fastsim import parallel
 from repro.fastsim.parallel import FastSimJob, job_key, resolve_jobs
 from repro.store.keys import content_key
 from repro.workloads import WORKLOAD_MODEL_NAMES, StationaryZipf, record_trace
@@ -113,7 +114,9 @@ def test_model_workload_cell_keys_are_the_parents(preset):
 def test_replicate_key_is_the_parents():
     """A replicate payload is keyed by its seed's parameter set, and
     ``ExperimentParams.to_dict`` leaves unset fields out, so removing a
-    field nobody set re-keys no default payload."""
+    field nobody set re-keys no default payload. The kind's rev moved
+    (1 -> 2, series kept in order), and nothing else: at rev 1 the key
+    is the pinned one."""
     contexts = []
 
     def capture(units, *args, **kwargs):
@@ -121,11 +124,12 @@ def test_replicate_key_is_the_parents():
         raise _Captured
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(api.parallel, "fan_out", capture)
+        patch.setattr(parallel, "fan_out", capture)
         with pytest.raises(_Captured):
             api.run("sim", engine="vectorized", scale=0.02, replicates=2)
     assert contexts[0].seed == 0
-    assert content_key("replicate", api._replicate_inputs(contexts[0])) == (
+    inputs = api._replicate_inputs(contexts[0])
+    assert content_key("replicate", inputs, schema_rev=1) == (
         PINNED["replicate: sim --engine vectorized --scale 0.02 "
                "--replicates 2 [seed 0]"]
     )
@@ -161,16 +165,18 @@ def test_every_preset_and_a_trace_are_keyable(tmp_path):
 
 def test_default_tracking_run_resumes_from_its_store(tmp_path):
     """All four presets, no ``workload=``: what ``runner
-    adaptivity-tracking --store X`` runs."""
+    adaptivity-tracking --store X`` runs. A rerun is one figure lookup;
+    ``adaptivity-lag`` (its own figure, the same eight cells) loads every
+    cell by key."""
     overrides = dict(
         engine="vectorized", scale=0.02, duration=120.0,
         store=str(tmp_path / "tracking.sqlite"),
     )
 
-    def profiled():
+    def profiled(name="adaptivity-tracking"):
         obs.enable()
         try:
-            result = api.run("adaptivity-tracking", **overrides)
+            result = api.run(name, **overrides)
         finally:
             obs.disable()
         return result.figure, result.telemetry["counters"]
@@ -179,7 +185,12 @@ def test_default_tracking_run_resumes_from_its_store(tmp_path):
     assert cold["cache.store.sweep_cell.miss"] == 8
     assert cold["kernel.runs"] == 8
     second, warm = profiled()
-    assert warm["cache.store.sweep_cell.hit"] == 8
-    assert warm.get("cache.store.sweep_cell.miss", 0) == 0
+    assert warm["cache.store.replicate.hit"] == 1
+    assert not [name for name in warm if "sweep_cell" in name]
     assert warm.get("kernel.runs", 0) == 0
     assert (second.x_values, second.series) == (first.x_values, first.series)
+    _, lag = profiled("adaptivity-lag")
+    assert lag["cache.store.replicate.miss"] == 1
+    assert lag["cache.store.sweep_cell.hit"] == 8
+    assert lag.get("cache.store.sweep_cell.miss", 0) == 0
+    assert lag.get("kernel.runs", 0) == 0

@@ -80,14 +80,18 @@ SAMPLES = {
     ),
     "lookup_probe": ({"n": 1}, lambda report: 7.321),
     "sweep_cell": ({"job": "k"}, lambda report: report),
+    # A figure payload whose series are not in sorted order.
     "replicate": (
         {"experiment": "sim", "seed": 0},
-        lambda report: {"title": "t", "series": [[0.5, 1.25]], "n": 3},
+        lambda report: {
+            "name": "t", "series": {"msg/s": [0.5], "hit rate": [1.25]},
+        },
     ),
 }
 
 #: Payload text of the samples as the per-kind encoders wrote it (at
-#: ``3a2e86e``); a row the codec writes must stay byte-identical.
+#: ``3a2e86e``; ``replicate`` at its rev 2, whose series are pairs); a
+#: row the codec writes must stay byte-identical.
 PAYLOAD_TEXT = {
     "costs": (
         '{"flood":17.5,"gateway_discovery":2.0,"lookup":3.25,'
@@ -103,8 +107,8 @@ PAYLOAD_TEXT = {
     ),
     "lookup_probe": '{"type":"lookup_probe","value":7.321}',
     "replicate": (
-        '{"figure":{"n":3,"series":[[0.5,1.25]],"title":"t"},'
-        '"type":"replicate"}'
+        '{"figure":{"name":"t","series":[["msg/s",[0.5]],'
+        '["hit rate",[1.25]]]},"type":"replicate"}'
     ),
 }
 
@@ -134,6 +138,9 @@ class TestRoundTrips:
             assert list(loaded.messages_by_category.items()) == list(
                 value.messages_by_category.items()
             )
+        if kind == "replicate":
+            # A figure prints its series in their order.
+            assert list(loaded["series"]) == list(value["series"])
         text = store.db.get(key)
         assert serialize.dumps(KINDS[kind], loaded) == text
         if kind in PAYLOAD_TEXT:

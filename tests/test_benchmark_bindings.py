@@ -28,14 +28,12 @@ WRAPPED_BINDINGS = {
     ("repro.analysis.selection_model", "solve_threshold"),
     ("repro.analysis.selection_model.SelectionModel", "__init__"),
     ("repro.analysis.selection_model.SelectionModel", "total_cost"),
-    ("repro.analysis.sensitivity", "solve_threshold"),
     ("repro.analysis.strategies", "solve_threshold"),
     ("repro.analysis.strategies", "strategy_setup"),
     ("repro.analysis.threshold", "solve_threshold"),
     ("repro.analysis.zipf.ZipfDistribution", "__init__"),
-    ("repro.experiments", "result_to_json"),
-    ("repro.experiments", "run_experiment"),
     ("repro.experiments.api", "run"),
+    ("repro.experiments.api", "run_experiment"),
     ("repro.experiments.api.ExperimentResult", "save"),
     ("repro.experiments.export", "result_to_json"),
     ("repro.experiments.runner", "run"),

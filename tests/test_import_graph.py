@@ -1,7 +1,7 @@
-"""What a CLI call loads: the kernel and sweep path never import the
-event substrate, the process pool or, on a warm sweep, ``numpy.random``;
-importing the runner opens no store; the agreement harness loads no
-experiment module.
+"""What a CLI call loads: importing the runner loads no numpy, no kernel
+and no store; the kernel and sweep path never import the event substrate
+or the process pool; a warm sweep is one store lookup and loads no numpy;
+the agreement harness loads no experiment module.
 
 Each check runs in a fresh interpreter, because what a test process has
 loaded depends on the tests that ran before it.
@@ -56,17 +56,24 @@ def _under(modules: set[str], names) -> list[str]:
 
 
 def test_importing_the_runner_loads_no_substrate_and_no_pool():
+    # The figure modules import the kernel inside the functions that
+    # compute, so the registry loads without it.
     loaded = _loaded("import repro.experiments.runner")
-    assert "repro.fastsim.kernel" in loaded
+    assert "repro.fastsim.kernel" not in loaded
     assert _under(loaded, SUBSTRATE) == []
 
 
 def test_importing_the_runner_opens_no_store():
-    # compare decorates its probes with repro.store.memo.stored when it
-    # loads; the store itself (and SQLite) waits for the first call.
+    # Nothing that decorates a probe with repro.store.memo.stored loads
+    # with the registry; the store itself (and SQLite) waits for a run.
     loaded = _loaded("import repro.experiments.runner")
-    assert "repro.store.memo" in loaded
+    assert "repro.store.memo" not in loaded
     assert _under(loaded, ("sqlite3", "_sqlite3", "repro.store.store")) == []
+
+
+def test_importing_the_runner_loads_no_numpy_no_fastsim_and_no_sqlite():
+    loaded = _loaded("import repro.experiments.runner")
+    assert _under(loaded, ("numpy", "repro.fastsim", "sqlite3")) == []
 
 
 def test_the_agreement_harness_loads_no_experiment_module():
@@ -86,6 +93,8 @@ def test_package_names_resolve_on_first_use():
 
 
 def test_a_warm_sweep_loads_neither_the_substrate_nor_numpy_random(tmp_path):
+    # A warm sweep is one figure-row read: no cell traffic, and no numpy
+    # at all (numpy.random included).
     store = str(tmp_path / "store.sqlite")
     argv = [*SWEEP, "--store", store, "--profile"]
     run = (
@@ -94,9 +103,15 @@ def test_a_warm_sweep_loads_neither_the_substrate_nor_numpy_random(tmp_path):
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    assert main({argv!r}) == 0\n"
-        "counters = json.loads(out.getvalue())['telemetry']['counters']\n"
-        "assert counters.get('cache.store.sweep_cell.hit', 0) == {hits}\n"
+        "result = json.loads(out.getvalue())\n"
+        "counters = result['telemetry']['counters']\n"
+        "assert counters.get('cache.store.replicate.hit', 0) == {hits}\n"
+        "assert result['provenance']['source'] == {source!r}\n"
     )
-    _loaded(run.format(hits=0) + "assert 'numpy.random' in sys.modules\n")
-    warm = _loaded(run.format(hits=18))
-    assert _under(warm, (*SUBSTRATE, "numpy.random")) == []
+    cold = _loaded(run.format(hits=0, source="computed"))
+    assert "numpy.random" in cold
+    warm = _loaded(
+        run.format(hits=1, source="store")
+        + "assert not [c for c in counters if 'sweep_cell' in c], counters\n"
+    )
+    assert _under(warm, (*SUBSTRATE, "numpy", "repro.fastsim")) == []

@@ -26,9 +26,16 @@ def _run_json(counters, spans=None, figure=None) -> str:
                        "telemetry": {"counters": counters, "spans": spans or {}}})
 
 
+def _lookup_json(counters, source, series=None) -> str:
+    figure = {"series": series or {"a": [1.0], "b": [2.0]}}
+    return json.dumps({"figure": figure, "provenance": {"source": source},
+                       "telemetry": {"counters": counters, "spans": {}}})
+
+
 DRAW = "experiment.run/sweep.grid/parallel.run_many/kernel.run/draw"
 SWEEP = {DRAW: {"count": 24}}
 LANES = {"kernel.queries": 8097606, "kernel.rounds": 4320}
+FIGURE_HIT = {"cache.store.replicate.hit": 1}
 CHURN = {"cache.store.sweep_cell.hit": 3}
 TRACKING = {"cache.store.sweep_cell.hit": 8}
 TRACE = [
@@ -91,27 +98,43 @@ FIXTURES = {
     "parallel": ({"sweep.json": "{}\n"}, [{"sweep.json": ""}]),
     "single-path": (
         {"churn-first.json": _run_json({"kernel.runs": 3}),
-         "churn-second.json": _run_json(CHURN),
+         "churn-second.json": _run_json(FIGURE_HIT),
+         "churn-third.json": _run_json(CHURN),
          "tracking-first.json": _run_json({"kernel.runs": 8}),
-         "tracking-second.json": _run_json(TRACKING)},
-        [{"churn-second.json": _run_json(
-            {**CHURN, "cache.store.sweep_cell.miss": 1})},
-         {"tracking-second.json": _run_json({"cache.store.sweep_cell.hit": 7})},
-         {"churn-second.json": _run_json({**CHURN, "kernel.runs": 3})},
-         {"tracking-second.json": _run_json(TRACKING, figure={"b": [2.0]})}],
+         "tracking-second.json": _run_json(FIGURE_HIT),
+         "tracking-third.json": _run_json(TRACKING)},
+        [{"churn-second.json": _run_json({"cache.store.replicate.miss": 1})},
+         {"churn-second.json": _run_json({**FIGURE_HIT, "kernel.runs": 3})},
+         {"tracking-second.json": _run_json(FIGURE_HIT, figure={"b": [2.0]})},
+         {"churn-third.json": _run_json(
+             {**CHURN, "cache.store.sweep_cell.miss": 1})},
+         {"tracking-third.json": _run_json({"cache.store.sweep_cell.hit": 7})},
+         {"churn-third.json": _run_json({**CHURN, "kernel.runs": 3})},
+         {"tracking-third.json": _run_json(TRACKING, figure={"b": [2.0]})}],
     ),
     "resume": (
         {"replay.json": _replay(), "cells.txt": "3\n",
-         "resume-1.json": _run_json({"cache.store.sweep_cell.miss": 15}),
-         "resume-2.json": _run_json({"cache.store.sweep_cell.hit": 18})},
+         "resume-1.json": _run_json({"cache.store.sweep_cell.hit": 3,
+                                     "cache.store.sweep_cell.miss": 15}),
+         "resume-2.json": _run_json(FIGURE_HIT)},
         [{"replay.json": _replay(events=0)},
          {"cells.txt": "0\n"},
          {"cells.txt": "18\n"},
-         {"resume-2.json": _run_json({"cache.store.sweep_cell.hit": 16,
-                                      "cache.store.sweep_cell.miss": 2})},
+         {"cells.txt": "4\n"},
+         {"resume-1.json": _run_json({"cache.store.sweep_cell.miss": 18})},
          {"resume-2.json": _run_json({})},
-         {"resume-2.json": _run_json({"cache.store.sweep_cell.hit": 18},
-                                     figure={"b": [2.0]})}],
+         {"resume-2.json": _run_json({**FIGURE_HIT, "kernel.runs": 18})},
+         {"resume-2.json": _run_json(FIGURE_HIT, figure={"b": [2.0]})}],
+    ),
+    "warm-lookup": (
+        {"sweep-first.json": _lookup_json({"kernel.runs": 18}, "computed"),
+         "sweep-second.json": _lookup_json(FIGURE_HIT, "store")},
+        [{"sweep-second.json": _lookup_json(FIGURE_HIT, "store",
+                                            series={"b": [2.0], "a": [1.0]})},
+         {"sweep-second.json": _lookup_json(FIGURE_HIT, "store",
+                                            series={"a": [1.5], "b": [2.0]})},
+         {"sweep-second.json": _lookup_json(FIGURE_HIT, "computed")},
+         {"sweep-second.json": _lookup_json({"kernel.runs": 18}, "store")}],
     ),
     "live": (
         {"trace.json": _trace(TRACE), "replay.json": _replay(),

@@ -49,6 +49,12 @@ CELLS = (
     "import sqlite3, sys; print(sqlite3.connect(sys.argv[1]).execute("
     "\"SELECT COUNT(*) FROM artifacts WHERE kind = 'sweep_cell'\").fetchone()[0])"
 )
+#: ``python -c DROP_FIGURES STORE``: delete the store's finished figures,
+#: so that a rerun reads its cells.
+DROP_FIGURES = (
+    "import sqlite3, sys; db = sqlite3.connect(sys.argv[1]); "
+    "db.execute(\"DELETE FROM artifacts WHERE kind = 'replicate'\"); db.commit()"
+)
 #: A ``parallel.jobs`` progress event past 0: a kernel unit's cells are saved.
 FINISHED_CELL = r'"name":"parallel\.jobs","done":[1-9]'
 SMALL = ("--scale", "0.02", "--duration", "60")
@@ -206,16 +212,21 @@ def parallel(outputs: Outputs) -> None:
 
 def single_path(outputs: Outputs) -> None:
     for name, cells in (("churn", 3), ("tracking", 8)):
-        first, second = (json.loads(outputs[f"{name}-{n}.json"])
-                         for n in ("first", "second"))
+        first, second, third = (json.loads(outputs[f"{name}-{n}.json"])
+                                for n in ("first", "second", "third"))
         seen = second["telemetry"]["counters"]
+        hits = seen.get("cache.store.replicate.hit")
+        require(hits == 1, f"{name} rerun did not load its figure", hits)
+        seen = third["telemetry"]["counters"]
         misses = seen.get("cache.store.sweep_cell.miss", 0)
-        require(misses == 0, f"{name} rerun missed", misses)
+        require(misses == 0, f"{name} figure-less rerun missed", misses)
         hits = seen.get("cache.store.sweep_cell.hit")
-        require(hits == cells, f"{name} rerun hits, not {cells}", hits)
-        require("kernel.runs" not in seen, f"{name} rerun ran kernels",
-                seen.get("kernel.runs"))
-        require(first["figure"] == second["figure"], f"{name} rerun diverged")
+        require(hits == cells, f"{name} figure-less rerun hits, not {cells}",
+                hits)
+        for rerun in (second, third):
+            ran = rerun["telemetry"]["counters"].get("kernel.runs")
+            require(ran is None, f"{name} rerun ran kernels", ran)
+            require(rerun["figure"] == first["figure"], f"{name} rerun diverged")
 
 
 def resume(outputs: Outputs) -> None:
@@ -224,12 +235,30 @@ def resume(outputs: Outputs) -> None:
     saved = int(outputs["cells.txt"])
     require(0 < saved < 18, "interrupted sweep saved not some of 18 cells", saved)
     one, two = (json.loads(outputs[f"resume-{n}.json"]) for n in (1, 2))
+    seen = one["telemetry"]["counters"]
+    loaded = (seen.get("cache.store.sweep_cell.hit", 0),
+              seen.get("cache.store.sweep_cell.miss", 0))
+    require(loaded == (saved, 18 - saved),
+            f"resumed sweep's cell hits and misses, not {saved} saved", loaded)
     seen = two["telemetry"]["counters"]
-    misses = seen.get("cache.store.sweep_cell.miss", 0)
-    require(misses == 0, "warm rerun recomputed cells", misses)
-    hits = seen.get("cache.store.sweep_cell.hit", 0)
-    require(hits > 0, "warm rerun loaded nothing from the store", hits)
+    hits = seen.get("cache.store.replicate.hit")
+    require(hits == 1, "warm rerun did not load its figure", hits)
+    require("kernel.runs" not in seen, "warm rerun ran kernels",
+            seen.get("kernel.runs"))
     require(one["figure"] == two["figure"], "resumed sweep diverged")
+
+
+def warm_lookup(outputs: Outputs) -> None:
+    first, second = (json.loads(outputs[f"sweep-{n}.json"])
+                     for n in ("first", "second"))
+    # json.dumps keeps the series order, which dict equality ignores.
+    require(json.dumps(second["figure"]) == json.dumps(first["figure"]),
+            "warm sweep printed another figure")
+    source = second["provenance"]["source"]
+    require(source == "store", "warm sweep's source", source)
+    seen = second["telemetry"]["counters"]
+    require("kernel.runs" not in seen, "warm sweep ran kernels",
+            seen.get("kernel.runs"))
 
 
 def live(outputs: Outputs) -> None:
@@ -327,9 +356,12 @@ SMOKES: tuple[Smoke, ...] = (
            cmd("runner", "sim", "--engine", "vectorized", *SMALL,
                "--replicates", "2", "--jobs", "2")),
           parallel, "tests/experiments/test_execution_paths.py"),
-    Smoke("single-path", "every vectorized cell is persisted, so a rerun on "
-          "one REPRO_STORE runs no kernel; model workloads' keys hold math.inf",
-          tuple(command for n in ("first", "second") for command in (
+    Smoke("single-path", "every vectorized figure and cell is persisted, so a "
+          "rerun on one REPRO_STORE, with or without the figure rows, runs no "
+          "kernel; model workloads' keys hold math.inf",
+          tuple(command for n in ("first", "second", "third") for command in (
+              *((cmd("python", "-c", DROP_FIGURES, "<store.sqlite>"),)
+                if n == "third" else ()),
               cmd("runner", "churn", "--engine", "vectorized", *SMALL, *JSON,
                   stdout=f"churn-{n}.json", env=STORE),
               cmd("runner", "adaptivity-tracking", "--scale", "0.02",
@@ -346,6 +378,12 @@ SMOKES: tuple[Smoke, ...] = (
            cmd(*RESUMED, "--profile", stdout="resume-1.json", env=STORE),
            cmd(*RESUMED, "--profile", stdout="resume-2.json", env=STORE)),
           resume, "tests/store/test_resume.py"),
+    Smoke("warm-lookup", "a repeated sweep on one store is one figure lookup: "
+          "the first run's figure, its source the store, no kernel run",
+          tuple(cmd("runner", "sweep", "--scale", "8", *JSON,
+                    stdout=f"sweep-{n}.json", env=STORE)
+                for n in ("first", "second")),
+          warm_lookup, "tests/store/test_figure_rows.py"),
     Smoke("live", "--progress/--trace-out/--events-out on a pooled sweep: a "
           "lane per worker, and a replay equal to --profile",
           (cmd(*SWEEP, "--jobs", "2", "--no-store", "--progress", "--trace-out",
