@@ -41,9 +41,11 @@ class Gate:
 def cross_engine_10k() -> Readings:
     """Both engines on the 10k-peer selection scenario, one seed, 60
     rounds, costs calibrated off the event substrate: relative
-    disagreement of the aggregate hit rate and of the total cost."""
+    disagreement of the aggregate hit rate and of the total cost, as
+    ``benchmarks/agreement.py`` measures it."""
+    from benchmarks.agreement import compare_engines
     from repro.experiments.scenario import paper_scenario
-    from repro.fastsim import calibrate_costs, compare_engines
+    from repro.fastsim.compare import calibrate_costs
     from repro.pdht.config import PdhtConfig
 
     params = paper_scenario().scaled(0.5).with_query_freq(1 / 30)
@@ -234,5 +236,7 @@ def run(gates: Iterable[Gate], out: Callable[[str], None] = print) -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    # The repo root too, for the measures that import benchmarks.agreement.
+    root = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root / "src"), str(root)]
     sys.exit(run(GATES))

@@ -87,7 +87,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "FastSimReport",
         "PerOpCosts",
         "calibrate_costs",
-        "compare_engines",
         "run_fastsim",
     ),
     "repro.experiments": ("ExperimentResult", "ExperimentSpec", "run_experiment"),

@@ -28,7 +28,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,14 +37,14 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.experiments.scenario import DEFAULT_ENGINE, resolve_engine
 from repro.fastsim import parallel
-from repro.fastsim.compare import probe_substrates_built, staleness_probe_event
+from repro.fastsim.compare import probe_substrates_built
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import StrategyReport
 from repro.workloads.models import WorkloadModel
 
-__all__ = ["Cell", "CellWorkload", "Execution", "StalenessReading"]
+__all__ = ["Cell", "CellWorkload", "Execution"]
 
 _T = TypeVar("_T")
 
@@ -103,14 +103,6 @@ def _collect_probe_substrates() -> Callable[[], None]:
     return collect
 
 
-class StalenessReading(NamedTuple):
-    """What the event engine's staleness probe measures, under the two
-    report attribute names the staleness figure reads."""
-
-    stale_hit_fraction: float
-    hit_rate: float
-
-
 @dataclass(frozen=True)
 class CellWorkload:
     """A cell's non-default query stream: the model, and the generator
@@ -142,15 +134,8 @@ class Cell:
     content_refresh_period: Optional[float] = None
     workload: Optional[CellWorkload] = None
 
-    def run(self) -> StrategyReport | StalenessReading:
+    def run(self) -> StrategyReport:
         """The event-engine job: build the substrate, run, report."""
-        if self.content_refresh_period is not None:
-            return StalenessReading(
-                *staleness_probe_event(
-                    self.params, self.config, self.duration,
-                    self.content_refresh_period, self.seed,
-                )
-            )
         # One span entry per cell, aggregated over the figure's cells; the
         # strategy reports its build, prepare and query-loop phases under
         # it as durations.
@@ -165,6 +150,7 @@ class Cell:
         strategy = SimulatedStrategy(
             self.params, config=self.config, strategy=self.strategy,
             seed=self.seed, churn=self.churn,
+            content_refresh_period=self.content_refresh_period,
         )
         if self.workload is not None:
             strategy.workload = self._stream(
@@ -218,9 +204,7 @@ class Execution:
     def vectorized(self) -> bool:
         return self.engine == "vectorized"
 
-    def execute(
-        self, cells: Sequence[Cell]
-    ) -> list[StrategyReport | StalenessReading]:
+    def execute(self, cells: Sequence[Cell]) -> list[StrategyReport]:
         """Run every cell on this run's engine; reports in cell order."""
         if not self.vectorized:
             return [cell.run() for cell in cells]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.parameters import PAPER_FREQUENCIES, ScenarioParameters
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_period
 from repro.experiments.reporting import format_period, format_series
 from repro.experiments.scenario import paper_scenario, simulation_scenario
 
@@ -432,8 +432,8 @@ def staleness_experiment(
     execution = execution or Execution()
     if refresh_period <= 0 or duration <= 0:
         raise ParameterError("duration and refresh_period must be > 0")
-    if any(factor <= 0 for factor in ttl_factors):
-        raise ParameterError(f"ttl_factors must be > 0, got {ttl_factors}")
+    for factor in ttl_factors:
+        require_period("ttl_factors", factor)
     base = PdhtConfig.from_scenario(params)
     reports = execution.execute(
         [

@@ -27,8 +27,9 @@ numpy batch operations:
 * :mod:`repro.fastsim.metrics` — aggregate hit-rate/cost/storage series
   plus content-version staleness;
 * :mod:`repro.fastsim.compare` — per-op cost calibration against the
-  event engine (with and without churn) and cross-engine agreement
-  checks (aggregates, churn cost, staleness fraction);
+  event engine (with and without churn) and the cost policy that picks
+  calibration or the analytical/structural estimators (whether the two
+  engines agree is checked by ``benchmarks/agreement.py``);
 * :mod:`repro.fastsim.parallel` — multi-process fan-out of independent
   kernel jobs (sweep cells, replicate seeds, one run per strategy) with
   per-op costs resolved once in the parent, and jobs that differ only
@@ -65,7 +66,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.fastsim.shm": ("ShmArena", "SharedArrayRef", "leaked_segments"),
     "repro.fastsim.compare": (
-        "EngineAgreement",
         "CALIBRATION_LIMIT",
         "calibrate_costs",
         "calibrate_churn_costs",
@@ -73,8 +73,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "churn_config_for_availability",
         "churn_costs_for",
         "costs_for",
-        "compare_engines",
-        "compare_engines_staleness",
-        "staleness_probe_event",
     ),
 })

@@ -2,8 +2,8 @@
 
 :class:`FastSimReport` carries the same aggregates as the event engine's
 :class:`~repro.pdht.strategies.StrategyReport` (queries, hits, per-category
-message totals, windowed hit-rate/index-size series) plus fastsim-only
-detail (miss attribution, stale hits, wall-clock speed). It *is* a
+message totals, windowed hit-rate/index-size series, stale hits) plus
+fastsim-only detail (miss attribution, wall-clock speed). It *is* a
 :class:`~repro.pdht.strategies.StrategyReport`, so figure generators
 consume either engine's output through one code path.
 """
@@ -34,11 +34,6 @@ class FastSimReport(StrategyReport):
     unresolved: int = 0
     gateway_discoveries: int = 0
     churn_transitions: int = 0
-    #: Index hits whose payload version predated the key's latest content
-    #: refresh (the staleness experiment's numerator).
-    stale_hits: int = 0
-    #: Content-refresh sweeps applied by ``content_refresh_period``.
-    content_refreshes: int = 0
     key_ttl: float = 0.0
     final_index_size: int = 0
     #: Wall-clock seconds the kernel spent (for speedup reporting).
@@ -51,10 +46,3 @@ class FastSimReport(StrategyReport):
         if self.elapsed_seconds <= 0:
             return 0.0
         return self.queries / self.elapsed_seconds
-
-    @property
-    def stale_hit_fraction(self) -> float:
-        """Fraction of index hits that served an outdated payload."""
-        if self.index_hits == 0:
-            return 0.0
-        return self.stale_hits / self.index_hits

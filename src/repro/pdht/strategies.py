@@ -21,6 +21,7 @@ the same value the vectorized kernel reads:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -28,7 +29,7 @@ from repro import obs
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import strategy_setup
 from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError, require_finite
+from repro.errors import ParameterError, require_finite, require_period
 from repro.net.churn import ChurnConfig
 from repro.obs.clock import perf_counter
 from repro.pdht.config import PdhtConfig
@@ -37,6 +38,7 @@ from repro.sim.metrics import MessageCategory
 
 if TYPE_CHECKING:
     from repro.fastsim.workload import BatchWorkload
+    from repro.pdht.network import QueryOutcome
 
 __all__ = [
     "StrategyReport",
@@ -66,6 +68,11 @@ class StrategyReport:
     mean_index_size: float = 0.0
     index_size_series: list[tuple[float, int]] = field(default_factory=list)
     hit_rate_series: list[tuple[float, float]] = field(default_factory=list)
+    #: Index hits whose payload predated the latest content refresh (the
+    #: staleness experiment's numerator).
+    stale_hits: int = 0
+    #: Content refreshes applied by ``content_refresh_period``.
+    content_refreshes: int = 0
 
     @property
     def total_messages(self) -> float:
@@ -89,6 +96,13 @@ class StrategyReport:
         if self.queries == 0:
             return 0.0
         return self.answered / self.queries
+
+    @property
+    def stale_hit_fraction(self) -> float:
+        """Fraction of index hits that served an outdated payload."""
+        if self.index_hits == 0:
+            return 0.0
+        return self.stale_hits / self.index_hits
 
 
 class WindowRecorder:
@@ -157,6 +171,11 @@ class SimulatedStrategy:
     :data:`~repro.analysis.strategies.STRATEGY_NAMES`, and the DHT size, the
     insert TTL, the preloaded keys and the proactive updates all come
     from its :class:`~repro.analysis.strategies.StrategyPolicy`.
+
+    ``content_refresh_period`` refreshes every key's content together
+    every that many rounds (``inf``: never) and counts the index hits
+    that serve a payload older than the current content version — the
+    staleness measurement, on the Section 5.1 query path.
     """
 
     def __init__(
@@ -167,7 +186,10 @@ class SimulatedStrategy:
         seed: int = 0,
         churn: Optional[ChurnConfig] = None,
         workload: Optional[BatchWorkload] = None,
+        content_refresh_period: Optional[float] = None,
     ) -> None:
+        if content_refresh_period is not None:
+            require_period("content_refresh_period", content_refresh_period)
         self.params = params
         self.strategy = strategy
         base_config = config or PdhtConfig.from_scenario(params)
@@ -187,6 +209,17 @@ class SimulatedStrategy:
                 num_active_peers=self.policy.num_members,
                 churn=churn,
             )
+        self.content_refresh_period = content_refresh_period
+        queries, counts = "queries", "strategy"
+        if content_refresh_period is not None:
+            # pinned_probes.json pins a refresh run's streams and payloads.
+            queries, counts = "staleness-queries", "staleness-counts"
+            # The one content version of every key, and the query path
+            # that checks a hit's payload against it.
+            self._version = 0
+            self._query = self._query_versioned
+        else:
+            self._query = self.network.query
         if workload is None:
             # Imported here: the stream classes live in repro.fastsim,
             # whose compare module imports this one.
@@ -194,7 +227,7 @@ class SimulatedStrategy:
 
             workload = StationaryZipf().build(
                 ZipfDistribution(params.n_keys, params.alpha),
-                self.network.streams.get("queries"),
+                self.network.streams.get(queries),
             )
         self.workload = workload
         if self.workload.n_keys != params.n_keys:
@@ -202,7 +235,9 @@ class SimulatedStrategy:
                 f"workload covers {self.workload.n_keys} keys, "
                 f"scenario has {params.n_keys}"
             )
-        self._rng = self.network.streams.get("strategy")
+        self._rng = self.network.streams.get(counts)
+        self._next_refresh = content_refresh_period or math.inf
+        self._stale_hits = 0
         self._update_debt = 0.0
         self._prepared = False
 
@@ -215,7 +250,7 @@ class SimulatedStrategy:
             n_keys = self.params.n_keys
             with obs.span("strategy.publish"):
                 self.network.publish_all(
-                    {key_name(i): f"value-{i}" for i in range(n_keys)}
+                    {key_name(i): self._value(i) for i in range(n_keys)}
                 )
             # Every key in key order, else the top ranks in rank order
             # (the stores keep the order given).
@@ -227,7 +262,7 @@ class SimulatedStrategy:
             )
             with obs.span("strategy.preload"):
                 self.network.preload_index_all(
-                    {key_name(i): f"value-{i}" for i in indexed}
+                    {key_name(i): self._value(i) for i in indexed}
                 )
             if not self.policy.runs_dht:
                 self.network.disable_maintenance()
@@ -239,7 +274,9 @@ class SimulatedStrategy:
         """Drive the workload for ``duration`` rounds.
 
         ``window > 0`` records index-size and hit-rate samples every
-        ``window`` rounds (for the adaptivity experiments).
+        ``window`` rounds (for the adaptivity experiments). A due content
+        refresh lands after the round's clock advance and before its
+        query count is drawn.
         """
         rounds = whole_rounds(duration)
         recorder = WindowRecorder(window)
@@ -254,11 +291,15 @@ class SimulatedStrategy:
         index_size = self.network.distinct_indexed_keys
         profiled = obs.enabled()
         query_seconds = 0.0
+        self._stale_hits = 0
         for _ in range(rounds):
             self.network.advance(1.0)  # reports itself as ``engine.run``
             if profiled:
                 round_started = perf_counter()
             now = sim.now
+            if now >= self._next_refresh:
+                self._refresh_content()
+                report.content_refreshes += 1
             queries, hits = report.queries, report.index_hits
             # Queries this round: Poisson around the network-wide rate,
             # which the workload may modulate (e.g. a diurnal cycle).
@@ -287,6 +328,7 @@ class SimulatedStrategy:
         if profiled:
             obs.add_duration("strategy.queries", query_seconds, n=report.queries)
         recorder.flush(sim.now - start, index_size)
+        report.stale_hits = self._stale_hits
         report.hit_rate_series = recorder.hit_rate_series
         report.index_size_series = recorder.index_size_series
         report.messages_by_category = self.network.metrics.totals_by_category()
@@ -301,12 +343,37 @@ class SimulatedStrategy:
     def _handle(self, origin: int, key: str, rank: int) -> tuple[bool, bool]:
         """Answer one query; returns ``(answered, via_index)``."""
         if rank <= self.policy.index_ranks:
-            outcome = self.network.query(origin, key)
+            outcome = self._query(origin, key)
             return outcome.found, outcome.via_index
         return self.network.walker.search(origin, key).found, False
+
+    def _query_versioned(self, origin: int, key: str) -> "QueryOutcome":
+        """One Section 5.1 query of a refresh run, counting an index hit
+        whose payload predates the current content version."""
+        outcome = self.network.query(origin, key)
+        if outcome.via_index and outcome.value[1] < self._version:
+            self._stale_hits += 1
+        return outcome
+
+    def _value(self, key_index: int) -> object:
+        """A key's current content, as published, preloaded or
+        proactively updated: in a refresh run ``(key index, content
+        version)``."""
+        if self.content_refresh_period is None:
+            return f"value-{key_index}"
+        return key_index, self._version
+
+    def _refresh_content(self) -> None:
+        """Replace every key's content with its next version, together;
+        index entries keep the payload they were written with."""
+        self._version += 1
+        self.network.refresh_content_all(
+            {key_name(i): self._value(i) for i in range(self.params.n_keys)}
+        )
+        self._next_refresh += self.content_refresh_period
 
     def _apply_random_update(self) -> None:
         key_index = int(self._rng.integers(0, self.params.n_keys))
         self.network.proactive_update(
-            key_name(key_index), f"value-{key_index}-v2"
+            key_name(key_index), self._value(key_index)
         )

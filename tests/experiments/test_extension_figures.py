@@ -60,6 +60,22 @@ class TestChurnExperiment:
                 availabilities=(0.0,),
             )
 
+    @pytest.mark.parametrize("availability", [True, "0.75"], ids=["bool", "str"])
+    def test_non_numeric_availability_rejected(self, availability):
+        # True used to run a column labelled 1.00 without churn, and a
+        # string escaped as a raw TypeError.
+        from repro.fastsim.compare import churn_config_for_availability
+
+        with pytest.raises(ParameterError, match="availability"):
+            churn_config_for_availability(availability)
+        with pytest.raises(ParameterError, match="availability"):
+            churn_experiment(
+                params=simulation_scenario(scale=0.02),
+                duration=30.0,
+                availabilities=(availability,),
+                execution=Execution("event"),
+            )
+
 
 class TestSimulationComparison:
     def test_hit_rates_sane(self):
@@ -95,6 +111,19 @@ class TestStalenessExperiment:
             staleness_experiment(duration=0.0)
         with pytest.raises(ParameterError):
             staleness_experiment(ttl_factors=(0.0,))
+
+    @pytest.mark.parametrize("factor", [True, "4"], ids=["bool", "str"])
+    def test_non_numeric_ttl_factor_rejected(self, factor):
+        # True used to run silently as a 1x column.
+        from repro.experiments.figures import staleness_experiment
+
+        with pytest.raises(ParameterError, match="ttl_factors"):
+            staleness_experiment(
+                params=simulation_scenario(scale=0.02),
+                duration=30.0,
+                ttl_factors=(factor,),
+                execution=Execution("event"),
+            )
 
 
 class TestRunnerExtensions:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.agreement import EngineAgreement, compare_engines
 from repro.errors import ParameterError
-from repro.fastsim.compare import EngineAgreement, calibrate_costs, compare_engines
+from repro.fastsim.compare import calibrate_costs
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +135,8 @@ class TestChurnCalibrationSeed:
 # The harness runs the figures' own cells. These pairs are the runs it
 # built by hand before it did (a ``queries-model`` substrate stream on
 # the event side, a ``SeedSequence([seed, 0x3037DE1])`` stream and
-# per-seed churn costs on the kernel side, the staleness probe next to a
-# refreshing kernel run), so every list must come out equal, not close.
+# per-seed churn costs on the kernel side, a refreshing strategy next to
+# a refreshing kernel run), so every list must come out equal, not close.
 # ----------------------------------------------------------------------
 ORACLE_SEEDS = (0, 1)
 
@@ -233,11 +234,9 @@ class TestCellsMatchHandBuiltRuns:
         )
 
     def test_compare_engines_staleness(self, oracle_scenario):
+        from benchmarks.agreement import compare_engines_staleness
         from repro.fastsim import run_fastsim
-        from repro.fastsim.compare import (
-            compare_engines_staleness,
-            staleness_probe_event,
-        )
+        from repro.pdht.strategies import SimulatedStrategy
 
         params, config, _ = oracle_scenario
         agreement = compare_engines_staleness(
@@ -246,7 +245,9 @@ class TestCellsMatchHandBuiltRuns:
         )
         config = config.with_ttl(config.key_ttl * 2.0)
         event = [
-            staleness_probe_event(params, config, 60.0, 20.0, seed=seed)
+            SimulatedStrategy(
+                params, config=config, seed=seed, content_refresh_period=20.0
+            ).run(60.0)
             for seed in ORACLE_SEEDS
         ]
         fast = [
@@ -256,8 +257,10 @@ class TestCellsMatchHandBuiltRuns:
             )
             for seed in ORACLE_SEEDS
         ]
-        assert agreement.event_staleness == [stale for stale, _ in event]
-        assert agreement.event_hit_rates == [rate for _, rate in event]
+        assert agreement.event_staleness == [
+            report.stale_hit_fraction for report in event
+        ]
+        assert agreement.event_hit_rates == [report.hit_rate for report in event]
         assert agreement.fast_staleness == [
             report.stale_hit_fraction for report in fast
         ]

@@ -1,12 +1,16 @@
-"""Pinned seeded outputs of the two event-engine probes that publish,
-refresh and walk outside a ``SimulatedStrategy`` run.
+"""Pinned seeded outputs of the two event-engine runs that re-place or
+publish content mid-run.
 
-``staleness_probe_event`` re-places every key's replicas at each content
-refresh, and ``calibrate_churn_costs`` publishes its broadcast-walk probe
-keys next to the key universe and walks them across a churned overlay.
-Neither is covered by ``tests/pdht/data/pinned_event.json`` (strategy
-runs only) or ``benchmarks/e2e/expected.json`` (one scenario, through
-the store). ``data/pinned_probes.json`` was recorded at ``0b1c543``,
+An event staleness ``Cell`` (a ``SimulatedStrategy`` with a
+``content_refresh_period``) re-places every key's replicas at each
+content refresh, and ``calibrate_churn_costs`` publishes its
+broadcast-walk probe keys next to the key universe and walks them across
+a churned overlay. Neither is covered by
+``tests/pdht/data/pinned_event.json`` (runs without refresh only) or
+``benchmarks/e2e/expected.json`` (one scenario, through the store).
+The staleness cases were recorded from the hand-written loop the
+refreshing strategy replaced (``tests/pdht/test_staleness_equivalence.py``
+keeps it). ``data/pinned_probes.json`` was recorded at ``0b1c543``,
 before the content plane moved to one holder bitmask per key and the
 placement draws to one bulk sampler call: 200 peers and 400 keys,
 staleness at two keyTtl factors, churn costs at 75% and 50%
@@ -26,8 +30,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.execution import Cell
 from repro.experiments.scenario import simulation_scenario
-from repro.fastsim.compare import calibrate_churn_costs, staleness_probe_event
+from repro.fastsim.compare import calibrate_churn_costs
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 
@@ -54,11 +59,14 @@ def capture(case: str) -> dict:
     config = PdhtConfig.from_scenario(params)
     if case in STALENESS:
         factor, duration, period = STALENESS[case]
-        stale, hit_rate = staleness_probe_event(
+        report = Cell(
             params, config.with_ttl(config.key_ttl * factor), duration,
-            period, seed=SEED,
-        )
-        return {"stale_fraction": stale, "hit_rate": hit_rate}
+            seed=SEED, content_refresh_period=period,
+        ).run()
+        return {
+            "stale_fraction": report.stale_hit_fraction,
+            "hit_rate": report.hit_rate,
+        }
     costs = calibrate_churn_costs(
         params, CHURN[case], config, seed=SEED, warmup=20.0, rounds=60.0,
         walk_probes=120,

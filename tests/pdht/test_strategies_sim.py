@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
+from repro.experiments.execution import Cell
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import SimulatedStrategy
 from repro.sim.metrics import MessageCategory
@@ -147,17 +148,19 @@ class TestDriver:
 
     def test_fractional_duration_rejected(self, sim_params, sim_config):
         # The driver steps whole rounds: 20.5 would run 20 and report
-        # msg/s over 20.5; the staleness probe would truncate the same way.
-        from repro.fastsim.compare import staleness_probe_event
-
-        strategy = SimulatedStrategy(
-            sim_params, config=sim_config, strategy="noIndex"
-        )
+        # msg/s over 20.5; a refreshing run would truncate the same way.
+        for period in (None, 10.0):
+            strategy = SimulatedStrategy(
+                sim_params, config=sim_config,
+                content_refresh_period=period,
+            )
+            with pytest.raises(ParameterError, match="whole number of rounds"):
+                strategy.run(20.5)
+            assert strategy.network.simulation.now == 0.0  # nothing ran
         with pytest.raises(ParameterError, match="whole number of rounds"):
-            strategy.run(20.5)
-        assert strategy.network.simulation.now == 0.0  # nothing ran
-        with pytest.raises(ParameterError, match="whole number of rounds"):
-            staleness_probe_event(sim_params, sim_config, 0.5, 10.0)
+            Cell(
+                sim_params, sim_config, 0.5, content_refresh_period=10.0
+            ).run()
 
     @pytest.mark.parametrize("duration", [math.inf, math.nan, True])
     def test_non_finite_or_boolean_duration_rejected(
@@ -166,7 +169,6 @@ class TestDriver:
         # Every driver refuses it up front: inf used to escape as an
         # OverflowError, NaN as a bare ValueError, and True ran one round.
         from repro.fastsim import run_fastsim
-        from repro.fastsim.compare import staleness_probe_event
 
         strategy = SimulatedStrategy(
             sim_params, config=sim_config, strategy="noIndex"
@@ -175,7 +177,9 @@ class TestDriver:
             strategy.run(duration)
         assert strategy.network.simulation.now == 0.0  # nothing ran
         with pytest.raises(ParameterError, match="finite number"):
-            staleness_probe_event(sim_params, sim_config, duration, 10.0)
+            Cell(
+                sim_params, sim_config, duration, content_refresh_period=10.0
+            ).run()
         with pytest.raises(ParameterError, match="finite number"):
             run_fastsim(sim_params, config=sim_config, duration=duration)
 
@@ -186,11 +190,11 @@ class TestDriver:
         self, sim_params, sim_config, period
     ):
         # NaN used to run without a single refresh, and True as a
-        # one-round period.
-        from repro.fastsim.compare import staleness_probe_event
-
+        # one-round period. Refused before a substrate is built.
         with pytest.raises(ParameterError, match="refresh_period must be > 0"):
-            staleness_probe_event(sim_params, sim_config, 20.0, period)
+            Cell(
+                sim_params, sim_config, 20.0, content_refresh_period=period
+            ).run()
 
     def test_windows_record_series(self, sim_params, sim_config):
         strategy = SimulatedStrategy(sim_params, config=sim_config, seed=1)

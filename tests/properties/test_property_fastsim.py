@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from benchmarks.agreement import compare_engines, compare_engines_staleness
 from repro.experiments.scenario import simulation_scenario
-from repro.fastsim import calibrate_costs, compare_engines, run_fastsim
+from repro.fastsim import calibrate_costs, run_fastsim
 from repro.pdht.config import PdhtConfig
 
 #: Table 1 / 50: 400 peers, 800 keys — structurally faithful, fast enough
@@ -311,8 +312,6 @@ def _model_for(name: str):
     "model_name", ("rank-swap", "gradual-drift", "flash-crowd", "diurnal")
 )
 def test_workload_model_agreement_within_five_percent(model_name):
-    from repro.fastsim import compare_engines
-
     params = simulation_scenario(scale=SCALE)
     agreement = compare_engines(
         params,
@@ -325,7 +324,6 @@ def test_workload_model_agreement_within_five_percent(model_name):
 
 
 def test_trace_replay_hit_rates_equal_cost_within_five_percent():
-    from repro.fastsim import compare_engines
     from repro.sim.rng import RandomStreams
     from repro.workloads import StationaryZipf, TraceReplay, record_trace
 
@@ -385,8 +383,6 @@ def test_gradual_drift_under_churn_agreement_within_five_percent():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("ttl_factor", (0.25, 1.0))
 def test_staleness_agreement_within_five_percent(ttl_factor):
-    from repro.fastsim import compare_engines_staleness
-
     params = simulation_scenario(scale=SCALE)
     agreement = compare_engines_staleness(
         params,

@@ -1,7 +1,8 @@
 """What a CLI call loads: importing the runner loads no numpy, no kernel
 and no store; the kernel and sweep path never import the event substrate
-or the process pool; a warm sweep is one store lookup and loads no numpy;
-the agreement harness loads no experiment module.
+or the process pool; a warm sweep is one store lookup and loads no numpy.
+(That no module below ``repro.experiments`` imports it, even lazily, is
+the static check RL113 in ``tests/test_invariants.py``.)
 
 Each check runs in a fresh interpreter, because what a test process has
 loaded depends on the tests that ran before it.
@@ -74,13 +75,6 @@ def test_importing_the_runner_opens_no_store():
 def test_importing_the_runner_loads_no_numpy_no_fastsim_and_no_sqlite():
     loaded = _loaded("import repro.experiments.runner")
     assert _under(loaded, ("numpy", "repro.fastsim", "sqlite3")) == []
-
-
-def test_the_agreement_harness_loads_no_experiment_module():
-    # compare builds the figures' Cells, but imports them only when a
-    # comparison runs: the kernel's cost resolution imports compare.
-    loaded = _loaded("import repro.fastsim.compare")
-    assert _under(loaded, ("repro.experiments",)) == []
 
 
 def test_package_names_resolve_on_first_use():

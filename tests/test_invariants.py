@@ -1,4 +1,4 @@
-"""The repo's cross-cutting invariants RL101-RL112, as plain ``ast`` checks.
+"""The repo's cross-cutting invariants RL101-RL113, as plain ``ast`` checks.
 
 A check is a function ``check(path, tree, imports)`` returning
 ``(line, message)`` pairs for one file; ``path`` is repo-relative posix,
@@ -8,7 +8,7 @@ exception is a path condition inside the check: there is no comment
 escape. To add an invariant, add a check function to ``CHECKS`` plus
 triggering and passing rows to ``FIXTURES``.
 
-``test_real_tree_is_clean`` runs all twelve over every ``.py`` file under
+``test_real_tree_is_clean`` runs all thirteen over every ``.py`` file under
 ``src tests benchmarks tools examples`` and fails naming ``path:line``
 and the id of each violation.
 """
@@ -598,11 +598,47 @@ def rl112_store_access(path, tree, imports):
     return hits
 
 
+# RL113: the figure layer sits on top. repro.experiments builds figures
+# out of the engines, calibration and the store; a module below it that
+# imports it, even lazily inside a function (as the engine-agreement
+# harness in fastsim/compare.py once did), makes that module depend on
+# every figure. Checks that run the figures' cells against the engines
+# live in benchmarks/. Relative imports are resolved against the file's
+# package.
+def _is_experiments(module):
+    return module == "repro.experiments" or module.startswith(
+        "repro.experiments."
+    )
+
+
+def rl113_experiments_import(path, tree, imports):
+    if not in_src_repro(path) or path.startswith("src/repro/experiments/"):
+        return []
+    package = path[len("src/"):-len(".py")].split("/")[:-1]
+    hits = []
+    for node in imports.of(ast.Import, ast.ImportFrom):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            base = package[:len(package) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            modules = [module] + [
+                f"{module}.{alias.name}" for alias in node.names
+            ]
+        found = next((m for m in modules if _is_experiments(m)), None)
+        if found is not None:
+            hits.append((node.lineno, f"RL113 '{found}' imported under "
+                         "src/repro/ outside repro.experiments; the figure "
+                         "layer imports the engines, not the reverse"))
+    return hits
+
+
 CHECKS = (
     rl101_wall_clock, rl102_global_rng, rl103_dtype_literal,
     rl104_identity_leak, rl105_shm_unlink, rl106_uncounted_cache,
     rl107_span_naming, rl108_pool_ownership, rl109_collector_policy,
     rl110_networkx_import, rl111_seed_layout, rl112_store_access,
+    rl113_experiments_import,
 )
 
 
@@ -980,6 +1016,26 @@ FIXTURES = [    # RL101
         def run_many(jobs, store=None):
             return store or active_store()
         """),
+    # RL113
+    row(rl113_experiments_import, "lazy-relative-and-package", "src/repro/fastsim/compare.py", """
+        from repro import experiments
+        def compare_engines(params):
+            from repro.experiments.execution import Cell
+            from ..experiments import scenario
+            import repro.experiments.api
+            return Cell(params)
+        """, "'repro.experiments'", "'repro.experiments.execution'",
+        "'repro.experiments'", "'repro.experiments.api'"),
+    row(rl113_experiments_import, "figure-layer-and-benchmarks", "benchmarks/agreement.py", """
+        from repro.experiments.execution import Cell
+        from repro.fastsim.compare import calibrate_costs
+        """),
+    row(rl113_experiments_import, "own-package-and-names", "src/repro/experiments/execution.py", """
+        from . import scenario
+        from repro.experiments.scenario import resolve_engine
+        from repro.fastsim import parallel
+        EXPORTS = {"repro.experiments": ("run_experiment",)}
+        """),
 ]
 
 
@@ -997,7 +1053,7 @@ def test_every_check_runs_on_the_tree_and_has_fixtures():
     # A check missing from CHECKS would pass its fixtures and never run.
     assert {param.values[0] for param in FIXTURES} == set(CHECKS)
     assert [check.__name__[:5] for check in CHECKS] == [
-        f"rl{n}" for n in range(101, 113)
+        f"rl{n}" for n in range(101, 114)
     ]
 
 

@@ -49,7 +49,6 @@ def test_quickstart_names_present():
         "SelectionModel",
         "solve_threshold",
         "run_fastsim",
-        "compare_engines",
         "FastSimKernel",
     ):
         assert name in repro.__all__
