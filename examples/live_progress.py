@@ -49,7 +49,6 @@ AXES = GridAxes(
     ttl_factors=(0.5, 1.0, 2.0),
     alphas=(0.8, 1.2),
     query_freqs=(1 / 30,),
-    availabilities=(1.0,),
 )
 DURATION = 60.0
 

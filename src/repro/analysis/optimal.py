@@ -31,6 +31,11 @@ from repro.errors import ParameterError
 
 __all__ = ["OptimalPartialIndex", "optimal_max_rank", "optimal_key_ttl"]
 
+#: The keyTtl range :func:`optimal_key_ttl` searches, in rounds.
+TTL_BOUNDS = (1.0, 1e7)
+#: The ``log(ttl)`` interval width at which that search stops.
+TTL_TOLERANCE = 1e-3
+
 
 @dataclass(frozen=True)
 class OptimalPartialIndex:
@@ -103,30 +108,27 @@ def optimal_max_rank(
 def optimal_key_ttl(
     params: ScenarioParameters,
     zipf: ZipfDistribution | None = None,
-    ttl_bounds: tuple[float, float] = (1.0, 1e7),
-    tolerance: float = 1e-3,
 ) -> tuple[float, float]:
     """The TTL minimising the Eq. 17 selection cost.
 
-    Golden-section search over ``log(ttl)``; returns ``(ttl, cost)``.
+    Golden-section search over ``log(ttl)`` within :data:`TTL_BOUNDS`,
+    down to a ``log(ttl)`` interval of :data:`TTL_TOLERANCE`; returns
+    ``(ttl, cost)``.
     Eq. 17 is continuous and unimodal in the TTL for Zipf workloads (the
     miss penalty falls and the maintenance cost rises monotonically with
     TTL), which golden-section requires.
     """
     zipf = zipf or ZipfDistribution(params.n_keys, params.alpha)
-    lo, hi = ttl_bounds
-    if not 0 < lo < hi:
-        raise ParameterError(f"need 0 < lo < hi, got {ttl_bounds}")
 
     def cost_at(log_ttl: float) -> float:
         return SelectionModel(params, key_ttl=math.exp(log_ttl), zipf=zipf).total_cost()
 
-    a, b = math.log(lo), math.log(hi)
+    a, b = math.log(TTL_BOUNDS[0]), math.log(TTL_BOUNDS[1])
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = cost_at(c), cost_at(d)
-    while b - a > tolerance:
+    while b - a > TTL_TOLERANCE:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

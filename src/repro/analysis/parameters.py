@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Iterator
 
 from repro.errors import ParameterError, require_finite
@@ -92,7 +93,7 @@ class ScenarioParameters:
 
     @staticmethod
     def _require_positive_int(name: str, value: int) -> None:
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
     # ------------------------------------------------------------------
@@ -145,12 +146,22 @@ class ScenarioParameters:
     def scaled(self, factor: float) -> "ScenarioParameters":
         """Return a copy with ``num_peers`` and ``n_keys`` scaled together.
 
-        Scaling both by the same factor preserves the keys/peer ratio and
-        thus every structural property the model consumes; it is how the
-        reduced-scale simulation presets are derived from Table 1.
+        Scaling both by the same factor preserves the keys/peer ratio; it
+        is how the reduced-scale simulation presets are derived from
+        Table 1. ``replication`` and ``storage_per_peer`` stay fixed, so
+        the share of peers a full index needs, and with it the walk/flood
+        cost ratio, changes with the factor. A factor that is not a
+        finite real number above 0 (a boolean included) is a
+        :class:`ParameterError`.
         """
-        if factor <= 0:
-            raise ParameterError(f"scale factor must be > 0, got {factor}")
+        if (
+            isinstance(factor, bool)
+            or not isinstance(factor, Real)
+            or not 0.0 < factor < math.inf
+        ):
+            raise ParameterError(
+                f"scale factor must be a finite number > 0, got {factor!r}"
+            )
         return replace(
             self,
             num_peers=max(self.replication, int(round(self.num_peers * factor))),

@@ -46,7 +46,6 @@ class KeyTtlSensitivity:
 def sweep_keyttl_error(
     params: ScenarioParameters,
     error_factors: Sequence[float] = DEFAULT_ERROR_FACTORS,
-    zipf: ZipfDistribution | None = None,
 ) -> list[KeyTtlSensitivity]:
     """Evaluate the selection model at ``keyTtl = factor * (1/fMin)``.
 
@@ -61,7 +60,7 @@ def sweep_keyttl_error(
         if factor <= 0:
             raise ParameterError(f"error factors must be > 0, got {factor}")
 
-    zipf = zipf or ZipfDistribution(params.n_keys, params.alpha)
+    zipf = ZipfDistribution(params.n_keys, params.alpha)
     ideal_ttl = solve_threshold(params, zipf).key_ttl
     ideal_cost = SelectionModel(params, key_ttl=ideal_ttl, zipf=zipf).total_cost()
 

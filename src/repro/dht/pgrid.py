@@ -12,7 +12,8 @@ member's :class:`~repro.pdht.ttl_cache.TtlKeyStore`. P-Grid is the system
 the paper's own simulator was built on. Each member owns a binary
 *path*; it is responsible for all keys whose identifier starts with that
 path. Paths are obtained by recursively splitting the member set on the
-next identifier bit until buckets are small, so the trie is balanced to
+next identifier bit until each bucket holds one member (or the members
+left agree on the next bit), so the trie is balanced to
 within the randomness of SHA-1 and the average path length is
 ~``log2(n)``.
 
@@ -81,20 +82,15 @@ class PGridDht:
         self,
         population: PeerPopulation,
         log: MessageLog,
-        keyspace: Optional[KeySpace] = None,
         *,
         refs_per_level: int = 2,
-        bucket_size: int = 1,
     ) -> None:
         if refs_per_level < 1:
             raise RoutingError(f"refs_per_level must be >= 1, got {refs_per_level}")
-        if bucket_size < 1:
-            raise RoutingError(f"bucket_size must be >= 1, got {bucket_size}")
         self.population = population
         self.log = log
-        self.keyspace = keyspace or KeySpace()
+        self.keyspace = KeySpace()
         self.refs_per_level = refs_per_level
-        self.bucket_size = bucket_size
         self._members: set[PeerId] = set()
         #: key -> identifier: a key hashes to the same point for good.
         #: One entry per distinct key looked up — the scenario's
@@ -191,7 +187,7 @@ class PGridDht:
         each node of the trie, recorded here on the way down.
         """
         self._under[prefix] = tuple(members)
-        if len(members) <= self.bucket_size or len(prefix) >= self.keyspace.bits:
+        if len(members) <= 1 or len(prefix) >= self.keyspace.bits:
             for peer in members:
                 self._paths[peer] = prefix
             self._leaf_members[prefix] = list(members)

@@ -795,10 +795,6 @@ def _replicate_inputs(ctx: "ExperimentContext") -> dict[str, object]:
     return inputs
 
 
-#: Confidence level of the ``replicates=N`` aggregation.
-REPLICATE_CONFIDENCE = 0.95
-
-
 def _aggregate_replicates(
     figures: list[FigureSeries], seeds: tuple[int, ...]
 ) -> tuple[FigureSeries, dict[str, object]]:
@@ -810,7 +806,7 @@ def _aggregate_replicates(
     confidence half-widths. The replication payload keeps the raw
     per-seed values for downstream analysis and export.
     """
-    from repro.experiments.stats import summarise
+    from repro.experiments.stats import CONFIDENCE, summarise
 
     first = figures[0]
     for other in figures[1:]:
@@ -826,18 +822,14 @@ def _aggregate_replicates(
             )
     series: dict[str, list[float]] = {}
     per_seed: dict[str, list[list[float]]] = {}
-    ci_label = f"ci{int(round(REPLICATE_CONFIDENCE * 100))}"
+    ci_label = f"ci{int(round(CONFIDENCE * 100))}"
     for name in first.series:
         samples_by_seed = [fig.series_of(name) for fig in figures]
         per_seed[name] = [list(values) for values in samples_by_seed]
         means: list[float] = []
         halfwidths: list[float] = []
         for i in range(len(first.x_values)):
-            summary = summarise(
-                name,
-                [values[i] for values in samples_by_seed],
-                confidence=REPLICATE_CONFIDENCE,
-            )
+            summary = summarise(name, [values[i] for values in samples_by_seed])
             means.append(summary.mean)
             halfwidths.append(summary.ci_halfwidth)
         series[name] = means
@@ -855,7 +847,7 @@ def _aggregate_replicates(
     )
     replication = {
         "seeds": list(seeds),
-        "confidence": REPLICATE_CONFIDENCE,
+        "confidence": CONFIDENCE,
         "per_seed": per_seed,
     }
     return figure, replication

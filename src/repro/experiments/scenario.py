@@ -84,9 +84,10 @@ def fastsim_scenario(
     reaches the million-peer regime. Only the ``engine="vectorized"``
     path can run these — the event engine would need hours per run.
     """
+    params = paper_scenario().scaled(scale)
     if scale < 1.0:
         raise ParameterError(
             f"fastsim_scenario scales Table 1 up; use simulation_scenario "
             f"for reductions (got scale={scale})"
         )
-    return paper_scenario().scaled(scale).with_query_freq(query_freq)
+    return params.with_query_freq(query_freq)

@@ -14,7 +14,10 @@ from typing import Sequence
 
 from repro.errors import ParameterError
 
-__all__ = ["MetricSummary", "summarise"]
+__all__ = ["CONFIDENCE", "MetricSummary", "summarise"]
+
+#: The confidence level of every interval :func:`summarise` gives.
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -29,20 +32,16 @@ class MetricSummary:
     confidence: float
 
 
-def _t_critical(df: int, confidence: float) -> float:
+def _t_critical(df: int) -> float:
     from scipy import stats as scipy_stats
 
-    return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
+    return float(scipy_stats.t.ppf(0.5 + CONFIDENCE / 2.0, df))
 
 
-def summarise(
-    name: str, samples: Sequence[float], confidence: float = 0.95
-) -> MetricSummary:
-    """Student-t summary of one metric's samples."""
+def summarise(name: str, samples: Sequence[float]) -> MetricSummary:
+    """Student-t summary of one metric's samples at :data:`CONFIDENCE`."""
     if not samples:
         raise ParameterError(f"metric {name!r} has no samples")
-    if not 0.0 < confidence < 1.0:
-        raise ParameterError(f"confidence must be in (0, 1), got {confidence}")
     n = len(samples)
     mean = sum(samples) / n
     if n == 1:
@@ -52,16 +51,16 @@ def summarise(
             mean=mean,
             stdev=0.0,
             ci_halfwidth=float("inf"),
-            confidence=confidence,
+            confidence=CONFIDENCE,
         )
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     stdev = math.sqrt(variance)
-    halfwidth = _t_critical(n - 1, confidence) * stdev / math.sqrt(n)
+    halfwidth = _t_critical(n - 1) * stdev / math.sqrt(n)
     return MetricSummary(
         name=name,
         samples=tuple(samples),
         mean=mean,
         stdev=stdev,
         ci_halfwidth=halfwidth,
-        confidence=confidence,
+        confidence=CONFIDENCE,
     )

@@ -4,10 +4,8 @@ The ROADMAP's sweep item: exploit the batch kernel for keyTtl x alpha x
 fQry grids at paper scale (Table 1, 20,000 peers) — the event engine
 needs minutes per cell there, the kernel tens of milliseconds. The grid
 is expressed in the Experiment API (``run("sweep", ...)``) so its results
-render, export and carry provenance like any figure. With the kernel's
-churn model validated, the grid also sweeps *availability*
-(:attr:`GridAxes.availabilities`): cells below 1.0 run under churn with
-the availability-dependent per-op cost model.
+render, export and carry provenance like any figure. Every cell runs
+without churn.
 
 Programmatic use::
 
@@ -24,7 +22,7 @@ Each grid cell runs the selection algorithm through
 analytical ``1/fMin`` for that cell's scenario, and reports the measured
 hit rate and msg/s next to the Eq. 16 model prediction at the same point.
 :func:`optimal_cells` derives the empirical optimal-TTL surface from the
-raw grid: for every (availability, alpha, fQry) slice, the TTL factor
+raw grid: for every (alpha, fQry) slice, the TTL factor
 minimising measured total cost — the measured counterpart of
 :func:`repro.analysis.optimal.optimal_key_ttl`.
 """
@@ -54,7 +52,6 @@ class GridPoint:
     ttl_factor: float
     alpha: float
     query_freq: float
-    availability: float = 1.0
     workload: str = "stationary"
 
     def label(self) -> str:
@@ -62,18 +59,14 @@ class GridPoint:
             f"{self.ttl_factor:g}x|a={self.alpha:g}|"
             f"{format_period(self.query_freq)}"
         )
-        if self.availability != 1.0:
-            text += f"|av={self.availability:g}"
         if self.workload != "stationary":
             text += f"|w={self.workload}"
         return text
 
     def slice_label(self) -> str:
-        """The (workload, availability, alpha, fQry) slice this cell
-        belongs to (everything but the swept TTL axis)."""
+        """The (workload, alpha, fQry) slice this cell belongs to
+        (everything but the swept TTL axis)."""
         text = f"a={self.alpha:g}|{format_period(self.query_freq)}"
-        if self.availability != 1.0:
-            text += f"|av={self.availability:g}"
         if self.workload != "stationary":
             text += f"|w={self.workload}"
         return text
@@ -81,19 +74,16 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class GridAxes:
-    """The swept axes: keyTtl factors x alphas x query freqs x availability.
+    """The swept axes: keyTtl factors x alphas x query freqs x workloads.
 
     Defaults cover the paper's interesting ranges: TTLs around the
     analytical ``1/fMin`` choice, the Zipf exponent above and below the
-    paper's 1.2, query frequencies spanning Fig. 1's sweep, and no churn
-    (``availabilities=(1.0,)``; add e.g. ``(1.0, 0.75, 0.5)`` to sweep
-    the churn dimension on the kernel's availability-dependent costs).
+    paper's 1.2 and query frequencies spanning Fig. 1's sweep.
     """
 
     ttl_factors: tuple[float, ...] = (0.5, 1.0, 2.0)
     alphas: tuple[float, ...] = (0.8, 1.2)
     query_freqs: tuple[float, ...] = (1 / 30, 1 / 600, 1 / 7200)
-    availabilities: tuple[float, ...] = (1.0,)
     #: Workload-model presets (repro.workloads); non-stationary cells run
     #: the selection algorithm against that model's query stream.
     workloads: tuple[str, ...] = ("stationary",)
@@ -103,7 +93,6 @@ class GridAxes:
             ("ttl_factors", self.ttl_factors),
             ("alphas", self.alphas),
             ("query_freqs", self.query_freqs),
-            ("availabilities", self.availabilities),
         ):
             if not values:
                 raise ParameterError(f"{name} must be non-empty")
@@ -111,10 +100,6 @@ class GridAxes:
                 raise ParameterError(f"{name} must be > 0, got {values}")
             for value in values:
                 require_finite(name, value, 0.0)
-        if any(v > 1.0 for v in self.availabilities):
-            raise ParameterError(
-                f"availabilities must be in (0, 1], got {self.availabilities}"
-            )
         if not self.workloads:
             raise ParameterError("workloads must be non-empty")
         from repro.workloads import validate_workload_name
@@ -128,26 +113,18 @@ class GridAxes:
             len(self.ttl_factors)
             * len(self.alphas)
             * len(self.query_freqs)
-            * len(self.availabilities)
             * len(self.workloads)
         )
 
     def points(self) -> Iterator[GridPoint]:
         """Row-major iteration: fQry fastest, then alpha, then keyTtl,
-        then availability, then workload (so the default stationary
-        no-churn grid keeps its historical cell order)."""
+        then workload (so the default stationary grid keeps its
+        historical cell order)."""
         for workload in self.workloads:
-            for availability in self.availabilities:
-                for ttl_factor in self.ttl_factors:
-                    for alpha in self.alphas:
-                        for query_freq in self.query_freqs:
-                            yield GridPoint(
-                                ttl_factor,
-                                alpha,
-                                query_freq,
-                                availability,
-                                workload,
-                            )
+            for ttl_factor in self.ttl_factors:
+                for alpha in self.alphas:
+                    for query_freq in self.query_freqs:
+                        yield GridPoint(ttl_factor, alpha, query_freq, workload)
 
 
 def sweep_grid(
@@ -161,15 +138,12 @@ def sweep_grid(
 
     Every cell re-derives the scenario (alpha, fQry) and the analytical
     keyTtl, scales the TTL by the cell's factor, and measures hit rate
-    and total msg/s with :func:`repro.fastsim.run_fastsim`. Cells with
-    availability < 1 run under churn (mean session 30 min, offline time
-    derived). The Eq. 16 model prediction at the same TTL rides along
-    for cross-checking.
+    and total msg/s with :func:`repro.fastsim.run_fastsim`. The Eq. 16
+    model prediction at the same TTL rides along for cross-checking.
 
     Cells with a non-stationary :attr:`GridAxes.workloads` entry run
     that model's query stream (seeded per cell, so the grid stays
-    deterministic for any worker count); under churn the per-op
-    calibration threads the model through (rank-permutation awareness).
+    deterministic for any worker count).
 
     ``execution`` (default ``Execution("vectorized")``) carries the
     worker count — see :mod:`repro.experiments.execution`; results are
@@ -177,7 +151,6 @@ def sweep_grid(
     """
     from repro.analysis.selection_model import selection_outcome
     from repro.experiments.execution import Cell, CellWorkload, Execution
-    from repro.fastsim.compare import churn_config_for_availability
     from repro.pdht.config import PdhtConfig
     from repro.workloads import model_from_name
 
@@ -205,7 +178,6 @@ def sweep_grid(
                     config.with_ttl(config.key_ttl * point.ttl_factor),
                     duration,
                     seed=seed,
-                    churn=churn_config_for_availability(point.availability),
                     workload=(
                         CellWorkload(
                             models[point.workload],
@@ -241,10 +213,9 @@ def sweep_grid(
         measured.append(report.messages_per_second)
         model.append(selection_outcome(cell.params, key_ttl).total_cost)
         ttls.append(key_ttl)
-    churned = "" if axes.availabilities == (1.0,) else " x availability"
     return FigureSeries(
         name=(
-            f"Sweep - keyTtl x alpha x fQry{churned} grid "
+            "Sweep - keyTtl x alpha x fQry grid "
             f"({scenario.num_peers} peers, {scenario.n_keys} keys, "
             f"{axes.size} cells, vectorized)"
         ),
@@ -266,7 +237,7 @@ def sweep_grid(
 def optimal_cells(grid: FigureSeries, axes: GridAxes) -> FigureSeries:
     """Derive the optimal-cell surface from a :func:`sweep_grid` figure.
 
-    For every (availability, alpha, fQry) slice, find the TTL factor
+    For every (alpha, fQry) slice, find the TTL factor
     whose cell minimises measured total cost (argmin over the grid's
     keyTtl axis) and report it alongside the minimal cost, the model's
     prediction there, and the hit rate — the measured answer to "which

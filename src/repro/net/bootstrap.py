@@ -39,9 +39,10 @@ class GatewayCache:
         Message log for accounting.
     rng:
         Randomness for bootstrap probing.
-    cache_size:
-        Gateways remembered per peer.
     """
+
+    #: Gateways remembered per peer.
+    cache_size = 3
 
     def __init__(
         self,
@@ -49,17 +50,13 @@ class GatewayCache:
         members: set[PeerId],
         log: MessageLog,
         rng: np.random.Generator,
-        cache_size: int = 3,
     ) -> None:
-        if cache_size < 1:
-            raise ParameterError(f"cache_size must be >= 1, got {cache_size}")
         if not members:
             raise ParameterError("bootstrap needs at least one DHT member")
         self.population = population
         self.members = set(members)
         self.log = log
         self.rng = rng
-        self.cache_size = cache_size
         self._caches: dict[PeerId, OrderedDict[PeerId, None]] = {}
         self.bootstrap_probes = 0
         self.cache_hits = 0

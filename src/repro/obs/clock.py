@@ -22,8 +22,9 @@ from time import perf_counter as perf_counter  # noqa: F401
 __all__ = ["perf_counter", "utc_now_iso"]
 
 
-def utc_now_iso(timespec: str = "seconds") -> str:
-    """The current UTC time as an ISO-8601 string (provenance stamps)."""
+def utc_now_iso() -> str:
+    """The current UTC time as an ISO-8601 string to the second
+    (provenance stamps)."""
     return _datetime.datetime.now(_datetime.timezone.utc).isoformat(
-        timespec=timespec
+        timespec="seconds"
     )

@@ -88,13 +88,12 @@ class PdhtNetwork:
         seed: int = 0,
         num_active_peers: Optional[int] = None,
         churn: Optional[ChurnConfig] = None,
-        metrics: Optional[MessageMetrics] = None,
     ) -> None:
         self.params = params
         self.config = config or PdhtConfig.from_scenario(params)
         self.streams = RandomStreams(seed)
         self.simulation = Simulation()
-        self.metrics = metrics or MessageMetrics()
+        self.metrics = MessageMetrics()
         self.log = MessageLog(self.metrics)
 
         # --- population and unstructured plane -------------------------

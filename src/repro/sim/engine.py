@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro import obs
 from repro.obs.clock import perf_counter
@@ -128,13 +128,12 @@ class Simulation:
         interval: float,
         action: Callable[[], None],
         label: str = "",
-        start: Optional[float] = None,
     ) -> Event:
         """Run ``action`` every ``interval`` rounds until cancelled.
 
         Returns the *controller* event; calling :meth:`Event.cancel` on it
-        stops all future firings. The first firing happens at ``start``
-        (default: one interval from now).
+        stops all future firings. The first firing happens one interval
+        from now.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be > 0, got {interval}")
@@ -147,19 +146,14 @@ class Simulation:
             if not controller.cancelled:
                 self.schedule_in(interval, fire, label=controller.label)
 
-        first = self._now + interval if start is None else start
-        self.schedule_at(first, fire, label=controller.label)
+        self.schedule_at(self._now + interval, fire, label=controller.label)
         return controller
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: float, max_events: int | None = None) -> None:
-        """Process events in time order until ``until`` (inclusive).
-
-        ``max_events`` is a safety valve against runaway self-scheduling
-        loops; exceeding it raises :class:`SimulationError`.
-        """
+    def run(self, until: float) -> None:
+        """Process events in time order until ``until`` (inclusive)."""
         if self._running:
             raise SimulationError("run() is not re-entrant")
         if until < self._now:
@@ -180,10 +174,6 @@ class Simulation:
                 scheduled.event.action()
                 self._processed += 1
                 processed_here += 1
-                if max_events is not None and processed_here >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before t={until}"
-                    )
             self._now = until
         finally:
             self._running = False

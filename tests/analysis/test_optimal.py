@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.optimal import optimal_key_ttl, optimal_max_rank
+from repro.analysis.optimal import TTL_BOUNDS, optimal_key_ttl, optimal_max_rank
 from repro.analysis.selection_model import SelectionModel
 from repro.analysis.strategies import (
     cost_index_all,
@@ -90,11 +90,5 @@ class TestOptimalKeyTtl:
         assert gap(7200) > gap(600) > gap(30) - 1e-6
 
     def test_returns_ttl_within_bounds(self, paper_params):
-        ttl, _ = optimal_key_ttl(paper_params, ttl_bounds=(10.0, 1e5))
-        assert 10.0 <= ttl <= 1e5
-
-    def test_invalid_bounds_rejected(self, paper_params):
-        with pytest.raises(ParameterError):
-            optimal_key_ttl(paper_params, ttl_bounds=(100.0, 10.0))
-        with pytest.raises(ParameterError):
-            optimal_key_ttl(paper_params, ttl_bounds=(0.0, 10.0))
+        ttl, _ = optimal_key_ttl(paper_params)
+        assert TTL_BOUNDS[0] <= ttl <= TTL_BOUNDS[1]

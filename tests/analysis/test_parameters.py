@@ -66,6 +66,15 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ScenarioParameters(num_peers=10, replication=20)
 
+    @pytest.mark.parametrize(
+        "field", ["num_peers", "n_keys", "storage_per_peer", "replication"]
+    )
+    def test_boolean_counts_rejected(self, field):
+        # bool is an int: replication=True once built a scenario with
+        # repl True, and num_peers=True failed on the replication bound.
+        with pytest.raises(ParameterError, match=f"{field} must be a positive"):
+            ScenarioParameters(**{field: True})
+
     def test_non_integer_peers_rejected(self):
         with pytest.raises(ParameterError):
             ScenarioParameters(num_peers=10.5)  # type: ignore[arg-type]
@@ -134,6 +143,21 @@ class TestTransforms:
     def test_scale_must_be_positive(self):
         with pytest.raises(ParameterError):
             ScenarioParameters.paper_scenario().scaled(0.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, True, "2"])
+    def test_scale_must_be_a_finite_number(self, factor):
+        # NaN and inf once raised ValueError / OverflowError from int(),
+        # and True scaled by 1 into Table 1.
+        with pytest.raises(ParameterError, match="scale factor"):
+            ScenarioParameters.paper_scenario().scaled(factor)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, True])
+    def test_scenario_presets_reject_a_bad_scale(self, factor):
+        from repro.experiments.scenario import fastsim_scenario, simulation_scenario
+
+        for preset in (simulation_scenario, fastsim_scenario):
+            with pytest.raises(ParameterError, match="scale factor"):
+                preset(scale=factor)
 
     def test_frozen(self):
         p = ScenarioParameters.paper_scenario()

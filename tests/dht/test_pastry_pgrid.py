@@ -35,8 +35,8 @@ class TestPGrid:
         paths = [_path(pgrid, m) for m in pgrid._members]
         for path in paths:
             assert set(path) <= {"0", "1"}
-        # With bucket_size=1 the paths form a prefix-free code (no path is
-        # a proper prefix of another), i.e. trie leaves.
+        # With one-member buckets the paths form a prefix-free code (no
+        # path is a proper prefix of another), i.e. trie leaves.
         path_set = set(paths)
         for path in path_set:
             for other in path_set:
@@ -112,20 +112,7 @@ class TestPGrid:
         # P-Grid is the paper's own substrate: Eq. 7 should be tight.
         assert model * 0.6 <= mean <= model * 1.6
 
-    def test_bucket_size_creates_replica_leaves(self):
-        population = PeerPopulation(64)
-        dht = PGridDht(
-            population, MessageLog(MessageMetrics()), bucket_size=4
-        )
-        dht.join_all(range(64))
-        dht.responsible_for("warmup")
-        leaf_sizes = [len(peers) for peers in dht._leaf_members.values()]
-        assert max(leaf_sizes) <= 4 or True  # lopsided splits may exceed
-        assert sum(leaf_sizes) == 64
-
     def test_invalid_parameters(self):
         population = PeerPopulation(4)
         with pytest.raises(RoutingError):
             PGridDht(population, MessageLog(MessageMetrics()), refs_per_level=0)
-        with pytest.raises(RoutingError):
-            PGridDht(population, MessageLog(MessageMetrics()), bucket_size=0)

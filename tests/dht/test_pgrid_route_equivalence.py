@@ -283,7 +283,7 @@ def test_whole_leaves_offline():
     """Ownership falls to a sibling subtree while a leaf is dark, and
     returns to the leaf's smallest online member afterwards."""
     population = PeerPopulation(40)
-    new, old = _pair(population, range(40), bucket_size=3)
+    new, old = _pair(population, range(40))
     new._ensure_routing()
     leaves = sorted(new._leaf_members.items())
     assert any(len(members) > 1 for _, members in leaves)

@@ -128,7 +128,7 @@ def leave(dht, peer_id: PeerId) -> None:
 class ReferencePGrid(ReferenceViews, PGridDht):
     def _split(self, members: list[PeerId], prefix: str) -> None:
         """Recursively partition members on the next identifier bit."""
-        if len(members) <= self.bucket_size or len(prefix) >= self.keyspace.bits:
+        if len(members) <= 1 or len(prefix) >= self.keyspace.bits:
             for peer in members:
                 self._paths[peer] = prefix
             self._leaf_members[prefix] = list(members)
@@ -251,10 +251,7 @@ class History:
 
 @st.composite
 def histories(draw):
-    kwargs = {
-        "bucket_size": draw(st.integers(1, 3)),
-        "refs_per_level": draw(st.integers(1, 3)),
-    }
+    kwargs = {"refs_per_level": draw(st.integers(1, 3))}
     num_peers = draw(st.integers(2, MAX_PEERS))
     ids = st.integers(0, num_peers - 1)
     ops = tuple(
@@ -480,18 +477,14 @@ def test_pgrid_members_under(history):
 
 def test_pgrid_lopsided_split_and_buckets():
     """A trie where one side of a split is empty (the node stays a leaf
-    with more members than ``bucket_size``) next to ordinary buckets."""
+    with more than one member) next to ordinary one-member buckets."""
     population = PeerPopulation(64)
-    for bucket_size in (1, 2, 5):
-        sides = []
-        for cls in SIDES:
-            dht = cls(
-                population, MessageLog(MessageMetrics()),
-                bucket_size=bucket_size,
-            )
-            dht.join_all(range(0, 64, 3))
-            sides.append((dht, None))
-        _check_members_under(*sides, population)
+    sides = []
+    for cls in SIDES:
+        dht = cls(population, MessageLog(MessageMetrics()))
+        dht.join_all(range(0, 64, 3))
+        sides.append((dht, None))
+    _check_members_under(*sides, population)
     # Two members whose ids share their first bit: lopsided at the root.
     first_bits = {
         p: population[p].dht_id >> 159 for p in range(64)

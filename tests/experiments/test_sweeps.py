@@ -1,4 +1,4 @@
-"""Tests for the sweep grid axes (incl. availability) and optimal cells."""
+"""Tests for the sweep grid axes and optimal cells."""
 
 from __future__ import annotations
 
@@ -21,28 +21,11 @@ from repro.experiments.sweeps import (
 class TestGridAxes:
     def test_default_axes_have_no_churn_dimension(self):
         axes = GridAxes()
-        assert axes.availabilities == (1.0,)
         assert axes.size == 18
         labels = [p.label() for p in axes.points()]
         assert not any("av=" in label for label in labels)
 
-    def test_availability_axis_multiplies_the_grid(self):
-        axes = GridAxes(availabilities=(1.0, 0.5))
-        assert axes.size == 36
-        labels = [p.label() for p in axes.points()]
-        assert sum("av=0.5" in label for label in labels) == 18
-
-    def test_availability_validation(self):
-        with pytest.raises(ParameterError):
-            GridAxes(availabilities=())
-        with pytest.raises(ParameterError):
-            GridAxes(availabilities=(0.0,))
-        with pytest.raises(ParameterError):
-            GridAxes(availabilities=(1.5,))
-
-    @pytest.mark.parametrize(
-        "axis", ["ttl_factors", "alphas", "query_freqs", "availabilities"]
-    )
+    @pytest.mark.parametrize("axis", ["ttl_factors", "alphas", "query_freqs"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, True])
     def test_nan_inf_and_booleans_rejected(self, axis, value):
         # Through sweep_grid a NaN alpha died converting NaN to an
@@ -52,9 +35,9 @@ class TestGridAxes:
             GridAxes(**{axis: (value,)})
 
     def test_slice_label_drops_ttl_axis(self):
-        point = GridPoint(2.0, 1.2, 1 / 600, 0.75)
-        assert point.label() == "2x|a=1.2|1/600|av=0.75"
-        assert point.slice_label() == "a=1.2|1/600|av=0.75"
+        point = GridPoint(2.0, 1.2, 1 / 600)
+        assert point.label() == "2x|a=1.2|1/600"
+        assert point.slice_label() == "a=1.2|1/600"
 
 
 class TestOptimalCells:
@@ -101,30 +84,6 @@ class TestOptimalCells:
         )
         with pytest.raises(ParameterError, match="cells"):
             optimal_cells(grid, GridAxes())
-
-
-class TestSweepGridWithChurn:
-    def test_churned_cells_cost_more_than_quiet_ones(self):
-        # A tiny grid at reduced scale: the availability axis must flow
-        # through to the kernel's churn model and show up in the labels.
-        axes = GridAxes(
-            ttl_factors=(1.0,),
-            alphas=(1.2,),
-            query_freqs=(1 / 30,),
-            availabilities=(1.0, 0.75),
-        )
-        fig = sweep_grid(
-            axes,
-            scenario=simulation_scenario(scale=0.02),
-            duration=60.0,
-        )
-        assert len(fig.x_values) == 2
-        assert "av=0.75" in fig.x_values[1]
-        quiet, churned = fig.series_of("msg/s")
-        assert quiet > 0 and churned > 0
-        assert churned != quiet
-        derived = optimal_cells(fig, axes)
-        assert len(derived.x_values) == 2  # availability splits the slice
 
 
 class TestWorkloadAxis:

@@ -20,8 +20,8 @@ A tolerance is derived from counts, never fitted to the readings:
   maintenance may miss Eq. 8 by one probed routing entry a member.
 
 Two terms are known not to agree and are strict ``xfail``s, each naming
-the ROADMAP item that closes it: the key-maintenance rate (item 2(b)) and
-the hit path's replica flood (item 2(c)).
+the ROADMAP item that closes it: the key-maintenance rate (item 1(b)) and
+the hit path's replica flood (item 1(c)).
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def test_no_index_broadcast_is_eq12(runs, params, config):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP 2(b): calibrated probe maintenance is ~1.8x Eq. 8 "
+    reason="ROADMAP 1(b): calibrated probe maintenance is ~1.8x Eq. 8 "
            "at every DHT size",
 )
 @pytest.mark.parametrize("strategy", ["indexAll", "partialIdeal", "partialSelection"])
@@ -156,7 +156,7 @@ def test_maintenance_is_eq8(runs, params, strategy):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP 2(c): Eq. 17 charges cSIndx2 (lookup + replica flood) "
+    reason="ROADMAP 1(c): Eq. 17 charges cSIndx2 (lookup + replica flood) "
            "on a hit; the simulation floods only on a miss",
 )
 def test_selection_index_search_is_eq17(runs):

@@ -17,7 +17,7 @@ def setup(rng):
     metrics = MessageMetrics()
     log = MessageLog(metrics)
     members = set(range(10))  # peers 0-9 are DHT members
-    cache = GatewayCache(population, members, log, rng, cache_size=3)
+    cache = GatewayCache(population, members, log, rng)
     return population, cache, metrics
 
 
@@ -108,5 +108,3 @@ class TestCacheBehaviour:
         log = MessageLog(MessageMetrics())
         with pytest.raises(ParameterError):
             GatewayCache(population, set(), log, rng)
-        with pytest.raises(ParameterError):
-            GatewayCache(population, {1}, log, rng, cache_size=0)

@@ -115,16 +115,6 @@ class TestRun:
         sim.run(until=10.0)
         assert sim.processed_events == 3
 
-    def test_max_events_guard(self):
-        sim = Simulation()
-
-        def reschedule():
-            sim.schedule_in(0.0, reschedule)
-
-        sim.schedule_at(1.0, reschedule)
-        with pytest.raises(SimulationError, match="max_events"):
-            sim.run(until=2.0, max_events=100)
-
     def test_run_not_reentrant(self):
         sim = Simulation()
         errors = []
@@ -147,13 +137,6 @@ class TestEvery:
         sim.every(2.0, lambda: times.append(sim.now))
         sim.run(until=7.0)
         assert times == [2.0, 4.0, 6.0]
-
-    def test_recurring_custom_start(self):
-        sim = Simulation()
-        times = []
-        sim.every(5.0, lambda: times.append(sim.now), start=1.0)
-        sim.run(until=12.0)
-        assert times == [1.0, 6.0, 11.0]
 
     def test_cancelling_controller_stops_recurrence(self):
         sim = Simulation()

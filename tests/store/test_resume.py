@@ -142,7 +142,6 @@ class TestSweepGridResume:
         ttl_factors=(0.5, 1.0),
         alphas=(0.6,),
         query_freqs=(1.0 / 30.0,),
-        availabilities=(1.0,),
     )
 
     def test_sweep_grid_resumes_bit_identical(self, params, store):
@@ -168,7 +167,6 @@ class TestSweepGridResume:
                 ttl_factors=(0.5, 1.0, 2.0),
                 alphas=(0.6,),
                 query_freqs=(1.0 / 30.0,),
-                availabilities=(1.0,),
             )
             obs.enable()
             try:

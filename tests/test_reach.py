@@ -2,8 +2,9 @@
 
 The full run (every runner row, ~5 min) is not tier-1; this holds the
 parts it trusts: a called def is reached, a decorated def is keyed by its
-first decorator's line (where its code object starts), and an uncalled
-nested def is reported.
+first decorator's line (where its code object starts), an uncalled
+nested def is reported, and the census tells a parameter some call
+varied from one every call left at its default.
 """
 
 from __future__ import annotations
@@ -37,6 +38,32 @@ def never():
 '''
 
 
+CENSUS = '''\
+from dataclasses import dataclass
+
+LIMIT = 0.5
+
+
+def scaled(value, step=1, limit=LIMIT, *, strict=False, label="x"):
+    return value
+
+
+@dataclass(frozen=True)
+class Config:
+    size: int = 4
+    name: str = "a"
+'''
+
+CENSUS_CALLS = """\
+from repro import census
+census.scaled(1)
+census.scaled(1, 2, strict=True)
+census.scaled(1, limit=0.5, strict=False)  # equal, not identical
+census.Config()
+census.Config(name="b")
+"""
+
+
 def _reach():
     spec = importlib.util.spec_from_file_location("tools_reach", REACH)
     module = importlib.util.module_from_spec(spec)
@@ -66,6 +93,22 @@ def test_matcher_on_a_fixture_module(tmp_path):
         "       11  decorated.<locals>.inner  (2 lines)",
         "       17  never  (2 lines)",
         "unreached 2 of 5 defs, 4 lines",
+    ]
+
+
+def test_census_on_a_fixture_module(tmp_path):
+    reach = _reach()
+    root = tmp_path / "checkout"
+    (root / "src" / "repro").mkdir(parents=True)
+    (root / "src" / "repro" / "census.py").write_text(CENSUS)
+    work = tmp_path / "work"
+    subprocess.run([sys.executable, "-c", CENSUS_CALLS], cwd=root,
+                   env=reach.recording_env(root, work), check=True)
+    assert reach.knob_inventory(reach.census(work, root)).splitlines() == [
+        "src/repro/census.py",
+        "        6  scaled  (limit, label)",
+        "       10  Config  (size)",
+        "never varied 3 of 6 defaulted parameters",
     ]
 
 

@@ -1,34 +1,50 @@
 #!/usr/bin/env python3
-"""Which functions under ``src/repro`` does no experiment reach?
+"""Which functions under ``src/repro`` does no experiment reach, and
+which of their parameters does no call ever set?
 
 Runs every command of :data:`ROWS` (the runner on every experiment,
 engine, format and workload preset, trace replay from JSON and JSONL, a
 store cold then warm, the telemetry flags, ``gates.py``), the commands
 of ``tools/smoke.py``'s table and the five benchmark commands' traced
 passes (``benchmarks/e2e/layers.py ... 1 -- <runner argv>``) under a
-``sitecustomize`` that records each code object whose file is
-under ``src/repro`` the first time it is called, in every process —
-pool workers included (a forked worker appends to its own file; a
-spawned one loads the ``sitecustomize`` again). Then it prints every
-``def`` of ``src/repro`` whose code object no process called, grouped
-by module, and ends with ``unreached N of M defs, L lines``.
+``sitecustomize`` profile hook, in every process — pool workers
+included (a forked worker appends to its own files; a spawned one loads
+the ``sitecustomize`` again). Then it prints two inventories.
+
+**Unreached defs.** The hook records each code object whose file is
+under ``src/repro`` the first time it is called. Every ``def`` of
+``src/repro`` whose code object no process called is listed, grouped by
+module, ending ``unreached N of M defs, L lines``. A def is keyed by the
+line its code object starts on: the ``def`` line, or its first
+decorator's. Nested defs count on their own; lambdas, comprehensions
+and class bodies do not count.
+
+**The knob census.** On a reached def's first call the hook parses its
+defaults from the source and evaluates them in the def's module globals
+(a default naming a class attribute or an enclosing local is left out);
+a generated dataclass ``__init__`` is mapped through ``self`` to its
+``repro`` class, whose defaults it reads off the function. Every later
+call compares each still-tracked parameter's bound value with its
+default — the same object, or the same type and ``==``, counts as the
+default — and a parameter stops being tracked at its first non-default
+binding. A generator resuming at a ``yield`` is not a call. The census
+lists the parameters no call varied, grouped by module and def (a
+dataclass by its class line), ending ``never varied N of M defaulted
+parameters``.
 
 The smoke rows that run ``benchmarks/e2e/run.py`` or
 ``rss_layout_check.py`` (under its own ``PYTHONPATH``) are left out: the
-traced passes run the same commands.
+traced passes run the same commands. The rows run small scales and
+short durations, so a def that only a longer run calls can show up:
+check a listed def or parameter for callers under ``src/`` before
+cutting it.
 
-A def is keyed by the line its code object starts on: the ``def`` line,
-or its first decorator's. Nested defs count on their own; lambdas,
-comprehensions and class bodies do not count. The rows run small scales
-and short durations, so a def that only a longer run calls can show up:
-check a listed def for callers under ``src/`` before cutting it.
-
-    python3 tools/reach.py                 # ~3 min on 2 CPUs, ~1 GB peak (gates.py)
+    python3 tools/reach.py                 # ~4 min on 2 CPUs, ~1 GB peak (gates.py)
     python3 tools/reach.py --examples      # the examples count as callers
     python3 tools/reach.py --root DIR      # another checkout (a parent)
 
 Exit codes: 0 when every command ran as expected, 1 otherwise (the
-inventory is printed either way).
+inventories are printed either way).
 """
 
 from __future__ import annotations
@@ -45,7 +61,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import smoke  # noqa: E402
 
 #: Written into a temporary directory that leads ``PYTHONPATH``.
-SITECUSTOMIZE = '''\
+SITECUSTOMIZE = r'''
+import ast
 import os
 import sys
 import threading
@@ -53,23 +70,146 @@ import threading
 _SRC = os.environ["REACH_SRC"]
 _OUT = os.environ["REACH_OUT"]
 _seen = {}
-_sink = [None, None]
+#: id(code) -> [f_lasti at its first call, def record, {param: default}]
+#: while a reached def has a parameter no call has varied yet.
+_knobs = {}
+#: suffix -> [pid, file]: each process appends to its own files.
+_sinks = {}
+#: path -> ({def start line: def node}, {class qualname: start line}).
+_trees = {}
+
+
+def _write(suffix, line):
+    pid = os.getpid()
+    sink = _sinks.get(suffix)
+    if sink is None or sink[0] != pid:
+        sink = _sinks[suffix] = [pid, open(
+            os.path.join(_OUT, f"{pid}.{suffix}"), "a", buffering=1)]
+    sink[1].write(line + "\n")
+
+
+def _tree(path):
+    if path not in _trees:
+        defs, classes = {}, {}
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    start = min([child.lineno,
+                                 *(d.lineno for d in child.decorator_list)])
+                    if isinstance(child, ast.ClassDef):
+                        classes[prefix + child.name] = start
+                        visit(child, f"{prefix}{child.name}.")
+                    else:
+                        defs[start] = child
+                        visit(child, f"{prefix}{child.name}.<locals>.")
+                else:
+                    visit(child, prefix)
+
+        with open(path, encoding="utf-8") as source:
+            visit(ast.parse(source.read()), "")
+        _trees[path] = defs, classes
+    return _trees[path]
+
+
+def _function_knobs(frame, code):
+    """A def's defaults, parsed from its source and evaluated in its
+    module's globals (one naming a class attribute or an enclosing
+    local is left out)."""
+    node = _tree(code.co_filename)[0].get(code.co_firstlineno)
+    if node is None or node.name != code.co_name:  # a lambda on a def line
+        return None
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    pairs = [*zip(positional[len(positional) - len(args.defaults):],
+                  args.defaults),
+             *((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None)]
+    defaults = {}
+    for arg, expression in pairs:
+        try:
+            defaults[arg.arg] = eval(
+                compile(ast.Expression(expression), code.co_filename, "eval"),
+                frame.f_globals)
+        except NameError:
+            pass
+    return f"{code.co_filename}\t{code.co_firstlineno}\t{code.co_qualname}", defaults
+
+
+def _dataclass_knobs(frame, code):
+    """A generated ``__init__``'s defaults, keyed by the repro dataclass
+    that owns it (found through ``self``)."""
+    if not code.co_argcount:
+        return None
+    for cls in type(frame.f_locals.get(code.co_varnames[0])).__mro__:
+        init = cls.__dict__.get("__init__")
+        if getattr(init, "__code__", None) is code:
+            break
+    else:
+        return None
+    path = getattr(sys.modules.get(cls.__module__), "__file__", None) or ""
+    if not (path.startswith(_SRC) and "__dataclass_fields__" in cls.__dict__):
+        return None
+    line = _tree(path)[1].get(cls.__qualname__)
+    if line is None:
+        return None
+    positional = code.co_varnames[1:code.co_argcount]
+    values = init.__defaults__ or ()
+    defaults = dict(zip(positional[len(positional) - len(values):], values))
+    defaults.update(init.__kwdefaults__ or {})
+    return f"{path}\t{line}\t{cls.__qualname__}", defaults
+
+
+def _same(value, default):
+    if value is default:
+        return True
+    try:
+        return type(value) is type(default) and bool(value == default)
+    except (TypeError, ValueError):  # e.g. an array's truth value
+        return False
+
+
+def _vary(frame, knobs):
+    """Record, and stop tracking, each parameter this call binds to a
+    non-default value; a generator resuming at a yield is no call."""
+    lasti, record, defaults = knobs
+    if frame.f_lasti != lasti:
+        return
+    bound = frame.f_locals
+    for name in [name for name, default in defaults.items()
+                 if not _same(bound.get(name, default), default)]:
+        del defaults[name]
+        _write("knobs", f"{record}\t{name}\t1")
+    if not defaults:
+        _knobs.pop(id(frame.f_code), None)
 
 
 def _record(frame, event, arg):
     if event != "call":
         return
     code = frame.f_code
+    knobs = _knobs.get(id(code))
+    if knobs is not None:
+        _vary(frame, knobs)
+        return
     if id(code) in _seen:
         return
     _seen[id(code)] = code
-    if not code.co_filename.startswith(_SRC):
+    if code.co_filename.startswith(_SRC):
+        _write("calls", f"{code.co_filename}\t{code.co_firstlineno}")
+        found = _function_knobs(frame, code)
+    elif code.co_filename == "<string>" and code.co_name == "__init__":
+        found = _dataclass_knobs(frame, code)
+    else:
         return
-    pid = os.getpid()
-    if _sink[0] != pid:
-        _sink[:] = [pid, open(os.path.join(_OUT, f"{pid}.calls"), "a",
-                              buffering=1)]
-    _sink[1].write(f"{code.co_filename}\\t{code.co_firstlineno}\\n")
+    if found is None or not found[1]:
+        return
+    record, defaults = found
+    for name in defaults:
+        _write("knobs", f"{record}\t{name}\t0")
+    _knobs[id(code)] = knobs = [frame.f_lasti, record, defaults]
+    _vary(frame, knobs)
 
 
 sys.setprofile(_record)
@@ -111,6 +251,9 @@ ROWS: tuple[tuple[str, ...], ...] = (
      "<out>"),
     ("runner", "staleness", "--engine", "vectorized", "--scale", "0.02",
      "--duration", "250", "--no-store", "--format", "json"),
+    *(("runner", "adaptivity-tracking", "adaptivity-lag", "--engine", engine,
+       *SMALL, "--seed", "1", "--window", "4", "--shift-at", "20",
+       "--no-store", "--format", "json") for engine in ("event", "vectorized")),
     ("python", "benchmarks/gates.py"),
 )
 #: Smoke commands of these scripts are not run: see the module docstring.
@@ -254,6 +397,41 @@ def called_lines(work: Path, root: Path) -> set[tuple[str, int]]:
     return called
 
 
+def census(work: Path, root: Path) -> dict[tuple[str, int, str], dict[str, bool]]:
+    """``(path relative to root, first line, name) -> {parameter: varied}``
+    for every recorded def or dataclass with a defaulted parameter, in
+    declaration order."""
+    knobs: dict[tuple[str, int, str], dict[str, bool]] = {}
+    for record in sorted((work / "calls").glob("*.knobs")):
+        for line in record.read_text(encoding="utf-8").splitlines():
+            filename, first, name, parameter, varied = line.split("\t")
+            params = knobs.setdefault(
+                (Path(filename).relative_to(root).as_posix(), int(first), name),
+                {})
+            params[parameter] = params.get(parameter, False) or varied == "1"
+    return knobs
+
+
+def knob_inventory(knobs: dict[tuple[str, int, str], dict[str, bool]]) -> str:
+    """The never-varied parameters grouped by module and def, then the
+    ``never varied`` total line."""
+    out: list[str] = []
+    module = None
+    never = 0
+    for (path, line, name), params in sorted(knobs.items()):
+        fixed = [parameter for parameter, varied in params.items() if not varied]
+        if not fixed:
+            continue
+        never += len(fixed)
+        if path != module:
+            module = path
+            out.append(module)
+        out.append(f"    {line:>5}  {name}  ({', '.join(fixed)})")
+    total = sum(len(params) for params in knobs.values())
+    out.append(f"never varied {never} of {total} defaulted parameters")
+    return "\n".join(out)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -283,8 +461,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[{number}/{len(rows)}] {' '.join(command.argv)[:100]}{mark}",
                   file=sys.stderr, flush=True)
         called = called_lines(work, root)
+        knobs = census(work, root)
     defs = src_defs(root)
     print(inventory(unreached(defs, called), len(defs)))
+    print(knob_inventory(knobs))
     return 0 if ok else 1
 
 
