@@ -4,7 +4,7 @@ One table, ``GATES``. Each row names a measure (a function returning a
 dict of readings), the reading it looks at, a ceiling and why the
 ceiling is there; ``run`` calls each distinct measure once, prints one
 ``name reading limit ok|DRIFT`` line per row and returns 1 if any reading
-is over (or is NaN). There is no record file, no history and nothing to
+is over (or is NaN); ``readings`` makes the same calls without a verdict. There is no record file, no history and nothing to
 override: to move a gate, edit its row.
 
 Everything a pull request can break in seconds is asserted by the tier-1
@@ -218,14 +218,24 @@ GATES = (
 )
 
 
+def readings(gates: Iterable[Gate]) -> dict[Callable[[], Readings], Readings]:
+    """Each distinct measure of ``gates`` called once, in table order:
+    the gates' calls without their verdicts (``tools/reach.py`` records
+    these, and a timing ratio read under its profiler means nothing)."""
+    measured: dict[Callable[[], Readings], Readings] = {}
+    for gate in gates:
+        if gate.measure not in measured:
+            measured[gate.measure] = gate.measure()
+    return measured
+
+
 def run(gates: Iterable[Gate], out: Callable[[str], None] = print) -> int:
     """Print one line per gate; 1 if any reading is over its limit."""
-    readings: dict[Callable[[], Readings], Readings] = {}
+    gates = tuple(gates)
+    measured = readings(gates)
     drifted = False
     for gate in gates:
-        if gate.measure not in readings:
-            readings[gate.measure] = gate.measure()
-        reading = readings[gate.measure][gate.field]
+        reading = measured[gate.measure][gate.field]
         ok = reading <= gate.limit  # False for NaN
         drifted = drifted or not ok
         out(

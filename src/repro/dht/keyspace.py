@@ -52,16 +52,9 @@ class KeySpace:
     # ------------------------------------------------------------------
     # Binary prefixes
     # ------------------------------------------------------------------
-    def to_bits(self, ident: int, length: int | None = None) -> str:
+    def to_bits(self, ident: int) -> str:
         """Fixed-width binary string of ``ident`` (MSB first)."""
-        self.check(ident)
-        length = self.bits if length is None else length
-        if not 0 <= length <= self.bits:
-            raise KeyspaceError(
-                f"length must be in [0, {self.bits}], got {length}"
-            )
-        full = format(ident, f"0{self.bits}b")
-        return full[:length]
+        return format(self.check(ident), f"0{self.bits}b")
 
     def digit(self, ident: int, position: int) -> int:
         """The ``position``-th bit of ``ident`` (MSB first)."""

@@ -50,7 +50,7 @@ from repro import obs
 from repro.dht.keyspace import KeySpace
 from repro.errors import ParameterError, RoutingError
 from repro.net.messages import MessageKind, MessageLog
-from repro.net.node import PeerId, PeerPopulation
+from repro.net.node import PeerId, PeerPopulation, dht_id_for
 
 __all__ = ["LookupResult", "PGridDht", "KEY_MEMO_LIMIT"]
 
@@ -91,7 +91,9 @@ class PGridDht:
         self.log = log
         self.keyspace = KeySpace()
         self.refs_per_level = refs_per_level
-        self._members: set[PeerId] = set()
+        #: Member -> its 160-bit identifier (:func:`dht_id_for`), hashed
+        #: once at join; only members have one.
+        self._members: dict[PeerId, int] = {}
         #: key -> identifier: a key hashes to the same point for good.
         #: One entry per distinct key looked up — the scenario's
         #: ``n_keys`` — and never more than :data:`KEY_MEMO_LIMIT`.
@@ -109,6 +111,10 @@ class PGridDht:
     @property
     def size(self) -> int:
         return len(self._members)
+
+    def dht_id(self, member: PeerId) -> int:
+        """A member's identifier, the point its trie path is cut from."""
+        return self._members[member]
 
     @property
     def view_key(self) -> tuple[int, int]:
@@ -142,10 +148,10 @@ class PGridDht:
 
     def join(self, peer_id: PeerId) -> None:
         """Add a peer to the DHT member set."""
-        self.population[peer_id]  # bounds check
+        self.population.check(peer_id)
         if peer_id in self._members:
             return
-        self._members.add(peer_id)
+        self._members[peer_id] = dht_id_for(peer_id)
         self.log.send(MessageKind.JOIN, peer_id, peer_id)
         self._membership_version += 1
 
@@ -196,7 +202,7 @@ class PGridDht:
         ones: list[PeerId] = []
         position = len(prefix)
         for peer in members:
-            bit = self.keyspace.digit(self.population[peer].dht_id, position)
+            bit = self.keyspace.digit(self._members[peer], position)
             (ones if bit else zeros).append(peer)
         # A lopsided split (possible with few members) must not recurse
         # forever on the same empty side: an empty side means this prefix is
@@ -400,4 +406,4 @@ class PGridDht:
     def _require_online_member(self, peer_id: PeerId) -> None:
         if peer_id not in self._members:
             raise ParameterError(f"peer {peer_id} is not a DHT member")
-        self.population[peer_id].require_online()
+        self.population.require_online(peer_id)

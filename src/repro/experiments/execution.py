@@ -42,6 +42,7 @@ from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import StrategyReport
+from repro.sim.rng import RandomStreams
 from repro.workloads.models import WorkloadModel
 
 __all__ = ["Cell", "CellWorkload", "Execution"]
@@ -147,17 +148,18 @@ class Cell:
         preloaded, nothing queried yet."""
         from repro.pdht.strategies import SimulatedStrategy
 
-        strategy = SimulatedStrategy(
+        workload = None
+        if self.workload is not None:
+            # The very generator the substrate's own RandomStreams(seed)
+            # hands out under this name; nothing else draws from it.
+            workload = self._stream(
+                RandomStreams(self.seed).get(self.workload.stream)
+            )
+        return SimulatedStrategy(
             self.params, config=self.config, strategy=self.strategy,
-            seed=self.seed, churn=self.churn,
+            seed=self.seed, churn=self.churn, workload=workload,
             content_refresh_period=self.content_refresh_period,
         )
-        if self.workload is not None:
-            strategy.workload = self._stream(
-                strategy.network.streams.get(self.workload.stream)
-            )
-        strategy.prepare()
-        return strategy
 
     def _stream(self, rng: np.random.Generator) -> BatchWorkload:
         """This cell's :attr:`workload` model, drawing from ``rng``."""

@@ -512,7 +512,7 @@ def _calibrate_churn_costs_probe(
             hit_flood_fraction=flooded_hits / hits if hits else 0.0,
             turnover_miss=turnover / shadow_live if shadow_live else 0.0,
             maintenance_per_round=max(maintenance, 0.0),
-            num_active_peers=len(net.nodes),
+            num_active_peers=len(net.stores),
             source="calibrated",
         )
 
@@ -656,7 +656,6 @@ def _churned_lookup_probe(
         zipf = ZipfDistribution(params.n_keys, params.alpha)
         # Everyone is online at build.
         all_members = list(net.dht.online_members())
-        now = net.simulation.now
         total = 0.0
         measured = 0
         per_epoch = max(1, probes // mask_epochs)
@@ -666,7 +665,7 @@ def _churned_lookup_probe(
             if not mask.any():
                 mask[int(rng.integers(0, len(all_members)))] = True
             for member, online in zip(all_members, mask):
-                net.population.set_online(member, bool(online), now)
+                net.population.set_online(member, bool(online))
             online_members = [m for m, o in zip(all_members, mask) if o]
             for rank in zipf.sample_ranks(rng, per_epoch):
                 gateway = online_members[
@@ -682,7 +681,7 @@ def _churned_lookup_probe(
         # Leave the probe population online (the network object is
         # discarded, but a tidy state keeps accidental reuse harmless).
         for member in all_members:
-            net.population.set_online(member, True, now)
+            net.population.set_online(member, True)
         return total / max(measured, 1)
 
 

@@ -983,9 +983,10 @@ class FastSimKernel:
         unresolved = miss_events - insertions
         hits = count - miss_events
 
-        # Reinsertion / cold-miss attribution (selection stats, source
-        # I/IV), per occurrence like the event engine's record_miss: a miss
-        # event that is not cold is a reinsertion. A key was indexed before
+        # Reinsertion / cold-miss attribution (StrategyReport's overhead
+        # sources I/IV), per occurrence like the event engine's
+        # SimulatedStrategy tally: a miss event that is not cold is a
+        # reinsertion. A key was indexed before
         # the span iff its write time is finite: every insert writes one,
         # and nothing writes -inf back (a missed key is never marked).
         cold = int(cold_weights[state.written_at[unique_miss] == -np.inf].sum())

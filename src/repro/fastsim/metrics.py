@@ -2,8 +2,10 @@
 
 :class:`FastSimReport` carries the same aggregates as the event engine's
 :class:`~repro.pdht.strategies.StrategyReport` (queries, hits, per-category
-message totals, windowed hit-rate/index-size series, stale hits) plus
-fastsim-only detail (miss attribution, wall-clock speed). It *is* a
+message totals, windowed hit-rate/index-size series, stale hits, the
+selection overheads: insertions, reinsertions, cold misses, unresolved
+queries) plus fastsim-only detail (gateway discoveries, churn
+transitions, wall-clock speed). It *is* a
 :class:`~repro.pdht.strategies.StrategyReport`, so figure generators
 consume either engine's output through one code path.
 """
@@ -28,10 +30,6 @@ class FastSimReport(StrategyReport):
     """
 
     engine: str = "vectorized"
-    insertions: int = 0
-    reinsertions: int = 0
-    cold_misses: int = 0
-    unresolved: int = 0
     gateway_discoveries: int = 0
     churn_transitions: int = 0
     key_ttl: float = 0.0

@@ -9,7 +9,7 @@ bit-identical to them. This module is the only fastsim file allowed to
 name a concrete dtype (invariant RL103); every other array routes its
 width through the constants below.
 
-Peer masks stay ``bool`` (numpy's 1-byte bool is already minimal) and
+Per-peer masks stay ``bool`` (numpy's 1-byte bool is already minimal) and
 workload rank/key vectors stay int64: they index arrays directly and
 narrowing them would force casts on every fancy-indexing operation.
 """

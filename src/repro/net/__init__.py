@@ -1,7 +1,7 @@
 """Network substrate: peers, overlay topologies, messages, and churn.
 
 These are the moving parts under both the unstructured overlay and the
-DHTs: a population of peers with on/offline state (:mod:`repro.net.node`),
+DHTs: peer ids and the population's online set (:mod:`repro.net.node`),
 Gnutella-like random graph topologies (:mod:`repro.net.topology`), the
 message taxonomy used for cost accounting (:mod:`repro.net.messages`), and
 the churn process that drives peers on- and offline
@@ -11,7 +11,7 @@ the churn process that drives peers on- and offline
 from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.net.node": ("Peer", "PeerId", "PeerPopulation"),
+    "repro.net.node": ("PeerId", "PeerPopulation"),
     "repro.net.topology": ("GnutellaTopology",),
     "repro.net.messages": ("Message", "MessageKind"),
     "repro.net.churn": ("ChurnConfig", "ChurnProcess"),

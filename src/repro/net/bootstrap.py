@@ -85,7 +85,7 @@ class GatewayCache:
         request/response pair. Raises :class:`RoutingError` when no member
         of the DHT is online at all.
         """
-        self.population[peer_id].require_online()
+        self.population.require_online(peer_id)
         if peer_id in self.members:
             return peer_id  # and online, just checked
 

@@ -16,7 +16,6 @@ behaviour. The long-run fraction of online peers converges to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -80,27 +79,19 @@ class ChurnProcess:
         self.transitions = 0
 
     # ------------------------------------------------------------------
-    def start(self, initial_online_fraction: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Initialise liveness and schedule the first transition per peer.
 
-        ``initial_online_fraction`` defaults to the stationary availability
-        so the network starts in steady state rather than all-online.
+        Each peer starts online with the stationary availability, so the
+        network starts in steady state rather than all-online.
         """
         if not self.config.enabled:
             return
-        fraction = (
-            self.config.availability
-            if initial_online_fraction is None
-            else initial_online_fraction
-        )
-        if not 0.0 <= fraction <= 1.0:
-            raise ParameterError(
-                f"initial_online_fraction must be in [0, 1], got {fraction}"
-            )
-        for peer in self.population:
+        fraction = self.config.availability
+        for peer_id in range(len(self.population)):
             online = bool(self.rng.random() < fraction)
-            self.population.set_online(peer.peer_id, online, self.simulation.now)
-            self._schedule_next(peer.peer_id)
+            self.population.set_online(peer_id, online)
+            self._schedule_next(peer_id)
 
     def _schedule_next(self, peer_id: PeerId) -> None:
         online = self.population.is_online(peer_id)
@@ -112,6 +103,6 @@ class ChurnProcess:
 
     def _transition(self, peer_id: PeerId) -> None:
         new_state = not self.population.is_online(peer_id)
-        self.population.set_online(peer_id, new_state, self.simulation.now)
+        self.population.set_online(peer_id, new_state)
         self.transitions += 1
         self._schedule_next(peer_id)

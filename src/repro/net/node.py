@@ -1,27 +1,21 @@
-"""Peers and peer populations.
+"""Dense peer ids and the peer population.
 
-A :class:`Peer` is the unit of membership in every overlay. It owns:
-
-* an integer :class:`PeerId` (dense, 0-based — convenient as array index),
-* a 160-bit DHT identifier derived by hashing the peer id (used by the
-  structured overlays in :mod:`repro.dht`),
-* liveness state driven by the churn process.
+A peer is a dense 0-based :class:`PeerId` (convenient as an array index);
+its liveness lives in the :class:`PeerPopulation`'s online set, driven by
+the churn process. A DHT member's 160-bit identifier is
+:func:`dht_id_for` of its id, hashed once by the DHT when it joins.
 
 Content replicas live in the unstructured overlay (one holder bitmask
 per key) and index entries in the PDHT's per-member stores, not here.
-
-:class:`PeerPopulation` is the container the simulation wires together.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import OfflinePeerError, ParameterError
 
-__all__ = ["PeerId", "Peer", "PeerPopulation"]
+__all__ = ["PeerId", "PeerPopulation", "dht_id_for"]
 
 #: Dense 0-based peer identifier.
 PeerId = int
@@ -40,64 +34,19 @@ def dht_id_for(peer_id: PeerId) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass
-class Peer:
-    """One peer: identity and liveness.
-
-    Attributes
-    ----------
-    peer_id:
-        Dense 0-based identifier.
-    online:
-        Current liveness. Offline peers neither route nor answer queries.
-    joined_at / left_at:
-        Times of the most recent session transitions (for diagnostics).
-    """
-
-    peer_id: PeerId
-    online: bool = True
-    joined_at: float = 0.0
-    left_at: float = float("nan")
-
-    def __post_init__(self) -> None:
-        if self.peer_id < 0:
-            raise ParameterError(f"peer_id must be >= 0, got {self.peer_id}")
-        self.dht_id = dht_id_for(self.peer_id)
-
-    def require_online(self) -> None:
-        """Raise :class:`OfflinePeerError` unless the peer is online."""
-        if not self.online:
-            raise OfflinePeerError(f"peer {self.peer_id} is offline")
-
-    def go_offline(self, now: float) -> None:
-        self.online = False
-        self.left_at = now
-
-    def go_online(self, now: float) -> None:
-        self.online = True
-        self.joined_at = now
-
-    def __hash__(self) -> int:
-        return hash(self.peer_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "on" if self.online else "off"
-        return f"Peer({self.peer_id}, {state})"
-
-
 class PeerPopulation:
-    """A fixed universe of peers with fast online/offline bookkeeping.
+    """A fixed universe of peers and the subset of them online.
 
     The population is fixed (the paper models a steady-state network where
     peers cycle between online and offline rather than arriving and
     departing forever), but the *online subset* changes constantly under
-    churn.
+    churn. Every peer starts online.
     """
 
     def __init__(self, num_peers: int) -> None:
         if num_peers < 1:
             raise ParameterError(f"num_peers must be >= 1, got {num_peers}")
-        self._peers = [Peer(peer_id=i) for i in range(num_peers)]
+        self._size = num_peers
         self._online_ids: set[PeerId] = set(range(num_peers))
         #: Bumped on every real liveness transition; caches derived from
         #: the online set (here and in the topology) are valid for one epoch.
@@ -105,17 +54,14 @@ class PeerPopulation:
         self._sorted_online: tuple[PeerId, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self._peers)
+        return self._size
 
-    def __iter__(self) -> Iterator[Peer]:
-        return iter(self._peers)
-
-    def __getitem__(self, peer_id: PeerId) -> Peer:
-        if not 0 <= peer_id < len(self._peers):
+    def check(self, peer_id: PeerId) -> None:
+        """Raise :class:`ParameterError` unless ``peer_id`` is a peer."""
+        if not 0 <= peer_id < self._size:
             raise ParameterError(
-                f"peer_id must be in [0, {len(self._peers)}), got {peer_id}"
+                f"peer_id must be in [0, {self._size}), got {peer_id}"
             )
-        return self._peers[peer_id]
 
     @property
     def online_ids(self) -> frozenset[PeerId]:
@@ -131,16 +77,21 @@ class PeerPopulation:
     def is_online(self, peer_id: PeerId) -> bool:
         return peer_id in self._online_ids
 
-    def set_online(self, peer_id: PeerId, online: bool, now: float = 0.0) -> None:
+    def require_online(self, peer_id: PeerId) -> None:
+        """Raise unless ``peer_id`` is an online peer: offline peers
+        neither route nor answer queries."""
+        if peer_id not in self._online_ids:
+            self.check(peer_id)
+            raise OfflinePeerError(f"peer {peer_id} is offline")
+
+    def set_online(self, peer_id: PeerId, online: bool) -> None:
         """Transition a peer's liveness (no-op if already in that state)."""
-        peer = self[peer_id]
-        if bool(online) == peer.online:
+        self.check(peer_id)
+        if bool(online) == (peer_id in self._online_ids):
             return
         if online:
-            peer.go_online(now)
             self._online_ids.add(peer_id)
         else:
-            peer.go_offline(now)
             self._online_ids.discard(peer_id)
         self.liveness_epoch += 1
         self._sorted_online = None

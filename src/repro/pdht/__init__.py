@@ -10,14 +10,15 @@ while unpopular ones time out — a fully decentralized approximation of the
 Layout:
 
 * :mod:`repro.pdht.config` — tuning knobs (``keyTtl``, replication, ...);
-* :mod:`repro.pdht.ttl_cache` — the per-peer TTL key store;
-* :mod:`repro.pdht.selection` — the eviction/insertion policy and stats;
-* :mod:`repro.pdht.node` — one PDHT peer;
+* :mod:`repro.pdht.ttl_cache` — the TTL key store each DHT member holds;
 * :mod:`repro.pdht.network` — the wired-up network (DHT + unstructured
-  overlay + replica groups + churn + maintenance);
+  overlay + replica groups + churn + maintenance) and its query path,
+  whose outcome says whether it hit the index or inserted into it;
 * :mod:`repro.pdht.strategies` — runs indexAll / noIndex / partial-ideal
   / partial-selection on the event engine, each by its
-  :class:`~repro.analysis.strategies.StrategyPolicy`.
+  :class:`~repro.analysis.strategies.StrategyPolicy`, and tallies the
+  selection algorithm's overhead sources (insertions, reinsertions, cold
+  misses, unresolved queries) into its report.
 """
 
 from repro._exports import lazy_exports
@@ -25,8 +26,6 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.pdht.config": ("PdhtConfig",),
     "repro.pdht.ttl_cache": ("IndexRecord", "TtlKeyStore"),
-    "repro.pdht.selection": ("SelectionPolicy", "SelectionStats"),
-    "repro.pdht.node": ("PdhtNode",),
     "repro.pdht.network": ("PdhtNetwork", "QueryOutcome"),
     "repro.pdht.strategies": ("SimulatedStrategy", "StrategyReport"),
 })

@@ -8,8 +8,8 @@ One :class:`PdhtNetwork` owns the full stack:
 * a P-Grid DHT joined by
   ``numActivePeers`` members ("only numActivePeers peers participate in
   building and maintaining a DHT" — Section 3.2);
-* per-member TTL index stores, grouped into replica subnetworks of size
-  ``repl``;
+* one TTL index store per member (:attr:`PdhtNetwork.stores`), grouped
+  into replica subnetworks of size ``repl``;
 * probe-based routing maintenance charging the Eq. 8 traffic.
 
 The query path is the paper's Section 5.1 verbatim:
@@ -21,6 +21,9 @@ The query path is the paper's Section 5.1 verbatim:
 4. otherwise broadcast-search the unstructured overlay, and insert the
    resolved key into the index (DHT route + replica flood), where it will
    live for ``keyTtl`` quiet rounds.
+
+The outcome says which of these happened; tallying them (hits, cold
+misses, reinsertions) is the caller's business.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from repro.net.churn import ChurnConfig, ChurnProcess
 from repro.net.messages import MessageLog
 from repro.net.node import PeerId, PeerPopulation
 from repro.pdht.config import PdhtConfig
-from repro.pdht.node import PdhtNode
-from repro.pdht.selection import SelectionPolicy
+from repro.pdht.ttl_cache import TtlKeyStore
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.engine import Simulation
 from repro.sim.metrics import MessageMetrics
@@ -62,6 +64,8 @@ class QueryOutcome:
     flood_messages: int
     walk_messages: int
     insert_messages: int
+    #: Whether the miss path inserted the resolved key into the index.
+    inserted: bool
     #: The retrieved payload (None on a miss). Index hits may return a
     #: *stale* payload: under the selection algorithm there are no
     #: proactive updates, so an entry inserted before a content refresh
@@ -131,8 +135,9 @@ class PdhtNetwork:
         self.dht.join_all(member_ids)
 
         # --- index plane: TTL stores + replica groups -------------------
-        self.nodes: dict[PeerId, PdhtNode] = {
-            m: PdhtNode(m, self.config.key_ttl) for m in member_ids
+        #: Each member's TTL index store.
+        self.stores: dict[PeerId, TtlKeyStore] = {
+            m: TtlKeyStore(self.config.key_ttl) for m in member_ids
         }
         self._groups: list[ReplicaNetwork] = []
         self._group_of: dict[PeerId, ReplicaNetwork] = {}
@@ -148,7 +153,6 @@ class PdhtNetwork:
             )
             self.churn.start()
 
-        self.policy = SelectionPolicy()
         # Gateway discovery for peers outside the DHT (Section 3.2: they
         # must know at least one online member). Cached per peer; misses
         # pay MEMBERSHIP probe messages.
@@ -162,7 +166,7 @@ class PdhtNetwork:
     # ------------------------------------------------------------------
     def _build_replica_groups(self, member_ids: list[PeerId]) -> None:
         """Partition members (ring order) into replica groups of ~repl."""
-        ordered = sorted(member_ids, key=lambda p: self.population[p].dht_id)
+        ordered = sorted(member_ids, key=self.dht.dht_id)
         size = self.config.replication
         rng = self.streams.get("replica-nets")
         for start in range(0, len(ordered), size):
@@ -217,7 +221,7 @@ class PdhtNetwork:
     def query(self, origin: PeerId, key: str) -> QueryOutcome:
         """Answer one query from online peer ``origin``."""
         now = self.simulation.now
-        self.population[origin].require_online()
+        self.population.require_online(origin)
 
         gateway = self._gateway(origin)
         index_messages = 0
@@ -232,8 +236,8 @@ class PdhtNetwork:
             lookup = self.dht.lookup(gateway, key)
             index_messages += lookup.messages
             responsible = lookup.responsible
-            nodes = self.nodes
-            record = nodes[responsible].store.query(key, now)
+            stores = self.stores
+            record = stores[responsible].query(key, now)
             if record is not None:
                 hit_value, via_index, found = record[0], True, True
             else:
@@ -242,7 +246,7 @@ class PdhtNetwork:
                 group = self.group_of(responsible)
 
                 def live(member: PeerId) -> bool:
-                    held = nodes[member].store.records.get(key)
+                    held = stores[member].records.get(key)
                     return held is not None and held[1] > now
 
                 hits, msgs = group.flood(
@@ -251,12 +255,11 @@ class PdhtNetwork:
                 flood_messages += msgs
                 live_hits = [h for h in hits if h != responsible]
                 if live_hits:
-                    record = nodes[live_hits[0]].store.query(key, now)
+                    record = stores[live_hits[0]].query(key, now)
                     if record is not None:
                         hit_value, via_index, found = record[0], True, True
 
         if via_index:
-            self.policy.record_hit(key)
             return QueryOutcome(
                 key=key,
                 found=True,
@@ -265,16 +268,16 @@ class PdhtNetwork:
                 flood_messages=flood_messages,
                 walk_messages=0,
                 insert_messages=0,
+                inserted=False,
                 value=hit_value,
             )
 
         # Miss: broadcast search the unstructured overlay.
         walk = self.walker.search(origin, key)
-        self.policy.record_miss(key, resolved=walk.found)
         insert_messages = 0
-        if walk.found and gateway is not None:
+        inserted = walk.found and gateway is not None
+        if inserted:
             insert_messages = self._insert_into_index(gateway, key, walk.value)
-            self.policy.record_insertion(key)
         return QueryOutcome(
             key=key,
             found=walk.found,
@@ -283,6 +286,7 @@ class PdhtNetwork:
             flood_messages=flood_messages,
             walk_messages=walk.messages,
             insert_messages=insert_messages,
+            inserted=inserted,
             value=walk.value,
         )
 
@@ -300,12 +304,12 @@ class PdhtNetwork:
         reached, flood_msgs = self.group_of(responsible).flood(
             responsible, payload=key
         )
-        nodes = self.nodes
-        expires_at = now + nodes[responsible].store.ttl
+        stores = self.stores
+        expires_at = now + stores[responsible].ttl
         record = (value, expires_at)
         heap_record = (expires_at, key)
         for member in reached:
-            nodes[member].store.put(key, record, heap_record, now)
+            stores[member].put(key, record, heap_record, now)
         return lookup.messages + flood_msgs
 
     def disable_maintenance(self) -> None:
@@ -338,7 +342,7 @@ class PdhtNetwork:
             group = self.group_of(self.dht.responsible_for(key))
             by_group.setdefault(group, []).append((key, value))
         for group, pairs in by_group.items():
-            stores = [self.nodes[member].store for member in group.members]
+            stores = [self.stores[member] for member in group.members]
             expires_at = now + stores[0].ttl
             records = {key: (value, expires_at) for key, value in pairs}
             for store in stores:
@@ -364,9 +368,9 @@ class PdhtNetwork:
         """Distinct keys with at least one live index entry anywhere."""
         now = self.simulation.now
         keys: set[str] = set()
-        for node in self.nodes.values():
-            node.store.purge_expired(now)
-            keys.update(node.store.keys())
+        for store in self.stores.values():
+            store.purge_expired(now)
+            keys.update(store.keys())
         return len(keys)
 
     def random_online_peer(self) -> PeerId:

@@ -73,6 +73,15 @@ class StrategyReport:
     stale_hits: int = 0
     #: Content refreshes applied by ``content_refresh_period``.
     content_refreshes: int = 0
+    #: Keys the miss path inserted into the index.
+    insertions: int = 0
+    #: Index misses on a key inserted before (Section 5's overhead
+    #: source I).
+    reinsertions: int = 0
+    #: Index misses on a key never inserted so far (overhead source IV).
+    cold_misses: int = 0
+    #: Queries whose broadcast found the key nowhere.
+    unresolved: int = 0
 
     @property
     def total_messages(self) -> float:
@@ -163,14 +172,17 @@ class WindowRecorder:
 
 
 class SimulatedStrategy:
-    """One strategy on its own substrate: construction, workload loop,
-    reporting.
+    """One strategy on its own substrate, built ready to query: content
+    published, index preloaded and, without a DHT to run, maintenance
+    cancelled. :meth:`run` drives the workload and reports.
 
     Parameters mirror :class:`~repro.fastsim.kernel.FastSimKernel`:
     ``strategy`` is one of
     :data:`~repro.analysis.strategies.STRATEGY_NAMES`, and the DHT size, the
     insert TTL, the preloaded keys and the proactive updates all come
     from its :class:`~repro.analysis.strategies.StrategyPolicy`.
+    ``workload`` is the query stream; without one the run draws
+    stationary Zipf queries from its substrate's own stream.
 
     ``content_refresh_period`` refreshes every key's content together
     every that many rounds (``inf``: never) and counts the index hits
@@ -190,6 +202,11 @@ class SimulatedStrategy:
     ) -> None:
         if content_refresh_period is not None:
             require_period("content_refresh_period", content_refresh_period)
+        if workload is not None and workload.n_keys != params.n_keys:
+            raise ParameterError(
+                f"workload covers {workload.n_keys} keys, "
+                f"scenario has {params.n_keys}"
+            )
         self.params = params
         self.strategy = strategy
         base_config = config or PdhtConfig.from_scenario(params)
@@ -230,24 +247,15 @@ class SimulatedStrategy:
                 self.network.streams.get(queries),
             )
         self.workload = workload
-        if self.workload.n_keys != params.n_keys:
-            raise ParameterError(
-                f"workload covers {self.workload.n_keys} keys, "
-                f"scenario has {params.n_keys}"
-            )
         self._rng = self.network.streams.get(counts)
         self._next_refresh = content_refresh_period or math.inf
         self._stale_hits = 0
         self._update_debt = 0.0
-        self._prepared = False
-
-    def prepare(self) -> None:
-        """Publish content replicas, preload the index and, without a
-        DHT to run, cancel its maintenance."""
-        if self._prepared:
-            return
+        #: Keys the miss path has inserted: a later miss on one is a
+        #: reinsertion, a miss on any other key a cold miss.
+        self._inserted: set[str] = set()
         with obs.span("strategy.prepare"):
-            n_keys = self.params.n_keys
+            n_keys = params.n_keys
             with obs.span("strategy.publish"):
                 self.network.publish_all(
                     {key_name(i): self._value(i) for i in range(n_keys)}
@@ -258,7 +266,7 @@ class SimulatedStrategy:
             indexed = (
                 range(n_keys)
                 if ranks == n_keys
-                else map(self.workload.key_for_rank, range(1, ranks + 1))
+                else map(workload.key_for_rank, range(1, ranks + 1))
             )
             with obs.span("strategy.preload"):
                 self.network.preload_index_all(
@@ -268,7 +276,6 @@ class SimulatedStrategy:
                 self.network.disable_maintenance()
             # Preparation traffic is not part of the steady-state comparison.
             self.network.metrics.reset()
-        self._prepared = True
 
     def run(self, duration: float, window: float = 0.0) -> StrategyReport:
         """Drive the workload for ``duration`` rounds.
@@ -276,11 +283,11 @@ class SimulatedStrategy:
         ``window > 0`` records index-size and hit-rate samples every
         ``window`` rounds (for the adaptivity experiments). A due content
         refresh lands after the round's clock advance and before its
-        query count is drawn.
+        query count is drawn. A round with nobody online draws its batch
+        and drops it, as the kernel does: no origin, no query.
         """
         rounds = whole_rounds(duration)
         recorder = WindowRecorder(window)
-        self.prepare()
         report = StrategyReport(
             strategy=self.strategy, params=self.params, duration=duration
         )
@@ -289,6 +296,7 @@ class SimulatedStrategy:
         rate = self.params.network_query_rate
         updates = self.policy.updates_per_round(self.params.update_freq)
         index_size = self.network.distinct_indexed_keys
+        online = self.network.population.sorted_online_ids
         profiled = obs.enabled()
         query_seconds = 0.0
         self._stale_hits = 0
@@ -306,16 +314,15 @@ class SimulatedStrategy:
             count = int(
                 self._rng.poisson(rate * self.workload.rate_multiplier(now))
             )
-            for rank, key_index in self.workload.draw(now, count):
-                origin = self.network.random_online_peer()
-                answered, via_index = self._handle(
-                    origin, key_name(key_index), rank
-                )
-                report.queries += 1
-                if answered:
-                    report.answered += 1
-                if via_index:
-                    report.index_hits += 1
+            batch = self.workload.draw(now, count)
+            if batch and online():
+                for rank, key_index in batch:
+                    self._answer(
+                        report,
+                        self.network.random_online_peer(),
+                        key_name(key_index),
+                        rank,
+                    )
             # Proactive updates (indexAll / partialIdeal only).
             self._update_debt += updates
             while self._update_debt >= 1.0:
@@ -340,12 +347,31 @@ class SimulatedStrategy:
             report.mean_index_size = float(index_size())
         return report
 
-    def _handle(self, origin: int, key: str, rank: int) -> tuple[bool, bool]:
-        """Answer one query; returns ``(answered, via_index)``."""
-        if rank <= self.policy.index_ranks:
+    def _answer(
+        self, report: StrategyReport, origin: int, key: str, rank: int
+    ) -> None:
+        """Answer one query from ``origin`` and tally it into ``report``."""
+        report.queries += 1
+        if rank > self.policy.index_ranks:
+            found = self.network.walker.search(origin, key).found
+        else:
             outcome = self._query(origin, key)
-            return outcome.found, outcome.via_index
-        return self.network.walker.search(origin, key).found, False
+            if outcome.via_index:
+                report.index_hits += 1
+                report.answered += 1
+                return
+            if key in self._inserted:
+                report.reinsertions += 1
+            else:
+                report.cold_misses += 1
+            if outcome.inserted:
+                self._inserted.add(key)
+                report.insertions += 1
+            found = outcome.found
+        if found:
+            report.answered += 1
+        else:
+            report.unresolved += 1
 
     def _query_versioned(self, origin: int, key: str) -> "QueryOutcome":
         """One Section 5.1 query of a refresh run, counting an index hit

@@ -133,7 +133,7 @@ class ReplicaNetwork:
         """
         if origin not in self._adjacency:
             raise ParameterError(f"peer {origin} is not in this replica group")
-        self.population[origin].require_online()
+        self.population.require_online(origin)
         reached, edges = self._flood_plan(origin)
         self.log.send_all(MessageKind.REPLICA_FLOOD, len(edges), edges, payload)
         if predicate is None:

@@ -91,7 +91,7 @@ class UnstructuredOverlay:
         replication and availability interact (Section 4 of the paper sizes
         ``repl`` to meet target availability).
         """
-        if not self.population[peer_id].online:
+        if not self.population.is_online(peer_id):
             return False
         record = self.content.get(key)
         return record is not None and (record.mask >> peer_id) & 1 == 1

@@ -129,7 +129,7 @@ class RandomWalkSearch:
         current step instead of running their full TTL.
         """
         overlay = self.overlay
-        overlay.population[origin].require_online()
+        overlay.population.require_online(origin)
         obs.count("walk.searches")
 
         if overlay.peer_has(origin, key):

@@ -43,9 +43,6 @@ class TestBits:
     def test_to_bits_width(self, small_space):
         assert small_space.to_bits(5) == "00000101"
 
-    def test_to_bits_prefix(self, small_space):
-        assert small_space.to_bits(0b10110000, 4) == "1011"
-
     def test_digit_binary(self, small_space):
         # 0b10110000: digits (bits) MSB-first are 1,0,1,1,0,0,0,0.
         bits = [small_space.digit(0b10110000, i) for i in range(8)]

@@ -49,7 +49,7 @@ from hypothesis import given, settings
 from repro.dht import LookupResult, PGridDht
 from repro.errors import RoutingError
 from repro.net.messages import MessageKind, MessageLog
-from repro.net.node import PeerId, PeerPopulation
+from repro.net.node import PeerId, PeerPopulation, dht_id_for
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
 from test_routing_views_equivalence import KEYS, History, histories, leave
@@ -339,7 +339,7 @@ def test_per_key_memos_are_bounded(monkeypatch):
 def test_lopsided_split_routes():
     """Two members sharing their first bit: one leaf, the empty path."""
     population = PeerPopulation(64)
-    zeros = [p for p in range(64) if population[p].dht_id >> 159 == 0][:2]
+    zeros = [p for p in range(64) if dht_id_for(p) >> 159 == 0][:2]
     new, old = _pair(population, zeros)
     new._ensure_routing()
     assert new._paths[zeros[0]] == ""

@@ -63,7 +63,7 @@ from repro.dht import PGridDht
 from repro.dht.maintenance import RoutingMaintenance
 from repro.errors import OfflinePeerError, ParameterError, RoutingError
 from repro.net.messages import MessageKind, MessageLog
-from repro.net.node import PeerId, PeerPopulation
+from repro.net.node import PeerId, PeerPopulation, dht_id_for
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
@@ -85,17 +85,17 @@ class ReferenceViews:
         )
 
     def join(self, peer_id: PeerId) -> None:
-        self.population[peer_id]  # bounds check
+        self.population.check(peer_id)
         if peer_id in self._members:
             return
-        self._members.add(peer_id)
+        self._members[peer_id] = dht_id_for(peer_id)
         self.log.send(MessageKind.JOIN, peer_id, peer_id)
         self._dirty = True
 
     def leave(self, peer_id: PeerId) -> None:
         if peer_id not in self._members:
             return
-        self._members.discard(peer_id)
+        del self._members[peer_id]
         self.log.send(MessageKind.LEAVE, peer_id, peer_id)
         self._dirty = True
 
@@ -120,7 +120,7 @@ def leave(dht, peer_id: PeerId) -> None:
     if isinstance(dht, ReferenceViews):
         dht.leave(peer_id)
     elif peer_id in dht._members:
-        dht._members.discard(peer_id)
+        del dht._members[peer_id]
         dht.log.send(MessageKind.LEAVE, peer_id, peer_id)
         dht._membership_version += 1
 
@@ -137,7 +137,7 @@ class ReferencePGrid(ReferenceViews, PGridDht):
         ones: list[PeerId] = []
         position = len(prefix)
         for peer in members:
-            bit = self.keyspace.digit(self.population[peer].dht_id, position)
+            bit = self.keyspace.digit(dht_id_for(peer), position)
             (ones if bit else zeros).append(peer)
         if not zeros or not ones:
             for peer in members:
@@ -186,7 +186,7 @@ def reference_online_neighbors(self: ReplicaNetwork, member: PeerId):
 def reference_flood(self: ReplicaNetwork, origin, predicate=None, payload=None):
     if origin not in self._adjacency:
         raise ParameterError(f"peer {origin} is not in this replica group")
-    self.population[origin].require_online()
+    self.population.require_online(origin)
     predicate = predicate or (lambda _: True)
 
     hits: list[PeerId] = []
@@ -487,7 +487,7 @@ def test_pgrid_lopsided_split_and_buckets():
     _check_members_under(*sides, population)
     # Two members whose ids share their first bit: lopsided at the root.
     first_bits = {
-        p: population[p].dht_id >> 159 for p in range(64)
+        p: dht_id_for(p) >> 159 for p in range(64)
     }
     pair = [p for p, bit in first_bits.items() if bit == 0][:2]
     sides = []

@@ -164,23 +164,25 @@ def _hand_built(params, config, duration, costs, model=None, availability=1.0):
         churn_costs_for,
     )
     from repro.pdht.strategies import SimulatedStrategy
+    from repro.sim.rng import RandomStreams
 
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     churn = churn_config_for_availability(availability)
     lists = ([], [], [], [])
     for seed in ORACLE_SEEDS:
-        strategy = SimulatedStrategy(
-            params, config=config, seed=seed, churn=churn
-        )
-        workload = None
+        event_workload = workload = None
         if model is not None:
-            strategy.workload = model.build(
-                zipf, strategy.network.streams.get("queries-model")
+            event_workload = model.build(
+                zipf, RandomStreams(seed).get("queries-model")
             )
             workload = model.build(
                 zipf,
                 np.random.default_rng(np.random.SeedSequence([seed, 0x3037DE1])),
             )
+        strategy = SimulatedStrategy(
+            params, config=config, seed=seed, churn=churn,
+            workload=event_workload,
+        )
         churn_costs = None
         if churn is not None:
             churn_costs = churn_costs_for(

@@ -12,6 +12,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import SimulatedStrategy, key_name
+from repro.sim.rng import RandomStreams
 from repro.workloads import FlashCrowd, RankSwap
 
 pytestmark = pytest.mark.slow
@@ -31,11 +32,13 @@ def params():
 class TestDistributionShift:
     def test_hit_rate_dips_then_recovers(self, params):
         config = PdhtConfig.from_scenario(params, walkers=8)
-        strategy = SimulatedStrategy(params, config=config, seed=3)
         shift_at = 150.0
-        strategy.workload = RankSwap(shift_at).build(
+        workload = RankSwap(shift_at).build(
             ZipfDistribution(params.n_keys, params.alpha),
-            strategy.network.streams.get("shifted"),
+            RandomStreams(3).get("shifted"),
+        )
+        strategy = SimulatedStrategy(
+            params, config=config, seed=3, workload=workload
         )
         report = strategy.run(300.0, window=50.0)
         rates = dict(report.hit_rate_series)
@@ -49,10 +52,12 @@ class TestDistributionShift:
     def test_index_size_stays_bounded_after_shift(self, params):
         # The old hot keys must eventually time out rather than accumulate.
         config = PdhtConfig.from_scenario(params, walkers=8)
-        strategy = SimulatedStrategy(params, config=config, seed=5)
-        strategy.workload = RankSwap(100.0).build(
+        workload = RankSwap(100.0).build(
             ZipfDistribution(params.n_keys, params.alpha),
-            strategy.network.streams.get("shifted2"),
+            RandomStreams(5).get("shifted2"),
+        )
+        strategy = SimulatedStrategy(
+            params, config=config, seed=5, workload=workload
         )
         report = strategy.run(250.0, window=50.0)
         sizes = [s for _, s in report.index_size_series]
@@ -62,15 +67,15 @@ class TestDistributionShift:
 class TestFlashCrowd:
     def test_promoted_key_gets_indexed_and_stays(self, params):
         config = PdhtConfig.from_scenario(params, walkers=8)
-        strategy = SimulatedStrategy(params, config=config, seed=7)
         crowd_at = 60.0
         workload = FlashCrowd(crowd_at, cold_rank=params.n_keys).build(
             ZipfDistribution(params.n_keys, params.alpha),
-            strategy.network.streams.get("crowd"),
+            RandomStreams(7).get("crowd"),
         )
-        strategy.workload = workload
+        strategy = SimulatedStrategy(
+            params, config=config, seed=7, workload=workload
+        )
         promoted_key = key_name(workload.key_for_rank(params.n_keys))
-        strategy.prepare()
 
         hits_after_crowd = 0
         queries_after_crowd = 0

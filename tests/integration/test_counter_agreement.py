@@ -1,0 +1,84 @@
+"""Both engines count the selection algorithm's overheads alike.
+
+``insertions``, ``reinsertions``, ``cold_misses`` and ``unresolved`` sit
+on :class:`~repro.pdht.strategies.StrategyReport`, so the event engine's
+:class:`~repro.pdht.strategies.SimulatedStrategy` and the vectorized
+kernel report them side by side. With trace replay and no churn both
+engines see the identical query sequence, so every counter is one
+number on both, not merely close: ``==``, never a tolerance. The cases
+are the ones ROADMAP item 3 measured for ``queries``, ``answered``,
+``index_hits`` and ``mean_index_size``; partialIdeal, whose oracle the
+two engines define differently after a shift (item 3(b)), is left out.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analysis.zipf import ZipfDistribution
+from repro.experiments.scenario import simulation_scenario
+from repro.fastsim.kernel import PerOpCosts, run_fastsim
+from repro.pdht.config import PdhtConfig
+from repro.pdht.strategies import SimulatedStrategy
+from repro.sim.rng import RandomStreams
+from repro.workloads import (
+    FlashCrowd,
+    RankSwap,
+    StationaryZipf,
+    TraceReplay,
+    record_trace,
+)
+
+pytestmark = pytest.mark.slow
+
+ROUNDS = 300
+#: Message prices only: no count below depends on them.
+COSTS = PerOpCosts(
+    lookup=1.0, flood=1.0, walk=1.0, gateway_discovery=2.0,
+    maintenance_per_round=1.0, num_active_peers=2,
+)
+COUNTERS = (
+    "queries", "answered", "index_hits",
+    "insertions", "reinsertions", "cold_misses", "unresolved",
+)
+PARAMS = simulation_scenario(scale=0.02)
+ZIPF = ZipfDistribution(PARAMS.n_keys, PARAMS.alpha)
+SOURCES = {
+    "stationary": StationaryZipf(),
+    "rank-swap": RankSwap(ROUNDS / 2),
+    "flash-crowd": FlashCrowd(ROUNDS / 3, cold_rank=PARAMS.n_keys),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SOURCES))
+def trace(request) -> TraceReplay:
+    stream = SOURCES[request.param].build(
+        ZIPF, RandomStreams(11).get("trace")
+    )
+    return TraceReplay(
+        record_trace(stream, duration=ROUNDS, queries_per_round=13)
+    )
+
+
+@pytest.mark.parametrize("key_ttl", (3.1, 61.9))
+@pytest.mark.parametrize("strategy", ("noIndex", "indexAll", "partialSelection"))
+def test_selection_counters_equal_across_engines(trace, strategy, key_ttl):
+    config = PdhtConfig.from_scenario(PARAMS, key_ttl=key_ttl)
+    event = SimulatedStrategy(
+        PARAMS, config=config, strategy=strategy,
+        workload=trace.build(ZIPF, RandomStreams(0).get("replay")),
+    ).run(ROUNDS)
+    kernel = run_fastsim(
+        PARAMS, config=config, strategy=strategy, duration=ROUNDS,
+        workload=trace.build(ZIPF, RandomStreams(0).get("replay")),
+        costs=COSTS,
+    )
+    assert {name: getattr(event, name) for name in COUNTERS} == {
+        name: getattr(kernel, name) for name in COUNTERS
+    }
+    assert event.queries == 13 * ROUNDS
+    if strategy == "partialSelection":
+        # A miss is cold or a reinsertion, and nothing is unresolved
+        # without churn: every miss inserts.
+        assert event.cold_misses > 0 and event.reinsertions > 0
+        assert event.insertions == event.cold_misses + event.reinsertions

@@ -51,16 +51,6 @@ class TestChurnProcess:
         observed = len(population.online_ids) / len(population)
         assert observed == pytest.approx(config.availability, abs=0.12)
 
-    def test_start_with_explicit_fraction(self, churn_setup):
-        sim, population, _, process = churn_setup
-        process.start(initial_online_fraction=1.0)
-        assert len(population.online_ids) == len(population)
-
-    def test_invalid_fraction_rejected(self, churn_setup):
-        _, _, _, process = churn_setup
-        with pytest.raises(ParameterError):
-            process.start(initial_online_fraction=1.5)
-
     def test_transitions_happen(self, churn_setup):
         sim, _, _, process = churn_setup
         process.start()
@@ -69,7 +59,7 @@ class TestChurnProcess:
 
     def test_long_run_availability_converges(self, churn_setup):
         sim, population, config, process = churn_setup
-        process.start(initial_online_fraction=1.0)  # start far from target
+        process.start()
         sim.run(until=2000.0)
         assert len(population.online_ids) / len(population) == pytest.approx(
             config.availability, abs=0.1

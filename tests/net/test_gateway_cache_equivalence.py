@@ -48,7 +48,7 @@ def reference_remember(self, peer_id, gateway):
 
 
 def reference_gateway_for(self, peer_id):
-    self.population[peer_id].require_online()
+    self.population.require_online(peer_id)
     if peer_id in self.members and self.population.is_online(peer_id):
         return peer_id
 

@@ -2,45 +2,39 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import OfflinePeerError, ParameterError
-from repro.net.node import ID_BITS, Peer, PeerPopulation, dht_id_for
+from repro.net.node import ID_BITS, PeerPopulation, dht_id_for
 
 
 class TestPeer:
     def test_starts_online(self):
-        assert Peer(peer_id=0).online
+        assert PeerPopulation(1).is_online(0)
 
-    def test_negative_id_rejected(self):
+    def test_negative_id_rejected(self, population):
         with pytest.raises(ParameterError):
-            Peer(peer_id=-1)
+            population.require_online(-1)
 
     def test_dht_id_is_160_bit(self):
-        peer = Peer(peer_id=42)
-        assert 0 <= peer.dht_id < 2**ID_BITS
+        assert 0 <= dht_id_for(42) < 2**ID_BITS
 
     def test_dht_id_deterministic(self):
-        assert Peer(peer_id=7).dht_id == dht_id_for(7)
+        digest = hashlib.sha1(b"peer:7").digest()
+        assert dht_id_for(7) == int.from_bytes(digest, "big")
 
     def test_dht_ids_distinct(self):
         ids = {dht_id_for(i) for i in range(1000)}
         assert len(ids) == 1000
 
-    def test_require_online_raises_when_offline(self):
-        peer = Peer(peer_id=0)
-        peer.go_offline(now=5.0)
+    def test_require_online_raises_when_offline(self, population):
+        population.set_online(0, False)
         with pytest.raises(OfflinePeerError):
-            peer.require_online()
-
-    def test_liveness_transitions_record_times(self):
-        peer = Peer(peer_id=0)
-        peer.go_offline(now=3.0)
-        assert peer.left_at == 3.0
-        peer.go_online(now=9.0)
-        assert peer.joined_at == 9.0
-        assert peer.online
+            population.require_online(0)
+        population.require_online(1)
 
 
 class TestPopulation:
@@ -52,21 +46,25 @@ class TestPopulation:
             PeerPopulation(0)
 
     def test_indexing_bounds_checked(self, population):
-        with pytest.raises(ParameterError):
-            population[len(population)]
-        with pytest.raises(ParameterError):
-            population[-1]
+        for peer_id in (len(population), -1):
+            with pytest.raises(ParameterError):
+                population.check(peer_id)
+            with pytest.raises(ParameterError):
+                population.set_online(peer_id, False)
+            with pytest.raises(ParameterError):
+                population.require_online(peer_id)
 
     def test_set_online_updates_both_views(self, population):
-        population.set_online(3, False, now=1.0)
+        population.set_online(3, False)
         assert not population.is_online(3)
-        assert not population[3].online
         assert 3 not in population.online_ids
+        assert 3 not in population.sorted_online_ids()
 
     def test_set_online_idempotent(self, population):
-        population.set_online(3, False, now=1.0)
-        population.set_online(3, False, now=2.0)
-        assert population[3].left_at == 1.0  # second call was a no-op
+        population.set_online(3, False)
+        population.set_online(3, False)  # a no-op
+        assert not population.is_online(3)
+        assert len(population.online_ids) == len(population) - 1
 
     def test_epoch_moves_only_on_real_transitions(self, population):
         assert population.liveness_epoch == 0
@@ -121,6 +119,3 @@ class TestPopulation:
     def test_sample_more_than_online_rejected(self, population, rng):
         with pytest.raises(ParameterError):
             population.sample_online(rng, len(population) + 1)
-
-    def test_iteration_covers_everyone(self, population):
-        assert len(list(population)) == len(population)

@@ -95,6 +95,6 @@ class TestGnutellaTopology:
 
     def test_duplication_factor_empty_when_all_offline(self, population, rng):
         topo = GnutellaTopology(population, 4, rng)
-        for peer in population:
-            population.set_online(peer.peer_id, False)
+        for peer_id in range(len(population)):
+            population.set_online(peer_id, False)
         assert online_duplication_factor(topo) == 0.0

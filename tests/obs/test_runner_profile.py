@@ -207,23 +207,20 @@ class TestEventCellLeavesTheCollectorAsFound:
 
     def test_substrate_is_built_unwatched_and_queried_frozen(self, monkeypatch):
         seen = {}
-        prepare, run = SimulatedStrategy.prepare, SimulatedStrategy.run
+        build, run = SimulatedStrategy.__init__, SimulatedStrategy.run
 
-        def watched_prepare(self):
-            # run() calls prepare() again, as a no-op: keep the first.
-            seen.setdefault(
-                "prepare", (gc.isenabled(), gc.get_freeze_count() > 0)
-            )
-            prepare(self)
+        def watched_build(self, *args, **kwargs):
+            seen["build"] = (gc.isenabled(), gc.get_freeze_count() > 0)
+            build(self, *args, **kwargs)
 
         def watched_run(self, duration, window=0.0):
             seen["run"] = (gc.isenabled(), gc.get_freeze_count() > 0)
             return run(self, duration, window=window)
 
-        monkeypatch.setattr(SimulatedStrategy, "prepare", watched_prepare)
+        monkeypatch.setattr(SimulatedStrategy, "__init__", watched_build)
         monkeypatch.setattr(SimulatedStrategy, "run", watched_run)
         assert self.cell().run().queries > 0
-        assert seen == {"prepare": (False, False), "run": (True, True)}
+        assert seen == {"build": (False, False), "run": (True, True)}
         assert gc.isenabled() and gc.get_freeze_count() == 0
 
     def test_after_a_cell_that_raises_mid_build(self, monkeypatch):

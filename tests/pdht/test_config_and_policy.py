@@ -1,4 +1,4 @@
-"""Tests for PdhtConfig and the selection policy bookkeeping."""
+"""Tests for PdhtConfig."""
 
 from __future__ import annotations
 
@@ -8,10 +8,6 @@ import pytest
 from repro.analysis.threshold import solve_threshold
 from repro.errors import ParameterError
 from repro.pdht.config import PdhtConfig
-from repro.pdht.node import PdhtNode
-from repro.pdht.selection import SelectionPolicy
-
-from test_ttl_cache import insert
 
 
 class TestPdhtConfig:
@@ -98,43 +94,3 @@ class TestPdhtConfig:
             PdhtConfig(enforce_capacity=True)
         with pytest.raises(TypeError):
             PdhtConfig.from_scenario(small_params, enforce_capacity=True)
-
-
-class TestPdhtNode:
-    def test_index_roundtrip(self):
-        node = PdhtNode(peer_id=1, key_ttl=10.0)
-        insert(node.store, "k", "v", now=0.0)
-        assert node.store.query("k", now=5.0) == ("v", 15.0)
-
-    def test_ttl_governs_expiry(self):
-        node = PdhtNode(peer_id=1, key_ttl=10.0)
-        insert(node.store, "k", "v", now=0.0)
-        assert node.store.query("k", now=10.0) is None
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            PdhtNode(peer_id=-1, key_ttl=10.0)
-
-
-class TestSelectionPolicy:
-    def test_hit_rate_accounting(self):
-        policy = SelectionPolicy()
-        policy.record_hit("a")
-        policy.record_miss("b", resolved=True)
-        assert policy.stats.queries == 2
-        assert policy.stats.index_hits == 1
-
-    def test_cold_miss_vs_reinsertion(self):
-        policy = SelectionPolicy()
-        policy.record_miss("k", resolved=True)   # never indexed: cold
-        policy.record_insertion("k")
-        policy.record_miss("k", resolved=True)   # was indexed: reinsertion
-        assert policy.stats.cold_misses == 1
-        assert policy.stats.reinsertions == 1
-
-    def test_unresolved_counted(self):
-        policy = SelectionPolicy()
-        policy.record_miss("ghost", resolved=False)
-        assert policy.stats.unresolved == 1
-
-

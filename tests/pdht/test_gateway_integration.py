@@ -27,8 +27,8 @@ class TestGatewayIntegration:
 
     def test_repeat_queries_hit_gateway_cache(self, network):
         outsider = next(
-            p.peer_id for p in network.population
-            if p.peer_id not in network.dht._members
+            p for p in range(len(network.population))
+            if p not in network.dht._members
         )
         network.query(outsider, "hot")
         network.query(outsider, "hot")
@@ -40,8 +40,8 @@ class TestGatewayIntegration:
         # free would distort the cost model). Steady state = repeat
         # queriers with warm caches; construction-time joins excluded.
         queriers = [
-            p.peer_id for p in network.population
-            if p.peer_id not in network.dht._members
+            p for p in range(len(network.population))
+            if p not in network.dht._members
         ][:5]
         for querier in queriers:  # warm the caches
             network.query(querier, "hot")

@@ -37,7 +37,7 @@ def test_preload_shares_records_not_maps():
     network.preload_index_all(ITEMS)
     placed = 0
     for group in network._groups:
-        stores = [network.nodes[member].store for member in group.members]
+        stores = [network.stores[member] for member in group.members]
         first = stores[0].records
         for store in stores:
             assert list(store.records) == list(first)
@@ -47,8 +47,8 @@ def test_preload_shares_records_not_maps():
         placed += len(first)
     assert placed == len(ITEMS)
     assert all(record == (ITEMS[key], math.inf)
-               for node in network.nodes.values()
-               for key, record in node.store.records.items())
+               for store in network.stores.values()
+               for key, record in store.records.items())
 
 
 def test_an_inf_store_keeps_no_heap_record():
@@ -59,7 +59,7 @@ def test_an_inf_store_keeps_no_heap_record():
     for _ in range(3):
         network.advance(1.0)
         network.query(network.random_online_peer(), key)
-    assert all(not node.store._expiry_heap for node in network.nodes.values())
+    assert all(not store._expiry_heap for store in network.stores.values())
 
     store = TtlKeyStore(math.inf)
     insert(store, "k", "v", now=0.0)
@@ -72,8 +72,7 @@ def test_one_insert_shares_one_record_and_one_heap_record():
     network.advance(2.0)
     key = "key-000042"
     network._insert_into_index(min(network.dht._members), key, "payload")
-    holders = [node.store for node in network.nodes.values()
-               if key in node.store]
+    holders = [store for store in network.stores.values() if key in store]
     assert len(holders) >= 2
     record = holders[0].records[key]
     assert record == ("payload", 7.0)

@@ -56,12 +56,12 @@ class TestConstruction:
             assert 2 <= len(group.members) <= 2 * network.config.replication
 
     def test_every_member_has_node(self, network):
-        assert set(network.nodes) == set(network.dht._members)
+        assert set(network.stores) == set(network.dht._members)
 
     def test_group_of_non_member_rejected(self, network):
         outsider = next(
-            p.peer_id for p in network.population
-            if p.peer_id not in network.dht._members
+            p for p in range(len(network.population))
+            if p not in network.dht._members
         )
         with pytest.raises(ParameterError):
             network.group_of(outsider)
@@ -108,15 +108,15 @@ class TestQueryPath:
         assert outcome.via_index
 
     def test_policy_counters_track_path(self, network):
-        network.query(network.random_online_peer(), "hot")   # miss+insert
-        network.query(network.random_online_peer(), "hot")   # hit
-        network.query(network.random_online_peer(), "ghost") # unresolved
-        stats = network.policy.stats
-        assert stats.queries == 3
-        assert stats.index_hits == 1
-        assert stats.index_misses == 2
-        assert stats.insertions == 1
-        assert stats.unresolved == 1
+        # The outcome fields a strategy's counters are tallied from.
+        miss = network.query(network.random_online_peer(), "hot")
+        hit = network.query(network.random_online_peer(), "hot")
+        ghost = network.query(network.random_online_peer(), "ghost")
+        assert (miss.via_index, miss.found, miss.inserted) == (False, True, True)
+        assert (hit.via_index, hit.found, hit.inserted) == (True, True, False)
+        assert (ghost.via_index, ghost.found, ghost.inserted) == (
+            False, False, False
+        )
 
     def test_offline_origin_rejected(self, network):
         from repro.errors import OfflinePeerError

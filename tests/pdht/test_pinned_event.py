@@ -72,9 +72,9 @@ def _index_size(network) -> int:
     seen: set[tuple[int, str]] = set()
     for group_idx, group in enumerate(network._groups):
         for member in group.members:
-            node = network.nodes[member]
-            node.store.purge_expired(now)
-            for key in node.store.keys():
+            store = network.stores[member]
+            store.purge_expired(now)
+            for key in store.keys():
                 seen.add((group_idx, key))
     return len(seen)
 

@@ -6,7 +6,8 @@ every member's store one ``TtlKeyStore.put_all`` of the group's shared
 records; it replaced ``preload_index`` called per key (key -> member ->
 ``insert``), kept here together with the two strategy loops that drove
 it (verbatim but for the node's ``index_insert`` pass-through, which
-went). Every store must end up the same: its records (key, value and
+went, and for running on a bare network: a strategy now preloads as it
+is built). Every store must end up the same: its records (key, value and
 expiry, in insertion order), the expiry heap as a list (its pop order)
 and the counters — with expired entries at the head of some heaps, and
 after churn took members offline.
@@ -54,19 +55,19 @@ def reference_preload_index(self: PdhtNetwork, key: str, value: object) -> None:
     responsible = self.dht.responsible_for(key)
     group = self.group_of(responsible)
     for member in group.members:
-        insert(self.nodes[member].store, key, value, now)
+        insert(self.stores[member], key, value, now)
 
 
-def reference_prepare_index_all(self: SimulatedStrategy) -> None:
-    for i in range(self.params.n_keys):
-        reference_preload_index(self.network, key_name(i), f"value-{i}")
+def reference_prepare_index_all(network: PdhtNetwork, n_keys: int) -> None:
+    for i in range(n_keys):
+        reference_preload_index(network, key_name(i), f"value-{i}")
 
 
-def reference_prepare_partial_ideal(self: SimulatedStrategy, max_rank) -> None:
+def reference_prepare_partial_ideal(network: PdhtNetwork, workload, max_rank) -> None:
     for rank in range(1, max_rank + 1):
-        key_index = self.workload.key_for_rank(rank)
+        key_index = workload.key_for_rank(rank)
         reference_preload_index(
-            self.network, key_name(key_index), f"value-{key_index}"
+            network, key_name(key_index), f"value-{key_index}"
         )
 
 
@@ -81,12 +82,12 @@ def reference_random_online_peer(self: PdhtNetwork, rng) -> int:
 def _stores(network: PdhtNetwork) -> dict:
     return {
         member: (
-            list(node.store.records.items()),
-            list(node.store._expiry_heap),
-            node.store.insertions,
-            node.store.evictions_expired,
+            list(store.records.items()),
+            list(store._expiry_heap),
+            store.insertions,
+            store.evictions_expired,
         )
-        for member, node in network.nodes.items()
+        for member, store in network.stores.items()
     }
 
 
@@ -141,16 +142,19 @@ def test_preload_all_equals_one_preload_per_key(key_ttl, seed, batches):
 @pytest.mark.parametrize("strategy", ["indexAll", "partialIdeal"])
 def test_strategy_preloads_equal_the_per_key_loops(strategy, small_params):
     new = SimulatedStrategy(small_params, strategy=strategy, seed=5)
-    old = SimulatedStrategy(small_params, strategy=strategy, seed=5)
-    new.prepare()
+    # The substrate the strategy built, before it preloaded anything.
+    old = PdhtNetwork(
+        small_params, new.config, seed=5,
+        num_active_peers=new.policy.num_members,
+    )
     if strategy == "indexAll":
-        reference_prepare_index_all(old)
+        reference_prepare_index_all(old, small_params.n_keys)
     else:
         max_rank = new.policy.preloaded_ranks
-        reference_prepare_partial_ideal(old, max_rank)
+        reference_prepare_partial_ideal(old, new.workload, max_rank)
         assert 0 < max_rank < small_params.n_keys
     stores = _stores(new.network)
-    assert stores == _stores(old.network)
+    assert stores == _stores(old)
     assert sum(len(entries) for entries, *_ in stores.values()) > 0
 
 

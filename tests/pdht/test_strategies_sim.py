@@ -10,7 +10,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
 from repro.experiments.execution import Cell
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import SimulatedStrategy
+from repro.pdht.strategies import SimulatedStrategy, StrategyReport
 from repro.sim.metrics import MessageCategory
 
 
@@ -115,10 +115,14 @@ class TestPartialSelection:
         strategy, report = run_strategy(
             "partialSelection", sim_params, sim_config
         )
-        stats = strategy.network.policy.stats
-        assert stats.queries == report.queries
-        assert stats.index_hits == report.index_hits
-        assert stats.insertions > 0
+        assert report.insertions > 0
+        # Every query asks the index; a miss is cold or a reinsertion, and
+        # inserts its key unless the broadcast found nothing.
+        misses = report.queries - report.index_hits
+        assert report.cold_misses + report.reinsertions == misses
+        assert report.insertions + report.unresolved == misses
+        assert report.unresolved == report.queries - report.answered
+        assert report.cold_misses <= sim_params.n_keys
 
     def test_index_stays_partial(self, sim_params, sim_config):
         strategy, _ = run_strategy(
@@ -245,3 +249,71 @@ class TestDriver:
         # The hit rate builds up and the index stays partial.
         assert report.hit_rate > 0.4
         assert 0 < report.mean_index_size < sim_params.n_keys
+
+
+class TestSelectionCounters:
+    """How one query's path lands in the report's counters."""
+
+    @pytest.fixture
+    def strategy(self, sim_params, sim_config):
+        return SimulatedStrategy(sim_params, config=sim_config, seed=4)
+
+    def _answer(self, strategy, report, key):
+        origin = strategy.network.random_online_peer()
+        strategy._answer(report, origin, key, rank=1)
+
+    def _report(self, strategy):
+        return StrategyReport(
+            strategy=strategy.strategy, params=strategy.params, duration=1.0
+        )
+
+    def test_hit_rate_accounting(self, strategy):
+        report = self._report(strategy)
+        self._answer(strategy, report, "key-000001")  # cold miss, inserted
+        self._answer(strategy, report, "key-000001")  # hit
+        assert (report.queries, report.index_hits, report.answered) == (2, 1, 2)
+        assert (report.insertions, report.cold_misses) == (1, 1)
+
+    def test_cold_miss_vs_reinsertion(self, strategy):
+        report = self._report(strategy)
+        self._answer(strategy, report, "key-000001")  # never indexed: cold
+        strategy.network.advance(strategy.config.key_ttl + 1.0)
+        self._answer(strategy, report, "key-000001")  # was indexed: reinsertion
+        assert (report.cold_misses, report.reinsertions) == (1, 1)
+        assert report.insertions == 2 and report.index_hits == 0
+
+    def test_unresolved_counted(self, strategy):
+        report = self._report(strategy)
+        self._answer(strategy, report, "ghost")  # published nowhere
+        self._answer(strategy, report, "ghost")  # still never indexed
+        assert (report.unresolved, report.cold_misses) == (2, 2)
+        assert report.insertions == report.answered == 0
+
+
+def test_a_round_with_nobody_online_drops_its_batch():
+    """Every peer offline: each round's batch is drawn and dropped, as the
+    kernel drops it, and the run goes on; the query stream stands where
+    the drawn batches leave it."""
+    from repro.experiments.scenario import simulation_scenario
+
+    params = simulation_scenario(scale=0.02)
+    strategy = SimulatedStrategy(params, strategy="partialSelection", seed=3)
+    twin = SimulatedStrategy(params, strategy="partialSelection", seed=3)
+    population = strategy.network.population
+    for peer_id in range(len(population)):
+        population.set_online(peer_id, False)
+    report = strategy.run(2.0)
+    assert (report.queries, report.answered, report.index_hits) == (0, 0, 0)
+    assert report.hit_rate_series == [] and report.unresolved == 0
+    # The twin draws the same two rounds' counts and batches.
+    drawn = 0
+    for now in (1.0, 2.0):
+        rate = params.network_query_rate * twin.workload.rate_multiplier(now)
+        count = int(twin._rng.poisson(rate))
+        drawn += len(twin.workload.draw(now, count))
+    assert drawn > 0
+    for name in ("strategy", "queries", "origins"):
+        assert (
+            strategy.network.streams.get(name).bit_generator.state
+            == twin.network.streams.get(name).bit_generator.state
+        ), name

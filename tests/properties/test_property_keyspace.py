@@ -20,12 +20,6 @@ def test_to_bits_is_the_binary_numeral(ident):
     assert int(bits, 2) == ident
 
 
-@given(ident=ident_st, length=st.integers(min_value=0, max_value=BITS))
-@settings(max_examples=100, deadline=None)
-def test_prefix_is_prefix_of_full(ident, length):
-    assert space.to_bits(ident).startswith(space.to_bits(ident, length))
-
-
 @given(ident=ident_st, position=st.integers(min_value=0, max_value=BITS - 1))
 @settings(max_examples=100, deadline=None)
 def test_binary_digits_rebuild_identifier(ident, position):

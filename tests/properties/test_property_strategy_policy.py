@@ -42,7 +42,7 @@ from repro.experiments.scenario import simulation_scenario
 from repro.fastsim.kernel import FastSimKernel, PerOpCosts
 from repro.fastsim.metrics import FastSimReport
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import SimulatedStrategy, key_name
+from repro.pdht.strategies import SimulatedStrategy, StrategyReport, key_name
 from repro.sim.metrics import MessageCategory
 
 #: Unit charges, so the kernel never calibrates a substrate of its own.
@@ -76,20 +76,27 @@ def _probe_ranks(n_keys: int, *boundaries: int) -> list[int]:
 
 def _event_facts(params, config, name, ranks):
     strategy = SimulatedStrategy(params, config=config, strategy=name, seed=1)
-    strategy.prepare()
     network = strategy.network
     stored = set()
-    for node in network.nodes.values():
-        stored.update(node.store.keys())
+    for store in network.stores.values():
+        stored.update(store.keys())
+    report = StrategyReport(strategy=name, params=params, duration=1.0)
     routed = []
     for rank in ranks:
-        before = network.policy.stats.queries
-        _, via_index = strategy._handle(
+        # An index query is a hit, a cold miss or a reinsertion.
+        asked = report.index_hits + report.cold_misses + report.reinsertions
+        hits = report.index_hits
+        strategy._answer(
+            report,
             network.random_online_peer(),
             key_name(strategy.workload.key_for_rank(rank)),
             rank,
         )
-        routed.append((network.policy.stats.queries > before, via_index))
+        routed.append((
+            report.index_hits + report.cold_misses + report.reinsertions
+            > asked,
+            report.index_hits > hits,
+        ))
     return strategy, stored, routed
 
 
@@ -134,7 +141,7 @@ def test_both_engines_and_the_closed_form_run_the_policy(params, key_ttl):
         preloaded = [r <= policy.preloaded_ranks for r in ranks]
 
         strategy, stored, routed = _event_facts(params, config, name, ranks)
-        assert len(strategy.network.nodes) == policy.num_members, name
+        assert len(strategy.network.stores) == policy.num_members, name
         assert strategy.config.key_ttl == policy.key_ttl, name
         assert stored == {
             key_name(strategy.workload.key_for_rank(r))

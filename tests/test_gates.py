@@ -9,7 +9,7 @@ from __future__ import annotations
 import importlib
 import math
 
-from benchmarks.gates import GATES, Gate, run
+from benchmarks.gates import GATES, Gate, readings, run
 
 
 def table(limit_b: float = 2.0, calls: list | None = None):
@@ -54,6 +54,15 @@ def test_a_measure_shared_by_three_rows_is_called_once():
     calls: list[str] = []
     run(table(calls=calls), out=lambda line: None)
     assert calls == ["shared"]
+
+
+def test_readings_call_each_measure_once_and_judge_nothing():
+    calls: list[str] = []
+    gates = table(limit_b=0.0, calls=calls)  # a row that would drift
+    measured = readings(gates)
+    assert calls == ["shared"]
+    assert list(measured) == [gates[0].measure, gates[3].measure]
+    assert measured[gates[0].measure]["b"] == 1.5
 
 
 def test_shipped_rows_are_unique_and_their_measures_importable():

@@ -206,6 +206,6 @@ def test_content_plane_layout():
         assert record.mask == sum(1 << h for h in holders)
         assert all(type(h) is int for h in holders)
         assert rep._placements[key].row.dtype == np.int32
-    assert not any(hasattr(peer, "content") for peer in overlay.population)
+    assert not hasattr(overlay.population, "content")
     rep.remove("a")
     assert list(overlay.content) == ["b"]  # the record goes with its holders

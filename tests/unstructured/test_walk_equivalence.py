@@ -79,7 +79,7 @@ def _reference_online_neighbors(overlay, peer_id):
 
 
 def reference_search(self, origin: PeerId, key: Hashable) -> WalkResult:
-    self.overlay.population[origin].require_online()
+    self.overlay.population.require_online(origin)
 
     if self.overlay.peer_has(origin, key):
         return WalkResult(
