@@ -42,6 +42,7 @@ The CLI (:mod:`repro.experiments.runner`) consumes only this registry::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import inspect
 import math
@@ -676,24 +677,28 @@ def run(name: str, **overrides: object) -> ExperimentResult:
 run_experiment = run
 
 
-def _store_scope(setting: Optional[str]):
+@contextlib.contextmanager
+def _store_scope(setting: Optional[str]) -> Iterator[None]:
     """The artifact-store context for one run's ``store`` parameter.
 
     ``None`` leaves the process-wide active store (``REPRO_STORE`` or a
     programmatic :func:`repro.store.using_store`) in effect;
     ``"none"`` is the explicit escape hatch disabling all store traffic
     for the run; any other value opens (creating/migrating as needed)
-    the SQLite store at that path for the run's duration.
+    the SQLite store at that path for the run's duration and closes it
+    when the run ends, so no ``-wal`` or ``-shm`` file outlives the run.
     """
-    import contextlib
-
     if setting is None:
-        return contextlib.nullcontext()
+        yield
+        return
     from repro.store import Store, using_store
 
     if setting == "none":
-        return using_store(None)
-    return using_store(Store(setting))
+        with using_store(None):
+            yield
+        return
+    with Store(setting) as store, using_store(store):
+        yield
 
 
 def _execute(

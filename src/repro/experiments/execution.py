@@ -25,19 +25,17 @@ through every figure signature.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
+from repro.experiments.heap import long_lived
 from repro.experiments.scenario import DEFAULT_ENGINE, resolve_engine
 from repro.fastsim import parallel
-from repro.fastsim.compare import probe_substrates_built
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
@@ -46,62 +44,6 @@ from repro.sim.rng import RandomStreams
 from repro.workloads.models import WorkloadModel
 
 __all__ = ["Cell", "CellWorkload", "Execution"]
-
-_T = TypeVar("_T")
-
-
-@contextmanager
-def _long_lived(build: Callable[[], _T]) -> Iterator[_T]:
-    """Build a large object graph that lives exactly as long as the
-    ``with`` body, keeping the cyclic collector off it for that long.
-
-    An event substrate is ~400k containers that reference counting alone
-    would manage, allocated in one burst and then only read. Left alone,
-    the collector walks the growing graph hundreds of times while it is
-    built and again in every older-generation pass of the query loop. So:
-    collect what the previous substrate left behind (it is cyclic and
-    would otherwise sit beside this one), build with automatic collection
-    off, and freeze the result out of every later pass; the body's own
-    garbage is collected as usual. On every way out the heap is unfrozen
-    and automatic collection is as the caller had it — a caller that had
-    switched it off never sees it on.
-    """
-    was_enabled = gc.isenabled()
-    with obs.span("strategy.collect"):
-        gc.collect()
-    gc.disable()
-    try:
-        built = build()
-        gc.freeze()
-        if was_enabled:
-            gc.enable()
-        yield built
-    finally:
-        gc.unfreeze()
-        if was_enabled:
-            gc.enable()
-
-
-def _collect_probe_substrates() -> Callable[[], None]:
-    """What to do once costs are resolved: collect what resolving them
-    left behind.
-
-    A cost that no cache holds and no formula gives is measured on an
-    event substrate, and a dead substrate is cyclic (its simulation's
-    recurring events refer back to it): left to the automatic collector
-    it is still resident when the kernels allocate, and the run's peak
-    memory is the two together. The returned callback runs one full
-    collection if :func:`~repro.fastsim.compare.probe_substrates_built`
-    has moved since this call, so a run that built nothing walks no heap.
-    """
-    built = probe_substrates_built()
-
-    def collect() -> None:
-        if probe_substrates_built() != built:
-            with obs.span("calibration.collect"):
-                gc.collect()
-
-    return collect
 
 
 @dataclass(frozen=True)
@@ -140,7 +82,7 @@ class Cell:
         # One span entry per cell, aggregated over the figure's cells; the
         # strategy reports its build, prepare and query-loop phases under
         # it as durations.
-        with obs.span("strategy.run"), _long_lived(self._substrate) as strategy:
+        with obs.span("strategy.run"), long_lived(self._substrate) as strategy:
             return strategy.run(self.duration, window=self.window)
 
     def _substrate(self) -> "SimulatedStrategy":
@@ -211,7 +153,5 @@ class Execution:
         if not self.vectorized:
             return [cell.run() for cell in cells]
         return parallel.run_many(
-            [cell.fastsim_job() for cell in cells],
-            workers=self.jobs,
-            after_resolve=_collect_probe_substrates(),
+            [cell.fastsim_job() for cell in cells], workers=self.jobs
         )

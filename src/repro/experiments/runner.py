@@ -41,6 +41,12 @@ payload; one that no longer matches is recomputed and overwritten.
 ``REPRO_STORE`` sets the same default process-wide; ``--no-store``
 disables store traffic even when the variable is set.
 
+Once the run is done, ``python -m repro.experiments.runner`` closes the
+``REPRO_STORE`` handle and freezes the heap
+(:func:`repro.experiments.heap.freeze_for_exit`), so interpreter
+finalization does not walk the run's objects; :func:`main` itself
+leaves the collector as it found it.
+
 ``--profile`` enables telemetry collection (:mod:`repro.obs`) for the
 run: every result carries its merged span/counter/gauge snapshot in the
 ``telemetry`` provenance block (exported with ``--format json``), and a
@@ -70,6 +76,7 @@ from dataclasses import fields as dataclass_fields
 from repro import obs
 from repro.obs import events as obs_events
 from repro.errors import CapabilityError, ReproError
+from repro.experiments import heap
 from repro.experiments.api import (
     SIMULATED,
     ExperimentParams,
@@ -323,4 +330,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    heap.freeze_for_exit()
+    sys.exit(status)

@@ -48,7 +48,6 @@ __all__ = [
     "CALIBRATION_LIMIT",
     "calibrate_costs",
     "calibration_cache_stats",
-    "probe_substrates_built",
     "costs_for",
     "calibrate_churn_costs",
     "churn_costs_for",
@@ -80,30 +79,6 @@ def calibration_cache_stats() -> dict[str, dict[str, int]]:
     boundaries; the artifact store does).
     """
     return obs.cache_stats(_CALIBRATION_CACHES)
-
-
-#: Event substrates built for a probe in this process so far.
-_probe_substrates = 0
-
-
-def probe_substrates_built() -> int:
-    """How many event substrates this process has built to measure a cost.
-
-    Moves only when a probe really constructs a
-    :class:`~repro.pdht.network.PdhtNetwork` — not on a cache miss that
-    the artifact store or an analytical formula answers — so a caller can
-    tell whether resolving costs left dead substrates behind.
-    """
-    return _probe_substrates
-
-
-def _probe_network(*args, **kwargs) -> "PdhtNetwork":
-    """The substrate a probe measures on, counted."""
-    from repro.pdht.network import PdhtNetwork
-
-    global _probe_substrates
-    _probe_substrates += 1
-    return PdhtNetwork(*args, **kwargs)
 
 
 def calibrate_costs(
@@ -145,8 +120,10 @@ def _calibrate_costs_probe(
     walk_probes: int,
     num_active_peers: Optional[int],
 ) -> PerOpCosts:
+    from repro.pdht.network import PdhtNetwork
+
     with obs.span("calibrate.costs", peers=params.num_peers, seed=seed):
-        net = _probe_network(
+        net = PdhtNetwork(
             params, config, seed=seed, num_active_peers=num_active_peers
         )
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -319,6 +296,7 @@ def _calibrate_churn_costs_probe(
     walk_probes: int,
     model: "WorkloadModel | None",
 ) -> ChurnOpCosts:
+    from repro.pdht.network import PdhtNetwork
     from repro.sim.metrics import MessageCategory
     from repro.workloads.models import StationaryZipf
 
@@ -345,7 +323,7 @@ def _calibrate_churn_costs_probe(
             raise ParameterError(
                 f"walk_probes must be >= 1, got {walk_probes}"
             )
-        net = _probe_network(params, config, seed=seed, churn=churn)
+        net = PdhtNetwork(params, config, seed=seed, churn=churn)
         net.publish_all({key_name(i): i for i in range(params.n_keys)})
         # The walk probes' keys too: nothing else draws from the placement
         # stream, so each probe key gets the holders it would get published
@@ -642,12 +620,14 @@ def _churned_lookup_probe(
     (the responsible-peer hand-over) and detour others, with a net
     effect that genuinely depends on the trie size.
     """
+    from repro.pdht.network import PdhtNetwork
+
     with obs.span(
         "calibrate.lookup_probe",
         peers=params.num_peers,
         members=num_active_peers,
     ):
-        net = _probe_network(
+        net = PdhtNetwork(
             params, config, seed=seed, num_active_peers=num_active_peers
         )
         rng = np.random.default_rng(

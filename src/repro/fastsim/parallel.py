@@ -391,7 +391,6 @@ def run_many(
     workers: int = 1,
     store: Optional[Any] = None,
     shared_memory: bool = False,
-    after_resolve: Optional[Callable[[], None]] = None,
 ) -> list[FastSimReport]:
     """Run every job; reports return in job order.
 
@@ -401,9 +400,7 @@ def run_many(
     (:func:`fan_out`). Costs are resolved in the parent first
     (:func:`resolve_jobs`) either way, so sequential and parallel
     execution charge identical costs and produce identical seeded
-    reports. ``after_resolve`` is called once, between that resolution and
-    everything else (the caller's chance to release what calibrating left
-    behind before the kernels allocate).
+    reports.
 
     ``shared_memory=True`` stages each pending job's large workload
     arrays into ``multiprocessing.shared_memory`` segments
@@ -431,8 +428,6 @@ def run_many(
     """
     workers = resolve_worker_count(workers)
     resolved = resolve_jobs(jobs)
-    if after_resolve is not None:
-        after_resolve()
     if store is None:
         from repro.store.store import active_store
 

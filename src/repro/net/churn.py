@@ -15,6 +15,7 @@ behaviour. The long-run fraction of online peers converges to
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,9 @@ class ChurnProcess:
     """Schedules on/offline transitions for every peer.
 
     Each peer alternates exponentially-distributed online sessions and
-    offline gaps.
+    offline gaps. The simulation is held weakly: its queued transitions
+    refer to this process, so a strong reference back would make the
+    pair a cycle that only the cyclic collector frees.
     """
 
     def __init__(
@@ -72,7 +75,7 @@ class ChurnProcess:
         config: ChurnConfig,
         rng: np.random.Generator,
     ) -> None:
-        self.simulation = simulation
+        self._simulation = weakref.ref(simulation)
         self.population = population
         self.config = config
         self.rng = rng
@@ -97,7 +100,7 @@ class ChurnProcess:
         online = self.population.is_online(peer_id)
         mean = self.config.mean_session if online else self.config.mean_offline
         delay = float(self.rng.exponential(mean))
-        self.simulation.schedule_in(
+        self._simulation().schedule_in(
             delay, lambda: self._transition(peer_id), label=f"churn:{peer_id}"
         )
 

@@ -9,8 +9,10 @@ Design notes
   under a fixed seed.
 * Handlers are plain callables. A handler may schedule further events,
   including at the current time (they run later the same round).
-* Recurring processes are expressed with :meth:`Simulation.every`, which
-  re-schedules itself until cancelled or until the horizon is reached.
+* Recurring processes are expressed with :meth:`Simulation.every`: the
+  dispatch loop re-schedules the recurring event after each firing until
+  it is cancelled. No scheduled callback refers back to the simulation,
+  so a dropped simulation is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from repro import obs
 from repro.obs.clock import perf_counter
@@ -58,6 +60,8 @@ class Event:
     action: Callable[[], None]
     label: str = ""
     cancelled: bool = False
+    #: Rounds between firings of a recurring event; ``None`` fires once.
+    interval: Optional[float] = None
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
@@ -110,9 +114,7 @@ class Simulation:
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
         event = Event(action=action, label=label)
-        heapq.heappush(
-            self._queue, _ScheduledEvent(time, next(self._sequence), event)
-        )
+        self._push(time, event)
         return event
 
     def schedule_in(
@@ -137,17 +139,16 @@ class Simulation:
         """
         if interval <= 0:
             raise SimulationError(f"interval must be > 0, got {interval}")
-        controller = Event(action=action, label=label or "recurring")
-
-        def fire() -> None:
-            if controller.cancelled:
-                return
-            action()
-            if not controller.cancelled:
-                self.schedule_in(interval, fire, label=controller.label)
-
-        self.schedule_at(self._now + interval, fire, label=controller.label)
+        controller = Event(
+            action=action, label=label or "recurring", interval=interval
+        )
+        self._push(self._now + interval, controller)
         return controller
+
+    def _push(self, time: float, event: Event) -> None:
+        heapq.heappush(
+            self._queue, _ScheduledEvent(time, next(self._sequence), event)
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -169,9 +170,18 @@ class Simulation:
             while self._queue and self._queue[0].time <= until:
                 scheduled = heapq.heappop(self._queue)
                 self._now = scheduled.time
-                if scheduled.event.cancelled:
+                event = scheduled.event
+                if not event.cancelled:
+                    event.action()
+                    # Re-scheduled after the action runs, so what the
+                    # action scheduled for the next firing's time fires
+                    # before it.
+                    if event.interval is not None and not event.cancelled:
+                        self._push(self._now + event.interval, event)
+                elif event.interval is None:
                     continue
-                scheduled.event.action()
+                # A recurring event cancelled while a firing was queued
+                # spends that firing as a no-op, which counts.
                 self._processed += 1
                 processed_here += 1
             self._now = until

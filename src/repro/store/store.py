@@ -133,6 +133,15 @@ def active_store() -> Optional[Store]:
 _env_store: Optional[Store] = None
 
 
+def close_env_store() -> None:
+    """Close the ``REPRO_STORE`` handle, if one is open; the next
+    :func:`active_store` opens a fresh one."""
+    global _env_store
+    if _env_store is not None:
+        _env_store.close()
+        _env_store = None
+
+
 @contextlib.contextmanager
 def using_store(store: Optional[Store]) -> Iterator[Optional[Store]]:
     """Set (or, with ``None``, disable) the process-wide default store

@@ -1,38 +1,30 @@
-"""The collection between cost resolution and the kernels.
+"""Calibration substrates are gone before the kernels allocate, and
+nothing collects.
 
 Below ``CALIBRATION_LIMIT`` a vectorized run measures its per-op costs on
-event substrates, and a dead substrate is cyclic — the simulation's
-recurring events refer back to it — so reference counting alone leaves
-its population, DHT and stores resident. Left to the automatic collector
-they are still there when the kernels allocate, and ``churn_cold``'s
-peak RSS then sits one 1 MiB heap step higher or lower depending on
-nothing but how much code the process imported (ISSUE 22: 50.1 -> 51.1 MB
-from 50 unused lines; ``tools/rss_layout_check.py`` varies the
-environment, not the program, and cannot see it). ``Execution.execute``
-therefore hands ``run_many`` an ``after_resolve`` callback that runs one
-full collection between its cost resolution and its kernels — when, and
-only when, ``compare.probe_substrates_built()`` moved, i.e. a probe
-really constructed a ``PdhtNetwork``.
+event substrates. A probe's substrate is acyclic
+(``tests/integration/test_acyclic_substrates.py``), so reference counting
+frees its population, DHT and stores the moment the probe returns: none
+is still resident when the first kernel round allocates, which keeps
+``churn_cold``'s peak RSS the kernels' alone (it once sat one 1 MiB heap
+step higher or lower depending on nothing but how much code the process
+imported). No explicit ``gc.collect()`` runs on the way — not after cost
+resolution, not on a calibration-cache miss, not when a store answers.
 
-Mutations run, each caught by the test named: the collection removed, or
-of the young generation only (a ``PeerPopulation`` and a ``Simulation``
-per probe are still alive at the first kernel run) —
-``test_no_substrate_outlives_calibration_and_only_calibration_collects``;
-the collection made unconditionally — the same test (its second run);
-made on any calibration-cache miss —
-``test_analytical_costs_are_not_a_calibration`` and
-``test_costs_read_from_the_store_are_not_a_calibration``; costs resolved
-a second time outside ``run_many`` — ``test_costs_are_resolved_once``.
+Mutations run, each caught by the test named: ``Simulation.every``'s
+self-referencing ``fire`` closure restored (every probe substrate is
+then still alive at the first kernel round) —
+``test_no_substrate_outlives_calibration``; a collection put back after
+cost resolution — the same test; costs resolved a second time outside
+``run_many`` — ``test_costs_are_resolved_once``.
 """
 
 from __future__ import annotations
 
 import gc
-import types
 
 import pytest
 
-from repro.experiments import execution
 from repro.experiments.execution import Cell, Execution
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import compare, kernel, parallel
@@ -48,19 +40,30 @@ SUBSTRATE_TYPES = (PdhtNetwork, PeerPopulation, Simulation)
 
 @pytest.fixture
 def collections(monkeypatch):
-    """Explicit ``gc.collect()`` calls made by ``execution``, counted."""
+    """Explicit ``gc.collect()`` calls made by anyone, counted."""
     calls = []
+    collect = gc.collect
 
-    def collect(*args):
+    def counting(*args):
         calls.append(args)
-        return gc.collect(*args)
+        return collect(*args)
 
-    counting = types.SimpleNamespace(
-        **{name: getattr(gc, name) for name in dir(gc) if not name.startswith("_")}
-    )
-    counting.collect = collect
-    monkeypatch.setattr(execution, "gc", counting)
+    monkeypatch.setattr(gc, "collect", counting)
     return calls
+
+
+@pytest.fixture
+def substrates_built(monkeypatch):
+    """Event substrates constructed, counted."""
+    built = []
+    init = PdhtNetwork.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PdhtNetwork, "__init__", counting)
+    return built
 
 
 @pytest.fixture
@@ -106,7 +109,7 @@ def _churn_cells(scale: float) -> list[Cell]:
     ]
 
 
-def test_no_substrate_outlives_calibration_and_only_calibration_collects(
+def test_no_substrate_outlives_calibration(
     collections, cold_calibration, substrates_at_first_round
 ):
     was_enabled, threshold = gc.isenabled(), gc.get_threshold()
@@ -116,23 +119,17 @@ def test_no_substrate_outlives_calibration_and_only_calibration_collects(
         c["misses"] for c in compare.calibration_cache_stats().values()
     )
     assert misses > 0, "the run was meant to calibrate"
-    assert compare.probe_substrates_built() > 0
-    assert len(collections) == 1
     assert substrates_at_first_round == [[]]
+    assert collections == []
     # the collector is as it was found
     assert gc.isenabled() == was_enabled
     assert gc.get_threshold() == threshold
     assert gc.get_freeze_count() == 0
 
-    # A second run finds every cost in the caches: nothing is built, and
-    # nothing is collected.
-    built = compare.probe_substrates_built()
-    Execution(engine="vectorized").execute(_churn_cells(0.02))
-    assert compare.probe_substrates_built() == built
-    assert len(collections) == 1
 
-
-def test_analytical_costs_are_not_a_calibration(collections, cold_calibration):
+def test_analytical_costs_are_not_a_calibration(
+    collections, cold_calibration, substrates_built
+):
     """Past ``CALIBRATION_LIMIT`` a cost-cache miss computes a formula."""
     params = simulation_scenario(scale=0.3)
     assert params.num_peers > compare.CALIBRATION_LIMIT
@@ -141,25 +138,26 @@ def test_analytical_costs_are_not_a_calibration(collections, cold_calibration):
     )
     Execution(engine="vectorized").execute([cell])
     assert compare.calibration_cache_stats()["costs"]["misses"] > 0
+    assert substrates_built == []
     assert collections == []
 
 
 def test_costs_read_from_the_store_are_not_a_calibration(
-    collections, cold_calibration, tmp_path
+    collections, cold_calibration, substrates_built, tmp_path
 ):
     """A calibration-cache miss the artifact store answers builds nothing."""
     cells = _churn_cells(0.02)[:1]
-    with using_store(open_store(tmp_path / "store.sqlite")):
+    with open_store(tmp_path / "store.sqlite") as store, using_store(store):
         Execution(engine="vectorized").execute(cells)
-        assert len(collections) == 1
+        assert substrates_built
         for cache in compare._CALIBRATION_CACHES.values():
             cache.cache_clear()
-        built = compare.probe_substrates_built()
+        built = len(substrates_built)
         misses = compare.calibration_cache_stats()["costs"]["misses"]
         Execution(engine="vectorized").execute(cells)
         assert compare.calibration_cache_stats()["costs"]["misses"] > misses
-        assert compare.probe_substrates_built() == built
-        assert len(collections) == 1
+        assert len(substrates_built) == built
+    assert collections == []
 
 
 def test_costs_are_resolved_once(monkeypatch, cold_calibration):

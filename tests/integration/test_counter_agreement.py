@@ -7,8 +7,10 @@ kernel report them side by side. With trace replay and no churn both
 engines see the identical query sequence, so every counter is one
 number on both, not merely close: ``==``, never a tolerance. The cases
 are the ones ROADMAP item 3 measured for ``queries``, ``answered``,
-``index_hits`` and ``mean_index_size``; partialIdeal, whose oracle the
-two engines define differently after a shift (item 3(b)), is left out.
+``index_hits`` and ``mean_index_size``. partialIdeal agrees on the
+stationary trace; after a shift the two engines define its oracle
+differently (item 3(b)), so its rank-swap and flash-crowd cases are
+strict ``xfail``s that turn into plain tests when 3(b) lands.
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ COUNTERS = (
 )
 PARAMS = simulation_scenario(scale=0.02)
 ZIPF = ZipfDistribution(PARAMS.n_keys, PARAMS.alpha)
+#: The measured split behind partialIdeal's strict xfails.
+PARTIAL_IDEAL_SPLIT = (
+    "ROADMAP 3(b): the event engine preloads the top maxRank keys once "
+    "and inserts a shifted-in oracle key on its first miss; the kernel "
+    "counts every rank <= maxRank as a hit. On the rank-swap trace the "
+    "event engine reports 3,146 index hits, 65 insertions and 65 cold "
+    "misses, the kernel 3,211, 0 and 0"
+)
 SOURCES = {
     "stationary": StationaryZipf(),
     "rank-swap": RankSwap(ROUNDS / 2),
@@ -61,8 +71,18 @@ def trace(request) -> TraceReplay:
 
 
 @pytest.mark.parametrize("key_ttl", (3.1, 61.9))
-@pytest.mark.parametrize("strategy", ("noIndex", "indexAll", "partialSelection"))
-def test_selection_counters_equal_across_engines(trace, strategy, key_ttl):
+@pytest.mark.parametrize(
+    "strategy", ("noIndex", "indexAll", "partialSelection", "partialIdeal")
+)
+def test_selection_counters_equal_across_engines(
+    request, trace, strategy, key_ttl
+):
+    if strategy == "partialIdeal" and request.node.callspec.params[
+        "trace"
+    ] != "stationary":
+        request.applymarker(pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=PARTIAL_IDEAL_SPLIT
+        ))
     config = PdhtConfig.from_scenario(PARAMS, key_ttl=key_ttl)
     event = SimulatedStrategy(
         PARAMS, config=config, strategy=strategy,

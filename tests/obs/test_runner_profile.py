@@ -126,9 +126,8 @@ class TestEventRunIsAccountedFor:
         assert cells["count"] == 4  # one per Fig. 1 strategy
         phases = {
             name: spans[f"experiment.run/strategy.run/{name}"]
-            for name in ("strategy.collect", "strategy.build",
-                         "strategy.prepare", "strategy.queries",
-                         "engine.run", "dht.maintenance")
+            for name in ("strategy.build", "strategy.prepare",
+                         "strategy.queries", "engine.run", "dht.maintenance")
         }
         # Sweeps run inside engine.run, so they are named, not added.
         named = sum(
@@ -137,9 +136,9 @@ class TestEventRunIsAccountedFor:
         )
         assert named / run >= 0.8
         assert named <= cells["seconds"] <= run
-        # The collection that frees the previous cell's substrate walks
-        # the whole heap, which under pytest dwarfs a 30-round run.
-        assert phases["strategy.collect"]["count"] == 4
+        # A dead substrate is freed by reference counting: no cell
+        # collects the heap before it builds.
+        assert not [path for path in spans if "collect" in path]
         assert phases["strategy.build"]["count"] == 4
         assert phases["strategy.prepare"]["count"] == 4
         # Content replicas and the index preload, timed apart (noIndex
@@ -171,14 +170,23 @@ class TestEventRunIsAccountedFor:
         profiled = json.loads(capsys.readouterr().out)
         assert profiled["figure"] == plain["figure"]
 
-    def test_profile_footer_names_the_collector(self, capsys):
+    def test_profile_footer_names_the_collector(self, capsys, monkeypatch):
+        # Nothing in a cell collects, and with every module imported a
+        # 30-round run may allocate too little for an automatic pass: one
+        # young-generation pass per cell is made here, to be reported.
+        run = SimulatedStrategy.run
+
+        def collecting_run(self, duration, window=0.0):
+            gc.collect(0)
+            return run(self, duration, window=window)
+
+        monkeypatch.setattr(SimulatedStrategy, "run", collecting_run)
         assert main([*self.ARGV, "--profile"]) == 0
         captured = capsys.readouterr()
         counters = json.loads(captured.out)["telemetry"]["counters"]
-        # One boundary collection per cell, whatever else ran.
-        assert counters["gc.collections.gen2"] >= 4
+        assert counters["gc.collections.gen0"] >= 4
         assert counters["gc.pause_s"] > 0.0
-        assert "gc.collections.gen2" in captured.err
+        assert "gc.collections.gen0" in captured.err
         assert "gc.pause_s" in captured.err
 
 

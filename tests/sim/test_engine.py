@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulation
+from repro.sim.engine import Event, Simulation
 
 
 class TestScheduling:
@@ -164,3 +166,107 @@ class TestEvery:
         with pytest.raises(SimulationError):
             Simulation().every(0.0, lambda: None)
 
+
+    def test_a_cancelled_controller_spends_its_queued_firing(self):
+        # The firing queued before the cancel still happens, as a no-op
+        # that counts in processed_events; nothing is queued after it.
+        sim = Simulation()
+        times = []
+        controller = sim.every(2.0, lambda: times.append(sim.now))
+        sim.run(until=3.0)
+        controller.cancel()
+        sim.run(until=20.0)
+        assert times == [2.0]
+        assert sim.processed_events == 2
+
+
+def closure_every(sim, interval, action, label=""):
+    """``Simulation.every`` as it was before the dispatch loop re-scheduled
+    recurring events: a ``fire`` closure that re-schedules itself, which
+    makes every simulation with a recurring event a reference cycle. The
+    oracle for the property below."""
+    if interval <= 0:
+        raise SimulationError(f"interval must be > 0, got {interval}")
+    controller = Event(action=action, label=label or "recurring")
+
+    def fire():
+        if controller.cancelled:
+            return
+        action()
+        if not controller.cancelled:
+            sim.schedule_in(interval, fire, label=controller.label)
+
+    sim.schedule_at(sim.now + interval, fire, label=controller.label)
+    return controller
+
+
+#: What one firing does: schedule a one-shot event ``delay`` rounds on
+#: (0 = later this round), start a recurring one, cancel any event made
+#: so far (a fired one-shot included), cancel itself, or nothing.
+_step = st.one_of(
+    st.tuples(st.just("once"), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+    st.tuples(st.just("every"), st.sampled_from([0.5, 1.0, 1.5, 3.0])),
+    st.tuples(st.just("cancel"), st.integers(0, 31)),
+    st.tuples(st.just("cancel_self"), st.just(0)),
+    st.tuples(st.just("nothing"), st.just(0)),
+)
+
+
+def _replay(every, initial, program, pauses):
+    """Drive one simulation through the script; return what fired, when,
+    and ``processed_events`` at each pause."""
+    sim = Simulation()
+    handles, log = [], []
+    steps = iter(program)
+
+    def spawn(step):
+        ident = len(handles)
+
+        def action():
+            log.append((ident, sim.now))
+            apply(next(steps, ("nothing", 0)), ident)
+
+        kind, value = step
+        if kind == "once":
+            handles.append(sim.schedule_in(value, action, label=str(ident)))
+        else:
+            handles.append(every(sim, value, action, label=str(ident)))
+
+    def apply(step, current):
+        kind, value = step
+        if kind in ("once", "every"):
+            spawn(step)
+        elif kind == "cancel":
+            handles[value % len(handles)].cancel()
+        elif kind == "cancel_self":
+            handles[current].cancel()
+
+    for step in initial:
+        spawn(step)
+    until = 0.0
+    for pause in pauses:
+        until += pause
+        sim.run(until=until)
+        log.append(("pause", sim.now, sim.processed_events))
+    return log
+
+
+@given(
+    initial=st.lists(
+        _step.filter(lambda s: s[0] in ("once", "every")),
+        min_size=1, max_size=5,
+    ),
+    program=st.lists(_step, max_size=40),
+    pauses=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+                    min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_fires_as_the_closure_it_replaced(initial, program, pauses):
+    """Same firings, in the same order, at the same ``now``, and the same
+    ``processed_events`` — one-shot and recurring events mixed, scheduled
+    at the current time, cancelled from inside actions, run in pieces."""
+    ours = _replay(
+        lambda sim, interval, action, label: sim.every(interval, action, label),
+        initial, program, pauses,
+    )
+    assert ours == _replay(closure_every, initial, program, pauses)

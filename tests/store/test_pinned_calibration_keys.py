@@ -22,6 +22,7 @@ from repro.analysis.strategies import strategy_setup
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import compare
 from repro.pdht.config import PdhtConfig
+from repro.pdht.network import PdhtNetwork
 from repro.store.store import Store, using_store
 
 PINNED = json.loads(
@@ -68,10 +69,19 @@ def test_calibrations_write_the_pinned_keys(tmp_path):
     assert keys == PINNED
 
 
-def test_a_fresh_process_loads_every_calibration_and_probes_nothing(tmp_path):
+def test_a_fresh_process_loads_every_calibration_and_probes_nothing(
+    tmp_path, monkeypatch
+):
     path = tmp_path / "artifacts.sqlite"
     calibrate(path)
-    built = compare.probe_substrates_built()
+    built = []
+    init = PdhtNetwork.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PdhtNetwork, "__init__", counting)
     obs.enable()
     try:
         calibrate(path)
@@ -82,4 +92,4 @@ def test_a_fresh_process_loads_every_calibration_and_probes_nothing(tmp_path):
     assert counters["cache.store.hit"] == 4
     assert "cache.store.miss" not in counters
     assert not [name for name in telemetry["spans"] if "calibrate." in name]
-    assert compare.probe_substrates_built() == built
+    assert built == []

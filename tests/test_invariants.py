@@ -478,11 +478,11 @@ def rl108_pool_ownership(path, tree, imports):
 
 # RL109: gc.disable/enable/freeze/unfreeze/collect/set_threshold change
 # how every later allocation behaves and must be undone on every exit
-# path. The event cell's policy (collect, build unwatched, freeze for the
-# query loop, restore) is one context manager in
-# repro.experiments.execution; a second caller would nest wrongly with
-# it. Reading the collector is free; gc.callbacks, the observer hook,
-# belongs to repro.obs like the clock.
+# path. The collector policy (an event cell's substrate built unwatched
+# and frozen for the query loop, then restored; the heap frozen once a
+# command-line run is done) lives in repro.experiments.heap; a second
+# caller would nest wrongly with it. Reading the collector is free;
+# gc.callbacks, the observer hook, belongs to repro.obs like the clock.
 _GC_POLICY = frozenset(
     {"disable", "enable", "freeze", "unfreeze", "collect", "set_threshold"}
 )
@@ -502,9 +502,9 @@ def rl109_collector_policy(path, tree, imports):
             uses.append((node.lineno, names[1]))
     hits = []
     for line, name in uses:
-        if name in _GC_POLICY and path != "src/repro/experiments/execution.py":
+        if name in _GC_POLICY and path != "src/repro/experiments/heap.py":
             hits.append((line, f"RL109 'gc.{name}' outside "
-                         "repro.experiments.execution, which owns the "
+                         "repro.experiments.heap, which owns the "
                          "collector policy"))
         elif name == "callbacks" and not path.startswith("src/repro/obs/"):
             hits.append((line, "RL109 'gc.callbacks' outside repro.obs, "
@@ -927,15 +927,15 @@ FIXTURES = [    # RL101
                 gc.collect()
                 if was_enabled:
                     gc.enable()
-        """, "repro.experiments.execution", "gc.collect", "gc.enable"),
+        """, "repro.experiments.heap", "gc.collect", "gc.enable"),
     row(rl109_collector_policy, "switch-from-import", "src/repro/fastsim/example.py", """
         from gc import freeze, get_freeze_count
         """, "gc.freeze"),
-    row(rl109_collector_policy, "callbacks-outside-obs", "src/repro/experiments/execution.py", """
+    row(rl109_collector_policy, "callbacks-outside-obs", "src/repro/experiments/heap.py", """
         import gc
         gc.callbacks.append(print)
         """, "repro.obs"),
-    row(rl109_collector_policy, "policy-owner", "src/repro/experiments/execution.py", """
+    row(rl109_collector_policy, "policy-owner", "src/repro/experiments/heap.py", """
         import gc
         def long_lived(build):
             gc.collect()
@@ -948,6 +948,12 @@ FIXTURES = [    # RL101
                 gc.unfreeze()
                 gc.enable()
         """),
+    row(rl109_collector_policy, "execution-is-no-owner", "src/repro/experiments/execution.py", """
+        import gc
+        def run_cell(cell):
+            gc.freeze()
+            return cell.run()
+        """, "'gc.freeze' outside repro.experiments.heap"),
     row(rl109_collector_policy, "observer-owner", "src/repro/obs/collector.py", """
         import gc
         def enable(hook):

@@ -136,6 +136,16 @@ FIXTURES = {
          {"sweep-second.json": _lookup_json(FIGURE_HIT, "computed")},
          {"sweep-second.json": _lookup_json({"kernel.runs": 18}, "store")}],
     ),
+    "store-files": (
+        {"sweep-cold.json": _lookup_json({}, "computed"),
+         "sweep-warm.json": _lookup_json({}, "store"),
+         "sweep-env.json": _lookup_json({}, "store"),
+         "store.sqlite": "SQLite format 3"},
+        [{"store.sqlite-wal": ""},
+         {"store.sqlite-shm": ""},
+         {"sweep-warm.json": _lookup_json({}, "computed")},
+         {"sweep-env.json": _lookup_json({}, "computed")}],
+    ),
     "live": (
         {"trace.json": _trace(TRACE), "replay.json": _replay(),
          "sweep.json": _run_json({"sweep.cells": 18})},

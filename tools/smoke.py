@@ -261,6 +261,14 @@ def warm_lookup(outputs: Outputs) -> None:
             seen.get("kernel.runs"))
 
 
+def store_files(outputs: Outputs) -> None:
+    left = sorted(set(outputs) - {f"sweep-{n}.json" for n in STORE_RUNS})
+    require(left == ["store.sqlite"], "files beside the runs' output", left)
+    for n in STORE_RUNS[1:]:
+        source = json.loads(outputs[f"sweep-{n}.json"])["provenance"]["source"]
+        require(source == "store", f"{n} sweep's source", source)
+
+
 def live(outputs: Outputs) -> None:
     events = json.loads(outputs["trace.json"])["traceEvents"]
     lanes = {e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
@@ -316,6 +324,9 @@ SWEEP = ("runner", "sweep", *SMALL, "--format", "json")
 #: A sweep whose kernel units run long enough (~50 ms each, six of them)
 #: for a SIGINT sent after the first to land before the last.
 RESUMED = ("runner", "sweep", "--scale", "8", "--format", "json")
+#: The ``store-files`` row's runs, in order: ``--store``, again, then
+#: ``REPRO_STORE``.
+STORE_RUNS = ("cold", "warm", "env")
 JSON = ("--profile", "--format", "json")
 
 SMOKES: tuple[Smoke, ...] = (
@@ -384,6 +395,16 @@ SMOKES: tuple[Smoke, ...] = (
                     stdout=f"sweep-{n}.json", env=STORE)
                 for n in ("first", "second")),
           warm_lookup, "tests/store/test_figure_rows.py"),
+    Smoke("store-files", "a run closes the store it opened, and the exit "
+          "closes the REPRO_STORE one before it freezes the heap: no -wal or "
+          "-shm file is left, and the reruns read the store",
+          (cmd("runner", "sweep", "--scale", "1", "--store", "<store.sqlite>",
+               "--format", "json", stdout="sweep-cold.json"),
+           cmd("runner", "sweep", "--scale", "1", "--store", "<store.sqlite>",
+               "--format", "json", stdout="sweep-warm.json"),
+           cmd("runner", "sweep", "--scale", "1", "--format", "json",
+               stdout="sweep-env.json", env=STORE)),
+          store_files, "tests/store/test_store_files.py"),
     Smoke("live", "--progress/--trace-out/--events-out on a pooled sweep: a "
           "lane per worker, and a replay equal to --profile",
           (cmd(*SWEEP, "--jobs", "2", "--no-store", "--progress", "--trace-out",
