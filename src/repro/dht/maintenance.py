@@ -22,8 +22,8 @@ from __future__ import annotations
 from repro import obs
 from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError
-from repro.net.messages import MessageKind
 from repro.sim.engine import Simulation
+from repro.sim.metrics import MessageCategory
 
 __all__ = ["RoutingMaintenance"]
 
@@ -61,9 +61,7 @@ class RoutingMaintenance:
             # counters are float accumulators, and ``a + (b + c)`` is not
             # ``(a + b) + c`` in the last bits of a simulated msg/s.
             charges = [env * size for size in self._table_sizes()]
-            self.dht.log.metrics.count_each(
-                MessageKind.ROUTING_PROBE.category, charges
-            )
+            self.dht.metrics.count_each(MessageCategory.MAINTENANCE, charges)
             probes_sent = self.probes_sent
             for messages in charges:
                 probes_sent += messages

@@ -28,8 +28,8 @@ The DHT:
 * operates over a *member set* of peers drawn from the shared
   :class:`~repro.net.node.PeerPopulation` (the paper's ``numActivePeers``
   subset — peers beyond what the index needs do not join the DHT);
-* counts the routing hops of every lookup through the shared
-  :class:`~repro.net.messages.MessageLog`;
+* counts every join and the routing hops of every lookup into the shared
+  :class:`~repro.sim.metrics.MessageMetrics`;
 * routes only through *online* members, falling back to the closest
   alternative when an entry is dead (the "piggybacked repair"
   assumption of Section 3.3.1 — detecting staleness costs probe messages,
@@ -49,8 +49,8 @@ from typing import Iterable, Optional
 from repro import obs
 from repro.dht.keyspace import KeySpace
 from repro.errors import ParameterError, RoutingError
-from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation, dht_id_for
+from repro.sim.metrics import MessageCategory, MessageMetrics
 
 __all__ = ["LookupResult", "PGridDht", "KEY_MEMO_LIMIT"]
 
@@ -63,11 +63,10 @@ KEY_MEMO_LIMIT = 1 << 16
 
 @dataclass(slots=True)
 class LookupResult:
-    """Outcome of one DHT lookup."""
+    """Outcome of one DHT lookup: one message per routing hop."""
 
     key: str
     responsible: PeerId
-    hops: int
     messages: int
 
 
@@ -81,14 +80,14 @@ class PGridDht:
     def __init__(
         self,
         population: PeerPopulation,
-        log: MessageLog,
+        metrics: MessageMetrics,
         *,
         refs_per_level: int = 2,
     ) -> None:
         if refs_per_level < 1:
             raise RoutingError(f"refs_per_level must be >= 1, got {refs_per_level}")
         self.population = population
-        self.log = log
+        self.metrics = metrics
         self.keyspace = KeySpace()
         self.refs_per_level = refs_per_level
         #: Member -> its 160-bit identifier (:func:`dht_id_for`), hashed
@@ -152,7 +151,7 @@ class PGridDht:
         if peer_id in self._members:
             return
         self._members[peer_id] = dht_id_for(peer_id)
-        self.log.send(MessageKind.JOIN, peer_id, peer_id)
+        self.metrics.count(MessageCategory.MEMBERSHIP)
         self._membership_version += 1
 
     def join_all(self, peer_ids: Iterable[PeerId]) -> None:
@@ -268,17 +267,8 @@ class PGridDht:
         """Route a lookup for ``key`` from ``origin``; count its hops."""
         self._require_online_member(origin)
         self._ensure_routing()
-        target = self._target(key)
-        hops: list[tuple[PeerId, PeerId]] = []
-        try:
-            responsible = self._route(origin, target, hops)
-        finally:
-            # One DHT_LOOKUP per hop, counted together — including the
-            # hops of a route that did not converge.
-            self.log.send_all(MessageKind.DHT_LOOKUP, len(hops), hops, target)
-        return LookupResult(
-            key=key, responsible=responsible, hops=len(hops), messages=len(hops)
-        )
+        responsible, hops = self._route(origin, self._target(key))
+        return LookupResult(key=key, responsible=responsible, messages=hops)
 
     def _leaf_for(self, target_bits: str) -> str:
         """The trie leaf path owning ``target_bits`` (walks the trie)."""
@@ -342,9 +332,10 @@ class PGridDht:
                 return min(candidates)
         raise RoutingError("P-Grid trie has no online members")
 
-    def _route(
-        self, origin: PeerId, target: int, hops: list[tuple[PeerId, PeerId]]
-    ) -> PeerId:
+    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
+        """The member responsible for ``target`` and the hops from
+        ``origin`` to it, counted together as ``INDEX_SEARCH`` messages —
+        a route that does not converge counts its hops before it raises."""
         # _responsible() located the target and made the memos current.
         responsible = self._responsible(target)
         target_bits = self._located[target][0]
@@ -352,6 +343,7 @@ class PGridDht:
         paths = self._paths
         current = origin
         limit = len(self._members) + self.keyspace.bits
+        hops = 0
         while current != responsible:
             # A hop depends on the target only through the first level at
             # which the current member's path leaves it.
@@ -371,13 +363,15 @@ class PGridDht:
                 # is known on the target's side: go straight to the
                 # responsible peer (models P-Grid's fidget/retry).
                 nxt = responsible
-            hops.append((current, nxt))
+            hops += 1
             current = nxt
-            if len(hops) > limit:
+            if hops > limit:
+                self.metrics.count(MessageCategory.INDEX_SEARCH, hops)
                 raise RoutingError(
                     f"P-Grid routing did not converge within {limit} hops"
                 )
-        return responsible
+        self.metrics.count(MessageCategory.INDEX_SEARCH, hops)
+        return responsible, hops
 
     def _next_hop(self, current: PeerId, mismatch: int) -> PeerId | None:
         """Where ``current`` forwards a target that leaves its path at

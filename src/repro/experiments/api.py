@@ -539,8 +539,9 @@ class ExperimentResult:
     engine: Optional[str]
     #: The scenario the run was evaluated on (``ScenarioParameters.to_dict``).
     scenario: dict[str, object]
-    #: The resolved parameter values the spec accepted (engine excluded —
-    #: it has its own field).
+    #: The resolved parameter values the spec accepted, but for ``engine``
+    #: (it has its own field) and ``store``: where a figure is kept is not
+    #: what it is, and :attr:`source` says whether it came from a store.
     parameters: dict[str, object]
     seed: Optional[int]
     wall_clock_seconds: float
@@ -662,7 +663,7 @@ def run(name: str, **overrides: object) -> ExperimentResult:
         parameters={
             key: value
             for key, value in ctx.params.to_dict().items()
-            if key != "engine"
+            if key not in ("engine", "store")
         },
         seed=merged.seed,
         wall_clock_seconds=wall_clock,

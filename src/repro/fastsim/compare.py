@@ -306,11 +306,6 @@ def _calibrate_churn_costs_probe(
         availability=getattr(churn, "availability", None),
         seed=seed,
     ):
-        if not churn.enabled:
-            raise ParameterError(
-                "calibrate_churn_costs needs enabled churn "
-                "(the no-churn costs come from calibrate_costs)"
-            )
         availability = churn.availability
         if warmup < 0 or rounds <= 0:
             raise ParameterError("need warmup >= 0 and rounds > 0")
@@ -577,7 +572,7 @@ def resolve_costs(
     parent charge identical costs. ``num_active_peers`` is the DHT size
     of the run's strategy policy
     (:func:`~repro.fastsim.kernel.strategy_setup`). Churn costs are
-    resolved only under enabled churn, at the run's own ``seed`` (they
+    resolved only under churn, at the run's own ``seed`` (they
     are substrate-realisation properties — which hot keys' responsible
     members churn — and ``PdhtNetwork(seed)`` is the substrate the event
     engine would run), scaled from ``costs``. The
@@ -586,7 +581,7 @@ def resolve_costs(
     (rank-permutation awareness); no workload is the stationary stream.
     """
     costs = costs or costs_for(params, config, num_active_peers)
-    if churn_costs is None and churn is not None and churn.enabled:
+    if churn_costs is None and churn is not None:
         model = (
             workload.model.calibration_model if workload is not None else None
         )

@@ -401,13 +401,9 @@ class FastSimKernel:
         self.lanes = [_Lane(policy, costs, membership)]
         #: Every lane's report of the last :meth:`run`, in lane order.
         self.reports: list[FastSimReport] = []
-        # A disabled config freezes liveness — a no-op in the event engine
-        # (ChurnProcess.start returns immediately), so treat it as absent
-        # and charge no churn surcharges.
-        self.churn: Optional[ChurnConfig] = None
+        self.churn: Optional[ChurnConfig] = churn
         self.churn_costs: Optional[ChurnOpCosts] = None
-        if churn is not None and churn.enabled:
-            self.churn = churn
+        if churn is not None:
             self.state.set_online(
                 self.inputs.churn_start(params.num_peers, churn)
             )

@@ -20,8 +20,8 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import ParameterError, RoutingError
-from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
+from repro.sim.metrics import MessageCategory, MessageMetrics
 
 __all__ = ["GatewayCache"]
 
@@ -35,8 +35,8 @@ class GatewayCache:
         The shared peer population (liveness source).
     members:
         Current DHT member set (the bootstrap universe).
-    log:
-        Message log for accounting.
+    metrics:
+        Where the bootstrap probes are counted.
     rng:
         Randomness for bootstrap probing.
     """
@@ -48,14 +48,14 @@ class GatewayCache:
         self,
         population: PeerPopulation,
         members: set[PeerId],
-        log: MessageLog,
+        metrics: MessageMetrics,
         rng: np.random.Generator,
     ) -> None:
         if not members:
             raise ParameterError("bootstrap needs at least one DHT member")
         self.population = population
         self.members = set(members)
-        self.log = log
+        self.metrics = metrics
         self.rng = rng
         self._caches: dict[PeerId, OrderedDict[PeerId, None]] = {}
         self.bootstrap_probes = 0
@@ -108,8 +108,7 @@ class GatewayCache:
         order = self.rng.permutation(len(candidates))
         for idx in order:
             candidate = candidates[int(idx)]
-            self.log.send(MessageKind.JOIN, peer_id, candidate)
-            self.log.send(MessageKind.JOIN, candidate, peer_id)
+            self.metrics.count(MessageCategory.MEMBERSHIP, 2)
             self.bootstrap_probes += 1
             if self.population.is_online(candidate):
                 self._remember(peer_id, candidate)

@@ -16,7 +16,7 @@ behaviour. The long-run fraction of online peers converges to
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,13 +38,14 @@ class ChurnConfig:
     mean_offline:
         Average offline time between sessions, seconds.
     enabled:
-        Disabling churn freezes the initial liveness (useful to isolate
-        search behaviour from maintenance behaviour in experiments).
+        Always ``True`` and not an argument: no churn is ``churn=None``.
+        It stays a field only so that the store keys built from a config
+        — and so existing stores — do not change.
     """
 
     mean_session: float = 1800.0
     mean_offline: float = 600.0
-    enabled: bool = True
+    enabled: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
         for name in ("mean_session", "mean_offline"):
@@ -88,8 +89,6 @@ class ChurnProcess:
         Each peer starts online with the stationary availability, so the
         network starts in steady state rather than all-online.
         """
-        if not self.config.enabled:
-            return
         fraction = self.config.availability
         for peer_id in range(len(self.population)):
             online = bool(self.rng.random() < fraction)

@@ -38,7 +38,6 @@ from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError, RoutingError
 from repro.net.bootstrap import GatewayCache
 from repro.net.churn import ChurnConfig, ChurnProcess
-from repro.net.messages import MessageLog
 from repro.net.node import PeerId, PeerPopulation
 from repro.pdht.config import PdhtConfig
 from repro.pdht.ttl_cache import TtlKeyStore
@@ -98,7 +97,6 @@ class PdhtNetwork:
         self.streams = RandomStreams(seed)
         self.simulation = Simulation()
         self.metrics = MessageMetrics()
-        self.log = MessageLog(self.metrics)
 
         # --- population and unstructured plane -------------------------
         self.population = PeerPopulation(params.num_peers)
@@ -128,7 +126,7 @@ class PdhtNetwork:
                 f"num_active_peers must be in [2, {params.num_peers}], "
                 f"got {num_active_peers}"
             )
-        self.dht = PGridDht(self.population, self.log)
+        self.dht = PGridDht(self.population, self.metrics)
         member_ids = self.population.sample_online(
             self.streams.get("membership"), num_active_peers
         )
@@ -159,7 +157,7 @@ class PdhtNetwork:
         self.gateways = GatewayCache(
             self.population,
             set(member_ids),
-            self.log,
+            self.metrics,
             self.streams.get("gateway"),
         )
 
@@ -179,7 +177,7 @@ class PdhtNetwork:
                 self.population,
                 group_members,
                 rng,
-                self.log,
+                self.metrics,
                 degree=self.config.replica_degree,
             )
             self._groups.append(group)
@@ -249,9 +247,7 @@ class PdhtNetwork:
                     held = stores[member].records.get(key)
                     return held is not None and held[1] > now
 
-                hits, msgs = group.flood(
-                    responsible, predicate=live, payload=key
-                )
+                hits, msgs = group.flood(responsible, predicate=live)
                 flood_messages += msgs
                 live_hits = [h for h in hits if h != responsible]
                 if live_hits:
@@ -301,9 +297,7 @@ class PdhtNetwork:
         now = self.simulation.now
         lookup = self.dht.lookup(gateway, key)
         responsible = lookup.responsible
-        reached, flood_msgs = self.group_of(responsible).flood(
-            responsible, payload=key
-        )
+        reached, flood_msgs = self.group_of(responsible).flood(responsible)
         stores = self.stores
         expires_at = now + stores[responsible].ttl
         record = (value, expires_at)

@@ -11,15 +11,15 @@ update.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable
+from typing import Callable
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ParameterError, TopologyError
-from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation
 from repro.net.topology import bridged_regular_rows
+from repro.sim.metrics import MessageCategory, MessageMetrics
 
 __all__ = ["group_rows", "ReplicaNetwork"]
 
@@ -60,8 +60,8 @@ class ReplicaNetwork:
     degree:
         Connections per replica; small (the paper's replica subnetworks are
         sparse so that flooding them costs ~``repl * dup2``).
-    log:
-        Message log for cost accounting.
+    metrics:
+        Where the flood messages are counted.
     """
 
     def __init__(
@@ -69,7 +69,7 @@ class ReplicaNetwork:
         population: PeerPopulation,
         members: list[PeerId],
         rng: np.random.Generator,
-        log: MessageLog,
+        metrics: MessageMetrics,
         degree: int = 3,
     ) -> None:
         if len(set(members)) != len(members):
@@ -80,7 +80,7 @@ class ReplicaNetwork:
             raise TopologyError(f"degree must be >= 1, got {degree}")
         self.population = population
         self.members = list(members)
-        self.log = log
+        self.metrics = metrics
         # The group graph never changes after construction; the online
         # rows and the flood plans derived from them are valid for one
         # ``population.liveness_epoch``.
@@ -91,7 +91,7 @@ class ReplicaNetwork:
             )
         }
         self._online_adjacency: dict[PeerId, tuple[PeerId, ...]] = {}
-        self._flood_plans: dict[PeerId, tuple[tuple, tuple]] = {}
+        self._flood_plans: dict[PeerId, tuple[tuple[PeerId, ...], int]] = {}
         self._online_epoch = -1
 
     # ------------------------------------------------------------------
@@ -120,7 +120,6 @@ class ReplicaNetwork:
         self,
         origin: PeerId,
         predicate: Callable[[PeerId], bool] | None = None,
-        payload: Hashable = None,
     ) -> tuple[list[PeerId], int]:
         """Flood the subnetwork from ``origin``; returns (hits, messages).
 
@@ -134,17 +133,15 @@ class ReplicaNetwork:
         if origin not in self._adjacency:
             raise ParameterError(f"peer {origin} is not in this replica group")
         self.population.require_online(origin)
-        reached, edges = self._flood_plan(origin)
-        self.log.send_all(MessageKind.REPLICA_FLOOD, len(edges), edges, payload)
+        reached, messages = self._flood_plan(origin)
+        self.metrics.count(MessageCategory.REPLICA_FLOOD, messages)
         if predicate is None:
-            return list(reached), len(edges)
-        return [peer for peer in reached if predicate(peer)], len(edges)
+            return list(reached), messages
+        return [peer for peer in reached if predicate(peer)], messages
 
-    def _flood_plan(
-        self, origin: PeerId
-    ) -> tuple[tuple[PeerId, ...], tuple[tuple[PeerId, PeerId], ...]]:
+    def _flood_plan(self, origin: PeerId) -> tuple[tuple[PeerId, ...], int]:
         """The replicas a flood from ``origin`` reaches, in the order it
-        reaches them, and every edge it traverses, in sending order.
+        reaches them, and how many edges it traverses.
 
         Both depend only on the group graph and on who is online, so one
         breadth-first pass per origin serves every flood of a
@@ -154,7 +151,7 @@ class ReplicaNetwork:
         plan = self._flood_plans.get(origin)
         if plan is None:
             reached = [origin]
-            edges: list[tuple[PeerId, PeerId]] = []
+            edges = 0
             seen: set[PeerId] = {origin}
             frontier: deque[tuple[PeerId, PeerId | None]] = deque(
                 [(origin, None)]
@@ -164,11 +161,11 @@ class ReplicaNetwork:
                 for neighbor in neighbors_of[peer]:
                     if neighbor == came_from:
                         continue
-                    edges.append((peer, neighbor))
+                    edges += 1
                     if neighbor in seen:
                         continue
                     seen.add(neighbor)
                     reached.append(neighbor)
                     frontier.append((neighbor, peer))
-            plan = self._flood_plans[origin] = (tuple(reached), tuple(edges))
+            plan = self._flood_plans[origin] = (tuple(reached), edges)
         return plan

@@ -53,9 +53,16 @@ class MessageMetrics:
 
     # ------------------------------------------------------------------
     def count(self, category: MessageCategory, messages: float = 1.0) -> None:
-        """Record ``messages`` sent messages in ``category``."""
-        if messages < 0:
-            raise ParameterError(f"messages must be >= 0, got {messages}")
+        """Record ``messages`` sent messages in ``category``.
+
+        Like a loop that counts one message at a time, ``messages == 0``
+        does not touch the category (the insertion order of
+        :meth:`totals_by_category` is the order of first messages).
+        """
+        if messages <= 0:
+            if messages < 0:
+                raise ParameterError(f"messages must be >= 0, got {messages}")
+            return
         self._totals[category] += messages
 
     def count_each(

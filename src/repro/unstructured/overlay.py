@@ -7,7 +7,6 @@ from typing import Hashable, Optional
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.net.messages import MessageLog
 from repro.net.node import PeerId, PeerPopulation
 from repro.net.topology import GnutellaTopology
 from repro.sim.metrics import MessageMetrics
@@ -30,7 +29,7 @@ class UnstructuredOverlay:
     """A Gnutella-like overlay over which broadcast searches run.
 
     The overlay owns the peer population, the connection graph, the
-    message log and the content plane; the search algorithm
+    message counters and the content plane; the search algorithm
     (:class:`RandomWalkSearch`) operates *on* an overlay rather than
     holding its own state, so one network can be probed by several
     searches in the same experiment.
@@ -47,12 +46,10 @@ class UnstructuredOverlay:
         rng: np.random.Generator,
         degree: int = 4,
         metrics: Optional[MessageMetrics] = None,
-        keep_messages: bool = False,
     ) -> None:
         self.population = population
         self.topology = GnutellaTopology(population, degree, rng)
         self.metrics = metrics or MessageMetrics()
-        self.log = MessageLog(self.metrics, keep_messages=keep_messages)
         #: key -> its replicas; a key no peer holds has no record.
         self.content: dict[Hashable, ContentRecord] = {}
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from repro import obs
 from repro.errors import require_count
-from repro.net.messages import MessageKind
 from repro.net.node import PeerId
+from repro.sim.metrics import MessageCategory
 from repro.sim.rng import CHUNK_WORDS, BoundedStream, reduce_words
 from repro.unstructured.overlay import UnstructuredOverlay
 
@@ -35,7 +35,6 @@ class WalkResult:
     key: Hashable
     found: bool
     value: object
-    holder: Optional[PeerId]
     messages: int
     distinct_peers: int
     steps: int
@@ -93,7 +92,6 @@ class RandomWalkSearch:
     :meth:`~repro.sim.rng.BoundedStream.skip`), and otherwise a bulk pass
     over chunks of words that moves only the walkers (see
     :func:`_walk_tail`); each tail is timed as the ``walk.run_out`` span.
-    An audited search (the log keeps every hop) always walks hop by hop.
 
     The walker owns the generator it was given (or the stream, when
     handed a ``RandomStreams.bounded`` one): between searches the
@@ -137,7 +135,6 @@ class RandomWalkSearch:
                 key=key,
                 found=True,
                 value=overlay.value_at(origin, key),
-                holder=origin,
                 messages=0,
                 distinct_peers=1,
                 steps=0,
@@ -150,9 +147,6 @@ class RandomWalkSearch:
         # key's holder mask; the hops are counted in one call when the
         # search ends.
         neighbors_of = overlay.topology.online_adjacency()
-        log = overlay.log
-        audited = log.keep_messages
-        hops: list[tuple[PeerId, PeerId]] = []  # collected only if audited
         record = overlay.content.get(key)
         mask = record.mask if record is not None else 0
 
@@ -195,8 +189,6 @@ class RandomWalkSearch:
                     else:
                         positions[i] = None  # dead end: walker dies
                         continue
-                    if audited:
-                        hops.append((position, nxt))
                     messages += 1
                     visited.add(nxt)
                     positions[i] = nxt
@@ -207,7 +199,7 @@ class RandomWalkSearch:
                         found_at = nxt
                 if found_at is not None or not any_alive:
                     break
-                if not audited and len(visited) == seen:
+                if len(visited) == seen:
                     open_peer = _open_peer(visited, neighbors_of, open_peer)
                     if open_peer is None:
                         # Every peer reachable was checked: the rest of the
@@ -226,7 +218,9 @@ class RandomWalkSearch:
             if used is not None:
                 stream.close_block(used)
             if messages:
-                log.send_all(MessageKind.QUERY_WALK, messages, hops, key)
+                overlay.metrics.count(
+                    MessageCategory.UNSTRUCTURED_SEARCH, messages
+                )
                 obs.count("walk.hops", messages)
 
         if found_at is None:
@@ -237,7 +231,6 @@ class RandomWalkSearch:
             value=(
                 overlay.value_at(found_at, key) if found_at is not None else None
             ),
-            holder=found_at,
             messages=messages,
             distinct_peers=len(visited),
             steps=step,

@@ -7,8 +7,7 @@ import pytest
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.net.node import PeerPopulation
-from repro.net.messages import MessageLog
-from repro.sim.metrics import MessageMetrics
+from repro.sim.metrics import MessageCategory, MessageMetrics
 
 
 @pytest.fixture
@@ -69,9 +68,37 @@ def metrics() -> MessageMetrics:
     return MessageMetrics()
 
 
-@pytest.fixture
-def log(metrics: MessageMetrics) -> MessageLog:
-    return MessageLog(metrics, keep_messages=True)
+class CountRecorder:
+    """Records what is counted into one :class:`MessageMetrics`.
+
+    Wraps the instance's ``count`` and ``count_each``; :attr:`calls` holds
+    the ``(category, amount)`` of each, in call order — one entry per
+    amount of a ``count_each``. A zero ``count`` touches nothing and is
+    not recorded.
+    """
+
+    def __init__(self, metrics: MessageMetrics) -> None:
+        self.calls: list[tuple[MessageCategory, float]] = []
+        count, count_each = metrics.count, metrics.count_each
+
+        def recording_count(category, messages=1.0):
+            count(category, messages)
+            if messages:
+                self.calls.append((category, messages))
+
+        def recording_count_each(category, amounts):
+            count_each(category, amounts)
+            self.calls.extend((category, amount) for amount in amounts)
+
+        metrics.count = recording_count
+        metrics.count_each = recording_count_each
+
+
+@pytest.fixture(scope="session")
+def recorder() -> type[CountRecorder]:
+    """:class:`CountRecorder`: ``recorder(metrics).calls``. Session-scoped,
+    so a Hypothesis test may take it."""
+    return CountRecorder
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ import pytest
 
 from repro.dht import PGridDht
 from repro.errors import ParameterError, RoutingError
-from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
@@ -27,9 +26,7 @@ BACKEND_IDS = ["pgrid"]
 @pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
 def dht(request):
     population = PeerPopulation(128)
-    metrics = MessageMetrics()
-    log = MessageLog(metrics, keep_messages=False)
-    instance = request.param(population, log)
+    instance = request.param(population, MessageMetrics())
     instance.join_all(range(100))
     return instance
 
@@ -88,12 +85,11 @@ class TestLookup:
         key = "self-lookup"
         owner = dht.responsible_for(key)
         result = dht.lookup(owner, key)
-        assert result.hops == 0
         assert result.messages == 0
 
     def test_hops_scale_sanely(self, dht):
         origins = dht.online_members()[:20]
-        hops = [dht.lookup(o, f"key-{i}").hops for i, o in enumerate(origins)]
+        hops = [dht.lookup(o, f"key-{i}").messages for i, o in enumerate(origins)]
         mean_hops = sum(hops) / len(hops)
         # ~0.5 log2(100) ~= 3.3; anything wildly above that indicates
         # broken routing.
@@ -102,9 +98,9 @@ class TestLookup:
 
     def test_lookup_counts_messages(self, dht):
         origin = dht.online_members()[0]
-        before = dht.log.metrics.total(MessageCategory.INDEX_SEARCH)
+        before = dht.metrics.total(MessageCategory.INDEX_SEARCH)
         result = dht.lookup(origin, "counted")
-        after = dht.log.metrics.total(MessageCategory.INDEX_SEARCH)
+        after = dht.metrics.total(MessageCategory.INDEX_SEARCH)
         assert after - before == result.messages
 
     def test_lookup_from_non_member_rejected(self, dht):
@@ -146,27 +142,27 @@ class TestEmptyAndTiny:
     @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
     def test_empty_dht_has_no_responsible(self, backend):
         population = PeerPopulation(4)
-        dht = backend(population, MessageLog(MessageMetrics()))
+        dht = backend(population, MessageMetrics())
         with pytest.raises(RoutingError):
             dht.responsible_for("k")
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
     def test_single_member_owns_everything(self, backend):
         population = PeerPopulation(4)
-        dht = backend(population, MessageLog(MessageMetrics()))
+        dht = backend(population, MessageMetrics())
         dht.join(2)
         assert dht.responsible_for("a") == 2
-        assert dht.lookup(2, "a").hops == 0
+        assert dht.lookup(2, "a").messages == 0
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
     def test_two_members_route_one_hop(self, backend):
         population = PeerPopulation(4)
-        dht = backend(population, MessageLog(MessageMetrics()))
+        dht = backend(population, MessageMetrics())
         dht.join_all([0, 1])
         for key in ("a", "b", "c", "d", "e"):
             owner = dht.responsible_for(key)
             other = 1 - owner
             result = dht.lookup(other, key)
             assert result.responsible == owner
-            assert result.hops <= 2
+            assert result.messages <= 2
 

@@ -7,7 +7,6 @@ import pytest
 from repro.dht.maintenance import RoutingMaintenance
 from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError
-from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.engine import Simulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
@@ -17,7 +16,7 @@ from repro.sim.metrics import MessageCategory, MessageMetrics
 def dht():
     population = PeerPopulation(80)
     metrics = MessageMetrics()
-    instance = PGridDht(population, MessageLog(metrics))
+    instance = PGridDht(population, metrics)
     instance.join_all(range(64))
     instance.responsible_for("warmup")
     return instance
@@ -45,7 +44,7 @@ class TestExpectedMode:
     def test_sweep_counts_in_maintenance_category(self, dht):
         maintenance = RoutingMaintenance(dht, env=0.1)
         charged = maintenance.run_sweep()
-        assert dht.log.metrics.total(MessageCategory.MAINTENANCE) == pytest.approx(
+        assert dht.metrics.total(MessageCategory.MAINTENANCE) == pytest.approx(
             charged
         )
 

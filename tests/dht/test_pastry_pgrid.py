@@ -8,7 +8,6 @@ import pytest
 
 from repro.dht.pgrid import PGridDht
 from repro.errors import RoutingError
-from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageMetrics
 
@@ -24,7 +23,7 @@ def _path(dht, peer):
 @pytest.fixture
 def pgrid():
     population = PeerPopulation(300)
-    dht = PGridDht(population, MessageLog(MessageMetrics()))
+    dht = PGridDht(population, MessageMetrics())
     dht.join_all(range(256))
     dht.responsible_for("warmup")
     return dht
@@ -104,7 +103,7 @@ class TestPGrid:
     def test_mean_hops_match_eq7(self, pgrid):
         members = pgrid.online_members()
         hops = [
-            pgrid.lookup(members[i % 256], f"key-{i}").hops
+            pgrid.lookup(members[i % 256], f"key-{i}").messages
             for i in range(200)
         ]
         mean = sum(hops) / len(hops)
@@ -115,4 +114,4 @@ class TestPGrid:
     def test_invalid_parameters(self):
         population = PeerPopulation(4)
         with pytest.raises(RoutingError):
-            PGridDht(population, MessageLog(MessageMetrics()), refs_per_level=0)
+            PGridDht(population, MessageMetrics(), refs_per_level=0)

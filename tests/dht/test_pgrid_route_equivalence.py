@@ -4,16 +4,16 @@ lookup, against the per-hop bodies they replaced.
 ISSUE 22 derives what a P-Grid lookup needs — a key's identifier, the
 identifier's bits and leaf, the leaf's owner, a member's next hop at a
 mismatch level — once per key, per routing rebuild or per ``view_key``
-instead of per query, and moves the hop accounting into
-``PGridDht.lookup`` (``_route`` appends its hops, one
-``MessageLog.send_all`` counts them). The replaced bodies are kept here
-verbatim — ``lookup`` and ``responsible_for`` hashing the key every time,
-each ``_route`` sending one ``DHT_LOOKUP`` per hop, P-Grid's
+instead of per query, and counts a lookup's hops in one call. The
+replaced bodies are kept here verbatim — ``lookup`` and
+``responsible_for`` hashing the key every time, P-Grid's
 ``_responsible`` / ``_route`` / ``_next_hop`` re-deriving bits, leaf,
-owner and hop from scratch — and driven side by side with the new code
-through the join / leave / liveness-flip histories of
-``test_routing_views_equivalence.py``. After every operation every online
-member looks up every key on both sides; ``LookupResult``, hop records,
+owner and hop from scratch — but for the accounting: the reference
+``_route`` counts its hops once, as the new one does, instead of sending
+one message per hop. The two are driven side by side through the join /
+leave / liveness-flip histories of ``test_routing_views_equivalence.py``.
+After every operation every online member looks up every key on both
+sides; ``LookupResult``, the recorded counts (the ``recorder`` fixture)
 and the totals *in key order* must be ``==``.
 
 Mutations run against the new code, each caught by the test named:
@@ -36,10 +36,12 @@ Mutations run against the new code, each caught by the test named:
   misses the bits ``_responsible`` just located), or never emptied —
   ``test_per_key_memos_are_bounded``;
 * ``lookup`` not accounting for the hops of a route that raised —
-  ``test_a_route_that_does_not_converge_is_still_counted``; a zero-hop
-  lookup creating the ``INDEX_SEARCH`` key, ``LookupResult.hops`` off by
-  one, the audit records carrying the key instead of the identifier —
-  ``test_lookups_equal_reference_routes`` (totals in key order, records).
+  ``test_a_route_that_does_not_converge_is_still_counted``;
+  ``LookupResult.messages`` off by one —
+  ``test_lookups_equal_reference_routes`` (totals in key order, recorded
+  counts). That a zero-hop lookup creates no ``INDEX_SEARCH`` key is
+  ``MessageMetrics.count``'s rule, which both sides count through:
+  ``tests/sim/test_metrics.py`` holds it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from hypothesis import given, settings
 
 from repro.dht import LookupResult, PGridDht
 from repro.errors import RoutingError
-from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation, dht_id_for
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
@@ -61,8 +62,8 @@ from test_routing_views_equivalence import KEYS, History, histories, leave
 class ReferenceLookup:
     """``DistributedHashTable``'s lookup plane as it was (less the storage
     plane, gone with the class): the key hashed
-    per call, ``_route`` returning ``(responsible, hops)`` having logged
-    each hop itself."""
+    per call, ``_route`` returning ``(responsible, hops)`` having counted
+    them itself."""
 
     def responsible_for(self, key: str) -> PeerId:
         self._ensure_routing()
@@ -75,9 +76,7 @@ class ReferenceLookup:
         self._ensure_routing()
         target = self.keyspace.hash_key(key)
         responsible, hops = self._route(origin, target)
-        return LookupResult(
-            key=key, responsible=responsible, hops=hops, messages=hops
-        )
+        return LookupResult(key=key, responsible=responsible, messages=hops)
 
 
 class ReferencePGrid(ReferenceLookup, PGridDht):
@@ -118,13 +117,14 @@ class ReferencePGrid(ReferenceLookup, PGridDht):
         limit = len(self._members) + self.keyspace.bits
         while current != responsible:
             nxt = self._next_hop(current, target_bits, responsible)
-            self.log.send(MessageKind.DHT_LOOKUP, current, nxt, target)
             hops += 1
             current = nxt
             if hops > limit:
+                self.metrics.count(MessageCategory.INDEX_SEARCH, hops)
                 raise RoutingError(
                     f"P-Grid routing did not converge within {limit} hops"
                 )
+        self.metrics.count(MessageCategory.INDEX_SEARCH, hops)
         return responsible, hops
 
     def _next_hop(self, current: PeerId, target_bits: str, responsible: PeerId) -> PeerId:
@@ -155,15 +155,13 @@ class ReferencePGrid(ReferenceLookup, PGridDht):
 # ----------------------------------------------------------------------
 # Side-by-side replay
 # ----------------------------------------------------------------------
-def _pair(population: PeerPopulation, members, **kwargs):
+def _pair(population: PeerPopulation, members, recorder, **kwargs):
     """The new P-Grid and its reference over one population, each with
-    its own auditing log."""
+    its own metrics and, as ``counted``, what they recorded."""
     sides = []
     for cls in (PGridDht, ReferencePGrid):
-        dht = cls(
-            population, MessageLog(MessageMetrics(), keep_messages=True),
-            **kwargs,
-        )
+        dht = cls(population, MessageMetrics(), **kwargs)
+        dht.counted = recorder(dht.metrics).calls
         dht.join_all(sorted(members))
         sides.append(dht)
     return sides
@@ -177,14 +175,10 @@ def _outcome(call, *args):
 
 
 def _observable(dht) -> dict:
-    metrics = dht.log.metrics
     return {
         # Order included: a category appears when it is first counted.
-        "totals": list(metrics.totals_by_category().items()),
-        "audit": [
-            (m.kind, m.sender, m.receiver, m.payload)
-            for m in dht.log.messages
-        ],
+        "totals": list(dht.metrics.totals_by_category().items()),
+        "counts": dht.counted,
     }
 
 
@@ -197,21 +191,20 @@ def _assert_same_lookups(new, old, population, keys=KEYS) -> None:
         if not population.is_online(origin):
             continue
         for key in keys:
-            got = _outcome(new.lookup, origin, key)
-            assert got == _outcome(old.lookup, origin, key)
-            if isinstance(got, LookupResult):
-                assert got.messages == got.hops
+            assert _outcome(new.lookup, origin, key) == _outcome(
+                old.lookup, origin, key
+            )
     assert _observable(new) == _observable(old)
-    new.log.messages.clear()
-    old.log.messages.clear()
+    new.counted.clear()
+    old.counted.clear()
 
 
-def _replay(history: History) -> None:
+def _replay(history: History, recorder) -> None:
     population = PeerPopulation(history.num_peers)
     for peer in history.offline:
         population.set_online(peer, False)
     new, old = _pair(
-        population, history.members, **dict(history.backend_kwargs)
+        population, history.members, recorder, **dict(history.backend_kwargs)
     )
     _assert_same_lookups(new, old, population)
     for op in history.ops:
@@ -232,11 +225,11 @@ def _replay(history: History) -> None:
                 )
         elif name == "reset":
             for dht in (new, old):
-                dht.log.metrics.reset()
+                dht.metrics.reset()
         elif name == "read":
             # ``total(category)`` inserts the category on read.
             for dht in (new, old):
-                dht.log.metrics.total(MessageCategory.INDEX_SEARCH)
+                dht.metrics.total(MessageCategory.INDEX_SEARCH)
         else:
             continue  # maintenance ops: the other module's subject
         _assert_same_lookups(new, old, population)
@@ -244,8 +237,8 @@ def _replay(history: History) -> None:
 
 @given(histories())
 @settings(max_examples=150, deadline=None)
-def test_lookups_equal_reference_routes(history):
-    _replay(history)
+def test_lookups_equal_reference_routes(recorder, history):
+    _replay(history, recorder)
 
 
 # ----------------------------------------------------------------------
@@ -254,13 +247,13 @@ def test_lookups_equal_reference_routes(history):
 MANY_KEYS = tuple(f"key-{i:04d}" for i in range(24))
 
 
-def test_every_ref_of_a_level_offline():
+def test_every_ref_of_a_level_offline(recorder):
     """A member whose references at one level all go offline routes
     through the complement side's first online member instead, and a
     member with nobody online on that side hands over to the responsible
     peer — and both change back when the references return."""
     population = PeerPopulation(48)
-    new, old = _pair(population, range(0, 48, 2), refs_per_level=2)
+    new, old = _pair(population, range(0, 48, 2), recorder, refs_per_level=2)
     _assert_same_lookups(new, old, population, MANY_KEYS)
     origin = min(new._members)
     path = new._paths[origin]
@@ -279,11 +272,11 @@ def test_every_ref_of_a_level_offline():
         _assert_same_lookups(new, old, population, MANY_KEYS)
 
 
-def test_whole_leaves_offline():
+def test_whole_leaves_offline(recorder):
     """Ownership falls to a sibling subtree while a leaf is dark, and
     returns to the leaf's smallest online member afterwards."""
     population = PeerPopulation(40)
-    new, old = _pair(population, range(40))
+    new, old = _pair(population, range(40), recorder)
     new._ensure_routing()
     leaves = sorted(new._leaf_members.items())
     assert any(len(members) > 1 for _, members in leaves)
@@ -298,12 +291,12 @@ def test_whole_leaves_offline():
     _assert_same_lookups(new, old, population, MANY_KEYS)
 
 
-def test_memos_do_not_outlive_a_join_or_leave():
+def test_memos_do_not_outlive_a_join_or_leave(recorder):
     """A rebuild deepens or flattens the trie: bits, leaves, owners and
     hops recorded for the old one must all be forgotten. The newcomers
     have the smaller ids, so they take over references and leaves."""
     population = PeerPopulation(64)
-    new, old = _pair(population, range(32, 40))
+    new, old = _pair(population, range(32, 40), recorder)
     _assert_same_lookups(new, old, population, MANY_KEYS)
     depth = new._max_leaf_depth
     for dht in (new, old):
@@ -322,25 +315,25 @@ def test_memos_do_not_outlive_a_join_or_leave():
     assert new._max_leaf_depth <= depth
 
 
-def test_per_key_memos_are_bounded(monkeypatch):
+def test_per_key_memos_are_bounded(monkeypatch, recorder):
     """An open key universe does not grow the per-key memos without end:
     at ``KEY_MEMO_LIMIT`` entries they start over, mid-run, unnoticed."""
     from repro.dht import pgrid
 
     monkeypatch.setattr(pgrid, "KEY_MEMO_LIMIT", 7)
     population = PeerPopulation(24)
-    new, old = _pair(population, range(24))
+    new, old = _pair(population, range(24), recorder)
     _assert_same_lookups(new, old, population, MANY_KEYS)
     assert len(MANY_KEYS) > 7
     assert 0 < len(new._targets) <= 7
     assert 0 < len(new._located) <= 7
 
 
-def test_lopsided_split_routes():
+def test_lopsided_split_routes(recorder):
     """Two members sharing their first bit: one leaf, the empty path."""
     population = PeerPopulation(64)
     zeros = [p for p in range(64) if dht_id_for(p) >> 159 == 0][:2]
-    new, old = _pair(population, zeros)
+    new, old = _pair(population, zeros, recorder)
     new._ensure_routing()
     assert new._paths[zeros[0]] == ""
     _assert_same_lookups(new, old, population, MANY_KEYS)
@@ -373,11 +366,12 @@ class OldLostPGrid(_PingPong, ReferencePGrid):
         return self._bounce(current, None)
 
 
-def test_a_route_that_does_not_converge_is_still_counted():
+def test_a_route_that_does_not_converge_is_still_counted(recorder):
     population = PeerPopulation(8)
     sides = []
     for cls in (NewLostPGrid, OldLostPGrid):
-        dht = cls(population, MessageLog(MessageMetrics(), keep_messages=True))
+        dht = cls(population, MessageMetrics())
+        dht.counted = recorder(dht.metrics).calls
         dht.join_all(range(8))
         sides.append(dht)
     new, old = sides
@@ -391,4 +385,4 @@ def test_a_route_that_does_not_converge_is_still_counted():
     assert raised
     assert _observable(new) == _observable(old)
     # the guard fires after the hop that exceeds the limit was taken
-    assert new.log.metrics.total(MessageCategory.INDEX_SEARCH) >= limit + 1
+    assert new.metrics.total(MessageCategory.INDEX_SEARCH) >= limit + 1

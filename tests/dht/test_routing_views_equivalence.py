@@ -15,7 +15,9 @@ histories of joins, leaves and liveness flips; the two must agree exactly
 * ``reference_run_sweep`` / ``reference_expected_rate`` — one
   ``metrics.count`` per member, ``len`` of a freshly built table;
 * ``reference_online_neighbors`` / ``reference_flood`` — the replica
-  graph's rows re-sorted and re-filtered per visited replica.
+  graph's rows re-sorted and re-filtered per visited replica, the edges
+  traversed counted once when the flood ends, as the new code counts
+  them (the recorded counts of the ``recorder`` fixture must be ``==``).
 
 Mutations run against the new code, each caught by the test named:
 
@@ -33,15 +35,14 @@ Mutations run against the new code, each caught by the test named:
   descending order — ``test_pgrid_members_under``;
 * replica adjacency rows left unsorted, or not refiltered when the epoch
   moves — ``test_replica_flood_equals_reference``;
-* (ISSUE 22) a flood plan surviving a liveness flip, one plan shared
-  by every origin, the reach order sorted or without the origin, the
-  edge list sorted or without the duplicate deliveries —
+* a flood plan surviving a liveness flip, one plan shared by every
+  origin, the reach order sorted or without the origin, the edge count
+  without the duplicate deliveries —
   ``test_replica_flood_equals_reference``,
   ``test_replica_flood_plan_does_not_outlive_a_flip``,
   ``test_callers_may_mutate_what_they_are_given``; a flood without
   edges creating the ``REPLICA_FLOOD`` key —
-  ``test_replica_flood_without_edges_counts_nothing`` and the totals
-  comparison of the property test;
+  ``test_replica_flood_without_edges_counts_nothing``;
 * ``online_members`` handing out the cached container itself —
   ``test_callers_may_mutate_what_they_are_given``
   (``fastsim/compare.py`` keeps the list);
@@ -62,7 +63,6 @@ from hypothesis import given, settings, strategies as st
 from repro.dht import PGridDht
 from repro.dht.maintenance import RoutingMaintenance
 from repro.errors import OfflinePeerError, ParameterError, RoutingError
-from repro.net.messages import MessageKind, MessageLog
 from repro.net.node import PeerId, PeerPopulation, dht_id_for
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.metrics import MessageCategory, MessageMetrics
@@ -89,14 +89,14 @@ class ReferenceViews:
         if peer_id in self._members:
             return
         self._members[peer_id] = dht_id_for(peer_id)
-        self.log.send(MessageKind.JOIN, peer_id, peer_id)
+        self.metrics.count(MessageCategory.MEMBERSHIP)
         self._dirty = True
 
     def leave(self, peer_id: PeerId) -> None:
         if peer_id not in self._members:
             return
         del self._members[peer_id]
-        self.log.send(MessageKind.LEAVE, peer_id, peer_id)
+        self.metrics.count(MessageCategory.MEMBERSHIP)
         self._dirty = True
 
     def _ensure_routing(self) -> None:
@@ -121,7 +121,7 @@ def leave(dht, peer_id: PeerId) -> None:
         dht.leave(peer_id)
     elif peer_id in dht._members:
         del dht._members[peer_id]
-        dht.log.send(MessageKind.LEAVE, peer_id, peer_id)
+        dht.metrics.count(MessageCategory.MEMBERSHIP)
         dht._membership_version += 1
 
 
@@ -160,9 +160,7 @@ def reference_run_sweep(self: RoutingMaintenance) -> float:
         if not table:
             continue
         messages = self.env * len(table)
-        self.dht.log.metrics.count(
-            MessageKind.ROUTING_PROBE.category, messages
-        )
+        self.dht.metrics.count(MessageCategory.MAINTENANCE, messages)
         self.probes_sent += messages
         charged += messages
     self.sweeps += 1
@@ -183,7 +181,7 @@ def reference_online_neighbors(self: ReplicaNetwork, member: PeerId):
     ]
 
 
-def reference_flood(self: ReplicaNetwork, origin, predicate=None, payload=None):
+def reference_flood(self: ReplicaNetwork, origin, predicate=None):
     if origin not in self._adjacency:
         raise ParameterError(f"peer {origin} is not in this replica group")
     self.population.require_online(origin)
@@ -200,7 +198,6 @@ def reference_flood(self: ReplicaNetwork, origin, predicate=None, payload=None):
         for neighbor in reference_online_neighbors(self, peer):
             if neighbor == came_from:
                 continue
-            self.log.send(MessageKind.REPLICA_FLOOD, peer, neighbor, payload)
             messages += 1
             if neighbor in seen:
                 continue
@@ -208,6 +205,7 @@ def reference_flood(self: ReplicaNetwork, origin, predicate=None, payload=None):
             if predicate(neighbor):
                 hits.append(neighbor)
             frontier.append((neighbor, peer))
+    self.metrics.count(MessageCategory.REPLICA_FLOOD, messages)
     return hits, messages
 
 
@@ -239,12 +237,14 @@ class History:
     ops: tuple
     env: float
 
-    def build(self, reference: bool, population: PeerPopulation):
-        """One DHT + maintenance over ``population``, with its own log."""
+    def build(self, reference: bool, population: PeerPopulation, recorder):
+        """One DHT + maintenance over ``population``, with its own
+        metrics and, as ``counted``, what they recorded."""
         cls = SIDES[1 if reference else 0]
         dht = cls(
-            population, MessageLog(MessageMetrics()), **dict(self.backend_kwargs)
+            population, MessageMetrics(), **dict(self.backend_kwargs)
         )
+        dht.counted = recorder(dht.metrics).calls
         dht.join_all(sorted(self.members))
         return dht, RoutingMaintenance(dht, self.env)
 
@@ -276,14 +276,14 @@ def _outcome(call, *args):
         return type(error), str(error)
 
 
-def _replay(history: History, check) -> None:
+def _replay(history: History, check, recorder) -> None:
     """Drive the new code and the reference through one history on a
     shared population; ``check`` runs after the build and after each op."""
     population = PeerPopulation(history.num_peers)
     for peer in history.offline:
         population.set_online(peer, False)
-    new = history.build(False, population)
-    old = history.build(True, population)
+    new = history.build(False, population, recorder)
+    old = history.build(True, population, recorder)
     check(new, old, population)
     for op in history.ops:
         name = op[0]
@@ -312,16 +312,16 @@ def _replay(history: History, check) -> None:
             assert got == want
         elif name == "totals":
             # Order included: it is the summation order of ``total()``.
-            got = new[0].log.metrics.totals_by_category()
-            want = old[0].log.metrics.totals_by_category()
+            got = new[0].metrics.totals_by_category()
+            want = old[0].metrics.totals_by_category()
             assert list(got.items()) == list(want.items())
         elif name == "reset":
             for dht, _ in (new, old):
-                dht.log.metrics.reset()
+                dht.metrics.reset()
         elif name == "read":
             # ``total(category)`` inserts the category on read.
             for dht, _ in (new, old):
-                dht.log.metrics.total(MessageCategory.MAINTENANCE)
+                dht.metrics.total(MessageCategory.MAINTENANCE)
         check(new, old, population)
 
 
@@ -346,13 +346,13 @@ def _check_views(new, old, population) -> None:
 
 @given(histories())
 @settings(max_examples=120, deadline=None)
-def test_views_equal_reference_scans(history):
-    _replay(history, _check_views)
+def test_views_equal_reference_scans(recorder, history):
+    _replay(history, _check_views, recorder)
 
 
 def test_callers_may_mutate_what_they_are_given():
     population = PeerPopulation(12)
-    dht = PGridDht(population, MessageLog(MessageMetrics()))
+    dht = PGridDht(population, MessageMetrics())
     dht.join_all(range(10))
     taken = dht.online_members()
     taken.remove(3)
@@ -361,7 +361,7 @@ def test_callers_may_mutate_what_they_are_given():
 
     group = ReplicaNetwork(
         population, list(range(8)), np.random.default_rng(5),
-        MessageLog(MessageMetrics()), degree=3,
+        MessageMetrics(), degree=3,
     )
     assert group.flood(2) == reference_flood(group, 2)
 
@@ -371,7 +371,7 @@ def test_callers_may_mutate_what_they_are_given():
 # ----------------------------------------------------------------------
 def _check_sweep_state(new, old, population) -> None:
     (dht, maintenance), (ref, reference) = new, old
-    metrics, ref_metrics = dht.log.metrics, ref.log.metrics
+    metrics, ref_metrics = dht.metrics, ref.metrics
     assert maintenance.probes_sent == reference.probes_sent
     assert maintenance.sweeps == reference.sweeps
     assert maintenance.expected_rate() == reference_expected_rate(reference)
@@ -380,12 +380,13 @@ def _check_sweep_state(new, old, population) -> None:
         ref_metrics.totals_by_category().items()
     )
     assert metrics.total() == ref_metrics.total()
+    assert dht.counted == ref.counted
 
 
 @given(histories())
 @settings(max_examples=150, deadline=None)
-def test_sweep_equals_one_count_per_member(history):
-    _replay(history, _check_sweep_state)
+def test_sweep_equals_one_count_per_member(recorder, history):
+    _replay(history, _check_sweep_state, recorder)
 
 
 def test_sweep_accumulates_member_by_member_at_scale():
@@ -394,7 +395,7 @@ def test_sweep_accumulates_member_by_member_at_scale():
     population = PeerPopulation(400)
     sides = []
     for cls in SIDES:
-        dht = cls(population, MessageLog(MessageMetrics()))
+        dht = cls(population, MessageMetrics())
         dht.join_all(range(0, 400, 4))
         dht.join_all(range(1, 400, 2))
         sides.append((dht, RoutingMaintenance(dht)))
@@ -405,12 +406,12 @@ def test_sweep_accumulates_member_by_member_at_scale():
                 population.set_online(peer, False)
         assert maintenance.run_sweep() == reference_run_sweep(reference)
         if sweep % 10 == 9:
-            assert dht.log.metrics.totals_by_category() == (
-                ref.log.metrics.totals_by_category()
+            assert dht.metrics.totals_by_category() == (
+                ref.metrics.totals_by_category()
             )
     assert maintenance.probes_sent == reference.probes_sent
-    assert dht.log.metrics.total(MessageCategory.MAINTENANCE) == (
-        ref.log.metrics.total(MessageCategory.MAINTENANCE)
+    assert dht.metrics.total(MessageCategory.MAINTENANCE) == (
+        ref.metrics.total(MessageCategory.MAINTENANCE)
     )
     # The guard against the tempting rewrite: one multiplication is not
     # the same float as three hundred additions.
@@ -471,8 +472,8 @@ def _check_members_under(new, old, population) -> None:
 
 @given(histories())
 @settings(max_examples=120, deadline=None)
-def test_pgrid_members_under(history):
-    _replay(history, _check_members_under)
+def test_pgrid_members_under(recorder, history):
+    _replay(history, _check_members_under, recorder)
 
 
 def test_pgrid_lopsided_split_and_buckets():
@@ -481,7 +482,7 @@ def test_pgrid_lopsided_split_and_buckets():
     population = PeerPopulation(64)
     sides = []
     for cls in SIDES:
-        dht = cls(population, MessageLog(MessageMetrics()))
+        dht = cls(population, MessageMetrics())
         dht.join_all(range(0, 64, 3))
         sides.append((dht, None))
     _check_members_under(*sides, population)
@@ -492,7 +493,7 @@ def test_pgrid_lopsided_split_and_buckets():
     pair = [p for p, bit in first_bits.items() if bit == 0][:2]
     sides = []
     for cls in SIDES:
-        dht = cls(population, MessageLog(MessageMetrics()))
+        dht = cls(population, MessageMetrics())
         dht.join_all(pair)
         sides.append((dht, None))
     _check_members_under(*sides, population)
@@ -508,17 +509,20 @@ class ReplicaWorld:
     members: tuple
     degree: int
     graph_seed: int
-    #: per epoch: (peers to flip, predicate set, payload)
+    #: per epoch: (peers to flip, predicate set)
     epochs: tuple
 
-    def build(self, population: PeerPopulation) -> ReplicaNetwork:
-        return ReplicaNetwork(
+    def build(self, population: PeerPopulation, recorder) -> ReplicaNetwork:
+        """The group, with what its metrics recorded as ``counted``."""
+        network = ReplicaNetwork(
             population,
             list(self.members),
             np.random.default_rng(self.graph_seed),
-            MessageLog(MessageMetrics(), keep_messages=True),
+            MessageMetrics(),
             degree=self.degree,
         )
+        network.counted = recorder(network.metrics).calls
+        return network
 
 
 @st.composite
@@ -529,7 +533,6 @@ def replica_worlds(draw):
     epoch = st.tuples(
         st.lists(ids, max_size=4),
         st.one_of(st.none(), st.frozensets(ids)),
-        st.sampled_from([None, "key-a"]),
     )
     return ReplicaWorld(
         num_peers=num_peers,
@@ -540,24 +543,19 @@ def replica_worlds(draw):
     )
 
 
-def _sent(network: ReplicaNetwork) -> list[tuple]:
-    return [
-        (m.kind, m.sender, m.receiver, m.payload) for m in network.log.messages
-    ]
-
-
 @given(replica_worlds())
 @settings(max_examples=150, deadline=None)
-def test_replica_flood_equals_reference(world):
+def test_replica_flood_equals_reference(recorder, world):
     population = PeerPopulation(world.num_peers)
-    new, old = world.build(population), world.build(population)
+    new = world.build(population, recorder)
+    old = world.build(population, recorder)
     assert new._adjacency == old._adjacency
-    for flips, holders, payload in world.epochs:
+    for flips, holders in world.epochs:
         for peer in flips:
             population.set_online(peer, not population.is_online(peer))
         predicate = None if holders is None else holders.__contains__
         # Twice over the members: the second flood from an origin finds
-        # the plan its first one left (ISSUE 22), under the other
+        # the plan its first one left, under the other
         # predicate; the next epoch's finds it stale.
         for predicate in (predicate, None):
             for member in world.members:
@@ -565,18 +563,18 @@ def test_replica_flood_equals_reference(world):
                 assert got == reference_online_neighbors(old, member)
                 if not population.is_online(member):
                     continue
-                assert new.flood(member, predicate, payload) == reference_flood(
-                    old, member, predicate, payload
+                assert new.flood(member, predicate) == reference_flood(
+                    old, member, predicate
                 )
-        assert _sent(new) == _sent(old)
+        assert new.counted == old.counted
         # Key order included; a flood that traverses no edge (a lone or
         # cut-off origin) must not create the category.
-        assert list(new.log.metrics.totals_by_category().items()) == list(
-            old.log.metrics.totals_by_category().items()
+        assert list(new.metrics.totals_by_category().items()) == list(
+            old.metrics.totals_by_category().items()
         )
 
 
-def test_replica_flood_plan_does_not_outlive_a_flip():
+def test_replica_flood_plan_does_not_outlive_a_flip(recorder):
     """Two floods from one origin with a liveness flip in between, then
     two more with it undone: reach order and edges follow every time."""
     population = PeerPopulation(12)
@@ -584,37 +582,35 @@ def test_replica_flood_plan_does_not_outlive_a_flip():
         num_peers=12, members=tuple(range(12)), degree=3, graph_seed=4,
         epochs=(),
     )
-    new, old = world.build(population), world.build(population)
+    new, old = world.build(population, recorder), world.build(population, recorder)
     origin = 0
     neighbor = new.online_adjacency()[origin][0]
     for online in (True, False, False, True, True):
         population.set_online(neighbor, online)
-        got = new.flood(origin, None, "k")
-        assert got == reference_flood(old, origin, None, "k")
+        got = new.flood(origin)
+        assert got == reference_flood(old, origin)
         assert (neighbor in got[0]) == online
-        assert _sent(new) == _sent(old)
-    assert new.log.metrics.totals_by_category() == (
-        old.log.metrics.totals_by_category()
+        assert new.counted == old.counted
+    assert new.metrics.totals_by_category() == (
+        old.metrics.totals_by_category()
     )
 
 
 def test_replica_flood_without_edges_counts_nothing():
     population = PeerPopulation(4)
     lone = ReplicaNetwork(
-        population, [2], np.random.default_rng(0),
-        MessageLog(MessageMetrics(), keep_messages=True),
+        population, [2], np.random.default_rng(0), MessageMetrics()
     )
     assert lone.flood(2) == ([2], 0)
     assert lone.flood(2, lambda peer: False) == ([], 0)
-    assert lone.log.metrics.totals_by_category() == {}
-    assert lone.log.messages == []
+    assert lone.metrics.totals_by_category() == {}
 
 
 def test_replica_flood_rejects_strangers_and_offline_origins():
     population = PeerPopulation(6)
     group = ReplicaNetwork(
         population, [0, 1, 2, 3], np.random.default_rng(1),
-        MessageLog(MessageMetrics()), degree=2,
+        MessageMetrics(), degree=2,
     )
     with pytest.raises(ParameterError):
         group.flood(5)

@@ -279,6 +279,23 @@ class TestCli:
         with pytest.raises(SystemExit):
             self._main(["all", "fig99"])
 
+    def test_the_store_path_is_no_part_of_the_json(self, capsys, tmp_path):
+        """Two runs whose ``--store`` paths differ in length print the
+        same JSON but for the wall clock: where a figure is kept is not
+        what it is (``source`` says whether it came from a store)."""
+        payloads = []
+        for store in (tmp_path / "a.db", tmp_path / "longer-dir" / "b.db"):
+            store.parent.mkdir(exist_ok=True)
+            argv = ["sim", "--engine", "vectorized", "--scale", "0.02",
+                    "--duration", "20", "--store", str(store),
+                    "--format", "json"]
+            assert self._main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert "store" not in payload["provenance"]["parameters"]
+            payload["provenance"].pop("wall_clock_seconds")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
     def test_gated_engine_request_exits_nonzero_with_reason(self, capsys):
         assert self._main(["sweep", "--engine", "event"]) == 2
         err = capsys.readouterr().err

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.fastsim import FastSimKernel, PerOpCosts
 from repro.fastsim.inputs import RoundInputs
 from repro.fastsim.state import FastSimState
 from repro.net.churn import ChurnConfig
@@ -46,15 +45,3 @@ def test_transition_rate_matches_event_model(small_params):
     assert abs(flips - expected) < 4 * np.sqrt(expected)
     assert flips == int(mask.sum())
     assert state.online_count == 10_000 - flips  # every flip went offline
-
-
-def test_disabled_churn_freezes_liveness(small_params):
-    kernel = FastSimKernel(
-        small_params,
-        churn=ChurnConfig(enabled=False),
-        costs=PerOpCosts.analytical(small_params),
-    )
-    assert kernel.churn is None
-    assert kernel.state.online.all()  # disabled churn = everyone stays online
-    assert kernel.run(20.0).churn_transitions == 0
-    assert kernel.state.online.all()

@@ -153,15 +153,6 @@ class TestCalibratedChurnCosts:
         assert 0.0 <= calibrated.turnover_miss < 0.2
         assert calibrated.maintenance_per_round > 0
 
-    def test_disabled_churn_rejected(self):
-        from repro.fastsim.compare import calibrate_churn_costs
-
-        with pytest.raises(ParameterError, match="enabled churn"):
-            calibrate_churn_costs(
-                simulation_scenario(scale=0.02),
-                ChurnConfig(enabled=False),
-            )
-
 
 class TestChurnCostsPolicy:
     def test_structural_beyond_calibration_limit(self):

@@ -248,20 +248,6 @@ class TestShiftsAndChurn:
         assert report.queries == 0
         assert charges == []
 
-    def test_disabled_churn_is_a_no_op(self, small_params):
-        # ChurnConfig(enabled=False) freezes liveness in the event engine;
-        # the kernel must charge no churn surcharges for it.
-        plain = run_fastsim(small_params, duration=50.0, seed=4)
-        frozen = run_fastsim(
-            small_params,
-            duration=50.0,
-            seed=4,
-            churn=ChurnConfig(enabled=False),
-        )
-        assert frozen.messages_by_category == plain.messages_by_category
-        assert frozen.index_hits == plain.index_hits
-        assert frozen.churn_transitions == 0
-
     def test_churn_reduces_hits_and_adds_cost(self, small_params):
         quiet = run_fastsim(small_params, duration=100.0, seed=3)
         churned = run_fastsim(

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ParameterError, RoutingError
 from repro.net.bootstrap import GatewayCache
-from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
@@ -15,9 +14,8 @@ from repro.sim.metrics import MessageCategory, MessageMetrics
 def setup(rng):
     population = PeerPopulation(50)
     metrics = MessageMetrics()
-    log = MessageLog(metrics)
     members = set(range(10))  # peers 0-9 are DHT members
-    cache = GatewayCache(population, members, log, rng)
+    cache = GatewayCache(population, members, metrics, rng)
     return population, cache, metrics
 
 
@@ -105,6 +103,5 @@ class TestCacheBehaviour:
 
     def test_invalid_construction(self, rng):
         population = PeerPopulation(5)
-        log = MessageLog(MessageMetrics())
         with pytest.raises(ParameterError):
-            GatewayCache(population, set(), log, rng)
+            GatewayCache(population, set(), MessageMetrics(), rng)

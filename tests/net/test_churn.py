@@ -64,13 +64,3 @@ class TestChurnProcess:
         assert len(population.online_ids) / len(population) == pytest.approx(
             config.availability, abs=0.1
         )
-
-    def test_disabled_churn_freezes_liveness(self, rng):
-        sim = Simulation()
-        population = PeerPopulation(50)
-        config = ChurnConfig(enabled=False)
-        process = ChurnProcess(sim, population, config, rng)
-        process.start()
-        sim.run(until=10_000.0)
-        assert process.transitions == 0
-        assert len(population.online_ids) == 50

@@ -51,7 +51,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import ParameterError, TopologyError
 from repro.fastsim.churncosts import structural_flood_cost
-from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.net.topology import GnutellaTopology, bridged_regular_rows
 from repro.replication.replica_network import ReplicaNetwork, group_rows
@@ -262,7 +261,7 @@ def test_replica_network_equals_old_constructor(members, degree, seed):
     graph = reference_replica_graph(members, old_rng, degree)
     expected = {m: tuple(sorted(graph.neighbors(m))) for m in members}
     group = ReplicaNetwork(
-        PeerPopulation(80), members, new_rng, MessageLog(MessageMetrics()),
+        PeerPopulation(80), members, new_rng, MessageMetrics(),
         degree=degree,
     )
     assert group._adjacency == expected

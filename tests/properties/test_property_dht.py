@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dht import PGridDht
-from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.sim.metrics import MessageMetrics
 
@@ -19,7 +18,7 @@ members_st = st.sets(st.integers(min_value=0, max_value=63), min_size=2, max_siz
 
 def build(members):
     population = PeerPopulation(64)
-    dht = PGridDht(population, MessageLog(MessageMetrics()))
+    dht = PGridDht(population, MessageMetrics())
     dht.join_all(sorted(members))
     return dht
 
@@ -45,7 +44,7 @@ def test_routing_reaches_responsible(members, key, origin_choice):
     origin = online[origin_choice % len(online)]
     result = dht.lookup(origin, key)
     assert result.responsible == dht.responsible_for(key)
-    assert result.hops <= len(members) + 200
+    assert result.messages <= len(members) + 200
 
 
 @given(

@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.metrics import MessageMetrics
@@ -22,8 +21,9 @@ from repro.sim.metrics import MessageMetrics
 def test_flood_reaches_every_online_replica(group_size, degree, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     population = PeerPopulation(group_size + 5)
-    log = MessageLog(MessageMetrics())
-    group = ReplicaNetwork(population, list(range(group_size)), rng, log, degree=degree)
+    group = ReplicaNetwork(
+        population, list(range(group_size)), rng, MessageMetrics(), degree=degree
+    )
     hits, messages = group.flood(0)
     assert sorted(hits) == group.members
     # Flood cost bounded by twice the edge count.

@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro.errors import ParameterError
-from repro.net.messages import MessageLog
 from repro.net.node import PeerPopulation
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.metrics import MessageCategory, MessageMetrics
@@ -20,9 +19,8 @@ def graph_of(group):
 @pytest.fixture
 def group(rng):
     population = PeerPopulation(100)
-    log = MessageLog(MessageMetrics())
     members = list(range(10, 60))  # 50 replicas, like the paper
-    return ReplicaNetwork(population, members, rng, log, degree=3)
+    return ReplicaNetwork(population, members, rng, MessageMetrics(), degree=3)
 
 
 class TestConstruction:
@@ -34,17 +32,16 @@ class TestConstruction:
 
     def test_duplicate_members_rejected(self, rng):
         population = PeerPopulation(10)
-        log = MessageLog(MessageMetrics())
         with pytest.raises(ParameterError):
-            ReplicaNetwork(population, [1, 1, 2], rng, log)
+            ReplicaNetwork(population, [1, 1, 2], rng, MessageMetrics())
 
     def test_empty_group_rejected(self, rng):
         with pytest.raises(ParameterError):
-            ReplicaNetwork(PeerPopulation(10), [], rng, MessageLog(MessageMetrics()))
+            ReplicaNetwork(PeerPopulation(10), [], rng, MessageMetrics())
 
     def test_singleton_group(self, rng):
         group = ReplicaNetwork(
-            PeerPopulation(10), [3], rng, MessageLog(MessageMetrics())
+            PeerPopulation(10), [3], rng, MessageMetrics()
         )
         hits, messages = group.flood(3)
         assert hits == [3]
@@ -52,7 +49,7 @@ class TestConstruction:
 
     def test_tiny_group_falls_back_to_cycle(self, rng):
         group = ReplicaNetwork(
-            PeerPopulation(10), [1, 2, 3], rng, MessageLog(MessageMetrics()), degree=5
+            PeerPopulation(10), [1, 2, 3], rng, MessageMetrics(), degree=5
         )
         assert nx.is_connected(graph_of(group))
 
@@ -81,9 +78,9 @@ class TestFlood:
         assert repl <= messages <= 3 * repl
 
     def test_flood_counts_in_replica_category(self, group):
-        before = group.log.metrics.total(MessageCategory.REPLICA_FLOOD)
+        before = group.metrics.total(MessageCategory.REPLICA_FLOOD)
         _, messages = group.flood(group.members[0])
-        after = group.log.metrics.total(MessageCategory.REPLICA_FLOOD)
+        after = group.metrics.total(MessageCategory.REPLICA_FLOOD)
         assert after - before == messages
 
     def test_flood_from_non_member_rejected(self, group):

@@ -25,6 +25,18 @@ class TestMessageMetrics:
         with pytest.raises(ParameterError):
             MessageMetrics().count(MessageCategory.UPDATE, -1)
 
+    def test_zero_count_does_not_touch_the_category(self):
+        """Categories appear in the order of their first message, as if
+        each operation counted one message at a time."""
+        metrics = MessageMetrics()
+        metrics.count(MessageCategory.INDEX_SEARCH, 0)
+        metrics.count(MessageCategory.REPLICA_FLOOD, 2)
+        metrics.count(MessageCategory.INDEX_SEARCH, 3)
+        assert list(metrics.totals_by_category().items()) == [
+            (MessageCategory.REPLICA_FLOOD, 2),
+            (MessageCategory.INDEX_SEARCH, 3),
+        ]
+
     def test_total_across_categories(self):
         metrics = MessageMetrics()
         metrics.count(MessageCategory.INDEX_SEARCH, 3)

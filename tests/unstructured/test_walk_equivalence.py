@@ -1,15 +1,16 @@
 """Differential test: the fast walk loop against the loop it replaced.
 
 ``reference_search`` is the pre-optimisation ``RandomWalkSearch.search``
-kept verbatim (three call layers, a scalar ``rng.integers`` and one
-``log.send`` per hop); the only edit is that it lists online neighbours
-by filtering the configured connections per hop, as the topology did
-then, instead of through the adjacency table the fast loop reads. The two
-must agree exactly, not approximately: same ``WalkResult``, same message
-totals, same audit records in the same order, and the walk generator left
-in the same state — read through ``walker.rng``, after every search or
-only after a run of them (the walker's draw stream persists across
-searches).
+kept verbatim (three call layers and a scalar ``rng.integers`` per hop);
+the only edits are that it lists online neighbours by filtering the
+configured connections per hop, as the topology did then, instead of
+through the adjacency table the fast loop reads, and that it counts its
+hops once when it ends, as the fast loop does, instead of one message
+per hop. The two must agree exactly, not approximately: same
+``WalkResult``, same message totals, the same counts recorded in the same
+order (the ``recorder`` fixture), and the walk generator left in the same
+state — read through ``walker.rng``, after every search or only after a
+run of them (the walker's draw stream persists across searches).
 
 A search trapped in an online component with no replica ends in closed
 form. The generated worlds include a two-peer component (no draw), stars
@@ -32,9 +33,8 @@ named:
   (``[star-centre-odd]``, ``[star-centre-one-walker]``);
 * ``ttl - step + 1`` remaining steps — the message totals differ (every
   case);
-* the tail taken on an audited search — the audit log misses the tail's
-  hops — or skipped for a key that is not a ``str`` — no ``walk.trapped``
-  (both ``test_only_audited_walks_take_each_hop``);
+* the tail skipped for a key that is not a ``str`` — no ``walk.trapped``
+  (``test_a_key_that_is_not_a_str_ends_trapped``);
 * the closure test skipping the origin's row — a walker back at the
   star's centre looks trapped before it has seen every leaf
   (``[star-centre-*]``).
@@ -64,7 +64,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.messages import MessageKind
 from repro.net.node import PeerId, PeerPopulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
 from repro.unstructured.overlay import UnstructuredOverlay
@@ -86,7 +85,6 @@ def reference_search(self, origin: PeerId, key: Hashable) -> WalkResult:
             key=key,
             found=True,
             value=self.overlay.value_at(origin, key),
-            holder=origin,
             messages=0,
             distinct_peers=1,
             steps=0,
@@ -97,43 +95,43 @@ def reference_search(self, origin: PeerId, key: Hashable) -> WalkResult:
     messages = 0
     found_at: Optional[PeerId] = None
 
-    for step in range(1, self.ttl + 1):
-        any_alive = False
-        for i, position in enumerate(positions):
-            if position is None:
-                continue
-            neighbors = _reference_online_neighbors(self.overlay, position)
-            if not neighbors:
-                positions[i] = None  # dead end: walker dies
-                continue
-            nxt = neighbors[int(self.rng.integers(0, len(neighbors)))]
-            self.overlay.log.send(MessageKind.QUERY_WALK, position, nxt, key)
-            messages += 1
-            visited.add(nxt)
-            positions[i] = nxt
-            any_alive = True
-            if self.overlay.peer_has(nxt, key):
-                found_at = nxt
-        if found_at is not None or not any_alive:
-            return WalkResult(
-                key=key,
-                found=found_at is not None,
-                value=(
-                    self.overlay.value_at(found_at, key)
-                    if found_at is not None
-                    else None
-                ),
-                holder=found_at,
-                messages=messages,
-                distinct_peers=len(visited),
-                steps=step,
-            )
+    try:
+        for step in range(1, self.ttl + 1):
+            any_alive = False
+            for i, position in enumerate(positions):
+                if position is None:
+                    continue
+                neighbors = _reference_online_neighbors(self.overlay, position)
+                if not neighbors:
+                    positions[i] = None  # dead end: walker dies
+                    continue
+                nxt = neighbors[int(self.rng.integers(0, len(neighbors)))]
+                messages += 1
+                visited.add(nxt)
+                positions[i] = nxt
+                any_alive = True
+                if self.overlay.peer_has(nxt, key):
+                    found_at = nxt
+            if found_at is not None or not any_alive:
+                return WalkResult(
+                    key=key,
+                    found=found_at is not None,
+                    value=(
+                        self.overlay.value_at(found_at, key)
+                        if found_at is not None
+                        else None
+                    ),
+                    messages=messages,
+                    distinct_peers=len(visited),
+                    steps=step,
+                )
+    finally:
+        self.overlay.metrics.count(MessageCategory.UNSTRUCTURED_SEARCH, messages)
 
     return WalkResult(
         key=key,
         found=False,
         value=None,
-        holder=None,
         messages=messages,
         distinct_peers=len(visited),
         steps=self.ttl,
@@ -160,19 +158,20 @@ class World:
     holders: "frozenset | str"
     walkers: int
     ttl: int
-    keep_messages: bool
     #: liveness flips applied between the first and the second search.
     flips: tuple
 
-    def build(self):
+    def build(self, recorder):
+        """The overlay, with what its metrics recorded as ``counted``, and
+        the walker."""
         population = PeerPopulation(self.num_peers)
         overlay = UnstructuredOverlay(
             population,
             np.random.Generator(np.random.PCG64(self.topology_seed)),
             degree=self.degree,
             metrics=MessageMetrics(),
-            keep_messages=self.keep_messages,
         )
+        overlay.counted = recorder(overlay.metrics).calls
         offline = self.offline
         if isinstance(offline, str):
             offline = _offline_for(offline, overlay.topology, self.origin)
@@ -287,7 +286,6 @@ def worlds(draw) -> World:
         holders=holders,
         walkers=draw(st.integers(1, 8)),
         ttl=draw(st.integers(1, 300)),
-        keep_messages=draw(st.booleans()),
         flips=flips,
     )
 
@@ -310,17 +308,14 @@ def _observable(overlay, walker, key):
     return {
         # Order included: a category appears when it is first counted.
         "totals": list(overlay.metrics.totals_by_category().items()),
-        "audit": [
-            (m.kind, m.sender, m.receiver, m.payload is key)
-            for m in overlay.log.messages
-        ],
+        "counts": list(overlay.counted),
         "rng": walker.rng.bit_generator.state,
     }
 
 
-def _assert_equivalent(world: World, make_key) -> None:
-    ref_overlay, ref_walker = world.build()
-    new_overlay, new_walker = world.build()
+def _assert_equivalent(world: World, make_key, recorder) -> None:
+    ref_overlay, ref_walker = world.build(recorder)
+    new_overlay, new_walker = world.build(recorder)
     ref_key, new_key = make_key(), make_key()
     for flips in ((), world.flips):
         for peer_id, online in flips:
@@ -338,8 +333,8 @@ def _assert_equivalent(world: World, make_key) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(worlds())
-def test_fast_walk_equals_reference(world):
-    _assert_equivalent(world, lambda: "k")
+def test_fast_walk_equals_reference(recorder, world):
+    _assert_equivalent(world, lambda: "k", recorder)
 
 
 @settings(max_examples=80, deadline=None)
@@ -350,13 +345,15 @@ def test_fast_walk_equals_reference(world):
         min_size=2, max_size=12,
     ),
 )
-def test_a_run_of_searches_with_the_generator_read_only_at_the_end(world, run):
+def test_a_run_of_searches_with_the_generator_read_only_at_the_end(
+    recorder, world, run
+):
     """The walker keeps one draw stream across searches, and between
     searches its generator runs ahead of the draws. Nobody looks at it
     here until the run is over — origins and liveness change in between —
     and it must then be where a scalar draw per hop would have left it."""
-    ref_overlay, ref_walker = world.build()
-    new_overlay, new_walker = world.build()
+    ref_overlay, ref_walker = world.build(recorder)
+    new_overlay, new_walker = world.build(recorder)
     searched = 0
     for origin, flipped, online in run:
         origin %= world.num_peers
@@ -403,13 +400,15 @@ class FusedKey:
         return False
 
 
-def _assert_raises_first_or_equals_reference(world: World, fuse: int) -> None:
+def _assert_raises_first_or_equals_reference(
+    world: World, fuse: int, recorder
+) -> None:
     """The fast search looks the key up before its first hop and never
     again, so a key whose comparison raises either raises there — no hop
-    counted or logged, the generator where it was — or the search
-    completes as the reference's does for a key that never raises."""
-    ref_overlay, ref_walker = world.build()
-    new_overlay, new_walker = world.build()
+    counted, the generator where it was — or the search completes as the
+    reference's does for a key that never raises."""
+    ref_overlay, ref_walker = world.build(recorder)
+    new_overlay, new_walker = world.build(recorder)
     for flips in ((), world.flips):
         for peer_id, online in flips:
             ref_overlay.population.set_online(peer_id, online)
@@ -431,25 +430,24 @@ def _assert_raises_first_or_equals_reference(world: World, fuse: int) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(worlds(), st.integers(1, 30))
-def test_a_raising_key_raises_before_any_hop_or_not_at_all(world, fuse):
-    _assert_raises_first_or_equals_reference(world, fuse)
+def test_a_raising_key_raises_before_any_hop_or_not_at_all(recorder, world, fuse):
+    _assert_raises_first_or_equals_reference(world, fuse, recorder)
 
 
-def test_a_raising_key_meets_both_outcomes():
+def test_a_raising_key_meets_both_outcomes(recorder):
     """The property above is not vacuous: in this world the first
     comparison raises before any hop, and a fuse the reference's per-hop
     lookups blow mid-walk lets the fast search complete."""
     world = World(
         num_peers=12, degree=3, topology_seed=1,
         walk_seed=2, predraws=1, origin=0, offline=frozenset(),
-        holders=frozenset(range(12)), walkers=3, ttl=20,
-        keep_messages=True, flips=(),
+        holders=frozenset(range(12)), walkers=3, ttl=20, flips=(),
     )
-    overlay, walker = world.build()
+    overlay, walker = world.build(recorder)
     state = walker.rng.bit_generator.state
     with pytest.raises(Fuse):
         walker.search(0, FusedKey(fuse=1))
-    assert overlay.metrics.total() == 0 and overlay.log.messages == []
+    assert overlay.metrics.total() == 0 and overlay.counted == []
     assert walker.rng.bit_generator.state == state
 
     # How many comparisons one lookup makes depends on the process's
@@ -458,13 +456,13 @@ def test_a_raising_key_meets_both_outcomes():
     probe = FusedKey(math.inf)
     overlay.content.get(probe)
     fuse = 2 * probe.comparisons + 1
-    ref_overlay, ref_walker = world.build()
+    ref_overlay, ref_walker = world.build(recorder)
     with pytest.raises(Fuse):
         reference_search(ref_walker, 0, FusedKey(fuse))
     assert ref_overlay.metrics.total(MessageCategory.UNSTRUCTURED_SEARCH) > 0
-    overlay, walker = world.build()
+    overlay, walker = world.build(recorder)
     assert not walker.search(0, FusedKey(fuse)).found
-    _assert_raises_first_or_equals_reference(world, fuse)
+    _assert_raises_first_or_equals_reference(world, fuse, recorder)
 
 
 # ----------------------------------------------------------------------
@@ -524,32 +522,32 @@ def test_a_rejected_word_is_skipped_inline(rejected_at):
 # Liveness changes between searches
 # ----------------------------------------------------------------------
 def test_second_search_sees_liveness_change_without_stale_neighbour(rng):
-    overlay = UnstructuredOverlay(
-        PeerPopulation(30), rng, degree=3, keep_messages=True
-    )
+    """One online neighbour: every walker's one hop is forced onto it, and
+    only ``second`` holds the key."""
+    overlay = UnstructuredOverlay(PeerPopulation(30), rng, degree=3)
     first, second, *others = _neighbors(overlay.topology, 0)
+    overlay.add_replicas("k", 1 << second, "value")
     for peer_id in (second, *others):
         overlay.population.set_online(peer_id, False)
     walker = RandomWalkSearch(overlay, rng, walkers=4, ttl=1)
 
-    walker.search(0, "absent")
-    assert {m.receiver for m in overlay.log.messages} == {first}
+    assert overlay.topology.online_adjacency()[0] == (first,)
+    assert not walker.search(0, "k").found
 
-    overlay.log.messages.clear()
     overlay.population.set_online(first, False)
     overlay.population.set_online(second, True)
-    walker.search(0, "absent")
-    assert {m.receiver for m in overlay.log.messages} == {second}
+    assert overlay.topology.online_adjacency()[0] == (second,)
+    assert walker.search(0, "k").found
 
 
 # ----------------------------------------------------------------------
 # A search trapped in a component with no replica
 # ----------------------------------------------------------------------
-def _trap_world(shape, walkers=3, ttl=41, keep_messages=False):
+def _trap_world(shape, walkers=3, ttl=41):
     return World(
         num_peers=16, degree=4, topology_seed=2, walk_seed=5, predraws=1,
         origin=0, offline=shape, holders=frozenset(), walkers=walkers,
-        ttl=ttl, keep_messages=keep_messages, flips=(),
+        ttl=ttl, flips=(),
     )
 
 
@@ -580,20 +578,22 @@ def _branching_peers(overlay, origin):
     pytest.param(_trap_world("leaf-of-star"), "skip", id="star-leaf"),
     pytest.param(_trap_world("small-component"), "loop", id="small-component"),
 ])
-def test_each_trapped_tail_equals_the_reference(world, tail, telemetry):
-    overlay, _ = world.build()
+def test_each_trapped_tail_equals_the_reference(
+    world, tail, telemetry, recorder
+):
+    overlay, _ = world.build(recorder)
     branching = _branching_peers(overlay, world.origin)
     assert {"no draw": branching == 0, "skip": branching == 1,
             "loop": branching > 1}[tail]
-    _assert_equivalent(world, lambda: "k")
+    _assert_equivalent(world, lambda: "k", recorder)
     counters = telemetry.counters
     assert counters["walk.trapped"] == counters["walk.searches"] == 2
     assert telemetry.snapshot()["spans"]["walk.run_out"]["count"] == 2
 
 
-def test_an_isolated_origin_is_no_trap(telemetry):
+def test_an_isolated_origin_is_no_trap(telemetry, recorder):
     """Every walker dies at the first step: the search ends there."""
-    _assert_equivalent(_trap_world("isolate-origin"), lambda: "k")
+    _assert_equivalent(_trap_world("isolate-origin"), lambda: "k", recorder)
     assert telemetry.counters["walk.searches"] == 2
     assert "walk.trapped" not in telemetry.counters
 
@@ -603,10 +603,7 @@ class Key(str):
 
 
 @pytest.mark.parametrize("shape", ["two-peer-component", "small-component"])
-def test_only_audited_walks_take_each_hop(shape, telemetry):
-    _assert_equivalent(_trap_world(shape, keep_messages=True), lambda: "k")
-    assert "walk.trapped" not in telemetry.counters
-    # A key that is not a str by type ends trapped like any other.
-    _assert_equivalent(_trap_world(shape), lambda: Key("k"))
-    assert telemetry.counters["walk.searches"] == 4
+def test_a_key_that_is_not_a_str_ends_trapped(shape, telemetry, recorder):
+    _assert_equivalent(_trap_world(shape), lambda: Key("k"), recorder)
+    assert telemetry.counters["walk.searches"] == 2
     assert telemetry.counters["walk.trapped"] == 2
