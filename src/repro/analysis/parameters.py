@@ -148,9 +148,11 @@ class ScenarioParameters:
 
         Scaling both by the same factor preserves the keys/peer ratio; it
         is how the reduced-scale simulation presets are derived from
-        Table 1. ``replication`` and ``storage_per_peer`` stay fixed, so
-        the share of peers a full index needs, and with it the walk/flood
-        cost ratio, changes with the factor. A factor that is not a
+        Table 1. ``replication`` and ``storage_per_peer`` stay fixed, so a
+        full index still needs every peer (``n_keys * replication /
+        storage_per_peer == num_peers``), while the walk/flood cost ratio
+        ``num_peers * dup / (replication**2 * dup2)`` scales with the
+        factor (8 at Table 1, 0.4 at 1,000 peers). A factor that is not a
         finite real number above 0 (a boolean included) is a
         :class:`ParameterError`.
         """

@@ -44,31 +44,23 @@ class RoutingMaintenance:
             raise ParameterError(f"env must be >= 0, got {env}")
         self.dht = dht
         self.env = env
-        self.probes_sent = 0.0
-        self.sweeps = 0
         self._sizes: list[int] = []
         self._sizes_key: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
-    def run_sweep(self) -> float:
-        """One maintenance sweep; returns messages charged."""
-        env = self.env
-        charged = 0.0
+    def run_sweep(self) -> None:
+        """One maintenance sweep, counted as MAINTENANCE messages."""
         # A sweep attached to a simulation runs inside its ``engine.run``,
         # whose duration includes this one.
         with obs.span("dht.maintenance"):
             # One member at a time, ascending by id, never their sum: the
             # counters are float accumulators, and ``a + (b + c)`` is not
             # ``(a + b) + c`` in the last bits of a simulated msg/s.
-            charges = [env * size for size in self._table_sizes()]
-            self.dht.metrics.count_each(MessageCategory.MAINTENANCE, charges)
-            probes_sent = self.probes_sent
-            for messages in charges:
-                probes_sent += messages
-                charged += messages
-            self.probes_sent = probes_sent
-        self.sweeps += 1
-        return charged
+            env = self.env
+            self.dht.metrics.count_each(
+                MessageCategory.MAINTENANCE,
+                [env * size for size in self._table_sizes()],
+            )
 
     def _table_sizes(self) -> list[int]:
         """Routing-table size of every online member that has entries to
@@ -85,9 +77,7 @@ class RoutingMaintenance:
     def attach(self, simulation: Simulation):
         """Schedule recurring sweeps on a simulation; returns the controller
         event (cancel it to stop maintenance)."""
-        return simulation.every(
-            1.0, self.run_sweep, label="routing-maintenance"
-        )
+        return simulation.every(1.0, self.run_sweep)
 
     def expected_rate(self) -> float:
         """Analytical msg/s this maintenance should cost right now.

@@ -111,6 +111,15 @@ class PGridDht:
     def size(self) -> int:
         return len(self._members)
 
+    def is_member(self, peer_id: PeerId) -> bool:
+        return peer_id in self._members
+
+    def members(self) -> tuple[PeerId, ...]:
+        """Every member, ascending by peer id (read-only): the trie's
+        root, sorted once per membership version."""
+        self._ensure_routing()
+        return self._members_under("")
+
     def dht_id(self, member: PeerId) -> int:
         """A member's identifier, the point its trie path is cut from."""
         return self._members[member]

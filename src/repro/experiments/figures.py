@@ -488,6 +488,8 @@ def adaptivity_experiment(
     execution = execution or Execution()
     shift_at = duration / 2.0 if shift_at is None else shift_at
     window = duration / 12.0 if window is None else window
+    if window <= 0:
+        raise ParameterError(f"window must be > 0, got {window}")
     if not 0 < shift_at < duration:
         raise ParameterError(
             f"shift_at must be inside (0, {duration}), got {shift_at}"

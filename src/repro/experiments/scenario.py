@@ -4,10 +4,15 @@
 evaluated at that scale. Pure-Python discrete-event simulation of 20,000
 peers is possible but slow, so the simulated experiments default to
 ``simulation_scenario`` — Table 1 scaled down by :data:`SIMULATION_SCALE`
-with ``numPeers`` and ``keys`` reduced together, preserving every ratio
-the model consumes (keys per peer, replication, storage), which is why
-the *shape* of the results is scale-invariant
-(``tests/integration/test_model_vs_paper.py::TestScaleInvariance``).
+with ``numPeers`` and ``keys`` reduced together. Scaling keeps keys per
+peer (2) and a full index at every peer (``keys * repl / stor`` =
+``numPeers``), but not every ratio the model consumes: ``repl`` and the
+duplication factors stay fixed, so the walk/flood cost ratio
+``numPeers * dup / (repl**2 * dup2)`` moves with the scale (8 at Table 1,
+0.4 at 1,000 peers). What carries over is the shape of the figures —
+partial indexing below both baselines at every query frequency
+(``tests/integration/test_model_vs_paper.py::TestScaleInvariance``) —
+not their numbers.
 
 Two simulation engines exist, selected by the ``engine`` knob every
 simulated experiment accepts:
@@ -69,8 +74,9 @@ def simulation_scenario(
     """A reduced scenario for discrete-event simulation runs.
 
     With the default scale: 1,000 peers, 2,000 keys, replication 50,
-    storage 100 — so a full index needs 1,000 active peers and the
-    structural ratios of Table 1 are intact.
+    storage 100 — so a full index needs all 1,000 peers, as Table 1's
+    needs all 20,000, while the walk/flood cost ratio falls from 8 to 0.4
+    (:meth:`~repro.analysis.parameters.ScenarioParameters.scaled`).
     """
     return paper_scenario().scaled(scale).with_query_freq(query_freq)
 

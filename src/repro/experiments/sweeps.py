@@ -17,10 +17,13 @@ Programmatic use::
     print(fig.render())
     print(optimal_cells(fig, axes).render())   # argmin cost per slice
 
-Each grid cell runs the selection algorithm through
-:func:`repro.fastsim.run_fastsim` with ``keyTtl`` scaled off the
-analytical ``1/fMin`` for that cell's scenario, and reports the measured
-hit rate and msg/s next to the Eq. 16 model prediction at the same point.
+Each grid cell runs the selection algorithm as one
+:class:`~repro.experiments.execution.Cell`, with ``keyTtl`` scaled off
+the analytical ``1/fMin`` for that cell's scenario; the ``Execution``
+hands the cells to :func:`repro.fastsim.parallel.run_many`, where the
+cells that differ only in keyTtl run as the lanes of one kernel. Each
+reports the measured hit rate and msg/s next to the Eq. 16 model
+prediction at the same point.
 :func:`optimal_cells` derives the empirical optimal-TTL surface from the
 raw grid: for every (alpha, fQry) slice, the TTL factor
 minimising measured total cost — the measured counterpart of
@@ -138,7 +141,8 @@ def sweep_grid(
 
     Every cell re-derives the scenario (alpha, fQry) and the analytical
     keyTtl, scales the TTL by the cell's factor, and measures hit rate
-    and total msg/s with :func:`repro.fastsim.run_fastsim`. The Eq. 16
+    and total msg/s with one kernel lane per cell (``execution`` hands
+    the cells to :func:`repro.fastsim.parallel.run_many`). The Eq. 16
     model prediction at the same TTL rides along for cross-checking.
 
     Cells with a non-stationary :attr:`GridAxes.workloads` entry run

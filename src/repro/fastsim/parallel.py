@@ -9,7 +9,9 @@ embarrassingly parallel. This module fans a list of picklable
   at exactly the DHT size the kernel reads off the strategy's policy
   (:func:`~repro.fastsim.kernel.strategy_setup`), then shipped inside the
   job spec — N workers never rebuild the calibration substrate, and the
-  parent's ``lru_cache``'d calibrations stay warm across repeated calls;
+  parent's calibrations (``obs.counted_cache``s in
+  :mod:`repro.fastsim.compare`, read through the artifact store when one
+  is active) stay warm across repeated calls;
 * workers execute nothing but kernel runs of the fully-resolved specs,
   so the per-job pickle payload is a handful of frozen dataclasses plus
   the report coming back;

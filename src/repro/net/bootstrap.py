@@ -16,12 +16,16 @@ must be, or the paper's cSIndx accounting would be incomplete).
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ParameterError, RoutingError
-from repro.net.node import PeerId, PeerPopulation
-from repro.sim.metrics import MessageCategory, MessageMetrics
+from repro.net.node import PeerId
+from repro.sim.metrics import MessageCategory
+
+if TYPE_CHECKING:
+    from repro.dht.pgrid import PGridDht
 
 __all__ = ["GatewayCache"]
 
@@ -31,12 +35,10 @@ class GatewayCache:
 
     Parameters
     ----------
-    population:
-        The shared peer population (liveness source).
-    members:
-        Current DHT member set (the bootstrap universe).
-    metrics:
-        Where the bootstrap probes are counted.
+    dht:
+        The DHT: its members are the bootstrap universe, its population
+        the liveness source, and its metrics where the bootstrap probes
+        are counted.
     rng:
         Randomness for bootstrap probing.
     """
@@ -44,23 +46,13 @@ class GatewayCache:
     #: Gateways remembered per peer.
     cache_size = 3
 
-    def __init__(
-        self,
-        population: PeerPopulation,
-        members: set[PeerId],
-        metrics: MessageMetrics,
-        rng: np.random.Generator,
-    ) -> None:
-        if not members:
+    def __init__(self, dht: PGridDht, rng: np.random.Generator) -> None:
+        if not dht.size:
             raise ParameterError("bootstrap needs at least one DHT member")
-        self.population = population
-        self.members = set(members)
-        self.metrics = metrics
+        self.dht = dht
+        self.population = dht.population
         self.rng = rng
         self._caches: dict[PeerId, OrderedDict[PeerId, None]] = {}
-        self.bootstrap_probes = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
     def _cache_for(self, peer_id: PeerId) -> OrderedDict[PeerId, None]:
@@ -86,30 +78,25 @@ class GatewayCache:
         of the DHT is online at all.
         """
         self.population.require_online(peer_id)
-        if peer_id in self.members:
+        if self.dht.is_member(peer_id):
             return peer_id  # and online, just checked
 
+        # A cached gateway stays a member: the DHT has no leave.
         cache = self._cache_for(peer_id)
         recent = True
         for gateway in reversed(cache):
-            if (
-                gateway in self.members
-                and self.population.is_online(gateway)
-            ):
-                self.cache_hits += 1
+            if self.population.is_online(gateway):
                 if not recent:  # the most recent one stays where it is
                     cache.move_to_end(gateway)
                 return gateway
             recent = False
-        self.cache_misses += 1
 
         # Re-bootstrap: probe members in random order until one answers.
-        candidates = sorted(self.members)
+        candidates = self.dht.members()
         order = self.rng.permutation(len(candidates))
         for idx in order:
             candidate = candidates[int(idx)]
-            self.metrics.count(MessageCategory.MEMBERSHIP, 2)
-            self.bootstrap_probes += 1
+            self.dht.metrics.count(MessageCategory.MEMBERSHIP, 2)
             if self.population.is_online(candidate):
                 self._remember(peer_id, candidate)
                 return candidate

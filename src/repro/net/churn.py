@@ -100,7 +100,7 @@ class ChurnProcess:
         mean = self.config.mean_session if online else self.config.mean_offline
         delay = float(self.rng.exponential(mean))
         self._simulation().schedule_in(
-            delay, lambda: self._transition(peer_id), label=f"churn:{peer_id}"
+            delay, lambda: self._transition(peer_id)
         )
 
     def _transition(self, peer_id: PeerId) -> None:

@@ -35,7 +35,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import selection_members
 from repro.dht.maintenance import RoutingMaintenance
 from repro.dht.pgrid import PGridDht
-from repro.errors import ParameterError, RoutingError
+from repro.errors import ParameterError, RoutingError, require_finite
 from repro.net.bootstrap import GatewayCache
 from repro.net.churn import ChurnConfig, ChurnProcess
 from repro.net.node import PeerId, PeerPopulation
@@ -154,12 +154,7 @@ class PdhtNetwork:
         # Gateway discovery for peers outside the DHT (Section 3.2: they
         # must know at least one online member). Cached per peer; misses
         # pay MEMBERSHIP probe messages.
-        self.gateways = GatewayCache(
-            self.population,
-            set(member_ids),
-            self.metrics,
-            self.streams.get("gateway"),
-        )
+        self.gateways = GatewayCache(self.dht, self.streams.get("gateway"))
 
     # ------------------------------------------------------------------
     def _build_replica_groups(self, member_ids: list[PeerId]) -> None:
@@ -376,7 +371,7 @@ class PdhtNetwork:
         return online[self.origins.draw(len(online))]
 
     def advance(self, rounds: float) -> None:
-        """Run the event clock forward (maintenance, churn, expirations)."""
-        if rounds < 0:
-            raise ParameterError(f"rounds must be >= 0, got {rounds}")
+        """Run the event clock forward (maintenance, churn, expirations)
+        by a finite number of rounds >= 0."""
+        require_finite("rounds", rounds, 0.0)
         self.simulation.run(until=self.simulation.now + rounds)

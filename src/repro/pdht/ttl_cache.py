@@ -60,8 +60,6 @@ class TtlKeyStore:
         #: (expires_at, key) heap, finite expiries only; records may be
         #: stale (expiry was reset), validated against ``records`` on pop.
         self._expiry_heap: list[tuple[float, str]] = []
-        self.insertions = 0
-        self.evictions_expired = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -92,7 +90,6 @@ class TtlKeyStore:
         self.records[key] = record
         if heap_record[0] != math.inf:
             heapq.heappush(heap, heap_record)
-        self.insertions += 1
 
     def put_all(
         self, records: dict[str, IndexRecord], expires_at: float, now: float
@@ -117,7 +114,6 @@ class TtlKeyStore:
         if expires_at != math.inf:
             for key in records:
                 heapq.heappush(heap, (expires_at, key))
-        self.insertions += len(records)
 
     def query(self, key: str, now: float) -> IndexRecord | None:
         """Look up ``key``; a hit resets its expiration to ``now + ttl``
@@ -132,7 +128,6 @@ class TtlKeyStore:
         value, expires_at = record
         if expires_at <= now:
             del self.records[key]
-            self.evictions_expired += 1
             return None
         moved = now + self.ttl
         if moved != expires_at:
@@ -156,6 +151,5 @@ class TtlKeyStore:
             if record is None or record[1] != expires_at:
                 continue  # stale heap record: entry was refreshed or removed
             del records[key]
-            self.evictions_expired += 1
             purged += 1
         return purged

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,7 +59,6 @@ class Event:
     """A scheduled callback. Returned by the scheduling API for cancellation."""
 
     action: Callable[[], None]
-    label: str = ""
     cancelled: bool = False
     #: Rounds between firings of a recurring event; ``None`` fires once.
     interval: Optional[float] = None
@@ -101,47 +101,42 @@ class Simulation:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule_at(
-        self, time: float, action: Callable[[], None], label: str = ""
-    ) -> Event:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to fire at absolute ``time``.
 
-        Scheduling in the past raises :class:`SimulationError`; scheduling
-        at the current time is allowed and fires later within the same round.
+        Scheduling in the past, or at a NaN or infinite time, raises
+        :class:`SimulationError`; scheduling at the current time is
+        allowed and fires later within the same round.
         """
-        if time < self._now:
+        if not self._now <= time < math.inf:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is t={self._now})"
+                f"cannot schedule at t={time} (now is t={self._now}; "
+                f"a time is finite)"
             )
-        event = Event(action=action, label=label)
+        event = Event(action=action)
         self._push(time, event)
         return event
 
-    def schedule_in(
-        self, delay: float, action: Callable[[], None], label: str = ""
-    ) -> Event:
+    def schedule_in(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to fire ``delay`` rounds from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(self._now + delay, action, label)
+        if not 0 <= delay < math.inf:
+            raise SimulationError(
+                f"delay must be a finite number >= 0, got {delay}"
+            )
+        return self.schedule_at(self._now + delay, action)
 
-    def every(
-        self,
-        interval: float,
-        action: Callable[[], None],
-        label: str = "",
-    ) -> Event:
+    def every(self, interval: float, action: Callable[[], None]) -> Event:
         """Run ``action`` every ``interval`` rounds until cancelled.
 
         Returns the *controller* event; calling :meth:`Event.cancel` on it
         stops all future firings. The first firing happens one interval
         from now.
         """
-        if interval <= 0:
-            raise SimulationError(f"interval must be > 0, got {interval}")
-        controller = Event(
-            action=action, label=label or "recurring", interval=interval
-        )
+        if not 0 < interval < math.inf:
+            raise SimulationError(
+                f"interval must be a finite number > 0, got {interval}"
+            )
+        controller = Event(action=action, interval=interval)
         self._push(self._now + interval, controller)
         return controller
 
@@ -154,12 +149,14 @@ class Simulation:
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: float) -> None:
-        """Process events in time order until ``until`` (inclusive)."""
+        """Process events in time order until ``until`` (inclusive), a
+        finite time no earlier than now."""
         if self._running:
             raise SimulationError("run() is not re-entrant")
-        if until < self._now:
+        if not self._now <= until < math.inf:
             raise SimulationError(
-                f"cannot run until t={until} (now is t={self._now})"
+                f"cannot run until t={until} (now is t={self._now}; "
+                f"a time is finite)"
             )
         self._running = True
         # Telemetry never touches the event order or the clock; the

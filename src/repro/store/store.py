@@ -47,15 +47,12 @@ class Store:
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.db = Database(path)
-        self.stats: dict[str, dict[str, int]] = {}
 
     @property
     def path(self) -> str:
         return self.db.path
 
     def _record(self, kind: str, hit: bool) -> None:
-        entry = self.stats.setdefault(kind, {"hits": 0, "misses": 0})
-        entry["hits" if hit else "misses"] += 1
         outcome = "hit" if hit else "miss"
         obs.count(f"cache.store.{outcome}")
         obs.count(f"cache.store.{kind}.{outcome}")

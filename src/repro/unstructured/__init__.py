@@ -11,6 +11,6 @@ from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.unstructured.overlay": ("UnstructuredOverlay",),
-    "repro.unstructured.replication": ("ContentReplicator", "ReplicaPlacement"),
+    "repro.unstructured.replication": ("ContentReplicator",),
     "repro.unstructured.random_walk": ("RandomWalkSearch", "WalkResult"),
 })

@@ -18,34 +18,18 @@ per-key, per-holder loop it replaced.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.net.node import PeerId
 from repro.sim.rng import choice_rows
 from repro.unstructured.overlay import UnstructuredOverlay
 
-__all__ = ["ReplicaPlacement", "ContentReplicator"]
+__all__ = ["ContentReplicator"]
 
 #: Bytes of holder bitmap :func:`_holder_masks` packs per pass.
 _MASK_PASS_BYTES = 1 << 20
-
-
-class ReplicaPlacement:
-    """Where the replicas of one item currently live."""
-
-    __slots__ = ("key", "row", "mask")
-
-    def __init__(
-        self, key: Hashable, holders: Iterable[PeerId], mask: int
-    ) -> None:
-        self.key = key
-        #: The holders in draw order.
-        self.row = np.asarray(holders, dtype=np.int32)
-        #: The holders as one int, bit ``p`` set for peer ``p``.
-        self.mask = mask
 
 
 def _holder_masks(rows: np.ndarray) -> list[int]:
@@ -98,10 +82,9 @@ class ContentReplicator:
         self.overlay = overlay
         self.replication = replication
         self.rng = rng
-        self._placements: dict[Hashable, ReplicaPlacement] = {}
 
     # ------------------------------------------------------------------
-    def place(self, key: Hashable, value: object) -> ReplicaPlacement:
+    def place(self, key: Hashable, value: object) -> None:
         """Replicate ``value`` under ``key`` at ``repl`` distinct random peers.
 
         Placement targets are drawn from the whole population (replicas on
@@ -109,24 +92,22 @@ class ContentReplicator:
         exactly like real file-sharing replicas).
         """
         self.place_all({key: value})
-        return self._placements[key]
 
     def place_all(self, items: Mapping[Hashable, object]) -> None:
         """Replicate every item, in order, as a loop of :meth:`place`
         would: the keys before the first already-placed one are placed,
         and that one raises."""
-        placements = self._placements
+        placed = self.overlay.content
         keys = list(items)
         fresh = next(
-            (i for i, key in enumerate(keys) if key in placements), len(keys)
+            (i for i, key in enumerate(keys) if key in placed), len(keys)
         )
         rows = choice_rows(
             self.rng, len(self.overlay.population), self.replication, fresh
-        ).astype(np.int32)
+        )
         add = self.overlay.add_replicas
-        for key, row, mask in zip(keys, rows, _holder_masks(rows)):
+        for key, mask in zip(keys, _holder_masks(rows)):
             add(key, mask, items[key])
-            placements[key] = ReplicaPlacement(key, row, mask)
         if fresh < len(keys):
             raise ParameterError(
                 f"key {keys[fresh]!r} already placed; use refresh()"
@@ -142,6 +123,6 @@ class ContentReplicator:
 
     def remove(self, key: Hashable) -> None:
         """Drop all replicas of ``key`` (no-op when never placed)."""
-        placement = self._placements.pop(key, None)
-        if placement is not None:
-            self.overlay.drop_replicas(key, placement.mask)
+        record = self.overlay.content.get(key)
+        if record is not None:
+            self.overlay.drop_replicas(key, record.mask)

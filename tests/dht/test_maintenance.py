@@ -22,6 +22,11 @@ def dht():
     return instance
 
 
+def charged(dht) -> float:
+    """MAINTENANCE messages counted so far."""
+    return dht.metrics.total(MessageCategory.MAINTENANCE)
+
+
 class TestConfig:
     def test_defaults(self, dht):
         assert RoutingMaintenance(dht).env == pytest.approx(1 / 14)
@@ -34,32 +39,25 @@ class TestConfig:
 
 class TestExpectedMode:
     def test_sweep_charges_env_times_entries(self, dht):
-        maintenance = RoutingMaintenance(dht, env=0.1)
-        charged = maintenance.run_sweep()
+        RoutingMaintenance(dht, env=0.1).run_sweep()
         total_entries = sum(
             len(dht.routing_table(m)) for m in dht.online_members()
         )
-        assert charged == pytest.approx(0.1 * total_entries)
-
-    def test_sweep_counts_in_maintenance_category(self, dht):
-        maintenance = RoutingMaintenance(dht, env=0.1)
-        charged = maintenance.run_sweep()
-        assert dht.metrics.total(MessageCategory.MAINTENANCE) == pytest.approx(
-            charged
-        )
+        assert charged(dht) == pytest.approx(0.1 * total_entries)
 
     def test_offline_members_do_not_probe(self, dht):
-        full = RoutingMaintenance(dht, env=0.1).run_sweep()
+        RoutingMaintenance(dht, env=0.1).run_sweep()
+        full = charged(dht)
+        dht.metrics.reset()
         for member in list(dht._members)[:32]:
             dht.population.set_online(member, False)
-        reduced = RoutingMaintenance(dht, env=0.1).run_sweep()
-        assert reduced < full
+        RoutingMaintenance(dht, env=0.1).run_sweep()
+        assert charged(dht) < full
 
     def test_expected_rate_matches_sweep(self, dht):
         maintenance = RoutingMaintenance(dht, env=0.25)
-        assert maintenance.run_sweep() == pytest.approx(
-            maintenance.expected_rate()
-        )
+        maintenance.run_sweep()
+        assert charged(dht) == pytest.approx(maintenance.expected_rate())
 
 
 class TestScheduling:
@@ -68,7 +66,8 @@ class TestScheduling:
         maintenance = RoutingMaintenance(dht, env=0.1)
         controller = maintenance.attach(simulation)
         simulation.run(until=10.0)
-        assert maintenance.sweeps == 10
+        ten_sweeps = charged(dht)
+        assert ten_sweeps == pytest.approx(10 * maintenance.expected_rate())
         controller.cancel()
         simulation.run(until=20.0)
-        assert maintenance.sweeps == 10
+        assert charged(dht) == ten_sweeps

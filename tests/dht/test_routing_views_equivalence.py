@@ -27,8 +27,7 @@ Mutations run against the new code, each caught by the test named:
 * table sizes keyed on the membership version alone, or kept in
   descending member order — ``test_sweep_equals_one_count_per_member``;
 * a sweep that adds ``per_entry * sum(sizes)`` in one step (pre-summed)
-  — the sweep tests (last bits of ``probes_sent`` and of the category
-  totals);
+  — the sweep tests (last bits of the category totals);
 * ``count_each`` touching the category for an empty sweep — the sweep
   test (``list(totals_by_category())`` order);
 * ``_split`` recording ``members[:refs_per_level]``, or the members in
@@ -152,19 +151,16 @@ class ReferencePGrid(ReferenceViews, PGridDht):
 SIDES = (PGridDht, ReferencePGrid)
 
 
-def reference_run_sweep(self: RoutingMaintenance) -> float:
-    """One maintenance sweep; returns messages charged."""
-    charged = 0.0
+def reference_run_sweep(self: RoutingMaintenance) -> None:
+    """One maintenance sweep (verbatim but for the ``probes_sent`` and
+    ``sweeps`` counters and the return of the charge, which repeated the
+    MAINTENANCE total and are gone)."""
     for member in self.dht.online_members():
         table = self.dht.routing_table(member)
         if not table:
             continue
         messages = self.env * len(table)
         self.dht.metrics.count(MessageCategory.MAINTENANCE, messages)
-        self.probes_sent += messages
-        charged += messages
-    self.sweeps += 1
-    return charged
 
 
 def reference_expected_rate(self: RoutingMaintenance) -> float:
@@ -307,9 +303,8 @@ def _replay(history: History, check, recorder) -> None:
                 got, want = new[0].lookup(origin, key), old[0].lookup(origin, key)
                 assert got == want
         elif name == "sweep":
-            got = new[1].run_sweep()
-            want = reference_run_sweep(old[1])
-            assert got == want
+            new[1].run_sweep()
+            reference_run_sweep(old[1])
         elif name == "totals":
             # Order included: it is the summation order of ``total()``.
             got = new[0].metrics.totals_by_category()
@@ -372,8 +367,6 @@ def test_callers_may_mutate_what_they_are_given():
 def _check_sweep_state(new, old, population) -> None:
     (dht, maintenance), (ref, reference) = new, old
     metrics, ref_metrics = dht.metrics, ref.metrics
-    assert maintenance.probes_sent == reference.probes_sent
-    assert maintenance.sweeps == reference.sweeps
     assert maintenance.expected_rate() == reference_expected_rate(reference)
     # Order included: it is the summation order of ``total()``.
     assert list(metrics.totals_by_category().items()) == list(
@@ -404,19 +397,18 @@ def test_sweep_accumulates_member_by_member_at_scale():
         if sweep == 70:
             for peer in range(0, 400, 7):
                 population.set_online(peer, False)
-        assert maintenance.run_sweep() == reference_run_sweep(reference)
-        if sweep % 10 == 9:
-            assert dht.metrics.totals_by_category() == (
-                ref.metrics.totals_by_category()
-            )
-    assert maintenance.probes_sent == reference.probes_sent
-    assert dht.metrics.total(MessageCategory.MAINTENANCE) == (
-        ref.metrics.total(MessageCategory.MAINTENANCE)
-    )
+        maintenance.run_sweep()
+        reference_run_sweep(reference)
+        assert dht.metrics.total(MessageCategory.MAINTENANCE) == (
+            ref.metrics.total(MessageCategory.MAINTENANCE)
+        )
     # The guard against the tempting rewrite: one multiplication is not
     # the same float as three hundred additions.
     sizes = [len(dht.routing_table(m)) for m in dht.online_members()]
-    assert reference_run_sweep(reference) != (1 / 14) * sum(sizes)
+    one_sweep = 0.0
+    for size in sizes:
+        one_sweep += (1 / 14) * size
+    assert one_sweep != (1 / 14) * sum(sizes)
 
 
 def test_message_category_keys_survive_copies():

@@ -122,6 +122,18 @@ class TestVectorizedExperiments:
         assert rates["250"] < rates["200"]  # collapse after the shuffle
         assert rates["400"] > rates["250"]  # TTL index re-learns
 
+    @pytest.mark.parametrize("window", [0.0, -5.0])
+    def test_adaptivity_rejects_a_window_that_is_not_positive(self, window):
+        # As the CLI and the tracking experiments do: such a window would
+        # leave the figure without a single point.
+        with pytest.raises(ParameterError, match="window must be > 0"):
+            adaptivity_experiment(
+                params=simulation_scenario(scale=0.02),
+                duration=40.0,
+                window=window,
+                execution=Execution("vectorized"),
+            )
+
     def test_churn_experiment_runs_vectorized(self):
         # PR 3 lifted the churn gate: the kernel charges the
         # availability-dependent per-op model and the figure runs on

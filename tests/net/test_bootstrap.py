@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError, RoutingError
 from repro.net.bootstrap import GatewayCache
 from repro.net.node import PeerPopulation
@@ -14,8 +17,10 @@ from repro.sim.metrics import MessageCategory, MessageMetrics
 def setup(rng):
     population = PeerPopulation(50)
     metrics = MessageMetrics()
-    members = set(range(10))  # peers 0-9 are DHT members
-    cache = GatewayCache(population, members, metrics, rng)
+    dht = PGridDht(population, metrics)
+    dht.join_all(range(10))  # peers 0-9 are DHT members
+    metrics.reset()  # the joins' messages
+    cache = GatewayCache(dht, rng)
     return population, cache, metrics
 
 
@@ -27,7 +32,7 @@ class TestGatewayLookup:
     def test_returns_online_member(self, setup):
         population, cache, _ = setup
         gateway = cache.gateway_for(20)
-        assert gateway in cache.members
+        assert cache.dht.is_member(gateway)
         assert population.is_online(gateway)
 
     def test_cache_hit_costs_nothing(self, setup):
@@ -36,7 +41,6 @@ class TestGatewayLookup:
         before = metrics.total(MessageCategory.MEMBERSHIP)
         cache.gateway_for(20)  # cached
         assert metrics.total(MessageCategory.MEMBERSHIP) == before
-        assert cache.cache_hits == 1
 
     def test_rebootstrap_when_cached_gateway_dies(self, setup):
         population, cache, metrics = setup
@@ -51,14 +55,18 @@ class TestGatewayLookup:
     def test_probes_count_request_and_response(self, setup):
         population, cache, metrics = setup
         # Take half the members offline so bootstrap probes dead ones too.
-        for member in list(cache.members)[:5]:
+        for member in range(5):
             population.set_online(member, False)
+        # The members in the order the bootstrap will probe them, up to
+        # the first online one.
+        order = copy.deepcopy(cache.rng).permutation(10)
+        probes = next(i for i, m in enumerate(order) if m >= 5) + 1
         cache.gateway_for(30)
-        assert metrics.total(MessageCategory.MEMBERSHIP) == 2 * cache.bootstrap_probes
+        assert metrics.total(MessageCategory.MEMBERSHIP) == 2 * probes
 
     def test_all_members_offline_raises(self, setup):
         population, cache, _ = setup
-        for member in cache.members:
+        for member in cache.dht.members():
             population.set_online(member, False)
         with pytest.raises(RoutingError):
             cache.gateway_for(20)
@@ -84,24 +92,7 @@ class TestCacheBehaviour:
             population.set_online(gateway, False)
         assert len(cache._caches[25]) <= 3
 
-    def test_update_members_keeps_stale_entries_until_failure(self, setup):
-        population, cache, _ = setup
-        old = cache.gateway_for(20)
-        cache.members = {8, 9}  # DHT re-provisioned
-        gateway = cache.gateway_for(20)
-        # The stale cached gateway is no longer a member, so a fresh
-        # member must be returned.
-        assert gateway in {8, 9}
-        del old
-
-    def test_hit_rate_reporting(self, setup):
-        _, cache, _ = setup
-        assert (cache.cache_hits, cache.cache_misses) == (0, 0)
-        cache.gateway_for(20)
-        cache.gateway_for(20)
-        assert (cache.cache_hits, cache.cache_misses) == (1, 1)
-
     def test_invalid_construction(self, rng):
-        population = PeerPopulation(5)
+        dht = PGridDht(PeerPopulation(5), MessageMetrics())
         with pytest.raises(ParameterError):
-            GatewayCache(population, set(), MessageMetrics(), rng)
+            GatewayCache(dht, rng)

@@ -6,10 +6,13 @@ cache's ``OrderedDict`` and insert it again at the end — where it already
 was — and a DHT member asking for its own gateway had its liveness checked
 twice. The old body is kept here verbatim (``reference_gateway_for``, with
 the ``_remember`` it called) and driven side by side with the new one over
-random runs of lookups, liveness flips and member-set updates. They must
+random runs of lookups, liveness flips and joins. The old cache kept its
+own copy of the member set, and hit/miss/probe counters; the new one
+reads the DHT's members and keeps no counters, so the reference runs on
+a ``ReferenceCache`` holding the copy, and a join reaches both. They must
 agree on every returned gateway or raised error, every peer's cache
-*contents and order*, the hit/miss/probe counters, the membership messages
-and the bootstrap generator's state.
+*contents and order*, the membership messages and the bootstrap
+generator's state.
 
 Mutations of ``gateway_for``, each caught by
 ``test_gateway_for_equals_reference`` (the first and last also by
@@ -29,6 +32,7 @@ from collections import OrderedDict
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.dht.pgrid import PGridDht
 from repro.errors import OfflinePeerError, RoutingError
 from repro.net.bootstrap import GatewayCache
 from repro.net.node import PeerPopulation
@@ -37,8 +41,25 @@ from repro.sim.metrics import MessageCategory, MessageMetrics
 
 # ----------------------------------------------------------------------
 # The replaced bodies, verbatim but for the accounting: a probe's two
-# messages are counted, not logged, one at a time as they were sent
+# messages are counted, not logged, one at a time as they were sent, and
+# the hit/miss/probe counters are gone
 # ----------------------------------------------------------------------
+class ReferenceCache:
+    """What the replaced body read: a copy of the member set beside the
+    population, the metrics, the generator and the per-peer caches."""
+
+    cache_size = GatewayCache.cache_size
+
+    def __init__(self, population, members, metrics, rng):
+        self.population = population
+        self.members = set(members)
+        self.metrics = metrics
+        self.rng = rng
+        self._caches = {}
+
+    _cache_for = GatewayCache._cache_for
+
+
 def reference_remember(self, peer_id, gateway):
     cache = self._cache_for(peer_id)
     cache.pop(gateway, None)
@@ -58,10 +79,8 @@ def reference_gateway_for(self, peer_id):
             gateway in self.members
             and self.population.is_online(gateway)
         ):
-            self.cache_hits += 1
             reference_remember(self, peer_id, gateway)
             return gateway
-    self.cache_misses += 1
 
     # Re-bootstrap: probe members in random order until one answers.
     candidates = sorted(self.members)
@@ -70,7 +89,6 @@ def reference_gateway_for(self, peer_id):
         candidate = candidates[int(idx)]
         self.metrics.count(MessageCategory.MEMBERSHIP)  # request
         self.metrics.count(MessageCategory.MEMBERSHIP)  # response
-        self.bootstrap_probes += 1
         if self.population.is_online(candidate):
             reference_remember(self, peer_id, candidate)
             return candidate
@@ -84,15 +102,21 @@ NUM_PEERS = 8
 MEMBERS = st.frozensets(st.integers(0, 4), min_size=1)
 
 
+def build_reference(members, seed):
+    population = PeerPopulation(NUM_PEERS)
+    metrics = MessageMetrics()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cache = ReferenceCache(population, members, metrics, rng)
+    return population, metrics, cache
+
+
 def build(members, seed):
     population = PeerPopulation(NUM_PEERS)
     metrics = MessageMetrics()
-    cache = GatewayCache(
-        population,
-        set(members),
-        metrics,
-        np.random.Generator(np.random.PCG64(seed)),
-    )
+    dht = PGridDht(population, metrics)
+    dht.join_all(sorted(members))
+    metrics.reset()  # the joins' messages, which the reference never sent
+    cache = GatewayCache(dht, np.random.Generator(np.random.PCG64(seed)))
     return population, metrics, cache
 
 
@@ -106,9 +130,6 @@ def lookup(gateway_for, cache, peer_id):
 def observable(cache, metrics):
     return (
         {peer: list(entries) for peer, entries in cache._caches.items()},
-        cache.cache_hits,
-        cache.cache_misses,
-        cache.bootstrap_probes,
         list(metrics.totals_by_category().items()),
         cache.rng.bit_generator.state,
     )
@@ -122,7 +143,7 @@ operations = st.lists(
             st.just("flip"), st.integers(0, NUM_PEERS - 1), st.booleans()
         ),
         st.tuples(st.just("flip"), st.integers(0, 4), st.booleans()),
-        st.tuples(st.just("members"), MEMBERS),
+        st.tuples(st.just("join"), st.integers(0, 4)),
     ),
     min_size=20,
     max_size=80,
@@ -136,7 +157,7 @@ operations = st.lists(
     run=operations,
 )
 def test_gateway_for_equals_reference(members, seed, run):
-    ref_population, ref_metrics, ref = build(members, seed)
+    ref_population, ref_metrics, ref = build_reference(members, seed)
     new_population, new_metrics, new = build(members, seed)
     for operation in run:
         if operation[0] == "lookup":
@@ -146,22 +167,23 @@ def test_gateway_for_equals_reference(members, seed, run):
         elif operation[0] == "flip":
             ref_population.set_online(operation[1], operation[2])
             new_population.set_online(operation[1], operation[2])
-        else:
-            # The DHT re-provisioned: stale cache entries are kept until
-            # they fail.
-            ref.members = set(operation[1])
-            new.members = set(operation[1])
+        elif not new.dht.is_member(operation[1]):
+            # A join is one MEMBERSHIP message, which the reference's
+            # copy of the member set never sent.
+            ref.members.add(operation[1])
+            ref_metrics.count(MessageCategory.MEMBERSHIP)
+            new.dht.join(operation[1])
         assert observable(new, new_metrics) == observable(ref, ref_metrics)
 
 
 def test_a_hit_on_an_older_gateway_moves_it_to_the_end():
     """The property above is not vacuous: hits on the most recent gateway
     and on an older one both happen, and the order moves for the latter."""
-    population, _, cache = build({0, 1, 2}, 0)
+    population, metrics, cache = build({0, 1, 2}, 0)
     cache._caches[7] = OrderedDict.fromkeys([0, 1, 2])
     assert cache.gateway_for(7) == 2  # the most recent: stays last
     assert list(cache._caches[7]) == [0, 1, 2]
     population.set_online(2, False)
     assert cache.gateway_for(7) == 1  # an older one: moves to the end
     assert list(cache._caches[7]) == [0, 2, 1]
-    assert cache.cache_hits == 2
+    assert metrics.total() == 0  # both were hits: no probe

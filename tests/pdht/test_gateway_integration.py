@@ -22,17 +22,16 @@ def network():
 
 
 class TestGatewayIntegration:
-    def test_gateway_cache_covers_members(self, network):
-        assert network.gateways.members == set(network.dht._members)
-
     def test_repeat_queries_hit_gateway_cache(self, network):
         outsider = next(
             p for p in range(len(network.population))
-            if p not in network.dht._members
+            if not network.dht.is_member(p)
         )
         network.query(outsider, "hot")
+        discovered = network.metrics.total(MessageCategory.MEMBERSHIP)
+        assert discovered > 0
         network.query(outsider, "hot")
-        assert network.gateways.cache_hits >= 1
+        assert network.metrics.total(MessageCategory.MEMBERSHIP) == discovered
 
     def test_membership_traffic_is_minor_in_steady_state(self, network):
         # Gateway discovery must be a small share of steady-state traffic

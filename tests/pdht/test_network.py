@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis.parameters import ScenarioParameters
@@ -147,6 +149,22 @@ class TestMessageAccounting:
         network.metrics.reset()
         network.advance(50.0)
         assert network.metrics.total(MessageCategory.MAINTENANCE) == 0.0
+
+
+class TestAdvance:
+    def test_nan_rounds_rejected(self, network):
+        network.advance(3.0)
+        with pytest.raises(ParameterError):
+            network.advance(math.nan)
+        assert network.simulation.now == 3.0
+
+    def test_infinite_rounds_rejected(self, network):
+        # Maintenance off and no churn, so nothing recurs and the queue
+        # would drain: only the check stops the clock reaching inf.
+        network.disable_maintenance()
+        with pytest.raises(ParameterError):
+            network.advance(math.inf)
+        assert network.simulation.now == 0.0
 
 
 class TestUpdatesAndPreload:

@@ -90,18 +90,22 @@ def capture(case: str) -> dict:
         churn=CHURNS[churned],
     )
     report = runner.run(DURATION)
+    totals = {
+        category.value: total
+        for category, total in report.messages_by_category.items()
+    }
     return {
         "queries": report.queries,
         "answered": report.answered,
         "index_hits": report.index_hits,
-        "messages_by_category": [
-            [category.value, total]
-            for category, total in report.messages_by_category.items()
-        ],
+        "messages_by_category": [list(item) for item in totals.items()],
         "total_messages": report.total_messages,
-        "probes_sent": runner.network.maintenance.probes_sent,
-        "sweeps": runner.network.maintenance.sweeps,
-        "bootstrap_probes": runner.network.gateways.bootstrap_probes,
+        # Recorded when maintenance and the gateway cache kept counters
+        # of their own; they were the MAINTENANCE total, one sweep a round
+        # where the DHT runs, and one probe per two MEMBERSHIP messages.
+        "probes_sent": totals.get("maintenance", 0.0),
+        "sweeps": int(DURATION) if "maintenance" in totals else 0,
+        "bootstrap_probes": int(totals.get("membership", 0)) // 2,
         "mean_index_size": report.mean_index_size,
         "index_size": _index_size(runner.network),
     }

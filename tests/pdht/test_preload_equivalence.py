@@ -84,8 +84,6 @@ def _stores(network: PdhtNetwork) -> dict:
         member: (
             list(store.records.items()),
             list(store._expiry_heap),
-            store.insertions,
-            store.evictions_expired,
         )
         for member, store in network.stores.items()
     }

@@ -113,10 +113,3 @@ class TestPurge:
         store.purge_expired(now=12.0)
         assert len(store) == 1
 
-    def test_eviction_counters(self):
-        store = TtlKeyStore(ttl=5.0)
-        insert(store, "a", 1, now=0.0)
-        store.purge_expired(now=10.0)
-        assert store.evictions_expired == 1
-        assert store.insertions == 1
-

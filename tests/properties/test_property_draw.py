@@ -37,7 +37,7 @@ draw; the other 10 on the guide build, below):
 * no clamp: ``test_injected_uniforms_equal_full_search``,
   ``test_top_sliver_is_the_only_difference`` and the stub-generator
   tests in ``tests/analysis/test_zipf.py``,
-  ``tests/workload/test_queries.py`` and
+  ``tests/workloads/test_queries.py`` and
   ``tests/fastsim/test_workload.py``.
 
 ``reference_build_guide`` is the guide build ISSUE 19 replaced, kept

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,7 +168,6 @@ class TestEvery:
         with pytest.raises(SimulationError):
             Simulation().every(0.0, lambda: None)
 
-
     def test_a_cancelled_controller_spends_its_queued_firing(self):
         # The firing queued before the cancel still happens, as a no-op
         # that counts in processed_events; nothing is queued after it.
@@ -180,23 +181,61 @@ class TestEvery:
         assert sim.processed_events == 2
 
 
-def closure_every(sim, interval, action, label=""):
+class TestNonFiniteTimes:
+    """A NaN or infinite time never reaches the clock or the queue: a NaN
+    compares false with everything, so it slipped past the "not in the
+    past" checks, and an infinite one is a time no run reaches."""
+
+    @pytest.mark.parametrize("until", [math.nan, math.inf])
+    def test_run_until_rejected(self, until):
+        # An empty simulation: with a recurring event queued, a run
+        # until inf would never return.
+        sim = Simulation()
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+        assert sim.now == 2.0
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_schedule_at_rejected(self, time):
+        sim = Simulation()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(time, lambda: None)
+        assert sim._queue == []
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_schedule_in_rejected(self, delay):
+        sim = Simulation()
+        with pytest.raises(SimulationError):
+            sim.schedule_in(delay, lambda: None)
+        assert sim._queue == []
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_every_rejected(self, interval):
+        sim = Simulation()
+        with pytest.raises(SimulationError):
+            sim.every(interval, lambda: None)
+        assert sim._queue == []
+
+
+def closure_every(sim, interval, action):
     """``Simulation.every`` as it was before the dispatch loop re-scheduled
     recurring events: a ``fire`` closure that re-schedules itself, which
     makes every simulation with a recurring event a reference cycle. The
-    oracle for the property below."""
+    oracle for the property below (verbatim but for the event labels,
+    which nothing read and which are gone)."""
     if interval <= 0:
         raise SimulationError(f"interval must be > 0, got {interval}")
-    controller = Event(action=action, label=label or "recurring")
+    controller = Event(action=action)
 
     def fire():
         if controller.cancelled:
             return
         action()
         if not controller.cancelled:
-            sim.schedule_in(interval, fire, label=controller.label)
+            sim.schedule_in(interval, fire)
 
-    sim.schedule_at(sim.now + interval, fire, label=controller.label)
+    sim.schedule_at(sim.now + interval, fire)
     return controller
 
 
@@ -228,9 +267,9 @@ def _replay(every, initial, program, pauses):
 
         kind, value = step
         if kind == "once":
-            handles.append(sim.schedule_in(value, action, label=str(ident)))
+            handles.append(sim.schedule_in(value, action))
         else:
-            handles.append(every(sim, value, action, label=str(ident)))
+            handles.append(every(sim, value, action))
 
     def apply(step, current):
         kind, value = step
@@ -266,7 +305,7 @@ def test_every_fires_as_the_closure_it_replaced(initial, program, pauses):
     ``processed_events`` — one-shot and recurring events mixed, scheduled
     at the current time, cancelled from inside actions, run in pieces."""
     ours = _replay(
-        lambda sim, interval, action, label: sim.every(interval, action, label),
+        lambda sim, interval, action: sim.every(interval, action),
         initial, program, pauses,
     )
     assert ours == _replay(closure_every, initial, program, pauses)

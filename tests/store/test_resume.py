@@ -126,9 +126,14 @@ class TestRunManyResume:
     def test_pool_execution_also_saves_and_loads(self, params, store):
         jobs = _jobs(params)
         pooled = run_many(jobs, workers=2, store=store)
-        warm = run_many(jobs, workers=2, store=store)
+        obs.enable()
+        try:
+            warm = run_many(jobs, workers=2, store=store)
+            counters = obs.collector().counters
+        finally:
+            obs.disable()
         assert warm == pooled
-        assert store.stats["sweep_cell"]["hits"] == len(jobs)
+        assert counters["cache.store.sweep_cell.hit"] == len(jobs)
 
     def test_job_key_requires_resolution_for_stability(self, params, store):
         [job] = _jobs(params, seeds=(3,))

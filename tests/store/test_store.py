@@ -152,13 +152,6 @@ class TestCostRoundTrips:
         for kind in KINDS:
             assert store.load(kind, content_key(kind, {"seed": 99})) is None
 
-    def test_stats_track_hits_and_misses_per_kind(self, store):
-        key = content_key("costs", {"seed": 0})
-        store.load("costs", key)
-        store.save("costs", key, COSTS)
-        store.load("costs", key)
-        assert store.stats["costs"] == {"hits": 1, "misses": 1}
-
     def test_hits_and_misses_emit_obs_counters(self, store):
         key = content_key("costs", {"seed": 0})
         obs.enable()
@@ -209,7 +202,7 @@ class TestCostRoundTrips:
             obs.disable()
         assert counters["cache.store.corrupt"] == 1
         assert counters["cache.store.costs.miss"] == 1
-        assert store.stats["costs"] == {"hits": 0, "misses": 1}
+        assert "cache.store.costs.hit" not in counters
         store.save("costs", key, COSTS)  # the recompute overwrites it
         assert store.load("costs", key) == COSTS
 
@@ -253,15 +246,21 @@ class TestStored:
 
     def test_a_call_is_keyed_by_its_bound_arguments(self, store):
         measure, calls = self.probe()
-        with using_store(store):
-            assert measure({"n": 1}, 4) == 2.0
-            assert measure({"n": 1}, seed=4, probes=256) == 2.0
+        obs.enable()
+        try:
+            with using_store(store):
+                assert measure({"n": 1}, 4) == 2.0
+                assert measure({"n": 1}, seed=4, probes=256) == 2.0
+            counters = obs.collector().counters
+        finally:
+            obs.disable()
         assert len(calls) == 1
         key = content_key(
             "lookup_probe", {"params": {"n": 1}, "seed": 4, "probes": 256}
         )
         assert store.db.get(key) == '{"type":"lookup_probe","value":2.0}'
-        assert store.stats["lookup_probe"] == {"hits": 1, "misses": 1}
+        assert counters["cache.store.lookup_probe.hit"] == 1
+        assert counters["cache.store.lookup_probe.miss"] == 1
 
     def test_without_a_store_the_body_always_runs(self, monkeypatch):
         monkeypatch.delenv(STORE_ENV, raising=False)
@@ -280,14 +279,19 @@ class TestCalibrationsThroughStore:
         params = simulation_scenario(scale=0.02)
         config = PdhtConfig.from_scenario(params)
         _costs_for_cached.cache_clear()  # earlier tests may have warmed L1
-        with using_store(store):
-            first = costs_for(params, config, 60)
-            _costs_for_cached.cache_clear()
-            second = costs_for(params, config, 60)
+        obs.enable()
+        try:
+            with using_store(store):
+                first = costs_for(params, config, 60)
+                _costs_for_cached.cache_clear()
+                second = costs_for(params, config, 60)
+            counters = obs.collector().counters
+        finally:
+            obs.disable()
         assert first == second
         assert first.source == "calibrated"
-        assert store.stats["costs"]["hits"] == 1
-        assert store.stats["costs"]["misses"] == 1
+        assert counters["cache.store.costs.hit"] == 1
+        assert counters["cache.store.costs.miss"] == 1
 
     def test_calibration_seconds_zero_on_warm_start(self, store):
         """A store hit never enters the calibrate.* span."""

@@ -1,0 +1,129 @@
+"""``tools/pairs.py`` on stub checkouts.
+
+Each stub checkout's ``benchmarks/e2e/run.py`` prints a line of noise and
+then the JSON result of its next scripted rep, and logs its side and
+arguments to one shared file, so the tests see the order the runs took,
+what they were asked, and the table line the tool makes of them.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+
+SPEC = {
+    "command": [sys.executable, "benchmarks/e2e/run.py"],
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+         "bound": 0.02},
+        {"name": "ops_n", "unit": "count", "better": "higher",
+         "bound": 0.2},
+    ],
+}
+
+STUB = '''\
+import json, sys
+from pathlib import Path
+
+here = Path(__file__).parent
+reps = {reps!r}
+counter = here / "count"
+done = int(counter.read_text()) if counter.exists() else 0
+counter.write_text(str(done + 1))
+with open({log!r}, "a") as log:
+    log.write({side!r} + " " + " ".join(sys.argv[1:]) + "\\n")
+rep = reps[done]
+print("wall_s 1.0 s (noise before the result)")
+if rep is not None:
+    failed, values = rep
+    metrics = {{n: {{"value": v, "unit": "x"}} for n, v in values.items()}}
+    print(json.dumps({{
+        "correct": not failed, "attempted": 2, "failed": failed,
+        "metrics": metrics,
+    }}))
+'''
+
+
+def rep(wall, rss, ops, failed=0):
+    return failed, {"wall_s": wall, "peak_rss_mb": rss, "ops_n": ops}
+
+
+def checkouts(tmp_path, parent_reps, change_reps):
+    log = tmp_path / "runs.log"
+    roots = {}
+    for side, reps in (("parent", parent_reps), ("change", change_reps)):
+        root = tmp_path / side
+        (root / "benchmarks" / "e2e").mkdir(parents=True)
+        (root / "benchmarks" / "e2e" / "run.py").write_text(
+            STUB.format(reps=reps, log=str(log), side=side)
+        )
+        roots[side] = root
+    (roots["change"] / "tools").mkdir()
+    shutil.copy(PAIRS, roots["change"] / "tools" / "pairs.py")
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    return roots, log
+
+
+def run_pairs(roots, *args):
+    return subprocess.run(
+        [sys.executable, str(roots["change"] / "tools" / "pairs.py"),
+         "--parent", str(roots["parent"]), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_alternating_pairs_make_one_table_line(tmp_path):
+    roots, log = checkouts(
+        tmp_path,
+        [rep(1.0, 40.0, 10.0), rep(2.0, 40.0, 10.0), rep(3.0, 40.0, 10.0)],
+        [rep(0.5, 41.0, 12.0), rep(2.5, 39.0, 12.0), rep(1.0, 42.0, 9.0)],
+    )
+    proc = run_pairs(roots, "--workload", "sim_event", "--pairs", "3",
+                     "--seed", "4")
+    assert proc.returncode == 0, proc.stderr
+    args = "--workload sim_event --seed 4 --trace 0"
+    assert log.read_text().splitlines() == [
+        f"{side} {args}"
+        for side in ("parent", "change", "change", "parent", "parent",
+                     "change")
+    ]
+    assert proc.stdout.splitlines() == [
+        "sim_event  s4 3p; "
+        "wall 2.000[1.000,3.000]->1.000 2/3 (-50.0%); "
+        "rss 40.000[40.000,40.000]->41.000 1/3 (+2.5%); "
+        "ops 10.000[10.000,10.000]->12.000 2/3 (+20.0%)"
+    ]
+
+
+def test_a_failed_rep_fails_the_tool_and_leaves_its_pair_out(tmp_path):
+    roots, _ = checkouts(
+        tmp_path,
+        [rep(1.0, 40.0, 10.0), rep(2.0, 40.0, 10.0)],
+        [rep(0.5, 40.0, 10.0), rep(0.1, 40.0, 10.0, failed=1)],
+    )
+    proc = run_pairs(roots, "--workload", "churn_cold", "--pairs", "2")
+    assert proc.returncode == 1
+    assert "pair 2: the change run failed" in proc.stderr
+    assert proc.stdout.startswith("churn_cold s0 1p; wall 1.000[1.000,1.000]")
+
+
+def test_a_run_without_a_json_line_fails_the_tool(tmp_path):
+    roots, _ = checkouts(tmp_path, [None], [rep(1.0, 40.0, 10.0)])
+    proc = run_pairs(roots, "--workload", "sweep_warm", "--pairs", "1")
+    assert proc.returncode == 1
+    assert "pair 1: the parent run failed" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_a_parent_without_a_benchmark_is_refused(tmp_path):
+    roots, _ = checkouts(tmp_path, [], [])
+    shutil.rmtree(roots["parent"] / "benchmarks")
+    proc = run_pairs(roots, "--workload", "sim_event")
+    assert proc.returncode == 2
+    assert "no benchmark in the parent checkout" in proc.stderr

@@ -5,14 +5,17 @@ A substrate's content plane is filled in one call: the holders of every
 key come from one ``repro.sim.rng.choice_rows`` call instead of one
 ``rng.choice`` per key, and each key is written into the overlay as one
 holder bitmask instead of one ``UnstructuredOverlay.store`` per holder.
-The old path — ``PdhtNetwork.publish_all``'s loop, ``place`` and
-``_draw_holders`` as they were — is kept here verbatim and driven side by
-side with the new one on twin overlays; they must leave the same world:
-holders in draw order (as plain ``int``), the payload at every holder,
+The old path — ``PdhtNetwork.publish_all``'s loop, ``place``, ``remove``
+and ``_draw_holders`` as they were — is kept here verbatim and driven side
+by side with the new one on twin overlays. The old replicator kept each
+key's placement (holders in draw order, their mask) beside the overlay's
+record; the new one keeps nothing and reads the record, so the reference
+runs on a ``ReferenceReplicator`` holding those placements. The two must
+leave the same world: each key's holders, the payload at every holder,
 which peers hold which key (every ``(peer, key)``), the placement order,
 and the ``"placement"`` generator's state, so a later ``refresh`` or
 ``place`` continues identically. ``refresh_all`` is held to a loop of
-``remove`` and the old ``place``.
+the old ``remove`` and ``place``.
 
 Mutations run against the new code, each caught by the test named:
 
@@ -20,8 +23,6 @@ Mutations run against the new code, each caught by the test named:
   included — ``test_duplicate_key_leaves_the_same_partial_state`` (the
   stream further on);
 * the already-placed check dropped — the same test (no error);
-* holders left as numpy integers — ``test_place_all_equals_place_loop``
-  (``type(holder) is int``: they are dict keys, list indices and JSON);
 * one ``rng.choice`` of shape ``(keys, repl)`` instead of
   ``choice_rows`` — ``test_place_all_equals_place_loop`` (different
   holders and state);
@@ -40,12 +41,19 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ParameterError
 from repro.net.node import PeerPopulation
 from repro.unstructured.overlay import ContentRecord, UnstructuredOverlay
-from repro.unstructured.replication import ContentReplicator, ReplicaPlacement
+from repro.unstructured.replication import ContentReplicator
 
 
 # ----------------------------------------------------------------------
-# The replaced bodies, verbatim
+# The replaced bodies, verbatim but for the placement record: a pair
+# instead of the class with the holders as an int32 array
 # ----------------------------------------------------------------------
+class ReferenceReplicator(ContentReplicator):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._placements = {}
+
+
 def reference_draw_holders(self):
     population_size = len(self.overlay.population)
     chosen = self.rng.choice(
@@ -60,11 +68,15 @@ def reference_place(self, key, value):
     holders = reference_draw_holders(self)
     for holder in holders:
         self.overlay.add_replicas(key, 1 << holder, value)
-    placement = ReplicaPlacement(
-        key=key, holders=holders, mask=sum(1 << h for h in holders)
-    )  # the holder mask is new
+    placement = (holders, sum(1 << h for h in holders))
     self._placements[key] = placement
     return placement
+
+
+def reference_remove(self, key):
+    placement = self._placements.pop(key, None)
+    if placement is not None:
+        self.overlay.drop_replicas(key, placement[1])
 
 
 def reference_publish_all(replicator, items):
@@ -73,14 +85,22 @@ def reference_publish_all(replicator, items):
 
 
 # ----------------------------------------------------------------------
-def replicator(num_peers, replication, seed):
+def replicator(num_peers, replication, seed, kind=ContentReplicator):
     overlay = UnstructuredOverlay(
         PeerPopulation(num_peers),
         np.random.Generator(np.random.PCG64(99)),
         degree=2,
     )
-    return ContentReplicator(
+    return kind(
         overlay, replication, np.random.Generator(np.random.PCG64(seed))
+    )
+
+
+def twins(num_peers, replication, seed):
+    """The reference replicator and the new one, on twin overlays."""
+    return (
+        replicator(num_peers, replication, seed, ReferenceReplicator),
+        replicator(num_peers, replication, seed),
     )
 
 
@@ -102,9 +122,9 @@ def _holders(overlay, key):
 def world(rep):
     """Everything a later query, refresh or walk can see."""
     overlay = rep.overlay
-    keys = list(rep._placements)
+    keys = list(overlay.content)
     return (
-        [(key, rep._placements[key].row.tolist()) for key in keys],
+        [(key, _holders(overlay, key)) for key in keys],
         [
             [overlay.value_at(peer, key) for peer in _holders(overlay, key)]
             for key in keys
@@ -127,20 +147,14 @@ def world(rep):
 def test_place_all_equals_place_loop(num_peers, replication, n_keys, seed):
     replication = min(replication, num_peers)
     items = {f"key-{i:06d}": f"value-{i}" for i in range(n_keys)}
-    old = replicator(num_peers, replication, seed)
-    new = replicator(num_peers, replication, seed)
+    old, new = twins(num_peers, replication, seed)
     reference_publish_all(old, items)
     new.place_all(items)
     assert world(new) == world(old)
-    assert all(
-        type(holder) is int
-        for key in items
-        for holder in new._placements[key].row.tolist()
-    )
     # The stream continues identically: article replacement, a late key.
     if items:
         first = next(iter(items))
-        old.remove(first)
+        reference_remove(old, first)
         reference_place(old, first, "v2")
         new.refresh_all({first: "v2"})
     reference_place(old, "late", 1)
@@ -152,7 +166,7 @@ def test_place_all_equals_place_loop(num_peers, replication, n_keys, seed):
 def test_duplicate_key_leaves_the_same_partial_state(duplicate_at):
     items = {f"key-{i}": i for i in range(8)}
     duplicate = f"key-{duplicate_at}"
-    old, new = replicator(20, 4, 5), replicator(20, 4, 5)
+    old, new = twins(20, 4, 5)
     reference_place(old, duplicate, "already here")
     new.place(duplicate, "already here")
     with pytest.raises(ParameterError, match="already placed"):
@@ -160,7 +174,9 @@ def test_duplicate_key_leaves_the_same_partial_state(duplicate_at):
     with pytest.raises(ParameterError, match="already placed"):
         new.place_all(items)
     assert world(new) == world(old)
-    assert list(new._placements) == [duplicate, *list(items)[:duplicate_at]]
+    assert list(new.overlay.content) == [
+        duplicate, *list(items)[:duplicate_at]
+    ]
 
 
 @settings(max_examples=80, deadline=None)
@@ -176,19 +192,18 @@ def test_refresh_all_equals_refresh_loop(
 ):
     replication = min(replication, num_peers)
     items = {f"key-{i:06d}": (i, 0) for i in range(n_keys)}
-    old = replicator(num_peers, replication, seed)
-    new = replicator(num_peers, replication, seed)
+    old, new = twins(num_peers, replication, seed)
     reference_publish_all(old, items)
     new.place_all(items)
     # a prefix of the keys, plus one never placed
     again = {key: (i, 1) for i, key in enumerate(list(items)[:refreshed])}
     again["fresh"] = (-1, 1)
     for key, value in again.items():
-        old.remove(key)
+        reference_remove(old, key)
         reference_place(old, key, value)
     new.refresh_all(again)
     assert world(new) == world(old)
-    assert list(new._placements) == list(old._placements)
+    assert list(new.overlay.content) == list(old._placements)
 
 
 def test_content_plane_layout():
@@ -202,10 +217,7 @@ def test_content_plane_layout():
         record = overlay.content[key]
         assert type(record) is ContentRecord
         assert type(record.mask) is int and record.value == value
-        holders = rep._placements[key].row.tolist()
-        assert record.mask == sum(1 << h for h in holders)
-        assert all(type(h) is int for h in holders)
-        assert rep._placements[key].row.dtype == np.int32
+        assert bin(record.mask).count("1") == 4
     assert not hasattr(overlay.population, "content")
     rep.remove("a")
     assert list(overlay.content) == ["b"]  # the record goes with its holders

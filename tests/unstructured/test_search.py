@@ -44,8 +44,8 @@ class TestRandomWalkSearch:
         assert ideal * 0.5 < mean_cost < ideal * 4.0
 
     def test_local_hit_costs_nothing(self, searchable, rng):
-        overlay, replicator, _ = searchable
-        holder = replicator._placements["hot"].row.tolist()[0]
+        overlay, _, _ = searchable
+        holder = next(p for p in range(200) if overlay.peer_has(p, "hot"))
         result = RandomWalkSearch(overlay, rng).search(holder, "hot")
         assert result.found and result.messages == 0 and result.steps == 0
 

@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the repo benchmark, as one table line.
+
+    python3 tools/pairs.py --parent DIR --workload sim_event
+    python3 tools/pairs.py --parent DIR --workload sweep_warm --seed 5
+
+Runs the benchmark command of ``BENCHMARK.json`` (``benchmarks/e2e/run.py
+--workload W --seed S --trace 0``) in this checkout (the change) and in
+``DIR`` (the parent, e.g. a ``git archive`` of the parent commit), each
+from its own checkout and unchanged, ``--pairs`` times each, the order
+alternating from pair to pair (the parent first in the first pair), and
+reads each run's last stdout line as its JSON result. For every
+end-to-end metric of this checkout's ``BENCHMARK.json`` it prints the
+parent's median [first quartile, third quartile] -> the change's median,
+the pairs the change won (strictly better, by the metric's ``better``)
+and the change of the median, all on one line:
+
+    sim_event  s0 10p; wall 0.663[0.637,0.694]->0.662 6/10 (-0.1%); ...
+
+Quartiles are ``statistics.quantiles(n=4)``'s, as in the benchmark's own
+summaries. A run that reports ``"failed"`` above 0, or that ends without
+a JSON line, is named on stderr; its pair is left out of the line.
+
+Exit codes: 0; 1 when any run failed; 2 when a checkout has no benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = Path("benchmarks") / "e2e" / "run.py"
+
+
+def run_once(root: Path, command: list[str], workload: str, seed: int
+             ) -> Optional[dict]:
+    """One benchmark run in ``root``; its JSON result, or None."""
+    proc = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
+    return result if isinstance(result, dict) else None
+
+
+def short_name(metric: str) -> str:
+    """``wall_s`` -> ``wall``, ``peak_rss_mb`` -> ``rss``."""
+    return metric.removeprefix("peak_").rsplit("_", 1)[0]
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median, third quartile."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def table_line(workload: str, seed: int, pairs: list[tuple[dict, dict]],
+               metrics: list[dict]) -> str:
+    """The pair-table line of ``pairs`` (parent, change) results."""
+    parts = []
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        won = sum(
+            (c < p) if lower else (c > p) for p, c in zip(parent, change)
+        )
+        q1, before, q3 = quartiles(parent)
+        after = statistics.median(change)
+        shift = (after / before - 1.0) * 100.0 if before else 0.0
+        parts.append(
+            f"{short_name(name)} {before:.3f}[{q1:.3f},{q3:.3f}]->{after:.3f} "
+            f"{won}/{len(pairs)} ({shift:+.1f}%)"
+        )
+    return f"{workload:<10} s{seed} {len(pairs)}p; " + "; ".join(parts)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    for side, root in sides.items():
+        if not (root / RUN).is_file():
+            print(f"no benchmark in the {side} checkout: {root / RUN}",
+                  file=sys.stderr)
+            return 2
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+    pairs: list[tuple[dict, dict]] = []
+    failed = 0
+    for index in range(args.pairs):
+        order = ["parent", "change"]
+        if index % 2:
+            order.reverse()
+        results = {}
+        for side in order:
+            result = run_once(sides[side], spec["command"], args.workload,
+                              args.seed)
+            if result is None or result.get("failed", 1) > 0:
+                failed += 1
+                print(f"pair {index + 1}: the {side} run failed",
+                      file=sys.stderr)
+            else:
+                results[side] = result
+        if len(results) == 2:
+            pairs.append((results["parent"], results["change"]))
+    if pairs:
+        print(table_line(args.workload, args.seed, pairs, spec["end_to_end"]))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
