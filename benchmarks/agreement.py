@@ -177,7 +177,8 @@ def compare_engines(
 
     Below ``availability`` 1 both engines run under
     :func:`~repro.fastsim.compare.churn_config_for_availability`: the event engine with a real
-    :class:`~repro.net.churn.ChurnProcess`, the kernel with the
+    :class:`~repro.net.churn.ChurnProcess` (exponential sessions and gaps at
+    real-valued times, applied by the round clock up to each round), the kernel with the
     availability-dependent cost model, calibrated at each seed
     (:func:`~repro.fastsim.compare.churn_costs_for`; churn per-op costs are substrate-realisation
     properties) and driven by ``model`` — the rank-permutation-aware path.

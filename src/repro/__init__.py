@@ -41,7 +41,7 @@ Driving the system directly::
 Subpackages:
 
 * :mod:`repro.analysis` — the paper's closed-form model (Eq. 1-17);
-* :mod:`repro.sim` — discrete-event engine, rng streams, metrics;
+* :mod:`repro.sim` — the round clock, rng streams, metrics;
 * :mod:`repro.net` — peers, topologies, churn;
 * :mod:`repro.unstructured` — Gnutella-like overlay, k-walker random walks;
 * :mod:`repro.dht` — the P-Grid DHT + routing maintenance;

@@ -22,7 +22,6 @@ from __future__ import annotations
 from repro import obs
 from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError
-from repro.sim.engine import Simulation
 from repro.sim.metrics import MessageCategory
 
 __all__ = ["RoutingMaintenance"]
@@ -50,8 +49,8 @@ class RoutingMaintenance:
     # ------------------------------------------------------------------
     def run_sweep(self) -> None:
         """One maintenance sweep, counted as MAINTENANCE messages."""
-        # A sweep attached to a simulation runs inside its ``engine.run``,
-        # whose duration includes this one.
+        # A sweep run as a simulation's round hook runs inside its
+        # ``engine.run``, whose duration includes this one.
         with obs.span("dht.maintenance"):
             # One member at a time, ascending by id, never their sum: the
             # counters are float accumulators, and ``a + (b + c)`` is not
@@ -72,12 +71,6 @@ class RoutingMaintenance:
             self._sizes = [len(table) for table in tables if table]
             self._sizes_key = key
         return self._sizes
-
-    # ------------------------------------------------------------------
-    def attach(self, simulation: Simulation):
-        """Schedule recurring sweeps on a simulation; returns the controller
-        event (cancel it to stop maintenance)."""
-        return simulation.every(1.0, self.run_sweep)
 
     def expected_rate(self) -> float:
         """Analytical msg/s this maintenance should cost right now.

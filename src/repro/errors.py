@@ -29,7 +29,7 @@ class ConvergenceError(ReproError, RuntimeError):
 
 
 class SimulationError(ReproError, RuntimeError):
-    """The discrete-event simulation reached an inconsistent state."""
+    """The simulation clock was asked to run to an invalid time."""
 
 
 class TopologyError(ReproError, ValueError):

@@ -49,6 +49,7 @@ import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from numbers import Real
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 import repro
@@ -445,20 +446,8 @@ class ExperimentSpec:
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 
-class _RegistryView(Mapping):
-    """Read-only live view of the registry (mutation goes via register)."""
-
-    def __getitem__(self, name: str) -> ExperimentSpec:
-        return _REGISTRY[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-
-REGISTRY: Mapping[str, ExperimentSpec] = _RegistryView()
+#: Read-only live view of the registry (mutation goes via register).
+REGISTRY: Mapping[str, ExperimentSpec] = MappingProxyType(_REGISTRY)
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:

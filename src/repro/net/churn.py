@@ -3,8 +3,8 @@
 P2P clients are "extremely transient in nature" [ChRa03]; the paper's
 maintenance-cost term ``cRtn`` exists precisely because churn forces peers
 to keep probing their routing tables. This module drives a
-:class:`~repro.net.node.PeerPopulation` through on/offline cycles inside a
-:class:`~repro.sim.engine.Simulation`.
+:class:`~repro.net.node.PeerPopulation` through on/offline cycles on the
+round clock of :class:`~repro.sim.engine.Simulation`.
 
 Session and offline durations are exponentially distributed by default
 (the memoryless baseline used throughout the P2P literature); any
@@ -15,14 +15,14 @@ behaviour. The long-run fraction of online peers converges to
 
 from __future__ import annotations
 
-import weakref
+import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ParameterError, require_finite
 from repro.net.node import PeerId, PeerPopulation
-from repro.sim.engine import Simulation
 
 __all__ = ["ChurnConfig", "ChurnProcess"]
 
@@ -61,30 +61,28 @@ class ChurnConfig:
 
 
 class ChurnProcess:
-    """Schedules on/offline transitions for every peer.
+    """On/offline transitions for every peer, from time 0.
 
     Each peer alternates exponentially-distributed online sessions and
-    offline gaps. The simulation is held weakly: its queued transitions
-    refer to this process, so a strong reference back would make the
-    pair a cycle that only the cyclic collector frees.
+    offline gaps. The due transitions are one heap of ``(time, sequence,
+    peer)`` tuples; equal times apply in the order they were drawn.
     """
 
     def __init__(
         self,
-        simulation: Simulation,
         population: PeerPopulation,
         config: ChurnConfig,
         rng: np.random.Generator,
     ) -> None:
-        self._simulation = weakref.ref(simulation)
         self.population = population
         self.config = config
         self.rng = rng
-        self.transitions = 0
+        self._due: list[tuple[float, int, PeerId]] = []
+        self._sequence = itertools.count()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Initialise liveness and schedule the first transition per peer.
+        """Initialise liveness and draw the first transition per peer.
 
         Each peer starts online with the stationary availability, so the
         network starts in steady state rather than all-online.
@@ -93,18 +91,24 @@ class ChurnProcess:
         for peer_id in range(len(self.population)):
             online = bool(self.rng.random() < fraction)
             self.population.set_online(peer_id, online)
-            self._schedule_next(peer_id)
+            heapq.heappush(self._due, self._next(0.0, peer_id))
 
-    def _schedule_next(self, peer_id: PeerId) -> None:
+    def _next(self, now: float, peer_id: PeerId) -> tuple[float, int, PeerId]:
+        """The peer's next transition, one session or gap after ``now``."""
         online = self.population.is_online(peer_id)
         mean = self.config.mean_session if online else self.config.mean_offline
         delay = float(self.rng.exponential(mean))
-        self._simulation().schedule_in(
-            delay, lambda: self._transition(peer_id)
-        )
+        return (now + delay, next(self._sequence), peer_id)
 
-    def _transition(self, peer_id: PeerId) -> None:
-        new_state = not self.population.is_online(peer_id)
-        self.population.set_online(peer_id, new_state)
-        self.transitions += 1
-        self._schedule_next(peer_id)
+    def run_until(self, time: float) -> int:
+        """Apply every transition due at or before ``time``, in time order;
+        return how many were applied."""
+        due = self._due
+        population = self.population
+        applied = 0
+        while due and due[0][0] <= time:
+            when, _, peer_id = due[0]
+            population.set_online(peer_id, not population.is_online(peer_id))
+            heapq.heapreplace(due, self._next(when, peer_id))
+            applied += 1
+        return applied

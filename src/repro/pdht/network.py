@@ -95,7 +95,6 @@ class PdhtNetwork:
         self.params = params
         self.config = config or PdhtConfig.from_scenario(params)
         self.streams = RandomStreams(seed)
-        self.simulation = Simulation()
         self.metrics = MessageMetrics()
 
         # --- population and unstructured plane -------------------------
@@ -143,13 +142,13 @@ class PdhtNetwork:
 
         # --- maintenance and churn ---------------------------------------
         self.maintenance = RoutingMaintenance(self.dht, params.env)
-        self._maintenance_controller = self.maintenance.attach(self.simulation)
         self.churn: Optional[ChurnProcess] = None
         if churn is not None:
             self.churn = ChurnProcess(
-                self.simulation, self.population, churn, self.streams.get("churn")
+                self.population, churn, self.streams.get("churn")
             )
             self.churn.start()
+        self.simulation = Simulation(self.churn, self.maintenance.run_sweep)
 
         # Gateway discovery for peers outside the DHT (Section 3.2: they
         # must know at least one online member). Cached per peer; misses
@@ -303,7 +302,7 @@ class PdhtNetwork:
 
     def disable_maintenance(self) -> None:
         """Stop routing-table probing (the noIndex baseline runs no DHT)."""
-        self._maintenance_controller.cancel()
+        self.simulation.round_hook = None
 
     def proactive_update(self, key: str, value: object) -> int:
         """Apply one index update (Eq. 9): route to the responsible peer
@@ -371,7 +370,7 @@ class PdhtNetwork:
         return online[self.origins.draw(len(online))]
 
     def advance(self, rounds: float) -> None:
-        """Run the event clock forward (maintenance, churn, expirations)
-        by a finite number of rounds >= 0."""
+        """Run the round clock forward (churn, maintenance sweeps) by a
+        finite number of rounds >= 0."""
         require_finite("rounds", rounds, 0.0)
         self.simulation.run(until=self.simulation.now + rounds)

@@ -9,7 +9,7 @@ comparable to the analytical Eq. 11-13/17 costs. What differs between
 the four strategies is one :class:`~repro.analysis.strategies.StrategyPolicy`,
 the same value the vectorized kernel reads:
 
-* ``noIndex`` — every query broadcast; DHT maintenance cancelled (Eq. 12);
+* ``noIndex`` — every query broadcast; DHT maintenance off (Eq. 12);
 * ``indexAll`` — every key preloaded with infinite TTL, proactive
   updates at ``fUpd`` (Eq. 11);
 * ``partialIdeal`` — the Section 4 oracle: the top ``maxRank`` keys are

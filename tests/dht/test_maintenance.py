@@ -61,13 +61,12 @@ class TestExpectedMode:
 
 
 class TestScheduling:
-    def test_attach_runs_periodically(self, dht):
-        simulation = Simulation()
+    def test_round_hook_sweeps_once_a_round(self, dht):
         maintenance = RoutingMaintenance(dht, env=0.1)
-        controller = maintenance.attach(simulation)
+        simulation = Simulation(round_hook=maintenance.run_sweep)
         simulation.run(until=10.0)
         ten_sweeps = charged(dht)
         assert ten_sweeps == pytest.approx(10 * maintenance.expected_rate())
-        controller.cancel()
+        simulation.round_hook = None
         simulation.run(until=20.0)
         assert charged(dht) == ten_sweeps

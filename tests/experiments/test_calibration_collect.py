@@ -11,8 +11,9 @@ step higher or lower depending on nothing but how much code the process
 imported). No explicit ``gc.collect()`` runs on the way — not after cost
 resolution, not on a calibration-cache miss, not when a store answers.
 
-Mutations run, each caught by the test named: ``Simulation.every``'s
-self-referencing ``fire`` closure restored (every probe substrate is
+Mutations run, each caught by the test named: a reference cycle put
+back into the substrate (the event list's self-referencing ``fire``
+closure, since replaced by the round clock: every probe substrate is
 then still alive at the first kernel round) —
 ``test_no_substrate_outlives_calibration``; a collection put back after
 cost resolution — the same test; costs resolved a second time outside

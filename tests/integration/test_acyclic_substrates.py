@@ -4,10 +4,14 @@ An event cell and a calibration probe each build a ``PdhtNetwork`` of
 some 10^5 containers and drop it when they end. Nothing in the run
 collects: the substrate must hold no reference cycle, or it stays
 resident until an automatic full collection walks the whole heap to find
-it. Two cycles used to exist — ``Simulation.every``'s ``fire`` closure
-re-scheduling itself, and each churn transition closing over a
-``ChurnProcess`` that held its simulation — and each is caught here (a
-scratch copy with either restored fails every case it reaches).
+it. The substrate's time is a round clock: a ``Simulation`` holds its
+``ChurnProcess`` (a heap of ``(time, sequence, peer)`` tuples) and the
+maintenance sweep as its round hook, and neither refers back to the
+clock or the network. The event list it replaced had two cycles — a
+recurring event's ``fire`` closure re-scheduling itself, and each churn
+transition closing over a ``ChurnProcess`` that held its simulation —
+and each was caught here (a scratch copy with either restored failed
+every case it reached); a round hook bound to the network would be too.
 
 Each case builds, runs and drops one substrate kind after one baseline
 collection, then collects: under ``gc.DEBUG_SAVEALL`` that collection

@@ -14,10 +14,10 @@ from repro.sim.engine import Simulation
 
 @pytest.fixture
 def churn_setup(rng):
-    sim = Simulation()
     population = PeerPopulation(300)
     config = ChurnConfig(mean_session=100.0, mean_offline=50.0)
-    process = ChurnProcess(sim, population, config, rng)
+    process = ChurnProcess(population, config, rng)
+    sim = Simulation(churn=process)
     return sim, population, config, process
 
 
@@ -55,7 +55,16 @@ class TestChurnProcess:
         sim, _, _, process = churn_setup
         process.start()
         sim.run(until=500.0)
-        assert process.transitions > 100
+        assert sim.processed_events > 100
+
+    def test_run_until_returns_transitions_applied(self, churn_setup):
+        _, population, _, process = churn_setup
+        process.start()
+        before = population.liveness_epoch
+        applied = process.run_until(500.0)
+        assert applied > 100
+        assert population.liveness_epoch - before == applied
+        assert process.run_until(500.0) == 0
 
     def test_long_run_availability_converges(self, churn_setup):
         sim, population, config, process = churn_setup

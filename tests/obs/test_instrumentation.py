@@ -99,19 +99,16 @@ class TestChurnCalibrationInstrumentation:
 class TestEventEngineInstrumentation:
     def test_engine_run_span_and_event_counter(self):
         obs.enable()
-        sim = Simulation()
         fired = []
-        for when in (1.0, 2.0, 3.0):
-            sim.schedule_at(when, lambda: fired.append(sim.now))
-        sim.run(until=10.0)
+        sim = Simulation(round_hook=lambda: fired.append(sim.now))
+        sim.run(until=3.5)
         collected = obs.collector()
-        assert len(fired) == 3
+        assert fired == [1.0, 2.0, 3.0]
         assert collected.snapshot()["spans"]["engine.run"]["count"] == 1
         assert collected.counters["engine.events"] == 3
 
     def test_disabled_engine_run_records_nothing(self):
-        sim = Simulation()
-        sim.schedule_at(1.0, lambda: None)
+        sim = Simulation(round_hook=lambda: None)
         sim.run(until=2.0)
         assert not obs.collector()
 

@@ -1,4 +1,4 @@
-"""Property-based tests for the simulation engine and analytical model."""
+"""Property-based tests for the round clock and the analytical model."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import SelectionModel
 from repro.analysis.strategies import evaluate_strategies
+from repro.net.churn import ChurnConfig, ChurnProcess
+from repro.net.node import PeerPopulation
 from repro.sim.engine import Simulation
 
 time_list_st = st.lists(
@@ -15,27 +17,56 @@ time_list_st = st.lists(
 )
 
 
+class _FirstDelays:
+    """An rng stand-in: every peer starts online, peer i's first session
+    lasts ``delays[i]`` and no later one ends before the test does."""
+
+    def __init__(self, delays: list[float]) -> None:
+        self._delays = iter(delays)
+
+    def random(self) -> float:
+        return 0.0
+
+    def exponential(self, mean: float) -> float:
+        return next(self._delays, 1e9)
+
+
+def _clock(times: list[float]) -> tuple[Simulation, list[int], list[float]]:
+    """A clock whose peer i leaves at ``times[i]``; returns it, the log of
+    peers as they leave and the log of round-hook times."""
+    population = PeerPopulation(len(times))
+    churn = ChurnProcess(
+        population, ChurnConfig(mean_session=1.0, mean_offline=1.0),
+        _FirstDelays(times),
+    )
+    churn.start()
+    left: list[int] = []
+    set_online = population.set_online
+    population.set_online = lambda peer, online: (
+        left.append(peer), set_online(peer, online)
+    )
+    hooks: list[float] = []
+    sim = Simulation(churn, lambda: hooks.append(sim.now))
+    return sim, left, hooks
+
+
 @given(times=time_list_st)
 @settings(max_examples=60, deadline=None)
 def test_events_always_fire_in_time_order(times):
-    sim = Simulation()
-    fired: list[float] = []
-    for t in times:
-        sim.schedule_at(t, lambda t=t: fired.append(sim.now))
+    sim, left, hooks = _clock(times)
     sim.run(until=1001.0)
-    assert fired == sorted(fired)
-    assert len(fired) == len(times)
+    assert left == sorted(range(len(times)), key=lambda i: times[i])
+    assert hooks == [float(k) for k in range(1, 1002)]
 
 
 @given(times=time_list_st, cutoff=st.floats(min_value=0.0, max_value=1000.0))
 @settings(max_examples=60, deadline=None)
 def test_run_boundary_is_inclusive_exact(times, cutoff):
-    sim = Simulation()
-    fired: list[float] = []
-    for t in times:
-        sim.schedule_at(t, lambda t=t: fired.append(t))
+    sim, left, hooks = _clock(times)
     sim.run(until=cutoff)
-    assert sorted(fired) == sorted(t for t in times if t <= cutoff)
+    assert sorted(left) == [i for i, t in enumerate(times) if t <= cutoff]
+    assert len(hooks) == int(cutoff)
+    assert sim.processed_events == len(left) + len(hooks)
 
 
 params_st = st.builds(

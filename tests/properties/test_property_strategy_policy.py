@@ -148,9 +148,8 @@ def test_both_engines_and_the_closed_form_run_the_policy(params, key_ttl):
             for r in range(1, policy.preloaded_ranks + 1)
         }, name
         assert (
-            strategy.network._maintenance_controller.cancelled
-            == (not policy.runs_dht)
-        ), name
+            strategy.network.simulation.round_hook is None
+        ) == (not policy.runs_dht), name
         assert routed == [
             (r <= policy.index_ranks, hit) for r, hit in zip(ranks, preloaded)
         ], name

@@ -127,3 +127,20 @@ def test_a_parent_without_a_benchmark_is_refused(tmp_path):
     proc = run_pairs(roots, "--workload", "sim_event")
     assert proc.returncode == 2
     assert "no benchmark in the parent checkout" in proc.stderr
+
+
+def test_checkout_paths_of_different_lengths_are_warned_about(tmp_path):
+    roots, _ = checkouts(
+        tmp_path, [rep(1.0, 40.0, 10.0)] * 2, [rep(1.0, 40.0, 10.0)] * 2
+    )
+    proc = run_pairs(roots, "--workload", "sweep_cold", "--pairs", "1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    roots["parent"] = roots["parent"].rename(tmp_path / "parent-moved")
+    proc = run_pairs(roots, "--workload", "sweep_cold", "--pairs", "1")
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        f"warning: the parent path {roots['parent']} and the change path "
+        f"{roots['change']} differ in length; peak RSS can step with it"
+    ]
+    assert proc.stdout.startswith("sweep_cold s0 1p; ")

@@ -21,6 +21,11 @@ Quartiles are ``statistics.quantiles(n=4)``'s, as in the benchmark's own
 summaries. A run that reports ``"failed"`` above 0, or that ends without
 a JSON line, is named on stderr; its pair is left out of the line.
 
+The two checkouts' paths should be equally long: the path is in each
+run's environment and ``argv``, and ``sweep_cold``'s peak RSS steps by
+~1 MiB with how those shift the heap's layout. Paths of different
+lengths get a warning on stderr (the pairs still run).
+
 Exit codes: 0; 1 when any run failed; 2 when a checkout has no benchmark.
 """
 
@@ -106,6 +111,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"no benchmark in the {side} checkout: {root / RUN}",
                   file=sys.stderr)
             return 2
+    if len(str(sides["parent"])) != len(str(ROOT)):
+        print(f"warning: the parent path {sides['parent']} and the change "
+              f"path {ROOT} differ in length; peak RSS can step with it",
+              file=sys.stderr)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     pairs: list[tuple[dict, dict]] = []
