@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -14,6 +15,8 @@ from repro.fastsim.compare import (
     churn_config_for_availability,
 )
 from repro.fastsim.parallel import FastSimJob, run_many
+from repro.net.churn import ChurnConfig, ChurnProcess
+from repro.net.node import PeerPopulation
 from repro.pdht.config import PdhtConfig
 from repro.sim.engine import Simulation
 
@@ -106,6 +109,22 @@ class TestEventEngineInstrumentation:
         assert fired == [1.0, 2.0, 3.0]
         assert collected.snapshot()["spans"]["engine.run"]["count"] == 1
         assert collected.counters["engine.events"] == 3
+
+    def test_event_counter_counts_churn_transitions_and_hooks(self):
+        population = PeerPopulation(20)
+        churn = ChurnProcess(
+            population, ChurnConfig(mean_session=1.0, mean_offline=1.0),
+            np.random.default_rng(0),
+        )
+        churn.start()
+        before = population.liveness_epoch
+        obs.enable()
+        sim = Simulation(churn, lambda: None)
+        sim.run(until=4.0)
+        transitions = population.liveness_epoch - before
+        assert transitions > 0
+        assert obs.collector().counters["engine.events"] == transitions + 4
+        assert sim.processed_events == transitions + 4
 
     def test_disabled_engine_run_records_nothing(self):
         sim = Simulation(round_hook=lambda: None)

@@ -144,6 +144,12 @@ class TestMessageAccounting:
         expected = network.maintenance.expected_rate()
         assert measured == pytest.approx(expected, rel=0.15)
 
+    def test_disable_maintenance_clears_the_round_hook(self, network):
+        network.disable_maintenance()
+        assert network.simulation.round_hook is None
+        network.advance(3.0)
+        assert network.simulation.processed_events == 0
+
     def test_disable_maintenance_stops_probes(self, network):
         network.disable_maintenance()
         network.metrics.reset()
@@ -185,6 +191,20 @@ class TestUpdatesAndPreload:
 
 
 class TestChurnIntegration:
+    def test_the_clock_runs_the_network_churn(self, tiny_params):
+        config = PdhtConfig(key_ttl=100.0, replication=10, walkers=8)
+        churn = ChurnConfig(mean_session=20.0, mean_offline=10.0)
+        net = PdhtNetwork(
+            tiny_params, config, seed=5, num_active_peers=60, churn=churn
+        )
+        assert net.simulation.churn is net.churn
+        before = net.population.liveness_epoch
+        net.advance(10.0)
+        applied = net.population.liveness_epoch - before
+        assert applied > 0
+        # Every transition applied and one sweep a round.
+        assert net.simulation.processed_events == applied + 10
+
     def test_network_survives_churn(self, tiny_params):
         config = PdhtConfig(key_ttl=100.0, replication=10, walkers=8)
         churn = ChurnConfig(mean_session=300.0, mean_offline=100.0)

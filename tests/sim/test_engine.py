@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.dht.maintenance import RoutingMaintenance
 from repro.dht.pgrid import PGridDht
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.net.churn import ChurnConfig, ChurnProcess
 from repro.net.node import PeerId, PeerPopulation
 from repro.obs.clock import perf_counter
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, whole_rounds
 from repro.sim.metrics import MessageCategory, MessageMetrics
 
 
@@ -399,6 +399,67 @@ class TestRun:
         # Three rounds of three transitions and one hook each.
         assert sim.processed_events == 12
 
+    def test_run_to_now_runs_nothing(self):
+        sim, population = _whole_round_churn(round_hook=lambda: None)
+        sim.run(until=2.0)
+        before = (sim.processed_events, population.liveness_epoch)
+        sim.run(until=2.0)
+        assert (sim.processed_events, population.liveness_epoch) == before
+        assert sim.now == 2.0
+
+    def test_steps_within_a_round_run_no_hook(self):
+        times = []
+        sim = Simulation(round_hook=lambda: times.append(sim.now))
+        for until in (0.1, 0.4, 0.99):
+            sim.run(until=until)
+        assert times == []
+        assert sim.processed_events == 0
+
+    def test_run_from_a_fractional_time_visits_the_next_whole_round(self):
+        times = []
+        sim = Simulation(round_hook=lambda: times.append(sim.now))
+        sim.run(until=0.5)
+        sim.run(until=1.5)
+        assert times == [1.0]
+        sim.run(until=2.25)
+        assert times == [1.0, 2.0]
+
+    def test_hook_set_after_construction_runs(self):
+        times = []
+        sim = Simulation()
+        sim.run(until=2.0)
+        sim.round_hook = lambda: times.append(sim.now)
+        sim.run(until=4.0)
+        assert times == [3.0, 4.0]
+        assert sim.processed_events == 2
+
+    def test_hook_sees_the_churn_applied_since_the_last_round(self):
+        seen = []
+        sim, population = _whole_round_churn(
+            lambda: seen.append(population.sorted_online_ids()), delay=0.5
+        )
+        sim.run(until=2.0)
+        # Each peer flips at 0.5 and 1.0 before the first hook, and at 1.5
+        # and 2.0 before the second.
+        assert seen == [(0, 1, 2), (0, 1, 2)]
+        sim.run(until=2.5)
+        assert population.sorted_online_ids() == ()
+        assert sim.processed_events == 3 * 5 + 2
+
+    def test_a_refused_run_changes_nothing(self):
+        times = []
+        sim, population = _whole_round_churn(
+            lambda: times.append(sim.now), delay=0.5
+        )
+        sim.run(until=1.5)
+        before = (sim.now, sim.processed_events, population.liveness_epoch)
+        with pytest.raises(SimulationError):
+            sim.run(until=1.0)
+        assert (sim.now, sim.processed_events, population.liveness_epoch) == (
+            before
+        )
+        assert times == [1.0]
+
 
 class TestNonFiniteTimes:
     """A NaN or infinite time never reaches the clock: a NaN compares
@@ -412,3 +473,25 @@ class TestNonFiniteTimes:
         with pytest.raises(SimulationError):
             sim.run(until=until)
         assert sim.now == 2.0
+
+    @pytest.mark.parametrize("until", [-1.0, -math.inf])
+    def test_time_before_zero_rejected(self, until):
+        sim = Simulation(round_hook=lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+        assert (sim.now, sim.processed_events) == (0.0, 0)
+
+
+class TestWholeRounds:
+    def test_whole_duration_is_its_round_count(self):
+        rounds = whole_rounds(3.0)
+        assert rounds == 3 and type(rounds) is int
+
+    @pytest.mark.parametrize(
+        "duration", [0.0, -2.0, 2.5, math.nan, math.inf, True]
+    )
+    def test_duration_that_is_no_whole_positive_round_count_rejected(
+        self, duration
+    ):
+        with pytest.raises(ParameterError):
+            whole_rounds(duration)
