@@ -462,6 +462,23 @@ def staleness_experiment(
     )
 
 
+def _shift_and_window(
+    duration: float, shift_at: Optional[float], window: Optional[float]
+) -> tuple[float, float]:
+    """The shift time and hit-rate window of a shifted run: half and a
+    twelfth of ``duration`` unless given; a window must be positive and a
+    shift must fall inside the run."""
+    shift_at = duration / 2.0 if shift_at is None else shift_at
+    window = duration / 12.0 if window is None else window
+    if window <= 0:
+        raise ParameterError(f"window must be > 0, got {window}")
+    if not 0 < shift_at < duration:
+        raise ParameterError(
+            f"shift_at must be inside (0, {duration}), got {shift_at}"
+        )
+    return shift_at, window
+
+
 def adaptivity_experiment(
     params: Optional[ScenarioParameters] = None,
     duration: float = 1200.0,
@@ -486,14 +503,7 @@ def adaptivity_experiment(
 
     params = params or simulation_scenario()
     execution = execution or Execution()
-    shift_at = duration / 2.0 if shift_at is None else shift_at
-    window = duration / 12.0 if window is None else window
-    if window <= 0:
-        raise ParameterError(f"window must be > 0, got {window}")
-    if not 0 < shift_at < duration:
-        raise ParameterError(
-            f"shift_at must be inside (0, {duration}), got {shift_at}"
-        )
+    shift_at, window = _shift_and_window(duration, shift_at, window)
     cell = Cell(
         params, PdhtConfig.from_scenario(params), duration, seed=seed,
         window=window,
@@ -590,9 +600,7 @@ def _tracking_reports(
     execution = execution or Execution("vectorized")
     if duration <= 0:
         raise ParameterError(f"duration must be > 0, got {duration}")
-    window = duration / 12.0 if window is None else window
-    if window <= 0:
-        raise ParameterError(f"window must be > 0, got {window}")
+    shift_at, window = _shift_and_window(duration, shift_at, window)
     names = TRACKING_WORKLOADS if workload is None else (workload,)
     models = {
         name: model_from_name(name, duration, shift_at) for name in names

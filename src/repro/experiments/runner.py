@@ -262,17 +262,17 @@ def main(argv: list[str] | None = None) -> int:
     profile_was_enabled = obs.enabled()
     if args.profile or live:
         obs.enable()
-    # The export ring feeds --trace-out after the run;
+    # The trace sink feeds --trace-out after the run;
     # --events-out streams to disk as it happens; --progress renders to
     # stderr. All active sinks see the same stream via a tee.
-    ring: obs_events.RingBufferSink | None = None
+    trace_sink: obs_events.TraceSink | None = None
     events_sink: obs_events.JsonlSink | None = None
     previous_sink: obs_events.EventSink | None = None
     if live:
         sinks: list[obs_events.EventSink] = []
         if args.trace_out:
-            ring = obs_events.RingBufferSink()
-            sinks.append(ring)
+            trace_sink = obs_events.TraceSink()
+            sinks.append(trace_sink)
         if args.events_out:
             events_sink = obs_events.JsonlSink(args.events_out)
             sinks.append(events_sink)
@@ -319,11 +319,11 @@ def main(argv: list[str] | None = None) -> int:
             obs_events.set_sink(previous_sink)
             if events_sink is not None:
                 events_sink.close()
-            if ring is not None:
+            if trace_sink is not None:
                 import json
 
                 with open(args.trace_out, "w", encoding="utf-8") as handle:
-                    json.dump(obs.chrome_trace(ring.events()), handle)
+                    json.dump(obs.chrome_trace(trace_sink.events()), handle)
                 print(f"wrote {args.trace_out}", file=sys.stderr)
         if (args.profile or live) and not profile_was_enabled:
             obs.disable()

@@ -61,24 +61,21 @@ __all__ = [
 CALIBRATION_LIMIT = 5_000
 
 
-#: The observable calibration caches, by short name: each
-#: ``obs.counted_cache(..., registry=_CALIBRATION_CACHES)`` below adds
-#: itself; :func:`calibration_cache_stats` reads it back. They are
-#: per-process — every fresh process pays calibration again — unless an
-#: artifact store is active, in which case they are an L1 over the disk
-#: tier the ``stored`` probes read through (see :mod:`repro.store.memo`).
-_CALIBRATION_CACHES: dict[str, object] = {}
-
-
 def calibration_cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/size statistics of every calibration cache, by name.
+    """Hit/miss/size statistics of the calibration caches (the
+    ``obs.counted_cache`` functions below), by name.
 
     Makes the per-process calibration cost visible: a profile showing
     ``misses == calls`` in a worker means that worker rebuilt every
-    substrate from scratch (the in-memory caches do not survive process
-    boundaries; the artifact store does).
+    substrate from scratch. The caches are per-process — every fresh
+    process pays calibration again — unless an artifact store is active,
+    in which case they are an L1 over the disk tier the ``stored``
+    probes read through (see :mod:`repro.store.memo`).
     """
-    return obs.cache_stats(_CALIBRATION_CACHES)
+    stats = obs.cache_stats()
+    return {
+        name: stats[name] for name in ("costs", "churn_costs", "lookup_probe")
+    }
 
 
 def calibrate_costs(
@@ -197,7 +194,7 @@ def costs_for(
     )
 
 
-@obs.counted_cache("costs", maxsize=64, registry=_CALIBRATION_CACHES)
+@obs.counted_cache("costs", maxsize=64)
 def _costs_for_cached(
     params: ScenarioParameters,
     config: PdhtConfig,
@@ -542,7 +539,7 @@ def churn_costs_for(
     )
 
 
-@obs.counted_cache("churn_costs", maxsize=32, registry=_CALIBRATION_CACHES)
+@obs.counted_cache("churn_costs", maxsize=32)
 def _churn_costs_cached(
     params: ScenarioParameters,
     config: PdhtConfig,
@@ -592,7 +589,7 @@ def resolve_costs(
     return costs, churn_costs
 
 
-@obs.counted_cache("lookup_probe", maxsize=64, registry=_CALIBRATION_CACHES)
+@obs.counted_cache("lookup_probe", maxsize=64)
 @stored("lookup_probe")
 def _churned_lookup_probe(
     params: ScenarioParameters,

@@ -291,27 +291,28 @@ def _run_unit(
 
     The enabled/record flags travel with the payload because pool
     workers may be fresh processes (spawn) that do not inherit the
-    parent's module state. Each unit records into its own scoped
-    collector — pool workers are *reused* across units, so recording into
-    the worker's global collector would leak one unit's spans into the
-    next unit's snapshot and double-count on merge. Flight-recorder
-    events likewise go to a per-unit ring shipped back by value; the sink
-    is replaced *unconditionally* because ``fork``-started workers
-    inherit the parent's sink (shared file descriptor, parent pid
-    stamp), and the first heartbeat would otherwise write through it.
+    parent's module state. Each unit records into a fresh collector —
+    pool workers are *reused* across units, so recording on into the
+    previous unit's collector would leak its spans into this unit's
+    snapshot and double-count on merge. Flight-recorder events likewise
+    go to a per-unit :class:`~repro.obs.events.TraceSink` shipped back by
+    value; the sink is replaced *unconditionally* because
+    ``fork``-started workers inherit the parent's sink (shared file
+    descriptor, parent pid stamp), and the first heartbeat would
+    otherwise write through it.
     """
     unit, telemetry, record = payload
-    sink = obs_events.RingBufferSink() if record else None
+    sink = obs_events.TraceSink() if record else None
     obs_events.set_sink(sink)
     try:
         if not telemetry:
             return unit.run(), None, None
         obs.enable()
         obs.reset_span_stack()
-        with obs.scoped(merge_into_parent=False) as local:
-            result = unit.run()
-            obs.sample_peak_rss("worker")
-            snapshot = local.snapshot()
+        obs.set_collector(obs.Collector())
+        result = unit.run()
+        obs.sample_peak_rss("worker")
+        snapshot = obs.collector().snapshot()
         return result, snapshot, sink.events() if sink else None
     finally:
         obs_events.set_sink(None)
@@ -352,9 +353,10 @@ def fan_out(
     current span path — the pooled profile nests exactly like the
     in-process one, and merging is duplicate-safe, so the fold is
     insensitive to delivery order. With a flight-recorder sink installed
-    each worker also ships its own event ring; the parent re-emits those
-    events marked ``remote``, giving trace exports per-worker lanes while
-    replay still counts each measurement once (via the snapshot merge).
+    each worker also ships the events a trace renders; the parent
+    re-emits those marked ``remote``, giving trace exports per-worker
+    lanes while replay still counts each measurement once (via the
+    snapshot merge).
     """
     weights = weights or [1] * len(units)
     total = done + sum(weights)

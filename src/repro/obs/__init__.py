@@ -14,19 +14,21 @@ cells) starts accumulating into one process-global :class:`Collector`::
     obs.count("cache.churn_costs.hit")
     print(obs.profile_text(obs.collector()))
 
-Worker processes (``fastsim.parallel.run_many``, experiment replicates)
-ship their collector's :meth:`Collector.snapshot` back with each result;
-the parent merges them (order-independent, duplicate-safe) so a parallel
+Each recording is one event that :meth:`Collector.fold` — the
+collector's only transition — applies to the active collector. Worker
+processes (``fastsim.parallel.run_many``, experiment replicates) ship
+their collector's :meth:`Collector.snapshot` back with each result; the
+parent merges them (order-independent, duplicate-safe) so a parallel
 sweep reports a single profile. ``ExperimentResult.telemetry`` and the
 runner's ``--profile`` flag surface the same data.
 
 The *live* half is the flight recorder (:mod:`repro.obs.events`): install
 a sink (``events.set_sink`` / ``REPRO_OBS_EVENTS=path``) and every
-recording above is also streamed as a structured event the moment it
-happens, plus :func:`progress` / :func:`heartbeat` reports with totals
-and ETA. :mod:`repro.obs.export` turns a recorded stream back into a
-snapshot (:func:`replay`) or a Perfetto-loadable Chrome trace
-(:func:`chrome_trace`).
+event folded above is also streamed the moment it happens, plus
+:func:`progress` / :func:`heartbeat` reports with totals and ETA.
+:mod:`repro.obs.export` turns a recorded stream back into a snapshot
+(:func:`replay`, which is the same fold over a fresh collector) or a
+Perfetto-loadable Chrome trace (:func:`chrome_trace`).
 """
 
 from repro.obs.collector import (

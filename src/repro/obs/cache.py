@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.obs.collector import count as _count
 from repro.obs.collector import enabled as _enabled
@@ -27,23 +27,16 @@ __all__ = ["counted_cache", "cache_stats"]
 _CACHES: dict[str, Callable] = {}
 
 
-def counted_cache(
-    name: str,
-    maxsize: int,
-    registry: Optional[dict[str, Callable]] = None,
-):
+def counted_cache(name: str, maxsize: int):
     """An ``lru_cache`` whose hits and misses feed ``obs`` counters.
 
     The wrapper emits ``cache.{name}.hit`` / ``cache.{name}.miss``
     counts (and a ``cache.{name}.size`` high-water gauge) while
     telemetry is enabled, keeps ``cache_info()`` / ``cache_clear()``
-    passthroughs, and registers the cache — in the module-global
-    registry read by :func:`cache_stats`, and additionally in
-    ``registry`` if the caller keeps a domain-specific one (as
-    ``fastsim.compare`` does for the calibration caches). The hit/miss
-    classification reads ``cache_info`` deltas, so concurrent callers
-    may miscount by a few under races — the stats are diagnostics, not
-    invariants.
+    passthroughs, and registers the cache under ``name`` for
+    :func:`cache_stats`. The hit/miss classification reads
+    ``cache_info`` deltas, so concurrent callers may miscount by a few
+    under races — the stats are diagnostics, not invariants.
     """
 
     def decorate(fn):
@@ -65,23 +58,16 @@ def counted_cache(
         wrapper.cache_clear = cached.cache_clear
         wrapper.__wrapped__ = fn
         _CACHES[name] = wrapper
-        if registry is not None:
-            registry[name] = wrapper
         return wrapper
 
     return decorate
 
 
-def cache_stats(
-    registry: Optional[dict[str, Callable]] = None,
-) -> dict[str, dict[str, int]]:
-    """Hit/miss/size statistics of counted caches, by name.
-
-    With no argument, covers every counted cache in the process; pass a
-    registry (e.g. ``compare._CALIBRATION_CACHES``) to scope the report.
-    """
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hit/miss/size statistics of every counted cache in the process,
+    by name."""
     stats = {}
-    for name, cache in sorted((registry if registry is not None else _CACHES).items()):
+    for name, cache in sorted(_CACHES.items()):
         info = cache.cache_info()
         stats[name] = {
             "hits": info.hits,

@@ -9,6 +9,9 @@ Design notes
   dispatch) additionally check :func:`enabled` once per call and keep
   their measurements in local variables, so the disabled cost is a single
   branch.
+* **One transition.** Every recording is an event that
+  :meth:`Collector.fold` applies, and :func:`repro.obs.export.replay`
+  folds a recorded stream the same way: the stream is the profile.
 * **Spans nest.** Each thread keeps its own span stack
   (:class:`threading.local`); a span's path is the ``/``-joined stack at
   entry time (``kernel.run/kernel.draw``). Aggregation is by path —
@@ -31,7 +34,6 @@ Design notes
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 import threading
@@ -70,65 +72,58 @@ SNAPSHOT_SCHEMA = 1
 class Collector:
     """Thread-safe aggregation of spans, counters, and gauges.
 
-    A collector is cheap to create; worker processes build a fresh one
-    per job (via :func:`scoped`) and ship its :meth:`snapshot` back with
-    the result.
+    Its state changes only through :meth:`fold`. A collector is cheap
+    to create; pool workers install a fresh one per unit and ship its
+    :meth:`snapshot` back with the result.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # path -> [count, total_seconds, attrs]; attrs keep the most
-        # recent value per key (spans re-entered with new attributes
-        # overwrite, which is what profiles want: "the last calibrate.churn
-        # ran at peers=5000").
+        # Reentrant: merge folds each entry while holding it.
+        self._lock = threading.RLock()
+        # path -> [count, total_seconds, attrs]
         self._spans: dict[str, list] = {}
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._merged_ids: set[str] = set()
         self.id = uuid.uuid4().hex
 
-    # -- recording -----------------------------------------------------
-    def record_span(
-        self, path: str, seconds: float, attrs: Optional[dict] = None
-    ) -> None:
-        """Accumulate one span entry under ``path``."""
-        with self._lock:
-            entry = self._spans.get(path)
-            if entry is None:
-                entry = self._spans[path] = [0, 0.0, {}]
-            entry[0] += 1
-            entry[1] += seconds
-            if attrs:
-                entry[2].update(attrs)
+    # -- the one transition --------------------------------------------
+    def fold(self, event: dict[str, Any]) -> bool:
+        """Apply one event; returns whether it changed the state.
 
-    def add_duration(self, path: str, seconds: float, n: int = 1) -> None:
-        """Accumulate ``seconds`` over ``n`` logical entries of ``path``.
-
-        Hot loops measure phases into local floats and report once at the
-        end; ``n`` preserves the true entry count (e.g. rounds).
+        ``span_end``/``duration`` add ``n`` entries (1 for a span) and
+        ``seconds`` under ``path``, ``attrs`` last writer wins ("the last
+        calibrate.churn ran at peers=5000"); ``counter`` adds ``n``;
+        ``gauge`` keeps the maximum ``value`` (a high-water mark);
+        ``merge`` is :meth:`merge`. Any other type changes nothing.
         """
+        kind = event["type"]
+        if kind == "merge":
+            return self.merge(event["snapshot"], prefix=event["prefix"])
         with self._lock:
-            entry = self._spans.get(path)
-            if entry is None:
-                entry = self._spans[path] = [0, 0.0, {}]
-            entry[0] += n
-            entry[1] += seconds
-
-    def count(self, name: str, n: float = 1) -> None:
-        """Increment counter ``name`` by ``n``."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + n
-
-    def gauge_max(self, name: str, value: float) -> None:
-        """Record ``value`` for gauge ``name``, keeping the maximum seen.
-
-        Gauges are high-water marks (peak RSS, peak cache size); merging
-        across workers takes the max, not the sum.
-        """
-        with self._lock:
-            current = self._gauges.get(name)
-            if current is None or value > current:
-                self._gauges[name] = float(value)
+            if kind == "span_end" or kind == "duration":
+                path = event["path"]
+                entry = self._spans.get(path)
+                if entry is None:
+                    entry = self._spans[path] = [0, 0.0, {}]
+                entry[0] += event.get("n", 1)
+                entry[1] += event["seconds"]
+                attrs = event.get("attrs")
+                if attrs:
+                    entry[2].update(attrs)
+            elif kind == "counter":
+                name = event["name"]
+                self._counters[name] = (
+                    self._counters.get(name, 0.0) + event["n"]
+                )
+            elif kind == "gauge":
+                name, value = event["name"], event["value"]
+                current = self._gauges.get(name)
+                if current is None or value > current:
+                    self._gauges[name] = float(value)
+            else:
+                return False
+        return True
 
     # -- views ---------------------------------------------------------
     @property
@@ -156,10 +151,9 @@ class Collector:
                 "gauges": dict(self._gauges),
             }
 
-    to_dict = snapshot
-
     def merge(self, snapshot: Optional[dict], prefix: str = "") -> bool:
-        """Fold a :meth:`snapshot` dict into this collector.
+        """Fold a :meth:`snapshot` dict into this collector, entry by
+        entry through :meth:`fold`.
 
         Returns ``False`` (and changes nothing) when ``snapshot`` is
         ``None`` or was already merged — making delivery idempotent and
@@ -178,22 +172,17 @@ class Collector:
                 self._merged_ids.add(snap_id)
             self._merged_ids.update(snapshot.get("merged_ids", ()))
             for path, data in snapshot.get("spans", {}).items():
-                if prefix:
-                    path = f"{prefix}/{path}"
-                entry = self._spans.get(path)
-                if entry is None:
-                    entry = self._spans[path] = [0, 0.0, {}]
-                entry[0] += int(data.get("count", 0))
-                entry[1] += float(data.get("seconds", 0.0))
-                attrs = data.get("attrs")
-                if attrs:
-                    entry[2].update(attrs)
+                self.fold({
+                    "type": "duration",
+                    "path": f"{prefix}/{path}" if prefix else path,
+                    "n": int(data.get("count", 0)),
+                    "seconds": float(data.get("seconds", 0.0)),
+                    "attrs": data.get("attrs"),
+                })
             for name, value in snapshot.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
+                self.fold({"type": "counter", "name": name, "n": value})
             for name, value in snapshot.get("gauges", {}).items():
-                current = self._gauges.get(name)
-                if current is None or value > current:
-                    self._gauges[name] = float(value)
+                self.fold({"type": "gauge", "name": name, "value": value})
         return True
 
     def __bool__(self) -> bool:
@@ -302,12 +291,13 @@ def set_collector(target: Collector) -> Collector:
 
 
 @contextmanager
-def scoped(merge_into_parent: bool = True) -> Iterator[Collector]:
+def scoped() -> Iterator[Collector]:
     """Route recordings into a fresh collector for the ``with`` body.
 
-    Used to carve out a per-experiment or per-job telemetry block; on
-    exit the previous collector is restored and (by default) the child's
-    data is folded back into it, so scoping never loses measurements.
+    Used to carve out a per-experiment telemetry block; on exit the
+    previous collector is restored and the child's data is merged back
+    into it, so scoping never loses measurements. The merge is not
+    streamed: the child's events already were, as they happened.
     """
     child = Collector()
     previous = set_collector(child)
@@ -315,13 +305,23 @@ def scoped(merge_into_parent: bool = True) -> Iterator[Collector]:
         yield child
     finally:
         set_collector(previous)
-        if merge_into_parent:
-            previous.merge(child.snapshot())
+        previous.merge(child.snapshot())
 
 
 # ---------------------------------------------------------------------
-# Spans
+# Recording: each entry point builds its one event for _record.
 # ---------------------------------------------------------------------
+def _record(event: dict[str, Any]) -> bool:
+    """Fold ``event`` into the active collector and, when it changed the
+    state (a repeated ``merge`` does not), stream it while a sink is
+    installed. Returns the fold's verdict."""
+    if not _collector.fold(event):
+        return False
+    if _events._sink is not None:
+        _events.emit_event(**event)
+    return True
+
+
 class _Span:
     """Context manager that times one nested span entry."""
 
@@ -347,14 +347,10 @@ class _Span:
         stack = _stack()
         if stack and stack[-1] == self._name:
             stack.pop()
-        _collector.record_span(self._path, elapsed, self._attrs)
-        if _events._sink is not None:
-            _events.emit_event(
-                "span_end",
-                path=self._path,
-                seconds=elapsed,
-                attrs=self._attrs,
-            )
+        _record({
+            "type": "span_end", "path": self._path, "seconds": elapsed,
+            "attrs": self._attrs,
+        })
         return False
 
 
@@ -388,17 +384,13 @@ def span(name: str, **attrs: Any):
 def count(name: str, n: float = 1) -> None:
     """Increment counter ``name`` (no-op while disabled)."""
     if _enabled:
-        _collector.count(name, n)
-        if _events._sink is not None:
-            _events.emit_event("counter", name=name, n=n)
+        _record({"type": "counter", "name": name, "n": n})
 
 
 def gauge_max(name: str, value: float) -> None:
     """Record a high-water-mark gauge (no-op while disabled)."""
     if _enabled:
-        _collector.gauge_max(name, value)
-        if _events._sink is not None:
-            _events.emit_event("gauge", name=name, value=float(value))
+        _record({"type": "gauge", "name": name, "value": float(value)})
 
 
 def merge_snapshot(snapshot: Optional[dict]) -> bool:
@@ -409,17 +401,15 @@ def merge_snapshot(snapshot: Optional[dict]) -> bool:
     where a sequential in-process run would have recorded it (e.g.
     ``parallel.run_many/kernel.run``) and profiles keep one shape
     regardless of worker count. Call this *inside* the span that fanned
-    the work out. No-op while disabled.
+    the work out. The streamed ``merge`` event carries the whole
+    snapshot, so replay applies the same duplicate-safe merge. No-op
+    while disabled.
     """
     if not _enabled:
         return False
-    prefix = "/".join(_stack())
-    merged = _collector.merge(snapshot, prefix=prefix)
-    if merged and _events._sink is not None:
-        # The merge event carries the full snapshot so replay can apply
-        # the exact same duplicate-safe Collector.merge the live run did.
-        _events.emit_event("merge", prefix=prefix, snapshot=snapshot)
-    return merged
+    return _record(
+        {"type": "merge", "prefix": "/".join(_stack()), "snapshot": snapshot}
+    )
 
 
 def add_duration(name: str, seconds: float, n: int = 1) -> None:
@@ -427,15 +417,14 @@ def add_duration(name: str, seconds: float, n: int = 1) -> None:
 
     Hot loops keep per-phase totals in local floats and call this once;
     ``name`` is appended to the calling thread's span stack so phases
-    appear nested under their enclosing span (no-op while disabled).
+    appear nested under their enclosing span, and ``n`` keeps the true
+    entry count (e.g. rounds). No-op while disabled.
     """
     if not _enabled:
         return
     stack = _stack()
     path = "/".join((*stack, name)) if stack else name
-    _collector.add_duration(path, seconds, n)
-    if _events._sink is not None:
-        _events.emit_event("duration", path=path, seconds=seconds, n=n)
+    _record({"type": "duration", "path": path, "seconds": seconds, "n": n})
 
 
 # ---------------------------------------------------------------------

@@ -3,14 +3,15 @@
 :mod:`repro.obs.collector` aggregates — a snapshot says *how much* time
 each span path accumulated, never *when*. The flight recorder is the
 live half: while a sink is installed (:func:`set_sink` /
-``REPRO_OBS_EVENTS=path``), every span entry/exit, counter increment,
-gauge sample, hot-loop duration report, worker-snapshot merge, and
-progress heartbeat is also emitted as one structured event the moment it
-happens. A long sweep becomes observable while it runs, a killed run
-keeps everything it recorded up to the signal, and the stream is rich
-enough to *reconstruct* the end-of-run snapshot exactly
-(:func:`repro.obs.export.replay`) and to render a Chrome trace with
-per-worker lanes (:func:`repro.obs.export.chrome_trace`).
+``REPRO_OBS_EVENTS=path``), every event the collector folds (span exit,
+counter increment, gauge sample, hot-loop duration report,
+worker-snapshot merge), every span entry and every progress heartbeat is
+also emitted as one structured event the moment it happens. A long sweep
+becomes observable while it runs, a killed run keeps everything it
+recorded up to the signal, and folding the stream again *reconstructs*
+the end-of-run snapshot exactly (:func:`repro.obs.export.replay`); it
+also renders a Chrome trace with per-worker lanes
+(:func:`repro.obs.export.chrome_trace`).
 
 Design decisions:
 
@@ -30,11 +31,11 @@ Design decisions:
   final line (and only the final line — mid-file corruption still
   raises).
 * **Workers ship events by value.** Pool workers record into a
-  :class:`RingBufferSink` and return the events with their result; the
-  parent re-emits them via :func:`emit_remote` with ``remote: True`` so
-  replay skips them (their aggregate contribution arrives through the
-  duplicate-safe snapshot merge instead) while trace export keeps them
-  as per-worker lanes.
+  :class:`TraceSink` and return the events a trace renders with their
+  result; the parent re-emits them via :func:`emit_remote` with
+  ``remote: True`` so replay skips them (their aggregate contribution
+  arrives through the duplicate-safe snapshot merge instead) while trace
+  export keeps them as per-worker lanes.
 
 Event types: ``span_start``, ``span_end``, ``duration``, ``counter``,
 ``gauge``, ``merge``, ``progress``.
@@ -53,6 +54,7 @@ from repro.obs.clock import perf_counter
 __all__ = [
     "EventSink",
     "RingBufferSink",
+    "TraceSink",
     "JsonlSink",
     "TeeSink",
     "recording",
@@ -71,15 +73,11 @@ class EventSink(Protocol):
 
 
 class RingBufferSink:
-    """Keep the last ``capacity`` events in memory (tests, exports).
+    """Keep the last ``capacity`` events in memory: a bounded buffer, so
+    a runaway event source degrades to losing the oldest events instead
+    of exhausting memory (what :func:`recorded` installs by default)."""
 
-    Worker processes also record into one of these and ship
-    :meth:`events` back with their result — a bounded buffer, so a
-    runaway event source degrades to losing the oldest events instead of
-    exhausting memory.
-    """
-
-    def __init__(self, capacity: int = 1 << 16) -> None:
+    def __init__(self, capacity: Optional[int] = 1 << 16) -> None:
         self._events: deque[dict[str, Any]] = deque(maxlen=capacity)
 
     def emit(self, event: dict[str, Any]) -> None:
@@ -90,14 +88,33 @@ class RingBufferSink:
         return list(self._events)
 
 
+class TraceSink(RingBufferSink):
+    """Keep every event a trace renders — ``span_end``, ``duration`` and
+    ``progress`` (:func:`repro.obs.export.chrome_trace`) — without bound,
+    and no other: what ``--trace-out`` and each pool worker record, so a
+    long run keeps every slice while per-query counters are dropped (a
+    worker's counters and gauges reach the parent in its snapshot)."""
+
+    def __init__(self) -> None:
+        super().__init__(capacity=None)
+
+    def emit(self, event: dict[str, Any]) -> None:
+        if event["type"] in ("span_end", "duration", "progress"):
+            self._events.append(event)
+
+
 class JsonlSink:
     """Append events to a JSONL file, one flushed line per event.
 
     The per-event flush is the crash-safety contract: after a SIGINT the
     file holds every event emitted before the signal, with at most the
     final line truncated — which :func:`read_events` drops on read.
-    Event rates are structurally low (spans, merged phases, heartbeats —
-    never per-round), so the flush is not a hot-path cost.
+    The flush is paid per event. Spans, phases and heartbeats come per
+    phase or unit, but the event engine reports ``engine.run`` and
+    ``engine.events`` once per round and the broadcast walk counts
+    ``walk.searches`` and ``walk.hops`` once per search: ``sim --engine
+    event --duration 150`` streams 14,575 events, 12,387 of them walk
+    counters.
     """
 
     def __init__(self, path: os.PathLike | str) -> None:
@@ -167,18 +184,19 @@ def recorded(
         set_sink(previous)
 
 
-def emit_event(event_type: str, **fields: Any) -> None:
+def emit_event(type: str, **fields: Any) -> None:
     """Emit one event to the installed sink (no-op without one).
 
     The recorder stamps ``type``/``t``/``pid``; callers provide the
-    per-type payload. Collector hooks pre-check :data:`_sink` inline and
-    only pay this call while recording.
+    per-type payload (the collector passes its folded event as
+    ``emit_event(**event)``). Collector hooks pre-check :data:`_sink`
+    inline and only pay this call while recording.
     """
     sink = _sink
     if sink is None:
         return
     event: dict[str, Any] = {
-        "type": event_type,
+        "type": type,
         "t": perf_counter(),
         "pid": _sink_pid,
     }

@@ -5,11 +5,11 @@ Two consumers of the flight-recorder stream
 
 * :func:`replay` — reconstruct an end-of-run
   :class:`~repro.obs.collector.Collector` snapshot from the events
-  alone. The fidelity contract (enforced in ``tests/obs/test_replay.py``)
-  is ``profile_data(replay(events)) == profile_data(snapshot)`` for
-  sequential *and* pooled runs: every aggregate the collector built live
-  is derivable from the stream, so a killed run's JSONL file is a full
-  profile, not just a log.
+  alone, by the one fold the live run used
+  (:meth:`~repro.obs.collector.Collector.fold`). So
+  ``profile_data(replay(events)) == profile_data(snapshot)`` for
+  sequential *and* pooled runs (``tests/obs/test_replay.py``), and a
+  killed run's JSONL file is a full profile, not just a log.
 * :func:`chrome_trace` — Chrome trace-event JSON (the Trace Event
   Format), loadable in Perfetto / ``chrome://tracing``. Spans and
   hot-loop durations become complete ("X") slices; each process gets
@@ -31,41 +31,21 @@ __all__ = ["replay", "chrome_trace"]
 def replay(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Rebuild a collector snapshot from a recorded event stream.
 
-    Applies each aggregate-bearing event to a fresh
-    :class:`~repro.obs.collector.Collector` through the same methods the
-    live run used — ``merge`` events in particular go through the
-    duplicate-safe :meth:`~repro.obs.collector.Collector.merge`, so a
-    stream that recorded a snapshot twice replays without
-    double-counting. Events marked ``remote`` (worker events re-emitted
-    by the parent) are skipped: their aggregate contribution arrives via
-    the worker's ``merge`` event, exactly as it did live.
-    ``span_start``/``progress`` events carry no aggregate state and are
-    ignored. Returns a snapshot-shaped dict (pass it to
-    :func:`~repro.obs.profile.profile_data` / ``profile_text``).
+    Folds every event into a fresh
+    :class:`~repro.obs.collector.Collector` with the same
+    :meth:`~repro.obs.collector.Collector.fold` the live run used — a
+    ``merge`` event goes through the duplicate-safe merge, so a stream
+    that recorded a snapshot twice replays without double-counting.
+    Events marked ``remote`` (worker events re-emitted by the parent)
+    are skipped: their aggregate contribution arrives via the worker's
+    ``merge`` event, exactly as it did live. Returns a snapshot-shaped
+    dict (pass it to :func:`~repro.obs.profile.profile_data` /
+    ``profile_text``).
     """
     collector = Collector()
     for event in events:
-        if event.get("remote"):
-            continue
-        kind = event.get("type")
-        if kind == "span_end":
-            collector.record_span(
-                event["path"],
-                event["seconds"],
-                event.get("attrs") or None,
-            )
-        elif kind == "duration":
-            collector.add_duration(
-                event["path"], event["seconds"], event.get("n", 1)
-            )
-        elif kind == "counter":
-            collector.count(event["name"], event["n"])
-        elif kind == "gauge":
-            collector.gauge_max(event["name"], event["value"])
-        elif kind == "merge":
-            collector.merge(
-                event["snapshot"], prefix=event.get("prefix", "")
-            )
+        if not event.get("remote"):
+            collector.fold(event)
     return collector.snapshot()
 
 

@@ -110,9 +110,10 @@ def telemetry():
 
     was_enabled = obs.enabled()
     obs.enable()
+    previous = obs.set_collector(obs.Collector())
     try:
-        with obs.scoped(merge_into_parent=False) as local:
-            yield local
+        yield obs.collector()
     finally:
+        obs.set_collector(previous)
         if not was_enabled:
             obs.disable()

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.experiments.api import ExperimentParams, get_spec, run
 from repro.experiments.execution import Execution
-from repro.experiments.figures import adaptivity_tracking
+from repro.experiments.figures import adaptivity_lag_table, adaptivity_tracking
 from repro.experiments.scenario import simulation_scenario
 
 
@@ -113,3 +113,9 @@ class TestAdaptivityTracking:
             adaptivity_tracking(duration=0.0)
         with pytest.raises(ParameterError):
             adaptivity_tracking(duration=100.0, window=0.0)
+        # A shift at or past the run's end never happens: rejected, as
+        # ``adaptivity`` rejects it, rather than reported as a lag.
+        for figure in (adaptivity_tracking, adaptivity_lag_table):
+            for shift_at in (0.0, 100.0, 170.0):
+                with pytest.raises(ParameterError, match="shift_at must be"):
+                    figure(duration=100.0, shift_at=shift_at)

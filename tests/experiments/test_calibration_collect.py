@@ -31,6 +31,7 @@ from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import compare, kernel, parallel
 from repro.fastsim.compare import churn_config_for_availability
 from repro.net.node import PeerPopulation
+from repro.obs.cache import _CACHES
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.sim.engine import Simulation
@@ -70,7 +71,7 @@ def substrates_built(monkeypatch):
 @pytest.fixture
 def cold_calibration():
     """No calibration cached in this process, before or after."""
-    caches = list(compare._CALIBRATION_CACHES.values())
+    caches = list(map(_CACHES.get, compare.calibration_cache_stats()))
     for cache in caches:
         cache.cache_clear()
     yield
@@ -151,7 +152,7 @@ def test_costs_read_from_the_store_are_not_a_calibration(
     with open_store(tmp_path / "store.sqlite") as store, using_store(store):
         Execution(engine="vectorized").execute(cells)
         assert substrates_built
-        for cache in compare._CALIBRATION_CACHES.values():
+        for cache in map(_CACHES.get, compare.calibration_cache_stats()):
             cache.cache_clear()
         built = len(substrates_built)
         misses = compare.calibration_cache_stats()["costs"]["misses"]

@@ -35,6 +35,7 @@ import repro
 from repro.experiments.execution import Cell
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import compare
+from repro.obs.cache import _CACHES
 from repro.pdht.config import PdhtConfig
 from repro.store.store import using_store
 
@@ -88,7 +89,7 @@ def saved_garbage():
 
 @pytest.mark.parametrize("kind", SUBSTRATES)
 def test_a_dropped_substrate_leaves_no_cycle(kind, saved_garbage):
-    for cache in compare._CALIBRATION_CACHES.values():
+    for cache in map(_CACHES.get, compare.calibration_cache_stats()):
         cache.cache_clear()
     with using_store(None):
         gc.collect()

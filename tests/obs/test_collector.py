@@ -13,6 +13,18 @@ import pytest
 from repro import obs
 
 
+def _loaded(spans=(), counters=(), gauges=()):
+    """A fresh collector that folded one event per given entry."""
+    child = obs.Collector()
+    for path, seconds in spans:
+        child.fold({"type": "span_end", "path": path, "seconds": seconds})
+    for name, n in counters:
+        child.fold({"type": "counter", "name": name, "n": n})
+    for name, value in gauges:
+        child.fold({"type": "gauge", "name": name, "value": value})
+    return child
+
+
 class TestSpans:
     def test_span_records_path_count_and_seconds(self):
         obs.enable()
@@ -172,19 +184,30 @@ class TestCollectorPassesAreNamed:
         assert "gc.collections.gen2" not in obs.collector().counters
 
 
-class TestSnapshotMerge:
-    def _loaded(self, spans=(), counters=(), gauges=()):
-        child = obs.Collector()
-        for path, seconds in spans:
-            child.record_span(path, seconds)
-        for name, n in counters:
-            child.count(name, n)
-        for name, value in gauges:
-            child.gauge_max(name, value)
-        return child
+class TestFold:
+    def test_duration_adds_n_entries_and_span_attrs_last_writer_wins(self):
+        collector = obs.Collector()
+        collector.fold({"type": "duration", "path": "p", "seconds": 2.0, "n": 5})
+        collector.fold(
+            {"type": "span_end", "path": "p", "seconds": 1.0, "attrs": {"a": 1}}
+        )
+        collector.fold(
+            {"type": "span_end", "path": "p", "seconds": 1.0, "attrs": {"a": 2}}
+        )
+        assert collector.snapshot()["spans"]["p"] == {
+            "count": 7, "seconds": 4.0, "attrs": {"a": 2},
+        }
 
+    def test_other_types_change_nothing(self):
+        collector = obs.Collector()
+        for kind in ("span_start", "progress"):
+            assert not collector.fold({"type": kind, "name": "x", "path": "x"})
+        assert not collector
+
+
+class TestSnapshotMerge:
     def test_snapshot_is_json_roundtrippable(self):
-        child = self._loaded(
+        child = _loaded(
             spans=[("a", 1.0)], counters=[("c", 2)], gauges=[("g", 3.0)]
         )
         snapshot = json.loads(json.dumps(child.snapshot()))
@@ -192,10 +215,10 @@ class TestSnapshotMerge:
         assert snapshot["spans"]["a"]["seconds"] == 1.0
 
     def test_merge_sums_spans_and_counters_maxes_gauges(self):
-        parent = self._loaded(
+        parent = _loaded(
             spans=[("a", 1.0)], counters=[("c", 1)], gauges=[("g", 5.0)]
         )
-        child = self._loaded(
+        child = _loaded(
             spans=[("a", 2.0), ("b", 0.5)],
             counters=[("c", 2)],
             gauges=[("g", 3.0)],
@@ -209,15 +232,15 @@ class TestSnapshotMerge:
 
     def test_merge_is_duplicate_safe(self):
         parent = obs.Collector()
-        child = self._loaded(counters=[("c", 1)])
+        child = _loaded(counters=[("c", 1)])
         snapshot = child.snapshot()
         assert parent.merge(snapshot)
         assert not parent.merge(snapshot)
         assert parent.counters["c"] == 1
 
     def test_merge_is_order_independent(self):
-        one = self._loaded(spans=[("a", 1.0)], counters=[("c", 1)])
-        two = self._loaded(spans=[("a", 2.0)], counters=[("c", 2)])
+        one = _loaded(spans=[("a", 1.0)], counters=[("c", 1)])
+        two = _loaded(spans=[("a", 2.0)], counters=[("c", 2)])
         forward, backward = obs.Collector(), obs.Collector()
         forward.merge(one.snapshot())
         forward.merge(two.snapshot())
@@ -229,7 +252,7 @@ class TestSnapshotMerge:
     def test_merge_dedups_through_relays(self):
         # worker -> sweep -> runner: the runner later seeing the worker's
         # own snapshot again must not double-count it.
-        worker = self._loaded(counters=[("c", 1)])
+        worker = _loaded(counters=[("c", 1)])
         sweep = obs.Collector()
         sweep.merge(worker.snapshot())
         runner = obs.Collector()
@@ -239,7 +262,7 @@ class TestSnapshotMerge:
 
     def test_merge_prefix_reroots_spans_not_counters(self):
         parent = obs.Collector()
-        child = self._loaded(
+        child = _loaded(
             spans=[("kernel.run", 1.0)],
             counters=[("kernel.runs", 1)],
             gauges=[("worker.peak_rss_bytes", 5.0)],
@@ -251,19 +274,19 @@ class TestSnapshotMerge:
 
     def test_merge_snapshot_reroots_under_open_span(self):
         obs.enable()
-        child = self._loaded(spans=[("kernel.run", 1.0)])
+        child = _loaded(spans=[("kernel.run", 1.0)])
         with obs.span("parallel.run_many"):
             assert obs.merge_snapshot(child.snapshot())
         spans = obs.collector().snapshot()["spans"]
         assert spans["parallel.run_many/kernel.run"]["count"] == 1
 
     def test_merge_snapshot_disabled_is_noop(self):
-        child = self._loaded(spans=[("kernel.run", 1.0)])
+        child = _loaded(spans=[("kernel.run", 1.0)])
         assert not obs.merge_snapshot(child.snapshot())
         assert not obs.collector()
 
     def test_merge_none_and_self_are_noops(self):
-        parent = self._loaded(counters=[("c", 1)])
+        parent = _loaded(counters=[("c", 1)])
         assert not parent.merge(None)
         assert not parent.merge({})
         assert not parent.merge(parent.snapshot())
@@ -281,23 +304,25 @@ class TestScoped:
         assert parent.counters["c"] == 1
         assert local.counters["c"] == 1
 
-    def test_scoped_without_merge_keeps_parent_clean(self):
+    def test_fresh_collector_keeps_parent_clean(self):
         obs.enable()
-        parent = obs.collector()
-        with obs.scoped(merge_into_parent=False):
-            obs.count("c")
+        parent = obs.set_collector(obs.Collector())
+        obs.count("c")
+        obs.set_collector(parent)
         assert parent.counters == {}
 
 
 class TestProfileRendering:
     def _sample(self):
-        child = obs.Collector()
-        child.record_span("experiment.run", 2.0)
-        child.record_span("experiment.run/kernel.run", 1.5)
-        child.record_span("experiment.run/kernel.run/round.queries", 1.0)
-        child.count("kernel.rounds", 300)
-        child.gauge_max("worker.peak_rss_bytes", 512 * 2**20)
-        return child
+        return _loaded(
+            spans=[
+                ("experiment.run", 2.0),
+                ("experiment.run/kernel.run", 1.5),
+                ("experiment.run/kernel.run/round.queries", 1.0),
+            ],
+            counters=[("kernel.rounds", 300)],
+            gauges=[("worker.peak_rss_bytes", 512 * 2**20)],
+        )
 
     def test_profile_text_renders_nested_tree(self):
         text = obs.profile_text(self._sample(), title="profile: test")

@@ -108,7 +108,7 @@ class TestCollectorHooks:
 
     def test_merge_event_carries_prefix_and_snapshot(self):
         worker = obs.Collector()
-        worker.count("kernel.queries", 5)
+        worker.fold({"type": "counter", "name": "kernel.queries", "n": 5})
         snapshot = worker.snapshot()
         obs.enable()
         with events.recorded() as ring:

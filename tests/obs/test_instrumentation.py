@@ -173,13 +173,11 @@ class TestWorkerMerge:
 
 class TestCalibrationCaches:
     def test_counted_cache_counts_hits_misses_and_size(self):
-        from repro.fastsim.compare import _CALIBRATION_CACHES
+        from repro.obs.cache import _CACHES
 
         calls = []
 
-        @obs.counted_cache(
-            "test_cache", maxsize=4, registry=_CALIBRATION_CACHES
-        )
+        @obs.counted_cache("test_cache", maxsize=4)
         def double(x):
             calls.append(x)
             return 2 * x
@@ -197,20 +195,18 @@ class TestCalibrationCaches:
             # cache_info/cache_clear pass through the counting wrapper
             info = double.cache_info()
             assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
-            assert calibration_cache_stats()["test_cache"] == {
+            assert obs.cache_stats()["test_cache"] == {
                 "hits": 1, "misses": 2, "size": 2, "maxsize": 4,
             }
             double.cache_clear()
             assert double.cache_info().currsize == 0
         finally:
-            _CALIBRATION_CACHES.pop("test_cache", None)
+            _CACHES.pop("test_cache", None)
 
     def test_counted_cache_silent_while_disabled(self):
-        from repro.fastsim.compare import _CALIBRATION_CACHES
+        from repro.obs.cache import _CACHES
 
-        @obs.counted_cache(
-            "test_cache", maxsize=4, registry=_CALIBRATION_CACHES
-        )
+        @obs.counted_cache("test_cache", maxsize=4)
         def double(x):
             return 2 * x
 
@@ -220,7 +216,7 @@ class TestCalibrationCaches:
             assert obs.collector().counters == {}
             assert double.cache_info().hits == 1
         finally:
-            _CALIBRATION_CACHES.pop("test_cache", None)
+            _CACHES.pop("test_cache", None)
 
     def test_costs_for_repeat_call_is_a_cache_hit(self, params):
         from repro.fastsim.compare import costs_for

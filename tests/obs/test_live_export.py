@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 
 import pytest
@@ -167,6 +168,38 @@ class TestRunnerLiveFlags:
         reported = result["telemetry"]["counters"]["kernel.runs"]
         rebuilt = replay(events.read_events(events_path))
         assert rebuilt["counters"]["kernel.runs"] == reported >= 1
+
+    def test_trace_keeps_every_event_it_renders(self, tmp_path, monkeypatch):
+        # A bounded ring that also holds every counter drops the oldest
+        # slices, and whole worker lanes, once a run outgrows it: shrink
+        # the ring so that this short pooled sweep would overflow one.
+        monkeypatch.setattr(
+            events.RingBufferSink.__init__, "__defaults__", (64,)
+        )
+        trace_path = tmp_path / "trace.json"
+        events_path = tmp_path / "events.jsonl"
+        code = self._run(
+            [
+                "sweep", "--scale", "0.02", "--duration", "60",
+                "--jobs", "2", "--no-store", "--format", "json",
+                "--trace-out", str(trace_path),
+                "--events-out", str(events_path),
+            ]
+        )
+        assert code == 0
+        phase = {"span_end": "X", "duration": "X", "progress": "i"}
+        streamed = collections.Counter(
+            (event["pid"], phase[event["type"]])
+            for event in events.read_events(events_path)
+            if event["type"] in phase
+        )
+        rendered = collections.Counter(
+            (event["pid"], event["ph"])
+            for event in json.loads(trace_path.read_text())["traceEvents"]
+            if event["ph"] != "M"
+        )
+        assert rendered == streamed
+        assert len({pid for pid, ph in rendered if ph == "X"}) >= 2
 
     def test_live_flags_do_not_leak_obs_state(self, tmp_path):
         assert not obs.enabled()

@@ -10,7 +10,14 @@ kill.
 
 from __future__ import annotations
 
+import importlib
+import itertools
+import types
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import events
@@ -62,7 +69,7 @@ class TestSequentialFidelity:
 
     def test_duplicate_merge_replays_once(self):
         worker = obs.Collector()
-        worker.count("kernel.queries", 9)
+        worker.fold({"type": "counter", "name": "kernel.queries", "n": 9})
         snapshot = worker.snapshot()
         obs.enable()
         with events.recorded() as ring:
@@ -77,6 +84,98 @@ class TestSequentialFidelity:
         doubled = ring.events() + [merge_event]
         rebuilt = obs.replay(doubled)
         assert rebuilt["counters"] == {"kernel.queries": 9.0}
+
+
+NAMES = st.sampled_from(("a", "b", "c"))
+ATTRS = st.dictionaries(st.sampled_from(("peers", "seed")), st.integers(0, 3))
+#: Seconds in quarters, so every sum is exact in any order.
+QUARTERS = st.integers(0, 12).map(lambda k: k / 4)
+#: What a worker's snapshot folded: span ends, counters and gauges.
+WORKER = st.lists(
+    st.one_of(
+        st.builds(
+            lambda path, seconds, attrs: {
+                "type": "span_end", "path": path, "seconds": seconds,
+                "attrs": attrs,
+            },
+            st.sampled_from(("kernel.run", "kernel.run/draw")),
+            QUARTERS,
+            ATTRS,
+        ),
+        st.builds(
+            lambda name, n: {"type": "counter", "name": name, "n": n},
+            NAMES, st.integers(1, 5),
+        ),
+        st.builds(
+            lambda name, value: {"type": "gauge", "name": name, "value": value},
+            NAMES, QUARTERS,
+        ),
+    ),
+    max_size=4,
+)
+LEAF = st.one_of(
+    st.tuples(st.just("count"), NAMES, st.integers(1, 5)),
+    st.tuples(st.just("gauge"), NAMES, QUARTERS),
+    st.tuples(st.just("duration"), NAMES, QUARTERS, st.integers(1, 4)),
+    # A worker snapshot and how often it is delivered (twice: a repeat).
+    st.tuples(st.just("merge"), WORKER, st.integers(1, 2)),
+)
+PROGRAMS = st.recursive(
+    st.lists(LEAF, max_size=4),
+    lambda inner: st.lists(
+        st.one_of(
+            LEAF,
+            st.tuples(st.just("span"), NAMES, ATTRS, inner),
+            st.tuples(st.just("scoped"), inner),
+        ),
+        max_size=4,
+    ),
+    max_leaves=24,
+)
+
+
+def _play(program) -> None:
+    """Record ``program`` through the module entry points."""
+    for op in program:
+        kind = op[0]
+        if kind == "span":
+            with obs.span(op[1], **op[2]):
+                _play(op[3])
+        elif kind == "scoped":
+            with obs.scoped():
+                _play(op[1])
+        elif kind == "count":
+            obs.count(op[1], op[2])
+        elif kind == "gauge":
+            obs.gauge_max(op[1], op[2])
+        elif kind == "duration":
+            obs.add_duration(op[1], op[2], n=op[3])
+        else:
+            worker = obs.Collector()
+            for event in op[1]:
+                worker.fold(event)
+            snapshot = worker.snapshot()
+            for _ in range(op[2]):
+                obs.merge_snapshot(snapshot)
+
+
+class TestGeneratedFidelity:
+    @settings(max_examples=150, deadline=None)
+    @given(program=PROGRAMS)
+    def test_replay_of_any_recording_matches_snapshot(self, program):
+        # Span seconds come from a clock ticking in eighths, so a scoped
+        # child's merged totals sum exactly like the replayed entries.
+        ticks = itertools.count()
+        clock = types.SimpleNamespace(perf_counter=lambda: next(ticks) / 8)
+        obs.set_collector(obs.Collector())
+        obs.reset_span_stack()
+        obs.enable()
+        module = importlib.import_module("repro.obs.collector")
+        with mock.patch.object(module, "time", clock):
+            with events.recorded() as ring:
+                _play(program)
+        snapshot = obs.collector().snapshot()
+        assert _profile(obs.replay(ring.events())) == _profile(snapshot)
 
 
 class TestPooledFidelity:

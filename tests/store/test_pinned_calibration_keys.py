@@ -21,6 +21,7 @@ from repro import obs
 from repro.analysis.strategies import strategy_setup
 from repro.experiments.scenario import simulation_scenario
 from repro.fastsim import compare
+from repro.obs.cache import _CACHES
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.store.store import Store, using_store
@@ -36,7 +37,7 @@ def calibrate(path: Path) -> None:
     params = simulation_scenario(scale=0.02)
     config = PdhtConfig.from_scenario(params)
     members = strategy_setup(params, config, "indexAll").num_members
-    for cache in compare._CALIBRATION_CACHES.values():
+    for cache in map(_CACHES.get, compare.calibration_cache_stats()):
         cache.cache_clear()  # an L1 hit would not reach the store
     with Store(path) as store, using_store(store):
         compare.resolve_costs(

@@ -41,8 +41,13 @@ TRACKING = {"cache.store.sweep_cell.hit": 8}
 TRACE = [
     {"ph": "M", "pid": 1, "args": {"name": "main"}},
     {"ph": "M", "pid": 2, "args": {"name": "worker-2"}},
-    {"ph": "X", "pid": 1}, {"ph": "X", "pid": 2},
+    {"ph": "X", "pid": 1}, {"ph": "X", "pid": 2}, {"ph": "X", "pid": 2},
 ]
+STREAM = "".join(json.dumps(e) + "\n" for e in (
+    {"type": "span_end", "pid": 1}, {"type": "counter", "pid": 1},
+    {"type": "span_end", "pid": 2, "remote": True},
+    {"type": "duration", "pid": 2, "remote": True},
+))
 
 
 def _trace(events) -> str:
@@ -147,11 +152,12 @@ FIXTURES = {
          {"sweep-env.json": _lookup_json({}, "computed")}],
     ),
     "live": (
-        {"trace.json": _trace(TRACE), "replay.json": _replay(),
-         "sweep.json": _run_json({"sweep.cells": 18})},
+        {"trace.json": _trace(TRACE), "events.jsonl": STREAM,
+         "replay.json": _replay(), "sweep.json": _run_json({"sweep.cells": 18})},
         [{"trace.json": _trace([e for e in TRACE if e["pid"] == 2])},
          {"trace.json": _trace([e for e in TRACE if e["pid"] == 1])},
          {"trace.json": _trace(TRACE[:3])},
+         {"trace.json": _trace(TRACE[:-1])},
          {"replay.json": _replay(cells=17)},
          {"replay.json": _replay(cells=0),
           "sweep.json": _run_json({"sweep.cells": 0})}],

@@ -28,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -275,8 +276,14 @@ def live(outputs: Outputs) -> None:
     workers = {pid for pid, name in lanes.items() if name.startswith("worker-")}
     require("main" in lanes.values(), "no main lane in the trace", lanes)
     require(workers, "no worker lanes in the trace", lanes)
-    slices = {e["pid"] for e in events if e["ph"] == "X"}
-    require(workers <= slices, "worker lanes carry no slices", workers - slices)
+    slices = Counter(e["pid"] for e in events if e["ph"] == "X")
+    require(workers <= set(slices), "worker lanes carry no slices",
+            workers - set(slices))
+    stream = map(json.loads, outputs["events.jsonl"].splitlines())
+    streamed = Counter(e["pid"] for e in stream
+                       if e["type"] in ("span_end", "duration"))
+    require(slices == streamed, "trace slices vs streamed span_end + duration "
+            "events, by pid", dict(slices), dict(streamed))
     replayed = json.loads(outputs["replay.json"])["counters"].get("sweep.cells")
     reported = json.loads(outputs["sweep.json"])["telemetry"]["counters"][
         "sweep.cells"]
@@ -406,7 +413,8 @@ SMOKES: tuple[Smoke, ...] = (
                stdout="sweep-env.json", env=STORE)),
           store_files, "tests/store/test_store_files.py"),
     Smoke("live", "--progress/--trace-out/--events-out on a pooled sweep: a "
-          "lane per worker, and a replay equal to --profile",
+          "lane per worker, a slice per streamed span, and a replay equal to "
+          "--profile",
           (cmd(*SWEEP, "--jobs", "2", "--no-store", "--progress", "--trace-out",
                "<trace.json>", "--events-out", "<events.jsonl>", "--profile",
                stdout="sweep.json"),
