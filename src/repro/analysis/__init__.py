@@ -6,9 +6,9 @@ This subpackage implements every numbered equation of the paper:
 Equation  Implementation
 ========  =====================================================
 (1)-(2)   :func:`repro.analysis.threshold.f_min`
-(3)       :class:`repro.analysis.zipf.ZipfDistribution`
-(4)       :meth:`repro.analysis.zipf.ZipfDistribution.prob_queried`
-(5)       :meth:`repro.analysis.zipf.ZipfDistribution.head_mass`
+(3)       :func:`repro.analysis.zipf.rank_probabilities`
+(4)       :func:`repro.analysis.zipf.prob_queried`
+(5)       :attr:`repro.analysis.threshold.IndexThreshold.p_indexed`
 (6)       :func:`repro.analysis.costs.c_search_unstructured`
 (7)       :func:`repro.analysis.costs.c_search_index`
 (8)       :func:`repro.analysis.costs.c_routing_maintenance`

@@ -26,8 +26,7 @@ import numpy as np
 from repro.analysis.costs import c_search_unstructured
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import SelectionModel
-from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError
+from repro.analysis.zipf import rank_probabilities
 
 __all__ = ["OptimalPartialIndex", "optimal_max_rank", "optimal_key_ttl"]
 
@@ -48,9 +47,10 @@ class OptimalPartialIndex:
 
 
 def _partial_costs_all_ranks(
-    params: ScenarioParameters, zipf: ZipfDistribution
-) -> np.ndarray:
-    """Eq. 13 evaluated at every cut rank m = 0..keys (vectorised)."""
+    params: ScenarioParameters,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. 13 at every cut rank m = 0..keys (vectorised), with the Eq. 5
+    head mass ``pIndxd`` of each cut: ``(costs, head)``."""
     n = params.n_keys
     rate = params.network_query_rate
     c_unstr = c_search_unstructured(params.num_peers, params.replication, params.dup)
@@ -73,16 +73,15 @@ def _partial_costs_all_ranks(
     c_upd[0] = 0.0
     c_indkey = c_rtn + c_upd
 
-    head = np.concatenate(([0.0], np.cumsum(zipf.probs())))
+    probs = rank_probabilities(params.n_keys, params.alpha)
+    head = np.concatenate(([0.0], np.cumsum(probs)))
     maintenance = ranks * c_indkey
     hits = head * rate * c_sindx
     misses = (1.0 - head) * rate * c_unstr
-    return maintenance + hits + misses
+    return maintenance + hits + misses, head
 
 
-def optimal_max_rank(
-    params: ScenarioParameters, zipf: ZipfDistribution | None = None
-) -> OptimalPartialIndex:
+def optimal_max_rank(params: ScenarioParameters) -> OptimalPartialIndex:
     """The cut rank minimising Eq. 13 exactly.
 
     This is the paper's "theoretically optimal" partial index the
@@ -90,25 +89,17 @@ def optimal_max_rank(
     broadcast) and keys (full index), so it never loses to either
     baseline.
     """
-    zipf = zipf or ZipfDistribution(params.n_keys, params.alpha)
-    if zipf.n_keys != params.n_keys:
-        raise ParameterError(
-            f"zipf has {zipf.n_keys} keys but params has {params.n_keys}"
-        )
-    costs = _partial_costs_all_ranks(params, zipf)
+    costs, head = _partial_costs_all_ranks(params)
     best = int(np.argmin(costs))
     return OptimalPartialIndex(
         params=params,
         max_rank=best,
         cost=float(costs[best]),
-        p_indexed=zipf.head_mass(best),
+        p_indexed=float(head[best]),
     )
 
 
-def optimal_key_ttl(
-    params: ScenarioParameters,
-    zipf: ZipfDistribution | None = None,
-) -> tuple[float, float]:
+def optimal_key_ttl(params: ScenarioParameters) -> tuple[float, float]:
     """The TTL minimising the Eq. 17 selection cost.
 
     Golden-section search over ``log(ttl)`` within :data:`TTL_BOUNDS`,
@@ -118,10 +109,8 @@ def optimal_key_ttl(
     miss penalty falls and the maintenance cost rises monotonically with
     TTL), which golden-section requires.
     """
-    zipf = zipf or ZipfDistribution(params.n_keys, params.alpha)
-
     def cost_at(log_ttl: float) -> float:
-        return SelectionModel(params, key_ttl=math.exp(log_ttl), zipf=zipf).total_cost()
+        return SelectionModel(params, key_ttl=math.exp(log_ttl)).total_cost()
 
     a, b = math.log(TTL_BOUNDS[0]), math.log(TTL_BOUNDS[1])
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

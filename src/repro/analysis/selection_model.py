@@ -23,8 +23,7 @@ array per scenario: :func:`selection_outcomes` evaluates a scenario's
 keyTtl column from that one prefix plus one working buffer, and a single
 :class:`SelectionModel` fills one buffer in place. Both read the cached
 Eq. 3 array (:func:`~repro.analysis.zipf.rank_probabilities`): no
-:class:`~repro.analysis.zipf.ZipfDistribution`, no CDF, no per-rank
-table outlives the evaluation.
+distribution, no CDF, no per-rank table outlives the evaluation.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ import numpy as np
 
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.threshold import check_zipf, solve_threshold
-from repro.analysis.zipf import ZipfDistribution, rank_probabilities
+from repro.analysis.threshold import solve_threshold
+from repro.analysis.zipf import rank_probabilities
 from repro.errors import require_key_ttl
 from repro.obs import counted_cache
 
@@ -82,9 +81,10 @@ def _log_absence(probs: np.ndarray, rate: float) -> np.ndarray:
     """``log1p(-probT)`` per rank, the keyTtl-independent prefix of
     Eq. 14/15, in a fresh n-key buffer.
 
-    ``probT`` of Eq. 4 is taken as ``-expm1(rate * log1p(-p))``: the
-    ufuncs and operand order of the vector form, so every element is bit
-    for bit what ``ZipfDistribution.probs_queried`` would feed it.
+    ``probT`` of Eq. 4 is taken as ``-expm1(rate * log1p(-p))`` in place:
+    the ufuncs of :func:`~repro.analysis.zipf.prob_queried`, so every
+    element is bit for bit what that function returns for a positive
+    rate.
     """
     buf = np.negative(probs)
     # probT can round to exactly 1.0 for the hottest ranks, where
@@ -129,24 +129,15 @@ class SelectionModel:
     key_ttl:
         Expiration time in rounds. When omitted, the paper's choice
         ``keyTtl = 1 / fMin`` is derived from :func:`solve_threshold`.
-    zipf:
-        Optional query distribution of ``params`` (its ``n_keys`` and
-        ``alpha``, else :class:`ParameterError`). Only its probabilities
-        are read, and they are the process-wide Eq. 3 array either way.
     """
 
     def __init__(
         self,
         params: ScenarioParameters,
         key_ttl: float | None = None,
-        zipf: ZipfDistribution | None = None,
     ) -> None:
         self.params = params
-        if zipf is None:
-            probs = rank_probabilities(params.n_keys, params.alpha)
-        else:
-            check_zipf(params, zipf)
-            probs = zipf.probs()
+        probs = rank_probabilities(params.n_keys, params.alpha)
         if key_ttl is None:
             key_ttl = solve_threshold(params).key_ttl
         require_key_ttl(key_ttl)
@@ -155,7 +146,7 @@ class SelectionModel:
         #: probability a random query is answered from it (Eq. 14).
         self.index_size = self.p_indexed = 0.0
         rate = params.network_query_rate
-        # probs_queried's zero-rate rule: probT is 0, not 0 * log1p(-1).
+        # Eq. 4's zero-rate rule: probT is 0, not 0 * log1p(-1).
         if rate != 0 and self.key_ttl != 0:
             buf = _log_absence(probs, rate)
             self.index_size, self.p_indexed = _presence_sums(
@@ -268,8 +259,7 @@ def selection_outcome(
     :class:`SelectionOutcome` is kept. A miss reads the cached Eq. 3
     array and fills one n-key buffer that lives for the evaluation alone
     (inside :func:`selection_outcomes`, the column's two); it builds no
-    :class:`ZipfDistribution` and no CDF. Callers that hold a
-    :class:`ZipfDistribution` and vary ``key_ttl`` continuously
+    distribution and no CDF. Callers that vary ``key_ttl`` continuously
     (``optimal``, ``sensitivity``) build :class:`SelectionModel` directly.
     """
     column = getattr(_open, "column", None)

@@ -15,7 +15,6 @@ from typing import Sequence
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import SelectionModel, SelectionOutcome
 from repro.analysis.threshold import solve_threshold
-from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 
 __all__ = ["KeyTtlSensitivity", "sweep_keyttl_error"]
@@ -60,14 +59,13 @@ def sweep_keyttl_error(
         if factor <= 0:
             raise ParameterError(f"error factors must be > 0, got {factor}")
 
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
-    ideal_ttl = solve_threshold(params, zipf).key_ttl
-    ideal_cost = SelectionModel(params, key_ttl=ideal_ttl, zipf=zipf).total_cost()
+    ideal_ttl = solve_threshold(params).key_ttl
+    ideal_cost = SelectionModel(params, key_ttl=ideal_ttl).total_cost()
 
     results: list[KeyTtlSensitivity] = []
     for factor in error_factors:
         ttl = ideal_ttl * factor
-        outcome = SelectionModel(params, key_ttl=ttl, zipf=zipf).outcome()
+        outcome = SelectionModel(params, key_ttl=ttl).outcome()
         penalty = outcome.total_cost / ideal_cost if ideal_cost > 0 else 1.0
         results.append(
             KeyTtlSensitivity(

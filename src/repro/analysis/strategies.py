@@ -26,7 +26,6 @@ from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import selection_outcome
 from repro.analysis.threshold import IndexThreshold, solve_threshold
-from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 
 if TYPE_CHECKING:
@@ -116,11 +115,9 @@ class StrategyCosts:
         return 1.0 - self.partial / self.no_index
 
 
-def evaluate_strategies(
-    params: ScenarioParameters, zipf: ZipfDistribution | None = None
-) -> StrategyCosts:
+def evaluate_strategies(params: ScenarioParameters) -> StrategyCosts:
     """Evaluate all three strategies for one scenario."""
-    threshold = solve_threshold(params, zipf)
+    threshold = solve_threshold(params)
     return StrategyCosts(
         params=params,
         threshold=threshold,

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from repro.analysis.parameters import PAPER_FREQUENCIES, ScenarioParameters
 from repro.analysis.selection_model import SelectionModel, SelectionOutcome
 from repro.analysis.strategies import StrategyCosts, evaluate_strategies
-from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 
 __all__ = ["PAPER_FREQUENCIES", "SweepPoint", "FrequencySweep", "sweep_frequencies"]
@@ -110,20 +109,15 @@ def sweep_frequencies(
     params: ScenarioParameters,
     frequencies: Sequence[float] | Iterable[float] = PAPER_FREQUENCIES,
 ) -> FrequencySweep:
-    """Evaluate Eq. 11-17 at each per-peer query frequency.
-
-    The Zipf distribution depends only on ``n_keys`` and ``alpha`` and is
-    therefore shared across the whole sweep.
-    """
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
+    """Evaluate Eq. 11-17 at each per-peer query frequency."""
     points = []
     for freq in frequencies:
         if freq <= 0:
             raise ParameterError(f"query frequencies must be > 0, got {freq}")
         scenario = params.with_query_freq(freq)
-        strategies = evaluate_strategies(scenario, zipf)
+        strategies = evaluate_strategies(scenario)
         selection = SelectionModel(
-            scenario, key_ttl=strategies.threshold.key_ttl, zipf=zipf
+            scenario, key_ttl=strategies.threshold.key_ttl
         ).outcome()
         points.append(
             SweepPoint(query_freq=freq, strategies=strategies, selection=selection)

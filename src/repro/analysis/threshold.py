@@ -20,7 +20,8 @@ Because ``probT(rank)`` falls with rank while ``fMin(maxRank)`` rises with
 index size, the residual ``probT(m) - fMin(m)`` is monotone decreasing in
 ``m`` and has a unique sign change; :func:`solve_threshold` finds it by
 bisection, on the process-wide Eq. 3 array
-(:func:`~repro.analysis.zipf.rank_probabilities`) and with no CDF.
+(:func:`~repro.analysis.zipf.rank_probabilities`) and Eq. 4
+(:func:`~repro.analysis.zipf.prob_queried`), with no CDF.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ import numpy as np
 
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.zipf import (
-    ZipfDistribution,
-    _at_least_once,
-    rank_probabilities,
-)
-from repro.errors import ParameterError
+from repro.analysis.zipf import prob_queried, rank_probabilities
 from repro.obs import counted_cache
 
 __all__ = ["f_min", "IndexThreshold", "solve_threshold"]
@@ -103,45 +99,19 @@ class IndexThreshold:
         return 1.0 / self.f_min
 
 
-def solve_threshold(
-    params: ScenarioParameters, zipf: ZipfDistribution | None = None
-) -> IndexThreshold:
+def solve_threshold(params: ScenarioParameters) -> IndexThreshold:
     """Solve for ``maxRank``, ``fMin`` and ``pIndxd`` by bisection.
 
-    Parameters
-    ----------
-    params:
-        Scenario parameters (Table 1).
-    zipf:
-        The caller's query distribution, if it has one. It must be the
-        distribution ``params`` describes (same ``n_keys`` and ``alpha``);
-        anything else raises :class:`ParameterError` rather than returning
-        a threshold solved for a different scenario.
-
-    The solution is a function of ``params`` alone and is cached per
-    scenario (``cache.threshold.*`` counters), so every consumer of one
-    scenario — ``PdhtConfig.from_scenario``, partialIdeal's
-    ``StrategyPolicy`` (``strategy_setup``), ``SelectionModel``,
-    ``evaluate_strategies``, ``sensitivity``, the figures — shares one
-    bisection. Only the scalar
+    The solution is a function of ``params`` (Table 1) alone and is
+    cached per scenario (``cache.threshold.*`` counters), so every
+    consumer of one scenario — ``PdhtConfig.from_scenario``,
+    partialIdeal's ``StrategyPolicy`` (``strategy_setup``),
+    ``SelectionModel``, ``evaluate_strategies``, ``sensitivity``, the
+    figures — shares one bisection. Only the scalar
     :class:`IndexThreshold` is kept; the one n-key array the solve reads
-    is the process-wide Eq. 3 cache, and ``zipf`` is only checked.
+    is the process-wide Eq. 3 cache.
     """
-    if zipf is not None:
-        check_zipf(params, zipf)
     return _solve(params)
-
-
-def check_zipf(params: ScenarioParameters, zipf: ZipfDistribution) -> None:
-    """Refuse a distribution other than the one ``params`` describes."""
-    if zipf.n_keys != params.n_keys:
-        raise ParameterError(
-            f"zipf has {zipf.n_keys} keys but params has {params.n_keys}"
-        )
-    if zipf.alpha != params.alpha:
-        raise ParameterError(
-            f"zipf has alpha {zipf.alpha} but params has {params.alpha}"
-        )
 
 
 @counted_cache("threshold", maxsize=256)
@@ -149,19 +119,19 @@ def _solve(params: ScenarioParameters) -> IndexThreshold:
     """The bisection behind :func:`solve_threshold`, once per scenario.
 
     Reads the cached Eq. 3 probabilities and nothing else of size
-    ``n_keys``: each step evaluates Eq. 4 on one element, through the
-    ufuncs of the vector form (:func:`~repro.analysis.zipf._at_least_once`,
-    as ``ZipfDistribution.prob_queried`` does), and Eq. 5 is the last
-    entry of ``cumsum`` over the ``maxRank`` head. ``add.accumulate`` is
-    sequential, so that is ``cumsum(probs)[maxRank - 1]`` bit for bit,
-    without a CDF of the whole universe.
+    ``n_keys``: each step evaluates Eq. 4 on one element
+    (:func:`~repro.analysis.zipf.prob_queried`, which gives the vector
+    form's value bit for bit), and Eq. 5 is the last entry of ``cumsum``
+    over the ``maxRank`` head. ``add.accumulate`` is sequential, so that
+    is ``cumsum(probs)[maxRank - 1]`` bit for bit, without a CDF of the
+    whole universe.
     """
     probs = rank_probabilities(params.n_keys, params.alpha)
     rate = params.network_query_rate
 
     def residual(rank: int) -> float:
         """``probT(rank) - fMin(rank)``: positive while rank is worth indexing."""
-        prob_t = float(_at_least_once(probs[rank - 1], rate)) if rate else 0.0
+        prob_t = float(prob_queried(probs[rank - 1], rate))
         return prob_t - f_min(params, float(rank))
 
     n = params.n_keys

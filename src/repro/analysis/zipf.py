@@ -16,20 +16,20 @@ query every two hours each is ~2.78 queries/s network-wide); the paper
 plugs it into the exponent unchanged, and so do we.
 
 Eq. 3 is computed once per ``(n_keys, alpha)`` per process, by
-:func:`rank_probabilities`, and that one read-only array is what every
-:class:`ZipfDistribution` of the pair references. A distribution adds
-its own CDF, which only drawing and quantiles read; the closed-form
-planning reads the cached probabilities directly and builds none.
+:func:`rank_probabilities`, and Eq. 4 has one implementation,
+:func:`prob_queried`. The closed-form model reads both directly and
+builds no distribution. A :class:`ZipfDistribution` only samples: it
+references the pair's cached array and adds the CDF its draws invert.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_finite
 from repro.obs import counted_cache
 
-__all__ = ["ZipfDistribution", "rank_probabilities", "truncated_zeta"]
+__all__ = ["ZipfDistribution", "prob_queried", "rank_probabilities"]
 
 #: Uniforms inverted per pass of :meth:`ZipfDistribution.draw_into`. The
 #: pass keeps a handful of temporaries of this length, so a draw of any
@@ -115,32 +115,19 @@ def _build_guide(cdf: np.ndarray) -> tuple[int, np.ndarray, int]:
     return buckets, table, 1 << widest.bit_length()
 
 
-def truncated_zeta(n_keys: int, alpha: float) -> float:
-    """Return the truncated zeta normaliser ``sum_{x=1}^{n_keys} x^-alpha``.
+def prob_queried(probs, queries_per_round: float):
+    """Eq. 4 on one Eq. 3 probability or a vector of them.
 
-    This is the denominator of Eq. 3. Unlike the Riemann zeta function it is
-    finite for every ``alpha`` (including ``alpha <= 1``) because the sum is
-    truncated at ``n_keys``.
+    ``queries_per_round`` is ``numPeers * fQry``, possibly fractional.
+    ``1 - (1 - p)^n`` is taken as ``-expm1(n * log1p(-p))`` with numpy's
+    ufuncs, so one element gets the vector's value bit for bit (libm's
+    ``math.log1p`` does not on every CPU, and one ulp can move
+    ``maxRank``). A zero rate gives zeros of the input's shape without
+    that pass; ``p = 1`` gives 1 (``log1p(-1) = -inf``, warning hidden).
     """
-    if n_keys < 1:
-        raise ParameterError(f"n_keys must be >= 1, got {n_keys}")
-    return float((np.arange(1, n_keys + 1, dtype=np.float64) ** (-alpha)).sum())
-
-
-def _check_query_rate(queries_per_round: float) -> None:
-    if queries_per_round < 0:
-        raise ParameterError(
-            f"queries_per_round must be >= 0, got {queries_per_round}"
-        )
-
-
-def _at_least_once(probs, queries_per_round: float):
-    """Eq. 4 for a positive rate, on one Eq. 3 probability or a vector.
-
-    ``1 - (1 - p)^n`` computed stably as ``-expm1(n * log1p(-p))``. For
-    the degenerate single-key universe ``p = 1`` and ``log1p(-1) = -inf``,
-    which still yields the correct probability of 1; hide the warning.
-    """
+    require_finite("queries_per_round", queries_per_round, 0.0)
+    if queries_per_round == 0:
+        return np.zeros_like(probs)[()]
     with np.errstate(divide="ignore", invalid="ignore"):
         return -np.expm1(queries_per_round * np.log1p(-probs))
 
@@ -167,64 +154,6 @@ class ZipfDistribution:
         self.alpha = float(alpha)
         self._probs = rank_probabilities(self.n_keys, self.alpha)
         self._cumulative = np.cumsum(self._probs)
-
-    # ------------------------------------------------------------------
-    # Eq. 3
-    # ------------------------------------------------------------------
-    def prob(self, rank: int) -> float:
-        """Probability that a random query targets the key at ``rank`` (Eq. 3)."""
-        self._check_rank(rank)
-        return float(self._probs[rank - 1])
-
-    def probs(self) -> np.ndarray:
-        """Vector of Eq. 3 probabilities for ranks ``1..n_keys`` (read-only)."""
-        view = self._probs.view()
-        view.flags.writeable = False
-        return view
-
-    # ------------------------------------------------------------------
-    # Eq. 4
-    # ------------------------------------------------------------------
-    def prob_queried(self, rank: int, queries_per_round: float) -> float:
-        """Probability the key at ``rank`` is queried >= once per round (Eq. 4).
-
-        ``queries_per_round`` is the network-wide query rate
-        ``numPeers * fQry``; it may be fractional.
-
-        Evaluates Eq. 4 on the one element ``probs()[rank - 1]`` — O(1),
-        which is what keeps the threshold bisection O(log n) — and is
-        bit-identical to ``probs_queried(queries_per_round)[rank - 1]``.
-        That holds because both go through the same numpy ufuncs:
-        ``math.log1p`` / ``math.expm1`` (libm) differ from numpy's
-        vectorised loops in the last ulp on some CPUs, which is enough to
-        move ``maxRank`` by one.
-        """
-        self._check_rank(rank)
-        _check_query_rate(queries_per_round)
-        if queries_per_round == 0:
-            return 0.0
-        return float(_at_least_once(self._probs[rank - 1], queries_per_round))
-
-    def probs_queried(self, queries_per_round: float) -> np.ndarray:
-        """Vector of Eq. 4 probabilities for all ranks."""
-        _check_query_rate(queries_per_round)
-        if queries_per_round == 0:
-            return np.zeros_like(self._probs)
-        return _at_least_once(self._probs, queries_per_round)
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def head_mass(self, max_rank: int) -> float:
-        """Total query probability of the ``max_rank`` most popular keys.
-
-        This is Eq. 5 of the paper (``pIndxd`` under ideal partial indexing)
-        when ``max_rank = maxRank``.
-        """
-        if max_rank <= 0:
-            return 0.0
-        max_rank = min(max_rank, self.n_keys)
-        return float(self._cumulative[max_rank - 1])
 
     def sample_ranks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` query ranks (1-based) i.i.d. from the distribution."""
@@ -302,23 +231,8 @@ class ZipfDistribution:
             index[unsettled] = refined
         return np.minimum(index, self.n_keys - 1, out=index)
 
-    # ------------------------------------------------------------------
-    def _check_rank(self, rank: int) -> None:
-        if not 1 <= rank <= self.n_keys:
-            raise ParameterError(
-                f"rank must be in [1, {self.n_keys}], got {rank}"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ZipfDistribution(n_keys={self.n_keys}, alpha={self.alpha})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZipfDistribution):
-            return NotImplemented
-        return self.n_keys == other.n_keys and self.alpha == other.alpha
-
-    def __hash__(self) -> int:
-        return hash((self.n_keys, self.alpha))
 
     def __store_key__(self) -> dict[str, float]:
         """Canonical identity for artifact-store keys: the distribution

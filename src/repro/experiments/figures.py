@@ -202,21 +202,19 @@ def heuristic_vs_optimal(
     from repro.analysis.strategies import cost_partial_ideal
     from repro.analysis.selection_model import SelectionModel
     from repro.analysis.threshold import solve_threshold
-    from repro.analysis.zipf import ZipfDistribution
 
     params = params or paper_scenario()
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
     rank_gaps, ttl_gaps = [], []
     for freq in frequencies:
         scenario = params.with_query_freq(freq)
-        threshold = solve_threshold(scenario, zipf)
+        threshold = solve_threshold(scenario)
         heuristic_rank_cost = cost_partial_ideal(scenario, threshold)
-        optimal_rank_cost = optimal_max_rank(scenario, zipf).cost
+        optimal_rank_cost = optimal_max_rank(scenario).cost
         rank_gaps.append(heuristic_rank_cost / optimal_rank_cost - 1.0)
         heuristic_ttl_cost = SelectionModel(
-            scenario, key_ttl=threshold.key_ttl, zipf=zipf
+            scenario, key_ttl=threshold.key_ttl
         ).total_cost()
-        _, optimal_ttl_cost = optimal_key_ttl(scenario, zipf)
+        _, optimal_ttl_cost = optimal_key_ttl(scenario)
         ttl_gaps.append(heuristic_ttl_cost / optimal_ttl_cost - 1.0)
     return FigureSeries(
         name="Extension - cost gap of the paper's heuristics vs exact optima",

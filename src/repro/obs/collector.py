@@ -297,9 +297,12 @@ def scoped() -> Iterator[Collector]:
     Used to carve out a per-experiment telemetry block; on exit the
     previous collector is restored and the child's data is merged back
     into it, so scoping never loses measurements. The merge is not
-    streamed: the child's events already were, as they happened.
+    streamed: the child's events already were, as they happened. The
+    child refuses the snapshots its parent already merged, as replay does.
     """
     child = Collector()
+    with _collector._lock:
+        child._merged_ids.update(_collector._merged_ids)
     previous = set_collector(child)
     try:
         yield child

@@ -12,8 +12,7 @@ from repro.analysis.strategies import (
     cost_partial_ideal,
 )
 from repro.analysis.threshold import solve_threshold
-from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError
+from repro.analysis.zipf import rank_probabilities
 
 
 class TestOptimalMaxRank:
@@ -53,21 +52,20 @@ class TestOptimalMaxRank:
 
         from repro.analysis.optimal import _partial_costs_all_ranks
 
-        zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
-        costs = _partial_costs_all_ranks(small_params, zipf)
+        costs, _ = _partial_costs_all_ranks(small_params)
         # Endpoint m=0 must equal the noIndex cost exactly.
         assert costs[0] == pytest.approx(cost_no_index(small_params))
         # Endpoint m=keys must equal indexAll minus nothing (same formula).
         assert costs[-1] == pytest.approx(cost_index_all(small_params), rel=1e-9)
 
-    def test_mismatched_zipf_rejected(self, paper_params):
-        with pytest.raises(ParameterError):
-            optimal_max_rank(paper_params, ZipfDistribution(10, 1.2))
-
     def test_p_indexed_consistent(self, paper_params):
+        import numpy as np
+
         optimum = optimal_max_rank(paper_params)
-        zipf = ZipfDistribution(paper_params.n_keys, paper_params.alpha)
-        assert optimum.p_indexed == pytest.approx(zipf.head_mass(optimum.max_rank))
+        probs = rank_probabilities(paper_params.n_keys, paper_params.alpha)
+        assert optimum.max_rank > 0
+        # Eq. 5 at the optimal cut, as the CDF reads it: bit for bit.
+        assert optimum.p_indexed == np.cumsum(probs)[optimum.max_rank - 1]
 
 
 class TestOptimalKeyTtl:

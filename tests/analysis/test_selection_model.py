@@ -17,7 +17,11 @@ from repro.analysis.selection_model import (
 )
 from repro.analysis.strategies import cost_index_all, cost_no_index
 from repro.analysis.threshold import solve_threshold
-from repro.analysis.zipf import ZipfDistribution, rank_probabilities
+from repro.analysis.zipf import (
+    ZipfDistribution,
+    prob_queried,
+    rank_probabilities,
+)
 from repro.errors import ParameterError
 from repro.obs.cache import cache_stats
 
@@ -44,8 +48,8 @@ class TestEq15IndexSize:
     def test_matches_direct_sum(self, small_params):
         ttl = 500.0
         model = SelectionModel(small_params, key_ttl=ttl)
-        zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
-        prob_t = zipf.probs_queried(small_params.network_query_rate)
+        probs = rank_probabilities(small_params.n_keys, small_params.alpha)
+        prob_t = prob_queried(probs, small_params.network_query_rate)
         direct = float((1.0 - (1.0 - prob_t) ** ttl).sum())
         assert model.index_size == pytest.approx(direct, rel=1e-9)
 
@@ -59,10 +63,10 @@ class TestEq14PIndexed:
     def test_weighted_by_query_probability(self, small_params):
         ttl = 500.0
         model = SelectionModel(small_params, key_ttl=ttl)
-        zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
-        prob_t = zipf.probs_queried(small_params.network_query_rate)
+        probs = rank_probabilities(small_params.n_keys, small_params.alpha)
+        prob_t = prob_queried(probs, small_params.network_query_rate)
         presence = 1.0 - (1.0 - prob_t) ** ttl
-        direct = float((presence * zipf.probs()).sum())
+        direct = float((presence * probs).sum())
         assert model.p_indexed == pytest.approx(direct, rel=1e-9)
 
     def test_p_indexed_exceeds_size_fraction(self, paper_params):
@@ -130,20 +134,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             SelectionModel(paper_params, key_ttl=-1.0)
 
-    def test_mismatched_zipf_rejected(self, paper_params):
-        with pytest.raises(ParameterError):
-            SelectionModel(paper_params, key_ttl=10.0, zipf=ZipfDistribution(5, 1.2))
-
-    def test_zipf_of_another_alpha_rejected(self):
-        # Same key count, other exponent: would silently model another
-        # scenario (index_size 1000.0 instead of 996.77).
-        params = ScenarioParameters(num_peers=500, n_keys=1000, alpha=1.2)
-        with pytest.raises(ParameterError, match="alpha 0.8 but params has 1.2"):
-            SelectionModel(params, zipf=ZipfDistribution(1000, 0.8))
-        assert SelectionModel(
-            params, zipf=ZipfDistribution(1000, 1.2)
-        ).index_size == SelectionModel(params).index_size
-
 
 class TestZeroQueryRate:
     @pytest.mark.parametrize("key_ttl", [0.0, 1.0, float("inf")])
@@ -161,8 +151,8 @@ class TestZeroQueryRate:
         # rank^-120 underflows to 0 past rank ~370: probT = 0 there, and
         # at keyTtl = inf exactly the ranks with probT > 0 are present.
         params = replace(small_params, n_keys=2_000, alpha=120.0, query_freq=1.0)
-        prob_t = ZipfDistribution(2_000, 120.0).probs_queried(
-            params.network_query_rate
+        prob_t = prob_queried(
+            rank_probabilities(2_000, 120.0), params.network_query_rate
         )
         assert 0 < np.count_nonzero(prob_t) < 2_000
         model = SelectionModel(params, key_ttl=float("inf"))

@@ -6,8 +6,7 @@ import pytest
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.threshold import f_min, solve_threshold
-from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError
+from repro.analysis.zipf import prob_queried, rank_probabilities
 
 
 class TestFmin:
@@ -62,13 +61,13 @@ class TestSolveThreshold:
 
     def test_residual_signs_bracket_max_rank(self, paper_params):
         params = paper_params.with_query_freq(1 / 600)
-        zipf = ZipfDistribution(params.n_keys, params.alpha)
-        threshold = solve_threshold(params, zipf)
+        probs = rank_probabilities(params.n_keys, params.alpha)
+        threshold = solve_threshold(params)
         m = threshold.max_rank
         assert 0 < m < params.n_keys
         rate = params.network_query_rate
-        assert zipf.prob_queried(m, rate) >= f_min(params, m)
-        assert zipf.prob_queried(m + 1, rate) < f_min(params, m + 1)
+        assert prob_queried(probs[m - 1], rate) >= f_min(params, m)
+        assert prob_queried(probs[m], rate) < f_min(params, m + 1)
 
     def test_empty_index_when_indexing_never_pays(self):
         params = ScenarioParameters(
@@ -91,10 +90,6 @@ class TestSolveThreshold:
     def test_key_ttl_is_reciprocal_fmin(self, paper_params):
         threshold = solve_threshold(paper_params)
         assert threshold.key_ttl == pytest.approx(1.0 / threshold.f_min)
-
-    def test_mismatched_zipf_rejected(self, paper_params):
-        with pytest.raises(ParameterError):
-            solve_threshold(paper_params, ZipfDistribution(10, 1.2))
 
     def test_num_active_peers_consistent(self, paper_params):
         threshold = solve_threshold(paper_params)

@@ -163,10 +163,8 @@ class TestOtherStrategies:
             small_params, duration=200.0, seed=1, strategy="partialIdeal"
         )
         threshold = solve_threshold(small_params)
-        zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
-        assert report.hit_rate == pytest.approx(
-            zipf.head_mass(threshold.max_rank), abs=0.05
-        )
+        # p_indexed is Eq. 5, the query mass of the maxRank head.
+        assert report.hit_rate == pytest.approx(threshold.p_indexed, abs=0.05)
         assert report.mean_index_size == threshold.max_rank
 
     def test_strategy_ordering_matches_paper(self, small_params):

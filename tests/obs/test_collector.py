@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.obs import events
 
 
 def _loaded(spans=(), counters=(), gauges=()):
@@ -303,6 +304,27 @@ class TestScoped:
         assert obs.collector() is parent
         assert parent.counters["c"] == 1
         assert local.counters["c"] == 1
+
+    @pytest.mark.parametrize("root_first", [True, False])
+    def test_a_snapshot_merged_at_the_root_and_in_a_scope_counts_once(
+        self, root_first
+    ):
+        # The scope's child refuses what its parent already merged, as
+        # replay's one collector does; otherwise the parent takes the
+        # snapshot back through the child's totals.
+        worker = obs.Collector()
+        worker.fold({"type": "counter", "name": "x", "n": 1.0})
+        snapshot = worker.snapshot()
+        obs.enable()
+        with events.recorded() as ring:
+            if root_first:
+                obs.merge_snapshot(snapshot)
+            with obs.scoped():
+                obs.merge_snapshot(snapshot)
+            if not root_first:
+                obs.merge_snapshot(snapshot)
+        assert obs.collector().counters == {"x": 1.0}
+        assert obs.replay(ring.events())["counters"] == {"x": 1.0}
 
     def test_fresh_collector_keeps_parent_clean(self):
         obs.enable()

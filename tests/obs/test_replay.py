@@ -16,7 +16,7 @@ import types
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -113,12 +113,16 @@ WORKER = st.lists(
     ),
     max_size=4,
 )
+ONE_COUNT = [{"type": "counter", "name": "a", "n": 1}]
 LEAF = st.one_of(
     st.tuples(st.just("count"), NAMES, st.integers(1, 5)),
     st.tuples(st.just("gauge"), NAMES, QUARTERS),
     st.tuples(st.just("duration"), NAMES, QUARTERS, st.integers(1, 4)),
     # A worker snapshot and how often it is delivered (twice: a repeat).
     st.tuples(st.just("merge"), WORKER, st.integers(1, 2)),
+    # The example's one shared snapshot: merged wherever this lands, at
+    # the root or inside scopes, in any order.
+    st.just(("shared",)),
 )
 PROGRAMS = st.recursive(
     st.lists(LEAF, max_size=4),
@@ -134,16 +138,26 @@ PROGRAMS = st.recursive(
 )
 
 
-def _play(program) -> None:
-    """Record ``program`` through the module entry points."""
+def _snapshot(worker_events) -> dict:
+    worker = obs.Collector()
+    for event in worker_events:
+        worker.fold(event)
+    return worker.snapshot()
+
+
+def _play(program, shared: dict) -> None:
+    """Record ``program`` through the module entry points; a ``shared``
+    op merges ``shared``."""
     for op in program:
         kind = op[0]
         if kind == "span":
             with obs.span(op[1], **op[2]):
-                _play(op[3])
+                _play(op[3], shared)
         elif kind == "scoped":
             with obs.scoped():
-                _play(op[1])
+                _play(op[1], shared)
+        elif kind == "shared":
+            obs.merge_snapshot(shared)
         elif kind == "count":
             obs.count(op[1], op[2])
         elif kind == "gauge":
@@ -151,18 +165,22 @@ def _play(program) -> None:
         elif kind == "duration":
             obs.add_duration(op[1], op[2], n=op[3])
         else:
-            worker = obs.Collector()
-            for event in op[1]:
-                worker.fold(event)
-            snapshot = worker.snapshot()
+            snapshot = _snapshot(op[1])
             for _ in range(op[2]):
                 obs.merge_snapshot(snapshot)
 
 
 class TestGeneratedFidelity:
     @settings(max_examples=150, deadline=None)
-    @given(program=PROGRAMS)
-    def test_replay_of_any_recording_matches_snapshot(self, program):
+    @given(program=PROGRAMS, shared=WORKER)
+    # One snapshot at the root and inside a scope, in both orders.
+    @example(
+        program=[("shared",), ("scoped", [("shared",)])], shared=ONE_COUNT
+    )
+    @example(
+        program=[("scoped", [("shared",)]), ("shared",)], shared=ONE_COUNT
+    )
+    def test_replay_of_any_recording_matches_snapshot(self, program, shared):
         # Span seconds come from a clock ticking in eighths, so a scoped
         # child's merged totals sum exactly like the replayed entries.
         ticks = itertools.count()
@@ -173,7 +191,7 @@ class TestGeneratedFidelity:
         module = importlib.import_module("repro.obs.collector")
         with mock.patch.object(module, "time", clock):
             with events.recorded() as ring:
-                _play(program)
+                _play(program, _snapshot(shared))
         snapshot = obs.collector().snapshot()
         assert _profile(obs.replay(ring.events())) == _profile(snapshot)
 

@@ -155,10 +155,10 @@ def test_ideal_partial_near_index_all(params, rate_factor):
     # found violates. We construct the query rate to respect it.
     from dataclasses import replace
 
-    from repro.analysis.zipf import ZipfDistribution
+    from repro.analysis.zipf import rank_probabilities
 
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
-    rate = rate_factor / zipf.prob(1)  # network-wide queries per round
+    top = float(rank_probabilities(params.n_keys, params.alpha)[0])
+    rate = rate_factor / top  # network-wide queries per round
     params = replace(params, query_freq=rate / params.num_peers)
     # Second validity condition: numActivePeers must not saturate at
     # num_peers for the full index. When it does, every peer stores more

@@ -6,8 +6,10 @@ over a :class:`ZipfDistribution`: build the distribution (probabilities
 and CDF), take ``probs_queried`` (Eq. 4) as a vector, then
 ``-expm1(keyTtl * log1p(-probT))`` and two sums. ``reference_solve`` is
 the bisection that built a distribution per scenario and read Eq. 5 off
-its CDF (``head_mass``). The planning path now reads the cached Eq. 3
-array, fills one buffer in place and takes Eq. 5 as a prefix ``cumsum``;
+its CDF (``head_mass``). ``ReferenceZipf`` keeps those per-rank methods
+verbatim, as the distribution carried them before it lost them. The
+planning path now reads the cached Eq. 3 array, fills one buffer in
+place and takes Eq. 5 as a prefix ``cumsum``;
 it must agree with them exactly — ``==`` on every float — because a
 last-ulp difference in the expected index size moves the selection DHT
 size, and a residual's sign moves ``maxRank``.
@@ -52,7 +54,8 @@ from repro.analysis.selection_model import (
     selection_outcomes,
 )
 from repro.analysis.threshold import IndexThreshold, _solve, f_min
-from repro.analysis.zipf import ZipfDistribution
+from repro.analysis.zipf import rank_probabilities
+from repro.errors import ParameterError
 
 INF = math.inf
 
@@ -60,8 +63,79 @@ INF = math.inf
 # ----------------------------------------------------------------------
 # The replaced code, verbatim but for the probT = 0 rule
 # ----------------------------------------------------------------------
+def _check_query_rate(queries_per_round: float) -> None:
+    if queries_per_round < 0:
+        raise ParameterError(
+            f"queries_per_round must be >= 0, got {queries_per_round}"
+        )
+
+
+def _at_least_once(probs, queries_per_round: float):
+    """Eq. 4 for a positive rate, on one Eq. 3 probability or a vector.
+
+    ``1 - (1 - p)^n`` computed stably as ``-expm1(n * log1p(-p))``. For
+    the degenerate single-key universe ``p = 1`` and ``log1p(-1) = -inf``,
+    which still yields the correct probability of 1; hide the warning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.expm1(queries_per_round * np.log1p(-probs))
+
+
+class ReferenceZipf:
+    """The per-rank Eq. 3/4/5 methods the references read, as
+    ``ZipfDistribution`` carried them."""
+
+    def __init__(self, n_keys: int, alpha: float) -> None:
+        if n_keys < 1:
+            raise ParameterError(f"n_keys must be >= 1, got {n_keys}")
+        if alpha < 0:
+            raise ParameterError(f"alpha must be >= 0, got {alpha}")
+        self.n_keys = int(n_keys)
+        self.alpha = float(alpha)
+        self._probs = rank_probabilities(self.n_keys, self.alpha)
+        self._cumulative = np.cumsum(self._probs)
+
+    def probs(self) -> np.ndarray:
+        """Vector of Eq. 3 probabilities for ranks ``1..n_keys`` (read-only)."""
+        view = self._probs.view()
+        view.flags.writeable = False
+        return view
+
+    def prob_queried(self, rank: int, queries_per_round: float) -> float:
+        """Probability the key at ``rank`` is queried >= once per round (Eq. 4)."""
+        self._check_rank(rank)
+        _check_query_rate(queries_per_round)
+        if queries_per_round == 0:
+            return 0.0
+        return float(_at_least_once(self._probs[rank - 1], queries_per_round))
+
+    def probs_queried(self, queries_per_round: float) -> np.ndarray:
+        """Vector of Eq. 4 probabilities for all ranks."""
+        _check_query_rate(queries_per_round)
+        if queries_per_round == 0:
+            return np.zeros_like(self._probs)
+        return _at_least_once(self._probs, queries_per_round)
+
+    def head_mass(self, max_rank: int) -> float:
+        """Total query probability of the ``max_rank`` most popular keys.
+
+        This is Eq. 5 of the paper (``pIndxd`` under ideal partial indexing)
+        when ``max_rank = maxRank``.
+        """
+        if max_rank <= 0:
+            return 0.0
+        max_rank = min(max_rank, self.n_keys)
+        return float(self._cumulative[max_rank - 1])
+
+    def _check_rank(self, rank: int) -> None:
+        if not 1 <= rank <= self.n_keys:
+            raise ParameterError(
+                f"rank must be in [1, {self.n_keys}], got {rank}"
+            )
+
+
 def reference_selection(params: ScenarioParameters, key_ttl: float):
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
+    zipf = ReferenceZipf(params.n_keys, params.alpha)
     prob_t = zipf.probs_queried(params.network_query_rate)
     if key_ttl == 0:
         presence = np.zeros_like(prob_t)
@@ -77,7 +151,7 @@ def reference_selection(params: ScenarioParameters, key_ttl: float):
 
 
 def reference_solve(params: ScenarioParameters) -> IndexThreshold:
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
+    zipf = ReferenceZipf(params.n_keys, params.alpha)
 
     def residual(rank: int) -> float:
         prob_t = zipf.prob_queried(rank, params.network_query_rate)

@@ -1,30 +1,35 @@
-"""Differential tests: the scalar Eq. 4 and the cached threshold solve
-against the code they replaced.
+"""Differential tests: Eq. 4 on one element and the cached threshold
+solve against the code they replaced.
 
-``reference_probs_queried`` and ``reference_solve_threshold`` are the
-pre-optimisation ``ZipfDistribution.probs_queried`` and
-``solve_threshold`` kept verbatim: every bisection step evaluates Eq. 4
-for *all* keys and reads one element. The scalar path must agree with
+``ReferenceZipf`` keeps, verbatim, the per-rank Eq. 3/4/5 methods that
+``ZipfDistribution`` carried before the closed-form model stopped
+building distributions; ``reference_probs_queried`` and
+``reference_solve_threshold`` are the pre-optimisation
+``ZipfDistribution.probs_queried`` and ``solve_threshold`` kept verbatim
+over it: every bisection step evaluates Eq. 4 for *all* keys and reads
+one element. The element path (:func:`~repro.analysis.zipf.prob_queried`
+on ``probs[rank - 1]``, what the bisection evaluates) must agree with
 them exactly, not approximately — ``==`` on the floats, for every rank —
 because a last-ulp difference in ``probT(rank)`` can flip the sign of a
 residual and move ``maxRank`` by one, and with it every figure.
 
 Mutations of ``src/`` these tests were run against, and what failed:
 
-* off-by-one rank (``self._probs[rank % n_keys]``): both scalar-vs-vector
-  tests and every reference-solve test (11 of 22);
-* ``math.log1p`` / ``math.expm1`` for the numpy ufuncs:
-  ``test_scalar_eq4_equals_vector_at_sweep_scale`` on CPUs where numpy's
-  SIMD loops and libm round differently (this AVX512 builder: 278 of
-  320,000 ranks differ), and everywhere ``test_single_key_universe`` and
-  the ``n_keys=1`` examples (``math.log1p(-1.0)`` raises where numpy
+* an off-by-one rank in the bisection's read (``probs[rank % n_keys]``):
+  nine tests, every reference-solve test but one sweep-grid row;
+* ``math.log1p`` / ``math.expm1`` for the numpy ufuncs on a scalar:
+  ``test_scalar_eq4_equals_vector_at_sweep_scale`` and
+  ``test_scalar_eq4_equals_vector_element`` on CPUs where numpy's SIMD
+  loops and libm round differently (on one AVX512 machine 278 of
+  320,000 ranks differed), and everywhere ``test_single_key_universe``
+  and the ``n_keys=1`` examples (``math.log1p(-1.0)`` raises where numpy
   returns ``-inf``);
+* Eq. 4 evaluated before the zero-rate rule, its result then dropped:
+  ``test_zero_rate_skips_the_transcendental_pass``;
 * a cache key that ignores ``alpha``:
   ``test_scenarios_differing_only_in_alpha_do_not_share_a_solve``,
   ``test_cached_solve_equals_reference_solve`` and the ``alpha = 0.8``
-  sweep-grid scenarios;
-* dropping the ``zipf.alpha`` check in ``solve_threshold``:
-  ``test_zipf_of_another_scenario_is_rejected``.
+  sweep-grid scenarios.
 """
 
 from __future__ import annotations
@@ -40,14 +45,46 @@ from repro.analysis import threshold as threshold_module
 from repro.analysis.costs import CostModel
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.threshold import IndexThreshold, f_min, solve_threshold
-from repro.analysis.zipf import ZipfDistribution
+from repro.analysis.zipf import prob_queried, rank_probabilities
 from repro.errors import ParameterError
 
 
 # ----------------------------------------------------------------------
 # The replaced code, verbatim
 # ----------------------------------------------------------------------
-def reference_probs_queried(zipf: ZipfDistribution, queries_per_round: float) -> np.ndarray:
+class ReferenceZipf:
+    """The Eq. 3/5 methods ``reference_solve_threshold`` read, as
+    ``ZipfDistribution`` carried them."""
+
+    def __init__(self, n_keys: int, alpha: float) -> None:
+        if n_keys < 1:
+            raise ParameterError(f"n_keys must be >= 1, got {n_keys}")
+        if alpha < 0:
+            raise ParameterError(f"alpha must be >= 0, got {alpha}")
+        self.n_keys = int(n_keys)
+        self.alpha = float(alpha)
+        self._probs = rank_probabilities(self.n_keys, self.alpha)
+        self._cumulative = np.cumsum(self._probs)
+
+    def probs(self) -> np.ndarray:
+        """Vector of Eq. 3 probabilities for ranks ``1..n_keys`` (read-only)."""
+        view = self._probs.view()
+        view.flags.writeable = False
+        return view
+
+    def head_mass(self, max_rank: int) -> float:
+        """Total query probability of the ``max_rank`` most popular keys.
+
+        This is Eq. 5 of the paper (``pIndxd`` under ideal partial indexing)
+        when ``max_rank = maxRank``.
+        """
+        if max_rank <= 0:
+            return 0.0
+        max_rank = min(max_rank, self.n_keys)
+        return float(self._cumulative[max_rank - 1])
+
+
+def reference_probs_queried(zipf: ReferenceZipf, queries_per_round: float) -> np.ndarray:
     if queries_per_round < 0:
         raise ParameterError(
             f"queries_per_round must be >= 0, got {queries_per_round}"
@@ -60,7 +97,7 @@ def reference_probs_queried(zipf: ZipfDistribution, queries_per_round: float) ->
 
 
 def _reference_residual(
-    params: ScenarioParameters, zipf: ZipfDistribution, rank: int
+    params: ScenarioParameters, zipf: ReferenceZipf, rank: int
 ) -> float:
     prob_t = float(
         reference_probs_queried(zipf, params.network_query_rate)[rank - 1]
@@ -69,10 +106,10 @@ def _reference_residual(
 
 
 def reference_solve_threshold(
-    params: ScenarioParameters, zipf: ZipfDistribution | None = None
+    params: ScenarioParameters, zipf: ReferenceZipf | None = None
 ) -> IndexThreshold:
     if zipf is None:
-        zipf = ZipfDistribution(params.n_keys, params.alpha)
+        zipf = ReferenceZipf(params.n_keys, params.alpha)
     elif zipf.n_keys != params.n_keys:
         raise ParameterError(
             f"zipf has {zipf.n_keys} keys but params has {params.n_keys}"
@@ -106,7 +143,7 @@ def reference_solve_threshold(
 
 
 # ----------------------------------------------------------------------
-# (a) scalar Eq. 4 == the vector's element, bit for bit
+# (a) Eq. 4 on one element == the vector's element, bit for bit
 # ----------------------------------------------------------------------
 n_keys_st = st.integers(min_value=1, max_value=2_000)
 alpha_st = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -125,11 +162,12 @@ rate_st = st.one_of(
 @example(n_keys=2_000, alpha=0.8, rate=0.0)
 @settings(max_examples=80, deadline=None)
 def test_scalar_eq4_equals_vector_element(n_keys, alpha, rate):
-    zipf = ZipfDistribution(n_keys, alpha)
+    zipf = ReferenceZipf(n_keys, alpha)
+    probs = rank_probabilities(n_keys, alpha)
     vector = reference_probs_queried(zipf, rate)
-    assert np.array_equal(zipf.probs_queried(rate), vector, equal_nan=True)
+    assert np.array_equal(prob_queried(probs, rate), vector, equal_nan=True)
     for rank in range(1, n_keys + 1):
-        scalar = zipf.prob_queried(rank, rate)
+        scalar = prob_queried(probs[rank - 1], rate)
         assert isinstance(scalar, float)
         assert scalar == vector[rank - 1], (rank, scalar, vector[rank - 1])
 
@@ -137,45 +175,51 @@ def test_scalar_eq4_equals_vector_element(n_keys, alpha, rate):
 def test_scalar_eq4_equals_vector_at_sweep_scale():
     # The benchmark's sweep scenario (--scale 8): the size at which
     # numpy's SIMD loops and a libm scalar were measured to disagree.
-    zipf = ZipfDistribution(320_000, 1.2)
+    zipf = ReferenceZipf(320_000, 1.2)
+    probs = rank_probabilities(320_000, 1.2)
     rate = 160_000 / 30.0
     vector = reference_probs_queried(zipf, rate)
-    scalars = [zipf.prob_queried(rank, rate) for rank in range(1, 320_001)]
+    scalars = [prob_queried(p, rate) for p in probs]
     assert scalars == vector.tolist()
 
 
 def test_single_key_universe():
-    zipf = ZipfDistribution(1, 1.2)
+    probs = rank_probabilities(1, 1.2)
     with np.errstate(all="raise"):  # the -inf is expected and hidden
-        assert zipf.prob_queried(1, 2.5) == 1.0
-        assert zipf.prob_queried(1, 0.0) == 0.0
-        assert zipf.probs_queried(0.0).tolist() == [0.0]
+        assert prob_queried(probs[0], 2.5) == 1.0
+        assert prob_queried(probs[0], 0.0) == 0.0
+        assert prob_queried(probs, 0.0).tolist() == [0.0]
+
+
+class _NoArithmetic(np.ndarray):
+    """Probabilities on which every ufunc raises."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("Eq. 4 evaluated for a zero query rate")
 
 
 def test_zero_rate_skips_the_transcendental_pass(monkeypatch):
-    zipf = ZipfDistribution(50, 1.2)
+    probs = rank_probabilities(50, 1.2).view(_NoArithmetic)
 
     def boom(*args, **kwargs):
         raise AssertionError("Eq. 4 evaluated for a zero query rate")
 
-    monkeypatch.setattr("repro.analysis.zipf._at_least_once", boom)
-    assert zipf.probs_queried(0).tolist() == [0.0] * 50
-    assert zipf.prob_queried(3, 0) == 0.0
+    # A plain float element reaches numpy's functions, not an ndarray's
+    # ufunc override.
+    monkeypatch.setattr(np, "log1p", boom)
+    monkeypatch.setattr(np, "expm1", boom)
+    assert prob_queried(probs, 0).tolist() == [0.0] * 50
+    assert prob_queried(probs[2:3].reshape(()), 0) == 0.0
+    assert prob_queried(float(probs[2]), 0) == 0.0
 
 
 @pytest.mark.parametrize("rate", [-1e-9, -3.0, float("-inf")])
 def test_negative_rate_rejected_by_both_paths(rate):
-    zipf = ZipfDistribution(10, 1.2)
+    probs = rank_probabilities(10, 1.2)
     with pytest.raises(ParameterError, match="queries_per_round"):
-        zipf.probs_queried(rate)
+        prob_queried(probs, rate)
     with pytest.raises(ParameterError, match="queries_per_round"):
-        zipf.prob_queried(1, rate)
-
-
-@pytest.mark.parametrize("rank", [0, 11, -1])
-def test_scalar_path_still_checks_the_rank(rank):
-    with pytest.raises(ParameterError, match="rank"):
-        ZipfDistribution(10, 1.2).prob_queried(rank, 1.0)
+        prob_queried(probs[0], rate)
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +309,7 @@ def test_equal_but_distinct_scenario_is_a_cache_hit():
     first = solve_threshold(params)
     before = threshold_module._solve.cache_info()
     second = solve_threshold(_distinct_copy(params))
-    third = solve_threshold(
-        _distinct_copy(params), ZipfDistribution(params.n_keys, params.alpha)
-    )
+    third = solve_threshold(_distinct_copy(params))
     after = threshold_module._solve.cache_info()
     assert (before.misses, before.hits) == (1, 0)
     assert (after.misses, after.hits) == (1, 2)
@@ -285,20 +327,11 @@ def test_scenarios_differing_only_in_alpha_do_not_share_a_solve():
     assert solved_other == reference_solve_threshold(other)
 
 
-def test_zipf_of_another_scenario_is_rejected():
-    params = ScenarioParameters(num_peers=1_000, n_keys=2_000, alpha=1.2)
-    solve_threshold(params)  # a cached result must not short-cut the check
-    with pytest.raises(ParameterError, match="alpha"):
-        solve_threshold(params, ZipfDistribution(2_000, 0.8))
-    with pytest.raises(ParameterError, match="keys"):
-        solve_threshold(params, ZipfDistribution(1_999, 1.2))
-
-
 def test_cache_holds_scalars_not_key_tables():
     # peak_rss_mb has a 2% bound: a cached entry (key and value) may not
     # keep an n-key array or a ZipfDistribution alive.
     params = ScenarioParameters(num_peers=500, n_keys=1_000)
-    result = solve_threshold(params, ZipfDistribution(1_000, params.alpha))
+    result = solve_threshold(params)
 
     def leaves(value):
         if dataclasses.is_dataclass(value):

@@ -1,4 +1,4 @@
-"""The repo's cross-cutting invariants RL101-RL113, as plain ``ast`` checks.
+"""The repo's cross-cutting invariants RL101-RL114, as plain ``ast`` checks.
 
 A check is a function ``check(path, tree, imports)`` returning
 ``(line, message)`` pairs for one file; ``path`` is repo-relative posix,
@@ -8,7 +8,7 @@ exception is a path condition inside the check: there is no comment
 escape. To add an invariant, add a check function to ``CHECKS`` plus
 triggering and passing rows to ``FIXTURES``.
 
-``test_real_tree_is_clean`` runs all thirteen over every ``.py`` file under
+``test_real_tree_is_clean`` runs all fourteen over every ``.py`` file under
 ``src tests benchmarks tools examples`` and fails naming ``path:line``
 and the id of each violation.
 """
@@ -633,12 +633,39 @@ def rl113_experiments_import(path, tree, imports):
     return hits
 
 
+# RL114: the closed-form model is a function of the scenario. Eq. 3-5
+# are read off the cached Eq. 3 array (zipf.rank_probabilities) and Eq. 4
+# (zipf.prob_queried); a ZipfDistribution exists to draw queries, and a
+# planning signature that takes one has a parameter whose only legal
+# value the scenario already fixes. Under src/repro/analysis/ only
+# zipf.py names it: an import, a name or an attribute (annotations
+# included). Strings, such as the package's lazy-export table, do not.
+def rl114_analysis_distribution(path, tree, imports):
+    if not path.startswith("src/repro/analysis/") or path.endswith("/zipf.py"):
+        return []
+    hits = []
+    for node in imports.nodes:
+        if isinstance(node, ast.ImportFrom):
+            found = any(a.name == "ZipfDistribution" for a in node.names)
+        elif isinstance(node, ast.Name):
+            found = node.id == "ZipfDistribution"
+        elif isinstance(node, ast.Attribute):
+            found = node.attr == "ZipfDistribution"
+        else:
+            continue
+        if found:
+            hits.append((node.lineno, "RL114 'ZipfDistribution' named in "
+                         "src/repro/analysis/ outside zipf.py; the closed-form "
+                         "model reads rank_probabilities and prob_queried"))
+    return hits
+
+
 CHECKS = (
     rl101_wall_clock, rl102_global_rng, rl103_dtype_literal,
     rl104_identity_leak, rl105_shm_unlink, rl106_uncounted_cache,
     rl107_span_naming, rl108_pool_ownership, rl109_collector_policy,
     rl110_networkx_import, rl111_seed_layout, rl112_store_access,
-    rl113_experiments_import,
+    rl113_experiments_import, rl114_analysis_distribution,
 )
 
 
@@ -1042,6 +1069,20 @@ FIXTURES = [    # RL101
         from repro.fastsim import parallel
         EXPORTS = {"repro.experiments": ("run_experiment",)}
         """),
+    # RL114
+    row(rl114_analysis_distribution, "import-name-and-attribute", "src/repro/analysis/optimal.py", """
+        from repro.analysis import zipf
+        from repro.analysis.zipf import ZipfDistribution, rank_probabilities
+        def optimal_max_rank(params, dist: ZipfDistribution | None = None):
+            dist = dist or ZipfDistribution(params.n_keys, params.alpha)
+            return zipf.ZipfDistribution(params.n_keys, params.alpha)
+        """, "'ZipfDistribution'", "'ZipfDistribution'", "'ZipfDistribution'",
+        "'ZipfDistribution'"),
+    row(rl114_analysis_distribution, "lazy-export-strings", "src/repro/analysis/__init__.py", """
+        \"\"\"Eq. 3 is rank_probabilities; ZipfDistribution only samples.\"\"\"
+        EXPORTS = {"repro.analysis.zipf": ("ZipfDistribution",)}
+        from repro.analysis.zipf import prob_queried, rank_probabilities
+        """),
 ]
 
 
@@ -1059,7 +1100,7 @@ def test_every_check_runs_on_the_tree_and_has_fixtures():
     # A check missing from CHECKS would pass its fixtures and never run.
     assert {param.values[0] for param in FIXTURES} == set(CHECKS)
     assert [check.__name__[:5] for check in CHECKS] == [
-        f"rl{n}" for n in range(101, 114)
+        f"rl{n}" for n in range(101, 115)
     ]
 
 
