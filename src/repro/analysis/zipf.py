@@ -19,7 +19,9 @@ Eq. 3 is computed once per ``(n_keys, alpha)`` per process, by
 :func:`rank_probabilities`, and Eq. 4 has one implementation,
 :func:`prob_queried`. The closed-form model reads both directly and
 builds no distribution. A :class:`ZipfDistribution` only samples: it
-references the pair's cached array and adds the CDF its draws invert.
+holds the CDF its draws invert, summed from the pair's cached array,
+and not the array itself (a pickled or staged distribution carries one
+table, not two).
 """
 
 from __future__ import annotations
@@ -152,8 +154,9 @@ class ZipfDistribution:
             raise ParameterError(f"alpha must be >= 0, got {alpha}")
         self.n_keys = int(n_keys)
         self.alpha = float(alpha)
-        self._probs = rank_probabilities(self.n_keys, self.alpha)
-        self._cumulative = np.cumsum(self._probs)
+        self._cumulative = np.cumsum(
+            rank_probabilities(self.n_keys, self.alpha)
+        )
 
     def sample_ranks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` query ranks (1-based) i.i.d. from the distribution."""
@@ -236,6 +239,6 @@ class ZipfDistribution:
 
     def __store_key__(self) -> dict[str, float]:
         """Canonical identity for artifact-store keys: the distribution
-        is fully determined by ``(n_keys, alpha)``; the precomputed
-        probability arrays carry no extra information."""
+        is fully determined by ``(n_keys, alpha)``; the precomputed CDF
+        carries no extra information."""
         return {"n_keys": self.n_keys, "alpha": self.alpha}

@@ -37,8 +37,8 @@ The DHT:
 * derives what a lookup needs from the trie and from who is online — the
   online members, a target's leaf, a leaf's owner, a member's next hop at
   a level — once per routing rebuild or per
-  :attr:`~PGridDht.view_key` — ``(membership version,
-  PeerPopulation.liveness_epoch)`` — not per query.
+  :attr:`~PGridDht.view_key` — ``(membership version, member flips)`` —
+  not per query: a non-member going on- or offline keeps them all.
 """
 
 from __future__ import annotations
@@ -101,6 +101,11 @@ class PGridDht:
         #: each rebuilt lazily when they lag behind it.
         self._membership_version = 0
         self._routed_version = 0
+        #: Moves when a member flipped: the second half of
+        #: :attr:`view_key`, brought up to ``population.liveness_epoch``
+        #: (recorded in ``_flips_epoch``) from the population's flip log.
+        self._member_flips = 0
+        self._flips_epoch = population.liveness_epoch
         self._online_view: tuple[PeerId, ...] = ()
         self._online_view_key: Optional[tuple[int, int]] = None
 
@@ -126,14 +131,23 @@ class PGridDht:
 
     @property
     def view_key(self) -> tuple[int, int]:
-        """``(membership version, liveness epoch)``.
+        """``(membership version, member flips)``.
 
-        Anything derived from who is a member and who is online — the
-        online view here, maintenance's table sizes — stays valid for as
-        long as this value does: joins bump the first half,
-        every real liveness transition the second.
+        Anything derived from who is a member and which members are
+        online — the online view, the owner and next-hop memos here,
+        maintenance's table sizes — stays valid for as long as this value
+        does: joins bump the first half, and a liveness transition of a
+        member the second. A non-member's flip moves neither; flips the
+        population's log no longer reaches back to count as a member's.
         """
-        return self._membership_version, self.population.liveness_epoch
+        population = self.population
+        if population.liveness_epoch != self._flips_epoch:
+            if population.any_flipped_since(
+                self._flips_epoch, self._members.keys()
+            ):
+                self._member_flips += 1
+            self._flips_epoch = population.liveness_epoch
+        return self._membership_version, self._member_flips
 
     def online_view(self) -> tuple[PeerId, ...]:
         """Members currently online, ascending by peer id (read-only).
@@ -182,8 +196,10 @@ class PGridDht:
         self._refs: dict[PeerId, dict[int, tuple[PeerId, ...]]] = {}
         self._under: dict[str, tuple[PeerId, ...]] = {}
         self._located: dict[int, tuple[str, str]] = {}
-        #: The liveness epoch the owner and next-hop memos were filled
-        #: under; None: no memos (yet, or not of this trie).
+        #: The :attr:`view_key` the owner and next-hop memos were filled
+        #: under, and the liveness epoch it was last checked at; None: no
+        #: memos (yet, or not of this trie).
+        self._routes_key: tuple[int, int] | None = None
         self._routes_epoch: int | None = None
         self._max_leaf_depth = 0
         if not members:
@@ -315,13 +331,17 @@ class PGridDht:
             raise RoutingError("P-Grid trie is empty")
         leaf = self._locate(target)[1]
         # Who owns a leaf and where a hop goes both hold for one trie and
-        # one liveness epoch, and are forgotten together.
+        # one view key, and are forgotten together; the key is read only
+        # when the liveness epoch moved.
         epoch = self.population.liveness_epoch
         if epoch != self._routes_epoch:
-            self._owners: dict[str, PeerId] = {}
-            self._next_hops: dict[tuple[PeerId, int], PeerId | None] = {}
+            key = self.view_key
+            if key != self._routes_key:
+                self._owners: dict[str, PeerId] = {}
+                self._next_hops: dict[tuple[PeerId, int], PeerId | None] = {}
+                self._routes_key = key
+                obs.count("dht.routes.rebuild")
             self._routes_epoch = epoch
-            obs.count("dht.routes.rebuild")
         owner = self._owners.get(leaf)
         if owner is None:
             owner = self._owners[leaf] = self._owner_of(leaf)

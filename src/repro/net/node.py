@@ -12,6 +12,9 @@ per key) and index entries in the PDHT's per-member stores, not here.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
+from collections.abc import Set as AbstractSet
+from itertools import islice
 
 from repro.errors import OfflinePeerError, ParameterError
 
@@ -41,6 +44,15 @@ class PeerPopulation:
     peers cycle between online and offline rather than arriving and
     departing forever), but the *online subset* changes constantly under
     churn. Every peer starts online.
+
+    A real transition (a *flip*) bumps :attr:`liveness_epoch` and is
+    logged; a no-op :meth:`set_online` does neither. A view derived from
+    the online set remembers the epoch it was built at and, when the
+    epoch has moved, asks :meth:`flipped_since` which peers flipped: it
+    re-derives only what depends on those peers (the overlay rows of
+    their neighbours, a replica group they belong to, the DHT views when
+    one is a member) and rebuilds in full when the log no longer reaches
+    back that far. The log holds peer ids only and calls nobody back.
     """
 
     def __init__(self, num_peers: int) -> None:
@@ -49,8 +61,13 @@ class PeerPopulation:
         self._size = num_peers
         self._online_ids: set[PeerId] = set(range(num_peers))
         #: Bumped on every real liveness transition; caches derived from
-        #: the online set (here and in the topology) are valid for one epoch.
+        #: the online set (here and in the topology) are valid for one
+        #: epoch, or are patched forward with :meth:`flipped_since`.
         self.liveness_epoch = 0
+        #: The peer each of the last ``num_peers`` flips flipped, oldest
+        #: first. A view further behind rebuilds in full, which costs no
+        #: more than patching that many flips.
+        self._flips: deque[PeerId] = deque(maxlen=num_peers)
         self._sorted_online: tuple[PeerId, ...] | None = None
 
     def __len__(self) -> int:
@@ -94,7 +111,26 @@ class PeerPopulation:
         else:
             self._online_ids.discard(peer_id)
         self.liveness_epoch += 1
+        self._flips.append(peer_id)
         self._sorted_online = None
+
+    def flipped_since(self, epoch: int) -> list[PeerId] | None:
+        """The peer of every flip since :attr:`liveness_epoch` was
+        ``epoch``, newest first (a peer that flipped twice is listed
+        twice), or None when that is further back than the log reaches (a
+        negative ``epoch`` always is): the caller then rebuilds what it
+        derived from the online set in full."""
+        behind = self.liveness_epoch - epoch
+        if behind > len(self._flips):
+            return None
+        return list(islice(reversed(self._flips), behind))
+
+    def any_flipped_since(self, epoch: int, peers: AbstractSet[PeerId]) -> bool:
+        """Whether one of ``peers`` flipped since :attr:`liveness_epoch`
+        was ``epoch``; True as well when the log does not reach back that
+        far, since it cannot tell."""
+        flipped = self.flipped_since(epoch)
+        return flipped is None or not peers.isdisjoint(flipped)
 
     def sample_online(self, rng, size: int) -> list[PeerId]:
         """Sample ``size`` distinct online peer ids uniformly at random."""

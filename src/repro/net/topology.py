@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.errors import TopologyError
 from repro.net.node import PeerId, PeerPopulation
 
@@ -185,16 +186,34 @@ class GnutellaTopology:
     def online_adjacency(self) -> list[tuple[PeerId, ...]]:
         """Every peer's online neighbours (ascending), indexed by peer id.
 
-        Rebuilt on the first call after the population's
+        Brought up to date on the first call after the population's
         ``liveness_epoch`` moved, so search loops pay one list index per
-        hop. Read-only; do not hold it across a liveness change.
+        hop. A flip changes only the rows of the flipped peer's
+        neighbours (a peer's own liveness does not filter its own row):
+        those rows are recomputed into a copy of the table, and the whole
+        table is rebuilt only when the population's flip log no longer
+        reaches back to the last call. Read-only; do not hold it across a
+        liveness change.
         """
         epoch = self.population.liveness_epoch
         if epoch != self._online_epoch:
-            online = self.population.online_ids
-            self._online_adjacency = [
-                tuple([n for n in row if n in online])
-                for row in self._adjacency
-            ]
+            adjacency = self._adjacency
+            flipped = self.population.flipped_since(self._online_epoch)
+            if flipped is None:
+                stale: Iterable[PeerId] = range(len(adjacency))
+                rows: list[tuple[PeerId, ...]] = [()] * len(adjacency)
+                obs.count("overlay.rows.rebuild")
+            else:
+                # Each stale row once, however many of its peers flipped
+                # and however often.
+                stale = set()
+                for peer in flipped:
+                    stale.update(adjacency[peer])
+                rows = list(self._online_adjacency)
+                obs.count("overlay.rows.patched", len(stale))
+            is_online = self.population.is_online
+            for peer in stale:
+                rows[peer] = tuple([n for n in adjacency[peer] if is_online(n)])
+            self._online_adjacency = rows
             self._online_epoch = epoch
         return self._online_adjacency

@@ -62,6 +62,11 @@ class ReplicaNetwork:
         sparse so that flooding them costs ~``repl * dup2``).
     metrics:
         Where the flood messages are counted.
+
+    The online rows and the flood plans derived from them depend only on
+    the liveness of the group's own members: a flip of any other peer
+    keeps them, and a flip of a member drops them all (see
+    :meth:`online_adjacency`).
     """
 
     def __init__(
@@ -82,8 +87,8 @@ class ReplicaNetwork:
         self.members = list(members)
         self.metrics = metrics
         # The group graph never changes after construction; the online
-        # rows and the flood plans derived from them are valid for one
-        # ``population.liveness_epoch``.
+        # rows and the flood plans derived from them are valid until one
+        # of the members flips.
         self._adjacency: dict[PeerId, tuple[PeerId, ...]] = {
             member: tuple(sorted(self.members[i] for i in row))
             for member, row in zip(
@@ -98,21 +103,25 @@ class ReplicaNetwork:
     def online_adjacency(self) -> dict[PeerId, tuple[PeerId, ...]]:
         """Every member's online neighbours (ascending), by member.
 
-        Rebuilt on the first call after the population's
-        ``liveness_epoch`` moved, so a flood pays one dict lookup per
-        reached replica. Read-only; do not hold it across a liveness
-        change.
+        Rebuilt, and the flood plans dropped, on the first call after a
+        member flipped (or after more flips than the population's flip log
+        keeps), so a flood pays one dict lookup per reached replica. When
+        only non-members flipped since the last call, the rows and plans
+        are kept. Read-only; do not hold it across a liveness change.
         """
         epoch = self.population.liveness_epoch
         if epoch != self._online_epoch:
-            is_online = self.population.is_online
-            self._online_adjacency = {
-                member: tuple([n for n in row if is_online(n)])
-                for member, row in self._adjacency.items()
-            }
-            self._flood_plans = {}
+            if self.population.any_flipped_since(
+                self._online_epoch, self._adjacency.keys()
+            ):
+                is_online = self.population.is_online
+                self._online_adjacency = {
+                    member: tuple([n for n in row if is_online(n)])
+                    for member, row in self._adjacency.items()
+                }
+                self._flood_plans = {}
+                obs.count("replica.plans.rebuild")
             self._online_epoch = epoch
-            obs.count("replica.plans.rebuild")
         return self._online_adjacency
 
     # ------------------------------------------------------------------
@@ -143,9 +152,9 @@ class ReplicaNetwork:
         """The replicas a flood from ``origin`` reaches, in the order it
         reaches them, and how many edges it traverses.
 
-        Both depend only on the group graph and on who is online, so one
-        breadth-first pass per origin serves every flood of a
-        ``population.liveness_epoch``.
+        Both depend only on the group graph and on which members are
+        online, so one breadth-first pass per origin serves every flood
+        until a member flips.
         """
         neighbors_of = self.online_adjacency()  # drops stale plans
         plan = self._flood_plans.get(origin)

@@ -57,14 +57,19 @@ class TestEq3:
         assert head_mass(40_000, 1.2, 400) > 0.5
 
     def test_instances_share_one_cached_array(self):
-        # Eq. 3 is held once per (n_keys, alpha); each distribution adds
-        # only its own CDF.
+        # Eq. 3 is held once per (n_keys, alpha); each distribution keeps
+        # only its own CDF, summed from that array, and not the array.
         first, second = ZipfDistribution(5_000, 0.9), ZipfDistribution(5_000, 0.9)
         cached = rank_probabilities(5_000, 0.9)
-        assert first._probs is cached and second._probs is cached
         assert not cached.flags.writeable
         assert not np.shares_memory(first._cumulative, second._cumulative)
-        assert np.array_equal(first._cumulative, np.cumsum(cached))
+        for distribution in (first, second):
+            assert np.array_equal(distribution._cumulative, np.cumsum(cached))
+            arrays = [
+                value for value in vars(distribution).values()
+                if isinstance(value, np.ndarray)
+            ]
+            assert arrays == [distribution._cumulative]
 
     def test_cached_array_is_read_only(self):
         with pytest.raises(ValueError):

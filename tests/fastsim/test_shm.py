@@ -171,7 +171,7 @@ class TestExtractRestore:
         assert len(pickle.dumps(workload.zipf)) == before
         with ShmArena() as arena:
             restored = restore_arrays(extract_arrays(twin, arena))
-            assert len(arena.segment_names) == 3
+            assert len(arena.segment_names) == 2
             got = restored.draw_rounds(0.0, counts)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
@@ -207,9 +207,9 @@ class TestPackJobs:
         resolved = resolve_jobs(build_jobs(params, config))
         with ShmArena() as arena:
             pack_jobs(resolved, arena)
-            # Four jobs share one scenario: one probs table, one
-            # cumulative table, one identity rank->key mapping.
-            assert len(arena.segment_names) == 3
+            # Four jobs share one scenario: one cumulative table and one
+            # identity rank->key mapping.
+            assert len(arena.segment_names) == 2
 
     def test_originals_keep_their_workloads(self, params, config):
         resolved = resolve_jobs(build_jobs(params, config))

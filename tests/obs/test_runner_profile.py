@@ -162,6 +162,10 @@ class TestEventRunIsAccountedFor:
         # DHT, once per replica group that floods — never per query.
         assert counters["dht.routes.rebuild"] == 3
         assert 1 <= counters["replica.plans.rebuild"] <= 30
+        # The overlay's online rows: built once per substrate that walks,
+        # and with no flip never patched.
+        assert 1 <= counters["overlay.rows.rebuild"] <= 4
+        assert "overlay.rows.patched" not in counters
 
     def test_profiled_event_run_prints_the_same_figure(self, capsys):
         assert main(self.ARGV) == 0

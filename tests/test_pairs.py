@@ -95,9 +95,9 @@ def test_alternating_pairs_make_one_table_line(tmp_path):
     ]
     assert proc.stdout.splitlines() == [
         "sim_event  s4 3p; "
-        "wall 2.000[1.000,3.000]->1.000 2/3 (-50.0%); "
-        "rss 40.000[40.000,40.000]->41.000 1/3 (+2.5%); "
-        "ops 10.000[10.000,10.000]->12.000 2/3 (+20.0%)"
+        "wall 2.000[1.000,3.000]->1.000 2/3 (-50.0%) unresolved; "
+        "rss 40.000[40.000,40.000]->41.000 1/3 (+2.5%) worse; "
+        "ops 10.000[10.000,10.000]->12.000 2/3 (+20.0%) same"
     ]
 
 
@@ -144,3 +144,84 @@ def test_checkout_paths_of_different_lengths_are_warned_about(tmp_path):
         f"{roots['change']} differ in length; peak RSS can step with it"
     ]
     assert proc.stdout.startswith("sweep_cold s0 1p; ")
+
+
+def verdicts(proc):
+    """``{short metric name: verdict}`` of each table line printed."""
+    return [
+        {part.split()[0]: part.split()[-1] for part in line.split("; ")[1:]}
+        for line in proc.stdout.splitlines()
+    ]
+
+
+# Ten pairs: the parent's walls spread 1.00-1.09 (quartiles ~1.02, ~1.07).
+PARENT_WALLS = [1.00 + 0.01 * i for i in range(10)]
+
+
+def test_nine_wins_and_a_median_past_the_spread_is_a_gain(tmp_path):
+    change = [0.90] * 9 + [1.50]  # loses one pair, by a lot
+    roots, _ = checkouts(
+        tmp_path,
+        [rep(w, 40.0, 10.0) for w in PARENT_WALLS],
+        [rep(w, 40.0, 10.0) for w in change],
+    )
+    proc = run_pairs(roots, "--workload", "churn_cold", "--pairs", "10")
+    assert proc.returncode == 0, proc.stderr
+    assert verdicts(proc) == [{"wall": "gain", "rss": "same", "ops": "same"}]
+
+
+def test_eight_wins_or_a_median_inside_the_spread_is_no_gain(tmp_path):
+    eight = [0.90] * 8 + [1.50, 1.50]
+    inside = [w - 0.005 for w in PARENT_WALLS]  # wins every pair, barely
+    for name, change in (("eight", eight), ("inside", inside)):
+        roots, _ = checkouts(
+            tmp_path / name,
+            [rep(w, 40.0, 10.0) for w in PARENT_WALLS],
+            [rep(w, 40.0, 10.0) for w in change],
+        )
+        proc = run_pairs(roots, "--workload", "churn_cold", "--pairs", "10")
+        assert verdicts(proc) == [
+            {"wall": "same", "rss": "same", "ops": "same"}
+        ], name
+
+
+def test_a_median_past_the_bound_is_worse_either_way(tmp_path):
+    # rss's bound is 2% (lower is better), ops' is 20% (higher is better).
+    roots, _ = checkouts(
+        tmp_path,
+        [rep(1.0, 40.0, 10.0)] * 3,
+        [rep(1.0, 40.9, 7.9)] * 3,
+    )
+    proc = run_pairs(roots, "--workload", "sweep_cold", "--pairs", "3")
+    assert verdicts(proc) == [{"wall": "same", "rss": "worse", "ops": "worse"}]
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved(tmp_path):
+    # The parent's rss quartiles are 4 MB apart, past 2% of 40 MB, and
+    # the change's runs overlap the parent's: nothing can be told. When
+    # every change run beats every parent run, the spread does not hide
+    # that it is no worse.
+    parent = [rep(1.0, rss, 10.0) for rss in (36.0, 40.0, 44.0, 40.0)]
+    overlapping = [rep(1.0, rss, 10.0) for rss in (40.0, 41.0, 39.0, 37.0)]
+    below = [rep(1.0, rss, 10.0) for rss in (35.0, 35.5, 35.0, 35.5)]
+    expected = {"overlapping": "unresolved", "below": "same"}
+    for name, change in (("overlapping", overlapping), ("below", below)):
+        roots, _ = checkouts(tmp_path / name, parent, change)
+        proc = run_pairs(roots, "--workload", "sweep_pool", "--pairs", "4")
+        assert verdicts(proc) == [
+            {"wall": "same", "rss": expected[name], "ops": "same"}
+        ], name
+
+
+def test_several_workloads_run_one_after_the_other(tmp_path):
+    roots, log = checkouts(
+        tmp_path, [rep(1.0, 40.0, 10.0)] * 4, [rep(1.0, 40.0, 10.0)] * 4
+    )
+    proc = run_pairs(roots, "--workload", "sim_event", "sweep_warm",
+                     "--pairs", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+        "sim_event", "sweep_warm"
+    ]
+    assert [line.split()[2] for line in log.read_text().splitlines()] == [
+        "sim_event"] * 4 + ["sweep_warm"] * 4

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of the repo benchmark, as one table line.
+"""Alternating parent/change pairs of the repo benchmark, one table line a
+workload.
 
     python3 tools/pairs.py --parent DIR --workload sim_event
     python3 tools/pairs.py --parent DIR --workload sweep_warm --seed 5
+    python3 tools/pairs.py --parent DIR --workload sweep_cold sweep_pool
 
 Runs the benchmark command of ``BENCHMARK.json`` (``benchmarks/e2e/run.py
 --workload W --seed S --trace 0``) in this checkout (the change) and in
@@ -12,14 +14,28 @@ alternating from pair to pair (the parent first in the first pair), and
 reads each run's last stdout line as its JSON result. For every
 end-to-end metric of this checkout's ``BENCHMARK.json`` it prints the
 parent's median [first quartile, third quartile] -> the change's median,
-the pairs the change won (strictly better, by the metric's ``better``)
-and the change of the median, all on one line:
+the pairs the change won (strictly better, by the metric's ``better``),
+the change of the median and a verdict, all on one line:
 
-    sim_event  s0 10p; wall 0.663[0.637,0.694]->0.662 6/10 (-0.1%); ...
+    sim_event  s0 10p; wall 0.663[0.637,0.694]->0.662 6/10 (-0.1%) same; ...
+
+The verdict, first match wins (``bound`` is the metric's relative bound
+in ``BENCHMARK.json``, ``IQR`` the distance between the parent's
+quartiles):
+
+* ``gain``: the change won at least 9 of 10 pairs (ties count for
+  neither) and its median is better than the parent's by more than IQR;
+* ``worse``: the change's median is worse than the parent's by more than
+  ``bound``;
+* ``unresolved``: IQR is wider than ``bound`` of the parent's median, and
+  not every change run beats every parent run;
+* ``same`` otherwise.
 
 Quartiles are ``statistics.quantiles(n=4)``'s, as in the benchmark's own
 summaries. A run that reports ``"failed"`` above 0, or that ends without
 a JSON line, is named on stderr; its pair is left out of the line.
+Several workloads run one after the other, all pairs of one before the
+next, each printing its line when its pairs are done.
 
 The two checkouts' paths should be equally long: the path is in each
 run's environment and ``argv``, and ``sweep_cold``'s peak RSS steps by
@@ -72,6 +88,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def summary(parent: list[float], change: list[float], lower: bool
+            ) -> tuple[int, float, float, float, float]:
+    """Pairs the change won (strictly better), the parent's first
+    quartile, median and third quartile, and the change's median."""
+    won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    q1, before, q3 = quartiles(parent)
+    return won, q1, before, q3, statistics.median(change)
+
+
+def verdict(parent: list[float], change: list[float], bound: float,
+            lower: bool) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``same`` for one metric's
+    paired ``parent`` and ``change`` readings (see the module docstring).
+    """
+    won, q1, before, q3, after = summary(parent, change, lower)
+    sign = 1.0 if lower else -1.0  # sign * value: smaller is better
+    if 10 * won >= 9 * len(parent) and sign * (before - after) > q3 - q1:
+        return "gain"
+    if sign * (after - before) > bound * abs(before):
+        return "worse"
+    if q3 - q1 > bound * abs(before) and (
+        max(sign * c for c in change) >= min(sign * p for p in parent)
+    ):
+        return "unresolved"
+    return "same"
+
+
 def table_line(workload: str, seed: int, pairs: list[tuple[dict, dict]],
                metrics: list[dict]) -> str:
     """The pair-table line of ``pairs`` (parent, change) results."""
@@ -80,17 +123,39 @@ def table_line(workload: str, seed: int, pairs: list[tuple[dict, dict]],
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        won = sum(
-            (c < p) if lower else (c > p) for p, c in zip(parent, change)
-        )
-        q1, before, q3 = quartiles(parent)
-        after = statistics.median(change)
+        won, q1, before, q3, after = summary(parent, change, lower)
         shift = (after / before - 1.0) * 100.0 if before else 0.0
         parts.append(
             f"{short_name(name)} {before:.3f}[{q1:.3f},{q3:.3f}]->{after:.3f} "
-            f"{won}/{len(pairs)} ({shift:+.1f}%)"
+            f"{won}/{len(pairs)} ({shift:+.1f}%) "
+            f"{verdict(parent, change, metric['bound'], lower)}"
         )
     return f"{workload:<10} s{seed} {len(pairs)}p; " + "; ".join(parts)
+
+
+def run_pairs(sides: dict[str, Path], command: list[str], workload: str,
+              seed: int, count: int) -> tuple[list[tuple[dict, dict]], int]:
+    """``count`` alternating pairs of ``workload``, the parent first in
+    the first pair: the (parent, change) results of the pairs whose two
+    runs both passed, and how many runs failed."""
+    pairs: list[tuple[dict, dict]] = []
+    failed = 0
+    for index in range(count):
+        order = ["parent", "change"]
+        if index % 2:
+            order.reverse()
+        results = {}
+        for side in order:
+            result = run_once(sides[side], command, workload, seed)
+            if result is None or result.get("failed", 1) > 0:
+                failed += 1
+                print(f"{workload} pair {index + 1}: the {side} run failed",
+                      file=sys.stderr)
+            else:
+                results[side] = result
+        if len(results) == 2:
+            pairs.append((results["parent"], results["change"]))
+    return pairs, failed
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -99,7 +164,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+",
+                        action="extend", help="one or more workload names")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -117,26 +183,14 @@ def main(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
-    pairs: list[tuple[dict, dict]] = []
     failed = 0
-    for index in range(args.pairs):
-        order = ["parent", "change"]
-        if index % 2:
-            order.reverse()
-        results = {}
-        for side in order:
-            result = run_once(sides[side], spec["command"], args.workload,
-                              args.seed)
-            if result is None or result.get("failed", 1) > 0:
-                failed += 1
-                print(f"pair {index + 1}: the {side} run failed",
-                      file=sys.stderr)
-            else:
-                results[side] = result
-        if len(results) == 2:
-            pairs.append((results["parent"], results["change"]))
-    if pairs:
-        print(table_line(args.workload, args.seed, pairs, spec["end_to_end"]))
+    for workload in args.workload:
+        pairs, missed = run_pairs(sides, spec["command"], workload,
+                                  args.seed, args.pairs)
+        failed += missed
+        if pairs:
+            print(table_line(workload, args.seed, pairs, spec["end_to_end"]),
+                  flush=True)
     return 1 if failed else 0
 
 
