@@ -3,6 +3,9 @@
 Keys (strings) and peers are mapped by SHA-1 into one ``2^bits``
 identifier space; P-Grid reads an identifier as a binary string, one trie
 level per bit, and the helpers here are what it reads it with.
+
+A key's SHA-1 digest is memoised per process (``cache.key_hash.*``): every
+network of a figure hashes the same keys.
 """
 
 from __future__ import annotations
@@ -11,8 +14,20 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.errors import KeyspaceError
+from repro.obs.cache import counted_cache
 
-__all__ = ["KeySpace"]
+__all__ = ["KeySpace", "HASH_MEMO"]
+
+#: Digests :func:`_sha1` keeps: every key of a figure at the default
+#: scale (2,000). A larger key universe cycles through it without hits,
+#: and holds no more than this many digests beside its networks' own.
+HASH_MEMO = 1 << 11
+
+
+@counted_cache("key_hash", maxsize=HASH_MEMO)
+def _sha1(key: str) -> int:
+    """``key``'s SHA-1 digest, as a 160-bit int."""
+    return int.from_bytes(hashlib.sha1(key.encode("utf-8")).digest(), "big")
 
 
 @dataclass(frozen=True)
@@ -38,8 +53,7 @@ class KeySpace:
     # ------------------------------------------------------------------
     def hash_key(self, key: str) -> int:
         """Map an application key (string) into the identifier space."""
-        digest = hashlib.sha1(key.encode("utf-8")).digest()
-        return int.from_bytes(digest, "big") % self.size
+        return _sha1(key) % self.size
 
     def check(self, ident: int) -> int:
         """Validate that an identifier lies in the space; return it."""

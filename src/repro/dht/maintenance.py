@@ -33,7 +33,8 @@ DEFAULT_ENV = 1.0 / 14.0
 class RoutingMaintenance:
     """Once-a-round probing of every online member's routing table.
 
-    ``env`` is the probe rate per routing entry per round.
+    ``env`` is the probe rate per routing entry per round, fixed at
+    construction.
     """
 
     def __init__(
@@ -43,8 +44,10 @@ class RoutingMaintenance:
             raise ParameterError(f"env must be >= 0, got {env}")
         self.dht = dht
         self.env = env
-        self._sizes: list[int] = []
-        self._sizes_key: tuple[int, int] | None = None
+        self._sizes_charges: tuple[tuple[int, ...], tuple[float, ...]] = (
+            (), ()
+        )
+        self._view_key: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     def run_sweep(self) -> None:
@@ -55,22 +58,23 @@ class RoutingMaintenance:
             # One member at a time, ascending by id, never their sum: the
             # counters are float accumulators, and ``a + (b + c)`` is not
             # ``(a + b) + c`` in the last bits of a simulated msg/s.
-            env = self.env
             self.dht.metrics.count_each(
-                MessageCategory.MAINTENANCE,
-                [env * size for size in self._table_sizes()],
+                MessageCategory.MAINTENANCE, self._view()[1]
             )
 
-    def _table_sizes(self) -> list[int]:
+    def _view(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """Routing-table size of every online member that has entries to
-        probe, ascending by member id; read off the tables once per
+        probe, ascending by member id, and ``env`` times each (what a
+        sweep charges that member); read off the tables once per
         :attr:`~repro.dht.pgrid.PGridDht.view_key`."""
         key = self.dht.view_key
-        if key != self._sizes_key:
+        if key != self._view_key:
             tables = map(self.dht.routing_table, self.dht.online_view())
-            self._sizes = [len(table) for table in tables if table]
-            self._sizes_key = key
-        return self._sizes
+            sizes = tuple([len(table) for table in tables if table])
+            env = self.env
+            self._sizes_charges = sizes, tuple([env * size for size in sizes])
+            self._view_key = key
+        return self._sizes_charges
 
     def expected_rate(self) -> float:
         """Analytical msg/s this maintenance should cost right now.
@@ -80,4 +84,4 @@ class RoutingMaintenance:
         ``env * log2(numActivePeers) * numActivePeers`` under the idealised
         ``log2(n)``-sized table.
         """
-        return self.env * sum(self._table_sizes())
+        return self.env * sum(self._view()[0])

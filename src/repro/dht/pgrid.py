@@ -34,11 +34,14 @@ The DHT:
   alternative when an entry is dead (the "piggybacked repair"
   assumption of Section 3.3.1 — detecting staleness costs probe messages,
   repairing it does not; the probes live in :mod:`repro.dht.maintenance`);
-* derives what a lookup needs from the trie and from who is online — the
-  online members, a target's leaf, a leaf's owner, a member's next hop at
-  a level — once per routing rebuild or per
-  :attr:`~PGridDht.view_key` — ``(membership version, member flips)`` —
-  not per query: a non-member going on- or offline keeps them all.
+* derives what a lookup needs from the trie and from who is online —
+  each member's path as an int, a target's leaf (once per routing
+  rebuild); the online members, a leaf's owner, a member's
+  next hop at a level (once per :attr:`~PGridDht.view_key` —
+  ``(membership version, member flips)``) — not per query: a non-member
+  going on- or offline keeps them all. A hop finds the level at which
+  the current member's path leaves the target with one XOR and one
+  ``bit_length``, not a scan of the path.
 """
 
 from __future__ import annotations
@@ -195,19 +198,29 @@ class PGridDht:
         self._leaf_members: dict[str, list[PeerId]] = {}
         self._refs: dict[PeerId, dict[int, tuple[PeerId, ...]]] = {}
         self._under: dict[str, tuple[PeerId, ...]] = {}
-        self._located: dict[int, tuple[str, str]] = {}
+        #: Member -> ``(shift, path, length)``: its path as an int of
+        #: ``length`` bits, and how far a target's first
+        #: ``_max_leaf_depth`` bits shift right to line up with it.
+        self._codes: dict[PeerId, tuple[int, int, int]] = {}
+        self._located: dict[int, str] = {}
         #: The :attr:`view_key` the owner and next-hop memos were filled
         #: under, and the liveness epoch it was last checked at; None: no
         #: memos (yet, or not of this trie).
         self._routes_key: tuple[int, int] | None = None
         self._routes_epoch: int | None = None
         self._max_leaf_depth = 0
+        self._prefix_shift = self.keyspace.bits
         if not members:
             return
         self._split(members, "")
-        self._max_leaf_depth = max(len(p) for p in self._leaf_members)
+        depth = self._max_leaf_depth = max(len(p) for p in self._leaf_members)
+        #: A target's first ``depth`` bits are ``target >> _prefix_shift``.
+        self._prefix_shift = self.keyspace.bits - depth
         for peer, path in self._paths.items():
             self._refs[peer] = self._build_refs(peer, path)
+            self._codes[peer] = (
+                depth - len(path), int(path, 2) if path else 0, len(path)
+            )
 
     def _split(self, members: list[PeerId], prefix: str) -> None:
         """Recursively partition members on the next identifier bit.
@@ -224,10 +237,13 @@ class PGridDht:
             return
         zeros: list[PeerId] = []
         ones: list[PeerId] = []
-        position = len(prefix)
+        # keyspace.digit(ident, len(prefix)) without its range checks: a
+        # member's identifier is in the space, and the prefix is shorter
+        # than it (checked above).
+        shift = self.keyspace.bits - 1 - len(prefix)
+        ids = self._members
         for peer in members:
-            bit = self.keyspace.digit(self._members[peer], position)
-            (ones if bit else zeros).append(peer)
+            (ones if ids[peer] >> shift & 1 else zeros).append(peer)
         # A lopsided split (possible with few members) must not recurse
         # forever on the same empty side: an empty side means this prefix is
         # already a leaf for everyone.
@@ -303,20 +319,21 @@ class PGridDht:
                 return prefix
         raise RoutingError("P-Grid trie has no leaf for target")
 
-    def _locate(self, target: int) -> tuple[str, str]:
-        """``target`` as bits, as deep as the trie goes, and its leaf.
+    def _locate(self, target: int) -> str:
+        """The trie leaf owning ``target``.
 
         Memoised per target until the next routing rebuild (at most
         :data:`KEY_MEMO_LIMIT` targets). Trie leaves
-        are prefix-free, so this pair is all a route needs of its target.
+        are prefix-free, so the leaf and the target's first
+        ``_max_leaf_depth`` bits are all a route needs of its target.
         """
-        located = self._located.get(target)
-        if located is None:
+        leaf = self._located.get(target)
+        if leaf is None:
             if len(self._located) >= KEY_MEMO_LIMIT:
                 self._located.clear()
             bits = self.keyspace.to_bits(target)[: self._max_leaf_depth]
-            located = self._located[target] = (bits, self._leaf_for(bits))
-        return located
+            leaf = self._located[target] = self._leaf_for(bits)
+        return leaf
 
     def _responsible(self, target: int) -> PeerId:
         """Online member with the longest path-prefix match on ``target``.
@@ -329,7 +346,7 @@ class PGridDht:
         self._ensure_routing()
         if not self._leaf_members:
             raise RoutingError("P-Grid trie is empty")
-        leaf = self._locate(target)[1]
+        leaf = self._locate(target)
         # Who owns a leaf and where a hop goes both hold for one trie and
         # one view key, and are forgotten together; the key is read only
         # when the liveness epoch moved.
@@ -365,27 +382,30 @@ class PGridDht:
         """The member responsible for ``target`` and the hops from
         ``origin`` to it, counted together as ``INDEX_SEARCH`` messages —
         a route that does not converge counts its hops before it raises."""
-        # _responsible() located the target and made the memos current.
+        # _responsible() made the memos current.
         responsible = self._responsible(target)
-        target_bits = self._located[target][0]
+        prefix = target >> self._prefix_shift
         next_hops = self._next_hops
-        paths = self._paths
+        codes = self._codes
         current = origin
         limit = len(self._members) + self.keyspace.bits
         hops = 0
         while current != responsible:
             # A hop depends on the target only through the first level at
-            # which the current member's path leaves it.
+            # which the current member's path leaves it: the path's length
+            # less the bit length of the path XOR the target's bits under
+            # it, none when they are equal.
             nxt = None
-            for level, bit in enumerate(paths[current]):
-                if bit != target_bits[level]:
-                    try:
-                        nxt = next_hops[current, level]
-                    except KeyError:
-                        nxt = next_hops[current, level] = self._next_hop(
-                            current, level
-                        )
-                    break
+            shift, path, length = codes[current]
+            diff = path ^ (prefix >> shift)
+            if diff:
+                level = length - diff.bit_length()
+                try:
+                    nxt = next_hops[current, level]
+                except KeyError:
+                    nxt = next_hops[current, level] = self._next_hop(
+                        current, level
+                    )
             if nxt is None:
                 # Our whole path is a prefix of the target (we are in the
                 # right leaf, beside an offline sibling), or nobody online

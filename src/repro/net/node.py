@@ -17,8 +17,9 @@ from collections.abc import Set as AbstractSet
 from itertools import islice
 
 from repro.errors import OfflinePeerError, ParameterError
+from repro.obs.cache import counted_cache
 
-__all__ = ["PeerId", "PeerPopulation", "dht_id_for"]
+__all__ = ["PeerId", "PeerPopulation", "dht_id_for", "PEER_HASH_MEMO"]
 
 #: Dense 0-based peer identifier.
 PeerId = int
@@ -27,11 +28,20 @@ PeerId = int
 ID_BITS = 160
 
 
+#: Identifiers :func:`dht_id_for` remembers: every peer of a figure at
+#: the default scale (1,000) — each network of a figure joins the same
+#: members. A larger population cycles through it without hits, and
+#: holds no more than this many identifiers beside its DHTs' own.
+PEER_HASH_MEMO = 1 << 11
+
+
+@counted_cache("peer_hash", maxsize=PEER_HASH_MEMO)
 def dht_id_for(peer_id: PeerId) -> int:
     """Map a dense peer id to a 160-bit DHT identifier via SHA-1.
 
     Hashing makes structured-overlay identifiers uniform in the key space
-    regardless of how dense peer ids were assigned.
+    regardless of how dense peer ids were assigned. Memoised per process
+    (``cache.peer_hash.*``).
     """
     digest = hashlib.sha1(f"peer:{peer_id}".encode("ascii")).digest()
     return int.from_bytes(digest, "big")

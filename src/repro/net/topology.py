@@ -5,6 +5,13 @@ connections to other peers" (Section 3.1): a random regular graph, every
 peer keeping exactly ``degree`` connections. :class:`GnutellaTopology`
 exposes neighbour lookup restricted to *online* peers, which is what
 search algorithms traverse under churn.
+
+A graph is a pure function of ``(nodes, degree, seed)``, and the
+substrates of one figure draw the same seeds (each strategy's network
+comes from the same root seed), so :func:`bridged_regular_rows` is
+memoised per process: the overlay and every replica-group graph are
+paired once per figure, not once per network. The rows it returns are
+shared by every caller and are tuples, never mutated.
 """
 
 from __future__ import annotations
@@ -19,7 +26,16 @@ from repro import obs
 from repro.errors import TopologyError
 from repro.net.node import PeerId, PeerPopulation
 
-__all__ = ["bridged_regular_rows", "gnutella_rows", "GnutellaTopology"]
+__all__ = [
+    "bridged_regular_rows", "gnutella_rows", "GnutellaTopology",
+    "REGULAR_ROWS_MEMO",
+]
+
+#: Graphs :func:`bridged_regular_rows` keeps: the overlay and the replica
+#: groups of a substrate at the default scale (1 + 23 graphs) fit. A
+#: larger substrate (Table 1's has 400 groups) cycles through it without
+#: hits, and holds no more than this many graphs beside its own rows.
+REGULAR_ROWS_MEMO = 64
 
 
 def _regular_edges(
@@ -88,9 +104,10 @@ def _bridge_components(rows: list[list[int]]) -> None:
         rows[right].append(left)
 
 
+@obs.counted_cache("regular_rows", maxsize=REGULAR_ROWS_MEMO)
 def bridged_regular_rows(
     num_nodes: int, degree: int, seed: int
-) -> list[list[int]]:
+) -> tuple[tuple[int, ...], ...]:
     """Neighbour rows of a connected random ``degree``-regular graph.
 
     The one implementation of "random regular graph, bridged" — the
@@ -105,6 +122,9 @@ def bridged_regular_rows(
     edge between the smallest members of consecutive components, so
     searches can in principle reach every peer (the paper assumes any
     existing key is findable).
+
+    Memoised (``cache.regular_rows.*``): equal arguments return the same
+    rows, which is why they are immutable.
     """
     if (num_nodes * degree) % 2 != 0 or not 0 <= degree < num_nodes:
         raise TopologyError(
@@ -120,15 +140,16 @@ def bridged_regular_rows(
         rows[left].append(right)
         rows[right].append(left)
     _bridge_components(rows)
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def gnutella_rows(
     num_peers: int,
     degree: int,
     rng: np.random.Generator,
-) -> list[list[PeerId]]:
-    """Neighbour rows (unsorted) of a connected Gnutella-like overlay.
+) -> tuple[tuple[PeerId, ...], ...]:
+    """Neighbour rows (unsorted, shared: see :func:`bridged_regular_rows`)
+    of a connected Gnutella-like overlay.
 
     Parameters
     ----------

@@ -17,10 +17,12 @@ The query path is the paper's Section 5.1 verbatim:
 1. route the query through the DHT to the responsible member;
 2. if its TTL store answers, done (the hit resets the key's TTL);
 3. otherwise flood the member's replica subnetwork (the ``repl * dup2``
-   surcharge of Eq. 16) — any replica holding a live entry answers;
+   surcharge of Eq. 16) — the first replica the flood reaches that holds
+   a live entry answers;
 4. otherwise broadcast-search the unstructured overlay, and insert the
-   resolved key into the index (DHT route + replica flood), where it will
-   live for ``keyTtl`` quiet rounds.
+   resolved key into the index (DHT route + replica flood; the route is
+   step 1's, counted again), where it will live for ``keyTtl`` quiet
+   rounds.
 
 The outcome says which of these happened; tallying them (hits, cold
 misses, reinsertions) is the caller's business.
@@ -34,7 +36,7 @@ from typing import Optional
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import selection_members
 from repro.dht.maintenance import RoutingMaintenance
-from repro.dht.pgrid import PGridDht
+from repro.dht.pgrid import LookupResult, PGridDht
 from repro.errors import ParameterError, RoutingError, require_finite
 from repro.net.bootstrap import GatewayCache
 from repro.net.churn import ChurnConfig, ChurnProcess
@@ -43,7 +45,7 @@ from repro.pdht.config import PdhtConfig
 from repro.pdht.ttl_cache import TtlKeyStore
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.engine import Simulation
-from repro.sim.metrics import MessageMetrics
+from repro.sim.metrics import MessageCategory, MessageMetrics
 from repro.sim.rng import RandomStreams
 from repro.unstructured.overlay import UnstructuredOverlay
 from repro.unstructured.random_walk import RandomWalkSearch
@@ -221,8 +223,6 @@ class PdhtNetwork:
 
         hit_value: object = None
         via_index = False
-        found = False
-        responsible: Optional[PeerId] = None
 
         if gateway is not None:
             lookup = self.dht.lookup(gateway, key)
@@ -231,23 +231,19 @@ class PdhtNetwork:
             stores = self.stores
             record = stores[responsible].query(key, now)
             if record is not None:
-                hit_value, via_index, found = record[0], True, True
+                hit_value, via_index = record[0], True
             else:
-                # Replica-subnetwork flood (Eq. 16 surcharge): a hit is a
-                # member holding an unexpired record.
-                group = self.group_of(responsible)
-
-                def live(member: PeerId) -> bool:
-                    held = stores[member].records.get(key)
-                    return held is not None and held[1] > now
-
-                hits, msgs = group.flood(responsible, predicate=live)
+                # Replica-subnetwork flood (Eq. 16 surcharge): the first
+                # replica it reaches, after the responsible peer itself,
+                # that holds an unexpired record answers.
+                reached, msgs = self.group_of(responsible).flood(responsible)
                 flood_messages += msgs
-                live_hits = [h for h in hits if h != responsible]
-                if live_hits:
-                    record = stores[live_hits[0]].query(key, now)
-                    if record is not None:
-                        hit_value, via_index, found = record[0], True, True
+                for member in reached[1:]:
+                    held = stores[member].records.get(key)
+                    if held is not None and held[1] > now:
+                        record = stores[member].query(key, now)
+                        hit_value, via_index = record[0], True
+                        break
 
         if via_index:
             return QueryOutcome(
@@ -267,7 +263,11 @@ class PdhtNetwork:
         insert_messages = 0
         inserted = walk.found and gateway is not None
         if inserted:
-            insert_messages = self._insert_into_index(gateway, key, walk.value)
+            # The insert routes to the responsible peer again. Nothing
+            # since the search's route can move it, so it is that route,
+            # counted a second time.
+            self.metrics.count(MessageCategory.INDEX_SEARCH, lookup.messages)
+            insert_messages = self._insert_into_index(lookup, walk.value)
         return QueryOutcome(
             key=key,
             found=walk.found,
@@ -280,16 +280,21 @@ class PdhtNetwork:
             value=walk.value,
         )
 
-    def _insert_into_index(self, gateway: PeerId, key: str, value: object) -> int:
+    def _insert_into_index(self, lookup: LookupResult, value: object) -> int:
         """Insert a resolved key at the responsible peer and replicate it
         through the replica subnetwork (the second cSIndx2 of Eq. 17).
+
+        ``lookup`` is the route to the responsible peer, its hops already
+        counted; they and the flood's messages are the insert's cost, which
+        this returns. A miss passes the route of its own index search
+        (:meth:`query`), an update a route of its own.
 
         One record and one heap record serve every member the flood
         reaches (the responsible peer first): all of them follow the one
         ``keyTtl``.
         """
         now = self.simulation.now
-        lookup = self.dht.lookup(gateway, key)
+        key = lookup.key
         responsible = lookup.responsible
         reached, flood_msgs = self.group_of(responsible).flood(responsible)
         stores = self.stores
@@ -312,7 +317,7 @@ class PdhtNetwork:
             return 0
         rng = self.streams.get("gateway")
         gateway = online[int(rng.integers(0, len(online)))]
-        return self._insert_into_index(gateway, key, value)
+        return self._insert_into_index(self.dht.lookup(gateway, key), value)
 
     def preload_index_all(self, items: dict[str, object]) -> None:
         """Place index entries at their responsible replica groups without

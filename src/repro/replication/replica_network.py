@@ -11,7 +11,6 @@ update.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 import numpy as np
 
@@ -26,23 +25,24 @@ __all__ = ["group_rows", "ReplicaNetwork"]
 
 def group_rows(
     size: int, degree: int, rng: np.random.Generator
-) -> list[list[int]]:
+) -> tuple[tuple[int, ...], ...]:
     """Neighbour rows, by position in the group, of the sparse connected
     graph a replica group of ``size`` members keeps among itself.
 
     A bridged random regular graph of degree ``min(degree, size - 1)``,
     one lower when ``degree * size`` would be odd; ``rng`` supplies its
     seed. Degree 1 over an odd group has no such graph and gets a cycle,
-    drawing nothing.
+    drawing nothing. The rows may be shared with other groups of the
+    same seed (:func:`~repro.net.topology.bridged_regular_rows`).
     """
     if size == 1:
-        return [[]]
+        return ((),)
     d = min(degree, size - 1)
     if (d * size) % 2 != 0:
         # Regular graphs need even degree*size; nudge the degree down.
         d = max(1, d - 1)
     if (d * size) % 2 != 0:
-        return [[(v - 1) % size, (v + 1) % size] for v in range(size)]
+        return tuple(((v - 1) % size, (v + 1) % size) for v in range(size))
     return bridged_regular_rows(size, d, int(rng.integers(0, 2**31 - 1)))
 
 
@@ -125,28 +125,24 @@ class ReplicaNetwork:
         return self._online_adjacency
 
     # ------------------------------------------------------------------
-    def flood(
-        self,
-        origin: PeerId,
-        predicate: Callable[[PeerId], bool] | None = None,
-    ) -> tuple[list[PeerId], int]:
-        """Flood the subnetwork from ``origin``; returns (hits, messages).
+    def flood(self, origin: PeerId) -> tuple[tuple[PeerId, ...], int]:
+        """Flood the subnetwork from ``origin``; returns (reached,
+        messages).
 
-        ``predicate`` marks which reached replicas count as hits (e.g.
-        "has a live copy of key k"); with no predicate, all reached
-        replicas are hits. Every traversed edge costs one message,
-        duplicates included — this is where the measured ``dup2`` comes
-        from. The messages of one flood are counted together, before the
-        predicate is asked anything.
+        ``reached`` is every replica the flood reaches, in the order it
+        reaches them, ``origin`` first (read-only: it is the flood plan
+        itself); what a caller asks of them — "has a live copy of key
+        k" — is the caller's, and may stop at the first answer. Every
+        traversed edge costs one message, duplicates included — this is
+        where the measured ``dup2`` comes from. The messages of one flood
+        are counted together.
         """
         if origin not in self._adjacency:
             raise ParameterError(f"peer {origin} is not in this replica group")
         self.population.require_online(origin)
         reached, messages = self._flood_plan(origin)
         self.metrics.count(MessageCategory.REPLICA_FLOOD, messages)
-        if predicate is None:
-            return list(reached), messages
-        return [peer for peer in reached if predicate(peer)], messages
+        return reached, messages
 
     def _flood_plan(self, origin: PeerId) -> tuple[tuple[PeerId, ...], int]:
         """The replicas a flood from ``origin`` reaches, in the order it

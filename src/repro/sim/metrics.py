@@ -5,11 +5,19 @@ shared :class:`MessageMetrics` instance, broken down by
 :class:`MessageCategory`. The categories mirror the terms of the paper's
 cost equations so simulated costs can be compared term-by-term with the
 analytical model (e.g. simulated ``MAINTENANCE`` traffic vs ``keys * cRtn``).
+
+Callers count an operation's messages in one call, not one call per
+message, and a batch of amounts (a maintenance sweep, one per member) in
+one :meth:`MessageMetrics.count_each`, which adds them left to right with
+``functools.reduce`` — the float additions a loop of :meth:`count` calls
+makes, in its order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from collections import defaultdict
 from typing import Sequence
 
@@ -70,18 +78,22 @@ class MessageMetrics:
     ) -> None:
         """``count(category, a)`` for every ``a`` of ``amounts``, in order.
 
-        The additions happen one amount at a time, so the totals are the
-        ones the loop of :meth:`count` calls leaves, to the last bit;
-        like that loop, an empty ``amounts`` does not touch the category.
+        The additions happen one amount at a time, in order
+        (``functools.reduce(operator.add, ...)`` from the category's
+        total), so the totals are the ones the loop of :meth:`count` calls
+        leaves, to the last bit; like that loop, an empty ``amounts`` does
+        not touch the category. A caller that charges the same amounts
+        every round (a maintenance sweep) passes one tuple it keeps.
         """
         if not amounts:
             return
         if min(amounts) < 0:
             raise ParameterError(f"messages must be >= 0, got {min(amounts)}")
-        total = self._totals[category]
-        for messages in amounts:
-            total += messages
-        self._totals[category] = total
+        # reduce adds left to right, as the loop does, without a Python
+        # statement per amount.
+        self._totals[category] = functools.reduce(
+            operator.add, amounts, self._totals[category]
+        )
 
     def total(self, category: MessageCategory | None = None) -> float:
         """Total messages in one category, or across all categories."""

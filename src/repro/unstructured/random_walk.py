@@ -144,8 +144,9 @@ class RandomWalkSearch:
         # under churn is walkers * ttl hops), so per hop it does one index
         # into the topology's online-adjacency table, one draw reduced
         # inline from the stream's word block and one bit test of the
-        # key's holder mask; the hops are counted in one call when the
-        # search ends.
+        # key's holder mask. A step's hops are the walkers still alive
+        # after it (a dead walker never moves again), added once per
+        # step; the search's hops are counted in one call when it ends.
         neighbors_of = overlay.topology.online_adjacency()
         record = overlay.content.get(key)
         mask = record.mask if record is not None else 0
@@ -160,11 +161,12 @@ class RandomWalkSearch:
         # found first.
         seen = 1
         open_peer: Optional[PeerId] = origin
+        alive = len(positions)
         stream = self._stream
         words, used = stream.open_block()
+        available = len(words)
         try:
             for step in range(1, self.ttl + 1):
-                any_alive = False
                 for i, position in enumerate(positions):
                     if position is None:
                         continue
@@ -172,8 +174,9 @@ class RandomWalkSearch:
                     fanout = len(neighbors)
                     if fanout > 1:
                         # BoundedStream.draw(fanout), inline.
-                        if used == len(words):
+                        if used == available:
                             words = stream.next_block()
+                            available = len(words)
                             used = 0
                         product = words[used] * fanout
                         used += 1
@@ -182,22 +185,23 @@ class RandomWalkSearch:
                             stream.close_block(used - 1)
                             nxt = neighbors[stream.draw(fanout)]
                             words, used = stream.open_block()
+                            available = len(words)
                         else:
                             nxt = neighbors[product >> 32]
                     elif fanout:
                         nxt = neighbors[0]  # forced move: no draw
                     else:
                         positions[i] = None  # dead end: walker dies
+                        alive -= 1
                         continue
-                    messages += 1
                     visited.add(nxt)
                     positions[i] = nxt
-                    any_alive = True
                     # nxt came from the online table, so peer_has(nxt, key)
                     # reduces to the content check.
                     if (mask >> nxt) & 1:
                         found_at = nxt
-                if found_at is not None or not any_alive:
+                messages += alive
+                if found_at is not None or not alive:
                     break
                 if len(visited) == seen:
                     open_peer = _open_peer(visited, neighbors_of, open_peer)

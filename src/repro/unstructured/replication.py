@@ -14,22 +14,43 @@ into the overlay as one holder bitmask
 (:meth:`UnstructuredOverlay.add_replicas`).
 ``tests/unstructured/test_place_all_equivalence.py`` holds this to the
 per-key, per-holder loop it replaced.
+
+The masks a draw yields depend only on the generator's state and on the
+population size, ``repl`` and the number of keys, and every strategy's
+network of a figure starts its ``"placement"`` stream in the same state:
+the draw is memoised per process on exactly those (:func:`_placement`,
+``cache.placement.*``, up to :data:`PLACEMENT_MEMO_BYTES` of masks), and
+a hit leaves the generator in the state the draw would have. The masks
+are immutable ints; each network still builds its own
+:class:`~repro.unstructured.overlay.ContentRecord` from them.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Hashable, Mapping
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ParameterError
 from repro.sim.rng import choice_rows
 from repro.unstructured.overlay import UnstructuredOverlay
 
-__all__ = ["ContentReplicator"]
+__all__ = ["ContentReplicator", "PLACEMENT_MEMO", "PLACEMENT_MEMO_BYTES"]
 
 #: Bytes of holder bitmap :func:`_holder_masks` packs per pass.
 _MASK_PASS_BYTES = 1 << 20
+
+#: Placements :func:`_placement` keeps: a figure's networks draw the same
+#: first placement one after the other, so one entry serves them all.
+PLACEMENT_MEMO = 1
+
+#: Largest placement, in bytes of holder masks (``numPeers / 8`` per
+#: key), that the memo keeps. A kept placement outlives the network that
+#: drew it — through a content refresh, into the next figure — and at
+#: Table 1 size one is ~100 MB; one that large is drawn in place.
+PLACEMENT_MEMO_BYTES = 1 << 24
 
 
 def _holder_masks(rows: np.ndarray) -> list[int]:
@@ -53,6 +74,21 @@ def _holder_masks(rows: np.ndarray) -> list[int]:
     return masks
 
 
+@obs.counted_cache("placement", maxsize=PLACEMENT_MEMO)
+def _placement(
+    state: str, pop: int, size: int, count: int
+) -> tuple[tuple[int, ...], str]:
+    """The holder masks of ``choice_rows(rng, pop, size, count)`` for a
+    generator in ``state`` (its ``bit_generator.state`` as JSON), and the
+    state the draw leaves it in (as JSON: what a memo hands out is
+    immutable)."""
+    start = json.loads(state)
+    rng = np.random.Generator(getattr(np.random, start["bit_generator"])())
+    rng.bit_generator.state = start
+    masks = tuple(_holder_masks(choice_rows(rng, pop, size, count)))
+    return masks, json.dumps(rng.bit_generator.state)
+
+
 class ContentReplicator:
     """Places and refreshes random replicas of content items.
 
@@ -63,7 +99,10 @@ class ContentReplicator:
     replication:
         Replication factor ``repl`` (Table 1: 50).
     rng:
-        Randomness for placement decisions.
+        Randomness for placement decisions: a generator whose
+        ``bit_generator.state`` JSON can carry (the PCG64 streams of
+        :class:`~repro.sim.rng.RandomStreams`), as the placement memo
+        keys on it.
     """
 
     def __init__(
@@ -102,11 +141,17 @@ class ContentReplicator:
         fresh = next(
             (i for i, key in enumerate(keys) if key in placed), len(keys)
         )
-        rows = choice_rows(
-            self.rng, len(self.overlay.population), self.replication, fresh
-        )
+        rng = self.rng
+        pop = len(self.overlay.population)
+        if pop * fresh > 8 * PLACEMENT_MEMO_BYTES:
+            masks = _holder_masks(choice_rows(rng, pop, self.replication, fresh))
+        else:
+            masks, end = _placement(
+                json.dumps(rng.bit_generator.state), pop, self.replication, fresh
+            )
+            rng.bit_generator.state = json.loads(end)
         add = self.overlay.add_replicas
-        for key, mask in zip(keys, _holder_masks(rows)):
+        for key, mask in zip(keys, masks):
             add(key, mask, items[key])
         if fresh < len(keys):
             raise ParameterError(

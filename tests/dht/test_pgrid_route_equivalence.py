@@ -342,6 +342,149 @@ def test_lopsided_split_routes(recorder):
 
 
 # ----------------------------------------------------------------------
+# The mismatch level: one XOR and bit_length against the path scan
+# ----------------------------------------------------------------------
+def string_mismatch(path: str, target_bits: str):
+    """The replaced per-hop scan: the first level at which ``path``
+    leaves ``target_bits``, None when it is a prefix of them."""
+    for level, bit in enumerate(path):
+        if bit != target_bits[level]:
+            return level
+    return None
+
+
+class _AskedHops(dict):
+    """A next-hop memo that logs every ``(member, level)`` a route asks
+    it for, hit or miss."""
+
+    def __init__(self, memo, asked):
+        super().__init__(memo)
+        self.asked = asked
+
+    def __getitem__(self, member_level):
+        self.asked.append(member_level)
+        return super().__getitem__(member_level)
+
+
+class AskingPGrid(PGridDht):
+    """``PGridDht`` whose routes log the mismatch levels they compute."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = []
+
+    def _responsible(self, target):
+        owner = super()._responsible(target)
+        if type(self._next_hops) is dict:  # a fresh memo of a new view
+            self._next_hops = _AskedHops(self._next_hops, self.asked)
+        return owner
+
+
+def scanned_requests(old, origin, key):
+    """The ``(member, level)`` requests a route from ``origin`` makes,
+    levels by the string scan, members along the reference route."""
+    target = old.keyspace.hash_key(key)
+    responsible = old._responsible(target)
+    bits = old.keyspace.to_bits(target)
+    current, asked = origin, []
+    for _ in range(len(old._members) + old.keyspace.bits):
+        if current == responsible:
+            return asked
+        level = string_mismatch(old._paths[current], bits)
+        if level is not None:
+            asked.append((current, level))
+        current = old._next_hop(current, bits, responsible)
+    return None  # does not converge: the other tests' subject
+
+
+def _assert_same_mismatches(new, old, population, keys=KEYS):
+    for origin in sorted(new._members):
+        if not population.is_online(origin):
+            continue
+        for key in keys:
+            expected = scanned_requests(old, origin, key)
+            if expected is None:
+                continue
+            new.asked.clear()
+            new.lookup(origin, key)
+            assert new.asked == expected, (origin, key)
+
+
+def _asking_pair(population, members, **kwargs):
+    sides = []
+    for cls in (AskingPGrid, ReferencePGrid):
+        dht = cls(population, MessageMetrics(), **kwargs)
+        dht.join_all(sorted(members))
+        sides.append(dht)
+    return sides
+
+
+@given(histories())
+@settings(max_examples=100, deadline=None)
+def test_integer_mismatch_equals_the_path_scan(history):
+    """Every hop of every route asks its next-hop memo for the level the
+    string scan finds, through joins, leaves and liveness flips."""
+    population = PeerPopulation(history.num_peers)
+    for peer in history.offline:
+        population.set_online(peer, False)
+    new, old = _asking_pair(
+        population, history.members, **dict(history.backend_kwargs)
+    )
+    _assert_same_mismatches(new, old, population)
+    for op in history.ops:
+        if op[0] == "join":
+            for dht in (new, old):
+                dht.join(op[1])
+        elif op[0] == "leave":
+            for dht in (new, old):
+                leave(dht, op[1])
+        elif op[0] == "flip":
+            population.set_online(op[1], op[2])
+        else:
+            continue
+        _assert_same_mismatches(new, old, population)
+
+
+def test_integer_mismatch_at_a_shallow_leaf():
+    """The empty path (a lopsided split) never mismatches: its XOR is 0."""
+    population = PeerPopulation(64)
+    zeros = [p for p in range(64) if dht_id_for(p) >> 159 == 0][:2]
+    new, old = _asking_pair(population, zeros)
+    new._ensure_routing()
+    assert new._codes[zeros[0]] == (0, 0, 0)
+    _assert_same_mismatches(new, old, population, MANY_KEYS)
+    assert not new.asked
+
+
+def test_integer_mismatch_beside_offline_siblings():
+    """A member in the target's leaf, its smaller siblings offline: its
+    path is a prefix of the target, so it asks for no level and hands the
+    lookup to the responsible sibling; members of shallower and deeper
+    leaves than the target's keep asking the scanned levels."""
+    population = PeerPopulation(40)
+    new, old = _asking_pair(population, range(40))
+    new._ensure_routing()
+    leaves = [m for _, m in sorted(new._leaf_members.items()) if len(m) > 1]
+    assert leaves
+    assert len({len(path) for path in new._leaf_members}) > 1
+    for members in leaves:
+        population.set_online(members[0], False)
+        _assert_same_mismatches(new, old, population, MANY_KEYS)
+    straight = 0
+    for members in leaves:
+        for key in MANY_KEYS:
+            target = new.keyspace.hash_key(key)
+            if new._locate(target) != new._paths[members[-1]]:
+                continue
+            new.asked.clear()
+            result = new.lookup(members[-1], key)
+            if result.responsible != members[-1]:
+                assert not new.asked and result.messages == 1
+                straight += 1
+    assert straight
+
+
+# ----------------------------------------------------------------------
 # A route that does not converge
 # ----------------------------------------------------------------------
 class _PingPong:

@@ -358,7 +358,8 @@ def test_callers_may_mutate_what_they_are_given():
         population, list(range(8)), np.random.default_rng(5),
         MessageMetrics(), degree=3,
     )
-    assert group.flood(2) == reference_flood(group, 2)
+    reached, messages = group.flood(2)
+    assert (list(reached), messages) == reference_flood(group, 2)
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +556,13 @@ def test_replica_flood_equals_reference(recorder, world):
                 assert got == reference_online_neighbors(old, member)
                 if not population.is_online(member):
                     continue
-                assert new.flood(member, predicate) == reference_flood(
+                # The predicate is the caller's now: asked of the
+                # reach order, it picks the hits the old flood returned.
+                reached, messages = new.flood(member)
+                hits = list(reached) if predicate is None else [
+                    peer for peer in reached if predicate(peer)
+                ]
+                assert (hits, messages) == reference_flood(
                     old, member, predicate
                 )
         assert new.counted == old.counted
@@ -579,7 +586,8 @@ def test_replica_flood_plan_does_not_outlive_a_flip(recorder):
     neighbor = new.online_adjacency()[origin][0]
     for online in (True, False, False, True, True):
         population.set_online(neighbor, online)
-        got = new.flood(origin)
+        reached, messages = new.flood(origin)
+        got = (list(reached), messages)
         assert got == reference_flood(old, origin)
         assert (neighbor in got[0]) == online
         assert new.counted == old.counted
@@ -593,8 +601,7 @@ def test_replica_flood_without_edges_counts_nothing():
     lone = ReplicaNetwork(
         population, [2], np.random.default_rng(0), MessageMetrics()
     )
-    assert lone.flood(2) == ([2], 0)
-    assert lone.flood(2, lambda peer: False) == ([], 0)
+    assert lone.flood(2) == ((2,), 0)
     assert lone.metrics.totals_by_category() == {}
 
 

@@ -106,8 +106,10 @@ class World:
         if mask & ONLINE_VIEW:
             assert self.dht.online_view() == self.scratch_online_view()
         if mask & TABLE_SIZES:
-            assert (
-                self.maintenance._table_sizes() == self.scratch_table_sizes()
+            sizes = self.scratch_table_sizes()
+            env = self.maintenance.env
+            assert self.maintenance._view() == (
+                tuple(sizes), tuple(env * size for size in sizes)
             )
         if mask & ROUTES:
             scratch = self.scratch_dht()

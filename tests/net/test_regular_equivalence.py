@@ -178,7 +178,10 @@ def reference_rows(num_nodes, degree, seed):
         components = [sorted(c) for c in nx.connected_components(graph)]
         for left, right in zip(components, components[1:]):
             graph.add_edge(left[0], right[0])
-    return [list(graph.neighbors(v)) for v in range(num_nodes)], bridged
+    # Tuples: the port's rows are shared by every caller, so immutable.
+    return tuple(
+        tuple(graph.neighbors(v)) for v in range(num_nodes)
+    ), bridged
 
 
 # ----------------------------------------------------------------------

@@ -167,6 +167,35 @@ class TestEventRunIsAccountedFor:
         assert 1 <= counters["overlay.rows.rebuild"] <= 4
         assert "overlay.rows.patched" not in counters
 
+    def test_benchmark_run_does_the_same_work(self, capsys):
+        """The ``sim_event`` command's work, counted: the four strategies
+        draw one placement (one miss, three memo hits) and walk, route
+        and flood exactly as much as before the shared builders."""
+        from repro.unstructured.replication import _placement
+
+        _placement.cache_clear()  # the process may have drawn it before
+        assert main([
+            "sim", "--engine", "event", "--duration", "150", "--seed", "0",
+            "--no-store", "--format", "json", "--profile",
+        ]) == 0
+        counters = json.loads(capsys.readouterr().out)["telemetry"]["counters"]
+        assert counters["cache.placement.miss"] == 1
+        assert counters["cache.placement.hit"] == 3
+        work = {
+            name: counters.get(name)
+            for name in ("walk.hops", "walk.searches", "dht.routes.rebuild",
+                         "dht.views.rebuild", "replica.plans.rebuild",
+                         "overlay.rows.rebuild", "overlay.rows.patched",
+                         "walk.failed", "walk.trapped")
+        }
+        assert work == {
+            "walk.hops": 228_224, "walk.searches": 6_369,
+            "dht.routes.rebuild": 3, "dht.views.rebuild": 3,
+            "replica.plans.rebuild": 10, "overlay.rows.rebuild": 3,
+            "overlay.rows.patched": None, "walk.failed": None,
+            "walk.trapped": None,
+        }
+
     def test_profiled_event_run_prints_the_same_figure(self, capsys):
         assert main(self.ARGV) == 0
         plain = json.loads(capsys.readouterr().out)

@@ -44,7 +44,7 @@ class TestConstruction:
             PeerPopulation(10), [3], rng, MessageMetrics()
         )
         hits, messages = group.flood(3)
-        assert hits == [3]
+        assert hits == (3,)
         assert messages == 0
 
     def test_tiny_group_falls_back_to_cycle(self, rng):
@@ -59,10 +59,12 @@ class TestFlood:
         hits, _ = group.flood(group.members[0])
         assert sorted(hits) == group.members
 
-    def test_respects_predicate(self, group):
-        chosen = set(group.members[:5])
-        hits, _ = group.flood(group.members[0], predicate=lambda m: m in chosen)
-        assert set(hits) <= chosen
+    def test_reaches_each_replica_once_origin_first(self, group):
+        # A caller scans the reach order for its first answer.
+        origin = group.members[4]
+        reached, _ = group.flood(origin)
+        assert reached[0] == origin
+        assert len(set(reached)) == len(reached)
 
     def test_skips_offline_members(self, group):
         victim = group.members[5]

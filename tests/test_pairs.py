@@ -3,7 +3,12 @@
 Each stub checkout's ``benchmarks/e2e/run.py`` prints a line of noise and
 then the JSON result of its next scripted rep, and logs its side and
 arguments to one shared file, so the tests see the order the runs took,
-what they were asked, and the table line the tool makes of them.
+what they were asked, and the table line the tool makes of them. Its
+``repro.experiments.runner`` is a stub too: it logs its arguments to a
+second file and, under ``--profile``, prints (or writes under
+``--output``) the telemetry counters scripted for its side — the work
+line's input. The change checkout carries the real
+``benchmarks/e2e/workloads.py``, which the tool reads the commands from.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-PAIRS = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+REPO = Path(__file__).resolve().parents[1]
+PAIRS = REPO / "tools" / "pairs.py"
+WORKLOADS = REPO / "benchmarks" / "e2e" / "workloads.py"
 
 SPEC = {
     "command": [sys.executable, "benchmarks/e2e/run.py"],
@@ -50,24 +57,67 @@ if rep is not None:
 '''
 
 
+RUNNER = '''\
+import json, sys
+from pathlib import Path
+
+args = sys.argv[1:]
+with open({log!r}, "a") as log:
+    log.write({side!r} + " " + " ".join(args) + "\\n")
+counters = {counters!r}
+if counters is None:
+    sys.exit(1)
+if "--profile" in args:
+    text = json.dumps({{"figure": {{}}, "telemetry": {{"counters": counters}}}})
+    if "--output" in args:
+        out = Path(args[args.index("--output") + 1])
+        out.mkdir(parents=True, exist_ok=True)
+        (out / (args[0] + ".json")).write_text(text)
+        print("wrote", out)
+    else:
+        print(text)
+'''
+
+#: What a profiled run counts: one work counter, and a collector count
+#: and two times that are not work.
+WORK = {"walk.hops": 228224.0, "gc.collections.gen0": 41.0,
+        "gc.pause_s": 0.02, "calibrate.probe_s": 1.5}
+
+
 def rep(wall, rss, ops, failed=0):
     return failed, {"wall_s": wall, "peak_rss_mb": rss, "ops_n": ops}
 
 
-def checkouts(tmp_path, parent_reps, change_reps):
+def checkouts(tmp_path, parent_reps, change_reps, parent_work=WORK,
+              change_work=WORK):
     log = tmp_path / "runs.log"
     roots = {}
-    for side, reps in (("parent", parent_reps), ("change", change_reps)):
+    for side, reps, work in (("parent", parent_reps, parent_work),
+                             ("change", change_reps, change_work)):
         root = tmp_path / side
         (root / "benchmarks" / "e2e").mkdir(parents=True)
         (root / "benchmarks" / "e2e" / "run.py").write_text(
             STUB.format(reps=reps, log=str(log), side=side)
         )
+        package = root / "src" / "repro" / "experiments"
+        package.mkdir(parents=True)
+        (package.parent / "__init__.py").write_text("")
+        (package / "__init__.py").write_text("")
+        (package / "runner.py").write_text(RUNNER.format(
+            log=str(tmp_path / "work.log"), side=side, counters=work
+        ))
         roots[side] = root
     (roots["change"] / "tools").mkdir()
     shutil.copy(PAIRS, roots["change"] / "tools" / "pairs.py")
+    shutil.copy(WORKLOADS, roots["change"] / "benchmarks" / "e2e")
     (roots["change"] / "BENCHMARK.json").write_text(json.dumps(SPEC))
     return roots, log
+
+
+def table_lines(proc):
+    """The stdout lines that are not work lines."""
+    return [line for line in proc.stdout.splitlines()
+            if line.split()[1] != "work:"]
 
 
 def run_pairs(roots, *args):
@@ -97,7 +147,8 @@ def test_alternating_pairs_make_one_table_line(tmp_path):
         "sim_event  s4 3p; "
         "wall 2.000[1.000,3.000]->1.000 2/3 (-50.0%) unresolved; "
         "rss 40.000[40.000,40.000]->41.000 1/3 (+2.5%) worse; "
-        "ops 10.000[10.000,10.000]->12.000 2/3 (+20.0%) same"
+        "ops 10.000[10.000,10.000]->12.000 2/3 (+20.0%) same",
+        "sim_event  work: 1 equal",
     ]
 
 
@@ -118,7 +169,7 @@ def test_a_run_without_a_json_line_fails_the_tool(tmp_path):
     proc = run_pairs(roots, "--workload", "sweep_warm", "--pairs", "1")
     assert proc.returncode == 1
     assert "pair 1: the parent run failed" in proc.stderr
-    assert proc.stdout == ""
+    assert table_lines(proc) == []
 
 
 def test_a_parent_without_a_benchmark_is_refused(tmp_path):
@@ -150,7 +201,7 @@ def verdicts(proc):
     """``{short metric name: verdict}`` of each table line printed."""
     return [
         {part.split()[0]: part.split()[-1] for part in line.split("; ")[1:]}
-        for line in proc.stdout.splitlines()
+        for line in table_lines(proc)
     ]
 
 
@@ -220,8 +271,63 @@ def test_several_workloads_run_one_after_the_other(tmp_path):
     proc = run_pairs(roots, "--workload", "sim_event", "sweep_warm",
                      "--pairs", "2")
     assert proc.returncode == 0, proc.stderr
-    assert [line.split()[0] for line in proc.stdout.splitlines()] == [
-        "sim_event", "sweep_warm"
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [
+        ["sim_event", "s0"], ["sim_event", "work:"],
+        ["sweep_warm", "s0"], ["sweep_warm", "work:"],
     ]
     assert [line.split()[2] for line in log.read_text().splitlines()] == [
         "sim_event"] * 4 + ["sweep_warm"] * 4
+
+
+# ----------------------------------------------------------------------
+# The work line
+# ----------------------------------------------------------------------
+def work_log(tmp_path):
+    return (tmp_path / "work.log").read_text().splitlines()
+
+
+def test_the_work_line_names_each_moved_counter(tmp_path):
+    change = {**WORK, "walk.hops": 228000.0, "cache.placement.hit": 3.0,
+              "gc.pause_s": 0.01, "strategy.build_s": 0.2}
+    parent = {**WORK, "dht.routes.rebuild": 3.0, "cache.rows.size": 2.5}
+    roots, _ = checkouts(tmp_path, [rep(1.0, 40.0, 10.0)],
+                         [rep(1.0, 40.0, 10.0)], parent, change)
+    proc = run_pairs(roots, "--workload", "sim_event", "--pairs", "1",
+                     "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == (
+        "sim_event  work: 0 equal; cache.placement.hit -->3; "
+        "cache.rows.size 2.5->-; dht.routes.rebuild 3->-; "
+        "walk.hops 228224->228000"
+    )
+    # One profiled run a side, after the pairs, of the workload's own
+    # runner command with the seed.
+    assert work_log(tmp_path) == [
+        f"{side} sim --engine event --duration 150 --seed 3 --no-store "
+        "--format json --profile"
+        for side in ("parent", "change")
+    ]
+
+
+def test_a_warm_workload_is_profiled_against_its_populated_store(tmp_path):
+    roots, _ = checkouts(tmp_path, [rep(1.0, 40.0, 10.0)],
+                         [rep(1.0, 40.0, 10.0)])
+    proc = run_pairs(roots, "--workload", "sweep_warm", "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "sweep_warm work: 1 equal"
+    populate, profiled = work_log(tmp_path)[:2]
+    assert populate.startswith("parent sweep --scale 8 --jobs 1 --seed 0 "
+                               "--store ")
+    assert "--profile" not in populate
+    store = populate.split()[populate.split().index("--store") + 1]
+    assert f"--store {store} --format json --output " in profiled
+    assert profiled.endswith(" --profile")
+
+
+def test_a_failed_work_run_fails_the_tool(tmp_path):
+    roots, _ = checkouts(tmp_path, [rep(1.0, 40.0, 10.0)],
+                         [rep(1.0, 40.0, 10.0)], change_work=None)
+    proc = run_pairs(roots, "--workload", "churn_cold", "--pairs", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["churn_cold work: the change run failed"]
+    assert len(proc.stdout.splitlines()) == 1  # the table line alone

@@ -29,7 +29,13 @@ Mutations run against the new code, each caught by the test named:
 * a holder mask built without the row's last holder —
   ``test_place_all_equals_place_loop`` (membership);
 * ``refresh_all`` placing before it removes —
-  ``test_refresh_all_equals_refresh_loop``.
+  ``test_refresh_all_equals_refresh_loop``;
+* a memo hit that does not move the generator to the draw's end state —
+  ``test_memo_hit_leaves_the_generator_where_choice_rows_would``;
+* the memo keyed without the population size, ``repl`` or the key count —
+  ``test_one_generator_state_many_placements`` (another draw's masks);
+* networks sharing the memo's records instead of their masks —
+  ``test_a_refresh_in_one_network_leaves_another_alone``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
 from repro.net.node import PeerPopulation
+from repro.sim.rng import choice_rows
+from repro.unstructured import replication
 from repro.unstructured.overlay import ContentRecord, UnstructuredOverlay
 from repro.unstructured.replication import ContentReplicator
 
@@ -221,3 +229,85 @@ def test_content_plane_layout():
     assert not hasattr(overlay.population, "content")
     rep.remove("a")
     assert list(overlay.content) == ["b"]  # the record goes with its holders
+
+
+# ----------------------------------------------------------------------
+# The placement memo: one draw per generator state, shared by networks
+# ----------------------------------------------------------------------
+def test_memo_hit_leaves_the_generator_where_choice_rows_would():
+    """Twin networks draw one placement: the second is a memo hit, and
+    still leaves its generator, its holders and its records as the draw
+    itself would — and as the reference loop does."""
+    replication._placement.cache_clear()
+    items = {f"key-{i:06d}": f"value-{i}" for i in range(30)}
+    first, second = replicator(40, 6, 11), replicator(40, 6, 11)
+    old = replicator(40, 6, 11, ReferenceReplicator)
+    reference_publish_all(old, items)
+    first.place_all(items)
+    assert replication._placement.cache_info().misses == 1
+    second.place_all(items)
+    assert replication._placement.cache_info().hits == 1
+    drawn = np.random.Generator(np.random.PCG64(11))
+    rows = choice_rows(drawn, 40, 6, len(items))
+    for rep in (first, second):
+        assert world(rep) == world(old)
+        assert rep.rng.bit_generator.state == drawn.bit_generator.state
+        assert [
+            sorted(row) for row in rows.tolist()
+        ] == [_holders(rep.overlay, key) for key in items]
+    # Drawn on from there, both streams continue identically.
+    for rep in (first, second):
+        rep.place("late", 1)
+    reference_place(old, "late", 1)
+    assert world(first) == world(second) == world(old)
+
+
+def test_a_refresh_in_one_network_leaves_another_alone():
+    """Networks that share a placement own their records: refreshing
+    (or removing) in one changes nothing the other holds."""
+    replication._placement.cache_clear()
+    items = {f"key-{i:06d}": (i, 0) for i in range(12)}
+    left, right = replicator(30, 4, 3), replicator(30, 4, 3)
+    left.place_all(items)
+    right.place_all(items)
+    before = world(right)
+    assert all(
+        left.overlay.content[key] is not right.overlay.content[key]
+        for key in items
+    )
+    left.refresh_all({key: (i, 1) for i, key in enumerate(items)})
+    left.remove("key-000000")
+    assert world(right) == before
+    assert all(right.overlay.content[key].value == value
+               for key, value in items.items())
+
+
+def test_a_placement_over_the_byte_bound_is_drawn_in_place(monkeypatch):
+    """A placement larger than ``PLACEMENT_MEMO_BYTES`` is not kept, and
+    draws exactly what a kept one would."""
+    monkeypatch.setattr(replication, "PLACEMENT_MEMO_BYTES", 8)
+    replication._placement.cache_clear()
+    items = {f"key-{i}": i for i in range(20)}
+    old, new = twins(64, 5, 8)
+    reference_publish_all(old, items)
+    new.place_all(items)  # 64 peers * 20 keys = 160 bytes > 8
+    assert world(new) == world(old)
+    info = replication._placement.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    new.place_all({"small": 0})  # 8 bytes: kept
+    reference_place(old, "small", 0)
+    assert world(new) == world(old)
+    assert replication._placement.cache_info().currsize == 1
+
+
+def test_one_generator_state_many_placements():
+    """One seed, one after the other, with another population size,
+    ``repl`` or key count each: every draw is its own."""
+    replication._placement.cache_clear()
+    for num_peers, repl, n_keys in ((30, 4, 6), (31, 4, 6), (31, 5, 6),
+                                    (31, 5, 7), (30, 4, 6)):
+        items = {f"key-{i}": i for i in range(n_keys)}
+        old, new = twins(num_peers, repl, 21)
+        reference_publish_all(old, items)
+        new.place_all(items)
+        assert world(new) == world(old)

@@ -37,6 +37,20 @@ a JSON line, is named on stderr; its pair is left out of the line.
 Several workloads run one after the other, all pairs of one before the
 next, each printing its line when its pairs are done.
 
+After each table line comes the workload's work line: the parent/change
+diff of its work counters, from one ``--profile --format json`` run per
+side of the workload's own runner command (``benchmarks/e2e/workloads.py``
+of this checkout, with its store set up as the benchmark sets it up, in a
+scratch directory). Work is every obs counter but ``gc.*`` and times
+(names ending ``_s``); the line counts the equal ones and names each one
+that moved, ``-`` where a side has none:
+
+    sim_event  work: 25 equal; cache.placement.hit -->3; cache.placement.miss -->1
+
+Counters of a seeded run repeat exactly, so one run a side is the whole
+reading: a timing verdict with its count beside it. A side whose run
+fails is named on stderr and gets no work line.
+
 The two checkouts' paths should be equally long: the path is in each
 run's environment and ``argv``, and ``sweep_cold``'s peak RSS steps by
 ~1 MiB with how those shift the heap's layout. Paths of different
@@ -48,15 +62,19 @@ Exit codes: 0; 1 when any run failed; 2 when a checkout has no benchmark.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("benchmarks") / "e2e" / "run.py"
+WORKLOADS = Path("benchmarks") / "e2e" / "workloads.py"
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int
@@ -158,6 +176,64 @@ def run_pairs(sides: dict[str, Path], command: list[str], workload: str,
     return pairs, failed
 
 
+def load_workloads():
+    """This checkout's ``benchmarks/e2e/workloads.py``, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "_pairs_workloads", ROOT / WORKLOADS
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def is_work(name: str) -> bool:
+    """A work counter: not the collector's (``gc.*``), not a time."""
+    return not name.startswith("gc.") and not name.endswith("_s")
+
+
+def work_counters(root: Path, workload, seed: int) -> Optional[dict]:
+    """The work counters of one profiled run of ``workload``'s runner
+    command in ``root``; None when the run fails."""
+    runner = [sys.executable, "-m", "repro.experiments.runner"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with tempfile.TemporaryDirectory() as scratch:
+        work = Path(scratch)
+        populate = workload.populate_argv(seed, work)
+        if populate is not None:
+            subprocess.run([*runner, *populate], cwd=root, env=env,
+                           capture_output=True)
+        proc = subprocess.run(
+            [*runner, *workload.runner_argv(seed, work, "work"), "--profile"],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        result = workload.result_file(work, "work")
+        try:
+            text = result.read_text() if result is not None else proc.stdout
+            counters = json.loads(text)["telemetry"]["counters"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+    return {name: value for name, value in counters.items() if is_work(name)}
+
+
+def _count(value: Optional[float]) -> str:
+    if value is None:
+        return "-"
+    return str(int(value)) if value == int(value) else repr(value)
+
+
+def work_line(workload: str, parent: dict, change: dict) -> str:
+    """The work-counter diff line of one workload."""
+    names = sorted(set(parent) | set(change))
+    moved = [
+        f"{name} {_count(parent.get(name))}->{_count(change.get(name))}"
+        for name in names if parent.get(name) != change.get(name)
+    ]
+    return "; ".join(
+        [f"{workload:<10} work: {len(names) - len(moved)} equal", *moved]
+    )
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0]
@@ -183,6 +259,7 @@ def main(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
+    workloads = load_workloads()
     failed = 0
     for workload in args.workload:
         pairs, missed = run_pairs(sides, spec["command"], workload,
@@ -190,6 +267,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         failed += missed
         if pairs:
             print(table_line(workload, args.seed, pairs, spec["end_to_end"]),
+                  flush=True)
+        counters = {}
+        for side in ("parent", "change"):
+            counters[side] = work_counters(
+                sides[side], workloads.by_name(workload), args.seed
+            )
+            if counters[side] is None:
+                failed += 1
+                print(f"{workload} work: the {side} run failed",
+                      file=sys.stderr)
+        if None not in counters.values():
+            print(work_line(workload, counters["parent"], counters["change"]),
                   flush=True)
     return 1 if failed else 0
 
