@@ -17,12 +17,18 @@ keyTtl column differ only in keyTtl, and without churn or content
 refresh every query writes its key whatever the keyTtl, so one kernel
 runs them all (:meth:`FastSimKernel.add_lane`;
 :func:`repro.fastsim.parallel.units` decides which jobs). The query
-counts, the workload draw, the origins and the per-key write times are
-made once for all lanes; each lane tests liveness at its own keyTtl
-against the write times the span opens with and keeps its own members,
-gateways, costs, report, message totals and window recorder. Spans are
-the shortest any lane allows, and the last lane writes the span's
-entries after every lane has read them.
+counts, the workload draw, the origins, the per-key write times and the
+mask of peers seen on the index path are made once for all lanes; each
+lane keeps its own members, costs, report, message totals and window
+recorder. A span's hits and misses are a *decision*, which a lane then
+*prices* at its own costs, with its own members' gateway discoveries.
+Every write time is at least 1.0, so a lane whose ``1.0 + keyTtl`` is
+after the span's last round sees every written entry live throughout
+it: all such lanes share one decision (``kernel.lanes.shared`` counts
+the lane-spans that took another lane's), and every other lane tests
+liveness at its own keyTtl against the write times the span opens
+with. Spans are the shortest any lane allows, and the last lane writes
+the span's entries after every lane has read them.
 
 Every random input of a run — query counts, the default workload stream,
 DHT members, churn flips, origins, turnover and resolution draws — comes
@@ -189,6 +195,42 @@ class _Span:
 
 #: A span's message charges: ``(category, per-round amounts)`` pairs.
 _Charges = list[tuple[MessageCategory, list[float]]]
+
+
+@dataclass(slots=True)
+class _Decision:
+    """What the Section 5.1 query path decides for one span's queries
+    under one liveness test: each query's hit or miss, and what follows
+    from it. Every lane with that liveness reaches the same decision; a
+    lane prices it with its own costs (:meth:`FastSimKernel._price`).
+
+    ``hits``, ``misses`` and ``inserted`` are per round of the span;
+    ``walks`` is the expected walk charge under churn (``None`` without).
+    """
+
+    hits: list[int]
+    misses: list[int]
+    inserted: list[int]
+    count: int
+    miss_events: int
+    insertions: int
+    unresolved: int
+    cold: int
+    stale: int
+    walks: Optional[float]
+
+    def tally(self, report: FastSimReport) -> None:
+        """Count the decision into a lane's ``report``."""
+        hits = self.count - self.miss_events
+        report.stale_hits += self.stale
+        report.cold_misses += self.cold
+        # StrategyReport's overhead sources I/IV: a miss event that is
+        # not cold is a reinsertion.
+        report.reinsertions += self.miss_events - self.cold
+        report.index_hits += hits
+        report.insertions += self.insertions
+        report.answered += hits + (self.miss_events - self.unresolved)
+        report.unresolved += self.unresolved
 
 
 class _SpanScratch:
@@ -425,6 +467,8 @@ class FastSimKernel:
         self._draw_keys: Optional[np.ndarray] = None
         self._ones_bool = _EMPTY_BOOL
         self._ones_f8 = _EMPTY_F8
+        #: Lane-spans answered from another lane's decision (:meth:`_decide`).
+        self._shared_lanes = 0
 
     def _membership(self, policy: StrategyPolicy) -> Membership:
         """The masks of a lane running ``policy``, with its members."""
@@ -443,7 +487,10 @@ class FastSimKernel:
         only a kernel without churn or content refresh takes lanes, before
         its first run. ``costs`` default as the constructor's do. The
         lane's report (:attr:`reports`) equals that of a kernel built with
-        ``config`` and run alone.
+        ``config`` and run alone. It adds one mask over the peers (its
+        members) and no per-key state; in a span no entry can expire for
+        under its keyTtl, it takes the decision the other such lanes
+        take (see the module docstring).
         """
         if self.churn is not None or self._next_refresh is not None:
             raise ParameterError(
@@ -488,7 +535,8 @@ class FastSimKernel:
         contributes several, an idle one exactly one — and the
         ``kernel.spans`` counter counts numpy passes (:meth:`_step_span`).
         ``kernel.runs``, ``kernel.rounds`` and ``kernel.queries`` count
-        every lane's.
+        every lane's, and ``kernel.lanes.shared`` the lane-spans answered
+        from another lane's decision (:meth:`_decide`; absent when none).
         """
         rounds = whole_rounds(duration)
         started = perf_counter()
@@ -500,6 +548,7 @@ class FastSimKernel:
         perf = perf_counter
         t_draw = t_maintain = t_queries = t_post = 0.0
         draw_blocks = spans = transitions = refreshes = 0
+        shared_before = self._shared_lanes
         lanes = self.lanes
         reports = [
             FastSimReport(
@@ -683,6 +732,10 @@ class FastSimKernel:
             obs.count("kernel.runs", len(lanes))
             obs.count("kernel.rounds", rounds * len(lanes))
             obs.count("kernel.spans", spans)
+            if self._shared_lanes > shared_before:
+                obs.count(
+                    "kernel.lanes.shared", self._shared_lanes - shared_before
+                )
             obs.count("kernel.queries", sum(r.queries for r in reports))
             obs.sample_peak_rss("kernel")
         return reports[0]
@@ -760,8 +813,8 @@ class FastSimKernel:
             report.queries += count
         lanes = zip(self.lanes, reports)
         # The lanes run one strategy, so they take the same inputs: the
-        # span's origins are drawn once for all of them, and so are the
-        # write times its keys open with gathered.
+        # span's origins are drawn once for all of them, and its first
+        # contacts with the index found once.
         policy = self.lanes[0].policy
         if not policy.runs_dht:
             return [
@@ -770,23 +823,21 @@ class FastSimKernel:
             ]
         origins = self._draw_origins(count)
         if not policy.adaptive:
+            indexed = np.less_equal(
+                ranks, policy.index_ranks,
+                out=self._scratch.get("static.indexed", count, bool),
+            )
+            contacts = self._first_contacts(span, origins, indexed)
             return [
-                self._span_static(lane, span, ranks, origins, report)
+                self._span_static(lane, span, indexed, contacts, report)
                 for lane, report in lanes
             ]
-        written = np.take(
-            self.state.written_at,
-            keys,
-            out=self._scratch.get("select.written", count, TIME_DTYPE),
-        )
-        # The last lane writes the span's entries, after every lane read
-        # the ones it opens with.
-        last = self.lanes[-1]
+        contacts = self._first_contacts(span, origins, None)
         return [
-            (span.counts, *self._span_selection(
-                lane, span, keys, origins, written, report, lane is last
-            ))
-            for lane, report in lanes
+            (span.counts, decision.hits,
+             self._gateway_charges(lane, span, contacts, report)
+             + self._price(lane, span, decision, report))
+            for (lane, report), decision in zip(lanes, self._decide(span, keys))
         ]
 
     def _span_broadcast(
@@ -807,22 +858,19 @@ class FastSimKernel:
         self,
         lane: _Lane,
         span: _Span,
-        ranks: np.ndarray,
-        origins: np.ndarray,
+        indexed: np.ndarray,
+        contacts: tuple[np.ndarray, Optional[np.ndarray]],
         report: FastSimReport,
     ) -> tuple[list[int], list[int], _Charges]:
-        """A static index: the indexed ranks are preloaded with infinite
-        TTL at *every* replica group member, so even under churn the
-        rerouted responsible answers directly (all hits, no flood
-        traffic); the rest broadcast. With every rank indexed (indexAll)
-        no resolution is drawn and no walk charged."""
-        count = ranks.size
-        indexed = np.less_equal(
-            ranks, lane.policy.index_ranks,
-            out=self._scratch.get("static.indexed", count, bool),
-        )
+        """A static index: the indexed ranks (``indexed`` selects their
+        queries) are preloaded with infinite TTL at *every* replica group
+        member, so even under churn the rerouted responsible answers
+        directly (all hits, no flood traffic); the rest broadcast. With
+        every rank indexed (indexAll) no resolution is drawn and no walk
+        charged."""
+        count = indexed.size
         hits = span.tally(indexed)
-        charges = self._gateway_charges(lane, span, origins, indexed, report)
+        charges = self._gateway_charges(lane, span, contacts, report)
         index_hits = sum(hits)
         misses = count - index_hits
         resolved_mask, p_resolve = self._resolve_draws(misses)
@@ -843,28 +891,66 @@ class FastSimKernel:
         ))
         return span.counts, hits, charges
 
-    def _span_selection(
+    def _decide(self, span: _Span, keys: np.ndarray) -> list[_Decision]:
+        """Every lane's decision on one span's queries (the same object
+        for the lanes that share one); the last lane writes the span's
+        entries, after every lane read the write times they open with.
+
+        A write time is a round's, so at least 1.0. A lane whose
+        ``1.0 + keyTtl`` is after the span's last round therefore finds
+        every written entry live in every round of the span, and every
+        other entry dead: whatever its keyTtl, its liveness is whether a
+        key was ever written. All such lanes share one decision, made by
+        the last of them; every other lane makes its own. The bound is
+        evaluated in floats, as the liveness test adds, so it holds for
+        any keyTtl; a keyTtl of 0 never meets it.
+        """
+        written = np.take(
+            self.state.written_at,
+            keys,
+            out=self._scratch.get("select.written", keys.size, TIME_DTYPE),
+        )
+        lanes = self.lanes
+        last_round = span.now + (span.size - 1)
+        shared = [1.0 + lane.key_ttl > last_round for lane in lanes]
+        deciding = max(
+            (index for index, flag in enumerate(shared) if flag), default=None
+        )
+        # In lane order, so the writer (the last lane) decides last.
+        decisions = [
+            self._decision(
+                lane.key_ttl, span, keys, written, lane is lanes[-1]
+            )
+            if index == deciding or not shared[index] else None
+            for index, lane in enumerate(lanes)
+        ]
+        answered = decisions.count(None)
+        if answered:
+            self._shared_lanes += answered
+            decisions = [
+                decisions[deciding] if decision is None else decision
+                for decision in decisions
+            ]
+        return decisions
+
+    def _decision(
         self,
-        lane: _Lane,
+        key_ttl: float,
         span: _Span,
         keys: np.ndarray,
-        origins: np.ndarray,
         written: np.ndarray,
-        report: FastSimReport,
         write: bool,
-    ) -> tuple[list[int], _Charges]:
-        """The Section 5.1 query path on one span's queries for ``lane``;
-        returns the per-round hits and the message charges.
+    ) -> _Decision:
+        """The Section 5.1 query path on one span's queries under
+        ``key_ttl``: which queries hit, which miss, and what follows.
 
         ``written`` holds the write times the span's keys open with. With
-        ``write`` the lane writes the span's entries; without, it leaves
-        the index plane as it found it.
+        ``write`` the span's entries are written; without, the index plane
+        is left as found.
         """
         state = self.state
         scratch = self._scratch
-        key_ttl = lane.key_ttl
         count = keys.size
-        charges = self._gateway_charges(lane, span, origins, None, report)
 
         # Liveness: an entry written at ``t`` lives while ``t + keyTtl``
         # is strictly after the query's round (same strict > as
@@ -914,9 +1000,9 @@ class FastSimKernel:
                 # round: a key misses at most once — in its first round,
                 # and only if none of its queries is live. Mark the keys
                 # met live in written_at itself (the round-ordered writes
-                # below overwrite every key of the span; a lane that does
-                # not write puts the marked times back), then keep each
-                # unmarked key's earliest not-live round.
+                # below overwrite every key of the span; without ``write``
+                # the marked times are put back), then keep each unmarked
+                # key's earliest not-live round.
                 marked = keys[live]
                 state.written_at[marked] = np.inf
                 pairs, pair_counts = np.unique(
@@ -946,7 +1032,7 @@ class FastSimKernel:
             cold_weights = np.where(resolved_mask, 1, multiplicity)
             miss_events = int(cold_weights.sum())
             inserts = unique_miss[resolved_mask]
-            report.stale_hits += state.stale_count(keys, live)
+            stale = state.stale_count(keys, live)
             # Expected walk messages per unique missing key over the
             # resolution draw (Rao-Blackwellised; see _walk_charges):
             # resolve -> one resolved walk, fail -> every occurrence
@@ -971,23 +1057,20 @@ class FastSimKernel:
             first = np.cumsum(multiplicity) - multiplicity
             leading = resolved_before == resolved_before[first][group]
             cold_weights = np.bincount(group[leading], minlength=unique_miss.size)
+            stale = 0
             walk_events = 1  # every miss-event walks exactly once
             walk_p = p_resolve
 
         # In both TTL regimes insertions == number of resolved broadcasts.
         insertions = inserts.size
         unresolved = miss_events - insertions
-        hits = count - miss_events
 
-        # Reinsertion / cold-miss attribution (StrategyReport's overhead
-        # sources I/IV), per occurrence like the event engine's
-        # SimulatedStrategy tally: a miss event that is not cold is a
-        # reinsertion. A key was indexed before
-        # the span iff its write time is finite: every insert writes one,
-        # and nothing writes -inf back (a missed key is never marked).
+        # Cold-miss attribution (StrategyReport's overhead source IV), per
+        # occurrence like the event engine's SimulatedStrategy tally. A
+        # key was indexed before the span iff its write time is finite:
+        # every insert writes one, and nothing writes -inf back (a missed
+        # key is never marked).
         cold = int(cold_weights[state.written_at[unique_miss] == -np.inf].sum())
-        report.cold_misses += cold
-        report.reinsertions += miss_events - cold
 
         # State transitions: hits rearm, resolved misses (re)insert — and
         # a re-insert always fetches the *current* content version. Under
@@ -1012,11 +1095,7 @@ class FastSimKernel:
         if rehits is not None:
             # Read after the capture: stale unless an earlier round of the
             # span re-inserted the key.
-            report.stale_hits += state.stale_count(rehits)
-        report.index_hits += hits
-        report.insertions += insertions
-        report.answered += hits + (miss_events - unresolved)
-        report.unresolved += unresolved
+            stale += state.stale_count(rehits)
 
         if miss_rounds is None:
             misses, inserted = [miss_events], [insertions]
@@ -1025,10 +1104,33 @@ class FastSimKernel:
             misses = inserted = np.bincount(
                 miss_rounds, minlength=span.size
             ).tolist()
-        # Cost accounting (Section 5.1 / Eq. 17 event-for-event).
+        walks = None
+        if cc is not None:
+            # Expected walk messages over the resolution draw: a resolved
+            # key pays one resolved walk, an unresolved one re-walks and
+            # exhausts on every occurrence.
+            walks = float((
+                walk_p * cc.resolved_walk
+                + (1.0 - walk_p) * walk_events * cc.failed_walk
+            ).sum())
+        return _Decision(
+            [c - m for c, m in zip(span.counts, misses)], misses, inserted,
+            count, miss_events, insertions, unresolved, cold, stale, walks,
+        )
+
+    def _price(
+        self, lane: _Lane, span: _Span, decision: _Decision,
+        report: FastSimReport,
+    ) -> _Charges:
+        """Count ``decision`` into ``lane``'s ``report``; returns its
+        lookup, flood and walk charges at the lane's costs (Section 5.1 /
+        Eq. 17 event for event)."""
+        decision.tally(report)
+        misses, inserted = decision.misses, decision.inserted
+        cc = self.churn_costs
         if cc is None:
             costs = lane.costs
-            charges += [
+            return [
                 (MessageCategory.INDEX_SEARCH, [
                     costs.lookup * (c + i)
                     for c, i in zip(span.counts, inserted)
@@ -1040,28 +1142,20 @@ class FastSimKernel:
                     costs.walk * m for m in misses
                 ]),
             ]
-        else:
-            # Churn spans are one round.
-            charges += [
-                (MessageCategory.INDEX_SEARCH, [
-                    cc.lookup * count + cc.miss_lookup * insertions
-                ]),
-                (MessageCategory.REPLICA_FLOOD, [
-                    cc.miss_flood * miss_events
-                    + cc.insert_flood * insertions
-                    + cc.hit_flood_fraction * cc.hit_flood * hits
-                ]),
-                # Expected walk messages over the resolution draw: a
-                # resolved key pays one resolved walk, an unresolved one
-                # re-walks and exhausts on every occurrence.
-                (MessageCategory.UNSTRUCTURED_SEARCH, [float(
-                    (
-                        walk_p * cc.resolved_walk
-                        + (1.0 - walk_p) * walk_events * cc.failed_walk
-                    ).sum()
-                )]),
-            ]
-        return [c - m for c, m in zip(span.counts, misses)], charges
+        # Churn spans are one round.
+        insertions, miss_events = decision.insertions, decision.miss_events
+        return [
+            (MessageCategory.INDEX_SEARCH, [
+                cc.lookup * decision.count + cc.miss_lookup * insertions
+            ]),
+            (MessageCategory.REPLICA_FLOOD, [
+                cc.miss_flood * miss_events
+                + cc.insert_flood * insertions
+                + cc.hit_flood_fraction * cc.hit_flood
+                * (decision.count - miss_events)
+            ]),
+            (MessageCategory.UNSTRUCTURED_SEARCH, [decision.walks]),
+        ]
 
     def _step_updates(
         self, lane: _Lane, totals: dict[MessageCategory, float]
@@ -1106,24 +1200,30 @@ class FastSimKernel:
         online = np.flatnonzero(self.state.online)
         return online[self.inputs.origins(count, online.size)]
 
-    def _gateway_charges(
-        self,
-        lane: _Lane,
-        span: _Span,
-        origins: np.ndarray,
-        where: Optional[np.ndarray],
-        report: FastSimReport,
-    ) -> _Charges:
-        """First index-path query per non-member origin pays bootstrap, in
-        the round of the span the origin first appears in. ``where``
-        selects the queries that take the index path (``None``: all)."""
+    def _first_contacts(
+        self, span: _Span, origins: np.ndarray, where: Optional[np.ndarray]
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The span's origins that query the index for the first time, and
+        the round of the span each first does (``None`` in a one-round
+        span): the same for every lane. ``where`` selects the queries that
+        take the index path (``None``: all)."""
         rounds = span.rounds
         if where is not None:
             origins = origins[where]
             rounds = None if rounds is None else rounds[where]
-        discoveries = lane.membership.discover_gateways(
-            origins, rounds, span.size
-        )
+        return self.state.first_contacts(origins, rounds, span.size)
+
+    def _gateway_charges(
+        self,
+        lane: _Lane,
+        span: _Span,
+        contacts: tuple[np.ndarray, Optional[np.ndarray]],
+        report: FastSimReport,
+    ) -> _Charges:
+        """First index-path query per non-member origin pays bootstrap, in
+        the round of the span the origin first appears in; ``contacts``
+        are the span's first contacts (:meth:`_first_contacts`)."""
+        discoveries = lane.membership.discoveries(*contacts, span.size)
         new = sum(discoveries)
         if not new:
             return []

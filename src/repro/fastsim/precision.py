@@ -1,8 +1,8 @@
 """The dtypes of the vectorized kernel's arrays, named in one place.
 
 ``FastSimState`` holds one O(n_keys) write-time array (two once content
-has been refreshed) plus an O(num_peers) liveness mask, and each run's
-``Membership`` two more masks. The write times are float64 and the
+has been refreshed) plus two O(num_peers) masks (liveness, and the peers
+seen on the index path), and each lane's ``Membership`` one more. The write times are float64 and the
 content versions int64: the layout every pinned capture in
 ``tests/fastsim/data`` was recorded under, so seeded results are
 bit-identical to them. This module is the only fastsim file allowed to

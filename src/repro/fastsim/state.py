@@ -22,7 +22,10 @@ indexed: ``-inf`` until its first insert, finite ever after. Without
 churn every query writes its key whatever keyTtl it runs under, so the
 write times of runs that differ only in keyTtl are one array: the kernel
 runs such runs as lanes over one :class:`FastSimState`, each with its
-own :class:`Membership`.
+own :class:`Membership`. The peers that already queried the index are
+one mask too (:attr:`FastSimState.seen`): the lanes' queries come from
+the same origins, and a lane's gateway-equipped peers are its members
+and the seen ones.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ _SIZE_CHUNK = 1 << 14
 
 class FastSimState:
     """Vectorized network state: the per-key write times, the content
-    versions (allocated on the first refresh) and every peer's liveness,
-    sized by ``params``. Every peer starts online.
+    versions (allocated on the first refresh), every peer's liveness and
+    the peers that already queried the index, sized by ``params``. Every
+    peer starts online and unseen.
     """
 
     def __init__(self, params: ScenarioParameters) -> None:
@@ -70,6 +74,10 @@ class FastSimState:
         #: ``online.sum()``, kept up to date by :meth:`set_online` and
         #: :meth:`flip` so a round never re-sums the whole mask.
         self.online_count = num_peers
+        #: Peers whose query already took the index path: each found a
+        #: gateway then, so a run's gateway-equipped peers are this mask
+        #: and its members (:meth:`first_contacts`).
+        self.seen = np.zeros(num_peers, dtype=bool)
 
     # ------------------------------------------------------------------
     def index_size(self, now: float, key_ttl: float) -> int:
@@ -144,18 +152,43 @@ class FastSimState:
         """Instantaneous online fraction of the whole population."""
         return self.online_count / self.online.size
 
+    def first_contacts(
+        self,
+        origins: np.ndarray,
+        rounds: np.ndarray | None = None,
+        size: int = 1,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Mark the index-path query ``origins`` as seen; returns the
+        distinct ones not seen before and the round each first queried in.
+
+        ``rounds[i]`` is the round (``0 .. size - 1``) of a span that
+        origin ``i`` queried in; without it they all queried in one round,
+        and the rounds returned are ``None``. Which of the first contacts
+        pay gateway discovery depends on a run's members
+        (:meth:`Membership.discoveries`).
+        """
+        fresh = ~self.seen[origins]
+        if rounds is None:
+            peers = _distinct(origins[fresh])
+            self.seen[peers] = True
+            return peers, None
+        # One sort of (origin, round) pairs packed into an int64 orders
+        # each origin's rounds; its first pair is its first contact.
+        pairs = _distinct(origins[fresh] * size + rounds[fresh])
+        peers = pairs // size
+        first = np.ones(pairs.size, dtype=bool)
+        np.not_equal(peers[1:], peers[:-1], out=first[1:])
+        self.seen[peers] = True
+        return peers[first], pairs[first] % size
+
 
 class Membership:
-    """One run's DHT members and the peers that already discovered a
-    gateway, as masks over ``num_peers`` peers. There are no members
-    until :meth:`set_members`.
+    """One run's DHT members, as a mask over ``num_peers`` peers. There
+    are no members until :meth:`set_members`.
     """
 
     def __init__(self, num_peers: int) -> None:
         self.num_members = 0
-        #: Peers that already discovered a gateway (first index-path query
-        #: from anyone else pays the bootstrap probe pair).
-        self.has_gateway = np.zeros(num_peers, dtype=bool)
         self.is_member = np.zeros(num_peers, dtype=bool)
 
     def set_members(self, members: np.ndarray) -> None:
@@ -164,8 +197,6 @@ class Membership:
         everyone else pays gateway discovery once."""
         self.num_members = members.size
         self.is_member[members] = True
-        # Members are their own gateway — discovery is free for them.
-        self.has_gateway |= self.is_member
 
     def online_fraction(self, online: np.ndarray) -> float:
         """Fraction of members the liveness mask ``online`` has online
@@ -174,36 +205,25 @@ class Membership:
             return 0.0
         return float(online[self.is_member].sum()) / self.num_members
 
-    def discover_gateways(
+    def discoveries(
         self,
-        origins: np.ndarray,
+        peers: np.ndarray,
         rounds: np.ndarray | None = None,
         size: int = 1,
     ) -> list[int]:
-        """Mark ``origins`` as gateway-equipped; returns how many were new
-        in each of the ``size`` rounds of a span.
-
-        ``rounds[i]`` is the round (``0 .. size - 1``) origin ``i`` queried
-        in; without it they all queried in one round. An origin is new
-        once, in the first round it appears.
+        """How many of the first contacts ``peers`` (first querying in
+        ``rounds``, as :meth:`FastSimState.first_contacts` returns them)
+        discover a gateway in each of the ``size`` rounds of a span: the
+        non-members. A member is its own gateway.
 
         Mirrors :class:`~repro.net.bootstrap.GatewayCache`: the first
         index-path query from a non-member origin pays one bootstrap probe
         pair, after which the cached gateway answers for free.
         """
-        fresh = ~self.has_gateway[origins]
+        outside = ~self.is_member[peers]
         if rounds is None:
-            new = _distinct(origins[fresh])
-            self.has_gateway[new] = True
-            return [int(new.size)]
-        # One sort of (origin, round) pairs packed into an int64 orders
-        # each origin's rounds; its first pair is its discovery.
-        pairs = _distinct(origins[fresh] * size + rounds[fresh])
-        peers = pairs // size
-        first = np.ones(pairs.size, dtype=bool)
-        np.not_equal(peers[1:], peers[:-1], out=first[1:])
-        self.has_gateway[peers] = True
-        return np.bincount(pairs[first] % size, minlength=size).tolist()
+            return [int(np.count_nonzero(outside))]
+        return np.bincount(rounds[outside], minlength=size).tolist()
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

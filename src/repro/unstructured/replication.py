@@ -20,9 +20,11 @@ population size, ``repl`` and the number of keys, and every strategy's
 network of a figure starts its ``"placement"`` stream in the same state:
 the draw is memoised per process on exactly those (:func:`_placement`,
 ``cache.placement.*``, up to :data:`PLACEMENT_MEMO_BYTES` of masks), and
-a hit leaves the generator in the state the draw would have. The masks
-are immutable ints; each network still builds its own
-:class:`~repro.unstructured.overlay.ContentRecord` from them.
+a hit leaves the generator in the state the draw would have. A content
+refresh is drawn in place: no other network draws it, and kept it would
+evict the first placement. The masks are immutable ints; each network
+still builds its own :class:`~repro.unstructured.overlay.ContentRecord`
+from them.
 """
 
 from __future__ import annotations
@@ -144,15 +146,13 @@ class ContentReplicator:
         rng = self.rng
         pop = len(self.overlay.population)
         if pop * fresh > 8 * PLACEMENT_MEMO_BYTES:
-            masks = _holder_masks(choice_rows(rng, pop, self.replication, fresh))
+            masks = self._draw(fresh)
         else:
             masks, end = _placement(
                 json.dumps(rng.bit_generator.state), pop, self.replication, fresh
             )
             rng.bit_generator.state = json.loads(end)
-        add = self.overlay.add_replicas
-        for key, mask in zip(keys, masks):
-            add(key, mask, items[key])
+        self._add(keys, masks, items)
         if fresh < len(keys):
             raise ParameterError(
                 f"key {keys[fresh]!r} already placed; use refresh()"
@@ -161,10 +161,27 @@ class ContentReplicator:
     def refresh_all(self, items: Mapping[Hashable, object]) -> None:
         """Replace every item's replicas (models article replacement):
         :meth:`remove` then :meth:`place` each, in order, in one placement
-        draw."""
+        draw, made in place (see the module docstring)."""
         for key in items:
             self.remove(key)
-        self.place_all(items)
+        keys = list(items)
+        self._add(keys, self._draw(len(keys)), items)
+
+    def _draw(self, count: int) -> list[int]:
+        """The holder masks of the next ``count`` keys, drawn from
+        :attr:`rng`."""
+        return _holder_masks(choice_rows(
+            self.rng, len(self.overlay.population), self.replication, count
+        ))
+
+    def _add(
+        self, keys: list, masks: list[int], items: Mapping[Hashable, object]
+    ) -> None:
+        """Write each of ``keys`` (as many as ``masks`` has) into the
+        overlay with its holder mask and its payload in ``items``."""
+        add = self.overlay.add_replicas
+        for key, mask in zip(keys, masks):
+            add(key, mask, items[key])
 
     def remove(self, key: Hashable) -> None:
         """Drop all replicas of ``key`` (no-op when never placed)."""

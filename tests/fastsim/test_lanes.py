@@ -2,14 +2,22 @@
 
 Jobs that differ only in keyTtl run as the lanes of one kernel
 (``FastSimKernel.add_lane``, grouped by ``parallel.units``): one query
-stream, one origin draw and one array of write times serve every lane,
-and each lane keeps its own members, costs and report. The property
-holds every lane's report ``==`` to ``run_fastsim`` of its config alone,
-on every field but the wall clock, over the four strategies, 1-4 lanes
-and keyTtl values of 0, below a round, fractional, whole (a span exactly
-keyTtl rounds long), beyond the run and infinite, with and without
-windows, at rates from 40 queries a round (one-round spans) down to one
-every five rounds (spans of hundreds of rounds).
+stream, one origin draw, one array of write times and one mask of peers
+seen on the index path serve every lane, and each lane keeps its own
+members, costs and report. The lanes whose ``1.0 + keyTtl`` is after a
+span's last round (no written entry can expire inside it) share one
+decision of the span's hits and misses, and price it each at its own
+costs. The property holds every lane's report ``==`` to ``run_fastsim``
+of its config alone, on every field but the wall clock, over the four
+strategies, 1-4 lanes and keyTtl values of 0, below a round,
+fractional, whole (a span exactly keyTtl rounds long), one ulp either
+side of a whole number of rounds inside the run (a lane leaves the
+shared decision in mid-run), beyond the run and infinite, with and
+without windows, at rates from 40 queries a round (one-round spans)
+down to one every five rounds (spans of hundreds of rounds). Pinned
+examples have only some lanes share, the last (writing) lane mortal or
+among the sharing ones, and spans cut by windows across the round a
+lane leaves.
 
 Mutations of ``src/`` this module was run against, each caught:
 
@@ -24,7 +32,16 @@ Mutations of ``src/`` this module was run against, each caught:
   the shortest (``test_lanes_equal_their_runs_alone``);
 * a churned job grouped with the other keyTtl values of its column
   (``test_units_group_exactly_the_key_ttl_columns``,
-  ``test_churned_and_refreshed_jobs_run_alone``).
+  ``test_churned_and_refreshed_jobs_run_alone``);
+* ``>=`` for ``>`` in the shared-decision bound
+  (``test_lanes_equal_their_runs_alone``: the keyTtl-6 example, and the
+  keyTtl-0 one);
+* the bound taken from the span's first round instead of its last
+  (``test_lanes_equal_their_runs_alone``: the keyTtl-15 example);
+* a keyTtl-0 lane admitted to the shared decision
+  (``test_lanes_equal_their_runs_alone``: the keyTtl-0 example);
+* a span's first contacts left unmarked in the ``seen`` mask
+  (``test_lanes_equal_their_runs_alone``).
 """
 
 from __future__ import annotations
@@ -63,6 +80,13 @@ ttls = st.one_of(
     st.integers(1, 12).map(float),  # a span exactly keyTtl rounds long
     st.just(1000.0),  # beyond the whole run
     st.just(math.inf),
+    # One ulp either side of a whole number of rounds inside the run: the
+    # lane leaves the lanes that share a decision in mid-run, and one
+    # ulp decides in which round.
+    st.builds(
+        math.nextafter, st.integers(1, 300).map(float),
+        st.sampled_from((math.inf, -math.inf)),
+    ),
 )
 
 
@@ -99,6 +123,26 @@ def _unwalled(report):
     strategy="partialSelection", seed=3, query_freq=0.2, rounds=20,
     key_ttls=[0.0, 4.0, math.inf, 0.0], window=6.0,
 ).via("pinned")
+@example(  # two lanes share a decision, the last (writing) lane is mortal
+    strategy="partialSelection", seed=11, query_freq=0.01, rounds=150,
+    key_ttls=[math.inf, 1000.0, math.nextafter(30.0, -math.inf)],
+    window=0.0,
+).via("pinned")
+@example(  # a mortal lane between two that share, the writer among them
+    strategy="partialSelection", seed=5, query_freq=0.01, rounds=150,
+    key_ttls=[1000.0, math.nextafter(30.0, math.inf), math.inf],
+    window=0.0,
+).via("pinned")
+@example(  # spans cut by windows: the keyTtl-15 lane leaves the shared
+    # decision in a span that opens before round 16 and ends after it
+    strategy="partialSelection", seed=86, query_freq=0.2, rounds=20,
+    key_ttls=[15.0, 1000.0], window=7.0,
+).via("pinned")
+@example(  # a span whose last round is exactly 1 + keyTtl: the keyTtl-6
+    # lane's round-1 entries are dead there
+    strategy="partialSelection", seed=19, query_freq=0.2, rounds=15,
+    key_ttls=[6.0, 1000.0], window=7.0,
+).via("pinned")
 def test_lanes_equal_their_runs_alone(
     strategy, seed, query_freq, rounds, key_ttls, window
 ):
@@ -125,6 +169,21 @@ def test_lanes_equal_their_runs_alone(
     assert sum(r.elapsed_seconds for r in kernel.reports) > 0
 
 
+def test_lanes_no_entry_can_expire_for_share_one_decision(telemetry):
+    # Spans of 20 rounds (the keyTtl-20 lane's longest): in the first,
+    # no lane's keyTtl can expire an entry, and two lanes take the third's
+    # decision; from round 21 on the keyTtl-20 lane decides alone.
+    params = PARAMS.with_query_freq(0.01)
+    config = PdhtConfig.from_scenario(params)
+    kernel = FastSimKernel(params, config=config.with_ttl(math.inf), seed=1)
+    kernel.add_lane(config.with_ttl(1000.0))
+    kernel.add_lane(config.with_ttl(20.0))
+    kernel.run(100.0)
+    counters = telemetry.counters
+    assert counters["kernel.spans"] == 5
+    assert counters["kernel.lanes.shared"] == 2 + 4
+
+
 def test_lanes_draw_the_members_of_their_runs():
     params = PARAMS.with_query_freq(0.01)
     config = PdhtConfig.from_scenario(params)
@@ -139,7 +198,9 @@ def test_lanes_draw_the_members_of_their_runs():
 
 
 def test_lanes_share_the_index_plane():
-    # A lane adds its two peer masks and nothing per key.
+    # A lane adds its member mask and nothing per key; the peers that
+    # found a gateway are the lane's members and the kernel's one mask of
+    # peers seen on the index path.
     kernel = FastSimKernel(PARAMS, seed=0)
     for factor in (0.5, 2.0, 4.0):
         kernel.add_lane(kernel.config.with_ttl(kernel.config.key_ttl * factor))
@@ -148,7 +209,12 @@ def test_lanes_share_the_index_plane():
             value for value in vars(lane.membership).values()
             if isinstance(value, np.ndarray)
         ]
-        assert [array.size for array in arrays] == [PARAMS.num_peers] * 2
+        assert [array.size for array in arrays] == [PARAMS.num_peers]
+    per_peer = sorted(
+        name for name, value in vars(kernel.state).items()
+        if isinstance(value, np.ndarray) and value.size == PARAMS.num_peers
+    )
+    assert per_peer == ["online", "seen"]
 
 
 CHURN_COSTS = ChurnOpCosts(

@@ -33,7 +33,8 @@ class TestConstruction:
 
     def test_members_have_gateways_for_free(self, small_params):
         membership = membership_with(small_params, 10)
-        assert (membership.has_gateway == membership.is_member).all()
+        members = np.flatnonzero(membership.is_member)
+        assert membership.discoveries(members) == [0]
 
     def test_invalid_member_count_rejected(self, small_params):
         with pytest.raises(ParameterError):
@@ -102,30 +103,66 @@ def test_one_per_key_array_until_the_first_refresh(small_params):
 
 
 class TestGatewayDiscovery:
+    """A kernel's one ``seen`` mask finds a span's first contacts; each
+    lane's members decide which of them discover a gateway."""
+
     def test_first_contact_counts_once(self, small_params):
+        state = FastSimState(small_params)
         membership = membership_with(small_params, 0)
         origins = np.array([1, 2, 2, 3])
-        assert membership.discover_gateways(origins) == [3]
-        assert membership.discover_gateways(origins) == [0]
+        peers, rounds = state.first_contacts(origins)
+        assert (peers.tolist(), rounds) == ([1, 2, 3], None)
+        assert membership.discoveries(peers) == [3]
+        assert membership.discoveries(*state.first_contacts(origins)) == [0]
+        assert np.flatnonzero(state.seen).tolist() == [1, 2, 3]
 
     def test_span_counts_each_origin_in_its_first_round(self, small_params):
+        state = FastSimState(small_params)
         membership = membership_with(small_params, 0)
-        membership.has_gateway[9] = True
+        state.seen[9] = True
         # Rounds 0..3 of a span: 5 first appears in round 1, 4 in round 2
-        # (its later queries are free), 9 already has a gateway.
+        # (its later queries are free), 9 was seen before.
         origins = np.array([9, 5, 4, 5, 4, 9, 4])
         rounds = np.array([0, 1, 2, 2, 2, 3, 3])
-        assert membership.discover_gateways(origins, rounds, 4) == [0, 1, 1, 0]
-        assert membership.discover_gateways(origins, rounds, 4) == [0, 0, 0, 0]
+        peers, first = state.first_contacts(origins, rounds, 4)
+        assert (peers.tolist(), first.tolist()) == ([4, 5], [2, 1])
+        assert membership.discoveries(peers, first, 4) == [0, 1, 1, 0]
+        again = state.first_contacts(origins, rounds, 4)
+        assert membership.discoveries(*again, 4) == [0, 0, 0, 0]
 
     def test_member_origins_are_free(self, small_params):
+        state = FastSimState(small_params)
         membership = membership_with(small_params, small_params.num_peers)
         origins = np.arange(10)
-        assert membership.discover_gateways(origins) == [0]
+        assert membership.discoveries(*state.first_contacts(origins)) == [0]
+        # Seen all the same: the mask is every lane's, members or not.
+        assert state.seen[:10].all()
 
     def test_empty_batch(self, small_params):
+        state = FastSimState(small_params)
         membership = membership_with(small_params, 2)
-        assert membership.discover_gateways(np.empty(0, dtype=np.int64)) == [0]
+        contacts = state.first_contacts(np.empty(0, dtype=np.int64))
+        assert membership.discoveries(*contacts) == [0]
+
+    def test_one_seen_mask_serves_every_lane(self, small_params):
+        # Lanes with different members over one state's first contacts
+        # count what each counted with its own gateway set, its members
+        # plus every origin it met.
+        state = FastSimState(small_params)
+        lanes = [membership_with(small_params, n) for n in (0, 10, 150)]
+        gateways = [set(np.flatnonzero(lane.is_member).tolist()) for lane in lanes]
+        rng = np.random.default_rng(4)
+        for size in (1, 3, 1, 5, 2):
+            origins = rng.integers(0, small_params.num_peers, size=40)
+            rounds = np.sort(rng.integers(0, size, size=40)) if size > 1 else None
+            contacts = state.first_contacts(origins, rounds, size)
+            for lane, known in zip(lanes, gateways):
+                expected = [0] * size
+                for i, origin in enumerate(origins.tolist()):
+                    if origin not in known:
+                        known.add(origin)
+                        expected[0 if rounds is None else rounds[i]] += 1
+                assert lane.discoveries(*contacts, size) == expected
 
     def test_online_member_fraction(self, small_params):
         state = FastSimState(small_params)

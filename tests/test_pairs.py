@@ -331,3 +331,27 @@ def test_a_failed_work_run_fails_the_tool(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["churn_cold work: the change run failed"]
     assert len(proc.stdout.splitlines()) == 1  # the table line alone
+
+
+def test_a_pooled_workload_reads_each_cache_as_its_lookups(tmp_path):
+    # A per-process cache splits its hits and misses by which worker drew
+    # which cell: on sweep_pool (two processes) only their sum is work,
+    # on sweep_cold (one) each still counts.
+    parent = {**WORK, "cache.zipf_guide.hit": 21.0,
+              "cache.zipf_guide.miss": 3.0, "cache.costs.miss": 16.0}
+    change = {**WORK, "cache.zipf_guide.hit": 20.0,
+              "cache.zipf_guide.miss": 4.0, "cache.costs.miss": 17.0}
+    lines = {}
+    for workload in ("sweep_pool", "sweep_cold"):
+        roots, _ = checkouts(tmp_path / workload, [rep(1.0, 40.0, 10.0)],
+                             [rep(1.0, 40.0, 10.0)], parent, change)
+        proc = run_pairs(roots, "--workload", workload, "--pairs", "1")
+        assert proc.returncode == 0, proc.stderr
+        lines[workload] = proc.stdout.splitlines()[1]
+    assert lines["sweep_pool"] == (
+        "sweep_pool work: 2 equal; cache.costs.lookups 16->17"
+    )
+    assert lines["sweep_cold"] == (
+        "sweep_cold work: 1 equal; cache.costs.miss 16->17; "
+        "cache.zipf_guide.hit 21->20; cache.zipf_guide.miss 3->4"
+    )

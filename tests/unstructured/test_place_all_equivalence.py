@@ -35,7 +35,10 @@ Mutations run against the new code, each caught by the test named:
 * the memo keyed without the population size, ``repl`` or the key count —
   ``test_one_generator_state_many_placements`` (another draw's masks);
 * networks sharing the memo's records instead of their masks —
-  ``test_a_refresh_in_one_network_leaves_another_alone``.
+  ``test_a_refresh_in_one_network_leaves_another_alone``;
+* ``refresh_all`` drawing through the memo —
+  ``test_a_refresh_draws_in_place_past_the_memo`` (no hit for the next
+  network).
 """
 
 from __future__ import annotations
@@ -280,6 +283,30 @@ def test_a_refresh_in_one_network_leaves_another_alone():
     assert world(right) == before
     assert all(right.overlay.content[key].value == value
                for key, value in items.items())
+
+
+def test_a_refresh_draws_in_place_past_the_memo():
+    """A refresh neither reads nor fills the memo, so the next network's
+    first placement still hits; it leaves its generator, holders and
+    records exactly as the memo path would."""
+    replication._placement.cache_clear()
+    items = {f"key-{i:06d}": (i, 0) for i in range(12)}
+    again = {key: (i, 1) for i, key in enumerate(items)}
+    refreshed, memoised = replicator(30, 4, 5), replicator(30, 4, 5)
+    refreshed.place_all(items)
+    refreshed.refresh_all(again)
+    info = replication._placement.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    memoised.place_all(items)
+    assert replication._placement.cache_info().hits == 1
+    for key in again:
+        memoised.remove(key)
+    memoised.place_all(again)  # the same draw, through the memo
+    assert replication._placement.cache_info().misses == 2
+    assert world(refreshed) == world(memoised)
+    assert (
+        refreshed.rng.bit_generator.state == memoised.rng.bit_generator.state
+    )
 
 
 def test_a_placement_over_the_byte_bound_is_drawn_in_place(monkeypatch):

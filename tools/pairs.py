@@ -49,7 +49,10 @@ that moved, ``-`` where a side has none:
 
 Counters of a seeded run repeat exactly, so one run a side is the whole
 reading: a timing verdict with its count beside it. A side whose run
-fails is named on stderr and gets no work line.
+fails is named on stderr and gets no work line. On a workload of more
+than one process, a per-process cache's hits and misses split by which
+worker drew which cell, so each ``cache.X.hit`` / ``cache.X.miss`` pair
+is read as one ``cache.X.lookups`` total there.
 
 The two checkouts' paths should be equally long: the path is in each
 run's environment and ``argv``, and ``sweep_cold``'s peak RSS steps by
@@ -192,9 +195,23 @@ def is_work(name: str) -> bool:
     return not name.startswith("gc.") and not name.endswith("_s")
 
 
+def folded(counters: dict) -> dict:
+    """``counters`` with each cache's ``cache.X.hit`` and ``cache.X.miss``
+    summed into one ``cache.X.lookups``."""
+    out: dict = {}
+    for name, value in counters.items():
+        stem, _, outcome = name.rpartition(".")
+        if name.startswith("cache.") and outcome in ("hit", "miss"):
+            name = f"{stem}.lookups"
+            value += out.get(name, 0)
+        out[name] = value
+    return out
+
+
 def work_counters(root: Path, workload, seed: int) -> Optional[dict]:
     """The work counters of one profiled run of ``workload``'s runner
-    command in ``root``; None when the run fails."""
+    command in ``root`` (cache lookups folded on a workload of several
+    processes); None when the run fails."""
     runner = [sys.executable, "-m", "repro.experiments.runner"]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as scratch:
@@ -213,7 +230,8 @@ def work_counters(root: Path, workload, seed: int) -> Optional[dict]:
             counters = json.loads(text)["telemetry"]["counters"]
         except (OSError, ValueError, KeyError, TypeError):
             return None
-    return {name: value for name, value in counters.items() if is_work(name)}
+    work = {name: value for name, value in counters.items() if is_work(name)}
+    return folded(work) if workload.processes > 1 else work
 
 
 def _count(value: Optional[float]) -> str:
