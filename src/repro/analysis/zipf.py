@@ -22,16 +22,27 @@ builds no distribution. A :class:`ZipfDistribution` only samples: it
 holds the CDF its draws invert, summed from the pair's cached array,
 and not the array itself (a pickled or staged distribution carries one
 table, not two).
+
+A large draw inverts its uniforms through a guide table (Chen & Asau
+1974), one per ``(n_keys, alpha)`` per process (:func:`build_guide`).
+Its entry for a bucket of uniforms is the answer itself when no CDF
+entry falls inside the bucket, which under a skewed law is most of
+them, and otherwise the bitwise complement of the bucket's lower bound,
+a negative number. One gather then settles most uniforms, and only the
+negative entries go on to a short binary descent over the CDF.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ParameterError, require_finite
+from repro import obs
+from repro.errors import ParameterError, require_count, require_finite
 from repro.obs import counted_cache
 
-__all__ = ["ZipfDistribution", "prob_queried", "rank_probabilities"]
+__all__ = [
+    "ZipfDistribution", "build_guide", "prob_queried", "rank_probabilities",
+]
 
 #: Uniforms inverted per pass of :meth:`ZipfDistribution.draw_into`. The
 #: pass keeps a handful of temporaries of this length, so a draw of any
@@ -45,6 +56,11 @@ DRAW_CHUNK = 1 << 15
 #: event engine's per-round draws), and no guide table is ever built for
 #: a process that only draws like that.
 GUIDE_MIN_DRAW = 1 << 10
+
+#: CDF entries the guide build counts per pass. Its ~6 temporaries of
+#: this length (~400 KiB) stay below a draw chunk's: a table built
+#: inside a draw adds its build's transient to a sweep's peak RSS.
+_COUNT_CHUNK = DRAW_CHUNK >> 2
 
 #: Cap on the guide table's bucket count: int32 entries, so 1 MiB — small
 #: enough to stay in L2 next to a chunk's temporaries, and a few ms to
@@ -72,47 +88,82 @@ def rank_probabilities(n_keys: int, alpha: float) -> np.ndarray:
 def _guide_slot(n_keys: int, alpha: float) -> list:
     """Process-wide home of the guide table of ``(n_keys, alpha)``.
 
-    Starts empty; the first :class:`ZipfDistribution` to make a large
-    draw fills it from the CDF it already holds (so nothing O(n_keys) is
-    rebuilt, and the cache never keeps a CDF alive), every later instance
-    reuses it. A miss is therefore a table build. The table hangs off no
-    instance: it is neither pickled nor staged into shared memory with a
-    workload — a pool worker builds its own, a few ms, the first time it
-    needs one.
+    Starts empty and is filled once, from the CDF of the distribution
+    that asks first, so nothing O(n_keys) is rebuilt and the cache never
+    keeps a CDF alive. :func:`~repro.fastsim.parallel.run_many`, when it
+    runs the kernels in its own process, fills the slot of every pair its
+    default-workload jobs will draw in bulk (:func:`build_guide`) before
+    the first kernel allocates: a table built inside a draw lands among
+    that kernel's arrays, in whichever heap hole fits it. Any other large
+    draw (:meth:`ZipfDistribution.draw_into`), a pool worker's included,
+    fills it the first time it needs it. A miss is therefore a table
+    build. The table hangs off no instance: it is neither pickled nor
+    staged into shared memory with a workload.
     """
     return []
+
+
+def build_guide(n_keys: int, alpha: float) -> None:
+    """Build the guide table of ``(n_keys, alpha)`` in this process now,
+    unless it has it already (see :func:`_guide_slot`)."""
+    ZipfDistribution(n_keys, alpha)._guide()
 
 
 def _build_guide(cdf: np.ndarray) -> tuple[int, np.ndarray, int]:
     """Guide table (Chen & Asau 1974) over a CDF: ``(buckets, table, stride)``.
 
-    ``table[b]`` is ``searchsorted(cdf, b / buckets, "left")``, so for a
-    uniform ``u`` in bucket ``b = floor(u * buckets)`` the inversion lies
-    in ``[table[b], table[b + 1]]``; ``stride`` is the power of two above
-    the widest such interval, i.e. where a binary descent from
-    ``table[b]`` has to start to cover it. ``buckets`` is a power of two
-    — ``u * buckets`` and ``b / buckets`` are then exact in binary
-    floating point, which is what makes the bucket bounds hold for every
-    ``u`` rather than for most — sized from the key count and capped so
-    the table is never bigger than the CDF it indexes, nor than 1 MiB.
+    The uniforms ``u`` of bucket ``b = floor(u * buckets)`` invert into
+    ``[lower, upper]``, the ``searchsorted(cdf, edge, "left")`` of the
+    bucket's edges ``b / buckets`` and ``(b + 1) / buckets``.
+    ``table[b]`` is ``lower`` where the two are equal (a *settled*
+    bucket: every uniform in it inverts to ``lower``) and ``~lower``,
+    which is negative, where they are not. ``stride`` is the power of
+    two above the widest interval, i.e. where a binary descent from
+    ``lower`` has to start to cover it. ``buckets`` is a power of two —
+    ``u * buckets`` and ``b / buckets`` are then exact in binary floating
+    point, which is what makes the bucket bounds hold for every ``u``
+    rather than for most — sized from the key count and capped so the
+    table is never bigger than the CDF it indexes, nor than 1 MiB.
+
+    The bounds are counted, not searched: an entry ``x`` is below edge
+    ``b`` iff ``floor(x * buckets) < b`` (the product is exact), so the
+    bound of edge ``b`` is the number of entries whose bucket is below
+    ``b``, a running count over the buckets. The CDF is sorted, so a
+    chunk's buckets come in runs, one count each.
+
+    A settled answer is never ``cdf.size``: that would need an edge
+    ``b / buckets <= 1 - 1 / buckets`` above ``cdf[-1]``, whose rounding
+    error is at most ``cdf.size`` ulp of 1, and ``1 / buckets`` is more
+    than that for any CDF below 10^10 entries. Only the descent can run
+    past the last key, so only it needs the clamp.
     """
     buckets = min(1 << (cdf.size.bit_length() - 1), _GUIDE_MAX_BUCKETS)
     # The descent probes at most two widths past a bound: int32 holds it
     # for any CDF that fits in memory, at half the bandwidth.
-    table = np.empty(
+    bounds = np.zeros(
         buckets + 1, dtype=np.int32 if 4 * cdf.size < 2**31 else np.int64
     )
-    # Filled a chunk of edges at a time: the full edge vector, an int64
-    # table and its differences are a 6 MiB transient on top of a built
+    # Both passes go a chunk at a time: the full edge vector, an int64
+    # table and its differences were a 6 MiB transient on top of a built
     # kernel, enough to move a sweep's peak RSS by themselves.
+    for lo in range(0, len(cdf), _COUNT_CHUNK):
+        first = (cdf[lo : lo + _COUNT_CHUNK] * buckets).astype(np.intp)
+        # An entry of 1.0 or more is below no edge.
+        first = first[: np.searchsorted(first, buckets)]
+        runs = np.flatnonzero(np.diff(first, prepend=-1))
+        bounds[first[runs] + 1] += np.diff(runs, append=len(first))
+    np.cumsum(bounds, out=bounds)
+    # Encoded in place, a chunk of buckets at a time; a chunk's upper
+    # bounds run one edge past it, the seam with the next chunk, which
+    # is still a bound when the chunk is encoded.
     widest = 0
-    for lo in range(0, buckets + 1, DRAW_CHUNK):
-        hi = min(lo + DRAW_CHUNK, buckets + 1)
-        table[lo:hi] = np.searchsorted(
-            cdf, np.arange(lo, hi) / buckets, side="left"
-        )
-        # From one entry back, so the interval across the seam counts.
-        widest = int(np.diff(table[max(lo - 1, 0) : hi]).max(initial=widest))
+    for lo in range(0, buckets, DRAW_CHUNK):
+        hi = min(lo + DRAW_CHUNK, buckets)
+        lower = bounds[lo:hi]
+        gaps = np.subtract(bounds[lo + 1 : hi + 1], lower)
+        widest = int(gaps.max(initial=widest))
+        np.invert(lower, out=lower, where=gaps > 0)
+    table = bounds[:buckets]
     table.flags.writeable = False  # shared by every instance in the process
     return buckets, table, 1 << widest.bit_length()
 
@@ -148,10 +199,10 @@ class ZipfDistribution:
     """
 
     def __init__(self, n_keys: int, alpha: float) -> None:
-        if n_keys < 1:
-            raise ParameterError(f"n_keys must be >= 1, got {n_keys}")
-        if alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {alpha}")
+        # As ScenarioParameters checks them: a NaN alpha would draw rank
+        # 1 every time, and n_keys=2.5 would silently be 2.
+        require_count("n_keys", n_keys, 1)
+        require_finite("alpha", alpha, 0.0)
         self.n_keys = int(n_keys)
         self.alpha = float(alpha)
         self._cumulative = np.cumsum(
@@ -175,18 +226,23 @@ class ZipfDistribution:
     ) -> None:
         """Fill ``ranks`` with i.i.d. query ranks (1-based), in place.
 
-        With ``keys`` and ``rank_to_key`` (both or neither), the same
-        pass also writes ``keys[i] = rank_to_key[ranks[i] - 1]``. Works
-        through the buffers :data:`DRAW_CHUNK` uniforms at a time; the
-        ranks and the generator's state afterwards are those of
-        ``searchsorted(cdf, rng.random(ranks.size)) + 1``.
+        With ``keys``, the same pass also writes each query's key index:
+        ``keys[i] = rank_to_key[ranks[i] - 1]``, or ``ranks[i] - 1``
+        without ``rank_to_key`` (the identity mapping, a copy rather than
+        a gather). Works through the buffers :data:`DRAW_CHUNK` uniforms
+        at a time; the ranks and the generator's state afterwards are
+        those of ``searchsorted(cdf, rng.random(ranks.size)) + 1``.
         """
         guide = self._guide() if ranks.size >= GUIDE_MIN_DRAW else None
         for lo in range(0, ranks.size, DRAW_CHUNK):
             hi = min(lo + DRAW_CHUNK, ranks.size)
             index = self._invert(rng.random(hi - lo), guide)
             np.add(index, 1, out=ranks[lo:hi])
-            if keys is not None:
+            if keys is None:
+                continue
+            if rank_to_key is None:
+                keys[lo:hi] = index
+            else:
                 np.take(rank_to_key, index, out=keys[lo:hi], mode="clip")
 
     def _guide(self) -> tuple[int, np.ndarray, int]:
@@ -207,32 +263,33 @@ class ZipfDistribution:
         entries below ``u`` (with CDF ties, the first of them), clamped
         to the last key: ``cumsum`` stops a few ulp short of 1, and a
         uniform in that sliver belongs to the last rank, not one past it.
-        Searched through ``guide`` when the caller has one.
+        Searched through ``guide`` when the caller has one; the uniforms
+        it leaves to the descent count as ``workload.draw.refined``.
         """
         cdf = self._cumulative
+        last = self.n_keys - 1
         if guide is None:
             index = np.searchsorted(cdf, uniforms)
-        else:
-            buckets, table, stride = guide
-            bucket = (uniforms * buckets).astype(np.intp)
-            index = table[bucket]
-            # A bucket that holds no CDF entry (most of them, under a
-            # skewed law) has equal bounds: the answer already. For the
-            # rest, a binary descent from the lower bound: take each
-            # stride whose landing entry is still below u. Reads past
-            # the end clip to the last entry, which is either >= u (not
-            # taken, correctly) or below it (clamped afterwards).
-            bucket += 1
-            unsettled = np.flatnonzero(table[bucket] != index)
-            targets = uniforms[unsettled]
-            refined = index[unsettled]
-            step = table.dtype.type
-            while stride > 1:
-                stride >>= 1
-                probes = np.take(cdf, refined + step(stride - 1), mode="clip")
-                refined += (probes < targets) * step(stride)
-            index[unsettled] = refined
-        return np.minimum(index, self.n_keys - 1, out=index)
+            return np.minimum(index, last, out=index)
+        buckets, table, stride = guide
+        index = table[(uniforms * buckets).astype(np.intp)]
+        # A settled bucket's entry is the answer already. For the rest, a
+        # binary descent from the lower bound (the entry's complement):
+        # take each stride whose landing entry is still below u. Reads
+        # past the end clip to the last entry, which is either >= u (not
+        # taken, correctly) or below it: the top sliver, clamped
+        # afterwards — the only answers that can pass the last key.
+        unsettled = np.flatnonzero(index < 0)
+        obs.count("workload.draw.refined", unsettled.size)
+        targets = uniforms[unsettled]
+        refined = np.invert(index[unsettled])
+        step = table.dtype.type
+        while stride > 1:
+            stride >>= 1
+            probes = np.take(cdf, refined + step(stride - 1), mode="clip")
+            refined += (probes < targets) * step(stride)
+        index[unsettled] = np.minimum(refined, last, out=refined)
+        return index
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ZipfDistribution(n_keys={self.n_keys}, alpha={self.alpha})"

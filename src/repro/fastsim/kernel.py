@@ -471,11 +471,23 @@ class FastSimKernel:
         self._shared_lanes = 0
 
     def _membership(self, policy: StrategyPolicy) -> Membership:
-        """The masks of a lane running ``policy``, with its members."""
-        membership = Membership(self.params.num_peers)
-        membership.set_members(
-            self.inputs.members(self.params.num_peers, policy.num_members)
-        )
+        """The masks of a lane running ``policy``, with its members.
+
+        A lane whose members are every peer gets an all-True mask
+        without a draw: the draw could only shuffle every peer, and each
+        :meth:`RoundInputs.members` call restarts child 2, so skipping
+        one moves no other input. Drawn memberships count as
+        ``kernel.members.drawn``.
+        """
+        num_peers = self.params.num_peers
+        membership = Membership(num_peers)
+        if policy.num_members == num_peers:
+            membership.set_everyone()
+        else:
+            membership.set_members(
+                self.inputs.members(num_peers, policy.num_members)
+            )
+            obs.count("kernel.members.drawn")
         return membership
 
     def add_lane(
@@ -799,6 +811,11 @@ class FastSimKernel:
         round. ``accepted`` counts the queries that actually ran (none
         when nobody is online to originate one), so the window recorder
         and the report always describe the same query population.
+
+        The span's first contacts with the index are found once for all
+        lanes, and only when some lane has a non-member to charge: where
+        every lane's members are every peer, gateway discoveries are 0
+        by construction.
         """
         span = _Span(now, counts)
         count = keys.size
@@ -822,17 +839,25 @@ class FastSimKernel:
                 for lane, report in lanes
             ]
         origins = self._draw_origins(count)
-        if not policy.adaptive:
-            indexed = np.less_equal(
-                ranks, policy.index_ranks,
-                out=self._scratch.get("static.indexed", count, bool),
-            )
-            contacts = self._first_contacts(span, origins, indexed)
+        indexed = None if policy.adaptive else np.less_equal(
+            ranks, policy.index_ranks,
+            out=self._scratch.get("static.indexed", count, bool),
+        )
+        # Where every lane's members are every peer, no first contact can
+        # be a non-member: none is looked for, and ``seen``, which only
+        # finding them reads, stays as it is.
+        everyone = all(
+            lane.membership.num_members == self.params.num_peers
+            for lane in self.lanes
+        )
+        contacts = (
+            None if everyone else self._first_contacts(span, origins, indexed)
+        )
+        if indexed is not None:
             return [
                 self._span_static(lane, span, indexed, contacts, report)
                 for lane, report in lanes
             ]
-        contacts = self._first_contacts(span, origins, None)
         return [
             (span.counts, decision.hits,
              self._gateway_charges(lane, span, contacts, report)
@@ -859,7 +884,7 @@ class FastSimKernel:
         lane: _Lane,
         span: _Span,
         indexed: np.ndarray,
-        contacts: tuple[np.ndarray, Optional[np.ndarray]],
+        contacts: Optional[tuple[np.ndarray, Optional[np.ndarray]]],
         report: FastSimReport,
     ) -> tuple[list[int], list[int], _Charges]:
         """A static index: the indexed ranks (``indexed`` selects their
@@ -1217,12 +1242,15 @@ class FastSimKernel:
         self,
         lane: _Lane,
         span: _Span,
-        contacts: tuple[np.ndarray, Optional[np.ndarray]],
+        contacts: Optional[tuple[np.ndarray, Optional[np.ndarray]]],
         report: FastSimReport,
     ) -> _Charges:
         """First index-path query per non-member origin pays bootstrap, in
         the round of the span the origin first appears in; ``contacts``
-        are the span's first contacts (:meth:`_first_contacts`)."""
+        are the span's first contacts (:meth:`_first_contacts`), ``None``
+        where every lane's members are every peer (nothing to pay)."""
+        if contacts is None:
+            return []
         discoveries = lane.membership.discoveries(*contacts, span.size)
         new = sum(discoveries)
         if not new:

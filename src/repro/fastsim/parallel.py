@@ -42,7 +42,7 @@ from repro import obs
 from repro.obs import events as obs_events
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import selection_outcomes
-from repro.analysis.zipf import ZipfDistribution
+from repro.analysis.zipf import GUIDE_MIN_DRAW, ZipfDistribution, build_guide
 from repro.errors import ParameterError
 from repro.fastsim.churncosts import ChurnOpCosts
 from repro.fastsim.inputs import RoundInputs
@@ -235,6 +235,28 @@ def pack_jobs(
             replace(job, workload=shm.extract_arrays(workload, arena))
         )
     return packed
+
+
+def _build_guides(jobs: Sequence[FastSimJob]) -> None:
+    """Build the Zipf guide table of every ``(n_keys, alpha)`` that a job
+    on the default workload will draw in bulk, in this process, now.
+
+    :func:`run_many` calls it before the first kernel allocates when it
+    runs the kernels itself, so no table lands among a kernel's arrays.
+    A pool's workers build theirs inside their first large draw, as any
+    other draw does: tables built in the parent before the fork add
+    their pages to every worker's peak RSS (+1.4 MiB on ``sweep_pool``),
+    where a worker's own build reuses heap a freed kernel left. A job
+    draws in bulk when it expects at least
+    :data:`~repro.analysis.zipf.GUIDE_MIN_DRAW` queries.
+    """
+    for n_keys, alpha in dict.fromkeys(
+        (job.params.n_keys, job.params.alpha)
+        for job in jobs
+        if job.workload is None
+        and job.params.network_query_rate * job.duration >= GUIDE_MIN_DRAW
+    ):
+        build_guide(n_keys, alpha)
 
 
 @dataclass(frozen=True)
@@ -458,6 +480,8 @@ def run_many(
         else:
             grouping = units(shipped)
         size = _pool_size(workers, len(grouping))
+        if size == 1:
+            _build_guides(shipped)
 
         def _finish(position: int, unit_reports: list[FastSimReport]) -> None:
             for index, report in zip(grouping[position], unit_reports):

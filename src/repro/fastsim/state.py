@@ -198,6 +198,12 @@ class Membership:
         self.num_members = members.size
         self.is_member[members] = True
 
+    def set_everyone(self) -> None:
+        """Make every peer a DHT member: :meth:`set_members` of all of
+        them, without the array that names them."""
+        self.num_members = self.is_member.size
+        self.is_member[:] = True
+
     def online_fraction(self, online: np.ndarray) -> float:
         """Fraction of members the liveness mask ``online`` has online
         (scales maintenance)."""

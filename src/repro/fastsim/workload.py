@@ -12,12 +12,21 @@ blocks of rounds as arrays (:meth:`BatchWorkload.draw_rounds`, one
 same queries on either engine. A stream may also modulate the query rate
 (:meth:`BatchWorkload.rate_multiplier` / ``rate_multipliers``) or pin the
 per-round counts (:meth:`BatchWorkload.fixed_counts`, trace replay).
+
+A stream starts on the identity rank -> key mapping, and draws under it
+copy each query's rank index as its key index instead of gathering it
+from the mapping: :func:`_identity` registers the read-only arange it
+hands a new stream, and :meth:`BatchWorkload._mapping` recognises it by
+object, in O(1). A shift replaces the array (``WorkloadModel.apply``
+returns a new mapping), so a shifted stream gathers again; so does a
+copy that came through pickle or shared memory, with the same result.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,6 +39,21 @@ if TYPE_CHECKING:
     from repro.workloads.models import WorkloadModel
 
 __all__ = ["BatchWorkload"]
+
+#: The identity mappings :func:`_identity` made and that are still
+#: alive, by ``id``: held weakly, so a mapping dies with its streams.
+_IDENTITIES: weakref.WeakValueDictionary[int, np.ndarray] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _identity(n_keys: int) -> np.ndarray:
+    """A read-only identity rank -> key mapping over ``n_keys`` keys,
+    registered so :meth:`BatchWorkload._mapping` knows it as one."""
+    mapping = np.arange(n_keys)
+    mapping.flags.writeable = False
+    _IDENTITIES[id(mapping)] = mapping
+    return mapping
 
 
 class BatchWorkload(abc.ABC):
@@ -46,11 +70,17 @@ class BatchWorkload(abc.ABC):
         self.zipf = zipf
         self.rng = rng
         #: Permutation mapping (rank - 1) -> key index. Identity at start.
-        self.rank_to_key = np.arange(zipf.n_keys)
+        self.rank_to_key = _identity(zipf.n_keys)
 
     @property
     def n_keys(self) -> int:
         return self.zipf.n_keys
+
+    def _mapping(self) -> np.ndarray | None:
+        """The mapping a draw applies: ``None`` while it is the identity
+        this process made for a stream (the draw then copies)."""
+        mapping = self.rank_to_key
+        return None if _IDENTITIES.get(id(mapping)) is mapping else mapping
 
     def key_for_rank(self, rank: int) -> int:
         """Stable key index currently holding popularity ``rank``."""
@@ -117,7 +147,7 @@ class BatchWorkload(abc.ABC):
         self.maybe_shift(now)
         ranks = np.empty(count, dtype=INDEX_DTYPE)
         keys = np.empty_like(ranks)
-        self.zipf.draw_into(self.rng, ranks, keys, self.rank_to_key)
+        self.zipf.draw_into(self.rng, ranks, keys, self._mapping())
         return ranks, keys
 
     def draw_rounds(
@@ -172,7 +202,7 @@ class BatchWorkload(abc.ABC):
             lo, hi = int(offsets[lo_round]), int(offsets[hi_round])
             if hi > lo:
                 self.zipf.draw_into(
-                    self.rng, ranks[lo:hi], keys[lo:hi], self.rank_to_key
+                    self.rng, ranks[lo:hi], keys[lo:hi], self._mapping()
                 )
 
         n = counts.size

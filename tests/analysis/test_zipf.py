@@ -31,6 +31,27 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             ZipfDistribution(10, -0.5)
 
+    @pytest.mark.parametrize(
+        "n_keys, alpha",
+        [
+            (10, float("nan")),  # every draw would be rank 1
+            (10, float("inf")),
+            (10, True),
+            (True, 1.2),
+            (2.5, 1.2),  # would silently be 2 keys
+            (np.float64(10.0), 1.2),
+            (10, "1.2"),
+        ],
+    )
+    def test_rejects_what_scenario_parameters_reject(self, n_keys, alpha):
+        with pytest.raises(ParameterError):
+            ZipfDistribution(n_keys, alpha)
+
+    def test_numpy_numbers_stay_valid(self):
+        zipf = ZipfDistribution(np.int64(10), np.float64(1.2))
+        assert (zipf.n_keys, zipf.alpha) == (10, 1.2)
+        assert type(zipf.n_keys) is int and type(zipf.alpha) is float
+
 
 class TestEq3:
     def test_probabilities_sum_to_one(self):

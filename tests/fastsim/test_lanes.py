@@ -41,7 +41,9 @@ Mutations of ``src/`` this module was run against, each caught:
 * a keyTtl-0 lane admitted to the shared decision
   (``test_lanes_equal_their_runs_alone``: the keyTtl-0 example);
 * a span's first contacts left unmarked in the ``seen`` mask
-  (``test_lanes_equal_their_runs_alone``).
+  (``test_lanes_equal_their_runs_alone``);
+* first contacts skipped when only some lanes have every peer as a
+  member (``test_lanes_whose_members_are_every_peer[mixed]``).
 """
 
 from __future__ import annotations
@@ -215,6 +217,74 @@ def test_lanes_share_the_index_plane():
         if isinstance(value, np.ndarray) and value.size == PARAMS.num_peers
     )
     assert per_peer == ["online", "seen"]
+
+
+#: PARAMS with ten index slots a peer: indexAll needs every peer, and so
+#: does partialSelection at 40 queries a round from a keyTtl of 30 rounds
+#: on; at keyTtl 4 it needs 113 of the 200.
+EVERY_PEER = replace(PARAMS, storage_per_peer=10)
+
+
+@pytest.mark.parametrize(
+    "strategy, key_ttls, partial",
+    [
+        ("indexAll", [math.inf, 1000.0, 0.0], None),
+        ("partialSelection", [30.0, 1000.0, math.inf], None),
+        ("partialSelection", [1000.0, 4.0, math.inf], 1),  # one lane partial
+    ],
+    ids=["static", "adaptive", "mixed"],
+)
+def test_lanes_whose_members_are_every_peer(
+    strategy, key_ttls, partial, telemetry
+):
+    # Such a lane's mask is every peer, with no draw from child 2. Where
+    # every lane's is, no first contact is looked for and ``seen`` stays
+    # empty; one partial lane brings the first contacts back for all.
+    case = dict(strategy=strategy, seed=3, rounds=40, window=7.0)
+    configs = [
+        PdhtConfig.from_scenario(EVERY_PEER).with_ttl(key_ttl)
+        for key_ttl in key_ttls
+    ]
+    first, *rest = configs
+    kernel = FastSimKernel(
+        EVERY_PEER, config=first, strategy=strategy, seed=3,
+        costs=_costs(EVERY_PEER, first),
+    )
+    for config in rest:
+        kernel.add_lane(config, _costs(EVERY_PEER, config))
+    drawn = telemetry.counters.get("kernel.members.drawn", 0)
+    assert drawn == (partial is not None)
+    kernel.run(40.0, window=7.0)
+    for index, (config, lane, report) in enumerate(
+        zip(configs, kernel.lanes, kernel.reports)
+    ):
+        assert _unwalled(report) == _unwalled(_solo(EVERY_PEER, config, case))
+        full = lane.membership.num_members == EVERY_PEER.num_peers
+        assert full == (index != partial)
+        assert lane.membership.is_member.all() == full
+        assert (report.gateway_discoveries > 0) == (index == partial)
+    assert kernel.state.seen.any() == (partial is not None)
+
+
+def test_lanes_of_every_peer_leave_child_two_untouched(monkeypatch):
+    asked = []
+    members = RoundInputs.members
+
+    def spy(self, population, count):
+        asked.append(count)
+        return members(self, population, count)
+
+    monkeypatch.setattr(RoundInputs, "members", spy)
+    config = PdhtConfig.from_scenario(EVERY_PEER)
+    kernel = FastSimKernel(
+        EVERY_PEER, config=config.with_ttl(math.inf), seed=0
+    )
+    kernel.add_lane(config.with_ttl(1000.0))
+    kernel.run(5.0)
+    assert asked == []
+    mixed = FastSimKernel(EVERY_PEER, config=config.with_ttl(math.inf), seed=0)
+    mixed.add_lane(config.with_ttl(4.0))
+    assert asked == [113]
 
 
 CHURN_COSTS = ChurnOpCosts(

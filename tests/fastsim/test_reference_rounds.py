@@ -74,6 +74,7 @@ which catches that mutation.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,8 +299,10 @@ def workload_pair(case, params):
     ]
 
 
-def check_against_reference(case):
-    params = PARAMS.with_query_freq(case["query_freq"])
+def check_against_reference(case, base=PARAMS):
+    """Run ``case`` on ``base`` at its query rate through the kernel and
+    the reference; returns the kernel."""
+    params = base.with_query_freq(case["query_freq"])
     mine, theirs = workload_pair(case, params)
     config = PdhtConfig.from_scenario(params).with_ttl(case["key_ttl"])
     policy = strategy_setup(params, config, case["strategy"])
@@ -322,6 +325,7 @@ def check_against_reference(case):
         report = kernel.run(float(rounds), window=case["window"])
         expected = reference.run(rounds, case["window"])
         assert {name: getattr(report, name) for name in FIELDS} == expected
+    return kernel
 
 
 def with_pinned_cases(test):
@@ -380,6 +384,41 @@ def test_kernel_spans_equal_scalar_reference(budget, block, case):
         patch.setattr(kernel_module, "SPAN_QUERIES", budget)
         patch.setattr(kernel_module, "DRAW_BLOCK", block)
         check_against_reference(case)
+
+
+#: PARAMS with ten index slots a peer: indexAll needs every peer, and so
+#: does partialSelection from a keyTtl of 30 rounds on at 40 queries a
+#: round (1000 rounds on at 2).
+EVERY_PEER = replace(PARAMS, storage_per_peer=10)
+FULL_MEMBERSHIP_CASES = [
+    dict(strategy="indexAll", seed=4, query_freq=0.2, rounds=30,
+         key_ttl=math.inf, window=7.0, refresh=9.0, then=10, swap_at=None),
+    dict(strategy="indexAll", seed=6, query_freq=0.01, rounds=120,
+         key_ttl=0.0, window=25.0, refresh=None, then=None, swap_at=40),
+    dict(strategy="partialSelection", seed=8, query_freq=0.2, rounds=30,
+         key_ttl=30.0, window=7.0, refresh=9.0, then=20, swap_at=None),
+    dict(strategy="partialSelection", seed=9, query_freq=0.01, rounds=150,
+         key_ttl=1000.0, window=0.0, refresh=None, then=None, swap_at=60),
+]
+
+
+@pytest.mark.parametrize("budget, block", REGIMES.values(), ids=REGIMES)
+@pytest.mark.parametrize(
+    "case", FULL_MEMBERSHIP_CASES,
+    ids=lambda case: f"{case['strategy']}-{case['query_freq']}",
+)
+def test_every_peer_a_member_equals_scalar_reference(budget, block, case):
+    # The kernel looks for no first contact when every peer is a member;
+    # the reference still asks each origin whether it has a gateway.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "SPAN_QUERIES", budget)
+        patch.setattr(kernel_module, "DRAW_BLOCK", block)
+        kernel = check_against_reference(case, EVERY_PEER)
+    [lane] = kernel.lanes
+    assert lane.membership.num_members == EVERY_PEER.num_peers
+    assert lane.membership.is_member.all()
+    assert not kernel.state.seen.any()
+    assert kernel.reports[0].queries > 0
 
 
 def test_expiry_inside_a_span():

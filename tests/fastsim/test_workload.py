@@ -107,6 +107,56 @@ class TestFlashCrowd:
             FlashCrowd(0.0, cold_rank=0).build(zipf, rng)
 
 
+class TestIdentityMapping:
+    """A stream copies rank indices as keys while its mapping is the
+    identity it started with, and gathers from the mapping otherwise.
+
+    Mutation run against ``fastsim/workload.py`` (on a scratch copy):
+    ``_mapping`` answering ``None`` after a shift as well. Caught by the
+    three tests below that expect a gather, by two shift tests of this
+    module and by the shifted kinds of
+    ``tests/properties/test_property_draw.py``'s
+    ``test_draw_rounds_equals_per_round_reference``.
+    """
+
+    def test_a_fresh_stream_copies(self, zipf, rng):
+        workload = StationaryZipf().build(zipf, rng)
+        assert workload._mapping() is None
+        assert not workload.rank_to_key.flags.writeable
+        assert np.array_equal(workload.rank_to_key, np.arange(zipf.n_keys))
+
+    def test_a_shift_ends_the_copy(self, zipf):
+        workload = RankSwap(3.0).build(zipf, _fresh_rng())
+        assert workload._mapping() is None
+        ranks, keys, _ = workload.draw_rounds(0.0, np.full(6, 400))
+        assert workload._mapping() is workload.rank_to_key
+        after = slice(2 * 400, None)  # rounds 3.. draw after the shift
+        assert np.array_equal(
+            keys[after], workload.rank_to_key[ranks[after] - 1]
+        )
+        assert (keys[:after.start] == ranks[:after.start] - 1).all()
+        assert not (keys[after] == ranks[after] - 1).all()
+
+    def test_a_copied_stream_gathers_the_same_keys(self, zipf):
+        # Through pickle the mapping is an equal array, not the identity
+        # this process registered: the copy gathers, with the same result.
+        import pickle
+
+        workload = StationaryZipf().build(zipf, _fresh_rng())
+        copied = pickle.loads(pickle.dumps(workload))
+        assert copied._mapping() is copied.rank_to_key
+        counts = np.array([700, 900])
+        for got, want in zip(
+            copied.draw_rounds(0.0, counts), workload.draw_rounds(0.0, counts)
+        ):
+            assert np.array_equal(got, want)
+
+    def test_an_identity_made_elsewhere_gathers(self, zipf, rng):
+        workload = StationaryZipf().build(zipf, rng)
+        workload.rank_to_key = np.arange(zipf.n_keys)
+        assert workload._mapping() is workload.rank_to_key
+
+
 def _fresh_rng(seed: int = 1234) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 

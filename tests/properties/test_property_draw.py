@@ -51,6 +51,41 @@ hypothesis shrinks to a CDF whose widest bucket straddles a chunk
 edge), ``side="right"`` (same test, plus the real-chunk and int64
 cases), one chunk spanning the whole table
 (``test_guide_build_transient_is_bounded``).
+
+The table is one gather since ISSUE 63: a bucket's entry is its answer
+where the reference's bounds meet and ``~lower`` (negative) where they
+do not, and ``encode_signed`` turns the reference's table into that
+form for the comparison. The bounds are now counted over the CDF's
+entries rather than searched per edge. Mutations run on a scratch copy,
+each caught:
+
+* an entry counted at its own bucket's edge instead of the next
+  (``+ 1`` dropped): 24 cases, ``test_guide_build_equals_reference``
+  and ``test_guide_build_int64_branch`` among them;
+* entries of 1.0 counted in the last bucket instead of dropped:
+  ``test_guide_brackets_every_bucket``,
+  ``test_guide_build_equals_reference``, ``test_guide_build_real_chunk``
+  (``1-0.0``) and ``test_guide_build_int64_branch``;
+* the whole CDF counted in one chunk:
+  ``test_guide_build_transient_is_bounded``;
+
+* the clamp dropped from the refined entries:
+  ``test_injected_uniforms_equal_full_search``,
+  ``test_top_sliver_is_the_only_difference``,
+  ``test_only_the_descent_reaches_past_the_last_key`` and the
+  5,000-uniform stub-generator tests of ``tests/analysis/test_zipf.py``
+  and ``tests/fastsim/test_workload.py``;
+* ``index <= 0`` for ``index < 0`` as the unsettled test (a settled
+  answer 0 descends from -1): 13 cases, among them
+  ``test_draw_equals_reference``, ``test_real_block_sizes``,
+  ``test_uniforms_on_every_bucket_edge`` and
+  ``test_identity_copy_equals_the_gather``;
+* the identity copy taken after a shift (``BatchWorkload._mapping``
+  answering ``None`` whatever the mapping): the ``shuffled`` and
+  ``flash_crowd`` cases of
+  ``test_draw_rounds_equals_per_round_reference``, three
+  ``TestIdentityMapping`` tests in ``tests/fastsim/test_workload.py``
+  and the legacy-equivalence tests in ``tests/workloads``.
 """
 
 from __future__ import annotations
@@ -133,6 +168,7 @@ def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
 @given(n_keys_st, alpha_st)
 @example(1, 1.2)
 @example(1024, 0.0)
+@example(3, 0.0)  # bucket 0 unsettled from lower bound 0: entry ~0 == -1
 @settings(max_examples=60, deadline=None)
 def test_guide_brackets_every_bucket(n_keys, alpha):
     zipf = ZipfDistribution(n_keys, alpha)
@@ -142,12 +178,20 @@ def test_guide_brackets_every_bucket(n_keys, alpha):
     assert buckets <= n_keys
     edges = np.arange(buckets + 1) / buckets
     assert (edges * buckets == np.arange(buckets + 1)).all()
-    assert np.array_equal(
-        table, np.searchsorted(zipf._cumulative, edges, side="left")
-    )
-    # The descent from table[b] reaches table[b + 1].
+    bounds = np.searchsorted(zipf._cumulative, edges, side="left")
+    lower, upper = bounds[:-1], bounds[1:]
+    settled = upper == lower
+    # One entry per bucket: the answer where the bounds meet, the lower
+    # bound's complement (negative) where they do not.
+    assert table.size == buckets
+    assert np.array_equal(table >= 0, settled)
+    assert np.array_equal(table[settled], lower[settled])
+    assert np.array_equal(~table[~settled], lower[~settled])
+    # A settled answer is a key: only the descent can pass the last one.
+    assert (table < n_keys).all()
+    # The descent from the lower bound reaches the upper one.
     assert stride & (stride - 1) == 0
-    assert stride - 1 >= np.diff(table).max(initial=0)
+    assert stride - 1 >= np.diff(bounds).max(initial=0)
 
 
 def reference_build_guide(cdf: np.ndarray) -> tuple[int, np.ndarray, int]:
@@ -161,9 +205,22 @@ def reference_build_guide(cdf: np.ndarray) -> tuple[int, np.ndarray, int]:
     return buckets, table, 1 << widest.bit_length()
 
 
+def encode_signed(
+    guide: tuple[int, np.ndarray, int]
+) -> tuple[int, np.ndarray, int]:
+    """A reference guide encoded the way the one-gather table is: per
+    bucket the answer where its bounds meet, else ``~lower``; same dtype."""
+    buckets, table, stride = guide
+    lower, upper = table[:-1], table[1:]
+    signed = np.where(upper == lower, lower, ~lower).astype(table.dtype)
+    return buckets, signed, stride
+
+
 def _assert_same_guide(cdf: np.ndarray) -> None:
     buckets, table, stride = zipf_module._build_guide(cdf)
-    want_buckets, want_table, want_stride = reference_build_guide(cdf)
+    want_buckets, want_table, want_stride = encode_signed(
+        reference_build_guide(cdf)
+    )
     assert (buckets, stride) == (want_buckets, want_stride)
     assert table.dtype == want_table.dtype
     assert np.array_equal(table, want_table)
@@ -324,6 +381,73 @@ def test_top_sliver_is_the_only_difference(scripted_uniforms):
     assert (reference[1::2] == zipf.n_keys + 1).all()
     assert (ranks[1::2] == zipf.n_keys).all()
     assert np.array_equal(ranks[0::2], reference[0::2])
+
+
+@pytest.mark.parametrize("n_keys, alpha", [(320_000, 0.8), (320_000, 1.2)])
+def test_uniforms_on_every_bucket_edge(
+    n_keys, alpha, scripted_uniforms, telemetry
+):
+    # Each edge b / buckets opens bucket b: through the guide it must
+    # invert as the full search does, settled bucket or not. One uniform
+    # a bucket, so the refined ones are the unsettled buckets.
+    zipf = ZipfDistribution(n_keys, alpha)
+    buckets, table, _ = zipf._guide()
+    uniforms = np.arange(buckets) / buckets
+    assert (table < 0).any() and (table >= 0).any()
+    want = np.searchsorted(zipf._cumulative, uniforms, side="left") + 1
+    ranks = zipf.sample_ranks(scripted_uniforms(uniforms), uniforms.size)
+    assert np.array_equal(ranks, want)
+    refined = telemetry.counters["workload.draw.refined"]
+    assert refined == np.count_nonzero(table < 0)
+
+
+def test_a_bucket_refined_from_lower_bound_zero(scripted_uniforms):
+    # Uniform law over 3 keys, 2 buckets: bucket 0 holds the CDF entry
+    # 1/3, so it is refined from lower bound 0, stored as ~0 == -1.
+    zipf = ZipfDistribution(3, 0.0)
+    buckets, table, _ = zipf._guide()
+    assert buckets == 2 and table[0] == -1
+    third = float(zipf._cumulative[0])
+    uniforms = np.array(
+        [0.0, np.nextafter(third, 0.0), third, np.nextafter(third, 1.0),
+         np.nextafter(0.5, 0.0)]
+    )
+    with block_sizes(SMALL_CHUNK, 1):
+        ranks = zipf.sample_ranks(scripted_uniforms(uniforms), uniforms.size)
+    assert ranks.tolist() == [1, 1, 1, 2, 2]
+
+
+def test_only_the_descent_reaches_past_the_last_key(scripted_uniforms):
+    # The top bucket holds the CDF's last entries, so it is refined, and
+    # a uniform in the sliver above cdf[-1] is clamped there; every
+    # settled answer is already a key.
+    zipf = ZipfDistribution(40_000, 1.2)
+    buckets, table, _ = zipf._guide()
+    last = float(zipf._cumulative[-1])
+    assert table[-1] < 0 and (table < zipf.n_keys).all()
+    assert int(last * buckets) == buckets - 1
+    uniforms = np.tile([np.nextafter(last, 1.0), np.nextafter(1.0, 0.0)], 600)
+    ranks = zipf.sample_ranks(scripted_uniforms(uniforms), uniforms.size)
+    assert (ranks == zipf.n_keys).all()
+
+
+@given(n_keys_st, alpha_st, size_st, seed_st)
+@example(1, 0.0, 2 * SMALL_CHUNK + 1, 0)
+@settings(max_examples=60, deadline=None)
+def test_identity_copy_equals_the_gather(n_keys, alpha, size, seed):
+    # draw_into without a mapping copies each rank index as the key; with
+    # an explicit arange it gathers. Same ranks, keys and generator state.
+    zipf = ZipfDistribution(n_keys, alpha)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ranks, keys = np.empty(size, np.int64), np.empty(size, np.int64)
+    want_ranks, want_keys = np.empty(size, np.int64), np.empty(size, np.int64)
+    with block_sizes(SMALL_CHUNK, SMALL_CUTOFF):
+        zipf.draw_into(rng, ranks, keys)
+        zipf.draw_into(ref_rng, want_ranks, want_keys, np.arange(n_keys))
+    assert np.array_equal(ranks, want_ranks)
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(keys, ranks - 1)
+    assert _same_state(rng, ref_rng)
 
 
 # ----------------------------------------------------------------------

@@ -197,6 +197,28 @@ def test_checkout_paths_of_different_lengths_are_warned_about(tmp_path):
     assert proc.stdout.startswith("sweep_cold s0 1p; ")
 
 
+def test_paths_of_different_lengths_leave_rss_unresolved(tmp_path):
+    # The change reads 5% more RSS, past the 2% bound: at paths of equal
+    # length that is "worse"; at paths of different lengths the step may
+    # be the path's, so the numbers stay and the verdict is withheld.
+    # Wall and ops do not step with the path and keep theirs.
+    roots, _ = checkouts(
+        tmp_path, [rep(1.0, 40.0, 10.0)] * 4, [rep(1.0, 42.0, 10.0)] * 4
+    )
+    proc = run_pairs(roots, "--workload", "sweep_cold", "--pairs", "2")
+    assert verdicts(proc) == [{"wall": "same", "rss": "worse", "ops": "same"}]
+    roots["parent"] = roots["parent"].rename(tmp_path / "parent-moved")
+    proc = run_pairs(roots, "--workload", "sweep_cold", "--pairs", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert table_lines(proc) == [
+        "sweep_cold s0 2p; "
+        "wall 1.000[1.000,1.000]->1.000 0/2 (+0.0%) same; "
+        "rss 40.000[40.000,40.000]->42.000 0/2 (+5.0%) "
+        "unresolved (paths differ); "
+        "ops 10.000[10.000,10.000]->10.000 0/2 (+0.0%) same"
+    ]
+
+
 def verdicts(proc):
     """``{short metric name: verdict}`` of each table line printed."""
     return [

@@ -56,8 +56,12 @@ is read as one ``cache.X.lookups`` total there.
 
 The two checkouts' paths should be equally long: the path is in each
 run's environment and ``argv``, and ``sweep_cold``'s peak RSS steps by
-~1 MiB with how those shift the heap's layout. Paths of different
-lengths get a warning on stderr (the pairs still run).
+~1 MiB with how those shift the heap's layout (a checkout one character
+longer once read +1.5%, 0/10, where the same code at a path of equal
+length read -0.2%). Paths of different lengths get a warning on stderr;
+the pairs still run and every number is printed, but the verdict of a
+metric that steps with the path (``peak_rss_mb``) reads ``unresolved
+(paths differ)``.
 
 Exit codes: 0; 1 when any run failed; 2 when a checkout has no benchmark.
 """
@@ -78,6 +82,8 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("benchmarks") / "e2e" / "run.py"
 WORKLOADS = Path("benchmarks") / "e2e" / "workloads.py"
+#: End-to-end metrics that move with the length of the checkout's path.
+PATH_SENSITIVE = frozenset({"peak_rss_mb"})
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int
@@ -137,8 +143,9 @@ def verdict(parent: list[float], change: list[float], bound: float,
 
 
 def table_line(workload: str, seed: int, pairs: list[tuple[dict, dict]],
-               metrics: list[dict]) -> str:
-    """The pair-table line of ``pairs`` (parent, change) results."""
+               metrics: list[dict], paths_differ: bool = False) -> str:
+    """The pair-table line of ``pairs`` (parent, change) results;
+    ``paths_differ`` when the checkouts' paths differ in length."""
     parts = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -146,10 +153,13 @@ def table_line(workload: str, seed: int, pairs: list[tuple[dict, dict]],
         change = [c["metrics"][name]["value"] for _, c in pairs]
         won, q1, before, q3, after = summary(parent, change, lower)
         shift = (after / before - 1.0) * 100.0 if before else 0.0
+        if paths_differ and name in PATH_SENSITIVE:
+            told = "unresolved (paths differ)"
+        else:
+            told = verdict(parent, change, metric["bound"], lower)
         parts.append(
             f"{short_name(name)} {before:.3f}[{q1:.3f},{q3:.3f}]->{after:.3f} "
-            f"{won}/{len(pairs)} ({shift:+.1f}%) "
-            f"{verdict(parent, change, metric['bound'], lower)}"
+            f"{won}/{len(pairs)} ({shift:+.1f}%) {told}"
         )
     return f"{workload:<10} s{seed} {len(pairs)}p; " + "; ".join(parts)
 
@@ -271,7 +281,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"no benchmark in the {side} checkout: {root / RUN}",
                   file=sys.stderr)
             return 2
-    if len(str(sides["parent"])) != len(str(ROOT)):
+    paths_differ = len(str(sides["parent"])) != len(str(ROOT))
+    if paths_differ:
         print(f"warning: the parent path {sides['parent']} and the change "
               f"path {ROOT} differ in length; peak RSS can step with it",
               file=sys.stderr)
@@ -284,7 +295,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                                   args.seed, args.pairs)
         failed += missed
         if pairs:
-            print(table_line(workload, args.seed, pairs, spec["end_to_end"]),
+            print(table_line(workload, args.seed, pairs, spec["end_to_end"],
+                             paths_differ),
                   flush=True)
         counters = {}
         for side in ("parent", "change"):
