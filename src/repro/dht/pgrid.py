@@ -196,7 +196,11 @@ class PGridDht:
         members = sorted(self._members)
         self._paths: dict[PeerId, str] = {}
         self._leaf_members: dict[str, list[PeerId]] = {}
-        self._refs: dict[PeerId, dict[int, tuple[PeerId, ...]]] = {}
+        #: Member -> level -> its references at that level, filled in by
+        #: :meth:`_split`.
+        self._refs: dict[PeerId, dict[int, tuple[PeerId, ...]]] = {
+            peer: {} for peer in members
+        }
         self._under: dict[str, tuple[PeerId, ...]] = {}
         #: Member -> ``(shift, path, length)``: its path as an int of
         #: ``length`` bits, and how far a target's first
@@ -217,7 +221,6 @@ class PGridDht:
         #: A target's first ``depth`` bits are ``target >> _prefix_shift``.
         self._prefix_shift = self.keyspace.bits - depth
         for peer, path in self._paths.items():
-            self._refs[peer] = self._build_refs(peer, path)
             self._codes[peer] = (
                 depth - len(path), int(path, 2) if path else 0, len(path)
             )
@@ -227,7 +230,10 @@ class PGridDht:
 
         ``members`` is, by construction, every member under ``prefix`` in
         ascending id order — the answer :meth:`_members_under` owes for
-        each node of the trie, recorded here on the way down.
+        each node of the trie, recorded here on the way down. A split
+        also gives each member its references at level ``len(prefix)``:
+        the first ``refs_per_level`` members of the other child, the
+        complement subtree of the member's path at that level.
         """
         self._under[prefix] = tuple(members)
         if len(members) <= 1 or len(prefix) >= self.keyspace.bits:
@@ -252,20 +258,16 @@ class PGridDht:
                 self._paths[peer] = prefix
             self._leaf_members[prefix] = list(members)
             return
+        level = len(prefix)
+        refs = self._refs
+        to_ones = tuple(ones[: self.refs_per_level])
+        to_zeros = tuple(zeros[: self.refs_per_level])
+        for peer in zeros:
+            refs[peer][level] = to_ones
+        for peer in ones:
+            refs[peer][level] = to_zeros
         self._split(zeros, prefix + "0")
         self._split(ones, prefix + "1")
-
-    def _build_refs(
-        self, peer: PeerId, path: str
-    ) -> dict[int, tuple[PeerId, ...]]:
-        """References to the complement subtree at every path level."""
-        refs: dict[int, tuple[PeerId, ...]] = {}
-        for level in range(len(path)):
-            complement = path[:level] + ("1" if path[level] == "0" else "0")
-            candidates = self._members_under(complement)
-            if candidates:
-                refs[level] = candidates[: self.refs_per_level]
-        return refs
 
     def _members_under(self, prefix: str) -> tuple[PeerId, ...]:
         """All members whose path starts with ``prefix`` (or is a prefix of

@@ -30,6 +30,20 @@ liveness at its own keyTtl against the write times the span opens
 with. Spans are the shortest any lane allows, and the last lane writes
 the span's entries after every lane has read them.
 
+:meth:`FastSimKernel.run` decides once whether no entry can expire
+before the run ends: no churn, no content refresh, every lane adaptive
+and every lane's ``1.0 + keyTtl`` (from the earliest write time, if one
+is earlier) after the run's last round. That holds for every cell of a
+sweep, whose keyTtl is thousands of rounds against its 240. Section
+5.1 then reduces to first occurrence — a query hits iff an earlier
+query inserted its key — and every span of the run takes one decision
+for all lanes from a boolean plane of the indexed keys: one byte
+gathered per query, and only the misses sorted, for their first rounds
+(:meth:`FastSimKernel._first_occurrence`). Each round still writes its
+keys' times, so a later run that leaves the regime reads the write
+times the general path would have left. A span stepped outside
+:meth:`~FastSimKernel.run` takes the general liveness test.
+
 Every random input of a run — query counts, the default workload stream,
 DHT members, churn flips, origins, turnover and resolution draws — comes
 from its :class:`~repro.fastsim.inputs.RoundInputs`, which owns which
@@ -103,7 +117,7 @@ from repro.fastsim.churncosts import ChurnOpCosts
 from repro.fastsim.inputs import RoundInputs
 from repro.fastsim.metrics import FastSimReport, WindowRecorder
 from repro.fastsim.precision import INDEX_DTYPE, PROB_DTYPE, TIME_DTYPE
-from repro.fastsim.state import FastSimState, Membership
+from repro.fastsim.state import FastSimState, Membership, _distinct
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
@@ -547,10 +561,14 @@ class FastSimKernel:
         contributes several, an idle one exactly one — and the
         ``kernel.spans`` counter counts numpy passes (:meth:`_step_span`).
         ``kernel.runs``, ``kernel.rounds`` and ``kernel.queries`` count
-        every lane's, and ``kernel.lanes.shared`` the lane-spans answered
-        from another lane's decision (:meth:`_decide`; absent when none).
+        every lane's, ``kernel.lanes.shared`` the lane-spans answered
+        from another lane's decision (:meth:`_decide`; absent when none)
+        and ``kernel.runs.unexpiring`` the runs in which no entry can
+        expire (:meth:`_unexpiring`; one per run, not per lane).
         """
         rounds = whole_rounds(duration)
+        # Decided for the whole run, never per span: see _unexpiring.
+        plane = self._unexpiring(rounds)
         started = perf_counter()
         # Telemetry is sampled into local floats and reported once after
         # the loop: one boolean check per phase per round when disabled,
@@ -671,7 +689,7 @@ class FastSimKernel:
                 lo, hi = bounds[i - block_lo], bounds[end - block_lo]
                 steps = self._step_span(
                     now, counts[i:end], block_ranks[lo:hi], block_keys[lo:hi],
-                    reports,
+                    reports, plane,
                 )
                 if telemetry:
                     t2 = perf()
@@ -744,6 +762,8 @@ class FastSimKernel:
             obs.count("kernel.runs", len(lanes))
             obs.count("kernel.rounds", rounds * len(lanes))
             obs.count("kernel.spans", spans)
+            if plane is not None:
+                obs.count("kernel.runs.unexpiring")
             if self._shared_lanes > shared_before:
                 obs.count(
                     "kernel.lanes.shared", self._shared_lanes - shared_before
@@ -800,11 +820,16 @@ class FastSimKernel:
         ranks: np.ndarray,
         keys: np.ndarray,
         reports: list[FastSimReport],
+        plane: Optional[np.ndarray] = None,
     ) -> list[tuple[list[int], list[int], _Charges]]:
         """Process the query batches of one span in one numpy pass.
 
         Round ``j`` of the span runs at ``now + j`` with ``counts[j]``
         queries; ``ranks`` and ``keys`` hold them all in round order.
+        ``plane`` is the indexed plane of a run in which no entry can
+        expire (:meth:`_unexpiring`); without it — the default, and so
+        any span stepped outside :meth:`run` — the lanes test liveness
+        against the write times.
         Returns, for each lane (tallied into its report in ``reports``),
         per-round ``accepted`` and ``hits`` and the message charges,
         ``(category, per-round amounts)`` pairs the caller books round by
@@ -815,7 +840,8 @@ class FastSimKernel:
         The span's first contacts with the index are found once for all
         lanes, and only when some lane has a non-member to charge: where
         every lane's members are every peer, gateway discoveries are 0
-        by construction.
+        by construction, and without churn the origins they would come
+        from are not drawn.
         """
         span = _Span(now, counts)
         count = keys.size
@@ -838,21 +864,26 @@ class FastSimKernel:
                 self._span_broadcast(lane, span, report)
                 for lane, report in lanes
             ]
-        origins = self._draw_origins(count)
         indexed = None if policy.adaptive else np.less_equal(
             ranks, policy.index_ranks,
             out=self._scratch.get("static.indexed", count, bool),
         )
         # Where every lane's members are every peer, no first contact can
         # be a non-member: none is looked for, and ``seen``, which only
-        # finding them reads, stays as it is.
+        # finding them reads, stays as it is. Without churn nothing else
+        # reads child 4, so the origins are not drawn either.
         everyone = all(
             lane.membership.num_members == self.params.num_peers
             for lane in self.lanes
         )
-        contacts = (
-            None if everyone else self._first_contacts(span, origins, indexed)
-        )
+        if everyone and self.churn is None:
+            contacts = None
+        else:
+            origins = self._draw_origins(count)
+            contacts = (
+                None if everyone
+                else self._first_contacts(span, origins, indexed)
+            )
         if indexed is not None:
             return [
                 self._span_static(lane, span, indexed, contacts, report)
@@ -862,7 +893,9 @@ class FastSimKernel:
             (span.counts, decision.hits,
              self._gateway_charges(lane, span, contacts, report)
              + self._price(lane, span, decision, report))
-            for (lane, report), decision in zip(lanes, self._decide(span, keys))
+            for (lane, report), decision in zip(
+                lanes, self._decide(span, keys, plane)
+            )
         ]
 
     def _span_broadcast(
@@ -916,12 +949,53 @@ class FastSimKernel:
         ))
         return span.counts, hits, charges
 
-    def _decide(self, span: _Span, keys: np.ndarray) -> list[_Decision]:
+    def _unexpiring(self, rounds: int) -> Optional[np.ndarray]:
+        """The indexed plane of a run of ``rounds`` rounds in which no
+        entry can expire, or ``None`` where one can.
+
+        Only queries move an entry when there is no churn, no content
+        refresh (nor a version plane from :meth:`FastSimState.bump_versions`)
+        and every lane is adaptive. An entry written at ``t`` then lives
+        while ``t + keyTtl`` is after the round, and a write time is a
+        round's, so at least 1.0: where every lane's ``1.0 + keyTtl`` is
+        after the run's last round (``now + rounds``), every entry written
+        before the run or in it is live until the run ends. The bound is
+        evaluated in floats, as the liveness test adds, and from the
+        earliest write time where one is below 1.0. The plane is each
+        key's "ever written" (a finite write time); the run sets it on
+        each insert. Counted as ``kernel.runs.unexpiring``.
+        """
+        last_round = self.now + rounds
+        if (
+            self.churn is not None
+            or self._next_refresh is not None
+            or self.state.indexed_version is not None
+            or not all(
+                lane.policy.adaptive and 1.0 + lane.key_ttl > last_round
+                for lane in self.lanes
+            )
+        ):
+            return None
+        written = self.state.written_at
+        plane = written > -np.inf
+        earliest = float(written.min(where=plane, initial=1.0))
+        if all(earliest + lane.key_ttl > last_round for lane in self.lanes):
+            return plane
+        return None
+
+    def _decide(
+        self, span: _Span, keys: np.ndarray, plane: Optional[np.ndarray]
+    ) -> list[_Decision]:
         """Every lane's decision on one span's queries (the same object
         for the lanes that share one); the last lane writes the span's
         entries, after every lane read the write times they open with.
 
-        A write time is a round's, so at least 1.0. A lane whose
+        With ``plane`` no entry can expire before the run ends
+        (:meth:`_unexpiring`), whatever a lane's keyTtl: every lane takes
+        one decision by first occurrence (:meth:`_first_occurrence`),
+        which reads the plane instead of the write times.
+
+        Otherwise, a write time is a round's, so at least 1.0. A lane whose
         ``1.0 + keyTtl`` is after the span's last round therefore finds
         every written entry live in every round of the span, and every
         other entry dead: whatever its keyTtl, its liveness is whether a
@@ -930,6 +1004,10 @@ class FastSimKernel:
         evaluated in floats, as the liveness test adds, so it holds for
         any keyTtl; a keyTtl of 0 never meets it.
         """
+        if plane is not None:
+            self._shared_lanes += len(self.lanes) - 1
+            decision = self._first_occurrence(span, keys, plane)
+            return [decision] * len(self.lanes)
         written = np.take(
             self.state.written_at,
             keys,
@@ -1109,13 +1187,8 @@ class FastSimKernel:
             state.write(keys[live], span.now)
             state.write(inserts, span.now)
         else:
-            # Every query rearmed or re-inserted its key: write each
-            # round's time, round by round in round order, so a key's
-            # last round in the span sets it.
-            lo = 0
-            for j, round_count in enumerate(span.counts):
-                state.write(keys[lo:lo + round_count], span.now + j)
-                lo += round_count
+            # Every query rearmed or re-inserted its key.
+            self._write_rounds(span, keys)
         state.capture_versions(inserts)
         if rehits is not None:
             # Read after the capture: stale unless an earlier round of the
@@ -1142,6 +1215,56 @@ class FastSimKernel:
             [c - m for c, m in zip(span.counts, misses)], misses, inserted,
             count, miss_events, insertions, unresolved, cold, stale, walks,
         )
+
+    def _first_occurrence(
+        self, span: _Span, keys: np.ndarray, plane: np.ndarray
+    ) -> _Decision:
+        """The Section 5.1 query path on one span's queries where no
+        entry can expire before the run ends: a query hits iff its key is
+        in the indexed ``plane`` or occurred earlier in the span.
+
+        A key outside the plane has never been written, so it misses once,
+        cold, at its first occurrence; its broadcast resolves (there is no
+        churn) and inserts it, and its later occurrences hit. Only the
+        misses are sorted. The inserted keys join ``plane``, and every
+        query writes its round's time, as on the general path.
+        """
+        count = keys.size
+        missed = np.take(
+            plane, keys, out=self._scratch.get("first.missed", count, bool)
+        )
+        np.logical_not(missed, out=missed)
+        miss_keys = keys[missed]
+        if span.rounds is None:
+            inserts = _distinct(miss_keys)
+            misses = [inserts.size]
+        else:
+            # One sort of the misses' (key, round) pairs packed into an
+            # int64 orders each key's rounds; its first pair is its miss.
+            pairs = _distinct(miss_keys * span.size + span.rounds[missed])
+            pair_keys = pairs // span.size
+            first = np.ones(pairs.size, dtype=bool)
+            np.not_equal(pair_keys[1:], pair_keys[:-1], out=first[1:])
+            inserts = pair_keys[first]
+            misses = np.bincount(
+                pairs[first] % span.size, minlength=span.size
+            ).tolist()
+        plane[inserts] = True
+        self._write_rounds(span, keys)
+        new = inserts.size
+        return _Decision(
+            hits=[c - m for c, m in zip(span.counts, misses)],
+            misses=misses, inserted=misses, count=count, miss_events=new,
+            insertions=new, unresolved=0, cold=new, stale=0, walks=None,
+        )
+
+    def _write_rounds(self, span: _Span, keys: np.ndarray) -> None:
+        """Write each round's time for its keys, round by round in round
+        order, so a key's last round in the span sets it."""
+        lo = 0
+        for j, round_count in enumerate(span.counts):
+            self.state.write(keys[lo:lo + round_count], span.now + j)
+            lo += round_count
 
     def _price(
         self, lane: _Lane, span: _Span, decision: _Decision,

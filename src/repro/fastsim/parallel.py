@@ -453,7 +453,8 @@ def run_many(
     :func:`fan_out`'s.
     """
     workers = resolve_worker_count(workers)
-    resolved = resolve_jobs(jobs)
+    with obs.span("parallel.resolve", jobs=len(jobs)):
+        resolved = resolve_jobs(jobs)
     if store is None:
         from repro.store.store import active_store
 

@@ -12,6 +12,9 @@ histories of joins, leaves and liveness flips; the two must agree exactly
   (sorts to test emptiness);
 * ``ReferencePGrid._split`` — the recursion without the
   ``prefix -> members`` record, so ``_members_under`` scans every leaf;
+* ``reference_build_refs`` — each member's references built after the
+  split, per level from the complement prefix sliced off its path, where
+  ``_split`` now hands them out as it partitions a node;
 * ``reference_run_sweep`` / ``reference_expected_rate`` — one
   ``metrics.count`` per member, ``len`` of a freshly built table;
 * ``reference_online_neighbors`` / ``reference_flood`` — the replica
@@ -32,6 +35,9 @@ Mutations run against the new code, each caught by the test named:
   test (``list(totals_by_category())`` order);
 * ``_split`` recording ``members[:refs_per_level]``, or the members in
   descending order — ``test_pgrid_members_under``;
+* a split's references taken from the member's own child, or as the
+  sibling's last ``refs_per_level`` members —
+  ``test_pgrid_members_under``, ``test_pgrid_refs_at_scale``;
 * replica adjacency rows left unsorted, or not refiltered when the epoch
   moves — ``test_replica_flood_equals_reference``;
 * a flood plan surviving a liveness flip, one plan shared by every
@@ -124,7 +130,26 @@ def leave(dht, peer_id: PeerId) -> None:
         dht._membership_version += 1
 
 
+def reference_build_refs(self: PGridDht, peer: PeerId, path: str):
+    """References to the complement subtree at every path level."""
+    refs: dict[int, tuple[PeerId, ...]] = {}
+    for level in range(len(path)):
+        complement = path[:level] + ("1" if path[level] == "0" else "0")
+        candidates = self._members_under(complement)
+        if candidates:
+            refs[level] = candidates[: self.refs_per_level]
+    return refs
+
+
 class ReferencePGrid(ReferenceViews, PGridDht):
+    def _rebuild(self) -> None:
+        """The trie, then every member's references from its path."""
+        super()._rebuild()
+        self._refs = {
+            peer: reference_build_refs(self, peer, path)
+            for peer, path in self._paths.items()
+        }
+
     def _split(self, members: list[PeerId], prefix: str) -> None:
         """Recursively partition members on the next identifier bit."""
         if len(members) <= 1 or len(prefix) >= self.keyspace.bits:
@@ -467,6 +492,24 @@ def _check_members_under(new, old, population) -> None:
 @settings(max_examples=120, deadline=None)
 def test_pgrid_members_under(recorder, history):
     _replay(history, _check_members_under, recorder)
+
+
+@pytest.mark.parametrize("refs_per_level", (1, 2, 3))
+def test_pgrid_refs_at_scale(refs_per_level):
+    """A 1,313-member trie, grown in three batches of joins: after each
+    rebuild every member's references are the replaced loop's."""
+    population = PeerPopulation(1500)
+    sides = [
+        cls(population, MessageMetrics(), refs_per_level=refs_per_level)
+        for cls in SIDES
+    ]
+    for batch in (range(0, 1500, 2), range(1, 1500, 4), range(3, 1500, 8)):
+        for dht in sides:
+            dht.join_all(batch)
+            dht._ensure_routing()
+        dht, ref = sides
+        assert dht._refs == ref._refs
+    assert dht.size > 1000
 
 
 def test_pgrid_lopsided_split_and_buckets():

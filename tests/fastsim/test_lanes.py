@@ -43,7 +43,14 @@ Mutations of ``src/`` this module was run against, each caught:
 * a span's first contacts left unmarked in the ``seen`` mask
   (``test_lanes_equal_their_runs_alone``);
 * first contacts skipped when only some lanes have every peer as a
-  member (``test_lanes_whose_members_are_every_peer[mixed]``).
+  member (``test_lanes_whose_members_are_every_peer[mixed]``);
+* the origins of a kernel whose lanes have every peer as a member left
+  undrawn under churn too, where the resolution draws follow them
+  (``test_lanes_of_every_peer_draw_origins_only_under_churn``).
+
+A run in which no lane's entries can expire takes one decision per span
+for every lane and counts once as ``kernel.runs.unexpiring``
+(``test_an_unexpiring_run_decides_once_for_every_lane``).
 """
 
 from __future__ import annotations
@@ -378,3 +385,65 @@ def test_churned_and_refreshed_jobs_run_alone():
     reports = run_many(jobs, workers=1)
     for job, report in zip(resolve_jobs(jobs), reports):
         assert _unwalled(report) == _unwalled(job.run())
+
+
+@pytest.mark.parametrize(
+    "key_ttls, unexpiring",
+    [([math.inf, 1000.0, 200.0], True), ([math.inf, 1000.0, 20.0], False)],
+    ids=["every-lane-outlives-the-run", "one-lane-can-expire"],
+)
+def test_an_unexpiring_run_decides_once_for_every_lane(
+    key_ttls, unexpiring, telemetry
+):
+    # The run is in the regime only if no lane's entries can expire in
+    # it; then every span takes one decision for all three lanes, and
+    # the run counts once, whatever its lanes.
+    case = dict(strategy="partialSelection", seed=1, rounds=100, window=9.0)
+    params = PARAMS.with_query_freq(0.01)
+    configs = [
+        PdhtConfig.from_scenario(params).with_ttl(key_ttl)
+        for key_ttl in key_ttls
+    ]
+    first, *rest = configs
+    kernel = FastSimKernel(
+        params, config=first, seed=1, costs=_costs(params, first)
+    )
+    for config in rest:
+        kernel.add_lane(config, _costs(params, config))
+    kernel.run(100.0, window=9.0)
+    counters = dict(telemetry.counters)
+    assert counters.get("kernel.runs.unexpiring") == (1 if unexpiring else None)
+    if unexpiring:
+        assert counters["kernel.lanes.shared"] == 2 * counters["kernel.spans"]
+    for config, report in zip(configs, kernel.reports):
+        assert _unwalled(report) == _unwalled(_solo(params, config, case))
+
+
+def test_lanes_of_every_peer_draw_origins_only_under_churn(monkeypatch):
+    # Without churn child 4 feeds nothing but the origins, and only first
+    # contacts read them; under churn the resolution draws follow them in
+    # the stream, so they are still drawn, one per query.
+    drawn = []
+    origins = RoundInputs.origins
+
+    def spy(self, count, population):
+        drawn.append(count)
+        return origins(self, count, population)
+
+    monkeypatch.setattr(RoundInputs, "origins", spy)
+    config = PdhtConfig.from_scenario(EVERY_PEER)
+    kernel = FastSimKernel(EVERY_PEER, config=config.with_ttl(math.inf), seed=0)
+    kernel.add_lane(config.with_ttl(1000.0))
+    assert kernel.run(5.0).queries > 0
+    assert drawn == []
+    churned = FastSimKernel(
+        EVERY_PEER, config=config, strategy="indexAll", seed=0,
+        costs=_costs(EVERY_PEER, config),
+        churn=ChurnConfig(mean_session=600.0, mean_offline=600.0),
+        churn_costs=CHURN_COSTS,
+    )
+    [lane] = churned.lanes
+    assert lane.membership.num_members == EVERY_PEER.num_peers
+    report = churned.run(5.0)
+    assert report.queries > 0
+    assert sum(drawn) == report.queries

@@ -46,6 +46,19 @@ spans and draw blocks, and a second run may continue the first.
 ``test_expiry_inside_a_span`` pins a key whose entry expires partway
 through a span.
 
+A run in which no entry can expire (``FastSimKernel._unexpiring``: no
+churn, no refresh, and every lane's ``1.0 + keyTtl`` after the run's
+last round) decides each query by first occurrence from a plane of the
+keys ever written. ``UNEXPIRING_CASES`` hold it to the reference under
+every span regime, with and without a window, and through a second run
+that stays in the regime or leaves it; a Hypothesis property puts keyTtl
+at and one ulp either side of ``last_round - 1.0``, so a run falls in or
+out of the regime by the float sum; a second run equals one run of the
+summed duration; opening write times below 1.0 (which only a caller
+writes) decide the regime from the earliest of them, so it equals the
+general path on any opening index; and a span stepped outside ``run``
+takes the general path.
+
 Mutations of ``src/`` this module was run against, each caught:
 
 * the span cap off by one (a span one round longer than the keyTtl,
@@ -63,7 +76,16 @@ Mutations of ``src/`` this module was run against, each caught:
 * under keyTtl = 0, the cold-miss attribution taken over all occurrences
   (a duplicate of a key its first occurrence just indexed counted cold);
 * under keyTtl = 0, one insert per distinct key instead of one per
-  resolved occurrence.
+  resolved occurrence;
+* in the regime, only the inserts written (hits not re-armed)
+  (``test_unexpiring_runs_equal_scalar_reference``: the runs that leave
+  the regime);
+* ``>=`` for ``>`` in the regime's bound
+  (``test_a_run_falls_in_or_out_of_the_regime_by_one_ulp``);
+* an insert left out of the plane, or a key's miss booked in its last
+  round of the span instead of its first (every reference test);
+* the regime's bound taken from 1.0 rather than the earliest write time
+  (``test_the_regime_equals_the_general_path_on_any_opening_index``).
 
 Without churn every broadcast resolves, so under keyTtl = 0 "only a
 key's first occurrence is cold" equals the right attribution here; the
@@ -466,3 +488,198 @@ def test_pinned_partial_ideal_case_queries_the_boundary_rank():
     ranks = [rank for now, count in enumerate(counts.tolist(), 1)
              for rank, _ in workload.draw(float(now), count)]
     assert policy.index_ranks in ranks
+
+
+# ----------------------------------------------------------------------
+# Runs in which no entry can expire
+# ----------------------------------------------------------------------
+def _record_regimes(patch):
+    """Record, per ``FastSimKernel.run``, whether it was decided in the
+    regime where no entry can expire (``_unexpiring`` gave a plane)."""
+    taken = []
+    unexpiring = FastSimKernel._unexpiring
+
+    def spy(self, rounds):
+        plane = unexpiring(self, rounds)
+        taken.append(plane is not None)
+        return plane
+
+    patch.setattr(FastSimKernel, "_unexpiring", spy)
+    return taken
+
+
+#: Selection runs whose keyTtl outlives them, with the regime each of
+#: their runs is decided in: spans of one round (40 queries a round) and
+#: of hundreds (one query every five rounds), a rank swap, a second run
+#: that stays in the regime, and one that leaves it — which reads the
+#: write times of every query of the first.
+UNEXPIRING_CASES = [
+    (dict(strategy="partialSelection", seed=21, query_freq=0.2, rounds=40,
+          key_ttl=1000.0, then=None, swap_at=None), [True]),
+    (dict(strategy="partialSelection", seed=22, query_freq=0.01, rounds=200,
+          key_ttl=300.0, then=30, swap_at=60), [True, True]),
+    (dict(strategy="partialSelection", seed=23, query_freq=0.001,
+          rounds=300, key_ttl=math.inf, then=None, swap_at=None), [True]),
+    (dict(strategy="partialSelection", seed=0, query_freq=0.2, rounds=3,
+          key_ttl=4.0, then=20, swap_at=None), [True, False]),
+    (dict(strategy="partialSelection", seed=24, query_freq=0.01, rounds=25,
+          key_ttl=30.0, then=30, swap_at=None), [True, False]),
+]
+
+
+@pytest.mark.parametrize("budget, block", REGIMES.values(), ids=REGIMES)
+@pytest.mark.parametrize("window", (0.0, 7.0), ids=("no-window", "window"))
+@pytest.mark.parametrize(
+    "case, regimes", UNEXPIRING_CASES,
+    ids=[
+        f"{case['query_freq']}-{case['key_ttl']}-{len(regimes)}runs"
+        for case, regimes in UNEXPIRING_CASES
+    ],
+)
+def test_unexpiring_runs_equal_scalar_reference(
+    budget, block, window, case, regimes
+):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "SPAN_QUERIES", budget)
+        patch.setattr(kernel_module, "DRAW_BLOCK", block)
+        taken = _record_regimes(patch)
+        check_against_reference({**case, "window": window, "refresh": None})
+    assert taken == regimes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    query_freq=st.sampled_from(QUERY_FREQS),
+    rounds=st.integers(2, 300),
+    side=st.sampled_from((-math.inf, None, math.inf)),
+    window=st.sampled_from((0.0, 7.0)),
+    then=st.none() | st.integers(1, 30),
+)
+@example(  # 1.0 + nextafter(255, inf) rounds to 256: out of the regime
+    seed=5, query_freq=0.01, rounds=256, side=math.inf, window=0.0,
+    then=None,
+).via("pinned")
+@example(
+    seed=6, query_freq=0.01, rounds=120, side=math.inf, window=7.0, then=5,
+).via("pinned")
+def test_a_run_falls_in_or_out_of_the_regime_by_one_ulp(
+    seed, query_freq, rounds, side, window, then
+):
+    # keyTtl one ulp either side of (or at) last_round - 1.0: an entry
+    # written in round 1 is dead in the last round unless the float sum
+    # 1.0 + keyTtl is after it, and the run is in the regime iff it is.
+    rounds = min(rounds, 40) if query_freq == QUERY_FREQS[0] else rounds
+    last_round = float(rounds)
+    key_ttl = last_round - 1.0
+    if side is not None:
+        key_ttl = math.nextafter(key_ttl, side)
+    case = dict(
+        strategy="partialSelection", seed=seed, query_freq=query_freq,
+        rounds=rounds, key_ttl=key_ttl, window=window, refresh=None,
+        then=then, swap_at=None,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        taken = _record_regimes(patch)
+        check_against_reference(case)
+    assert taken[0] == (1.0 + key_ttl > last_round)
+    assert taken[0] == (side == math.inf and rounds & (rounds - 1) != 0)
+
+
+def _selection_kernel(params, key_ttl, seed):
+    config = PdhtConfig.from_scenario(params).with_ttl(key_ttl)
+    return FastSimKernel(
+        params, config=config, seed=seed,
+        costs=PerOpCosts(LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, 20),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    query_freq=st.sampled_from(QUERY_FREQS[1:]),
+    first=st.integers(1, 150),
+    then=st.integers(1, 150),
+    key_ttl=st.sampled_from((4.0, 40.0, 150.0, 1000.0, math.inf)),
+)
+def test_a_second_run_equals_one_run_of_the_summed_duration(
+    seed, query_freq, first, then, key_ttl
+):
+    # Whether each part is in the regime or not, the two runs leave the
+    # index plane of one run as long and count what it counts.
+    params = PARAMS.with_query_freq(query_freq)
+    split = _selection_kernel(params, key_ttl, seed)
+    parts = [split.run(float(first)), split.run(float(then))]
+    whole = _selection_kernel(params, key_ttl, seed)
+    report = whole.run(float(first + then))
+    assert (split.state.written_at == whole.state.written_at).all()
+    for name in TALLIES:
+        assert sum(getattr(part, name) for part in parts) == getattr(
+            report, name
+        ), name
+    assert parts[-1].final_index_size == report.final_index_size
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    query_freq=st.sampled_from(QUERY_FREQS),
+    rounds=st.integers(1, 120),
+    key_ttl=st.sampled_from((10.0, 60.0, 1000.0, math.inf)),
+    opening=st.integers(0, 2**16),
+)
+def test_the_regime_equals_the_general_path_on_any_opening_index(
+    seed, query_freq, rounds, key_ttl, opening
+):
+    # Write times below 1.0 (a state no run writes, but a caller may):
+    # the regime is decided from the earliest of them, so a run whose
+    # opening entries expire inside it takes the general path.
+    params = PARAMS.with_query_freq(query_freq)
+    rounds = min(rounds, 40) if query_freq == QUERY_FREQS[0] else rounds
+    rng = np.random.default_rng(opening)
+    written = np.full(params.n_keys, -np.inf)
+    chosen = rng.random(params.n_keys) < 0.3
+    written[chosen] = rng.uniform(-80.0, 1.0, int(chosen.sum()))
+    sides = []
+    for regime in (True, False):
+        kernel = _selection_kernel(params, key_ttl, seed)
+        kernel.state.written_at[:] = written
+        with pytest.MonkeyPatch.context() as patch:
+            taken = _record_regimes(patch)
+            if not regime:
+                patch.setattr(FastSimKernel, "_unexpiring", lambda *_: None)
+            report = kernel.run(float(rounds), window=5.0)
+        sides.append((replace(report, elapsed_seconds=0.0), kernel, taken))
+    (fast, kernel, taken), (general, reference, _) = sides
+    earliest = min(1.0, written[chosen].min())
+    assert taken == [earliest + key_ttl > rounds]
+    assert fast == general
+    assert (kernel.state.written_at == reference.state.written_at).all()
+
+
+def test_a_span_stepped_outside_run_takes_the_general_path(monkeypatch):
+    # test_expiry_inside_a_span steps a span on its own, on write times
+    # no run writes: only run() decides the regime.
+    calls = []
+    for name in ("_decision", "_first_occurrence"):
+        original = getattr(FastSimKernel, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(FastSimKernel, name, spy)
+    kernel = FastSimKernel(
+        PARAMS, config=PdhtConfig.from_scenario(PARAMS).with_ttl(1000.0),
+        seed=0,
+        costs=PerOpCosts(LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, 2),
+    )
+    report = FastSimReport(
+        strategy="partialSelection", params=PARAMS, duration=2.0
+    )
+    keys = np.array([1, 4, 3, 1, 2])
+    kernel._step_span(1.0, np.array([3, 2]), keys + 1, keys, [report])
+    assert calls == ["_decision"]
+    calls.clear()
+    kernel.run(3.0)
+    assert calls and set(calls) == {"_first_occurrence"}

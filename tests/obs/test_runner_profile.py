@@ -79,6 +79,14 @@ class TestSweepPlanningIsNamed:
         plan = telemetry["spans"]["experiment.run/sweep.plan"]
         assert plan["count"] == 1
         assert plan["attrs"] == {"cells": 18}
+        # The Eq. 14-15 planning and cost resolution run_many does
+        # before its fan-out is named too, under the grid.
+        spans = telemetry["spans"]
+        grid = spans["experiment.run/sweep.grid"]
+        resolve = spans["experiment.run/sweep.grid/parallel.resolve"]
+        assert resolve["count"] == 1
+        assert resolve["attrs"] == {"jobs": 18}
+        assert resolve["seconds"] <= grid["seconds"]
         counters = telemetry["counters"]
         assert counters["cache.threshold.miss"] == 6
         assert counters["cache.threshold.hit"] >= 12

@@ -1,4 +1,4 @@
-"""The repo's cross-cutting invariants RL101-RL114, as plain ``ast`` checks.
+"""The repo's cross-cutting invariants RL101-RL115, as plain ``ast`` checks.
 
 A check is a function ``check(path, tree, imports)`` returning
 ``(line, message)`` pairs for one file; ``path`` is repo-relative posix,
@@ -8,7 +8,7 @@ exception is a path condition inside the check: there is no comment
 escape. To add an invariant, add a check function to ``CHECKS`` plus
 triggering and passing rows to ``FIXTURES``.
 
-``test_real_tree_is_clean`` runs all fourteen over every ``.py`` file under
+``test_real_tree_is_clean`` runs all fifteen over every ``.py`` file under
 ``src tests benchmarks tools examples`` and fails naming ``path:line``
 and the id of each violation.
 """
@@ -660,12 +660,40 @@ def rl114_analysis_distribution(path, tree, imports):
     return hits
 
 
+# RL115: numpy 2.4 sends an np.unique call that asks for no index,
+# inverse or counts down a path about 20x slower than np.sort (20.2 ms
+# against 1.0 ms for 131,072 int64 keys, 0.72 ms against 0.03 ms for
+# 5,333). The sorted distinct values alone are
+# repro.fastsim.state._distinct; a return_* keyword keeps np.unique on
+# its sorting path.
+def rl115_bare_unique(path, tree, imports):
+    if not in_src_repro(path):
+        return []
+    hits = []
+    for node in imports.of(ast.Call):
+        names = chain(node.func)
+        unique = (
+            len(names) == 2 and names[1] == "unique"
+            and imports.binds(names[0], "numpy")
+        ) or (
+            len(names) == 1 and imports.names.get(names[0]) == "numpy.unique"
+        )
+        if unique and not any(
+            (kw.arg or "").startswith("return_") for kw in node.keywords
+        ):
+            hits.append((node.lineno, "RL115 np.unique(...) without a "
+                         "return_* keyword in src/repro takes numpy 2.4's "
+                         "slow path; sort with repro.fastsim.state._distinct"))
+    return hits
+
+
 CHECKS = (
     rl101_wall_clock, rl102_global_rng, rl103_dtype_literal,
     rl104_identity_leak, rl105_shm_unlink, rl106_uncounted_cache,
     rl107_span_naming, rl108_pool_ownership, rl109_collector_policy,
     rl110_networkx_import, rl111_seed_layout, rl112_store_access,
     rl113_experiments_import, rl114_analysis_distribution,
+    rl115_bare_unique,
 )
 
 
@@ -1083,6 +1111,27 @@ FIXTURES = [    # RL101
         EXPORTS = {"repro.analysis.zipf": ("ZipfDistribution",)}
         from repro.analysis.zipf import prob_queried, rank_probabilities
         """),
+    # RL115
+    row(rl115_bare_unique, "bare-calls", "src/repro/fastsim/kernel.py", """
+        import numpy
+        import numpy as np
+        from numpy import unique
+        def distinct(keys):
+            return np.unique(keys), unique(keys, axis=0), numpy.unique(keys)
+        """, "_distinct", "_distinct", "_distinct"),
+    row(rl115_bare_unique, "return-keywords-and-sorted", "src/repro/fastsim/kernel.py", """
+        import numpy as np
+        from repro.fastsim.state import _distinct
+        def distinct(keys, unique):
+            values, counts = np.unique(keys, return_counts=True)
+            _, first = np.unique(keys, return_index=True)
+            return _distinct(keys), unique(keys), values, counts, first
+        """),
+    row(rl115_bare_unique, "outside-src", "tests/fastsim/example.py", """
+        import numpy as np
+        def oracle(keys):
+            return np.unique(keys)
+        """),
 ]
 
 
@@ -1100,7 +1149,7 @@ def test_every_check_runs_on_the_tree_and_has_fixtures():
     # A check missing from CHECKS would pass its fixtures and never run.
     assert {param.values[0] for param in FIXTURES} == set(CHECKS)
     assert [check.__name__[:5] for check in CHECKS] == [
-        f"rl{n}" for n in range(101, 115)
+        f"rl{n}" for n in range(101, 116)
     ]
 
 
