@@ -42,6 +42,18 @@ The DHT:
   going on- or offline keeps them all. A hop finds the level at which
   the current member's path leaves the target with one XOR and one
   ``bit_length``, not a scan of the path.
+
+A query routes with :meth:`PGridDht.route`, ``(origin, key) ->
+(responsible, hops)``: it checks the origin's membership and liveness
+once, brings routing up to the membership once, and while the liveness
+epoch is the one the owner and next-hop memos were last checked at,
+reads the owner straight from them; :meth:`~PGridDht.lookup` wraps it
+in a :class:`LookupResult`. A target's leaf is one slot of a table
+built with the trie, indexed by the target's first ``max_leaf_depth``
+bits: a leaf of ``l`` bits fills the ``2 ** (max_leaf_depth - l)``
+slots under its path. The trie is ~``log2(n)`` deep with a short tail,
+so the table holds 8,192 slots for 1,000 members and 262,144 for
+20,000.
 """
 
 from __future__ import annotations
@@ -128,6 +140,11 @@ class PGridDht:
         self._ensure_routing()
         return self._members_under("")
 
+    @property
+    def membership_version(self) -> int:
+        """Bumped by every join: the first half of :attr:`view_key`."""
+        return self._membership_version
+
     def dht_id(self, member: PeerId) -> int:
         """A member's identifier, the point its trie path is cut from."""
         return self._members[member]
@@ -207,6 +224,10 @@ class PGridDht:
         #: ``_max_leaf_depth`` bits shift right to line up with it.
         self._codes: dict[PeerId, tuple[int, int, int]] = {}
         self._located: dict[int, str] = {}
+        #: The leaf owning each value of a target's first
+        #: ``_max_leaf_depth`` bits: a leaf of length ``l`` fills the
+        #: ``2 ** (depth - l)`` slots its path prefixes.
+        self._leaf_table: list[str] = []
         #: The :attr:`view_key` the owner and next-hop memos were filled
         #: under, and the liveness epoch it was last checked at; None: no
         #: memos (yet, or not of this trie).
@@ -224,6 +245,11 @@ class PGridDht:
             self._codes[peer] = (
                 depth - len(path), int(path, 2) if path else 0, len(path)
             )
+        table = self._leaf_table = [""] * (1 << depth)
+        for path in self._leaf_members:
+            width = 1 << (depth - len(path))
+            start = (int(path, 2) if path else 0) * width
+            table[start:start + width] = [path] * width
 
     def _split(self, members: list[PeerId], prefix: str) -> None:
         """Recursively partition members on the next identifier bit.
@@ -307,22 +333,12 @@ class PGridDht:
         return target
 
     def lookup(self, origin: PeerId, key: str) -> LookupResult:
-        """Route a lookup for ``key`` from ``origin``; count its hops."""
-        self._require_online_member(origin)
-        self._ensure_routing()
-        responsible, hops = self._route(origin, self._target(key))
+        """:meth:`route`, as a result object."""
+        responsible, hops = self.route(origin, key)
         return LookupResult(key=key, responsible=responsible, messages=hops)
 
-    def _leaf_for(self, target_bits: str) -> str:
-        """The trie leaf path owning ``target_bits`` (walks the trie)."""
-        for depth in range(self._max_leaf_depth + 1):
-            prefix = target_bits[:depth]
-            if prefix in self._leaf_members:
-                return prefix
-        raise RoutingError("P-Grid trie has no leaf for target")
-
     def _locate(self, target: int) -> str:
-        """The trie leaf owning ``target``.
+        """The trie leaf owning ``target``: its slot of the leaf table.
 
         Memoised per target until the next routing rebuild (at most
         :data:`KEY_MEMO_LIMIT` targets). Trie leaves
@@ -333,17 +349,19 @@ class PGridDht:
         if leaf is None:
             if len(self._located) >= KEY_MEMO_LIMIT:
                 self._located.clear()
-            bits = self.keyspace.to_bits(target)[: self._max_leaf_depth]
-            leaf = self._located[target] = self._leaf_for(bits)
+            leaf = self._located[target] = self._leaf_table[
+                target >> self._prefix_shift
+            ]
         return leaf
 
     def _responsible(self, target: int) -> PeerId:
         """Online member with the longest path-prefix match on ``target``.
 
-        The owner's leaf is found by walking the trie; if every replica in
-        that leaf is offline, responsibility falls to the nearest online
-        member in a sibling subtree (flipping the deepest path bits first),
-        which models P-Grid's replica fall-back.
+        The owner's leaf is the target's slot of the leaf table; if every
+        replica in that leaf is offline, responsibility falls to the
+        nearest online member in a sibling subtree (flipping the deepest
+        path bits first), which models P-Grid's replica fall-back. Brings
+        the owner and next-hop memos up to the liveness epoch.
         """
         self._ensure_routing()
         if not self._leaf_members:
@@ -380,12 +398,32 @@ class PGridDht:
                 return min(candidates)
         raise RoutingError("P-Grid trie has no online members")
 
-    def _route(self, origin: PeerId, target: int) -> tuple[PeerId, int]:
-        """The member responsible for ``target`` and the hops from
-        ``origin`` to it, counted together as ``INDEX_SEARCH`` messages —
-        a route that does not converge counts its hops before it raises."""
-        # _responsible() made the memos current.
-        responsible = self._responsible(target)
+    def route(self, origin: PeerId, key: str) -> tuple[PeerId, int]:
+        """Route a lookup for ``key`` from online member ``origin``: the
+        member responsible for it and the hops taken, counted together as
+        ``INDEX_SEARCH`` messages — a route that does not converge counts
+        its hops before it raises.
+
+        The origin is checked once, routing is brought up to the
+        membership once, and while the liveness epoch is the one the
+        owner and next-hop memos were last checked at, the owner comes
+        straight from them.
+        """
+        self._require_online_member(origin)
+        if self._routed_version != self._membership_version:
+            self._ensure_routing()
+        target = self._targets.get(key)
+        if target is None:
+            target = self._target(key)
+        if self.population.liveness_epoch == self._routes_epoch:
+            leaf = self._located.get(target)
+            if leaf is None:
+                leaf = self._locate(target)
+            responsible = self._owners.get(leaf)
+            if responsible is None:
+                responsible = self._owners[leaf] = self._owner_of(leaf)
+        else:
+            responsible = self._responsible(target)
         prefix = target >> self._prefix_shift
         next_hops = self._next_hops
         codes = self._codes
@@ -418,10 +456,14 @@ class PGridDht:
             current = nxt
             if hops > limit:
                 self.metrics.count(MessageCategory.INDEX_SEARCH, hops)
+                obs.count("dht.routes")
+                obs.count("dht.hops", hops)
                 raise RoutingError(
                     f"P-Grid routing did not converge within {limit} hops"
                 )
         self.metrics.count(MessageCategory.INDEX_SEARCH, hops)
+        obs.count("dht.routes")
+        obs.count("dht.hops", hops)
         return responsible, hops
 
     def _next_hop(self, current: PeerId, mismatch: int) -> PeerId | None:

@@ -41,7 +41,7 @@ from repro.fastsim.kernel import PerOpCosts
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import key_name
+from repro.pdht.strategies import key_names
 from repro.store.memo import stored
 
 __all__ = [
@@ -127,17 +127,18 @@ def _calibrate_costs_probe(
         members = net.dht.online_members()
         zipf = ZipfDistribution(params.n_keys, params.alpha)
 
-        # Keys are named by the event engine's key_name, so the probes hash
-        # to the same responsible members the real workload exercises.
+        # Keys are named by the event engine's key_names, so the probes
+        # hash to the same responsible members the real workload exercises.
+        names = key_names(params.n_keys)
         lookup_total = 0.0
         for rank in zipf.sample_ranks(rng, lookup_probes):
             gateway = members[int(rng.integers(0, len(members)))]
-            key = key_name(int(rank) - 1)
+            key = names[int(rank) - 1]
             lookup_total += net.dht.lookup(gateway, key).messages
 
         flood_total = 0.0
         for key_index in rng.integers(0, params.n_keys, size=flood_probes):
-            responsible = net.dht.responsible_for(key_name(int(key_index)))
+            responsible = net.dht.responsible_for(names[int(key_index)])
             _, messages = net.group_of(responsible).flood(responsible)
             flood_total += messages
 
@@ -316,7 +317,8 @@ def _calibrate_churn_costs_probe(
                 f"walk_probes must be >= 1, got {walk_probes}"
             )
         net = PdhtNetwork(params, config, seed=seed, churn=churn)
-        net.publish_all({key_name(i): i for i in range(params.n_keys)})
+        names = key_names(params.n_keys)
+        net.publish_all(dict(zip(names, range(params.n_keys))))
         # The walk probes' keys too: nothing else draws from the placement
         # stream, so each probe key gets the holders it would get published
         # just before its walk, and no query's walk can see a probe key.
@@ -373,7 +375,7 @@ def _calibrate_churn_costs_probe(
             count = int(count_rng.poisson(rate * multiplier))
             queries_started = perf_counter()
             for _, key_index in workload.draw(now, count):
-                key = key_name(key_index)
+                key = names[key_index]
                 try:
                     origin = net.random_online_peer()
                 except ParameterError:
@@ -626,6 +628,7 @@ def _churned_lookup_probe(
             np.random.SeedSequence([seed, 0x10CF, num_active_peers])
         )
         zipf = ZipfDistribution(params.n_keys, params.alpha)
+        names = key_names(params.n_keys)
         # Everyone is online at build.
         all_members = list(net.dht.online_members())
         total = 0.0
@@ -645,7 +648,7 @@ def _churned_lookup_probe(
                 ]
                 try:
                     total += net.dht.lookup(
-                        gateway, key_name(int(rank) - 1)
+                        gateway, names[int(rank) - 1]
                     ).messages
                 except RoutingError:
                     continue

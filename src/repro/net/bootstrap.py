@@ -11,6 +11,13 @@ found), and every successful interaction refreshes the cache.
 Messages are accounted in the MEMBERSHIP category, so experiments can
 check that gateway discovery is a negligible share of total traffic (it
 must be, or the paper's cSIndx accounting would be incomplete).
+
+Within one liveness epoch and one DHT membership version a peer's
+answer cannot change: asking again finds the same gateway at the most
+recent end of its cache and leaves the cache, the probe count and the
+"gateway" stream as they are. So :class:`GatewayCache` memoises each
+answer under that pair and re-derives only after a flip or a join — a
+join alone makes the new member its own gateway without any flip.
 """
 
 from __future__ import annotations
@@ -53,6 +60,11 @@ class GatewayCache:
         self.population = dht.population
         self.rng = rng
         self._caches: dict[PeerId, OrderedDict[PeerId, None]] = {}
+        #: Peer -> the gateway last returned to it, valid while the
+        #: liveness epoch and the membership version are the ones below.
+        self._answers: dict[PeerId, PeerId] = {}
+        self._answers_epoch = -1
+        self._answers_version = -1
 
     # ------------------------------------------------------------------
     def _cache_for(self, peer_id: PeerId) -> OrderedDict[PeerId, None]:
@@ -76,7 +88,27 @@ class GatewayCache:
         failure, bootstraps by probing random members — each probe is one
         request/response pair. Raises :class:`RoutingError` when no member
         of the DHT is online at all.
+
+        An answer is remembered until the liveness epoch or the
+        membership version moves: until then asking again would find the
+        same gateway at the most recent end of the peer's cache, which a
+        hit leaves where it is, and nothing else.
         """
+        epoch = self.population.liveness_epoch
+        version = self.dht.membership_version
+        if epoch == self._answers_epoch and version == self._answers_version:
+            gateway = self._answers.get(peer_id)
+            if gateway is not None:
+                return gateway
+        else:
+            self._answers = {}
+            self._answers_epoch = epoch
+            self._answers_version = version
+        gateway = self._answers[peer_id] = self._discover(peer_id)
+        return gateway
+
+    def _discover(self, peer_id: PeerId) -> PeerId:
+        """:meth:`gateway_for` without the answer memo."""
         self.population.require_online(peer_id)
         if self.dht.is_member(peer_id):
             return peer_id  # and online, just checked

@@ -26,6 +26,16 @@ The query path is the paper's Section 5.1 verbatim:
 
 The outcome says which of these happened; tallying them (hits, cold
 misses, reinsertions) is the caller's business.
+
+:meth:`PdhtNetwork.query` runs that path in one pass. The origin is
+checked once, by the gateway lookup: :class:`~repro.net.bootstrap.GatewayCache`
+memoises each peer's answer for one liveness epoch and membership
+version, so a repeat asker is known online. One
+:meth:`~repro.dht.pgrid.PGridDht.route` call yields the responsible
+member and the hops (no result object). A miss's insert floods the
+group again and writes each member the flood reaches inline
+(:func:`~repro.pdht.ttl_cache.put_each`: the purge-due check, then the
+one record and the one heap record shared by the whole group).
 """
 
 from __future__ import annotations
@@ -36,13 +46,13 @@ from typing import Optional
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import selection_members
 from repro.dht.maintenance import RoutingMaintenance
-from repro.dht.pgrid import LookupResult, PGridDht
+from repro.dht.pgrid import PGridDht
 from repro.errors import ParameterError, RoutingError, require_finite
 from repro.net.bootstrap import GatewayCache
 from repro.net.churn import ChurnConfig, ChurnProcess
 from repro.net.node import PeerId, PeerPopulation
 from repro.pdht.config import PdhtConfig
-from repro.pdht.ttl_cache import TtlKeyStore
+from repro.pdht.ttl_cache import TtlKeyStore, put_each
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.engine import Simulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
@@ -213,97 +223,77 @@ class PdhtNetwork:
     # Query path (Section 5.1)
     # ------------------------------------------------------------------
     def query(self, origin: PeerId, key: str) -> QueryOutcome:
-        """Answer one query from online peer ``origin``."""
+        """Answer one query from online peer ``origin``, in one pass.
+
+        The gateway checks the origin: an answer memoised for this
+        liveness epoch is one for an online peer, and anything else is
+        derived after ``require_online``. Without an online DHT member
+        only the broadcast path remains.
+        """
         now = self.simulation.now
-        self.population.require_online(origin)
-
-        gateway = self._gateway(origin)
-        index_messages = 0
-        flood_messages = 0
-
-        hit_value: object = None
-        via_index = False
-
+        try:
+            gateway = self.gateways.gateway_for(origin)
+        except RoutingError:
+            gateway = None
+        hops = flood_messages = 0
         if gateway is not None:
-            lookup = self.dht.lookup(gateway, key)
-            index_messages += lookup.messages
-            responsible = lookup.responsible
+            responsible, hops = self.dht.route(gateway, key)
             stores = self.stores
             record = stores[responsible].query(key, now)
             if record is not None:
-                hit_value, via_index = record[0], True
-            else:
-                # Replica-subnetwork flood (Eq. 16 surcharge): the first
-                # replica it reaches, after the responsible peer itself,
-                # that holds an unexpired record answers.
-                reached, msgs = self.group_of(responsible).flood(responsible)
-                flood_messages += msgs
-                for member in reached[1:]:
-                    held = stores[member].records.get(key)
-                    if held is not None and held[1] > now:
-                        record = stores[member].query(key, now)
-                        hit_value, via_index = record[0], True
-                        break
-
-        if via_index:
-            return QueryOutcome(
-                key=key,
-                found=True,
-                via_index=True,
-                index_messages=index_messages,
-                flood_messages=flood_messages,
-                walk_messages=0,
-                insert_messages=0,
-                inserted=False,
-                value=hit_value,
+                return QueryOutcome(
+                    key, True, True, hops, 0, 0, 0, False, record[0]
+                )
+            # Replica-subnetwork flood (Eq. 16 surcharge): the first
+            # replica it reaches, after the responsible peer itself,
+            # that holds an unexpired record answers.
+            reached, flood_messages = self._group_of[responsible].flood(
+                responsible
             )
+            for member in reached[1:]:
+                held = stores[member].records.get(key)
+                if held is not None and held[1] > now:
+                    record = stores[member].query(key, now)
+                    return QueryOutcome(
+                        key, True, True, hops, flood_messages, 0, 0, False,
+                        record[0],
+                    )
 
         # Miss: broadcast search the unstructured overlay.
         walk = self.walker.search(origin, key)
-        insert_messages = 0
-        inserted = walk.found and gateway is not None
-        if inserted:
+        if walk.found and gateway is not None:
             # The insert routes to the responsible peer again. Nothing
             # since the search's route can move it, so it is that route,
             # counted a second time.
-            self.metrics.count(MessageCategory.INDEX_SEARCH, lookup.messages)
-            insert_messages = self._insert_into_index(lookup, walk.value)
+            self.metrics.count(MessageCategory.INDEX_SEARCH, hops)
+            insert_messages = hops + self._write(
+                responsible, key, walk.value, now
+            )
+            return QueryOutcome(
+                key, True, False, hops, flood_messages, walk.messages,
+                insert_messages, True, walk.value,
+            )
         return QueryOutcome(
-            key=key,
-            found=walk.found,
-            via_index=False,
-            index_messages=index_messages,
-            flood_messages=flood_messages,
-            walk_messages=walk.messages,
-            insert_messages=insert_messages,
-            inserted=inserted,
-            value=walk.value,
+            key, walk.found, False, hops, flood_messages, walk.messages, 0,
+            False, walk.value,
         )
 
-    def _insert_into_index(self, lookup: LookupResult, value: object) -> int:
-        """Insert a resolved key at the responsible peer and replicate it
-        through the replica subnetwork (the second cSIndx2 of Eq. 17).
-
-        ``lookup`` is the route to the responsible peer, its hops already
-        counted; they and the flood's messages are the insert's cost, which
-        this returns. A miss passes the route of its own index search
-        (:meth:`query`), an update a route of its own.
+    def _write(
+        self, responsible: PeerId, key: str, value: object, now: float
+    ) -> int:
+        """Write ``key`` at the responsible peer and replicate it through
+        its replica subnetwork (the second cSIndx2 of Eq. 17); returns the
+        flood's messages.
 
         One record and one heap record serve every member the flood
         reaches (the responsible peer first): all of them follow the one
         ``keyTtl``.
         """
-        now = self.simulation.now
-        key = lookup.key
-        responsible = lookup.responsible
-        reached, flood_msgs = self.group_of(responsible).flood(responsible)
+        reached, messages = self._group_of[responsible].flood(responsible)
         stores = self.stores
-        expires_at = now + stores[responsible].ttl
-        record = (value, expires_at)
-        heap_record = (expires_at, key)
-        for member in reached:
-            stores[member].put(key, record, heap_record, now)
-        return lookup.messages + flood_msgs
+        record = (value, now + stores[responsible].ttl)
+        put_each(map(stores.__getitem__, reached), key, record, now)
+        return messages
 
     def disable_maintenance(self) -> None:
         """Stop routing-table probing (the noIndex baseline runs no DHT)."""
@@ -317,7 +307,8 @@ class PdhtNetwork:
             return 0
         rng = self.streams.get("gateway")
         gateway = online[int(rng.integers(0, len(online)))]
-        return self._insert_into_index(self.dht.lookup(gateway, key), value)
+        responsible, hops = self.dht.route(gateway, key)
+        return hops + self._write(responsible, key, value, self.simulation.now)
 
     def preload_index_all(self, items: dict[str, object]) -> None:
         """Place index entries at their responsible replica groups without
@@ -340,19 +331,6 @@ class PdhtNetwork:
             records = {key: (value, expires_at) for key, value in pairs}
             for store in stores:
                 store.put_all(records, expires_at, now)
-
-    def _gateway(self, origin: PeerId) -> Optional[PeerId]:
-        """An online DHT member through which ``origin`` reaches the index.
-
-        Peers outside the DHT know at least one participating member
-        (Section 3.2) via their gateway cache; discovery traffic is
-        accounted in the MEMBERSHIP category. Returns None when the whole
-        DHT is offline, in which case only the broadcast path remains.
-        """
-        try:
-            return self.gateways.gateway_for(origin)
-        except RoutingError:
-            return None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -45,13 +45,27 @@ __all__ = [
     "WindowRecorder",
     "SimulatedStrategy",
     "key_name",
+    "key_names",
 ]
+
+#: Key-name tables :func:`key_names` keeps: a figure's networks and its
+#: calibration probes share one key universe.
+KEY_NAMES_MEMO = 4
 
 
 def key_name(key_index: int) -> str:
     """Stable application key string for a key-universe index: what every
     event run and every calibration probe looks a key up by."""
     return f"key-{key_index:06d}"
+
+
+@obs.counted_cache("key_names", maxsize=KEY_NAMES_MEMO)
+def key_names(n_keys: int) -> tuple[str, ...]:
+    """:func:`key_name` of every key index below ``n_keys``, built once per
+    process (``cache.key_names.*``): publish, preload, queries and the
+    churn calibration hold the same string objects, whose hashes are
+    computed once."""
+    return tuple(map(key_name, range(n_keys)))
 
 
 @dataclass
@@ -254,11 +268,12 @@ class SimulatedStrategy:
         #: Keys the miss path has inserted: a later miss on one is a
         #: reinsertion, a miss on any other key a cold miss.
         self._inserted: set[str] = set()
+        self._names = names = key_names(params.n_keys)
         with obs.span("strategy.prepare"):
             n_keys = params.n_keys
             with obs.span("strategy.publish"):
                 self.network.publish_all(
-                    {key_name(i): self._value(i) for i in range(n_keys)}
+                    {names[i]: self._value(i) for i in range(n_keys)}
                 )
             # Every key in key order, else the top ranks in rank order
             # (the stores keep the order given).
@@ -270,7 +285,7 @@ class SimulatedStrategy:
             )
             with obs.span("strategy.preload"):
                 self.network.preload_index_all(
-                    {key_name(i): self._value(i) for i in indexed}
+                    {names[i]: self._value(i) for i in indexed}
                 )
             if not self.policy.runs_dht:
                 self.network.disable_maintenance()
@@ -315,14 +330,10 @@ class SimulatedStrategy:
                 self._rng.poisson(rate * self.workload.rate_multiplier(now))
             )
             batch = self.workload.draw(now, count)
-            if batch and online():
-                for rank, key_index in batch:
-                    self._answer(
-                        report,
-                        self.network.random_online_peer(),
-                        key_name(key_index),
-                        rank,
-                    )
+            if batch:
+                view = online()
+                if view:
+                    self._answer_round(report, view, batch)
             # Proactive updates (indexAll / partialIdeal only).
             self._update_debt += updates
             while self._update_debt >= 1.0:
@@ -347,31 +358,57 @@ class SimulatedStrategy:
             report.mean_index_size = float(index_size())
         return report
 
-    def _answer(
-        self, report: StrategyReport, origin: int, key: str, rank: int
+    def _answer_round(
+        self,
+        report: StrategyReport,
+        online: tuple[int, ...],
+        batch: list[tuple[int, int]],
     ) -> None:
-        """Answer one query from ``origin`` and tally it into ``report``."""
-        report.queries += 1
-        if rank > self.policy.index_ranks:
-            found = self.network.walker.search(origin, key).found
-        else:
-            outcome = self._query(origin, key)
-            if outcome.via_index:
-                report.index_hits += 1
-                report.answered += 1
-                return
-            if key in self._inserted:
-                report.reinsertions += 1
+        """Answer one round's ``(rank, key index)`` queries and tally them
+        into ``report``.
+
+        Each query's origin is drawn from the "origins" stream over
+        ``online``, the round's online view (nothing in a round's queries
+        flips a peer), and its key is the index's entry of the shared
+        key-name table.
+        """
+        names = self._names
+        draw = self.network.origins.draw
+        search = self.network.walker.search
+        query = self._query
+        index_ranks = self.policy.index_ranks
+        inserted = self._inserted
+        size = len(online)
+        hits = resolved = unresolved = reinsertions = cold = insertions = 0
+        for rank, key_index in batch:
+            origin = online[draw(size)]
+            key = names[key_index]
+            if rank > index_ranks:
+                found = search(origin, key).found
             else:
-                report.cold_misses += 1
-            if outcome.inserted:
-                self._inserted.add(key)
-                report.insertions += 1
-            found = outcome.found
-        if found:
-            report.answered += 1
-        else:
-            report.unresolved += 1
+                outcome = query(origin, key)
+                if outcome.via_index:
+                    hits += 1
+                    continue
+                if key in inserted:
+                    reinsertions += 1
+                else:
+                    cold += 1
+                if outcome.inserted:
+                    inserted.add(key)
+                    insertions += 1
+                found = outcome.found
+            if found:
+                resolved += 1
+            else:
+                unresolved += 1
+        report.queries += len(batch)
+        report.index_hits += hits
+        report.answered += hits + resolved
+        report.unresolved += unresolved
+        report.reinsertions += reinsertions
+        report.cold_misses += cold
+        report.insertions += insertions
 
     def _query_versioned(self, origin: int, key: str) -> "QueryOutcome":
         """One Section 5.1 query of a refresh run, counting an index hit
@@ -394,12 +431,12 @@ class SimulatedStrategy:
         index entries keep the payload they were written with."""
         self._version += 1
         self.network.refresh_content_all(
-            {key_name(i): self._value(i) for i in range(self.params.n_keys)}
+            {name: self._value(i) for i, name in enumerate(self._names)}
         )
         self._next_refresh += self.content_refresh_period
 
     def _apply_random_update(self) -> None:
         key_index = int(self._rng.integers(0, self.params.n_keys))
         self.network.proactive_update(
-            key_name(key_index), self._value(key_index)
+            self._names[key_index], self._value(key_index)
         )

@@ -142,6 +142,7 @@ class ReplicaNetwork:
         self.population.require_online(origin)
         reached, messages = self._flood_plan(origin)
         self.metrics.count(MessageCategory.REPLICA_FLOOD, messages)
+        obs.count("replica.floods")
         return reached, messages
 
     def _flood_plan(self, origin: PeerId) -> tuple[tuple[PeerId, ...], int]:

@@ -77,8 +77,9 @@ class RandomWalkSearch:
     move-and-draw loop it replaced, generator state included.
 
     A hop's content check is one bit of the key's holder mask
-    (:attr:`UnstructuredOverlay.content`), fetched once per search,
-    before the first hop.
+    (:attr:`UnstructuredOverlay.content`): the search reads the key's
+    record once, and the origin's check and the found payload come from
+    it too.
 
     A search trapped in an online component with no replica — the
     walkers have content-checked every peer of it — cannot find the key,
@@ -130,15 +131,12 @@ class RandomWalkSearch:
         overlay.population.require_online(origin)
         obs.count("walk.searches")
 
-        if overlay.peer_has(origin, key):
-            return WalkResult(
-                key=key,
-                found=True,
-                value=overlay.value_at(origin, key),
-                messages=0,
-                distinct_peers=1,
-                steps=0,
-            )
+        # The key's holder record, read once: the origin's check, every
+        # hop's and the found payload all come from it.
+        record = overlay.content.get(key)
+        mask = record.mask if record is not None else 0
+        if (mask >> origin) & 1:
+            return WalkResult(key, True, record.value, 0, 1, 0)
 
         # This loop is the event substrate's hot path (a failed search
         # under churn is walkers * ttl hops), so per hop it does one index
@@ -148,8 +146,6 @@ class RandomWalkSearch:
         # after it (a dead walker never moves again), added once per
         # step; the search's hops are counted in one call when it ends.
         neighbors_of = overlay.topology.online_adjacency()
-        record = overlay.content.get(key)
-        mask = record.mask if record is not None else 0
 
         positions: list[Optional[PeerId]] = [origin] * self.walkers
         visited: set[PeerId] = {origin}
@@ -229,16 +225,8 @@ class RandomWalkSearch:
 
         if found_at is None:
             obs.count("walk.failed")
-        return WalkResult(
-            key=key,
-            found=found_at is not None,
-            value=(
-                overlay.value_at(found_at, key) if found_at is not None else None
-            ),
-            messages=messages,
-            distinct_peers=len(visited),
-            steps=step,
-        )
+            return WalkResult(key, False, None, messages, len(visited), step)
+        return WalkResult(key, True, record.value, messages, len(visited), step)
 
     def _run_out(
         self,

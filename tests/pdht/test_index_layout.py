@@ -55,8 +55,7 @@ def test_an_inf_store_keeps_no_heap_record():
     network = _network(math.inf)
     network.preload_index_all(ITEMS)
     key = next(iter(ITEMS))
-    lookup = network.dht.lookup(min(network.dht._members), key)
-    network._insert_into_index(lookup, "v2")
+    network.proactive_update(key, "v2")
     for _ in range(3):
         network.advance(1.0)
         network.query(network.random_online_peer(), key)
@@ -72,8 +71,7 @@ def test_one_insert_shares_one_record_and_one_heap_record():
     network = _network(5.0)
     network.advance(2.0)
     key = "key-000042"
-    lookup = network.dht.lookup(min(network.dht._members), key)
-    network._insert_into_index(lookup, "payload")
+    network.proactive_update(key, "payload")
     holders = [store for store in network.stores.values() if key in store]
     assert len(holders) >= 2
     record = holders[0].records[key]

@@ -5,12 +5,16 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.parameters import ScenarioParameters
-from repro.errors import ParameterError
+from repro.analysis.strategies import STRATEGY_NAMES
+from repro.errors import ParameterError, RoutingError
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
-from repro.pdht.network import PdhtNetwork
+from repro.pdht.network import PdhtNetwork, QueryOutcome
+from repro.pdht.strategies import SimulatedStrategy, StrategyReport, key_name
+from repro.pdht.ttl_cache import TtlKeyStore
 from repro.sim.metrics import MessageCategory
 
 
@@ -224,3 +228,292 @@ class TestChurnIntegration:
         # Replication 10 over 120 peers at 75% availability: the key should
         # be found nearly always.
         assert answered >= 25
+
+
+# ----------------------------------------------------------------------
+# The one-pass query and round loop against the bodies they replaced
+# ----------------------------------------------------------------------
+def reference_gateway_for(self, peer_id):
+    """``GatewayCache.gateway_for`` as it was, verbatim: no answer memo."""
+    self.population.require_online(peer_id)
+    if self.dht.is_member(peer_id):
+        return peer_id  # and online, just checked
+
+    # A cached gateway stays a member: the DHT has no leave.
+    cache = self._cache_for(peer_id)
+    recent = True
+    for gateway in reversed(cache):
+        if self.population.is_online(gateway):
+            if not recent:  # the most recent one stays where it is
+                cache.move_to_end(gateway)
+            return gateway
+        recent = False
+
+    # Re-bootstrap: probe members in random order until one answers.
+    candidates = self.dht.members()
+    order = self.rng.permutation(len(candidates))
+    for idx in order:
+        candidate = candidates[int(idx)]
+        self.dht.metrics.count(MessageCategory.MEMBERSHIP, 2)
+        if self.population.is_online(candidate):
+            self._remember(peer_id, candidate)
+            return candidate
+    raise RoutingError("no online DHT member reachable for bootstrap")
+
+
+def reference_gateway(self, origin):
+    """``PdhtNetwork._gateway`` as it was, calling the gateway above."""
+    try:
+        return reference_gateway_for(self.gateways, origin)
+    except RoutingError:
+        return None
+
+
+def reference_query(self, origin, key):
+    """``PdhtNetwork.query`` as it was, verbatim but for the gateway
+    call: three origin checks, a ``LookupResult`` and one ``put`` per
+    member an insert reaches."""
+    now = self.simulation.now
+    self.population.require_online(origin)
+
+    gateway = reference_gateway(self, origin)
+    index_messages = 0
+    flood_messages = 0
+
+    hit_value = None
+    via_index = False
+
+    if gateway is not None:
+        lookup = self.dht.lookup(gateway, key)
+        index_messages += lookup.messages
+        responsible = lookup.responsible
+        stores = self.stores
+        record = stores[responsible].query(key, now)
+        if record is not None:
+            hit_value, via_index = record[0], True
+        else:
+            # Replica-subnetwork flood (Eq. 16 surcharge): the first
+            # replica it reaches, after the responsible peer itself,
+            # that holds an unexpired record answers.
+            reached, msgs = self.group_of(responsible).flood(responsible)
+            flood_messages += msgs
+            for member in reached[1:]:
+                held = stores[member].records.get(key)
+                if held is not None and held[1] > now:
+                    record = stores[member].query(key, now)
+                    hit_value, via_index = record[0], True
+                    break
+
+    if via_index:
+        return QueryOutcome(
+            key=key,
+            found=True,
+            via_index=True,
+            index_messages=index_messages,
+            flood_messages=flood_messages,
+            walk_messages=0,
+            insert_messages=0,
+            inserted=False,
+            value=hit_value,
+        )
+
+    # Miss: broadcast search the unstructured overlay.
+    walk = self.walker.search(origin, key)
+    insert_messages = 0
+    inserted = walk.found and gateway is not None
+    if inserted:
+        # The insert routes to the responsible peer again. Nothing
+        # since the search's route can move it, so it is that route,
+        # counted a second time.
+        self.metrics.count(MessageCategory.INDEX_SEARCH, lookup.messages)
+        insert_messages = reference_insert_into_index(self, lookup, walk.value)
+    return QueryOutcome(
+        key=key,
+        found=walk.found,
+        via_index=False,
+        index_messages=index_messages,
+        flood_messages=flood_messages,
+        walk_messages=walk.messages,
+        insert_messages=insert_messages,
+        inserted=inserted,
+        value=walk.value,
+    )
+
+
+def reference_insert_into_index(self, lookup, value):
+    """``PdhtNetwork._insert_into_index`` as it was, verbatim."""
+    now = self.simulation.now
+    key = lookup.key
+    responsible = lookup.responsible
+    reached, flood_msgs = self.group_of(responsible).flood(responsible)
+    stores = self.stores
+    expires_at = now + stores[responsible].ttl
+    record = (value, expires_at)
+    heap_record = (expires_at, key)
+    for member in reached:
+        stores[member].put(key, record, heap_record, now)
+    return lookup.messages + flood_msgs
+
+
+def reference_answer(self, report, origin, key, rank):
+    """``SimulatedStrategy._answer`` as it was, verbatim."""
+    report.queries += 1
+    if rank > self.policy.index_ranks:
+        found = self.network.walker.search(origin, key).found
+    else:
+        outcome = self._query(origin, key)
+        if outcome.via_index:
+            report.index_hits += 1
+            report.answered += 1
+            return
+        if key in self._inserted:
+            report.reinsertions += 1
+        else:
+            report.cold_misses += 1
+        if outcome.inserted:
+            self._inserted.add(key)
+            report.insertions += 1
+        found = outcome.found
+    if found:
+        report.answered += 1
+    else:
+        report.unresolved += 1
+
+
+def reference_round(self, report):
+    """One round of ``SimulatedStrategy.run``'s loop as it was (window and
+    timing left out), yielding after each index query: an origin drawn
+    per query from the online set, and one ``_answer`` call per query."""
+    rate = self.params.network_query_rate
+    updates = self.policy.updates_per_round(self.params.update_freq)
+    online = self.network.population.sorted_online_ids
+    self.network.advance(1.0)
+    now = self.network.simulation.now
+    if now >= self._next_refresh:
+        self._refresh_content()
+        report.content_refreshes += 1
+    count = int(self._rng.poisson(rate * self.workload.rate_multiplier(now)))
+    batch = self.workload.draw(now, count)
+    if batch and online():
+        for rank, key_index in batch:
+            reference_answer(
+                self, report, self.network.random_online_peer(),
+                key_name(key_index), rank,
+            )
+            if rank <= self.policy.index_ranks:
+                yield
+    self._update_debt += updates
+    while self._update_debt >= 1.0:
+        self._update_debt -= 1.0
+        self._apply_random_update()
+
+
+def _state(network):
+    """What a query can change, in order where order is observable."""
+    return (
+        list(network.metrics.totals_by_category().items()),
+        {m: (store.records, store._expiry_heap)
+         for m, store in network.stores.items()},
+        {peer: list(cache) for peer, cache in network.gateways._caches.items()},
+        [network.streams.get(name).bit_generator.state
+         for name in ("walks", "origins", "gateway")],
+    )
+
+
+def _join(network, peer):
+    """A member joining mid-run, with a store, in regrouped replica
+    groups (the network itself never grows its DHT)."""
+    network.dht.join(peer)
+    network.stores[peer] = TtlKeyStore(network.config.key_ttl)
+    network._groups.clear()
+    network._group_of.clear()
+    network._build_replica_groups(list(network.stores))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.sampled_from([(36, 40, 4), (48, 60, 6)]),
+    strategy=st.sampled_from(STRATEGY_NAMES),
+    key_ttl=st.sampled_from([0.0, 2.5, math.inf]),
+    churned=st.booleans(),
+    refresh=st.sampled_from([None, 2.0]),
+    joins=st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_query_and_round_equal_the_replaced_bodies(
+    shape, strategy, key_ttl, churned, refresh, joins, seed
+):
+    """Side by side over six rounds: every query's origin, key and
+    ``QueryOutcome``, and after it the metrics, every TTL store (records
+    and heap), every gateway cache and the "walks", "origins" and
+    "gateway" stream states; after each round the report and the store
+    order. Before the third round and each after it, one of ``joins``
+    picks an origin seen so far that is not a member, and it joins the
+    DHT. The reference routes with ``lookup``, whose route the P-Grid
+    route oracle holds.
+
+    Mutations run against the new code, each caught here:
+
+    * the gateway memo keyed on the liveness epoch alone (a join makes a
+      peer its own gateway without a flip);
+    * ``put_each`` without its purge-due check (keyTtl 0 and 2.5);
+    * an origin drawn from the previous round's view (the view taken
+      before the round's clock advance; under churn);
+    * ``put_each`` pushing a heap record for an ``inf`` expiry;
+    * a hit at a flooded replica reporting no flood messages.
+    """
+    num_peers, n_keys, repl = shape
+    params = ScenarioParameters(
+        num_peers=num_peers, n_keys=n_keys, storage_per_peer=10,
+        replication=repl, query_freq=0.25,
+    )
+    config = PdhtConfig.from_scenario(params, key_ttl=key_ttl, walkers=4)
+    churn = ChurnConfig(mean_session=6.0, mean_offline=3.0) if churned else None
+    new, old = (
+        SimulatedStrategy(
+            params, config, strategy=strategy, seed=seed, churn=churn,
+            content_refresh_period=refresh,
+        )
+        for _ in range(2)
+    )
+    queried = PdhtNetwork.query.__get__(new.network)
+    answers, asked = [], []
+
+    def reference(origin, key):
+        answers.append((origin, key, reference_query(old.network, origin, key)))
+        return answers[-1][2]
+
+    def spy(origin, key):
+        asked.append(origin)
+        outcome = queried(origin, key)
+        next(rounds)
+        assert (origin, key, outcome) == answers.pop()
+        assert _state(new.network) == _state(old.network)
+        return outcome
+
+    for side, query in ((new, spy), (old, reference)):
+        side.network.query = query
+        if refresh is None:
+            side._query = query
+    for index in range(6):
+        outsiders = [p for p in asked if not new.network.dht.is_member(p)]
+        if 2 <= index < 2 + len(joins) and outsiders:
+            joiner = outsiders[joins[index - 2] % len(outsiders)]
+            for side in (new, old):
+                _join(side.network, joiner)
+        expected = StrategyReport(
+            strategy=strategy, params=params, duration=1.0
+        )
+        old._stale_hits = 0
+        rounds = reference_round(old, expected)
+        report = new.run(1.0)
+        for _ in rounds:
+            raise AssertionError("the replaced loop answered more queries")
+        expected.messages_by_category = old.network.metrics.totals_by_category()
+        expected.mean_index_size = float(old.network.distinct_indexed_keys())
+        expected.stale_hits = old._stale_hits
+        assert report == expected
+        assert _state(new.network) == _state(old.network)
+        assert [list(s.records) for s in new.network.stores.values()] == [
+            list(s.records) for s in old.network.stores.values()
+        ]

@@ -10,7 +10,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.errors import ParameterError
 from repro.experiments.execution import Cell
 from repro.pdht.config import PdhtConfig
-from repro.pdht.strategies import SimulatedStrategy, StrategyReport
+from repro.pdht.strategies import SimulatedStrategy, StrategyReport, key_name
 from repro.sim.metrics import MessageCategory
 
 
@@ -258,9 +258,10 @@ class TestSelectionCounters:
     def strategy(self, sim_params, sim_config):
         return SimulatedStrategy(sim_params, config=sim_config, seed=4)
 
-    def _answer(self, strategy, report, key):
-        origin = strategy.network.random_online_peer()
-        strategy._answer(report, origin, key, rank=1)
+    def _answer(self, strategy, report, key_index):
+        """One index query (rank 1) for a key, as a round of one."""
+        online = strategy.network.population.sorted_online_ids()
+        strategy._answer_round(report, online, [(1, key_index)])
 
     def _report(self, strategy):
         return StrategyReport(
@@ -269,23 +270,24 @@ class TestSelectionCounters:
 
     def test_hit_rate_accounting(self, strategy):
         report = self._report(strategy)
-        self._answer(strategy, report, "key-000001")  # cold miss, inserted
-        self._answer(strategy, report, "key-000001")  # hit
+        self._answer(strategy, report, 1)  # cold miss, inserted
+        self._answer(strategy, report, 1)  # hit
         assert (report.queries, report.index_hits, report.answered) == (2, 1, 2)
         assert (report.insertions, report.cold_misses) == (1, 1)
 
     def test_cold_miss_vs_reinsertion(self, strategy):
         report = self._report(strategy)
-        self._answer(strategy, report, "key-000001")  # never indexed: cold
+        self._answer(strategy, report, 1)  # never indexed: cold
         strategy.network.advance(strategy.config.key_ttl + 1.0)
-        self._answer(strategy, report, "key-000001")  # was indexed: reinsertion
+        self._answer(strategy, report, 1)  # was indexed: reinsertion
         assert (report.cold_misses, report.reinsertions) == (1, 1)
         assert report.insertions == 2 and report.index_hits == 0
 
     def test_unresolved_counted(self, strategy):
         report = self._report(strategy)
-        self._answer(strategy, report, "ghost")  # published nowhere
-        self._answer(strategy, report, "ghost")  # still never indexed
+        strategy.network.replicator.remove(key_name(1))  # held nowhere
+        self._answer(strategy, report, 1)
+        self._answer(strategy, report, 1)  # still never indexed
         assert (report.unresolved, report.cold_misses) == (2, 2)
         assert report.insertions == report.answered == 0
 

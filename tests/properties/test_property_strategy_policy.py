@@ -86,11 +86,10 @@ def _event_facts(params, config, name, ranks):
         # An index query is a hit, a cold miss or a reinsertion.
         asked = report.index_hits + report.cold_misses + report.reinsertions
         hits = report.index_hits
-        strategy._answer(
+        strategy._answer_round(
             report,
-            network.random_online_peer(),
-            key_name(strategy.workload.key_for_rank(rank)),
-            rank,
+            network.population.sorted_online_ids(),
+            [(rank, strategy.workload.key_for_rank(rank))],
         )
         routed.append((
             report.index_hits + report.cold_misses + report.reinsertions
