@@ -48,12 +48,12 @@ A query routes with :meth:`PGridDht.route`, ``(origin, key) ->
 once, brings routing up to the membership once, and while the liveness
 epoch is the one the owner and next-hop memos were last checked at,
 reads the owner straight from them; :meth:`~PGridDht.lookup` wraps it
-in a :class:`LookupResult`. A target's leaf is one slot of a table
-built with the trie, indexed by the target's first ``max_leaf_depth``
-bits: a leaf of ``l`` bits fills the ``2 ** (max_leaf_depth - l)``
-slots under its path. The trie is ~``log2(n)`` deep with a short tail,
-so the table holds 8,192 slots for 1,000 members and 262,144 for
-20,000.
+in a :class:`LookupResult`. A target's leaf is found once per routing
+rebuild by looking its first ``l`` bits up in an index of the leaves'
+paths as ints, for each leaf length ``l`` from the shallowest to the
+deepest (7 to 13 bits at 1,000 members, 11 to 18 at 20,000): the index
+holds one entry per leaf, where a table over every value of the
+deepest leaf's bits would grow with the tail of the trie's depth.
 """
 
 from __future__ import annotations
@@ -224,32 +224,31 @@ class PGridDht:
         #: ``_max_leaf_depth`` bits shift right to line up with it.
         self._codes: dict[PeerId, tuple[int, int, int]] = {}
         self._located: dict[int, str] = {}
-        #: The leaf owning each value of a target's first
-        #: ``_max_leaf_depth`` bits: a leaf of length ``l`` fills the
-        #: ``2 ** (depth - l)`` slots its path prefixes.
-        self._leaf_table: list[str] = []
+        #: Each leaf's path as the int ``1 << len(path) | int(path, 2)``
+        #: (the leading 1 keeps paths of different lengths apart).
+        self._leaf_index: dict[int, str] = {}
         #: The :attr:`view_key` the owner and next-hop memos were filled
         #: under, and the liveness epoch it was last checked at; None: no
         #: memos (yet, or not of this trie).
         self._routes_key: tuple[int, int] | None = None
         self._routes_epoch: int | None = None
-        self._max_leaf_depth = 0
+        self._min_leaf_depth = self._max_leaf_depth = 0
         self._prefix_shift = self.keyspace.bits
         if not members:
             return
         self._split(members, "")
-        depth = self._max_leaf_depth = max(len(p) for p in self._leaf_members)
+        self._min_leaf_depth = min(map(len, self._leaf_members))
+        depth = self._max_leaf_depth = max(map(len, self._leaf_members))
         #: A target's first ``depth`` bits are ``target >> _prefix_shift``.
         self._prefix_shift = self.keyspace.bits - depth
         for peer, path in self._paths.items():
             self._codes[peer] = (
                 depth - len(path), int(path, 2) if path else 0, len(path)
             )
-        table = self._leaf_table = [""] * (1 << depth)
-        for path in self._leaf_members:
-            width = 1 << (depth - len(path))
-            start = (int(path, 2) if path else 0) * width
-            table[start:start + width] = [path] * width
+        self._leaf_index = {
+            1 << len(path) | (int(path, 2) if path else 0): path
+            for path in self._leaf_members
+        }
 
     def _split(self, members: list[PeerId], prefix: str) -> None:
         """Recursively partition members on the next identifier bit.
@@ -338,7 +337,8 @@ class PGridDht:
         return LookupResult(key=key, responsible=responsible, messages=hops)
 
     def _locate(self, target: int) -> str:
-        """The trie leaf owning ``target``: its slot of the leaf table.
+        """The trie leaf owning ``target``: the one whose path is a prefix
+        of it, looked up in the leaf index for each leaf length.
 
         Memoised per target until the next routing rebuild (at most
         :data:`KEY_MEMO_LIMIT` targets). Trie leaves
@@ -347,31 +347,40 @@ class PGridDht:
         """
         leaf = self._located.get(target)
         if leaf is None:
+            index = self._leaf_index
+            bits = self.keyspace.bits
+            for length in range(
+                self._min_leaf_depth, self._max_leaf_depth + 1
+            ):
+                leaf = index.get(1 << length | target >> (bits - length))
+                if leaf is not None:
+                    break
+            else:
+                raise RoutingError("P-Grid trie has no leaf for target")
             if len(self._located) >= KEY_MEMO_LIMIT:
                 self._located.clear()
-            leaf = self._located[target] = self._leaf_table[
-                target >> self._prefix_shift
-            ]
+            self._located[target] = leaf
         return leaf
 
     def _responsible(self, target: int) -> PeerId:
         """Online member with the longest path-prefix match on ``target``.
 
-        The owner's leaf is the target's slot of the leaf table; if every
+        The owner's leaf is the one :meth:`_locate` finds; if every
         replica in that leaf is offline, responsibility falls to the
         nearest online member in a sibling subtree (flipping the deepest
         path bits first), which models P-Grid's replica fall-back. Brings
-        the owner and next-hop memos up to the liveness epoch.
+        routing up to the membership and the owner and next-hop memos up
+        to the liveness epoch; while the epoch is the one they were last
+        checked at, the owner comes straight from them.
         """
         self._ensure_routing()
-        if not self._leaf_members:
-            raise RoutingError("P-Grid trie is empty")
-        leaf = self._locate(target)
         # Who owns a leaf and where a hop goes both hold for one trie and
         # one view key, and are forgotten together; the key is read only
         # when the liveness epoch moved.
         epoch = self.population.liveness_epoch
         if epoch != self._routes_epoch:
+            if not self._leaf_members:
+                raise RoutingError("P-Grid trie is empty")
             key = self.view_key
             if key != self._routes_key:
                 self._owners: dict[str, PeerId] = {}
@@ -379,6 +388,9 @@ class PGridDht:
                 self._routes_key = key
                 obs.count("dht.routes.rebuild")
             self._routes_epoch = epoch
+        leaf = self._located.get(target)
+        if leaf is None:
+            leaf = self._locate(target)
         owner = self._owners.get(leaf)
         if owner is None:
             owner = self._owners[leaf] = self._owner_of(leaf)
@@ -404,26 +416,14 @@ class PGridDht:
         ``INDEX_SEARCH`` messages — a route that does not converge counts
         its hops before it raises.
 
-        The origin is checked once, routing is brought up to the
-        membership once, and while the liveness epoch is the one the
-        owner and next-hop memos were last checked at, the owner comes
-        straight from them.
+        The origin is checked once, and :meth:`_responsible` brings
+        routing and its memos up to date once.
         """
         self._require_online_member(origin)
-        if self._routed_version != self._membership_version:
-            self._ensure_routing()
         target = self._targets.get(key)
         if target is None:
             target = self._target(key)
-        if self.population.liveness_epoch == self._routes_epoch:
-            leaf = self._located.get(target)
-            if leaf is None:
-                leaf = self._locate(target)
-            responsible = self._owners.get(leaf)
-            if responsible is None:
-                responsible = self._owners[leaf] = self._owner_of(leaf)
-        else:
-            responsible = self._responsible(target)
+        responsible = self._responsible(target)
         prefix = target >> self._prefix_shift
         next_hops = self._next_hops
         codes = self._codes

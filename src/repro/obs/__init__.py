@@ -50,7 +50,7 @@ from repro.obs.collector import (
     set_collector,
     span,
 )
-from repro.obs.cache import cache_stats, counted_cache, counted_weighed_cache
+from repro.obs.cache import cache_stats, counted_cache
 from repro.obs.export import chrome_trace, replay
 from repro.obs.profile import profile_data, profile_text
 from repro.obs.progress import ProgressRenderer, heartbeat, progress
@@ -59,7 +59,6 @@ from repro.obs import events
 __all__ = [
     "cache_stats",
     "counted_cache",
-    "counted_weighed_cache",
     "Collector",
     "SNAPSHOT_SCHEMA",
     "enabled",

@@ -12,15 +12,14 @@ cache hierarchy in one place.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 from repro.obs.collector import count as _count
 from repro.obs.collector import enabled as _enabled
 from repro.obs.collector import gauge_max as _gauge_max
 
-__all__ = ["counted_cache", "counted_weighed_cache", "cache_stats"]
+__all__ = ["counted_cache", "cache_stats"]
 
 
 #: Every counted cache ever decorated, by name (latest wins on reuse of
@@ -57,67 +56,6 @@ def counted_cache(name: str, maxsize: int):
 
         wrapper.cache_info = cached.cache_info
         wrapper.cache_clear = cached.cache_clear
-        wrapper.__wrapped__ = fn
-        _CACHES[name] = wrapper
-        return wrapper
-
-    return decorate
-
-
-class CacheInfo(NamedTuple):
-    """``lru_cache``'s ``cache_info()`` fields, for a weighed cache."""
-
-    hits: int
-    misses: int
-    maxsize: Optional[int]
-    currsize: int
-
-
-def counted_weighed_cache(
-    name: str, max_weight: int, weigh: Callable[..., int]
-):
-    """A :func:`counted_cache` bounded by the total weight of what it
-    keeps, ``weigh(*args)`` per entry, instead of by the number of
-    entries: the least recently used go first, and an entry heavier than
-    ``max_weight`` on its own is returned and not kept. Positional
-    arguments only; ``cache_info()`` reports no ``maxsize``."""
-
-    def decorate(fn):
-        entries: OrderedDict = OrderedDict()  # args -> (result, weight)
-        hits = misses = weight = 0
-
-        @functools.wraps(fn)
-        def wrapper(*args):
-            nonlocal hits, misses, weight
-            entry = entries.get(args)
-            if entry is not None:
-                entries.move_to_end(args)
-                hits += 1
-                outcome, result = "hit", entry[0]
-            else:
-                misses += 1
-                outcome, result = "miss", fn(*args)
-                heft = weigh(*args)
-                if heft <= max_weight:
-                    entries[args] = (result, heft)
-                    weight += heft
-                    while weight > max_weight:
-                        weight -= entries.popitem(last=False)[1][1]
-            if _enabled():
-                _count(f"cache.{name}.{outcome}")
-                _gauge_max(f"cache.{name}.size", float(len(entries)))
-            return result
-
-        def cache_info() -> CacheInfo:
-            return CacheInfo(hits, misses, None, len(entries))
-
-        def cache_clear() -> None:
-            nonlocal hits, misses, weight
-            entries.clear()
-            hits = misses = weight = 0
-
-        wrapper.cache_info = cache_info
-        wrapper.cache_clear = cache_clear
         wrapper.__wrapped__ = fn
         _CACHES[name] = wrapper
         return wrapper

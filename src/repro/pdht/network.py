@@ -34,8 +34,8 @@ version, so a repeat asker is known online. One
 :meth:`~repro.dht.pgrid.PGridDht.route` call yields the responsible
 member and the hops (no result object). A miss's insert floods the
 group again and writes each member the flood reaches inline
-(:func:`~repro.pdht.ttl_cache.put_each`: the purge-due check, then the
-one record and the one heap record shared by the whole group).
+(:meth:`~repro.pdht.ttl_cache.TtlKeyStore.put` of the one record and
+the one heap record shared by the whole group).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.net.bootstrap import GatewayCache
 from repro.net.churn import ChurnConfig, ChurnProcess
 from repro.net.node import PeerId, PeerPopulation
 from repro.pdht.config import PdhtConfig
-from repro.pdht.ttl_cache import TtlKeyStore, put_each
+from repro.pdht.ttl_cache import TtlKeyStore
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.engine import Simulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
@@ -291,8 +291,11 @@ class PdhtNetwork:
         """
         reached, messages = self._group_of[responsible].flood(responsible)
         stores = self.stores
-        record = (value, now + stores[responsible].ttl)
-        put_each(map(stores.__getitem__, reached), key, record, now)
+        expires_at = now + stores[responsible].ttl
+        record = (value, expires_at)
+        heap_record = (expires_at, key)
+        for member in reached:
+            stores[member].put(key, record, heap_record, now)
         return messages
 
     def disable_maintenance(self) -> None:

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro import obs
 from repro.errors import ParameterError
 
-__all__ = ["IndexRecord", "TtlKeyStore", "put_each"]
+__all__ = ["IndexRecord", "TtlKeyStore"]
 
 #: One stored key: ``(value, expires_at)``. Immutable and shared.
 IndexRecord = tuple[object, float]
@@ -158,21 +158,3 @@ class TtlKeyStore:
             obs.count("index.purged", purged)
         return purged
 
-
-def put_each(
-    stores: Iterable[TtlKeyStore], key: str, record: IndexRecord, now: float
-) -> None:
-    """:meth:`TtlKeyStore.put` of ``key`` at every store of ``stores``, in
-    order, written inline: each store purges first when its heap's head
-    is due, then holds ``record`` itself, and every store gets the same
-    one ``(record[1], key)`` heap record unless it expires at ``inf``."""
-    expires_at = record[1]
-    heap_record = None if expires_at == math.inf else (expires_at, key)
-    push = heapq.heappush
-    for store in stores:
-        heap = store._expiry_heap
-        if heap and heap[0][0] <= now:
-            store.purge_expired(now)
-        store.records[key] = record
-        if heap_record is not None:
-            push(heap, heap_record)

@@ -19,8 +19,10 @@ The masks a draw yields depend only on the generator's state and on the
 population size, ``repl`` and the number of keys, and every strategy's
 network of a figure starts its ``"placement"`` stream in the same state:
 the draw is memoised per process on exactly those (:func:`_placement`,
-``cache.placement.*``, up to :data:`PLACEMENT_MEMO_BYTES` of masks in
-all), and a hit leaves the generator in the state the draw would have. A content
+``cache.placement.*``, the last :data:`PLACEMENT_MEMO` draws), and a hit
+leaves the generator in the state the draw would have. A placement
+larger than its share of :data:`PLACEMENT_MEMO_BYTES` is drawn in
+place, so the memo's masks never outgrow that bound in all. A content
 refresh is drawn in place: no other network draws it, and kept it would
 evict the first placement. The masks are immutable ints; each network
 still builds its own :class:`~repro.unstructured.overlay.ContentRecord`
@@ -39,18 +41,21 @@ from repro.errors import ParameterError
 from repro.sim.rng import choice_rows
 from repro.unstructured.overlay import UnstructuredOverlay
 
-__all__ = ["ContentReplicator", "PLACEMENT_MEMO_BYTES"]
+__all__ = ["ContentReplicator", "PLACEMENT_MEMO", "PLACEMENT_MEMO_BYTES"]
 
 #: Bytes of holder bitmap :func:`_holder_masks` packs per pass.
 _MASK_PASS_BYTES = 1 << 20
 
-#: Bytes of holder masks (``numPeers / 8`` per key) the placement memo
-#: keeps in all, least recently drawn first out: a figure's networks draw
-#: the same first placement one after the other, and the churn
-#: calibration's networks redraw their key and probe-key placements. A
-#: kept placement outlives the network that drew it — through a content
-#: refresh, into the next figure — and at Table 1 size one is ~100 MB;
-#: one larger than the whole bound is drawn in place.
+#: Placements :func:`_placement` keeps: a figure's networks draw the same
+#: first placement one after the other, and the churn calibration's
+#: networks redraw their key and probe-key placements.
+PLACEMENT_MEMO = 3
+
+#: Bytes of holder masks (``numPeers / 8`` per key) the memo's
+#: :data:`PLACEMENT_MEMO` placements may hold in all: a placement over
+#: its share is drawn in place. A kept placement outlives the network
+#: that drew it — through a content refresh, into the next figure — and
+#: at Table 1 size one is ~100 MB.
 PLACEMENT_MEMO_BYTES = 1 << 24
 
 
@@ -75,12 +80,7 @@ def _holder_masks(rows: np.ndarray) -> list[int]:
     return masks
 
 
-def _mask_bytes(state: str, pop: int, size: int, count: int) -> int:
-    """Bytes of the holder masks of a placement of ``count`` keys."""
-    return (pop * count + 7) // 8
-
-
-@obs.counted_weighed_cache("placement", PLACEMENT_MEMO_BYTES, _mask_bytes)
+@obs.counted_cache("placement", maxsize=PLACEMENT_MEMO)
 def _placement(
     state: str, pop: int, size: int, count: int
 ) -> tuple[tuple[int, ...], str]:
@@ -149,7 +149,7 @@ class ContentReplicator:
         )
         rng = self.rng
         pop = len(self.overlay.population)
-        if pop * fresh > 8 * PLACEMENT_MEMO_BYTES:
+        if pop * fresh * PLACEMENT_MEMO > 8 * PLACEMENT_MEMO_BYTES:
             masks = self._draw(fresh)
         else:
             masks, end = _placement(

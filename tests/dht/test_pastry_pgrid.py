@@ -115,3 +115,22 @@ class TestPGrid:
         population = PeerPopulation(4)
         with pytest.raises(RoutingError):
             PGridDht(population, MessageMetrics(), refs_per_level=0)
+
+    def test_leaf_index_at_table1_size(self):
+        """At Table 1 size (20,000 members under indexAll) a leaf is
+        found through an index with one entry per leaf, whatever the
+        deepest leaf's length; every member's own identifier and a run of
+        keys locate the leaf whose path prefixes them."""
+        dht = PGridDht(PeerPopulation(20_000), MessageMetrics())
+        dht.join_all(range(20_000))
+        dht._ensure_routing()
+        assert len(dht._leaf_index) == len(dht._leaf_members) <= 20_000
+        keyspace = dht.keyspace
+        targets = [dht.dht_id(m) for m in range(0, 20_000, 7)]
+        targets += [keyspace.hash_key(f"key-{i}") for i in range(500)]
+        for target in targets:
+            leaf = dht._locate(target)
+            assert leaf in dht._leaf_members
+            assert keyspace.to_bits(target).startswith(leaf)
+        for member in range(0, 20_000, 7):
+            assert dht._locate(dht.dht_id(member)) == _path(dht, member)

@@ -218,38 +218,6 @@ class TestCalibrationCaches:
         finally:
             _CACHES.pop("test_cache", None)
 
-    def test_weighed_cache_evicts_by_total_weight(self):
-        """Least recently used entries leave until the kept weight fits;
-        an entry heavier than the whole bound is returned, not kept."""
-        from repro.obs.cache import _CACHES
-
-        calls = []
-
-        @obs.counted_weighed_cache("test_cache", 10, lambda w: w)
-        def weigh(w):
-            calls.append(w)
-            return [w]
-
-        try:
-            obs.enable()
-            assert weigh(4) == [4] and weigh(5) == [5]
-            assert weigh(4) == [4]  # a hit: 4 is now the most recent
-            assert weigh(3) == [3]  # 12 > 10: 5, the least recent, goes
-            assert weigh(4) == [4] and weigh(3) == [3]
-            assert weigh(11) == [11]  # heavier than the bound: not kept
-            assert weigh(5) == [5]
-            assert calls == [4, 5, 3, 11, 5]
-            info = weigh.cache_info()
-            assert (info.hits, info.misses, info.currsize) == (3, 5, 2)
-            counters = obs.collector().counters
-            assert counters["cache.test_cache.hit"] == 3
-            assert counters["cache.test_cache.miss"] == 5
-            assert obs.cache_stats()["test_cache"]["size"] == 2
-            weigh.cache_clear()
-            assert weigh.cache_info() == (0, 0, None, 0)
-        finally:
-            _CACHES.pop("test_cache", None)
-
     def test_costs_for_repeat_call_is_a_cache_hit(self, params):
         from repro.fastsim.compare import costs_for
 

@@ -456,11 +456,18 @@ def test_query_and_round_equal_the_replaced_bodies(
 
     * the gateway memo keyed on the liveness epoch alone (a join makes a
       peer its own gateway without a flip);
-    * ``put_each`` without its purge-due check (keyTtl 0 and 2.5);
+    * an insert that writes the responsible member's store only, not
+      every member the flood reaches;
+    * an insert whose heap record is keyed at the write time, not the
+      expiry;
     * an origin drawn from the previous round's view (the view taken
       before the round's clock advance; under churn);
-    * ``put_each`` pushing a heap record for an ``inf`` expiry;
     * a hit at a flooded replica reporting no flood messages.
+
+    An insert writes through ``TtlKeyStore.put``, as the reference does,
+    so ``put`` without its purge-due check, or pushing a heap record for
+    an ``inf`` expiry, is caught by the TTL-store oracle
+    (``test_ttl_store_equivalence.py``), not here.
     """
     num_peers, n_keys, repl = shape
     params = ScenarioParameters(

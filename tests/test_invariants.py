@@ -395,8 +395,6 @@ _OBS_API = frozenset(
     {"span", "count", "gauge_max", "add_duration", "progress", "heartbeat"}
 )
 _NO_SLASH = frozenset({"counted_cache", "progress", "heartbeat"})
-#: Both cache decorators name ``cache.<name>.*`` counters.
-_CACHE_API = frozenset({"counted_cache", "counted_weighed_cache"})
 _SEGMENTS = re.compile(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*\Z")
 
 
@@ -404,13 +402,15 @@ def _obs_api(func, imports):
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         if func.value.id == "obs" and func.attr in _OBS_API:
             return func.attr
-        if func.attr in _CACHE_API:
+        if func.attr == "counted_cache":
             return "counted_cache"
     elif isinstance(func, ast.Name):
         origin = imports.names.get(func.id, "")
         if func.id in _OBS_API and origin.startswith("repro.obs"):
             return func.id
-        if func.id in _CACHE_API and origin == f"repro.obs.cache.{func.id}":
+        if func.id == "counted_cache" and origin == (
+            "repro.obs.cache.counted_cache"
+        ):
             return "counted_cache"
     return None
 
@@ -906,12 +906,6 @@ FIXTURES = [    # RL101
         def weights(alpha):
             return alpha
         """, "'zipf/weights'"),
-    row(rl107_span_naming, "slash-in-weighed-cache", "src/repro/unstructured/example.py", """
-        from repro import obs
-        @obs.counted_weighed_cache("placement/masks", 64, len)
-        def masks(state):
-            return state
-        """, "'placement/masks'"),
     row(rl107_span_naming, "conventional-names", "src/repro/analysis/example.py", """
         from repro import obs
         from repro.obs.cache import counted_cache

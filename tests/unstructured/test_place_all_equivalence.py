@@ -310,14 +310,16 @@ def test_a_refresh_draws_in_place_past_the_memo():
 
 
 def test_a_placement_over_the_byte_bound_is_drawn_in_place(monkeypatch):
-    """A placement larger than ``PLACEMENT_MEMO_BYTES`` is not kept, and
-    draws exactly what a kept one would."""
-    monkeypatch.setattr(replication, "PLACEMENT_MEMO_BYTES", 8)
+    """A placement larger than its share of ``PLACEMENT_MEMO_BYTES`` is
+    not kept, and draws exactly what a kept one would."""
+    monkeypatch.setattr(
+        replication, "PLACEMENT_MEMO_BYTES", 8 * replication.PLACEMENT_MEMO
+    )
     replication._placement.cache_clear()
     items = {f"key-{i}": i for i in range(20)}
     old, new = twins(64, 5, 8)
     reference_publish_all(old, items)
-    new.place_all(items)  # 64 peers * 20 keys = 160 bytes > 8
+    new.place_all(items)  # 64 peers * 20 keys = 160 bytes > an 8-byte share
     assert world(new) == world(old)
     info = replication._placement.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
