@@ -220,7 +220,7 @@ class ZipfDistribution:
     def draw_into(
         self,
         rng: np.random.Generator,
-        ranks: np.ndarray,
+        ranks: np.ndarray | None,
         keys: np.ndarray | None = None,
         rank_to_key: np.ndarray | None = None,
     ) -> None:
@@ -229,15 +229,19 @@ class ZipfDistribution:
         With ``keys``, the same pass also writes each query's key index:
         ``keys[i] = rank_to_key[ranks[i] - 1]``, or ``ranks[i] - 1``
         without ``rank_to_key`` (the identity mapping, a copy rather than
-        a gather). Works through the buffers :data:`DRAW_CHUNK` uniforms
-        at a time; the ranks and the generator's state afterwards are
-        those of ``searchsorted(cdf, rng.random(ranks.size)) + 1``.
+        a gather). ``ranks`` is optional when ``keys`` is given: a caller
+        that reads keys only draws the same keys without a rank buffer.
+        Works through the buffers :data:`DRAW_CHUNK` uniforms at a time;
+        the ranks and the generator's state afterwards are those of
+        ``searchsorted(cdf, rng.random(size)) + 1``.
         """
-        guide = self._guide() if ranks.size >= GUIDE_MIN_DRAW else None
-        for lo in range(0, ranks.size, DRAW_CHUNK):
-            hi = min(lo + DRAW_CHUNK, ranks.size)
+        size = (keys if ranks is None else ranks).size
+        guide = self._guide() if size >= GUIDE_MIN_DRAW else None
+        for lo in range(0, size, DRAW_CHUNK):
+            hi = min(lo + DRAW_CHUNK, size)
             index = self._invert(rng.random(hi - lo), guide)
-            np.add(index, 1, out=ranks[lo:hi])
+            if ranks is not None:
+                np.add(index, 1, out=ranks[lo:hi])
             if keys is None:
                 continue
             if rank_to_key is None:

@@ -30,19 +30,19 @@ liveness at its own keyTtl against the write times the span opens
 with. Spans are the shortest any lane allows, and the last lane writes
 the span's entries after every lane has read them.
 
-:meth:`FastSimKernel.run` decides once whether no entry can expire
-before the run ends: no churn, no content refresh, every lane adaptive
-and every lane's ``1.0 + keyTtl`` (from the earliest write time, if one
-is earlier) after the run's last round. That holds for every cell of a
-sweep, whose keyTtl is thousands of rounds against its 240. Section
+:meth:`FastSimKernel.run` runs a kernel once, and decides at its start
+whether no entry can expire before the run ends: no churn, no content
+refresh, a fresh state, every lane adaptive and every lane's
+``1.0 + keyTtl`` after the run's last round. That holds for every cell
+of a sweep, whose keyTtl is thousands of rounds against its 240. Section
 5.1 then reduces to first occurrence — a query hits iff an earlier
 query inserted its key — and every span of the run takes one decision
 for all lanes from a boolean plane of the indexed keys: one byte
 gathered per query, and only the misses sorted, for their first rounds
-(:meth:`FastSimKernel._first_occurrence`). Each round still writes its
-keys' times, so a later run that leaves the regime reads the write
-times the general path would have left. A span stepped outside
-:meth:`~FastSimKernel.run` takes the general liveness test.
+(:meth:`FastSimKernel._first_occurrence`). Nothing reads a write time
+in such a run, so none is allocated or written; a lane's index size is
+the plane's count. A span stepped outside :meth:`~FastSimKernel.run`
+takes the general liveness test.
 
 Every random input of a run — query counts, the default workload stream,
 DHT members, churn flips, origins, turnover and resolution draws — comes
@@ -471,14 +471,17 @@ class FastSimKernel:
         )
 
         self.now = 0.0
+        #: Whether :meth:`run` was called: a kernel runs once.
+        self._ran = False
+        #: The indexed plane of a run in which no entry can expire
+        #: (:meth:`_unexpiring`); ``None`` outside one.
+        self._plane: Optional[np.ndarray] = None
 
-        # Streamed-loop buffers: per-role scratch for the span hot paths,
-        # draw buffers reused across blocks, and read-only all-ones
-        # sentinels for the no-churn resolution fast path. All grow to the
-        # largest batch seen and are then stable for the run.
+        # Streamed-loop buffers: per-role scratch for the span hot paths
+        # and read-only all-ones sentinels for the no-churn resolution
+        # fast path. All grow to the largest batch seen and are then
+        # stable for the run.
         self._scratch = _SpanScratch()
-        self._draw_ranks: Optional[np.ndarray] = None
-        self._draw_keys: Optional[np.ndarray] = None
         self._ones_bool = _EMPTY_BOOL
         self._ones_f8 = _EMPTY_F8
         #: Lane-spans answered from another lane's decision (:meth:`_decide`).
@@ -511,7 +514,7 @@ class FastSimKernel:
 
         ``config`` may differ from the kernel's only in ``key_ttl``, and
         only a kernel without churn or content refresh takes lanes, before
-        its first run. ``costs`` default as the constructor's do. The
+        its run. ``costs`` default as the constructor's do. The
         lane's report (:attr:`reports`) equals that of a kernel built with
         ``config`` and run alone. It adds one mask over the peers (its
         members) and no per-key state; in a span no entry can expire for
@@ -522,7 +525,7 @@ class FastSimKernel:
             raise ParameterError(
                 "only a run without churn or content refresh takes lanes"
             )
-        if self.now:
+        if self._ran:
             raise ParameterError("lanes are added before the first run")
         if config.with_ttl(self.config.key_ttl) != self.config:
             raise ParameterError(
@@ -547,7 +550,8 @@ class FastSimKernel:
     # ------------------------------------------------------------------
     def run(self, duration: float, window: float = 0.0) -> FastSimReport:
         """Simulate ``duration`` rounds; returns the first lane's report
-        (every lane's is in :attr:`reports`).
+        (every lane's is in :attr:`reports`). A kernel runs once: a
+        second call raises :class:`~repro.errors.ParameterError`.
 
         ``window > 0`` records hit-rate and index-size samples every
         ``window`` rounds, like the event engine's strategy driver.
@@ -565,16 +569,22 @@ class FastSimKernel:
         from another lane's decision (:meth:`_decide`; absent when none)
         and ``kernel.runs.unexpiring`` the runs in which no entry can
         expire (:meth:`_unexpiring`; one per run, not per lane).
+        ``rusage.kernel.cpu_s`` and ``rusage.kernel.minflt`` are the
+        process's CPU seconds and minor page faults during the run.
         """
+        if self._ran:
+            raise ParameterError("a kernel runs once; build one per run")
         rounds = whole_rounds(duration)
+        self._ran = True
         # Decided for the whole run, never per span: see _unexpiring.
-        plane = self._unexpiring(rounds)
-        started = perf_counter()
+        self._plane = self._unexpiring(rounds)
         # Telemetry is sampled into local floats and reported once after
         # the loop: one boolean check per phase per round when disabled,
         # no RNG interaction ever (seeded results stay bit-identical with
         # telemetry on or off).
         telemetry = obs.enabled()
+        usage = obs.cpu_and_faults() if telemetry else None
+        started = perf_counter()
         perf = perf_counter
         t_draw = t_maintain = t_queries = t_post = 0.0
         draw_blocks = spans = transitions = refreshes = 0
@@ -633,22 +643,22 @@ class FastSimKernel:
                 cumulative, drawn[block_lo] + DRAW_BLOCK, side="right"
             ))
             edges.append(min(max(block_hi, block_lo + 1), rounds))
+        # One draw buffer for the whole run, sized to its largest block
+        # (~DRAW_BLOCK unless a single round exceeds it): the streamed
+        # loop never re-materialises the query stream. Only a static
+        # index reads ranks; every other policy draws keys alone.
         largest = int(np.diff(drawn[edges]).max())
-        if self._draw_ranks is None or self._draw_ranks.size < largest:
-            # One pair of draw buffers for the whole run, sized to its
-            # largest block (~DRAW_BLOCK unless a single round exceeds
-            # it) before the first: the streamed loop never
-            # re-materialises the query stream, and never holds a
-            # smaller pair's last block while it fills a larger pair.
-            self._draw_ranks = np.empty(largest, dtype=INDEX_DTYPE)
-            self._draw_keys = np.empty(largest, dtype=INDEX_DTYPE)
+        policy = lanes[0].policy
+        static = policy.runs_dht and not policy.adaptive
+        buffers = (
+            np.empty(largest, dtype=INDEX_DTYPE) if static else None,
+            np.empty(largest, dtype=INDEX_DTYPE),
+        )
         for block_lo, block_hi in zip(edges, edges[1:]):
             if telemetry:
                 t0 = perf()
             block_ranks, block_keys, offsets = self.workload.draw_rounds(
-                start + block_lo,
-                counts[block_lo:block_hi],
-                out=(self._draw_ranks, self._draw_keys),
+                start + block_lo, counts[block_lo:block_hi], out=buffers
             )
             bounds = offsets.tolist()
             if telemetry:
@@ -688,8 +698,9 @@ class FastSimKernel:
                     t_maintain += t1 - t0
                 lo, hi = bounds[i - block_lo], bounds[end - block_lo]
                 steps = self._step_span(
-                    now, counts[i:end], block_ranks[lo:hi], block_keys[lo:hi],
-                    reports, plane,
+                    now, counts[i:end],
+                    None if block_ranks is None else block_ranks[lo:hi],
+                    block_keys[lo:hi], reports,
                 )
                 if telemetry:
                     t2 = perf()
@@ -762,7 +773,10 @@ class FastSimKernel:
             obs.count("kernel.runs", len(lanes))
             obs.count("kernel.rounds", rounds * len(lanes))
             obs.count("kernel.spans", spans)
-            if plane is not None:
+            cpu, faults = obs.cpu_and_faults()
+            obs.count("rusage.kernel.cpu_s", cpu - usage[0])
+            obs.count("rusage.kernel.minflt", faults - usage[1])
+            if self._plane is not None:
                 obs.count("kernel.runs.unexpiring")
             if self._shared_lanes > shared_before:
                 obs.count(
@@ -817,19 +831,15 @@ class FastSimKernel:
         self,
         now: float,
         counts: np.ndarray,
-        ranks: np.ndarray,
+        ranks: Optional[np.ndarray],
         keys: np.ndarray,
         reports: list[FastSimReport],
-        plane: Optional[np.ndarray] = None,
     ) -> list[tuple[list[int], list[int], _Charges]]:
         """Process the query batches of one span in one numpy pass.
 
         Round ``j`` of the span runs at ``now + j`` with ``counts[j]``
-        queries; ``ranks`` and ``keys`` hold them all in round order.
-        ``plane`` is the indexed plane of a run in which no entry can
-        expire (:meth:`_unexpiring`); without it — the default, and so
-        any span stepped outside :meth:`run` — the lanes test liveness
-        against the write times.
+        queries; ``ranks`` and ``keys`` hold them all in round order
+        (``ranks`` may be ``None`` where no static index reads them).
         Returns, for each lane (tallied into its report in ``reports``),
         per-round ``accepted`` and ``hits`` and the message charges,
         ``(category, per-round amounts)`` pairs the caller books round by
@@ -894,7 +904,7 @@ class FastSimKernel:
              self._gateway_charges(lane, span, contacts, report)
              + self._price(lane, span, decision, report))
             for (lane, report), decision in zip(
-                lanes, self._decide(span, keys, plane)
+                lanes, self._decide(span, keys)
             )
         ]
 
@@ -950,50 +960,42 @@ class FastSimKernel:
         return span.counts, hits, charges
 
     def _unexpiring(self, rounds: int) -> Optional[np.ndarray]:
-        """The indexed plane of a run of ``rounds`` rounds in which no
-        entry can expire, or ``None`` where one can.
+        """The indexed plane, every key unwritten, of a run of ``rounds``
+        rounds in which no entry can expire; ``None`` where one can.
 
         Only queries move an entry when there is no churn, no content
         refresh (nor a version plane from :meth:`FastSimState.bump_versions`)
         and every lane is adaptive. An entry written at ``t`` then lives
-        while ``t + keyTtl`` is after the round, and a write time is a
-        round's, so at least 1.0: where every lane's ``1.0 + keyTtl`` is
-        after the run's last round (``now + rounds``), every entry written
-        before the run or in it is live until the run ends. The bound is
-        evaluated in floats, as the liveness test adds, and from the
-        earliest write time where one is below 1.0. The plane is each
-        key's "ever written" (a finite write time); the run sets it on
-        each insert. Counted as ``kernel.runs.unexpiring``.
+        while ``t + keyTtl`` is after the round, and the run writes at
+        round times, at least 1.0: where every lane's ``1.0 + keyTtl`` is
+        after the run's last round (in floats, as the liveness test
+        adds), every entry it writes lives until it ends. Write times a
+        caller made before the run (:attr:`FastSimState.has_write_times`)
+        take the general path. The run sets the plane (each key's "ever
+        written") on each insert. Counted as ``kernel.runs.unexpiring``.
         """
-        last_round = self.now + rounds
         if (
             self.churn is not None
             or self._next_refresh is not None
             or self.state.indexed_version is not None
+            or self.state.has_write_times
             or not all(
-                lane.policy.adaptive and 1.0 + lane.key_ttl > last_round
+                lane.policy.adaptive and 1.0 + lane.key_ttl > self.now + rounds
                 for lane in self.lanes
             )
         ):
             return None
-        written = self.state.written_at
-        plane = written > -np.inf
-        earliest = float(written.min(where=plane, initial=1.0))
-        if all(earliest + lane.key_ttl > last_round for lane in self.lanes):
-            return plane
-        return None
+        return np.zeros(self.params.n_keys, dtype=bool)
 
-    def _decide(
-        self, span: _Span, keys: np.ndarray, plane: Optional[np.ndarray]
-    ) -> list[_Decision]:
+    def _decide(self, span: _Span, keys: np.ndarray) -> list[_Decision]:
         """Every lane's decision on one span's queries (the same object
         for the lanes that share one); the last lane writes the span's
         entries, after every lane read the write times they open with.
 
-        With ``plane`` no entry can expire before the run ends
-        (:meth:`_unexpiring`), whatever a lane's keyTtl: every lane takes
-        one decision by first occurrence (:meth:`_first_occurrence`),
-        which reads the plane instead of the write times.
+        In a run in which no entry can expire (:meth:`_unexpiring`),
+        whatever a lane's keyTtl, every lane takes one decision by first
+        occurrence (:meth:`_first_occurrence`), which reads the plane and
+        no write time.
 
         Otherwise, a write time is a round's, so at least 1.0. A lane whose
         ``1.0 + keyTtl`` is after the span's last round therefore finds
@@ -1004,10 +1006,9 @@ class FastSimKernel:
         evaluated in floats, as the liveness test adds, so it holds for
         any keyTtl; a keyTtl of 0 never meets it.
         """
-        if plane is not None:
+        if self._plane is not None:
             self._shared_lanes += len(self.lanes) - 1
-            decision = self._first_occurrence(span, keys, plane)
-            return [decision] * len(self.lanes)
+            return [self._first_occurrence(span, keys)] * len(self.lanes)
         written = np.take(
             self.state.written_at,
             keys,
@@ -1187,8 +1188,12 @@ class FastSimKernel:
             state.write(keys[live], span.now)
             state.write(inserts, span.now)
         else:
-            # Every query rearmed or re-inserted its key.
-            self._write_rounds(span, keys)
+            # Every query rearmed or re-inserted its key: round by round
+            # in round order, so a key's last round in the span sets it.
+            lo = 0
+            for j, round_count in enumerate(span.counts):
+                state.write(keys[lo:lo + round_count], span.now + j)
+                lo += round_count
         state.capture_versions(inserts)
         if rehits is not None:
             # Read after the capture: stale unless an earlier round of the
@@ -1216,20 +1221,18 @@ class FastSimKernel:
             count, miss_events, insertions, unresolved, cold, stale, walks,
         )
 
-    def _first_occurrence(
-        self, span: _Span, keys: np.ndarray, plane: np.ndarray
-    ) -> _Decision:
+    def _first_occurrence(self, span: _Span, keys: np.ndarray) -> _Decision:
         """The Section 5.1 query path on one span's queries where no
         entry can expire before the run ends: a query hits iff its key is
-        in the indexed ``plane`` or occurred earlier in the span.
+        in the indexed plane or occurred earlier in the span.
 
         A key outside the plane has never been written, so it misses once,
         cold, at its first occurrence; its broadcast resolves (there is no
         churn) and inserts it, and its later occurrences hit. Only the
-        misses are sorted. The inserted keys join ``plane``, and every
-        query writes its round's time, as on the general path.
+        misses are sorted, and the inserted keys join the plane.
         """
         count = keys.size
+        plane = self._plane
         missed = np.take(
             plane, keys, out=self._scratch.get("first.missed", count, bool)
         )
@@ -1250,21 +1253,12 @@ class FastSimKernel:
                 pairs[first] % span.size, minlength=span.size
             ).tolist()
         plane[inserts] = True
-        self._write_rounds(span, keys)
         new = inserts.size
         return _Decision(
             hits=[c - m for c, m in zip(span.counts, misses)],
             misses=misses, inserted=misses, count=count, miss_events=new,
             insertions=new, unresolved=0, cold=new, stale=0, walks=None,
         )
-
-    def _write_rounds(self, span: _Span, keys: np.ndarray) -> None:
-        """Write each round's time for its keys, round by round in round
-        order, so a key's last round in the span sets it."""
-        lo = 0
-        for j, round_count in enumerate(span.counts):
-            self.state.write(keys[lo:lo + round_count], span.now + j)
-            lo += round_count
 
     def _price(
         self, lane: _Lane, span: _Span, decision: _Decision,
@@ -1458,9 +1452,12 @@ class FastSimKernel:
         ]
 
     def _reported_index_size(self, lane: _Lane, now: float) -> int:
-        if lane.policy.adaptive:
-            return self.state.index_size(now, lane.key_ttl)
-        return lane.policy.preloaded_ranks
+        if not lane.policy.adaptive:
+            return lane.policy.preloaded_ranks
+        if self._plane is not None:
+            # No entry expires in the run: every key ever written is live.
+            return int(np.count_nonzero(self._plane))
+        return self.state.index_size(now, lane.key_ttl)
 
 
 def run_fastsim(

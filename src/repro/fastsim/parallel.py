@@ -198,14 +198,14 @@ def pack_jobs(
 
     Returns job copies whose workloads carry
     :class:`~repro.fastsim.shm.SharedArrayRef` handles instead of the
-    big arrays (Zipf probability/cumulative tables, rank→key mappings,
+    big arrays (Zipf cumulative tables, shifted rank→key mappings,
     trace streams); the originals are untouched. Jobs with no explicit
     workload get the kernel's default stationary workload materialised
     here — bit-identically, from the job seed's
     :meth:`~repro.fastsim.inputs.RoundInputs.workload` — so its
-    tables ship by handle too; the Zipf distribution and the identity
-    rank→key mapping are deduplicated across jobs sharing
-    ``(n_keys, alpha)``, one segment per distinct table.
+    table ships by handle too; the Zipf distribution is shared by the
+    jobs of one ``(n_keys, alpha)``, one segment per distinct table. A
+    stationary stream's identity mapping is ``None``: nothing to ship.
 
     Call only on *resolved* jobs, after :func:`job_key` has been taken:
     packing is an execution detail and must never enter a job's artifact
@@ -214,7 +214,6 @@ def pack_jobs(
     from repro.fastsim import shm
 
     zipfs: dict[tuple[int, float], ZipfDistribution] = {}
-    identities: dict[int, Any] = {}
     packed: list[FastSimJob] = []
     for job in jobs:
         workload = job.workload
@@ -224,13 +223,6 @@ def pack_jobs(
             if zipf is None:
                 zipf = zipfs[cell] = ZipfDistribution(*cell)
             workload = RoundInputs(job.seed).workload(job.params, zipf)
-            identity = identities.get(job.params.n_keys)
-            if identity is None:
-                identities[job.params.n_keys] = workload.rank_to_key
-            else:
-                # Same identity mapping for every stationary default
-                # workload of this key count -> one shared segment.
-                workload.rank_to_key = identity
         packed.append(
             replace(job, workload=shm.extract_arrays(workload, arena))
         )

@@ -2,9 +2,10 @@
 
 ``run_many`` ships :class:`~repro.fastsim.parallel.FastSimJob`s to a
 ``ProcessPoolExecutor`` by pickle. A job's large read-mostly arrays —
-the Zipf probability/cumulative-weight tables, the rank→key mapping, a
-trace workload's recorded stream — dominate that payload: at 10^8 keys
-the tables alone are gigabytes, and an N-worker pool holds N+1 copies.
+the Zipf cumulative-weight table, a shifted rank→key mapping, a trace
+workload's recorded stream — dominate that payload: at 10^8 keys the
+table alone is gigabytes, and an N-worker pool holds N+1 copies. (A
+stream on the identity mapping holds ``None`` for it: nothing to ship.)
 
 This module keeps those arrays out of the pickle stream entirely:
 
@@ -191,7 +192,7 @@ def extract_arrays(
     are returned as-is. The walk covers ndarray attributes up to
     ``_depth`` levels of ``__dict__``-bearing objects plus list/tuple/
     dict containers — enough for every stream in the repo (stream →
-    zipf → tables; stream → rank_to_key; a replay stream's own
+    zipf → table; stream → a shifted rank_to_key; a replay stream's own
     ``_times`` / ``_ranks`` / ``_keys``).
     """
     if isinstance(obj, np.ndarray):

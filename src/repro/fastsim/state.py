@@ -26,6 +26,12 @@ own :class:`Membership`. The peers that already queried the index are
 one mask too (:attr:`FastSimState.seen`): the lanes' queries come from
 the same origins, and a lane's gateway-equipped peers are its members
 and the seen ones.
+
+The write times exist only where a run reads them: they are allocated
+the first time :attr:`FastSimState.written_at` is used. A kernel run in
+which no entry can expire reads only whether a key was ever written,
+which it keeps as a byte per key of its own, so its state never holds
+write times (see :mod:`repro.fastsim.kernel`).
 """
 
 from __future__ import annotations
@@ -43,19 +49,16 @@ _SIZE_CHUNK = 1 << 14
 
 
 class FastSimState:
-    """Vectorized network state: the per-key write times, the content
-    versions (allocated on the first refresh), every peer's liveness and
-    the peers that already queried the index, sized by ``params``. Every
-    peer starts online and unseen.
+    """Vectorized network state: the per-key write times (allocated on
+    first use), the content versions (allocated on the first refresh),
+    every peer's liveness and the peers that already queried the index,
+    sized by ``params``. Every peer starts online and unseen.
     """
 
     def __init__(self, params: ScenarioParameters) -> None:
         self.params = params
-        n_keys, num_peers = params.n_keys, params.num_peers
-
-        # --- per-key index plane --------------------------------------
-        #: Last write time of a key's entry; -inf = never indexed.
-        self.written_at = np.full(n_keys, -np.inf, dtype=TIME_DTYPE)
+        num_peers = params.num_peers
+        self._written_at: np.ndarray | None = None
 
         # --- content plane --------------------------------------------
         #: Version of every key's *content* replicas (a refresh replaces
@@ -80,17 +83,35 @@ class FastSimState:
         self.seen = np.zeros(num_peers, dtype=bool)
 
     # ------------------------------------------------------------------
+    @property
+    def written_at(self) -> np.ndarray:
+        """Last write time of each key's entry; ``-inf`` = never indexed.
+        Allocated, every key at ``-inf``, on first use."""
+        if self._written_at is None:
+            self._written_at = np.full(
+                self.params.n_keys, -np.inf, dtype=TIME_DTYPE
+            )
+        return self._written_at
+
+    @property
+    def has_write_times(self) -> bool:
+        """Whether :attr:`written_at` was ever used (so may hold a write)."""
+        return self._written_at is not None
+
     def index_size(self, now: float, key_ttl: float) -> int:
         """Number of keys resident in the index at ``now`` under
         ``key_ttl``. An entry at its expiry instant is already dead
         (``TtlKeyStore`` treats ``expires_at <= now`` as a miss), hence
         the strict ``>``."""
+        written = self._written_at
+        if written is None:
+            return 0
         live = 0
         # A never-written key under an infinite keyTtl sums to NaN, which
         # is not live.
         with np.errstate(invalid="ignore"):
-            for lo in range(0, self.written_at.size, _SIZE_CHUNK):
-                expiry = self.written_at[lo:lo + _SIZE_CHUNK] + key_ttl
+            for lo in range(0, written.size, _SIZE_CHUNK):
+                expiry = written[lo:lo + _SIZE_CHUNK] + key_ttl
                 live += int(np.count_nonzero(expiry > now))
         return live
 
@@ -109,7 +130,7 @@ class FastSimState:
         every entry inserted so far captured."""
         if self.indexed_version is None:
             self.indexed_version = np.zeros(
-                self.written_at.size, dtype=VERSION_DTYPE
+                self.params.n_keys, dtype=VERSION_DTYPE
             )
         self.content_version += 1
 

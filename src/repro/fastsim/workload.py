@@ -13,20 +13,21 @@ same queries on either engine. A stream may also modulate the query rate
 (:meth:`BatchWorkload.rate_multiplier` / ``rate_multipliers``) or pin the
 per-round counts (:meth:`BatchWorkload.fixed_counts`, trace replay).
 
-A stream starts on the identity rank -> key mapping, and draws under it
-copy each query's rank index as its key index instead of gathering it
-from the mapping: :func:`_identity` registers the read-only arange it
-hands a new stream, and :meth:`BatchWorkload._mapping` recognises it by
-object, in O(1). A shift replaces the array (``WorkloadModel.apply``
-returns a new mapping), so a shifted stream gathers again; so does a
-copy that came through pickle or shared memory, with the same result.
+A stream starts on the identity rank -> key mapping, which it holds as
+``rank_to_key = None``: its draws copy each query's rank index as its
+key index instead of gathering it from a mapping, and no O(n_keys)
+array exists until a shift makes a real one (a shifting model builds
+the ``arange`` at its first boundary; ``WorkloadModel.apply`` returns
+a new mapping). A stream that comes through pickle or shared memory
+keeps ``None``, and so the copy. A store key spells ``None`` as the
+identity list (:meth:`BatchWorkload.__store_key__`), so a stream keys
+as it did when it held the array.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,20 +41,17 @@ if TYPE_CHECKING:
 
 __all__ = ["BatchWorkload"]
 
-#: The identity mappings :func:`_identity` made and that are still
-#: alive, by ``id``: held weakly, so a mapping dies with its streams.
-_IDENTITIES: weakref.WeakValueDictionary[int, np.ndarray] = (
-    weakref.WeakValueDictionary()
-)
+#: An ``out`` buffer no batch fits: :meth:`BatchWorkload.draw_rounds`
+#: allocates in its place.
+_FRESH = np.empty(0, dtype=INDEX_DTYPE)
 
 
-def _identity(n_keys: int) -> np.ndarray:
-    """A read-only identity rank -> key mapping over ``n_keys`` keys,
-    registered so :meth:`BatchWorkload._mapping` knows it as one."""
-    mapping = np.arange(n_keys)
-    mapping.flags.writeable = False
-    _IDENTITIES[id(mapping)] = mapping
-    return mapping
+def _buffer(buffer: np.ndarray, total: int) -> np.ndarray:
+    """A view of ``buffer`` holding ``total`` queries, or a fresh array
+    where it is too small or not :data:`INDEX_DTYPE`."""
+    if buffer.size >= total and buffer.dtype == INDEX_DTYPE:
+        return buffer[:total]
+    return np.empty(total, dtype=INDEX_DTYPE)
 
 
 class BatchWorkload(abc.ABC):
@@ -69,24 +67,30 @@ class BatchWorkload(abc.ABC):
         self.model = model
         self.zipf = zipf
         self.rng = rng
-        #: Permutation mapping (rank - 1) -> key index. Identity at start.
-        self.rank_to_key = _identity(zipf.n_keys)
+        #: Permutation mapping (rank - 1) -> key index; ``None`` is the
+        #: identity, which every stream starts on.
+        self.rank_to_key: np.ndarray | None = None
 
     @property
     def n_keys(self) -> int:
         return self.zipf.n_keys
 
-    def _mapping(self) -> np.ndarray | None:
-        """The mapping a draw applies: ``None`` while it is the identity
-        this process made for a stream (the draw then copies)."""
-        mapping = self.rank_to_key
-        return None if _IDENTITIES.get(id(mapping)) is mapping else mapping
-
     def key_for_rank(self, rank: int) -> int:
         """Stable key index currently holding popularity ``rank``."""
         if not 1 <= rank <= self.n_keys:
             raise ParameterError(f"rank must be in [1, {self.n_keys}], got {rank}")
+        if self.rank_to_key is None:
+            return int(rank) - 1
         return int(self.rank_to_key[rank - 1])
+
+    def __store_key__(self) -> dict[str, object]:
+        """The stream's instance state for a store key, the identity
+        mapping spelled as the list it stands for: a stream keys as it
+        did when it held that array."""
+        state = dict(vars(self))
+        if self.rank_to_key is None:
+            state["rank_to_key"] = np.arange(self.n_keys)
+        return state
 
     @abc.abstractmethod
     def maybe_shift(self, now: float) -> bool:
@@ -147,15 +151,15 @@ class BatchWorkload(abc.ABC):
         self.maybe_shift(now)
         ranks = np.empty(count, dtype=INDEX_DTYPE)
         keys = np.empty_like(ranks)
-        self.zipf.draw_into(self.rng, ranks, keys, self._mapping())
+        self.zipf.draw_into(self.rng, ranks, keys, self.rank_to_key)
         return ranks, keys
 
     def draw_rounds(
         self,
         start: float,
         counts: np.ndarray,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        out: tuple[np.ndarray | None, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """Draw many consecutive rounds' batches in one or few RNG calls.
 
         Round ``i`` (0-based) happens at ``start + i + 1`` with
@@ -166,15 +170,17 @@ class BatchWorkload(abc.ABC):
         applied to each round and the RNG stream order are identical to
         the per-round path — seeded results stay bit-identical.
 
-        ``out``, when given, is an optional ``(ranks, keys)`` pair of
-        preallocated int64 buffers; if large enough, the batch is written
-        into (views of) them instead of fresh arrays, which lets the
-        kernel's streamed loop reuse one draw block for the whole run.
-        Buffers that are too small or mistyped are ignored — the call
-        then allocates exactly as before.
+        ``out``, when given, is a ``(ranks, keys)`` pair of preallocated
+        int64 buffers; the batch is written into (views of) each one
+        large enough, which lets the kernel's streamed loop reuse one
+        draw block for the whole run. A buffer that is too small or
+        mistyped is ignored, and the call allocates in its place. A
+        ``None`` ranks buffer draws the keys only: the same keys and
+        generator state, with no ranks written, and ``None`` returned
+        for them.
 
         Returns ``(ranks, keys, offsets)`` where
-        ``ranks[offsets[i]:offsets[i + 1]]`` is round ``i``'s batch.
+        ``keys[offsets[i]:offsets[i + 1]]`` is round ``i``'s batch.
         """
         counts = np.asarray(counts, dtype=INDEX_DTYPE)
         if counts.size and counts.min() < 0:
@@ -183,18 +189,9 @@ class BatchWorkload(abc.ABC):
             )
         offsets = np.concatenate(([0], np.cumsum(counts)))
         total = int(offsets[-1])
-        if (
-            out is not None
-            and out[0].size >= total
-            and out[1].size >= total
-            and out[0].dtype == INDEX_DTYPE
-            and out[1].dtype == INDEX_DTYPE
-        ):
-            ranks = out[0][:total]
-            keys = out[1][:total]
-        else:
-            ranks = np.empty(total, dtype=INDEX_DTYPE)
-            keys = np.empty_like(ranks)
+        ranks_out, keys_out = out if out is not None else (_FRESH, _FRESH)
+        ranks = None if ranks_out is None else _buffer(ranks_out, total)
+        keys = _buffer(keys_out, total)
 
         def flush(lo_round: int, hi_round: int) -> None:
             # Draw the segment [lo_round, hi_round) under the current
@@ -202,7 +199,10 @@ class BatchWorkload(abc.ABC):
             lo, hi = int(offsets[lo_round]), int(offsets[hi_round])
             if hi > lo:
                 self.zipf.draw_into(
-                    self.rng, ranks[lo:hi], keys[lo:hi], self._mapping()
+                    self.rng,
+                    None if ranks is None else ranks[lo:hi],
+                    keys[lo:hi],
+                    self.rank_to_key,
                 )
 
         n = counts.size

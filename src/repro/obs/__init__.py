@@ -37,6 +37,7 @@ from repro.obs.collector import (
     add_duration,
     collector,
     count,
+    cpu_and_faults,
     disable,
     enable,
     enabled,
@@ -73,6 +74,7 @@ __all__ = [
     "add_duration",
     "merge_snapshot",
     "peak_rss_bytes",
+    "cpu_and_faults",
     "report_gc",
     "reset_span_stack",
     "sample_peak_rss",

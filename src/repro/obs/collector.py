@@ -59,6 +59,7 @@ __all__ = [
     "merge_snapshot",
     "peak_rss_bytes",
     "sample_peak_rss",
+    "cpu_and_faults",
     "report_gc",
     "reset_span_stack",
     "SNAPSHOT_SCHEMA",
@@ -460,6 +461,22 @@ def sample_peak_rss(label: str = "process") -> int:
     if _enabled and peak:
         gauge_max(f"{label}.peak_rss_bytes", float(peak))
     return peak
+
+
+def cpu_and_faults() -> tuple[float, int]:
+    """This process's CPU seconds (user + system) and minor page faults
+    so far, from ``getrusage``; ``(0.0, 0)`` where it is unavailable.
+
+    A phase's difference of two readings tells computing from faulting
+    in pages; against the phase's wall time, it tells waiting for a CPU
+    from either.
+    """
+    try:
+        import resource
+    except ImportError:  # non-POSIX platform
+        return 0.0, 0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
 
 
 if os.environ.get("REPRO_OBS", "").strip().lower() not in ("", "0", "false"):

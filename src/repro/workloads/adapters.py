@@ -47,7 +47,7 @@ class ModelBatchWorkload(BatchWorkload):
 
     Between boundaries the mapping is frozen, so ``draw_rounds`` draws
     each whole segment in one ``draw_into`` call — the stationary stream
-    is the one-segment case.
+    is the one-segment case, and never holds a mapping array.
     """
 
     def __init__(self, model: WorkloadModel, zipf, rng) -> None:
@@ -58,8 +58,13 @@ class ModelBatchWorkload(BatchWorkload):
         return self._cursor.next
 
     def maybe_shift(self, now: float) -> bool:
+        mapping = self.rank_to_key
+        if mapping is None and now >= self._cursor.next:
+            # The first boundary shifts the identity as the array it
+            # stands for.
+            mapping = np.arange(self.n_keys)
         self.rank_to_key, changed = self._cursor.advance(
-            now, self.rank_to_key, self.rng
+            now, mapping, self.rng
         )
         return changed
 

@@ -222,8 +222,11 @@ class GradualDrift(WorkloadModel):
             n - 2,
         )
         mapping = mapping.copy()
-        for i in positions:
-            mapping[i], mapping[i + 1] = mapping[i + 1], mapping[i]
+        # Swapped through a memoryview: Python ints in and out, where
+        # indexing the array boxes a numpy scalar per read.
+        view = memoryview(mapping)
+        for i in positions.tolist():
+            view[i], view[i + 1] = view[i + 1], view[i]
         return mapping
 
     @property

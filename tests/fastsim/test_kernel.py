@@ -508,3 +508,59 @@ class TestStrategySetup:
             strategy_setup(
                 small_params, PdhtConfig.from_scenario(small_params), "bogus"
             )
+
+
+class TestUnexpiringRunMemory:
+    """A run in which no entry can expire reads no write time, no rank
+    and no mapping, so it allocates none of them.
+
+    Mutations run against ``src/`` (on a scratch copy), each caught: the
+    write times allocated with the state; the identity mapping made as
+    an ``arange`` for each stream; a rank buffer drawn for a selection
+    run."""
+
+    def test_a_run_allocates_its_plane_and_no_other_per_key_array(self):
+        import tracemalloc
+
+        from repro.analysis.parameters import ScenarioParameters
+        from repro.analysis.zipf import build_guide
+        from repro.workloads import StationaryZipf
+
+        params = ScenarioParameters(
+            num_peers=200, n_keys=200_000, storage_per_peer=100,
+            replication=20, alpha=1.2, query_freq=0.2, update_freq=0.01,
+            env=1.0 / 14.0, dup=1.8, dup2=1.8,
+        )
+        config = PdhtConfig.from_scenario(params).with_ttl(1000.0)
+        zipf = ZipfDistribution(params.n_keys, params.alpha)
+        build_guide(params.n_keys, params.alpha)
+        rank_buffers = []
+
+        def run():
+            workload = StationaryZipf().build(zipf, np.random.default_rng(0))
+            draw_rounds = workload.draw_rounds
+
+            def spy(start, counts, out=None):
+                rank_buffers.append(out[0])
+                return draw_rounds(start, counts, out=out)
+
+            workload.draw_rounds = spy
+            kernel = FastSimKernel(
+                params, config=config, seed=0, workload=workload,
+                costs=PerOpCosts(3.7, 11.3, 123.45, 2.3, 17.9, 20),
+            )
+            return kernel, kernel.run(60.0)
+
+        run()  # the planning caches, filled outside the trace
+        tracemalloc.start()
+        try:
+            kernel, report = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.queries > 2000 and report.final_index_size > 0
+        assert kernel._plane is not None
+        assert not kernel.state.has_write_times
+        assert kernel.workload.rank_to_key is None
+        assert rank_buffers == [None, None]
+        assert peak < params.n_keys * 8  # one float64 per key

@@ -42,22 +42,21 @@ one every five rounds, so a span can cover hundreds of rounds; keyTtl
 values include whole numbers (a span as long as keyTtl) and the float
 just above one (a span one round longer than ``keyTtl - 1``, unless the
 rounded expiry says otherwise); windows and content refreshes fall inside
-spans and draw blocks, and a second run may continue the first.
-``test_expiry_inside_a_span`` pins a key whose entry expires partway
-through a span.
+spans and draw blocks. A kernel runs once. ``test_expiry_inside_a_span``
+pins a key whose entry expires partway through a span.
 
 A run in which no entry can expire (``FastSimKernel._unexpiring``: no
-churn, no refresh, and every lane's ``1.0 + keyTtl`` after the run's
-last round) decides each query by first occurrence from a plane of the
-keys ever written. ``UNEXPIRING_CASES`` hold it to the reference under
-every span regime, with and without a window, and through a second run
-that stays in the regime or leaves it; a Hypothesis property puts keyTtl
-at and one ulp either side of ``last_round - 1.0``, so a run falls in or
-out of the regime by the float sum; a second run equals one run of the
-summed duration; opening write times below 1.0 (which only a caller
-writes) decide the regime from the earliest of them, so it equals the
-general path on any opening index; and a span stepped outside ``run``
-takes the general path.
+churn, no refresh, a fresh state, and every lane's ``1.0 + keyTtl``
+after the run's last round) decides each query by first occurrence from
+a plane of the keys ever written, and allocates no write time.
+``UNEXPIRING_CASES`` hold it, and runs just past its bound, to the
+reference under every span regime, with and without a window; a
+Hypothesis property puts keyTtl at and one ulp either side of
+``last_round - 1.0``, so a run falls in or out of the regime by the
+float sum; an opening index (write times a caller made before the run,
+below 1.0 or not) takes the general path and equals the reference
+started on it; a run outside the regime writes its times and equals the
+reference; and a span stepped outside ``run`` takes the general path.
 
 Mutations of ``src/`` this module was run against, each caught:
 
@@ -77,15 +76,13 @@ Mutations of ``src/`` this module was run against, each caught:
   (a duplicate of a key its first occurrence just indexed counted cold);
 * under keyTtl = 0, one insert per distinct key instead of one per
   resolved occurrence;
-* in the regime, only the inserts written (hits not re-armed)
-  (``test_unexpiring_runs_equal_scalar_reference``: the runs that leave
-  the regime);
 * ``>=`` for ``>`` in the regime's bound
   (``test_a_run_falls_in_or_out_of_the_regime_by_one_ulp``);
 * an insert left out of the plane, or a key's miss booked in its last
   round of the span instead of its first (every reference test);
-* the regime's bound taken from 1.0 rather than the earliest write time
-  (``test_the_regime_equals_the_general_path_on_any_opening_index``).
+* the regime taken on write times a caller made before the run
+  (``test_an_opening_index_takes_the_general_path``);
+* a second run let through (``test_a_second_run_raises``).
 
 Without churn every broadcast resolves, so under keyTtl = 0 "only a
 key's first occurrence is cold" equals the right attribution here; the
@@ -106,6 +103,7 @@ from hypothesis import strategies as st
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.strategies import STRATEGY_NAMES, strategy_setup
 from repro.analysis.zipf import ZipfDistribution
+from repro.errors import ParameterError
 from repro.fastsim import FastSimKernel, PerOpCosts
 from repro.fastsim import kernel as kernel_module
 from repro.fastsim.inputs import RoundInputs
@@ -305,8 +303,6 @@ def cases(draw):
         key_ttl=draw(ttls),
         window=float(draw(st.sampled_from(windows))),
         refresh=draw(st.none() | st.floats(1.0, float(rounds))),
-        # The rounds of a second run, continuing the first.
-        then=draw(st.none() | st.integers(1, 30)),
         swap_at=draw(st.none() | st.integers(1, 60)),
     )
 
@@ -321,9 +317,10 @@ def workload_pair(case, params):
     ]
 
 
-def check_against_reference(case, base=PARAMS):
-    """Run ``case`` on ``base`` at its query rate through the kernel and
-    the reference; returns the kernel."""
+def kernel_and_reference(case, base=PARAMS, opening=None):
+    """The kernel and the reference of ``case`` on ``base`` at its query
+    rate, both started on the write times ``opening`` (a key at ``-inf``
+    was never written) if given."""
     params = base.with_query_freq(case["query_freq"])
     mine, theirs = workload_pair(case, params)
     config = PdhtConfig.from_scenario(params).with_ttl(case["key_ttl"])
@@ -340,18 +337,27 @@ def check_against_reference(case, base=PARAMS):
         content_refresh_period=case["refresh"],
     )
     reference = Reference(params, policy, case["seed"], theirs, case["refresh"])
-    runs = [case["rounds"]]
-    if case["then"] is not None:
-        runs.append(case["then"])
-    for rounds in runs:
-        report = kernel.run(float(rounds), window=case["window"])
-        expected = reference.run(rounds, case["window"])
-        assert {name: getattr(report, name) for name in FIELDS} == expected
+    if opening is not None:
+        kernel.state.written_at[:] = opening
+        for key in np.flatnonzero(opening > -np.inf).tolist():
+            reference.expires[key] = opening[key] + case["key_ttl"]
+            reference.ever_indexed.add(key)
+            reference.version[key] = 0
+    return kernel, reference
+
+
+def check_against_reference(case, base=PARAMS, opening=None):
+    """Run ``case`` through the kernel and the reference
+    (:func:`kernel_and_reference`); returns the kernel."""
+    kernel, reference = kernel_and_reference(case, base, opening)
+    report = kernel.run(float(case["rounds"]), window=case["window"])
+    expected = reference.run(case["rounds"], case["window"])
+    assert {name: getattr(report, name) for name in FIELDS} == expected
     return kernel
 
 
 def with_pinned_cases(test):
-    """Pinned cases: stale hits across two runs; cold duplicates under
+    """Pinned cases: stale hits across refreshes; cold duplicates under
     keyTtl = 0 across a rank swap; partialIdeal queries at rank maxRank (129)
     with a fractional update rate; indexAll across a rank swap; noIndex;
     at 2 queries a round, spans of exactly keyTtl = 4 rounds with
@@ -359,31 +365,27 @@ def with_pinned_cases(test):
     above 2; at one query every 5 rounds, a whole run of 260 rounds
     crossing the heartbeat and window edges."""
     pinned = [
-        dict(strategy="partialSelection", seed=3, query_freq=0.2, rounds=30,
-             key_ttl=4.0, window=7.0, refresh=9.0, then=20,
-             swap_at=None),
-        dict(strategy="partialSelection", seed=5, query_freq=0.2, rounds=24,
-             key_ttl=0.0, window=6.0, refresh=None, then=12,
-             swap_at=16),
+        dict(strategy="partialSelection", seed=3, query_freq=0.2, rounds=50,
+             key_ttl=4.0, window=7.0, refresh=9.0, swap_at=None),
+        dict(strategy="partialSelection", seed=5, query_freq=0.2, rounds=36,
+             key_ttl=0.0, window=6.0, refresh=None, swap_at=16),
         dict(strategy="partialIdeal", seed=PINNED_IDEAL_SEED, query_freq=0.2,
-             rounds=40, key_ttl=4.0, window=9.0, refresh=5.0, then=None,
-             swap_at=None),
-        dict(strategy="indexAll", seed=1, query_freq=0.2, rounds=17,
-             key_ttl=0.0, window=4.0, refresh=None, then=5, swap_at=9),
+             rounds=40, key_ttl=4.0, window=9.0, refresh=5.0, swap_at=None),
+        dict(strategy="indexAll", seed=1, query_freq=0.2, rounds=22,
+             key_ttl=0.0, window=4.0, refresh=None, swap_at=9),
         dict(strategy="noIndex", seed=2, query_freq=0.2, rounds=12,
-             key_ttl=1.0, window=5.0, refresh=3.0, then=None, swap_at=None),
+             key_ttl=1.0, window=5.0, refresh=3.0, swap_at=None),
         dict(strategy="partialSelection", seed=11, query_freq=0.01,
-             rounds=120, key_ttl=4.0, window=25.0, refresh=17.5,
-             then=30, swap_at=50),
+             rounds=150, key_ttl=4.0, window=25.0, refresh=17.5,
+             swap_at=50),
         dict(strategy="partialSelection", seed=11, query_freq=0.01,
              rounds=30, key_ttl=math.nextafter(2.0, math.inf), window=25.0,
-             refresh=17.5, then=None, swap_at=50),
+             refresh=17.5, swap_at=50),
         dict(strategy="partialSelection", seed=12, query_freq=0.001,
              rounds=260, key_ttl=1000.0, window=7.0, refresh=None,
-             then=None, swap_at=None),
-        dict(strategy="indexAll", seed=13, query_freq=0.01, rounds=90,
-             key_ttl=float("inf"), window=13.0, refresh=None, then=None,
              swap_at=None),
+        dict(strategy="indexAll", seed=13, query_freq=0.01, rounds=90,
+             key_ttl=float("inf"), window=13.0, refresh=None, swap_at=None),
     ]
     for case in pinned:
         test = example(case=case)(test)
@@ -413,14 +415,14 @@ def test_kernel_spans_equal_scalar_reference(budget, block, case):
 #: round (1000 rounds on at 2).
 EVERY_PEER = replace(PARAMS, storage_per_peer=10)
 FULL_MEMBERSHIP_CASES = [
-    dict(strategy="indexAll", seed=4, query_freq=0.2, rounds=30,
-         key_ttl=math.inf, window=7.0, refresh=9.0, then=10, swap_at=None),
+    dict(strategy="indexAll", seed=4, query_freq=0.2, rounds=40,
+         key_ttl=math.inf, window=7.0, refresh=9.0, swap_at=None),
     dict(strategy="indexAll", seed=6, query_freq=0.01, rounds=120,
-         key_ttl=0.0, window=25.0, refresh=None, then=None, swap_at=40),
-    dict(strategy="partialSelection", seed=8, query_freq=0.2, rounds=30,
-         key_ttl=30.0, window=7.0, refresh=9.0, then=20, swap_at=None),
+         key_ttl=0.0, window=25.0, refresh=None, swap_at=40),
+    dict(strategy="partialSelection", seed=8, query_freq=0.2, rounds=50,
+         key_ttl=30.0, window=7.0, refresh=9.0, swap_at=None),
     dict(strategy="partialSelection", seed=9, query_freq=0.01, rounds=150,
-         key_ttl=1000.0, window=0.0, refresh=None, then=None, swap_at=60),
+         key_ttl=1000.0, window=0.0, refresh=None, swap_at=60),
 ]
 
 
@@ -508,22 +510,21 @@ def _record_regimes(patch):
     return taken
 
 
-#: Selection runs whose keyTtl outlives them, with the regime each of
-#: their runs is decided in: spans of one round (40 queries a round) and
-#: of hundreds (one query every five rounds), a rank swap, a second run
-#: that stays in the regime, and one that leaves it — which reads the
-#: write times of every query of the first.
+#: Selection runs, with the regime each is decided in: keyTtl outlives
+#: the run with spans of one round (40 queries a round), of hundreds (one
+#: query every five rounds) and across a rank swap; and runs a few rounds
+#: longer than keyTtl, which take the general path.
 UNEXPIRING_CASES = [
     (dict(strategy="partialSelection", seed=21, query_freq=0.2, rounds=40,
-          key_ttl=1000.0, then=None, swap_at=None), [True]),
-    (dict(strategy="partialSelection", seed=22, query_freq=0.01, rounds=200,
-          key_ttl=300.0, then=30, swap_at=60), [True, True]),
+          key_ttl=1000.0, swap_at=None), [True]),
+    (dict(strategy="partialSelection", seed=22, query_freq=0.01, rounds=230,
+          key_ttl=300.0, swap_at=60), [True]),
     (dict(strategy="partialSelection", seed=23, query_freq=0.001,
-          rounds=300, key_ttl=math.inf, then=None, swap_at=None), [True]),
-    (dict(strategy="partialSelection", seed=0, query_freq=0.2, rounds=3,
-          key_ttl=4.0, then=20, swap_at=None), [True, False]),
-    (dict(strategy="partialSelection", seed=24, query_freq=0.01, rounds=25,
-          key_ttl=30.0, then=30, swap_at=None), [True, False]),
+          rounds=300, key_ttl=math.inf, swap_at=None), [True]),
+    (dict(strategy="partialSelection", seed=0, query_freq=0.2, rounds=23,
+          key_ttl=4.0, swap_at=None), [False]),
+    (dict(strategy="partialSelection", seed=24, query_freq=0.01, rounds=55,
+          key_ttl=30.0, swap_at=None), [False]),
 ]
 
 
@@ -554,17 +555,15 @@ def test_unexpiring_runs_equal_scalar_reference(
     rounds=st.integers(2, 300),
     side=st.sampled_from((-math.inf, None, math.inf)),
     window=st.sampled_from((0.0, 7.0)),
-    then=st.none() | st.integers(1, 30),
 )
 @example(  # 1.0 + nextafter(255, inf) rounds to 256: out of the regime
     seed=5, query_freq=0.01, rounds=256, side=math.inf, window=0.0,
-    then=None,
 ).via("pinned")
 @example(
-    seed=6, query_freq=0.01, rounds=120, side=math.inf, window=7.0, then=5,
+    seed=6, query_freq=0.01, rounds=120, side=math.inf, window=7.0,
 ).via("pinned")
 def test_a_run_falls_in_or_out_of_the_regime_by_one_ulp(
-    seed, query_freq, rounds, side, window, then
+    seed, query_freq, rounds, side, window
 ):
     # keyTtl one ulp either side of (or at) last_round - 1.0: an entry
     # written in round 1 is dead in the last round unless the float sum
@@ -577,47 +576,37 @@ def test_a_run_falls_in_or_out_of_the_regime_by_one_ulp(
     case = dict(
         strategy="partialSelection", seed=seed, query_freq=query_freq,
         rounds=rounds, key_ttl=key_ttl, window=window, refresh=None,
-        then=then, swap_at=None,
+        swap_at=None,
     )
     with pytest.MonkeyPatch.context() as patch:
         taken = _record_regimes(patch)
         check_against_reference(case)
-    assert taken[0] == (1.0 + key_ttl > last_round)
-    assert taken[0] == (side == math.inf and rounds & (rounds - 1) != 0)
+    assert taken == [1.0 + key_ttl > last_round]
+    assert taken == [side == math.inf and rounds & (rounds - 1) != 0]
 
 
-def _selection_kernel(params, key_ttl, seed):
-    config = PdhtConfig.from_scenario(params).with_ttl(key_ttl)
-    return FastSimKernel(
-        params, config=config, seed=seed,
-        costs=PerOpCosts(LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, 20),
+@settings(max_examples=60, deadline=None)
+@given(case=cases().filter(lambda case: case["strategy"] == "partialSelection"))
+def test_a_run_outside_the_regime_writes_its_times(case):
+    # A run in the regime allocates no write time; one outside it does
+    # once a query reaches the index, and they then hold each key's last
+    # query round: the reference's expiry less keyTtl.
+    kernel, reference = kernel_and_reference(case)
+    with pytest.MonkeyPatch.context() as patch:
+        taken = _record_regimes(patch)
+        report = kernel.run(float(case["rounds"]), window=case["window"])
+    expected = reference.run(case["rounds"], case["window"])
+    assert {name: getattr(report, name) for name in FIELDS} == expected
+    if taken == [True]:
+        assert not kernel.state.has_write_times
+        return
+    assert kernel.state.has_write_times == (report.queries > 0)
+    written = kernel.state.written_at
+    assert sorted(np.flatnonzero(written > -np.inf).tolist()) == sorted(
+        reference.expires
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    query_freq=st.sampled_from(QUERY_FREQS[1:]),
-    first=st.integers(1, 150),
-    then=st.integers(1, 150),
-    key_ttl=st.sampled_from((4.0, 40.0, 150.0, 1000.0, math.inf)),
-)
-def test_a_second_run_equals_one_run_of_the_summed_duration(
-    seed, query_freq, first, then, key_ttl
-):
-    # Whether each part is in the regime or not, the two runs leave the
-    # index plane of one run as long and count what it counts.
-    params = PARAMS.with_query_freq(query_freq)
-    split = _selection_kernel(params, key_ttl, seed)
-    parts = [split.run(float(first)), split.run(float(then))]
-    whole = _selection_kernel(params, key_ttl, seed)
-    report = whole.run(float(first + then))
-    assert (split.state.written_at == whole.state.written_at).all()
-    for name in TALLIES:
-        assert sum(getattr(part, name) for part in parts) == getattr(
-            report, name
-        ), name
-    assert parts[-1].final_index_size == report.final_index_size
+    for key, expiry in reference.expires.items():
+        assert written[key] + case["key_ttl"] == expiry
 
 
 @settings(max_examples=40, deadline=None)
@@ -627,34 +616,49 @@ def test_a_second_run_equals_one_run_of_the_summed_duration(
     rounds=st.integers(1, 120),
     key_ttl=st.sampled_from((10.0, 60.0, 1000.0, math.inf)),
     opening=st.integers(0, 2**16),
+    low=st.sampled_from((-80.0, 1.0)),
 )
-def test_the_regime_equals_the_general_path_on_any_opening_index(
-    seed, query_freq, rounds, key_ttl, opening
+def test_an_opening_index_takes_the_general_path(
+    seed, query_freq, rounds, key_ttl, opening, low
 ):
-    # Write times below 1.0 (a state no run writes, but a caller may):
-    # the regime is decided from the earliest of them, so a run whose
-    # opening entries expire inside it takes the general path.
-    params = PARAMS.with_query_freq(query_freq)
+    # Write times a caller made before the run, below 1.0 or at any
+    # round of it: the run does not take the regime (its plane would
+    # call such a key cold), and equals the reference started on them.
     rounds = min(rounds, 40) if query_freq == QUERY_FREQS[0] else rounds
     rng = np.random.default_rng(opening)
-    written = np.full(params.n_keys, -np.inf)
-    chosen = rng.random(params.n_keys) < 0.3
-    written[chosen] = rng.uniform(-80.0, 1.0, int(chosen.sum()))
-    sides = []
-    for regime in (True, False):
-        kernel = _selection_kernel(params, key_ttl, seed)
-        kernel.state.written_at[:] = written
-        with pytest.MonkeyPatch.context() as patch:
-            taken = _record_regimes(patch)
-            if not regime:
-                patch.setattr(FastSimKernel, "_unexpiring", lambda *_: None)
-            report = kernel.run(float(rounds), window=5.0)
-        sides.append((replace(report, elapsed_seconds=0.0), kernel, taken))
-    (fast, kernel, taken), (general, reference, _) = sides
-    earliest = min(1.0, written[chosen].min())
-    assert taken == [earliest + key_ttl > rounds]
-    assert fast == general
-    assert (kernel.state.written_at == reference.state.written_at).all()
+    written = np.full(PARAMS.n_keys, -np.inf)
+    chosen = rng.random(PARAMS.n_keys) < 0.3
+    written[chosen] = rng.uniform(low, low + 80.0, int(chosen.sum()))
+    case = dict(
+        strategy="partialSelection", seed=seed, query_freq=query_freq,
+        rounds=rounds, key_ttl=key_ttl, window=5.0, refresh=None,
+        swap_at=None,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        taken = _record_regimes(patch)
+        check_against_reference(case, opening=written)
+    assert taken == [False]
+
+
+def _selection_kernel(key_ttl):
+    return FastSimKernel(
+        PARAMS, config=PdhtConfig.from_scenario(PARAMS).with_ttl(key_ttl),
+        seed=0,
+        costs=PerOpCosts(LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, 2),
+    )
+
+
+@pytest.mark.parametrize("key_ttl", (4.0, 1000.0), ids=("general", "regime"))
+def test_a_second_run_raises(key_ttl):
+    # A kernel runs once; the refusal leaves its state and reports alone.
+    kernel = _selection_kernel(key_ttl)
+    report = kernel.run(8.0, window=3.0)
+    stream = kernel.workload.rng.bit_generator.state
+    with pytest.raises(ParameterError, match="runs once"):
+        kernel.run(8.0)
+    assert kernel.reports == [report] and kernel.now == 8.0
+    assert kernel.workload.rng.bit_generator.state == stream
+    assert kernel.state.has_write_times == (key_ttl == 4.0)
 
 
 def test_a_span_stepped_outside_run_takes_the_general_path(monkeypatch):
@@ -669,17 +673,14 @@ def test_a_span_stepped_outside_run_takes_the_general_path(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(FastSimKernel, name, spy)
-    kernel = FastSimKernel(
-        PARAMS, config=PdhtConfig.from_scenario(PARAMS).with_ttl(1000.0),
-        seed=0,
-        costs=PerOpCosts(LOOKUP, FLOOD, WALK, DISCOVERY, MAINTENANCE, 2),
-    )
     report = FastSimReport(
         strategy="partialSelection", params=PARAMS, duration=2.0
     )
     keys = np.array([1, 4, 3, 1, 2])
-    kernel._step_span(1.0, np.array([3, 2]), keys + 1, keys, [report])
+    _selection_kernel(1000.0)._step_span(
+        1.0, np.array([3, 2]), keys + 1, keys, [report]
+    )
     assert calls == ["_decision"]
     calls.clear()
-    kernel.run(3.0)
+    _selection_kernel(1000.0).run(3.0)
     assert calls and set(calls) == {"_first_occurrence"}

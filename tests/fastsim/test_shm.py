@@ -32,7 +32,7 @@ from repro.fastsim.shm import (
     leaked_segments,
     restore_arrays,
 )
-from repro.workloads import ModelBatchWorkload, StationaryZipf
+from repro.workloads import ModelBatchWorkload, RankSwap, StationaryZipf
 from repro.pdht.config import PdhtConfig
 
 # Large enough that the Zipf tables and rank->key mapping clear
@@ -142,21 +142,28 @@ class TestExtractRestore:
     def test_workload_graph_roundtrip(self, params):
         from repro.fastsim.inputs import RoundInputs
 
-        workload = RoundInputs(3).workload(params)
+        stationary = RoundInputs(3).workload(params)
+        shifted = RankSwap(0.0).build(stationary.zipf, np.random.default_rng(3))
+        shifted.maybe_shift(0.0)  # a mapping array to stage
         with ShmArena() as arena:
-            packed = extract_arrays(workload, arena)
-            assert packed is not workload
-            assert isinstance(packed.rank_to_key, SharedArrayRef)
-            # Originals untouched: the source workload still holds real
-            # arrays and keeps working.
-            assert isinstance(workload.rank_to_key, np.ndarray)
-            restored = restore_arrays(packed)
-            np.testing.assert_array_equal(
-                restored.rank_to_key, workload.rank_to_key
-            )
-            np.testing.assert_array_equal(
-                restored.zipf._cumulative, workload.zipf._cumulative
-            )
+            for stream in (stationary, shifted):
+                packed = extract_arrays(stream, arena)
+                assert packed is not stream
+                assert isinstance(packed.zipf._cumulative, SharedArrayRef)
+                if stream is stationary:  # the identity: nothing to stage
+                    assert packed.rank_to_key is None
+                else:
+                    assert isinstance(packed.rank_to_key, SharedArrayRef)
+                # Originals untouched: the source stream still holds real
+                # arrays and keeps working.
+                assert isinstance(stream.zipf._cumulative, np.ndarray)
+                restored = restore_arrays(packed)
+                np.testing.assert_array_equal(
+                    restored.zipf._cumulative, stream.zipf._cumulative
+                )
+                np.testing.assert_array_equal(
+                    restored.rank_to_key, stream.rank_to_key
+                )
 
     def test_guide_table_is_rebuilt_not_shipped(self, params):
         from repro.fastsim.inputs import RoundInputs
@@ -171,7 +178,7 @@ class TestExtractRestore:
         assert len(pickle.dumps(workload.zipf)) == before
         with ShmArena() as arena:
             restored = restore_arrays(extract_arrays(twin, arena))
-            assert len(arena.segment_names) == 2
+            assert len(arena.segment_names) == 1  # the CDF
             got = restored.draw_rounds(0.0, counts)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
@@ -207,9 +214,9 @@ class TestPackJobs:
         resolved = resolve_jobs(build_jobs(params, config))
         with ShmArena() as arena:
             pack_jobs(resolved, arena)
-            # Four jobs share one scenario: one cumulative table and one
-            # identity rank->key mapping.
-            assert len(arena.segment_names) == 2
+            # Four jobs share one scenario: one cumulative table; their
+            # identity rank->key mappings are None.
+            assert len(arena.segment_names) == 1
 
     def test_originals_keep_their_workloads(self, params, config):
         resolved = resolve_jobs(build_jobs(params, config))

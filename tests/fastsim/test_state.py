@@ -80,9 +80,10 @@ class TestIndexDynamics:
             assert state.index_size(now=1e300, key_ttl=np.inf) == 2
 
 
-def test_one_per_key_array_until_the_first_refresh(small_params):
-    # The write time is the only per-key fact a round needs; the
-    # per-entry versions exist once content has been refreshed.
+def test_no_per_key_array_until_one_is_used(small_params):
+    # The write time is the only per-key fact a round of the general
+    # path needs: it exists once read or written. The per-entry versions
+    # exist once content has been refreshed.
     state = FastSimState(small_params)
 
     def per_key_arrays():
@@ -92,14 +93,23 @@ def test_one_per_key_array_until_the_first_refresh(small_params):
             if isinstance(value, np.ndarray) and value.size == small_params.n_keys
         )
 
-    assert per_key_arrays() == ["written_at"]
+    assert per_key_arrays() == []
+    assert not state.has_write_times
+    assert state.index_size(now=1.0, key_ttl=np.inf) == 0
+    assert per_key_arrays() == []
+    state.write(np.array([3]), now=1.0)
+    assert state.has_write_times
+    assert per_key_arrays() == ["_written_at"]
     assert state.written_at.dtype == np.float64
+    assert state.written_at[3] == 1.0 and np.isneginf(state.written_at).sum() == (
+        small_params.n_keys - 1
+    )
     state.bump_versions()
-    assert per_key_arrays() == ["indexed_version", "written_at"]
+    assert per_key_arrays() == ["_written_at", "indexed_version"]
     assert state.indexed_version.dtype == np.int64
     assert not state.indexed_version.any()
     state.bump_versions()
-    assert per_key_arrays() == ["indexed_version", "written_at"]
+    assert per_key_arrays() == ["_written_at", "indexed_version"]
 
 
 class TestGatewayDiscovery:

@@ -73,12 +73,12 @@ class TestStationary:
 class TestShuffled:
     def test_mapping_permutes_once_at_shift(self, zipf, rng):
         workload = RankSwap(10.0).build(zipf, rng)
-        before = workload.rank_to_key.copy()
         assert workload.maybe_shift(9.9) is False
+        assert workload.rank_to_key is None  # still the identity
         assert workload.maybe_shift(10.0) is True
         after = workload.rank_to_key.copy()
-        assert sorted(after) == sorted(before)
-        assert (after != before).any()
+        assert sorted(after) == list(range(zipf.n_keys))
+        assert (after != np.arange(zipf.n_keys)).any()
         assert workload.maybe_shift(11.0) is False  # only once
 
     def test_draw_applies_shift(self, zipf, rng):
@@ -108,28 +108,31 @@ class TestFlashCrowd:
 
 
 class TestIdentityMapping:
-    """A stream copies rank indices as keys while its mapping is the
-    identity it started with, and gathers from the mapping otherwise.
+    """A stream holds the identity mapping as ``rank_to_key = None`` and
+    copies rank indices as keys under it; its first shift makes the
+    mapping an array, which draws then gather from. ``None`` survives
+    pickle and shared-memory staging, so every copy of a stationary
+    stream copies too, and a store key spells it as the identity list.
 
-    Mutation run against ``fastsim/workload.py`` (on a scratch copy):
-    ``_mapping`` answering ``None`` after a shift as well. Caught by the
-    three tests below that expect a gather, by two shift tests of this
-    module and by the shifted kinds of
-    ``tests/properties/test_property_draw.py``'s
-    ``test_draw_rounds_equals_per_round_reference``.
+    Mutations run against ``fastsim/workload.py`` and
+    ``workloads/adapters.py`` (on a scratch copy), each caught here: the
+    store key spelling the identity as ``None`` (and by
+    ``tests/store/test_pinned_job_keys.py``); the first boundary applied
+    to ``None`` itself; a shift's mapping dropped, so the stream keeps
+    ``None``; a draw passing no mapping after a shift.
     """
 
     def test_a_fresh_stream_copies(self, zipf, rng):
         workload = StationaryZipf().build(zipf, rng)
-        assert workload._mapping() is None
-        assert not workload.rank_to_key.flags.writeable
-        assert np.array_equal(workload.rank_to_key, np.arange(zipf.n_keys))
+        assert workload.rank_to_key is None
+        ranks, keys, _ = workload.draw_rounds(0.0, np.full(3, 400))
+        assert (keys == ranks - 1).all()
+        assert workload.key_for_rank(7) == 6
 
     def test_a_shift_ends_the_copy(self, zipf):
         workload = RankSwap(3.0).build(zipf, _fresh_rng())
-        assert workload._mapping() is None
         ranks, keys, _ = workload.draw_rounds(0.0, np.full(6, 400))
-        assert workload._mapping() is workload.rank_to_key
+        assert isinstance(workload.rank_to_key, np.ndarray)
         after = slice(2 * 400, None)  # rounds 3.. draw after the shift
         assert np.array_equal(
             keys[after], workload.rank_to_key[ranks[after] - 1]
@@ -137,24 +140,39 @@ class TestIdentityMapping:
         assert (keys[:after.start] == ranks[:after.start] - 1).all()
         assert not (keys[after] == ranks[after] - 1).all()
 
-    def test_a_copied_stream_gathers_the_same_keys(self, zipf):
-        # Through pickle the mapping is an equal array, not the identity
-        # this process registered: the copy gathers, with the same result.
+    @pytest.mark.parametrize("route", ["fresh", "pickle", "shared memory"])
+    def test_every_copy_of_a_stream_copies_the_same_keys(self, route):
         import pickle
 
-        workload = StationaryZipf().build(zipf, _fresh_rng())
-        copied = pickle.loads(pickle.dumps(workload))
-        assert copied._mapping() is copied.rank_to_key
-        counts = np.array([700, 900])
-        for got, want in zip(
-            copied.draw_rounds(0.0, counts), workload.draw_rounds(0.0, counts)
-        ):
-            assert np.array_equal(got, want)
+        from repro.fastsim.shm import ShmArena, extract_arrays, restore_arrays
 
-    def test_an_identity_made_elsewhere_gathers(self, zipf, rng):
-        workload = StationaryZipf().build(zipf, rng)
-        workload.rank_to_key = np.arange(zipf.n_keys)
-        assert workload._mapping() is workload.rank_to_key
+        zipf = ZipfDistribution(40_000, 1.2)  # a table staged to a segment
+        workload = StationaryZipf().build(zipf, _fresh_rng())
+        counts = np.array([700, 900])
+        with ShmArena() as arena:
+            copied = {
+                "fresh": lambda: StationaryZipf().build(zipf, _fresh_rng()),
+                "pickle": lambda: pickle.loads(pickle.dumps(workload)),
+                "shared memory": lambda: restore_arrays(
+                    pickle.loads(pickle.dumps(extract_arrays(workload, arena)))
+                ),
+            }[route]()
+            assert copied.rank_to_key is None
+            assert len(arena.segment_names) == (route == "shared memory")
+            for got, want in zip(
+                copied.draw_rounds(0.0, counts),
+                workload.draw_rounds(0.0, counts),
+            ):
+                assert np.array_equal(got, want)
+
+    def test_a_store_key_spells_the_identity_as_its_list(self, zipf, rng):
+        from repro.store.keys import canonical_json
+
+        fresh = StationaryZipf().build(zipf, rng)
+        spelled = StationaryZipf().build(zipf, rng)
+        spelled.rank_to_key = np.arange(zipf.n_keys)
+        assert canonical_json(fresh) == canonical_json(spelled)
+        assert fresh.rank_to_key is None
 
 
 def _fresh_rng(seed: int = 1234) -> np.random.Generator:
@@ -266,11 +284,10 @@ class TestDrawRounds:
 
     def test_next_boundary_is_a_pure_peek(self, zipf):
         workload = RankSwap(2.0).build(zipf, _fresh_rng())
-        before = workload.rank_to_key.copy()
         state = workload.rng.bit_generator.state
         assert workload.next_boundary(5.0) == 2.0
         assert workload.next_boundary(5.0) == 2.0  # no state consumed
-        assert np.array_equal(workload.rank_to_key, before)
+        assert workload.rank_to_key is None
         assert workload.rng.bit_generator.state == state
         assert workload.maybe_shift(5.0) is True
         assert workload.next_boundary(5.0) == math.inf

@@ -80,12 +80,15 @@ each caught:
   ``test_draw_equals_reference``, ``test_real_block_sizes``,
   ``test_uniforms_on_every_bucket_edge`` and
   ``test_identity_copy_equals_the_gather``;
-* the identity copy taken after a shift (``BatchWorkload._mapping``
-  answering ``None`` whatever the mapping): the ``shuffled`` and
+* the identity copy taken after a shift (``BatchWorkload.draw_rounds``
+  passing no mapping to ``draw_into``): the ``shuffled`` and
   ``flash_crowd`` cases of
-  ``test_draw_rounds_equals_per_round_reference``, three
-  ``TestIdentityMapping`` tests in ``tests/fastsim/test_workload.py``
-  and the legacy-equivalence tests in ``tests/workloads``.
+  ``test_draw_rounds_equals_per_round_reference``,
+  ``TestIdentityMapping::test_a_shift_ends_the_copy`` in
+  ``tests/fastsim/test_workload.py`` and the legacy-equivalence tests in
+  ``tests/workloads``;
+* a keys-only draw sized from its missing rank buffer (so drawing
+  nothing): ``test_a_keys_only_draw_equals_the_keys_of_a_full_draw``.
 """
 
 from __future__ import annotations
@@ -450,6 +453,25 @@ def test_identity_copy_equals_the_gather(n_keys, alpha, size, seed):
     assert _same_state(rng, ref_rng)
 
 
+@given(n_keys_st, alpha_st, size_st, seed_st, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_keys_only_draw_equals_the_keys_of_a_full_draw(
+    n_keys, alpha, size, seed, mapped
+):
+    # draw_into without a rank buffer writes the keys a full draw writes,
+    # copied or gathered, and leaves the generator where it leaves it.
+    zipf = ZipfDistribution(n_keys, alpha)
+    mapping = np.random.default_rng(seed).permutation(n_keys) if mapped else None
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    keys = np.empty(size, np.int64)
+    want_ranks, want_keys = np.empty(size, np.int64), np.empty(size, np.int64)
+    with block_sizes(SMALL_CHUNK, SMALL_CUTOFF):
+        zipf.draw_into(rng, None, keys, mapping)
+        zipf.draw_into(ref_rng, want_ranks, want_keys, mapping)
+    assert np.array_equal(keys, want_keys)
+    assert _same_state(rng, ref_rng)
+
+
 # ----------------------------------------------------------------------
 # The batch workloads: draw_rounds(out=...) vs the per-round reference
 # ----------------------------------------------------------------------
@@ -461,7 +483,10 @@ WORKLOADS = {
 
 
 def _reference_rounds(workload, start, counts):
-    """Successive pre-optimisation ``draw_round`` calls."""
+    """Successive pre-optimisation ``draw_round`` calls, which gather
+    every key from the mapping (the identity, ``None``, as an array)."""
+    if workload.rank_to_key is None:
+        workload.rank_to_key = np.arange(workload.n_keys)
     ranks_parts, keys_parts = [], []
     for i, count in enumerate(counts):
         workload.maybe_shift(start + i + 1.0)
@@ -508,7 +533,10 @@ def test_draw_rounds_equals_per_round_reference(
     assert np.array_equal(np.concatenate([r for r, _ in rounds]), want_ranks)
     assert np.array_equal(np.concatenate([k for _, k in rounds]), want_keys)
     assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
-    assert np.array_equal(batched.rank_to_key, looped.rank_to_key)
+    mapping = batched.rank_to_key
+    assert np.array_equal(
+        np.arange(n_keys) if mapping is None else mapping, looped.rank_to_key
+    )
     assert _same_state(batched.rng, looped.rng)
     assert _same_state(stepped.rng, looped.rng)
     if supply_out:

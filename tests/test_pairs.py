@@ -310,7 +310,8 @@ def work_log(tmp_path):
 
 def test_the_work_line_names_each_moved_counter(tmp_path):
     change = {**WORK, "walk.hops": 228000.0, "cache.placement.hit": 3.0,
-              "gc.pause_s": 0.01, "strategy.build_s": 0.2}
+              "gc.pause_s": 0.01, "strategy.build_s": 0.2,
+              "rusage.kernel.minflt": 2048.0}
     parent = {**WORK, "dht.routes.rebuild": 3.0, "cache.rows.size": 2.5}
     roots, _ = checkouts(tmp_path, [rep(1.0, 40.0, 10.0)],
                          [rep(1.0, 40.0, 10.0)], parent, change)

@@ -22,7 +22,7 @@ legacy class (event / batch)           model
 =====================================  ================================
 
 ``==`` on every rank and key index, on ``rank_to_key`` after every
-round, and on ``rng.bit_generator.state`` at the end — per round (the
+round (the stream's ``None`` read as the identity it stands for), and on ``rng.bit_generator.state`` at the end — per round (the
 event driver's ``draw``, the kernel's ``draw_round``) and batched
 (``draw_rounds`` with and without ``out``) — or every seeded stream,
 pinned capture and stored cell moves. Worlds start from the identity
@@ -547,6 +547,14 @@ def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
     return a.bit_generator.state == b.bit_generator.state
 
 
+def _mapping(stream) -> np.ndarray:
+    """The mapping ``stream`` applies: its ``rank_to_key``, where
+    ``None`` is the identity."""
+    if stream.rank_to_key is None:
+        return np.arange(stream.n_keys)
+    return stream.rank_to_key
+
+
 # One explicit world per kind with the shift on a round and a permuted
 # start, so the table in the docstring holds without hypothesis's luck.
 _EXPLICIT = [
@@ -590,8 +598,8 @@ def test_per_round_views_equal_legacy(world):
         assert np.array_equal(got_keys, keys)
         assert got_ranks.dtype == ranks.dtype and got_keys.dtype == keys.dtype
         for stream in (drawn, rounded):
-            assert np.array_equal(stream.rank_to_key, event._rank_to_key)
-            assert np.array_equal(stream.rank_to_key, batch.rank_to_key)
+            assert np.array_equal(_mapping(stream), event._rank_to_key)
+            assert np.array_equal(_mapping(stream), batch.rank_to_key)
     for stream in (drawn, rounded):
         assert _same_state(stream.rng, event.rng)
         assert _same_state(stream.rng, batch.rng)
@@ -618,7 +626,7 @@ def test_draw_rounds_equals_legacy(world, supply_out):
     for want_part, got_part in zip(want, got):
         assert np.array_equal(got_part, want_part)
         assert got_part.dtype == want_part.dtype
-    assert np.array_equal(stream.rank_to_key, legacy.rank_to_key)
+    assert np.array_equal(_mapping(stream), legacy.rank_to_key)
     assert _same_state(stream.rng, legacy.rng)
     if supply_out:
         assert got[0].base is got_out[0] and got[1].base is got_out[1]
@@ -632,7 +640,7 @@ def test_draw_rounds_equals_legacy(world, supply_out):
         for e in event.draw(now, count)
     ]
     assert events == list(zip(got[0].tolist(), got[1].tolist()))
-    assert np.array_equal(stream.rank_to_key, event._rank_to_key)
+    assert np.array_equal(_mapping(stream), event._rank_to_key)
     assert _same_state(stream.rng, event.rng)
 
 
@@ -649,7 +657,7 @@ def test_split_draw_rounds_equals_legacy(world, cut):
     second = stream.draw_rounds(world.start + cut, world.counts[cut:])
     assert np.array_equal(np.concatenate([first[0], second[0]]), want_ranks)
     assert np.array_equal(np.concatenate([first[1], second[1]]), want_keys)
-    assert np.array_equal(stream.rank_to_key, legacy.rank_to_key)
+    assert np.array_equal(_mapping(stream), legacy.rank_to_key)
     assert _same_state(stream.rng, legacy.rng)
 
 

@@ -41,9 +41,10 @@ After each table line comes the workload's work line: the parent/change
 diff of its work counters, from one ``--profile --format json`` run per
 side of the workload's own runner command (``benchmarks/e2e/workloads.py``
 of this checkout, with its store set up as the benchmark sets it up, in a
-scratch directory). Work is every obs counter but ``gc.*`` and times
-(names ending ``_s``); the line counts the equal ones and names each one
-that moved, ``-`` where a side has none:
+scratch directory). Work is every obs counter but ``gc.*``, the
+process's resource usage (``rusage.*``) and times (names ending ``_s``);
+the line counts the equal ones and names each one that moved, ``-``
+where a side has none:
 
     sim_event  work: 25 equal; cache.placement.hit -->3; cache.placement.miss -->1
 
@@ -201,8 +202,9 @@ def load_workloads():
 
 
 def is_work(name: str) -> bool:
-    """A work counter: not the collector's (``gc.*``), not a time."""
-    return not name.startswith("gc.") and not name.endswith("_s")
+    """A work counter: not the collector's (``gc.*``), not resource usage
+    (``rusage.*``), not a time."""
+    return not name.startswith(("gc.", "rusage.")) and not name.endswith("_s")
 
 
 def folded(counters: dict) -> dict:
