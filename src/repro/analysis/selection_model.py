@@ -19,9 +19,10 @@ total cost is Eq. 17. Proactive updates are no longer needed (a stale key
 simply times out and is re-fetched), so maintenance reduces to ``cRtn``.
 
 keyTtl appears only in the exponent, so ``log1p(-probT)`` is one n-key
-array per scenario: :func:`selection_outcomes` evaluates a scenario's
-keyTtl column from that one prefix plus one working buffer, and a single
-:class:`SelectionModel` fills one buffer in place. Both read the cached
+array per scenario: :func:`selection_columns` evaluates each scenario's
+keyTtl column from that one prefix plus one working buffer (two buffers
+off the heap for all its columns), and a single :class:`SelectionModel`
+fills one buffer in place. Both read the cached
 Eq. 3 array (:func:`~repro.analysis.zipf.rank_probabilities`): no
 distribution, no CDF, no per-rank table outlives the evaluation.
 """
@@ -45,6 +46,7 @@ from repro.obs import counted_cache
 __all__ = [
     "SelectionModel",
     "SelectionOutcome",
+    "selection_columns",
     "selection_outcome",
     "selection_outcomes",
 ]
@@ -77,16 +79,16 @@ class SelectionOutcome:
         return 1.0 - self.total_cost / self.no_index
 
 
-def _log_absence(probs: np.ndarray, rate: float) -> np.ndarray:
+def _log_absence(probs: np.ndarray, rate: float, out: np.ndarray) -> np.ndarray:
     """``log1p(-probT)`` per rank, the keyTtl-independent prefix of
-    Eq. 14/15, in a fresh n-key buffer.
+    Eq. 14/15, in the n-key buffer ``out``.
 
     ``probT`` of Eq. 4 is taken as ``-expm1(rate * log1p(-p))`` in place:
     the ufuncs of :func:`~repro.analysis.zipf.prob_queried`, so every
     element is bit for bit what that function returns for a positive
     rate.
     """
-    buf = np.negative(probs)
+    buf = np.negative(probs, out=out)
     # probT can round to exactly 1.0 for the hottest ranks, where
     # log1p(-1) = -inf and the presence probability is correctly 1.
     with np.errstate(divide="ignore"):
@@ -148,7 +150,7 @@ class SelectionModel:
         rate = params.network_query_rate
         # Eq. 4's zero-rate rule: probT is 0, not 0 * log1p(-1).
         if rate != 0 and self.key_ttl != 0:
-            buf = _log_absence(probs, rate)
+            buf = _log_absence(probs, rate, np.empty_like(probs))
             self.index_size, self.p_indexed = _presence_sums(
                 buf, probs, self.key_ttl, out=buf
             )
@@ -213,13 +215,48 @@ class SelectionModel:
         )
 
 
-class _Column:
-    """The keyTtl column of one scenario while :func:`selection_outcomes`
-    evaluates it: the Eq. 14/15 prefix, computed at the column's first
-    cache miss, and the one buffer every keyTtl's suffix runs in."""
+def _off_heap(rows: int, like: np.ndarray) -> np.ndarray:
+    """``rows`` uninitialised rows shaped and typed as ``like``, in an
+    anonymous mapping of their own rather than on the malloc heap."""
+    import mmap
 
-    def __init__(self, params: ScenarioParameters) -> None:
+    size = rows * like.nbytes
+    return np.frombuffer(mmap.mmap(-1, size), dtype=like.dtype).reshape(rows, -1)
+
+
+class _Scratch:
+    """The two n-key buffers that every column of one
+    :func:`selection_columns` call runs in, off the heap.
+
+    glibc may serve an n-key transient from the top of its heap and keep
+    those pages resident after the free, so whether a run's peak RSS
+    carried the buffers depended on the heap's layout: a 1 MiB step in
+    ``tools/rss_layout_check.py --workload sweep_pool``, where no later
+    allocation of the calling process reuses them. A mapping of their own
+    goes back to the system with the call, and one mapping for all the
+    columns faults its pages in once.
+    """
+
+    def __init__(self) -> None:
+        self.rows: Optional[np.ndarray] = None
+
+    def pair(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two buffers of ``probs``' length and type."""
+        n = probs.size
+        if self.rows is None or self.rows.shape[1] < n:
+            self.rows = _off_heap(2, probs)
+        return self.rows[0, :n], self.rows[1, :n]
+
+
+class _Column:
+    """The keyTtl column of one scenario while :func:`selection_columns`
+    evaluates it: the Eq. 14/15 prefix, computed at the column's first
+    cache miss, and the one buffer every keyTtl's suffix runs in, both
+    from the call's :class:`_Scratch`."""
+
+    def __init__(self, params: ScenarioParameters, scratch: _Scratch) -> None:
         self.params = params
+        self.scratch = scratch
         self.log_absence: Optional[np.ndarray] = None
         self.work: Optional[np.ndarray] = None
 
@@ -231,8 +268,8 @@ class _Column:
         if rate != 0 and key_ttl != 0:
             probs = rank_probabilities(params.n_keys, params.alpha)
             if self.log_absence is None:
-                self.log_absence = _log_absence(probs, rate)
-                self.work = np.empty_like(self.log_absence)
+                self.log_absence, self.work = self.scratch.pair(probs)
+                _log_absence(probs, rate, self.log_absence)
             index_size, p_indexed = _presence_sums(
                 self.log_absence, probs, key_ttl, out=self.work
             )
@@ -240,7 +277,7 @@ class _Column:
         return model.outcome()
 
 
-#: The column :func:`selection_outcomes` has open in this thread, if any.
+#: The column :func:`selection_columns` has open in this thread, if any.
 _open = threading.local()
 
 
@@ -258,7 +295,7 @@ def selection_outcome(
     (``cache.selection.*`` counters). Only the scalar
     :class:`SelectionOutcome` is kept. A miss reads the cached Eq. 3
     array and fills one n-key buffer that lives for the evaluation alone
-    (inside :func:`selection_outcomes`, the column's two); it builds no
+    (inside :func:`selection_columns`, the column's two); it builds no
     distribution and no CDF. Callers that vary ``key_ttl`` continuously
     (``optimal``, ``sensitivity``) build :class:`SelectionModel` directly.
     """
@@ -271,21 +308,37 @@ def selection_outcome(
 def selection_outcomes(
     params: ScenarioParameters, key_ttls: Iterable[float]
 ) -> list[SelectionOutcome]:
-    """:func:`selection_outcome` of one scenario at each of ``key_ttls``.
+    """:func:`selection_outcome` of one scenario at each of ``key_ttls``
+    (its keyTtl column; see :func:`selection_columns`)."""
+    return selection_columns([(params, key_ttls)])[0]
+
+
+def selection_columns(
+    columns: Iterable[tuple[ScenarioParameters, Iterable[float]]],
+) -> list[list[SelectionOutcome]]:
+    """:func:`selection_outcome` of each ``(params, key_ttls)`` column at
+    each of its keyTtls, column by column.
 
     The pairs go through the per-pair cache (and its counters) in order.
-    The misses share the keyTtl-independent prefix ``log1p(-probT)``,
-    computed once, and each runs its keyTtl's suffix in one working
-    buffer with the ufuncs of :class:`SelectionModel`, so every outcome
-    equals that model's bit for bit. The two buffers are released on
-    return.
+    A column's misses share the keyTtl-independent prefix
+    ``log1p(-probT)``, computed once, and each runs its keyTtl's suffix
+    in one working buffer with the ufuncs of :class:`SelectionModel`, so
+    every outcome equals that model's bit for bit. The two buffers are
+    one :class:`_Scratch` for all the columns, released on return.
     """
-    key_ttls = list(key_ttls)
-    for key_ttl in key_ttls:
-        require_key_ttl(key_ttl)
+    columns = [(params, list(key_ttls)) for params, key_ttls in columns]
+    for _, key_ttls in columns:
+        for key_ttl in key_ttls:
+            require_key_ttl(key_ttl)
+    scratch = _Scratch()
     previous = getattr(_open, "column", None)
-    _open.column = _Column(params)
     try:
-        return [selection_outcome(params, key_ttl) for key_ttl in key_ttls]
+        outcomes = []
+        for params, key_ttls in columns:
+            _open.column = _Column(params, scratch)
+            outcomes.append(
+                [selection_outcome(params, key_ttl) for key_ttl in key_ttls]
+            )
+        return outcomes
     finally:
         _open.column = previous

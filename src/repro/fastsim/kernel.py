@@ -569,8 +569,9 @@ class FastSimKernel:
         from another lane's decision (:meth:`_decide`; absent when none)
         and ``kernel.runs.unexpiring`` the runs in which no entry can
         expire (:meth:`_unexpiring`; one per run, not per lane).
-        ``rusage.kernel.cpu_s`` and ``rusage.kernel.minflt`` are the
-        process's CPU seconds and minor page faults during the run.
+        ``rusage.kernel.cpu_s``, ``rusage.kernel.minflt`` and
+        ``rusage.kernel.nivcsw`` are the process's CPU seconds, minor page
+        faults and involuntary context switches during the run.
         """
         if self._ran:
             raise ParameterError("a kernel runs once; build one per run")
@@ -773,9 +774,10 @@ class FastSimKernel:
             obs.count("kernel.runs", len(lanes))
             obs.count("kernel.rounds", rounds * len(lanes))
             obs.count("kernel.spans", spans)
-            cpu, faults = obs.cpu_and_faults()
+            cpu, faults, preempted = obs.cpu_and_faults()
             obs.count("rusage.kernel.cpu_s", cpu - usage[0])
             obs.count("rusage.kernel.minflt", faults - usage[1])
+            obs.count("rusage.kernel.nivcsw", preempted - usage[2])
             if self._plane is not None:
                 obs.count("kernel.runs.unexpiring")
             if self._shared_lanes > shared_before:

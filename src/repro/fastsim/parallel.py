@@ -41,7 +41,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro import obs
 from repro.obs import events as obs_events
 from repro.analysis.parameters import ScenarioParameters
-from repro.analysis.selection_model import selection_outcomes
+from repro.analysis.selection_model import selection_columns
 from repro.analysis.zipf import GUIDE_MIN_DRAW, ZipfDistribution, build_guide
 from repro.errors import ParameterError
 from repro.fastsim.churncosts import ChurnOpCosts
@@ -150,8 +150,9 @@ def resolve_jobs(jobs: Sequence[FastSimJob]) -> list[FastSimJob]:
     along in the spec. Workers just simulate.
 
     The Eq. 14-17 outcomes the policies read are planned first, one
-    keyTtl column per scenario (:func:`selection_outcomes`): the columns
-    share the keyTtl-independent part of the model, churned or not.
+    keyTtl column per scenario (:func:`selection_columns`): a column's
+    keyTtls share the keyTtl-independent part of the model, churned or
+    not, and all the columns two n-key buffers.
     """
     from repro.fastsim.compare import resolve_costs
 
@@ -159,8 +160,7 @@ def resolve_jobs(jobs: Sequence[FastSimJob]) -> list[FastSimJob]:
     columns: dict[ScenarioParameters, dict[float, None]] = {}
     for job, config in zip(jobs, configs):
         columns.setdefault(job.params, {})[config.key_ttl] = None
-    for params, key_ttls in columns.items():
-        selection_outcomes(params, key_ttls)
+    selection_columns(columns.items())
     resolved: list[FastSimJob] = []
     for job, config in zip(jobs, configs):
         policy = strategy_setup(job.params, config, job.strategy)
@@ -298,6 +298,44 @@ def _pool_size(workers: int, units: int) -> int:
     return 1 if workers == 1 or units <= 1 else min(workers, units)
 
 
+#: The position in the usable CPUs this pool worker placed itself at
+#: (:func:`_place`); ``None`` in a process that did not place itself.
+_placed: Optional[int] = None
+
+
+def _usable_cpus() -> tuple[int, ...]:
+    """The CPUs this process may run on, in order; empty where the
+    platform cannot move a process (no ``sched_setaffinity``)."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ()
+    return tuple(sorted(os.sched_getaffinity(0)))
+
+
+def _place(cpus: tuple[int, ...]) -> None:
+    """Pool initializer: move this worker onto a CPU of its own, then
+    unpin it at once.
+
+    A forked worker starts on its parent's CPU, and under a cpuset with
+    ``sched_load_balance`` 0 the kernel never migrates a task, so two
+    workers would share one core for their whole lives. Worker *i* (the
+    ``-N`` suffix multiprocessing gives a child's ``Process.name``,
+    consecutive within one pool) moves to ``cpus[i % len(cpus)]``, then
+    restores the full set: nothing stays pinned, and a kernel that does
+    balance may still move it later. ``cpus`` is the parent's usable set
+    (:func:`_usable_cpus`); with fewer than two there is nowhere to go.
+    """
+    global _placed
+    if len(cpus) < 2:
+        return
+    import multiprocessing
+
+    name = multiprocessing.current_process().name
+    index = (int(name.replace(":", "-").rpartition("-")[2]) - 1) % len(cpus)
+    os.sched_setaffinity(0, {cpus[index]})
+    os.sched_setaffinity(0, cpus)
+    _placed = index
+
+
 def _run_unit(
     payload: tuple[Any, bool, bool],
 ) -> tuple[Any, Optional[dict[str, Any]], Optional[list[dict[str, Any]]]]:
@@ -350,7 +388,8 @@ def fan_out(
     one worker, or at most one unit, everything runs in the calling
     process — its caches stay warm, its event sink is untouched.
     Otherwise units (which must pickle) spread over a pool of
-    :func:`_pool_size` processes.
+    :func:`_pool_size` processes, each of which starts on a CPU of its
+    own (:func:`_place`).
 
     ``finish(position, result)`` fires per unit in submission order, as
     each result lands rather than at pool shutdown, so the caller can
@@ -393,7 +432,9 @@ def fan_out(
 
     import numpy.random  # noqa: F401
 
-    with ProcessPoolExecutor(max_workers=size) as pool:
+    with ProcessPoolExecutor(
+        max_workers=size, initializer=_place, initargs=(_usable_cpus(),)
+    ) as pool:
         for position, (result, snapshot, worker_events) in enumerate(
             pool.map(_run_unit, [(unit, telemetry, record) for unit in units])
         ):

@@ -463,20 +463,22 @@ def sample_peak_rss(label: str = "process") -> int:
     return peak
 
 
-def cpu_and_faults() -> tuple[float, int]:
-    """This process's CPU seconds (user + system) and minor page faults
-    so far, from ``getrusage``; ``(0.0, 0)`` where it is unavailable.
+def cpu_and_faults() -> tuple[float, int, int]:
+    """This process's CPU seconds (user + system), minor page faults and
+    involuntary context switches so far, from ``getrusage``; ``(0.0, 0,
+    0)`` where it is unavailable.
 
     A phase's difference of two readings tells computing from faulting
     in pages; against the phase's wall time, it tells waiting for a CPU
-    from either.
+    from either, and the switches say how often the process was
+    preempted while it could still run.
     """
     try:
         import resource
     except ImportError:  # non-POSIX platform
-        return 0.0, 0
+        return 0.0, 0, 0
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt, usage.ru_nivcsw
 
 
 if os.environ.get("REPRO_OBS", "").strip().lower() not in ("", "0", "false"):

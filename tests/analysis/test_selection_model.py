@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.analysis import threshold
+from repro.analysis import selection_model, threshold
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import (
     SelectionModel,
+    selection_columns,
     selection_outcome,
     selection_outcomes,
 )
@@ -200,22 +202,44 @@ class TestPlanningFootprint:
         assert stats["zipf_probs"]["size"] == 1
         assert "zipf_weights" not in stats
 
-    def test_a_column_holds_two_buffers_and_keeps_none(self):
-        params = ScenarioParameters(
-            num_peers=60_000, n_keys=123_457, alpha=1.1, query_freq=1 / 3600
-        )
-        probs = rank_probabilities(params.n_keys, params.alpha)
+    @pytest.mark.parametrize("scenarios", (1, 3))
+    def test_columns_share_two_buffers_off_the_heap_and_keep_none(
+        self, monkeypatch, scenarios
+    ):
+        """Mutations caught: a scratch per column; the buffers on the
+        heap (``np.empty``); a scratch kept after the call."""
+        columns = [
+            (ScenarioParameters(num_peers=60_000, n_keys=123_457,
+                                alpha=alpha, query_freq=1 / 3600),
+             [10.0, 500.0, float("inf")])
+            for alpha in (1.1, 0.9, 1.3)[:scenarios]
+        ]
+        # Cached before tracing; every scenario has the same n_keys.
+        for params, _ in columns:
+            probs = rank_probabilities(params.n_keys, params.alpha)
         selection_outcome.cache_clear()
+        made = []
+        off_heap = selection_model._off_heap
+
+        def recorded(rows, like):
+            buffers = off_heap(rows, like)
+            made.append((buffers.nbytes, weakref.ref(buffers)))
+            return buffers
+
+        monkeypatch.setattr(selection_model, "_off_heap", recorded)
         tracemalloc.start()
         try:
-            outcomes = selection_outcomes(params, [10.0, 500.0, float("inf")])
+            outcomes = selection_columns(columns)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         slack = 64 * 1024
-        assert len(outcomes) == 3
-        # The prefix and one working buffer, released on return.
-        assert 2 * probs.nbytes < peak < 3 * probs.nbytes
+        assert [len(column) for column in outcomes] == [3] * scenarios
+        # The prefix and one working buffer, in one mapping of their own
+        # for every column (so not on the traced heap), released on return.
+        assert [nbytes for nbytes, _ in made] == [2 * probs.nbytes]
+        assert all(buffers() is None for _, buffers in made)
+        assert peak < slack
         assert held < slack
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from repro import obs
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.experiments.scenario import simulation_scenario
-from repro.fastsim import run_fastsim
+from repro.fastsim import parallel, run_fastsim
 from repro.fastsim.parallel import (
     FastSimJob,
     fan_out,
@@ -104,9 +107,9 @@ class TestResolveJobs:
         prefixes = []
         real = selection_model._log_absence
 
-        def counted(probs, rate):
+        def counted(probs, rate, out):
             prefixes.append(rate)
-            return real(probs, rate)
+            return real(probs, rate, out)
 
         monkeypatch.setattr(selection_model, "_log_absence", counted)
         selection_model.selection_outcome.cache_clear()
@@ -170,6 +173,19 @@ class TestRunMany:
             params, config=config, duration=DURATION, seed=1, window=10.0
         )
         assert pooled.hit_rate_series == direct.hit_rate_series
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_kernel_runs_report_their_resource_usage(
+        self, strategy_jobs, telemetry, workers
+    ):
+        # Summed over the pool's workers by the snapshot merge; CPU time
+        # against kernel.run's wall time tells waiting from computing,
+        # and a worker sharing a CPU is preempted (nivcsw) every slice.
+        run_many(strategy_jobs, workers=workers)
+        counters = dict(telemetry.counters)
+        assert counters["rusage.kernel.cpu_s"] >= 0.0
+        assert counters["rusage.kernel.minflt"] >= 0
+        assert counters["rusage.kernel.nivcsw"] >= 0
 
     def test_single_job_short_circuits_pool(self, params, config):
         # One job never pays for a pool, whatever workers says.
@@ -241,4 +257,85 @@ class TestFanOut:
         )
         assert seen == [
             (i, job.strategy) for i, job in enumerate(strategy_jobs)
+        ]
+
+
+@dataclass(frozen=True)
+class Where:
+    """A unit that reports where its worker placed itself: the placement
+    index (:data:`parallel._placed`) and the CPUs it may run on.
+
+    It first waits until ``parties`` units of its fan-out have started
+    (a file each in ``directory``), so no worker can run two of them.
+    """
+
+    directory: str
+    index: int
+    parties: int
+
+    def run(self) -> tuple:
+        Path(self.directory, str(self.index)).touch()
+        deadline = time.monotonic() + 60.0
+        while len(os.listdir(self.directory)) < self.parties:
+            assert time.monotonic() < deadline, "a unit never started"
+            time.sleep(0.005)
+        return parallel._placed, os.sched_getaffinity(0)
+
+
+def _where(tmp_path, workers: int, parties: int) -> list[tuple]:
+    seen = []
+    fan_out(
+        [Where(str(tmp_path), index, parties) for index in range(2)],
+        workers, lambda position, where: seen.append(where), "test.where",
+    )
+    return seen
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call"
+)
+class TestPlacement:
+    """Pool workers start on CPUs of their own and end up unpinned.
+
+    Mutations caught (each tried on a copy of ``parallel.py``): the mask
+    left pinned to the worker's CPU (a worker's mask is not the parent's);
+    both workers given one index (the indexes are not distinct);
+    placement on the in-process path (the calling process records a
+    placement).
+    """
+
+    @pytest.mark.skipif(
+        hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+        reason="fewer than 2 usable CPUs",
+    )
+    def test_two_workers_take_distinct_indexes_and_keep_the_parents_mask(
+        self, tmp_path
+    ):
+        cpus = os.sched_getaffinity(0)
+        seen = _where(tmp_path, 2, parties=2)
+        assert all(isinstance(index, int) for index, _ in seen)
+        assert len({index for index, _ in seen}) == 2
+        assert [mask for _, mask in seen] == [cpus, cpus]
+
+    def test_the_in_process_path_places_nothing(self, tmp_path):
+        cpus = os.sched_getaffinity(0)
+        assert _where(tmp_path, 1, parties=1) == [(None, cpus)] * 2
+        assert parallel._placed is None
+        assert os.sched_getaffinity(0) == cpus
+
+    def test_one_usable_cpu_places_nothing_and_changes_no_report(
+        self, tmp_path, strategy_jobs
+    ):
+        before = os.sched_getaffinity(0)
+        alone = {min(before)}
+        try:
+            os.sched_setaffinity(0, alone)
+            seen = _where(tmp_path, 2, parties=2)
+            pooled = run_many(strategy_jobs, workers=2)
+        finally:
+            os.sched_setaffinity(0, before)
+        assert seen == [(None, alone)] * 2
+        sequential = run_many(strategy_jobs, workers=1)
+        assert [replace(r, elapsed_seconds=0.0) for r in pooled] == [
+            replace(r, elapsed_seconds=0.0) for r in sequential
         ]

@@ -9,6 +9,7 @@ outputs and reject each doctored copy, one per assertion.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -100,7 +101,12 @@ FIXTURES = {
          {"adaptivity.json": json.dumps({"provenance": {"parameters": {
              "shift_at": 40.0, "window": 10.0}}})}],
     ),
-    "parallel": ({"sweep.json": "{}\n"}, [{"sweep.json": ""}]),
+    "parallel": (
+        {"sweep.json": _run_json({}), "sweep-1cpu.json": _run_json({})},
+        [{"sweep.json": ""},
+         {"sweep-1cpu.json": ""},
+         {"sweep-1cpu.json": _run_json({}, figure={"series": {"a": [2.0]}})}],
+    ),
     "single-path": (
         {"churn-first.json": _run_json({"kernel.runs": 3}),
          "churn-second.json": _run_json(FIGURE_HIT),
@@ -219,6 +225,17 @@ def test_clean_env_drops_the_repro_switches(monkeypatch):
     env = smoke.clean_env("src")
     assert env["PYTHONPATH"] == "src"
     assert not set(smoke.SWITCHES) & set(env)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity call")
+def test_a_confined_command_runs_on_that_many_cpus(tmp_path):
+    usable = sorted(os.sched_getaffinity(0))
+    command = _python("import os; print(sorted(os.sched_getaffinity(0)))",
+                      stdout="out.txt", cpus=1)
+    smoke.run(command, tmp_path, tmp_path, smoke.clean_env(""))
+    assert (tmp_path / "out.txt").read_text() == f"{usable[:1]}\n"
+    assert sorted(os.sched_getaffinity(0)) == usable
 
 
 def test_an_unexpected_exit_fails_with_the_stderr_tail(tmp_path):

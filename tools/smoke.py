@@ -30,6 +30,7 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping
@@ -81,6 +82,9 @@ class Command:
     #: ``(name, pattern)``: SIGINT the command once a line of the work
     #: file ``name`` matches the regular expression ``pattern``.
     interrupt_on: tuple[str, str] | None = None
+    #: Run the command on this many of the CPUs this process may use
+    #: (the lowest-numbered), set in the child before it starts.
+    cpus: int | None = None
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,14 @@ def run(command: Command, root: Path, work: Path, env: Mapping[str, str]) -> Non
             "python": [sys.executable]}[program]
     env = {**env, **{k: resolve(v) for k, v in command.env.items()}}
     stdout = work / command.stdout if command.stdout else os.devnull
+    confine = None
+    if command.cpus is not None:
+        usable = sorted(os.sched_getaffinity(0))[:command.cpus]
+        confine = partial(os.sched_setaffinity, 0, usable)
     with open(stdout, "w") as out, tempfile.TemporaryFile() as err:
         child = subprocess.Popen([*head, *map(resolve, rest)], cwd=root,
-                                 env=env, stdout=out, stderr=err)
+                                 env=env, stdout=out, stderr=err,
+                                 preexec_fn=confine)
         if command.interrupt_on is not None:
             name, pattern = command.interrupt_on
             if shows(child, work / name, re.compile(pattern)):
@@ -208,7 +217,11 @@ def runner_flags(outputs: Outputs) -> None:
 
 
 def parallel(outputs: Outputs) -> None:
-    require(outputs["sweep.json"].strip(), "--jobs 2 sweep printed nothing")
+    for name in ("sweep.json", "sweep-1cpu.json"):
+        require(outputs[name].strip(), "--jobs 2 sweep printed nothing", name)
+    spread, confined = (json.dumps(json.loads(outputs[name])["figure"])
+                        for name in ("sweep.json", "sweep-1cpu.json"))
+    require(confined == spread, "--jobs 2 on one CPU printed another figure")
 
 
 def single_path(outputs: Outputs) -> None:
@@ -369,8 +382,10 @@ SMOKES: tuple[Smoke, ...] = (
            cmd("runner", "sim", "--workload", "rank-swap", "--no-store", exit=1)),
           runner_flags, "tests/experiments/test_registry_surface.py"),
     Smoke("parallel", "the process-pool path through the CLI: a --jobs 2 "
-          "sweep and a replicated sim",
+          "sweep, the same on one CPU (where workers have nowhere to move) "
+          "printing the same figure, and a replicated sim",
           (cmd(*SWEEP, "--jobs", "2", stdout="sweep.json"),
+           cmd(*SWEEP, "--jobs", "2", stdout="sweep-1cpu.json", cpus=1),
            cmd("runner", "sim", "--engine", "vectorized", *SMALL,
                "--replicates", "2", "--jobs", "2")),
           parallel, "tests/experiments/test_execution_paths.py"),
