@@ -15,13 +15,21 @@ round is
 query every two hours each is ~2.78 queries/s network-wide); the paper
 plugs it into the exponent unchanged, and so do we.
 
-Eq. 3 is computed once per ``(n_keys, alpha)`` per process, by
-:func:`rank_probabilities`, and Eq. 4 has one implementation,
-:func:`prob_queried`. The closed-form model reads both directly and
-builds no distribution. A :class:`ZipfDistribution` only samples: it
-holds the CDF its draws invert, summed from the pair's cached array,
-and not the array itself (a pickled or staged distribution carries one
-table, not two).
+Eq. 3 is planning input. :func:`rank_probabilities` caches one array
+per ``(n_keys, alpha)`` for as long as planning may read it, and Eq. 4
+has one implementation, :func:`prob_queried`. The closed-form model reads
+both directly and builds no distribution.
+:func:`~repro.fastsim.parallel.run_many` drops the cached arrays once its
+costs are resolved when it runs the kernels in its own process, so no
+kernel runs beside them.
+
+A :class:`ZipfDistribution` only samples. It holds the CDF its draws
+invert, not Eq. 3 (a pickled or staged distribution carries one table,
+not two), and every distribution of one ``(n_keys, alpha)`` shares one
+read-only CDF: a one-entry memo per process (:func:`_cdf`). The memo sums
+a new CDF from the pair's Eq. 3 array while one is still alive, and
+otherwise from a fresh evaluation that it sums in place and does not
+cache. ``zipf.eq3.evaluations`` and ``zipf.cdf.builds`` count both.
 
 A large draw inverts its uniforms through a guide table (Chen & Asau
 1974), one per ``(n_keys, alpha)`` per process (:func:`build_guide`).
@@ -33,6 +41,8 @@ negative entries go on to a short binary descent over the CDF.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -68,20 +78,70 @@ _COUNT_CHUNK = DRAW_CHUNK >> 2
 _GUIDE_MAX_BUCKETS = 1 << 18
 
 
+def _eq3(n_keys: int, alpha: float) -> np.ndarray:
+    """Eq. 3 for ranks ``1..n_keys``, evaluated now, into a new array."""
+    obs.count("zipf.eq3.evaluations")
+    probs = np.arange(1, n_keys + 1, dtype=np.float64) ** (-alpha)
+    probs /= float(probs.sum())
+    return probs
+
+
+#: The Eq. 3 arrays :func:`rank_probabilities` made that something still
+#: holds (its cache or a caller), by pair. :func:`_cdf` reads one from
+#: here, so a CDF summed after the cache let go never re-caches Eq. 3.
+_alive: weakref.WeakValueDictionary[tuple[int, float], np.ndarray] = (
+    weakref.WeakValueDictionary()
+)
+
+
 @counted_cache("zipf_probs", maxsize=128)
 def rank_probabilities(n_keys: int, alpha: float) -> np.ndarray:
     """Eq. 3 for ranks ``1..n_keys``: the one copy per ``(n_keys, alpha)``.
 
-    Read-only, shared by every :class:`ZipfDistribution` of the pair and
-    by the closed-form planning (:mod:`~repro.analysis.selection_model`,
-    :mod:`~repro.analysis.threshold`), which reads it without building a
-    distribution or its CDF. Arguments are not validated: callers have
-    (``ZipfDistribution``, ``ScenarioParameters``).
+    Read-only, read by the closed-form planning
+    (:mod:`~repro.analysis.selection_model`,
+    :mod:`~repro.analysis.threshold`) without building a distribution or
+    its CDF. Planning input only: the cache lives until
+    :func:`~repro.fastsim.parallel.run_many` clears it after cost
+    resolution, before any kernel of its own process allocates (a pool's
+    parent keeps it, and its forked workers sum their CDFs from it); the
+    next planning call evaluates it again. Arguments are not validated:
+    callers have (``ScenarioParameters``).
     """
-    probs = np.arange(1, n_keys + 1, dtype=np.float64) ** (-alpha)
-    probs /= float(probs.sum())
+    probs = _eq3(n_keys, alpha)
     probs.flags.writeable = False
+    _alive[n_keys, alpha] = probs
     return probs
+
+
+#: :func:`_cdf`'s one entry: ``[((n_keys, alpha), cdf)]``, or empty.
+_last_cdf: list[tuple[tuple[int, float], np.ndarray]] = []
+
+
+def _cdf(n_keys: int, alpha: float) -> np.ndarray:
+    """The read-only CDF of ``(n_keys, alpha)`` that every distribution of
+    the pair shares, from a one-entry memo per process.
+
+    A miss first drops the entry it replaces, then sums the new CDF
+    (``zipf.cdf.builds``): from the pair's Eq. 3 array while one is
+    alive, else from a fresh evaluation, in place, which it does not
+    cache. Either way the CDF is ``np.cumsum(rank_probabilities(n_keys,
+    alpha))`` bit for bit: the running sum is sequential.
+    """
+    key = (n_keys, alpha)
+    if _last_cdf and _last_cdf[0][0] == key:
+        return _last_cdf[0][1]
+    _last_cdf.clear()
+    obs.count("zipf.cdf.builds")
+    probs = _alive.get(key)
+    if probs is None:
+        cdf = _eq3(n_keys, alpha)
+        np.cumsum(cdf, out=cdf)
+    else:
+        cdf = np.cumsum(probs)
+    cdf.flags.writeable = False
+    _last_cdf.append((key, cdf))
+    return cdf
 
 
 @counted_cache("zipf_guide", maxsize=8)
@@ -205,9 +265,7 @@ class ZipfDistribution:
         require_finite("alpha", alpha, 0.0)
         self.n_keys = int(n_keys)
         self.alpha = float(alpha)
-        self._cumulative = np.cumsum(
-            rank_probabilities(self.n_keys, self.alpha)
-        )
+        self._cumulative = _cdf(self.n_keys, self.alpha)
 
     def sample_ranks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` query ranks (1-based) i.i.d. from the distribution."""

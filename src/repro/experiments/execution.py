@@ -26,7 +26,7 @@ through every figure signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +35,15 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.experiments.heap import long_lived
 from repro.experiments.scenario import DEFAULT_ENGINE, resolve_engine
-from repro.fastsim import parallel
 from repro.fastsim.workload import BatchWorkload
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import StrategyReport
 from repro.sim.rng import RandomStreams
 from repro.workloads.models import WorkloadModel
+
+if TYPE_CHECKING:
+    from repro.fastsim.parallel import FastSimJob
 
 __all__ = ["Cell", "CellWorkload", "Execution"]
 
@@ -109,8 +111,10 @@ class Cell:
             ZipfDistribution(self.params.n_keys, self.params.alpha), rng
         )
 
-    def fastsim_job(self) -> parallel.FastSimJob:
+    def fastsim_job(self) -> FastSimJob:
         """The vectorized-engine job: this cell as kernel arguments."""
+        from repro.fastsim.parallel import FastSimJob
+
         workload = None
         if self.workload is not None:
             workload = self._stream(
@@ -118,7 +122,7 @@ class Cell:
                     np.random.SeedSequence(self.workload.entropy)
                 )
             )
-        return parallel.FastSimJob(
+        return FastSimJob(
             params=self.params,
             strategy=self.strategy,
             seed=self.seed,
@@ -152,6 +156,9 @@ class Execution:
         """Run every cell on this run's engine; reports in cell order."""
         if not self.vectorized:
             return [cell.run() for cell in cells]
+        # Loaded here, not at import: an event run needs no kernel.
+        from repro.fastsim import parallel
+
         return parallel.run_many(
             [cell.fastsim_job() for cell in cells], workers=self.jobs
         )

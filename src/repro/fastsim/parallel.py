@@ -42,7 +42,9 @@ from repro import obs
 from repro.obs import events as obs_events
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.selection_model import selection_columns
-from repro.analysis.zipf import GUIDE_MIN_DRAW, ZipfDistribution, build_guide
+from repro.analysis.zipf import (
+    GUIDE_MIN_DRAW, ZipfDistribution, build_guide, rank_probabilities,
+)
 from repro.errors import ParameterError
 from repro.fastsim.churncosts import ChurnOpCosts
 from repro.fastsim.inputs import RoundInputs
@@ -229,6 +231,11 @@ def pack_jobs(
     return packed
 
 
+def _queries(job: FastSimJob) -> float:
+    """The queries ``job`` expects to draw over its run."""
+    return job.params.network_query_rate * job.duration
+
+
 def _build_guides(jobs: Sequence[FastSimJob]) -> None:
     """Build the Zipf guide table of every ``(n_keys, alpha)`` that a job
     on the default workload will draw in bulk, in this process, now.
@@ -240,14 +247,15 @@ def _build_guides(jobs: Sequence[FastSimJob]) -> None:
     their pages to every worker's peak RSS (+1.4 MiB on ``sweep_pool``),
     where a worker's own build reuses heap a freed kernel left. A job
     draws in bulk when it expects at least
-    :data:`~repro.analysis.zipf.GUIDE_MIN_DRAW` queries.
+    :data:`~repro.analysis.zipf.GUIDE_MIN_DRAW` queries. The pairs are
+    built last to first, so the one-entry CDF memo a build leaves is the
+    first job's, which the first kernel then finds there.
     """
-    for n_keys, alpha in dict.fromkeys(
+    for n_keys, alpha in reversed(dict.fromkeys(
         (job.params.n_keys, job.params.alpha)
         for job in jobs
-        if job.workload is None
-        and job.params.network_query_rate * job.duration >= GUIDE_MIN_DRAW
-    ):
+        if job.workload is None and _queries(job) >= GUIDE_MIN_DRAW
+    )):
         build_guide(n_keys, alpha)
 
 
@@ -459,7 +467,11 @@ def run_many(
     (:func:`fan_out`). Costs are resolved in the parent first
     (:func:`resolve_jobs`) either way, so sequential and parallel
     execution charge identical costs and produce identical seeded
-    reports.
+    reports. Planning's Eq. 3 cache
+    (:func:`~repro.analysis.zipf.rank_probabilities`) is cleared once
+    costs are resolved when the kernels run in this process; a pool's
+    parent keeps it for the workers it forks, and hands them the units
+    longest first, by expected queries.
 
     ``shared_memory=True`` stages each pending job's large workload
     arrays into ``multiprocessing.shared_memory`` segments
@@ -488,6 +500,7 @@ def run_many(
     workers = resolve_worker_count(workers)
     with obs.span("parallel.resolve", jobs=len(jobs)):
         resolved = resolve_jobs(jobs)
+        obs.sample_peak_rss("resolve")
     if store is None:
         from repro.store.store import active_store
 
@@ -515,7 +528,14 @@ def run_many(
             grouping = units(shipped)
         size = _pool_size(workers, len(grouping))
         if size == 1:
+            # Eq. 3 is planning's, and planning is done: no kernel of
+            # this process runs beside it. A pool's parent keeps it, for
+            # the workers to sum their CDFs from.
+            rank_probabilities.cache_clear()
             _build_guides(shipped)
+        else:
+            # Longest first, so no worker starts the longest unit last.
+            grouping.sort(key=lambda unit: -_queries(shipped[unit[0]]))
 
         def _finish(position: int, unit_reports: list[FastSimReport]) -> None:
             for index, report in zip(grouping[position], unit_reports):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import zipf as zipf_module
 from repro.analysis.zipf import (
     ZipfDistribution,
     prob_queried,
@@ -78,19 +79,37 @@ class TestEq3:
         assert head_mass(40_000, 1.2, 400) > 0.5
 
     def test_instances_share_one_cached_array(self):
-        # Eq. 3 is held once per (n_keys, alpha); each distribution keeps
-        # only its own CDF, summed from that array, and not the array.
+        # Every distribution of one (n_keys, alpha) shares one read-only
+        # CDF, the cumulative sum of Eq. 3 bit for bit, and holds no
+        # other array: not Eq. 3.
         first, second = ZipfDistribution(5_000, 0.9), ZipfDistribution(5_000, 0.9)
+        assert first._cumulative is second._cumulative
+        assert not first._cumulative.flags.writeable
         cached = rank_probabilities(5_000, 0.9)
-        assert not cached.flags.writeable
-        assert not np.shares_memory(first._cumulative, second._cumulative)
+        assert np.array_equal(
+            first._cumulative.view(np.int64), np.cumsum(cached).view(np.int64)
+        )
         for distribution in (first, second):
-            assert np.array_equal(distribution._cumulative, np.cumsum(cached))
             arrays = [
                 value for value in vars(distribution).values()
                 if isinstance(value, np.ndarray)
             ]
             assert arrays == [distribution._cumulative]
+
+    def test_a_cdf_summed_without_a_cached_eq3_is_the_same(self):
+        # With no Eq. 3 array alive the CDF is summed from a fresh one,
+        # which is not cached; it equals the cached one's sum bit for bit.
+        zipf_module._last_cdf.clear()
+        rank_probabilities.cache_clear()
+        fresh = ZipfDistribution(5_001, 1.1)._cumulative
+        assert rank_probabilities.cache_info().currsize == 0
+        assert (5_001, 1.1) not in zipf_module._alive
+        zipf_module._last_cdf.clear()
+        cached = rank_probabilities(5_001, 1.1)
+        summed = ZipfDistribution(5_001, 1.1)._cumulative
+        assert fresh is not summed
+        assert np.array_equal(summed.view(np.int64), fresh.view(np.int64))
+        assert np.array_equal(fresh, np.cumsum(cached))
 
     def test_cached_array_is_read_only(self):
         with pytest.raises(ValueError):

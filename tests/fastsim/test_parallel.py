@@ -187,6 +187,34 @@ class TestRunMany:
         assert counters["rusage.kernel.minflt"] >= 0
         assert counters["rusage.kernel.nivcsw"] >= 0
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_a_pool_hands_out_the_longest_units_first(
+        self, monkeypatch, params, workers
+    ):
+        # A unit's length is its expected queries (fQry x peers x
+        # duration): a pool starts the longest first, so no worker starts
+        # it last; the in-process path keeps job order. Reports come back
+        # in job order either way.
+        jobs = [
+            FastSimJob(params=params.with_query_freq(freq), duration=DURATION)
+            for freq in (1 / 300, 1 / 30, 1 / 100)
+        ]
+        expected = [report.queries for report in run_many(jobs)]
+        handed = []
+
+        def in_process(units, size, finish, *args, **kwargs):
+            for position, unit in enumerate(units):
+                handed.append(unit.jobs[0].params.query_freq)
+                finish(position, unit.run())
+
+        monkeypatch.setattr(parallel, "fan_out", in_process)
+        reports = run_many(jobs, workers=workers)
+        freqs = [job.params.query_freq for job in jobs]
+        assert handed == (
+            sorted(freqs, reverse=True) if workers > 1 else freqs
+        )
+        assert [report.queries for report in reports] == expected
+
     def test_single_job_short_circuits_pool(self, params, config):
         # One job never pays for a pool, whatever workers says.
         job = FastSimJob(params=params, seed=0, duration=20.0, config=config)

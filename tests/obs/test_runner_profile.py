@@ -87,6 +87,11 @@ class TestSweepPlanningIsNamed:
         assert resolve["count"] == 1
         assert resolve["attrs"] == {"jobs": 18}
         assert resolve["seconds"] <= grid["seconds"]
+        # The peak at the end of planning, beside the process's: which of
+        # planning and the kernels set it.
+        gauges = telemetry["gauges"]
+        assert 0 < gauges["resolve.peak_rss_bytes"]
+        assert gauges["resolve.peak_rss_bytes"] <= gauges["process.peak_rss_bytes"]
         counters = telemetry["counters"]
         assert counters["cache.threshold.miss"] == 6
         assert counters["cache.threshold.hit"] >= 12
@@ -105,6 +110,7 @@ class TestDrawIsNamed:
         # run_many builds those two before the first kernel (the misses)
         # and each column's draw finds its table built (the hits).
         zipf._guide_slot.cache_clear()
+        zipf._last_cdf.clear()
         assert main(
             ["sweep", "--scale", "0.02", "--duration", "120", "--no-store",
              "--format", "json", "--profile"]
@@ -114,6 +120,10 @@ class TestDrawIsNamed:
         assert counters["cache.zipf_guide.miss"] == 2
         assert counters["cache.zipf_guide.hit"] == 2
         assert telemetry["gauges"]["cache.zipf_guide.size"] == 2
+        # Every distribution of an alpha shares one CDF: the two builds
+        # run last alpha first, the first alpha's columns find its CDF
+        # in the memo and the second alpha's sum it once more.
+        assert counters["zipf.cdf.builds"] == 3
         # The draw still nests under kernel.run; it counts draw blocks
         # (here one per keyTtl column), not cells.
         draw = next(

@@ -1,6 +1,7 @@
 """What a CLI call loads: importing the runner loads no numpy, no kernel
 and no store; the kernel and sweep path never import the event substrate
-or the process pool; a warm sweep is one store lookup and loads no numpy.
+or the process pool; an event run never loads the kernel; a warm sweep is
+one store lookup and loads no numpy.
 (That no module below ``repro.experiments`` imports it, even lazily, is
 the static check RL113 in ``tests/test_invariants.py``.)
 
@@ -27,6 +28,16 @@ SUBSTRATE = (
     "repro.replication",
     "multiprocessing",
     "concurrent.futures.process",
+)
+
+#: The vectorized engine's modules: an event run uses none of them.
+KERNEL = (
+    "repro.fastsim.parallel",
+    "repro.fastsim.kernel",
+    "repro.fastsim.inputs",
+    "repro.fastsim.churncosts",
+    "repro.fastsim.metrics",
+    "repro.fastsim.state",
 )
 
 _LOADED = """
@@ -84,6 +95,19 @@ def test_package_names_resolve_on_first_use():
         "assert repro.PdhtNetwork.__module__ == 'repro.pdht.network'"
     )
     assert "repro.pdht.network" in loaded
+
+
+def test_an_event_run_loads_no_kernel():
+    argv = ["sim", "--engine", "event", "--scale", "0.01", "--duration", "10",
+            "--no-store", "--format", "json"]
+    loaded = _loaded(
+        "import contextlib, io\n"
+        "from repro.experiments.runner import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    assert "repro.pdht.network" in loaded
+    assert _under(loaded, KERNEL) == []
 
 
 def test_a_warm_sweep_loads_neither_the_substrate_nor_numpy_random(tmp_path):
