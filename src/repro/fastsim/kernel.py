@@ -22,27 +22,26 @@ mask of peers seen on the index path are made once for all lanes; each
 lane keeps its own members, costs, report, message totals and window
 recorder. A span's hits and misses are a *decision*, which a lane then
 *prices* at its own costs, with its own members' gateway discoveries.
-Every write time is at least 1.0, so a lane whose ``1.0 + keyTtl`` is
-after the span's last round sees every written entry live throughout
-it: all such lanes share one decision (``kernel.lanes.shared`` counts
-the lane-spans that took another lane's), and every other lane tests
-liveness at its own keyTtl against the write times the span opens
-with. Spans are the shortest any lane allows, and the last lane writes
-the span's entries after every lane has read them.
+Spans are the shortest any lane allows.
 
-:meth:`FastSimKernel.run` runs a kernel once, and decides at its start
-whether no entry can expire before the run ends: no churn, no content
-refresh, a fresh state, every lane adaptive and every lane's
-``1.0 + keyTtl`` after the run's last round. That holds for every cell
-of a sweep, whose keyTtl is thousands of rounds against its 240. Section
-5.1 then reduces to first occurrence — a query hits iff an earlier
-query inserted its key — and every span of the run takes one decision
-for all lanes from a boolean plane of the indexed keys: one byte
-gathered per query, and only the misses sorted, for their first rounds
-(:meth:`FastSimKernel._first_occurrence`). Nothing reads a write time
-in such a run, so none is allocated or written; a lane's index size is
-the plane's count. A span stepped outside :meth:`~FastSimKernel.run`
-takes the general liveness test.
+A kernel runs once, and a lane's liveness has one rule
+(:meth:`FastSimKernel._reads_plane`). Every write time of a run is a
+round's, so at least 1.0: a lane whose ``1.0 + keyTtl`` is after a
+span's last round sees exactly the keys ever written as live throughout
+it, and Section 5.1 reduces to first occurrence (a query hits iff an
+earlier query inserted its key). A run of adaptive lanes with no churn,
+no content refresh and a fresh state keeps a byte plane of the keys ever
+written, and in each span all such lanes share one decision from it
+(:meth:`FastSimKernel._first_occurrence`: one byte gathered per query,
+only the misses sorted; ``kernel.lanes.shared`` counts the lane-spans
+that took another lane's). Every other lane tests liveness at its own
+keyTtl against the write times the span opens with; where any lane of
+the run reads them, every span writes its times after every lane has
+read them. A run in which none does (every lane's ``1.0 + keyTtl`` after
+its last round, as in every cell of a sweep, whose keyTtl is thousands
+of rounds against its 240) allocates and writes none:
+``kernel.runs.unexpiring`` counts it. A span stepped outside
+:meth:`~FastSimKernel.run` takes the general liveness test.
 
 Every random input of a run — query counts, the default workload stream,
 DHT members, churn flips, origins, turnover and resolution draws — comes
@@ -473,9 +472,11 @@ class FastSimKernel:
         self.now = 0.0
         #: Whether :meth:`run` was called: a kernel runs once.
         self._ran = False
-        #: The indexed plane of a run in which no entry can expire
-        #: (:meth:`_unexpiring`); ``None`` outside one.
+        #: Each key's "ever written", in a run whose lanes can read it
+        #: (:meth:`_unexpiring`); ``None`` in any other.
         self._plane: Optional[np.ndarray] = None
+        #: Whether some lane reads write times, so every span writes them.
+        self._reads_times = True
 
         # Streamed-loop buffers: per-role scratch for the span hot paths
         # and read-only all-ones sentinels for the no-churn resolution
@@ -517,9 +518,9 @@ class FastSimKernel:
         its run. ``costs`` default as the constructor's do. The
         lane's report (:attr:`reports`) equals that of a kernel built with
         ``config`` and run alone. It adds one mask over the peers (its
-        members) and no per-key state; in a span no entry can expire for
-        under its keyTtl, it takes the decision the other such lanes
-        take (see the module docstring).
+        members) and no per-key state; in a span before its
+        ``1.0 + keyTtl`` it takes the first-occurrence decision the
+        other such lanes take (see the module docstring).
         """
         if self.churn is not None or self._next_refresh is not None:
             raise ParameterError(
@@ -578,7 +579,7 @@ class FastSimKernel:
         rounds = whole_rounds(duration)
         self._ran = True
         # Decided for the whole run, never per span: see _unexpiring.
-        self._plane = self._unexpiring(rounds)
+        self._plane, self._reads_times = self._unexpiring(rounds)
         # Telemetry is sampled into local floats and reported once after
         # the loop: one boolean check per phase per round when disabled,
         # no RNG interaction ever (seeded results stay bit-identical with
@@ -778,7 +779,7 @@ class FastSimKernel:
             obs.count("rusage.kernel.cpu_s", cpu - usage[0])
             obs.count("rusage.kernel.minflt", faults - usage[1])
             obs.count("rusage.kernel.nivcsw", preempted - usage[2])
-            if self._plane is not None:
+            if not self._reads_times:
                 obs.count("kernel.runs.unexpiring")
             if self._shared_lanes > shared_before:
                 obs.count(
@@ -961,83 +962,82 @@ class FastSimKernel:
         ))
         return span.counts, hits, charges
 
-    def _unexpiring(self, rounds: int) -> Optional[np.ndarray]:
-        """The indexed plane, every key unwritten, of a run of ``rounds``
-        rounds in which no entry can expire; ``None`` where one can.
+    def _unexpiring(self, rounds: int) -> tuple[Optional[np.ndarray], bool]:
+        """The plane of the keys ever written, none yet, of a run of
+        ``rounds`` rounds whose lanes may read one (``None`` in any other
+        run), and whether some lane reads a write time in the run.
 
         Only queries move an entry when there is no churn, no content
         refresh (nor a version plane from :meth:`FastSimState.bump_versions`)
-        and every lane is adaptive. An entry written at ``t`` then lives
-        while ``t + keyTtl`` is after the round, and the run writes at
-        round times, at least 1.0: where every lane's ``1.0 + keyTtl`` is
-        after the run's last round (in floats, as the liveness test
-        adds), every entry it writes lives until it ends. Write times a
-        caller made before the run (:attr:`FastSimState.has_write_times`)
-        take the general path. The run sets the plane (each key's "ever
-        written") on each insert. Counted as ``kernel.runs.unexpiring``.
+        and every lane is adaptive. Write times a caller made before the
+        run (:attr:`FastSimState.has_write_times`) can be below 1.0, so
+        that run keeps no plane. Every lane reads it throughout a run
+        whose last round is before every lane's ``1.0 + keyTtl``
+        (:meth:`_reads_plane`).
         """
         if (
             self.churn is not None
             or self._next_refresh is not None
             or self.state.indexed_version is not None
             or self.state.has_write_times
-            or not all(
-                lane.policy.adaptive and 1.0 + lane.key_ttl > self.now + rounds
-                for lane in self.lanes
-            )
+            or not all(lane.policy.adaptive for lane in self.lanes)
         ):
-            return None
-        return np.zeros(self.params.n_keys, dtype=bool)
+            return None, True
+        last_round = self.now + rounds
+        return np.zeros(self.params.n_keys, dtype=bool), not all(
+            1.0 + lane.key_ttl > last_round for lane in self.lanes
+        )
 
     def _decide(self, span: _Span, keys: np.ndarray) -> list[_Decision]:
         """Every lane's decision on one span's queries (the same object
-        for the lanes that share one); the last lane writes the span's
-        entries, after every lane read the write times they open with.
-
-        In a run in which no entry can expire (:meth:`_unexpiring`),
-        whatever a lane's keyTtl, every lane takes one decision by first
-        occurrence (:meth:`_first_occurrence`), which reads the plane and
-        no write time.
-
-        Otherwise, a write time is a round's, so at least 1.0. A lane whose
-        ``1.0 + keyTtl`` is after the span's last round therefore finds
-        every written entry live in every round of the span, and every
-        other entry dead: whatever its keyTtl, its liveness is whether a
-        key was ever written. All such lanes share one decision, made by
-        the last of them; every other lane makes its own. The bound is
-        evaluated in floats, as the liveness test adds, so it holds for
-        any keyTtl; a keyTtl of 0 never meets it.
+        for the lanes that share one): the lanes that read the plane
+        (:meth:`_reads_plane`) share one by first occurrence, and every
+        other lane tests its write times (:meth:`_decision`). The last of
+        those writes the span's times after every lane read them; where
+        none tests them, they are written here if a lane of the run reads
+        them.
         """
-        if self._plane is not None:
-            self._shared_lanes += len(self.lanes) - 1
-            return [self._first_occurrence(span, keys)] * len(self.lanes)
-        written = np.take(
-            self.state.written_at,
-            keys,
-            out=self._scratch.get("select.written", keys.size, TIME_DTYPE),
-        )
         lanes = self.lanes
         last_round = span.now + (span.size - 1)
-        shared = [1.0 + lane.key_ttl > last_round for lane in lanes]
-        deciding = max(
-            (index for index, flag in enumerate(shared) if flag), default=None
-        )
-        # In lane order, so the writer (the last lane) decides last.
-        decisions = [
-            self._decision(
-                lane.key_ttl, span, keys, written, lane is lanes[-1]
+        on_plane = [self._reads_plane(lane, last_round) for lane in lanes]
+        timed = [lane for lane, reads in zip(lanes, on_plane) if not reads]
+        shared = self._first_occurrence(span, keys) if any(on_plane) else None
+        self._shared_lanes += max(len(lanes) - len(timed) - 1, 0)
+        written = None
+        if timed:
+            written = np.take(
+                self.state.written_at, keys,
+                out=self._scratch.get("select.written", keys.size, TIME_DTYPE),
             )
-            if index == deciding or not shared[index] else None
-            for index, lane in enumerate(lanes)
+        elif self._reads_times:
+            self._write_times(span, keys)
+        # In lane order, so the writer (the last timed lane) decides last.
+        return [
+            shared if reads else self._decision(
+                lane.key_ttl, span, keys, written, lane is timed[-1]
+            )
+            for lane, reads in zip(lanes, on_plane)
         ]
-        answered = decisions.count(None)
-        if answered:
-            self._shared_lanes += answered
-            decisions = [
-                decisions[deciding] if decision is None else decision
-                for decision in decisions
-            ]
-        return decisions
+
+    def _reads_plane(self, lane: _Lane, last_round: float) -> bool:
+        """Whether ``lane`` reads the plane up to round ``last_round``.
+
+        A write time is at least 1.0, so where a lane's ``1.0 + keyTtl``
+        is after ``last_round`` it finds every written entry live until
+        then, and every other entry dead. The bound is summed in floats,
+        as the liveness test adds, so it holds for any keyTtl; a keyTtl
+        of 0 never meets it.
+        """
+        return self._plane is not None and 1.0 + lane.key_ttl > last_round
+
+    def _write_times(self, span: _Span, keys: np.ndarray) -> None:
+        """Write the span's entries where every query rearmed or
+        re-inserted its key: round by round in round order, so a key's
+        last round in the span sets it."""
+        lo = 0
+        for j, round_count in enumerate(span.counts):
+            self.state.write(keys[lo:lo + round_count], span.now + j)
+            lo += round_count
 
     def _decision(
         self,
@@ -1190,12 +1190,7 @@ class FastSimKernel:
             state.write(keys[live], span.now)
             state.write(inserts, span.now)
         else:
-            # Every query rearmed or re-inserted its key: round by round
-            # in round order, so a key's last round in the span sets it.
-            lo = 0
-            for j, round_count in enumerate(span.counts):
-                state.write(keys[lo:lo + round_count], span.now + j)
-                lo += round_count
+            self._write_times(span, keys)
         state.capture_versions(inserts)
         if rehits is not None:
             # Read after the capture: stale unless an earlier round of the
@@ -1224,9 +1219,10 @@ class FastSimKernel:
         )
 
     def _first_occurrence(self, span: _Span, keys: np.ndarray) -> _Decision:
-        """The Section 5.1 query path on one span's queries where no
-        entry can expire before the run ends: a query hits iff its key is
-        in the indexed plane or occurred earlier in the span.
+        """The Section 5.1 query path on one span's queries for a lane
+        whose ``1.0 + keyTtl`` is after the span's last round: a query
+        hits iff its key is in the plane of the keys ever written or
+        occurred earlier in the span.
 
         A key outside the plane has never been written, so it misses once,
         cold, at its first occurrence; its broadcast resolves (there is no
@@ -1456,8 +1452,7 @@ class FastSimKernel:
     def _reported_index_size(self, lane: _Lane, now: float) -> int:
         if not lane.policy.adaptive:
             return lane.policy.preloaded_ranks
-        if self._plane is not None:
-            # No entry expires in the run: every key ever written is live.
+        if self._reads_plane(lane, now):
             return int(np.count_nonzero(self._plane))
         return self.state.index_size(now, lane.key_ttl)
 

@@ -28,10 +28,11 @@ the same origins, and a lane's gateway-equipped peers are its members
 and the seen ones.
 
 The write times exist only where a run reads them: they are allocated
-the first time :attr:`FastSimState.written_at` is used. A kernel run in
-which no entry can expire reads only whether a key was ever written,
-which it keeps as a byte per key of its own, so its state never holds
-write times (see :mod:`repro.fastsim.kernel`).
+the first time :attr:`FastSimState.written_at` is used. Every write time
+of a run is at least 1.0, so a lane whose ``1.0 + keyTtl`` is after a
+span's last round reads only whether a key was ever written, which the
+kernel keeps as a byte per key of its own; a run in which every lane
+reads only that never holds write times (see :mod:`repro.fastsim.kernel`).
 """
 
 from __future__ import annotations

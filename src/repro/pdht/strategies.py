@@ -143,6 +143,8 @@ class WindowRecorder:
         self.queries = 0
         self.hits = 0
         self.next_at = window
+        #: Rounds since run start at the last close.
+        self.closed_at = 0.0
         self.hit_rate_series: list[tuple[float, float]] = []
         self.index_size_series: list[tuple[float, int]] = []
 
@@ -159,6 +161,7 @@ class WindowRecorder:
         self.hit_rate_series.append((elapsed, rate))
         self.index_size_series.append((elapsed, index_size()))
         self.queries = self.hits = 0
+        self.closed_at = elapsed
 
     def maybe_close(self, elapsed: float, index_size: Callable[[], int]) -> None:
         """Close the window at ``elapsed`` rounds since run start.
@@ -177,10 +180,11 @@ class WindowRecorder:
         When ``duration`` is not a multiple of ``window`` the final
         ``duration % window`` rounds never reach ``next_at``; without this
         flush their queries silently vanish from ``hit_rate_series``. A
-        run that ends exactly on a window boundary already closed it in
-        :meth:`maybe_close` and is left untouched.
+        run whose last round closed a window in :meth:`maybe_close` is
+        left untouched, even where float drift (or a window shorter than
+        a round) leaves ``next_at`` at or below its end.
         """
-        if not self.enabled or elapsed <= self.next_at - self.window:
+        if not self.enabled or elapsed <= self.closed_at:
             return
         self._close(elapsed, index_size)
 

@@ -5,9 +5,14 @@ Jobs that differ only in keyTtl run as the lanes of one kernel
 stream, one origin draw, one array of write times and one mask of peers
 seen on the index path serve every lane, and each lane keeps its own
 members, costs and report. The lanes whose ``1.0 + keyTtl`` is after a
-span's last round (no written entry can expire inside it) share one
-decision of the span's hits and misses, and price it each at its own
-costs. The property holds every lane's report ``==`` to ``run_fastsim``
+span's last round (every write time is at least 1.0, so they see exactly
+the keys ever written as live) share one decision of the span's hits and
+misses, by first occurrence from the kernel's plane of those keys, and
+price it each at its own costs; every other lane tests its write times.
+A lane run alone follows the same rule, so a mutation of its bound
+shows here only where the lanes' spans differ from the run alone's; the
+scalar reference of ``test_reference_rounds.py`` holds the rule itself.
+The property holds every lane's report ``==`` to ``run_fastsim``
 of its config alone, on every field but the wall clock, over the four
 strategies, 1-4 lanes and keyTtl values of 0, below a round,
 fractional, whole (a span exactly keyTtl rounds long), one ulp either
@@ -17,7 +22,9 @@ without windows, at rates from 40 queries a round (one-round spans)
 down to one every five rounds (spans of hundreds of rounds). Pinned
 examples have only some lanes share, the last (writing) lane mortal or
 among the sharing ones, and spans cut by windows across the round a
-lane leaves.
+lane leaves. Write times a caller made before the run, below 1.0, keep
+the plane from every lane
+(``test_lanes_on_an_opening_index_below_one_equal_their_runs_alone``).
 
 Mutations of ``src/`` this module was run against, each caught:
 
@@ -33,13 +40,30 @@ Mutations of ``src/`` this module was run against, each caught:
 * a churned job grouped with the other keyTtl values of its column
   (``test_units_group_exactly_the_key_ttl_columns``,
   ``test_churned_and_refreshed_jobs_run_alone``);
-* ``>=`` for ``>`` in the shared-decision bound
-  (``test_lanes_equal_their_runs_alone``: the keyTtl-6 example, and the
-  keyTtl-0 one);
+* ``>=`` for ``>`` in the bound of the plane's lanes
+  (``test_lanes_equal_their_runs_alone``: the keyTtl-0 example;
+  ``test_reference_rounds.py``: the budget-1 and budget-3 cases of
+  ``test_a_lane_reads_the_plane_until_its_key_ttl_ends`` and the
+  keyTtl-4 ``UNEXPIRING_CASES``);
 * the bound taken from the span's first round instead of its last
-  (``test_lanes_equal_their_runs_alone``: the keyTtl-15 example);
-* a keyTtl-0 lane admitted to the shared decision
-  (``test_lanes_equal_their_runs_alone``: the keyTtl-0 example);
+  (``test_a_lane_reads_the_plane_until_its_key_ttl_ends``: the budget-1
+  and budget-3 cases and every windowed one; no test here);
+* a keyTtl-0 lane admitted to the plane (``test_reference_rounds.py``:
+  a pinned keyTtl-0 example of ``test_kernel_equals_scalar_reference``;
+  no test here);
+* a span's write times skipped where every lane reads the plane but a
+  lane reads write times later (``test_lanes_equal_their_runs_alone``:
+  the keyTtl-0 example; every case of
+  ``test_a_lane_reads_the_plane_until_its_key_ttl_ends``);
+* the plane left unwritten in a run where some lane reads write times,
+  while a lane still reads it (``test_lanes_equal_their_runs_alone``,
+  ``test_lanes_whose_members_are_every_peer[adaptive]`` and ``[mixed]``,
+  ``test_an_unexpiring_run_decides_once_for_every_lane[one-lane-can-expire]``;
+  six of the eight cases of
+  ``test_a_lane_reads_the_plane_until_its_key_ttl_ends``);
+* the plane's count taken as the index size of a lane past its
+  ``1.0 + keyTtl`` (the same four tests here; every case of
+  ``test_a_lane_reads_the_plane_until_its_key_ttl_ends``);
 * a span's first contacts left unmarked in the ``seen`` mask
   (``test_lanes_equal_their_runs_alone``);
 * first contacts skipped when only some lanes have every peer as a
@@ -191,6 +215,40 @@ def test_lanes_no_entry_can_expire_for_share_one_decision(telemetry):
     counters = telemetry.counters
     assert counters["kernel.spans"] == 5
     assert counters["kernel.lanes.shared"] == 2 + 4
+
+
+def test_lanes_on_an_opening_index_below_one_equal_their_runs_alone(
+    telemetry,
+):
+    # Write times a caller made before the run, in [-80, 0) on half the
+    # keys: an entry the keyTtl-60 lane finds dead can be live for the
+    # keyTtl-1000 lane, so the lanes keep no plane and share nothing.
+    params = PARAMS.with_query_freq(0.05)
+    rng = np.random.default_rng(0)
+    opening = np.full(params.n_keys, -np.inf)
+    half = rng.permutation(params.n_keys)[: params.n_keys // 2]
+    opening[half] = rng.uniform(-80.0, 0.0, half.size)
+    configs = [
+        PdhtConfig.from_scenario(params).with_ttl(key_ttl)
+        for key_ttl in (1000.0, 60.0)
+    ]
+
+    def kernel(configs):
+        first, *rest = configs
+        built = FastSimKernel(
+            params, config=first, seed=3, costs=_costs(params, first)
+        )
+        for config in rest:
+            built.add_lane(config, _costs(params, config))
+        built.state.written_at[:] = opening
+        built.run(40.0, window=7.0)
+        return built
+
+    lanes = kernel(configs)
+    assert "kernel.lanes.shared" not in telemetry.counters
+    for config, report in zip(configs, lanes.reports):
+        [alone] = kernel([config]).reports
+        assert _unwalled(report) == _unwalled(alone)
 
 
 def test_lanes_draw_the_members_of_their_runs():

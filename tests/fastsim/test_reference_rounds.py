@@ -45,12 +45,16 @@ rounded expiry says otherwise); windows and content refreshes fall inside
 spans and draw blocks. A kernel runs once. ``test_expiry_inside_a_span``
 pins a key whose entry expires partway through a span.
 
-A run in which no entry can expire (``FastSimKernel._unexpiring``: no
-churn, no refresh, a fresh state, and every lane's ``1.0 + keyTtl``
-after the run's last round) decides each query by first occurrence from
-a plane of the keys ever written, and allocates no write time.
-``UNEXPIRING_CASES`` hold it, and runs just past its bound, to the
-reference under every span regime, with and without a window; a
+A selection run with no churn, no refresh and a fresh state keeps a
+plane of the keys ever written (``FastSimKernel._unexpiring``), and
+decides each span whose last round is before ``1.0 + keyTtl`` by first
+occurrence from it; every later span tests the write times, which every
+span writes unless the whole run is before ``1.0 + keyTtl`` (the regime
+where no entry can expire, which allocates no write time).
+``UNEXPIRING_CASES`` hold the regime, and runs just past its bound, to
+the reference under every span regime, with and without a window;
+``test_a_lane_reads_the_plane_until_its_key_ttl_ends`` holds a keyTtl
+that ends inside the run to it, and the path each span takes; a
 Hypothesis property puts keyTtl at and one ulp either side of
 ``last_round - 1.0``, so a run falls in or out of the regime by the
 float sum; an opening index (write times a caller made before the run,
@@ -78,6 +82,16 @@ Mutations of ``src/`` this module was run against, each caught:
   resolved occurrence;
 * ``>=`` for ``>`` in the regime's bound
   (``test_a_run_falls_in_or_out_of_the_regime_by_one_ulp``);
+* ``>=`` for ``>`` in a span's bound of the plane, the bound taken from
+  the span's first round instead of its last, a keyTtl-0 lane admitted
+  to the plane, a span's write times skipped where it reads only the
+  plane but a later span reads write times, the plane left unwritten in
+  a run that reads write times, and the plane's count taken as the index
+  size past ``1.0 + keyTtl`` (each caught by
+  ``test_a_lane_reads_the_plane_until_its_key_ttl_ends``, but the
+  keyTtl-0 one, which a pinned example of
+  ``test_kernel_equals_scalar_reference`` catches; the full list, with
+  every catcher, is in ``test_lanes.py``);
 * an insert left out of the plane, or a key's miss booked in its last
   round of the span instead of its first (every reference test);
 * the regime taken on write times a caller made before the run
@@ -497,14 +511,15 @@ def test_pinned_partial_ideal_case_queries_the_boundary_rank():
 # ----------------------------------------------------------------------
 def _record_regimes(patch):
     """Record, per ``FastSimKernel.run``, whether it was decided in the
-    regime where no entry can expire (``_unexpiring`` gave a plane)."""
+    regime where no entry can expire (``_unexpiring`` gave a plane that
+    every lane reads throughout)."""
     taken = []
     unexpiring = FastSimKernel._unexpiring
 
     def spy(self, rounds):
-        plane = unexpiring(self, rounds)
-        taken.append(plane is not None)
-        return plane
+        plane, reads_times = unexpiring(self, rounds)
+        taken.append(plane is not None and not reads_times)
+        return plane, reads_times
 
     patch.setattr(FastSimKernel, "_unexpiring", spy)
     return taken
@@ -546,6 +561,41 @@ def test_unexpiring_runs_equal_scalar_reference(
         taken = _record_regimes(patch)
         check_against_reference({**case, "window": window, "refresh": None})
     assert taken == regimes
+
+
+@pytest.mark.parametrize("budget, block", REGIMES.values(), ids=REGIMES)
+@pytest.mark.parametrize("window", (0.0, 7.0), ids=("no-window", "window"))
+def test_a_lane_reads_the_plane_until_its_key_ttl_ends(budget, block, window):
+    # keyTtl 30 over 55 rounds: a span whose last round is before 31
+    # decides by first occurrence, every later span by its write times,
+    # which every span wrote.
+    case = dict(
+        strategy="partialSelection", seed=24, query_freq=0.01, rounds=55,
+        key_ttl=30.0, window=window, refresh=None, swap_at=None,
+    )
+    paths = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "SPAN_QUERIES", budget)
+        patch.setattr(kernel_module, "DRAW_BLOCK", block)
+        for name in ("_first_occurrence", "_decision"):
+            original = getattr(FastSimKernel, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                # The span is _first_occurrence's first argument and
+                # _decision's second.
+                span = args[_name == "_decision"]
+                paths.append((_name, span.now + (span.size - 1)))
+                return _original(self, *args)
+
+            patch.setattr(FastSimKernel, name, spy)
+        taken = _record_regimes(patch)
+        check_against_reference(case)
+    assert taken == [False]
+    assert {name for name, _ in paths} == {"_first_occurrence", "_decision"}
+    for name, last_round in paths:
+        assert name == (
+            "_first_occurrence" if last_round < 1.0 + 30.0 else "_decision"
+        )
 
 
 @settings(max_examples=60, deadline=None)

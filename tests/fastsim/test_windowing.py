@@ -111,3 +111,25 @@ def test_a_window_that_is_not_a_finite_count_of_rounds_is_an_error(
             SimulatedStrategy(params, seed=0).run(20.0, window=window)
         else:
             run_fastsim(params, duration=20.0, seed=0, window=window)
+
+
+@pytest.mark.parametrize(
+    "duration, window, windows", [(100.0, 100.0 / 12, 12), (5.0, 0.5, 5)],
+    ids=["twelfths", "half-round"],
+)
+@pytest.mark.parametrize("engine", ["event", "vectorized"])
+def test_window_times_strictly_increase_to_the_duration(
+    engine, duration, window, windows
+):
+    # 100/12 summed twelve times falls short of 100, and a window under a
+    # round closes at most once a round: either way the run's last round
+    # closes a window, and the flush must not close another after it.
+    params = simulation_scenario(scale=0.02)
+    if engine == "event":
+        report = SimulatedStrategy(params, seed=0).run(duration, window=window)
+    else:
+        report = run_fastsim(params, duration=duration, seed=0, window=window)
+    for series in (report.hit_rate_series, report.index_size_series):
+        times = [t for t, _ in series]
+        assert len(times) == windows and times[-1] == duration
+        assert all(a < b for a, b in zip(times, times[1:]))
