@@ -81,7 +81,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "solve_threshold",
         "sweep_frequencies",
     ),
-    "repro.pdht": ("PdhtConfig", "PdhtNetwork", "QueryOutcome", "TtlKeyStore"),
+    "repro.pdht": ("PdhtConfig", "PdhtNetwork", "QueryOutcome"),
     "repro.fastsim": (
         "FastSimKernel",
         "FastSimReport",

@@ -6,7 +6,8 @@ a ``log n``-sized routing table to maintain (Eq. 8). The PDHT runs on
 :class:`repro.dht.pgrid.PGridDht` — P-Grid's binary trie [Aber01], the
 system the paper's own simulator was built on — which holds the
 membership and does the lookups. The DHT stores nothing: the index lives
-in each member's :class:`~repro.pdht.ttl_cache.TtlKeyStore`.
+in each replica group's :class:`~repro.pdht.ttl_cache.ReplicaGroupIndex`,
+which holds its members' TTL key stores once.
 
 :mod:`repro.dht.maintenance` implements the probe-based routing-table
 maintenance whose cost is the ``env`` constant of Eq. 8 [MaCa03].

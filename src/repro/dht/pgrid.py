@@ -8,7 +8,8 @@ The paper's model consumes exactly two properties of a DHT:
   probing drives the maintenance cost (Eq. 8).
 
 The DHT routes and stores nothing: the P-DHT's index lives in each
-member's :class:`~repro.pdht.ttl_cache.TtlKeyStore`. P-Grid is the system
+replica group's :class:`~repro.pdht.ttl_cache.ReplicaGroupIndex`, which
+holds its members' TTL key stores once. P-Grid is the system
 the paper's own simulator was built on. Each member owns a binary
 *path*; it is responsible for all keys whose identifier starts with that
 path. Paths are obtained by recursively splitting the member set on the

@@ -484,7 +484,7 @@ def _calibrate_churn_costs_probe(
             hit_flood_fraction=flooded_hits / hits if hits else 0.0,
             turnover_miss=turnover / shadow_live if shadow_live else 0.0,
             maintenance_per_round=max(maintenance, 0.0),
-            num_active_peers=len(net.stores),
+            num_active_peers=net.dht.size,
             source="calibrated",
         )
 

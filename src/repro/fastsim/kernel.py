@@ -52,8 +52,8 @@ Faithfulness to :class:`~repro.pdht.network.PdhtNetwork` (Section 5.1):
 
 * hit iff the key's latest replica expiry, its last write time plus
   keyTtl, is strictly after ``now`` — an entry reaching its expiry
-  instant is already dead, exactly like
-  :class:`~repro.pdht.ttl_cache.TtlKeyStore`'s ``expires_at <= now`` miss;
+  instant is already dead, exactly like the ``expires_at <= now`` miss
+  of :class:`~repro.pdht.ttl_cache.ReplicaGroupIndex`;
 * a hit rearms the expiration clock to ``now + keyTtl``;
 * a miss floods the replica subnetwork, broadcasts, and (when resolved)
   re-inserts the key, so later queries for it *in the same round* hit —

@@ -1,9 +1,9 @@
 """Array-of-peers state for the vectorized batch simulator.
 
 The event engine keeps one Python object per peer and one
-:class:`~repro.pdht.ttl_cache.TtlKeyStore` per DHT member. At million-peer
-scale that representation is unusable, so the fast path collapses the
-whole network into a handful of numpy arrays.
+:class:`~repro.pdht.ttl_cache.ReplicaGroupIndex` per replica group of DHT
+members. At million-peer scale that representation is unusable, so the
+fast path collapses the whole network into a handful of numpy arrays.
 
 The crucial observation that makes a *per-key* (rather than per-replica)
 representation faithful: under the Section 5 selection algorithm an insert
@@ -102,7 +102,7 @@ class FastSimState:
     def index_size(self, now: float, key_ttl: float) -> int:
         """Number of keys resident in the index at ``now`` under
         ``key_ttl``. An entry at its expiry instant is already dead
-        (``TtlKeyStore`` treats ``expires_at <= now`` as a miss), hence
+        (``ReplicaGroupIndex`` treats ``expires_at <= now`` as a miss), hence
         the strict ``>``."""
         written = self._written_at
         if written is None:

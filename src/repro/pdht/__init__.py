@@ -10,7 +10,8 @@ while unpopular ones time out — a fully decentralized approximation of the
 Layout:
 
 * :mod:`repro.pdht.config` — tuning knobs (``keyTtl``, replication, ...);
-* :mod:`repro.pdht.ttl_cache` — the TTL key store each DHT member holds;
+* :mod:`repro.pdht.ttl_cache` — the TTL index of a replica group: each
+  member's TTL key store, held once per group;
 * :mod:`repro.pdht.network` — the wired-up network (DHT + unstructured
   overlay + replica groups + churn + maintenance) and its query path,
   whose outcome says whether it hit the index or inserted into it;
@@ -25,7 +26,7 @@ from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.pdht.config": ("PdhtConfig",),
-    "repro.pdht.ttl_cache": ("IndexRecord", "TtlKeyStore"),
+    "repro.pdht.ttl_cache": ("IndexRecord", "ReplicaGroupIndex"),
     "repro.pdht.network": ("PdhtNetwork", "QueryOutcome"),
     "repro.pdht.strategies": ("SimulatedStrategy", "StrategyReport"),
 })

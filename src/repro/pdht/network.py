@@ -8,14 +8,14 @@ One :class:`PdhtNetwork` owns the full stack:
 * a P-Grid DHT joined by
   ``numActivePeers`` members ("only numActivePeers peers participate in
   building and maintaining a DHT" — Section 3.2);
-* one TTL index store per member (:attr:`PdhtNetwork.stores`), grouped
-  into replica subnetworks of size ``repl``;
+* replica subnetworks of size ``repl``, each holding its members' TTL
+  index stores once (:class:`~repro.pdht.ttl_cache.ReplicaGroupIndex`);
 * probe-based routing maintenance charging the Eq. 8 traffic.
 
 The query path is the paper's Section 5.1 verbatim:
 
 1. route the query through the DHT to the responsible member;
-2. if its TTL store answers, done (the hit resets the key's TTL);
+2. if its TTL index answers, done (the hit resets the key's TTL);
 3. otherwise flood the member's replica subnetwork (the ``repl * dup2``
    surcharge of Eq. 16) — the first replica the flood reaches that holds
    a live entry answers;
@@ -32,10 +32,11 @@ checked once, by the gateway lookup: :class:`~repro.net.bootstrap.GatewayCache`
 memoises each peer's answer for one liveness epoch and membership
 version, so a repeat asker is known online. One
 :meth:`~repro.dht.pgrid.PGridDht.route` call yields the responsible
-member and the hops (no result object). A miss's insert floods the
-group again and writes each member the flood reaches inline
-(:meth:`~repro.pdht.ttl_cache.TtlKeyStore.put` of the one record and
-the one heap record shared by the whole group).
+member and the hops (no result object). A miss at the responsible
+member asks only the flooded members whose record can differ from its
+own (:meth:`~repro.pdht.ttl_cache.ReplicaGroupIndex.scan`), and a miss's
+insert floods the group again and writes the members it reaches with
+one record (:meth:`~repro.pdht.ttl_cache.ReplicaGroupIndex.write`).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.net.bootstrap import GatewayCache
 from repro.net.churn import ChurnConfig, ChurnProcess
 from repro.net.node import PeerId, PeerPopulation
 from repro.pdht.config import PdhtConfig
-from repro.pdht.ttl_cache import TtlKeyStore
+from repro.pdht.ttl_cache import ReplicaGroupIndex
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.engine import Simulation
 from repro.sim.metrics import MessageCategory, MessageMetrics
@@ -143,13 +144,12 @@ class PdhtNetwork:
         )
         self.dht.join_all(member_ids)
 
-        # --- index plane: TTL stores + replica groups -------------------
-        #: Each member's TTL index store.
-        self.stores: dict[PeerId, TtlKeyStore] = {
-            m: TtlKeyStore(self.config.key_ttl) for m in member_ids
-        }
+        # --- index plane: replica groups and their TTL indexes ----------
         self._groups: list[ReplicaNetwork] = []
         self._group_of: dict[PeerId, ReplicaNetwork] = {}
+        #: Each replica group's TTL index, in ``_groups`` order.
+        self.indexes: list[ReplicaGroupIndex] = []
+        self._index_of: dict[PeerId, ReplicaGroupIndex] = {}
         self._build_replica_groups(member_ids)
 
         # --- maintenance and churn ---------------------------------------
@@ -169,7 +169,8 @@ class PdhtNetwork:
 
     # ------------------------------------------------------------------
     def _build_replica_groups(self, member_ids: list[PeerId]) -> None:
-        """Partition members (ring order) into replica groups of ~repl."""
+        """Partition members (ring order) into replica groups of ~repl,
+        each with an empty TTL index."""
         ordered = sorted(member_ids, key=self.dht.dht_id)
         size = self.config.replication
         rng = self.streams.get("replica-nets")
@@ -188,8 +189,11 @@ class PdhtNetwork:
             )
             self._groups.append(group)
         for group in self._groups:
+            index = ReplicaGroupIndex(group.members, self.config.key_ttl)
+            self.indexes.append(index)
             for member in group.members:
                 self._group_of[member] = group
+                self._index_of[member] = index
 
     def group_of(self, member: PeerId) -> ReplicaNetwork:
         if member not in self._group_of:
@@ -238,8 +242,8 @@ class PdhtNetwork:
         hops = flood_messages = 0
         if gateway is not None:
             responsible, hops = self.dht.route(gateway, key)
-            stores = self.stores
-            record = stores[responsible].query(key, now)
+            index = self._index_of[responsible]
+            record = index.query(key, responsible, now)
             if record is not None:
                 return QueryOutcome(
                     key, True, True, hops, 0, 0, 0, False, record[0]
@@ -250,14 +254,12 @@ class PdhtNetwork:
             reached, flood_messages = self._group_of[responsible].flood(
                 responsible
             )
-            for member in reached[1:]:
-                held = stores[member].records.get(key)
-                if held is not None and held[1] > now:
-                    record = stores[member].query(key, now)
-                    return QueryOutcome(
-                        key, True, True, hops, flood_messages, 0, 0, False,
-                        record[0],
-                    )
+            record = index.scan(key, reached, now)
+            if record is not None:
+                return QueryOutcome(
+                    key, True, True, hops, flood_messages, 0, 0, False,
+                    record[0],
+                )
 
         # Miss: broadcast search the unstructured overlay.
         walk = self.walker.search(origin, key)
@@ -285,17 +287,12 @@ class PdhtNetwork:
         its replica subnetwork (the second cSIndx2 of Eq. 17); returns the
         flood's messages.
 
-        One record and one heap record serve every member the flood
-        reaches (the responsible peer first): all of them follow the one
-        ``keyTtl``.
+        One record serves every member the flood reaches (the
+        responsible peer first): all of them follow the one ``keyTtl``.
         """
         reached, messages = self._group_of[responsible].flood(responsible)
-        stores = self.stores
-        expires_at = now + stores[responsible].ttl
-        record = (value, expires_at)
-        heap_record = (expires_at, key)
-        for member in reached:
-            stores[member].put(key, record, heap_record, now)
+        index = self._index_of[responsible]
+        index.write(key, (value, now + index.ttl), reached, now)
         return messages
 
     def disable_maintenance(self) -> None:
@@ -319,21 +316,20 @@ class PdhtNetwork:
         partial-ideal baselines; the paper's analysis starts from a built
         index).
 
-        Every member of a group stores the group's keys in the order
-        ``items`` lists them, each key as the one record the group's map
-        holds (a copy of the map per member, never the map itself).
+        Every member of a group holds each of the group's keys, online
+        or not: one record per key in the group's index.
         """
         now = self.simulation.now
-        by_group: dict[ReplicaNetwork, list[tuple[str, object]]] = {}
+        by_index: dict[ReplicaGroupIndex, list[tuple[str, object]]] = {}
         for key, value in items.items():
-            group = self.group_of(self.dht.responsible_for(key))
-            by_group.setdefault(group, []).append((key, value))
-        for group, pairs in by_group.items():
-            stores = [self.stores[member] for member in group.members]
-            expires_at = now + stores[0].ttl
-            records = {key: (value, expires_at) for key, value in pairs}
-            for store in stores:
-                store.put_all(records, expires_at, now)
+            index = self._index_of[self.dht.responsible_for(key)]
+            by_index.setdefault(index, []).append((key, value))
+        for index, pairs in by_index.items():
+            expires_at = now + index.ttl
+            index.write_all(
+                {key: (value, expires_at) for key, value in pairs},
+                expires_at, now,
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -342,9 +338,8 @@ class PdhtNetwork:
         """Distinct keys with at least one live index entry anywhere."""
         now = self.simulation.now
         keys: set[str] = set()
-        for store in self.stores.values():
-            store.purge_expired(now)
-            keys.update(store.keys())
+        for index in self.indexes:
+            keys.update(index.live_keys(now))
         return len(keys)
 
     def random_online_peer(self) -> PeerId:

@@ -280,7 +280,7 @@ class SimulatedStrategy:
                     {names[i]: self._value(i) for i in range(n_keys)}
                 )
             # Every key in key order, else the top ranks in rank order
-            # (the stores keep the order given).
+            # (the indexes keep the order given).
             ranks = self.policy.preloaded_ranks
             indexed = (
                 range(n_keys)

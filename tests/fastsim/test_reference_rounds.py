@@ -9,7 +9,7 @@ strategies, reading what a strategy does from the same
 * ``partialSelection`` — the Section 5.1 query path: a dict of expiries,
   one query at a time in batch order, as
   :class:`~repro.pdht.network.PdhtNetwork` answers them — a live entry
-  (``expires_at > now``, ``TtlKeyStore``'s strict test) hits and rearms
+  (``expires_at > now``, the event index's strict test) hits and rearms
   to ``now + keyTtl``; anything else misses, broadcasts, resolves
   (without churn every broadcast does) and is re-inserted with the
   current content version;

@@ -57,7 +57,8 @@ class TestIndexDynamics:
         assert state.index_size(now=10.0, key_ttl=10.0) == 2
 
     def test_expiry_instant_is_a_miss_like_ttl_store(self, small_params):
-        # TtlKeyStore treats expires_at <= now as a miss; so does the array.
+        # The event index treats expires_at <= now as a miss; so does the
+        # array.
         state = FastSimState(small_params)
         keys = np.array([0])
         state.write(keys, now=0.0)

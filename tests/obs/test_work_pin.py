@@ -27,12 +27,16 @@ ROOT = Path(__file__).resolve().parents[2]
 DATA = Path(__file__).parent / "data" / "pinned_work.json"
 
 _RUN = ["--seed", "0", "--no-store", "--profile", "--format", "json"]
-#: The pinned runs: the benchmark's cold sweep in one process, and a
-#: cold vectorized ``sim``, whose costs are calibrated on an event
-#: substrate.
+#: The pinned runs: the benchmark's cold sweep in one process; a cold
+#: vectorized ``sim``, whose costs are calibrated on an event substrate;
+#: and the ``sim_event`` and ``churn_cold`` benchmark commands (the event
+#: engine's four strategies, and churn calibration probes on it).
 COMMANDS = {
     "sweep": ["sweep", "--scale", "8", "--jobs", "1", *_RUN],
     "sim": ["sim", "--engine", "vectorized", *_RUN],
+    "sim_event": ["sim", "--engine", "event", "--duration", "150", *_RUN],
+    "churn_cold": ["churn", "--engine", "vectorized", "--duration", "120",
+                   "--scale", "0.02", *_RUN],
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import MethodType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,10 @@ from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork, QueryOutcome
 from repro.pdht.strategies import SimulatedStrategy, StrategyReport, key_name
-from repro.pdht.ttl_cache import TtlKeyStore
 from repro.sim.metrics import MessageCategory
+
+from test_group_index import member_views
+from test_ttl_cache import TtlKeyStore
 
 
 @pytest.fixture
@@ -62,7 +65,10 @@ class TestConstruction:
             assert 2 <= len(group.members) <= 2 * network.config.replication
 
     def test_every_member_has_node(self, network):
-        assert set(network.stores) == set(network.dht._members)
+        assert set(network._index_of) == set(network.dht._members)
+        for group, index in zip(network._groups, network.indexes):
+            assert list(index.position) == group.members
+            assert all(network._index_of[m] is index for m in group.members)
 
     def test_group_of_non_member_rejected(self, network):
         outsider = next(
@@ -340,6 +346,29 @@ def reference_query(self, origin, key):
     )
 
 
+def reference_write(self, responsible, key, value, now):
+    """``PdhtNetwork._write`` as it was, verbatim: one ``put`` per member
+    the flood reaches, into the member's own store."""
+    reached, messages = self._group_of[responsible].flood(responsible)
+    stores = self.stores
+    expires_at = now + stores[responsible].ttl
+    record = (value, expires_at)
+    heap_record = (expires_at, key)
+    for member in reached:
+        stores[member].put(key, record, heap_record, now)
+    return messages
+
+
+def reference_distinct_indexed_keys(self):
+    """``PdhtNetwork.distinct_indexed_keys`` as it was, verbatim."""
+    now = self.simulation.now
+    keys: set[str] = set()
+    for store in self.stores.values():
+        store.purge_expired(now)
+        keys.update(store.keys())
+    return len(keys)
+
+
 def reference_insert_into_index(self, lookup, value):
     """``PdhtNetwork._insert_into_index`` as it was, verbatim."""
     now = self.simulation.now
@@ -412,22 +441,51 @@ def _state(network):
     """What a query can change, in order where order is observable."""
     return (
         list(network.metrics.totals_by_category().items()),
-        {m: (store.records, store._expiry_heap)
-         for m, store in network.stores.items()},
+        member_views(network),
         {peer: list(cache) for peer, cache in network.gateways._caches.items()},
         [network.streams.get(name).bit_generator.state
          for name in ("walks", "origins", "gateway")],
     )
 
 
+def _reference(network):
+    """``network`` as the replaced bodies found it: one ``TtlKeyStore``
+    per member (``network.stores``) holding the member's live records —
+    what the strategy preloaded — and its writes and index sizing
+    through the replaced bodies."""
+    now = network.simulation.now
+    stores = {}
+    for member, view in member_views(network).items():
+        store = stores[member] = TtlKeyStore(network.config.key_ttl)
+        for key, record in view.items():
+            store.put(key, record, (record[1], key), now)
+    network.stores = stores
+    network._write = MethodType(reference_write, network)
+    network.distinct_indexed_keys = MethodType(
+        reference_distinct_indexed_keys, network
+    )
+
+
 def _join(network, peer):
-    """A member joining mid-run, with a store, in regrouped replica
-    groups (the network itself never grows its DHT)."""
+    """A member joining mid-run, with an empty store, in regrouped
+    replica groups (the network itself never grows its DHT). The
+    reference keeps its members' stores; the network under test writes
+    each member's live records into its new group's index, at that
+    member alone."""
+    views = member_views(network)
     network.dht.join(peer)
-    network.stores[peer] = TtlKeyStore(network.config.key_ttl)
-    network._groups.clear()
-    network._group_of.clear()
-    network._build_replica_groups(list(network.stores))
+    stores = getattr(network, "stores", None)
+    if stores is not None:
+        stores[peer] = TtlKeyStore(network.config.key_ttl)
+    for table in (network._groups, network._group_of, network.indexes,
+                  network._index_of):
+        table.clear()
+    network._build_replica_groups(list(network.dht.members()))
+    if stores is None:
+        now = network.simulation.now
+        for member, view in views.items():
+            for key, record in view.items():
+                network._index_of[member].write(key, record, (member,), now)
 
 
 @settings(max_examples=50, deadline=None)
@@ -444,30 +502,30 @@ def test_query_and_round_equal_the_replaced_bodies(
     shape, strategy, key_ttl, churned, refresh, joins, seed
 ):
     """Side by side over six rounds: every query's origin, key and
-    ``QueryOutcome``, and after it the metrics, every TTL store (records
-    and heap), every gateway cache and the "walks", "origins" and
-    "gateway" stream states; after each round the report and the store
-    order. Before the third round and each after it, one of ``joins``
-    picks an origin seen so far that is not a member, and it joins the
-    DHT. The reference routes with ``lookup``, whose route the P-Grid
-    route oracle holds.
+    ``QueryOutcome``, and after it the metrics, every member's live index
+    records, every gateway cache and the "walks", "origins" and
+    "gateway" stream states; after each round the report. The reference
+    runs on one ``TtlKeyStore`` per member, as the network did before
+    its replica groups held their members' records once. Before the
+    third round and each after it, one of ``joins`` picks an origin seen
+    so far that is not a member, and it joins the DHT. The reference
+    routes with ``lookup``, whose route the P-Grid route oracle holds.
 
     Mutations run against the new code, each caught here:
 
     * the gateway memo keyed on the liveness epoch alone (a join makes a
       peer its own gateway without a flip);
-    * an insert that writes the responsible member's store only, not
-      every member the flood reaches;
+    * an insert that writes the responsible member only, not every
+      member the flood reaches;
     * an insert whose heap record is keyed at the write time, not the
-      expiry;
+      expiry (the record outlives its purge: the index size shows it);
     * an origin drawn from the previous round's view (the view taken
       before the round's clock advance; under churn);
     * a hit at a flooded replica reporting no flood messages.
 
-    An insert writes through ``TtlKeyStore.put``, as the reference does,
-    so ``put`` without its purge-due check, or pushing a heap record for
-    an ``inf`` expiry, is caught by the TTL-store oracle
-    (``test_ttl_store_equivalence.py``), not here.
+    A miss at a replica group asks its index, whose scan
+    ``test_group_index.py`` holds to the replaced loop over every
+    member, under writes that miss members too.
     """
     num_peers, n_keys, repl = shape
     params = ScenarioParameters(
@@ -483,6 +541,7 @@ def test_query_and_round_equal_the_replaced_bodies(
         )
         for _ in range(2)
     )
+    _reference(old.network)
     queried = PdhtNetwork.query.__get__(new.network)
     answers, asked = [], []
 
@@ -521,6 +580,3 @@ def test_query_and_round_equal_the_replaced_bodies(
         expected.stale_hits = old._stale_hits
         assert report == expected
         assert _state(new.network) == _state(old.network)
-        assert [list(s.records) for s in new.network.stores.values()] == [
-            list(s.records) for s in old.network.stores.values()
-        ]

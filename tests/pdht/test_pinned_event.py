@@ -69,14 +69,7 @@ def _index_size(network) -> int:
     key once per replica group it lives in (what
     ``PdhtNetwork.index_size()`` returned when the runs were recorded)."""
     now = network.simulation.now
-    seen: set[tuple[int, str]] = set()
-    for group_idx, group in enumerate(network._groups):
-        for member in group.members:
-            store = network.stores[member]
-            store.purge_expired(now)
-            for key in store.keys():
-                seen.add((group_idx, key))
-    return len(seen)
+    return sum(len(index.live_keys(now)) for index in network.indexes)
 
 
 def capture(case: str) -> dict:

@@ -2,15 +2,16 @@
 draw against the per-key and per-call bodies ISSUE 22 replaced.
 
 ``PdhtNetwork.preload_index_all`` groups keys by replica group and hands
-every member's store one ``TtlKeyStore.put_all`` of the group's shared
+each group's index one ``ReplicaGroupIndex.write_all`` of the group's
 records; it replaced ``preload_index`` called per key (key -> member ->
 ``insert``), kept here together with the two strategy loops that drove
 it (verbatim but for the node's ``index_insert`` pass-through, which
 went, and for running on a bare network: a strategy now preloads as it
-is built). Every store must end up the same: its records (key, value and
-expiry, in insertion order), the expiry heap as a list (its pop order)
-and the counters — with expired entries at the head of some heaps, and
-after churn took members offline.
+is built), on one ``TtlKeyStore`` per member (``test_ttl_cache.py``,
+the store each member once held). Every member's live view (key ->
+``(value, expiry)``) must end up the same, and the counters — with
+expired entries due at some purge, and after churn took members
+offline.
 
 ``PdhtNetwork.random_online_peer`` draws from a ``BoundedStream`` over
 the "origins" generator; it replaced one scalar ``rng.integers`` per
@@ -18,14 +19,8 @@ call, kept here as ``reference_random_online_peer``.
 
 Mutations run against the new code, each caught by the test named:
 
-* keys grouped by responsible member before key order (a group's store
-  sees one member's keys, then the next member's) —
-  ``test_preload_all_equals_one_preload_per_key``;
-* only the first member of a group filled — the same test (store by
-  store, heaps included);
-* ``put_all`` purging once up front even for a batch expiring at
-  ``now`` (``keyTtl = 0``) — the same test
-  (``test_ttl_store_equivalence.py`` holds the store alone to it);
+* only the first member of a group filled (``holders`` set to its bit)
+  — ``test_preload_all_equals_one_preload_per_key``;
 * the origin drawn over all peers, or over the online peers in another
   order, or the "origins" generator read without settling —
   ``test_origins_equal_scalar_draws_under_churn``.
@@ -44,7 +39,8 @@ from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.pdht.strategies import SimulatedStrategy, key_name
 
-from test_ttl_cache import insert
+from test_group_index import member_views
+from test_ttl_cache import TtlKeyStore, insert
 
 
 # ----------------------------------------------------------------------
@@ -79,14 +75,15 @@ def reference_random_online_peer(self: PdhtNetwork, rng) -> int:
 
 
 # ----------------------------------------------------------------------
-def _stores(network: PdhtNetwork) -> dict:
-    return {
-        member: (
-            list(store.records.items()),
-            list(store._expiry_heap),
-        )
-        for member, store in network.stores.items()
+def _with_stores(network: PdhtNetwork) -> PdhtNetwork:
+    """``network`` with the stores the reference writes: an empty
+    ``TtlKeyStore`` per member."""
+    network.stores = {
+        member: TtlKeyStore(network.config.key_ttl)
+        for member in network.dht.members()
     }
+    return network
+
 
 
 PARAMS = ScenarioParameters(
@@ -114,7 +111,7 @@ def _network(key_ttl: float, seed: int) -> PdhtNetwork:
     ),
 )
 def test_preload_all_equals_one_preload_per_key(key_ttl, seed, batches):
-    old, new = (_network(key_ttl, seed) for _ in range(2))
+    old, new = _with_stores(_network(key_ttl, seed)), _network(key_ttl, seed)
     for rounds, keys, offline in batches:
         items = {f"key-{k:06d}": f"value-{k}" for k in keys}
         for network in (old, new):
@@ -129,11 +126,23 @@ def test_preload_all_equals_one_preload_per_key(key_ttl, seed, batches):
                 new.preload_index_all(items)
             return
         new.preload_index_all(items)
-        assert _stores(new) == _stores(old)
+        assert member_views(new) == member_views(old)
+        # A hit gives the member it lands on a record of its own, which
+        # the next preload of the key must replace.
+        if items:
+            for network in (old, new):
+                network.advance(0.5)
+            key = next(iter(items))
+            member = new.dht.responsible_for(key)
+            now = new.simulation.now
+            assert new._index_of[member].query(key, member, now) == (
+                old.stores[member].query(key, now)
+            )
+            assert member_views(new) == member_views(old)
     # ... and the one-item case
     reference_preload_index(old, "key-000007", "again")
     new.preload_index_all({"key-000007": "again"})
-    assert _stores(new) == _stores(old)
+    assert member_views(new) == member_views(old)
     assert new.metrics.totals_by_category() == old.metrics.totals_by_category()
 
 
@@ -141,19 +150,19 @@ def test_preload_all_equals_one_preload_per_key(key_ttl, seed, batches):
 def test_strategy_preloads_equal_the_per_key_loops(strategy, small_params):
     new = SimulatedStrategy(small_params, strategy=strategy, seed=5)
     # The substrate the strategy built, before it preloaded anything.
-    old = PdhtNetwork(
+    old = _with_stores(PdhtNetwork(
         small_params, new.config, seed=5,
         num_active_peers=new.policy.num_members,
-    )
+    ))
     if strategy == "indexAll":
         reference_prepare_index_all(old, small_params.n_keys)
     else:
         max_rank = new.policy.preloaded_ranks
         reference_prepare_partial_ideal(old, new.workload, max_rank)
         assert 0 < max_rank < small_params.n_keys
-    stores = _stores(new.network)
-    assert stores == _stores(old)
-    assert sum(len(entries) for entries, *_ in stores.values()) > 0
+    views = member_views(new.network)
+    assert views == member_views(old)
+    assert sum(len(view) for view in views.values()) > 0
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Differential test: ``TtlKeyStore`` against the store it replaced.
 
+``TtlKeyStore`` (``test_ttl_cache.py``) is one member's store, the oracle
+``test_group_index.py`` holds the replica-group index to; this test holds
+it, in turn, to the store before it.
+
 An index entry used to be a mutable slotted ``TtlEntry`` per member, each
 with its own ``(expires_at, key)`` heap record — ``inf`` expiries too.
 It is now one immutable ``(value, expires_at)`` record that a
@@ -32,8 +36,7 @@ Mutations run against the new code, each caught by the test named:
   each insert must evict the one before it);
 * ``put_all`` aliasing the group map (``self.records = records`` into an
   empty store) instead of copying it — the first test (a later insert or
-  hit at one member shows up at the others) and
-  ``test_index_layout.py::test_preload_shares_records_not_maps``;
+  hit at one member shows up at the others);
 * ``put_all`` purging once even when the batch expires at ``now`` — the
   ``put_all`` test.
 """
@@ -48,9 +51,7 @@ from typing import Iterable, Iterator
 
 from hypothesis import given, settings, strategies as st
 
-from repro.pdht.ttl_cache import TtlKeyStore
-
-from test_ttl_cache import insert
+from test_ttl_cache import TtlKeyStore, insert
 
 
 # ----------------------------------------------------------------------

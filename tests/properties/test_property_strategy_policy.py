@@ -5,8 +5,9 @@ For every strategy and generated small scenario, three implementations
 must state the same facts as the policy:
 
 * the event substrate (:class:`~repro.pdht.strategies.SimulatedStrategy`
-  after ``prepare()``): DHT members, the TTL its stores insert with, the
-  keys found in the node stores, whether maintenance was cancelled, and
+  after ``prepare()``): DHT members, the TTL its indexes insert with, the
+  keys found in the replica groups' indexes, whether maintenance was
+  cancelled, and
   which ranks query the index / hit it at once;
 * the kernel (:class:`~repro.fastsim.kernel.FastSimKernel` before its
   first round): DHT members, ``key_ttl``, the reported index size,
@@ -78,8 +79,9 @@ def _event_facts(params, config, name, ranks):
     strategy = SimulatedStrategy(params, config=config, strategy=name, seed=1)
     network = strategy.network
     stored = set()
-    for store in network.stores.values():
-        stored.update(store.keys())
+    for index in network.indexes:
+        stored.update(index.latest)
+        stored.update(index.own)
     report = StrategyReport(strategy=name, params=params, duration=1.0)
     routed = []
     for rank in ranks:
@@ -140,7 +142,7 @@ def test_both_engines_and_the_closed_form_run_the_policy(params, key_ttl):
         preloaded = [r <= policy.preloaded_ranks for r in ranks]
 
         strategy, stored, routed = _event_facts(params, config, name, ranks)
-        assert len(strategy.network.stores) == policy.num_members, name
+        assert strategy.network.dht.size == policy.num_members, name
         assert strategy.config.key_ttl == policy.key_ttl, name
         assert stored == {
             key_name(strategy.workload.key_for_rank(r))

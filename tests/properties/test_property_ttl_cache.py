@@ -1,8 +1,10 @@
-"""Property-based tests for the TTL key store.
+"""Property-based tests for the TTL index, one member's view of it.
 
-A stateful model-based test drives the store with random interleavings of
-inserts, queries, purges and clock advances, comparing against a
-brute-force reference model.
+A stateful model-based test drives a one-member replica group's index
+with random interleavings of inserts, queries, purges and clock
+advances, comparing against a brute-force reference model
+(``tests/pdht/test_group_index.py`` holds a whole group to one store per
+member).
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.pdht.ttl_cache import TtlKeyStore
+from repro.pdht.ttl_cache import ReplicaGroupIndex
 
 KEYS = [f"k{i}" for i in range(8)]
+#: The one member of the group (a peer id).
+MEMBER = 7
 
 
 class TtlStoreMachine(RuleBasedStateMachine):
@@ -22,19 +26,19 @@ class TtlStoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.ttl = 10.0
-        self.store = TtlKeyStore(ttl=self.ttl)
+        self.store = ReplicaGroupIndex((MEMBER,), ttl=self.ttl)
         self.model: dict[str, float] = {}  # key -> expires_at
         self.now = 0.0
 
     @rule(key=st.sampled_from(KEYS), value=st.integers())
     def insert(self, key, value):
         expires_at = self.now + self.ttl
-        self.store.put(key, (value, expires_at), (expires_at, key), self.now)
+        self.store.write(key, (value, expires_at), (MEMBER,), self.now)
         self.model[key] = self.now + self.ttl
 
     @rule(key=st.sampled_from(KEYS))
     def query(self, key):
-        entry = self.store.query(key, now=self.now)
+        entry = self.store.query(key, MEMBER, now=self.now)
         model_live = key in self.model and self.model[key] > self.now
         assert (entry is not None) == model_live
         if model_live:
@@ -53,8 +57,7 @@ class TtlStoreMachine(RuleBasedStateMachine):
     @invariant()
     def live_sizes_match(self):
         model_live = sum(1 for exp in self.model.values() if exp > self.now)
-        self.store.purge_expired(self.now)
-        assert len(self.store) == model_live
+        assert len(self.store.live_keys(self.now)) == model_live
 
 
 TestTtlStoreStateful = TtlStoreMachine.TestCase
@@ -70,13 +73,13 @@ TestTtlStoreStateful.settings = settings(
 @settings(max_examples=60, deadline=None)
 def test_key_survives_iff_gaps_below_ttl(ttl, gaps):
     """A key stays alive exactly while inter-query gaps stay under the TTL."""
-    store = TtlKeyStore(ttl=ttl)
+    store = ReplicaGroupIndex((MEMBER,), ttl=ttl)
     now = 0.0
-    store.put("k", (1, now + ttl), (now + ttl, "k"), now)
+    store.write("k", (1, now + ttl), (MEMBER,), now)
     alive = True
     for gap in gaps:
         now += gap
-        hit = store.query("k", now=now) is not None
+        hit = store.query("k", MEMBER, now=now) is not None
         expected = alive and gap < ttl
         assert hit == expected
         alive = expected

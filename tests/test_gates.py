@@ -9,7 +9,8 @@ from __future__ import annotations
 import importlib
 import math
 
-from benchmarks.gates import GATES, Gate, readings, run
+from benchmarks.gates import GATES, Gate, readings, run, table1_index
+from repro.experiments.scenario import simulation_scenario
 
 
 def table(limit_b: float = 2.0, calls: list | None = None):
@@ -72,3 +73,15 @@ def test_shipped_rows_are_unique_and_their_measures_importable():
         module = importlib.import_module(gate.measure.__module__)
         assert getattr(module, gate.measure.__name__) is gate.measure
         assert gate.why and math.isfinite(gate.limit)
+
+
+def test_the_table1_index_row_reads_a_small_build():
+    # The shipped measure, on a 200-peer stand-in for Table 1.
+    shipped = next(g for g in GATES if g.name == "table1_index.peak_mib")
+    assert shipped.measure is table1_index and shipped.field == "peak_mib"
+    small = simulation_scenario(scale=0.01)
+    gate = Gate(shipped.name, lambda: table1_index(small), shipped.field,
+                shipped.limit, shipped.why)
+    lines: list[str] = []
+    assert run([gate], out=lines.append) == 0
+    assert 0.0 < float(lines[0].split()[1]) < shipped.limit

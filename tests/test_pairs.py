@@ -378,3 +378,24 @@ def test_a_pooled_workload_reads_each_cache_as_its_lookups(tmp_path):
         "sweep_cold work: 1 equal; cache.costs.miss 16->17; "
         "cache.zipf_guide.hit 21->20; cache.zipf_guide.miss 3->4"
     )
+
+
+def test_a_pooled_workload_leaves_out_the_per_process_counters(tmp_path):
+    # Each pool worker builds its own Zipf CDF, so the count moves with
+    # which worker drew which unit: two runs of one commit read 5 and 3.
+    parent = {**WORK, "zipf.cdf.builds": 5.0, "kernel.spans": 516.0}
+    change = {**WORK, "zipf.cdf.builds": 3.0, "kernel.spans": 517.0}
+    lines = {}
+    for workload in ("sweep_pool", "sweep_cold"):
+        roots, _ = checkouts(tmp_path / workload, [rep(1.0, 40.0, 10.0)],
+                             [rep(1.0, 40.0, 10.0)], parent, change)
+        proc = run_pairs(roots, "--workload", workload, "--pairs", "1")
+        assert proc.returncode == 0, proc.stderr
+        lines[workload] = proc.stdout.splitlines()[1]
+    assert lines["sweep_pool"] == (
+        "sweep_pool work: 1 equal; kernel.spans 516->517"
+    )
+    assert lines["sweep_cold"] == (
+        "sweep_cold work: 1 equal; kernel.spans 516->517; "
+        "zipf.cdf.builds 5->3"
+    )

@@ -53,7 +53,8 @@ reading: a timing verdict with its count beside it. A side whose run
 fails is named on stderr and gets no work line. On a workload of more
 than one process, a per-process cache's hits and misses split by which
 worker drew which cell, so each ``cache.X.hit`` / ``cache.X.miss`` pair
-is read as one ``cache.X.lookups`` total there.
+is read as one ``cache.X.lookups`` total there, and the counters of
+``PER_PROCESS``, which have no such total, are left out.
 
 The two checkouts' paths should be equally long: the path is in each
 run's environment and ``argv``, and ``sweep_cold``'s peak RSS steps by
@@ -85,6 +86,12 @@ RUN = Path("benchmarks") / "e2e" / "run.py"
 WORKLOADS = Path("benchmarks") / "e2e" / "workloads.py"
 #: End-to-end metrics that move with the length of the checkout's path.
 PATH_SENSITIVE = frozenset({"peak_rss_mb"})
+#: Work counters left out on a workload of several processes: each
+#: process counts its own, so they move with which worker drew which
+#: unit, not with the code (each worker builds the Zipf CDF of the
+#: distributions it draws from, once: a pooled ``sweep --scale 8`` of one
+#: commit read 3 to 5 builds).
+PER_PROCESS = ("zipf.cdf.builds",)
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int
@@ -222,8 +229,8 @@ def folded(counters: dict) -> dict:
 
 def work_counters(root: Path, workload, seed: int) -> Optional[dict]:
     """The work counters of one profiled run of ``workload``'s runner
-    command in ``root`` (cache lookups folded on a workload of several
-    processes); None when the run fails."""
+    command in ``root`` (cache lookups folded and ``PER_PROCESS`` left
+    out on a workload of several processes); None when the run fails."""
     runner = [sys.executable, "-m", "repro.experiments.runner"]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as scratch:
@@ -243,7 +250,10 @@ def work_counters(root: Path, workload, seed: int) -> Optional[dict]:
         except (OSError, ValueError, KeyError, TypeError):
             return None
     work = {name: value for name, value in counters.items() if is_work(name)}
-    return folded(work) if workload.processes > 1 else work
+    if workload.processes == 1:
+        return work
+    return folded({name: value for name, value in work.items()
+                   if name not in PER_PROCESS})
 
 
 def _count(value: Optional[float]) -> str:
